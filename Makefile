@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test race short scrubrace churnrace storagerace bench ci clean
+.PHONY: all build vet staticcheck lint test race short scrubrace churnrace storagerace clusterquick benchsmoke bench ci clean
 
 all: ci
 
@@ -66,6 +66,14 @@ clusterquick:
 	$(GO) test -timeout 8m ./internal/cluster
 	$(GO) test -timeout 12m -race -run TestClusterBenchQuick ./internal/harness
 
+# The staging benchmark (bench/, see BENCHMARK.json) is its own Go module,
+# so neither `go test ./...` nor `go vet ./...` above reaches it: vet it and
+# run its smoke test (a short run of every workload, correctness-checked)
+# plus the BENCHMARK.json drift guard here. Its go.mod replaces corec with
+# the parent directory and needs nothing from the network.
+benchsmoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # bench smoke-runs every Go benchmark once, then regenerates the erasure
 # engine's regression artifact (encode workers=1 vs N, cold vs cached decode
 # matrices at 4+2 and 8+3). BENCH_erasure.json is committed so perf
@@ -78,7 +86,7 @@ bench:
 	$(GO) run ./cmd/corec-bench -experiment tiering -json BENCH_tiering.json
 	$(GO) run ./cmd/corec-bench -experiment cluster -json BENCH_cluster.json
 
-ci: vet staticcheck lint build race scrubrace churnrace storagerace test clusterquick
+ci: vet staticcheck lint build race scrubrace churnrace storagerace test benchsmoke clusterquick
 
 clean:
 	$(GO) clean ./...

@@ -34,6 +34,9 @@ type Client struct {
 	cluster *Cluster
 	id      types.ServerID // negative: client address space
 	col     *metrics.Collector
+	// fleet is the static fleet's member list 0..n-1, built once (nil in
+	// elastic mode, where view tracks the ring).
+	fleet []types.ServerID
 
 	// viewMu guards the elastic member-view cache: the ring's member list
 	// at viewEpoch. Clients refresh it only when the ring epoch moves, so
@@ -46,11 +49,18 @@ type Client struct {
 
 // NewClient returns a client bound to the cluster.
 func (c *Cluster) NewClient() *Client {
-	return &Client{
+	cl := &Client{
 		cluster: c,
 		id:      types.ServerID(-1 - clientSeq.Add(1)),
 		col:     c.col,
 	}
+	if c.elastic == nil {
+		cl.fleet = make([]types.ServerID, c.cfg.Servers)
+		for i := range cl.fleet {
+			cl.fleet[i] = types.ServerID(i)
+		}
+	}
+	return cl
 }
 
 // memberView returns the servers a directory-wide operation should address:
@@ -59,11 +69,7 @@ func (c *Cluster) NewClient() *Client {
 func (cl *Client) memberView() []types.ServerID {
 	c := cl.cluster
 	if c.elastic == nil {
-		ids := make([]types.ServerID, c.cfg.Servers)
-		for i := range ids {
-			ids[i] = types.ServerID(i)
-		}
-		return ids
+		return cl.fleet
 	}
 	epoch := c.elastic.ring.Epoch()
 	cl.viewMu.Lock()
@@ -93,7 +99,9 @@ func (cl *Client) dirGroupFor(key string) []types.ServerID {
 // send delivers one RPC under the cluster's retry policy — per-attempt
 // timeouts, capped exponential backoff with jitter — tallying retry and
 // fault counters. All protocol requests are idempotent, so resending on a
-// transient fabric failure is safe.
+// transient fabric failure is safe. A destination the fabric's peer-health
+// table has marked down fails fast (one attempt, no backoff, no retry
+// counted) until a half-open trial or a re-admission clears it.
 func (cl *Client) send(ctx context.Context, to types.ServerID, msg *transport.Message) (*transport.Message, error) {
 	c := cl.cluster
 	resp, attempts, err := c.retry.Send(ctx, c.net, cl.id, to, msg)
@@ -350,11 +358,15 @@ func (cl *Client) queryDirectory(ctx context.Context, name string, box Box) ([]t
 	if reachable == 0 {
 		return nil, fmt.Errorf("corec: no directory shard reachable")
 	}
-	out := make([]types.ObjectMeta, 0, len(best))
-	for _, m := range best {
-		out = append(out, m)
+	keys := make([]string, 0, len(best))
+	for k := range best {
+		keys = append(keys, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID.Key() < out[j].ID.Key() })
+	sort.Strings(keys)
+	out := make([]types.ObjectMeta, len(keys))
+	for i, k := range keys {
+		out[i] = best[k]
+	}
 	return out, nil
 }
 
@@ -446,55 +458,38 @@ func (cl *Client) fetchEncoded(ctx context.Context, meta *types.ObjectMeta) ([]b
 		return nil, fmt.Errorf("%w: stripe %v metadata missing", ErrDataLoss, meta.Stripe)
 	}
 	shards := make([][]byte, info.K+info.M)
-	have := 0
-	var missingData bool
-	// Systematic fast path: the k data shards, in parallel.
-	var wg sync.WaitGroup
-	var mu sync.Mutex
+	// A data-shard holder already known dead makes this a degraded read
+	// from the start: fetch the parity in the same round as the surviving
+	// data shards instead of discovering the loss first.
+	knownLoss := false
 	for _, member := range info.Members {
-		if member.Index >= info.K {
-			continue
+		if member.Index < info.K && c.health.Down(member.Server) {
+			knownLoss = true
+			break
 		}
-		wg.Add(1)
-		go func(member types.StripeMember) {
-			defer wg.Done()
-			b, ok := cl.fetchShard(ctx, info.ID, member)
-			mu.Lock()
-			defer mu.Unlock()
-			if ok {
-				shards[member.Index] = b
-				have++
-			} else {
-				missingData = true
-			}
-		}(member)
 	}
-	wg.Wait()
-	if missingData {
-		// Degraded read: pull parity shards and reconstruct the data. All
-		// surviving parity is fetched in parallel, even when fewer shards
-		// would complete the stripe — at most m extra shards of bandwidth,
-		// traded for one fetch round-trip instead of m sequential ones (the
-		// degraded path is latency-bound, and spare shards let reconstruction
-		// proceed when a parity fetch fails too).
-		var pwg sync.WaitGroup
-		for _, member := range info.Members {
-			if member.Index < info.K || shards[member.Index] != nil {
-				continue
-			}
-			pwg.Add(1)
-			go func(member types.StripeMember) {
-				defer pwg.Done()
-				b, ok := cl.fetchShard(ctx, info.ID, member)
-				mu.Lock()
-				defer mu.Unlock()
-				if ok {
-					shards[member.Index] = b
-					have++
-				}
-			}(member)
+	firstRound := info.K // systematic fast path: the k data shards, in parallel
+	if knownLoss {
+		firstRound = info.K + info.M
+	}
+	have := cl.fetchShards(ctx, info, shards, 0, firstRound)
+	missingData := false
+	for _, b := range shards[:info.K] {
+		if b == nil {
+			missingData = true
+			break
 		}
-		pwg.Wait()
+	}
+	if missingData {
+		if !knownLoss {
+			// Degraded read: pull parity shards and reconstruct the data. All
+			// surviving parity is fetched in parallel, even when fewer shards
+			// would complete the stripe — at most m extra shards of bandwidth,
+			// traded for one fetch round-trip instead of m sequential ones (the
+			// degraded path is latency-bound, and spare shards let reconstruction
+			// proceed when a parity fetch fails too).
+			have += cl.fetchShards(ctx, info, shards, info.K, info.K+info.M)
+		}
 		if have < info.K {
 			return nil, fmt.Errorf("%w: stripe %v has %d of %d shards", ErrDataLoss, info.ID, have, info.K)
 		}
@@ -510,12 +505,37 @@ func (cl *Client) fetchEncoded(ctx context.Context, meta *types.ObjectMeta) ([]b
 	return c.codec.Join(shards, meta.Size)
 }
 
-// lookupStripe resolves stripe geometry from the directory pair.
+// fetchShards fetches, in parallel, the stripe's shards with index in
+// [lo, hi) into shards and returns how many arrived. Members on a server
+// marked down are still asked: the send fails fast, or is the half-open
+// trial that notices the server is back.
+func (cl *Client) fetchShards(ctx context.Context, info *types.StripeInfo, shards [][]byte, lo, hi int) int {
+	var wg sync.WaitGroup
+	var got atomic.Int64
+	for _, member := range info.Members {
+		if member.Index < lo || member.Index >= hi {
+			continue
+		}
+		wg.Add(1)
+		go func(member types.StripeMember) {
+			defer wg.Done()
+			if b, ok := cl.fetchShard(ctx, info.ID, member); ok {
+				shards[member.Index] = b // members hold distinct indices
+				got.Add(1)
+			}
+		}(member)
+	}
+	wg.Wait()
+	return int(got.Load())
+}
+
+// lookupStripe resolves stripe geometry from the directory pair: first
+// answer wins, so mirrors known to be down are asked last.
 func (cl *Client) lookupStripe(ctx context.Context, id types.StripeID) (*types.StripeInfo, bool) {
 	start := time.Now()
 	defer func() { cl.col.Add(metrics.Metadata, time.Since(start)) }()
 	key := id.String()
-	for _, t := range cl.dirGroupFor(key) {
+	for _, t := range cl.cluster.health.UpFirst(cl.dirGroupFor(key)) {
 		resp, err := cl.send(ctx, t, &transport.Message{Kind: transport.MsgStripeLookup, Stripe: id})
 		if err == nil && resp.Kind == transport.MsgOK && resp.Flag {
 			return resp.StripeInfo, true

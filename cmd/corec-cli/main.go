@@ -167,6 +167,11 @@ func main() {
 				s.ID, st.Load, st.Objects, st.Replicas, st.Shards, st.DirEntries,
 				st.Efficiency, st.PendingEncodes, st.PendingRepairs)
 		}
+		// This process's own fabric view: what the poll above cost and which
+		// peers its retry layer now fails fast against.
+		fs := cluster.FabricStatus()
+		fmt.Printf("fabric: retries=%d muxRedials=%d peersDown=%d fastFails=%d\n",
+			fs.Retries, fs.Transport.MuxRedials, fs.Transport.PeersDown, fs.Transport.FastFails)
 	default:
 		usage()
 	}

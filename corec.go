@@ -283,6 +283,7 @@ type Cluster struct {
 	net     transport.Network
 	faults  *transport.FaultyNetwork // non-nil when a FaultPlan wraps the fabric
 	retry   transport.RetryPolicy
+	health  *transport.PeerHealth // the fabric's table: retry.Send feeds it, reads consult it
 	top     *topology.Topology
 	groups  *topology.Groups
 	place   placement.Placement
@@ -434,6 +435,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		net:     net,
 		faults:  faults,
 		retry:   retryPolicy(cfg.Retry),
+		health:  transport.HealthOf(net),
 		top:     top,
 		groups:  groups,
 		place:   place,
@@ -742,6 +744,7 @@ func NewRemoteCluster(cfg Config, addrs map[ServerID]string) (*Cluster, error) {
 		cfg:     cfg,
 		net:     net,
 		retry:   retryPolicy(cfg.Retry),
+		health:  transport.HealthOf(net),
 		groups:  groups,
 		place:   placement.NewHash(cfg.Servers),
 		col:     metrics.NewCollector(),

@@ -340,6 +340,8 @@ func (c *Cluster) onMembershipEvent(ev MembershipEvent) {
 				tn.AddRemote(ev.ID, ev.Addr)
 			}
 		}
+		// Gossip says the member is alive: stop failing fast against it.
+		c.health.Admit(ev.ID)
 		if !e.ring.Contains(ev.ID) {
 			_, arcs := e.ring.Join(ev.ID, ev.Domain)
 			e.arcsMoved.Add(int64(len(arcs)))

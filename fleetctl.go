@@ -57,7 +57,12 @@ func (cl *Client) EndTimeStepAll(ctx context.Context, ts Version) (demoted, prom
 // whole before the run resumes. Returns the number of objects repaired.
 //
 // Recovery of a populated server can take a while; the context bounds it.
+//
+// The call is the operator's word that the server is up again — the remote
+// handle's counterpart of Cluster.Replace — so it re-admits the peer in the
+// fabric's health table instead of waiting out the half-open interval.
 func (cl *Client) RecoverServer(ctx context.Context, id ServerID, mode RecoveryMode) (int, error) {
+	cl.cluster.health.Admit(types.ServerID(id))
 	resp, err := cl.send(ctx, types.ServerID(id), &transport.Message{Kind: transport.MsgRecoverAll, Num: int64(mode)})
 	if err != nil {
 		return 0, err

@@ -69,18 +69,26 @@ func (s *Server) handleMetaLookup(req *transport.Message) *transport.Message {
 func (s *Server) handleMetaQuery(req *transport.Message) *transport.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resp := &transport.Message{Kind: transport.MsgOK}
-	// Key order, not map order: query responses are wire output and must
-	// be byte-identical across runs.
-	for _, k := range sortedKeys(s.dir) {
-		m := s.dir[k]
+	// Filter first, then sort only the matches: the shard holds every
+	// variable's records, a query names one. Key order, not map order —
+	// query responses are wire output and must be byte-identical across runs.
+	var keys []string
+	for k, m := range s.dir {
 		if m.ID.Var != req.Var {
 			continue
 		}
 		if req.Box.Valid() && !m.ID.Box.Intersects(req.Box) {
 			continue
 		}
-		resp.Metas = append(resp.Metas, *m.Clone())
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	resp := &transport.Message{Kind: transport.MsgOK}
+	if len(keys) > 0 {
+		resp.Metas = make([]types.ObjectMeta, len(keys))
+		for i, k := range keys {
+			resp.Metas[i] = *s.dir[k].Clone()
+		}
 	}
 	return resp
 }
@@ -320,11 +328,11 @@ func (s *Server) flushMirrorHints(ctx context.Context) {
 }
 
 // dirLookupStripe fetches a stripe record, trying each shard-group member
-// in turn.
+// in turn, mirrors the fabric knows to be down last.
 func (s *Server) dirLookupStripe(ctx context.Context, id types.StripeID) (*types.StripeInfo, bool) {
 	start := time.Now()
 	defer func() { s.col.Add(metrics.Metadata, time.Since(start)) }()
-	for _, t := range s.dirGroup(id.String()) {
+	for _, t := range transport.HealthOf(s.net).UpFirst(s.dirGroup(id.String())) {
 		var resp *transport.Message
 		var err error
 		msg := &transport.Message{Kind: transport.MsgStripeLookup, Stripe: id}

@@ -93,6 +93,10 @@ func NewFaultyNetwork(inner Network, plan *failure.FaultPlan) *FaultyNetwork {
 // fabric-specific APIs like TCPNetwork.Addr).
 func (f *FaultyNetwork) Inner() Network { return f.inner }
 
+// PeerHealth forwards to the wrapped fabric's table: injected faults never
+// surface as ErrUnreachable, so the injector adds no knowledge of its own.
+func (f *FaultyNetwork) PeerHealth() *PeerHealth { return HealthOf(f.inner) }
+
 // Register implements Network.
 func (f *FaultyNetwork) Register(id types.ServerID, h Handler) { f.inner.Register(id, h) }
 

@@ -20,6 +20,7 @@ type InProc struct {
 	mu       sync.RWMutex
 	handlers map[types.ServerID]Handler
 	link     simnet.LinkModel
+	health   PeerHealth
 
 	msgs  atomic.Int64
 	bytes atomic.Int64
@@ -32,12 +33,17 @@ func NewInProc(link simnet.LinkModel) *InProc {
 	return &InProc{handlers: make(map[types.ServerID]Handler), link: link}
 }
 
-// Register implements Network.
+// Register implements Network. A fresh handler is first-hand news that the
+// ID is up, so it also clears any down mark in the peer-health table.
 func (n *InProc) Register(id types.ServerID, h Handler) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.handlers[id] = h
+	n.mu.Unlock()
+	n.health.Admit(id)
 }
+
+// PeerHealth returns the fabric's peer-health table (see RetryPolicy.Send).
+func (n *InProc) PeerHealth() *PeerHealth { return &n.health }
 
 // Unregister implements Network.
 func (n *InProc) Unregister(id types.ServerID) {

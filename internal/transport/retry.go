@@ -4,9 +4,8 @@ import (
 	"context"
 	"errors"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net"
-	"sync"
 	"time"
 
 	"corec/internal/types"
@@ -41,6 +40,11 @@ type RetryPolicy struct {
 // DefaultRetryPolicy returns the policy the staging client uses unless
 // configured otherwise: four attempts, sub-millisecond initial backoff
 // (matched to the in-process fabric's microsecond latencies), 50ms cap.
+// The 0.5+1+2 ms of backoff is paid against a dead peer once per fabric,
+// not once per request: the send that exhausts it marks the peer in the
+// fabric's PeerHealth table and later sends fail fast, a half-open trial
+// going through every 0.5 ms doubling to the 50 ms cap — which is also the
+// longest a peer restarted on the same address waits to be re-admitted.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		MaxAttempts: 4,
@@ -81,21 +85,16 @@ func IsRetryable(err error) bool {
 	return false
 }
 
-// jitterRng de-synchronizes backoff delays across goroutines; its seed does
-// not need to be reproducible (fault injection has its own seeded stream).
-var (
-	jitterMu  sync.Mutex
-	jitterRng = rand.New(rand.NewSource(time.Now().UnixNano()))
-)
-
+// jitter de-synchronizes backoff delays across goroutines. It draws from
+// math/rand/v2's lock-free per-thread source: the offsets need not be
+// reproducible (fault injection has its own seeded stream), and concurrent
+// retriers must not serialise on a shared generator.
 func jitter(d time.Duration, frac float64) time.Duration {
 	if d <= 0 || frac <= 0 {
 		return d
 	}
 	span := float64(d) * frac
-	jitterMu.Lock()
-	off := jitterRng.Float64()*span - span/2
-	jitterMu.Unlock()
+	off := rand.Float64()*span - span/2
 	out := time.Duration(float64(d) + off)
 	if out < 0 {
 		out = 0
@@ -120,14 +119,26 @@ func (p RetryPolicy) backoffFor(retry int) time.Duration {
 // carrying a retryable remote error (see Message.AsError) are retried like
 // transport failures; other application errors are returned to the caller
 // untouched inside the response.
+//
+// When the fabric keeps a PeerHealth table, Send feeds and obeys it: a send
+// whose budget runs out on ErrUnreachable marks the destination down, sends
+// to a marked destination fail fast with ErrPeerDown (reported as one
+// attempt, no backoff), a send caught mid-budget when the mark lands stops
+// after its current attempt, and the one trial admitted per interval makes a
+// single attempt that either re-admits the peer or re-arms the interval.
 func (p RetryPolicy) Send(ctx context.Context, n Network, from, to types.ServerID, req *Message) (*Message, int, error) {
+	health := HealthOf(n)
+	adm, gen := health.admit(to)
+	if adm == admitDenied {
+		return nil, 1, ErrPeerDown
+	}
 	attempts := p.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
 	start := time.Now()
 	var lastErr error
-	for a := 0; a < attempts; a++ {
+	for a := 0; ; a++ {
 		actx, cancel := ctx, context.CancelFunc(func() {})
 		if p.PerAttemptTimeout > 0 {
 			actx, cancel = context.WithTimeout(ctx, p.PerAttemptTimeout)
@@ -135,6 +146,10 @@ func (p RetryPolicy) Send(ctx context.Context, n Network, from, to types.ServerI
 		resp, err := n.Send(actx, from, to, req)
 		cancel()
 		if err == nil {
+			if adm == admitTrial {
+				health.Admit(to) // the peer answered: it is back
+				adm = admitOpen
+			}
 			if rerr := resp.AsError(); rerr != nil && IsRetryable(rerr) {
 				err = rerr
 			} else {
@@ -145,10 +160,17 @@ func (p RetryPolicy) Send(ctx context.Context, n Network, from, to types.ServerI
 		if !IsRetryable(err) || ctx.Err() != nil {
 			return nil, a + 1, lastErr
 		}
-		if a == attempts-1 {
-			break
+		dead := errors.Is(err, ErrUnreachable)
+		if dead && (adm == admitTrial || health.Down(to)) {
+			// Already known dead — this was the trial, or another sender's
+			// exhausted budget marked the peer while this one was in flight.
+			health.markDown(to, gen, p, adm == admitTrial)
+			return nil, a + 1, lastErr
 		}
-		if p.Budget > 0 && time.Since(start) >= p.Budget {
+		if a == attempts-1 || (p.Budget > 0 && time.Since(start) >= p.Budget) {
+			if dead {
+				health.markDown(to, gen, p, false)
+			}
 			return nil, a + 1, lastErr
 		}
 		if d := p.backoffFor(a); d > 0 {
@@ -161,5 +183,4 @@ func (p RetryPolicy) Send(ctx context.Context, n Network, from, to types.ServerI
 			}
 		}
 	}
-	return nil, attempts, lastErr
 }

@@ -378,6 +378,9 @@ type TCPNetwork struct {
 	// redials counts requests salvaged by redialing after a pooled
 	// connection turned out to be stale (server restarted under its ID).
 	redials atomic.Int64
+	// health remembers which peers a retried send found unreachable (see
+	// PeerHealth); Register re-admits the ID it brings up.
+	health PeerHealth
 
 	// Multiplexing state (see mux.go). muxConns == 0 keeps the baseline
 	// one-request-per-connection discipline; > 0 routes Send over muxConns
@@ -482,7 +485,11 @@ func (n *TCPNetwork) Register(id types.ServerID, h Handler) {
 	n.dropPoolLocked(id)
 	n.mu.Unlock()
 	n.dropMux(id)
+	n.health.Admit(id)
 }
+
+// PeerHealth returns the fabric's peer-health table (see RetryPolicy.Send).
+func (n *TCPNetwork) PeerHealth() *PeerHealth { return &n.health }
 
 // Addr returns the known address for a server, if any.
 func (n *TCPNetwork) Addr(id types.ServerID) (string, bool) {

@@ -71,8 +71,9 @@ type FabricStatus struct {
 	// Encoding reports the erasure engine's configuration and decode-matrix
 	// cache effectiveness.
 	Encoding EncodingStatus
-	// Transport reports the TCP fabric's multiplexing and buffer-pool view;
-	// zero for the in-process fabric.
+	// Transport reports the TCP fabric's multiplexing and buffer-pool view
+	// (zero for the in-process fabric) and, on every fabric, the
+	// peer-health table's PeersDown and FastFails.
 	Transport TransportStatus
 	// Membership reports the elastic-membership plane's view; zero (with
 	// Enabled false) for static fleets.
@@ -188,6 +189,12 @@ type TransportStatus struct {
 	PoolHits    int64
 	PoolMisses  int64
 	PoolHitRate float64
+	// PeersDown is the number of peers this process's retry layer currently
+	// fails fast against (gauge); FastFails counts the sends it refused
+	// without touching the fabric. Both are read straight off the fabric's
+	// transport.PeerHealth table and are filled for every fabric.
+	PeersDown int
+	FastFails int64
 }
 
 // EncodingStatus aggregates the parallel erasure engine's view: the worker
@@ -249,6 +256,8 @@ func (c *Cluster) FabricStatus() FabricStatus {
 	if c.faults != nil {
 		st.Injected = c.faults.Stats()
 	}
+	st.Transport.PeersDown = c.health.PeersDown()
+	st.Transport.FastFails = c.health.FastFails()
 	if tn := c.tcpNet(); tn != nil {
 		ts := &st.Transport
 		ts.MuxConnsPerPeer, ts.MaxInFlight = tn.MuxConfig()

@@ -76,7 +76,7 @@ benchsmoke:
 
 # bench smoke-runs every Go benchmark once, then regenerates the erasure
 # engine's regression artifact (encode workers=1 vs N, cold vs cached decode
-# matrices at 4+2 and 8+3). BENCH_erasure.json is committed so perf
+# matrices at 4+2 and 8+3, at-rest digest MB/s). BENCH_erasure.json is committed so perf
 # regressions show up as diffs.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

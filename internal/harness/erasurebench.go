@@ -10,6 +10,7 @@ import (
 
 	"corec/internal/erasure"
 	"corec/internal/gf256"
+	"corec/internal/scrub"
 )
 
 // Erasure-engine benchmark regression harness: measures the encode path of
@@ -17,11 +18,12 @@ import (
 // registered) against the fixed baseline — the seed's serial row-major
 // loop pinned to the scalar table kernel — and degraded reconstruction
 // with a cold decode matrix against the LRU-cached one, at the
-// paper-typical RS geometries. Pinning the baseline's kernel keeps the
-// workers=1 line constant as kernels improve, so the engine line tracks
-// cumulative progress PR over PR; each row records which kernel it ran.
-// `make bench` serializes the report to BENCH_erasure.json so perf
-// regressions show up as diffs in review.
+// paper-typical RS geometries, plus the at-rest digest's throughput.
+// Pinning the baseline's kernel keeps the workers=1 line constant as
+// kernels improve, so the engine line tracks cumulative progress PR over
+// PR; each row records which kernel it ran. `make bench` serializes the
+// report to BENCH_erasure.json so perf regressions show up as diffs in
+// review.
 
 // EncodeBenchRow is one encode measurement.
 type EncodeBenchRow struct {
@@ -60,6 +62,15 @@ type ReconstructBenchRow struct {
 	CachedSpeedup float64 `json:"cached_speedup"`
 }
 
+// DigestBenchRow is one at-rest digest measurement: scrub.Checksum over a
+// payload of the given size. Every stored payload (primary copy, replica,
+// shard, segment record) pays this once, so it sits beside the encode rows
+// as the other per-byte cost of resilience bookkeeping.
+type DigestBenchRow struct {
+	PayloadBytes int     `json:"payload_bytes"`
+	MBps         float64 `json:"MBps"`
+}
+
 // ErasureBenchReport is the full harness output, serialized to
 // BENCH_erasure.json by `make bench`.
 type ErasureBenchReport struct {
@@ -71,7 +82,12 @@ type ErasureBenchReport struct {
 	Quick       bool                  `json:"quick"`
 	Encode      []EncodeBenchRow      `json:"encode"`
 	Reconstruct []ReconstructBenchRow `json:"reconstruct"`
+	Digest      []DigestBenchRow      `json:"digest"`
 }
+
+// digestBenchSizes are the payload sizes the digest rows track: the
+// small-object regime, a shard of a staged block, and the paper's S3D block.
+var digestBenchSizes = []int{1 << 10, 256 << 10, 2 << 20}
 
 // erasureBenchGeometries are the RS shapes the regression tracks: the
 // paper's Table I default and the wider stripe common in production EC.
@@ -249,6 +265,29 @@ func RunErasureBench(quick bool) (*ErasureBenchReport, error) {
 			})
 		}
 	}
+	for _, n := range digestBenchSizes {
+		data := make([]byte, n)
+		rng.Read(data)
+		// 2 MiB of digest work per op at every size, so the clock reads do
+		// not dominate the 1 KiB row.
+		passes := (2 << 20) / n
+		var sink uint64
+		op := func() {
+			for i := 0; i < passes; i++ {
+				sink += scrub.Checksum(data)
+			}
+		}
+		op()
+		best := math.MaxFloat64
+		for r := 0; r < rounds+2; r++ {
+			best = math.Min(best, benchRound(batch/5, op))
+		}
+		_ = sink
+		rep.Digest = append(rep.Digest, DigestBenchRow{
+			PayloadBytes: n,
+			MBps:         float64(passes*n) / 1e6 / (best / 1e9),
+		})
+	}
 	return rep, nil
 }
 
@@ -265,6 +304,10 @@ func WriteErasureBench(w io.Writer, rep *ErasureBenchReport) {
 	for _, r := range rep.Reconstruct {
 		fmt.Fprintf(w, "%-9s %-10s %-8d %-14.0f %-14.0f %.2fx\n",
 			r.Geometry, fmtBytes(r.ShardBytes), r.Erased, r.ColdNsPerOp, r.CachedNsPerOp, r.CachedSpeedup)
+	}
+	fmt.Fprintf(w, "\n%-10s %s\n", "payload", "at-rest digest MB/s")
+	for _, r := range rep.Digest {
+		fmt.Fprintf(w, "%-10s %.0f\n", fmtBytes(r.PayloadBytes), r.MBps)
 	}
 }
 

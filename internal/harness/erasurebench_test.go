@@ -52,12 +52,20 @@ func TestRunErasureBenchQuickShape(t *testing.T) {
 			t.Fatalf("degenerate reconstruct row: %+v", r)
 		}
 	}
+	if len(rep.Digest) != 3 {
+		t.Fatalf("digest rows = %d, want 3", len(rep.Digest))
+	}
+	for _, r := range rep.Digest {
+		if r.PayloadBytes <= 0 || r.MBps <= 0 {
+			t.Fatalf("degenerate digest row: %+v", r)
+		}
+	}
 	// The JSON artifact must round-trip with its regression-tracked keys.
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"ns_per_byte", "speedup_vs_workers1", "cached_speedup", "gomaxprocs", "kernel"} {
+	for _, key := range []string{"ns_per_byte", "speedup_vs_workers1", "cached_speedup", "gomaxprocs", "kernel", "payload_bytes"} {
 		if !strings.Contains(string(data), key) {
 			t.Fatalf("JSON report missing key %q", key)
 		}

@@ -77,6 +77,27 @@ func TestCopyRegionExact(t *testing.T) {
 	}
 }
 
+func TestCopyRegionEqualBoxes(t *testing.T) {
+	// Identical boxes take the single-copy path instead of the row walk.
+	box := geometry.Box3D(2, 0, 5, 6, 3, 9)
+	elem := 8
+	src := make([]byte, BufferSize(box, elem))
+	for i := range src {
+		src[i] = byte(i*7 + 1)
+	}
+	dst := make([]byte, len(src))
+	n, err := CopyRegion(box, src, box, dst, elem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != box.Volume() {
+		t.Fatalf("copied %d cells, want %d", n, box.Volume())
+	}
+	if !bytes.Equal(dst, src) {
+		t.Fatal("equal-box copy differs from source")
+	}
+}
+
 func TestCopyRegionNoOverlap(t *testing.T) {
 	a := geometry.Box3D(0, 0, 0, 2, 2, 2)
 	b := geometry.Box3D(4, 4, 4, 6, 6, 6)

@@ -6,36 +6,6 @@ import (
 	"time"
 )
 
-func TestChecksumNeverZero(t *testing.T) {
-	if Checksum(nil) == 0 {
-		t.Fatal("checksum of empty payload must not be the reserved zero")
-	}
-	if Checksum([]byte{1, 2, 3}) == Checksum([]byte{1, 2, 4}) {
-		t.Fatal("distinct payloads collided")
-	}
-	if Checksum([]byte("abc")) != Checksum([]byte("abc")) {
-		t.Fatal("checksum not deterministic")
-	}
-}
-
-func TestChecksumDetectsSingleBitFlip(t *testing.T) {
-	data := make([]byte, 4096)
-	for i := range data {
-		data[i] = byte(i * 31)
-	}
-	want := Checksum(data)
-	for _, i := range []int{0, 1, 513, 4095} {
-		data[i] ^= 0x40
-		if Checksum(data) == want {
-			t.Fatalf("bit flip at %d undetected", i)
-		}
-		data[i] ^= 0x40
-	}
-	if Checksum(data) != want {
-		t.Fatal("restored payload changed checksum")
-	}
-}
-
 // fakeClock drives a token bucket deterministically: sleeps advance the
 // clock instead of blocking, and the total slept time is recorded.
 type fakeClock struct {

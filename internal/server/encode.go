@@ -3,12 +3,12 @@ package server
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"corec/internal/erasure"
 	"corec/internal/metrics"
 	"corec/internal/policy"
-	"corec/internal/scrub"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
@@ -102,29 +102,7 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 		}
 		s.col.Add(metrics.Encode, time.Since(start))
 
-		tStart := time.Now()
-		for i := 1; i < len(members); i++ {
-			msg := &transport.Message{
-				Kind:       transport.MsgShardPut,
-				Stripe:     stripeID,
-				ShardIndex: i,
-				K:          k, M: m, ShardSize: shardSize,
-				Data:       shards[i],
-				StripeInfo: info,
-				// Version rides along as the holders' time-step tag.
-				Version: obj.Version,
-			}
-			resp, err := s.sendRetry(ctx, members[i], msg)
-			if err == nil {
-				err = resp.AsError()
-			}
-			if err != nil {
-				// A dead group member leaves the stripe degraded until
-				// recovery; tolerated within m losses.
-				continue
-			}
-		}
-		s.col.Add(metrics.Transport, time.Since(tStart))
+		s.pushShards(ctx, info, shards, obj.Version, s.id)
 	}
 
 	// Commit, stage 1: install the primary's data shard 0, but keep the
@@ -132,6 +110,9 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 	// holding replicated-state metadata always finds the object. Abort if
 	// a concurrent write superseded the version we encoded.
 	sk := shardKey(stripeID, 0)
+	// Digests are computed outside s.mu: every handler on this server takes
+	// that lock, and a shard-sized CRC pass under it stalls them all.
+	shardSum := s.digest(shards[0])
 	s.mu.Lock()
 	cur, stillThere := s.objects[key]
 	// Identity, not version: a rewrite within the same time step reuses
@@ -142,21 +123,30 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 		s.dropStripeMembers(ctx, info)
 		return nil
 	}
-	s.shardSums[sk] = scrub.Checksum(shards[0])
+	// The put that installed obj already digested it (replicateObject, the
+	// CoREC demotion path); reuse that sum rather than re-reading the whole
+	// object. A synchronous baseline encode has no recorded sum yet.
+	var sum uint64
+	if st := s.local[key]; st != nil && st.sumOf == obj {
+		sum = st.sum
+	}
+	s.shardSums[sk] = shardSum
 	s.shardStripe[sk] = *info
 	// The engine install happens under s.mu so it is atomic with the
 	// identity check above (the engine never takes s.mu back).
 	s.store.PutTagged(sk, shards[0], shardEpoch(obj.Version))
 	s.mu.Unlock()
 	s.mutations.Add(1)
+	if sum == 0 {
+		sum = s.digest(obj.Data)
+	}
 
 	// Commit, stage 2: flip the directory (stripe record first, so the
 	// encoded metadata always resolves).
 	if err := s.dirUpdateStripe(ctx, info); err != nil {
 		return err
 	}
-	sum := scrub.Checksum(obj.Data)
-	s.setLocalState(obj.ID, obj.Version, len(obj.Data), types.StateEncoded, stripeID, sum)
+	s.setLocalState(obj.ID, obj.Version, len(obj.Data), types.StateEncoded, stripeID, sum, nil)
 	meta := s.buildMeta(obj.ID, obj.Version, len(obj.Data), types.StateEncoded, stripeID, 0, sum)
 	if err := s.dirUpdate(ctx, meta); err != nil {
 		return err
@@ -244,7 +234,6 @@ func (s *Server) handleEncodeDelegate(ctx context.Context, req *transport.Messag
 		// authoritative bytes itself.
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	primary := types.ServerID(req.Num)
 
 	shards, shardSize := s.codec.Split(obj.Data)
 	if shardSize != req.StripeInfo.ShardSize {
@@ -256,34 +245,47 @@ func (s *Server) handleEncodeDelegate(ctx context.Context, req *transport.Messag
 	}
 	s.col.Add(metrics.Encode, time.Since(start))
 
-	tStart := time.Now()
-	for _, member := range req.StripeInfo.Members {
+	s.pushShards(ctx, req.StripeInfo, shards, req.Version, types.ServerID(req.Num))
+	return &transport.Message{Kind: transport.MsgOK, Flag: true}
+}
+
+// pushShards distributes an encoded stripe's shards 1..k+m-1 to their
+// members concurrently, so a stripe costs one shard round trip rather than
+// k+m-1 (the client's fetchShards does the same for reads). Shard 0, and
+// any shard placed on primary, is skipped: the primary cuts its own from its
+// full copy. A dead member leaves the stripe degraded until recovery, which
+// is tolerated within m losses. The wall time of the whole fan-out is
+// charged to the transport bucket.
+func (s *Server) pushShards(ctx context.Context, info *types.StripeInfo, shards [][]byte, v types.Version, primary types.ServerID) {
+	start := time.Now()
+	var wg sync.WaitGroup
+	for _, member := range info.Members {
 		if member.Index == 0 || member.Server == primary {
-			continue // primary keeps shard 0 from its own copy
+			continue
 		}
 		msg := &transport.Message{
 			Kind:       transport.MsgShardPut,
-			Stripe:     req.StripeInfo.ID,
+			Stripe:     info.ID,
 			ShardIndex: member.Index,
-			K:          req.K, M: req.M, ShardSize: shardSize,
+			K:          info.K, M: info.M, ShardSize: info.ShardSize,
 			Data:       shards[member.Index],
-			StripeInfo: req.StripeInfo,
-			Version:    req.Version,
+			StripeInfo: info,
+			// Version rides along as the holders' time-step tag.
+			Version: v,
 		}
 		if member.Server == s.id {
 			s.handleShardPut(msg)
 			continue
 		}
-		resp, err := s.sendRetry(ctx, member.Server, msg)
-		if err == nil {
-			err = resp.AsError()
-		}
-		if err != nil {
-			continue
-		}
+		wg.Add(1)
+		go func(to types.ServerID) {
+			defer wg.Done()
+			// A failed push is the dead-member case above; nothing to undo.
+			_, _ = s.sendRetry(ctx, to, msg)
+		}(member.Server)
 	}
-	s.col.Add(metrics.Transport, time.Since(tStart))
-	return &transport.Message{Kind: transport.MsgOK, Flag: true}
+	wg.Wait()
+	s.col.Add(metrics.Transport, time.Since(start))
 }
 
 // dropStripe removes the shards of a stripe from the coding group (used

@@ -8,7 +8,6 @@ import (
 	"corec/internal/matrix"
 	"corec/internal/metrics"
 	"corec/internal/recovery"
-	"corec/internal/scrub"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
@@ -178,7 +177,7 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta) 
 		if err != nil || resp.Kind != transport.MsgGetBytes || !resp.Flag {
 			continue
 		}
-		sum := scrub.Checksum(resp.Data)
+		sum := s.digest(resp.Data)
 		// A source whose bytes fail the directory's recorded checksum has
 		// rotted at rest: skip it and try the next holder rather than
 		// propagating the corruption into the repaired copy.
@@ -209,7 +208,7 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta) 
 			stale := known && st.version > obj.Version
 			s.mu.Unlock()
 			if !stale {
-				s.setLocalState(meta.ID, resp.Version, len(resp.Data), types.StateReplicated, types.StripeID{}, sum)
+				s.setLocalState(meta.ID, resp.Version, len(resp.Data), types.StateReplicated, types.StripeID{}, sum, obj)
 				if cls := s.decider.Classifier(); cls != nil {
 					cls.Track(meta.ID, false)
 				}
@@ -236,7 +235,7 @@ func (s *Server) recoverEncoded(ctx context.Context, meta *types.ObjectMeta) (bo
 		// Not a stripe member. If we are the primary, local bookkeeping is
 		// refreshed so transitions keep working.
 		if meta.Primary == s.id {
-			s.setLocalState(meta.ID, meta.Version, meta.Size, types.StateEncoded, meta.Stripe, meta.Checksum)
+			s.setLocalState(meta.ID, meta.Version, meta.Size, types.StateEncoded, meta.Stripe, meta.Checksum, nil)
 		}
 		return false, nil
 	}
@@ -269,8 +268,9 @@ func (s *Server) recoverEncoded(ctx context.Context, meta *types.ObjectMeta) (bo
 		return false, err
 	}
 	s.col.Add(metrics.Decode, time.Since(dStart))
+	shardSum := s.digest(shards[myIndex]) // outside s.mu: see encodeObject
 	s.mu.Lock()
-	s.shardSums[sk] = scrub.Checksum(shards[myIndex])
+	s.shardSums[sk] = shardSum
 	s.shardStripe[sk] = *info
 	s.store.PutTagged(sk, shards[myIndex], shardEpoch(meta.Version))
 	s.mu.Unlock()
@@ -287,7 +287,7 @@ func (s *Server) refreshEncodedBookkeeping(meta *types.ObjectMeta, info *types.S
 	stale := known && st.version >= meta.Version
 	s.mu.Unlock()
 	if !known && !stale {
-		s.setLocalState(meta.ID, meta.Version, meta.Size, types.StateEncoded, info.ID, meta.Checksum)
+		s.setLocalState(meta.ID, meta.Version, meta.Size, types.StateEncoded, info.ID, meta.Checksum, nil)
 		if cls := s.decider.Classifier(); cls != nil {
 			cls.Track(meta.ID, true)
 		}

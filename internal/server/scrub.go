@@ -178,7 +178,7 @@ func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.R
 		if err := bud.Charge(ctx, int64(len(obj.Data))); err != nil {
 			return err
 		}
-		got := scrub.Checksum(obj.Data)
+		got := s.digest(obj.Data)
 		rep.Scanned++
 		rep.Bytes += int64(len(obj.Data))
 		switch {
@@ -202,7 +202,7 @@ func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.R
 		if err := bud.Charge(ctx, int64(len(obj.Data))); err != nil {
 			return err
 		}
-		got := scrub.Checksum(obj.Data)
+		got := s.digest(obj.Data)
 		rep.Scanned++
 		rep.Bytes += int64(len(obj.Data))
 		switch {
@@ -238,7 +238,7 @@ func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.R
 		if err := bud.Charge(ctx, int64(len(data))); err != nil {
 			return err
 		}
-		got := scrub.Checksum(data)
+		got := s.digest(data)
 		rep.Scanned++
 		rep.Bytes += int64(len(data))
 		switch {
@@ -339,7 +339,7 @@ func (s *Server) repairPrimary(ctx context.Context, key string, obj *types.Objec
 			return err
 		}
 		rep.Bytes += int64(len(resp.Data))
-		if resp.Version != obj.Version || scrub.Checksum(resp.Data) != want {
+		if resp.Version != obj.Version || s.digest(resp.Data) != want {
 			continue // stale mirror, or itself rotted; try the next one
 		}
 		fixed := &types.Object{ID: obj.ID, Version: obj.Version, Data: resp.Data}
@@ -380,7 +380,7 @@ func (s *Server) repairReplica(ctx context.Context, key string, obj *types.Objec
 			return err
 		}
 		rep.Bytes += int64(len(resp.Data))
-		sum := scrub.Checksum(resp.Data)
+		sum := s.digest(resp.Data)
 		// Accept a same-version restore of what this replica originally
 		// stored, or a catch-up to the directory's recorded authority.
 		restore := sum == want
@@ -451,7 +451,7 @@ func (s *Server) repairShard(ctx context.Context, sk string, info types.StripeIn
 		return nil
 	}
 	rebuilt := shards[myIndex]
-	sum := scrub.Checksum(rebuilt)
+	sum := s.digest(rebuilt)
 	s.mu.Lock()
 	if s.store.Has(sk) && s.shardSums[sk] == want {
 		s.shardSums[sk] = sum
@@ -784,7 +784,7 @@ func (s *Server) handleChecksum(req *transport.Message) *transport.Message {
 	}
 	return &transport.Message{
 		Kind: transport.MsgOK, Flag: true,
-		Version: obj.Version, Sum: scrub.Checksum(obj.Data),
+		Version: obj.Version, Sum: s.digest(obj.Data),
 	}
 }
 
@@ -796,7 +796,7 @@ func (s *Server) handleShardSum(req *transport.Message) *transport.Message {
 	if !ok {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	return &transport.Message{Kind: transport.MsgOK, Flag: true, Sum: scrub.Checksum(data)}
+	return &transport.Message{Kind: transport.MsgOK, Flag: true, Sum: s.digest(data)}
 }
 
 // --- at-rest bit-rot injection (chaos testing) ---

@@ -115,6 +115,11 @@ type Server struct {
 	// the server, so engine calls are safe both under s.mu and outside it.
 	store *storage.Tiered
 
+	// digest is scrub.Checksum, the at-rest content digest every write,
+	// encode, recover and scrub path records and verifies. A field only so a
+	// test can count the passes a put makes over its payload.
+	digest func([]byte) uint64
+
 	// mutations counts payload-mutating operations (puts, deletes, shard
 	// and replica installs/drops, repairs). Checkpointing snapshots only
 	// servers whose count moved since the last checkpoint.
@@ -192,6 +197,10 @@ type localState struct {
 	stripe  types.StripeID
 	// sum is the content checksum of the primary copy (0 = not recorded).
 	sum uint64
+	// sumOf is the full copy that sum was computed over, so the encode path can
+	// reuse sum only for that very object (a same-version rewrite, a repair
+	// or planted rot installs a different one). Nil once encoded.
+	sumOf *types.Object
 }
 
 // serverIncarnations distinguishes successive servers (including
@@ -256,6 +265,7 @@ func New(cfg Config) (*Server, error) {
 		decider:     dec,
 		col:         cfg.Collector,
 		store:       store,
+		digest:      scrub.Checksum,
 		objects:     make(map[string]*types.Object),
 		replicas:    make(map[string]*types.Object),
 		shardStripe: make(map[string]types.StripeInfo),

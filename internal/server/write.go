@@ -6,7 +6,6 @@ import (
 
 	"corec/internal/metrics"
 	"corec/internal/policy"
-	"corec/internal/scrub"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
@@ -94,8 +93,8 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 
 	switch action {
 	case policy.ActNone:
-		sum := scrub.Checksum(req.Data)
-		s.setLocalState(id, req.Version, len(req.Data), types.StateNone, types.StripeID{}, sum)
+		sum := s.digest(req.Data)
+		s.setLocalState(id, req.Version, len(req.Data), types.StateNone, types.StripeID{}, sum, obj)
 		meta := s.buildMeta(id, req.Version, len(req.Data), types.StateNone, types.StripeID{}, 0, sum)
 		if err := s.dirUpdate(ctx, meta); err != nil {
 			return transport.Errf("server %d: metadata update: %v", s.id, err)
@@ -160,7 +159,7 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 // records the replicated state.
 func (s *Server) replicateObject(ctx context.Context, obj *types.Object) error {
 	targets := s.replicaHolders()
-	sum := scrub.Checksum(obj.Data)
+	sum := s.digest(obj.Data)
 	start := time.Now()
 	for _, t := range targets {
 		msg := &transport.Message{
@@ -182,7 +181,7 @@ func (s *Server) replicateObject(ctx context.Context, obj *types.Object) error {
 	}
 	s.col.Add(metrics.Transport, time.Since(start))
 
-	s.setLocalState(obj.ID, obj.Version, len(obj.Data), types.StateReplicated, types.StripeID{}, sum)
+	s.setLocalState(obj.ID, obj.Version, len(obj.Data), types.StateReplicated, types.StripeID{}, sum, obj)
 	meta := s.buildMeta(obj.ID, obj.Version, len(obj.Data), types.StateReplicated, types.StripeID{}, 0, sum)
 	meta.Replicas = targets
 	if err := s.dirUpdate(ctx, meta); err != nil {
@@ -192,8 +191,9 @@ func (s *Server) replicateObject(ctx context.Context, obj *types.Object) error {
 }
 
 // setLocalState records bookkeeping for a primary object and maintains the
-// storage-efficiency tallies.
-func (s *Server) setLocalState(id types.ObjectID, v types.Version, size int, st types.ResilienceState, stripe types.StripeID, sum uint64) {
+// storage-efficiency tallies. sumOf is the full copy that sum was computed
+// over (nil when the object is held as shards only).
+func (s *Server) setLocalState(id types.ObjectID, v types.Version, size int, st types.ResilienceState, stripe types.StripeID, sum uint64, sumOf *types.Object) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := id.Key()
@@ -205,7 +205,7 @@ func (s *Server) setLocalState(id types.ObjectID, v types.Version, size int, st 
 			s.dataEnc -= int64(old.size)
 		}
 	}
-	s.local[key] = &localState{id: id, version: v, size: size, state: st, stripe: stripe, sum: sum}
+	s.local[key] = &localState{id: id, version: v, size: size, state: st, stripe: stripe, sum: sum, sumOf: sumOf}
 	switch st {
 	case types.StateReplicated:
 		s.dataRepl += int64(size)
@@ -369,7 +369,7 @@ func (s *Server) handleGet(req *transport.Message) *transport.Message {
 	if !ok {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	if s.scrubEnabled() && want != 0 && scrub.Checksum(obj.Data) != want {
+	if s.scrubEnabled() && want != 0 && s.digest(obj.Data) != want {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
 	return &transport.Message{
@@ -387,7 +387,7 @@ func (s *Server) handleObjFetch(req *transport.Message) *transport.Message {
 func (s *Server) handleReplicaPut(req *transport.Message) *transport.Message {
 	id := types.ObjectID{Var: req.Var, Box: req.Box}
 	key := id.Key()
-	sum := scrub.Checksum(req.Data)
+	sum := s.digest(req.Data)
 	s.mu.Lock()
 	s.replicas[key] = &types.Object{ID: id, Version: req.Version, Data: req.Data}
 	s.replicaSums[key] = sum
@@ -415,7 +415,7 @@ func (s *Server) handleReplicaDrop(req *transport.Message) *transport.Message {
 
 func (s *Server) handleShardPut(req *transport.Message) *transport.Message {
 	sk := shardKey(req.Stripe, req.ShardIndex)
-	sum := scrub.Checksum(req.Data)
+	sum := s.digest(req.Data)
 	s.mu.Lock()
 	s.shardSums[sk] = sum
 	if req.StripeInfo != nil {

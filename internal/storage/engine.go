@@ -194,7 +194,7 @@ type Tiered struct {
 var _ Engine = (*Tiered)(nil)
 
 // Open builds an engine from cfg. A non-empty Dir opens (and revalidates)
-// the disk tier: every segment record's CRC64 is checked, torn tails are
+// the disk tier: every segment record's payload digest is checked, torn tails are
 // truncated, rotten records quarantined, and the offset index rebuilt from
 // the scan. remote is the cluster-shared L3 store (nil disables L3);
 // namespace prefixes this engine's remote keys so servers never collide.

@@ -9,20 +9,28 @@ import (
 // Disk-segment record layout. Every record is a fixed header followed by the
 // key bytes and the payload bytes:
 //
-//	magic   u32  "CSG1"
+//	magic   u32  "CSG2"
 //	type    u8   recData | recDead | recRemote
 //	keyLen  u16
 //	dataLen u32
 //	epoch   i64  time-step tag driving the prefetcher (-1 = untagged)
-//	paySum  u64  scrub.Checksum of the payload
+//	paySum  u64  scrub.Checksum of the payload (CRC-32C high word, CRC-32/IEEE
+//	             low word: 64 bits from two hardware-speed polynomials, one of
+//	             them independent of hdrCRC's and the wire frame's)
 //	hdrCRC  u32  CRC32 (IEEE) of the preceding 27 header bytes
+//
+// The magic's last byte is the format version. "CSG1" records carried a
+// CRC64-ECMA paySum; a segment that starts with any other "CSG?" magic was
+// written by a different version, and the open-time scan sets it aside whole
+// (RestoreReport.ForeignSegments) instead of reading every one of its
+// records as rot.
 //
 // The two checksums split failure modes: a bad header means the log ends
 // here (torn tail — everything after an interrupted append is garbage), a
 // bad payload under a good header means localized rot, so the record is
 // quarantined and the scan continues with the next one.
 const (
-	recMagic   = 0x43534731 // "CSG1"
+	recMagic   = 0x43534732 // "CSG2"
 	headerSize = 31
 
 	// recData carries a live payload for its key.

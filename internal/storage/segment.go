@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -54,12 +55,17 @@ type restoredEntry struct {
 type RestoreReport struct {
 	// Restored is the number of live records re-indexed from segments.
 	Restored int
-	// Quarantined is the number of records whose payload failed its CRC64
+	// Quarantined is the number of records whose payload failed its digest
 	// under a valid header: skipped, counted, space reclaimed by compaction.
 	Quarantined int
 	// TruncatedTails is the number of segments cut back at a torn or
 	// corrupt record header (an interrupted append).
 	TruncatedTails int
+	// ForeignSegments is the number of segment files written in another
+	// version of the record format (a different "CSG?" magic). They are
+	// left on disk untouched and take no part in this incarnation: nothing
+	// is indexed from, appended to or compacted out of them.
+	ForeignSegments int
 }
 
 // openDisk opens (creating if needed) the segment directory, scans every
@@ -91,19 +97,24 @@ func openDisk(dir string, target int64) (*diskTier, map[string]restoredEntry, Re
 		if err != nil {
 			return nil, nil, RestoreReport{}, err
 		}
+		// A skipped segment still owns its file name.
+		if id >= d.nextID {
+			d.nextID = id + 1
+		}
+		if s.foreignFormat() {
+			rep.ForeignSegments++
+			_ = s.f.Close() // only read from
+			continue
+		}
 		if err := d.scanSegment(s, idx, &rep); err != nil {
 			return nil, nil, RestoreReport{}, err
 		}
 		d.segs[id] = s
-		if id >= d.nextID {
-			d.nextID = id + 1
-		}
 	}
 	rep.Restored = len(idx)
 	// Resume appending to the last segment if it still has headroom.
 	if len(ids) > 0 {
-		last := d.segs[ids[len(ids)-1]]
-		if last.size < d.target {
+		if last, ok := d.segs[ids[len(ids)-1]]; ok && last.size < d.target {
 			d.active = last
 		}
 	}
@@ -122,6 +133,20 @@ func (d *diskTier) openSegment(id int) (*segment, error) {
 		return nil, fmt.Errorf("storage: stat segment: %w", err)
 	}
 	return &segment{id: id, f: f, size: st.Size()}, nil
+}
+
+// foreignFormat reports whether the segment opens with a record magic of
+// another format version. Anything else at offset 0 — this version's magic,
+// or garbage — is the scan's business (index it, or trim a torn tail).
+func (s *segment) foreignFormat() bool {
+	var magic [4]byte
+	// A short or failed read leaves the verdict to the scan, which reports
+	// read errors itself.
+	if n, _ := s.f.ReadAt(magic[:], 0); n < len(magic) {
+		return false
+	}
+	m := binary.BigEndian.Uint32(magic[:])
+	return m != recMagic && m>>8 == recMagic>>8
 }
 
 // scanSegment walks s record by record, revalidating checksums and merging

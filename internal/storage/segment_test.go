@@ -2,7 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"sort"
@@ -235,6 +238,70 @@ func TestRestartFlippedBitQuarantined(t *testing.T) {
 		if !ok || !bytes.Equal(got, payload(i, 300)) {
 			t.Fatalf("%s lost alongside quarantine", key)
 		}
+	}
+}
+
+// TestRestartForeignFormatSegmentSkipped restarts over a directory holding a
+// segment of the previous record format ("CSG1", CRC64-ECMA payload sums).
+// Its records have valid headers and payloads that merely fail this
+// version's digest, so a record-by-record scan would quarantine every one as
+// rot — or, on the magic alone, truncate the file to nothing. The segment
+// must instead be reported as foreign and left exactly as found, while
+// current-format segments beside it restore normally.
+func TestRestartForeignFormatSegmentSkipped(t *testing.T) {
+	dir := t.TempDir()
+	const n = 4
+	spillAll(t, dir, n, 300)
+	files := segFiles(t, dir)
+	last := files[len(files)-1]
+	var lastID int
+	if _, err := fmt.Sscanf(filepath.Base(last), "seg-%06d.log", &lastID); err != nil {
+		t.Fatal(err)
+	}
+
+	// Two CSG1 records, built as that version built them.
+	var old []byte
+	for i := 0; i < 2; i++ {
+		key, data := fmt.Sprintf("old-%02d", i), payload(40+i, 300)
+		h := encodeHeader(recordHeader{typ: recData, keyLen: len(key), dataLen: len(data), epoch: -1,
+			paySum: crc64.Checksum(data, crc64.MakeTable(crc64.ECMA))})
+		binary.BigEndian.PutUint32(h[0:], 0x43534731) // "CSG1"
+		binary.BigEndian.PutUint32(h[27:], crc32.ChecksumIEEE(h[:27]))
+		old = append(append(append(old, h...), key...), data...)
+	}
+	foreign := filepath.Join(dir, fmt.Sprintf("seg-%06d.log", lastID+1))
+	if err := os.WriteFile(foreign, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(Config{Dir: dir, MemBytes: 1}, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = re.Close() }()
+	rep := re.RestoreReport()
+	if rep.ForeignSegments != 1 || rep.Quarantined != 0 || rep.TruncatedTails != 0 || rep.Restored != n {
+		t.Fatalf("foreign-format segment misread: %+v", rep)
+	}
+	if _, ok := re.Get("old-00"); ok {
+		t.Fatal("record of a foreign-format segment served")
+	}
+	for i := 0; i < n; i++ {
+		if got, ok := re.Get(fmt.Sprintf("obj-%02d", i)); !ok || !bytes.Equal(got, payload(i, 300)) {
+			t.Fatalf("obj-%02d lost beside a foreign segment", i)
+		}
+	}
+	// New spills must go to a fresh file, never into or over the foreign one.
+	re.Put("new-00", payload(77, 300))
+	re.WaitIdle()
+	if got, err := os.ReadFile(foreign); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("foreign segment modified (err %v)", err)
+	}
+	if got, ok := re.Get("new-00"); !ok || !bytes.Equal(got, payload(77, 300)) {
+		t.Fatal("spill after a foreign segment lost")
+	}
+	if len(segFiles(t, dir)) != len(files)+2 {
+		t.Fatalf("segments: %v, want the %d restored + foreign + one new", segFiles(t, dir), len(files))
 	}
 }
 

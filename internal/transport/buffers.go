@@ -9,7 +9,7 @@ import (
 // run through here: the send side borrows a scratch buffer for the frame
 // header plus wire metadata (the Data payload itself is written straight
 // from the caller's slice), and the receive side reads whole frames into a
-// pooled buffer before decoding.
+// buffer from getBuf before decoding.
 //
 // Ownership rules (the contract that makes pooling safe):
 //
@@ -22,10 +22,14 @@ import (
 //     must never be recycled, because the server stores req.Data by
 //     reference and a recycled backing array would corrupt staged data.
 //
-// Buffers larger than the biggest class are allocated directly and never
-// pooled (counted as misses). Classes were sized to the protocol's traffic
-// mix: small control/metadata frames, 64 KiB transfer pieces, and payloads
-// up to the default 4 MiB object cap, each with headroom for wire metadata.
+// Only frames up to class1 are pooled: control/metadata frames and 64 KiB
+// transfer pieces. Anything larger is a bulk payload (a put, a replica or
+// shard push, a get response) that alias-decodes into the buffer and is then
+// stored by reference for as long as the object lives, so the buffer never
+// comes back — nothing on a production path calls Recycle. Such frames get
+// an allocation of exactly the frame's size (counted as a miss): rounding up
+// to a size class would zero, and then pin for the life of the stored
+// object, up to twice the bytes the payload needs.
 
 // The size classes. Each class gets its own pool typed as a pointer to a
 // fixed-size array (*[classN]byte) rather than *[]byte: a pointer stores
@@ -35,15 +39,11 @@ import (
 const (
 	class0 = 4 << 10
 	class1 = 64<<10 + 512
-	class2 = 1<<20 + 1024
-	class3 = 4<<20 + 1024
 )
 
 var (
 	bufPool0 sync.Pool // holds *[class0]byte
 	bufPool1 sync.Pool // holds *[class1]byte
-	bufPool2 sync.Pool // holds *[class2]byte
-	bufPool3 sync.Pool // holds *[class3]byte
 )
 
 var (
@@ -52,8 +52,8 @@ var (
 )
 
 // getBuf returns a buffer of length n from the smallest class that fits,
-// or a direct allocation when n exceeds every class. The contents are
-// arbitrary (callers overwrite the full length).
+// or an allocation of exactly n bytes when n exceeds every class. The
+// contents are arbitrary (callers overwrite the full length).
 func getBuf(n int) []byte {
 	var v any
 	switch {
@@ -73,29 +73,13 @@ func getBuf(n int) []byte {
 		}
 		bufPoolHits.Add(1)
 		return v.(*[class1]byte)[:n]
-	case n <= class2:
-		v = bufPool2.Get()
-		if v == nil {
-			bufPoolMisses.Add(1)
-			return make([]byte, n, class2)
-		}
-		bufPoolHits.Add(1)
-		return v.(*[class2]byte)[:n]
-	case n <= class3:
-		v = bufPool3.Get()
-		if v == nil {
-			bufPoolMisses.Add(1)
-			return make([]byte, n, class3)
-		}
-		bufPoolHits.Add(1)
-		return v.(*[class3]byte)[:n]
 	}
 	bufPoolMisses.Add(1)
 	return make([]byte, n)
 }
 
 // putBuf recycles a buffer previously returned by getBuf. Buffers whose
-// capacity matches no class (oversize allocations, or append-grown slices
+// capacity matches no class (exact-size allocations, or append-grown slices
 // that migrated to a new backing array) are silently dropped to the GC.
 // The slice-to-array-pointer conversions are safe because capacity is
 // measured from the slice's first element: a cap of classN guarantees
@@ -106,16 +90,12 @@ func putBuf(b []byte) {
 		bufPool0.Put((*[class0]byte)(b[:class0]))
 	case class1:
 		bufPool1.Put((*[class1]byte)(b[:class1]))
-	case class2:
-		bufPool2.Put((*[class2]byte)(b[:class2]))
-	case class3:
-		bufPool3.Put((*[class3]byte)(b[:class3]))
 	}
 }
 
 // BufferPoolStats reports cumulative frame-buffer pool outcomes: hits are
-// recycled buffers, misses are fresh allocations (first use, oversize
-// frames, and buffers lost to alias-decoded messages). The counters are
+// recycled buffers, misses are fresh allocations (first use, frames above
+// class1, and buffers lost to alias-decoded messages). The counters are
 // process-global because the pools are.
 func BufferPoolStats() (hits, misses int64) {
 	return bufPoolHits.Load(), bufPoolMisses.Load()
@@ -128,8 +108,8 @@ func BufferPoolStats() (hits, misses int64) {
 // overwritten. Messages that never held a pooled buffer, and repeated calls
 // on the same message, are no-ops, so a caller that consumes every response
 // the same way can recycle unconditionally. This is the completion half of
-// the zero-copy read path: without it an alias-decoded buffer simply falls
-// to the GC (safe, but every large response costs a fresh allocation).
+// the zero-copy read path for pooled sizes: without it an alias-decoded
+// buffer simply falls to the GC, as one above class1 does either way.
 func Recycle(m *Message) {
 	if m == nil || m.pooled == nil {
 		return

@@ -12,7 +12,6 @@ import (
 	"corec/internal/geometry"
 	"corec/internal/metrics"
 	"corec/internal/ndarray"
-	"corec/internal/placement"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
@@ -80,20 +79,6 @@ func (cl *Client) memberView() []types.ServerID {
 		cl.viewInit = true
 	}
 	return cl.view
-}
-
-// dirGroupFor returns the servers hosting the directory record for key,
-// matching the server-side dirGroup computation on both placement schemes.
-func (cl *Client) dirGroupFor(key string) []types.ServerID {
-	c := cl.cluster
-	if c.elastic != nil {
-		mirrors := c.cfg.NLevel
-		if mirrors < 1 {
-			mirrors = 1
-		}
-		return c.ringDirGroup(key, mirrors)
-	}
-	return placement.DirectoryGroup(c.place.DirectoryShard(key), c.cfg.Servers, c.cfg.NLevel)
 }
 
 // send delivers one RPC under the cluster's retry policy — per-attempt
@@ -198,7 +183,7 @@ func (cl *Client) putObject(ctx context.Context, name string, box Box, version V
 		if aerr := resp.AsError(); aerr != nil {
 			return aerr
 		}
-		c.recordReroute(Reroute{Key: id.Key(), From: primary, To: alt, Version: version})
+		c.recordReroute(Reroute{ID: id, From: primary, To: alt, Version: version})
 		return nil
 	}
 	return fmt.Errorf("corec: put %s: %w", id, err)
@@ -238,6 +223,12 @@ func (cl *Client) Get(ctx context.Context, name string, box Box, version Version
 	if err != nil {
 		return nil, err
 	}
+	return cl.fetchRegion(ctx, box, metas)
+}
+
+// fetchRegion fetches the objects the records describe, in parallel, and
+// assembles the part of each that lies in box into one row-major buffer.
+func (cl *Client) fetchRegion(ctx context.Context, box Box, metas []types.ObjectMeta) ([]byte, error) {
 	elem := cl.cluster.cfg.ElemSize
 	out := make([]byte, ndarray.BufferSize(box, elem))
 	var wg sync.WaitGroup
@@ -319,17 +310,36 @@ func (cl *Client) Delete(ctx context.Context, name string, box Box) (int, error)
 	return deleted, firstErr
 }
 
+// queryDirectory resolves a (variable, region) lookup. It asks only the
+// shard groups of the directory cells the region touches — one group for a
+// tile-aligned read, whatever the fleet size. The whole fleet is asked when
+// the region is invalid (a query for every object of the variable), and as
+// a safety net when the targeted answer does not cover the region: a record
+// written under another ring epoch, or not yet re-homed by the rebalancer,
+// must not make a staged region read back as zeros.
 func (cl *Client) queryDirectory(ctx context.Context, name string, box Box) ([]types.ObjectMeta, error) {
 	start := time.Now()
 	defer func() { cl.col.Add(metrics.Metadata, time.Since(start)) }()
+	if targets := cl.cluster.dir.Servers(name, box); targets != nil {
+		metas, err := cl.queryServers(ctx, targets, name, box)
+		if err == nil && covers(metas, box) {
+			return metas, nil
+		}
+		cl.col.AddCounter(metrics.DirFallbackCount, 1)
+	}
+	return cl.queryServers(ctx, cl.memberView(), name, box)
+}
+
+// queryServers sends the region query to every target in parallel and
+// merges the answers: one record per object, the newest one.
+func (cl *Client) queryServers(ctx context.Context, targets []types.ServerID, name string, box Box) ([]types.ObjectMeta, error) {
 	type result struct {
 		metas []types.ObjectMeta
 		err   error
 	}
-	members := cl.memberView()
-	n := len(members)
+	n := len(targets)
 	results := make(chan result, n)
-	for _, target := range members {
+	for _, target := range targets {
 		go func(target types.ServerID) {
 			msg := &transport.Message{Kind: transport.MsgMetaQuery, Var: name, Box: box}
 			resp, err := cl.send(ctx, target, msg)
@@ -350,7 +360,7 @@ func (cl *Client) queryDirectory(ctx context.Context, name string, box Box) ([]t
 		reachable++
 		for _, m := range r.metas {
 			key := m.ID.Key()
-			if cur, ok := best[key]; !ok || metaNewer(&m, &cur) {
+			if cur, ok := best[key]; !ok || m.Newer(&cur) {
 				best[key] = m
 			}
 		}
@@ -368,6 +378,18 @@ func (cl *Client) queryDirectory(ctx context.Context, name string, box Box) ([]t
 		out[i] = best[k]
 	}
 	return out, nil
+}
+
+// covers reports whether the records account for every cell of box: the
+// volumes they share with it sum to at least its own.
+func covers(metas []types.ObjectMeta, box Box) bool {
+	var covered int64
+	for i := range metas {
+		if part, ok := metas[i].ID.Box.Intersection(box); ok {
+			covered += part.Volume()
+		}
+	}
+	return covered >= box.Volume()
 }
 
 // fetchObject retrieves one object's payload following its resilience
@@ -401,7 +423,7 @@ func (cl *Client) fetchObject(ctx context.Context, meta *types.ObjectMeta) ([]by
 			return nil, ctx.Err()
 		case <-time.After(time.Duration(attempt+1) * 200 * time.Microsecond):
 		}
-		fresh, ok := cl.lookupMeta(ctx, meta.ID.Key())
+		fresh, ok := cl.lookupMeta(ctx, meta.ID)
 		if !ok {
 			continue
 		}
@@ -410,33 +432,26 @@ func (cl *Client) fetchObject(ctx context.Context, meta *types.ObjectMeta) ([]by
 	return nil, lastErr
 }
 
-// lookupMeta fetches a single object's metadata record from its shard
-// group. Every reachable mirror is consulted and the newest record wins:
-// under concurrent state flips a mirror can lag by one transition, and a
-// lagging record may point at a stripe the newer flip already dropped, so
-// first-answer-wins would turn a replica lag into a phantom data loss.
-func (cl *Client) lookupMeta(ctx context.Context, key string) (*types.ObjectMeta, bool) {
+// lookupMeta fetches a single object's metadata record from the servers
+// its box registers it on. Every reachable mirror is consulted and the
+// newest record wins: under concurrent state flips a mirror can lag by one
+// transition, and a lagging record may point at a stripe the newer flip
+// already dropped, so first-answer-wins would turn a replica lag into a
+// phantom data loss.
+func (cl *Client) lookupMeta(ctx context.Context, id types.ObjectID) (*types.ObjectMeta, bool) {
 	start := time.Now()
 	defer func() { cl.col.Add(metrics.Metadata, time.Since(start)) }()
 	var best *types.ObjectMeta
-	for _, t := range cl.dirGroupFor(key) {
+	key := id.Key()
+	for _, t := range cl.cluster.dir.Servers(id.Var, id.Box) {
 		resp, err := cl.send(ctx, t, &transport.Message{Kind: transport.MsgMetaLookup, Key: key})
 		if err == nil && resp.Kind == transport.MsgOK && resp.Flag {
-			if best == nil || metaNewer(resp.Meta, best) {
+			if best == nil || resp.Meta.Newer(best) {
 				best = resp.Meta
 			}
 		}
 	}
 	return best, best != nil
-}
-
-// metaNewer reports whether a supersedes b: higher version, or a later
-// same-version state flip (ObjectMeta.Seq orders those).
-func metaNewer(a, b *types.ObjectMeta) bool {
-	if a.Version != b.Version {
-		return a.Version > b.Version
-	}
-	return a.Seq > b.Seq
 }
 
 func (cl *Client) fetchReplicated(ctx context.Context, meta *types.ObjectMeta) ([]byte, error) {
@@ -500,7 +515,7 @@ func (cl *Client) fetchEncoded(ctx context.Context, meta *types.ObjectMeta) ([]b
 		cl.col.Add(metrics.Decode, time.Since(dStart))
 		// Lazy recovery on access: if a replacement server has taken over
 		// a dead member's ID, ask it to repair this object now.
-		cl.triggerOnAccessRepair(ctx, info, meta.ID.Key())
+		cl.triggerOnAccessRepair(ctx, info, meta.ID)
 	}
 	return c.codec.Join(shards, meta.Size)
 }
@@ -534,8 +549,7 @@ func (cl *Client) fetchShards(ctx context.Context, info *types.StripeInfo, shard
 func (cl *Client) lookupStripe(ctx context.Context, id types.StripeID) (*types.StripeInfo, bool) {
 	start := time.Now()
 	defer func() { cl.col.Add(metrics.Metadata, time.Since(start)) }()
-	key := id.String()
-	for _, t := range cl.cluster.health.UpFirst(cl.dirGroupFor(key)) {
+	for _, t := range cl.cluster.health.UpFirst(cl.cluster.dir.StripeServers(id)) {
 		resp, err := cl.send(ctx, t, &transport.Message{Kind: transport.MsgStripeLookup, Stripe: id})
 		if err == nil && resp.Kind == transport.MsgOK && resp.Flag {
 			return resp.StripeInfo, true
@@ -557,7 +571,7 @@ func (cl *Client) fetchShard(ctx context.Context, id types.StripeID, member type
 // triggerOnAccessRepair asks stripe members that answered "shard missing"
 // (replacement servers still recovering) to repair this object immediately:
 // the on-access half of lazy recovery.
-func (cl *Client) triggerOnAccessRepair(ctx context.Context, info *types.StripeInfo, key string) {
+func (cl *Client) triggerOnAccessRepair(ctx context.Context, info *types.StripeInfo, id types.ObjectID) {
 	c := cl.cluster
 	for _, member := range info.Members {
 		if !c.Alive(member.Server) {
@@ -571,7 +585,7 @@ func (cl *Client) triggerOnAccessRepair(ctx context.Context, info *types.StripeI
 		go func() {
 			// Fire-and-forget nudge: the next read retries repair anyway.
 			_, _ = c.net.Send(context.Background(), cl.id, member.Server,
-				&transport.Message{Kind: transport.MsgRecover, Key: key})
+				&transport.Message{Kind: transport.MsgRecover, Var: id.Var, Box: id.Box})
 		}()
 	}
 }

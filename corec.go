@@ -287,6 +287,7 @@ type Cluster struct {
 	top     *topology.Topology
 	groups  *topology.Groups
 	place   placement.Placement
+	dir     *placement.Directory // object and stripe records -> directory servers
 	col     *metrics.Collector
 	codec   *erasure.Codec
 	polCfg  policy.Config
@@ -315,8 +316,8 @@ type Cluster struct {
 // replication-group successor. The monitor consumes these after the
 // original primary recovers, instructing it to reconcile ownership.
 type Reroute struct {
-	// Key identifies the rerouted object.
-	Key string
+	// ID identifies the rerouted object.
+	ID ObjectID
 	// From is the placed primary that was unreachable.
 	From ServerID
 	// To is the successor that accepted the write (the new primary).
@@ -460,6 +461,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 		c.place = placement.NewRing(c.elastic.ring)
 	}
+	c.dir = placement.NewDirectory(c.place, cfg.NLevel, cfg.Domain)
 	local := make(map[types.ServerID]bool, cfg.Servers)
 	if cfg.LocalServers == nil {
 		for i := 0; i < cfg.Servers; i++ {
@@ -528,6 +530,7 @@ func (c *Cluster) startServer(id types.ServerID) (*server.Server, error) {
 		Network:            c.net,
 		Policy:             c.polCfg,
 		Collector:          c.col,
+		Domain:             c.cfg.Domain,
 		RecoveryMode:       c.cfg.RecoveryMode,
 		Construction:       c.cfg.Construction,
 		EncodeWorkers:      c.cfg.EncodeWorkers,
@@ -758,6 +761,7 @@ func NewRemoteCluster(cfg Config, addrs map[ServerID]string) (*Cluster, error) {
 		}
 		c.place = placement.NewRing(c.elastic.ring)
 	}
+	c.dir = placement.NewDirectory(c.place, cfg.NLevel, cfg.Domain)
 	return c, nil
 }
 

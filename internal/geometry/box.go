@@ -10,7 +10,7 @@ package geometry
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // MaxDims caps the supported dimensionality. Scientific staging workloads
@@ -189,25 +189,27 @@ func (b Box) SplitHalf(d int) (Box, Box) {
 	return a, c
 }
 
-// String renders the box as, e.g., "[(0,0,0)-(4,4,4))".
+// String renders the box as, e.g., "[(0,0,0)-(4,4,4))". The result is the
+// box's directory and wire identity (see Key), so it is built in one buffer
+// rather than through fmt.
 func (b Box) String() string {
-	var sb strings.Builder
-	sb.WriteString("[(")
-	for d, v := range b.Lo {
+	var scratch [64]byte // a 3-D box of five-digit coordinates fits; longer ones spill to the heap
+	buf := append(scratch[:0], "[("...)
+	buf = appendCoords(buf, b.Lo)
+	buf = append(buf, ")-("...)
+	buf = appendCoords(buf, b.Hi)
+	buf = append(buf, "))"...)
+	return string(buf)
+}
+
+func appendCoords(buf []byte, coords []int64) []byte {
+	for d, v := range coords {
 		if d > 0 {
-			sb.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&sb, "%d", v)
+		buf = strconv.AppendInt(buf, v, 10)
 	}
-	sb.WriteString(")-(")
-	for d, v := range b.Hi {
-		if d > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%d", v)
-	}
-	sb.WriteString("))")
-	return sb.String()
+	return buf
 }
 
 // Key returns a canonical string identity for the box, usable as a map key.

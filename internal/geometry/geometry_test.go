@@ -283,74 +283,36 @@ func BenchmarkFitPartition256(b *testing.B) {
 	}
 }
 
-func TestMortonRoundTrip(t *testing.T) {
-	for _, c := range [][3]uint64{
-		{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1},
-		{7, 13, 21}, {1<<21 - 1, 1<<21 - 1, 1<<21 - 1},
+// TestBoxStringGolden pins the rendering byte for byte: the string is the
+// object key the directory and the wire identify a box by.
+func TestBoxStringGolden(t *testing.T) {
+	for _, c := range []struct {
+		box  Box
+		want string
+	}{
+		{Box3D(0, 0, 0, 4, 4, 4), "[(0,0,0)-(4,4,4))"},
+		{Box3D(-10, 100, 0, -6, 104, 4), "[(-10,100,0)-(-6,104,4))"},
+		{NewBox([]int64{7}, []int64{4096}), "[(7)-(4096))"},
+		{NewBox([]int64{-9223372036854775808, 0}, []int64{9223372036854775807, 1}),
+			"[(-9223372036854775808,0)-(9223372036854775807,1))"},
+		{Box{}, "[()-())"},
+		{Box{Lo: []int64{1, 2}, Hi: []int64{3}}, "[(1,2)-(3))"},
 	} {
-		m := Morton3D(c[0], c[1], c[2])
-		x, y, z := Demorton3D(m)
-		if x != c[0] || y != c[1] || z != c[2] {
-			t.Fatalf("round trip %v -> %d -> (%d,%d,%d)", c, m, x, y, z)
+		if got := c.box.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+		if got := c.box.Key(); got != c.want {
+			t.Errorf("Key() = %q, want %q", got, c.want)
 		}
 	}
 }
 
-func TestMortonDistinct(t *testing.T) {
-	seen := make(map[uint64]bool)
-	for x := uint64(0); x < 8; x++ {
-		for y := uint64(0); y < 8; y++ {
-			for z := uint64(0); z < 8; z++ {
-				m := Morton3D(x, y, z)
-				if seen[m] {
-					t.Fatalf("collision at (%d,%d,%d)", x, y, z)
-				}
-				seen[m] = true
-			}
-		}
-	}
-}
+var sinkKey string
 
-func TestMortonLocality(t *testing.T) {
-	// Z-order locality: the average index distance between axis neighbours
-	// must be far smaller than between random pairs.
-	rng := rand.New(rand.NewSource(8))
-	var neighbor, random float64
-	const trials = 2000
-	for i := 0; i < trials; i++ {
-		x, y, z := uint64(rng.Intn(255)), uint64(rng.Intn(255)), uint64(rng.Intn(255))
-		a := Morton3D(x, y, z)
-		b := Morton3D(x+1, y, z)
-		neighbor += absDiff(a, b)
-		c := Morton3D(uint64(rng.Intn(256)), uint64(rng.Intn(256)), uint64(rng.Intn(256)))
-		random += absDiff(a, c)
-	}
-	if neighbor*4 >= random {
-		t.Fatalf("no locality: neighbour dist %.0f vs random %.0f", neighbor/trials, random/trials)
-	}
-}
-
-func absDiff(a, b uint64) float64 {
-	if a > b {
-		return float64(a - b)
-	}
-	return float64(b - a)
-}
-
-func TestMortonOfPoint(t *testing.T) {
-	origin := []int64{10, 10, 10}
-	if MortonOfPoint([]int64{10, 10, 10}, origin) != 0 {
-		t.Fatal("origin point not zero")
-	}
-	if MortonOfPoint([]int64{11, 10, 10}, origin) != 1 {
-		t.Fatal("unit x step wrong")
-	}
-	// Below-origin points clamp rather than wrap.
-	if MortonOfPoint([]int64{0, 10, 10}, origin) != 0 {
-		t.Fatal("negative offset not clamped")
-	}
-	// 1-D and 2-D points work.
-	if MortonOfPoint([]int64{12}, []int64{10}) != Morton3D(2, 0, 0) {
-		t.Fatal("1-D point wrong")
+func BenchmarkBoxKey(b *testing.B) {
+	box := Box3D(120, 56, 28, 128, 60, 32)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkKey = box.Key()
 	}
 }

@@ -63,6 +63,11 @@ const (
 	// failed (leaving the record group degraded) and were later repaired
 	// by the hinted-handoff flush.
 	MirrorRepairCount
+	// DirFallbackCount tallies region lookups whose targeted answer did not
+	// cover the region and were repeated against the whole fleet. Near zero
+	// on a healthy fleet reading staged regions; it climbs on reads of
+	// regions nobody wrote and while records await re-homing after churn.
+	DirFallbackCount
 	// ScrubScanCount tallies locally stored items (primary copies,
 	// replicas, shards) whose bytes a scrub pass verified.
 	ScrubScanCount
@@ -88,7 +93,7 @@ const (
 )
 
 var counterNames = [...]string{
-	"retries", "failovers", "reconciles", "corrupt_frames", "faults", "mirror_repairs",
+	"retries", "failovers", "reconciles", "corrupt_frames", "faults", "mirror_repairs", "dir_fallbacks",
 	"scrub_scans", "scrub_bytes", "scrub_corruptions", "scrub_repairs",
 	"scrub_reencodes", "scrub_backfills", "scrub_skips",
 }

@@ -1,20 +1,19 @@
 // Package placement maps objects to staging servers. Two deterministic
 // mappings are provided: the primary-copy mapping (which server owns an
-// object) and the directory-shard mapping (which server stores the object's
-// metadata record). Both are pure functions of the object identity and the
-// server count, so any client or server computes them locally without
-// coordination — the property DataSpaces gets from its distributed hash
-// table.
+// object) and the directory mapping (which servers store the object's
+// metadata record, see Directory). Both are pure functions of the object
+// identity and the fleet, so any client or server computes them locally
+// without coordination — the property DataSpaces gets from its distributed
+// hash table.
 //
-// Directory shards are additionally backed up on the ring-successor server
-// so that a single server failure never loses metadata (see
+// Every directory shard is mirrored on ring successors so that server
+// failures within the resilience level never lose metadata (see
 // internal/server's directory handlers).
 package placement
 
 import (
 	"hash/fnv"
 
-	"corec/internal/geometry"
 	"corec/internal/types"
 )
 
@@ -23,9 +22,13 @@ type Placement interface {
 	// Primary returns the server owning the authoritative copy of the
 	// object.
 	Primary(id types.ObjectID) types.ServerID
-	// DirectoryShard returns the server hosting the metadata record for the
-	// given object key.
+	// DirectoryShard returns the server owning the directory shard the key
+	// hashes to.
 	DirectoryShard(key string) types.ServerID
+	// KeyGroup returns the servers hosting the key's directory shard: the
+	// shard owner plus `mirrors` successors (at least one, never more than
+	// the fleet has).
+	KeyGroup(key string, mirrors int) []types.ServerID
 	// NumServers returns the server count the placement was built for.
 	NumServers() int
 }
@@ -67,151 +70,15 @@ func (p *Hash) DirectoryShard(key string) types.ServerID {
 	return types.ServerID(h.Sum64() % uint64(p.n))
 }
 
-// Grid is a space-aware placement: the domain is cut into a regular grid of
-// cells and cell (i,j,k) maps round-robin onto the ring. Objects map by the
-// cell containing their lower corner. It preserves DataSpaces-style spatial
-// affinity (neighbouring regions land on neighbouring servers).
-type Grid struct {
-	n      int
-	domain geometry.Box
-	cell   []int64
-	counts []int64
-}
-
-var _ Placement = (*Grid)(nil)
-
-// NewGrid builds a grid placement: the domain is divided into cells of the
-// given size (one entry per dimension).
-func NewGrid(n int, domain geometry.Box, cellSize []int64) *Grid {
-	if n <= 0 {
-		panic("placement: server count must be positive")
-	}
-	if !domain.Valid() || len(cellSize) != domain.Dims() {
-		panic("placement: invalid grid geometry")
-	}
-	counts := make([]int64, domain.Dims())
-	for d := range counts {
-		if cellSize[d] <= 0 {
-			panic("placement: non-positive cell size")
-		}
-		counts[d] = (domain.Size(d) + cellSize[d] - 1) / cellSize[d]
-	}
-	return &Grid{n: n, domain: domain, cell: append([]int64(nil), cellSize...), counts: counts}
-}
-
-// NumServers implements Placement.
-func (p *Grid) NumServers() int { return p.n }
-
-// Primary implements Placement.
-func (p *Grid) Primary(id types.ObjectID) types.ServerID {
-	if id.Box.Dims() != p.domain.Dims() {
-		// Foreign geometry: fall back to hashing.
-		return types.ServerID(hashString(id.Key()) % uint64(p.n))
-	}
-	var linear int64
-	for d := 0; d < p.domain.Dims(); d++ {
-		c := (id.Box.Lo[d] - p.domain.Lo[d]) / p.cell[d]
-		if c < 0 {
-			c = 0
-		}
-		if c >= p.counts[d] {
-			c = p.counts[d] - 1
-		}
-		linear = linear*p.counts[d] + c
-	}
-	return types.ServerID(linear % int64(p.n))
-}
-
-// DirectoryShard implements Placement (hash-based, as for Hash placement).
-func (p *Grid) DirectoryShard(key string) types.ServerID {
-	h := fnv.New64a()
-	h.Write([]byte("dir:"))
-	h.Write([]byte(key))
-	return types.ServerID(h.Sum64() % uint64(p.n))
+// KeyGroup implements Placement: the shard owner and its ring successors.
+func (p *Hash) KeyGroup(key string, mirrors int) []types.ServerID {
+	return DirectoryGroup(p.DirectoryShard(key), p.n, mirrors)
 }
 
 func hashString(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
-}
-
-// Morton is a space-filling-curve placement: the domain is cut into cells
-// and each cell maps to a server by its Z-order (Morton) index along the
-// curve, divided into n contiguous runs. Neighbouring regions therefore
-// land on the same or adjacent ring positions — the locality DataSpaces
-// derives from its SFC decomposition, useful when queries span contiguous
-// sub-domains.
-type Morton struct {
-	n      int
-	domain geometry.Box
-	cell   []int64
-	cells  int64
-}
-
-var _ Placement = (*Morton)(nil)
-
-// NewMorton builds a Morton placement over n servers with the given cell
-// size (validation matches NewGrid).
-func NewMorton(n int, domain geometry.Box, cellSize []int64) *Morton {
-	if n <= 0 {
-		panic("placement: server count must be positive")
-	}
-	if !domain.Valid() || len(cellSize) != domain.Dims() {
-		panic("placement: invalid grid geometry")
-	}
-	cells := int64(1)
-	for d := range cellSize {
-		if cellSize[d] <= 0 {
-			panic("placement: non-positive cell size")
-		}
-		cells *= (domain.Size(d) + cellSize[d] - 1) / cellSize[d]
-	}
-	return &Morton{n: n, domain: domain, cell: append([]int64(nil), cellSize...), cells: cells}
-}
-
-// NumServers implements Placement.
-func (p *Morton) NumServers() int { return p.n }
-
-// Primary implements Placement: the owning server is the cell's rank along
-// the Z-order curve, scaled onto the ring.
-func (p *Morton) Primary(id types.ObjectID) types.ServerID {
-	if id.Box.Dims() != p.domain.Dims() || id.Box.Dims() > 3 {
-		return types.ServerID(hashString(id.Key()) % uint64(p.n))
-	}
-	cell := make([]int64, id.Box.Dims())
-	for d := range cell {
-		c := (id.Box.Lo[d] - p.domain.Lo[d]) / p.cell[d]
-		if c < 0 {
-			c = 0
-		}
-		cell[d] = c
-	}
-	m := geometry.MortonOfPoint(cell, make([]int64, len(cell)))
-	// Scale the curve position onto the ring; the modulo keeps boundary
-	// cells in range when the domain is not a power of two.
-	return types.ServerID((m * uint64(p.n) / mortonSpan(p)) % uint64(p.n))
-}
-
-// mortonSpan upper-bounds the Morton index over the domain's cells.
-func mortonSpan(p *Morton) uint64 {
-	var maxCell [3]uint64
-	for d := 0; d < p.domain.Dims() && d < 3; d++ {
-		c := (p.domain.Size(d) + p.cell[d] - 1) / p.cell[d]
-		if c > 0 {
-			maxCell[d] = uint64(c - 1)
-		}
-	}
-	return geometry.Morton3D(maxCell[0], maxCell[1], maxCell[2]) + 1
-}
-
-// DirectoryShard implements Placement (hash-based, like the other
-// placements).
-func (p *Morton) DirectoryShard(key string) types.ServerID {
-	h := fnv.New64a()
-	h.Write([]byte("dir:"))
-	h.Write([]byte(key))
-	return types.ServerID(h.Sum64() % uint64(p.n))
 }
 
 // DirectoryBackup returns the ring-successor shard that mirrors the

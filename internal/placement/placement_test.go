@@ -60,70 +60,6 @@ func TestHashPanicsOnBadCount(t *testing.T) {
 	NewHash(0)
 }
 
-func TestGridAffinity(t *testing.T) {
-	domain := geometry.Box3D(0, 0, 0, 64, 64, 64)
-	p := NewGrid(4, domain, []int64{16, 16, 16})
-	// Objects in the same cell map to the same server.
-	a := types.ObjectID{Var: "v", Box: geometry.Box3D(0, 0, 0, 8, 8, 8)}
-	b := types.ObjectID{Var: "w", Box: geometry.Box3D(8, 8, 8, 16, 16, 16)}
-	if p.Primary(a) != p.Primary(b) {
-		t.Fatal("same-cell objects on different servers")
-	}
-	if p.NumServers() != 4 {
-		t.Fatal("NumServers wrong")
-	}
-}
-
-func TestGridCoversAllServers(t *testing.T) {
-	domain := geometry.Box3D(0, 0, 0, 64, 64, 64)
-	p := NewGrid(4, domain, []int64{16, 16, 16})
-	used := make(map[types.ServerID]bool)
-	blocks, _ := geometry.GridDecompose(domain, []int64{16, 16, 16})
-	for _, b := range blocks {
-		used[p.Primary(types.ObjectID{Var: "v", Box: b})] = true
-	}
-	if len(used) != 4 {
-		t.Fatalf("grid placement used %d of 4 servers", len(used))
-	}
-}
-
-func TestGridForeignGeometryFallsBack(t *testing.T) {
-	domain := geometry.Box3D(0, 0, 0, 64, 64, 64)
-	p := NewGrid(4, domain, []int64{16, 16, 16})
-	id := types.ObjectID{Var: "v", Box: geometry.NewBox([]int64{0}, []int64{8})}
-	if s := p.Primary(id); s < 0 || int(s) >= 4 {
-		t.Fatalf("fallback placement out of range: %d", s)
-	}
-}
-
-func TestGridClampsOutOfDomain(t *testing.T) {
-	domain := geometry.Box3D(0, 0, 0, 64, 64, 64)
-	p := NewGrid(4, domain, []int64{16, 16, 16})
-	id := types.ObjectID{Var: "v", Box: geometry.Box3D(-10, 100, 0, -6, 104, 4)}
-	if s := p.Primary(id); s < 0 || int(s) >= 4 {
-		t.Fatalf("out-of-domain placement out of range: %d", s)
-	}
-}
-
-func TestGridValidation(t *testing.T) {
-	domain := geometry.Box3D(0, 0, 0, 64, 64, 64)
-	for name, f := range map[string]func(){
-		"zero servers": func() { NewGrid(0, domain, []int64{16, 16, 16}) },
-		"bad domain":   func() { NewGrid(4, geometry.Box{}, []int64{16}) },
-		"dim mismatch": func() { NewGrid(4, domain, []int64{16, 16}) },
-		"zero cell":    func() { NewGrid(4, domain, []int64{16, 0, 16}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s accepted", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestDirectoryBackupDistinct(t *testing.T) {
 	if DirectoryBackup(3, 8) != 4 {
 		t.Fatal("backup is not ring successor")
@@ -133,20 +69,6 @@ func TestDirectoryBackupDistinct(t *testing.T) {
 	}
 	if DirectoryBackup(0, 1) != 0 {
 		t.Fatal("single-server backup must be self")
-	}
-}
-
-func TestGridDirectoryShardInRange(t *testing.T) {
-	domain := geometry.Box3D(0, 0, 0, 64, 64, 64)
-	p := NewGrid(6, domain, []int64{16, 16, 16})
-	for i := int64(0); i < 50; i++ {
-		id := types.ObjectID{Var: "v", Box: geometry.Box3D(i, 0, 0, i+1, 1, 1)}
-		if s := p.DirectoryShard(id.Key()); s < 0 || int(s) >= 6 {
-			t.Fatalf("grid directory shard out of range: %d", s)
-		}
-	}
-	if p.NumServers() != 6 {
-		t.Fatal("grid NumServers wrong")
 	}
 }
 
@@ -168,74 +90,5 @@ func TestDirectoryGroup(t *testing.T) {
 	// Zero mirrors bumps to 1 (always at least one backup when n > 1).
 	if got := DirectoryGroup(0, 4, 0); len(got) != 2 {
 		t.Fatalf("min-mirror group = %v", got)
-	}
-}
-
-func TestMortonPlacementCoversServersAndLocal(t *testing.T) {
-	domain := geometry.Box3D(0, 0, 0, 64, 64, 64)
-	p := NewMorton(4, domain, []int64{8, 8, 8})
-	if p.NumServers() != 4 {
-		t.Fatal("NumServers wrong")
-	}
-	blocks, _ := geometry.GridDecompose(domain, []int64{8, 8, 8})
-	used := map[types.ServerID]int{}
-	for _, b := range blocks {
-		s := p.Primary(types.ObjectID{Var: "v", Box: b})
-		if s < 0 || int(s) >= 4 {
-			t.Fatalf("out of range: %d", s)
-		}
-		used[s]++
-	}
-	if len(used) != 4 {
-		t.Fatalf("used %d of 4 servers: %v", len(used), used)
-	}
-	// Load is reasonably even along the curve.
-	for s, c := range used {
-		if c < len(blocks)/8 {
-			t.Fatalf("server %d got only %d of %d blocks", s, c, len(blocks))
-		}
-	}
-}
-
-func TestMortonPlacementLocality(t *testing.T) {
-	// Axis-adjacent cells map to the same server far more often than
-	// random pairs do — the property the curve buys.
-	domain := geometry.Box3D(0, 0, 0, 64, 64, 64)
-	p := NewMorton(8, domain, []int64{8, 8, 8})
-	same := 0
-	total := 0
-	for x := int64(0); x < 56; x += 8 {
-		for y := int64(0); y < 64; y += 8 {
-			for z := int64(0); z < 64; z += 8 {
-				a := p.Primary(types.ObjectID{Var: "v", Box: geometry.Box3D(x, y, z, x+8, y+8, z+8)})
-				b := p.Primary(types.ObjectID{Var: "v", Box: geometry.Box3D(x+8, y, z, x+16, y+8, z+8)})
-				if a == b {
-					same++
-				}
-				total++
-			}
-		}
-	}
-	// Random assignment over 8 servers gives ~1/8 same-server pairs; the
-	// curve must do clearly better.
-	if float64(same)/float64(total) < 0.3 {
-		t.Fatalf("locality too weak: %d/%d neighbour pairs co-located", same, total)
-	}
-}
-
-func TestMortonPlacementDeterministicAndFallback(t *testing.T) {
-	domain := geometry.Box3D(0, 0, 0, 64, 64, 64)
-	p := NewMorton(4, domain, []int64{8, 8, 8})
-	id := types.ObjectID{Var: "v", Box: geometry.Box3D(8, 8, 8, 16, 16, 16)}
-	if p.Primary(id) != p.Primary(id) {
-		t.Fatal("not deterministic")
-	}
-	// Foreign dimensionality hashes.
-	odd := types.ObjectID{Var: "v", Box: geometry.NewBox([]int64{0}, []int64{4})}
-	if s := p.Primary(odd); s < 0 || int(s) >= 4 {
-		t.Fatalf("fallback out of range: %d", s)
-	}
-	if s := p.DirectoryShard("k"); s < 0 || int(s) >= 4 {
-		t.Fatalf("dir shard out of range: %d", s)
 	}
 }

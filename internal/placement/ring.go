@@ -47,11 +47,11 @@ func (p *Ring) DirectoryShard(key string) types.ServerID {
 	return p.ring.OwnerKey("dir:" + key)
 }
 
-// DirectoryGroupFor returns the servers hosting the directory record for
-// key: the shard owner plus `mirrors` domain-diverse ring successors — the
-// elastic analogue of DirectoryGroup. Clients and servers both derive the
-// group from the same ring state, so they agree without coordination.
-func (p *Ring) DirectoryGroupFor(key string, mirrors int) []types.ServerID {
+// KeyGroup implements Placement: the shard owner plus `mirrors`
+// domain-diverse ring successors — the elastic analogue of DirectoryGroup.
+// Clients and servers both derive the group from the same ring state, so
+// they agree without coordination.
+func (p *Ring) KeyGroup(key string, mirrors int) []types.ServerID {
 	if mirrors < 1 {
 		mirrors = 1
 	}

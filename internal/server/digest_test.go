@@ -31,7 +31,7 @@ func TestPutDigestsPayloadOncePerServer(t *testing.T) {
 		}
 	}
 
-	key := types.ObjectID{Var: "v", Box: box}.Key()
+	id := types.ObjectID{Var: "v", Box: box}
 	for round, data := range [][]byte{payload(size, 21), payload(size, 22)} {
 		for i := range full {
 			full[i].Store(0)
@@ -39,7 +39,7 @@ func TestPutDigestsPayloadOncePerServer(t *testing.T) {
 		primary := rig.put(t, "v", box, 1, data)
 		srv := rig.servers[primary]
 		srv.WaitEncodeIdle()
-		meta, ok := srv.dirLookupMeta(context.Background(), key)
+		meta, ok := srv.dirLookupMeta(context.Background(), id)
 		if !ok || meta.State != types.StateEncoded {
 			t.Fatalf("round %d: object not encoded: %+v", round, meta)
 		}

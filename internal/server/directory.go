@@ -3,20 +3,203 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
+	"corec/internal/geometry"
 	"corec/internal/metrics"
 	"corec/internal/placement"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
 
-// The metadata directory is sharded over all staging servers by key hash,
-// with each record mirrored on the shard's ring successor so one failure
-// never loses metadata. Servers host their shard in the dir/dirStripes maps
-// and reach other shards through the same transport as the data plane,
-// charging the Metadata bucket.
+// The metadata directory is sharded over all staging servers: object records
+// by the directory cells their box touches, stripe records by stripe id (see
+// placement.Directory), each shard mirrored on NLevel ring successors so
+// metadata tolerates as many failures as the data it describes. Servers host
+// their shard in a directory and reach other shards through the same
+// transport as the data plane, charging the Metadata bucket.
+
+// directory is one server's shard of the metadata directory. It has its own
+// lock: lookups and region queries share it for reading and never wait on
+// s.mu, the lock every put and get of payload state needs.
+type directory struct {
+	place *placement.Directory
+
+	mu sync.RWMutex
+	// metas holds the object records by object key.
+	metas map[string]*types.ObjectMeta
+	// buckets indexes metas by (variable, cell) for every cell a record's
+	// box touches, so a region query scans only the cells it touches.
+	buckets map[dirBucket]map[string]*types.ObjectMeta
+	// stripes holds the stripe records; dropStripe deletes them.
+	stripes map[types.StripeID]*types.StripeInfo
+}
+
+type dirBucket struct {
+	name string
+	cell int
+}
+
+func newDirectory(place *placement.Directory) *directory {
+	return &directory{
+		place:   place,
+		metas:   make(map[string]*types.ObjectMeta),
+		buckets: make(map[dirBucket]map[string]*types.ObjectMeta),
+		stripes: make(map[types.StripeID]*types.StripeInfo),
+	}
+}
+
+// update installs meta unless the shard already holds a newer record. A
+// restore-mode update (directory rebuild after a failure, re-homing by the
+// migrator) additionally never replaces an equally new live record.
+func (d *directory) update(meta *types.ObjectMeta, restore bool) {
+	key := meta.ID.Key()
+	cp := meta.Clone()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if cur, ok := d.metas[key]; ok {
+		// A stale update comes from a slow path (a delayed group write, a
+		// hinted-handoff replay, a restore snapshot overtaken by a live
+		// flip). Same-version updates are ordered by Seq; without that
+		// tie-break, concurrent state flips could land in different orders
+		// on different mirrors and leave the group permanently divergent —
+		// with some mirrors pointing at a stripe the newer flip has already
+		// dropped. The live record a restore meets may carry a transition
+		// made while the snapshot was in flight; only a strictly newer Seq
+		// proves the restore writer holds the later record.
+		if !cur.Newer(meta) && (!restore || meta.Newer(cur)) {
+			*cur = *cp // same key, same box: the buckets already point here
+		}
+		return
+	}
+	d.metas[key] = cp
+	for _, cell := range d.place.Cells(meta.ID.Box) {
+		b := dirBucket{meta.ID.Var, cell}
+		if d.buckets[b] == nil {
+			d.buckets[b] = make(map[string]*types.ObjectMeta)
+		}
+		d.buckets[b][key] = cp
+	}
+}
+
+func (d *directory) lookup(key string) (*types.ObjectMeta, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	m, ok := d.metas[key]
+	if !ok {
+		return nil, false
+	}
+	return m.Clone(), true
+}
+
+// query returns the shard's records of the variable whose box intersects
+// box (every record of the variable when box is invalid), in key order:
+// query responses are wire output and must be byte-identical across runs.
+func (d *directory) query(name string, box geometry.Box) []types.ObjectMeta {
+	cells := d.place.Cells(box)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	var keys []string
+	if cells != nil {
+		for _, cell := range cells {
+			for k, m := range d.buckets[dirBucket{name, cell}] {
+				if m.ID.Box.Intersects(box) {
+					keys = append(keys, k)
+				}
+			}
+		}
+	} else {
+		for k, m := range d.metas {
+			if m.ID.Var == name {
+				keys = append(keys, k)
+			}
+		}
+	}
+	sort.Strings(keys)
+	keys = slices.Compact(keys) // a record is in every bucket its box touches
+	if len(keys) == 0 {
+		return nil
+	}
+	out := make([]types.ObjectMeta, len(keys))
+	for i, k := range keys {
+		out[i] = *d.metas[k].Clone()
+	}
+	return out
+}
+
+func (d *directory) remove(key string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	m, ok := d.metas[key]
+	if !ok {
+		return
+	}
+	delete(d.metas, key)
+	for _, cell := range d.place.Cells(m.ID.Box) {
+		b := dirBucket{m.ID.Var, cell}
+		delete(d.buckets[b], key)
+		if len(d.buckets[b]) == 0 {
+			delete(d.buckets, b)
+		}
+	}
+}
+
+func (d *directory) updateStripe(info *types.StripeInfo) {
+	cp := info.Clone()
+	d.mu.Lock()
+	d.stripes[cp.ID] = cp
+	d.mu.Unlock()
+}
+
+func (d *directory) lookupStripe(id types.StripeID) (*types.StripeInfo, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	info, ok := d.stripes[id]
+	if !ok {
+		return nil, false
+	}
+	return info.Clone(), true
+}
+
+func (d *directory) removeStripe(id types.StripeID) {
+	d.mu.Lock()
+	delete(d.stripes, id)
+	d.mu.Unlock()
+}
+
+// dump returns the whole shard, metas in key order and stripes in id order:
+// dumps feed recovery work lists, the migrator and tests, so the stream is
+// deterministic.
+func (d *directory) dump() ([]types.ObjectMeta, []types.StripeInfo) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	metas := make([]types.ObjectMeta, 0, len(d.metas))
+	for _, k := range sortedKeys(d.metas) {
+		metas = append(metas, *d.metas[k].Clone())
+	}
+	stripes := make([]types.StripeInfo, 0, len(d.stripes))
+	for _, info := range d.stripes {
+		stripes = append(stripes, *info.Clone())
+	}
+	sort.Slice(stripes, func(i, j int) bool {
+		a, b := stripes[i].ID, stripes[j].ID
+		if a.Group != b.Group {
+			return a.Group < b.Group
+		}
+		return a.Seq < b.Seq
+	})
+	return metas, stripes
+}
+
+// counts returns the number of object and stripe records in the shard.
+func (d *directory) counts() (metas, stripes int) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.metas), len(d.stripes)
+}
 
 // --- shard-side handlers ---
 
@@ -28,75 +211,21 @@ func (s *Server) handleMetaUpdate(req *transport.Message) *transport.Message {
 	// mirror, so metas this server mints later are ordered after them even
 	// under clock skew.
 	s.observeMetaSeq(req.Meta.Seq)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := req.Meta.ID.Key()
-	if cur, ok := s.dir[key]; ok {
-		if cur.Version > req.Meta.Version ||
-			(cur.Version == req.Meta.Version && req.Meta.Seq < cur.Seq) {
-			// Stale update from a slow path (a delayed group write, a
-			// hinted-handoff replay, a restore snapshot overtaken by a live
-			// flip). Same-version updates are ordered by Seq; without that
-			// tie-break, concurrent state flips could land in different
-			// orders on different mirrors and leave the group permanently
-			// divergent — with some mirrors pointing at a stripe the newer
-			// flip has already dropped.
-			return transport.Ok()
-		}
-		// Restore-mode updates (directory rebuild after a failure, marked
-		// by Flag) must never clobber an equally-new live record: the live
-		// record may carry a state transition made while the snapshot was
-		// in flight. A strictly newer Seq proves the restore writer holds
-		// the later record and may overwrite.
-		if req.Flag && cur.Version == req.Meta.Version && req.Meta.Seq <= cur.Seq {
-			return transport.Ok()
-		}
-	}
-	s.dir[key] = req.Meta.Clone()
+	s.dir.update(req.Meta, req.Flag)
 	return transport.Ok()
 }
 
 func (s *Server) handleMetaLookup(req *transport.Message) *transport.Message {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.dir[req.Key]
-	if !ok {
-		return &transport.Message{Kind: transport.MsgOK, Flag: false}
-	}
-	return &transport.Message{Kind: transport.MsgOK, Flag: true, Meta: m.Clone()}
+	m, ok := s.dir.lookup(req.Key)
+	return &transport.Message{Kind: transport.MsgOK, Flag: ok, Meta: m}
 }
 
 func (s *Server) handleMetaQuery(req *transport.Message) *transport.Message {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Filter first, then sort only the matches: the shard holds every
-	// variable's records, a query names one. Key order, not map order —
-	// query responses are wire output and must be byte-identical across runs.
-	var keys []string
-	for k, m := range s.dir {
-		if m.ID.Var != req.Var {
-			continue
-		}
-		if req.Box.Valid() && !m.ID.Box.Intersects(req.Box) {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	resp := &transport.Message{Kind: transport.MsgOK}
-	if len(keys) > 0 {
-		resp.Metas = make([]types.ObjectMeta, len(keys))
-		for i, k := range keys {
-			resp.Metas[i] = *s.dir[k].Clone()
-		}
-	}
-	return resp
+	return &transport.Message{Kind: transport.MsgOK, Metas: s.dir.query(req.Var, req.Box)}
 }
 
 func (s *Server) handleMetaDelete(req *transport.Message) *transport.Message {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.dir, req.Key)
+	s.dir.remove(req.Key)
 	return transport.Ok()
 }
 
@@ -104,83 +233,38 @@ func (s *Server) handleStripeUpdate(req *transport.Message) *transport.Message {
 	if req.StripeInfo == nil {
 		return transport.Errf("server %d: StripeUpdate without record", s.id)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cp := *req.StripeInfo
-	cp.Members = append([]types.StripeMember(nil), req.StripeInfo.Members...)
-	s.dirStripes[cp.ID] = &cp
+	s.dir.updateStripe(req.StripeInfo)
 	return transport.Ok()
 }
 
 func (s *Server) handleStripeLookup(req *transport.Message) *transport.Message {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	info, ok := s.dirStripes[req.Stripe]
-	if !ok {
-		return &transport.Message{Kind: transport.MsgOK, Flag: false}
-	}
-	cp := *info
-	cp.Members = append([]types.StripeMember(nil), info.Members...)
-	return &transport.Message{Kind: transport.MsgOK, Flag: true, StripeInfo: &cp}
+	info, ok := s.dir.lookupStripe(req.Stripe)
+	return &transport.Message{Kind: transport.MsgOK, Flag: ok, StripeInfo: info}
+}
+
+func (s *Server) handleStripeDelete(req *transport.Message) *transport.Message {
+	s.dir.removeStripe(req.Stripe)
+	return transport.Ok()
 }
 
 // handleDirDump returns the whole directory shard: all object metadata and
 // stripe records. Used to rebuild a failed server's shard and to build
 // recovery work lists.
 func (s *Server) handleDirDump(req *transport.Message) *transport.Message {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	resp := &transport.Message{Kind: transport.MsgOK}
-	// Dumps feed recovery work lists and tests; emit them in key order so
-	// the stream is deterministic.
-	for _, k := range sortedKeys(s.dir) {
-		resp.Metas = append(resp.Metas, *s.dir[k].Clone())
-	}
-	for _, info := range s.dirStripes {
-		cp := *info
-		cp.Members = append([]types.StripeMember(nil), info.Members...)
-		resp.Stripes = append(resp.Stripes, cp)
-	}
-	sort.Slice(resp.Stripes, func(i, j int) bool {
-		a, b := resp.Stripes[i].ID, resp.Stripes[j].ID
-		if a.Group != b.Group {
-			return a.Group < b.Group
-		}
-		return a.Seq < b.Seq
-	})
-	return resp
+	metas, stripes := s.dir.dump()
+	return &transport.Message{Kind: transport.MsgOK, Metas: metas, Stripes: stripes}
 }
 
 // --- client-side helpers (used by servers acting as directory clients) ---
 
-// dirGroup returns the servers hosting the directory record for key: the
-// hash shard plus NLevel ring-successor mirrors, so metadata tolerates as
-// many failures as the data it describes. In elastic mode the group comes
-// from the dynamic ring (owner of "dir:"+key plus domain-diverse
-// successors), so it tracks membership changes; clients derive the same
-// group from the same ring state.
-func (s *Server) dirGroup(key string) []types.ServerID {
-	if s.ring != nil {
-		mirrors := s.cfg.Policy.NLevel
-		if mirrors < 1 {
-			mirrors = 1
-		}
-		if n := s.ring.Size(); mirrors >= n {
-			mirrors = n - 1
-		}
-		return s.ring.KeyGroup("dir:"+key, mirrors+1)
-	}
-	return placement.DirectoryGroup(s.place.DirectoryShard(key), s.place.NumServers(), s.cfg.Policy.NLevel)
-}
-
-// dirUpdate writes a metadata record to its shard group. Failures of some
-// mirrors are tolerated (the survivors serve reads until recovery restores
-// the group).
+// dirUpdate writes a metadata record to the shard group of every cell its
+// box touches. Failures of some mirrors are tolerated (the survivors serve
+// reads until recovery restores the group).
 func (s *Server) dirUpdate(ctx context.Context, meta *types.ObjectMeta) error {
 	start := time.Now()
 	defer func() { s.col.Add(metrics.Metadata, time.Since(start)) }()
 	msg := &transport.Message{Kind: transport.MsgMetaUpdate, Meta: meta}
-	return s.sendToGroup(ctx, s.dirGroup(meta.ID.Key()), msg)
+	return s.sendToGroup(ctx, s.dirPlace.Servers(meta.ID.Var, meta.ID.Box), msg)
 }
 
 // dirUpdateStripe writes a stripe record to its shard group.
@@ -188,7 +272,7 @@ func (s *Server) dirUpdateStripe(ctx context.Context, info *types.StripeInfo) er
 	start := time.Now()
 	defer func() { s.col.Add(metrics.Metadata, time.Since(start)) }()
 	msg := &transport.Message{Kind: transport.MsgStripeUpdate, StripeInfo: info}
-	return s.sendToGroup(ctx, s.dirGroup(info.ID.String()), msg)
+	return s.sendToGroup(ctx, s.dirPlace.StripeServers(info.ID), msg)
 }
 
 // sendToGroup delivers msg to every shard holder, treating the operation as
@@ -196,16 +280,16 @@ func (s *Server) dirUpdateStripe(ctx context.Context, info *types.StripeInfo) er
 // while the group as a whole succeeded leave the record single-homed; those
 // are remembered as hints and re-delivered by flushMirrorHints, so a
 // transient partition or drop cannot silently reduce a directory group to
-// one copy for the rest of the run.
+// one copy for the rest of the run. A record registered in several cells
+// addresses several groups; those are written concurrently, so a many-cell
+// record costs one round trip, not one per server. One group stays
+// sequential: concurrency bought nothing on two members.
 func (s *Server) sendToGroup(ctx context.Context, targets []types.ServerID, msg *transport.Message) error {
-	var firstErr error
-	delivered := false
-	failed := make([]types.ServerID, 0, len(targets))
-	ok := make([]types.ServerID, 0, len(targets))
-	for _, t := range targets {
+	errs := make([]error, len(targets))
+	deliver := func(i int) {
 		var resp *transport.Message
 		var err error
-		if t == s.id {
+		if t := targets[i]; t == s.id {
 			resp = s.Handle(ctx, msg)
 		} else {
 			cp := *msg // shallow copy; From is mutated by Send
@@ -214,25 +298,41 @@ func (s *Server) sendToGroup(ctx context.Context, targets []types.ServerID, msg 
 		if err == nil {
 			err = resp.AsError()
 		}
+		errs[i] = err
+	}
+	concurrent := len(targets) > s.cfg.Policy.NLevel+1
+	var wg sync.WaitGroup
+	for i := range targets {
+		if !concurrent {
+			deliver(i)
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			deliver(i)
+		}(i)
+	}
+	wg.Wait()
+	var firstErr error
+	delivered := false
+	for _, err := range errs {
 		if err == nil {
 			delivered = true
-			ok = append(ok, t)
-		} else {
-			failed = append(failed, t)
-			if firstErr == nil {
-				firstErr = err
-			}
+		} else if firstErr == nil {
+			firstErr = err
 		}
 	}
 	if entry, hintable := hintEntry(msg); hintable {
 		s.mu.Lock()
-		// A successful write supersedes any older pending hint for the same
-		// record and target: the mirror now holds a state at least as new.
-		for _, t := range ok {
-			delete(s.mirrorHints, mirrorHintKey(t, entry))
-		}
-		if delivered {
-			for _, t := range failed {
+		for i, t := range targets {
+			switch {
+			case errs[i] == nil:
+				// A successful write supersedes any older pending hint for
+				// the same record and target: the mirror now holds a state
+				// at least as new.
+				delete(s.mirrorHints, mirrorHintKey(t, entry))
+			case delivered:
 				s.mirrorHints[mirrorHintKey(t, entry)] = mirrorHint{target: t, msg: cloneForHint(msg)}
 			}
 		}
@@ -271,6 +371,8 @@ func hintEntry(msg *transport.Message) (string, bool) {
 			return "", false
 		}
 		return "s/" + msg.StripeInfo.ID.String(), true
+	case transport.MsgStripeDelete:
+		return "s/" + msg.Stripe.String(), true
 	}
 	return "", false
 }
@@ -283,9 +385,7 @@ func cloneForHint(msg *transport.Message) *transport.Message {
 		cp.Meta = msg.Meta.Clone()
 	}
 	if msg.StripeInfo != nil {
-		si := *msg.StripeInfo
-		si.Members = append([]types.StripeMember(nil), msg.StripeInfo.Members...)
-		cp.StripeInfo = &si
+		cp.StripeInfo = msg.StripeInfo.Clone()
 	}
 	return &cp
 }
@@ -332,7 +432,7 @@ func (s *Server) flushMirrorHints(ctx context.Context) {
 func (s *Server) dirLookupStripe(ctx context.Context, id types.StripeID) (*types.StripeInfo, bool) {
 	start := time.Now()
 	defer func() { s.col.Add(metrics.Metadata, time.Since(start)) }()
-	for _, t := range transport.HealthOf(s.net).UpFirst(s.dirGroup(id.String())) {
+	for _, t := range transport.HealthOf(s.net).UpFirst(s.dirPlace.StripeServers(id)) {
 		var resp *transport.Message
 		var err error
 		msg := &transport.Message{Kind: transport.MsgStripeLookup, Stripe: id}

@@ -288,10 +288,9 @@ func (s *Server) pushShards(ctx context.Context, info *types.StripeInfo, shards 
 	s.col.Add(metrics.Transport, time.Since(start))
 }
 
-// dropStripe removes the shards of a stripe from the coding group (used
-// when an encoded object is promoted back to replication or rewritten in
-// replicated form).
-func (s *Server) dropStripe(ctx context.Context, id types.StripeID, size int) {
+// dropStripe releases a stripe (used when an encoded object is promoted
+// back to replication, rewritten in replicated form, handed off or deleted).
+func (s *Server) dropStripe(ctx context.Context, id types.StripeID) {
 	if id == (types.StripeID{}) {
 		return
 	}
@@ -300,10 +299,13 @@ func (s *Server) dropStripe(ctx context.Context, id types.StripeID, size int) {
 		return
 	}
 	s.dropStripeMembers(ctx, info)
-	_ = size
 }
 
-// dropStripeMembers drops every shard of the stripe from its members.
+// dropStripeMembers drops every shard of the stripe from its members, then
+// the stripe's record from its directory group: nothing points at a dropped
+// stripe except superseded metadata, and a reader still holding that takes
+// the data-loss path, refetches the object's record and retries. A mirror
+// the delete misses is owed it as a hint, like any other group write.
 func (s *Server) dropStripeMembers(ctx context.Context, info *types.StripeInfo) {
 	start := time.Now()
 	for _, member := range info.Members {
@@ -315,6 +317,10 @@ func (s *Server) dropStripeMembers(ctx context.Context, info *types.StripeInfo) 
 		_, _ = s.sendRetry(ctx, member.Server, msg) // dead member holds nothing
 	}
 	s.col.Add(metrics.Transport, time.Since(start))
+	start = time.Now()
+	// Unreached mirrors are hinted; an unreachable group leaks one record.
+	_ = s.sendToGroup(ctx, s.dirPlace.StripeServers(info.ID), &transport.Message{Kind: transport.MsgStripeDelete, Stripe: info.ID})
+	s.col.Add(metrics.Metadata, time.Since(start))
 }
 
 // EndTimeStep applies CoREC's end-of-step transitions: demote cooled
@@ -440,7 +446,7 @@ func (s *Server) promoteObject(ctx context.Context, id types.ObjectID) bool {
 	if err := s.replicateObject(ctx, obj); err != nil {
 		return false
 	}
-	s.dropStripe(ctx, st.stripe, st.size)
+	s.dropStripe(ctx, st.stripe)
 	if cls := s.decider.Classifier(); cls != nil {
 		cls.SetEncoded(id, false)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"corec/internal/matrix"
@@ -110,22 +111,24 @@ func (s *Server) fetchShard(ctx context.Context, member types.StripeMember, id t
 // or stripe shard) on this server. It is invoked by on-access lazy repair
 // and by the background drain.
 func (s *Server) handleRecover(ctx context.Context, req *transport.Message) *transport.Message {
-	repaired, err := s.recoverKey(ctx, req.Key)
+	id := types.ObjectID{Var: req.Var, Box: req.Box}
+	repaired, err := s.recoverObject(ctx, id)
 	if err != nil {
-		return transport.Errf("server %d: recover %s: %v", s.id, req.Key, err)
+		return transport.Errf("server %d: recover %s: %v", s.id, id, err)
 	}
 	s.mu.Lock()
 	if s.repairQueue != nil {
-		s.repairQueue.MarkRepaired(req.Key)
+		s.repairQueue.MarkRepaired(id.Key())
 	}
 	s.mu.Unlock()
 	return &transport.Message{Kind: transport.MsgOK, Flag: repaired}
 }
 
-// recoverKey restores whatever piece of the object this server is supposed
-// to hold, according to the directory. Returns whether a repair happened.
-func (s *Server) recoverKey(ctx context.Context, key string) (bool, error) {
-	meta, ok := s.dirLookupMeta(ctx, key)
+// recoverObject restores whatever piece of the object this server is
+// supposed to hold, according to the directory. Returns whether a repair
+// happened.
+func (s *Server) recoverObject(ctx context.Context, id types.ObjectID) (bool, error) {
+	meta, ok := s.dirLookupMeta(ctx, id)
 	if !ok {
 		return false, fmt.Errorf("no metadata")
 	}
@@ -294,16 +297,17 @@ func (s *Server) refreshEncodedBookkeeping(meta *types.ObjectMeta, info *types.S
 	}
 }
 
-// dirLookupMeta fetches an object's metadata record, trying each
-// shard-group member in turn (self served locally).
-func (s *Server) dirLookupMeta(ctx context.Context, key string) (*types.ObjectMeta, bool) {
+// dirLookupMeta fetches an object's metadata record from the servers its
+// box registers it on (self served locally).
+func (s *Server) dirLookupMeta(ctx context.Context, id types.ObjectID) (*types.ObjectMeta, bool) {
 	start := time.Now()
 	defer func() { s.col.Add(metrics.Metadata, time.Since(start)) }()
 	// Consult every mirror and keep the newest record: a mirror that lagged
 	// behind a same-version state flip would otherwise feed recovery a
 	// record pointing at resources the flip already released.
 	var best *types.ObjectMeta
-	for _, t := range s.dirGroup(key) {
+	key := id.Key()
+	for _, t := range s.dirPlace.Servers(id.Var, id.Box) {
 		var resp *transport.Message
 		var err error
 		msg := &transport.Message{Kind: transport.MsgMetaLookup, Key: key}
@@ -313,8 +317,7 @@ func (s *Server) dirLookupMeta(ctx context.Context, key string) (*types.ObjectMe
 			resp, err = s.sendRetry(ctx, t, msg)
 		}
 		if err == nil && resp.Kind == transport.MsgOK && resp.Flag {
-			if best == nil || resp.Meta.Version > best.Version ||
-				(resp.Meta.Version == best.Version && resp.Meta.Seq > best.Seq) {
+			if best == nil || resp.Meta.Newer(best) {
 				best = resp.Meta
 			}
 		}
@@ -346,7 +349,7 @@ func (s *Server) handleRecoverAll(ctx context.Context, req *transport.Message) *
 // The call blocks until the queue drains; run it on its own goroutine for
 // background recovery. It returns the number of objects repaired.
 func (s *Server) RunRecovery(ctx context.Context, mode recovery.Mode) (int, error) {
-	keys, err := s.rebuildDirectoryAndWorklist(ctx)
+	keys, ids, err := s.rebuildDirectoryAndWorklist(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -369,7 +372,7 @@ func (s *Server) RunRecovery(ctx context.Context, mode recovery.Mode) (int, erro
 		if key == "" {
 			break
 		}
-		if did, err := s.recoverKey(ctx, key); err == nil && did {
+		if did, err := s.recoverObject(ctx, ids[key]); err == nil && did {
 			repaired++
 		}
 		s.mu.Lock()
@@ -391,8 +394,9 @@ func (s *Server) RunRecovery(ctx context.Context, mode recovery.Mode) (int, erro
 
 // rebuildDirectoryAndWorklist restores this server's directory shard from
 // its mirrors and scans the cluster's directory for every object this
-// server should hold a piece of.
-func (s *Server) rebuildDirectoryAndWorklist(ctx context.Context) ([]string, error) {
+// server should hold a piece of: their keys in discovery order, and the
+// identity behind each key.
+func (s *Server) rebuildDirectoryAndWorklist(ctx context.Context) ([]string, map[string]types.ObjectID, error) {
 	var peers []types.ServerID
 	if s.ring != nil {
 		// Elastic fleets are not contiguous 0..n-1; walk the live ring.
@@ -403,7 +407,7 @@ func (s *Server) rebuildDirectoryAndWorklist(ctx context.Context) ([]string, err
 		}
 	}
 	var keys []string
-	seen := make(map[string]bool)
+	ids := make(map[string]types.ObjectID)
 	for _, peer := range peers {
 		if peer == s.id {
 			continue
@@ -416,39 +420,28 @@ func (s *Server) rebuildDirectoryAndWorklist(ctx context.Context) ([]string, err
 			meta := resp.Metas[i]
 			key := meta.ID.Key()
 			// Restore directory entries belonging to this server's shard
-			// (as primary shard or as backup for the predecessor's shard).
+			// (as owner or mirror of a cell the record's box touches).
 			// Flag marks restore mode: never clobber a live same-version
 			// record that a concurrent transition may have refreshed.
-			if s.ownsDirEntry(key) {
+			if slices.Contains(s.dirPlace.Servers(meta.ID.Var, meta.ID.Box), s.id) {
 				s.handleMetaUpdate(&transport.Message{Kind: transport.MsgMetaUpdate, Meta: &meta, Flag: true})
 			}
-			if seen[key] {
+			if _, seen := ids[key]; seen {
 				continue
 			}
 			if s.holdsPieceOf(ctx, &meta) {
-				seen[key] = true
+				ids[key] = meta.ID
 				keys = append(keys, key)
 			}
 		}
 		for i := range resp.Stripes {
 			info := resp.Stripes[i]
-			if s.ownsDirEntry(info.ID.String()) {
+			if slices.Contains(s.dirPlace.StripeServers(info.ID), s.id) {
 				s.handleStripeUpdate(&transport.Message{Kind: transport.MsgStripeUpdate, StripeInfo: &info})
 			}
 		}
 	}
-	return keys, nil
-}
-
-// ownsDirEntry reports whether this server hosts the directory record for
-// the key, as primary shard or as one of its ring-successor mirrors.
-func (s *Server) ownsDirEntry(key string) bool {
-	for _, t := range s.dirGroup(key) {
-		if t == s.id {
-			return true
-		}
-	}
-	return false
+	return keys, ids, nil
 }
 
 // holdsPieceOf reports whether this server should hold a piece of the

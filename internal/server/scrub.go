@@ -285,7 +285,7 @@ func (s *Server) backfillPrimary(ctx context.Context, key string, obj *types.Obj
 	rep.Backfills++
 	// Share the authority: push the checksum into the directory record so
 	// remote verifiers and future recoveries agree on it.
-	if meta, ok := s.dirLookupMeta(ctx, key); ok && meta.Checksum == 0 && meta.Version == obj.Version {
+	if meta, ok := s.dirLookupMeta(ctx, obj.ID); ok && meta.Checksum == 0 && meta.Version == obj.Version {
 		meta.Checksum = got
 		_ = s.dirUpdate(ctx, meta) // survivors serve until the next flush
 	}
@@ -318,7 +318,7 @@ func (s *Server) repairPrimary(ctx context.Context, key string, obj *types.Objec
 		rep.Unrepaired++
 		return nil
 	}
-	meta, ok := s.dirLookupMeta(ctx, key)
+	meta, ok := s.dirLookupMeta(ctx, obj.ID)
 	if !ok {
 		rep.Unrepaired++
 		return nil
@@ -359,7 +359,7 @@ func (s *Server) repairPrimary(ctx context.Context, key string, obj *types.Objec
 // object (the primary first).
 func (s *Server) repairReplica(ctx context.Context, key string, obj *types.Object, want uint64, bud *scrub.Budget, rep *scrub.Report) error {
 	rep.Corruptions++
-	meta, ok := s.dirLookupMeta(ctx, key)
+	meta, ok := s.dirLookupMeta(ctx, obj.ID)
 	if !ok {
 		rep.Unrepaired++
 		return nil
@@ -490,7 +490,7 @@ func (s *Server) scrubReplicaGroups(ctx context.Context, bud *scrub.Budget, rep 
 
 	for _, it := range items {
 		holders := s.replicaHolders()
-		if meta, ok := s.dirLookupMeta(ctx, it.key); ok && len(meta.Replicas) > 0 {
+		if meta, ok := s.dirLookupMeta(ctx, it.obj.ID); ok && len(meta.Replicas) > 0 {
 			holders = meta.Replicas
 		}
 		for _, h := range holders {

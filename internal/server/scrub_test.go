@@ -39,11 +39,11 @@ func TestScrubBackfillsLegacyChecksums(t *testing.T) {
 	delete(msrv.replicaSums, key)
 	msrv.mu.Unlock()
 	for _, s := range rig.servers {
-		s.mu.Lock()
-		if m := s.dir[key]; m != nil {
+		s.dir.mu.Lock()
+		if m := s.dir.metas[key]; m != nil {
 			m.Checksum = 0
 		}
-		s.mu.Unlock()
+		s.dir.mu.Unlock()
 	}
 
 	ctx := context.Background()
@@ -79,7 +79,7 @@ func TestScrubBackfillsLegacyChecksums(t *testing.T) {
 	if mgot != want {
 		t.Fatalf("mirror sum = %x, want %x", mgot, want)
 	}
-	if meta, ok := srv.dirLookupMeta(ctx, key); !ok || meta.Checksum != want {
+	if meta, ok := srv.dirLookupMeta(ctx, types.ObjectID{Var: "legacy", Box: box}); !ok || meta.Checksum != want {
 		t.Fatalf("directory checksum not backfilled (ok=%v)", ok)
 	}
 

@@ -18,6 +18,7 @@ import (
 
 	"corec/internal/classifier"
 	"corec/internal/erasure"
+	"corec/internal/geometry"
 	"corec/internal/metrics"
 	"corec/internal/placement"
 	"corec/internal/policy"
@@ -38,6 +39,9 @@ type Config struct {
 	Network   transport.Network
 	Policy    policy.Config
 	Collector *metrics.Collector
+	// Domain bounds the staged data space; the metadata directory cuts it
+	// into the cells object records are placed by.
+	Domain geometry.Box
 	// Ring, when set, switches the server to elastic membership: replica
 	// targets, coding groups and directory groups are resolved against the
 	// live dynamic ring instead of the static group geometry (Groups may be
@@ -91,6 +95,11 @@ type Server struct {
 	decider *policy.Decider
 	col     *metrics.Collector
 
+	// dirPlace maps directory records to the servers hosting them; dir is
+	// the shard of the directory this server hosts.
+	dirPlace *placement.Directory
+	dir      *directory
+
 	inflight atomic.Int64
 
 	// draining fences new writes while the server hands off its objects
@@ -141,11 +150,6 @@ type Server struct {
 	// local tracks resilience bookkeeping for objects this server is
 	// primary for.
 	local map[string]*localState
-	// dir is this server's metadata directory shard (primary entries plus
-	// backups for the ring-predecessor's shard).
-	dir map[string]*types.ObjectMeta
-	// dirStripes holds stripe records in the directory shard.
-	dirStripes map[types.StripeID]*types.StripeInfo
 	// mirrorHints holds directory writes that landed on a quorum of their
 	// shard group but missed a mirror; flushMirrorHints re-delivers them
 	// (hinted handoff) so degraded groups heal without a full recovery.
@@ -209,7 +213,7 @@ var serverIncarnations atomic.Uint64
 
 // New constructs a server and registers it on the network.
 func New(cfg Config) (*Server, error) {
-	if cfg.Network == nil || cfg.Topology == nil || cfg.Placement == nil {
+	if cfg.Network == nil || cfg.Topology == nil || cfg.Placement == nil || !cfg.Domain.Valid() {
 		return nil, fmt.Errorf("server: missing dependencies")
 	}
 	if cfg.Groups == nil && cfg.Ring == nil {
@@ -253,11 +257,14 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: open storage engine: %w", err)
 	}
+	dirPlace := placement.NewDirectory(cfg.Placement, cfg.Policy.NLevel, cfg.Domain)
 	s := &Server{
 		cfg:         cfg,
 		id:          cfg.ID,
 		net:         cfg.Network,
 		place:       cfg.Placement,
+		dirPlace:    dirPlace,
+		dir:         newDirectory(dirPlace),
 		top:         cfg.Topology,
 		groups:      cfg.Groups,
 		ring:        cfg.Ring,
@@ -272,8 +279,6 @@ func New(cfg Config) (*Server, error) {
 		replicaSums: make(map[string]uint64),
 		shardSums:   make(map[string]uint64),
 		local:       make(map[string]*localState),
-		dir:         make(map[string]*types.ObjectMeta),
-		dirStripes:  make(map[types.StripeID]*types.StripeInfo),
 		mirrorHints: make(map[string]mirrorHint),
 	}
 	s.incarnation = serverIncarnations.Add(1)
@@ -377,7 +382,7 @@ func (s *Server) processEncode(key string) {
 	obj := s.objects[key]
 	s.mu.Unlock()
 	if hasDrop {
-		s.dropStripe(context.Background(), drop, 0)
+		s.dropStripe(context.Background(), drop)
 	}
 	if !ok || obj == nil || st.state != types.StateReplicated {
 		return
@@ -513,6 +518,8 @@ func (s *Server) Handle(ctx context.Context, req *transport.Message) *transport.
 		return s.handleStripeUpdate(req)
 	case transport.MsgStripeLookup:
 		return s.handleStripeLookup(req)
+	case transport.MsgStripeDelete:
+		return s.handleStripeDelete(req)
 	case transport.MsgDirDump:
 		return s.handleDirDump(req)
 	case transport.MsgTokenAcquire:

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,24 +16,48 @@ import (
 func TestDirDumpContainsMetasAndStripes(t *testing.T) {
 	rig := newRig(t, policy.Erasure, 8)
 	box := geometry.Box3D(0, 0, 0, 8, 8, 8)
-	rig.put(t, "v", box, 1, payload(400, 31))
-	key := types.ObjectID{Var: "v", Box: box}.Key()
-	shard := rig.place.DirectoryShard(key)
-	resp := rig.servers[shard].handleDirDump(&transport.Message{Kind: transport.MsgDirDump})
-	if resp.Kind != transport.MsgOK {
-		t.Fatalf("dump failed: %+v", resp)
+	primary := rig.put(t, "v", box, 1, payload(400, 31))
+	id := types.ObjectID{Var: "v", Box: box}
+	meta, ok := rig.servers[primary].dirLookupMeta(context.Background(), id)
+	if !ok || meta.State != types.StateEncoded {
+		t.Fatalf("object not encoded: %+v", meta)
 	}
-	foundMeta := false
-	for _, m := range resp.Metas {
-		if m.ID.Key() == key {
-			foundMeta = true
-			if m.State != types.StateEncoded {
-				t.Fatalf("dumped meta state = %v", m.State)
+	// The object record lives on the group of the one cell its box touches,
+	// the stripe record on the group its id hashes to; every member's dump
+	// holds its record and no other server's does.
+	dir := rig.servers[primary].dirPlace
+	metaGroup, stripeGroup := dir.Servers(id.Var, id.Box), dir.StripeServers(meta.Stripe)
+	if len(metaGroup) != 2 || len(stripeGroup) != 2 {
+		t.Fatalf("record groups %v / %v, want two members each", metaGroup, stripeGroup)
+	}
+	for i, srv := range rig.servers {
+		resp := srv.handleDirDump(&transport.Message{Kind: transport.MsgDirDump})
+		if resp.Kind != transport.MsgOK {
+			t.Fatalf("dump failed: %+v", resp)
+		}
+		foundMeta, foundStripe := false, false
+		for _, m := range resp.Metas {
+			if m.ID.Key() == id.Key() {
+				foundMeta = true
+				if m.State != types.StateEncoded || m.Stripe != meta.Stripe {
+					t.Fatalf("server %d dumped meta %+v", i, m)
+				}
 			}
 		}
-	}
-	if !foundMeta {
-		t.Fatal("dump missing the object's metadata")
+		for _, si := range resp.Stripes {
+			if si.ID == meta.Stripe {
+				foundStripe = true
+				if si.K != 3 || si.M != 1 || len(si.Members) != 4 {
+					t.Fatalf("server %d dumped stripe %+v", i, si)
+				}
+			}
+		}
+		if want := slices.Contains(metaGroup, types.ServerID(i)); foundMeta != want {
+			t.Errorf("server %d: object record in dump = %v, want %v (group %v)", i, foundMeta, want, metaGroup)
+		}
+		if want := slices.Contains(stripeGroup, types.ServerID(i)); foundStripe != want {
+			t.Errorf("server %d: stripe record in dump = %v, want %v (group %v)", i, foundStripe, want, stripeGroup)
+		}
 	}
 }
 
@@ -46,7 +71,8 @@ func TestFetchStripeDataUnknownStripe(t *testing.T) {
 
 func TestRecoverKeyWithoutMetadata(t *testing.T) {
 	rig := newRig(t, policy.Erasure, 8)
-	if _, err := rig.servers[0].recoverKey(context.Background(), "ghost"); err == nil {
+	ghost := types.ObjectID{Var: "ghost", Box: geometry.Box3D(0, 0, 0, 4, 4, 4)}
+	if _, err := rig.servers[0].recoverObject(context.Background(), ghost); err == nil {
 		t.Fatal("recovering an unknown key succeeded")
 	}
 }
@@ -58,10 +84,9 @@ func TestRecoverKeyUnprotectedObject(t *testing.T) {
 	// Simpler: put through a none-mode server set.
 	box := geometry.Box3D(0, 0, 0, 4, 4, 4)
 	primary := rig.put(t, "v", box, 1, payload(64, 5))
-	key := types.ObjectID{Var: "v", Box: box}.Key()
-	repaired, err := rig.servers[primary].recoverKey(context.Background(), key)
+	repaired, err := rig.servers[primary].recoverObject(context.Background(), types.ObjectID{Var: "v", Box: box})
 	if err != nil {
-		t.Fatalf("recoverKey on unprotected object: %v", err)
+		t.Fatalf("recoverObject on unprotected object: %v", err)
 	}
 	if repaired {
 		t.Fatal("unprotected object reported repaired")

@@ -58,6 +58,9 @@ func newRig(t testing.TB, mode policy.Mode, n int) *testRig {
 	return rig
 }
 
+// rigDomain bounds the rigs' staged space: 64 directory cells of 32x32x64.
+var rigDomain = geometry.Box3D(0, 0, 0, 1024, 64, 64)
+
 func (r *testRig) startServer(t testing.TB, id types.ServerID) *Server {
 	t.Helper()
 	srv, err := New(Config{
@@ -68,10 +71,11 @@ func (r *testRig) startServer(t testing.TB, id types.ServerID) *Server {
 		Network:          r.net,
 		Policy:           r.polCfg,
 		Collector:        r.col,
+		Domain:           rigDomain,
 		RecoveryMode:     recovery.Lazy,
 		MTBF:             time.Second,
 		HelperLoadDelta:  2,
-		ClassifierConfig: classifier.DefaultConfig(geometry.Box3D(0, 0, 0, 1024, 64, 64)),
+		ClassifierConfig: classifier.DefaultConfig(rigDomain),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +115,7 @@ func TestServerConfigValidation(t *testing.T) {
 	_, err := New(Config{
 		ID: 0, Topology: top, Groups: groups,
 		Placement: placement.NewHash(8),
+		Domain:    rigDomain,
 		Network:   transport.NewInProc(simnet.LinkModel{}),
 		Policy:    policy.Config{Mode: policy.Erasure, NLevel: 1, K: 5, M: 1},
 	})
@@ -289,7 +294,7 @@ func TestDirectoryUpdateLookupQuery(t *testing.T) {
 	if err := srv.dirUpdate(context.Background(), meta); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := srv.dirLookupMeta(context.Background(), meta.ID.Key())
+	got, ok := srv.dirLookupMeta(context.Background(), meta.ID)
 	if !ok || got.Version != 2 || got.Primary != 1 {
 		t.Fatalf("lookup = %+v ok=%v", got, ok)
 	}
@@ -300,7 +305,7 @@ func TestDirectoryUpdateLookupQuery(t *testing.T) {
 	if err := srv.dirUpdate(context.Background(), stale); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = srv.dirLookupMeta(context.Background(), meta.ID.Key())
+	got, _ = srv.dirLookupMeta(context.Background(), meta.ID)
 	if got.Version != 2 {
 		t.Fatal("stale update clobbered a newer record")
 	}
@@ -316,9 +321,13 @@ func TestDirectorySurvivesShardHolderFailure(t *testing.T) {
 	if err := srv.dirUpdate(context.Background(), meta); err != nil {
 		t.Fatal(err)
 	}
-	shard := rig.place.DirectoryShard(meta.ID.Key())
-	rig.servers[shard].Close()
-	if _, ok := srv.dirLookupMeta(context.Background(), meta.ID.Key()); !ok {
+	// The record's box lies in one directory cell: one group of two holds it.
+	group := srv.dirPlace.Servers(meta.ID.Var, meta.ID.Box)
+	if len(group) != 2 {
+		t.Fatalf("one-cell record registered on %v, want one group of two", group)
+	}
+	rig.servers[group[0]].Close()
+	if _, ok := srv.dirLookupMeta(context.Background(), meta.ID); !ok {
 		t.Fatal("metadata lost after single shard-holder failure")
 	}
 }
@@ -382,12 +391,12 @@ func TestRecoverKeyRestoresShard(t *testing.T) {
 	if repl.HasShard(stripe, 2) {
 		t.Fatal("replacement born with the shard")
 	}
-	did, err := repl.recoverKey(context.Background(), key)
+	did, err := repl.recoverObject(context.Background(), types.ObjectID{Var: "v", Box: box})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !did || !repl.HasShard(stripe, 2) {
-		t.Fatal("recoverKey did not restore the shard")
+		t.Fatal("recoverObject did not restore the shard")
 	}
 }
 
@@ -480,7 +489,7 @@ func TestOnAccessRepairMarksQueue(t *testing.T) {
 	repl.mu.Lock()
 	repl.repairQueue = recovery.NewQueue([]string{key, "other"})
 	repl.mu.Unlock()
-	resp := repl.Handle(context.Background(), &transport.Message{Kind: transport.MsgRecover, Key: key})
+	resp := repl.Handle(context.Background(), &transport.Message{Kind: transport.MsgRecover, Var: "v", Box: box})
 	if resp.Kind == transport.MsgErr {
 		t.Fatalf("recover failed: %s", resp.Err)
 	}

@@ -116,7 +116,7 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 				s.deferStripeDrop(key, priorStripe)
 				s.enqueueEncode(key)
 			} else {
-				s.dropStripe(ctx, priorStripe, priorSize)
+				s.dropStripe(ctx, priorStripe)
 			}
 		}
 		if s.cfg.Policy.Mode == policy.CoREC {
@@ -273,10 +273,10 @@ func (s *Server) handleDelete(ctx context.Context, req *transport.Message) *tran
 	}
 	s.mutations.Add(1)
 	if hadPending {
-		s.dropStripe(ctx, pendingDrop, 0)
+		s.dropStripe(ctx, pendingDrop)
 	}
 	if state == types.StateEncoded {
-		s.dropStripe(ctx, stripe, st.size)
+		s.dropStripe(ctx, stripe)
 	} else {
 		tStart := time.Now()
 		for _, t := range s.replicaHolders() {
@@ -288,7 +288,7 @@ func (s *Server) handleDelete(ctx context.Context, req *transport.Message) *tran
 	// Remove the directory records.
 	mStart := time.Now()
 	// Unreached directory members resync via anti-entropy.
-	_ = s.sendToGroup(ctx, s.dirGroup(key), &transport.Message{Kind: transport.MsgMetaDelete, Key: key})
+	_ = s.sendToGroup(ctx, s.dirPlace.Servers(id.Var, id.Box), &transport.Message{Kind: transport.MsgMetaDelete, Key: key})
 	s.col.Add(metrics.Metadata, time.Since(mStart))
 	if cls := s.decider.Classifier(); cls != nil {
 		cls.Forget(id)
@@ -313,7 +313,7 @@ func (s *Server) handleHandoff(ctx context.Context, req *transport.Message) *tra
 		s.mu.Unlock()
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	stripe, state, id, size := st.stripe, st.state, st.id, st.size
+	stripe, state, id := st.stripe, st.state, st.id
 	switch st.state {
 	case types.StateReplicated:
 		s.dataRepl -= int64(st.size)
@@ -332,12 +332,12 @@ func (s *Server) handleHandoff(ctx context.Context, req *transport.Message) *tra
 	}
 	s.mu.Unlock()
 	if hadPending {
-		s.dropStripe(ctx, pendingDrop, 0)
+		s.dropStripe(ctx, pendingDrop)
 	}
 	if state == types.StateEncoded {
 		// The stripe belonged to this object alone; the new owner minted a
 		// fresh one, so the old shards are pure surplus.
-		s.dropStripe(ctx, stripe, size)
+		s.dropStripe(ctx, stripe)
 	}
 	// Replica copies at the old holders are left for the scrubber's orphan
 	// reaping: a versioned drop here could destroy a same-version replica

@@ -52,6 +52,7 @@ const (
 	MsgMetaDelete   // remove an ObjectMeta record
 	MsgStripeUpdate // upsert a StripeInfo record
 	MsgStripeLookup // fetch StripeInfo by Stripe id
+	MsgStripeDelete // remove the StripeInfo record of a dropped stripe (Stripe)
 	MsgDirDump      // dump a directory shard (recovery of lost metadata)
 
 	// Coordination plane.
@@ -59,7 +60,7 @@ const (
 	MsgTokenRelease // return the encoding token
 	MsgLoadQuery    // ask a server for its current load level
 	MsgPing         // liveness probe
-	MsgRecover      // instruct a server to recover an object (Key)
+	MsgRecover      // instruct a server to recover an object (Var, Box)
 	MsgStats        // ask a server for its status report (JSON in Data)
 
 	// Anti-entropy plane (scrubber checksum exchange).
@@ -84,7 +85,7 @@ var kindNames = [...]string{
 	"OK", "Err", "Put", "Get", "GetBytes", "Delete",
 	"ReplicaPut", "ReplicaDrop",
 	"ShardPut", "ShardGet", "ShardDrop", "ObjFetch", "EncodeDelegate",
-	"MetaUpdate", "MetaLookup", "MetaQuery", "MetaDelete", "StripeUpdate", "StripeLookup", "DirDump",
+	"MetaUpdate", "MetaLookup", "MetaQuery", "MetaDelete", "StripeUpdate", "StripeLookup", "StripeDelete", "DirDump",
 	"TokenAcquire", "TokenRelease", "LoadQuery", "Ping", "Recover", "Stats",
 	"Checksum", "ShardSum",
 	"PingReq", "Gossip", "Handoff",

@@ -112,6 +112,13 @@ type StripeInfo struct {
 	Members   []StripeMember
 }
 
+// Clone deep-copies the stripe record.
+func (s *StripeInfo) Clone() *StripeInfo {
+	c := *s
+	c.Members = append([]StripeMember(nil), s.Members...)
+	return &c
+}
+
 // DataMembers returns the members holding data shards, in shard order.
 func (s *StripeInfo) DataMembers() []StripeMember {
 	out := make([]StripeMember, 0, s.K)
@@ -164,6 +171,16 @@ type ObjectMeta struct {
 	Stripe StripeID
 	// ShardIndex is the data-shard index of the object within Stripe.
 	ShardIndex int
+}
+
+// Newer reports whether m supersedes o: a higher version, or a later
+// same-version transition (Seq orders those). This is the one ordering rule
+// for directory records; every mirror, client and migrator applies it.
+func (m *ObjectMeta) Newer(o *ObjectMeta) bool {
+	if m.Version != o.Version {
+		return m.Version > o.Version
+	}
+	return m.Seq > o.Seq
 }
 
 // Locations returns every server holding a full copy of the object

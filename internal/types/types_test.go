@@ -87,3 +87,20 @@ func TestObjectMetaLocationsAndClone(t *testing.T) {
 		t.Fatal("Clone shares replica slice")
 	}
 }
+
+func TestObjectMetaNewer(t *testing.T) {
+	for _, c := range []struct {
+		a, b ObjectMeta
+		want bool
+	}{
+		{ObjectMeta{Version: 2, Seq: 1}, ObjectMeta{Version: 1, Seq: 9}, true},
+		{ObjectMeta{Version: 1, Seq: 9}, ObjectMeta{Version: 2, Seq: 1}, false},
+		{ObjectMeta{Version: 3, Seq: 5}, ObjectMeta{Version: 3, Seq: 4}, true},
+		{ObjectMeta{Version: 3, Seq: 4}, ObjectMeta{Version: 3, Seq: 5}, false},
+		{ObjectMeta{Version: 3, Seq: 4}, ObjectMeta{Version: 3, Seq: 4}, false},
+	} {
+		if got := c.a.Newer(&c.b); got != c.want {
+			t.Errorf("(v%d,s%d).Newer(v%d,s%d) = %v, want %v", c.a.Version, c.a.Seq, c.b.Version, c.b.Seq, got, c.want)
+		}
+	}
+}

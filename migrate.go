@@ -84,18 +84,12 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	// Phase 1: re-home directory records. Restore-mode meta updates never
 	// clobber live same-version records, and stripe records are re-pushed
 	// verbatim, so this phase is idempotent and safe before any data moves.
-	mirrors := c.cfg.NLevel
-	if mirrors < 1 {
-		mirrors = 1
-	}
 	for _, m := range metas {
 		if err := pace(ctx, bytesBucket, nil, metaRecordCost); err != nil {
 			return rep, err
 		}
-		key := m.ID.Key()
-		group := c.ringDirGroup(key, mirrors)
 		msg := &transport.Message{Kind: transport.MsgMetaUpdate, Flag: true, Meta: m.Clone()}
-		if c.sendGroup(ctx, cl, group, msg) {
+		if c.sendGroup(ctx, cl, c.dir.Servers(m.ID.Var, m.ID.Box), msg) {
 			rep.DirRehomed++
 			e.dirRehomed.Add(1)
 		}
@@ -104,11 +98,8 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 		if err := pace(ctx, bytesBucket, nil, metaRecordCost); err != nil {
 			return rep, err
 		}
-		cp := *si
-		cp.Members = append([]types.StripeMember(nil), si.Members...)
-		group := c.ringDirGroup(si.ID.String(), mirrors)
-		msg := &transport.Message{Kind: transport.MsgStripeUpdate, StripeInfo: &cp}
-		if c.sendGroup(ctx, cl, group, msg) {
+		msg := &transport.Message{Kind: transport.MsgStripeUpdate, StripeInfo: si.Clone()}
+		if c.sendGroup(ctx, cl, c.dir.StripeServers(si.ID), msg) {
 			rep.DirRehomed++
 			e.dirRehomed.Add(1)
 		}
@@ -170,7 +161,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 			if err := pace(ctx, bytesBucket, opsBucket, m.Size); err != nil {
 				return rep, err
 			}
-			if c.repairReplicas(ctx, cl, m, mirrors) {
+			if c.repairReplicas(ctx, cl, m) {
 				rep.Repaired++
 				rep.BytesMoved += int64(m.Size)
 				e.objectsRepaired.Add(1)
@@ -273,16 +264,14 @@ func (c *Cluster) collectDirectory(ctx context.Context, cl *Client, bytesBucket 
 		for i := range resp.Metas {
 			meta := resp.Metas[i]
 			key := meta.ID.Key()
-			if cur, ok := best[key]; !ok || metaNewer(&meta, cur) {
+			if cur, ok := best[key]; !ok || meta.Newer(cur) {
 				best[key] = meta.Clone()
 			}
 		}
 		for i := range resp.Stripes {
 			si := resp.Stripes[i]
 			if _, ok := stripes[si.ID]; !ok {
-				cp := si
-				cp.Members = append([]types.StripeMember(nil), si.Members...)
-				stripes[si.ID] = &cp
+				stripes[si.ID] = si.Clone()
 			}
 		}
 	}
@@ -306,19 +295,6 @@ func (c *Cluster) collectDirectory(ctx context.Context, cl *Client, bytesBucket 
 		return a.Seq < b.Seq
 	})
 	return metas, out, nil
-}
-
-// ringDirGroup mirrors the server-side dirGroup computation for elastic
-// clusters: owner of "dir:"+key plus domain-diverse ring successors.
-func (c *Cluster) ringDirGroup(key string, mirrors int) []types.ServerID {
-	ring := c.elastic.ring
-	if n := ring.Size(); mirrors >= n {
-		mirrors = n - 1
-	}
-	if mirrors < 0 {
-		mirrors = 0
-	}
-	return ring.KeyGroup("dir:"+key, mirrors+1)
 }
 
 // sendGroup delivers a directory message to every group member; true when
@@ -379,7 +355,7 @@ func (c *Cluster) stripeDegraded(si *types.StripeInfo) bool {
 // repairReplicas re-pushes a replicated object's payload to the primary's
 // current ring successors that lack a live copy, then refreshes the
 // directory record's replica list.
-func (c *Cluster) repairReplicas(ctx context.Context, cl *Client, m *types.ObjectMeta, mirrors int) bool {
+func (c *Cluster) repairReplicas(ctx context.Context, cl *Client, m *types.ObjectMeta) bool {
 	ring := c.elastic.ring
 	data, err := cl.fetchObject(ctx, m.Clone())
 	if err != nil {
@@ -434,6 +410,5 @@ func (c *Cluster) repairReplicas(ctx context.Context, cl *Client, m *types.Objec
 	sort.Slice(newReps, func(i, j int) bool { return newReps[i] < newReps[j] })
 	fresh := m.Clone()
 	fresh.Replicas = newReps
-	group := c.ringDirGroup(m.ID.Key(), mirrors)
-	return c.sendGroup(ctx, cl, group, &transport.Message{Kind: transport.MsgMetaUpdate, Meta: fresh})
+	return c.sendGroup(ctx, cl, c.dir.Servers(m.ID.Var, m.ID.Box), &transport.Message{Kind: transport.MsgMetaUpdate, Meta: fresh})
 }

@@ -275,7 +275,7 @@ func (m *Monitor) recover(ctx context.Context, id types.ServerID) {
 func (m *Monitor) reconcileReroutes(ctx context.Context, id types.ServerID) {
 	c := m.cluster
 	for _, r := range c.takeReroutesFrom(ServerID(id)) {
-		resp, err := c.net.Send(ctx, -1, id, &transport.Message{Kind: transport.MsgRecover, Key: r.Key})
+		resp, err := c.net.Send(ctx, -1, id, &transport.Message{Kind: transport.MsgRecover, Var: r.ID.Var, Box: r.ID.Box})
 		if err != nil || resp.AsError() != nil {
 			// The server went down again (or the fabric is misbehaving);
 			// requeue the reroute so a later recovery retries it.

@@ -3,6 +3,7 @@ package corec
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"corec/internal/recovery"
@@ -37,8 +38,15 @@ func healthFabrics(t *testing.T, mode Mode, fn func(t *testing.T, c *Cluster)) {
 // stageOne puts one object and returns its box, payload and metadata.
 func stageOne(t *testing.T, cl *Client, seed int64) (Box, []byte, types.ObjectMeta) {
 	t.Helper()
-	ctx := context.Background()
 	box := Box3D(0, 0, 0, 8, 8, 8)
+	data, meta := stageAt(t, cl, box, seed)
+	return box, data, meta
+}
+
+// stageAt puts one object over box and returns its payload and metadata.
+func stageAt(t *testing.T, cl *Client, box Box, seed int64) ([]byte, types.ObjectMeta) {
+	t.Helper()
+	ctx := context.Background()
 	data := regionData(t, box, 8, seed)
 	if err := cl.Put(ctx, "ph", box, 1, data); err != nil {
 		t.Fatal(err)
@@ -47,7 +55,7 @@ func stageOne(t *testing.T, cl *Client, seed int64) (Box, []byte, types.ObjectMe
 	if err != nil || len(metas) != 1 {
 		t.Fatalf("query: %v (%d metas)", err, len(metas))
 	}
-	return box, data, metas[0]
+	return data, metas[0]
 }
 
 // killAndRead kills victim and checks the fail-fast contract on the read
@@ -110,10 +118,35 @@ func decodes(c *Cluster) int64 {
 	return e.DecodeCacheHits + e.DecodeCacheMisses
 }
 
+// TestPeerHealthEncodedReadHealthyShards reads an encoded object whose data
+// shards are all alive while a server the read does contact is dead. A
+// healthy read no longer touches the parity holder (a lookup asks one
+// directory group, not the fleet), so the dead peer is a mirror of the
+// object's directory group that holds none of its data shards: every get
+// still reaches for it, the first one learns the death, the rest fail fast,
+// and nothing is reconstructed.
 func TestPeerHealthEncodedReadHealthyShards(t *testing.T) {
 	healthFabrics(t, PolicyErasure, func(t *testing.T, c *Cluster) {
 		cl := c.NewClient()
-		box, data, meta := stageOne(t, cl, 12)
+		// One candidate box per directory cell along x and y; take the first
+		// whose directory group has a member outside the coding group its
+		// primary will stripe over.
+		var box Box
+		victim := ServerID(-1)
+		for i := int64(0); i < 16 && victim < 0; i++ {
+			box = Box3D(i%4*64, i/4*64, 0, i%4*64+8, i/4*64+8, 8)
+			primary := c.place.Primary(types.ObjectID{Var: "ph", Box: box})
+			coding := c.groups.CodingGroupMembers(c.groups.CodingGroup(primary))
+			for _, s := range c.dir.Servers("ph", box) {
+				if !slices.Contains(coding, s) {
+					victim = s
+				}
+			}
+		}
+		if victim < 0 {
+			t.Fatal("no candidate object with a directory mirror outside its coding group")
+		}
+		data, meta := stageAt(t, cl, box, 12)
 		if meta.State != types.StateEncoded {
 			t.Fatalf("state = %v, want encoded", meta.State)
 		}
@@ -121,10 +154,9 @@ func TestPeerHealthEncodedReadHealthyShards(t *testing.T) {
 		if !ok {
 			t.Fatal("stripe record missing")
 		}
-		victim := ServerID(-1)
 		for _, m := range info.Members {
-			if m.Index >= info.K {
-				victim = m.Server
+			if m.Server == victim {
+				t.Fatalf("victim %d holds shard %d of the stripe", victim, m.Index)
 			}
 		}
 		d0 := decodes(c)

@@ -5,6 +5,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"corec/internal/ndarray"
 )
 
 // TestRandomOpsAgainstReferenceModel drives a CoREC cluster with a long
@@ -13,7 +15,10 @@ import (
 // reference model (the "obviously correct" map). This is the linearized
 // single-client correctness property: whatever the resilience machinery
 // does underneath — replication, demotion, promotion, degraded reads,
-// repairs — a read must always return the reference bytes.
+// repairs — a read must always return the reference bytes. Reads come in two
+// shapes: one object's own box, and an unaligned region over several objects
+// and (the objects straddle x = 64) two directory cells, which must match
+// both the reference and what a forced full fan-out of the lookup returns.
 func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 	for _, mode := range []Mode{PolicyReplicate, PolicyErasure, PolicyCoREC} {
 		mode := mode
@@ -36,6 +41,17 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 			reference := make(map[int][]byte)
 			ts := Version(1)
 			var dead ServerID = -1
+			// regionWant assembles what a read of region must return from
+			// the reference: staged objects' bytes, zeros elsewhere.
+			regionWant := func(region Box) []byte {
+				out := make([]byte, ndarray.BufferSize(region, 8))
+				for i, data := range reference {
+					if _, err := ndarray.CopyRegion(boxFor(i), data, region, out, 8); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return out
+			}
 
 			for op := 0; op < 300; op++ {
 				switch choice := rng.Intn(10); {
@@ -51,7 +67,30 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 						t.Fatalf("op %d: put obj %d: %v", op, i, err)
 					}
 					reference[i] = data
-				case choice < 8: // get
+				case choice == 7: // get of an unaligned region over several objects
+					x0 := rng.Int63n(objects*8 - 1)
+					x1 := x0 + 1 + rng.Int63n(objects*8-x0)
+					y0, z0 := rng.Int63n(8), rng.Int63n(8)
+					region := Box3D(x0, y0, z0, x1, y0+1+rng.Int63n(8-y0), z0+1+rng.Int63n(8-z0))
+					got, err := client.Get(ctx, "ref", region, ts)
+					if err != nil {
+						t.Fatalf("op %d: get region %v (ts %d, dead %d): %v", op, region, ts, dead, err)
+					}
+					if !bytes.Equal(got, regionWant(region)) {
+						t.Fatalf("op %d: region %v diverged from reference", op, region)
+					}
+					metas, err := client.queryServers(ctx, client.memberView(), "ref", region)
+					if err != nil {
+						t.Fatalf("op %d: full fan-out for %v: %v", op, region, err)
+					}
+					fanned, err := client.fetchRegion(ctx, region, metas)
+					if err != nil {
+						t.Fatalf("op %d: fetch after full fan-out for %v: %v", op, region, err)
+					}
+					if !bytes.Equal(got, fanned) {
+						t.Fatalf("op %d: region %v: targeted lookup and full fan-out disagree", op, region)
+					}
+				case choice < 7: // get
 					i := rng.Intn(objects)
 					want, ok := reference[i]
 					if !ok {

@@ -62,6 +62,10 @@ type FabricStatus struct {
 	// MirrorRepairs is the number of degraded directory-group writes
 	// re-mirrored by hinted handoff at step boundaries.
 	MirrorRepairs int64
+	// DirFallbacks is the number of region lookups repeated against the
+	// whole fleet because the directory groups of the region's cells did
+	// not account for all of it.
+	DirFallbacks int64
 	// PendingReroutes is the current depth of the write-failover log.
 	PendingReroutes int
 	// Injected reports the fault injector's counters; zero without a plan.
@@ -242,6 +246,7 @@ func (c *Cluster) FabricStatus() FabricStatus {
 		CorruptFrames:   c.col.Counter(metrics.CorruptFrameCount),
 		Faults:          c.col.Counter(metrics.FaultCount),
 		MirrorRepairs:   c.col.Counter(metrics.MirrorRepairCount),
+		DirFallbacks:    c.col.Counter(metrics.DirFallbackCount),
 		PendingReroutes: len(c.Reroutes()),
 		Scrub: ScrubStatus{
 			Scans:       c.col.Counter(metrics.ScrubScanCount),

@@ -81,7 +81,6 @@ benchsmoke:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 	$(GO) run ./cmd/corec-bench -experiment erasure -json BENCH_erasure.json
-	$(GO) run ./cmd/corec-bench -experiment transport -json BENCH_transport.json
 	$(GO) run ./cmd/corec-bench -experiment membership -json BENCH_membership.json
 	$(GO) run ./cmd/corec-bench -experiment tiering -json BENCH_tiering.json
 	$(GO) run ./cmd/corec-bench -experiment cluster -json BENCH_cluster.json

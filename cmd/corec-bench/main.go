@@ -7,8 +7,8 @@
 // Usage:
 //
 //	corec-bench -experiment fig2|fig4|fig8|fig9|fig10|fig11|fig12|table1|
-//	            table2|read-penalty|model-validation|erasure|transport|
-//	            membership|tiering|cluster|all [-quick] [-csv dir] [-json file]
+//	            table2|read-penalty|model-validation|erasure|membership|
+//	            tiering|cluster|all [-quick] [-csv dir] [-json file]
 //
 // The cluster experiment is the only one that leaves this process: it
 // spawns a fleet of real corec-server processes, offers open-loop load
@@ -18,13 +18,10 @@
 //
 // The erasure experiment measures the parallel erasure-coding engine
 // (encode workers=1 vs N, cold vs cached decode matrices) and, with -json,
-// writes the regression artifact BENCH_erasure.json tracks. The transport
-// experiment measures staging round-trip throughput and latency (baseline
-// vs multiplexed TCP discipline, plus the in-process fabric) and writes
-// BENCH_transport.json the same way, and the tiering experiment drives a
-// working set 10x the L1 budget through the tiered storage engine
-// (all-in-RAM vs tiered vs tiered-without-prefetch) and writes
-// BENCH_tiering.json.
+// writes the regression artifact BENCH_erasure.json tracks. The tiering
+// experiment drives a working set 10x the L1 budget through the tiered
+// storage engine (all-in-RAM vs tiered vs tiered-without-prefetch) and
+// writes BENCH_tiering.json the same way.
 package main
 
 import (
@@ -40,7 +37,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run: fig2, fig4, fig8, fig9, fig10, fig11, fig12, table1, table2, read-penalty, model-validation, erasure, transport, membership, tiering, cluster, or all")
+	experiment := flag.String("experiment", "all", "which experiment to run: fig2, fig4, fig8, fig9, fig10, fig11, fig12, table1, table2, read-penalty, model-validation, erasure, membership, tiering, cluster, or all")
 	quick := flag.Bool("quick", false, "trim sweeps for a fast smoke run")
 	csvDir := flag.String("csv", "", "also write CSV files into this directory")
 	jsonPath := flag.String("json", "", "write the erasure experiment's report to this JSON file")
@@ -61,8 +58,8 @@ func main() {
 	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
-// benchJSONPath is where the erasure and transport experiments write their
-// JSON reports (empty = don't write). Package-level so the recursive "all"
+// benchJSONPath is where the benchmark experiments write their JSON
+// reports (empty = don't write). Package-level so the recursive "all"
 // runner can suppress it for the duration of the sweep.
 var benchJSONPath string
 
@@ -190,15 +187,6 @@ func run(experiment string, quick bool, csvDir string) error {
 		if err := writeBenchJSON(rep); err != nil {
 			return err
 		}
-	case "transport":
-		rep, err := harness.RunTransportBench(quick)
-		if err != nil {
-			return err
-		}
-		harness.WriteTransportBench(out, rep)
-		if err := writeBenchJSON(rep); err != nil {
-			return err
-		}
 	case "membership":
 		rep, err := harness.RunMembershipBench(quick)
 		if err != nil {
@@ -249,7 +237,7 @@ func run(experiment string, quick bool, csvDir string) error {
 		saved := benchJSONPath
 		benchJSONPath = ""
 		defer func() { benchJSONPath = saved }()
-		for _, e := range []string{"table1", "fig2", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12", "read-penalty", "model-validation", "erasure", "transport", "membership", "tiering", "cluster"} {
+		for _, e := range []string{"table1", "fig2", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12", "read-penalty", "model-validation", "erasure", "membership", "tiering", "cluster"} {
 			fmt.Fprintf(out, "==== %s ====\n", e)
 			if err := run(e, quick, csvDir); err != nil {
 				return fmt.Errorf("%s: %w", e, err)

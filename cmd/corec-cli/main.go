@@ -42,8 +42,8 @@ func main() {
 	modeName := flag.String("mode", "corec", "policy the service was started with (for codec parameters)")
 	nlevel := flag.Int("nlevel", 1, "service NLevel")
 	k := flag.Int("k", 3, "service Reed-Solomon data shards")
-	muxConns := flag.Int("mux-conns", 0, "multiplexed connections per peer; must match the corec-server setting")
-	maxInFlight := flag.Int("max-inflight", 0, "pipelining window per multiplexed connection (0 = default)")
+	muxConns := flag.Int("mux-conns", 0, "connections per peer (0 = default; sizing only, need not match the server)")
+	maxInFlight := flag.Int("max-inflight", 0, "pipelining window per connection (0 = default)")
 	elastic := flag.Bool("membership", false, "service runs elastic membership (corec-server -membership); place on its dynamic ring")
 	flag.Parse()
 	args := flag.Args()

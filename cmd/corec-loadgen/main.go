@@ -49,7 +49,7 @@ func main() {
 	poisson := flag.Bool("poisson", false, "Poisson arrivals instead of constant spacing")
 	nlevel := flag.Int("nlevel", 1, "service NLevel (external mode)")
 	k := flag.Int("k", 3, "service Reed-Solomon data shards (external mode)")
-	muxConns := flag.Int("mux-conns", 0, "multiplexed connections per peer; must match the service")
+	muxConns := flag.Int("mux-conns", 0, "connections per peer (0 = default; sizing only)")
 	jsonOut := flag.Bool("json", false, "print the SLO row as JSON")
 	flag.Parse()
 

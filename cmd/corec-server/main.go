@@ -27,9 +27,9 @@
 // modeled shared object store (L3). A restarted service revalidates and
 // re-indexes the disk tier from -storage-dir instead of losing it.
 //
-// -mux-conns enables the multiplexed transport (pipelined connections with
-// pooled zero-copy frames); servers then expect request IDs on the stream,
-// so every client of the service must be started with the same setting.
+// -mux-conns and -max-inflight size the multiplexed transport for the
+// requests this process sends (connections per peer, pipelining window per
+// connection); they are not protocol, so clients need not match them.
 //
 // -membership starts the fleet elastic: every server runs a SWIM gossip
 // agent, placement uses the dynamic failure-domain ring, and the service
@@ -61,8 +61,8 @@ func main() {
 	nlevel := flag.Int("nlevel", 1, "failures to tolerate")
 	k := flag.Int("k", 3, "Reed-Solomon data shards")
 	s := flag.Float64("s", 0.67, "storage efficiency constraint")
-	muxConns := flag.Int("mux-conns", 0, "multiplexed connections per peer (0 = one request per connection); clients must match")
-	maxInFlight := flag.Int("max-inflight", 0, "pipelining window per multiplexed connection (0 = default)")
+	muxConns := flag.Int("mux-conns", 0, "connections per peer for this process's outgoing requests (0 = default; sizing only, clients need not match)")
+	maxInFlight := flag.Int("max-inflight", 0, "pipelining window per connection (0 = default)")
 	elastic := flag.Bool("membership", false, "run elastic membership: SWIM gossip failure detection, dynamic ring, corec-cli join/drain control")
 	portBase := flag.Int("port-base", 0, "pin server i's listener to port port-base+i (0 = ephemeral ports)")
 	localList := flag.String("local", "", "comma-separated server IDs this process hosts (requires -port-base; empty = all)")

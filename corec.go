@@ -175,18 +175,14 @@ type Config struct {
 	// LocalServers slice. Requires Transport "tcp" and PortBase > 0. Nil
 	// (the default) hosts the whole fleet in-process.
 	LocalServers []ServerID
-	// MuxConnsPerPeer enables request multiplexing on the TCP fabric: that
-	// many shared connections per peer carry pipelined requests correlated
-	// by frame request IDs, with pooled zero-copy frame buffers. 0 (default)
-	// keeps the one-request-per-connection baseline path — the comparison
-	// arm the transport benchmark measures against. Servers follow the same
-	// setting (pipelined connections expect request IDs on the stream), so
-	// all servers and clients of one service must agree, like Construction.
+	// MuxConnsPerPeer sizes the TCP fabric: that many shared connections
+	// per peer carry this process's pipelined requests, correlated by frame
+	// request IDs. 0 (default) resolves to transport.DefaultMuxConns. It is
+	// sizing only — the servers and clients of one service need not agree.
 	// Ignored by "inproc".
 	MuxConnsPerPeer int
-	// MaxInFlight bounds the pipelining window per multiplexed connection
-	// (backpressure on a saturated peer). 0 resolves to
-	// transport.DefaultMaxInFlight. Ignored unless MuxConnsPerPeer > 0.
+	// MaxInFlight bounds the pipelining window per connection (backpressure
+	// on a saturated peer). 0 resolves to transport.DefaultMaxInFlight.
 	MaxInFlight int
 	// Classifier tunes CoREC classification; zero value gets defaults over
 	// Domain.
@@ -707,7 +703,7 @@ func (c *Cluster) ServerAddrs() map[ServerID]string {
 // management methods (Kill, Replace, EndTimeStep) are inert.
 //
 // When the service runs elastic membership, set cfg.Membership (matching
-// the service, like Construction or MuxConnsPerPeer): the handle then
+// the service, like Construction): the handle then
 // pulls a membership snapshot over the wire and places on the same
 // dynamic ring as the fleet, instead of guessing from a static server
 // count that drifts as servers join and drain.

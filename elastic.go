@@ -102,9 +102,6 @@ func newElasticState(cfg MembershipConfig) *elasticState {
 	}
 }
 
-// Elastic reports whether the cluster runs in elastic-membership mode.
-func (c *Cluster) Elastic() bool { return c.elastic != nil }
-
 // Ring returns the dynamic placement ring, or nil in static mode.
 func (c *Cluster) Ring() *topology.DynamicRing {
 	if c.elastic == nil {

@@ -29,13 +29,12 @@ func TestCLIAgainstLiveFleet(t *testing.T) {
 	}
 
 	// cli runs one corec-cli invocation with the connection flags matching
-	// the fleet's geometry (mux discipline and codec parameters must agree
-	// with the service, exactly as a real operator's would).
+	// the fleet's geometry (codec parameters must agree with the service,
+	// exactly as a real operator's would).
 	cli := func(args ...string) (string, error) {
 		full := append([]string{
 			"-addr-file", addrFile,
 			"-membership",
-			"-mux-conns", "2",
 			"-k", "2",
 			"-nlevel", "1",
 		}, args...)

@@ -52,8 +52,6 @@ type Config struct {
 	PortBase int
 	// Scrub starts the background anti-entropy scrubber in every process.
 	Scrub bool
-	// MuxConnsPerPeer enables the multiplexed transport (fleet-wide).
-	MuxConnsPerPeer int
 	// Dir is the fleet workspace (storage dirs, addr files, binaries).
 	// Empty creates a temp dir owned by the fleet.
 	Dir string
@@ -77,9 +75,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.DataShards == 0 {
 		out.DataShards = 2
-	}
-	if out.MuxConnsPerPeer == 0 {
-		out.MuxConnsPerPeer = 2
 	}
 	if out.Mode == "" {
 		out.Mode = "corec"
@@ -186,7 +181,6 @@ func (f *Fleet) spawn(p *Proc) error {
 		"-mode", f.cfg.Mode,
 		"-nlevel", fmt.Sprintf("%d", f.cfg.NLevel),
 		"-k", fmt.Sprintf("%d", f.cfg.DataShards),
-		"-mux-conns", fmt.Sprintf("%d", f.cfg.MuxConnsPerPeer),
 		"-storage-dir", filepath.Join(f.dir, "storage"),
 		"-addr-file", filepath.Join(f.dir, fmt.Sprintf("addrs-%d.json", p.Index)),
 	}
@@ -294,7 +288,6 @@ func (f *Fleet) Client() (*corec.Cluster, error) {
 	cfg.NLevel = f.cfg.NLevel
 	cfg.DataShards = f.cfg.DataShards
 	cfg.ElemSize = 1
-	cfg.MuxConnsPerPeer = f.cfg.MuxConnsPerPeer
 	cfg.Membership = &corec.MembershipConfig{}
 	return corec.NewRemoteCluster(cfg, f.Addrs())
 }

@@ -10,22 +10,17 @@ package gf256
 // through the active kernelImpl, so the per-byte loops exist exactly once
 // per implementation instead of being duplicated across call sites.
 //
-// Four interchangeable implementations are kept:
+// Three interchangeable implementations are kept:
 //
 //   - KernelTable indexes one 256-byte mulTable row per coefficient. One
 //     lookup per byte with the row resident in L1; the fastest scalar form
 //     Go can express, and the default.
-//   - KernelNibble is the 4-bit split-table layout ISA-L and Jerasure's
-//     "good" code paths use: c*x = lo[x&0xF] ^ hi[x>>4] over two 16-entry
-//     tables, XOR-unrolled 4-wide. The 16-entry tables exist so SIMD
-//     byte-shuffle instructions (PSHUFB / TBL) can perform sixteen lookups
-//     per instruction; pure Go cannot express those shuffles, so on scalar
-//     code this trails KernelTable slightly. It is the documented,
-//     differentially-tested blueprint KernelSIMD implements.
-//   - KernelSIMD is that assembly port (kernels_amd64.s): PSHUFB against
-//     the 16-entry nibble tables performs sixteen lookups per instruction.
-//     It is registered at init after a CPUID probe and becomes the default
-//     where supported; other platforms keep KernelTable.
+//   - KernelSIMD is the assembly kernel (kernels_amd64.s) over the 4-bit
+//     split-table layout ISA-L and Jerasure's "good" code paths use:
+//     c*x = lo[x&0xF] ^ hi[x>>4] over two 16-entry tables, which PSHUFB
+//     looks up sixteen bytes at a time. It is registered at init after a
+//     CPUID probe and becomes the default where supported; other platforms
+//     keep KernelTable.
 //   - KernelRef is the trivially auditable scalar reference — a plain loop
 //     over Mul — that the differential property tests hold every other
 //     kernel (and the fused variants below) against.
@@ -52,8 +47,6 @@ const (
 	// KernelTable is the 256-entry-row table kernel (default, fastest
 	// scalar form).
 	KernelTable KernelID = iota
-	// KernelNibble is the 4-bit split-table kernel, XOR-unrolled 4-wide.
-	KernelNibble
 	// KernelRef is the auditable scalar reference kernel.
 	KernelRef
 	// KernelSIMD is the assembly port of the split-table layout (PSHUFB on
@@ -71,8 +64,6 @@ func (k KernelID) String() string {
 	switch k {
 	case KernelTable:
 		return "table"
-	case KernelNibble:
-		return "nibble"
 	case KernelRef:
 		return "ref"
 	case KernelSIMD:
@@ -90,10 +81,9 @@ type kernelImpl struct {
 }
 
 var kernelImpls = [...]kernelImpl{
-	KernelTable:  {mulSliceTable, mulAddSliceTable},
-	KernelNibble: {mulSliceNibble, mulAddSliceNibble},
-	KernelRef:    {MulSliceRef, MulAddSliceRef},
-	KernelSIMD:   {}, // registered by the amd64 init when the CPU supports it
+	KernelTable: {mulSliceTable, mulAddSliceTable},
+	KernelRef:   {MulSliceRef, MulAddSliceRef},
+	KernelSIMD:  {}, // registered by the amd64 init when the CPU supports it
 }
 
 // activeKernel is the implementation the dispatch point jumps through.
@@ -270,7 +260,7 @@ func mulAddSliceTable(c byte, src, dst []byte) {
 	}
 }
 
-// --- KernelNibble: 4-bit split tables, XOR-unrolled 4-wide ---
+// --- 4-bit split tables, read by the KernelSIMD assembly ---
 
 // nibbleTables holds, for every coefficient, the products of the
 // coefficient with every low nibble and every high nibble.
@@ -282,41 +272,6 @@ func init() {
 			nibbleTables[c][0][n] = Mul(byte(c), byte(n))    // low nibble
 			nibbleTables[c][1][n] = Mul(byte(c), byte(n)<<4) // high nibble
 		}
-	}
-}
-
-func mulSliceNibble(c byte, src, dst []byte) {
-	lo := &nibbleTables[c][0]
-	hi := &nibbleTables[c][1]
-	i := 0
-	// Unrolled 4-wide main loop: bounds checks amortized by slicing.
-	for ; i+4 <= len(src); i += 4 {
-		s := src[i : i+4 : i+4]
-		d := dst[i : i+4 : i+4]
-		d[0] = lo[s[0]&0xF] ^ hi[s[0]>>4]
-		d[1] = lo[s[1]&0xF] ^ hi[s[1]>>4]
-		d[2] = lo[s[2]&0xF] ^ hi[s[2]>>4]
-		d[3] = lo[s[3]&0xF] ^ hi[s[3]>>4]
-	}
-	for ; i < len(src); i++ {
-		dst[i] = lo[src[i]&0xF] ^ hi[src[i]>>4]
-	}
-}
-
-func mulAddSliceNibble(c byte, src, dst []byte) {
-	lo := &nibbleTables[c][0]
-	hi := &nibbleTables[c][1]
-	i := 0
-	for ; i+4 <= len(src); i += 4 {
-		s := src[i : i+4 : i+4]
-		d := dst[i : i+4 : i+4]
-		d[0] ^= lo[s[0]&0xF] ^ hi[s[0]>>4]
-		d[1] ^= lo[s[1]&0xF] ^ hi[s[1]>>4]
-		d[2] ^= lo[s[2]&0xF] ^ hi[s[2]>>4]
-		d[3] ^= lo[s[3]&0xF] ^ hi[s[3]>>4]
-	}
-	for ; i < len(src); i++ {
-		dst[i] ^= lo[src[i]&0xF] ^ hi[src[i]>>4]
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // kernelIDs enumerates every implementation behind the dispatch point
 // (KernelSIMD only where the platform registered it).
 var kernelIDs = func() []KernelID {
-	ids := []KernelID{KernelTable, KernelNibble, KernelRef}
+	ids := []KernelID{KernelTable, KernelRef}
 	if SIMDAvailable() {
 		ids = append(ids, KernelSIMD)
 	}
@@ -20,8 +20,8 @@ var kernelIDs = func() []KernelID {
 // property test of the dispatch point: for every kernel implementation,
 // every coefficient c (all 256), seeded-random slices and every unaligned
 // tail length 1..64, MulSlice/MulAddSlice must agree byte-exactly with the
-// scalar reference kernel. The base length exceeds the nibble kernel's
-// 4-wide unroll and the fused kernels' stride so both the unrolled body
+// scalar reference kernel. The base length exceeds the SIMD kernel's
+// 16-byte block and the fused kernels' stride so both the unrolled body
 // and the tail loop are exercised at every alignment.
 func TestKernelsDifferentialExhaustiveCoefficients(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
@@ -195,7 +195,7 @@ func TestSelectKernelValidation(t *testing.T) {
 }
 
 func TestKernelNames(t *testing.T) {
-	if KernelTable.String() != "table" || KernelNibble.String() != "nibble" ||
+	if KernelTable.String() != "table" ||
 		KernelRef.String() != "ref" || KernelSIMD.String() != "simd" ||
 		KernelID(9).String() != "unknown" {
 		t.Fatal("kernel names wrong")
@@ -215,9 +215,8 @@ func benchKernel(b *testing.B, id KernelID) {
 	}
 }
 
-func BenchmarkMulAddSliceTable(b *testing.B)  { benchKernel(b, KernelTable) }
-func BenchmarkMulAddSliceNibble(b *testing.B) { benchKernel(b, KernelNibble) }
-func BenchmarkMulAddSliceRef(b *testing.B)    { benchKernel(b, KernelRef) }
+func BenchmarkMulAddSliceTable(b *testing.B) { benchKernel(b, KernelTable) }
+func BenchmarkMulAddSliceRef(b *testing.B)   { benchKernel(b, KernelRef) }
 
 func BenchmarkMulAddSlice4Fused(b *testing.B) {
 	srcs := make([][]byte, 4)

@@ -7,8 +7,12 @@ import (
 
 // TestTieringBenchQuick runs the quick tiering experiment end to end: the
 // 10x-RAM working set must complete with every read served, the tiered
-// arms must actually exercise the lower tiers, and the p99 degradation
-// must stay within the documented bound.
+// arms must actually exercise the lower tiers, and the prefetcher must
+// carry the sequential scan — all but a handful of reads found staged
+// (the detector needs the first reads of the scan to arm), which puts the
+// tiered arm's median far under the no-prefetch arm's cold-read median.
+// The p99 ratio against the mem arm is reported, not gated (see
+// tieringbench.go).
 func TestTieringBenchQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tiering bench does real disk I/O")
@@ -41,11 +45,12 @@ func TestTieringBenchQuick(t *testing.T) {
 	if tiered.PrefetchIssued == 0 {
 		t.Fatalf("tiered arm never prefetched: %+v", tiered)
 	}
-	for _, r := range []TieringBenchRow{tiered, np} {
-		if r.P99DegradationX <= 0 || r.P99DegradationX > MaxP99DegradationX {
-			t.Fatalf("%s p99 degradation %.1fx outside (0, %d]: %+v",
-				r.Arm, r.P99DegradationX, MaxP99DegradationX, r)
-		}
+	if tiered.ColdReads > 8 || tiered.PrefetchHitRate < 0.9 {
+		t.Fatalf("prefetcher lost the sequential scan: %d cold reads, hit rate %.2f (want <= 8, >= 0.9): %+v",
+			tiered.ColdReads, tiered.PrefetchHitRate, tiered)
+	}
+	if tiered.P50Micros > np.P50Micros/10 {
+		t.Fatalf("tiered p50 %.1fus not 10x under tiered-np p50 %.1fus", tiered.P50Micros, np.P50Micros)
 	}
 	WriteTieringBench(os.Stderr, rep)
 }

@@ -24,7 +24,6 @@ type Histogram struct {
 	// magnitude m (top bit position) and linear sub-bucket s.
 	counts [hdrMagnitudes * hdrSubBuckets]int64
 	total  int64
-	sum    int64
 	max    int64
 	min    int64
 }
@@ -76,7 +75,6 @@ func (h *Histogram) Record(d time.Duration) {
 	h.mu.Lock()
 	h.counts[idx]++
 	h.total++
-	h.sum += v
 	if v > h.max {
 		h.max = v
 	}
@@ -98,16 +96,6 @@ func (h *Histogram) Max() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return time.Duration(h.max)
-}
-
-// Mean returns the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / h.total)
 }
 
 // Quantile returns the value at quantile q in [0,1]: the representative
@@ -147,14 +135,13 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 func (h *Histogram) Merge(other *Histogram) {
 	other.mu.Lock()
 	counts := other.counts
-	total, sum, max, min := other.total, other.sum, other.max, other.min
+	total, max, min := other.total, other.max, other.min
 	other.mu.Unlock()
 	h.mu.Lock()
 	for i, c := range counts {
 		h.counts[i] += c
 	}
 	h.total += total
-	h.sum += sum
 	if max > h.max {
 		h.max = max
 	}

@@ -81,16 +81,6 @@ func hashString(s string) uint64 {
 	return h.Sum64()
 }
 
-// DirectoryBackup returns the ring-successor shard that mirrors the
-// directory record for key, given the primary shard. With n == 1 there is
-// no distinct backup and the primary is returned.
-func DirectoryBackup(shard types.ServerID, n int) types.ServerID {
-	if n <= 1 {
-		return shard
-	}
-	return types.ServerID((int(shard) + 1) % n)
-}
-
 // DirectoryGroup returns the servers hosting a directory record: the
 // primary shard plus `mirrors` ring successors (clamped so the group never
 // exceeds the server count). Mirroring the directory to NLevel successors

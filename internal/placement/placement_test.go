@@ -60,15 +60,18 @@ func TestHashPanicsOnBadCount(t *testing.T) {
 	NewHash(0)
 }
 
+// TestDirectoryBackupDistinct checks the one-mirror group: the backup is
+// the ring successor, wraps, and collapses onto the primary when there is
+// no second server.
 func TestDirectoryBackupDistinct(t *testing.T) {
-	if DirectoryBackup(3, 8) != 4 {
-		t.Fatal("backup is not ring successor")
+	if g := DirectoryGroup(3, 8, 1); len(g) != 2 || g[1] != 4 {
+		t.Fatalf("group %v: backup is not ring successor", g)
 	}
-	if DirectoryBackup(7, 8) != 0 {
-		t.Fatal("backup does not wrap")
+	if g := DirectoryGroup(7, 8, 1); len(g) != 2 || g[1] != 0 {
+		t.Fatalf("group %v: backup does not wrap", g)
 	}
-	if DirectoryBackup(0, 1) != 0 {
-		t.Fatal("single-server backup must be self")
+	if g := DirectoryGroup(0, 1, 1); len(g) != 1 || g[0] != 0 {
+		t.Fatalf("group %v: single-server group must be the primary alone", g)
 	}
 }
 

@@ -1,6 +1,8 @@
-// Package recovery implements the planning and pacing logic of CoREC's
-// data-recovery schemes (Section III-D). The staging server executes the
-// plans; this package keeps the decision logic pure and unit-testable.
+// Package recovery implements the scheduling and pacing logic of CoREC's
+// data-recovery schemes (Section III-D): which mode applies, by when
+// background repair must finish, and in what order keys are repaired. The
+// staging server and client run the repairs; this package keeps the
+// decision logic pure and unit-testable.
 //
 // Two modes exist. In *degraded mode* (failure, no replacement server yet)
 // only requested data is reconstructed on the read path and discarded after
@@ -11,12 +13,7 @@
 // the window of double-failure vulnerability acceptable.
 package recovery
 
-import (
-	"fmt"
-	"time"
-
-	"corec/internal/types"
-)
+import "time"
 
 // Mode selects the recovery strategy for a cluster.
 type Mode int
@@ -66,63 +63,6 @@ func NewPacer(total int, deadline time.Duration) *Pacer {
 
 // Interval returns the gap to leave between consecutive background repairs.
 func (p *Pacer) Interval() time.Duration { return p.interval }
-
-// ShardFetchPlan lists which stripe shards to fetch to rebuild the shards a
-// failed server held.
-type ShardFetchPlan struct {
-	// Fetch lists surviving members to read (exactly K of them).
-	Fetch []types.StripeMember
-	// Rebuild lists the missing shard indexes to reconstruct.
-	Rebuild []int
-}
-
-// PlanShardRepair computes the fetch plan to rebuild the shards of stripe s
-// that lived on dead servers. Preference order for sources: data shards
-// first (they allow systematic reads with no decode when all K survive),
-// then parity. Returns an error when fewer than K members survive.
-func PlanShardRepair(s *types.StripeInfo, dead map[types.ServerID]bool) (*ShardFetchPlan, error) {
-	plan := &ShardFetchPlan{}
-	var surviving []types.StripeMember
-	for _, m := range s.Members {
-		if dead[m.Server] {
-			plan.Rebuild = append(plan.Rebuild, m.Index)
-		} else {
-			surviving = append(surviving, m)
-		}
-	}
-	if len(plan.Rebuild) == 0 {
-		return plan, nil
-	}
-	if len(surviving) < s.K {
-		return nil, fmt.Errorf("recovery: stripe %v has %d survivors, need %d", s.ID, len(surviving), s.K)
-	}
-	// Stable preference: lower shard index first (data shards precede
-	// parity by construction).
-	for i := 0; i < len(surviving); i++ {
-		for j := i + 1; j < len(surviving); j++ {
-			if surviving[j].Index < surviving[i].Index {
-				surviving[i], surviving[j] = surviving[j], surviving[i]
-			}
-		}
-	}
-	plan.Fetch = surviving[:s.K]
-	return plan, nil
-}
-
-// NeedsDecode reports whether serving the data requires reconstruction
-// (true when any fetched member is a parity shard or any data shard is
-// missing from the fetch set).
-func (p *ShardFetchPlan) NeedsDecode(k int) bool {
-	if len(p.Fetch) != k {
-		return true
-	}
-	for _, m := range p.Fetch {
-		if m.Index >= k {
-			return true
-		}
-	}
-	return false
-}
 
 // Queue is the replacement server's to-repair list. Objects repaired on
 // access are removed so the background drain skips them. Queue is not safe

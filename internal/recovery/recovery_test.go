@@ -3,22 +3,7 @@ package recovery
 import (
 	"testing"
 	"time"
-
-	"corec/internal/types"
 )
-
-func stripe4() *types.StripeInfo {
-	return &types.StripeInfo{
-		ID: types.StripeID{Group: 0, Seq: 1},
-		K:  3, M: 1, ShardSize: 16,
-		Members: []types.StripeMember{
-			{Server: 0, Index: 0, ObjectKey: "o"},
-			{Server: 1, Index: 1},
-			{Server: 2, Index: 2},
-			{Server: 3, Index: 3},
-		},
-	}
-}
 
 func TestDeadlineIsQuarterMTBF(t *testing.T) {
 	if Deadline(40*time.Minute) != 10*time.Minute {
@@ -36,78 +21,6 @@ func TestPacerSpacing(t *testing.T) {
 	}
 	if NewPacer(10, 0).Interval() != 0 {
 		t.Fatal("zero deadline pacer must not delay")
-	}
-}
-
-func TestPlanNoDeadMembers(t *testing.T) {
-	plan, err := PlanShardRepair(stripe4(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Rebuild) != 0 || len(plan.Fetch) != 0 {
-		t.Fatalf("plan for healthy stripe = %+v", plan)
-	}
-}
-
-func TestPlanSingleLossPrefersDataShards(t *testing.T) {
-	plan, err := PlanShardRepair(stripe4(), map[types.ServerID]bool{1: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Rebuild) != 1 || plan.Rebuild[0] != 1 {
-		t.Fatalf("rebuild = %v", plan.Rebuild)
-	}
-	if len(plan.Fetch) != 3 {
-		t.Fatalf("fetch = %v", plan.Fetch)
-	}
-	// Fetch preference: indexes 0, 2, 3 — the two surviving data shards
-	// come first.
-	if plan.Fetch[0].Index != 0 || plan.Fetch[1].Index != 2 || plan.Fetch[2].Index != 3 {
-		t.Fatalf("fetch order = %v", plan.Fetch)
-	}
-	if !plan.NeedsDecode(3) {
-		t.Fatal("rebuilding a data shard must require decoding")
-	}
-}
-
-func TestPlanParityOnlyLossNoDecodeNeeded(t *testing.T) {
-	plan, err := PlanShardRepair(stripe4(), map[types.ServerID]bool{3: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Rebuild) != 1 || plan.Rebuild[0] != 3 {
-		t.Fatalf("rebuild = %v", plan.Rebuild)
-	}
-	// All three data shards survive: fetch set is exactly the data shards.
-	if plan.NeedsDecode(3) {
-		t.Fatal("data-complete fetch set should not need decode")
-	}
-}
-
-func TestPlanTooManyLosses(t *testing.T) {
-	if _, err := PlanShardRepair(stripe4(), map[types.ServerID]bool{0: true, 1: true}); err == nil {
-		t.Fatal("2 losses with m=1 accepted")
-	}
-}
-
-func TestPlanMultiLossWiderCode(t *testing.T) {
-	s := &types.StripeInfo{
-		ID: types.StripeID{Group: 1, Seq: 2},
-		K:  4, M: 2, ShardSize: 8,
-		Members: []types.StripeMember{
-			{Server: 0, Index: 0}, {Server: 1, Index: 1}, {Server: 2, Index: 2},
-			{Server: 3, Index: 3}, {Server: 4, Index: 4}, {Server: 5, Index: 5},
-		},
-	}
-	plan, err := PlanShardRepair(s, map[types.ServerID]bool{0: true, 4: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Rebuild) != 2 || len(plan.Fetch) != 4 {
-		t.Fatalf("plan = %+v", plan)
-	}
-	if !plan.NeedsDecode(4) {
-		t.Fatal("data loss must need decode")
 	}
 }
 

@@ -576,9 +576,6 @@ func (s *Server) handleMembership(ctx context.Context, req *transport.Message) *
 // while the migrator hands existing objects off. Reads stay served.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// IsDraining reports whether the write fence is up.
-func (s *Server) IsDraining() bool { return s.draining.Load() }
-
 // --- storage accessors used by handlers and tests ---
 
 // HasObject reports whether the server holds a full primary copy of key.

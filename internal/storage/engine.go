@@ -92,11 +92,11 @@ type Stats struct {
 	DiskDeadBytes int64
 	RemoteBytes   int64
 
-	Spills    int64 // records written by L1→L2 demotion
-	Evictions int64 // all L1 demotions, including clean no-I/O flips
-	Uploads   int64 // L2→L3 promotions
-	ColdReads int64 // foreground gets served below L1
-	DiskReads int64
+	Spills      int64 // records written by L1→L2 demotion
+	Evictions   int64 // all L1 demotions, including clean no-I/O flips
+	Uploads     int64 // L2→L3 promotions
+	ColdReads   int64 // foreground gets served below L1
+	DiskReads   int64
 	RemoteReads int64
 
 	PrefetchIssued  int64 // cold keys staged into L1 ahead of access
@@ -184,10 +184,10 @@ type Tiered struct {
 
 	restore RestoreReport
 
-	ctSpills, ctEvictions, ctUploads       atomic.Int64
-	ctColdReads, ctDiskReads, ctRemoteReads atomic.Int64
-	ctPrefIssued, ctPrefHits, ctPrefDropped atomic.Int64
-	ctStalls, ctCompactions                 atomic.Int64
+	ctSpills, ctEvictions, ctUploads            atomic.Int64
+	ctColdReads, ctDiskReads, ctRemoteReads     atomic.Int64
+	ctPrefIssued, ctPrefHits, ctPrefDropped     atomic.Int64
+	ctStalls, ctCompactions                     atomic.Int64
 	ctQuarantined, ctDiskErrors, ctRemoteFaults atomic.Int64
 }
 
@@ -309,6 +309,11 @@ func (t *Tiered) PutTagged(key string, data []byte, epoch int64) {
 			}
 		} else {
 			locs, tomb, remoteDel = t.retireLocked(e)
+			// Until the old records are settled the writer owns the entry
+			// like a background job would, so no spill or upload of the new
+			// value can land before the old copy's tombstone and remote
+			// delete do — and be killed by them.
+			e.busy = tomb
 		}
 		e.gen++
 		e.deleted = false
@@ -357,7 +362,10 @@ func (t *Tiered) retireLocked(e *entry) (locs []recordLoc, tomb, remoteDel bool)
 	return locs, tomb, remoteDel
 }
 
-// settleRetired performs the I/O half of retirement outside t.mu.
+// settleRetired performs the I/O half of retirement outside t.mu. tomb
+// says the caller owns the entry (busy) and superseded records exist: the
+// key's tombstone is appended and, last, the entry released — finalizing a
+// delete that was deferred to the owner meanwhile.
 func (t *Tiered) settleRetired(key string, locs []recordLoc, tomb, remoteDel bool) {
 	if t.disk != nil {
 		for _, l := range locs {
@@ -370,15 +378,30 @@ func (t *Tiered) settleRetired(key string, locs []recordLoc, tomb, remoteDel boo
 	if remoteDel && t.remote != nil {
 		t.remote.Delete(t.ns + key)
 	}
+	if !tomb {
+		return
+	}
+	t.mu.Lock()
+	if e := t.entries[key]; e != nil {
+		e.busy = false
+		if e.deleted {
+			delete(t.entries, key)
+		}
+	}
+	t.mu.Unlock()
 }
 
-func (t *Tiered) appendTombstone(key string) {
+// appendTombstone reports whether the record is down (trivially so without
+// a disk tier).
+func (t *Tiered) appendTombstone(key string) bool {
 	if t.disk == nil {
-		return
+		return true
 	}
 	if _, err := t.disk.append(recDead, key, -1, nil); err != nil {
 		t.ctDiskErrors.Add(1)
+		return false
 	}
+	return true
 }
 
 // Delete drops a key from every tier. Crash safety: the tombstone record
@@ -403,7 +426,16 @@ func (t *Tiered) Delete(key string) {
 		return
 	}
 	locs, tomb, remoteDel := t.retireLocked(e)
-	delete(t.entries, key)
+	if tomb {
+		// Records to settle: the entry stays, deleted and owned, until the
+		// tombstone is down, so a racing re-put cannot reach disk first.
+		// Its bytes have left memBytes already, hence size 0.
+		e.data, e.size = nil, 0
+		e.deleted, e.busy = true, true
+		e.gen++
+	} else {
+		delete(t.entries, key)
+	}
 	t.mu.Unlock()
 	t.settleRetired(key, locs, tomb, remoteDel)
 }
@@ -553,23 +585,7 @@ func (t *Tiered) install(key string, gen uint64, data []byte, from Tier, prefetc
 // the entry. The busy gate guarantees no newer record for the key was
 // appended in between, so the tombstone cannot kill fresh data.
 func (t *Tiered) settleStale(key string, locs []recordLoc, remoteDel bool) {
-	if t.disk != nil {
-		for _, l := range locs {
-			t.disk.markDead(l)
-		}
-		t.appendTombstone(key)
-	}
-	t.mu.Lock()
-	if e := t.entries[key]; e != nil {
-		e.busy = false
-		if e.deleted {
-			delete(t.entries, key)
-		}
-	}
-	t.mu.Unlock()
-	if remoteDel && t.remote != nil {
-		t.remote.Delete(t.ns + key)
-	}
+	t.settleRetired(key, locs, true, remoteDel)
 	t.maybeSpill(false)
 }
 

@@ -26,6 +26,7 @@ type segment struct {
 	size int64
 	live int64 // bytes of records still referenced by the index
 	dead int64 // bytes of superseded records, tombstones included
+	tomb int64 // bytes of tombstones, a subset of dead
 }
 
 // diskTier is the L2 store: a directory of append-only segment files. All
@@ -217,6 +218,7 @@ func (d *diskTier) scanSegment(s *segment, idx map[string]restoredEntry, rep *Re
 		case recDead:
 			delete(idx, key)
 			s.dead += rlen
+			s.tomb += rlen
 		}
 	}
 	return nil
@@ -253,6 +255,7 @@ func (d *diskTier) append(typ byte, key string, epoch int64, payload []byte) (re
 	s.size += loc.rlen
 	if typ == recDead {
 		s.dead += loc.rlen
+		s.tomb += loc.rlen
 	} else {
 		s.live += loc.rlen
 	}
@@ -325,12 +328,29 @@ func (d *diskTier) corrupt(loc recordLoc, keyLen int, payload []byte) error {
 	return nil
 }
 
+// oldestLocked returns the id of the segment the open-time scan reads
+// first, or -1. Records that a tombstone shadows can only live in segments
+// older than its own, so the oldest segment's tombstones shadow nothing.
+func (d *diskTier) oldestLocked() int {
+	oldest := -1
+	for id := range d.segs {
+		if oldest == -1 || id < oldest {
+			oldest = id
+		}
+	}
+	return oldest
+}
+
 // compactCandidate returns a retired segment whose dead fraction exceeds
 // frac, or -1. The active segment is never compacted — it is still growing.
+// Tombstones count as dead only in the oldest segment: anywhere else they
+// may still shadow a record, compaction would have to carry them forward,
+// and a segment of nothing but tombstones would be rewritten every pass.
 func (d *diskTier) compactCandidate(frac float64) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	best, bestFrac := -1, frac
+	oldest := d.oldestLocked()
 	for id, s := range d.segs {
 		if d.active != nil && id == d.active.id {
 			continue
@@ -338,7 +358,11 @@ func (d *diskTier) compactCandidate(frac float64) int {
 		if s.size == 0 {
 			continue
 		}
-		if f := float64(s.dead) / float64(s.size); f >= bestFrac {
+		dead := s.dead
+		if id != oldest {
+			dead -= s.tomb
+		}
+		if f := float64(dead) / float64(s.size); f >= bestFrac {
 			// Deterministic pick: highest dead fraction, lowest id on ties.
 			if f > bestFrac || best == -1 || id < best {
 				best, bestFrac = id, f
@@ -346,6 +370,38 @@ func (d *diskTier) compactCandidate(frac float64) int {
 		}
 	}
 	return best
+}
+
+// tombstoneKeys lists the keys of segment id's tombstones that compaction
+// must carry forward before it drops the file: all of them while an older
+// segment remains for them to shadow, none once id is the oldest.
+func (d *diskTier) tombstoneKeys(id int) ([]string, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s, ok := d.segs[id]
+	if !ok || s.tomb == 0 || id == d.oldestLocked() {
+		return nil, nil
+	}
+	var keys []string
+	hdr := make([]byte, headerSize)
+	for off := int64(0); off < s.size; {
+		if _, err := s.f.ReadAt(hdr, off); err != nil {
+			return nil, fmt.Errorf("storage: read segment: %w", err)
+		}
+		h, err := decodeHeader(hdr)
+		if err != nil {
+			return nil, err
+		}
+		if h.typ == recDead {
+			key := make([]byte, h.keyLen)
+			if _, err := s.f.ReadAt(key, off+headerSize); err != nil {
+				return nil, fmt.Errorf("storage: read segment record: %w", err)
+			}
+			keys = append(keys, string(key))
+		}
+		off += h.recordLen()
+	}
+	return keys, nil
 }
 
 // dropSegment closes and deletes a fully-compacted segment file.

@@ -356,6 +356,114 @@ func TestCompactionReclaimsDeadBytes(t *testing.T) {
 	}
 }
 
+// TestCompactionCarriesTombstones drives compactOne by hand over segments of
+// one record each (SegmentBytes 1 rolls after every append; CompactFrac 2
+// keeps the maintenance loop's own compaction off): dropping the segment
+// that holds a tombstone must not let a restart resurrect what the
+// tombstone shadowed, must not kill a value staged after it, and must
+// reclaim the tombstone once nothing older is left.
+func TestCompactionCarriesTombstones(t *testing.T) {
+	open := func(t *testing.T, dir string, mem int64) *Tiered {
+		t.Helper()
+		e, err := Open(Config{Dir: dir, MemBytes: mem, SegmentBytes: 1, CompactFrac: 2}, nil, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = e.Close() })
+		return e
+	}
+	// staged opens dir and leaves "k" = old in segment 0, spilled.
+	staged := func(t *testing.T, dir string) *Tiered {
+		t.Helper()
+		e := open(t, dir, 1)
+		e.Put("k", payload(1, 300))
+		e.WaitIdle()
+		return e
+	}
+	reopen := func(t *testing.T, e *Tiered, dir string) *Tiered {
+		t.Helper()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return open(t, dir, 1)
+	}
+
+	t.Run("delete stays deleted", func(t *testing.T) {
+		dir := t.TempDir()
+		e := staged(t, dir)
+		e.Delete("k") // tombstone in segment 1
+		e.compactOne(1)
+		if re := reopen(t, e, dir); re.Has("k") {
+			t.Fatal("deleted key resurrected after its tombstone's segment was compacted")
+		}
+	})
+
+	t.Run("re-put survives", func(t *testing.T) {
+		dir := t.TempDir()
+		e := staged(t, dir)
+		e.Delete("k")
+		e.Put("k", payload(2, 300)) // segment 2
+		e.WaitIdle()
+		e.compactOne(1)
+		re := reopen(t, e, dir)
+		if got, ok := re.Get("k"); !ok || !bytes.Equal(got, payload(2, 300)) {
+			t.Fatalf("re-put value lost or stale after compaction restart (found %v)", ok)
+		}
+	})
+
+	t.Run("overwrite in memory never reverts", func(t *testing.T) {
+		dir := t.TempDir()
+		e := staged(t, dir)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// No memory budget: the overwrite stays in L1 and dies with the
+		// process, leaving only its tombstone (segment 1) on disk.
+		e = open(t, dir, 0)
+		e.Put("k", payload(2, 300))
+		e.compactOne(1)
+		re := reopen(t, e, dir)
+		if got, ok := re.Get("k"); ok && !bytes.Equal(got, payload(2, 300)) {
+			t.Fatal("restart served the superseded value")
+		}
+	})
+
+	t.Run("pinned tombstone not rewritten every pass", func(t *testing.T) {
+		dir := t.TempDir()
+		e := staged(t, dir) // "k" stays live in segment 0
+		e.Put("b", payload(3, 300))
+		e.WaitIdle()
+		e.Delete("b") // data in segment 1, tombstone in segment 2
+		e.compactOne(1)
+		// Segment 2 is all tombstone, but compacting it could only carry
+		// the tombstone into yet another segment while segment 0 remains.
+		if got := e.disk.compactCandidate(0.5); got != -1 {
+			t.Fatalf("compaction candidate = %d, want none", got)
+		}
+	})
+
+	t.Run("oldest tombstone reclaimed", func(t *testing.T) {
+		dir := t.TempDir()
+		e := staged(t, dir)
+		e.Delete("k")
+		// While segment 0 remains the tombstone is not dead weight.
+		if got := e.disk.compactCandidate(0.5); got != 0 {
+			t.Fatalf("compaction candidate = %d, want the dead data segment 0", got)
+		}
+		e.compactOne(0)
+		if got := e.disk.compactCandidate(0.5); got != 1 {
+			t.Fatalf("compaction candidate = %d, want the now-oldest tombstone segment 1", got)
+		}
+		e.compactOne(1)
+		if files := segFiles(t, dir); len(files) != 0 {
+			t.Fatalf("segments left after reclaiming everything: %v", files)
+		}
+		if re := reopen(t, e, dir); re.Len() != 0 {
+			t.Fatalf("Len = %d after restart, want 0", re.Len())
+		}
+	})
+}
+
 func TestRemoteManifestSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	remote := NewRemoteStore(RemoteConfig{Seed: 5})

@@ -345,10 +345,16 @@ func (t *Tiered) maintenance() {
 }
 
 // compactOne rewrites a retired segment's live records into the active
-// segment and drops the file. Entries are re-pointed only if nothing moved
+// segment, carries forward the tombstones that still shadow an older
+// record, and drops the file. Entries are re-pointed only if nothing moved
 // them meanwhile (gen + loc equality); concurrent readers of the old
 // segment see errSegGone after the drop and re-resolve.
 func (t *Tiered) compactOne(segID int) {
+	tombs, err := t.disk.tombstoneKeys(segID)
+	if err != nil {
+		t.ctDiskErrors.Add(1)
+		return // keep the segment: its tombstones cannot be told apart
+	}
 	type item struct {
 		key   string
 		gen   uint64
@@ -398,6 +404,26 @@ func (t *Tiered) compactOne(segID int) {
 			t.disk.markDead(newLoc)
 		}
 	}
+	for _, key := range tombs {
+		if !t.carryTombstone(key) {
+			return // keep the old segment; the tombstone still stands in it
+		}
+	}
 	t.disk.dropSegment(segID)
 	t.ctCompactions.Add(1)
+}
+
+// carryTombstone re-appends key's tombstone, out of a segment about to be
+// dropped, unless a newer record makes it moot: a live on-disk record
+// supersedes everything older by scan order (and a tombstone appended
+// after it would kill it), and a busy entry's owning job ends by writing
+// either such a record or a tombstone of its own. The append happens under
+// t.mu so that no spill of the key can start, and land first, in between.
+func (t *Tiered) carryTombstone(key string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e := t.entries[key]; e != nil && (e.busy || e.tier != TierMem || e.clean != tierNone) {
+		return true
+	}
+	return t.appendTombstone(key)
 }

@@ -11,25 +11,21 @@ import (
 // from the caller's slice), and the receive side reads whole frames into a
 // buffer from getBuf before decoding.
 //
-// Ownership rules (the contract that makes pooling safe):
-//
-//   - getBuf hands out a buffer the caller owns exclusively.
-//   - putBuf returns it; the caller must hold no references afterwards.
-//   - readFramePooled recycles its buffer itself UNLESS the decoded
-//     message aliases it (Decode with AliasData, for large Data). In that
-//     case ownership transfers to the Message and the buffer is simply
-//     dropped to the GC when the message is released — an aliased buffer
-//     must never be recycled, because the server stores req.Data by
-//     reference and a recycled backing array would corrupt staged data.
+// The ownership rule: getBuf hands out a buffer the caller owns
+// exclusively and putBuf takes it back, after which the caller holds no
+// reference. readFramePooled returns its buffer itself UNLESS the decoded
+// message aliases it (Decode with AliasData, for large Data). An aliased
+// buffer belongs to its Message and the GC and is never recycled: the
+// server stores req.Data by reference for as long as the object lives, and
+// a recycled backing array would corrupt staged data.
 //
 // Only frames up to class1 are pooled: control/metadata frames and 64 KiB
 // transfer pieces. Anything larger is a bulk payload (a put, a replica or
-// shard push, a get response) that alias-decodes into the buffer and is then
-// stored by reference for as long as the object lives, so the buffer never
-// comes back — nothing on a production path calls Recycle. Such frames get
-// an allocation of exactly the frame's size (counted as a miss): rounding up
-// to a size class would zero, and then pin for the life of the stored
-// object, up to twice the bytes the payload needs.
+// shard push, a get response) that alias-decodes into the buffer and never
+// comes back. Such frames get an allocation of exactly the frame's size
+// (counted as a miss): rounding up to a size class would zero, and then pin
+// for the life of the stored object, up to twice the bytes the payload
+// needs.
 
 // The size classes. Each class gets its own pool typed as a pointer to a
 // fixed-size array (*[classN]byte) rather than *[]byte: a pointer stores
@@ -99,23 +95,4 @@ func putBuf(b []byte) {
 // process-global because the pools are.
 func BufferPoolStats() (hits, misses int64) {
 	return bufPoolHits.Load(), bufPoolMisses.Load()
-}
-
-// Recycle hands a message's pooled frame buffer back for reuse. Call it
-// only when the message — and anything aliasing its Data (sub-slices kept
-// by the caller, responses stored by reference) — is no longer referenced:
-// after Recycle the buffer will back future frames and the old contents are
-// overwritten. Messages that never held a pooled buffer, and repeated calls
-// on the same message, are no-ops, so a caller that consumes every response
-// the same way can recycle unconditionally. This is the completion half of
-// the zero-copy read path for pooled sizes: without it an alias-decoded
-// buffer simply falls to the GC, as one above class1 does either way.
-func Recycle(m *Message) {
-	if m == nil || m.pooled == nil {
-		return
-	}
-	b := m.pooled
-	m.pooled = nil
-	m.Data = nil
-	putBuf(b)
 }

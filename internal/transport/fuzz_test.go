@@ -74,25 +74,27 @@ func TestFrameCorruptionAlwaysDetected(t *testing.T) {
 }
 
 // TestFrameStreamStaysAligned corrupts one frame in a two-frame stream and
-// checks the reader reports the corruption but recovers the next frame: the
-// length prefix bounds the damage, which is why a TCP connection survives a
+// checks the connection read loops' reader reports the corruption but
+// recovers the next frame, written by the scatter-gather writer: the length
+// prefix bounds the damage, which is why a TCP connection survives a
 // corrupt frame instead of being torn down.
 func TestFrameStreamStaysAligned(t *testing.T) {
 	first := EncodeFrame(sampleMessage())
 	first[frameHeaderSize] ^= 0xFF // corrupt the first payload byte
 	var stream bytes.Buffer
 	stream.Write(first)
-	if err := WriteFrame(&stream, sampleMessage()); err != nil {
+	if err := writeFrameID(&stream, sampleMessage(), 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrame(&stream); !errors.Is(err, ErrCorruptFrame) {
+	hdr := make([]byte, frameHeaderSize)
+	if _, _, err := readFramePooled(&stream, hdr); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("corrupt frame read: err = %v, want ErrCorruptFrame", err)
 	}
-	m, err := ReadFrame(&stream)
+	reqID, m, err := readFramePooled(&stream, hdr)
 	if err != nil {
 		t.Fatalf("stream lost alignment after corrupt frame: %v", err)
 	}
-	if m.Kind != sampleMessage().Kind || m.Var != sampleMessage().Var {
+	if reqID != 5 || m.Kind != sampleMessage().Kind || m.Var != sampleMessage().Var {
 		t.Fatal("frame after corruption decoded wrong")
 	}
 }

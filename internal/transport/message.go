@@ -126,11 +126,9 @@ type Message struct {
 	// Sum carries a content checksum (scrub plane responses).
 	Sum uint64
 	Err string
-	// pooled is the pooled frame buffer Data aliases when the message was
-	// decoded zero-copy (see AliasData) — not a wire field. It lets a caller
-	// that has fully consumed the message hand the buffer back via Recycle;
-	// messages that are never recycled just leave it to the GC.
-	pooled []byte
+	// aliased records that Data is a sub-slice of the frame buffer the
+	// message was decoded from (see AliasData) — not a wire field.
+	aliased bool
 }
 
 // Ok returns the generic success response.

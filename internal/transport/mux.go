@@ -10,28 +10,33 @@ import (
 	"corec/internal/types"
 )
 
-// Request multiplexing: instead of dedicating one pooled connection to
-// every in-flight request, a small fixed set of connections per peer
-// carries many concurrent requests, correlated by the frame header's
-// request ID. Each connection runs one writer goroutine (scatter-gather
-// frame writes off a channel) and one demultiplexing reader goroutine
-// (pooled frame reads, responses routed to per-request channels), with a
-// bounded in-flight window applying backpressure.
+// Request multiplexing is the TCP fabric's one wire discipline: a small
+// fixed set of connections per peer carries many concurrent requests,
+// correlated by the frame header's request ID. Each connection runs one
+// writer goroutine (scatter-gather frame writes off a channel) and one
+// demultiplexing reader goroutine (pooled frame reads, responses routed to
+// per-request channels), with a bounded in-flight window applying
+// backpressure. The connection count and the window are sizing, not
+// protocol: any client interoperates with any TCPServer.
 //
-// Failure semantics mirror the baseline path:
+// Failure semantics:
 //
 //   - A corrupt response frame fails only its own request with the
 //     retryable ErrCorruptFrame; the length prefix bounded the damage, so
 //     the stream realigns and every other pipelined request proceeds.
 //   - A dead connection (EOF, reset, write error) fails all its pending
 //     requests with the retryable ErrConnBroken and the next request
-//     transparently dials a replacement — and, like the baseline's
-//     stale-pool redial, the failing request itself is salvaged by one
-//     immediate retry on the fresh connection (counted in MuxRedials).
+//     transparently dials a replacement — and the failing request itself is
+//     salvaged by one immediate retry on the fresh connection (counted in
+//     MuxRedials), so a server restarted under its ID costs no request.
 
-// DefaultMaxInFlight is the per-connection pipelining window used when
-// multiplexing is enabled without an explicit bound.
-const DefaultMaxInFlight = 32
+// DefaultMuxConns and DefaultMaxInFlight size a fabric that was given no
+// explicit values: connections per peer, and the pipelining window per
+// connection.
+const (
+	DefaultMuxConns    = 2
+	DefaultMaxInFlight = 32
+)
 
 // muxResult carries one demultiplexed response (or its failure).
 type muxResult struct {
@@ -257,12 +262,15 @@ func (n *TCPNetwork) getMuxConn(to types.ServerID) (*muxConn, error) {
 	return mc, nil
 }
 
-// sendMux is Send's multiplexed path. A request whose connection broke is
-// retried once on a fresh connection — the mux analogue of the baseline's
-// stale-pool redial: the shared connection may simply predate a server
+// Send implements Network. A request whose connection broke is retried once
+// on a fresh connection: the shared connection may simply predate a server
 // restart, and that salvage must not surface as a request failure.
-func (n *TCPNetwork) sendMux(ctx context.Context, from, to types.ServerID, req *Message) (*Message, error) {
-	req.From = from
+func (n *TCPNetwork) Send(ctx context.Context, from, to types.ServerID, req *Message) (*Message, error) {
+	if req.From != from {
+		// Stamp once: the retry layer resends the same message, and a dying
+		// connection's writer may still be reading the previous attempt.
+		req.From = from
+	}
 	mc, err := n.getMuxConn(to)
 	if err != nil {
 		return nil, err
@@ -331,21 +339,11 @@ func (n *TCPNetwork) ActiveMuxConns() int {
 	return live
 }
 
-// BreakConns severs every live client connection to the destination —
-// idle pooled baseline connections and multiplexed connections alike —
+// BreakConns severs every live client connection to the destination
 // without touching the destination server. The seeded fault injector uses
-// it to model mid-stream connection loss; requests in mux flight fail with
-// the retryable ErrConnBroken and are salvaged by the redial path.
+// it to model mid-stream connection loss; requests in flight fail with the
+// retryable ErrConnBroken and are salvaged by the redial path.
 func (n *TCPNetwork) BreakConns(to types.ServerID) int {
-	n.mu.Lock()
-	idle := n.pool[to]
-	delete(n.pool, to)
-	n.mu.Unlock()
-	broken := 0
-	for _, c := range idle {
-		_ = c.Close() // idle pooled conn; the next user redials
-		broken++
-	}
 	n.muxMu.Lock()
 	var mcs []*muxConn
 	if set := n.muxes[to]; set != nil {
@@ -359,7 +357,6 @@ func (n *TCPNetwork) BreakConns(to types.ServerID) int {
 	n.muxMu.Unlock()
 	for _, mc := range mcs {
 		mc.fail(errors.New("connection broken by fault injection"))
-		broken++
 	}
-	return broken
+	return len(mcs)
 }

@@ -15,8 +15,8 @@ import (
 	"corec/internal/types"
 )
 
-// muxNetwork returns a TCP fabric with multiplexing enabled and an echo
-// server registered under id 0.
+// muxNetwork returns a TCP fabric sized conns x window with an echo server
+// registered under id 0.
 func muxNetwork(t *testing.T, conns, window int) *TCPNetwork {
 	t.Helper()
 	n := NewTCPNetwork("127.0.0.1")
@@ -57,62 +57,54 @@ func TestWriteFrameIDMatchesEncodeFrame(t *testing.T) {
 		if back.Var != m.Var || back.Num != m.Num || !bytes.Equal(back.Data, m.Data) {
 			t.Fatalf("size %d: round trip mismatch", size)
 		}
-		Recycle(back)
 	}
 }
 
-// TestAliasDecodeOwnership checks the pooled read path's ownership rules:
-// large payloads alias the frame buffer (which is then withheld from the
-// pool until Recycle), small payloads are copied and the buffer recycled
-// immediately.
+// TestAliasDecodeOwnership checks the read path's ownership rule: a large
+// payload aliases the frame buffer, which then belongs to the message and
+// is never handed out again — a later same-class read must not overwrite
+// it — while a small payload is copied and its buffer recycled at once.
 func TestAliasDecodeOwnership(t *testing.T) {
+	hdr := make([]byte, frameHeaderSize)
 	big := &Message{Kind: MsgGetBytes, Data: bytes.Repeat([]byte{5}, 64<<10)}
-	frame := encodeFrameID(big, 1)
-	_, m, err := readFramePooled(bytes.NewReader(frame), make([]byte, frameHeaderSize))
+	_, m, err := readFramePooled(bytes.NewReader(encodeFrameID(big, 1)), hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !m.Aliased() {
 		t.Fatal("64KiB payload was copied, want aliased")
 	}
+	other := &Message{Kind: MsgGetBytes, Data: bytes.Repeat([]byte{9}, 64<<10)}
+	for i := 0; i < 8; i++ {
+		if _, _, err := readFramePooled(bytes.NewReader(encodeFrameID(other, 3)), hdr); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if !bytes.Equal(m.Data, big.Data) {
-		t.Fatal("aliased payload corrupted")
+		t.Fatal("aliased payload overwritten by a later read: its buffer was recycled")
 	}
-	// Recycling returns the buffer: a following same-class read should hit
-	// the pool. Double recycle must be a no-op. Under the race detector
-	// sync.Pool randomly discards Puts, so allow a few round trips before
-	// requiring a hit.
+
+	// Under the race detector sync.Pool randomly discards Puts, so allow a
+	// few round trips before requiring a hit.
+	small := &Message{Kind: MsgGetBytes, Data: []byte("tiny")}
 	hits0, _ := BufferPoolStats()
-	Recycle(m)
-	if m.Data != nil || m.Aliased() {
-		t.Fatal("Recycle left the message holding the buffer")
-	}
-	Recycle(m)
 	reused := false
 	for i := 0; i < 8 && !reused; i++ {
-		_, m2, err := readFramePooled(bytes.NewReader(frame), make([]byte, frameHeaderSize))
+		_, m, err = readFramePooled(bytes.NewReader(encodeFrameID(small, 2)), hdr)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if m.Aliased() {
+			t.Fatal("4-byte payload aliased a pooled buffer")
+		}
+		if !bytes.Equal(m.Data, small.Data) {
+			t.Fatal("copied payload corrupted")
+		}
 		hits1, _ := BufferPoolStats()
-		reused = hits1 > hits0
-		hits0 = hits1
-		Recycle(m2)
+		reused = i > 0 && hits1 > hits0
 	}
 	if !reused {
-		t.Fatal("recycled buffer never reused by subsequent reads")
-	}
-
-	small := &Message{Kind: MsgGetBytes, Data: []byte("tiny")}
-	_, m, err = readFramePooled(bytes.NewReader(encodeFrameID(small, 2)), make([]byte, frameHeaderSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Aliased() {
-		t.Fatal("4-byte payload aliased a pooled buffer")
-	}
-	if !bytes.Equal(m.Data, small.Data) {
-		t.Fatal("copied payload corrupted")
+		t.Fatal("buffer of a copied frame never reused by subsequent reads")
 	}
 }
 
@@ -159,7 +151,6 @@ func TestPipelinedStreamFuzzCorruptionRealigns(t *testing.T) {
 			if m.Num != int64(i) || len(m.Data) != sizes[i] {
 				t.Fatalf("round %d: frame %d decoded wrong (Num=%d len=%d)", round, i, m.Num, len(m.Data))
 			}
-			Recycle(m)
 		}
 	}
 }
@@ -233,8 +224,7 @@ func TestMuxInFlightWindowBounds(t *testing.T) {
 
 // TestMuxBrokenConnSalvagedByRedial strands a request mid-flight by
 // severing its connection; the retry-free mux path itself must salvage the
-// failure on a fresh connection (the mux analogue of the stale-pool
-// redial).
+// failure on a fresh connection.
 func TestMuxBrokenConnSalvagedByRedial(t *testing.T) {
 	entered := make(chan struct{})
 	gate := make(chan struct{})

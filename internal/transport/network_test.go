@@ -212,6 +212,9 @@ func hostAddr(t *testing.T, n *TCPNetwork, id types.ServerID) string {
 	return addr
 }
 
+// TestTCPPoolReusesConnections checks a fabric given nothing but a host is
+// a working one with the default sizing, and that sequential sends share
+// the peer's connection set instead of dialing per request.
 func TestTCPPoolReusesConnections(t *testing.T) {
 	n := NewTCPNetwork("127.0.0.1")
 	defer n.Close()
@@ -221,10 +224,19 @@ func TestTCPPoolReusesConnections(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n.mu.Lock()
-	pooled := len(n.pool[0])
-	n.mu.Unlock()
-	if pooled != 1 {
-		t.Fatalf("pool holds %d conns after sequential sends, want 1", pooled)
+	if conns, window := n.MuxConfig(); conns != DefaultMuxConns || window != DefaultMaxInFlight {
+		t.Fatalf("default sizing = (%d, %d), want (%d, %d)", conns, window, DefaultMuxConns, DefaultMaxInFlight)
+	}
+	if live := n.ActiveMuxConns(); live != DefaultMuxConns {
+		t.Fatalf("%d live conns after 10 sequential sends, want %d", live, DefaultMuxConns)
+	}
+	// Non-positive sizing resolves to the same defaults, never to another
+	// discipline.
+	m := NewTCPNetwork("127.0.0.1")
+	defer m.Close()
+	m.ConfigureMux(3, 7)
+	m.ConfigureMux(0, -1)
+	if conns, window := m.MuxConfig(); conns != DefaultMuxConns || window != DefaultMaxInFlight {
+		t.Fatalf("ConfigureMux(0, -1) sizing = (%d, %d), want the defaults", conns, window)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"corec/internal/types"
 )
@@ -19,8 +18,7 @@ import (
 // The TCP fabric serializes Messages with the wire codec and frames them
 // with a 16-byte header: a little-endian payload length, the frame's CRC32
 // (IEEE), and a 64-bit request ID that correlates responses with requests
-// on multiplexed connections (the baseline one-request-per-connection path
-// sends ID 0 and ignores it on responses). The CRC covers the request ID
+// on the multiplexed connections of mux.go. The CRC covers the request ID
 // and the payload, so every header corruption is detected — a flipped
 // length fails the length/stream check, a flipped CRC or ID fails the
 // checksum — and turns into the typed, retryable ErrCorruptFrame instead
@@ -49,8 +47,9 @@ func frameCRC(id []byte, segments ...[]byte) uint32 {
 }
 
 // EncodeFrame serializes one message into a self-contained frame:
-// length-prefixed, CRC32-protected wire bytes as written to a TCP stream
-// (request ID 0, the baseline discipline).
+// length-prefixed, CRC32-protected wire bytes as written to a TCP stream,
+// under request ID 0. It is the allocate-and-copy reference that
+// writeFrameID is tested against, and the frame FaultyNetwork corrupts.
 func EncodeFrame(m *Message) []byte { return encodeFrameID(m, 0) }
 
 func encodeFrameID(m *Message, reqID uint64) []byte {
@@ -82,16 +81,6 @@ func DecodeFrame(buf []byte) (*Message, error) {
 	return Decode(payload)
 }
 
-// WriteFrame writes one length-prefixed, CRC32-protected message to w with
-// the baseline (seed) discipline: the whole frame, payload included, is
-// copied into one freshly allocated buffer. The mux path uses
-// writeFrameID's zero-copy scatter-gather instead; this copy-heavy variant
-// is retained as the measurable comparison baseline.
-func WriteFrame(w io.Writer, m *Message) error {
-	_, err := w.Write(EncodeFrame(m))
-	return err
-}
-
 // writeFrameID writes one frame with scatter-gather I/O: the header and
 // wire metadata are encoded into a pooled scratch buffer, the Data payload
 // is written straight from the caller's slice (never copied), and the CRC
@@ -118,34 +107,10 @@ func writeFrameID(w io.Writer, m *Message, reqID uint64) error {
 	return err
 }
 
-// ReadFrame reads one frame from r, verifying its integrity. Corruption
-// surfaces as ErrCorruptFrame with the stream still aligned on the next
-// frame boundary (the length prefix was honoured). Like WriteFrame this is
-// the baseline allocate-per-frame variant; the mux and pipelined-server
-// paths use readFramePooled.
-func ReadFrame(r io.Reader) (*Message, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > maxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	if got, want := frameCRC(hdr[8:16], buf), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
-		return nil, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorruptFrame, got, want)
-	}
-	return Decode(buf)
-}
-
-// readFramePooled reads one frame into a pooled buffer and decodes it with
-// Data aliasing. The pooled buffer is recycled here unless the decoded
-// message aliases it, in which case ownership transfers to the Message
-// (see buffers.go for the full ownership rules).
+// readFramePooled reads one frame into a buffer from getBuf and decodes it
+// with Data aliasing. The buffer is recycled here unless the decoded
+// message aliases it, in which case it belongs to the Message and the GC
+// (see buffers.go for the ownership rule).
 //
 // The request ID is returned even when the frame fails its integrity
 // check, so a demultiplexing reader can fail just that request and keep
@@ -185,22 +150,18 @@ func readFramePooled(r io.Reader, hdr []byte) (reqID uint64, m *Message, err err
 	return reqID, m, nil
 }
 
-// maxConnHandlers bounds concurrently executing handlers per pipelined
-// connection, backpressuring a client that outruns the server.
+// maxConnHandlers bounds concurrently executing handlers per connection,
+// backpressuring a client that outruns the server.
 const maxConnHandlers = 256
 
 // TCPServer serves the staging protocol on a TCP listener, dispatching each
-// request to a Handler. One reader goroutine per connection. In pipelined
-// mode requests are decoded from pooled frame buffers and dispatched to
-// concurrent handler goroutines, with responses echoing the request ID so
-// a multiplexing client can interleave many requests on one stream; in
-// baseline mode requests are served sequentially with the seed's
-// allocate-and-copy framing, preserving the original one-request-per-
-// connection stack as the benchmark comparison point.
+// request to a Handler. One reader goroutine per connection decodes
+// requests from pooled frame buffers and hands each to its own handler
+// goroutine; responses echo the request ID, so a multiplexing client can
+// interleave many requests on one stream.
 type TCPServer struct {
-	handler   Handler
-	listener  net.Listener
-	pipelined bool
+	handler  Handler
+	listener net.Listener
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -209,25 +170,13 @@ type TCPServer struct {
 }
 
 // NewTCPServer listens on addr (e.g. "127.0.0.1:0") and serves requests
-// with h until Close, in pipelined mode.
+// with h until Close.
 func NewTCPServer(addr string, h Handler) (*TCPServer, error) {
-	return newTCPServerMode(addr, h, true)
-}
-
-// NewTCPServerBaseline is NewTCPServer with the seed's sequential
-// one-request-at-a-time connection loop — the retained comparison baseline
-// (a TCPNetwork with multiplexing disabled registers its servers this way
-// so the baseline measures the original stack end to end).
-func NewTCPServerBaseline(addr string, h Handler) (*TCPServer, error) {
-	return newTCPServerMode(addr, h, false)
-}
-
-func newTCPServerMode(addr string, h Handler, pipelined bool) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &TCPServer{handler: h, listener: ln, pipelined: pipelined, conns: make(map[net.Conn]struct{})}
+	s := &TCPServer{handler: h, listener: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -256,6 +205,12 @@ func (s *TCPServer) acceptLoop() {
 	}
 }
 
+// serveConn is the per-connection loop: frames are read into pooled
+// buffers, each request runs in its own handler goroutine, and responses
+// are serialized onto the stream under wmu carrying the request's ID. A
+// corrupt request frame fails only that request — the length prefix held,
+// so the stream is realigned and the retryable error is routed back under
+// the recovered ID.
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -264,16 +219,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	if !s.pipelined {
-		s.serveConnBaseline(conn)
-		return
-	}
-	// Pipelined loop: frames are read into pooled buffers, each request
-	// runs in its own handler goroutine, and responses are serialized onto
-	// the stream under wmu carrying the request's ID. A corrupt request
-	// frame fails only that request — the length prefix held, so the
-	// stream is realigned and the retryable error is routed back under the
-	// recovered ID.
 	var wmu sync.Mutex
 	sem := make(chan struct{}, maxConnHandlers)
 	hdr := make([]byte, frameHeaderSize)
@@ -314,35 +259,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}
 }
 
-// serveConnBaseline is the seed's sequential connection loop: one frame
-// read (allocate + copy), one handler call, one response write per
-// iteration, request IDs fixed at 0.
-func (s *TCPServer) serveConnBaseline(conn net.Conn) {
-	for {
-		req, err := ReadFrame(conn)
-		if err != nil {
-			if errors.Is(err, ErrCorruptFrame) {
-				// The frame boundary held (length prefix was valid), so the
-				// stream is still aligned: report the corruption as a
-				// retryable error and keep the connection.
-				resp := Errf("%v", err)
-				resp.Flag = true // retryable: the client should resend
-				if WriteFrame(conn, resp) == nil {
-					continue
-				}
-			}
-			return
-		}
-		resp := s.handler(context.Background(), req)
-		if resp == nil {
-			resp = Ok()
-		}
-		if err := WriteFrame(conn, resp); err != nil {
-			return
-		}
-	}
-}
-
 // Close stops accepting and tears down all connections.
 func (s *TCPServer) Close() error {
 	s.mu.Lock()
@@ -361,38 +277,34 @@ func (s *TCPServer) Close() error {
 }
 
 // TCPNetwork implements Network over TCP: a directory maps server IDs to
-// addresses, and a small per-destination connection pool amortizes dials.
-// Register/Unregister manage locally hosted servers (each gets its own
-// TCPServer).
+// addresses, and every Send rides one of a small fixed set of multiplexed
+// connections per peer (see mux.go). Register/Unregister manage locally
+// hosted servers (each gets its own TCPServer).
 type TCPNetwork struct {
 	mu      sync.Mutex
 	addrs   map[types.ServerID]string
 	servers map[types.ServerID]*TCPServer
-	pool    map[types.ServerID][]net.Conn
 	// listenAddr is the host/interface used for locally hosted servers.
 	listenAddr string
 	// portBase, when > 0, pins server id's listener to port portBase+id
 	// instead of an ephemeral port, so the processes of a multi-host fleet
 	// can compute each other's addresses without a coordination round.
 	portBase int
-	// redials counts requests salvaged by redialing after a pooled
-	// connection turned out to be stale (server restarted under its ID).
-	redials atomic.Int64
 	// health remembers which peers a retried send found unreachable (see
 	// PeerHealth); Register re-admits the ID it brings up.
 	health PeerHealth
 
-	// Multiplexing state (see mux.go). muxConns == 0 keeps the baseline
-	// one-request-per-connection discipline; > 0 routes Send over muxConns
-	// shared pipelined connections per peer, each with a bounded in-flight
-	// window of maxInFlight requests.
+	// Multiplexing state (see mux.go): Send routes over muxConns shared
+	// connections per peer, each with a bounded in-flight window of
+	// maxInFlight requests. Both are sizing only — a client and a server
+	// configured differently still interoperate.
 	muxConns    int
 	maxInFlight int
 	muxMu       sync.Mutex
 	muxes       map[types.ServerID]*muxSet
 	// muxRedials counts requests salvaged by replacing a broken mux
-	// connection (the mux analogue of redials); inflight is the current
-	// number of requests in mux flight, reqSeq issues correlation IDs.
+	// connection; inflight is the current number of requests in flight,
+	// reqSeq issues correlation IDs.
 	muxRedials atomic.Int64
 	inflight   atomic.Int64
 	reqSeq     atomic.Uint64
@@ -401,26 +313,25 @@ type TCPNetwork struct {
 var _ Network = (*TCPNetwork)(nil)
 
 // NewTCPNetwork creates a TCP fabric whose locally registered servers bind
-// to listenHost (e.g. "127.0.0.1"), with multiplexing disabled (the
-// baseline one-request-per-connection discipline).
+// to listenHost (e.g. "127.0.0.1"), sized with DefaultMuxConns connections
+// per peer and a DefaultMaxInFlight window.
 func NewTCPNetwork(listenHost string) *TCPNetwork {
 	return &TCPNetwork{
-		addrs:      make(map[types.ServerID]string),
-		servers:    make(map[types.ServerID]*TCPServer),
-		pool:       make(map[types.ServerID][]net.Conn),
-		muxes:      make(map[types.ServerID]*muxSet),
-		listenAddr: listenHost,
+		addrs:       make(map[types.ServerID]string),
+		servers:     make(map[types.ServerID]*TCPServer),
+		muxes:       make(map[types.ServerID]*muxSet),
+		listenAddr:  listenHost,
+		muxConns:    DefaultMuxConns,
+		maxInFlight: DefaultMaxInFlight,
 	}
 }
 
-// ConfigureMux enables request multiplexing: conns pipelined connections
-// per peer, each with a bounded window of maxInFlight concurrent requests
-// (0 resolves to DefaultMaxInFlight). conns <= 0 keeps the baseline
-// discipline. Configure before the first Send; servers registered
-// afterwards serve pipelined connections.
+// ConfigureMux sizes the fabric: conns connections per peer, each with a
+// bounded window of maxInFlight concurrent requests. A value <= 0 resolves
+// to DefaultMuxConns / DefaultMaxInFlight. Configure before the first Send.
 func (n *TCPNetwork) ConfigureMux(conns, maxInFlight int) {
-	if conns < 0 {
-		conns = 0
+	if conns <= 0 {
+		conns = DefaultMuxConns
 	}
 	if maxInFlight <= 0 {
 		maxInFlight = DefaultMaxInFlight
@@ -431,15 +342,8 @@ func (n *TCPNetwork) ConfigureMux(conns, maxInFlight int) {
 	n.muxMu.Unlock()
 }
 
-// muxEnabled reports whether Send routes over multiplexed connections.
-func (n *TCPNetwork) muxEnabled() bool {
-	n.muxMu.Lock()
-	defer n.muxMu.Unlock()
-	return n.muxConns > 0
-}
-
-// MuxConfig returns the multiplexing knobs in effect: connections per peer
-// (0 = baseline discipline) and the per-connection in-flight window.
+// MuxConfig returns the sizing in effect: connections per peer and the
+// per-connection in-flight window.
 func (n *TCPNetwork) MuxConfig() (conns, maxInFlight int) {
 	n.muxMu.Lock()
 	defer n.muxMu.Unlock()
@@ -467,11 +371,9 @@ func (n *TCPNetwork) listenPort(id types.ServerID) string {
 
 // Register implements Network: it spins up a TCP server for the handler on
 // an ephemeral port (or portBase+id when a port base is set) and records
-// its address. The server mode follows the fabric's discipline: pipelined
-// when multiplexing is enabled, the seed's sequential loop otherwise (so a
-// baseline fabric measures the original stack end to end).
+// its address.
 func (n *TCPNetwork) Register(id types.ServerID, h Handler) {
-	srv, err := newTCPServerMode(net.JoinHostPort(n.listenAddr, n.listenPort(id)), h, n.muxEnabled())
+	srv, err := NewTCPServer(net.JoinHostPort(n.listenAddr, n.listenPort(id)), h)
 	if err != nil {
 		// Registration has no error path in the interface; fail loudly.
 		panic(fmt.Sprintf("transport: cannot listen for server %d: %v", id, err))
@@ -482,7 +384,6 @@ func (n *TCPNetwork) Register(id types.ServerID, h Handler) {
 	}
 	n.servers[id] = srv
 	n.addrs[id] = srv.Addr()
-	n.dropPoolLocked(id)
 	n.mu.Unlock()
 	n.dropMux(id)
 	n.health.Admit(id)
@@ -511,7 +412,6 @@ func (n *TCPNetwork) Registered(id types.ServerID) bool {
 func (n *TCPNetwork) AddRemote(id types.ServerID, addr string) {
 	n.mu.Lock()
 	n.addrs[id] = addr
-	n.dropPoolLocked(id)
 	n.mu.Unlock()
 	n.dropMux(id)
 }
@@ -522,40 +422,11 @@ func (n *TCPNetwork) Unregister(id types.ServerID) {
 	srv := n.servers[id]
 	delete(n.servers, id)
 	delete(n.addrs, id)
-	n.dropPoolLocked(id)
 	n.mu.Unlock()
 	n.dropMux(id)
 	if srv != nil {
 		_ = srv.Close() // unregistering; the server is gone either way
 	}
-}
-
-func (n *TCPNetwork) dropPoolLocked(id types.ServerID) {
-	for _, c := range n.pool[id] {
-		_ = c.Close() // idle pooled conns; nothing in flight
-	}
-	delete(n.pool, id)
-}
-
-// getConn returns a connection to the destination, preferring the pool.
-// pooled reports whether the connection was reused: a pooled connection may
-// be stale (its server restarted under the same ID), so the caller redials
-// once when the first exchange on it fails.
-func (n *TCPNetwork) getConn(to types.ServerID) (c net.Conn, pooled bool, err error) {
-	n.mu.Lock()
-	if _, ok := n.addrs[to]; !ok {
-		n.mu.Unlock()
-		return nil, false, ErrUnreachable
-	}
-	if conns := n.pool[to]; len(conns) > 0 {
-		c := conns[len(conns)-1]
-		n.pool[to] = conns[:len(conns)-1]
-		n.mu.Unlock()
-		return c, true, nil
-	}
-	n.mu.Unlock()
-	c, err = n.dial(to)
-	return c, false, err
 }
 
 // dial opens a fresh connection to the destination's current address.
@@ -573,87 +444,15 @@ func (n *TCPNetwork) dial(to types.ServerID) (net.Conn, error) {
 	return c, nil
 }
 
-func (n *TCPNetwork) putConn(to types.ServerID, c net.Conn) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.addrs[to]; !ok || len(n.pool[to]) >= 8 {
-		_ = c.Close() // pool full or destination gone; drop the spare conn
-		return
-	}
-	n.pool[to] = append(n.pool[to], c)
-}
-
-// Send implements Network. With multiplexing enabled the request rides a
-// shared pipelined connection (see mux.go). On the baseline path a request
-// that fails on a pooled connection is retried once on a freshly dialed
-// one: the pooled connection may simply be stale because its server
-// restarted under the same ID, and that salvage must not surface as a
-// request failure.
-func (n *TCPNetwork) Send(ctx context.Context, from, to types.ServerID, req *Message) (*Message, error) {
-	if n.muxEnabled() {
-		return n.sendMux(ctx, from, to, req)
-	}
-	conn, pooled, err := n.getConn(to)
-	if err != nil {
-		return nil, err
-	}
-	req.From = from
-	resp, err := n.exchange(ctx, conn, to, req)
-	if err == nil {
-		return resp, nil
-	}
-	if !pooled || errors.Is(err, ErrCorruptFrame) {
-		// Fresh dials and integrity failures are genuine; only staleness of
-		// a reused connection warrants the silent redial.
-		return nil, err
-	}
-	n.redials.Add(1)
-	conn, err = n.dial(to)
-	if err != nil {
-		return nil, err
-	}
-	return n.exchange(ctx, conn, to, req)
-}
-
-// exchange runs one request/response on the connection, returning it to the
-// pool on success and closing it on failure.
-func (n *TCPNetwork) exchange(ctx context.Context, conn net.Conn, to types.ServerID, req *Message) (*Message, error) {
-	// A failed SetDeadline means the conn is already dead; the exchange
-	// below fails and reports it.
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	} else {
-		_ = conn.SetDeadline(time.Time{})
-	}
-	resp, err := n.send(conn, req)
-	if err != nil {
-		_ = conn.Close() // exchange failed; the request error is the one reported
-		return nil, err
-	}
-	n.putConn(to, conn)
-	return resp, nil
-}
-
-// Redials returns how many requests were salvaged by redialing after a
-// stale pooled connection failed.
-func (n *TCPNetwork) Redials() int64 { return n.redials.Load() }
-
 // MuxRedials returns how many requests were salvaged by replacing a broken
 // multiplexed connection.
 func (n *TCPNetwork) MuxRedials() int64 { return n.muxRedials.Load() }
 
-// InFlight returns the current number of requests in mux flight (the
-// in-flight depth gauge surfaced by FabricStatus).
+// InFlight returns the current number of requests in flight (the in-flight
+// depth gauge surfaced by FabricStatus).
 func (n *TCPNetwork) InFlight() int64 { return n.inflight.Load() }
 
-func (n *TCPNetwork) send(conn net.Conn, req *Message) (*Message, error) {
-	if err := WriteFrame(conn, req); err != nil {
-		return nil, err
-	}
-	return ReadFrame(conn)
-}
-
-// Close tears down all hosted servers, pooled and multiplexed connections.
+// Close tears down all hosted servers and multiplexed connections.
 func (n *TCPNetwork) Close() {
 	n.mu.Lock()
 	servers := make([]*TCPServer, 0, len(n.servers))
@@ -661,9 +460,6 @@ func (n *TCPNetwork) Close() {
 		servers = append(servers, s)
 	}
 	n.servers = make(map[types.ServerID]*TCPServer)
-	for id := range n.pool {
-		n.dropPoolLocked(id)
-	}
 	n.addrs = make(map[types.ServerID]string)
 	n.mu.Unlock()
 	n.dropAllMux()

@@ -275,10 +275,9 @@ func SplitData(mark *int) EncodeOpt {
 type DecodeOpt func(*decoder)
 
 // AliasData makes Decode return large Data payloads as sub-slices of buf
-// instead of copies. When aliasing happens, ownership of buf transfers to
-// the Message (recorded in its pooled handle, consumed by Recycle) and the
-// buffer must not be reused or recycled by the caller; Aliased reports the
-// outcome.
+// instead of copies. When aliasing happens buf belongs to the Message and
+// the buffer must not be reused or recycled by the caller; Aliased reports
+// the outcome.
 func AliasData() DecodeOpt {
 	return func(d *decoder) {
 		d.aliasData = true
@@ -287,7 +286,7 @@ func AliasData() DecodeOpt {
 
 // Aliased reports whether the message's Data aliases the decode buffer
 // (ownership of the buffer rests with the message).
-func (m *Message) Aliased() bool { return m.pooled != nil }
+func (m *Message) Aliased() bool { return m.aliased }
 
 // Encode serializes the message, appending to dst (which may be nil) and
 // returning the extended slice.
@@ -329,7 +328,7 @@ func Encode(m *Message, dst []byte, opts ...EncodeOpt) []byte {
 	e.i64(m.Num)
 	e.u64(m.Sum)
 	e.str(m.Err)
-	_ = m.pooled // buffer-ownership bookkeeping, deliberately not a wire field
+	_ = m.aliased // buffer-ownership bookkeeping, deliberately not a wire field
 	return e.buf
 }
 
@@ -394,8 +393,6 @@ func Decode(buf []byte, opts ...DecodeOpt) (*Message, error) {
 	if d.off != len(buf) {
 		return nil, fmt.Errorf("transport: %d trailing bytes after message", len(buf)-d.off)
 	}
-	if d.aliased {
-		m.pooled = buf
-	}
+	m.aliased = d.aliased
 	return m, nil
 }

@@ -172,22 +172,20 @@ type MembershipStatus struct {
 }
 
 // TransportStatus aggregates the TCP fabric's transport-performance view:
-// the multiplexing knobs in effect, live connection and in-flight gauges,
-// redial salvage counters, and frame buffer-pool effectiveness.
+// the sizing in effect, live connection and in-flight gauges, the redial
+// salvage counter, and frame buffer-pool effectiveness.
 type TransportStatus struct {
-	// MuxConnsPerPeer is the configured connection count per peer
-	// (0 = baseline one-request-per-connection discipline).
+	// MuxConnsPerPeer is the resolved connection count per peer.
 	MuxConnsPerPeer int
 	// MaxInFlight is the pipelining window per multiplexed connection.
 	MaxInFlight int
 	// ActiveMuxConns is the current number of live multiplexed connections.
 	ActiveMuxConns int
-	// InFlight is the current number of requests in mux flight.
+	// InFlight is the current number of requests in flight.
 	InFlight int64
 	// MuxRedials counts requests salvaged by replacing a broken multiplexed
-	// connection; StaleRedials is the baseline pooled-connection analogue.
-	MuxRedials   int64
-	StaleRedials int64
+	// connection.
+	MuxRedials int64
 	// PoolHits/PoolMisses count frame-buffer pool outcomes process-wide;
 	// PoolHitRate is hits/(hits+misses).
 	PoolHits    int64
@@ -269,7 +267,6 @@ func (c *Cluster) FabricStatus() FabricStatus {
 		ts.ActiveMuxConns = tn.ActiveMuxConns()
 		ts.InFlight = tn.InFlight()
 		ts.MuxRedials = tn.MuxRedials()
-		ts.StaleRedials = tn.Redials()
 		ts.PoolHits, ts.PoolMisses = transport.BufferPoolStats()
 		if total := ts.PoolHits + ts.PoolMisses; total > 0 {
 			ts.PoolHitRate = float64(ts.PoolHits) / float64(total)

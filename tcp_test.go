@@ -4,114 +4,89 @@ import (
 	"bytes"
 	"context"
 	"testing"
+
+	"corec/internal/transport"
 )
 
-// TestTCPClusterEndToEnd runs a full staging cluster over real TCP
-// listeners (the corec-server deployment path) and exercises put/get,
-// failure and degraded reads across the loopback fabric.
-func TestTCPClusterEndToEnd(t *testing.T) {
-	cfg := DefaultConfig(8)
-	cfg.Transport = "tcp"
-	cluster, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-
-	addrs := cluster.ServerAddrs()
-	if len(addrs) != 8 {
-		t.Fatalf("got %d server addresses, want 8", len(addrs))
-	}
-
-	client := cluster.NewClient()
-	ctx := context.Background()
-	box := Box3D(0, 0, 0, 8, 8, 8)
-	data := regionData(t, box, 8, 71)
-	if err := client.Put(ctx, "temp", box, 1, data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := client.Get(ctx, "temp", box, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("TCP round trip corrupted data")
-	}
-
-	// Kill the primary over TCP and read through the degraded path.
-	metas, err := client.Query(ctx, "temp", box)
-	if err != nil || len(metas) != 1 {
-		t.Fatalf("query: %v (%d metas)", err, len(metas))
-	}
-	cluster.Kill(metas[0].Primary)
-	got, err = client.Get(ctx, "temp", box, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("TCP degraded read corrupted data")
-	}
-}
-
-// TestTCPClusterMuxEndToEnd runs the same full-cluster paths over the
-// multiplexed transport: pipelined connections, pooled zero-copy frames,
-// and request-ID correlation, including a primary kill and degraded read.
-// It also checks that FabricStatus surfaces the transport gauges.
+// TestTCPClusterMuxEndToEnd runs a full staging cluster over real TCP
+// listeners (the corec-server deployment path) at several fabric sizings —
+// the default and two explicit ones — and exercises put/get, a primary
+// kill and the degraded read across the loopback fabric. It also checks
+// that FabricStatus surfaces the resolved sizing and the transport gauges.
 func TestTCPClusterMuxEndToEnd(t *testing.T) {
-	cfg := DefaultConfig(8)
-	cfg.Transport = "tcp"
-	cfg.MuxConnsPerPeer = 2
-	cfg.MaxInFlight = 16
-	cluster, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
+	for _, tc := range []struct {
+		name                  string
+		conns, window         int
+		wantConns, wantWindow int
+	}{
+		{"default", 0, 0, transport.DefaultMuxConns, transport.DefaultMaxInFlight},
+		{"conns=1", 1, 16, 1, 16},
+		{"conns=4", 4, 0, 4, transport.DefaultMaxInFlight},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(8)
+			cfg.Transport = "tcp"
+			cfg.MuxConnsPerPeer = tc.conns
+			cfg.MaxInFlight = tc.window
+			cluster, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Close()
 
-	client := cluster.NewClient()
-	ctx := context.Background()
-	box := Box3D(0, 0, 0, 8, 8, 8)
-	data := regionData(t, box, 8, 37)
-	if err := client.Put(ctx, "temp", box, 1, data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := client.Get(ctx, "temp", box, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("mux round trip corrupted data")
-	}
+			if addrs := cluster.ServerAddrs(); len(addrs) != 8 {
+				t.Fatalf("got %d server addresses, want 8", len(addrs))
+			}
 
-	st := cluster.FabricStatus()
-	ts := st.Transport
-	if ts.MuxConnsPerPeer != 2 || ts.MaxInFlight != 16 {
-		t.Fatalf("transport status knobs = (%d, %d), want (2, 16)", ts.MuxConnsPerPeer, ts.MaxInFlight)
-	}
-	if ts.ActiveMuxConns == 0 {
-		t.Fatal("no active multiplexed connections after staging traffic")
-	}
-	if ts.PoolHits+ts.PoolMisses == 0 {
-		t.Fatal("frame-buffer pool never used on the mux path")
-	}
+			client := cluster.NewClient()
+			ctx := context.Background()
+			box := Box3D(0, 0, 0, 8, 8, 8)
+			data := regionData(t, box, 8, 37)
+			if err := client.Put(ctx, "temp", box, 1, data); err != nil {
+				t.Fatal(err)
+			}
+			got, err := client.Get(ctx, "temp", box, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("TCP round trip corrupted data")
+			}
 
-	metas, err := client.Query(ctx, "temp", box)
-	if err != nil || len(metas) != 1 {
-		t.Fatalf("query: %v (%d metas)", err, len(metas))
-	}
-	cluster.Kill(metas[0].Primary)
-	got, err = client.Get(ctx, "temp", box, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("mux degraded read corrupted data")
+			ts := cluster.FabricStatus().Transport
+			if ts.MuxConnsPerPeer != tc.wantConns || ts.MaxInFlight != tc.wantWindow {
+				t.Fatalf("transport status sizing = (%d, %d), want (%d, %d)",
+					ts.MuxConnsPerPeer, ts.MaxInFlight, tc.wantConns, tc.wantWindow)
+			}
+			if ts.ActiveMuxConns == 0 {
+				t.Fatal("no active multiplexed connections after staging traffic")
+			}
+			if ts.PoolHits+ts.PoolMisses == 0 {
+				t.Fatal("frame-buffer pool never used")
+			}
+
+			// Kill the primary over TCP and read through the degraded path.
+			metas, err := client.Query(ctx, "temp", box)
+			if err != nil || len(metas) != 1 {
+				t.Fatalf("query: %v (%d metas)", err, len(metas))
+			}
+			cluster.Kill(metas[0].Primary)
+			got, err = client.Get(ctx, "temp", box, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("TCP degraded read corrupted data")
+			}
+		})
 	}
 }
 
 // TestRemoteClusterClient connects a separate client-side fabric to a
 // TCP-hosted service via its address map — the corec-cli path, covering
-// cross-process access without a second process.
+// cross-process access without a second process. The handle's fabric is
+// sized differently from the service's: connection count and window are
+// not protocol, so the two need not agree.
 func TestRemoteClusterClient(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Transport = "tcp"
@@ -123,6 +98,8 @@ func TestRemoteClusterClient(t *testing.T) {
 
 	remoteCfg := DefaultConfig(8)
 	remoteCfg.ElemSize = 1
+	remoteCfg.MuxConnsPerPeer = 3
+	remoteCfg.MaxInFlight = 8
 	remote, err := NewRemoteCluster(remoteCfg, host.ServerAddrs())
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test race short scrubrace churnrace storagerace clusterquick benchsmoke bench ci clean
+.PHONY: all build vet staticcheck lint test race short scrubrace transportrace churnrace storagerace clusterquick benchsmoke bench ci clean
 
 all: ci
 
@@ -41,6 +41,16 @@ short:
 # precisely so this job covers the scrubber goroutines.
 scrubrace:
 	$(GO) test -race -run 'TestScrub|TestChaos' ./...
+
+# Race-detector pass focused on the transport's buffer-ownership rule:
+# response payloads land in caller memory (Message.RecvInto), and the tests
+# that cancel, time out and break connections in mid-payload only prove
+# anything when the detector watches the buffer — repeated, because the
+# windows they aim at are narrow. The root subset drives the same path
+# through Get/GetInto against the reference model.
+transportrace:
+	$(GO) test -race -count=5 ./internal/transport
+	$(GO) test -race -run 'TestGet|TestRandomOpsAgainstReferenceModel' .
 
 # Race-detector pass focused on elastic membership churn: gossip agents,
 # dynamic ring, and the paced migrator running against foreground traffic.
@@ -85,7 +95,7 @@ bench:
 	$(GO) run ./cmd/corec-bench -experiment tiering -json BENCH_tiering.json
 	$(GO) run ./cmd/corec-bench -experiment cluster -json BENCH_cluster.json
 
-ci: vet staticcheck lint build race scrubrace churnrace storagerace test benchsmoke clusterquick
+ci: vet staticcheck lint build race scrubrace transportrace churnrace storagerace test benchsmoke clusterquick
 
 clean:
 	$(GO) clean ./...

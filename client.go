@@ -212,25 +212,73 @@ func (cl *Client) failoverTargets(id types.ObjectID, primary types.ServerID) []t
 }
 
 // Get reads the region of the variable at the given version, returning a
-// row-major buffer over box. Objects intersecting the region are located
-// through the metadata directory and fetched in parallel; failures trigger
-// replica fallback or degraded reconstruction transparently.
+// row-major buffer over box: it allocates the buffer and fills it the way
+// GetInto does.
 func (cl *Client) Get(ctx context.Context, name string, box Box, version Version) ([]byte, error) {
+	dst := cl.newObjectBuffer(ndarray.BufferSize(box, cl.cluster.cfg.ElemSize))
+	if err := cl.getInto(ctx, name, box, version, dst, true); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// GetInto reads the region of the variable at the given version into dst, a
+// row-major buffer over box: len(dst) must be the region's size, and nothing
+// past it is touched. Objects intersecting the region are located through
+// the metadata directory and fetched in parallel, straight into dst when an
+// object's box is the region itself; failures trigger replica fallback or
+// degraded reconstruction transparently. Cells no staged object covers are
+// cleared, so a reused buffer never shows an earlier read. After an error
+// the contents of dst are unspecified.
+func (cl *Client) GetInto(ctx context.Context, name string, box Box, version Version, dst []byte) error {
+	if want := ndarray.BufferSize(box, cl.cluster.cfg.ElemSize); len(dst) != want {
+		return fmt.Errorf("corec: get buffer is %d bytes, want %d", len(dst), want)
+	}
+	return cl.getInto(ctx, name, box, version, dst[:len(dst):len(dst)], false)
+}
+
+// getInto is Get and GetInto: zeroed says dst is known to hold zeros.
+func (cl *Client) getInto(ctx context.Context, name string, box Box, version Version, dst []byte, zeroed bool) error {
 	start := time.Now()
 	defer func() { cl.col.RecordRead(int64(version), time.Since(start)) }()
 
 	metas, err := cl.queryDirectory(ctx, name, box)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return cl.fetchRegion(ctx, box, metas)
+	return cl.fetchRegion(ctx, box, metas, dst, zeroed)
+}
+
+// newObjectBuffer allocates a destination for size bytes of object data
+// with the spare capacity that lets an encoded object land in it whole: the
+// stripe's k shards are size rounded up to a multiple of k, and with room
+// for that padding (fewer than k bytes) even the last data shard is
+// received, or rebuilt, in place.
+func (cl *Client) newObjectBuffer(size int) []byte {
+	return make([]byte, size, size+max(cl.cluster.cfg.DataShards-1, 0))
 }
 
 // fetchRegion fetches the objects the records describe, in parallel, and
-// assembles the part of each that lies in box into one row-major buffer.
-func (cl *Client) fetchRegion(ctx context.Context, box Box, metas []types.ObjectMeta) ([]byte, error) {
+// assembles the part of each that lies in box into dst, a row-major buffer
+// over box. An object whose box is the region itself — the aligned read of
+// every workload — is fetched straight into dst; any other goes through a
+// buffer of its own size and the one CopyRegion that cuts its part out.
+func (cl *Client) fetchRegion(ctx context.Context, box Box, metas []types.ObjectMeta, dst []byte, zeroed bool) error {
 	elem := cl.cluster.cfg.ElemSize
-	out := make([]byte, ndarray.BufferSize(box, elem))
+	aligned := func(meta *types.ObjectMeta) bool {
+		return meta.Size == len(dst) && meta.ID.Box.Equal(box)
+	}
+	if !zeroed {
+		// An aligned object overwrites every byte; short of that, clear
+		// first so cells nothing covers read as zero.
+		whole := false
+		for i := range metas {
+			whole = whole || aligned(&metas[i])
+		}
+		if !whole {
+			clear(dst)
+		}
+	}
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
@@ -242,14 +290,16 @@ func (cl *Client) fetchRegion(ctx context.Context, box Box, metas []types.Object
 		wg.Add(1)
 		go func(meta types.ObjectMeta) {
 			defer wg.Done()
-			data, err := cl.fetchObject(ctx, &meta)
-			if err == nil {
+			var err error
+			if aligned(&meta) {
+				err = cl.fetchObject(ctx, &meta, dst)
+			} else if tmp, ferr := cl.fetchObjectBytes(ctx, &meta); ferr != nil {
+				err = ferr
+			} else {
 				// Safe outside the lock: the partitioner tiles objects over
 				// disjoint boxes, so each copy writes a disjoint region of
-				// out. Serializing the copies under mu made every fetch wait
-				// on its neighbours' memcpy — the mutex only needs to guard
-				// error aggregation.
-				_, err = ndarray.CopyRegion(meta.ID.Box, data, box, out, elem)
+				// dst — the mutex only needs to guard error aggregation.
+				_, err = ndarray.CopyRegion(meta.ID.Box, tmp, box, dst, elem)
 			}
 			if err != nil {
 				mu.Lock()
@@ -261,10 +311,7 @@ func (cl *Client) fetchRegion(ctx context.Context, box Box, metas []types.Object
 		}(meta)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return firstErr
 }
 
 // Query returns the metadata of all staged objects of the variable
@@ -392,35 +439,40 @@ func covers(metas []types.ObjectMeta, box Box) bool {
 	return covered >= box.Volume()
 }
 
-// fetchObject retrieves one object's payload following its resilience
-// state: full copies (primary, then replicas) for replicated objects;
-// systematic shard gather, with degraded reconstruction on failure, for
-// encoded objects. A fetch can race the background replicated<->encoded
-// transition: on a miss the client refetches the object's metadata and
-// retries through the new state before declaring data loss.
-func (cl *Client) fetchObject(ctx context.Context, meta *types.ObjectMeta) ([]byte, error) {
+// fetchObject retrieves one object's payload into dst (len(dst) is the
+// object's size; spare capacity is the caller's to lend, see
+// newObjectBuffer) following its resilience state: full copies (primary,
+// then replicas) for replicated objects; systematic shard gather, with
+// degraded reconstruction on failure, for encoded objects. A fetch can race
+// the background replicated<->encoded transition: on a miss the client
+// refetches the object's metadata and retries through the new state before
+// declaring data loss.
+func (cl *Client) fetchObject(ctx context.Context, meta *types.ObjectMeta, dst []byte) error {
 	var lastErr error
 	for attempt := 0; attempt < 10; attempt++ {
-		var data []byte
 		var err error
-		switch meta.State {
-		case types.StateEncoded:
-			data, err = cl.fetchEncoded(ctx, meta)
+		switch {
+		case meta.Size != len(dst):
+			// A rewrite under another element size changed the object's
+			// extent while this read was in flight.
+			err = fmt.Errorf("%w: %s is %d bytes, read as %d", ErrDataLoss, meta.ID, meta.Size, len(dst))
+		case meta.State == types.StateEncoded:
+			err = cl.fetchEncoded(ctx, meta, dst)
 		default:
-			data, err = cl.fetchReplicated(ctx, meta)
+			err = cl.fetchReplicated(ctx, meta, dst)
 		}
 		if err == nil {
-			return data, nil
+			return nil
 		}
 		lastErr = err
 		if !errors.Is(err, ErrDataLoss) {
-			return nil, err
+			return err
 		}
 		// Back off briefly: a state transition (encode commit, promotion,
 		// failover) may be mid-flight; the directory converges quickly.
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-time.After(time.Duration(attempt+1) * 200 * time.Microsecond):
 		}
 		fresh, ok := cl.lookupMeta(ctx, meta.ID)
@@ -429,7 +481,16 @@ func (cl *Client) fetchObject(ctx context.Context, meta *types.ObjectMeta) ([]by
 		}
 		meta = fresh
 	}
-	return nil, lastErr
+	return lastErr
+}
+
+// fetchObjectBytes is fetchObject into a buffer of the object's own.
+func (cl *Client) fetchObjectBytes(ctx context.Context, meta *types.ObjectMeta) ([]byte, error) {
+	dst := cl.newObjectBuffer(meta.Size)
+	if err := cl.fetchObject(ctx, meta, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // lookupMeta fetches a single object's metadata record from the servers
@@ -454,94 +515,165 @@ func (cl *Client) lookupMeta(ctx context.Context, id types.ObjectID) (*types.Obj
 	return best, best != nil
 }
 
-func (cl *Client) fetchReplicated(ctx context.Context, meta *types.ObjectMeta) ([]byte, error) {
+// landed returns the payload of a response to a request that named into as
+// its RecvInto: head, the prefix of into that holds the payload's first
+// bytes, and tail, the bytes that did not fit. The repo's fabrics deliver it
+// that way; from a Network that does not know the field, head is copied.
+func landed(resp *transport.Message, into []byte) (head, tail []byte) {
+	if len(into) == 0 || len(resp.Data) == 0 || &resp.Data[0] == &into[0] {
+		return resp.Data, resp.Overflow
+	}
+	n := copy(into, resp.Data)
+	return into[:n], resp.Data[n:]
+}
+
+func (cl *Client) fetchReplicated(ctx context.Context, meta *types.ObjectMeta, dst []byte) error {
 	key := meta.ID.Key()
 	for _, target := range meta.Locations() {
-		resp, err := cl.send(ctx, target, &transport.Message{Kind: transport.MsgGet, Key: key})
+		resp, err := cl.send(ctx, target, &transport.Message{Kind: transport.MsgGet, Key: key, RecvInto: dst})
 		if err != nil || resp.Kind != transport.MsgGetBytes || !resp.Flag {
 			continue
 		}
-		return resp.Data, nil
+		if head, tail := landed(resp, dst); len(head) == len(dst) && len(tail) == 0 {
+			return nil
+		}
 	}
-	return nil, fmt.Errorf("%w: %s", ErrDataLoss, key)
+	return fmt.Errorf("%w: %s", ErrDataLoss, key)
 }
 
-func (cl *Client) fetchEncoded(ctx context.Context, meta *types.ObjectMeta) ([]byte, error) {
+// fetchEncoded assembles an encoded object in dst. Data shard i of the
+// stripe is the object's bytes [i*ShardSize, (i+1)*ShardSize), so it is
+// received straight into that window of dst, and a missing one is rebuilt
+// there from parity: no shard-sized buffer but the parity's is ever
+// allocated, and nothing is joined or copied afterwards. The one wrinkle is
+// the zero padding that rounds the object up to k shards, fewer than k bytes
+// at the end of the last data shard: with that much spare capacity in dst
+// (Get's own buffers have it) the last shard is whole like the others; in a
+// caller's exact-size buffer only its head is in place, the padding comes
+// back as the response's Overflow, and the whole shard is pieced together
+// aside only if a degraded read needs it for decoding.
+func (cl *Client) fetchEncoded(ctx context.Context, meta *types.ObjectMeta, dst []byte) error {
 	c := cl.cluster
 	info, ok := cl.lookupStripe(ctx, meta.Stripe)
 	if !ok {
-		return nil, fmt.Errorf("%w: stripe %v metadata missing", ErrDataLoss, meta.Stripe)
+		return fmt.Errorf("%w: stripe %v metadata missing", ErrDataLoss, meta.Stripe)
 	}
-	shards := make([][]byte, info.K+info.M)
+	k, ss := info.K, info.ShardSize
+	if k <= 0 || info.M < 0 || ss <= 0 || k*ss < len(dst) {
+		return fmt.Errorf("%w: stripe %v (%d shards of %d bytes) cannot hold %d bytes", ErrDataLoss, info.ID, k, ss, len(dst))
+	}
+	// home is the window of dst where data shard i lives: the whole shard
+	// when dst has room for it, else as much of its head as is object data.
+	home := func(i int) (window []byte, whole bool) {
+		lo, hi := i*ss, (i+1)*ss
+		if hi <= cap(dst) {
+			return dst[lo:hi:hi], true
+		}
+		lo = min(lo, len(dst))
+		return dst[lo:len(dst):len(dst)], false
+	}
+	// shards is the codec's view of the stripe, filled as shards arrive;
+	// tails holds the padding of a data shard whose home is only its head.
+	shards := make([][]byte, k+info.M)
+	tails := make([][]byte, k)
+	fetch := func(lo, hi int) int {
+		var wg sync.WaitGroup
+		var got atomic.Int64
+		for _, member := range info.Members {
+			if member.Index < lo || member.Index >= hi || member.Index >= len(shards) {
+				continue
+			}
+			wg.Add(1)
+			go func(member types.StripeMember) {
+				defer wg.Done()
+				i := member.Index // members hold distinct indices
+				var into []byte
+				if i < k {
+					into, _ = home(i)
+				}
+				head, tail, ok := cl.fetchShard(ctx, info.ID, member, into)
+				if !ok || len(head)+len(tail) != ss {
+					return
+				}
+				shards[i] = head
+				if i < k {
+					tails[i] = tail
+				}
+				got.Add(1)
+			}(member)
+		}
+		wg.Wait()
+		return int(got.Load())
+	}
+
 	// A data-shard holder already known dead makes this a degraded read
 	// from the start: fetch the parity in the same round as the surviving
-	// data shards instead of discovering the loss first.
+	// data shards instead of discovering the loss first. Members on a server
+	// marked down are still asked: the send fails fast, or is the half-open
+	// trial that notices the server is back.
 	knownLoss := false
 	for _, member := range info.Members {
-		if member.Index < info.K && c.health.Down(member.Server) {
+		if member.Index < k && c.health.Down(member.Server) {
 			knownLoss = true
 			break
 		}
 	}
-	firstRound := info.K // systematic fast path: the k data shards, in parallel
+	firstRound := k // systematic fast path: the k data shards, in parallel
 	if knownLoss {
-		firstRound = info.K + info.M
+		firstRound = k + info.M
 	}
-	have := cl.fetchShards(ctx, info, shards, 0, firstRound)
+	have := fetch(0, firstRound)
 	missingData := false
-	for _, b := range shards[:info.K] {
+	for _, b := range shards[:k] {
 		if b == nil {
 			missingData = true
 			break
 		}
 	}
-	if missingData {
-		if !knownLoss {
-			// Degraded read: pull parity shards and reconstruct the data. All
-			// surviving parity is fetched in parallel, even when fewer shards
-			// would complete the stripe — at most m extra shards of bandwidth,
-			// traded for one fetch round-trip instead of m sequential ones (the
-			// degraded path is latency-bound, and spare shards let reconstruction
-			// proceed when a parity fetch fails too).
-			have += cl.fetchShards(ctx, info, shards, info.K, info.K+info.M)
-		}
-		if have < info.K {
-			return nil, fmt.Errorf("%w: stripe %v has %d of %d shards", ErrDataLoss, info.ID, have, info.K)
-		}
-		dStart := time.Now()
-		if err := c.codec.ReconstructData(shards); err != nil {
-			return nil, err
-		}
-		cl.col.Add(metrics.Decode, time.Since(dStart))
-		// Lazy recovery on access: if a replacement server has taken over
-		// a dead member's ID, ask it to repair this object now.
-		cl.triggerOnAccessRepair(ctx, info, meta.ID)
+	if !missingData {
+		return nil
 	}
-	return c.codec.Join(shards, meta.Size)
-}
-
-// fetchShards fetches, in parallel, the stripe's shards with index in
-// [lo, hi) into shards and returns how many arrived. Members on a server
-// marked down are still asked: the send fails fast, or is the half-open
-// trial that notices the server is back.
-func (cl *Client) fetchShards(ctx context.Context, info *types.StripeInfo, shards [][]byte, lo, hi int) int {
-	var wg sync.WaitGroup
-	var got atomic.Int64
-	for _, member := range info.Members {
-		if member.Index < lo || member.Index >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(member types.StripeMember) {
-			defer wg.Done()
-			if b, ok := cl.fetchShard(ctx, info.ID, member); ok {
-				shards[member.Index] = b // members hold distinct indices
-				got.Add(1)
-			}
-		}(member)
+	if !knownLoss {
+		// Degraded read: pull parity shards and reconstruct the data. All
+		// surviving parity is fetched in parallel, even when fewer shards
+		// would complete the stripe — at most m extra shards of bandwidth,
+		// traded for one fetch round-trip instead of m sequential ones (the
+		// degraded path is latency-bound, and spare shards let reconstruction
+		// proceed when a parity fetch fails too).
+		have += fetch(k, k+info.M)
 	}
-	wg.Wait()
-	return int(got.Load())
+	if have < k {
+		return fmt.Errorf("%w: stripe %v has %d of %d shards", ErrDataLoss, info.ID, have, k)
+	}
+	if c.codec == nil || c.codec.DataShards() != k || c.codec.ParityShards() != info.M {
+		return fmt.Errorf("corec: stripe %v is RS(%d+%d), which this client is not configured to decode", info.ID, k, info.M)
+	}
+	// The codec wants whole shards: piece together a surviving one of which
+	// only the head is in its home, and hand each missing one its home to be
+	// rebuilt in (nil where the home is short: the codec allocates, and the
+	// head is copied in afterwards).
+	for i := 0; i < k; i++ {
+		switch window, whole := home(i); {
+		case shards[i] != nil && len(shards[i]) < ss:
+			shards[i] = append(append(make([]byte, 0, ss), shards[i]...), tails[i]...)
+		case shards[i] == nil && whole:
+			shards[i] = window[:0]
+		}
+	}
+	dStart := time.Now()
+	if err := c.codec.ReconstructData(shards); err != nil {
+		return err
+	}
+	cl.col.Add(metrics.Decode, time.Since(dStart))
+	for i := 0; i < k; i++ {
+		if window, whole := home(i); !whole {
+			copy(window, shards[i])
+		}
+	}
+	// Lazy recovery on access: if a replacement server has taken over
+	// a dead member's ID, ask it to repair this object now.
+	cl.triggerOnAccessRepair(ctx, info, meta.ID)
+	return nil
 }
 
 // lookupStripe resolves stripe geometry from the directory pair: first
@@ -558,14 +690,17 @@ func (cl *Client) lookupStripe(ctx context.Context, id types.StripeID) (*types.S
 	return nil, false
 }
 
-func (cl *Client) fetchShard(ctx context.Context, id types.StripeID, member types.StripeMember) ([]byte, bool) {
+// fetchShard fetches one stripe shard, into the given memory when there is
+// any (see landed for what comes back).
+func (cl *Client) fetchShard(ctx context.Context, id types.StripeID, member types.StripeMember, into []byte) (head, tail []byte, ok bool) {
 	resp, err := cl.send(ctx, member.Server, &transport.Message{
-		Kind: transport.MsgShardGet, Stripe: id, ShardIndex: member.Index,
+		Kind: transport.MsgShardGet, Stripe: id, ShardIndex: member.Index, RecvInto: into,
 	})
 	if err != nil || resp.Kind != transport.MsgGetBytes || !resp.Flag {
-		return nil, false
+		return nil, nil, false
 	}
-	return resp.Data, true
+	head, tail = landed(resp, into)
+	return head, tail, true
 }
 
 // triggerOnAccessRepair asks stripe members that answered "shard missing"

@@ -55,12 +55,15 @@ func main() {
 	reads := make(chan stepReport, timeSteps)
 	go func() {
 		analysis := cluster.NewClient()
+		// One buffer for every step: GetInto fills it in place (and clears
+		// whatever a step did not cover), so the loop allocates no field.
+		field := make([]byte, ndarray.BufferSize(domain, cfg.ElemSize))
 		for ts := corec.Version(1); ts <= timeSteps; ts++ {
 			if _, err := analysis.WaitForVersion(ctx, "species", domain, ts); err != nil {
 				log.Fatal(err)
 			}
 			start := time.Now()
-			if _, err := analysis.Get(ctx, "species", domain, ts); err != nil {
+			if err := analysis.GetInto(ctx, "species", domain, ts, field); err != nil {
 				log.Fatal(err)
 			}
 			reads <- stepReport{ts: ts, read: time.Since(start)}

@@ -152,15 +152,17 @@ func (c *Codec) StorageEfficiency() float64 {
 	return float64(c.k) / float64(c.k+c.m)
 }
 
-func (c *Codec) checkShards(shards [][]byte, allowNil bool) (size int, err error) {
+// checkShards returns the stripe's shard size. With allowMissing, shards of
+// length zero are the missing ones (see Reconstruct) and do not count.
+func (c *Codec) checkShards(shards [][]byte, allowMissing bool) (size int, err error) {
 	if len(shards) != c.k+c.m {
 		return 0, fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), c.k+c.m)
 	}
 	size = -1
 	for _, s := range shards {
-		if s == nil {
-			if !allowNil {
-				return 0, fmt.Errorf("%w: nil shard", ErrShardSize)
+		if len(s) == 0 {
+			if !allowMissing {
+				return 0, fmt.Errorf("%w: empty shard", ErrShardSize)
 			}
 			continue
 		}
@@ -224,9 +226,13 @@ func (c *Codec) Verify(shards [][]byte) error {
 	return nil
 }
 
-// Reconstruct fills in the missing (nil) shards in place. Missing shards are
-// identified by nil entries; up to m shards may be missing. Surviving shards
-// are never modified. Reconstructed shards are freshly allocated.
+// Reconstruct fills in the missing shards in place. Missing shards are the
+// entries of length zero; up to m shards may be missing. Surviving shards
+// are never modified. A missing shard is rebuilt into a fresh allocation —
+// nil always gets one — unless the entry brings its own memory: a
+// zero-length slice with capacity for a shard is rebuilt right there
+// (shards[i] = dst[lo:lo:hi]), which is how a reader decodes straight into
+// the buffer the data is wanted in.
 func (c *Codec) Reconstruct(shards [][]byte) error {
 	return c.reconstruct(shards, false)
 }
@@ -245,7 +251,7 @@ func (c *Codec) reconstruct(shards [][]byte, dataOnly bool) error {
 	}
 	var missing, present []int
 	for i, s := range shards {
-		if s == nil {
+		if len(s) == 0 {
 			missing = append(missing, i)
 		} else {
 			present = append(present, i)
@@ -279,11 +285,11 @@ func (c *Codec) reconstruct(shards [][]byte, dataOnly bool) error {
 	if dataMissing {
 		recoveredData = make([][]byte, c.k)
 		for d := 0; d < c.k; d++ {
-			if shards[d] != nil {
+			if len(shards[d]) != 0 {
 				recoveredData[d] = shards[d]
 				continue
 			}
-			out := make([]byte, size)
+			out := rebuildTarget(shards[d], size)
 			row := dec.Row(d)
 			first := true
 			for j, srcIdx := range rows {
@@ -305,11 +311,7 @@ func (c *Codec) reconstruct(shards [][]byte, dataOnly bool) error {
 			}
 			recoveredData[d] = out
 		}
-		for d := 0; d < c.k; d++ {
-			if shards[d] == nil {
-				shards[d] = recoveredData[d]
-			}
-		}
+		copy(shards, recoveredData)
 	}
 	if dataOnly {
 		return nil
@@ -319,7 +321,7 @@ func (c *Codec) reconstruct(shards [][]byte, dataOnly bool) error {
 		if idx < c.k {
 			continue
 		}
-		out := make([]byte, size)
+		out := rebuildTarget(shards[idx], size)
 		row := c.gen.Row(idx)
 		gf256.MulSlice(row[0], shards[0], out)
 		for d := 1; d < c.k; d++ {
@@ -328,6 +330,17 @@ func (c *Codec) reconstruct(shards [][]byte, dataOnly bool) error {
 		shards[idx] = out
 	}
 	return nil
+}
+
+// rebuildTarget returns where a missing shard is rebuilt: in the entry's own
+// memory when it has room for a shard, else in a fresh allocation. Every
+// byte of the result is written by the caller, so used memory needs no
+// clearing.
+func rebuildTarget(missing []byte, size int) []byte {
+	if cap(missing) >= size {
+		return missing[:size]
+	}
+	return make([]byte, size)
 }
 
 // decodeMatrix returns the inverse of the generator rows selected by the
@@ -357,9 +370,10 @@ func (c *Codec) decodeMatrix(rows []int) (*matrix.Matrix, error) {
 }
 
 // reconstructParallel is the workers>1 arm of reconstruct: every missing
-// shard gets a fresh buffer up front, byte-ranges of the stripe are fanned
-// out to the range engine, and the recovered buffers are attached to the
-// stripe only once every range has completed.
+// shard gets its buffer up front (its own memory or a fresh one, see
+// rebuildTarget), byte-ranges of the stripe are fanned out to the range
+// engine, and the recovered buffers are attached to the stripe only once
+// every range has completed.
 func (c *Codec) reconstructParallel(shards [][]byte, rows []int, dec *matrix.Matrix, missing []int, dataOnly bool, size int) error {
 	newBufs := make([][]byte, c.k+c.m)
 	var needed []int
@@ -367,7 +381,7 @@ func (c *Codec) reconstructParallel(shards [][]byte, rows []int, dec *matrix.Mat
 		if dataOnly && idx >= c.k {
 			continue
 		}
-		newBufs[idx] = make([]byte, size)
+		newBufs[idx] = rebuildTarget(shards[idx], size)
 		needed = append(needed, idx)
 	}
 	if len(needed) == 0 {
@@ -382,7 +396,7 @@ func (c *Codec) reconstructParallel(shards [][]byte, rows []int, dec *matrix.Mat
 	// those buffers before touching parity, so the view is complete there).
 	dataView := make([][]byte, c.k)
 	for d := 0; d < c.k; d++ {
-		if shards[d] != nil {
+		if len(shards[d]) != 0 {
 			dataView[d] = shards[d]
 		} else {
 			dataView[d] = newBufs[d]

@@ -175,3 +175,97 @@ func TestRunCoversRange(t *testing.T) {
 		}
 	}
 }
+
+// TestReconstructIntoCapacityMatchesAllocate is the differential test of the
+// in-place convention: a missing shard given as a zero-length slice with
+// room for a shard is rebuilt in that memory — dirty on purpose, no
+// allocation — and must hold exactly what the allocate path (nil = missing)
+// produces, for every 1- and 2-loss pattern of RS(3+1) and RS(4+2), on the
+// serial and the parallel engine, for Reconstruct and ReconstructData, and
+// with survivors left untouched. One contiguous buffer backs the data
+// shards, the way a reader lays an object out.
+func TestReconstructIntoCapacityMatchesAllocate(t *testing.T) {
+	for _, geom := range [][2]int{{3, 1}, {4, 2}} {
+		k, m := geom[0], geom[1]
+		base, err := New(k, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const size = 2*chunkBytes + 97
+		orig := makeStripe(t, base, size, int64(7*k+m))
+		var patterns [][]int
+		for a := 0; a < k+m; a++ {
+			patterns = append(patterns, []int{a})
+			for b := a + 1; b < k+m && m >= 2; b++ {
+				patterns = append(patterns, []int{a, b})
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			c := base.WithWorkers(workers)
+			for _, erased := range patterns {
+				for _, dataOnly := range []bool{false, true} {
+					want := cloneStripe(orig)
+					for _, e := range erased {
+						want[e] = nil
+					}
+					reconstruct := c.Reconstruct
+					if dataOnly {
+						reconstruct = c.ReconstructData
+					}
+					if err := reconstruct(want); err != nil {
+						t.Fatalf("RS(%d+%d) workers=%d erased=%v: allocate path: %v", k, m, workers, erased, err)
+					}
+
+					object := make([]byte, k*size)
+					got := make([][]byte, k+m)
+					for i := range got {
+						home := make([]byte, size)
+						if i < k {
+							home = object[i*size : (i+1)*size : (i+1)*size]
+						}
+						copy(home, orig[i])
+						got[i] = home
+					}
+					homes := make(map[int][]byte)
+					for _, e := range erased {
+						for j := range got[e] {
+							got[e][j] = 0xEE // rebuilt over, not cleared first
+						}
+						homes[e] = got[e]
+						got[e] = got[e][:0]
+					}
+					if err := reconstruct(got); err != nil {
+						t.Fatalf("RS(%d+%d) workers=%d erased=%v: in-place path: %v", k, m, workers, erased, err)
+					}
+					for i := range want {
+						if want[i] == nil {
+							if len(got[i]) != 0 {
+								t.Fatalf("erased=%v dataOnly=%v: parity %d rebuilt in place though left missing by the allocate path", erased, dataOnly, i)
+							}
+							continue
+						}
+						if !bytes.Equal(got[i], want[i]) {
+							t.Fatalf("RS(%d+%d) workers=%d erased=%v dataOnly=%v: shard %d differs from the allocate path", k, m, workers, erased, dataOnly, i)
+						}
+						if home, wasErased := homes[i]; wasErased && &got[i][0] != &home[0] {
+							t.Fatalf("erased=%v: shard %d was rebuilt somewhere else than in its own memory", erased, i)
+						}
+					}
+					for i := 0; i < k; i++ {
+						if !bytes.Equal(object[i*size:(i+1)*size], orig[i]) {
+							t.Fatalf("erased=%v dataOnly=%v: the object buffer does not hold data shard %d", erased, dataOnly, i)
+						}
+					}
+				}
+			}
+		}
+	}
+	// A missing entry without room for a shard still gets an allocation.
+	c, _ := New(3, 1)
+	stripe := makeStripe(t, c, 64, 5)
+	want := append([]byte(nil), stripe[1]...)
+	stripe[1] = make([]byte, 0, 63)
+	if err := c.ReconstructData(stripe); err != nil || !bytes.Equal(stripe[1], want) {
+		t.Fatalf("short-capacity entry: err %v", err)
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
+	"reflect"
 	"strings"
 )
 
@@ -22,7 +24,9 @@ import (
 //     the Handle method in the package named "server". Response-only kinds
 //     (MsgOK, MsgErr, MsgGetBytes) are exempt.
 //  3. Every field of the Message struct is referenced in both Encode and
-//     Decode, so new wire fields cannot skip the codec.
+//     Decode, so new wire fields cannot skip the codec. A field that is
+//     local to one process by design says so with a `wire:"-"` struct tag,
+//     and the check turns around: the codec must not touch it.
 type Wiremsg struct{}
 
 // wiremsgResponseOnly are kinds servers emit but never receive; they have
@@ -251,7 +255,7 @@ func constNameOf(info *types.Info, e ast.Expr) string {
 }
 
 // checkCodec verifies every Message struct field is touched by both Encode
-// and Decode.
+// and Decode — or, when tagged `wire:"-"`, by neither.
 func checkCodec(pkg *Package) []Diagnostic {
 	msgObj, ok := pkg.Pkg.Scope().Lookup("Message").(*types.TypeName)
 	if !ok {
@@ -262,8 +266,12 @@ func checkCodec(pkg *Package) []Diagnostic {
 		return nil
 	}
 	fields := make([]string, 0, st.NumFields())
+	local := make(map[string]bool)
 	for i := 0; i < st.NumFields(); i++ {
 		fields = append(fields, st.Field(i).Name())
+		if reflect.StructTag(st.Tag(i)).Get("wire") == "-" {
+			local[st.Field(i).Name()] = true
+		}
 	}
 	var diags []Diagnostic
 	for _, fnName := range []string{"Encode", "Decode"} {
@@ -278,7 +286,15 @@ func checkCodec(pkg *Package) []Diagnostic {
 		}
 		touched := fieldsTouched(pkg, fd, msgObj.Type())
 		for _, f := range fields {
-			if !touched[f] {
+			pos, ok := touched[f]
+			switch {
+			case local[f] && ok:
+				diags = append(diags, Diagnostic{
+					Pos:      pos,
+					Analyzer: "wiremsg",
+					Message:  fmt.Sprintf("Message field %s is tagged wire:\"-\" but %s references it: a process-local field must stay out of the codec", f, fnName),
+				})
+			case !local[f] && !ok:
 				diags = append(diags, Diagnostic{
 					Pos:      fd.Name.Pos(),
 					Analyzer: "wiremsg",
@@ -302,9 +318,10 @@ func findFuncDecl(pkg *Package, name string) *ast.FuncDecl {
 }
 
 // fieldsTouched collects the field names selected from any expression of
-// the Message type within the function body.
-func fieldsTouched(pkg *Package, fd *ast.FuncDecl, msgType types.Type) map[string]bool {
-	out := make(map[string]bool)
+// the Message type within the function body, each with the position of its
+// first reference.
+func fieldsTouched(pkg *Package, fd *ast.FuncDecl, msgType types.Type) map[string]token.Pos {
+	out := make(map[string]token.Pos)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
@@ -318,8 +335,8 @@ func fieldsTouched(pkg *Package, fd *ast.FuncDecl, msgType types.Type) map[strin
 		if p, ok := t.(*types.Pointer); ok {
 			t = p.Elem()
 		}
-		if types.Identical(t, msgType) {
-			out[sel.Sel.Name] = true
+		if _, seen := out[sel.Sel.Name]; !seen && types.Identical(t, msgType) {
+			out[sel.Sel.Name] = sel.Sel.Pos()
 		}
 		return true
 	})

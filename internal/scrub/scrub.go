@@ -39,9 +39,12 @@ const checksumBlock = 32 << 10
 // Checksum returns the 64-bit content digest of a payload: CRC-32C
 // (Castagnoli) in the high word, CRC-32 (IEEE) in the low word. Two
 // independent polynomials keep the digest 64 bits wide — every wire and
-// record field that carries it stays as it is — and the Castagnoli half is
-// independent of the wire frame's CRC-32/IEEE, so damage that happens to
-// preserve the frame check does not also preserve the at-rest digest. A
+// record field that carries it stays as it is. The high word doubles as the
+// wire check of the payload segment of a transport frame (see WireCheck and
+// Complete), so a payload is read once per polynomial per hop, not once for
+// the wire and twice more for storage; the IEEE half is computed only by the
+// server that stores the bytes, over the bytes it holds, so damage that
+// happens to preserve the wire check does not also preserve the digest. A
 // keyed hash is unnecessary because the threat model is bit rot, not an
 // adversary. The zero value is reserved to mean "no checksum recorded" (a
 // record written before scrubbing existed, pending backfill), so the rare
@@ -54,11 +57,31 @@ func Checksum(data []byte) uint64 {
 		e = crc32.Update(e, crc32.IEEETable, b)
 		data = data[len(b):]
 	}
+	return pack(c, e)
+}
+
+func pack(c, e uint32) uint64 {
 	s := uint64(c)<<32 | uint64(e)
 	if s == 0 {
 		s = 1
 	}
 	return s
+}
+
+// CRC32C continues a CRC-32C over data (crc 0 starts one): the check a
+// transport frame carries for its payload, and the high word of Checksum.
+func CRC32C(crc uint32, data []byte) uint32 { return crc32.Update(crc, castagnoli, data) }
+
+// WireCheck returns the half of a recorded digest that is the payload's wire
+// check — its CRC-32C — so a sender that holds the digest makes no pass over
+// the bytes. ok is false for 0, "no checksum recorded".
+func WireCheck(sum uint64) (crc32c uint32, ok bool) { return uint32(sum >> 32), sum != 0 }
+
+// Complete returns Checksum(data) for a payload whose CRC-32C the frame
+// reader already computed over these very bytes: one IEEE pass instead of
+// one per polynomial.
+func Complete(crc32c uint32, data []byte) uint64 {
+	return pack(crc32c, crc32.ChecksumIEEE(data))
 }
 
 // Depth selects how far a scrub pass reaches beyond this server's memory.

@@ -6,9 +6,45 @@ import (
 	"testing"
 
 	"corec/internal/geometry"
+	"corec/internal/policy"
 	"corec/internal/scrub"
+	"corec/internal/transport"
 	"corec/internal/types"
 )
+
+// digestPasses counts, per server, the digest passes made over payloads of
+// one size, by polynomial: a full digest reads the payload through both, a
+// digest completed from the frame reader's verified check through
+// CRC-32/IEEE alone.
+type digestPasses struct{ castagnoli, ieee []atomic.Int64 }
+
+// countDigests installs the counting digest hook on every server of the rig.
+func countDigests(rig *testRig, size int) *digestPasses {
+	p := &digestPasses{
+		castagnoli: make([]atomic.Int64, len(rig.servers)),
+		ieee:       make([]atomic.Int64, len(rig.servers)),
+	}
+	for i, srv := range rig.servers {
+		i := i
+		srv.digestFn = func(b []byte, crc32c uint32, verified bool) uint64 {
+			if len(b) == size {
+				p.ieee[i].Add(1)
+				if !verified {
+					p.castagnoli[i].Add(1)
+				}
+			}
+			return digestPayload(b, crc32c, verified)
+		}
+	}
+	return p
+}
+
+func (p *digestPasses) reset() {
+	for i := range p.ieee {
+		p.castagnoli[i].Store(0)
+		p.ieee[i].Store(0)
+	}
+}
 
 // TestPutDigestsPayloadOncePerServer follows one CoREC put through to the
 // encoded directory flip and counts the at-rest digest passes made over the
@@ -16,26 +52,17 @@ import (
 // it) and one on each replica holder. It then rewrites the object within
 // the same version — the case where a reused sum could belong to the bytes
 // being replaced — and checks the directory records the new content's sum.
+// On the in-process fabric nothing verifies a payload on the way in, so
+// each of those passes reads it through both polynomials.
 func TestPutDigestsPayloadOncePerServer(t *testing.T) {
 	rig := newConstrainedRig(t, 0.67)
 	box := geometry.Box3D(0, 0, 0, 16, 16, 32)
 	const size = 16 * 16 * 32 * 8
-	full := make([]atomic.Int64, len(rig.servers))
-	for i, srv := range rig.servers {
-		i := i
-		srv.digest = func(b []byte) uint64 {
-			if len(b) == size {
-				full[i].Add(1)
-			}
-			return scrub.Checksum(b)
-		}
-	}
+	full := countDigests(rig, size)
 
 	id := types.ObjectID{Var: "v", Box: box}
 	for round, data := range [][]byte{payload(size, 21), payload(size, 22)} {
-		for i := range full {
-			full[i].Store(0)
-		}
+		full.reset()
 		primary := rig.put(t, "v", box, 1, data)
 		srv := rig.servers[primary]
 		srv.WaitEncodeIdle()
@@ -46,13 +73,85 @@ func TestPutDigestsPayloadOncePerServer(t *testing.T) {
 		if meta.Checksum != scrub.Checksum(data) {
 			t.Fatalf("round %d: directory checksum %#x is not the stored content's %#x", round, meta.Checksum, scrub.Checksum(data))
 		}
-		if got := full[primary].Load(); got != 1 {
-			t.Errorf("round %d: primary digested the full payload %d times, want 1", round, got)
+		if ieee, c := full.ieee[primary].Load(), full.castagnoli[primary].Load(); ieee != 1 || c != 1 {
+			t.Errorf("round %d: primary digested the full payload %d times (CRC-32C %d), want 1 and 1", round, ieee, c)
 		}
 		for _, h := range srv.replicaHolders() {
-			if got := full[h].Load(); got != 1 {
-				t.Errorf("round %d: replica holder %d digested the full payload %d times, want 1", round, h, got)
+			if ieee, c := full.ieee[h].Load(), full.castagnoli[h].Load(); ieee != 1 || c != 1 {
+				t.Errorf("round %d: replica holder %d digested the full payload %d times (CRC-32C %d), want 1 and 1", round, h, ieee, c)
 			}
 		}
+	}
+}
+
+// TestPutChecksPayloadOncePerHopOverTCP is the same put over the TCP fabric,
+// where the payload check of a frame is the digest's CRC-32C half. Followed
+// to the encoded flip it must cost, over the full payload: CRC-32/IEEE once
+// on the primary and once per replica holder, each completing the digest
+// from the check its frame reader verified, so no server runs CRC-32C
+// itself; CRC-32C once per receiving hop, in the frame reader; once on a
+// sender that holds no digest (the client's put, the primary's three shard
+// pushes) and not at all on one that does (the replica push). The payload
+// checks are the process-wide counters of transport.PayloadCheckStats; the
+// flow has no other payload-carrying message.
+func TestPutChecksPayloadOncePerHopOverTCP(t *testing.T) {
+	tn := transport.NewTCPNetwork("127.0.0.1")
+	defer tn.Close()
+	rig := newRigOn(t, tn, policy.CoREC, 8, 0.67)
+	box := geometry.Box3D(0, 0, 0, 16, 16, 32)
+	const size = 16 * 16 * 32 * 8
+	full := countDigests(rig, size)
+	data := payload(size, 23)
+
+	computed0, attached0, verified0 := transport.PayloadCheckStats()
+	primary := rig.put(t, "v", box, 1, data)
+	srv := rig.servers[primary]
+	srv.WaitEncodeIdle()
+	computed, attached, verified := transport.PayloadCheckStats()
+	computed, attached, verified = computed-computed0, attached-attached0, verified-verified0
+
+	meta, ok := srv.dirLookupMeta(context.Background(), types.ObjectID{Var: "v", Box: box})
+	if !ok || meta.State != types.StateEncoded {
+		t.Fatalf("object not encoded: %+v", meta)
+	}
+	if meta.Checksum != scrub.Checksum(data) {
+		t.Fatalf("directory checksum %#x is not the stored content's %#x", meta.Checksum, scrub.Checksum(data))
+	}
+	holders := srv.replicaHolders()
+	for _, h := range append([]types.ServerID{primary}, holders...) {
+		if ieee, c := full.ieee[h].Load(), full.castagnoli[h].Load(); ieee != 1 || c != 0 {
+			t.Errorf("server %d: CRC-32/IEEE over the full payload %d times, CRC-32C %d times; want 1 and 0", h, ieee, c)
+		}
+	}
+	k, m := rig.polCfg.K, rig.polCfg.M
+	shardPushes := int64(k + m - 1)
+	if want := 1 + shardPushes; computed != want {
+		t.Errorf("%d sender passes, want %d: the client's put and %d shard pushes", computed, want, shardPushes)
+	}
+	if want := int64(len(holders)); attached != want {
+		t.Errorf("%d sends took their check from a held digest, want the %d replica pushes", attached, want)
+	}
+	if want := 1 + int64(len(holders)) + shardPushes; verified != want {
+		t.Errorf("%d receiver passes, want %d: one per payload frame", verified, want)
+	}
+
+	// And the read side: the shard holders answer from their recorded digests.
+	_, attached0, verified0 = transport.PayloadCheckStats()
+	info, ok := srv.dirLookupStripe(context.Background(), meta.Stripe)
+	if !ok {
+		t.Fatalf("stripe %v has no record", meta.Stripe)
+	}
+	for _, member := range info.Members[:k] {
+		resp, err := tn.Send(context.Background(), -1, member.Server, &transport.Message{
+			Kind: transport.MsgShardGet, Stripe: meta.Stripe, ShardIndex: member.Index,
+		})
+		if err != nil || !resp.Flag {
+			t.Fatalf("shard %d: %v", member.Index, err)
+		}
+	}
+	_, attached, verified = transport.PayloadCheckStats()
+	if attached-attached0 != int64(k) || verified-verified0 != int64(k) {
+		t.Errorf("%d shard gets: %d answered from a held digest, %d verified by the reader; want %d and %d",
+			k, attached-attached0, verified-verified0, k, k)
 	}
 }

@@ -443,7 +443,7 @@ func (s *Server) promoteObject(ctx context.Context, id types.ObjectID) bool {
 	// Replicate (and update the directory) before dropping the stripe so a
 	// concurrent reader always finds the object through one state or the
 	// other.
-	if err := s.replicateObject(ctx, obj); err != nil {
+	if err := s.replicateObject(ctx, obj, s.digest(data)); err != nil {
 		return false
 	}
 	s.dropStripe(ctx, st.stripe)

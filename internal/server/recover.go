@@ -180,7 +180,7 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta) 
 		if err != nil || resp.Kind != transport.MsgGetBytes || !resp.Flag {
 			continue
 		}
-		sum := s.digest(resp.Data)
+		sum := s.digestMsg(resp)
 		// A source whose bytes fail the directory's recorded checksum has
 		// rotted at rest: skip it and try the next holder rather than
 		// propagating the corruption into the repaired copy.

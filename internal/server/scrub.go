@@ -339,7 +339,7 @@ func (s *Server) repairPrimary(ctx context.Context, key string, obj *types.Objec
 			return err
 		}
 		rep.Bytes += int64(len(resp.Data))
-		if resp.Version != obj.Version || s.digest(resp.Data) != want {
+		if resp.Version != obj.Version || s.digestMsg(resp) != want {
 			continue // stale mirror, or itself rotted; try the next one
 		}
 		fixed := &types.Object{ID: obj.ID, Version: obj.Version, Data: resp.Data}
@@ -380,7 +380,7 @@ func (s *Server) repairReplica(ctx context.Context, key string, obj *types.Objec
 			return err
 		}
 		rep.Bytes += int64(len(resp.Data))
-		sum := s.digest(resp.Data)
+		sum := s.digestMsg(resp)
 		// Accept a same-version restore of what this replica originally
 		// stored, or a catch-up to the directory's recorded authority.
 		restore := sum == want
@@ -534,6 +534,7 @@ func (s *Server) scrubReplicaGroups(ctx context.Context, bud *scrub.Budget, rep 
 				Var:  it.obj.ID.Var, Box: it.obj.ID.Box,
 				Version: it.obj.Version, Data: it.obj.Data,
 			}
+			push.AttachDigest(it.sum)
 			presp, perr := s.sendRetry(ctx, h, push)
 			if perr == nil {
 				perr = presp.AsError()

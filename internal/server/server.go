@@ -124,10 +124,11 @@ type Server struct {
 	// the server, so engine calls are safe both under s.mu and outside it.
 	store *storage.Tiered
 
-	// digest is scrub.Checksum, the at-rest content digest every write,
-	// encode, recover and scrub path records and verifies. A field only so a
-	// test can count the passes a put makes over its payload.
-	digest func([]byte) uint64
+	// digestFn is digestPayload, the at-rest content digest every write,
+	// encode, recover and scrub path records and verifies (through digest and
+	// digestMsg). A field only so a test can count the passes a put makes
+	// over its payload, by polynomial.
+	digestFn func(data []byte, crc32c uint32, verified bool) uint64
 
 	// mutations counts payload-mutating operations (puts, deletes, shard
 	// and replica installs/drops, repairs). Checkpointing snapshots only
@@ -272,7 +273,7 @@ func New(cfg Config) (*Server, error) {
 		decider:     dec,
 		col:         cfg.Collector,
 		store:       store,
-		digest:      scrub.Checksum,
+		digestFn:    digestPayload,
 		objects:     make(map[string]*types.Object),
 		replicas:    make(map[string]*types.Object),
 		shardStripe: make(map[string]types.StripeInfo),
@@ -292,6 +293,28 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg.Network.Register(cfg.ID, s.Handle)
 	return s, nil
+}
+
+// digestPayload computes scrub.Checksum(data). With verified set, crc32c is
+// the payload's CRC-32C as the frame reader computed it over these very
+// bytes, and one IEEE pass completes the digest; otherwise both polynomials
+// are computed here. Either way every word recorded was computed by this
+// process over the bytes it holds — a digest is never adopted from a peer.
+func digestPayload(data []byte, crc32c uint32, verified bool) uint64 {
+	if verified {
+		return scrub.Complete(crc32c, data)
+	}
+	return scrub.Checksum(data)
+}
+
+// digest digests bytes this server produced or read from its own store.
+func (s *Server) digest(data []byte) uint64 { return s.digestFn(data, 0, false) }
+
+// digestMsg digests the payload of a message this server received, from the
+// wire check when the fabric verified one on the way in.
+func (s *Server) digestMsg(m *transport.Message) uint64 {
+	crc, verified := m.VerifiedCRC()
+	return s.digestFn(m.Data, crc, verified)
 }
 
 // enqueueEncode schedules a background demotion of the object to erasure

@@ -9,6 +9,7 @@ import (
 	"corec/internal/geometry"
 	"corec/internal/policy"
 	"corec/internal/recovery"
+	"corec/internal/simnet"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
@@ -142,18 +143,7 @@ func TestEfficiencyConstrainedCoRECEnqueuesEncode(t *testing.T) {
 
 func newConstrainedRig(t testing.TB, s float64) *testRig {
 	t.Helper()
-	rig := newRig(t, policy.CoREC, 8)
-	// newRig builds with S=0; rebuild servers with the constraint.
-	for _, srv := range rig.servers {
-		srv.Close()
-	}
-	rig.polCfg.StorageEfficiencyMin = s
-	servers := rig.servers
-	rig.servers = nil
-	for i := range servers {
-		rig.servers = append(rig.servers, rig.startServer(t, types.ServerID(i)))
-	}
-	return rig
+	return newRigOn(t, transport.NewInProc(simnet.LinkModel{}), policy.CoREC, 8, s)
 }
 
 func TestRunRecoveryLazyUsesPacer(t *testing.T) {

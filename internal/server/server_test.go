@@ -21,7 +21,7 @@ import (
 
 // testRig wires a full 8-server fabric with a shared collector.
 type testRig struct {
-	net     *transport.InProc
+	net     transport.Network
 	top     *topology.Topology
 	groups  *topology.Groups
 	place   placement.Placement
@@ -32,6 +32,13 @@ type testRig struct {
 
 func newRig(t testing.TB, mode policy.Mode, n int) *testRig {
 	t.Helper()
+	return newRigOn(t, transport.NewInProc(simnet.LinkModel{}), mode, n, 0)
+}
+
+// newRigOn builds the rig on the given fabric, with storage-efficiency
+// constraint sMin (0: none).
+func newRigOn(t testing.TB, net transport.Network, mode policy.Mode, n int, sMin float64) *testRig {
+	t.Helper()
 	top, err := topology.Uniform(n, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -41,14 +48,14 @@ func newRig(t testing.TB, mode policy.Mode, n int) *testRig {
 		t.Fatal(err)
 	}
 	rig := &testRig{
-		net:    transport.NewInProc(simnet.LinkModel{}),
+		net:    net,
 		top:    top,
 		groups: groups,
 		place:  placement.NewHash(n),
 		col:    metrics.NewCollector(),
 		polCfg: policy.Config{
 			Mode: mode, NLevel: 1, K: 3, M: 1,
-			StorageEfficiencyMin: 0,
+			StorageEfficiencyMin: sMin,
 		},
 	}
 	for i := 0; i < n; i++ {

@@ -93,7 +93,7 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 
 	switch action {
 	case policy.ActNone:
-		sum := s.digest(req.Data)
+		sum := s.digestMsg(req)
 		s.setLocalState(id, req.Version, len(req.Data), types.StateNone, types.StripeID{}, sum, obj)
 		meta := s.buildMeta(id, req.Version, len(req.Data), types.StateNone, types.StripeID{}, 0, sum)
 		if err := s.dirUpdate(ctx, meta); err != nil {
@@ -105,7 +105,7 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 		// An object that was encoded and is now written becomes replicated
 		// again (promotion on write); its old shards are dropped after the
 		// directory flips so concurrent readers never miss both states.
-		if err := s.replicateObject(ctx, obj); err != nil {
+		if err := s.replicateObject(ctx, obj, s.digestMsg(req)); err != nil {
 			return transport.Errf("server %d: replicate: %v", s.id, err)
 		}
 		if existed && priorState == types.StateEncoded {
@@ -131,7 +131,7 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 		// replica guarantees durability; the demotion to erasure coding
 		// runs in the background under the encoding token.
 		if s.cfg.Policy.Mode == policy.CoREC {
-			if err := s.replicateObject(ctx, obj); err != nil {
+			if err := s.replicateObject(ctx, obj, s.digestMsg(req)); err != nil {
 				return transport.Errf("server %d: replicate: %v", s.id, err)
 			}
 			if existed && priorState == types.StateEncoded {
@@ -156,10 +156,10 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 }
 
 // replicateObject pushes full copies to the replication-group peers and
-// records the replicated state.
-func (s *Server) replicateObject(ctx context.Context, obj *types.Object) error {
+// records the replicated state. sum is the digest of obj.Data, which rides
+// along as each push's payload check: the pushes make no pass of their own.
+func (s *Server) replicateObject(ctx context.Context, obj *types.Object, sum uint64) error {
 	targets := s.replicaHolders()
-	sum := s.digest(obj.Data)
 	start := time.Now()
 	for _, t := range targets {
 		msg := &transport.Message{
@@ -169,6 +169,7 @@ func (s *Server) replicateObject(ctx context.Context, obj *types.Object) error {
 			Version: obj.Version,
 			Data:    obj.Data,
 		}
+		msg.AttachDigest(sum)
 		resp, err := s.sendRetry(ctx, t, msg)
 		if err == nil {
 			err = resp.AsError()
@@ -357,13 +358,19 @@ func (s *Server) handleGet(req *transport.Message) *transport.Message {
 	s.mu.Lock()
 	obj, ok := s.objects[req.Key]
 	var want uint64
+	// vouched: want was computed over obj itself. A put installs its object
+	// before it records the new sum, and until then want is the previous
+	// content's.
+	vouched := false
 	if ok {
 		if st := s.local[req.Key]; st != nil {
 			want = st.sum
+			vouched = st.sumOf == obj
 		}
 	} else {
 		obj, ok = s.replicas[req.Key]
 		want = s.replicaSums[req.Key]
+		vouched = true
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -372,10 +379,17 @@ func (s *Server) handleGet(req *transport.Message) *transport.Message {
 	if s.scrubEnabled() && want != 0 && s.digest(obj.Data) != want {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	return &transport.Message{
+	resp := &transport.Message{
 		Kind: transport.MsgGetBytes, Flag: true,
 		Var: obj.ID.Var, Box: obj.ID.Box, Version: obj.Version, Data: obj.Data,
 	}
+	if vouched {
+		// The recorded digest is the payload's wire check: no pass here, and
+		// a copy that rotted since it was recorded fails at the reader like
+		// wire damage — retried, then served from another holder.
+		resp.AttachDigest(want)
+	}
+	return resp
 }
 
 // handleObjFetch is the server-to-server variant of Get used by helpers and
@@ -387,7 +401,7 @@ func (s *Server) handleObjFetch(req *transport.Message) *transport.Message {
 func (s *Server) handleReplicaPut(req *transport.Message) *transport.Message {
 	id := types.ObjectID{Var: req.Var, Box: req.Box}
 	key := id.Key()
-	sum := s.digest(req.Data)
+	sum := s.digestMsg(req)
 	s.mu.Lock()
 	s.replicas[key] = &types.Object{ID: id, Version: req.Version, Data: req.Data}
 	s.replicaSums[key] = sum
@@ -415,7 +429,7 @@ func (s *Server) handleReplicaDrop(req *transport.Message) *transport.Message {
 
 func (s *Server) handleShardPut(req *transport.Message) *transport.Message {
 	sk := shardKey(req.Stripe, req.ShardIndex)
-	sum := s.digest(req.Data)
+	sum := s.digestMsg(req)
 	s.mu.Lock()
 	s.shardSums[sk] = sum
 	if req.StripeInfo != nil {
@@ -443,11 +457,21 @@ func shardEpoch(v types.Version) int64 {
 }
 
 func (s *Server) handleShardGet(req *transport.Message) *transport.Message {
-	data, ok := s.store.Get(shardKey(req.Stripe, req.ShardIndex))
+	sk := shardKey(req.Stripe, req.ShardIndex)
+	data, ok := s.store.Get(sk)
 	if !ok {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	return &transport.Message{Kind: transport.MsgGetBytes, Flag: true, Data: data}
+	resp := &transport.Message{Kind: transport.MsgGetBytes, Flag: true, Data: data}
+	// As in handleGet: the shard's recorded digest is its wire check. A
+	// rewrite of the shard racing this read can pair one version's bytes
+	// with the other's digest; the reader's check then fails the frame and
+	// the retry reads a settled pair.
+	s.mu.Lock()
+	sum := s.shardSums[sk]
+	s.mu.Unlock()
+	resp.AttachDigest(sum)
+	return resp
 }
 
 func (s *Server) handleShardDrop(req *transport.Message) *transport.Message {

@@ -11,10 +11,11 @@ import (
 // TestWriteFrameIDAllocsBounded guards the hot send path against allocation
 // regressions: with the buffer pool warm, scatter-gather framing of a 1 MiB
 // put must stay within a handful of small allocations per frame — the
-// payload itself is never copied, and the scratch buffer comes from the
-// pool. The allocate-and-copy reference (EncodeFrame) fills a full
-// frame-sized buffer per message; this bound is what keeps the send path
-// from drifting back to that.
+// payload itself is never copied, and the scratch buffer, sized exactly by
+// WireSize, comes from the pool. The allocate-and-copy reference
+// (EncodeFrame) fills a full frame-sized buffer per message; this bound is
+// what keeps the send path from drifting back to that. A frame without a
+// payload is a single plain write and allocates less still.
 func TestWriteFrameIDAllocsBounded(t *testing.T) {
 	m := &Message{Kind: MsgPut, Var: "alloc", Key: "k", Version: 3, Data: make([]byte, 1<<20)}
 	for i := 0; i < 4; i++ {
@@ -27,12 +28,19 @@ func TestWriteFrameIDAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Expected steady state: the net.Buffers header, the pool's interface
-	// boxing on put, and loop-variant escapes — all O(bytes of metadata),
-	// none O(payload).
-	const maxAllocs = 8
+	// Expected steady state: the net.Buffers header and its slice — all
+	// O(bytes of metadata), none O(payload).
+	const maxAllocs = 4
 	if allocs > maxAllocs {
 		t.Fatalf("writeFrameID: %.0f allocs/op for a 1 MiB frame, want <= %d", allocs, maxAllocs)
+	}
+	small := &Message{Kind: MsgMetaQuery, Var: "alloc", Key: "k"}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := writeFrameID(io.Discard, small, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("writeFrameID: %.0f allocs/op for a frame without payload, want <= 1", allocs)
 	}
 }
 

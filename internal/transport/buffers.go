@@ -5,27 +5,22 @@ import (
 	"sync/atomic"
 )
 
-// Size-class recycling for frame buffers. Both hot paths of the TCP fabric
-// run through here: the send side borrows a scratch buffer for the frame
-// header plus wire metadata (the Data payload itself is written straight
-// from the caller's slice), and the receive side reads whole frames into a
-// buffer from getBuf before decoding.
+// Size-class recycling for frame buffers, and the ownership rule of the
+// whole fabric in one place.
 //
-// The ownership rule: getBuf hands out a buffer the caller owns
-// exclusively and putBuf takes it back, after which the caller holds no
-// reference. readFramePooled returns its buffer itself UNLESS the decoded
-// message aliases it (Decode with AliasData, for large Data). An aliased
-// buffer belongs to its Message and the GC and is never recycled: the
-// server stores req.Data by reference for as long as the object lives, and
-// a recycled backing array would corrupt staged data.
+// Pooled buffers hold only header and meta bytes: the frame writer borrows
+// a scratch buffer for them, the frame reader takes the meta segment into
+// one. Whoever calls getBuf calls putBuf before it returns, always — the
+// codec copies every string out and Data is not in there (wire.go), so
+// nothing ever outlives the borrow.
 //
-// Only frames up to class1 are pooled: control/metadata frames and 64 KiB
-// transfer pieces. Anything larger is a bulk payload (a put, a replica or
-// shard push, a get response) that alias-decodes into the buffer and never
-// comes back. Such frames get an allocation of exactly the frame's size
-// (counted as a miss): rounding up to a size class would zero, and then pin
-// for the life of the stored object, up to twice the bytes the payload
-// needs.
+// Payload bytes never touch the pool. A frame writer sends them from the
+// caller's slice; a frame reader lands them in an allocation of exactly the
+// payload's size, which belongs to the message it returns (a server stores
+// req.Data by reference for as long as the object lives) — or, when the
+// request named one, in the caller's RecvInto, which the fabric writes only
+// until Send returns (the invariant stated at Message.RecvInto, enforced in
+// mux.go).
 
 // The size classes. Each class gets its own pool typed as a pointer to a
 // fixed-size array (*[classN]byte) rather than *[]byte: a pointer stores
@@ -90,9 +85,9 @@ func putBuf(b []byte) {
 }
 
 // BufferPoolStats reports cumulative frame-buffer pool outcomes: hits are
-// recycled buffers, misses are fresh allocations (first use, frames above
-// class1, and buffers lost to alias-decoded messages). The counters are
-// process-global because the pools are.
+// recycled buffers, misses are fresh allocations (first use, and meta
+// segments above class1). The counters are process-global because the pools
+// are.
 func BufferPoolStats() (hits, misses int64) {
 	return bufPoolHits.Load(), bufPoolMisses.Load()
 }

@@ -21,8 +21,13 @@ import (
 //
 // Corruption is injected below the codec: the message is framed exactly as
 // the TCP fabric would put it on the wire, one byte is flipped, and the
-// frame is re-verified — so the CRC32 integrity check is exercised for
+// frame is re-verified — so the frame's integrity checks are exercised for
 // real, and detection surfaces as the retryable ErrCorruptFrame.
+//
+// A request's RecvInto is the wrapped fabric's to honour; the injector only
+// keeps its own extra deliveries away from it, and a response it reports as
+// corrupt or lost may already have been written there — which is the rule
+// anyway: after a failed Send the buffer's contents are unspecified.
 type FaultyNetwork struct {
 	inner Network
 
@@ -59,7 +64,8 @@ type FaultStats struct {
 	Drops int64
 	// Dups is the number of messages delivered twice.
 	Dups int64
-	// Corrupts is the number of request frames corrupted (and caught by CRC32).
+	// Corrupts is the number of request frames corrupted (and caught by
+	// the frame checks).
 	Corrupts int64
 	// RespCorrupts is the number of response frames corrupted after the
 	// request was delivered and processed.
@@ -249,6 +255,7 @@ func (f *FaultyNetwork) Send(ctx context.Context, from, to types.ServerID, req *
 		// reorderings a TCP stream cannot produce (e.g. a stale
 		// metadata update clobbering a newer same-version record).
 		cp := *req
+		cp.RecvInto = nil
 		_, _ = f.inner.Send(ctx, from, to, &cp) // injected duplicate: its outcome must stay invisible
 	}
 	if d.connBreak {
@@ -274,14 +281,14 @@ func (f *FaultyNetwork) Send(ctx context.Context, from, to types.ServerID, req *
 }
 
 // corruptFrame frames the message exactly as the TCP wire codec would,
-// flips one payload byte, and runs the frame back through the CRC32
+// flips one segment byte, and runs the frame back through the frame
 // verification — returning the resulting typed error. This keeps the
-// injector honest: if the integrity check ever regressed, corruption would
+// injector honest: if the integrity checks ever regressed, corruption would
 // silently deliver garbage and tests would catch it.
 func (f *FaultyNetwork) corruptFrame(req *Message) error {
 	buf := EncodeFrame(req)
 	f.mu.Lock()
-	// Flip within the payload (past the header) so the frame boundary
+	// Flip within the segments (past the header) so the frame boundary
 	// stays intact, mirroring the aligned-stream corruption TCP survives.
 	i := frameHeaderSize + f.rng.Intn(len(buf)-frameHeaderSize)
 	bit := byte(1) << uint(f.rng.Intn(8))
@@ -290,7 +297,7 @@ func (f *FaultyNetwork) corruptFrame(req *Message) error {
 	if _, err := DecodeFrame(buf); err != nil {
 		return err
 	}
-	// Unreachable with a sound CRC32; fall back to the typed error so the
+	// Unreachable with sound checks; fall back to the typed error so the
 	// caller still sees the corruption.
 	return ErrCorruptFrame
 }

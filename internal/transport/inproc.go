@@ -13,6 +13,9 @@ import (
 // InProc is the in-process fabric: every server is a registered handler and
 // Send invokes the destination handler directly on the caller's goroutine,
 // after charging the link-model delay for the request and response sizes.
+// Messages cross by reference, so a handler keeps the request's Data and a
+// response's Data is the handler's own memory — except under RecvInto,
+// which is honoured by copying (see landInto).
 // Because callers are real goroutines, contention at a hot server shows up
 // as genuine queueing, which the encoding workflow's load balancing reacts
 // to — the same dynamic the paper exploits on Titan.
@@ -78,6 +81,9 @@ func (n *InProc) Send(ctx context.Context, from, to types.ServerID, req *Message
 	if resp == nil {
 		resp = Ok()
 	}
+	if len(req.RecvInto) > 0 && len(resp.Data) > 0 {
+		resp = landInto(req.RecvInto, resp)
+	}
 	// WireSize walks every field (metas, stripes, box dims); compute it once
 	// for both the bandwidth charge and the byte counter.
 	respSize := resp.WireSize()
@@ -87,6 +93,17 @@ func (n *InProc) Send(ctx context.Context, from, to types.ServerID, req *Message
 	n.msgs.Add(2)
 	n.bytes.Add(int64(reqSize + respSize))
 	return resp, nil
+}
+
+// landInto gives a by-reference fabric the TCP fabric's RecvInto outcome: a
+// copy of the response whose payload lives in the caller's buffer (and
+// Overflow), never in memory the handler still holds.
+func landInto(into []byte, resp *Message) *Message {
+	cp := *resp
+	n := copy(into, resp.Data)
+	cp.Data = into[:n]
+	cp.Overflow = append([]byte(nil), resp.Data[n:]...)
+	return &cp
 }
 
 func (n *InProc) delay(ctx context.Context, size int) error {

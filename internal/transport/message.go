@@ -1,8 +1,8 @@
 // Package transport carries the staging protocol between clients and
 // servers. Two interchangeable fabrics are provided: an in-process network
 // (goroutine handlers plus a simnet link model, standing in for RDMA within
-// one experiment process) and a TCP network (length-prefixed frames, for the
-// standalone corec-server deployment).
+// one experiment process) and a TCP network (checked two-segment frames, see
+// tcp.go, for the standalone corec-server deployment).
 //
 // All protocol messages share the Message superset struct so one binary
 // codec covers the whole protocol; unused fields cost nothing on the wire
@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"corec/internal/geometry"
+	"corec/internal/scrub"
 	"corec/internal/types"
 )
 
@@ -126,9 +127,57 @@ type Message struct {
 	// Sum carries a content checksum (scrub plane responses).
 	Sum uint64
 	Err string
-	// aliased records that Data is a sub-slice of the frame buffer the
-	// message was decoded from (see AliasData) — not a wire field.
-	aliased bool
+
+	// The fields below are local to one process: the `wire:"-"` tag keeps
+	// them out of the codec (corec-lint's wiremsg check enforces both
+	// directions).
+
+	// RecvInto, set on a request, is caller memory for the response's Data:
+	// the payload's first len(RecvInto) bytes land there — on the TCP fabric
+	// straight off the socket — and the response's Data is that prefix of
+	// RecvInto; payload bytes past it come back in Overflow. The one
+	// invariant: the fabric writes RecvInto only between Send's call and its
+	// return, whatever the outcome; after an error its contents are
+	// unspecified.
+	RecvInto []byte `wire:"-"`
+	// Overflow, on the response to a request that named RecvInto, holds the
+	// payload bytes that did not fit (nil when all did).
+	Overflow []byte `wire:"-"`
+	// dataCRC is the CRC-32C of Data — the payload check of a frame and the
+	// high word of the payload's at-rest digest — when crcFrom says where it
+	// came from.
+	dataCRC uint32    `wire:"-"`
+	crcFrom crcSource `wire:"-"`
+}
+
+// crcSource says what vouches for Message.dataCRC.
+type crcSource uint8
+
+const (
+	crcUnknown  crcSource = iota
+	crcAttached           // the sender holds Data's digest (AttachDigest)
+	crcVerified           // the frame reader computed it over the bytes it delivered
+)
+
+// AttachDigest tells the fabric that sum is the at-rest digest
+// (scrub.Checksum) the sender holds for Data, so the frame writer takes the
+// payload check from it instead of making a pass over the bytes. The zero
+// sum, "not recorded", attaches nothing. The receiver still computes the
+// check over what arrives: a stored copy that rotted since it was digested
+// fails there exactly like wire damage.
+func (m *Message) AttachDigest(sum uint64) {
+	if crc, ok := scrub.WireCheck(sum); ok {
+		m.dataCRC, m.crcFrom = crc, crcAttached
+	}
+}
+
+// VerifiedCRC returns the CRC-32C of Data when the fabric computed it over
+// the delivered bytes and it matched the sender's. A receiver that stores
+// Data completes the at-rest digest from it (scrub.Complete). A check the
+// sender merely attached is never reported: on the in-process fabric, which
+// hands messages over by reference, nothing has verified it.
+func (m *Message) VerifiedCRC() (crc uint32, ok bool) {
+	return m.dataCRC, m.crcFrom == crcVerified
 }
 
 // Ok returns the generic success response.
@@ -153,12 +202,14 @@ func (m *Message) AsError() error {
 	return nil
 }
 
-// WireSize estimates the serialized size in bytes, used by the link model
-// to charge bandwidth. It intentionally matches the codec's framing closely
-// (exactness is not required; the dominant term is len(Data)).
+// WireSize returns len(Encode(m, nil)) without encoding: the link model
+// charges bandwidth by it and the frame writer sizes its scratch buffer from
+// it (a frame's meta segment is WireSize less the Data field). The terms
+// mirror the field walk in wire.go; TestWireSizeExact holds them to it.
 func (m *Message) WireSize() int {
-	s := 72 + len(m.Var) + len(m.Key) + len(m.Data) + len(m.Err)
-	s += 16 * m.Box.Dims()
+	// Fixed-width fields and length prefixes of Encode's walk, then the
+	// variable parts.
+	s := 101 + len(m.Var) + boxWireSize(m.Box) + len(m.Data) + len(m.Key) + len(m.Err)
 	if m.Meta != nil {
 		s += metaWireSize(m.Meta)
 	}
@@ -166,16 +217,29 @@ func (m *Message) WireSize() int {
 		s += metaWireSize(&m.Metas[i])
 	}
 	if m.StripeInfo != nil {
-		s += 32 + 24*len(m.StripeInfo.Members)
+		s += stripeWireSize(m.StripeInfo)
 	}
 	for i := range m.Stripes {
-		s += 32 + 24*len(m.Stripes[i].Members)
+		s += stripeWireSize(&m.Stripes[i])
 	}
 	return s
 }
 
+// dataFieldSize is what the Data field adds to Encode's output.
+func (m *Message) dataFieldSize() int { return 4 + len(m.Data) }
+
+func boxWireSize(b geometry.Box) int { return 16 * b.Dims() }
+
 func metaWireSize(meta *types.ObjectMeta) int {
-	return 72 + len(meta.ID.Var) + 16*meta.ID.Box.Dims() + 8*len(meta.Replicas)
+	return 74 + len(meta.ID.Var) + boxWireSize(meta.ID.Box) + 8*len(meta.Replicas)
+}
+
+func stripeWireSize(s *types.StripeInfo) int {
+	n := 36
+	for i := range s.Members {
+		n += 16 + len(s.Members[i].ObjectKey)
+	}
+	return n
 }
 
 // Handler processes one request and returns the response. Handlers must be
@@ -194,10 +258,11 @@ var (
 	// ErrPartitioned is returned when a network partition blocks the link
 	// between sender and destination.
 	ErrPartitioned = errors.New("transport: link partitioned")
-	// ErrCorruptFrame is returned when a wire frame fails its CRC32
-	// integrity check. The frame boundary is intact, so the message can
-	// simply be resent.
-	ErrCorruptFrame = errors.New("transport: corrupt frame (CRC32 mismatch)")
+	// ErrCorruptFrame is returned when a wire frame fails one of its
+	// CRC-32C checks. Damage to the meta or payload segment leaves the frame
+	// boundary intact, so only that request fails and is simply resent;
+	// damage to the fixed header costs the connection (see tcp.go).
+	ErrCorruptFrame = errors.New("transport: corrupt frame (CRC-32C mismatch)")
 	// ErrRemoteRetryable wraps MsgErr responses the peer flagged as
 	// transient (e.g. it received a corrupt request frame).
 	ErrRemoteRetryable = errors.New("transport: retryable remote error")

@@ -14,21 +14,33 @@ import (
 // fixed set of connections per peer carries many concurrent requests,
 // correlated by the frame header's request ID. Each connection runs one
 // writer goroutine (scatter-gather frame writes off a channel) and one
-// demultiplexing reader goroutine (pooled frame reads, responses routed to
-// per-request channels), with a bounded in-flight window applying
-// backpressure. The connection count and the window are sizing, not
-// protocol: any client interoperates with any TCPServer.
+// demultiplexing reader goroutine (responses routed to per-request
+// channels), with a bounded in-flight window applying backpressure. The
+// connection count and the window are sizing, not protocol: any client
+// interoperates with any TCPServer.
+//
+// The pending entry of a request keeps its RecvInto, and the reader lands
+// the response's payload there straight off the socket. What makes that
+// safe is one rule: roundTrip does not return while the reader may still
+// touch the buffer. The reader marks the connection as filling from the
+// moment it claims a pending request's buffer until it has read and checked
+// the payload; every way out of roundTrip other than the delivered result —
+// cancellation, connection failure — waits for that mark to clear, and a
+// request abandoned in mid-payload fails the connection first so the wait
+// does not depend on the peer.
 //
 // Failure semantics:
 //
-//   - A corrupt response frame fails only its own request with the
-//     retryable ErrCorruptFrame; the length prefix bounded the damage, so
-//     the stream realigns and every other pipelined request proceeds.
-//   - A dead connection (EOF, reset, write error) fails all its pending
-//     requests with the retryable ErrConnBroken and the next request
-//     transparently dials a replacement — and the failing request itself is
-//     salvaged by one immediate retry on the fresh connection (counted in
-//     MuxRedials), so a server restarted under its ID costs no request.
+//   - A response frame with a damaged segment fails only its own request
+//     with the retryable ErrCorruptFrame; the authenticated lengths bounded
+//     the damage, so the stream stays aligned and every other pipelined
+//     request proceeds.
+//   - A dead connection (EOF, reset, write error, a damaged frame header)
+//     fails all its pending requests with the retryable ErrConnBroken and
+//     the next request transparently dials a replacement — and the failing
+//     request itself is salvaged by one immediate retry on the fresh
+//     connection (counted in MuxRedials), so a server restarted under its ID
+//     costs no request.
 
 // DefaultMuxConns and DefaultMaxInFlight size a fabric that was given no
 // explicit values: connections per peer, and the pipelining window per
@@ -50,6 +62,13 @@ type muxWrite struct {
 	m     *Message
 }
 
+// muxPending is one request awaiting its response: where the result goes
+// and, when the request named one, where the payload lands.
+type muxPending struct {
+	ch   chan muxResult
+	into []byte
+}
+
 // muxSet is the per-peer connection set, used round-robin.
 type muxSet struct {
 	conns []*muxConn
@@ -69,9 +88,13 @@ type muxConn struct {
 	once sync.Once
 
 	mu      sync.Mutex
-	pending map[uint64]chan muxResult
-	broken  bool
-	cause   error
+	pending map[uint64]muxPending
+	// filling is the request whose RecvInto the reader has claimed and may
+	// be touching (0: none); fillIdle, on mu, signals its return to 0.
+	filling  uint64
+	fillIdle sync.Cond
+	broken   bool
+	cause    error
 }
 
 func newMuxConn(owner *TCPNetwork, conn net.Conn, window int) *muxConn {
@@ -81,8 +104,9 @@ func newMuxConn(owner *TCPNetwork, conn net.Conn, window int) *muxConn {
 		writeCh: make(chan muxWrite, window),
 		sem:     make(chan struct{}, window),
 		done:    make(chan struct{}),
-		pending: make(map[uint64]chan muxResult),
+		pending: make(map[uint64]muxPending),
 	}
+	mc.fillIdle.L = &mc.mu
 	go mc.writeLoop()
 	go mc.readLoop()
 	return mc
@@ -106,18 +130,18 @@ func (mc *muxConn) writeLoop() {
 }
 
 func (mc *muxConn) readLoop() {
-	hdr := make([]byte, frameHeaderSize)
+	fr := newFrameReader(mc.conn)
 	for {
-		reqID, m, err := readFramePooled(mc.conn, hdr)
+		reqID, m, err := fr.next(mc)
 		switch {
 		case err == nil:
 			mc.deliver(reqID, muxResult{m: m})
-		case errors.Is(err, ErrCorruptFrame):
-			// The frame boundary held, so the stream is realigned: fail
-			// only the request the corrupt frame answered and keep every
-			// other pipelined request in flight. The frame CRC covers the
+		case segmentCorrupt(err):
+			// The header held, so the stream is aligned: fail only the
+			// request the damaged frame answered and keep every other
+			// pipelined request in flight. The header check covers the
 			// request ID, so a corrupt ID cannot misroute the failure to a
-			// healthy request's frame.
+			// healthy request.
 			mc.deliver(reqID, muxResult{err: err})
 		default:
 			mc.fail(err)
@@ -126,32 +150,63 @@ func (mc *muxConn) readLoop() {
 	}
 }
 
+// claim implements payloadSink: the pending request's RecvInto, marked as
+// filling until unclaim when it is non-empty.
+func (mc *muxConn) claim(reqID uint64) (into []byte, wanted bool) {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	p, ok := mc.pending[reqID]
+	if !ok {
+		return nil, false
+	}
+	if len(p.into) > 0 {
+		mc.filling = reqID
+	}
+	return p.into, true
+}
+
+// unclaim implements payloadSink.
+func (mc *muxConn) unclaim() {
+	mc.mu.Lock()
+	mc.filling = 0
+	mc.fillIdle.Broadcast()
+	mc.mu.Unlock()
+}
+
 // deliver routes one response to its waiting request. The pending entry is
 // removed under the lock; the send happens outside it on a buffered
 // channel, so delivery never blocks on (or deadlocks with) the requester.
 func (mc *muxConn) deliver(reqID uint64, r muxResult) {
 	mc.mu.Lock()
-	ch := mc.pending[reqID]
+	p := mc.pending[reqID]
 	delete(mc.pending, reqID)
 	mc.mu.Unlock()
-	if ch != nil {
-		ch <- r
+	if p.ch != nil {
+		p.ch <- r
 	}
 	// A nil channel means the requester gave up (context cancellation) or
-	// the frame answered nothing we sent; either way the response is
-	// dropped and its buffer left to the GC.
+	// the frame answered nothing we sent; claim already had the reader skip
+	// the payload, and what is left of the response is dropped.
 }
 
-// forget abandons a pending request (context cancellation). Any late
-// response is discarded by deliver.
+// forget abandons a pending request (context cancellation): once the entry
+// is gone the reader can no longer claim its buffer, and a late response is
+// skipped. Should the reader be filling the buffer right now, the
+// connection is failed — that unblocks its read whatever the peer does —
+// and fail waits for it to let go.
 func (mc *muxConn) forget(reqID uint64) {
 	mc.mu.Lock()
 	delete(mc.pending, reqID)
+	filling := mc.filling == reqID
 	mc.mu.Unlock()
+	if filling {
+		mc.fail(errors.New("request abandoned in mid-payload"))
+	}
 }
 
 // fail marks the connection broken, closes it, and fails every pending
-// request with the retryable ErrConnBroken.
+// request with the retryable ErrConnBroken — after the reader has let go of
+// any buffer it was filling, since the failed requests' Sends return next.
 func (mc *muxConn) fail(cause error) {
 	mc.mu.Lock()
 	if !mc.broken {
@@ -159,13 +214,20 @@ func (mc *muxConn) fail(cause error) {
 		mc.cause = cause
 	}
 	pend := mc.pending
-	mc.pending = make(map[uint64]chan muxResult)
+	mc.pending = make(map[uint64]muxPending)
 	mc.mu.Unlock()
 	mc.once.Do(func() { close(mc.done) })
 	_ = mc.conn.Close() // the failure cause is what gets reported
+	// The close has unblocked the reader's read; wait until it holds no
+	// claimed buffer (it cannot claim another: pending is empty for good).
+	mc.mu.Lock()
+	for mc.filling != 0 {
+		mc.fillIdle.Wait()
+	}
+	mc.mu.Unlock()
 	err := fmt.Errorf("%w: %v", ErrConnBroken, cause)
-	for _, ch := range pend {
-		ch <- muxResult{err: err}
+	for _, p := range pend {
+		p.ch <- muxResult{err: err}
 	}
 }
 
@@ -212,7 +274,7 @@ func (mc *muxConn) roundTrip(ctx context.Context, req *Message) (*Message, error
 		mc.mu.Unlock()
 		return nil, mc.brokenErr()
 	}
-	mc.pending[reqID] = ch
+	mc.pending[reqID] = muxPending{ch: ch, into: req.RecvInto}
 	mc.mu.Unlock()
 
 	select {

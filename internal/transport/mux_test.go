@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"corec/internal/failure"
+	"corec/internal/scrub"
 	"corec/internal/types"
 )
 
@@ -28,91 +29,159 @@ func muxNetwork(t *testing.T, conns, window int) *TCPNetwork {
 
 // TestWriteFrameIDMatchesEncodeFrame differentially checks the zero-copy
 // scatter-gather writer against the allocate-and-copy framer: byte-for-byte
-// identical frames for the same message, across payload sizes that cross
-// the alias threshold and the split-write path.
+// identical frames for the same message, across payload sizes on both sides
+// of the reader's buffer and of the pooled size classes, with the payload
+// check computed and with it attached from a held digest.
 func TestWriteFrameIDMatchesEncodeFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, size := range []int{0, 1, 100, aliasMinBytes - 1, aliasMinBytes, 1 << 20} {
-		m := &Message{Kind: MsgPut, From: -3, Var: "v", Key: "k", Version: 9, Flag: true, Num: 42}
-		if size > 0 {
-			m.Data = make([]byte, size)
-			rng.Read(m.Data)
-		}
-		want := encodeFrameID(m, 77)
-		var got bytes.Buffer
-		if err := writeFrameID(&got, m, 77); err != nil {
-			t.Fatalf("size %d: writeFrameID: %v", size, err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("size %d: scatter-gather frame differs from EncodeFrame (%d vs %d bytes)",
-				size, got.Len(), len(want))
-		}
-		reqID, back, err := readFramePooled(bytes.NewReader(got.Bytes()), make([]byte, frameHeaderSize))
-		if err != nil {
-			t.Fatalf("size %d: readFramePooled: %v", size, err)
-		}
-		if reqID != 77 {
-			t.Fatalf("size %d: reqID = %d, want 77", size, reqID)
-		}
-		if back.Var != m.Var || back.Num != m.Num || !bytes.Equal(back.Data, m.Data) {
-			t.Fatalf("size %d: round trip mismatch", size)
+	for _, size := range []int{0, 1, 100, frameReaderBuf - 1, frameReaderBuf, class1, 1 << 20} {
+		for _, attach := range []bool{false, true} {
+			m := &Message{Kind: MsgPut, From: -3, Var: "v", Key: "k", Version: 9, Flag: true, Num: 42}
+			if size > 0 {
+				m.Data = make([]byte, size)
+				rng.Read(m.Data)
+			}
+			if attach {
+				m.AttachDigest(scrub.Checksum(m.Data))
+			}
+			want := encodeFrameID(m, 77)
+			var got bytes.Buffer
+			if err := writeFrameID(&got, m, 77); err != nil {
+				t.Fatalf("size %d: writeFrameID: %v", size, err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("size %d: scatter-gather frame differs from EncodeFrame (%d vs %d bytes)",
+					size, got.Len(), len(want))
+			}
+			if n, err := frameSize(m); err != nil || n+len(m.Data) != len(want) {
+				t.Fatalf("size %d: frameSize = %d, %v; the frame has %d bytes before its payload", size, n, err, len(want)-len(m.Data))
+			}
+			reqID, back, err := newFrameReader(bytes.NewReader(got.Bytes())).next(nil)
+			if err != nil {
+				t.Fatalf("size %d attach %v: read back: %v", size, attach, err)
+			}
+			if reqID != 77 {
+				t.Fatalf("size %d: reqID = %d, want 77", size, reqID)
+			}
+			if back.Var != m.Var || back.Num != m.Num || !bytes.Equal(back.Data, m.Data) {
+				t.Fatalf("size %d: round trip mismatch", size)
+			}
+			ref, err := DecodeFrame(want)
+			if err != nil || !bytes.Equal(ref.Data, m.Data) || ref.Key != m.Key {
+				t.Fatalf("size %d: DecodeFrame of the reference frame: %v", size, err)
+			}
+			if crc, ok := back.VerifiedCRC(); ok != (size > 0) || (ok && crc != scrub.CRC32C(0, m.Data)) {
+				t.Fatalf("size %d: VerifiedCRC = %08x, %v", size, crc, ok)
+			}
 		}
 	}
 }
 
-// TestAliasDecodeOwnership checks the read path's ownership rule: a large
-// payload aliases the frame buffer, which then belongs to the message and
-// is never handed out again — a later same-class read must not overwrite
-// it — while a small payload is copied and its buffer recycled at once.
-func TestAliasDecodeOwnership(t *testing.T) {
-	hdr := make([]byte, frameHeaderSize)
-	big := &Message{Kind: MsgGetBytes, Data: bytes.Repeat([]byte{5}, 64<<10)}
-	_, m, err := readFramePooled(bytes.NewReader(encodeFrameID(big, 1)), hdr)
+// fixedSink is a payloadSink over one request's buffer.
+type fixedSink struct {
+	id      uint64
+	into    []byte
+	claimed int
+}
+
+func (s *fixedSink) claim(reqID uint64) ([]byte, bool) {
+	if reqID != s.id {
+		return nil, false
+	}
+	if len(s.into) > 0 {
+		s.claimed++
+	}
+	return s.into, true
+}
+
+func (s *fixedSink) unclaim() { s.claimed-- }
+
+// TestRecvIntoOwnership checks the read path's ownership rule. A payload
+// lands in the buffer the pending request named, in full or up to its
+// length with the rest in Overflow, and the claim is released by the time
+// the frame is returned; without a buffer it gets an allocation of exactly
+// its size, which belongs to the message — later reads must not overwrite
+// it; a frame nobody waits for is skipped, the stream staying aligned; and
+// the pooled meta buffer is recycled whatever the payload's size.
+func TestRecvIntoOwnership(t *testing.T) {
+	payload := bytes.Repeat([]byte{5}, 64<<10)
+	frame := encodeFrameID(&Message{Kind: MsgGetBytes, Num: 7, Data: payload}, 1)
+
+	for _, room := range []int{len(payload), len(payload) + 100, len(payload) - 3} {
+		sink := &fixedSink{id: 1, into: make([]byte, room)}
+		_, m, err := newFrameReader(bytes.NewReader(frame)).next(sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := min(room, len(payload))
+		if len(m.Data) != n || &m.Data[0] != &sink.into[0] {
+			t.Fatalf("room %d: Data (%d bytes) is not the head of the named buffer", room, len(m.Data))
+		}
+		if !bytes.Equal(append(append([]byte(nil), m.Data...), m.Overflow...), payload) {
+			t.Fatalf("room %d: Data+Overflow differ from the payload", room)
+		}
+		if len(m.Overflow) != len(payload)-n {
+			t.Fatalf("room %d: %d overflow bytes, want %d", room, len(m.Overflow), len(payload)-n)
+		}
+		if sink.claimed != 0 {
+			t.Fatalf("room %d: claim still held after the frame was returned", room)
+		}
+		if m.Num != 7 {
+			t.Fatalf("room %d: meta decoded wrong", room)
+		}
+	}
+
+	// No buffer named: an exact allocation the message owns.
+	_, m, err := newFrameReader(bytes.NewReader(frame)).next(&fixedSink{id: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Aliased() {
-		t.Fatal("64KiB payload was copied, want aliased")
+	if len(m.Data) != len(payload) || cap(m.Data) != len(payload) {
+		t.Fatalf("own buffer: len %d cap %d, want exactly %d", len(m.Data), cap(m.Data), len(payload))
 	}
-	other := &Message{Kind: MsgGetBytes, Data: bytes.Repeat([]byte{9}, 64<<10)}
+	other := encodeFrameID(&Message{Kind: MsgGetBytes, Data: bytes.Repeat([]byte{9}, 64<<10)}, 3)
 	for i := 0; i < 8; i++ {
-		if _, _, err := readFramePooled(bytes.NewReader(encodeFrameID(other, 3)), hdr); err != nil {
+		if _, _, err := newFrameReader(bytes.NewReader(other)).next(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(m.Data, big.Data) {
-		t.Fatal("aliased payload overwritten by a later read: its buffer was recycled")
+	if !bytes.Equal(m.Data, payload) {
+		t.Fatal("a message's payload was overwritten by a later read")
+	}
+
+	// Nobody waits for request 2: its payload is skipped, the next frame reads.
+	stream := append(encodeFrameID(&Message{Kind: MsgGetBytes, Data: payload}, 2), frame...)
+	fr := newFrameReader(bytes.NewReader(stream))
+	sink := &fixedSink{id: 1, into: make([]byte, len(payload))}
+	if reqID, m, err := fr.next(sink); err != nil || reqID != 2 || m.Data != nil {
+		t.Fatalf("unwanted frame: reqID %d err %v data %d bytes, want 2, nil and none", reqID, err, len(m.Data))
+	}
+	if reqID, m, err := fr.next(sink); err != nil || reqID != 1 || !bytes.Equal(m.Data, payload) {
+		t.Fatalf("frame after a skipped one: reqID %d err %v", reqID, err)
 	}
 
 	// Under the race detector sync.Pool randomly discards Puts, so allow a
 	// few round trips before requiring a hit.
-	small := &Message{Kind: MsgGetBytes, Data: []byte("tiny")}
 	hits0, _ := BufferPoolStats()
 	reused := false
 	for i := 0; i < 8 && !reused; i++ {
-		_, m, err = readFramePooled(bytes.NewReader(encodeFrameID(small, 2)), hdr)
-		if err != nil {
+		if _, _, err := newFrameReader(bytes.NewReader(frame)).next(nil); err != nil {
 			t.Fatal(err)
-		}
-		if m.Aliased() {
-			t.Fatal("4-byte payload aliased a pooled buffer")
-		}
-		if !bytes.Equal(m.Data, small.Data) {
-			t.Fatal("copied payload corrupted")
 		}
 		hits1, _ := BufferPoolStats()
 		reused = i > 0 && hits1 > hits0
 	}
 	if !reused {
-		t.Fatal("buffer of a copied frame never reused by subsequent reads")
+		t.Fatal("meta buffer of a bulk frame never reused by subsequent reads")
 	}
 }
 
 // TestPipelinedStreamFuzzCorruptionRealigns fuzzes a pipelined frame
-// stream: several frames back to back with one corrupted mid-stream. Only
-// the corrupted frame's request may fail — with ErrCorruptFrame and its
-// own recovered request ID — and every later frame must decode intact,
-// because the length prefix keeps the stream aligned.
+// stream: several frames back to back with one corrupted mid-stream, in
+// its meta or its payload segment. Only the corrupted frame's request may
+// fail — with ErrCorruptFrame and its own authenticated request ID — and
+// every later frame must decode intact, because the checked lengths keep
+// the stream aligned.
 func TestPipelinedStreamFuzzCorruptionRealigns(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for round := 0; round < 200; round++ {
@@ -126,21 +195,21 @@ func TestPipelinedStreamFuzzCorruptionRealigns(t *testing.T) {
 			rng.Read(m.Data)
 			frame := encodeFrameID(m, uint64(100+i))
 			if i == victim {
-				// Corrupt one payload byte (past the header, so the frame
+				// Corrupt one segment bit (past the header, so the frame
 				// boundary holds and realignment is possible).
 				off := frameHeaderSize + rng.Intn(len(frame)-frameHeaderSize)
 				frame[off] ^= 1 << uint(rng.Intn(8))
 			}
 			stream.Write(frame)
 		}
-		r := bytes.NewReader(stream.Bytes())
+		fr := newFrameReader(bytes.NewReader(stream.Bytes()))
 		for i := 0; i < frames; i++ {
-			reqID, m, err := readFramePooled(r, make([]byte, frameHeaderSize))
+			reqID, m, err := fr.next(nil)
 			if reqID != uint64(100+i) {
 				t.Fatalf("round %d frame %d: reqID %d, want %d", round, i, reqID, 100+i)
 			}
 			if i == victim {
-				if !errors.Is(err, ErrCorruptFrame) {
+				if !segmentCorrupt(err) {
 					t.Fatalf("round %d: corrupt frame %d returned %v, want ErrCorruptFrame", round, i, err)
 				}
 				continue

@@ -1,153 +1,303 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"corec/internal/scrub"
 	"corec/internal/types"
 )
 
-// The TCP fabric serializes Messages with the wire codec and frames them
-// with a 16-byte header: a little-endian payload length, the frame's CRC32
-// (IEEE), and a 64-bit request ID that correlates responses with requests
-// on the multiplexed connections of mux.go. The CRC covers the request ID
-// and the payload, so every header corruption is detected — a flipped
-// length fails the length/stream check, a flipped CRC or ID fails the
-// checksum — and turns into the typed, retryable ErrCorruptFrame instead
-// of a decode panic or silent garbage. Because the length prefix still
-// bounds the frame, the stream stays aligned and the connection survives a
-// corrupt frame.
+// The TCP fabric frames every Message as a fixed header and two segments:
+//
+//	offset  size  field
+//	0       4     meta length     uint32 LE
+//	4       4     payload length  uint32 LE
+//	8       8     request ID      uint64 LE, correlates responses on mux.go's connections
+//	16      4     payload check   CRC-32C of the payload segment (0 when it is empty)
+//	20      4     meta check      CRC-32C of the meta segment
+//	24      4     header check    CRC-32C of bytes 0..23
+//	28      ml    meta segment    Encode's field walk with Data elided
+//	28+ml   pl    payload segment Message.Data, byte for byte
+//
+// The reader verifies the header check before it believes anything else:
+// until it has, neither length sizes an allocation and the request ID names
+// no buffer, so a damaged length cannot make a reader reserve a gigabyte and
+// wait for bytes that never come. A header that fails it leaves the stream
+// unframed and costs the connection (errCorruptHeader; the mux salvages the
+// requests in flight on a fresh one). Damage to either segment is bounded
+// by the authenticated lengths: the stream stays aligned and only that
+// request fails, with the typed, retryable ErrCorruptFrame.
+//
+// The payload is a segment of its own so that it can be written from, and
+// read into, the memory it lives in. Its check is CRC-32C because that is
+// the high word of the at-rest digest (scrub.Checksum): a sender that holds
+// the digest attaches it and makes no pass over the bytes
+// (Message.AttachDigest), the receiver computes the check once over what
+// arrived, and a receiver that stores the payload completes the digest from
+// that verified word with the IEEE half alone (Message.VerifiedCRC).
 
 const maxFrame = 1 << 30
 
-// frameHeaderSize is the frame header: uint32 payload length + uint32
-// CRC32(request ID || payload) + uint64 request ID.
-const frameHeaderSize = 16
+// frameHeaderSize is the fixed header above.
+const frameHeaderSize = 28
 
-// frameCRC chains the frame checksum over the request ID and the logical
-// payload segments without concatenating them — the scatter-gather send
-// path hands the header+metadata and Data slices separately. id is the
-// request ID exactly as framed: the 8 little-endian bytes at header offset
-// 8 (taking the already-encoded bytes instead of the uint64 keeps a
-// scratch buffer, and its per-call heap escape, off the hot path).
-func frameCRC(id []byte, segments ...[]byte) uint32 {
-	crc := crc32.Update(0, crc32.IEEETable, id)
-	for _, s := range segments {
-		crc = crc32.Update(crc, crc32.IEEETable, s)
-	}
-	return crc
+// errCorruptHeader reports a frame whose fixed header failed its own check:
+// the lengths cannot be trusted, so the stream cannot be realigned.
+var errCorruptHeader = fmt.Errorf("%w: header check failed", ErrCorruptFrame)
+
+// segmentCorrupt reports damage confined to a frame's meta or payload
+// segment: the request ID is authentic and the stream aligned on the next
+// frame.
+func segmentCorrupt(err error) bool {
+	return errors.Is(err, ErrCorruptFrame) && !errors.Is(err, errCorruptHeader)
 }
 
-// EncodeFrame serializes one message into a self-contained frame:
-// length-prefixed, CRC32-protected wire bytes as written to a TCP stream,
-// under request ID 0. It is the allocate-and-copy reference that
-// writeFrameID is tested against, and the frame FaultyNetwork corrupts.
+// Cumulative payload-check outcomes, process-global like the buffer pools.
+var payloadChecksComputed, payloadChecksAttached, payloadChecksVerified atomic.Int64
+
+// PayloadCheckStats reports how the frames of this process came by their
+// payload checks: computed counts sends that made a CRC-32C pass over Data,
+// attached sends that took the check from a digest the sender held
+// (Message.AttachDigest) and made none, verified the passes frame readers
+// made over received payloads.
+func PayloadCheckStats() (computed, attached, verified int64) {
+	return payloadChecksComputed.Load(), payloadChecksAttached.Load(), payloadChecksVerified.Load()
+}
+
+// payloadCheck returns the check the frame carries for m.Data.
+func payloadCheck(m *Message) uint32 {
+	switch {
+	case len(m.Data) == 0:
+		return 0
+	case m.crcFrom == crcAttached:
+		payloadChecksAttached.Add(1)
+		return m.dataCRC
+	default:
+		payloadChecksComputed.Add(1)
+		return scrub.CRC32C(0, m.Data)
+	}
+}
+
+// sealHeader fills the fixed header at the front of buf, whose meta segment
+// (buf[frameHeaderSize:]) is already encoded.
+func sealHeader(buf []byte, m *Message, reqID uint64) {
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-frameHeaderSize))
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(m.Data)))
+	binary.LittleEndian.PutUint64(buf[8:16], reqID)
+	binary.LittleEndian.PutUint32(buf[16:20], payloadCheck(m))
+	binary.LittleEndian.PutUint32(buf[20:24], scrub.CRC32C(0, buf[frameHeaderSize:]))
+	binary.LittleEndian.PutUint32(buf[24:28], scrub.CRC32C(0, buf[:24]))
+}
+
+// frameSize rejects a message no frame can carry and returns the exact size
+// of its header plus meta segment.
+func frameSize(m *Message) (int, error) {
+	metaLen := m.WireSize() - m.dataFieldSize()
+	if metaLen > maxFrame || len(m.Data) > maxFrame {
+		return 0, fmt.Errorf("transport: frame of %d+%d bytes exceeds limit", metaLen, len(m.Data))
+	}
+	return frameHeaderSize + metaLen, nil
+}
+
+// EncodeFrame serializes one message into a self-contained frame, exactly
+// the bytes written to a TCP stream, under request ID 0. It is the
+// allocate-and-copy reference that writeFrameID is tested against, and the
+// frame FaultyNetwork corrupts.
 func EncodeFrame(m *Message) []byte { return encodeFrameID(m, 0) }
 
 func encodeFrameID(m *Message, reqID uint64) []byte {
-	buf := Encode(m, make([]byte, frameHeaderSize, frameHeaderSize+m.WireSize()))
-	payload := buf[frameHeaderSize:]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(buf[8:16], reqID)
-	binary.LittleEndian.PutUint32(buf[4:8], frameCRC(buf[8:16], payload))
-	return buf
+	buf := Encode(m, make([]byte, frameHeaderSize, frameHeaderSize+m.WireSize()), elideData)
+	sealHeader(buf, m, reqID)
+	return append(buf, m.Data...)
 }
 
 // DecodeFrame parses one complete frame produced by EncodeFrame, verifying
-// its CRC32 before decoding. A checksum mismatch yields ErrCorruptFrame.
+// all three checks before decoding; the payload is copied out. A mismatch
+// yields ErrCorruptFrame.
 func DecodeFrame(buf []byte) (*Message, error) {
 	if len(buf) < frameHeaderSize {
 		return nil, fmt.Errorf("transport: frame of %d bytes shorter than header", len(buf))
 	}
-	n := binary.LittleEndian.Uint32(buf[0:4])
-	if n > maxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	if scrub.CRC32C(0, buf[:24]) != binary.LittleEndian.Uint32(buf[24:28]) {
+		return nil, errCorruptHeader
 	}
-	if int(n)+frameHeaderSize != len(buf) {
-		return nil, fmt.Errorf("transport: frame length %d does not match %d buffered bytes", n, len(buf)-frameHeaderSize)
+	metaLen := binary.LittleEndian.Uint32(buf[0:4])
+	dataLen := binary.LittleEndian.Uint32(buf[4:8])
+	if metaLen > maxFrame || dataLen > maxFrame {
+		return nil, fmt.Errorf("transport: frame of %d+%d bytes exceeds limit", metaLen, dataLen)
 	}
-	payload := buf[frameHeaderSize:]
-	if got, want := frameCRC(buf[8:16], payload), binary.LittleEndian.Uint32(buf[4:8]); got != want {
-		return nil, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorruptFrame, got, want)
+	if frameHeaderSize+int(metaLen)+int(dataLen) != len(buf) {
+		return nil, fmt.Errorf("transport: frame lengths %d+%d do not match %d buffered bytes", metaLen, dataLen, len(buf)-frameHeaderSize)
 	}
-	return Decode(payload)
+	meta, data := buf[frameHeaderSize:frameHeaderSize+int(metaLen)], buf[frameHeaderSize+int(metaLen):]
+	if got, want := scrub.CRC32C(0, meta), binary.LittleEndian.Uint32(buf[20:24]); got != want {
+		return nil, fmt.Errorf("%w: meta check %08x, want %08x", ErrCorruptFrame, got, want)
+	}
+	if got, want := scrub.CRC32C(0, data), binary.LittleEndian.Uint32(buf[16:20]); got != want {
+		return nil, fmt.Errorf("%w: payload check %08x, want %08x", ErrCorruptFrame, got, want)
+	}
+	m, err := Decode(meta, elidedData)
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > 0 {
+		m.Data = append([]byte(nil), data...)
+	}
+	return m, nil
 }
 
-// writeFrameID writes one frame with scatter-gather I/O: the header and
-// wire metadata are encoded into a pooled scratch buffer, the Data payload
-// is written straight from the caller's slice (never copied), and the CRC
-// is chained across the logical payload segments. On a *net.TCPConn the
-// three segments go out as a single writev.
+// writeFrameID writes one frame with scatter-gather I/O: header and meta
+// segment are encoded into a pooled scratch buffer of exactly their size,
+// the payload is written straight from the caller's slice (never copied);
+// on a *net.TCPConn the two go out as a single writev.
 func writeFrameID(w io.Writer, m *Message, reqID uint64) error {
-	// WireSize is a close estimate, not a bound (its fixed term undercounts
-	// the field prefixes by a few dozen bytes); the slack keeps Encode from
-	// outgrowing the pooled scratch and paying a realloc every frame.
-	scratchLen := frameHeaderSize + m.WireSize() - len(m.Data) + 64
-	scratch := getBuf(scratchLen)
-	defer putBuf(scratch)
-	var mark int
-	buf := Encode(m, scratch[:frameHeaderSize], SplitData(&mark))
-	payloadLen := len(buf) - frameHeaderSize + len(m.Data)
-	if payloadLen > maxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", payloadLen)
+	n, err := frameSize(m)
+	if err != nil {
+		return err
 	}
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(payloadLen))
-	binary.LittleEndian.PutUint64(buf[8:16], reqID)
-	binary.LittleEndian.PutUint32(buf[4:8], frameCRC(buf[8:16], buf[frameHeaderSize:mark], m.Data, buf[mark:]))
-	bufs := net.Buffers{buf[:mark], m.Data, buf[mark:]}
-	_, err := bufs.WriteTo(w)
+	scratch := getBuf(n)
+	defer putBuf(scratch)
+	buf := Encode(m, scratch[:frameHeaderSize], elideData)
+	sealHeader(buf, m, reqID)
+	if len(m.Data) == 0 {
+		_, err = w.Write(buf)
+		return err
+	}
+	bufs := net.Buffers{buf, m.Data}
+	_, err = bufs.WriteTo(w)
 	return err
 }
 
-// readFramePooled reads one frame into a buffer from getBuf and decodes it
-// with Data aliasing. The buffer is recycled here unless the decoded
-// message aliases it, in which case it belongs to the Message and the GC
-// (see buffers.go for the ownership rule).
+// frameReaderBuf sizes a connection's read buffer: a small frame — header,
+// meta and a payload of a KiB or so — arrives in one read, several when they
+// are pipelined, while a bulk payload larger than the buffer bypasses it
+// (bufio reads straight into the destination once its buffer is drained).
+const frameReaderBuf = 4 << 10
+
+// frameReader reads frames off one connection.
+type frameReader struct {
+	br  *bufio.Reader
+	hdr [frameHeaderSize]byte
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, frameReaderBuf)}
+}
+
+// payloadSink is how a connection that multiplexes requests places response
+// payloads: next asks it, once the header has authenticated the request ID,
+// whether anyone still waits for that request and whether they named memory
+// for the payload.
+type payloadSink interface {
+	// claim returns the RecvInto of the pending request, nil when it named
+	// none, and wanted == false when no such request is pending (the frame
+	// is late, or answers nothing we sent) and the payload is to be skipped.
+	// A non-empty into stays claimed until unclaim.
+	claim(reqID uint64) (into []byte, wanted bool)
+	// unclaim ends a claim: the reader no longer touches the buffer.
+	unclaim()
+}
+
+// next reads one frame. The meta segment goes through a pooled buffer that
+// is back in the pool when next returns; the payload lands in the memory the
+// sink names, or in a buffer of exactly its size that belongs to the
+// returned message (see buffers.go). A nil sink places every payload that
+// way (the server side: a stored object keeps its buffer).
 //
-// The request ID is returned even when the frame fails its integrity
-// check, so a demultiplexing reader can fail just that request and keep
-// the stream: the length prefix was honoured, the stream is realigned, and
-// the CRC covered the ID itself, so a corrupt ID cannot silently misroute
-// a healthy frame.
-// hdr is caller-provided scratch of at least frameHeaderSize bytes; the
-// per-connection read loops allocate it once, because a local array here
-// would escape into the io.Reader call and cost an allocation per frame.
-func readFramePooled(r io.Reader, hdr []byte) (reqID uint64, m *Message, err error) {
-	hdr = hdr[:frameHeaderSize]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+// On ErrCorruptFrame other than errCorruptHeader the request ID is
+// authentic and the stream is aligned on the next frame, so a
+// demultiplexing reader fails just that request and carries on.
+func (fr *frameReader) next(sink payloadSink) (reqID uint64, m *Message, err error) {
+	hdr := fr.hdr[:]
+	if _, err := io.ReadFull(fr.br, hdr); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	if scrub.CRC32C(0, hdr[:24]) != binary.LittleEndian.Uint32(hdr[24:28]) {
+		return 0, nil, errCorruptHeader
+	}
+	metaLen := binary.LittleEndian.Uint32(hdr[0:4])
+	dataLen := binary.LittleEndian.Uint32(hdr[4:8])
 	reqID = binary.LittleEndian.Uint64(hdr[8:16])
-	if n > maxFrame {
-		return reqID, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	if metaLen > maxFrame || dataLen > maxFrame {
+		return reqID, nil, fmt.Errorf("transport: frame of %d+%d bytes exceeds limit", metaLen, dataLen)
 	}
-	buf := getBuf(int(n))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		putBuf(buf)
+	meta := getBuf(int(metaLen))
+	defer putBuf(meta)
+	if _, err := io.ReadFull(fr.br, meta); err != nil {
 		return reqID, nil, err
 	}
-	if got, want := frameCRC(hdr[8:16], buf), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
-		putBuf(buf)
-		return reqID, nil, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorruptFrame, got, want)
+	if got, want := scrub.CRC32C(0, meta), binary.LittleEndian.Uint32(hdr[20:24]); got != want {
+		// Nobody can use the payload of a frame whose meta is damaged: skip
+		// it without claiming anyone's memory.
+		if err := fr.skip(dataLen); err != nil {
+			return reqID, nil, err
+		}
+		return reqID, nil, fmt.Errorf("%w: meta check %08x, want %08x", ErrCorruptFrame, got, want)
 	}
-	m, err = Decode(buf, AliasData())
+	var data, overflow []byte
+	dataCRC := binary.LittleEndian.Uint32(hdr[16:20])
+	if dataLen > 0 {
+		data, overflow, err = fr.payload(sink, reqID, int(dataLen), dataCRC)
+		if err != nil {
+			return reqID, nil, err
+		}
+	}
+	m, err = Decode(meta, elidedData)
 	if err != nil {
-		putBuf(buf)
 		return reqID, nil, err
 	}
-	if !m.Aliased() {
-		putBuf(buf)
+	if data != nil {
+		m.Data, m.Overflow = data, overflow
+		m.dataCRC, m.crcFrom = dataCRC, crcVerified
 	}
 	return reqID, m, nil
+}
+
+// payload reads an n-byte payload segment to where it will live and checks
+// it against want. data is nil when the sink wanted none of it.
+func (fr *frameReader) payload(sink payloadSink, reqID uint64, n int, want uint32) (data, overflow []byte, err error) {
+	var into []byte
+	if sink != nil {
+		var wanted bool
+		if into, wanted = sink.claim(reqID); !wanted {
+			return nil, nil, fr.skip(uint32(n))
+		}
+	}
+	if len(into) == 0 {
+		data = make([]byte, n)
+	} else {
+		defer sink.unclaim()
+		data = into[:min(n, len(into))]
+		if n > len(data) {
+			overflow = make([]byte, n-len(data))
+		}
+	}
+	if _, err := io.ReadFull(fr.br, data); err != nil {
+		return nil, nil, err
+	}
+	if _, err := io.ReadFull(fr.br, overflow); err != nil {
+		return nil, nil, err
+	}
+	payloadChecksVerified.Add(1)
+	if got := scrub.CRC32C(scrub.CRC32C(0, data), overflow); got != want {
+		return nil, nil, fmt.Errorf("%w: payload check %08x, want %08x", ErrCorruptFrame, got, want)
+	}
+	return data, overflow, nil
+}
+
+// skip consumes n payload bytes nobody will read.
+func (fr *frameReader) skip(n uint32) error {
+	_, err := io.CopyN(io.Discard, fr.br, int64(n))
+	return err
 }
 
 // maxConnHandlers bounds concurrently executing handlers per connection,
@@ -155,10 +305,10 @@ func readFramePooled(r io.Reader, hdr []byte) (reqID uint64, m *Message, err err
 const maxConnHandlers = 256
 
 // TCPServer serves the staging protocol on a TCP listener, dispatching each
-// request to a Handler. One reader goroutine per connection decodes
-// requests from pooled frame buffers and hands each to its own handler
-// goroutine; responses echo the request ID, so a multiplexing client can
-// interleave many requests on one stream.
+// request to a Handler. One reader goroutine per connection reads request
+// frames and hands each to its own handler goroutine; responses echo the
+// request ID, so a multiplexing client can interleave many requests on one
+// stream.
 type TCPServer struct {
 	handler  Handler
 	listener net.Listener
@@ -205,12 +355,12 @@ func (s *TCPServer) acceptLoop() {
 	}
 }
 
-// serveConn is the per-connection loop: frames are read into pooled
-// buffers, each request runs in its own handler goroutine, and responses
-// are serialized onto the stream under wmu carrying the request's ID. A
-// corrupt request frame fails only that request — the length prefix held,
-// so the stream is realigned and the retryable error is routed back under
-// the recovered ID.
+// serveConn is the per-connection loop: each request runs in its own handler
+// goroutine, and responses are serialized onto the stream under wmu carrying
+// the request's ID. A request frame with a damaged segment fails only that
+// request — the header held, so the stream is aligned and the retryable
+// error is routed back under the authenticated ID; a damaged header ends
+// the connection.
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -221,11 +371,11 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}()
 	var wmu sync.Mutex
 	sem := make(chan struct{}, maxConnHandlers)
-	hdr := make([]byte, frameHeaderSize)
+	fr := newFrameReader(conn)
 	for {
-		reqID, req, err := readFramePooled(conn, hdr)
+		reqID, req, err := fr.next(nil)
 		if err != nil {
-			if errors.Is(err, ErrCorruptFrame) {
+			if segmentCorrupt(err) {
 				resp := Errf("%v", err)
 				resp.Flag = true // retryable: the client should resend
 				wmu.Lock()

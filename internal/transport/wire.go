@@ -13,17 +13,20 @@ import (
 // (Meta, StripeInfo) carry a one-byte presence flag. It exists so the TCP
 // fabric has a stable, allocation-conscious codec without reflection
 // (encoding/gob) or external schema tooling.
+//
+// Encode/Decode are self-contained: Data travels inline, length-prefixed
+// like any other field. A TCP frame (tcp.go) runs the same field walk with
+// Data elided — the payload is a frame segment of its own, written from and
+// read into the memory it lives in — so its meta segment is exactly
+// Encode's output less the Data field. Decode never keeps a reference to
+// its input: a frame's pooled meta buffer always goes back to the pool.
 
 const maxWireLen = 1 << 30 // sanity bound on any length prefix
 
 type encoder struct {
 	buf []byte
-	// splitData, when set, makes bytes() emit only the length prefix and
-	// record the payload's insertion point in *dataMark: the caller sends
-	// the Data slice itself as a separate scatter-gather segment, so the
-	// payload is never copied into the wire buffer.
-	splitData bool
-	dataMark  *int
+	// noData elides the Data field (see elideData).
+	noData bool
 }
 
 func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
@@ -45,14 +48,8 @@ func (e *encoder) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// bytes is only used for the Message.Data payload, which is why the
-// split-mode shortcut can assume it runs at most once per message.
 func (e *encoder) bytes(b []byte) {
 	e.u32(uint32(len(b)))
-	if e.splitData {
-		*e.dataMark = len(e.buf)
-		return
-	}
 	e.buf = append(e.buf, b...)
 }
 
@@ -102,11 +99,8 @@ type decoder struct {
 	buf []byte
 	off int
 	err error
-	// aliasData, when set, lets bytes() return a sub-slice of buf for large
-	// payloads instead of copying; aliased records whether it did, because
-	// ownership of buf then transfers to the Message.
-	aliasData bool
-	aliased   bool
+	// noData: the input was encoded with the Data field elided.
+	noData bool
 }
 
 func (d *decoder) fail(what string) {
@@ -160,12 +154,6 @@ func (d *decoder) str() string {
 	return s
 }
 
-// aliasMinBytes is the smallest Data payload the alias-mode decoder hands
-// out as a sub-slice of the frame buffer. Below it the copy is cheaper than
-// losing the buffer to the pool; the 4·n ≥ cap guard additionally refuses
-// to pin a large pooled buffer for a comparatively small payload.
-const aliasMinBytes = 4 << 10
-
 func (d *decoder) bytes() []byte {
 	n := d.u32()
 	if d.err != nil || n > maxWireLen || d.off+int(n) > len(d.buf) {
@@ -174,12 +162,6 @@ func (d *decoder) bytes() []byte {
 	}
 	if n == 0 {
 		return nil
-	}
-	if d.aliasData && int(n) >= aliasMinBytes && 4*int(n) >= cap(d.buf) {
-		b := d.buf[d.off : d.off+int(n) : d.off+int(n)]
-		d.off += int(n)
-		d.aliased = true
-		return b
 	}
 	b := make([]byte, n)
 	copy(b, d.buf[d.off:])
@@ -255,38 +237,21 @@ func (d *decoder) stripeInfo() *types.StripeInfo {
 	return s
 }
 
-// EncodeOpt tunes one Encode call. Options exist so the zero-copy framing
-// layer can reuse the single canonical field walk below instead of keeping
-// a drift-prone duplicate of it.
+// EncodeOpt tunes one Encode call. Options exist so the framing layer can
+// reuse the single canonical field walk below instead of keeping a
+// drift-prone duplicate of it.
 type EncodeOpt func(*encoder)
 
-// SplitData makes Encode emit everything except the Data payload bytes:
-// the length prefix is written as usual and the payload's insertion offset
-// is stored in *mark, so the caller can write buf[:mark], m.Data, buf[mark:]
-// as one scatter-gather frame without ever copying the payload.
-func SplitData(mark *int) EncodeOpt {
-	return func(e *encoder) {
-		e.splitData = true
-		e.dataMark = mark
-	}
-}
+// elideData makes Encode skip the Data field altogether: the frame writer
+// sends the payload as its own segment, straight from the caller's slice.
+func elideData(e *encoder) { e.noData = true }
 
 // DecodeOpt tunes one Decode call.
 type DecodeOpt func(*decoder)
 
-// AliasData makes Decode return large Data payloads as sub-slices of buf
-// instead of copies. When aliasing happens buf belongs to the Message and
-// the buffer must not be reused or recycled by the caller; Aliased reports
-// the outcome.
-func AliasData() DecodeOpt {
-	return func(d *decoder) {
-		d.aliasData = true
-	}
-}
-
-// Aliased reports whether the message's Data aliases the decode buffer
-// (ownership of the buffer rests with the message).
-func (m *Message) Aliased() bool { return m.aliased }
+// elidedData makes Decode expect input encoded with elideData; Data stays
+// nil for the frame reader to attach.
+func elidedData(d *decoder) { d.noData = true }
 
 // Encode serializes the message, appending to dst (which may be nil) and
 // returning the extended slice.
@@ -300,7 +265,9 @@ func Encode(m *Message, dst []byte, opts ...EncodeOpt) []byte {
 	e.str(m.Var)
 	e.box(m.Box)
 	e.i64(int64(m.Version))
-	e.bytes(m.Data)
+	if !e.noData {
+		e.bytes(m.Data)
+	}
 	e.str(m.Key)
 	e.i64(int64(m.Stripe.Group))
 	e.u64(m.Stripe.Seq)
@@ -328,7 +295,6 @@ func Encode(m *Message, dst []byte, opts ...EncodeOpt) []byte {
 	e.i64(m.Num)
 	e.u64(m.Sum)
 	e.str(m.Err)
-	_ = m.aliased // buffer-ownership bookkeeping, deliberately not a wire field
 	return e.buf
 }
 
@@ -348,7 +314,9 @@ func Decode(buf []byte, opts ...DecodeOpt) (*Message, error) {
 	m.Var = d.str()
 	m.Box = d.box()
 	m.Version = types.Version(d.i64())
-	m.Data = d.bytes()
+	if !d.noData {
+		m.Data = d.bytes()
+	}
 	m.Key = d.str()
 	m.Stripe.Group = int(d.i64())
 	m.Stripe.Seq = d.u64()
@@ -393,6 +361,5 @@ func Decode(buf []byte, opts ...DecodeOpt) (*Message, error) {
 	if d.off != len(buf) {
 		return nil, fmt.Errorf("transport: %d trailing bytes after message", len(buf)-d.off)
 	}
-	m.aliased = d.aliased
 	return m, nil
 }

@@ -101,34 +101,94 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
+// randMessage draws a message that exercises every wire field, optional
+// sub-records and repeated ones included.
+func randMessage(rng *rand.Rand) *Message {
+	m := &Message{
+		Kind:       Kind(rng.Intn(int(kindCount))),
+		From:       types.ServerID(rng.Intn(64) - 2),
+		Var:        randString(rng, 12),
+		Version:    types.Version(rng.Int63n(1000)),
+		Key:        randString(rng, 30),
+		Stripe:     types.StripeID{Group: rng.Intn(9), Seq: rng.Uint64()},
+		ShardIndex: rng.Intn(6),
+		K:          rng.Intn(9), M: rng.Intn(4), ShardSize: rng.Intn(1 << 20),
+		Num:  rng.Int63() - (1 << 62),
+		Sum:  rng.Uint64(),
+		Flag: rng.Intn(2) == 0,
+		Err:  randString(rng, 20),
+	}
+	if rng.Intn(2) == 0 {
+		m.Box = randBox(rng)
+	}
+	if n := rng.Intn(64); n > 0 {
+		m.Data = make([]byte, n)
+		rng.Read(m.Data)
+	}
+	if rng.Intn(3) == 0 {
+		meta := randMeta(rng)
+		m.Meta = &meta
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		m.Metas = append(m.Metas, randMeta(rng))
+	}
+	if rng.Intn(3) == 0 {
+		m.StripeInfo = randStripe(rng)
+	}
+	for i := rng.Intn(3); i > 0; i-- {
+		m.Stripes = append(m.Stripes, *randStripe(rng))
+	}
+	return m
+}
+
+func randBox(rng *rand.Rand) geometry.Box {
+	dims := 1 + rng.Intn(4)
+	lo := make([]int64, dims)
+	hi := make([]int64, dims)
+	for d := range lo {
+		lo[d] = int64(rng.Intn(100))
+		hi[d] = lo[d] + 1 + int64(rng.Intn(100))
+	}
+	return geometry.Box{Lo: lo, Hi: hi}
+}
+
+func randMeta(rng *rand.Rand) types.ObjectMeta {
+	meta := types.ObjectMeta{
+		ID:         types.ObjectID{Var: randString(rng, 12)},
+		Version:    types.Version(rng.Int63n(1000)),
+		Seq:        rng.Uint64(),
+		Size:       rng.Intn(1 << 22),
+		State:      types.ResilienceState(rng.Intn(3)),
+		Checksum:   rng.Uint64(),
+		Primary:    types.ServerID(rng.Intn(64)),
+		Stripe:     types.StripeID{Group: rng.Intn(9), Seq: rng.Uint64()},
+		ShardIndex: rng.Intn(6),
+	}
+	if rng.Intn(2) == 0 {
+		meta.ID.Box = randBox(rng)
+	}
+	for i := rng.Intn(3); i > 0; i-- {
+		meta.Replicas = append(meta.Replicas, types.ServerID(rng.Intn(64)))
+	}
+	return meta
+}
+
+func randStripe(rng *rand.Rand) *types.StripeInfo {
+	s := &types.StripeInfo{
+		ID: types.StripeID{Group: rng.Intn(9), Seq: rng.Uint64()},
+		K:  1 + rng.Intn(8), M: 1 + rng.Intn(3), ShardSize: rng.Intn(1 << 20),
+		Members: []types.StripeMember{},
+	}
+	for i := rng.Intn(6); i > 0; i-- {
+		s.Members = append(s.Members, types.StripeMember{Server: types.ServerID(rng.Intn(64)), Index: i, ObjectKey: randString(rng, 30)})
+	}
+	return s
+}
+
 func TestEncodeDecodePropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	f := func() bool {
-		m := &Message{
-			Kind:    Kind(rng.Intn(int(kindCount))),
-			From:    types.ServerID(rng.Intn(64) - 2),
-			Var:     randString(rng, 12),
-			Version: types.Version(rng.Int63n(1000)),
-			Key:     randString(rng, 30),
-			Num:     rng.Int63() - (1 << 62),
-			Sum:     rng.Uint64(),
-			Flag:    rng.Intn(2) == 0,
-			Err:     randString(rng, 20),
-		}
-		if rng.Intn(2) == 0 {
-			dims := 1 + rng.Intn(4)
-			lo := make([]int64, dims)
-			hi := make([]int64, dims)
-			for d := range lo {
-				lo[d] = int64(rng.Intn(100))
-				hi[d] = lo[d] + 1 + int64(rng.Intn(100))
-			}
-			m.Box = geometry.Box{Lo: lo, Hi: hi}
-		}
-		if n := rng.Intn(64); n > 0 {
-			m.Data = make([]byte, n)
-			rng.Read(m.Data)
-		}
+		m := randMessage(rng)
 		got, err := Decode(Encode(m, nil))
 		if err != nil {
 			return false
@@ -140,6 +200,28 @@ func TestEncodeDecodePropertyRandom(t *testing.T) {
 	}
 }
 
+// TestWireSizeExact holds WireSize to the codec: for every generated message
+// it is the length of Encode's output, and a frame's meta segment is that
+// less the Data field — the frame writer sizes its pooled scratch from it
+// with no slack, and the in-process link model charges bandwidth by it.
+func TestWireSizeExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	f := func() bool {
+		m := randMessage(rng)
+		full := len(Encode(m, nil))
+		meta := len(Encode(m, nil, elideData))
+		return m.WireSize() == full && full-meta == m.dataFieldSize()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	for _, m := range []*Message{{}, sampleMessage()} {
+		if got, want := m.WireSize(), len(Encode(m, nil)); got != want {
+			t.Errorf("WireSize = %d, Encode writes %d bytes", got, want)
+		}
+	}
+}
+
 func randString(rng *rand.Rand, maxLen int) string {
 	n := rng.Intn(maxLen)
 	b := make([]byte, n)
@@ -147,14 +229,6 @@ func randString(rng *rand.Rand, maxLen int) string {
 		b[i] = byte('a' + rng.Intn(26))
 	}
 	return string(b)
-}
-
-func TestWireSizeDominatedByData(t *testing.T) {
-	small := (&Message{Kind: MsgPut}).WireSize()
-	big := (&Message{Kind: MsgPut, Data: make([]byte, 1<<20)}).WireSize()
-	if big-small != 1<<20 {
-		t.Fatalf("WireSize delta = %d, want payload size", big-small)
-	}
 }
 
 func TestKindString(t *testing.T) {

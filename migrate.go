@@ -127,7 +127,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 			if err := pace(ctx, bytesBucket, opsBucket, m.Size); err != nil {
 				return rep, err
 			}
-			data, ferr := cl.fetchObject(ctx, m.Clone())
+			data, ferr := cl.fetchObjectBytes(ctx, m.Clone())
 			if ferr != nil {
 				rep.Errors++
 				continue
@@ -178,7 +178,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 			if err := pace(ctx, bytesBucket, opsBucket, m.Size); err != nil {
 				return rep, err
 			}
-			data, ferr := cl.fetchObject(ctx, m.Clone())
+			data, ferr := cl.fetchObjectBytes(ctx, m.Clone())
 			if ferr != nil {
 				rep.Errors++
 				continue
@@ -357,7 +357,7 @@ func (c *Cluster) stripeDegraded(si *types.StripeInfo) bool {
 // directory record's replica list.
 func (c *Cluster) repairReplicas(ctx context.Context, cl *Client, m *types.ObjectMeta) bool {
 	ring := c.elastic.ring
-	data, err := cl.fetchObject(ctx, m.Clone())
+	data, err := cl.fetchObjectBytes(ctx, m.Clone())
 	if err != nil {
 		return false
 	}

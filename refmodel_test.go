@@ -19,6 +19,9 @@ import (
 // shapes: one object's own box, and an unaligned region over several objects
 // and (the objects straddle x = 64) two directory cells, which must match
 // both the reference and what a forced full fan-out of the lookup returns.
+// Every read alternates between Get and GetInto, the latter into one reused
+// buffer left dirty by the read before it, so cells that no staged object
+// covers must come back cleared, not stale.
 func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 	for _, mode := range []Mode{PolicyReplicate, PolicyErasure, PolicyCoREC} {
 		mode := mode
@@ -53,6 +56,24 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 				return out
 			}
 
+			// read is Get on even calls and GetInto on odd ones, into a
+			// reused buffer (exact capacity: nothing past len is lent) that
+			// still holds the previous read's bytes, or 0xEE.
+			reads := 0
+			var reused []byte
+			read := func(region Box) ([]byte, error) {
+				reads++
+				if reads%2 == 0 {
+					return client.Get(ctx, "ref", region, ts)
+				}
+				n := ndarray.BufferSize(region, 8)
+				for len(reused) < n {
+					reused = append(reused, 0xEE)
+				}
+				dst := reused[:n:n]
+				return dst, client.GetInto(ctx, "ref", region, ts, dst)
+			}
+
 			for op := 0; op < 300; op++ {
 				switch choice := rng.Intn(10); {
 				case choice < 4: // put
@@ -72,7 +93,7 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 					x1 := x0 + 1 + rng.Int63n(objects*8-x0)
 					y0, z0 := rng.Int63n(8), rng.Int63n(8)
 					region := Box3D(x0, y0, z0, x1, y0+1+rng.Int63n(8-y0), z0+1+rng.Int63n(8-z0))
-					got, err := client.Get(ctx, "ref", region, ts)
+					got, err := read(region)
 					if err != nil {
 						t.Fatalf("op %d: get region %v (ts %d, dead %d): %v", op, region, ts, dead, err)
 					}
@@ -83,8 +104,8 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 					if err != nil {
 						t.Fatalf("op %d: full fan-out for %v: %v", op, region, err)
 					}
-					fanned, err := client.fetchRegion(ctx, region, metas)
-					if err != nil {
+					fanned := bytes.Repeat([]byte{0xEE}, len(got))
+					if err := client.fetchRegion(ctx, region, metas, fanned, false); err != nil {
 						t.Fatalf("op %d: fetch after full fan-out for %v: %v", op, region, err)
 					}
 					if !bytes.Equal(got, fanned) {
@@ -96,7 +117,7 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 					if !ok {
 						continue
 					}
-					got, err := client.Get(ctx, "ref", boxFor(i), ts)
+					got, err := read(boxFor(i))
 					if err != nil {
 						t.Fatalf("op %d: get obj %d (ts %d, dead %d): %v", op, i, ts, dead, err)
 					}
@@ -124,7 +145,7 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 			}
 			// Final sweep: every object matches the reference.
 			for i, want := range reference {
-				got, err := client.Get(ctx, "ref", boxFor(i), ts)
+				got, err := read(boxFor(i))
 				if err != nil {
 					t.Fatalf("final get obj %d: %v", i, err)
 				}

@@ -20,7 +20,7 @@ staticcheck:
 	fi
 
 # Project invariant analyzers (locksafe, wiremsg, detrand, droppederr,
-# mapsort). Stdlib-only and offline — unlike staticcheck this is never
+# mapsort, readpath). Stdlib-only and offline — unlike staticcheck this is never
 # skipped; see DESIGN.md "Enforced invariants".
 lint:
 	$(GO) run ./cmd/corec-lint ./...
@@ -46,10 +46,12 @@ scrubrace:
 # response payloads land in caller memory (Message.RecvInto), and the tests
 # that cancel, time out and break connections in mid-payload only prove
 # anything when the detector watches the buffer — repeated, because the
-# windows they aim at are narrow. The root subset drives the same path
-# through Get/GetInto against the reference model.
+# windows they aim at are narrow. The reader names those windows (a shard's
+# place in its object's buffer) and fills them from parallel fetches, so its
+# tests run the same way. The root subset drives the same path through
+# Get/GetInto against the reference model.
 transportrace:
-	$(GO) test -race -count=5 ./internal/transport
+	$(GO) test -race -count=5 ./internal/transport ./internal/reader
 	$(GO) test -race -run 'TestGet|TestRandomOpsAgainstReferenceModel' .
 
 # Race-detector pass focused on elastic membership churn: gossip agents,

@@ -12,6 +12,7 @@ import (
 	"corec/internal/geometry"
 	"corec/internal/metrics"
 	"corec/internal/ndarray"
+	"corec/internal/reader"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
@@ -23,7 +24,7 @@ var clientSeq atomic.Int64
 // ErrDataLoss is returned by Get when an object cannot be served from any
 // surviving copy or reconstructed from surviving shards (losses exceeded
 // the configured resilience level).
-var ErrDataLoss = errors.New("corec: data unavailable (losses exceed resilience level)")
+var ErrDataLoss = reader.ErrDataLoss
 
 // Client is an application-side handle to the staging cluster: the
 // interface a simulation or analysis rank uses. Clients are cheap; create
@@ -33,6 +34,9 @@ type Client struct {
 	cluster *Cluster
 	id      types.ServerID // negative: client address space
 	col     *metrics.Collector
+	// reader fetches objects through this client's send: lookups, copy and
+	// shard fetches, degraded reconstruction (see internal/reader).
+	reader *reader.Reader
 	// fleet is the static fleet's member list 0..n-1, built once (nil in
 	// elastic mode, where view tracks the ring).
 	fleet []types.ServerID
@@ -52,6 +56,10 @@ func (c *Cluster) NewClient() *Client {
 		cluster: c,
 		id:      types.ServerID(-1 - clientSeq.Add(1)),
 		col:     c.col,
+	}
+	cl.reader = &reader.Reader{
+		Send: cl.send, Dir: c.dir, Health: c.health, Codec: c.codec, Col: c.col,
+		Degraded: cl.triggerOnAccessRepair,
 	}
 	if c.elastic == nil {
 		cl.fleet = make([]types.ServerID, c.cfg.Servers)
@@ -215,7 +223,7 @@ func (cl *Client) failoverTargets(id types.ObjectID, primary types.ServerID) []t
 // row-major buffer over box: it allocates the buffer and fills it the way
 // GetInto does.
 func (cl *Client) Get(ctx context.Context, name string, box Box, version Version) ([]byte, error) {
-	dst := cl.newObjectBuffer(ndarray.BufferSize(box, cl.cluster.cfg.ElemSize))
+	dst := reader.Buffer(ndarray.BufferSize(box, cl.cluster.cfg.ElemSize), cl.cluster.cfg.DataShards)
 	if err := cl.getInto(ctx, name, box, version, dst, true); err != nil {
 		return nil, err
 	}
@@ -247,15 +255,6 @@ func (cl *Client) getInto(ctx context.Context, name string, box Box, version Ver
 		return err
 	}
 	return cl.fetchRegion(ctx, box, metas, dst, zeroed)
-}
-
-// newObjectBuffer allocates a destination for size bytes of object data
-// with the spare capacity that lets an encoded object land in it whole: the
-// stripe's k shards are size rounded up to a multiple of k, and with room
-// for that padding (fewer than k bytes) even the last data shard is
-// received, or rebuilt, in place.
-func (cl *Client) newObjectBuffer(size int) []byte {
-	return make([]byte, size, size+max(cl.cluster.cfg.DataShards-1, 0))
 }
 
 // fetchRegion fetches the objects the records describe, in parallel, and
@@ -292,7 +291,7 @@ func (cl *Client) fetchRegion(ctx context.Context, box Box, metas []types.Object
 			defer wg.Done()
 			var err error
 			if aligned(&meta) {
-				err = cl.fetchObject(ctx, &meta, dst)
+				err = cl.reader.Object(ctx, &meta, dst)
 			} else if tmp, ferr := cl.fetchObjectBytes(ctx, &meta); ferr != nil {
 				err = ferr
 			} else {
@@ -439,273 +438,18 @@ func covers(metas []types.ObjectMeta, box Box) bool {
 	return covered >= box.Volume()
 }
 
-// fetchObject retrieves one object's payload into dst (len(dst) is the
-// object's size; spare capacity is the caller's to lend, see
-// newObjectBuffer) following its resilience state: full copies (primary,
-// then replicas) for replicated objects; systematic shard gather, with
-// degraded reconstruction on failure, for encoded objects. A fetch can race
-// the background replicated<->encoded transition: on a miss the client
-// refetches the object's metadata and retries through the new state before
-// declaring data loss.
-func (cl *Client) fetchObject(ctx context.Context, meta *types.ObjectMeta, dst []byte) error {
-	var lastErr error
-	for attempt := 0; attempt < 10; attempt++ {
-		var err error
-		switch {
-		case meta.Size != len(dst):
-			// A rewrite under another element size changed the object's
-			// extent while this read was in flight.
-			err = fmt.Errorf("%w: %s is %d bytes, read as %d", ErrDataLoss, meta.ID, meta.Size, len(dst))
-		case meta.State == types.StateEncoded:
-			err = cl.fetchEncoded(ctx, meta, dst)
-		default:
-			err = cl.fetchReplicated(ctx, meta, dst)
-		}
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !errors.Is(err, ErrDataLoss) {
-			return err
-		}
-		// Back off briefly: a state transition (encode commit, promotion,
-		// failover) may be mid-flight; the directory converges quickly.
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Duration(attempt+1) * 200 * time.Microsecond):
-		}
-		fresh, ok := cl.lookupMeta(ctx, meta.ID)
-		if !ok {
-			continue
-		}
-		meta = fresh
-	}
-	return lastErr
-}
-
-// fetchObjectBytes is fetchObject into a buffer of the object's own.
+// fetchObjectBytes reads one object into a buffer of its own.
 func (cl *Client) fetchObjectBytes(ctx context.Context, meta *types.ObjectMeta) ([]byte, error) {
-	dst := cl.newObjectBuffer(meta.Size)
-	if err := cl.fetchObject(ctx, meta, dst); err != nil {
+	dst := reader.Buffer(meta.Size, cl.cluster.cfg.DataShards)
+	if err := cl.reader.Object(ctx, meta, dst); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// lookupMeta fetches a single object's metadata record from the servers
-// its box registers it on. Every reachable mirror is consulted and the
-// newest record wins: under concurrent state flips a mirror can lag by one
-// transition, and a lagging record may point at a stripe the newer flip
-// already dropped, so first-answer-wins would turn a replica lag into a
-// phantom data loss.
-func (cl *Client) lookupMeta(ctx context.Context, id types.ObjectID) (*types.ObjectMeta, bool) {
-	start := time.Now()
-	defer func() { cl.col.Add(metrics.Metadata, time.Since(start)) }()
-	var best *types.ObjectMeta
-	key := id.Key()
-	for _, t := range cl.cluster.dir.Servers(id.Var, id.Box) {
-		resp, err := cl.send(ctx, t, &transport.Message{Kind: transport.MsgMetaLookup, Key: key})
-		if err == nil && resp.Kind == transport.MsgOK && resp.Flag {
-			if best == nil || resp.Meta.Newer(best) {
-				best = resp.Meta
-			}
-		}
-	}
-	return best, best != nil
-}
-
-// landed returns the payload of a response to a request that named into as
-// its RecvInto: head, the prefix of into that holds the payload's first
-// bytes, and tail, the bytes that did not fit. The repo's fabrics deliver it
-// that way; from a Network that does not know the field, head is copied.
-func landed(resp *transport.Message, into []byte) (head, tail []byte) {
-	if len(into) == 0 || len(resp.Data) == 0 || &resp.Data[0] == &into[0] {
-		return resp.Data, resp.Overflow
-	}
-	n := copy(into, resp.Data)
-	return into[:n], resp.Data[n:]
-}
-
-func (cl *Client) fetchReplicated(ctx context.Context, meta *types.ObjectMeta, dst []byte) error {
-	key := meta.ID.Key()
-	for _, target := range meta.Locations() {
-		resp, err := cl.send(ctx, target, &transport.Message{Kind: transport.MsgGet, Key: key, RecvInto: dst})
-		if err != nil || resp.Kind != transport.MsgGetBytes || !resp.Flag {
-			continue
-		}
-		if head, tail := landed(resp, dst); len(head) == len(dst) && len(tail) == 0 {
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %s", ErrDataLoss, key)
-}
-
-// fetchEncoded assembles an encoded object in dst. Data shard i of the
-// stripe is the object's bytes [i*ShardSize, (i+1)*ShardSize), so it is
-// received straight into that window of dst, and a missing one is rebuilt
-// there from parity: no shard-sized buffer but the parity's is ever
-// allocated, and nothing is joined or copied afterwards. The one wrinkle is
-// the zero padding that rounds the object up to k shards, fewer than k bytes
-// at the end of the last data shard: with that much spare capacity in dst
-// (Get's own buffers have it) the last shard is whole like the others; in a
-// caller's exact-size buffer only its head is in place, the padding comes
-// back as the response's Overflow, and the whole shard is pieced together
-// aside only if a degraded read needs it for decoding.
-func (cl *Client) fetchEncoded(ctx context.Context, meta *types.ObjectMeta, dst []byte) error {
-	c := cl.cluster
-	info, ok := cl.lookupStripe(ctx, meta.Stripe)
-	if !ok {
-		return fmt.Errorf("%w: stripe %v metadata missing", ErrDataLoss, meta.Stripe)
-	}
-	k, ss := info.K, info.ShardSize
-	if k <= 0 || info.M < 0 || ss <= 0 || k*ss < len(dst) {
-		return fmt.Errorf("%w: stripe %v (%d shards of %d bytes) cannot hold %d bytes", ErrDataLoss, info.ID, k, ss, len(dst))
-	}
-	// home is the window of dst where data shard i lives: the whole shard
-	// when dst has room for it, else as much of its head as is object data.
-	home := func(i int) (window []byte, whole bool) {
-		lo, hi := i*ss, (i+1)*ss
-		if hi <= cap(dst) {
-			return dst[lo:hi:hi], true
-		}
-		lo = min(lo, len(dst))
-		return dst[lo:len(dst):len(dst)], false
-	}
-	// shards is the codec's view of the stripe, filled as shards arrive;
-	// tails holds the padding of a data shard whose home is only its head.
-	shards := make([][]byte, k+info.M)
-	tails := make([][]byte, k)
-	fetch := func(lo, hi int) int {
-		var wg sync.WaitGroup
-		var got atomic.Int64
-		for _, member := range info.Members {
-			if member.Index < lo || member.Index >= hi || member.Index >= len(shards) {
-				continue
-			}
-			wg.Add(1)
-			go func(member types.StripeMember) {
-				defer wg.Done()
-				i := member.Index // members hold distinct indices
-				var into []byte
-				if i < k {
-					into, _ = home(i)
-				}
-				head, tail, ok := cl.fetchShard(ctx, info.ID, member, into)
-				if !ok || len(head)+len(tail) != ss {
-					return
-				}
-				shards[i] = head
-				if i < k {
-					tails[i] = tail
-				}
-				got.Add(1)
-			}(member)
-		}
-		wg.Wait()
-		return int(got.Load())
-	}
-
-	// A data-shard holder already known dead makes this a degraded read
-	// from the start: fetch the parity in the same round as the surviving
-	// data shards instead of discovering the loss first. Members on a server
-	// marked down are still asked: the send fails fast, or is the half-open
-	// trial that notices the server is back.
-	knownLoss := false
-	for _, member := range info.Members {
-		if member.Index < k && c.health.Down(member.Server) {
-			knownLoss = true
-			break
-		}
-	}
-	firstRound := k // systematic fast path: the k data shards, in parallel
-	if knownLoss {
-		firstRound = k + info.M
-	}
-	have := fetch(0, firstRound)
-	missingData := false
-	for _, b := range shards[:k] {
-		if b == nil {
-			missingData = true
-			break
-		}
-	}
-	if !missingData {
-		return nil
-	}
-	if !knownLoss {
-		// Degraded read: pull parity shards and reconstruct the data. All
-		// surviving parity is fetched in parallel, even when fewer shards
-		// would complete the stripe — at most m extra shards of bandwidth,
-		// traded for one fetch round-trip instead of m sequential ones (the
-		// degraded path is latency-bound, and spare shards let reconstruction
-		// proceed when a parity fetch fails too).
-		have += fetch(k, k+info.M)
-	}
-	if have < k {
-		return fmt.Errorf("%w: stripe %v has %d of %d shards", ErrDataLoss, info.ID, have, k)
-	}
-	if c.codec == nil || c.codec.DataShards() != k || c.codec.ParityShards() != info.M {
-		return fmt.Errorf("corec: stripe %v is RS(%d+%d), which this client is not configured to decode", info.ID, k, info.M)
-	}
-	// The codec wants whole shards: piece together a surviving one of which
-	// only the head is in its home, and hand each missing one its home to be
-	// rebuilt in (nil where the home is short: the codec allocates, and the
-	// head is copied in afterwards).
-	for i := 0; i < k; i++ {
-		switch window, whole := home(i); {
-		case shards[i] != nil && len(shards[i]) < ss:
-			shards[i] = append(append(make([]byte, 0, ss), shards[i]...), tails[i]...)
-		case shards[i] == nil && whole:
-			shards[i] = window[:0]
-		}
-	}
-	dStart := time.Now()
-	if err := c.codec.ReconstructData(shards); err != nil {
-		return err
-	}
-	cl.col.Add(metrics.Decode, time.Since(dStart))
-	for i := 0; i < k; i++ {
-		if window, whole := home(i); !whole {
-			copy(window, shards[i])
-		}
-	}
-	// Lazy recovery on access: if a replacement server has taken over
-	// a dead member's ID, ask it to repair this object now.
-	cl.triggerOnAccessRepair(ctx, info, meta.ID)
-	return nil
-}
-
-// lookupStripe resolves stripe geometry from the directory pair: first
-// answer wins, so mirrors known to be down are asked last.
-func (cl *Client) lookupStripe(ctx context.Context, id types.StripeID) (*types.StripeInfo, bool) {
-	start := time.Now()
-	defer func() { cl.col.Add(metrics.Metadata, time.Since(start)) }()
-	for _, t := range cl.cluster.health.UpFirst(cl.cluster.dir.StripeServers(id)) {
-		resp, err := cl.send(ctx, t, &transport.Message{Kind: transport.MsgStripeLookup, Stripe: id})
-		if err == nil && resp.Kind == transport.MsgOK && resp.Flag {
-			return resp.StripeInfo, true
-		}
-	}
-	return nil, false
-}
-
-// fetchShard fetches one stripe shard, into the given memory when there is
-// any (see landed for what comes back).
-func (cl *Client) fetchShard(ctx context.Context, id types.StripeID, member types.StripeMember, into []byte) (head, tail []byte, ok bool) {
-	resp, err := cl.send(ctx, member.Server, &transport.Message{
-		Kind: transport.MsgShardGet, Stripe: id, ShardIndex: member.Index, RecvInto: into,
-	})
-	if err != nil || resp.Kind != transport.MsgGetBytes || !resp.Flag {
-		return nil, nil, false
-	}
-	head, tail = landed(resp, into)
-	return head, tail, true
-}
-
-// triggerOnAccessRepair asks stripe members that answered "shard missing"
-// (replacement servers still recovering) to repair this object immediately:
-// the on-access half of lazy recovery.
+// triggerOnAccessRepair follows a degraded read: stripe members that are
+// replacement servers still recovering are asked to repair this object
+// immediately, the on-access half of lazy recovery.
 func (cl *Client) triggerOnAccessRepair(ctx context.Context, info *types.StripeInfo, id types.ObjectID) {
 	c := cl.cluster
 	for _, member := range info.Members {

@@ -6,6 +6,9 @@ import (
 	"runtime"
 	"testing"
 
+	"corec/internal/reader"
+	"corec/internal/server"
+	"corec/internal/transport"
 	"corec/internal/types"
 )
 
@@ -15,73 +18,133 @@ import (
 // held — the shard padding of an encoded object (4096 bytes over k = 3) must
 // not spill past len(dst) even though the array has the capacity — and a
 // buffer of the wrong size is refused. A second read after a shard holder
-// is killed exercises the degraded path under the same rule.
+// is killed exercises the degraded path under the same rule. An object of
+// 3072 bytes, whose stripe has no padding, goes through the same reads.
+//
+// Every read is then repeated the way a server reads: through a reader whose
+// send delivers requests addressed to the server itself by calling its
+// handler — which knows nothing of RecvInto — from a server that holds one of
+// the object's pieces. It must return the bytes the client's read did, into
+// an exact-size buffer and into one with room for the padding.
 func TestGetIntoFillsExactlyTheBuffer(t *testing.T) {
 	for _, fabric := range []string{"inproc", "tcp"} {
 		for _, mode := range []Mode{PolicyReplicate, PolicyErasure} {
 			t.Run(fabric+"/"+mode.String(), func(t *testing.T) {
-				cfg := DefaultConfig(8)
-				cfg.Transport = fabric
-				cfg.Mode = mode
-				cluster, err := NewCluster(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cluster.Close()
-				client := cluster.NewClient()
-				ctx := context.Background()
-				box := Box3D(0, 0, 0, 8, 8, 8)
-				data := regionData(t, box, 8, 5)
-				if err := client.Put(ctx, "v", box, 1, data); err != nil {
-					t.Fatal(err)
-				}
-
-				const guard = 64
-				arena := bytes.Repeat([]byte{0xEE}, guard+len(data)+guard)
-				dst := arena[guard : guard+len(data)]
-				check := func(when string) {
-					t.Helper()
-					if err := client.GetInto(ctx, "v", box, 1, dst); err != nil {
-						t.Fatalf("%s: %v", when, err)
-					}
-					if !bytes.Equal(dst, data) {
-						t.Fatalf("%s: GetInto returned other bytes than were put", when)
-					}
-					if !bytes.Equal(arena[:guard], bytes.Repeat([]byte{0xEE}, guard)) ||
-						!bytes.Equal(arena[guard+len(data):], bytes.Repeat([]byte{0xEE}, guard)) {
-						t.Fatalf("%s: GetInto wrote outside dst", when)
-					}
-					for i := range dst {
-						dst[i] = 0xEE
-					}
-				}
-				check("healthy")
-
-				if err := client.GetInto(ctx, "v", box, 1, arena[:len(data)-8]); err == nil {
-					t.Fatal("a buffer smaller than the region was accepted")
-				}
-				if err := client.GetInto(ctx, "v", box, 1, arena[:len(data)+8]); err == nil {
-					t.Fatal("a buffer larger than the region was accepted")
-				}
-
-				metas, err := client.Query(ctx, "v", box)
-				if err != nil || len(metas) != 1 {
-					t.Fatalf("query: %v (%d metas)", err, len(metas))
-				}
-				cluster.Kill(metas[0].Primary) // holds the full copy, or data shard 0
-				check("degraded")
-
-				// A region nothing was staged in reads as zeros, whatever the
-				// buffer held.
-				empty := Box3D(32, 32, 32, 40, 40, 40)
-				if err := client.GetInto(ctx, "v", empty, 1, dst); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(dst, make([]byte, len(dst))) {
-					t.Fatal("unstaged region did not read as zeros into a dirty buffer")
+				for _, shape := range []struct {
+					name       string
+					box, empty Box // empty: as large, nothing staged in it
+				}{
+					{"padded", Box3D(0, 0, 0, 8, 8, 8), Box3D(32, 32, 32, 40, 40, 40)},
+					{"unpadded", Box3D(0, 0, 0, 6, 8, 8), Box3D(32, 32, 32, 38, 40, 40)},
+				} {
+					t.Run(shape.name, func(t *testing.T) {
+						testGetIntoFillsExactlyTheBuffer(t, fabric, mode, shape.box, shape.empty)
+					})
 				}
 			})
 		}
+	}
+}
+
+// serverSideReader returns the client's reader over the send a server reads
+// with: requests addressed to self are calls of its handler, the rest go to
+// the fabric in its name.
+func serverSideReader(cl *Client, self *server.Server) *reader.Reader {
+	r := *cl.reader
+	r.Degraded = nil
+	r.Send = func(ctx context.Context, to types.ServerID, msg *transport.Message) (*transport.Message, error) {
+		if to == self.ID() {
+			return self.Handle(ctx, msg), nil
+		}
+		return cl.cluster.net.Send(ctx, self.ID(), to, msg)
+	}
+	return &r
+}
+
+func testGetIntoFillsExactlyTheBuffer(t *testing.T, fabric string, mode Mode, box, empty Box) {
+	cfg := DefaultConfig(8)
+	cfg.Transport = fabric
+	cfg.Mode = mode
+	cluster, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	client := cluster.NewClient()
+	ctx := context.Background()
+	data := regionData(t, box, 8, 5)
+	if err := client.Put(ctx, "v", box, 1, data); err != nil {
+		t.Fatal(err)
+	}
+	metas, err := client.Query(ctx, "v", box)
+	if err != nil || len(metas) != 1 {
+		t.Fatalf("query: %v (%d metas)", err, len(metas))
+	}
+	meta := metas[0]
+	if padded := len(data)%cfg.DataShards != 0; padded != (box.Volume() == 512) {
+		t.Fatalf("%d bytes over k = %d: padded = %v", len(data), cfg.DataShards, padded)
+	}
+
+	// self survives the kill below and holds a piece of the object: a
+	// replica, or data shard 1.
+	var self *server.Server
+	if meta.State == types.StateEncoded {
+		info, ok := client.reader.LookupStripe(ctx, meta.Stripe)
+		if !ok {
+			t.Fatal("stripe record missing")
+		}
+		self = cluster.Server(ServerID(info.Members[1].Server))
+	} else {
+		self = cluster.Server(ServerID(meta.Replicas[0]))
+	}
+	serverSide := serverSideReader(client, self)
+
+	const guard = 64
+	arena := bytes.Repeat([]byte{0xEE}, guard+len(data)+guard)
+	dst := arena[guard : guard+len(data)]
+	check := func(when string) {
+		t.Helper()
+		if err := client.GetInto(ctx, "v", box, 1, dst); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if !bytes.Equal(dst, data) {
+			t.Fatalf("%s: GetInto returned other bytes than were put", when)
+		}
+		if !bytes.Equal(arena[:guard], bytes.Repeat([]byte{0xEE}, guard)) ||
+			!bytes.Equal(arena[guard+len(data):], bytes.Repeat([]byte{0xEE}, guard)) {
+			t.Fatalf("%s: GetInto wrote outside dst", when)
+		}
+		for _, buf := range [][]byte{make([]byte, len(data)), reader.Buffer(len(data), cfg.DataShards)} {
+			if err := serverSide.Object(ctx, &meta, buf); err != nil {
+				t.Fatalf("%s: server-side read: %v", when, err)
+			}
+			if !bytes.Equal(buf, dst) {
+				t.Fatalf("%s: a server's read returned other bytes than the client's", when)
+			}
+		}
+		for i := range dst {
+			dst[i] = 0xEE
+		}
+	}
+	check("healthy")
+
+	if err := client.GetInto(ctx, "v", box, 1, arena[:len(data)-8]); err == nil {
+		t.Fatal("a buffer smaller than the region was accepted")
+	}
+	if err := client.GetInto(ctx, "v", box, 1, arena[:len(data)+8]); err == nil {
+		t.Fatal("a buffer larger than the region was accepted")
+	}
+
+	cluster.Kill(meta.Primary) // holds the full copy, or data shard 0
+	check("degraded")
+
+	// A region nothing was staged in reads as zeros, whatever the
+	// buffer held.
+	if err := client.GetInto(ctx, "v", empty, 1, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, make([]byte, len(dst))) {
+		t.Fatal("unstaged region did not read as zeros into a dirty buffer")
 	}
 }
 

@@ -466,26 +466,3 @@ func (c *Codec) Split(data []byte) ([][]byte, int) {
 	}
 	return shards, shardSize
 }
-
-// Join is the inverse of Split: it concatenates the k data shards and trims
-// the result to size bytes.
-func (c *Codec) Join(shards [][]byte, size int) ([]byte, error) {
-	if len(shards) < c.k {
-		return nil, fmt.Errorf("%w: got %d, want at least %d", ErrShardCount, len(shards), c.k)
-	}
-	out := make([]byte, 0, size)
-	for i := 0; i < c.k && len(out) < size; i++ {
-		if shards[i] == nil {
-			return nil, fmt.Errorf("%w: data shard %d missing", ErrShardSize, i)
-		}
-		need := size - len(out)
-		if need > len(shards[i]) {
-			need = len(shards[i])
-		}
-		out = append(out, shards[i][:need]...)
-	}
-	if len(out) != size {
-		return nil, fmt.Errorf("erasure: joined %d bytes, want %d", len(out), size)
-	}
-	return out, nil
-}

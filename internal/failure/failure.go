@@ -74,23 +74,6 @@ func NewSchedule(events []Event) *Schedule {
 	return &Schedule{events: sorted}
 }
 
-// Fig10Schedule reproduces the paper's Figure 10 scenario: with one
-// failure, server a dies at step 4 and recovers at step 8; with two,
-// server b additionally dies at step 6 and recovers at step 12.
-func Fig10Schedule(failures int, a, b types.ServerID) *Schedule {
-	events := []Event{
-		{TimeStep: 4, Kind: Kill, Server: a},
-		{TimeStep: 8, Kind: Recover, Server: a},
-	}
-	if failures >= 2 {
-		events = append(events,
-			Event{TimeStep: 6, Kind: Kill, Server: b},
-			Event{TimeStep: 12, Kind: Recover, Server: b},
-		)
-	}
-	return NewSchedule(events)
-}
-
 // Advance applies every event scheduled at or before ts, returning the
 // events fired.
 func (s *Schedule) Advance(ts types.Version, c Cluster) []Event {

@@ -70,26 +70,6 @@ func TestScheduleIdempotentEvents(t *testing.T) {
 	}
 }
 
-func TestFig10Schedules(t *testing.T) {
-	one := Fig10Schedule(1, 2, 5)
-	if one.Remaining() != 2 {
-		t.Fatalf("1-failure schedule has %d events", one.Remaining())
-	}
-	two := Fig10Schedule(2, 2, 5)
-	if two.Remaining() != 4 {
-		t.Fatalf("2-failure schedule has %d events", two.Remaining())
-	}
-	c := newFakeCluster(8)
-	two.Advance(6, c)
-	if !c.dead[2] || !c.dead[5] {
-		t.Fatal("both victims should be dead by ts=6")
-	}
-	two.Advance(12, c)
-	if c.dead[2] || c.dead[5] {
-		t.Fatal("both victims should be recovered by ts=12")
-	}
-}
-
 func TestExponentialMeanRoughlyMTBF(t *testing.T) {
 	e := NewExponential(time.Second, 1)
 	var sum time.Duration

@@ -34,6 +34,7 @@ func All() []Analyzer {
 		Detrand{},
 		Droppederr{},
 		Mapsort{},
+		Readpath{},
 	}
 }
 

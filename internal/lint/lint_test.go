@@ -124,6 +124,10 @@ func TestMapsortFixture(t *testing.T) {
 	runFixture(t, "mapsort", []Analyzer{Mapsort{}}, "sort")
 }
 
+func TestReadpathFixture(t *testing.T) {
+	runFixture(t, "readpath", []Analyzer{Readpath{}})
+}
+
 // TestSuppressions runs the whole suite so //lint:ignore handling — matched,
 // stale, unknown-analyzer and malformed directives — is exercised through
 // the same Run path the driver uses.

@@ -113,77 +113,3 @@ func TestBucketString(t *testing.T) {
 		t.Fatal("unknown bucket empty")
 	}
 }
-
-func TestReservoirSmallSampleExact(t *testing.T) {
-	r := NewReservoir(100, 1)
-	for i := 1; i <= 10; i++ {
-		r.Observe(time.Duration(i) * time.Millisecond)
-	}
-	if r.Count() != 10 {
-		t.Fatalf("Count = %d", r.Count())
-	}
-	if got := r.Quantile(0); got != time.Millisecond {
-		t.Fatalf("min = %v", got)
-	}
-	if got := r.Quantile(1); got != 10*time.Millisecond {
-		t.Fatalf("max = %v", got)
-	}
-	if got := r.Quantile(0.5); got < 4*time.Millisecond || got > 6*time.Millisecond {
-		t.Fatalf("median = %v", got)
-	}
-}
-
-func TestReservoirSamplingApproximatesDistribution(t *testing.T) {
-	// 10k uniform observations through a 1k reservoir: the p50 estimate
-	// must land near the true median.
-	r := NewReservoir(1000, 7)
-	for i := 0; i < 10000; i++ {
-		r.Observe(time.Duration(i) * time.Microsecond)
-	}
-	p50 := r.Quantile(0.5)
-	if p50 < 4000*time.Microsecond || p50 > 6000*time.Microsecond {
-		t.Fatalf("p50 = %v, want ~5ms", p50)
-	}
-	p50n, p90, p99 := r.Percentiles()
-	if !(p50n <= p90 && p90 <= p99) {
-		t.Fatalf("percentiles not ordered: %v %v %v", p50n, p90, p99)
-	}
-}
-
-func TestReservoirEmptyAndClamping(t *testing.T) {
-	r := NewReservoir(0, 1) // size clamps to default
-	if r.Quantile(0.5) != 0 {
-		t.Fatal("empty reservoir quantile non-zero")
-	}
-	r.Observe(time.Second)
-	if r.Quantile(-1) != time.Second || r.Quantile(2) != time.Second {
-		t.Fatal("q clamping broken")
-	}
-}
-
-func TestReservoirConcurrent(t *testing.T) {
-	r := NewReservoir(256, 3)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				r.Observe(time.Duration(i))
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Count() != 8000 {
-		t.Fatalf("Count = %d", r.Count())
-	}
-}
-
-func TestLatencyDistribution(t *testing.T) {
-	d := NewLatencyDistribution(64)
-	d.Writes.Observe(time.Millisecond)
-	d.Reads.Observe(2 * time.Millisecond)
-	if d.Writes.Count() != 1 || d.Reads.Count() != 1 {
-		t.Fatal("distribution not recording")
-	}
-}

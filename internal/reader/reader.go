@@ -1,0 +1,332 @@
+// Package reader is the one reader of staged data. A client's get, a
+// replacement server's recovery, a promotion and the scrubber's repairs all
+// find an object's record, gather its surviving pieces and reconstruct what
+// is missing (the paper's Section III-D defines a degraded read and lazy
+// recovery as that one act), so the read side of the protocol is written
+// here once. Callers bring what is theirs: how a message is sent, which copy
+// is acceptable, which shard to rebuild, where the result is installed.
+package reader
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"time"
+
+	"corec/internal/erasure"
+	"corec/internal/metrics"
+	"corec/internal/placement"
+	"corec/internal/transport"
+	"corec/internal/types"
+)
+
+// ErrDataLoss reports that an object cannot be served from any surviving
+// copy or reconstructed from surviving shards.
+var ErrDataLoss = errors.New("corec: data unavailable (losses exceed resilience level)")
+
+// Reader reads staged data on behalf of one client or server. The fields are
+// set once, before the first call; all methods are safe for concurrent use.
+type Reader struct {
+	// Send delivers one (idempotent) request under its owner's retry policy;
+	// a server's also delivers requests addressed to the server itself.
+	Send func(ctx context.Context, to types.ServerID, msg *transport.Message) (*transport.Message, error)
+	// Dir maps records to the directory servers hosting them.
+	Dir *placement.Directory
+	// Health is the fabric's memory of dead peers (nil: none kept).
+	Health *transport.PeerHealth
+	// Codec decodes degraded stripes (nil when nothing is erasure-coded).
+	Codec *erasure.Codec
+	// Col is charged for lookups (Metadata) and reconstructions (Decode).
+	Col *metrics.Collector
+	// Degraded, when set, is told of each stripe Object had to reconstruct:
+	// the client's cue for on-access repair.
+	Degraded func(ctx context.Context, info *types.StripeInfo, id types.ObjectID)
+}
+
+// Tally lets a paced caller — the scrubber — account for a read as it runs.
+type Tally struct {
+	// Got is called with the size of each payload received, before anything
+	// looks at it; an error abandons the read, which comes back short.
+	Got func(ctx context.Context, n int) error
+	// Missed is called for each holder that did not deliver.
+	Missed func()
+}
+
+// NoTally accounts for nothing.
+var NoTally = Tally{Got: func(context.Context, int) error { return nil }, Missed: func() {}}
+
+// LookupMeta fetches one object's record from the servers its box registers
+// it on. Every reachable mirror is consulted and the newest record wins:
+// under concurrent state flips a mirror can lag by one transition, and a
+// lagging record may point at a stripe the newer flip already dropped, so
+// first-answer-wins would turn a mirror's lag into a phantom data loss.
+func (r *Reader) LookupMeta(ctx context.Context, id types.ObjectID) (*types.ObjectMeta, bool) {
+	start := time.Now()
+	defer func() { r.Col.Add(metrics.Metadata, time.Since(start)) }()
+	var best *types.ObjectMeta
+	key := id.Key()
+	for _, t := range r.Dir.Servers(id.Var, id.Box) {
+		resp, err := r.Send(ctx, t, &transport.Message{Kind: transport.MsgMetaLookup, Key: key})
+		if err == nil && resp.Kind == transport.MsgOK && resp.Flag {
+			if best == nil || resp.Meta.Newer(best) {
+				best = resp.Meta
+			}
+		}
+	}
+	return best, best != nil
+}
+
+// LookupStripe fetches a stripe's record from its directory group: the first
+// answer wins, so mirrors known to be down are asked last.
+func (r *Reader) LookupStripe(ctx context.Context, id types.StripeID) (*types.StripeInfo, bool) {
+	start := time.Now()
+	defer func() { r.Col.Add(metrics.Metadata, time.Since(start)) }()
+	for _, t := range r.Health.UpFirst(r.Dir.StripeServers(id)) {
+		resp, err := r.Send(ctx, t, &transport.Message{Kind: transport.MsgStripeLookup, Stripe: id})
+		if err == nil && resp.Kind == transport.MsgOK && resp.Flag {
+			return resp.StripeInfo, true
+		}
+	}
+	return nil, false
+}
+
+// landed returns the payload of a response to a request that named into as
+// its RecvInto: head, the prefix of into holding the payload's first bytes,
+// and tail, the bytes that did not fit. The fabrics deliver it that way; from
+// a send that does not know the field (a server's delivery to itself is a
+// plain call) head is copied.
+func landed(resp *transport.Message, into []byte) (head, tail []byte) {
+	if len(into) == 0 || len(resp.Data) == 0 || &resp.Data[0] == &into[0] {
+		return resp.Data, resp.Overflow
+	}
+	n := copy(into, resp.Data)
+	return into[:n], resp.Data[n:]
+}
+
+// Copy asks the holders, in order, for their full copy of the object and
+// returns the first reply that passes; nil when none does. With into set, a
+// copy passes when it is exactly len(into) bytes, and it arrives there (the
+// reply's Data is into). accept, when set, also has to approve the reply — a
+// recovering server checks the version and digest it needs.
+func (r *Reader) Copy(ctx context.Context, key string, holders []types.ServerID, into []byte, accept func(*transport.Message) bool, t Tally) *transport.Message {
+	for _, h := range holders {
+		resp, err := r.Send(ctx, h, &transport.Message{Kind: transport.MsgGet, Key: key, RecvInto: into})
+		if err != nil {
+			t.Missed()
+			continue
+		}
+		if resp.Kind != transport.MsgGetBytes || !resp.Flag {
+			continue
+		}
+		if t.Got(ctx, len(resp.Data)+len(resp.Overflow)) != nil {
+			return nil
+		}
+		resp.Data, resp.Overflow = landed(resp, into)
+		if len(into) > 0 && (len(resp.Data) != len(into) || len(resp.Overflow) != 0) {
+			continue
+		}
+		if accept == nil || accept(resp) {
+			return resp
+		}
+	}
+	return nil
+}
+
+// Shards fetches shards of the stripe until need of them are in hand and
+// returns them by shard index, with how many arrived. Candidates are the
+// members whose index skip does not name (a caller rebuilding shards skips
+// those), in member order: data shards first. The first need candidates are
+// asked in parallel; the rest, also in parallel, only if some of those miss:
+// at most the spare shards of extra bandwidth, traded for one more round trip
+// instead of one per spare (a degraded read is latency-bound, and a spare in
+// hand lets the decode proceed when a second fetch fails too). When the
+// fabric already knows one of the first need sits on a dead server, every
+// candidate is asked in the one round. Members on a server marked down are
+// still asked: the send fails fast, or is the half-open trial that notices
+// the server is back.
+//
+// homes[i], when set, is caller memory for shard i: the shard is received
+// there, shards[i] is the part that fit and tails[i] the rest.
+func (r *Reader) Shards(ctx context.Context, info *types.StripeInfo, need int, skip []int, homes [][]byte, t Tally) (shards, tails [][]byte, have int) {
+	n := info.K + info.M
+	shards, tails = make([][]byte, n), make([][]byte, n)
+	if homes == nil {
+		homes = make([][]byte, n)
+	}
+	cands := make([]types.StripeMember, 0, len(info.Members))
+	for _, m := range info.Members {
+		if m.Index >= 0 && m.Index < n && !slices.Contains(skip, m.Index) {
+			cands = append(cands, m)
+		}
+	}
+	first := min(need, len(cands))
+	for _, m := range cands[:first] {
+		if r.Health.Down(m.Server) {
+			first = len(cands)
+			break
+		}
+	}
+	round := func(members []types.StripeMember) (ok bool) {
+		var wg sync.WaitGroup
+		for _, m := range members {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				i := m.Index // members hold distinct indices
+				resp, err := r.Send(ctx, m.Server, &transport.Message{
+					Kind: transport.MsgShardGet, Stripe: info.ID, ShardIndex: i, RecvInto: homes[i],
+				})
+				if err != nil || resp.Kind != transport.MsgGetBytes || !resp.Flag {
+					return
+				}
+				if head, tail := landed(resp, homes[i]); len(head)+len(tail) == info.ShardSize {
+					shards[i], tails[i] = head, tail
+				}
+			}()
+		}
+		wg.Wait()
+		// Tallied here, in member order, so a seeded scrub pass counts the
+		// same whatever order the replies came in.
+		for _, m := range members {
+			if shards[m.Index] == nil {
+				t.Missed()
+				continue
+			}
+			if t.Got(ctx, info.ShardSize) != nil {
+				return false
+			}
+			have++
+		}
+		return true
+	}
+	if round(cands[:first]) && have < need {
+		round(cands[first:])
+	}
+	return shards, tails, have
+}
+
+// Stripe assembles the object a stripe encodes in dst (len(dst) is the
+// object's size) and reports whether it had to reconstruct. Data shard i of
+// the stripe is the object's bytes [i*ShardSize, (i+1)*ShardSize), so it is
+// received straight into that window of dst, and a missing one is rebuilt
+// there from parity: no shard-sized buffer but the parity's is ever
+// allocated, and nothing is joined or copied afterwards. The one wrinkle is
+// the zero padding that rounds the object up to k shards, fewer than k bytes
+// at the end of the last data shard: with that much spare capacity in dst
+// (see Buffer) the last shard is whole like the others; in an exact-size
+// buffer only its head is in place, the padding comes back as the response's
+// Overflow, and the whole shard is pieced together aside only if a degraded
+// read needs it for decoding.
+func (r *Reader) Stripe(ctx context.Context, info *types.StripeInfo, dst []byte) (degraded bool, err error) {
+	k, ss := info.K, info.ShardSize
+	if k <= 0 || info.M < 0 || ss <= 0 || k*ss < len(dst) {
+		return false, fmt.Errorf("%w: stripe %v (%d shards of %d bytes) cannot hold %d bytes", ErrDataLoss, info.ID, k, ss, len(dst))
+	}
+	// homes[i] is the window of dst where data shard i lives: the whole shard
+	// when dst has room for it, else as much of its head as is object data.
+	homes := make([][]byte, k+info.M)
+	for i := range homes[:k] {
+		if hi := (i + 1) * ss; hi <= cap(dst) {
+			homes[i] = dst[i*ss : hi : hi]
+		} else {
+			homes[i] = dst[min(i*ss, len(dst)):len(dst):len(dst)]
+		}
+	}
+	shards, tails, have := r.Shards(ctx, info, k, nil, homes, NoTally)
+	if !slices.ContainsFunc(shards[:k], func(b []byte) bool { return b == nil }) {
+		return false, nil // the systematic fast path: every data shard is in place
+	}
+	if have < k {
+		return false, fmt.Errorf("%w: stripe %v has %d of %d shards", ErrDataLoss, info.ID, have, k)
+	}
+	if r.Codec == nil || r.Codec.DataShards() != k || r.Codec.ParityShards() != info.M {
+		return false, fmt.Errorf("corec: stripe %v is RS(%d+%d), which this reader is not configured to decode", info.ID, k, info.M)
+	}
+	// The codec wants whole shards: piece together a surviving one of which
+	// only the head is in its home, and hand each missing one its home to be
+	// rebuilt in (nil where the home is short: the codec allocates, and the
+	// head is copied in afterwards).
+	for i := 0; i < k; i++ {
+		switch {
+		case shards[i] != nil && len(shards[i]) < ss:
+			shards[i] = append(append(make([]byte, 0, ss), shards[i]...), tails[i]...)
+		case shards[i] == nil && len(homes[i]) == ss:
+			shards[i] = homes[i][:0]
+		}
+	}
+	start := time.Now()
+	if err := r.Codec.ReconstructData(shards); err != nil {
+		return false, err
+	}
+	r.Col.Add(metrics.Decode, time.Since(start))
+	for i := 0; i < k; i++ {
+		if len(homes[i]) < ss {
+			copy(homes[i], shards[i])
+		}
+	}
+	return true, nil
+}
+
+// Buffer allocates a destination for size bytes of object data with the
+// spare capacity that lets an encoded object land in it whole: a stripe's k
+// shards are size rounded up to a multiple of k, and with room for that
+// padding (fewer than k bytes) even the last data shard is received, or
+// rebuilt, in place.
+func Buffer(size, k int) []byte {
+	return make([]byte, size, size+max(k-1, 0))
+}
+
+// Settle runs read against the object's record, and for as long as it fails
+// with ErrDataLoss looks the record up afresh and runs it again, ten times at
+// most. A read can race the background replicated<->encoded transition, a
+// failover or a handoff: the record it started from then points at a copy or
+// a stripe that is no longer there, the directory converges within
+// microseconds, and only a miss through the current record is a loss.
+func (r *Reader) Settle(ctx context.Context, meta *types.ObjectMeta, read func(*types.ObjectMeta) error) (err error) {
+	for attempt := 0; attempt < 10; attempt++ {
+		if err = read(meta); !errors.Is(err, ErrDataLoss) {
+			return err
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(time.Duration(attempt+1) * 200 * time.Microsecond):
+		}
+		if fresh, ok := r.LookupMeta(ctx, meta.ID); ok {
+			meta = fresh
+		}
+	}
+	return err
+}
+
+// Object reads one object's payload into dst (len(dst) is the object's size;
+// spare capacity is the caller's to lend, see Buffer) following its
+// resilience state: the first full copy among primary and replicas for a
+// replicated object, Stripe for an encoded one, settled through a fresh
+// record on a miss.
+func (r *Reader) Object(ctx context.Context, meta *types.ObjectMeta, dst []byte) error {
+	return r.Settle(ctx, meta, func(meta *types.ObjectMeta) error {
+		switch {
+		case meta.Size != len(dst):
+			// A rewrite under another element size changed the object's
+			// extent while this read was in flight.
+			return fmt.Errorf("%w: %s is %d bytes, read as %d", ErrDataLoss, meta.ID, meta.Size, len(dst))
+		case meta.State == types.StateEncoded:
+			info, ok := r.LookupStripe(ctx, meta.Stripe)
+			if !ok {
+				return fmt.Errorf("%w: stripe %v metadata missing", ErrDataLoss, meta.Stripe)
+			}
+			degraded, err := r.Stripe(ctx, info, dst)
+			if degraded && r.Degraded != nil {
+				r.Degraded(ctx, info, meta.ID)
+			}
+			return err
+		}
+		if r.Copy(ctx, meta.ID.Key(), meta.Locations(), dst, nil, NoTally) == nil {
+			return fmt.Errorf("%w: %s", ErrDataLoss, meta.ID.Key())
+		}
+		return nil
+	})
+}

@@ -66,7 +66,7 @@ func TestPutDigestsPayloadOncePerServer(t *testing.T) {
 		primary := rig.put(t, "v", box, 1, data)
 		srv := rig.servers[primary]
 		srv.WaitEncodeIdle()
-		meta, ok := srv.dirLookupMeta(context.Background(), id)
+		meta, ok := srv.reader.LookupMeta(context.Background(), id)
 		if !ok || meta.State != types.StateEncoded {
 			t.Fatalf("round %d: object not encoded: %+v", round, meta)
 		}
@@ -110,7 +110,7 @@ func TestPutChecksPayloadOncePerHopOverTCP(t *testing.T) {
 	computed, attached, verified := transport.PayloadCheckStats()
 	computed, attached, verified = computed-computed0, attached-attached0, verified-verified0
 
-	meta, ok := srv.dirLookupMeta(context.Background(), types.ObjectID{Var: "v", Box: box})
+	meta, ok := srv.reader.LookupMeta(context.Background(), types.ObjectID{Var: "v", Box: box})
 	if !ok || meta.State != types.StateEncoded {
 		t.Fatalf("object not encoded: %+v", meta)
 	}
@@ -137,7 +137,7 @@ func TestPutChecksPayloadOncePerHopOverTCP(t *testing.T) {
 
 	// And the read side: the shard holders answer from their recorded digests.
 	_, attached0, verified0 = transport.PayloadCheckStats()
-	info, ok := srv.dirLookupStripe(context.Background(), meta.Stripe)
+	info, ok := srv.reader.LookupStripe(context.Background(), meta.Stripe)
 	if !ok {
 		t.Fatalf("stripe %v has no record", meta.Stripe)
 	}

@@ -287,14 +287,8 @@ func (s *Server) dirUpdateStripe(ctx context.Context, info *types.StripeInfo) er
 func (s *Server) sendToGroup(ctx context.Context, targets []types.ServerID, msg *transport.Message) error {
 	errs := make([]error, len(targets))
 	deliver := func(i int) {
-		var resp *transport.Message
-		var err error
-		if t := targets[i]; t == s.id {
-			resp = s.Handle(ctx, msg)
-		} else {
-			cp := *msg // shallow copy; From is mutated by Send
-			resp, err = s.sendRetry(ctx, t, &cp)
-		}
+		cp := *msg // shallow copy; From is mutated by Send
+		resp, err := s.sendRetry(ctx, targets[i], &cp)
 		if err == nil {
 			err = resp.AsError()
 		}
@@ -425,25 +419,4 @@ func (s *Server) flushMirrorHints(ctx context.Context) {
 		s.mu.Unlock()
 	}
 	s.col.Add(metrics.Metadata, time.Since(start))
-}
-
-// dirLookupStripe fetches a stripe record, trying each shard-group member
-// in turn, mirrors the fabric knows to be down last.
-func (s *Server) dirLookupStripe(ctx context.Context, id types.StripeID) (*types.StripeInfo, bool) {
-	start := time.Now()
-	defer func() { s.col.Add(metrics.Metadata, time.Since(start)) }()
-	for _, t := range transport.HealthOf(s.net).UpFirst(s.dirPlace.StripeServers(id)) {
-		var resp *transport.Message
-		var err error
-		msg := &transport.Message{Kind: transport.MsgStripeLookup, Stripe: id}
-		if t == s.id {
-			resp = s.Handle(ctx, msg)
-		} else {
-			resp, err = s.sendRetry(ctx, t, msg)
-		}
-		if err == nil && resp.Kind == transport.MsgOK && resp.Flag {
-			return resp.StripeInfo, true
-		}
-	}
-	return nil, false
 }

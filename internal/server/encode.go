@@ -9,6 +9,7 @@ import (
 	"corec/internal/erasure"
 	"corec/internal/metrics"
 	"corec/internal/policy"
+	"corec/internal/reader"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
@@ -130,8 +131,7 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 	if st := s.local[key]; st != nil && st.sumOf == obj {
 		sum = st.sum
 	}
-	s.shardSums[sk] = shardSum
-	s.shardStripe[sk] = *info
+	s.holdShardLocked(stripeID, 0, shardSum, info)
 	// The engine install happens under s.mu so it is atomic with the
 	// identity check above (the engine never takes s.mu back).
 	s.store.PutTagged(sk, shards[0], shardEpoch(obj.Version))
@@ -203,9 +203,6 @@ func (s *Server) delegateEncode(ctx context.Context, helper types.ServerID, obj 
 		Key:        obj.ID.Key(),
 		Version:    obj.Version,
 		Stripe:     info.ID,
-		K:          info.K,
-		M:          info.M,
-		ShardSize:  info.ShardSize,
 		StripeInfo: info,
 		Num:        int64(s.id), // primary: skip its shard during distribution
 	}
@@ -251,7 +248,7 @@ func (s *Server) handleEncodeDelegate(ctx context.Context, req *transport.Messag
 
 // pushShards distributes an encoded stripe's shards 1..k+m-1 to their
 // members concurrently, so a stripe costs one shard round trip rather than
-// k+m-1 (the client's fetchShards does the same for reads). Shard 0, and
+// k+m-1 (the reader's gather does the same for reads). Shard 0, and
 // any shard placed on primary, is skipped: the primary cuts its own from its
 // full copy. A dead member leaves the stripe degraded until recovery, which
 // is tolerated within m losses. The wall time of the whole fan-out is
@@ -263,29 +260,33 @@ func (s *Server) pushShards(ctx context.Context, info *types.StripeInfo, shards 
 		if member.Index == 0 || member.Server == primary {
 			continue
 		}
-		msg := &transport.Message{
-			Kind:       transport.MsgShardPut,
-			Stripe:     info.ID,
-			ShardIndex: member.Index,
-			K:          info.K, M: info.M, ShardSize: info.ShardSize,
-			Data:       shards[member.Index],
-			StripeInfo: info,
-			// Version rides along as the holders' time-step tag.
-			Version: v,
-		}
-		if member.Server == s.id {
-			s.handleShardPut(msg)
-			continue
-		}
 		wg.Add(1)
-		go func(to types.ServerID) {
+		go func() {
 			defer wg.Done()
 			// A failed push is the dead-member case above; nothing to undo.
-			_, _ = s.sendRetry(ctx, to, msg)
-		}(member.Server)
+			s.pushShard(ctx, member, info, shards[member.Index], v)
+		}()
 	}
 	wg.Wait()
 	s.col.Add(metrics.Transport, time.Since(start))
+}
+
+// pushShard installs a shard on its member. v rides along as the holder's
+// time-step tag (0: untagged).
+func (s *Server) pushShard(ctx context.Context, member types.StripeMember, info *types.StripeInfo, data []byte, v types.Version) bool {
+	msg := &transport.Message{
+		Kind:       transport.MsgShardPut,
+		Stripe:     info.ID,
+		ShardIndex: member.Index,
+		Data:       data,
+		StripeInfo: info,
+		Version:    v,
+	}
+	resp, err := s.sendRetry(ctx, member.Server, msg)
+	if err == nil {
+		err = resp.AsError()
+	}
+	return err == nil
 }
 
 // dropStripe releases a stripe (used when an encoded object is promoted
@@ -294,7 +295,7 @@ func (s *Server) dropStripe(ctx context.Context, id types.StripeID) {
 	if id == (types.StripeID{}) {
 		return
 	}
-	info, ok := s.dirLookupStripe(ctx, id)
+	info, ok := s.reader.LookupStripe(ctx, id)
 	if !ok {
 		return
 	}
@@ -310,10 +311,6 @@ func (s *Server) dropStripeMembers(ctx context.Context, info *types.StripeInfo) 
 	start := time.Now()
 	for _, member := range info.Members {
 		msg := &transport.Message{Kind: transport.MsgShardDrop, Stripe: info.ID, ShardIndex: member.Index}
-		if member.Server == s.id {
-			s.handleShardDrop(msg)
-			continue
-		}
 		_, _ = s.sendRetry(ctx, member.Server, msg) // dead member holds nothing
 	}
 	s.col.Add(metrics.Transport, time.Since(start))
@@ -409,8 +406,8 @@ func (s *Server) promotionBudget() int {
 }
 
 // promoteObject transitions an encoded object back to full replication:
-// reassemble the data from its shards, store the full copy, push replicas,
-// drop the stripe.
+// reassemble the data from its shards — in place, as a client's get does —
+// store the full copy, push replicas, drop the stripe.
 func (s *Server) promoteObject(ctx context.Context, id types.ObjectID) bool {
 	key := id.Key()
 	lk := s.writeLock(key)
@@ -432,7 +429,14 @@ func (s *Server) promoteObject(ctx context.Context, id types.ObjectID) bool {
 			return false
 		}
 	}
-	data, _, err := s.fetchStripeData(ctx, st.stripe, st.size)
+	info, ok := s.stripeInfoFor(ctx, st.stripe)
+	if !ok {
+		return false
+	}
+	data := reader.Buffer(st.size, info.K)
+	tStart := time.Now()
+	_, err := s.reader.Stripe(ctx, info, data)
+	s.col.Add(metrics.Transport, time.Since(tStart))
 	if err != nil {
 		return false
 	}

@@ -1,0 +1,7 @@
+//go:build race
+
+package server
+
+// raceEnabled reports whether the race detector instruments this build;
+// allocation counts mean nothing under it.
+const raceEnabled = true

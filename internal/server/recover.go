@@ -8,6 +8,7 @@ import (
 
 	"corec/internal/matrix"
 	"corec/internal/metrics"
+	"corec/internal/reader"
 	"corec/internal/recovery"
 	"corec/internal/transport"
 	"corec/internal/types"
@@ -23,88 +24,53 @@ func (s *Server) DecodeCacheStats() (stats matrix.CacheStats, ok bool) {
 	return s.codec.DecodeCacheStats()
 }
 
-// fetchStripeData gathers enough shards of a stripe to reassemble the
-// original object of the given size. The systematic fast path reads the k
-// data shards; when some are unreachable it falls back to any k surviving
-// members and reconstructs (degraded read), charging the decode bucket.
-func (s *Server) fetchStripeData(ctx context.Context, id types.StripeID, size int) ([]byte, *types.StripeInfo, error) {
-	info, ok := s.stripeInfoFor(ctx, id)
-	if !ok {
-		return nil, nil, fmt.Errorf("stripe %v not found", id)
-	}
-	shards := make([][]byte, info.K+info.M)
-	have := 0
-	// Fast path: data shards only.
-	tStart := time.Now()
-	for _, member := range info.Members {
-		if member.Index >= info.K {
-			continue
-		}
-		if b, ok := s.fetchShard(ctx, member, id); ok {
-			shards[member.Index] = b
-			have++
-		}
-	}
-	s.col.Add(metrics.Transport, time.Since(tStart))
-	if have < info.K {
-		// Degraded: pull parity shards until k survive.
-		tStart = time.Now()
-		for _, member := range info.Members {
-			if have >= info.K {
-				break
-			}
-			if member.Index < info.K || shards[member.Index] != nil {
-				continue
-			}
-			if b, ok := s.fetchShard(ctx, member, id); ok {
-				shards[member.Index] = b
-				have++
-			}
-		}
-		s.col.Add(metrics.Transport, time.Since(tStart))
-		if have < info.K {
-			return nil, info, fmt.Errorf("stripe %v: only %d of %d shards reachable", id, have, info.K)
-		}
-		dStart := time.Now()
-		if err := s.codec.ReconstructData(shards); err != nil {
-			return nil, info, err
-		}
-		s.col.Add(metrics.Decode, time.Since(dStart))
-	}
-	data, err := s.codec.Join(shards, size)
-	if err != nil {
-		return nil, info, err
-	}
-	return data, info, nil
-}
-
-// stripeInfoFor resolves stripe geometry from the local shard cache first
-// and the directory second.
+// stripeInfoFor resolves stripe geometry from the record of locally held
+// shards first and the directory second.
 func (s *Server) stripeInfoFor(ctx context.Context, id types.StripeID) (*types.StripeInfo, bool) {
 	s.mu.Lock()
-	for idx := 0; idx < 64; idx++ { // small bounded probe of local cache
-		if info, ok := s.shardStripe[shardKey(id, idx)]; ok {
-			s.mu.Unlock()
-			cp := info
-			return &cp, true
-		}
-	}
+	info := s.held[id].info
 	s.mu.Unlock()
-	return s.dirLookupStripe(ctx, id)
+	if info != nil {
+		return info, true
+	}
+	return s.reader.LookupStripe(ctx, id)
 }
 
-// fetchShard reads one stripe shard, locally when possible.
-func (s *Server) fetchShard(ctx context.Context, member types.StripeMember, id types.StripeID) ([]byte, bool) {
-	if member.Server == s.id {
-		return s.store.Get(shardKey(id, member.Index))
+// others returns ids without this server: the holders to ask for a piece
+// this server is missing.
+func (s *Server) others(ids []types.ServerID) []types.ServerID {
+	return slices.DeleteFunc(slices.Clone(ids), func(id types.ServerID) bool { return id == s.id })
+}
+
+// shardIndexIn returns the index of the shard this server holds in the
+// stripe, -1 when it is not a member.
+func (s *Server) shardIndexIn(info *types.StripeInfo) int {
+	for _, m := range info.Members {
+		if m.Server == s.id {
+			return m.Index
+		}
 	}
-	resp, err := s.sendRetry(ctx, member.Server, &transport.Message{
-		Kind: transport.MsgShardGet, Stripe: id, ShardIndex: member.Index,
-	})
-	if err != nil || resp.Kind != transport.MsgGetBytes || !resp.Flag {
-		return nil, false
+	return -1
+}
+
+// rebuild gathers k shards of the stripe from members other than the holders
+// of the missing ones and reconstructs the full set from them: recovery and
+// the scrubber then take the shards they are restoring from it. The gather is
+// charged to the transport bucket, the reconstruction to the decode bucket.
+func (s *Server) rebuild(ctx context.Context, info *types.StripeInfo, missing []int, t reader.Tally) ([][]byte, error) {
+	if s.codec == nil {
+		return nil, fmt.Errorf("no codec configured")
 	}
-	return resp.Data, true
+	tStart := time.Now()
+	shards, _, have := s.reader.Shards(ctx, info, info.K, missing, nil, t)
+	s.col.Add(metrics.Transport, time.Since(tStart))
+	if have < info.K {
+		return nil, fmt.Errorf("%w: stripe %v: only %d of %d shards reachable", reader.ErrDataLoss, info.ID, have, info.K)
+	}
+	dStart := time.Now()
+	err := s.codec.Reconstruct(shards)
+	s.col.Add(metrics.Decode, time.Since(dStart))
+	return shards, err
 }
 
 // handleRecover repairs the named object's local piece (full copy, replica,
@@ -126,34 +92,32 @@ func (s *Server) handleRecover(ctx context.Context, req *transport.Message) *tra
 
 // recoverObject restores whatever piece of the object this server is
 // supposed to hold, according to the directory. Returns whether a repair
-// happened.
-func (s *Server) recoverObject(ctx context.Context, id types.ObjectID) (bool, error) {
-	meta, ok := s.dirLookupMeta(ctx, id)
+// happened. A repair that misses because the object changed state under it —
+// its primary demoted or promoted it meanwhile — is retried through the fresh
+// record, as a client's read is.
+func (s *Server) recoverObject(ctx context.Context, id types.ObjectID) (repaired bool, err error) {
+	meta, ok := s.reader.LookupMeta(ctx, id)
 	if !ok {
 		return false, fmt.Errorf("no metadata")
 	}
-	switch meta.State {
-	case types.StateNone:
-		// Nothing redundant exists; the data is lost if we were primary.
-		return false, nil
-	case types.StateReplicated:
-		return s.recoverReplicated(ctx, meta)
-	case types.StateEncoded:
-		return s.recoverEncoded(ctx, meta)
-	}
-	return false, nil
+	err = s.reader.Settle(ctx, meta, func(meta *types.ObjectMeta) (err error) {
+		switch meta.State {
+		case types.StateReplicated:
+			repaired, err = s.recoverReplicated(ctx, meta)
+		case types.StateEncoded:
+			repaired, err = s.recoverEncoded(ctx, meta)
+		}
+		// StateNone: nothing redundant exists; the data is lost if we were
+		// primary.
+		return err
+	})
+	return repaired, err
 }
 
 func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta) (bool, error) {
 	key := meta.ID.Key()
 	iAmPrimary := meta.Primary == s.id
-	iAmReplica := false
-	for _, r := range meta.Replicas {
-		if r == s.id {
-			iAmReplica = true
-		}
-	}
-	if !iAmPrimary && !iAmReplica {
+	if !iAmPrimary && !slices.Contains(meta.Replicas, s.id) {
 		return false, nil
 	}
 	s.mu.Lock()
@@ -163,77 +127,52 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta) 
 	if (iAmPrimary && havePrimary) || (!iAmPrimary && haveReplica) {
 		return false, nil // already intact
 	}
-	// Fetch a surviving full copy from any other holder.
-	var sources []types.ServerID
-	if !iAmPrimary {
-		sources = append(sources, meta.Primary)
-	}
-	for _, r := range meta.Replicas {
-		if r != s.id {
-			sources = append(sources, r)
-		}
-	}
+	// Fetch a surviving full copy from any other holder. A source whose
+	// bytes fail the directory's recorded checksum has rotted at rest: it is
+	// passed over for the next holder rather than propagating the corruption
+	// into the repaired copy.
 	tStart := time.Now()
-	defer func() { s.col.Add(metrics.Transport, time.Since(tStart)) }()
-	for _, src := range sources {
-		resp, err := s.sendRetry(ctx, src, &transport.Message{Kind: transport.MsgObjFetch, Key: key})
-		if err != nil || resp.Kind != transport.MsgGetBytes || !resp.Flag {
-			continue
-		}
-		sum := s.digestMsg(resp)
-		// A source whose bytes fail the directory's recorded checksum has
-		// rotted at rest: skip it and try the next holder rather than
-		// propagating the corruption into the repaired copy.
-		if meta.Checksum != 0 && resp.Version == meta.Version && sum != meta.Checksum {
-			continue
-		}
-		obj := &types.Object{ID: meta.ID, Version: resp.Version, Data: resp.Data}
-		// Never clobber a newer copy installed by a concurrent write.
-		s.mu.Lock()
-		if iAmPrimary {
-			if cur, ok := s.objects[key]; ok && cur.Version >= obj.Version {
-				s.mu.Unlock()
-				return false, nil
-			}
-			s.objects[key] = obj
-		} else {
-			if cur, ok := s.replicas[key]; ok && cur.Version >= obj.Version {
-				s.mu.Unlock()
-				return false, nil
-			}
-			s.replicas[key] = obj
-			s.replicaSums[key] = sum
-		}
-		s.mu.Unlock()
-		if iAmPrimary {
-			s.mu.Lock()
-			st, known := s.local[key]
-			stale := known && st.version > obj.Version
-			s.mu.Unlock()
-			if !stale {
-				s.setLocalState(meta.ID, resp.Version, len(resp.Data), types.StateReplicated, types.StripeID{}, sum, obj)
-				if cls := s.decider.Classifier(); cls != nil {
-					cls.Track(meta.ID, false)
-				}
-			}
-		}
-		return true, nil
+	var sum uint64
+	resp := s.reader.Copy(ctx, key, s.others(meta.Locations()), nil, func(resp *transport.Message) bool {
+		sum = s.digestMsg(resp)
+		return meta.Checksum == 0 || resp.Version != meta.Version || sum == meta.Checksum
+	}, reader.NoTally)
+	s.col.Add(metrics.Transport, time.Since(tStart))
+	if resp == nil {
+		return false, fmt.Errorf("%w: no surviving copy of %s", reader.ErrDataLoss, key)
 	}
-	return false, fmt.Errorf("no surviving copy of %s", key)
+	obj := &types.Object{ID: meta.ID, Version: resp.Version, Data: resp.Data}
+	s.mu.Lock()
+	copies := s.replicas
+	if iAmPrimary {
+		copies = s.objects
+	}
+	// Never clobber a newer copy installed by a concurrent write.
+	if cur, ok := copies[key]; ok && cur.Version >= obj.Version {
+		s.mu.Unlock()
+		return false, nil
+	}
+	copies[key] = obj
+	if !iAmPrimary {
+		s.replicaSums[key] = sum
+	}
+	st, known := s.local[key]
+	s.mu.Unlock()
+	if iAmPrimary && !(known && st.version > obj.Version) {
+		s.setLocalState(meta.ID, resp.Version, len(resp.Data), types.StateReplicated, types.StripeID{}, sum, obj)
+		if cls := s.decider.Classifier(); cls != nil {
+			cls.Track(meta.ID, false)
+		}
+	}
+	return true, nil
 }
 
 func (s *Server) recoverEncoded(ctx context.Context, meta *types.ObjectMeta) (bool, error) {
 	info, ok := s.stripeInfoFor(ctx, meta.Stripe)
 	if !ok {
-		return false, fmt.Errorf("stripe %v unknown", meta.Stripe)
+		return false, fmt.Errorf("%w: stripe %v unknown", reader.ErrDataLoss, meta.Stripe)
 	}
-	var myIndex = -1
-	for _, m := range info.Members {
-		if m.Server == s.id {
-			myIndex = m.Index
-			break
-		}
-	}
+	myIndex := s.shardIndexIn(info)
 	if myIndex < 0 {
 		// Not a stripe member. If we are the primary, local bookkeeping is
 		// refreshed so transitions keep working.
@@ -243,86 +182,30 @@ func (s *Server) recoverEncoded(ctx context.Context, meta *types.ObjectMeta) (bo
 		return false, nil
 	}
 	sk := shardKey(meta.Stripe, myIndex)
-	if s.store.Has(sk) {
-		if meta.Primary == s.id {
-			s.refreshEncodedBookkeeping(meta, info)
+	repaired := !s.store.Has(sk)
+	if repaired {
+		shards, err := s.rebuild(ctx, info, []int{myIndex}, reader.NoTally)
+		if err != nil {
+			return false, err
 		}
-		return false, nil
+		shardSum := s.digest(shards[myIndex]) // outside s.mu: see encodeObject
+		s.mu.Lock()
+		s.holdShardLocked(meta.Stripe, myIndex, shardSum, info)
+		s.store.PutTagged(sk, shards[myIndex], shardEpoch(meta.Version))
+		s.mu.Unlock()
+		s.mutations.Add(1)
 	}
-	// Gather any k other shards and rebuild ours.
-	shards := make([][]byte, info.K+info.M)
-	have := 0
-	tStart := time.Now()
-	for _, member := range info.Members {
-		if member.Index == myIndex || have >= info.K {
-			continue
-		}
-		if b, ok := s.fetchShard(ctx, member, meta.Stripe); ok {
-			shards[member.Index] = b
-			have++
-		}
-	}
-	s.col.Add(metrics.Transport, time.Since(tStart))
-	if have < info.K {
-		return false, fmt.Errorf("stripe %v: only %d of %d shards reachable", meta.Stripe, have, info.K)
-	}
-	dStart := time.Now()
-	if err := s.codec.Reconstruct(shards); err != nil {
-		return false, err
-	}
-	s.col.Add(metrics.Decode, time.Since(dStart))
-	shardSum := s.digest(shards[myIndex]) // outside s.mu: see encodeObject
+	// A primary that lost its bookkeeping with its memory gets it back.
 	s.mu.Lock()
-	s.shardSums[sk] = shardSum
-	s.shardStripe[sk] = *info
-	s.store.PutTagged(sk, shards[myIndex], shardEpoch(meta.Version))
+	_, known := s.local[meta.ID.Key()]
 	s.mu.Unlock()
-	s.mutations.Add(1)
-	if meta.Primary == s.id {
-		s.refreshEncodedBookkeeping(meta, info)
-	}
-	return true, nil
-}
-
-func (s *Server) refreshEncodedBookkeeping(meta *types.ObjectMeta, info *types.StripeInfo) {
-	s.mu.Lock()
-	st, known := s.local[meta.ID.Key()]
-	stale := known && st.version >= meta.Version
-	s.mu.Unlock()
-	if !known && !stale {
+	if meta.Primary == s.id && !known {
 		s.setLocalState(meta.ID, meta.Version, meta.Size, types.StateEncoded, info.ID, meta.Checksum, nil)
 		if cls := s.decider.Classifier(); cls != nil {
 			cls.Track(meta.ID, true)
 		}
 	}
-}
-
-// dirLookupMeta fetches an object's metadata record from the servers its
-// box registers it on (self served locally).
-func (s *Server) dirLookupMeta(ctx context.Context, id types.ObjectID) (*types.ObjectMeta, bool) {
-	start := time.Now()
-	defer func() { s.col.Add(metrics.Metadata, time.Since(start)) }()
-	// Consult every mirror and keep the newest record: a mirror that lagged
-	// behind a same-version state flip would otherwise feed recovery a
-	// record pointing at resources the flip already released.
-	var best *types.ObjectMeta
-	key := id.Key()
-	for _, t := range s.dirPlace.Servers(id.Var, id.Box) {
-		var resp *transport.Message
-		var err error
-		msg := &transport.Message{Kind: transport.MsgMetaLookup, Key: key}
-		if t == s.id {
-			resp = s.handleMetaLookup(msg)
-		} else {
-			resp, err = s.sendRetry(ctx, t, msg)
-		}
-		if err == nil && resp.Kind == transport.MsgOK && resp.Flag {
-			if best == nil || resp.Meta.Newer(best) {
-				best = resp.Meta
-			}
-		}
-	}
-	return best, best != nil
+	return repaired, nil
 }
 
 // handleRecoverAll runs the full replacement-server recovery protocol on
@@ -406,65 +289,64 @@ func (s *Server) rebuildDirectoryAndWorklist(ctx context.Context) ([]string, map
 			peers = append(peers, types.ServerID(i))
 		}
 	}
-	var keys []string
-	ids := make(map[string]types.ObjectID)
-	for _, peer := range peers {
-		if peer == s.id {
-			continue
-		}
+	// Collect every peer's dump first: the stripe records in them answer
+	// "is one of my shards in this object's stripe" for the whole work list,
+	// where asking the directory would cost a lookup per encoded record.
+	var metas []types.ObjectMeta
+	stripes := make(map[types.StripeID]*types.StripeInfo)
+	for _, peer := range s.others(peers) {
 		resp, err := s.sendRetry(ctx, peer, &transport.Message{Kind: transport.MsgDirDump})
 		if err != nil || resp.Kind != transport.MsgOK {
 			continue
 		}
-		for i := range resp.Metas {
-			meta := resp.Metas[i]
-			key := meta.ID.Key()
-			// Restore directory entries belonging to this server's shard
-			// (as owner or mirror of a cell the record's box touches).
-			// Flag marks restore mode: never clobber a live same-version
-			// record that a concurrent transition may have refreshed.
-			if slices.Contains(s.dirPlace.Servers(meta.ID.Var, meta.ID.Box), s.id) {
-				s.handleMetaUpdate(&transport.Message{Kind: transport.MsgMetaUpdate, Meta: &meta, Flag: true})
-			}
-			if _, seen := ids[key]; seen {
-				continue
-			}
-			if s.holdsPieceOf(ctx, &meta) {
-				ids[key] = meta.ID
-				keys = append(keys, key)
+		metas = append(metas, resp.Metas...)
+		for i := range resp.Stripes {
+			info := &resp.Stripes[i]
+			stripes[info.ID] = info
+			if slices.Contains(s.dirPlace.StripeServers(info.ID), s.id) {
+				s.handleStripeUpdate(&transport.Message{Kind: transport.MsgStripeUpdate, StripeInfo: info})
 			}
 		}
-		for i := range resp.Stripes {
-			info := resp.Stripes[i]
-			if slices.Contains(s.dirPlace.StripeServers(info.ID), s.id) {
-				s.handleStripeUpdate(&transport.Message{Kind: transport.MsgStripeUpdate, StripeInfo: &info})
-			}
+	}
+	var keys []string
+	ids := make(map[string]types.ObjectID)
+	for i := range metas {
+		meta := &metas[i]
+		key := meta.ID.Key()
+		// Restore directory entries belonging to this server's shard (as
+		// owner or mirror of a cell the record's box touches). Flag marks
+		// restore mode: never clobber a live same-version record that a
+		// concurrent transition may have refreshed.
+		if slices.Contains(s.dirPlace.Servers(meta.ID.Var, meta.ID.Box), s.id) {
+			s.handleMetaUpdate(&transport.Message{Kind: transport.MsgMetaUpdate, Meta: meta, Flag: true})
+		}
+		if _, seen := ids[key]; seen {
+			continue
+		}
+		if s.holdsPieceOf(ctx, meta, stripes) {
+			ids[key] = meta.ID
+			keys = append(keys, key)
 		}
 	}
 	return keys, ids, nil
 }
 
 // holdsPieceOf reports whether this server should hold a piece of the
-// object described by meta (primary copy, replica, or stripe shard).
-func (s *Server) holdsPieceOf(ctx context.Context, meta *types.ObjectMeta) bool {
-	if meta.Primary == s.id {
+// object described by meta (primary copy, replica, or stripe shard). stripes
+// holds the stripe records already in hand; the directory is asked only for
+// one that is not among them.
+func (s *Server) holdsPieceOf(ctx context.Context, meta *types.ObjectMeta, stripes map[types.StripeID]*types.StripeInfo) bool {
+	if meta.Primary == s.id || slices.Contains(meta.Replicas, s.id) {
 		return true
 	}
-	for _, r := range meta.Replicas {
-		if r == s.id {
-			return true
-		}
+	if meta.State != types.StateEncoded {
+		return false
 	}
-	if meta.State == types.StateEncoded {
-		if info, ok := s.stripeInfoFor(ctx, meta.Stripe); ok {
-			for _, m := range info.Members {
-				if m.Server == s.id {
-					return true
-				}
-			}
-		}
+	info, ok := stripes[meta.Stripe]
+	if !ok {
+		info, ok = s.stripeInfoFor(ctx, meta.Stripe)
 	}
-	return false
+	return ok && s.shardIndexIn(info) >= 0
 }
 
 // RepairQueueLen returns the number of pending background repairs (0 when

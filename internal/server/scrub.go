@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"corec/internal/metrics"
+	"corec/internal/reader"
 	"corec/internal/scrub"
 	"corec/internal/transport"
 	"corec/internal/types"
@@ -223,9 +224,12 @@ func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.R
 	}
 
 	for _, sk := range shardKeys {
+		id, index, ok := parseShardKey(sk)
+		if !ok {
+			continue // not a shard: nothing recorded to verify it against
+		}
 		s.mu.Lock()
-		want := s.shardSums[sk]
-		info, haveInfo := s.shardStripe[sk]
+		want, info := s.held[id].sums[index], s.held[id].info
 		s.mu.Unlock()
 		// Peek reads without touching heat or tier placement. A shard whose
 		// stored record rotted below L1 is quarantined by the engine's own
@@ -246,14 +250,14 @@ func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.R
 			// Backfill also covers shards re-indexed from a restarted disk
 			// tier, whose sums map died with the previous incarnation.
 			s.mu.Lock()
-			if s.store.Has(sk) && s.shardSums[sk] == 0 {
-				s.shardSums[sk] = got
+			if s.store.Has(sk) && s.held[id].sums[index] == 0 {
+				s.holdShardLocked(id, index, got, nil)
 				rep.Backfills++
 			}
 			s.mu.Unlock()
 		case got != want:
 			rep.Corruptions++
-			if !haveInfo {
+			if info == nil {
 				rep.Unrepaired++
 				continue
 			}
@@ -285,7 +289,7 @@ func (s *Server) backfillPrimary(ctx context.Context, key string, obj *types.Obj
 	rep.Backfills++
 	// Share the authority: push the checksum into the directory record so
 	// remote verifiers and future recoveries agree on it.
-	if meta, ok := s.dirLookupMeta(ctx, obj.ID); ok && meta.Checksum == 0 && meta.Version == obj.Version {
+	if meta, ok := s.reader.LookupMeta(ctx, obj.ID); ok && meta.Checksum == 0 && meta.Version == obj.Version {
 		meta.Checksum = got
 		_ = s.dirUpdate(ctx, meta) // survivors serve until the next flush
 	}
@@ -318,40 +322,25 @@ func (s *Server) repairPrimary(ctx context.Context, key string, obj *types.Objec
 		rep.Unrepaired++
 		return nil
 	}
-	meta, ok := s.dirLookupMeta(ctx, obj.ID)
+	meta, ok := s.reader.LookupMeta(ctx, obj.ID)
 	if !ok {
 		rep.Unrepaired++
 		return nil
 	}
-	for _, src := range meta.Replicas {
-		if src == s.id {
-			continue
-		}
-		resp, err := s.sendRetry(ctx, src, &transport.Message{Kind: transport.MsgObjFetch, Key: key})
-		if err != nil {
-			rep.Skipped++
-			continue
-		}
-		if resp.Kind != transport.MsgGetBytes || !resp.Flag {
-			continue
-		}
-		if err := bud.Charge(ctx, int64(len(resp.Data))); err != nil {
-			return err
-		}
-		rep.Bytes += int64(len(resp.Data))
-		if resp.Version != obj.Version || s.digestMsg(resp) != want {
-			continue // stale mirror, or itself rotted; try the next one
-		}
-		fixed := &types.Object{ID: obj.ID, Version: obj.Version, Data: resp.Data}
-		s.mu.Lock()
-		if s.objects[key] == obj {
-			s.objects[key] = fixed
-		}
-		s.mu.Unlock()
-		rep.Repairs++
-		return nil
+	resp := s.reader.Copy(ctx, key, s.others(meta.Replicas), nil, func(resp *transport.Message) bool {
+		// A stale mirror, or one that itself rotted, is passed over.
+		return resp.Version == obj.Version && s.digestMsg(resp) == want
+	}, scrubTally(bud, rep))
+	if resp == nil {
+		rep.Unrepaired++
+		return ctx.Err() // a cancelled pass stops here; any other failure is the next pass's
 	}
-	rep.Unrepaired++
+	s.mu.Lock()
+	if s.objects[key] == obj {
+		s.objects[key] = &types.Object{ID: obj.ID, Version: obj.Version, Data: resp.Data}
+	}
+	s.mu.Unlock()
+	rep.Repairs++
 	return nil
 }
 
@@ -359,103 +348,76 @@ func (s *Server) repairPrimary(ctx context.Context, key string, obj *types.Objec
 // object (the primary first).
 func (s *Server) repairReplica(ctx context.Context, key string, obj *types.Object, want uint64, bud *scrub.Budget, rep *scrub.Report) error {
 	rep.Corruptions++
-	meta, ok := s.dirLookupMeta(ctx, obj.ID)
+	meta, ok := s.reader.LookupMeta(ctx, obj.ID)
 	if !ok {
 		rep.Unrepaired++
 		return nil
 	}
-	for _, src := range meta.Locations() {
-		if src == s.id {
-			continue
-		}
-		resp, err := s.sendRetry(ctx, src, &transport.Message{Kind: transport.MsgObjFetch, Key: key})
-		if err != nil {
-			rep.Skipped++
-			continue
-		}
-		if resp.Kind != transport.MsgGetBytes || !resp.Flag {
-			continue
-		}
-		if err := bud.Charge(ctx, int64(len(resp.Data))); err != nil {
-			return err
-		}
-		rep.Bytes += int64(len(resp.Data))
-		sum := s.digestMsg(resp)
+	var sum uint64
+	resp := s.reader.Copy(ctx, key, s.others(meta.Locations()), nil, func(resp *transport.Message) bool {
+		sum = s.digestMsg(resp)
 		// Accept a same-version restore of what this replica originally
 		// stored, or a catch-up to the directory's recorded authority.
 		restore := sum == want
 		catchUp := meta.Checksum != 0 && resp.Version == meta.Version && sum == meta.Checksum &&
 			resp.Version >= obj.Version
-		if !restore && !catchUp {
-			continue
-		}
-		s.mu.Lock()
-		if cur := s.replicas[key]; cur == obj {
-			s.replicas[key] = &types.Object{ID: obj.ID, Version: resp.Version, Data: resp.Data}
-			s.replicaSums[key] = sum
-		}
-		s.mu.Unlock()
-		rep.Repairs++
-		return nil
+		return restore || catchUp
+	}, scrubTally(bud, rep))
+	if resp == nil {
+		rep.Unrepaired++
+		return ctx.Err()
 	}
-	rep.Unrepaired++
+	s.mu.Lock()
+	if cur := s.replicas[key]; cur == obj {
+		s.replicas[key] = &types.Object{ID: obj.ID, Version: resp.Version, Data: resp.Data}
+		s.replicaSums[key] = sum
+	}
+	s.mu.Unlock()
+	rep.Repairs++
 	return nil
 }
 
+// scrubTally charges a repair's reads to the pass: every payload fetched pays
+// the budget before it is looked at and counts toward Bytes, and a holder
+// that does not deliver is a skip.
+func scrubTally(bud *scrub.Budget, rep *scrub.Report) reader.Tally {
+	return reader.Tally{
+		Got: func(ctx context.Context, n int) error {
+			if err := bud.Charge(ctx, int64(n)); err != nil {
+				return err
+			}
+			rep.Bytes += int64(n)
+			return nil
+		},
+		Missed: func() { rep.Skipped++ },
+	}
+}
+
 // repairShard rebuilds a rotted local shard from k healthy peers.
-func (s *Server) repairShard(ctx context.Context, sk string, info types.StripeInfo, want uint64, bud *scrub.Budget, rep *scrub.Report) error {
-	myIndex := -1
-	for _, m := range info.Members {
-		if m.Server == s.id {
-			myIndex = m.Index
-			break
-		}
-	}
-	if myIndex < 0 || s.codec == nil {
+func (s *Server) repairShard(ctx context.Context, sk string, info *types.StripeInfo, want uint64, bud *scrub.Budget, rep *scrub.Report) error {
+	myIndex := s.shardIndexIn(info)
+	if myIndex < 0 {
 		rep.Unrepaired++
 		return nil
 	}
-	shards := make([][]byte, info.K+info.M)
-	have := 0
-	for _, member := range info.Members {
-		if member.Index == myIndex || have >= info.K {
-			continue
-		}
-		b, ok := s.fetchShard(ctx, member, info.ID)
-		if !ok {
-			rep.Skipped++
-			continue
-		}
-		if err := bud.Charge(ctx, int64(len(b))); err != nil {
-			return err
-		}
-		rep.Bytes += int64(len(b))
-		shards[member.Index] = b
-		have++
-	}
-	if have < info.K {
-		rep.Unrepaired++
-		return nil
-	}
-	start := time.Now()
-	err := s.codec.Reconstruct(shards)
+	shards, err := s.rebuild(ctx, info, []int{myIndex}, scrubTally(bud, rep))
 	if err == nil {
 		// The rebuilt stripe must be self-consistent; if a peer shard is
 		// itself rotted, the reconstruction is garbage and the stripe phase
 		// owns pinpointing the bad member.
+		start := time.Now()
 		err = s.codec.Verify(shards)
+		s.col.Add(metrics.Decode, time.Since(start))
 	}
-	s.col.Add(metrics.Decode, time.Since(start))
 	if err != nil {
 		rep.Unrepaired++
-		return nil
+		return ctx.Err() // a cancelled pass stops here; any other failure is the next pass's
 	}
 	rebuilt := shards[myIndex]
 	sum := s.digest(rebuilt)
 	s.mu.Lock()
-	if s.store.Has(sk) && s.shardSums[sk] == want {
-		s.shardSums[sk] = sum
-		s.shardStripe[sk] = info
+	if s.store.Has(sk) && s.held[info.ID].sums[myIndex] == want {
+		s.holdShardLocked(info.ID, myIndex, sum, info)
 		s.store.Put(sk, rebuilt)
 	}
 	s.mu.Unlock()
@@ -490,13 +452,10 @@ func (s *Server) scrubReplicaGroups(ctx context.Context, bud *scrub.Budget, rep 
 
 	for _, it := range items {
 		holders := s.replicaHolders()
-		if meta, ok := s.dirLookupMeta(ctx, it.obj.ID); ok && len(meta.Replicas) > 0 {
+		if meta, ok := s.reader.LookupMeta(ctx, it.obj.ID); ok && len(meta.Replicas) > 0 {
 			holders = meta.Replicas
 		}
-		for _, h := range holders {
-			if h == s.id {
-				continue
-			}
+		for _, h := range s.others(holders) {
 			if err := bud.Charge(ctx, 0); err != nil {
 				return err
 			}
@@ -589,14 +548,6 @@ func (s *Server) scrubStripe(ctx context.Context, info *types.StripeInfo, bud *s
 	var missing []int
 	reachable := 0
 	for _, m := range info.Members {
-		if m.Server == s.id {
-			have := s.store.Has(shardKey(info.ID, m.Index))
-			reachable++
-			if !have {
-				missing = append(missing, m.Index)
-			}
-			continue
-		}
 		if err := bud.Charge(ctx, 0); err != nil {
 			return err
 		}
@@ -632,38 +583,10 @@ func (s *Server) scrubStripe(ctx context.Context, info *types.StripeInfo, bud *s
 // reencodeMissing rebuilds the named shard indexes from k healthy ones and
 // pushes them back to their members.
 func (s *Server) reencodeMissing(ctx context.Context, info *types.StripeInfo, missing []int, bud *scrub.Budget, rep *scrub.Report) error {
-	gone := make(map[int]bool, len(missing))
-	for _, idx := range missing {
-		gone[idx] = true
-	}
-	shards := make([][]byte, info.K+info.M)
-	have := 0
-	for _, m := range info.Members {
-		if have >= info.K || gone[m.Index] {
-			continue
-		}
-		b, ok := s.fetchShard(ctx, m, info.ID)
-		if !ok {
-			rep.Skipped++
-			continue
-		}
-		if err := bud.Charge(ctx, int64(len(b))); err != nil {
-			return err
-		}
-		rep.Bytes += int64(len(b))
-		shards[m.Index] = b
-		have++
-	}
-	if have < info.K {
-		rep.Unrepaired++
-		return nil
-	}
-	start := time.Now()
-	err := s.codec.Reconstruct(shards)
-	s.col.Add(metrics.Decode, time.Since(start))
+	shards, err := s.rebuild(ctx, info, missing, scrubTally(bud, rep))
 	if err != nil {
 		rep.Unrepaired++
-		return nil
+		return ctx.Err() // a cancelled pass stops here; any other failure is the next pass's
 	}
 	for _, idx := range missing {
 		member, ok := info.MemberFor(idx)
@@ -675,7 +598,7 @@ func (s *Server) reencodeMissing(ctx context.Context, info *types.StripeInfo, mi
 			return err
 		}
 		rep.Bytes += int64(len(data))
-		if s.pushShard(ctx, member, info, data) {
+		if s.pushShard(ctx, member, info, data, 0) {
 			rep.Reencodes++
 		} else {
 			rep.Skipped++
@@ -689,22 +612,11 @@ func (s *Server) reencodeMissing(ctx context.Context, info *types.StripeInfo, mi
 // nulling the rotted one and reconstructing from the rest must yield a
 // stripe that verifies.
 func (s *Server) spotDecode(ctx context.Context, info *types.StripeInfo, bud *scrub.Budget, rep *scrub.Report) error {
-	shards := make([][]byte, info.K+info.M)
-	have := 0
-	for _, m := range info.Members {
-		b, ok := s.fetchShard(ctx, m, info.ID)
-		if !ok {
-			continue
-		}
-		if err := bud.Charge(ctx, int64(len(b))); err != nil {
-			return err
-		}
-		rep.Bytes += int64(len(b))
-		shards[m.Index] = b
-		have++
-	}
+	t := scrubTally(bud, rep)
+	t.Missed = func() {} // every member just answered the probe: a miss now is churn, and the next pass re-checks
+	shards, _, have := s.reader.Shards(ctx, info, info.K+info.M, nil, nil, t)
 	if have < info.K+info.M {
-		return nil // raced with churn; the next pass re-checks
+		return ctx.Err()
 	}
 	start := time.Now()
 	verr := s.codec.Verify(shards)
@@ -731,7 +643,7 @@ func (s *Server) spotDecode(ctx context.Context, info *types.StripeInfo, bud *sc
 			return err
 		}
 		rep.Bytes += int64(len(trial[m.Index]))
-		if s.pushShard(ctx, m, info, trial[m.Index]) {
+		if s.pushShard(ctx, m, info, trial[m.Index], 0) {
 			rep.Repairs++
 		} else {
 			rep.Unrepaired++
@@ -744,26 +656,6 @@ func (s *Server) spotDecode(ctx context.Context, info *types.StripeInfo, bud *sc
 	rep.Corruptions++
 	rep.Unrepaired++
 	return nil
-}
-
-// pushShard installs a shard on its member (locally or over the fabric).
-func (s *Server) pushShard(ctx context.Context, member types.StripeMember, info *types.StripeInfo, data []byte) bool {
-	msg := &transport.Message{
-		Kind:       transport.MsgShardPut,
-		Stripe:     info.ID,
-		ShardIndex: member.Index,
-		K:          info.K, M: info.M, ShardSize: info.ShardSize,
-		Data:       data,
-		StripeInfo: info,
-	}
-	if member.Server == s.id {
-		return s.handleShardPut(msg).AsError() == nil
-	}
-	resp, err := s.sendRetry(ctx, member.Server, msg)
-	if err == nil {
-		err = resp.AsError()
-	}
-	return err == nil
 }
 
 // --- checksum-exchange handlers ---

@@ -79,7 +79,7 @@ func TestScrubBackfillsLegacyChecksums(t *testing.T) {
 	if mgot != want {
 		t.Fatalf("mirror sum = %x, want %x", mgot, want)
 	}
-	if meta, ok := srv.dirLookupMeta(ctx, types.ObjectID{Var: "legacy", Box: box}); !ok || meta.Checksum != want {
+	if meta, ok := srv.reader.LookupMeta(ctx, types.ObjectID{Var: "legacy", Box: box}); !ok || meta.Checksum != want {
 		t.Fatalf("directory checksum not backfilled (ok=%v)", ok)
 	}
 
@@ -104,9 +104,11 @@ func TestScrubBackfillsShardSums(t *testing.T) {
 	cleared := 0
 	for _, s := range rig.servers {
 		s.mu.Lock()
-		for sk := range s.shardSums {
-			delete(s.shardSums, sk)
-			cleared++
+		for _, h := range s.held {
+			for i := range h.sums {
+				h.sums[i] = 0
+				cleared++
+			}
 		}
 		s.mu.Unlock()
 	}
@@ -164,7 +166,8 @@ func TestScrubRepairsRottedShard(t *testing.T) {
 	}
 	got := scrub.Checksum(b)
 	victim.mu.Lock()
-	want := victim.shardSums[sk]
+	id, index, _ := parseShardKey(sk)
+	want := victim.held[id].sums[index]
 	victim.mu.Unlock()
 	if got != want {
 		t.Fatalf("repaired shard sum %x != recorded %x", got, want)

@@ -22,6 +22,7 @@ import (
 	"corec/internal/metrics"
 	"corec/internal/placement"
 	"corec/internal/policy"
+	"corec/internal/reader"
 	"corec/internal/recovery"
 	"corec/internal/scrub"
 	"corec/internal/storage"
@@ -88,7 +89,6 @@ type Server struct {
 	id      types.ServerID
 	net     transport.Network
 	place   placement.Placement
-	top     *topology.Topology
 	groups  *topology.Groups
 	ring    *topology.DynamicRing
 	codec   *erasure.Codec
@@ -99,6 +99,11 @@ type Server struct {
 	// the shard of the directory this server hosts.
 	dirPlace *placement.Directory
 	dir      *directory
+
+	// reader is the read side of the protocol (record and stripe lookups,
+	// copy and shard fetches, reassembly) over sendRetry: recovery, promotion
+	// and scrub repair read staged data through it, as clients do.
+	reader *reader.Reader
 
 	inflight atomic.Int64
 
@@ -140,14 +145,18 @@ type Server struct {
 	objects map[string]*types.Object
 	// replicas holds replica copies pushed by other primaries.
 	replicas map[string]*types.Object
-	// shardStripe caches stripe geometry for locally held shards.
-	shardStripe map[string]types.StripeInfo
-	// replicaSums/shardSums record the content checksum each replica copy
-	// and shard payload had when it was installed — the at-rest integrity
-	// authority the scrubber verifies stored bytes against. Zero/missing
-	// means "not recorded" (backfilled by the first scrub pass).
+	// held is what this server knows of the stripe shards in its store, by
+	// stripe: the geometry and the per-shard digests in one record, so an
+	// install or a drop updates both or neither and a stripe's geometry is
+	// one map read away. A stripe it holds nothing of reads as the zero
+	// record.
+	held map[types.StripeID]heldStripe
+	// replicaSums (and heldStripe.sums for shards) record the content
+	// checksum each replica copy and shard payload had when it was installed
+	// — the at-rest integrity authority the scrubber verifies stored bytes
+	// against. Zero/missing means "not recorded" (backfilled by the first
+	// scrub pass).
 	replicaSums map[string]uint64
-	shardSums   map[string]uint64
 	// local tracks resilience bookkeeping for objects this server is
 	// primary for.
 	local map[string]*localState
@@ -192,6 +201,16 @@ type Server struct {
 	scrubDone   chan struct{}
 	scrubOn     atomic.Bool
 	scrubPasses atomic.Int64
+}
+
+// heldStripe records the locally held shards of one stripe.
+type heldStripe struct {
+	// info is the stripe's geometry as the latest install carried it (the
+	// sender's record, shared: read-only); nil when none did (a digest
+	// backfilled for a shard found on a restarted disk tier).
+	info *types.StripeInfo
+	// sums is the at-rest digest of each held shard, by shard index.
+	sums map[int]uint64
 }
 
 type localState struct {
@@ -266,7 +285,6 @@ func New(cfg Config) (*Server, error) {
 		place:       cfg.Placement,
 		dirPlace:    dirPlace,
 		dir:         newDirectory(dirPlace),
-		top:         cfg.Topology,
 		groups:      cfg.Groups,
 		ring:        cfg.Ring,
 		codec:       codec,
@@ -276,11 +294,14 @@ func New(cfg Config) (*Server, error) {
 		digestFn:    digestPayload,
 		objects:     make(map[string]*types.Object),
 		replicas:    make(map[string]*types.Object),
-		shardStripe: make(map[string]types.StripeInfo),
+		held:        make(map[types.StripeID]heldStripe),
 		replicaSums: make(map[string]uint64),
-		shardSums:   make(map[string]uint64),
 		local:       make(map[string]*localState),
 		mirrorHints: make(map[string]mirrorHint),
+	}
+	s.reader = &reader.Reader{
+		Send: s.sendRetry, Dir: dirPlace, Health: transport.HealthOf(cfg.Network),
+		Codec: codec, Col: cfg.Collector,
 	}
 	s.incarnation = serverIncarnations.Add(1)
 	s.encCond = sync.NewCond(&s.encMu)
@@ -446,8 +467,12 @@ var internalRetry = transport.RetryPolicy{
 // pushes, directory updates, shard distribution, recovery fetches) must
 // absorb message-level faults: a silently dropped replica push would
 // strand a stale copy that a later primary failure could expose as a
-// stale read.
+// stale read. A message to the server itself — its own share of a group
+// write, a shard set or a lookup — is a call of the handler, not a send.
 func (s *Server) sendRetry(ctx context.Context, to types.ServerID, msg *transport.Message) (*transport.Message, error) {
+	if to == s.id {
+		return s.Handle(ctx, msg), nil
+	}
 	resp, attempts, err := internalRetry.Send(ctx, s.net, s.id, to, msg)
 	if attempts > 1 {
 		s.col.AddCounter(metrics.RetryCount, int64(attempts-1))
@@ -501,9 +526,7 @@ func (s *Server) Handle(ctx context.Context, req *transport.Message) *transport.
 			return h.HandleMessage(ctx, req)
 		}
 		return transport.Ok()
-	case transport.MsgPingReq:
-		return s.handleMembership(ctx, req)
-	case transport.MsgGossip:
+	case transport.MsgPingReq, transport.MsgGossip:
 		return s.handleMembership(ctx, req)
 	case transport.MsgHandoff:
 		return s.handleHandoff(ctx, req)
@@ -515,8 +538,6 @@ func (s *Server) Handle(ctx context.Context, req *transport.Message) *transport.
 		return s.handleDelete(ctx, req)
 	case transport.MsgGet:
 		return s.handleGet(req)
-	case transport.MsgObjFetch:
-		return s.handleObjFetch(req)
 	case transport.MsgReplicaPut:
 		return s.handleReplicaPut(req)
 	case transport.MsgReplicaDrop:
@@ -765,6 +786,26 @@ func (s *Server) StateCounts() (replicated, encoded int) {
 
 func shardKey(id types.StripeID, index int) string {
 	return fmt.Sprintf("%d#%d/%d", id.Group, id.Seq, index)
+}
+
+// parseShardKey is the inverse of shardKey, for walks over the store's keys.
+func parseShardKey(sk string) (id types.StripeID, index int, ok bool) {
+	n, err := fmt.Sscanf(sk, "%d#%d/%d", &id.Group, &id.Seq, &index)
+	return id, index, err == nil && n == 3
+}
+
+// holdShardLocked records the digest of a shard this server installs and,
+// when the install carries it, the stripe's geometry. Caller holds s.mu.
+func (s *Server) holdShardLocked(id types.StripeID, index int, sum uint64, info *types.StripeInfo) {
+	h := s.held[id]
+	if h.sums == nil {
+		h.sums = make(map[int]uint64)
+	}
+	h.sums[index] = sum
+	if info != nil {
+		h.info = info
+	}
+	s.held[id] = h
 }
 
 // writeLock returns the stripe lock serializing write-path transitions of

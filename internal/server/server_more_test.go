@@ -19,7 +19,7 @@ func TestDirDumpContainsMetasAndStripes(t *testing.T) {
 	box := geometry.Box3D(0, 0, 0, 8, 8, 8)
 	primary := rig.put(t, "v", box, 1, payload(400, 31))
 	id := types.ObjectID{Var: "v", Box: box}
-	meta, ok := rig.servers[primary].dirLookupMeta(context.Background(), id)
+	meta, ok := rig.servers[primary].reader.LookupMeta(context.Background(), id)
 	if !ok || meta.State != types.StateEncoded {
 		t.Fatalf("object not encoded: %+v", meta)
 	}
@@ -64,9 +64,8 @@ func TestDirDumpContainsMetasAndStripes(t *testing.T) {
 
 func TestFetchStripeDataUnknownStripe(t *testing.T) {
 	rig := newRig(t, policy.Erasure, 8)
-	_, _, err := rig.servers[0].fetchStripeData(context.Background(), types.StripeID{Group: 7, Seq: 999}, 10)
-	if err == nil {
-		t.Fatal("unknown stripe fetch succeeded")
+	if _, ok := rig.servers[0].stripeInfoFor(context.Background(), types.StripeID{Group: 7, Seq: 999}); ok {
+		t.Fatal("unknown stripe resolved")
 	}
 }
 

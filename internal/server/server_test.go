@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"corec/internal/metrics"
 	"corec/internal/placement"
 	"corec/internal/policy"
+	"corec/internal/reader"
 	"corec/internal/recovery"
 	"corec/internal/simnet"
 	"corec/internal/topology"
@@ -35,9 +37,16 @@ func newRig(t testing.TB, mode policy.Mode, n int) *testRig {
 	return newRigOn(t, transport.NewInProc(simnet.LinkModel{}), mode, n, 0)
 }
 
-// newRigOn builds the rig on the given fabric, with storage-efficiency
-// constraint sMin (0: none).
+// newRigOn builds the rig on the given fabric, RS(3+1), with
+// storage-efficiency constraint sMin (0: none).
 func newRigOn(t testing.TB, net transport.Network, mode policy.Mode, n int, sMin float64) *testRig {
+	t.Helper()
+	return newRigWith(t, net, n, policy.Config{Mode: mode, NLevel: 1, K: 3, M: 1, StorageEfficiencyMin: sMin})
+}
+
+// newRigWith builds the rig on the given fabric under the given policy
+// (K+M must be 4, the rig's coding-group size).
+func newRigWith(t testing.TB, net transport.Network, n int, pol policy.Config) *testRig {
 	t.Helper()
 	top, err := topology.Uniform(n, 4)
 	if err != nil {
@@ -53,10 +62,7 @@ func newRigOn(t testing.TB, net transport.Network, mode policy.Mode, n int, sMin
 		groups: groups,
 		place:  placement.NewHash(n),
 		col:    metrics.NewCollector(),
-		polCfg: policy.Config{
-			Mode: mode, NLevel: 1, K: 3, M: 1,
-			StorageEfficiencyMin: sMin,
-		},
+		polCfg: pol,
 	}
 	for i := 0; i < n; i++ {
 		srv := rig.startServer(t, types.ServerID(i))
@@ -301,7 +307,7 @@ func TestDirectoryUpdateLookupQuery(t *testing.T) {
 	if err := srv.dirUpdate(context.Background(), meta); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := srv.dirLookupMeta(context.Background(), meta.ID)
+	got, ok := srv.reader.LookupMeta(context.Background(), meta.ID)
 	if !ok || got.Version != 2 || got.Primary != 1 {
 		t.Fatalf("lookup = %+v ok=%v", got, ok)
 	}
@@ -312,7 +318,7 @@ func TestDirectoryUpdateLookupQuery(t *testing.T) {
 	if err := srv.dirUpdate(context.Background(), stale); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = srv.dirLookupMeta(context.Background(), meta.ID)
+	got, _ = srv.reader.LookupMeta(context.Background(), meta.ID)
 	if got.Version != 2 {
 		t.Fatal("stale update clobbered a newer record")
 	}
@@ -334,7 +340,7 @@ func TestDirectorySurvivesShardHolderFailure(t *testing.T) {
 		t.Fatalf("one-cell record registered on %v, want one group of two", group)
 	}
 	rig.servers[group[0]].Close()
-	if _, ok := srv.dirLookupMeta(context.Background(), meta.ID); !ok {
+	if _, ok := srv.reader.LookupMeta(context.Background(), meta.ID); !ok {
 		t.Fatal("metadata lost after single shard-holder failure")
 	}
 }
@@ -349,10 +355,23 @@ func TestStripeDirectoryRoundTrip(t *testing.T) {
 	if err := srv.dirUpdateStripe(context.Background(), info); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := srv.dirLookupStripe(context.Background(), info.ID)
+	got, ok := srv.reader.LookupStripe(context.Background(), info.ID)
 	if !ok || got.ShardSize != 10 || len(got.Members) != 1 {
 		t.Fatalf("stripe lookup = %+v ok=%v", got, ok)
 	}
+}
+
+// readStripe reassembles the object a stripe encodes the way promoteObject
+// does: geometry from the held shard or the directory, then the reader's
+// in-place assembly over the server's own send.
+func readStripe(srv *Server, id types.StripeID, size int) ([]byte, error) {
+	info, ok := srv.stripeInfoFor(context.Background(), id)
+	if !ok {
+		return nil, fmt.Errorf("stripe %v not found", id)
+	}
+	dst := reader.Buffer(size, info.K)
+	_, err := srv.reader.Stripe(context.Background(), info, dst)
+	return dst, err
 }
 
 func TestFetchStripeDataDegraded(t *testing.T) {
@@ -368,7 +387,7 @@ func TestFetchStripeDataDegraded(t *testing.T) {
 	// Kill a non-primary stripe member holding a data shard.
 	members := srv.codingMembers()
 	rig.servers[members[1]].Close()
-	got, _, err := srv.fetchStripeData(context.Background(), stripe, len(data))
+	got, err := readStripe(srv, stripe, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -392,12 +392,6 @@ func (s *Server) handleGet(req *transport.Message) *transport.Message {
 	return resp
 }
 
-// handleObjFetch is the server-to-server variant of Get used by helpers and
-// recovery; identical semantics.
-func (s *Server) handleObjFetch(req *transport.Message) *transport.Message {
-	return s.handleGet(req)
-}
-
 func (s *Server) handleReplicaPut(req *transport.Message) *transport.Message {
 	id := types.ObjectID{Var: req.Var, Box: req.Box}
 	key := id.Key()
@@ -431,15 +425,7 @@ func (s *Server) handleShardPut(req *transport.Message) *transport.Message {
 	sk := shardKey(req.Stripe, req.ShardIndex)
 	sum := s.digestMsg(req)
 	s.mu.Lock()
-	s.shardSums[sk] = sum
-	if req.StripeInfo != nil {
-		s.shardStripe[sk] = *req.StripeInfo
-	}
-	// Flag set means this shard replaces a full copy held locally (the
-	// primary transitioning its own object).
-	if req.Flag && req.Key != "" {
-		delete(s.objects, req.Key)
-	}
+	s.holdShardLocked(req.Stripe, req.ShardIndex, sum, req.StripeInfo)
 	s.mu.Unlock()
 	// The version doubles as the shard's time-step tag, feeding the
 	// engine's sequential-step prefetch detection; 0 means untagged.
@@ -468,7 +454,7 @@ func (s *Server) handleShardGet(req *transport.Message) *transport.Message {
 	// with the other's digest; the reader's check then fails the frame and
 	// the retry reads a settled pair.
 	s.mu.Lock()
-	sum := s.shardSums[sk]
+	sum := s.held[req.Stripe].sums[req.ShardIndex]
 	s.mu.Unlock()
 	resp.AttachDigest(sum)
 	return resp
@@ -477,8 +463,10 @@ func (s *Server) handleShardGet(req *transport.Message) *transport.Message {
 func (s *Server) handleShardDrop(req *transport.Message) *transport.Message {
 	sk := shardKey(req.Stripe, req.ShardIndex)
 	s.mu.Lock()
-	delete(s.shardStripe, sk)
-	delete(s.shardSums, sk)
+	delete(s.held[req.Stripe].sums, req.ShardIndex)
+	if len(s.held[req.Stripe].sums) == 0 {
+		delete(s.held, req.Stripe) // with its last shard, the stripe
+	}
 	s.mu.Unlock()
 	s.store.Delete(sk)
 	s.mutations.Add(1)
@@ -524,25 +512,14 @@ func (s *Server) acquireToken(ctx context.Context) (release func()) {
 	leader := s.tokenLeader()
 	msg := &transport.Message{Kind: transport.MsgTokenAcquire}
 	for attempt := 0; attempt < 8; attempt++ {
-		var resp *transport.Message
-		var err error
-		if leader == s.id {
-			resp = s.handleTokenAcquire(msg)
-		} else {
-			resp, err = s.sendRetry(ctx, leader, msg)
-		}
+		resp, err := s.sendRetry(ctx, leader, msg)
 		if err != nil {
 			return func() {} // leader down: proceed tokenless
 		}
 		if resp.Kind == transport.MsgOK && resp.Flag {
 			return func() {
-				rel := &transport.Message{Kind: transport.MsgTokenRelease}
-				if leader == s.id {
-					s.handleTokenRelease(rel)
-				} else {
-					// Lost release: the leader's token lease expires.
-					_, _ = s.sendRetry(context.Background(), leader, rel)
-				}
+				// Lost release: the leader's token lease expires.
+				_, _ = s.sendRetry(context.Background(), leader, &transport.Message{Kind: transport.MsgTokenRelease})
 			}
 		}
 		select {

@@ -43,7 +43,6 @@ const (
 	MsgShardPut       // store one stripe shard (Stripe, ShardIndex, Data)
 	MsgShardGet       // fetch one stripe shard
 	MsgShardDrop      // drop one stripe shard (hybrid churn, promotions)
-	MsgObjFetch       // fetch the full local copy of an object (helper encode, recovery)
 	MsgEncodeDelegate // hand an object's encoding task to the helper server (Key)
 
 	// Metadata plane.
@@ -85,7 +84,7 @@ const (
 var kindNames = [...]string{
 	"OK", "Err", "Put", "Get", "GetBytes", "Delete",
 	"ReplicaPut", "ReplicaDrop",
-	"ShardPut", "ShardGet", "ShardDrop", "ObjFetch", "EncodeDelegate",
+	"ShardPut", "ShardGet", "ShardDrop", "EncodeDelegate",
 	"MetaUpdate", "MetaLookup", "MetaQuery", "MetaDelete", "StripeUpdate", "StripeLookup", "StripeDelete", "DirDump",
 	"TokenAcquire", "TokenRelease", "LoadQuery", "Ping", "Recover", "Stats",
 	"Checksum", "ShardSum",

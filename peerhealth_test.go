@@ -150,7 +150,7 @@ func TestPeerHealthEncodedReadHealthyShards(t *testing.T) {
 		if meta.State != types.StateEncoded {
 			t.Fatalf("state = %v, want encoded", meta.State)
 		}
-		info, ok := cl.lookupStripe(context.Background(), meta.Stripe)
+		info, ok := cl.reader.LookupStripe(context.Background(), meta.Stripe)
 		if !ok {
 			t.Fatal("stripe record missing")
 		}

@@ -21,7 +21,9 @@ import (
 // both the reference and what a forced full fan-out of the lookup returns.
 // Every read alternates between Get and GetInto, the latter into one reused
 // buffer left dirty by the read before it, so cells that no staged object
-// covers must come back cleared, not stale.
+// covers must come back cleared, not stale. A read of one object is repeated
+// the way a server reads (serverSideReader), from a live member of the
+// object's coding group, and must return the same bytes.
 func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 	for _, mode := range []Mode{PolicyReplicate, PolicyErasure, PolicyCoREC} {
 		mode := mode
@@ -123,6 +125,22 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 					}
 					if !bytes.Equal(got, want) {
 						t.Fatalf("op %d: obj %d diverged from reference", op, i)
+					}
+					metas, err := client.Query(ctx, "ref", boxFor(i))
+					if err != nil || len(metas) != 1 {
+						t.Fatalf("op %d: query obj %d: %v (%d records)", op, i, err, len(metas))
+					}
+					for _, member := range cluster.groups.CodingGroupMembers(cluster.groups.CodingGroup(metas[0].Primary)) {
+						if self := cluster.Server(ServerID(member)); self != nil && cluster.Alive(ServerID(member)) {
+							buf := make([]byte, metas[0].Size)
+							if err := serverSideReader(client, self).Object(ctx, &metas[0], buf); err != nil {
+								t.Fatalf("op %d: server %d reads obj %d (ts %d, dead %d): %v", op, member, i, ts, dead, err)
+							}
+							if !bytes.Equal(buf, want) {
+								t.Fatalf("op %d: server %d read obj %d and diverged from reference", op, member, i)
+							}
+							break
+						}
 					}
 				case choice == 8: // step boundary
 					cluster.EndTimeStep(ts)

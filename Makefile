@@ -49,10 +49,14 @@ scrubrace:
 # windows they aim at are narrow. The reader names those windows (a shard's
 # place in its object's buffer) and fills them from parallel fetches, so its
 # tests run the same way. The root subset drives the same path through
-# Get/GetInto against the reference model.
+# Get/GetInto against the reference model; the message-count tests hold an
+# encoded object to its one record (what a put, a get, an eviction and a
+# rewrite put on the fabric) and line up concurrent fan-outs, so they repeat
+# under the detector too.
 transportrace:
 	$(GO) test -race -count=5 ./internal/transport ./internal/reader
 	$(GO) test -race -run 'TestGet|TestRandomOpsAgainstReferenceModel' .
+	$(GO) test -race -count=5 -run 'TestEncodedObjectCostsOneRecord|TestRewriteDropsSupersededStripeWithoutTheDirectory' .
 
 # Race-detector pass focused on elastic membership churn: gossip agents,
 # dynamic ring, and the paced migrator running against foreground traffic.

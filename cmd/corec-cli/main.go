@@ -157,25 +157,22 @@ func main() {
 		}
 		fmt.Printf("server %d recovered: %d objects repaired\n", *drainID, n)
 	case "status":
-		dirStripes := 0
 		for _, s := range client.Status(ctx) {
 			if !s.Alive {
 				fmt.Printf("server %d: DOWN\n", s.ID)
 				continue
 			}
 			st := s.Stats
-			dirStripes += st.DirStripes
 			fmt.Printf("server %d: load=%d objects=%d replicas=%d shards=%d dir=%d eff=%.2f pendingEnc=%d pendingRepair=%d\n",
 				s.ID, st.Load, st.Objects, st.Replicas, st.Shards, st.DirEntries,
 				st.Efficiency, st.PendingEncodes, st.PendingRepairs)
 		}
 		// This process's own fabric view: what the poll above cost, which
 		// peers its retry layer now fails fast against and how many of its
-		// region lookups had to ask the whole fleet; dir_stripes is the
-		// fleet's stripe-record count from the poll.
+		// region lookups had to ask the whole fleet.
 		fs := cluster.FabricStatus()
-		fmt.Printf("fabric: retries=%d muxRedials=%d peersDown=%d fastFails=%d dir_fallbacks=%d dir_stripes=%d\n",
-			fs.Retries, fs.Transport.MuxRedials, fs.Transport.PeersDown, fs.Transport.FastFails, fs.DirFallbacks, dirStripes)
+		fmt.Printf("fabric: retries=%d muxRedials=%d peersDown=%d fastFails=%d dir_fallbacks=%d\n",
+			fs.Retries, fs.Transport.MuxRedials, fs.Transport.PeersDown, fs.Transport.FastFails, fs.DirFallbacks)
 	default:
 		usage()
 	}

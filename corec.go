@@ -283,7 +283,7 @@ type Cluster struct {
 	top     *topology.Topology
 	groups  *topology.Groups
 	place   placement.Placement
-	dir     *placement.Directory // object and stripe records -> directory servers
+	dir     *placement.Directory // object records -> directory servers
 	col     *metrics.Collector
 	codec   *erasure.Codec
 	polCfg  policy.Config

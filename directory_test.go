@@ -3,25 +3,75 @@ package corec
 import (
 	"bytes"
 	"context"
+	"maps"
 	"slices"
-	"sync/atomic"
+	"sync"
 	"testing"
+	"time"
 
 	"corec/internal/transport"
 	"corec/internal/types"
 )
 
-// countingNet counts the region queries a cluster's clients send.
+// countingNet counts the requests that cross a cluster's fabric, by kind.
+// With lineUp set, requests of that kind wait until wide of them are in
+// flight together before any is delivered: a fan-out that sends them in one
+// round sails through, one that sends them one after the other stalls.
 type countingNet struct {
 	transport.Network
-	metaQueries atomic.Int64
+	lineUp transport.Kind
+	wide   int
+
+	mu      sync.Mutex
+	sent    map[transport.Kind]int
+	waiting int
+	gate    chan struct{}
+	stalled bool
+}
+
+func newCountingNet(inner transport.Network) *countingNet {
+	return &countingNet{Network: inner, sent: make(map[transport.Kind]int), gate: make(chan struct{})}
 }
 
 func (n *countingNet) Send(ctx context.Context, from, to types.ServerID, req *transport.Message) (*transport.Message, error) {
-	if req.Kind == transport.MsgMetaQuery {
-		n.metaQueries.Add(1)
+	n.mu.Lock()
+	n.sent[req.Kind]++
+	gate := n.gate
+	held := n.wide > 0 && req.Kind == n.lineUp
+	if held {
+		if n.waiting++; n.waiting == n.wide {
+			close(gate)
+		}
+	}
+	n.mu.Unlock()
+	if held {
+		select {
+		case <-gate:
+		case <-time.After(10 * time.Second):
+			// Only a sequential fan-out waits this out: the clock turns its
+			// hang into a failure and decides no passing run.
+			n.mu.Lock()
+			n.stalled = true
+			n.mu.Unlock()
+		}
 	}
 	return n.Network.Send(ctx, from, to, req)
+}
+
+func (n *countingNet) count(k transport.Kind) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.sent[k]
+}
+
+// take returns the counts since the last call, and whether a lined-up
+// fan-out stalled, and starts over.
+func (n *countingNet) take() (sent map[transport.Kind]int, stalled bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	sent, stalled = n.sent, n.stalled
+	n.sent, n.waiting, n.stalled, n.gate = make(map[transport.Kind]int), 0, false, make(chan struct{})
+	return sent, stalled
 }
 
 // TestGetAsksOneDirectoryGroup is the scaling property of the read path: a
@@ -36,7 +86,7 @@ func TestGetAsksOneDirectoryGroup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counter := &countingNet{Network: c.net}
+		counter := newCountingNet(c.net)
 		c.net = counter // only client sends go through c.net; servers keep the fabric
 		cl := c.NewClient()
 
@@ -52,9 +102,9 @@ func TestGetAsksOneDirectoryGroup(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		group := int64(cfg.NLevel + 1)
+		group := cfg.NLevel + 1
 		for i := range want {
-			before := counter.metaQueries.Load()
+			before := counter.count(transport.MsgMetaQuery)
 			got, err := cl.Get(ctx, "scale", boxFor(int64(i)), 1)
 			if err != nil {
 				t.Fatalf("%d servers: get %d: %v", n, i, err)
@@ -62,7 +112,7 @@ func TestGetAsksOneDirectoryGroup(t *testing.T) {
 			if !bytes.Equal(got, want[i]) {
 				t.Fatalf("%d servers: get %d returned wrong bytes", n, i)
 			}
-			if sent := counter.metaQueries.Load() - before; sent != group {
+			if sent := counter.count(transport.MsgMetaQuery) - before; sent != group {
 				t.Errorf("%d servers: one-cell get sent %d region queries, want %d", n, sent, group)
 			}
 		}
@@ -74,23 +124,23 @@ func TestGetAsksOneDirectoryGroup(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := counter.metaQueries.Load()
+		before := counter.count(transport.MsgMetaQuery)
 		if _, err := cl.Get(ctx, "span", left.Union(right), 1); err != nil {
 			t.Fatal(err)
 		}
-		if sent := counter.metaQueries.Load() - before; sent < group || sent > 2*group {
+		if sent := counter.count(transport.MsgMetaQuery) - before; sent < group || sent > 2*group {
 			t.Errorf("%d servers: two-cell get sent %d region queries, want %d to %d", n, sent, group, 2*group)
 		}
 		if fb := c.FabricStatus().DirFallbacks; fb != 0 {
 			t.Errorf("%d servers: %d fleet fall-backs on a healthy fleet reading staged regions", n, fb)
 		}
 		// The fleet is still asked when no region is named.
-		before = counter.metaQueries.Load()
+		before = counter.count(transport.MsgMetaQuery)
 		metas, err := cl.Query(ctx, "scale", Box{})
 		if err != nil || len(metas) != len(want) {
 			t.Fatalf("%d servers: query of every object: %d metas, %v", n, len(metas), err)
 		}
-		if sent := counter.metaQueries.Load() - before; sent != int64(n) {
+		if sent := counter.count(transport.MsgMetaQuery) - before; sent != n {
 			t.Errorf("%d servers: unbounded query sent %d region queries, want %d", n, sent, n)
 		}
 		c.Close()
@@ -149,46 +199,164 @@ func TestCoverageFallbackFindsMisplacedRecord(t *testing.T) {
 	}
 }
 
-// TestStripeRecordsDoNotAccumulate overwrites a CoREC working set step after
-// step. Every re-encode mints a fresh stripe and drops the superseded one;
-// the drop must take the stripe's directory record with it, or the
-// directory grows with run length. After the encode queues drain, the
-// fleet holds one record per live stripe on each of its NLevel+1 mirrors.
-func TestStripeRecordsDoNotAccumulate(t *testing.T) {
-	c := testCluster(t, PolicyCoREC)
-	cl := c.NewClient()
+// countedCluster builds a cluster whose servers, too, send through a
+// countingNet: the fleet is restarted, empty, on the wrapped fabric. A
+// server's message to itself is a call, not a send, and is not counted.
+func countedCluster(t *testing.T, cfg Config) (*Cluster, *countingNet) {
+	t.Helper()
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	counter := newCountingNet(c.net)
+	c.net = counter
+	for i := 0; i < cfg.Servers; i++ {
+		c.Server(ServerID(i)).Close()
+		if _, err := c.startServer(types.ServerID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c, counter
+}
+
+// remoteBox returns a box inside one directory cell whose object's primary
+// is not a directory mirror of it, so every directory write the primary makes
+// for the object crosses the fabric and is counted.
+func remoteBox(t *testing.T, c *Cluster, name string) (Box, ServerID) {
+	t.Helper()
+	for i := int64(0); i < 64; i++ {
+		box := Box3D(i%4*64, i/4%4*64, i/16*64, i%4*64+8, i/4%4*64+8, i/16*64+8)
+		primary := c.place.Primary(types.ObjectID{Var: name, Box: box})
+		if !slices.Contains(c.dir.Servers(name, box), primary) {
+			return box, primary
+		}
+	}
+	t.Fatal("every candidate object's primary is one of its directory mirrors")
+	return Box{}, 0
+}
+
+// TestEncodedObjectCostsOneRecord counts what an erasure-coded object costs
+// on the fabric now that its record is the only record, at 8, 16 and 32
+// servers alike: the put that encodes it commits with one group of record
+// updates, an aligned get asks that group and the k data-shard holders and
+// nobody else, and its eviction drops the stripe's shards in one round.
+func TestEncodedObjectCostsOneRecord(t *testing.T) {
 	ctx := context.Background()
-	const objects, steps = 24, 6
-	for step := 1; step <= steps; step++ {
-		for i := int64(0); i < objects; i++ {
-			b := Box3D(i*8, 0, 0, i*8+8, 8, 8)
-			if err := cl.Put(ctx, "gc", b, Version(step), regionData(t, b, 8, int64(step*100)+i)); err != nil {
-				t.Fatal(err)
-			}
+	for _, n := range []int{8, 16, 32} {
+		cfg := DefaultConfig(n)
+		cfg.Mode = PolicyErasure
+		c, counter := countedCluster(t, cfg)
+		cl := c.NewClient()
+		group, k, m := cfg.NLevel+1, cfg.DataShards, cfg.NLevel
+		box, primary := remoteBox(t, c, "one")
+		data := regionData(t, box, 8, int64(n))
+
+		counter.take()
+		if err := cl.Put(ctx, "one", box, 1, data); err != nil {
+			t.Fatal(err)
 		}
-		c.EndTimeStep(Version(step)) // returns once the encode queues have drained
-	}
-	records, encoded := 0, 0
-	for i := 0; i < c.NumServers(); i++ {
-		srv := c.Server(ServerID(i))
-		records += srv.CollectStats().DirStripes
-		_, enc := srv.StateCounts()
-		encoded += enc
-	}
-	if encoded == 0 {
-		t.Fatal("no object ended up encoded: the test exercises nothing")
-	}
-	if limit := (c.Config().NLevel + 1) * encoded; records > limit {
-		t.Fatalf("%d stripe records for %d live encoded objects after %d overwrite steps, want at most %d",
-			records, encoded, steps, limit)
-	}
-	// The superseded versions' stripes are gone, not the live ones: every
-	// object still reads back its last write.
-	for i := int64(0); i < objects; i++ {
-		b := Box3D(i*8, 0, 0, i*8+8, 8, 8)
-		got, err := cl.Get(ctx, "gc", b, steps)
-		if err != nil || !bytes.Equal(got, regionData(t, b, 8, int64(steps*100)+i)) {
-			t.Fatalf("object %d after %d overwrite steps: %v", i, steps, err)
+		sent, _ := counter.take()
+		// The primary cuts shard 0 from its own copy; its token leader may be
+		// itself.
+		delete(sent, transport.MsgTokenAcquire)
+		delete(sent, transport.MsgTokenRelease)
+		if want := map[transport.Kind]int{transport.MsgPut: 1, transport.MsgShardPut: k + m - 1, transport.MsgMetaUpdate: group}; !maps.Equal(sent, want) {
+			t.Errorf("%d servers: an erasure put sent %v, want %v", n, sent, want)
 		}
+
+		got, err := cl.Get(ctx, "one", box, 1)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%d servers: get: %v", n, err)
+		}
+		sent, _ = counter.take()
+		if want := map[transport.Kind]int{transport.MsgMetaQuery: group, transport.MsgShardGet: k}; !maps.Equal(sent, want) {
+			t.Errorf("%d servers: an aligned get of an encoded object sent %v, want %v", n, sent, want)
+		}
+
+		// Eviction drops the stripe: the k+m-1 shards on other servers in one
+		// round (the primary's own is a call) and, of the directory, only the
+		// object's record.
+		counter.lineUp, counter.wide = transport.MsgShardDrop, k+m-1
+		if deleted, err := cl.Delete(ctx, "one", box); err != nil || deleted != 1 {
+			t.Fatalf("%d servers: delete: %d, %v", n, deleted, err)
+		}
+		sent, stalled := counter.take()
+		if stalled {
+			t.Errorf("%d servers: the stripe's shard drops were not sent in one round", n)
+		}
+		if want := map[transport.Kind]int{transport.MsgMetaQuery: group, transport.MsgDelete: 1, transport.MsgShardDrop: k + m - 1, transport.MsgMetaDelete: group}; !maps.Equal(sent, want) {
+			t.Errorf("%d servers: evicting an encoded object sent %v, want %v", n, sent, want)
+		}
+		if shards := c.Server(primary).CollectStats().Shards; shards != 0 {
+			t.Errorf("%d servers: the primary still holds %d shards of the evicted object", n, shards)
+		}
+	}
+}
+
+// TestRewriteDropsSupersededStripeWithoutTheDirectory rewrites an encoded
+// object under CoREC. The write publishes the object's new record; releasing
+// the stripe it supersedes is the primary's business with the stripe's
+// members alone — the layout is in its hand, and no record of the stripe
+// exists to look up or delete.
+func TestRewriteDropsSupersededStripeWithoutTheDirectory(t *testing.T) {
+	ctx := context.Background()
+	cfg := DefaultConfig(8)
+	cfg.Mode = PolicyCoREC
+	cfg.StorageEfficiencyMin = 0 // classification alone drives the transitions
+	c, counter := countedCluster(t, cfg)
+	cl := c.NewClient()
+	group, k, m := cfg.NLevel+1, cfg.DataShards, cfg.NLevel
+	box, primary := remoteBox(t, c, "rw")
+	if err := cl.Put(ctx, "rw", box, 1, regionData(t, box, 8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for ts := Version(1); ts <= 6; ts++ {
+		c.EndTimeStep(ts) // the object cools and is demoted
+	}
+	metas, err := cl.Query(ctx, "rw", box)
+	if err != nil || len(metas) != 1 || metas[0].State != types.StateEncoded {
+		t.Fatalf("object not encoded after cooling: %+v, %v", metas, err)
+	}
+	old := metas[0].Layout
+
+	counter.take()
+	counter.lineUp, counter.wide = transport.MsgShardDrop, k+m-1
+	data := regionData(t, box, 8, 2)
+	if err := cl.Put(ctx, "rw", box, 7, data); err != nil {
+		t.Fatal(err)
+	}
+	c.Server(primary).WaitEncodeIdle() // the deferred drop has run
+	sent, stalled := counter.take()
+	if stalled {
+		t.Error("the superseded stripe's shard drops were not sent in one round")
+	}
+	if sent[transport.MsgShardDrop] != k+m-1 {
+		t.Errorf("%d shard drops crossed the fabric, want %d", sent[transport.MsgShardDrop], k+m-1)
+	}
+	for _, member := range old.Members {
+		if c.Server(ServerID(member.Server)).HasShard(old.ID, member.Index) {
+			t.Errorf("server %d still holds shard %d of the superseded stripe", member.Server, member.Index)
+		}
+	}
+	// Of the directory plane, only the object's own record moved: one group
+	// of updates per record the primary published (the write, and the
+	// re-encode if the worker decided on one).
+	publishes := 1
+	if metas, err = cl.Query(ctx, "rw", box); err != nil || len(metas) != 1 {
+		t.Fatalf("query after rewrite: %+v, %v", metas, err)
+	} else if metas[0].State == types.StateEncoded {
+		publishes = 2
+	}
+	for kind, want := range map[transport.Kind]int{
+		transport.MsgMetaUpdate: publishes * group, transport.MsgMetaDelete: 0,
+		transport.MsgMetaLookup: 0, transport.MsgStripeLookup: 0, transport.MsgDirDump: 0,
+	} {
+		if sent[kind] != want {
+			t.Errorf("the rewrite sent %d %v, want %d", sent[kind], kind, want)
+		}
+	}
+	if got, err := cl.Get(ctx, "rw", box, 7); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("get after rewrite: %v", err)
 	}
 }

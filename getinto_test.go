@@ -89,11 +89,7 @@ func testGetIntoFillsExactlyTheBuffer(t *testing.T, fabric string, mode Mode, bo
 	// replica, or data shard 1.
 	var self *server.Server
 	if meta.State == types.StateEncoded {
-		info, ok := client.reader.LookupStripe(ctx, meta.Stripe)
-		if !ok {
-			t.Fatal("stripe record missing")
-		}
-		self = cluster.Server(ServerID(info.Members[1].Server))
+		self = cluster.Server(ServerID(meta.Layout.Members[1].Server))
 	} else {
 		self = cluster.Server(ServerID(meta.Replicas[0]))
 	}

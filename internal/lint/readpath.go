@@ -16,14 +16,13 @@ import (
 // is by building one of its request messages somewhere else.
 //
 // Readpath flags a transport.Message composite literal whose Kind is MsgGet,
-// MsgShardGet, MsgMetaLookup or MsgStripeLookup anywhere but in the package
-// named "reader". Files named *_test.go are exempt: tests drive handlers
+// MsgShardGet or MsgMetaLookup anywhere but in the package named "reader". Files named *_test.go are exempt: tests drive handlers
 // with hand-built requests on purpose.
 type Readpath struct{}
 
 // readpathKinds are the request kinds only the reader may construct.
 var readpathKinds = map[string]bool{
-	"MsgGet": true, "MsgShardGet": true, "MsgMetaLookup": true, "MsgStripeLookup": true,
+	"MsgGet": true, "MsgShardGet": true, "MsgMetaLookup": true,
 }
 
 // Name implements Analyzer.

@@ -9,6 +9,5 @@ func Requests(key string) []*transport.Message {
 		{Kind: transport.MsgGet, Key: key},
 		{Kind: transport.MsgShardGet, Key: key},
 		{Kind: transport.MsgMetaLookup, Key: key},
-		{Kind: transport.MsgStripeLookup, Key: key},
 	}
 }

@@ -15,7 +15,7 @@ func fetchShard(key string) *transport.Message {
 func lookups(key string) []transport.Message {
 	return []transport.Message{
 		{Kind: transport.MsgMetaLookup, Key: key}, // want `MsgMetaLookup request built outside the reader package`
-		{Kind: (transport.MsgStripeLookup)},       // want `MsgStripeLookup request built outside the reader package`
+		{Kind: (transport.MsgGet)},                // want `MsgGet request built outside the reader package`
 		{Kind: transport.MsgPut, Key: key},
 	}
 }

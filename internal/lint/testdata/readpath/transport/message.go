@@ -1,4 +1,4 @@
-// Package transport is the readpath fixture protocol: four read request
+// Package transport is the readpath fixture protocol: three read request
 // kinds, one write kind, and the message that carries them.
 package transport
 
@@ -10,7 +10,6 @@ const (
 	MsgGet
 	MsgShardGet
 	MsgMetaLookup
-	MsgStripeLookup
 )
 
 // Message is the fixture wire struct.

@@ -97,9 +97,3 @@ func (d *Directory) Servers(name string, box geometry.Box) []types.ServerID {
 	}
 	return out
 }
-
-// StripeServers returns the shard group hosting a stripe's record. Stripes
-// have no extent; their records stay hashed by stripe id.
-func (d *Directory) StripeServers(id types.StripeID) []types.ServerID {
-	return d.place.KeyGroup(id.String(), d.mirrors)
-}

@@ -109,14 +109,6 @@ func TestGridDirectoryShardInRange(t *testing.T) {
 			}
 		}
 	}
-	// Stripe records stay hashed by stripe id, owner first.
-	id := types.StripeID{Group: 1, Seq: 42}
-	if got, want := d.StripeServers(id), NewHash(6).KeyGroup(id.String(), 1); !slices.Equal(got, want) {
-		t.Fatalf("StripeServers = %v, want %v", got, want)
-	}
-	if got := d.StripeServers(id)[0]; got != NewHash(6).DirectoryShard(id.String()) {
-		t.Fatalf("stripe group starts at %d, not at the stripe's directory shard", got)
-	}
 }
 
 // randomBox draws a box relative to the domain: cell-aligned, unaligned

@@ -78,20 +78,6 @@ func (r *Reader) LookupMeta(ctx context.Context, id types.ObjectID) (*types.Obje
 	return best, best != nil
 }
 
-// LookupStripe fetches a stripe's record from its directory group: the first
-// answer wins, so mirrors known to be down are asked last.
-func (r *Reader) LookupStripe(ctx context.Context, id types.StripeID) (*types.StripeInfo, bool) {
-	start := time.Now()
-	defer func() { r.Col.Add(metrics.Metadata, time.Since(start)) }()
-	for _, t := range r.Health.UpFirst(r.Dir.StripeServers(id)) {
-		resp, err := r.Send(ctx, t, &transport.Message{Kind: transport.MsgStripeLookup, Stripe: id})
-		if err == nil && resp.Kind == transport.MsgOK && resp.Flag {
-			return resp.StripeInfo, true
-		}
-	}
-	return nil, false
-}
-
 // landed returns the payload of a response to a request that named into as
 // its RecvInto: head, the prefix of into holding the payload's first bytes,
 // and tail, the bytes that did not fit. The fabrics deliver it that way; from
@@ -304,8 +290,8 @@ func (r *Reader) Settle(ctx context.Context, meta *types.ObjectMeta, read func(*
 // Object reads one object's payload into dst (len(dst) is the object's size;
 // spare capacity is the caller's to lend, see Buffer) following its
 // resilience state: the first full copy among primary and replicas for a
-// replicated object, Stripe for an encoded one, settled through a fresh
-// record on a miss.
+// replicated object, Stripe over the layout the record carries for an encoded
+// one, settled through a fresh record on a miss.
 func (r *Reader) Object(ctx context.Context, meta *types.ObjectMeta, dst []byte) error {
 	return r.Settle(ctx, meta, func(meta *types.ObjectMeta) error {
 		switch {
@@ -314,17 +300,20 @@ func (r *Reader) Object(ctx context.Context, meta *types.ObjectMeta, dst []byte)
 			// extent while this read was in flight.
 			return fmt.Errorf("%w: %s is %d bytes, read as %d", ErrDataLoss, meta.ID, meta.Size, len(dst))
 		case meta.State == types.StateEncoded:
-			info, ok := r.LookupStripe(ctx, meta.Stripe)
-			if !ok {
-				return fmt.Errorf("%w: stripe %v metadata missing", ErrDataLoss, meta.Stripe)
+			if meta.Layout == nil {
+				return fmt.Errorf("%w: encoded record of %s carries no stripe layout", ErrDataLoss, meta.ID)
 			}
-			degraded, err := r.Stripe(ctx, info, dst)
+			degraded, err := r.Stripe(ctx, meta.Layout, dst)
 			if degraded && r.Degraded != nil {
-				r.Degraded(ctx, info, meta.ID)
+				r.Degraded(ctx, meta.Layout, meta.ID)
 			}
 			return err
 		}
-		if r.Copy(ctx, meta.ID.Key(), meta.Locations(), dst, nil, NoTally) == nil {
+		// A holder may still keep a copy from before the record: a replica
+		// left behind when ownership moved on and later came back. Only a
+		// copy at least as new as the record is the object it describes.
+		current := func(resp *transport.Message) bool { return resp.Version >= meta.Version }
+		if r.Copy(ctx, meta.ID.Key(), meta.Locations(), dst, current, NoTally) == nil {
 			return fmt.Errorf("%w: %s", ErrDataLoss, meta.ID.Key())
 		}
 		return nil

@@ -59,8 +59,6 @@ func (f *fleet) send(ctx context.Context, to types.ServerID, msg *transport.Mess
 		if obj := f.copies[to]; obj != nil {
 			data, resp.Version = obj.Data, obj.Version
 		}
-	case transport.MsgStripeLookup:
-		return &transport.Message{Kind: transport.MsgOK, Flag: true, StripeInfo: f.info}, nil
 	case transport.MsgMetaLookup:
 		meta, ok := f.metas[to]
 		return &transport.Message{Kind: transport.MsgOK, Flag: ok, Meta: &meta}, nil
@@ -305,7 +303,7 @@ func TestObjectSettlesThroughAFreshRecord(t *testing.T) {
 	old := types.ObjectMeta{ID: id, Version: 1, Seq: 1, Size: len(data), State: types.StateReplicated, Primary: 6}
 	lagging, newest := old, old
 	lagging.Seq, lagging.Primary = 2, 7
-	newest.Seq, newest.State, newest.Stripe = 3, types.StateEncoded, f.info.ID
+	newest.Seq, newest.State, newest.Stripe, newest.Layout = 3, types.StateEncoded, f.info.ID, f.info
 	f.metas[mirrors[0]], f.metas[mirrors[1]] = newest, lagging
 
 	var told *types.StripeInfo
@@ -325,5 +323,37 @@ func TestObjectSettlesThroughAFreshRecord(t *testing.T) {
 	f.shards[0] = nil
 	if err := r.Object(ctx, &old, dst); !errors.Is(err, ErrDataLoss) {
 		t.Fatalf("two losses over RS(3+1): %v, want ErrDataLoss", err)
+	}
+	// An encoded record without its stripe's layout names nothing to gather.
+	bare := newest
+	bare.Layout = nil
+	f.metas[mirrors[0]] = bare
+	if err := r.Object(ctx, &bare, dst); !errors.Is(err, ErrDataLoss) {
+		t.Fatalf("encoded record without a layout: %v, want ErrDataLoss", err)
+	}
+}
+
+// TestObjectPassesOverACopyOlderThanItsRecord: a holder the record names may
+// still keep the object as it was before the record — a replica from an
+// earlier ownership. Its bytes are not the object the record describes: the
+// read takes the next holder's, and with none current it is a loss, not the
+// stale bytes.
+func TestObjectPassesOverACopyOlderThanItsRecord(t *testing.T) {
+	ctx := context.Background()
+	f, r, _ := newFleet(t, 3, 1, 8)
+	id := types.ObjectID{Var: "v", Box: geometry.Box3D(0, 0, 0, 4, 4, 4)}
+	meta := types.ObjectMeta{ID: id, Version: 8, Seq: 5, Size: 8, State: types.StateReplicated, Primary: 6, Replicas: []types.ServerID{7}}
+	for _, m := range r.Dir.Servers(id.Var, id.Box) {
+		f.metas[m] = meta
+	}
+	f.copies[6] = &types.Object{Version: 1, Data: []byte("stale...")}
+	f.copies[7] = &types.Object{Version: 8, Data: []byte("current!")}
+	dst := make([]byte, 8)
+	if err := r.Object(ctx, &meta, dst); err != nil || string(dst) != "current!" {
+		t.Fatalf("read %q (%v), want the copy as new as the record", dst, err)
+	}
+	delete(f.copies, 7)
+	if err := r.Object(ctx, &meta, dst); !errors.Is(err, ErrDataLoss) {
+		t.Fatalf("only a stale copy left: %v, want ErrDataLoss", err)
 	}
 }

@@ -307,7 +307,9 @@ type Report struct {
 	// recorded for the first time (records predating scrubbing).
 	Backfills int64
 	// Skipped is the number of checks abandoned because a peer was
-	// unreachable (a dead server is not corruption; recovery owns it).
+	// unreachable (a dead server is not corruption; recovery owns it), or
+	// because a shard found on a restarted disk tier has not had its stripe's
+	// layout restored yet (recovery owns that too).
 	Skipped int64
 	// Unrepaired is the number of detected corruptions that could not be
 	// repaired (no healthy copy; StateNone objects).

@@ -137,11 +137,7 @@ func TestPutChecksPayloadOncePerHopOverTCP(t *testing.T) {
 
 	// And the read side: the shard holders answer from their recorded digests.
 	_, attached0, verified0 = transport.PayloadCheckStats()
-	info, ok := srv.reader.LookupStripe(context.Background(), meta.Stripe)
-	if !ok {
-		t.Fatalf("stripe %v has no record", meta.Stripe)
-	}
-	for _, member := range info.Members[:k] {
+	for _, member := range meta.Layout.Members[:k] {
 		resp, err := tn.Send(context.Background(), -1, member.Server, &transport.Message{
 			Kind: transport.MsgShardGet, Stripe: meta.Stripe, ShardIndex: member.Index,
 		})

@@ -15,12 +15,13 @@ import (
 	"corec/internal/types"
 )
 
-// The metadata directory is sharded over all staging servers: object records
-// by the directory cells their box touches, stripe records by stripe id (see
-// placement.Directory), each shard mirrored on NLevel ring successors so
-// metadata tolerates as many failures as the data it describes. Servers host
-// their shard in a directory and reach other shards through the same
-// transport as the data plane, charging the Metadata bucket.
+// The metadata directory is sharded over all staging servers by the directory
+// cells an object's box touches (see placement.Directory), each shard mirrored
+// on NLevel ring successors so metadata tolerates as many failures as the
+// data it describes. An object's record is the only record: an encoded one
+// carries its stripe's layout. Servers host their shard in a directory and
+// reach other shards through the same transport as the data plane, charging
+// the Metadata bucket.
 
 // directory is one server's shard of the metadata directory. It has its own
 // lock: lookups and region queries share it for reading and never wait on
@@ -34,8 +35,6 @@ type directory struct {
 	// buckets indexes metas by (variable, cell) for every cell a record's
 	// box touches, so a region query scans only the cells it touches.
 	buckets map[dirBucket]map[string]*types.ObjectMeta
-	// stripes holds the stripe records; dropStripe deletes them.
-	stripes map[types.StripeID]*types.StripeInfo
 }
 
 type dirBucket struct {
@@ -48,7 +47,6 @@ func newDirectory(place *placement.Directory) *directory {
 		place:   place,
 		metas:   make(map[string]*types.ObjectMeta),
 		buckets: make(map[dirBucket]map[string]*types.ObjectMeta),
-		stripes: make(map[types.StripeID]*types.StripeInfo),
 	}
 }
 
@@ -147,58 +145,23 @@ func (d *directory) remove(key string) {
 	}
 }
 
-func (d *directory) updateStripe(info *types.StripeInfo) {
-	cp := info.Clone()
-	d.mu.Lock()
-	d.stripes[cp.ID] = cp
-	d.mu.Unlock()
-}
-
-func (d *directory) lookupStripe(id types.StripeID) (*types.StripeInfo, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	info, ok := d.stripes[id]
-	if !ok {
-		return nil, false
-	}
-	return info.Clone(), true
-}
-
-func (d *directory) removeStripe(id types.StripeID) {
-	d.mu.Lock()
-	delete(d.stripes, id)
-	d.mu.Unlock()
-}
-
-// dump returns the whole shard, metas in key order and stripes in id order:
-// dumps feed recovery work lists, the migrator and tests, so the stream is
-// deterministic.
-func (d *directory) dump() ([]types.ObjectMeta, []types.StripeInfo) {
+// dump returns the whole shard in key order: dumps feed recovery work lists,
+// the migrator and tests, so the stream is deterministic.
+func (d *directory) dump() []types.ObjectMeta {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	metas := make([]types.ObjectMeta, 0, len(d.metas))
 	for _, k := range sortedKeys(d.metas) {
 		metas = append(metas, *d.metas[k].Clone())
 	}
-	stripes := make([]types.StripeInfo, 0, len(d.stripes))
-	for _, info := range d.stripes {
-		stripes = append(stripes, *info.Clone())
-	}
-	sort.Slice(stripes, func(i, j int) bool {
-		a, b := stripes[i].ID, stripes[j].ID
-		if a.Group != b.Group {
-			return a.Group < b.Group
-		}
-		return a.Seq < b.Seq
-	})
-	return metas, stripes
+	return metas
 }
 
-// counts returns the number of object and stripe records in the shard.
-func (d *directory) counts() (metas, stripes int) {
+// count returns the number of records in the shard.
+func (d *directory) count() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.metas), len(d.stripes)
+	return len(d.metas)
 }
 
 // --- shard-side handlers ---
@@ -229,30 +192,10 @@ func (s *Server) handleMetaDelete(req *transport.Message) *transport.Message {
 	return transport.Ok()
 }
 
-func (s *Server) handleStripeUpdate(req *transport.Message) *transport.Message {
-	if req.StripeInfo == nil {
-		return transport.Errf("server %d: StripeUpdate without record", s.id)
-	}
-	s.dir.updateStripe(req.StripeInfo)
-	return transport.Ok()
-}
-
-func (s *Server) handleStripeLookup(req *transport.Message) *transport.Message {
-	info, ok := s.dir.lookupStripe(req.Stripe)
-	return &transport.Message{Kind: transport.MsgOK, Flag: ok, StripeInfo: info}
-}
-
-func (s *Server) handleStripeDelete(req *transport.Message) *transport.Message {
-	s.dir.removeStripe(req.Stripe)
-	return transport.Ok()
-}
-
-// handleDirDump returns the whole directory shard: all object metadata and
-// stripe records. Used to rebuild a failed server's shard and to build
-// recovery work lists.
+// handleDirDump returns the whole directory shard. Used to rebuild a failed
+// server's shard and to build recovery work lists.
 func (s *Server) handleDirDump(req *transport.Message) *transport.Message {
-	metas, stripes := s.dir.dump()
-	return &transport.Message{Kind: transport.MsgOK, Metas: metas, Stripes: stripes}
+	return &transport.Message{Kind: transport.MsgOK, Metas: s.dir.dump()}
 }
 
 // --- client-side helpers (used by servers acting as directory clients) ---
@@ -265,14 +208,6 @@ func (s *Server) dirUpdate(ctx context.Context, meta *types.ObjectMeta) error {
 	defer func() { s.col.Add(metrics.Metadata, time.Since(start)) }()
 	msg := &transport.Message{Kind: transport.MsgMetaUpdate, Meta: meta}
 	return s.sendToGroup(ctx, s.dirPlace.Servers(meta.ID.Var, meta.ID.Box), msg)
-}
-
-// dirUpdateStripe writes a stripe record to its shard group.
-func (s *Server) dirUpdateStripe(ctx context.Context, info *types.StripeInfo) error {
-	start := time.Now()
-	defer func() { s.col.Add(metrics.Metadata, time.Since(start)) }()
-	msg := &transport.Message{Kind: transport.MsgStripeUpdate, StripeInfo: info}
-	return s.sendToGroup(ctx, s.dirPlace.StripeServers(info.ID), msg)
 }
 
 // sendToGroup delivers msg to every shard holder, treating the operation as
@@ -360,13 +295,6 @@ func hintEntry(msg *transport.Message) (string, bool) {
 		return "m/" + msg.Meta.ID.Key(), true
 	case transport.MsgMetaDelete:
 		return "m/" + msg.Key, true
-	case transport.MsgStripeUpdate:
-		if msg.StripeInfo == nil {
-			return "", false
-		}
-		return "s/" + msg.StripeInfo.ID.String(), true
-	case transport.MsgStripeDelete:
-		return "s/" + msg.Stripe.String(), true
 	}
 	return "", false
 }
@@ -377,9 +305,6 @@ func cloneForHint(msg *transport.Message) *transport.Message {
 	cp := *msg
 	if msg.Meta != nil {
 		cp.Meta = msg.Meta.Clone()
-	}
-	if msg.StripeInfo != nil {
-		cp.StripeInfo = msg.StripeInfo.Clone()
 	}
 	return &cp
 }

@@ -85,7 +85,7 @@ func TestDirectoryShardIndex(t *testing.T) {
 	for _, m := range []string{key(inCell), key(farAway), key(foreign), types.ObjectID{Var: "w", Box: inCell}.Key()} {
 		d.remove(m)
 	}
-	if metas, _ := d.counts(); metas != 0 || len(d.buckets) != 0 {
+	if metas := d.count(); metas != 0 || len(d.buckets) != 0 {
 		t.Fatalf("%d records, %d buckets left after removing everything", metas, len(d.buckets))
 	}
 }
@@ -145,7 +145,7 @@ func TestMultiCellRecordRegistersInEveryGroup(t *testing.T) {
 }
 
 // TestDirectoryShardConcurrent drives one shard from several goroutines at
-// once — updates, region queries, lookups, removals, stripe records, dumps —
+// once — updates, region queries, lookups, removals, dumps —
 // the mix a busy server's handlers produce. Run under -race.
 func TestDirectoryShardConcurrent(t *testing.T) {
 	d := testShard()
@@ -158,32 +158,34 @@ func TestDirectoryShardConcurrent(t *testing.T) {
 				x := (i*7 + int64(w)*3) % 120 * 8
 				box := geometry.Box3D(x, 0, 0, x+20, 20, 20) // straddles cell boundaries
 				m := metaFor("v", box, types.Version(i), uint64(i))
-				stripe := types.StripeID{Group: w, Seq: uint64(i % 16)}
 				switch i % 5 {
 				case 0, 1:
+					m.State = types.StateEncoded
+					m.Layout = &types.StripeInfo{ID: types.StripeID{Group: w, Seq: uint64(i)}, K: 3, M: 1, Members: []types.StripeMember{{Server: 1}}}
 					d.update(m, i%2 == 0)
-					d.updateStripe(&types.StripeInfo{ID: stripe, K: 3, M: 1, Members: []types.StripeMember{{Server: 1}}})
 				case 2:
 					for _, got := range d.query("v", geometry.Box3D(x, 0, 0, x+64, 64, 64)) {
 						if got.ID.Var != "v" {
 							t.Errorf("query returned a record of %q", got.ID.Var)
 						}
 					}
-					d.lookupStripe(stripe)
 				case 3:
-					d.lookup(m.ID.Key())
+					// A lookup hands out a copy: writing to its layout must not
+					// race the shard's own record.
+					if got, ok := d.lookup(m.ID.Key()); ok && got.Layout != nil {
+						got.Layout.Members[0].Server = 9
+					}
 					d.dump()
-					d.counts()
+					d.count()
 				case 4:
 					d.remove(m.ID.Key())
-					d.removeStripe(stripe)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	// Whatever interleaving ran, the index and the record map agree.
-	metas, _ := d.dump()
+	metas := d.dump()
 	if got := d.query("v", geometry.Box{}); len(got) != len(metas) {
 		t.Fatalf("unbounded query sees %d records, dump %d", len(got), len(metas))
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -24,6 +25,10 @@ func resolveEncodeWorkers(n int) int {
 	return n
 }
 
+// errRingMoved reports an encode abandoned because membership changed under
+// it.
+var errRingMoved = errors.New("ring membership changed while encoding")
+
 // encodeObject transitions an object to the erasure-coded state following
 // the paper's encoding workflow (Figure 6):
 //
@@ -32,8 +37,8 @@ func resolveEncodeWorkers(n int) int {
 //     server performs the expensive split+encode and the remote shard
 //     distribution (load balancing).
 //  3. Place the k+m shards across the coding group, primary keeping data
-//     shard 0; update stripe and object metadata; drop surplus replicas and
-//     the full local copy.
+//     shard 0; publish the object's record, which carries the stripe's
+//     layout; drop surplus replicas and the full local copy.
 //
 // reuse carries the existing stripe ID when re-encoding an updated object
 // (zero value mints a fresh stripe). dropReplicas is set when the object
@@ -43,6 +48,10 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 		return fmt.Errorf("no codec configured")
 	}
 	key := obj.ID.Key()
+	var epoch uint64
+	if s.ring != nil {
+		epoch = s.ring.Epoch()
+	}
 	members := s.codingMembers()
 	k, m := s.codec.DataShards(), s.codec.ParityShards()
 	if len(members) != k+m {
@@ -57,10 +66,10 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 		// byte: the clock makes ids unique across the lifetimes of one
 		// server id — including a crashed process restarted in a fresh OS
 		// process, where any in-memory counter would restart and re-mint a
-		// dead predecessor's ids, silently rebinding the stripe record (and
-		// its shard keys) that surviving objects' metadata still points at —
-		// and the id byte keeps servers sharing a static coding group from
-		// colliding when they mint in the same microsecond.
+		// dead predecessor's ids, silently rebinding the shard keys that
+		// surviving objects' records still point at — and the id byte keeps
+		// servers sharing a static coding group from colliding when they mint
+		// in the same microsecond.
 		group := int(s.id)
 		if s.ring == nil {
 			group = s.groups.CodingGroup(s.id)
@@ -121,8 +130,18 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 	// the newer write.
 	if !stillThere || cur != obj {
 		s.mu.Unlock()
-		s.dropStripeMembers(ctx, info)
+		s.dropStripe(ctx, info)
 		return nil
+	}
+	// Nor may the ring have moved since the members were chosen: one that
+	// left meanwhile took its shard with it (a server that rejoins under the
+	// same id comes back empty), and committing would trade the full copies
+	// for a stripe already short of shards. The object stays as it was; the
+	// next attempt places over the ring as it then is.
+	if s.ring != nil && s.ring.Epoch() != epoch {
+		s.mu.Unlock()
+		s.dropStripe(ctx, info)
+		return errRingMoved
 	}
 	// The put that installed obj already digested it (replicateObject, the
 	// CoREC demotion path); reuse that sum rather than re-reading the whole
@@ -141,13 +160,11 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 		sum = s.digest(obj.Data)
 	}
 
-	// Commit, stage 2: flip the directory (stripe record first, so the
-	// encoded metadata always resolves).
-	if err := s.dirUpdateStripe(ctx, info); err != nil {
-		return err
-	}
-	s.setLocalState(obj.ID, obj.Version, len(obj.Data), types.StateEncoded, stripeID, sum, nil)
-	meta := s.buildMeta(obj.ID, obj.Version, len(obj.Data), types.StateEncoded, stripeID, 0, sum)
+	// Commit, stage 2: flip the directory. The one update carries the new
+	// state and the stripe's layout, so no reader can hold an encoded record
+	// whose stripe does not resolve.
+	meta := s.buildMeta(obj, types.StateEncoded, info, sum)
+	s.setLocalState(meta, nil)
 	if err := s.dirUpdate(ctx, meta); err != nil {
 		return err
 	}
@@ -246,29 +263,35 @@ func (s *Server) handleEncodeDelegate(ctx context.Context, req *transport.Messag
 	return &transport.Message{Kind: transport.MsgOK, Flag: true}
 }
 
-// pushShards distributes an encoded stripe's shards 1..k+m-1 to their
-// members concurrently, so a stripe costs one shard round trip rather than
-// k+m-1 (the reader's gather does the same for reads). Shard 0, and
-// any shard placed on primary, is skipped: the primary cuts its own from its
-// full copy. A dead member leaves the stripe degraded until recovery, which
-// is tolerated within m losses. The wall time of the whole fan-out is
-// charged to the transport bucket.
-func (s *Server) pushShards(ctx context.Context, info *types.StripeInfo, shards [][]byte, v types.Version, primary types.ServerID) {
+// eachMember runs send for every member of a stripe concurrently, so a push
+// or a drop of k+m shards costs one round trip rather than one per shard (the
+// reader's gather does the same for reads), and charges the wall time of the
+// whole fan-out to the transport bucket.
+func (s *Server) eachMember(info *types.StripeInfo, send func(types.StripeMember)) {
 	start := time.Now()
 	var wg sync.WaitGroup
 	for _, member := range info.Members {
-		if member.Index == 0 || member.Server == primary {
-			continue
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// A failed push is the dead-member case above; nothing to undo.
-			s.pushShard(ctx, member, info, shards[member.Index], v)
+			send(member)
 		}()
 	}
 	wg.Wait()
 	s.col.Add(metrics.Transport, time.Since(start))
+}
+
+// pushShards distributes an encoded stripe's shards 1..k+m-1 to their
+// members. Shard 0, and any shard placed on primary, is skipped: the primary
+// cuts its own from its full copy. A dead member leaves the stripe degraded
+// until recovery, which is tolerated within m losses.
+func (s *Server) pushShards(ctx context.Context, info *types.StripeInfo, shards [][]byte, v types.Version, primary types.ServerID) {
+	s.eachMember(info, func(member types.StripeMember) {
+		if member.Index != 0 && member.Server != primary {
+			// A failed push is the dead-member case above; nothing to undo.
+			s.pushShard(ctx, member, info, shards[member.Index], v)
+		}
+	})
 }
 
 // pushShard installs a shard on its member. v rides along as the holder's
@@ -289,35 +312,21 @@ func (s *Server) pushShard(ctx context.Context, member types.StripeMember, info 
 	return err == nil
 }
 
-// dropStripe releases a stripe (used when an encoded object is promoted
-// back to replication, rewritten in replicated form, handed off or deleted).
-func (s *Server) dropStripe(ctx context.Context, id types.StripeID) {
-	if id == (types.StripeID{}) {
+// dropStripe drops every shard of a stripe (nil: none to drop) from its
+// members: an encoded object was promoted back to replication, rewritten,
+// handed off or deleted, or an encode lost the race to a newer write. The
+// caller brings the layout — from its localState, or the stripe it just built
+// — and no directory is involved: nothing points at a dropped stripe except
+// a superseded record, and a reader still holding that takes the data-loss
+// path, refetches the object's record and retries.
+func (s *Server) dropStripe(ctx context.Context, info *types.StripeInfo) {
+	if info == nil {
 		return
 	}
-	info, ok := s.reader.LookupStripe(ctx, id)
-	if !ok {
-		return
-	}
-	s.dropStripeMembers(ctx, info)
-}
-
-// dropStripeMembers drops every shard of the stripe from its members, then
-// the stripe's record from its directory group: nothing points at a dropped
-// stripe except superseded metadata, and a reader still holding that takes
-// the data-loss path, refetches the object's record and retries. A mirror
-// the delete misses is owed it as a hint, like any other group write.
-func (s *Server) dropStripeMembers(ctx context.Context, info *types.StripeInfo) {
-	start := time.Now()
-	for _, member := range info.Members {
+	s.eachMember(info, func(member types.StripeMember) {
 		msg := &transport.Message{Kind: transport.MsgShardDrop, Stripe: info.ID, ShardIndex: member.Index}
 		_, _ = s.sendRetry(ctx, member.Server, msg) // dead member holds nothing
-	}
-	s.col.Add(metrics.Transport, time.Since(start))
-	start = time.Now()
-	// Unreached mirrors are hinted; an unreachable group leaks one record.
-	_ = s.sendToGroup(ctx, s.dirPlace.StripeServers(info.ID), &transport.Message{Kind: transport.MsgStripeDelete, Stripe: info.ID})
-	s.col.Add(metrics.Metadata, time.Since(start))
+	})
 }
 
 // EndTimeStep applies CoREC's end-of-step transitions: demote cooled
@@ -429,10 +438,7 @@ func (s *Server) promoteObject(ctx context.Context, id types.ObjectID) bool {
 			return false
 		}
 	}
-	info, ok := s.stripeInfoFor(ctx, st.stripe)
-	if !ok {
-		return false
-	}
+	info := st.layout
 	data := reader.Buffer(st.size, info.K)
 	tStart := time.Now()
 	_, err := s.reader.Stripe(ctx, info, data)
@@ -450,7 +456,7 @@ func (s *Server) promoteObject(ctx context.Context, id types.ObjectID) bool {
 	if err := s.replicateObject(ctx, obj, s.digest(data)); err != nil {
 		return false
 	}
-	s.dropStripe(ctx, st.stripe)
+	s.dropStripe(ctx, info)
 	if cls := s.decider.Classifier(); cls != nil {
 		cls.SetEncoded(id, false)
 	}

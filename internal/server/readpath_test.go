@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -17,37 +18,58 @@ import (
 
 // shardGetNet wraps the in-process fabric (keeping its peer-health table) to
 // observe the reads servers make through it: how many stripe lookups, and in
-// how many rounds a stripe's shards were asked for. Each shard get is held
-// for a moment before it is delivered, so every request of one parallel
-// round is on its way before the first comes back; a shard index first asked
-// for after some shard get has returned belongs to a later round. Resends of
-// one index (the retry budget spent on a dead holder) count once.
+// how many rounds a stripe's shards were asked of their live holders. A round
+// is a matter of message order alone: a shard index first asked for after the
+// reply to an earlier shard get was delivered belongs to a later round. So
+// that no reply of a parallel round is delivered before the round's other
+// requests are sent, the first wide indices asked for wait for each other
+// before any request goes on (see expect). Requests to the dead holder are
+// let through uncounted: whether one reaches the fabric at all — a retry
+// budget being spent, a half-open trial, or a fast fail that never leaves
+// the sender — is the peer-health table's business and the clock's.
 type shardGetNet struct {
 	*transport.InProc
+	dead types.ServerID
 
 	mu            sync.Mutex
 	stripeLookups int
+	wide          int
 	asked         map[int]bool
+	gate          chan struct{} // closed once wide indices have been asked for
 	returned      int
 	late          int
+	stalled       bool
 }
 
 func (n *shardGetNet) Send(ctx context.Context, from, to types.ServerID, req *transport.Message) (*transport.Message, error) {
-	switch req.Kind {
-	case transport.MsgStripeLookup:
+	switch {
+	case req.Kind == transport.MsgStripeLookup:
 		n.mu.Lock()
 		n.stripeLookups++
 		n.mu.Unlock()
-	case transport.MsgShardGet:
+	case req.Kind == transport.MsgShardGet && to != n.dead:
 		n.mu.Lock()
+		gate := n.gate
 		if !n.asked[req.ShardIndex] {
 			n.asked[req.ShardIndex] = true
 			if n.returned > 0 {
 				n.late++
 			}
+			if len(n.asked) == n.wide {
+				close(gate)
+			}
 		}
 		n.mu.Unlock()
-		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-gate:
+		case <-time.After(10 * time.Second):
+			// Only a first round narrower than expected ever waits this out:
+			// the clock turns that hang into a failure, it decides no passing
+			// run.
+			n.mu.Lock()
+			n.stalled = true
+			n.mu.Unlock()
+		}
 		defer func() {
 			n.mu.Lock()
 			n.returned++
@@ -57,24 +79,38 @@ func (n *shardGetNet) Send(ctx context.Context, from, to types.ServerID, req *tr
 	return n.InProc.Send(ctx, from, to, req)
 }
 
-// rounds reports the fetch rounds of the shard gets seen since the last
-// call, and forgets them.
+// expect starts observing a read whose first round should put wide shard
+// gets on live holders (0: none are lined up).
+func (n *shardGetNet) expect(wide int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.wide, n.asked, n.returned, n.late, n.stalled = wide, make(map[int]bool), 0, 0, false
+	n.gate = make(chan struct{})
+	if wide == 0 {
+		close(n.gate)
+	}
+}
+
+// rounds reports the fetch rounds of the shard gets seen since expect: -1
+// when the first round never grew to the expected width.
 func (n *shardGetNet) rounds() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	r := 0
-	if len(n.asked) > 0 {
-		r = 1
+	switch {
+	case n.stalled:
+		return -1
+	case n.late > 0:
+		return 2
+	case len(n.asked) > 0:
+		return 1
 	}
-	if n.late > 0 {
-		r = 2
-	}
-	n.asked, n.returned, n.late = make(map[int]bool), 0, 0
-	return r
+	return 0
 }
 
 func newShardGetNet() *shardGetNet {
-	return &shardGetNet{InProc: transport.NewInProc(simnet.LinkModel{}), asked: make(map[int]bool)}
+	n := &shardGetNet{InProc: transport.NewInProc(simnet.LinkModel{}), dead: types.InvalidServer}
+	n.expect(0)
+	return n
 }
 
 // sameStripeBoxes returns n boxes whose objects have the same primary, and
@@ -100,7 +136,11 @@ func sameStripeBoxes(rig *testRig, n int) ([]geometry.Box, []types.ServerID) {
 // because they are the same read: with the holder of a data shard dead, a
 // rebuild first asks the k shards it would like, misses one and asks the
 // spares in a second round — and once the fabric has learnt of the death,
-// asks for the spares in the first.
+// asks for the spares in the first. On live holders that is one shard get in
+// the first round and the spare's in a second, then two in one round: RS(2+2)
+// recovery asks shard 0 (and the dead 1), then the spare 3 — or 0 and 3
+// together; RS(3+1) promotion reads shard 0 from its own store and asks 2
+// (and the dead 1), then 3 — or 2 and 3 together.
 func TestServerRebuildsInOneRoundOnceLossIsKnown(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -142,27 +182,39 @@ func TestServerRebuildsInOneRoundOnceLossIsKnown(t *testing.T) {
 			net := newShardGetNet()
 			rig := newRigWith(t, net, 8, policy.Config{Mode: policy.Erasure, NLevel: 1, K: c.k, M: c.m})
 			boxes, members := sameStripeBoxes(rig, 2)
+			dead := members[1] // data shard 1 of every stripe
 			datas := make([][]byte, len(boxes))
 			for i, box := range boxes {
+				// The rebuilds look the objects' records up; were the dead
+				// holder one of their directory mirrors, that lookup — not a
+				// shard get — would spend a retry budget on it and teach the
+				// fabric of the death before the first rebuild plans its round.
+				if group := rig.servers[0].dirPlace.Servers("v", box); slices.Contains(group, dead) {
+					t.Fatalf("setup: the dead holder %d is a directory mirror %v of box %v", dead, group, box)
+				}
 				datas[i] = payload(int(box.Volume())*8+i, int64(70+i)) // odd size: the stripe is padded
 				rig.put(t, "v", box, 1, datas[i])
 			}
-			rig.servers[members[1]].Close() // data shard 1 of every stripe
-			net.rounds()
-			for i, want := range []int{2, 1} {
+			rig.servers[dead].Close()
+			net.dead = dead
+			for i, want := range []struct{ rounds, wide int }{{2, 1}, {1, 2}} {
+				if known := transport.HealthOf(net).Down(dead); known != (i > 0) {
+					t.Fatalf("before rebuild %d the fabric knows of the dead holder: %v", i, known)
+				}
+				net.expect(want.wide)
 				c.rebuild(t, rig, members, types.ObjectID{Var: "v", Box: boxes[i]}, datas[i])
-				if got := net.rounds(); got != want {
-					t.Errorf("rebuild %d (dead holder known to the fabric: %v) took %d fetch rounds, want %d",
-						i, transport.HealthOf(net).Down(members[1]), got, want)
+				if got := net.rounds(); got != want.rounds {
+					t.Errorf("rebuild %d took %d fetch rounds, want %d", i, got, want.rounds)
 				}
 			}
 		})
 	}
 }
 
-// TestRecoveryWorklistAsksNoStripeLookups: a replacement builds its work list
-// from the directory dumps it is walking anyway — they carry every stripe
-// record — and asks the directory for none. It used to look up the stripe of
+// TestRecoveryWorklistAsksNoStripeLookups: the records in the directory dumps
+// a replacement walks are all it needs — an encoded one carries its stripe's
+// layout — so both its work list and its share of the directory come from
+// them and it asks nobody about a stripe. It used to look up the stripe of
 // every encoded record in every dump.
 func TestRecoveryWorklistAsksNoStripeLookups(t *testing.T) {
 	net := newShardGetNet()
@@ -173,11 +225,9 @@ func TestRecoveryWorklistAsksNoStripeLookups(t *testing.T) {
 	}
 	victim := types.ServerID(2)
 	shardsHeld := rig.servers[victim].store.Len()
+	recordsHeld := rig.servers[victim].dir.count()
 	rig.servers[victim].Close()
 	repl := rig.startServer(t, victim)
-	net.mu.Lock()
-	net.stripeLookups = 0
-	net.mu.Unlock()
 	keys, _, err := repl.rebuildDirectoryAndWorklist(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +240,15 @@ func TestRecoveryWorklistAsksNoStripeLookups(t *testing.T) {
 	net.mu.Unlock()
 	if lookups != 0 {
 		t.Errorf("building the work list sent %d stripe lookups, want 0", lookups)
+	}
+	rebuilt := repl.dir.dump()
+	if len(rebuilt) != recordsHeld || recordsHeld == 0 {
+		t.Errorf("rebuilt directory shard holds %d records, its predecessor held %d", len(rebuilt), recordsHeld)
+	}
+	for _, m := range rebuilt {
+		if m.State != types.StateEncoded || m.Layout == nil || m.Layout.ID != m.Stripe || len(m.Layout.Members) != 4 {
+			t.Fatalf("rebuilt record of %s came back without its stripe's layout: %+v", m.ID, m)
+		}
 	}
 	if repaired, err := repl.RunRecovery(context.Background(), 0); err != nil || repaired < shardsHeld {
 		t.Fatalf("recovery repaired %d objects (%v), want at least %d", repaired, err, shardsHeld)

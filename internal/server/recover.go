@@ -24,18 +24,6 @@ func (s *Server) DecodeCacheStats() (stats matrix.CacheStats, ok bool) {
 	return s.codec.DecodeCacheStats()
 }
 
-// stripeInfoFor resolves stripe geometry from the record of locally held
-// shards first and the directory second.
-func (s *Server) stripeInfoFor(ctx context.Context, id types.StripeID) (*types.StripeInfo, bool) {
-	s.mu.Lock()
-	info := s.held[id].info
-	s.mu.Unlock()
-	if info != nil {
-		return info, true
-	}
-	return s.reader.LookupStripe(ctx, id)
-}
-
 // others returns ids without this server: the holders to ask for a piece
 // this server is missing.
 func (s *Server) others(ids []types.ServerID) []types.ServerID {
@@ -159,7 +147,10 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta) 
 	st, known := s.local[key]
 	s.mu.Unlock()
 	if iAmPrimary && !(known && st.version > obj.Version) {
-		s.setLocalState(meta.ID, resp.Version, len(resp.Data), types.StateReplicated, types.StripeID{}, sum, obj)
+		// The surviving copy may be of another version than the record names.
+		mine := *meta
+		mine.Version, mine.Size, mine.Checksum = obj.Version, len(obj.Data), sum
+		s.setLocalState(&mine, obj)
 		if cls := s.decider.Classifier(); cls != nil {
 			cls.Track(meta.ID, false)
 		}
@@ -168,20 +159,20 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta) 
 }
 
 func (s *Server) recoverEncoded(ctx context.Context, meta *types.ObjectMeta) (bool, error) {
-	info, ok := s.stripeInfoFor(ctx, meta.Stripe)
-	if !ok {
-		return false, fmt.Errorf("%w: stripe %v unknown", reader.ErrDataLoss, meta.Stripe)
+	info := meta.Layout
+	if info == nil {
+		return false, fmt.Errorf("%w: encoded record of %s carries no stripe layout", reader.ErrDataLoss, meta.ID)
 	}
 	myIndex := s.shardIndexIn(info)
 	if myIndex < 0 {
 		// Not a stripe member. If we are the primary, local bookkeeping is
 		// refreshed so transitions keep working.
 		if meta.Primary == s.id {
-			s.setLocalState(meta.ID, meta.Version, meta.Size, types.StateEncoded, meta.Stripe, meta.Checksum, nil)
+			s.setLocalState(meta, nil)
 		}
 		return false, nil
 	}
-	sk := shardKey(meta.Stripe, myIndex)
+	sk := shardKey(info.ID, myIndex)
 	repaired := !s.store.Has(sk)
 	if repaired {
 		shards, err := s.rebuild(ctx, info, []int{myIndex}, reader.NoTally)
@@ -190,17 +181,22 @@ func (s *Server) recoverEncoded(ctx context.Context, meta *types.ObjectMeta) (bo
 		}
 		shardSum := s.digest(shards[myIndex]) // outside s.mu: see encodeObject
 		s.mu.Lock()
-		s.holdShardLocked(meta.Stripe, myIndex, shardSum, info)
+		s.holdShardLocked(info.ID, myIndex, shardSum, info)
 		s.store.PutTagged(sk, shards[myIndex], shardEpoch(meta.Version))
 		s.mu.Unlock()
 		s.mutations.Add(1)
 	}
-	// A primary that lost its bookkeeping with its memory gets it back.
+	// A shard found on a restarted disk tier gets its stripe's layout back
+	// (its digest stays unrecorded for the scrubber to backfill), and a
+	// primary that lost its bookkeeping with its memory gets that back.
 	s.mu.Lock()
+	if h := s.held[info.ID]; h.info == nil {
+		s.holdShardLocked(info.ID, myIndex, h.sums[myIndex], info)
+	}
 	_, known := s.local[meta.ID.Key()]
 	s.mu.Unlock()
 	if meta.Primary == s.id && !known {
-		s.setLocalState(meta.ID, meta.Version, meta.Size, types.StateEncoded, info.ID, meta.Checksum, nil)
+		s.setLocalState(meta, nil)
 		if cls := s.decider.Classifier(); cls != nil {
 			cls.Track(meta.ID, true)
 		}
@@ -289,64 +285,42 @@ func (s *Server) rebuildDirectoryAndWorklist(ctx context.Context) ([]string, map
 			peers = append(peers, types.ServerID(i))
 		}
 	}
-	// Collect every peer's dump first: the stripe records in them answer
-	// "is one of my shards in this object's stripe" for the whole work list,
-	// where asking the directory would cost a lookup per encoded record.
-	var metas []types.ObjectMeta
-	stripes := make(map[types.StripeID]*types.StripeInfo)
+	// The records are all there is to collect: an encoded one carries its
+	// stripe's layout, which answers "is one of my shards in this object's
+	// stripe" without asking anyone.
+	var keys []string
+	ids := make(map[string]types.ObjectID)
 	for _, peer := range s.others(peers) {
 		resp, err := s.sendRetry(ctx, peer, &transport.Message{Kind: transport.MsgDirDump})
 		if err != nil || resp.Kind != transport.MsgOK {
 			continue
 		}
-		metas = append(metas, resp.Metas...)
-		for i := range resp.Stripes {
-			info := &resp.Stripes[i]
-			stripes[info.ID] = info
-			if slices.Contains(s.dirPlace.StripeServers(info.ID), s.id) {
-				s.handleStripeUpdate(&transport.Message{Kind: transport.MsgStripeUpdate, StripeInfo: info})
+		for i := range resp.Metas {
+			meta := &resp.Metas[i]
+			key := meta.ID.Key()
+			// Restore directory entries belonging to this server's shard (as
+			// owner or mirror of a cell the record's box touches). Flag marks
+			// restore mode: never clobber a live same-version record that a
+			// concurrent transition may have refreshed.
+			if slices.Contains(s.dirPlace.Servers(meta.ID.Var, meta.ID.Box), s.id) {
+				s.handleMetaUpdate(&transport.Message{Kind: transport.MsgMetaUpdate, Meta: meta, Flag: true})
 			}
-		}
-	}
-	var keys []string
-	ids := make(map[string]types.ObjectID)
-	for i := range metas {
-		meta := &metas[i]
-		key := meta.ID.Key()
-		// Restore directory entries belonging to this server's shard (as
-		// owner or mirror of a cell the record's box touches). Flag marks
-		// restore mode: never clobber a live same-version record that a
-		// concurrent transition may have refreshed.
-		if slices.Contains(s.dirPlace.Servers(meta.ID.Var, meta.ID.Box), s.id) {
-			s.handleMetaUpdate(&transport.Message{Kind: transport.MsgMetaUpdate, Meta: meta, Flag: true})
-		}
-		if _, seen := ids[key]; seen {
-			continue
-		}
-		if s.holdsPieceOf(ctx, meta, stripes) {
-			ids[key] = meta.ID
-			keys = append(keys, key)
+			if _, seen := ids[key]; !seen && s.holdsPieceOf(meta) {
+				ids[key] = meta.ID
+				keys = append(keys, key)
+			}
 		}
 	}
 	return keys, ids, nil
 }
 
 // holdsPieceOf reports whether this server should hold a piece of the
-// object described by meta (primary copy, replica, or stripe shard). stripes
-// holds the stripe records already in hand; the directory is asked only for
-// one that is not among them.
-func (s *Server) holdsPieceOf(ctx context.Context, meta *types.ObjectMeta, stripes map[types.StripeID]*types.StripeInfo) bool {
+// object described by meta (primary copy, replica, or stripe shard).
+func (s *Server) holdsPieceOf(meta *types.ObjectMeta) bool {
 	if meta.Primary == s.id || slices.Contains(meta.Replicas, s.id) {
 		return true
 	}
-	if meta.State != types.StateEncoded {
-		return false
-	}
-	info, ok := stripes[meta.Stripe]
-	if !ok {
-		info, ok = s.stripeInfoFor(ctx, meta.Stripe)
-	}
-	return ok && s.shardIndexIn(info) >= 0
+	return meta.State == types.StateEncoded && meta.Layout != nil && s.shardIndexIn(meta.Layout) >= 0
 }
 
 // RepairQueueLen returns the number of pending background repairs (0 when

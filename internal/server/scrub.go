@@ -231,6 +231,15 @@ func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.R
 		s.mu.Lock()
 		want, info := s.held[id].sums[index], s.held[id].info
 		s.mu.Unlock()
+		if info == nil {
+			// A shard re-indexed from a restarted disk tier: whether its
+			// stripe is still live, and who else holds it, is on the object's
+			// record, and recovery restores that here (recoverEncoded). Until
+			// then there is nothing to verify the bytes against or repair
+			// them from.
+			rep.Skipped++
+			continue
+		}
 		// Peek reads without touching heat or tier placement. A shard whose
 		// stored record rotted below L1 is quarantined by the engine's own
 		// CRC check inside this call and reads as absent — the stripe phase
@@ -247,8 +256,8 @@ func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.R
 		rep.Bytes += int64(len(data))
 		switch {
 		case want == 0:
-			// Backfill also covers shards re-indexed from a restarted disk
-			// tier, whose sums map died with the previous incarnation.
+			// The digest of a shard found on a restarted disk tier died with
+			// the previous incarnation; recovery restored only the layout.
 			s.mu.Lock()
 			if s.store.Has(sk) && s.held[id].sums[index] == 0 {
 				s.holdShardLocked(id, index, got, nil)
@@ -257,10 +266,6 @@ func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.R
 			s.mu.Unlock()
 		case got != want:
 			rep.Corruptions++
-			if info == nil {
-				rep.Unrepaired++
-				continue
-			}
 			if err := s.repairShard(ctx, sk, info, want, bud, rep); err != nil {
 				return err
 			}
@@ -511,27 +516,16 @@ func (s *Server) scrubReplicaGroups(ctx context.Context, bud *scrub.Budget, rep 
 // --- phase 3: stripe verification ---
 
 func (s *Server) scrubStripes(ctx context.Context, bud *scrub.Budget, rep *scrub.Report) error {
-	type item struct {
-		key    string
-		stripe types.StripeID
-	}
 	s.mu.Lock()
-	items := make([]item, 0, len(s.local))
+	stripes := make(map[string]*types.StripeInfo, len(s.local))
 	for key, st := range s.local {
 		if st.state == types.StateEncoded {
-			items = append(items, item{key, st.stripe})
+			stripes[key] = st.layout
 		}
 	}
 	s.mu.Unlock()
-	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
-
-	for _, it := range items {
-		info, ok := s.stripeInfoFor(ctx, it.stripe)
-		if !ok {
-			rep.Skipped++
-			continue
-		}
-		if err := s.scrubStripe(ctx, info, bud, rep); err != nil {
+	for _, key := range sortedKeys(stripes) {
+		if err := s.scrubStripe(ctx, stripes[key], bud, rep); err != nil {
 			return err
 		}
 	}

@@ -100,8 +100,8 @@ type Server struct {
 	dirPlace *placement.Directory
 	dir      *directory
 
-	// reader is the read side of the protocol (record and stripe lookups,
-	// copy and shard fetches, reassembly) over sendRetry: recovery, promotion
+	// reader is the read side of the protocol (record lookups, copy and
+	// shard fetches, reassembly) over sendRetry: recovery, promotion
 	// and scrub repair read staged data through it, as clients do.
 	reader *reader.Reader
 
@@ -191,7 +191,7 @@ type Server struct {
 	encStop    chan struct{}
 	// pendingDrops holds superseded stripes whose shards the background
 	// worker must release (deferred off the write path).
-	pendingDrops map[string]types.StripeID
+	pendingDrops map[string]*types.StripeInfo
 
 	// Anti-entropy scrubber state (see scrub.go). scrubOn gates the
 	// verified-read check on the foreground get path without a lock.
@@ -205,9 +205,9 @@ type Server struct {
 
 // heldStripe records the locally held shards of one stripe.
 type heldStripe struct {
-	// info is the stripe's geometry as the latest install carried it (the
-	// sender's record, shared: read-only); nil when none did (a digest
-	// backfilled for a shard found on a restarted disk tier).
+	// info is the stripe's layout as the latest install carried it (the
+	// sender's copy, shared: read-only); nil for a shard found on a restarted
+	// disk tier until recovery restores it from the object's record.
 	info *types.StripeInfo
 	// sums is the at-rest digest of each held shard, by shard index.
 	sums map[int]uint64
@@ -218,7 +218,13 @@ type localState struct {
 	version types.Version
 	size    int
 	state   types.ResilienceState
-	stripe  types.StripeID
+	// seq is the Seq of the last record this primary published for the
+	// object: a handoff that acted on an earlier record is refused.
+	seq uint64
+	// layout is the object's stripe while state is StateEncoded (shared with
+	// the published record: read-only), so a drop or a promotion has the
+	// members in hand.
+	layout *types.StripeInfo
 	// sum is the content checksum of the primary copy (0 = not recorded).
 	sum uint64
 	// sumOf is the full copy that sum was computed over, so the encode path can
@@ -309,7 +315,7 @@ func New(cfg Config) (*Server, error) {
 		s.encPending = make(map[string]struct{})
 		s.encCh = make(chan string, 4096)
 		s.encStop = make(chan struct{})
-		s.pendingDrops = make(map[string]types.StripeID)
+		s.pendingDrops = make(map[string]*types.StripeInfo)
 		go s.encodeWorker()
 	}
 	cfg.Network.Register(cfg.ID, s.Handle)
@@ -404,10 +410,18 @@ func (s *Server) encodeWorker() {
 
 // deferStripeDrop schedules the release of a superseded stripe's shards;
 // the background worker performs it before any re-encode of the key.
-func (s *Server) deferStripeDrop(key string, id types.StripeID) {
+func (s *Server) deferStripeDrop(key string, info *types.StripeInfo) {
 	s.mu.Lock()
-	s.pendingDrops[key] = id
+	s.pendingDrops[key] = info
 	s.mu.Unlock()
+}
+
+// takePendingDropLocked removes and returns the superseded stripe awaiting
+// release for key, nil when there is none. Caller holds s.mu.
+func (s *Server) takePendingDropLocked(key string) *types.StripeInfo {
+	info := s.pendingDrops[key]
+	delete(s.pendingDrops, key)
+	return info
 }
 
 // processEncode performs one queued demotion, skipping objects that were
@@ -418,16 +432,11 @@ func (s *Server) processEncode(key string) {
 	lk.Lock()
 	defer lk.Unlock()
 	s.mu.Lock()
-	drop, hasDrop := s.pendingDrops[key]
-	if hasDrop {
-		delete(s.pendingDrops, key)
-	}
+	drop := s.takePendingDropLocked(key)
 	st, ok := s.local[key]
 	obj := s.objects[key]
 	s.mu.Unlock()
-	if hasDrop {
-		s.dropStripe(context.Background(), drop)
-	}
+	s.dropStripe(context.Background(), drop)
 	if !ok || obj == nil || st.state != types.StateReplicated {
 		return
 	}
@@ -558,12 +567,8 @@ func (s *Server) Handle(ctx context.Context, req *transport.Message) *transport.
 		return s.handleMetaQuery(req)
 	case transport.MsgMetaDelete:
 		return s.handleMetaDelete(req)
-	case transport.MsgStripeUpdate:
-		return s.handleStripeUpdate(req)
 	case transport.MsgStripeLookup:
 		return s.handleStripeLookup(req)
-	case transport.MsgStripeDelete:
-		return s.handleStripeDelete(req)
 	case transport.MsgDirDump:
 		return s.handleDirDump(req)
 	case transport.MsgTokenAcquire:
@@ -795,7 +800,7 @@ func parseShardKey(sk string) (id types.StripeID, index int, ok bool) {
 }
 
 // holdShardLocked records the digest of a shard this server installs and,
-// when the install carries it, the stripe's geometry. Caller holds s.mu.
+// when the install carries it, the stripe's layout. Caller holds s.mu.
 func (s *Server) holdShardLocked(id types.StripeID, index int, sum uint64, info *types.StripeInfo) {
 	h := s.held[id]
 	if h.sums == nil {

@@ -2,18 +2,25 @@ package server
 
 import (
 	"context"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"corec/internal/geometry"
+	"corec/internal/placement"
 	"corec/internal/policy"
 	"corec/internal/recovery"
 	"corec/internal/simnet"
+	"corec/internal/topology"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
 
+// TestDirDumpContainsMetasAndStripes: a dump is records alone, and an encoded
+// object's record is all a replacement needs of its stripe — the layout rides
+// on it, on exactly the members of the record's directory group.
 func TestDirDumpContainsMetasAndStripes(t *testing.T) {
 	rig := newRig(t, policy.Erasure, 8)
 	box := geometry.Box3D(0, 0, 0, 8, 8, 8)
@@ -23,49 +30,57 @@ func TestDirDumpContainsMetasAndStripes(t *testing.T) {
 	if !ok || meta.State != types.StateEncoded {
 		t.Fatalf("object not encoded: %+v", meta)
 	}
-	// The object record lives on the group of the one cell its box touches,
-	// the stripe record on the group its id hashes to; every member's dump
-	// holds its record and no other server's does.
-	dir := rig.servers[primary].dirPlace
-	metaGroup, stripeGroup := dir.Servers(id.Var, id.Box), dir.StripeServers(meta.Stripe)
-	if len(metaGroup) != 2 || len(stripeGroup) != 2 {
-		t.Fatalf("record groups %v / %v, want two members each", metaGroup, stripeGroup)
+	// The record lives on the group of the one cell its box touches; every
+	// member's dump holds it and no other server's does.
+	group := rig.servers[primary].dirPlace.Servers(id.Var, id.Box)
+	if len(group) != 2 {
+		t.Fatalf("record group %v, want two members", group)
 	}
 	for i, srv := range rig.servers {
 		resp := srv.handleDirDump(&transport.Message{Kind: transport.MsgDirDump})
 		if resp.Kind != transport.MsgOK {
 			t.Fatalf("dump failed: %+v", resp)
 		}
-		foundMeta, foundStripe := false, false
+		found := false
 		for _, m := range resp.Metas {
-			if m.ID.Key() == id.Key() {
-				foundMeta = true
-				if m.State != types.StateEncoded || m.Stripe != meta.Stripe {
-					t.Fatalf("server %d dumped meta %+v", i, m)
-				}
+			if m.ID.Key() != id.Key() {
+				continue
+			}
+			found = true
+			if m.State != types.StateEncoded || m.Stripe != meta.Stripe {
+				t.Fatalf("server %d dumped meta %+v", i, m)
+			}
+			if si := m.Layout; si == nil || si.ID != meta.Stripe || si.K != 3 || si.M != 1 || len(si.Members) != 4 {
+				t.Fatalf("server %d dumped the record with layout %+v", i, si)
 			}
 		}
-		for _, si := range resp.Stripes {
-			if si.ID == meta.Stripe {
-				foundStripe = true
-				if si.K != 3 || si.M != 1 || len(si.Members) != 4 {
-					t.Fatalf("server %d dumped stripe %+v", i, si)
-				}
-			}
-		}
-		if want := slices.Contains(metaGroup, types.ServerID(i)); foundMeta != want {
-			t.Errorf("server %d: object record in dump = %v, want %v (group %v)", i, foundMeta, want, metaGroup)
-		}
-		if want := slices.Contains(stripeGroup, types.ServerID(i)); foundStripe != want {
-			t.Errorf("server %d: stripe record in dump = %v, want %v (group %v)", i, foundStripe, want, stripeGroup)
+		if want := slices.Contains(group, types.ServerID(i)); found != want {
+			t.Errorf("server %d: object record in dump = %v, want %v (group %v)", i, found, want, group)
 		}
 	}
 }
 
+// TestFetchStripeDataUnknownStripe: the one by-id question left is what a
+// server itself holds of a stripe. A member answers with the layout its shard
+// arrived with, anyone else — and anyone asked about a stripe nobody minted —
+// with Flag false; nothing is looked up on the asker's behalf.
 func TestFetchStripeDataUnknownStripe(t *testing.T) {
 	rig := newRig(t, policy.Erasure, 8)
-	if _, ok := rig.servers[0].stripeInfoFor(context.Background(), types.StripeID{Group: 7, Seq: 999}); ok {
-		t.Fatal("unknown stripe resolved")
+	box := geometry.Box3D(0, 0, 0, 8, 8, 8)
+	primary := rig.put(t, "v", box, 1, payload(400, 32))
+	meta, _ := rig.servers[primary].reader.LookupMeta(context.Background(), types.ObjectID{Var: "v", Box: box})
+	for i, srv := range rig.servers {
+		resp := srv.Handle(context.Background(), &transport.Message{Kind: transport.MsgStripeLookup, Stripe: meta.Stripe})
+		_, member := meta.Layout.MemberFor(srv.shardIndexIn(meta.Layout))
+		if resp.Flag != member || (resp.StripeInfo != nil) != member {
+			t.Errorf("server %d (stripe member: %v) answered Flag=%v StripeInfo=%+v", i, member, resp.Flag, resp.StripeInfo)
+		}
+		if member && !reflect.DeepEqual(resp.StripeInfo, meta.Layout) {
+			t.Errorf("server %d holds layout %+v, the record says %+v", i, resp.StripeInfo, meta.Layout)
+		}
+		if resp := srv.Handle(context.Background(), &transport.Message{Kind: transport.MsgStripeLookup, Stripe: types.StripeID{Group: 7, Seq: 999}}); resp.Flag || resp.StripeInfo != nil {
+			t.Errorf("server %d resolved a stripe nobody minted", i)
+		}
 	}
 }
 
@@ -224,5 +239,135 @@ func TestRestoreModeMetaUpdateNeverClobbersSameVersion(t *testing.T) {
 	resp = srv.handleMetaLookup(&transport.Message{Key: id.Key()})
 	if resp.Meta.State != types.StateReplicated {
 		t.Fatal("normal same-version update was rejected")
+	}
+}
+
+// leaveOnPushNet takes a server out of the ring the moment the first shard of
+// an encode goes out: membership changing under an encode in flight.
+type leaveOnPushNet struct {
+	*transport.InProc
+	once  sync.Once
+	leave func()
+}
+
+func (n *leaveOnPushNet) Send(ctx context.Context, from, to types.ServerID, req *transport.Message) (*transport.Message, error) {
+	if req.Kind == transport.MsgShardPut {
+		n.once.Do(n.leave)
+	}
+	return n.InProc.Send(ctx, from, to, req)
+}
+
+// TestEncodeAbandonedWhenTheRingMovesUnderIt: an elastic server chooses a
+// stripe's members from the ring as it is when the encode starts. If a
+// member has left by the time the shards are out, its shard left with it, so
+// the encode must not commit — the stripe is dropped, the put is refused as
+// retryable and the object stays a full copy — and the resent put encodes
+// over the ring as it then is.
+func TestEncodeAbandonedWhenTheRingMovesUnderIt(t *testing.T) {
+	ctx := context.Background()
+	const n = 6
+	top, err := topology.Uniform(n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := topology.NewDynamicRing(0)
+	for i := 0; i < n; i++ {
+		ring.Join(types.ServerID(i), i)
+	}
+	net := &leaveOnPushNet{InProc: transport.NewInProc(simnet.LinkModel{})}
+	servers := make([]*Server, n)
+	for i := range servers {
+		servers[i], err = New(Config{
+			ID: types.ServerID(i), Topology: top, Ring: ring, Placement: placement.NewRing(ring), Network: net,
+			Policy: policy.Config{Mode: policy.Erasure, NLevel: 1, K: 3, M: 1}, Domain: rigDomain,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer servers[i].Close()
+	}
+	id := types.ObjectID{Var: "v", Box: geometry.Box3D(0, 0, 0, 8, 8, 8)}
+	primary := servers[ring.OwnerKey(id.Key())]
+	leaver := primary.codingMembers()[2]
+	net.leave = func() { ring.Leave(leaver) }
+
+	put := &transport.Message{Kind: transport.MsgPut, Var: id.Var, Box: id.Box, Version: 1, Data: payload(600, 41)}
+	resp := primary.Handle(ctx, put)
+	if resp.Kind != transport.MsgErr || !resp.Flag {
+		t.Fatalf("put whose encode lost a member mid-flight answered %+v, want a retryable error", resp)
+	}
+	for i, srv := range servers {
+		if held := srv.store.Len(); held != 0 {
+			t.Errorf("server %d holds %d shards of the abandoned stripe", i, held)
+		}
+	}
+	if !primary.HasObject(id.Key()) {
+		t.Fatal("the abandoned encode took the full copy with it")
+	}
+	if meta, ok := primary.reader.LookupMeta(ctx, id); ok {
+		t.Fatalf("the abandoned encode published %+v", meta)
+	}
+
+	if resp := primary.Handle(ctx, put); resp.AsError() != nil {
+		t.Fatalf("resent put: %v", resp.AsError())
+	}
+	meta, ok := primary.reader.LookupMeta(ctx, id)
+	if !ok || meta.State != types.StateEncoded || meta.Layout == nil {
+		t.Fatalf("resent put left record %+v, want encoded", meta)
+	}
+	for _, m := range meta.Layout.Members {
+		if m.Server == leaver {
+			t.Fatalf("the resent put placed shard %d on server %d, which left the ring", m.Index, leaver)
+		}
+		if !servers[m.Server].HasShard(meta.Stripe, m.Index) {
+			t.Errorf("server %d lacks shard %d of the committed stripe", m.Server, m.Index)
+		}
+	}
+}
+
+// TestHandoffRefusedOnceALaterRecordIsPublished: the migrator's handoff names
+// the record it acted on. A primary whose queued encode committed since — the
+// directory may by now point at that very stripe — refuses and keeps stripe
+// and bookkeeping; a handoff naming the record it last published releases
+// both.
+func TestHandoffRefusedOnceALaterRecordIsPublished(t *testing.T) {
+	ctx := context.Background()
+	rig := newRig(t, policy.Replicate, 8)
+	box := geometry.Box3D(0, 0, 0, 8, 8, 8)
+	id := types.ObjectID{Var: "v", Box: box}
+	srv := rig.servers[rig.put(t, "v", box, 1, payload(600, 51))]
+	acted, _ := srv.reader.LookupMeta(ctx, id) // the replicated record a migrator reads
+	srv.mu.Lock()
+	obj := srv.objects[id.Key()]
+	srv.mu.Unlock()
+	if err := srv.encodeObject(ctx, obj, types.StripeID{}, true); err != nil {
+		t.Fatal(err)
+	}
+	now, _ := srv.reader.LookupMeta(ctx, id)
+	if now.State != types.StateEncoded || now.Seq <= acted.Seq {
+		t.Fatalf("encode published %+v after %+v", now, acted)
+	}
+	handoff := func(seq uint64) bool {
+		return srv.Handle(ctx, &transport.Message{Kind: transport.MsgHandoff, Key: id.Key(), Version: 1, Num: int64(seq)}).Flag
+	}
+	holds := func() (shards int) {
+		for _, m := range now.Layout.Members {
+			if rig.servers[m.Server].HasShard(now.Stripe, m.Index) {
+				shards++
+			}
+		}
+		return shards
+	}
+	if handoff(acted.Seq) {
+		t.Fatal("a handoff acting on the superseded record was accepted")
+	}
+	if _, enc := srv.StateCounts(); enc != 1 || holds() != 4 {
+		t.Fatalf("the refused handoff left %d encoded objects and %d of 4 shards", enc, holds())
+	}
+	if !handoff(now.Seq) {
+		t.Fatal("a handoff acting on the current record was refused")
+	}
+	if _, enc := srv.StateCounts(); enc != 0 || holds() != 0 {
+		t.Fatalf("the accepted handoff left %d encoded objects and %d shards", enc, holds())
 	}
 }

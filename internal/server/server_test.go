@@ -3,8 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -175,7 +175,7 @@ func TestErasurePlacesStripeAcrossCodingGroup(t *testing.T) {
 		t.Fatalf("local state = %+v", st)
 	}
 	for i, m := range members {
-		if !rig.servers[m].HasShard(st.stripe, i) {
+		if !rig.servers[m].HasShard(st.layout.ID, i) {
 			t.Fatalf("member %d (server %d) missing shard %d", i, m, i)
 		}
 	}
@@ -188,12 +188,12 @@ func TestErasureUpdateReusesStripe(t *testing.T) {
 	key := types.ObjectID{Var: "v", Box: box}.Key()
 	srv := rig.servers[primary]
 	srv.mu.Lock()
-	stripe1 := srv.local[key].stripe
+	stripe1 := srv.local[key].layout.ID
 	srv.mu.Unlock()
 
 	rig.put(t, "v", box, 2, payload(600, 4))
 	srv.mu.Lock()
-	stripe2 := srv.local[key].stripe
+	stripe2 := srv.local[key].layout.ID
 	srv.mu.Unlock()
 	if stripe1 != stripe2 {
 		t.Fatalf("update minted a new stripe: %v -> %v", stripe1, stripe2)
@@ -345,30 +345,31 @@ func TestDirectorySurvivesShardHolderFailure(t *testing.T) {
 	}
 }
 
+// TestStripeDirectoryRoundTrip: a stripe's layout reaches the directory on
+// the object's record and comes back from a lookup whole, an independent copy
+// of the one the primary keeps.
 func TestStripeDirectoryRoundTrip(t *testing.T) {
 	rig := newRig(t, policy.Erasure, 8)
-	srv := rig.servers[0]
-	info := &types.StripeInfo{
-		ID: types.StripeID{Group: 1, Seq: 9}, K: 3, M: 1, ShardSize: 10,
-		Members: []types.StripeMember{{Server: 4, Index: 0, ObjectKey: "o"}},
+	box := geometry.Box3D(0, 0, 0, 8, 8, 8)
+	primary := rig.put(t, "v", box, 1, payload(30, 9))
+	id := types.ObjectID{Var: "v", Box: box}
+	srv := rig.servers[primary]
+	srv.mu.Lock()
+	mine := srv.local[id.Key()].layout
+	srv.mu.Unlock()
+	meta, ok := rig.servers[(primary+3)%8].reader.LookupMeta(context.Background(), id)
+	if !ok || meta.State != types.StateEncoded || meta.Layout == nil {
+		t.Fatalf("record lookup = %+v ok=%v, want an encoded record with its layout", meta, ok)
 	}
-	if err := srv.dirUpdateStripe(context.Background(), info); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := srv.reader.LookupStripe(context.Background(), info.ID)
-	if !ok || got.ShardSize != 10 || len(got.Members) != 1 {
-		t.Fatalf("stripe lookup = %+v ok=%v", got, ok)
+	if got := meta.Layout; got == mine || !reflect.DeepEqual(got, mine) || got.ID != meta.Stripe ||
+		got.K != 3 || got.M != 1 || got.ShardSize != 10 || len(got.Members) != 4 || got.Members[0].ObjectKey != id.Key() {
+		t.Fatalf("layout on the record = %+v, the primary holds %+v", got, mine)
 	}
 }
 
 // readStripe reassembles the object a stripe encodes the way promoteObject
-// does: geometry from the held shard or the directory, then the reader's
-// in-place assembly over the server's own send.
-func readStripe(srv *Server, id types.StripeID, size int) ([]byte, error) {
-	info, ok := srv.stripeInfoFor(context.Background(), id)
-	if !ok {
-		return nil, fmt.Errorf("stripe %v not found", id)
-	}
+// does: the reader's in-place assembly over the server's own send.
+func readStripe(srv *Server, info *types.StripeInfo, size int) ([]byte, error) {
 	dst := reader.Buffer(size, info.K)
 	_, err := srv.reader.Stripe(context.Background(), info, dst)
 	return dst, err
@@ -382,7 +383,7 @@ func TestFetchStripeDataDegraded(t *testing.T) {
 	key := types.ObjectID{Var: "v", Box: box}.Key()
 	srv := rig.servers[primary]
 	srv.mu.Lock()
-	stripe := srv.local[key].stripe
+	stripe := srv.local[key].layout
 	srv.mu.Unlock()
 	// Kill a non-primary stripe member holding a data shard.
 	members := srv.codingMembers()
@@ -407,7 +408,7 @@ func TestRecoverKeyRestoresShard(t *testing.T) {
 	key := types.ObjectID{Var: "v", Box: box}.Key()
 	srv := rig.servers[primary]
 	srv.mu.Lock()
-	stripe := srv.local[key].stripe
+	stripe := srv.local[key].layout.ID
 	srv.mu.Unlock()
 	members := srv.codingMembers()
 	victim := members[2]
@@ -505,7 +506,7 @@ func TestOnAccessRepairMarksQueue(t *testing.T) {
 	primary := rig.place.Primary(types.ObjectID{Var: "v", Box: box})
 	srv := rig.servers[primary]
 	srv.mu.Lock()
-	stripe := srv.local[key].stripe
+	stripe := srv.local[key].layout.ID
 	srv.mu.Unlock()
 	members := srv.codingMembers()
 	victim := members[1]

@@ -28,10 +28,8 @@ type Stats struct {
 	Encoded    int `json:"encoded"`
 	// Efficiency is this server's storage efficiency over primary data.
 	Efficiency float64 `json:"efficiency"`
-	// DirEntries and DirStripes count the object and stripe records in the
-	// local directory shard.
+	// DirEntries counts the records in the local directory shard.
 	DirEntries int `json:"dir_entries"`
-	DirStripes int `json:"dir_stripes"`
 	// PendingEncodes is the background demotion queue length.
 	PendingEncodes int `json:"pending_encodes"`
 	// PendingRepairs is the recovery queue length (0 when not recovering).
@@ -77,7 +75,7 @@ func (s *Server) CollectStats() Stats {
 		st.PendingRepairs = s.repairQueue.Len()
 	}
 	s.mu.Unlock()
-	st.DirEntries, st.DirStripes = s.dir.counts()
+	st.DirEntries = s.dir.count()
 	st.Shards = s.store.Len()
 	for _, k := range s.store.Keys() {
 		if n, ok := s.store.Size(k); ok {

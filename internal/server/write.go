@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"corec/internal/metrics"
@@ -53,11 +54,11 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 	s.mu.Lock()
 	prior, existed := s.local[key]
 	var priorState types.ResilienceState
-	var priorStripe types.StripeID
+	var priorLayout *types.StripeInfo
 	var priorSize int
 	if existed {
 		priorState = prior.state
-		priorStripe = prior.stripe
+		priorLayout = prior.layout
 		priorSize = prior.size
 	}
 	s.objects[key] = obj
@@ -93,9 +94,8 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 
 	switch action {
 	case policy.ActNone:
-		sum := s.digestMsg(req)
-		s.setLocalState(id, req.Version, len(req.Data), types.StateNone, types.StripeID{}, sum, obj)
-		meta := s.buildMeta(id, req.Version, len(req.Data), types.StateNone, types.StripeID{}, 0, sum)
+		meta := s.buildMeta(obj, types.StateNone, nil, s.digestMsg(req))
+		s.setLocalState(meta, obj)
 		if err := s.dirUpdate(ctx, meta); err != nil {
 			return transport.Errf("server %d: metadata update: %v", s.id, err)
 		}
@@ -113,10 +113,10 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 				// Defer the old stripe's release off the write path; the
 				// worker also re-evaluates whether the object must be
 				// re-encoded under the constraint.
-				s.deferStripeDrop(key, priorStripe)
+				s.deferStripeDrop(key, priorLayout)
 				s.enqueueEncode(key)
 			} else {
-				s.dropStripe(ctx, priorStripe)
+				s.dropStripe(ctx, priorLayout)
 			}
 		}
 		if s.cfg.Policy.Mode == policy.CoREC {
@@ -135,7 +135,7 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 				return transport.Errf("server %d: replicate: %v", s.id, err)
 			}
 			if existed && priorState == types.StateEncoded {
-				s.deferStripeDrop(key, priorStripe)
+				s.deferStripeDrop(key, priorLayout)
 			}
 			s.enqueueEncode(key)
 			return transport.Ok()
@@ -145,10 +145,13 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 		// encoded object being rewritten re-encodes over the same stripe.
 		reuse := types.StripeID{}
 		if existed && priorState == types.StateEncoded {
-			reuse = priorStripe
+			reuse = priorLayout.ID
 		}
 		if err := s.encodeObject(ctx, obj, reuse, existed && priorState == types.StateReplicated); err != nil {
-			return transport.Errf("server %d: encode: %v", s.id, err)
+			resp := transport.Errf("server %d: encode: %v", s.id, err)
+			// Retryable: the resent put encodes over the ring as it now is.
+			resp.Flag = errors.Is(err, errRingMoved)
+			return resp
 		}
 		return transport.Ok()
 	}
@@ -182,51 +185,60 @@ func (s *Server) replicateObject(ctx context.Context, obj *types.Object, sum uin
 	}
 	s.col.Add(metrics.Transport, time.Since(start))
 
-	s.setLocalState(obj.ID, obj.Version, len(obj.Data), types.StateReplicated, types.StripeID{}, sum, obj)
-	meta := s.buildMeta(obj.ID, obj.Version, len(obj.Data), types.StateReplicated, types.StripeID{}, 0, sum)
+	meta := s.buildMeta(obj, types.StateReplicated, nil, sum)
 	meta.Replicas = targets
-	if err := s.dirUpdate(ctx, meta); err != nil {
-		return err
-	}
-	return nil
+	s.setLocalState(meta, obj)
+	return s.dirUpdate(ctx, meta)
 }
 
-// setLocalState records bookkeeping for a primary object and maintains the
-// storage-efficiency tallies. sumOf is the full copy that sum was computed
-// over (nil when the object is held as shards only).
-func (s *Server) setLocalState(id types.ObjectID, v types.Version, size int, st types.ResilienceState, stripe types.StripeID, sum uint64, sumOf *types.Object) {
+// setLocalState records the bookkeeping of a primary object from the record
+// this server publishes for it (or, for a primary recovering its memory, the
+// record the directory holds) and maintains the storage-efficiency tallies.
+// sumOf is the full copy meta.Checksum was computed over (nil when the object
+// is held as shards only).
+func (s *Server) setLocalState(meta *types.ObjectMeta, sumOf *types.Object) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := id.Key()
+	key := meta.ID.Key()
 	if old, ok := s.local[key]; ok {
-		switch old.state {
-		case types.StateReplicated:
-			s.dataRepl -= int64(old.size)
-		case types.StateEncoded:
-			s.dataEnc -= int64(old.size)
-		}
+		s.tallyLocked(old, -1)
 	}
-	s.local[key] = &localState{id: id, version: v, size: size, state: st, stripe: stripe, sum: sum, sumOf: sumOf}
-	switch st {
+	st := &localState{
+		id: meta.ID, version: meta.Version, size: meta.Size, state: meta.State,
+		seq: meta.Seq, layout: meta.Layout, sum: meta.Checksum, sumOf: sumOf,
+	}
+	s.local[key] = st
+	s.tallyLocked(st, +1)
+}
+
+// tallyLocked adds (sign +1) or removes (-1) a primary object's bytes to or
+// from the efficiency tally of its state. Caller holds s.mu.
+func (s *Server) tallyLocked(st *localState, sign int64) {
+	switch st.state {
 	case types.StateReplicated:
-		s.dataRepl += int64(size)
+		s.dataRepl += sign * int64(st.size)
 	case types.StateEncoded:
-		s.dataEnc += int64(size)
+		s.dataEnc += sign * int64(st.size)
 	}
 }
 
-func (s *Server) buildMeta(id types.ObjectID, v types.Version, size int, st types.ResilienceState, stripe types.StripeID, shardIdx int, sum uint64) *types.ObjectMeta {
-	return &types.ObjectMeta{
-		ID:         id,
-		Version:    v,
-		Seq:        s.nextMetaSeq(),
-		Size:       size,
-		State:      st,
-		Checksum:   sum,
-		Primary:    s.id,
-		Stripe:     stripe,
-		ShardIndex: shardIdx,
+// buildMeta mints the record of obj in the given state; layout is its stripe
+// when that state is StateEncoded (the primary holds data shard 0).
+func (s *Server) buildMeta(obj *types.Object, st types.ResilienceState, layout *types.StripeInfo, sum uint64) *types.ObjectMeta {
+	meta := &types.ObjectMeta{
+		ID:       obj.ID,
+		Version:  obj.Version,
+		Seq:      s.nextMetaSeq(),
+		Size:     len(obj.Data),
+		State:    st,
+		Checksum: sum,
+		Primary:  s.id,
+		Layout:   layout,
 	}
+	if layout != nil {
+		meta.Stripe = layout.ID
+	}
+	return meta
 }
 
 // handleDelete evicts an object this server is primary for: the full
@@ -240,44 +252,23 @@ func (s *Server) handleDelete(ctx context.Context, req *transport.Message) *tran
 	defer lk.Unlock()
 	s.mu.Lock()
 	st, known := s.local[key]
-	var stripe types.StripeID
-	var state types.ResilienceState
-	var id types.ObjectID
 	if known {
-		stripe = st.stripe
-		state = st.state
-		id = st.id
-		// Remove bookkeeping and release the efficiency tallies.
-		switch st.state {
-		case types.StateReplicated:
-			s.dataRepl -= int64(st.size)
-		case types.StateEncoded:
-			s.dataEnc -= int64(st.size)
-		}
+		s.tallyLocked(st, -1)
 		delete(s.local, key)
 	}
 	delete(s.objects, key)
 	delete(s.replicas, key)
 	delete(s.replicaSums, key)
 	// A superseded stripe awaiting background release dies with the object.
-	var pendingDrop types.StripeID
-	hadPending := false
-	if s.pendingDrops != nil {
-		if d, ok := s.pendingDrops[key]; ok {
-			pendingDrop, hadPending = d, true
-			delete(s.pendingDrops, key)
-		}
-	}
+	pendingDrop := s.takePendingDropLocked(key)
 	s.mu.Unlock()
 	if !known {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
 	s.mutations.Add(1)
-	if hadPending {
-		s.dropStripe(ctx, pendingDrop)
-	}
-	if state == types.StateEncoded {
-		s.dropStripe(ctx, stripe)
+	s.dropStripe(ctx, pendingDrop)
+	if st.state == types.StateEncoded {
+		s.dropStripe(ctx, st.layout)
 	} else {
 		tStart := time.Now()
 		for _, t := range s.replicaHolders() {
@@ -289,10 +280,10 @@ func (s *Server) handleDelete(ctx context.Context, req *transport.Message) *tran
 	// Remove the directory records.
 	mStart := time.Now()
 	// Unreached directory members resync via anti-entropy.
-	_ = s.sendToGroup(ctx, s.dirPlace.Servers(id.Var, id.Box), &transport.Message{Kind: transport.MsgMetaDelete, Key: key})
+	_ = s.sendToGroup(ctx, s.dirPlace.Servers(st.id.Var, st.id.Box), &transport.Message{Kind: transport.MsgMetaDelete, Key: key})
 	s.col.Add(metrics.Metadata, time.Since(mStart))
 	if cls := s.decider.Classifier(); cls != nil {
-		cls.Forget(id)
+		cls.Forget(st.id)
 	}
 	return &transport.Message{Kind: transport.MsgOK, Flag: true}
 }
@@ -301,8 +292,11 @@ func (s *Server) handleDelete(ctx context.Context, req *transport.Message) *tran
 // moved to its new ring owner: the local full copy, bookkeeping and (for
 // encoded objects) the old stripe are released. Directory records are NOT
 // touched — the migrator already re-homed them to point at the new owner.
-// A concurrent foreground write that installed a newer version wins: the
-// handoff is refused (Flag false) and the migrator re-examines the object.
+// A record this primary published after the one the migrator acted on wins —
+// a foreground write of a newer version, or a background encode that
+// committed between the migrator's read and its handoff, whose stripe the
+// directory may now point at: the handoff is refused (Flag false) and the
+// migrator re-examines the object on its next pass.
 func (s *Server) handleHandoff(ctx context.Context, req *transport.Message) *transport.Message {
 	key := req.Key
 	lk := s.writeLock(key)
@@ -310,41 +304,24 @@ func (s *Server) handleHandoff(ctx context.Context, req *transport.Message) *tra
 	defer lk.Unlock()
 	s.mu.Lock()
 	st, known := s.local[key]
-	if !known || (req.Version != 0 && st.version > req.Version) {
+	if !known || (req.Version != 0 && st.version > req.Version) || (req.Num != 0 && st.seq > uint64(req.Num)) {
 		s.mu.Unlock()
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	stripe, state, id := st.stripe, st.state, st.id
-	switch st.state {
-	case types.StateReplicated:
-		s.dataRepl -= int64(st.size)
-	case types.StateEncoded:
-		s.dataEnc -= int64(st.size)
-	}
+	s.tallyLocked(st, -1)
 	delete(s.local, key)
 	delete(s.objects, key)
-	var pendingDrop types.StripeID
-	hadPending := false
-	if s.pendingDrops != nil {
-		if d, ok := s.pendingDrops[key]; ok {
-			pendingDrop, hadPending = d, true
-			delete(s.pendingDrops, key)
-		}
-	}
+	pendingDrop := s.takePendingDropLocked(key)
 	s.mu.Unlock()
-	if hadPending {
-		s.dropStripe(ctx, pendingDrop)
-	}
-	if state == types.StateEncoded {
-		// The stripe belonged to this object alone; the new owner minted a
-		// fresh one, so the old shards are pure surplus.
-		s.dropStripe(ctx, stripe)
-	}
+	s.dropStripe(ctx, pendingDrop)
+	// An encoded object's stripe belonged to it alone; the new owner minted
+	// a fresh one, so the old shards are pure surplus.
+	s.dropStripe(ctx, st.layout)
 	// Replica copies at the old holders are left for the scrubber's orphan
 	// reaping: a versioned drop here could destroy a same-version replica
 	// the new owner just pushed to an overlapping holder set.
 	if cls := s.decider.Classifier(); cls != nil {
-		cls.Forget(id)
+		cls.Forget(st.id)
 	}
 	return &transport.Message{Kind: transport.MsgOK, Flag: true}
 }
@@ -471,6 +448,15 @@ func (s *Server) handleShardDrop(req *transport.Message) *transport.Message {
 	s.store.Delete(sk)
 	s.mutations.Add(1)
 	return transport.Ok()
+}
+
+// handleStripeLookup answers from what this server holds of the stripe: the
+// layout its shard arrived with, Flag false when it holds none.
+func (s *Server) handleStripeLookup(req *transport.Message) *transport.Message {
+	s.mu.Lock()
+	info := s.held[req.Stripe].info
+	s.mu.Unlock()
+	return &transport.Message{Kind: transport.MsgOK, Flag: info != nil, StripeInfo: info}
 }
 
 // --- encoding token (one per replication group, held by the group leader) ---

@@ -192,22 +192,3 @@ func (h *PeerHealth) FastFails() int64 {
 	}
 	return h.fastFails.Load()
 }
-
-// UpFirst returns ids with the peers marked down moved to the back, order
-// otherwise preserved — the order a first-answer-wins mirror walk should
-// use. With an empty table it returns ids itself.
-func (h *PeerHealth) UpFirst(ids []types.ServerID) []types.ServerID {
-	if h == nil || uint32(h.word.Load()) == 0 {
-		return ids
-	}
-	out := make([]types.ServerID, 0, len(ids))
-	var tail []types.ServerID
-	for _, id := range ids {
-		if h.Down(id) {
-			tail = append(tail, id)
-		} else {
-			out = append(out, id)
-		}
-	}
-	return append(out, tail...)
-}

@@ -10,9 +10,9 @@ import (
 
 // The wire format is a hand-rolled little-endian binary encoding. Strings
 // and byte slices are length-prefixed with uint32; optional sub-records
-// (Meta, StripeInfo) carry a one-byte presence flag. It exists so the TCP
-// fabric has a stable, allocation-conscious codec without reflection
-// (encoding/gob) or external schema tooling.
+// (Meta, StripeInfo, a record's Layout) carry a one-byte presence flag. It
+// exists so the TCP fabric has a stable, allocation-conscious codec without
+// reflection (encoding/gob) or external schema tooling.
 //
 // Encode/Decode are self-contained: Data travels inline, length-prefixed
 // like any other field. A TCP frame (tcp.go) runs the same field walk with
@@ -79,6 +79,10 @@ func (e *encoder) meta(m *types.ObjectMeta) {
 	e.i64(int64(m.Stripe.Group))
 	e.u64(m.Stripe.Seq)
 	e.i64(int64(m.ShardIndex))
+	e.bool(m.Layout != nil)
+	if m.Layout != nil {
+		e.stripeInfo(m.Layout)
+	}
 }
 
 func (e *encoder) stripeInfo(s *types.StripeInfo) {
@@ -213,6 +217,9 @@ func (d *decoder) meta() types.ObjectMeta {
 	m.Stripe.Group = int(d.i64())
 	m.Stripe.Seq = d.u64()
 	m.ShardIndex = int(d.i64())
+	if d.bool() {
+		m.Layout = d.stripeInfo()
+	}
 	return m
 }
 
@@ -272,9 +279,6 @@ func Encode(m *Message, dst []byte, opts ...EncodeOpt) []byte {
 	e.i64(int64(m.Stripe.Group))
 	e.u64(m.Stripe.Seq)
 	e.i64(int64(m.ShardIndex))
-	e.u32(uint32(m.K))
-	e.u32(uint32(m.M))
-	e.u64(uint64(m.ShardSize))
 	e.bool(m.Meta != nil)
 	if m.Meta != nil {
 		e.meta(m.Meta)
@@ -286,10 +290,6 @@ func Encode(m *Message, dst []byte, opts ...EncodeOpt) []byte {
 	e.bool(m.StripeInfo != nil)
 	if m.StripeInfo != nil {
 		e.stripeInfo(m.StripeInfo)
-	}
-	e.u32(uint32(len(m.Stripes)))
-	for i := range m.Stripes {
-		e.stripeInfo(&m.Stripes[i])
 	}
 	e.bool(m.Flag)
 	e.i64(m.Num)
@@ -321,9 +321,6 @@ func Decode(buf []byte, opts ...DecodeOpt) (*Message, error) {
 	m.Stripe.Group = int(d.i64())
 	m.Stripe.Seq = d.u64()
 	m.ShardIndex = int(d.i64())
-	m.K = int(d.u32())
-	m.M = int(d.u32())
-	m.ShardSize = int(d.u64())
 	if d.bool() {
 		meta := d.meta()
 		m.Meta = &meta
@@ -340,16 +337,6 @@ func Decode(buf []byte, opts ...DecodeOpt) (*Message, error) {
 	}
 	if d.bool() {
 		m.StripeInfo = d.stripeInfo()
-	}
-	ns := d.u32()
-	if ns > 1<<20 {
-		return nil, fmt.Errorf("transport: implausible stripe count %d", ns)
-	}
-	if ns > 0 {
-		m.Stripes = make([]types.StripeInfo, ns)
-		for i := range m.Stripes {
-			m.Stripes[i] = *d.stripeInfo()
-		}
 	}
 	m.Flag = d.bool()
 	m.Num = d.i64()

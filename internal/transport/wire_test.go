@@ -21,7 +21,6 @@ func sampleMessage() *Message {
 		Key:        "temperature@[(0,16,32)-(64,80,96))",
 		Stripe:     types.StripeID{Group: 3, Seq: 41},
 		ShardIndex: 2,
-		K:          3, M: 1, ShardSize: 2,
 		Meta: &types.ObjectMeta{
 			ID:         types.ObjectID{Var: "temperature", Box: geometry.Box3D(0, 16, 32, 64, 80, 96)},
 			Version:    12,
@@ -32,6 +31,15 @@ func sampleMessage() *Message {
 			Replicas:   []types.ServerID{5, 6},
 			Stripe:     types.StripeID{Group: 3, Seq: 41},
 			ShardIndex: 2,
+			Layout: &types.StripeInfo{
+				ID: types.StripeID{Group: 3, Seq: 41},
+				K:  2, M: 1, ShardSize: 3,
+				Members: []types.StripeMember{
+					{Server: 4, Index: 0, ObjectKey: "temperature@[(0,16,32)-(64,80,96))"},
+					{Server: 5, Index: 1},
+					{Server: 6, Index: 2},
+				},
+			},
 		},
 		Metas: []types.ObjectMeta{
 			{ID: types.ObjectID{Var: "p", Box: geometry.Box3D(0, 0, 0, 2, 2, 2)}, Primary: 1},
@@ -112,11 +120,10 @@ func randMessage(rng *rand.Rand) *Message {
 		Key:        randString(rng, 30),
 		Stripe:     types.StripeID{Group: rng.Intn(9), Seq: rng.Uint64()},
 		ShardIndex: rng.Intn(6),
-		K:          rng.Intn(9), M: rng.Intn(4), ShardSize: rng.Intn(1 << 20),
-		Num:  rng.Int63() - (1 << 62),
-		Sum:  rng.Uint64(),
-		Flag: rng.Intn(2) == 0,
-		Err:  randString(rng, 20),
+		Num:        rng.Int63() - (1 << 62),
+		Sum:        rng.Uint64(),
+		Flag:       rng.Intn(2) == 0,
+		Err:        randString(rng, 20),
 	}
 	if rng.Intn(2) == 0 {
 		m.Box = randBox(rng)
@@ -134,9 +141,6 @@ func randMessage(rng *rand.Rand) *Message {
 	}
 	if rng.Intn(3) == 0 {
 		m.StripeInfo = randStripe(rng)
-	}
-	for i := rng.Intn(3); i > 0; i-- {
-		m.Stripes = append(m.Stripes, *randStripe(rng))
 	}
 	return m
 }
@@ -170,6 +174,9 @@ func randMeta(rng *rand.Rand) types.ObjectMeta {
 	for i := rng.Intn(3); i > 0; i-- {
 		meta.Replicas = append(meta.Replicas, types.ServerID(rng.Intn(64)))
 	}
+	if meta.State == types.StateEncoded {
+		meta.Layout = randStripe(rng)
+	}
 	return meta
 }
 
@@ -197,6 +204,34 @@ func TestEncodeDecodePropertyRandom(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestObjectMetaLayoutOnTheWire: a record with and without its stripe's
+// layout survives the message codec and the frame codec, alone and in a
+// batch, and metaWireSize is what the layout adds to either.
+func TestObjectMetaLayoutOnTheWire(t *testing.T) {
+	encoded := *sampleMessage().Meta
+	plain := encoded
+	plain.State, plain.Layout, plain.Stripe = types.StateReplicated, nil, types.StripeID{}
+	empty := len(Encode(&Message{Kind: MsgMetaUpdate}, nil))
+	for name, meta := range map[string]*types.ObjectMeta{"with layout": &encoded, "without layout": &plain} {
+		m := &Message{Kind: MsgMetaUpdate, Meta: meta, Metas: []types.ObjectMeta{*meta, *meta}}
+		buf := Encode(m, nil)
+		if got, want := len(buf)-empty, 3*metaWireSize(meta); got != want {
+			t.Errorf("%s: three records encode to %d bytes, metaWireSize says %d", name, got, want)
+		}
+		got, err := Decode(buf)
+		if err != nil || !reflect.DeepEqual(m, got) {
+			t.Errorf("%s: Encode/Decode round trip: %v\n got %+v\nwant %+v", name, err, got, m)
+		}
+		got, err = DecodeFrame(EncodeFrame(m))
+		if err != nil || !reflect.DeepEqual(m.Meta, got.Meta) || !reflect.DeepEqual(m.Metas, got.Metas) {
+			t.Errorf("%s: EncodeFrame/DecodeFrame round trip: %v\n got %+v\nwant %+v", name, err, got.Meta, m.Meta)
+		}
+	}
+	if metaWireSize(&encoded)-metaWireSize(&plain) != stripeWireSize(encoded.Layout) {
+		t.Error("a layout adds something other than its own wire size to a record")
 	}
 }
 

@@ -104,7 +104,10 @@ type StripeMember struct {
 	ObjectKey string
 }
 
-// StripeInfo is the directory's record of a stripe.
+// StripeInfo is a stripe's layout: its geometry and where each shard lives.
+// A stripe encodes exactly one object and its layout never changes once
+// minted, so it has no record of its own: it rides the encoded object's
+// ObjectMeta, and shard holders keep the copy their shard arrived with.
 type StripeInfo struct {
 	ID        StripeID
 	K, M      int
@@ -112,7 +115,7 @@ type StripeInfo struct {
 	Members   []StripeMember
 }
 
-// Clone deep-copies the stripe record.
+// Clone deep-copies the layout.
 func (s *StripeInfo) Clone() *StripeInfo {
 	c := *s
 	c.Members = append([]StripeMember(nil), s.Members...)
@@ -171,6 +174,11 @@ type ObjectMeta struct {
 	Stripe StripeID
 	// ShardIndex is the data-shard index of the object within Stripe.
 	ShardIndex int
+	// Layout is Stripe's layout, nil unless State == StateEncoded. It is
+	// published in the very update that flips the object to encoded, so a
+	// reader holding an encoded record holds everything it needs to gather
+	// the shards.
+	Layout *StripeInfo
 }
 
 // Newer reports whether m supersedes o: a higher version, or a later
@@ -196,5 +204,8 @@ func (m *ObjectMeta) Locations() []ServerID {
 func (m *ObjectMeta) Clone() *ObjectMeta {
 	c := *m
 	c.Replicas = append([]ServerID(nil), m.Replicas...)
+	if m.Layout != nil {
+		c.Layout = m.Layout.Clone()
+	}
 	return &c
 }

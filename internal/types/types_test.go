@@ -86,6 +86,19 @@ func TestObjectMetaLocationsAndClone(t *testing.T) {
 	if m.Replicas[0] != 5 {
 		t.Fatal("Clone shares replica slice")
 	}
+	if c.Layout != nil {
+		t.Fatal("Clone invented a layout")
+	}
+	m.State = StateEncoded
+	m.Layout = &StripeInfo{ID: StripeID{Group: 1, Seq: 7}, K: 1, M: 1, Members: []StripeMember{{Server: 3}, {Server: 5, Index: 1}}}
+	c = m.Clone()
+	if c.Layout == m.Layout || &c.Layout.Members[0] == &m.Layout.Members[0] {
+		t.Fatal("Clone shares the layout or its member array")
+	}
+	c.Layout.Members[1].Server = 9
+	if m.Layout.Members[1].Server != 5 || c.Layout.ID != m.Layout.ID || c.Layout.K != 1 {
+		t.Fatal("Clone's layout is not an independent copy")
+	}
 }
 
 func TestObjectMetaNewer(t *testing.T) {

@@ -75,15 +75,15 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	bytesBucket, opsBucket := rebalanceBuckets(rc)
 
 	cl := c.NewClient()
-	metas, stripes, err := c.collectDirectory(ctx, cl, bytesBucket)
+	metas, err := c.collectDirectory(ctx, cl, bytesBucket)
 	if err != nil {
 		return rep, err
 	}
 	rep.Records = len(metas)
 
-	// Phase 1: re-home directory records. Restore-mode meta updates never
-	// clobber live same-version records, and stripe records are re-pushed
-	// verbatim, so this phase is idempotent and safe before any data moves.
+	// Phase 1: re-home directory records. Restore-mode updates never clobber
+	// live same-version records, so this phase is idempotent and safe before
+	// any data moves.
 	for _, m := range metas {
 		if err := pace(ctx, bytesBucket, nil, metaRecordCost); err != nil {
 			return rep, err
@@ -94,22 +94,8 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 			e.dirRehomed.Add(1)
 		}
 	}
-	for _, si := range stripes {
-		if err := pace(ctx, bytesBucket, nil, metaRecordCost); err != nil {
-			return rep, err
-		}
-		msg := &transport.Message{Kind: transport.MsgStripeUpdate, StripeInfo: si.Clone()}
-		if c.sendGroup(ctx, cl, c.dir.StripeServers(si.ID), msg) {
-			rep.DirRehomed++
-			e.dirRehomed.Add(1)
-		}
-	}
 
 	// Phase 2: paced data moves, in key order for deterministic tests.
-	stripeByID := make(map[types.StripeID]*types.StripeInfo, len(stripes))
-	for _, si := range stripes {
-		stripeByID[si.ID] = si
-	}
 	for _, m := range metas {
 		if ctx.Err() != nil {
 			return rep, ctx.Err()
@@ -145,9 +131,12 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 				e.objectsRepaired.Add(1)
 			} else if m.Primary != owner {
 				// The old primary still runs (drain, or an ownership-only
-				// move): tell it to release its copy and bookkeeping.
+				// move): tell it to release its copy and bookkeeping. Num
+				// names the record acted on: a primary that has published a
+				// later one since (a queued encode that committed meanwhile)
+				// refuses, and the next pass moves what it then holds.
 				resp, herr := cl.send(ctx, m.Primary, &transport.Message{
-					Kind: transport.MsgHandoff, Key: key, Version: m.Version,
+					Kind: transport.MsgHandoff, Key: key, Version: m.Version, Num: int64(m.Seq),
 				})
 				if herr == nil && resp.Kind == transport.MsgOK && resp.Flag {
 					rep.Handoffs++
@@ -170,7 +159,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 				rep.Errors++
 			}
 
-		case m.State == types.StateEncoded && c.stripeDegraded(stripeByID[m.Stripe]):
+		case m.State == types.StateEncoded && c.stripeDegraded(m.Layout):
 			// Owner unchanged but the stripe lost a member for good (elastic
 			// fleets have no same-id replacement): reconstruct the object and
 			// force-reinstall it at the primary, which re-encodes it at full
@@ -242,13 +231,12 @@ func pace(ctx context.Context, bytesBucket, opsBucket *scrub.TokenBucket, size i
 }
 
 // collectDirectory dumps every live member's directory shard and dedups:
-// newest version per object key, one record per stripe id, both sorted.
-// Each dump's record volume is charged to the byte bucket so repeated
-// passes stay off the foreground path.
-func (c *Cluster) collectDirectory(ctx context.Context, cl *Client, bytesBucket *scrub.TokenBucket) ([]*types.ObjectMeta, []*types.StripeInfo, error) {
+// the newest record per object key, in key order. Each dump's record volume
+// is charged to the byte bucket so repeated passes stay off the foreground
+// path.
+func (c *Cluster) collectDirectory(ctx context.Context, cl *Client, bytesBucket *scrub.TokenBucket) ([]*types.ObjectMeta, error) {
 	members := c.elastic.ring.Members()
 	best := make(map[string]*types.ObjectMeta)
-	stripes := make(map[types.StripeID]*types.StripeInfo)
 	reached := 0
 	for _, m := range members {
 		resp, err := cl.send(ctx, m, &transport.Message{Kind: transport.MsgDirDump})
@@ -256,10 +244,8 @@ func (c *Cluster) collectDirectory(ctx context.Context, cl *Client, bytesBucket 
 			continue
 		}
 		reached++
-		if cost := (len(resp.Metas) + len(resp.Stripes) + 1) * metaRecordCost; cost > 0 {
-			if err := pace(ctx, bytesBucket, nil, cost); err != nil {
-				return nil, nil, err
-			}
+		if err := pace(ctx, bytesBucket, nil, (len(resp.Metas)+1)*metaRecordCost); err != nil {
+			return nil, err
 		}
 		for i := range resp.Metas {
 			meta := resp.Metas[i]
@@ -268,33 +254,16 @@ func (c *Cluster) collectDirectory(ctx context.Context, cl *Client, bytesBucket 
 				best[key] = meta.Clone()
 			}
 		}
-		for i := range resp.Stripes {
-			si := resp.Stripes[i]
-			if _, ok := stripes[si.ID]; !ok {
-				stripes[si.ID] = si.Clone()
-			}
-		}
 	}
 	if reached == 0 && len(members) > 0 {
-		return nil, nil, fmt.Errorf("corec: rebalance: no directory shard reachable")
+		return nil, fmt.Errorf("corec: rebalance: no directory shard reachable")
 	}
 	metas := make([]*types.ObjectMeta, 0, len(best))
 	for _, m := range best {
 		metas = append(metas, m)
 	}
 	sort.Slice(metas, func(i, j int) bool { return metas[i].ID.Key() < metas[j].ID.Key() })
-	out := make([]*types.StripeInfo, 0, len(stripes))
-	for _, si := range stripes {
-		out = append(out, si)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].ID, out[j].ID
-		if a.Group != b.Group {
-			return a.Group < b.Group
-		}
-		return a.Seq < b.Seq
-	})
-	return metas, out, nil
+	return metas, nil
 }
 
 // sendGroup delivers a directory message to every group member; true when
@@ -339,7 +308,8 @@ func (c *Cluster) lostReplicas(m *types.ObjectMeta) int {
 }
 
 // stripeDegraded reports whether a stripe references a member the ring no
-// longer contains (nil info counts as degraded: geometry unknown).
+// longer contains (a record without a layout counts as degraded: re-encoding
+// the object publishes one).
 func (c *Cluster) stripeDegraded(si *types.StripeInfo) bool {
 	if si == nil {
 		return true

@@ -150,11 +150,7 @@ func TestPeerHealthEncodedReadHealthyShards(t *testing.T) {
 		if meta.State != types.StateEncoded {
 			t.Fatalf("state = %v, want encoded", meta.State)
 		}
-		info, ok := cl.reader.LookupStripe(context.Background(), meta.Stripe)
-		if !ok {
-			t.Fatal("stripe record missing")
-		}
-		for _, m := range info.Members {
+		for _, m := range meta.Layout.Members {
 			if m.Server == victim {
 				t.Fatalf("victim %d holds shard %d of the stripe", victim, m.Index)
 			}

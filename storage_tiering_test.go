@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"corec/internal/checkpoint"
+	"corec/internal/scrub"
 	"corec/internal/simnet"
 	"corec/internal/types"
 )
@@ -120,6 +121,26 @@ func TestTieredKillRestartRecoversDiskTier(t *testing.T) {
 	}
 	if rep.Quarantined != 0 || rep.TruncatedTails != 0 {
 		t.Fatalf("clean shutdown left damage: %+v", rep)
+	}
+
+	// The replacement holds its predecessor's shards and, until recovery has
+	// walked the objects' records, nothing that says which stripes they are
+	// part of: the scrubber leaves them alone. Recovery restores the layouts;
+	// the next pass records the digests that died with the old process and
+	// the one after verifies against them.
+	restored := int64(srv.CollectStats().Shards)
+	if r, err := srv.ScrubDepth(ctx, scrub.DepthLocal); err != nil || r.Skipped != restored || r.Scanned != 0 || r.Backfills != 0 {
+		t.Fatalf("scrub before recovery over %d restored shards: %+v, %v", restored, r, err)
+	}
+	if _, err := srv.RunRecovery(ctx, RecoveryAggressive); err != nil {
+		t.Fatal(err)
+	}
+	held := int64(srv.CollectStats().Shards)
+	if r, err := srv.ScrubDepth(ctx, scrub.DepthLocal); err != nil || r.Skipped != 0 || r.Scanned != held || r.Backfills != restored {
+		t.Fatalf("first scrub after recovery (%d shards, %d of them restored): %+v, %v", held, restored, r, err)
+	}
+	if r, err := srv.ScrubDepth(ctx, scrub.DepthLocal); err != nil || r.Scanned != held || r.Backfills+r.Skipped+r.Corruptions != 0 {
+		t.Fatalf("second scrub after recovery over %d shards: %+v, %v", held, r, err)
 	}
 
 	// Every staged region reads back byte-correct; the restored disk tier

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -219,9 +220,9 @@ func (cl *Client) failoverTargets(id types.ObjectID, primary types.ServerID) []t
 	return c.groups.ReplicaTargets(primary, c.cfg.NLevel)
 }
 
-// Get reads the region of the variable at the given version, returning a
-// row-major buffer over box: it allocates the buffer and fills it the way
-// GetInto does.
+// Get reads the region of the variable, returning a row-major buffer over
+// box: it allocates the buffer and fills it the way GetInto does, and version
+// means what it means there.
 func (cl *Client) Get(ctx context.Context, name string, box Box, version Version) ([]byte, error) {
 	dst := reader.Buffer(ndarray.BufferSize(box, cl.cluster.cfg.ElemSize), cl.cluster.cfg.DataShards)
 	if err := cl.getInto(ctx, name, box, version, dst, true); err != nil {
@@ -230,14 +231,17 @@ func (cl *Client) Get(ctx context.Context, name string, box Box, version Version
 	return dst, nil
 }
 
-// GetInto reads the region of the variable at the given version into dst, a
-// row-major buffer over box: len(dst) must be the region's size, and nothing
-// past it is touched. Objects intersecting the region are located through
-// the metadata directory and fetched in parallel, straight into dst when an
-// object's box is the region itself; failures trigger replica fallback or
-// degraded reconstruction transparently. Cells no staged object covers are
-// cleared, so a reused buffer never shows an earlier read. After an error
-// the contents of dst are unspecified.
+// GetInto reads the region of the variable into dst, a row-major buffer over
+// box: len(dst) must be the region's size, and nothing past it is touched.
+// version is a freshness floor, the oldest version of the region the caller
+// accepts (0: it names none): the newest staged bytes come back, never older
+// than a put acknowledged at that version, and naming it lets the lookup stop
+// at the first directory mirror whose records are that new. Objects
+// intersecting the region are located through the metadata directory and
+// fetched in parallel, straight into dst when an object's box is the region
+// itself; failures trigger replica fallback or degraded reconstruction
+// transparently. Cells no staged object covers are cleared, so a reused buffer
+// never shows an earlier read. After an error dst's contents are unspecified.
 func (cl *Client) GetInto(ctx context.Context, name string, box Box, version Version, dst []byte) error {
 	if want := ndarray.BufferSize(box, cl.cluster.cfg.ElemSize); len(dst) != want {
 		return fmt.Errorf("corec: get buffer is %d bytes, want %d", len(dst), want)
@@ -250,22 +254,25 @@ func (cl *Client) getInto(ctx context.Context, name string, box Box, version Ver
 	start := time.Now()
 	defer func() { cl.col.RecordRead(int64(version), time.Since(start)) }()
 
-	metas, err := cl.queryDirectory(ctx, name, box)
+	metas, err := cl.queryDirectory(ctx, name, box, version)
 	if err != nil {
 		return err
 	}
 	return cl.fetchRegion(ctx, box, metas, dst, zeroed)
 }
 
-// fetchRegion fetches the objects the records describe, in parallel, and
-// assembles the part of each that lies in box into dst, a row-major buffer
-// over box. An object whose box is the region itself — the aligned read of
-// every workload — is fetched straight into dst; any other goes through a
-// buffer of its own size and the one CopyRegion that cuts its part out.
+// fetchRegion fetches the objects the records describe, in parallel when
+// there are several, and assembles the part of each that lies in box into
+// dst, a row-major buffer over box. An object whose box is the region itself
+// (the aligned read of every workload) is fetched straight into dst; any other
+// goes through a buffer of its own and the CopyRegion that cuts its part out.
 func (cl *Client) fetchRegion(ctx context.Context, box Box, metas []types.ObjectMeta, dst []byte, zeroed bool) error {
 	elem := cl.cluster.cfg.ElemSize
 	aligned := func(meta *types.ObjectMeta) bool {
 		return meta.Size == len(dst) && meta.ID.Box.Equal(box)
+	}
+	if len(metas) == 1 && aligned(&metas[0]) {
+		return cl.reader.Object(ctx, &metas[0], dst)
 	}
 	if !zeroed {
 		// An aligned object overwrites every byte; short of that, clear
@@ -316,7 +323,7 @@ func (cl *Client) fetchRegion(ctx context.Context, box Box, metas []types.Object
 // Query returns the metadata of all staged objects of the variable
 // intersecting the region (deduplicated, newest version per object).
 func (cl *Client) Query(ctx context.Context, name string, box Box) ([]types.ObjectMeta, error) {
-	return cl.queryDirectory(ctx, name, box)
+	return cl.queryDirectory(ctx, name, box, 0)
 }
 
 // Delete evicts every staged object of the variable intersecting the
@@ -324,7 +331,7 @@ func (cl *Client) Query(ctx context.Context, name string, box Box) ([]types.Obje
 // released. Returns the number of objects evicted. Applications call this
 // once a time step's data has been consumed, to bound staging memory.
 func (cl *Client) Delete(ctx context.Context, name string, box Box) (int, error) {
-	metas, err := cl.queryDirectory(ctx, name, box)
+	metas, err := cl.queryDirectory(ctx, name, box, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -356,63 +363,92 @@ func (cl *Client) Delete(ctx context.Context, name string, box Box) (int, error)
 	return deleted, firstErr
 }
 
-// queryDirectory resolves a (variable, region) lookup. It asks only the
-// shard groups of the directory cells the region touches — one group for a
-// tile-aligned read, whatever the fleet size. The whole fleet is asked when
-// the region is invalid (a query for every object of the variable), and as
-// a safety net when the targeted answer does not cover the region: a record
-// written under another ring epoch, or not yet re-homed by the rebalancer,
-// must not make a staged region read back as zeros.
-func (cl *Client) queryDirectory(ctx context.Context, name string, box Box) ([]types.ObjectMeta, error) {
+// queryDirectory resolves a (variable, region) lookup; floor is the oldest
+// version of the region the caller accepts, 0 when it names none. A cell's
+// records are mirrored on NLevel+1 servers to survive failures, not to be
+// polled by every read: with a floor, one mirror of each directory cell the
+// region touches is asked — one server for a tile-aligned read, at any fleet
+// size — and its answer stands when it covers the region at or above the
+// floor. Short of that (a mirror can lag its twins by a directory write), or
+// with no floor to judge by, the cells' other mirrors are asked too and the
+// newest record wins. The whole fleet is asked when the region is invalid (a
+// query for every object of the variable), and as a safety net when the
+// cells' groups do not cover it: a record written under another ring epoch,
+// or not yet re-homed by the rebalancer, must not read back as zeros.
+func (cl *Client) queryDirectory(ctx context.Context, name string, box Box, floor Version) ([]types.ObjectMeta, error) {
 	start := time.Now()
 	defer func() { cl.col.Add(metrics.Metadata, time.Since(start)) }()
-	if targets := cl.cluster.dir.Servers(name, box); targets != nil {
-		metas, err := cl.queryServers(ctx, targets, name, box)
-		if err == nil && covers(metas, box) {
+	if dir := cl.cluster.dir; box.Valid() {
+		var metas []types.ObjectMeta
+		var first []types.ServerID
+		if floor > 0 {
+			for _, cell := range dir.Cells(box) {
+				if m := cl.firstMirror(cell, dir.Group(name, cell)); !slices.Contains(first, m) {
+					first = append(first, m)
+				}
+			}
+			if metas, _ = cl.queryServers(ctx, first, name, box, nil); covers(metas, box, floor) {
+				return metas, nil
+			}
+			cl.col.AddCounter(metrics.DirSecondAskCount, 1)
+		}
+		rest := slices.DeleteFunc(dir.Servers(name, box), func(s types.ServerID) bool { return slices.Contains(first, s) })
+		if metas, _ = cl.queryServers(ctx, rest, name, box, metas); covers(metas, box, 0) {
 			return metas, nil
 		}
 		cl.col.AddCounter(metrics.DirFallbackCount, 1)
 	}
-	return cl.queryServers(ctx, cl.memberView(), name, box)
+	return cl.queryServers(ctx, cl.memberView(), name, box, nil)
 }
 
-// queryServers sends the region query to every target in parallel and
-// merges the answers: one record per object, the newest one.
-func (cl *Client) queryServers(ctx context.Context, targets []types.ServerID, name string, box Box) ([]types.ObjectMeta, error) {
-	type result struct {
-		metas []types.ObjectMeta
-		err   error
+// firstMirror picks the mirror of a cell's group this client asks first: id
+// and cell spread clients over the mirrors; one known down is passed over.
+func (cl *Client) firstMirror(cell int, group []types.ServerID) types.ServerID {
+	at := (cell + 1 - int(cl.id)) % len(group) // cell >= -1 and id < 0
+	for i := 0; i < len(group) && cl.cluster.health.Down(group[at]); i++ {
+		at = (at + 1) % len(group)
 	}
-	n := len(targets)
-	results := make(chan result, n)
+	return group[at]
+}
+
+var errNoDirectory = errors.New("corec: no directory shard reachable")
+
+// queryServers sends the region query to the targets (one: a plain call) in
+// parallel and merges the answers with have: one record per object, the newest.
+func (cl *Client) queryServers(ctx context.Context, targets []types.ServerID, name string, box Box, have []types.ObjectMeta) ([]types.ObjectMeta, error) {
+	ask := func(target types.ServerID) *transport.Message { // nil: no answer
+		resp, _ := cl.send(ctx, target, &transport.Message{Kind: transport.MsgMetaQuery, Var: name, Box: box})
+		return resp
+	}
+	if len(targets) == 1 && len(have) == 0 {
+		if resp := ask(targets[0]); resp != nil {
+			return resp.Metas, nil // one server's answer: a record per object, in key order
+		}
+		return nil, errNoDirectory
+	}
+	results := make(chan *transport.Message, len(targets))
 	for _, target := range targets {
-		go func(target types.ServerID) {
-			msg := &transport.Message{Kind: transport.MsgMetaQuery, Var: name, Box: box}
-			resp, err := cl.send(ctx, target, msg)
-			if err != nil {
-				results <- result{err: err}
-				return
-			}
-			results <- result{metas: resp.Metas}
-		}(target)
+		go func() { results <- ask(target) }()
 	}
 	best := make(map[string]types.ObjectMeta)
-	reachable := 0
-	for i := 0; i < n; i++ {
-		r := <-results
-		if r.err != nil {
-			continue
-		}
-		reachable++
-		for _, m := range r.metas {
+	merge := func(metas []types.ObjectMeta) {
+		for _, m := range metas {
 			key := m.ID.Key()
 			if cur, ok := best[key]; !ok || m.Newer(&cur) {
 				best[key] = m
 			}
 		}
 	}
-	if reachable == 0 {
-		return nil, fmt.Errorf("corec: no directory shard reachable")
+	merge(have)
+	reachable := 0
+	for range targets {
+		if resp := <-results; resp != nil {
+			reachable++
+			merge(resp.Metas)
+		}
+	}
+	if reachable == 0 && len(have) == 0 {
+		return nil, errNoDirectory
 	}
 	keys := make([]string, 0, len(best))
 	for k := range best {
@@ -426,12 +462,15 @@ func (cl *Client) queryServers(ctx context.Context, targets []types.ServerID, na
 	return out, nil
 }
 
-// covers reports whether the records account for every cell of box: the
-// volumes they share with it sum to at least its own.
-func covers(metas []types.ObjectMeta, box Box) bool {
+// covers reports whether the records account for every cell of box — the
+// volumes they share with it sum to at least its own — none older than floor.
+func covers(metas []types.ObjectMeta, box Box, floor Version) bool {
 	var covered int64
 	for i := range metas {
 		if part, ok := metas[i].ID.Box.Intersection(box); ok {
+			if metas[i].Version < floor {
+				return false
+			}
 			covered += part.Volume()
 		}
 	}

@@ -84,7 +84,7 @@ func main() {
 	offset := sub.Int64("offset", 0, "byte offset of the region")
 	payload := sub.String("data", "", "payload for put")
 	length := sub.Int64("len", 0, "length for get")
-	version := sub.Int64("version", 1, "data version (time step)")
+	version := sub.Int64("version", 1, "data version (time step): put stages at it; get accepts nothing older, and 0 names no version")
 	drainID := sub.Int("server", -1, "target server (drain, recover)")
 	_ = sub.Parse(args[1:]) // ExitOnError: Parse never returns an error
 
@@ -169,10 +169,10 @@ func main() {
 		}
 		// This process's own fabric view: what the poll above cost, which
 		// peers its retry layer now fails fast against and how many of its
-		// region lookups had to ask the whole fleet.
+		// region lookups had to ask a second mirror, or the whole fleet.
 		fs := cluster.FabricStatus()
-		fmt.Printf("fabric: retries=%d muxRedials=%d peersDown=%d fastFails=%d dir_fallbacks=%d\n",
-			fs.Retries, fs.Transport.MuxRedials, fs.Transport.PeersDown, fs.Transport.FastFails, fs.DirFallbacks)
+		fmt.Printf("fabric: retries=%d muxRedials=%d peersDown=%d fastFails=%d dir_second_asks=%d dir_fallbacks=%d\n",
+			fs.Retries, fs.Transport.MuxRedials, fs.Transport.PeersDown, fs.Transport.FastFails, fs.DirSecondAsks, fs.DirFallbacks)
 	default:
 		usage()
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"corec/internal/failure"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
@@ -74,14 +75,20 @@ func (n *countingNet) take() (sent map[transport.Kind]int, stalled bool) {
 	return sent, stalled
 }
 
-// TestGetAsksOneDirectoryGroup is the scaling property of the read path: a
-// get of a box inside one directory cell sends NLevel+1 region queries —
-// one shard group — at 8, 16 and 32 servers alike, a box over two cells at
-// most two groups' worth, and none of them falls back to the fleet.
+// TestGetAsksOneDirectoryGroup is the scaling property of the read path, at
+// 8, 16 and 32 servers alike. A get that names the version it expects asks
+// one directory mirror per cell its box touches — one region query and one
+// copy fetch for a box inside a cell, two queries for a box over two cells —
+// and the first answer settles it. A get that names no version has nothing to
+// judge one mirror's answer by and asks every mirror of those cells' groups,
+// NLevel+1 per group; so, after its first mirror's answer falls short, does a
+// get naming a version newer than anything staged, which still returns the
+// newest staged bytes. None of them falls back to the fleet.
 func TestGetAsksOneDirectoryGroup(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{8, 16, 32} {
 		cfg := DefaultConfig(n)
+		cfg.Mode = PolicyReplicate // one copy fetch per object; TestEncodedObjectCostsOneRecord counts the shard gets
 		c, err := NewCluster(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -103,39 +110,66 @@ func TestGetAsksOneDirectoryGroup(t *testing.T) {
 			}
 		}
 		group := cfg.NLevel + 1
-		for i := range want {
-			before := counter.count(transport.MsgMetaQuery)
-			got, err := cl.Get(ctx, "scale", boxFor(int64(i)), 1)
+		// get reads a region at a version and returns what crossed the fabric.
+		get := func(name string, box Box, version Version, want []byte) map[transport.Kind]int {
+			t.Helper()
+			counter.take()
+			got, err := cl.Get(ctx, name, box, version)
 			if err != nil {
-				t.Fatalf("%d servers: get %d: %v", n, i, err)
+				t.Fatalf("%d servers: get %s %v at version %d: %v", n, name, box, version, err)
 			}
-			if !bytes.Equal(got, want[i]) {
-				t.Fatalf("%d servers: get %d returned wrong bytes", n, i)
+			if want != nil && !bytes.Equal(got, want) {
+				t.Fatalf("%d servers: get %s %v at version %d returned wrong bytes", n, name, box, version)
 			}
-			if sent := counter.count(transport.MsgMetaQuery) - before; sent != group {
-				t.Errorf("%d servers: one-cell get sent %d region queries, want %d", n, sent, group)
+			sent, _ := counter.take()
+			return sent
+		}
+		for i := range want {
+			box := boxFor(int64(i))
+			if sent := get("scale", box, 1, want[i]); !maps.Equal(sent, map[transport.Kind]int{transport.MsgMetaQuery: 1, transport.MsgGet: 1}) {
+				t.Errorf("%d servers: one-cell get naming its version sent %v, want 1 MetaQuery and 1 Get", n, sent)
+			}
+			if sent := get("scale", box, 0, want[i]); sent[transport.MsgMetaQuery] != group {
+				t.Errorf("%d servers: one-cell get naming no version sent %d region queries, want %d", n, sent[transport.MsgMetaQuery], group)
 			}
 		}
-		// A region over two cells: its two halves are staged objects, so it is
-		// covered and asks the two cells' groups only.
-		left, right := Box3D(56, 0, 0, 64, 8, 8), Box3D(64, 0, 0, 72, 8, 8)
+		if st := c.FabricStatus(); st.DirSecondAsks != 0 {
+			t.Errorf("%d servers: %d lookups went past their first mirror on a healthy fleet", n, st.DirSecondAsks)
+		}
+		if sent := get("scale", boxFor(0), 9, want[0]); sent[transport.MsgMetaQuery] != group {
+			t.Errorf("%d servers: get naming a version nobody staged sent %d region queries, want %d", n, sent[transport.MsgMetaQuery], group)
+		}
+		if st := c.FabricStatus(); st.DirSecondAsks != 1 {
+			t.Errorf("%d servers: DirSecondAsks = %d after one get ahead of the staged version, want 1", n, st.DirSecondAsks)
+		}
+
+		// A region over two cells whose first mirrors are different servers:
+		// its two halves are staged objects, so two answers cover it.
+		var left, right Box
+		for i := int64(0); i < 48; i++ {
+			x, y, z := (i%3+1)*64, i/3%4*64, i/12*64
+			left, right = Box3D(x-8, y, z, x, y+8, z+8), Box3D(x, y, z, x+8, y+8, z+8)
+			if firstMirrorOf(t, c, cl, "span", left) != firstMirrorOf(t, c, cl, "span", right) {
+				break
+			}
+		}
 		for i, b := range []Box{left, right} {
 			if err := cl.Put(ctx, "span", b, 1, regionData(t, b, 8, int64(950+i))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		before := counter.count(transport.MsgMetaQuery)
-		if _, err := cl.Get(ctx, "span", left.Union(right), 1); err != nil {
-			t.Fatal(err)
+		span := left.Union(right)
+		if sent := get("span", span, 1, nil); sent[transport.MsgMetaQuery] != 2 {
+			t.Errorf("%d servers: two-cell get naming its version sent %d region queries, want 2", n, sent[transport.MsgMetaQuery])
 		}
-		if sent := counter.count(transport.MsgMetaQuery) - before; sent < group || sent > 2*group {
-			t.Errorf("%d servers: two-cell get sent %d region queries, want %d to %d", n, sent, group, 2*group)
+		if sent, all := get("span", span, 0, nil), len(c.dir.Servers("span", span)); sent[transport.MsgMetaQuery] != all || all < group || all > 2*group {
+			t.Errorf("%d servers: two-cell get naming no version sent %d region queries, want the two groups' %d servers", n, sent[transport.MsgMetaQuery], all)
 		}
 		if fb := c.FabricStatus().DirFallbacks; fb != 0 {
 			t.Errorf("%d servers: %d fleet fall-backs on a healthy fleet reading staged regions", n, fb)
 		}
 		// The fleet is still asked when no region is named.
-		before = counter.count(transport.MsgMetaQuery)
+		before := counter.count(transport.MsgMetaQuery)
 		metas, err := cl.Query(ctx, "scale", Box{})
 		if err != nil || len(metas) != len(want) {
 			t.Fatalf("%d servers: query of every object: %d metas, %v", n, len(metas), err)
@@ -145,6 +179,122 @@ func TestGetAsksOneDirectoryGroup(t *testing.T) {
 		}
 		c.Close()
 	}
+}
+
+// firstMirrorOf returns the directory mirror the client asks first about a
+// box that lies inside one directory cell.
+func firstMirrorOf(t *testing.T, c *Cluster, cl *Client, name string, box Box) ServerID {
+	t.Helper()
+	cells := c.dir.Cells(box)
+	if len(cells) != 1 {
+		t.Fatalf("box %v touches cells %v, want one", box, cells)
+	}
+	return cl.firstMirror(cells[0], c.dir.Group(name, cells[0]))
+}
+
+// TestFirstMirrorSpread: which mirror of a cell's group a client asks first
+// depends on the client and on the cell, so the clients of a fleet spread
+// their lookups over the mirrors — each mirror is first choice for half of
+// them — and one client spreads its own over the cells.
+func TestFirstMirrorSpread(t *testing.T) {
+	c := testCluster(t, PolicyReplicate)
+	clients := make([]*Client, 8)
+	for i := range clients {
+		clients[i] = c.NewClient()
+	}
+	owner := make([]int, len(clients))
+	for cell := 0; cell < 64; cell++ {
+		group := c.dir.Group("spread", cell)
+		byCell := 0
+		for i, cl := range clients {
+			if cl.firstMirror(cell, group) == group[0] {
+				byCell++
+				owner[i]++
+			}
+		}
+		if byCell != len(clients)/2 {
+			t.Errorf("cell %d: the group's first member is first choice of %d of %d clients, want half", cell, byCell, len(clients))
+		}
+	}
+	for i, got := range owner {
+		if got != 32 {
+			t.Errorf("client %d asks the group's first member first in %d of 64 cells, want half", i, got)
+		}
+	}
+}
+
+// TestLaggingMirrorIsSettledByItsTwin: a directory write that missed one
+// mirror (a partition cuts the primary off from it during a rewrite) leaves
+// that mirror a version behind until the hint is flushed. A client whose
+// first choice it is gets the older record, sees it is below the version it
+// named, asks the twin and returns the newer bytes — two region queries, one
+// lookup counted as not settled by its first mirror, no fleet fall-back. The
+// same holds when the first mirror has just been replaced and answers with
+// nothing at all.
+func TestLaggingMirrorIsSettledByItsTwin(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Mode = PolicyReplicate
+	cfg.FaultPlan = &failure.FaultPlan{} // quiet injector: manual partitions only
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	counter := newCountingNet(c.net)
+	c.net = counter
+	cl := c.NewClient()
+	ctx := context.Background()
+
+	// An object none of whose copies lives on its directory mirrors, so that
+	// cutting off or replacing a mirror never touches the data path.
+	var box Box
+	var primary, first ServerID
+	found := false
+	for i := int64(0); i < 64 && !found; i++ {
+		box = Box3D(i%4*64, i/4%4*64, i/16*64, i%4*64+8, i/4%4*64+8, i/16*64+8)
+		primary = c.place.Primary(types.ObjectID{Var: "lag", Box: box})
+		holders := append(c.groups.ReplicaTargets(primary, cfg.NLevel), primary)
+		found = !slices.ContainsFunc(c.dir.Servers("lag", box), func(s ServerID) bool { return slices.Contains(holders, s) })
+	}
+	if !found {
+		t.Fatal("no candidate object whose directory group is disjoint from its holders")
+	}
+	first = firstMirrorOf(t, c, cl, "lag", box)
+
+	if err := cl.Put(ctx, "lag", box, 1, regionData(t, box, 8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	heal := c.Faults().Partition([]types.ServerID{primary}, []types.ServerID{first})
+	data := regionData(t, box, 8, 2)
+	if err := cl.Put(ctx, "lag", box, 2, data); err != nil {
+		t.Fatalf("put with one directory mirror partitioned: %v", err)
+	}
+	heal()
+	if resp := c.Server(first).Handle(ctx, &transport.Message{Kind: transport.MsgMetaQuery, Var: "lag", Box: box}); len(resp.Metas) != 1 || resp.Metas[0].Version != 1 {
+		t.Fatalf("first mirror %d holds %+v, want the version-1 record", first, resp.Metas)
+	}
+
+	read := func(when string, wantAsks int64) {
+		t.Helper()
+		counter.take()
+		got, err := cl.Get(ctx, "lag", box, 2)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s: get naming version 2 did not return its bytes: %v", when, err)
+		}
+		if sent, _ := counter.take(); sent[transport.MsgMetaQuery] != cfg.NLevel+1 {
+			t.Errorf("%s: %d region queries, want %d (the first mirror, then its twin)", when, sent[transport.MsgMetaQuery], cfg.NLevel+1)
+		}
+		if st := c.FabricStatus(); st.DirSecondAsks != wantAsks || st.DirFallbacks != 0 {
+			t.Errorf("%s: DirSecondAsks = %d, DirFallbacks = %d, want %d and 0", when, st.DirSecondAsks, st.DirFallbacks, wantAsks)
+		}
+	}
+	read("lagging first mirror", 1)
+
+	c.Kill(first)
+	if _, err := c.Replace(first); err != nil { // no recovery yet: its directory shard is empty
+		t.Fatal(err)
+	}
+	read("empty first mirror", 2)
 }
 
 // TestCoverageFallbackFindsMisplacedRecord plants an object's record only on
@@ -239,8 +389,9 @@ func remoteBox(t *testing.T, c *Cluster, name string) (Box, ServerID) {
 // TestEncodedObjectCostsOneRecord counts what an erasure-coded object costs
 // on the fabric now that its record is the only record, at 8, 16 and 32
 // servers alike: the put that encodes it commits with one group of record
-// updates, an aligned get asks that group and the k data-shard holders and
-// nobody else, and its eviction drops the stripe's shards in one round.
+// updates, an aligned get naming its version asks one mirror of that group
+// and the k data-shard holders and nobody else, and its eviction (which names
+// no version and asks the whole group) drops the stripe's shards in one round.
 func TestEncodedObjectCostsOneRecord(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{8, 16, 32} {
@@ -270,7 +421,7 @@ func TestEncodedObjectCostsOneRecord(t *testing.T) {
 			t.Fatalf("%d servers: get: %v", n, err)
 		}
 		sent, _ = counter.take()
-		if want := map[transport.Kind]int{transport.MsgMetaQuery: group, transport.MsgShardGet: k}; !maps.Equal(sent, want) {
+		if want := map[transport.Kind]int{transport.MsgMetaQuery: 1, transport.MsgShardGet: k}; !maps.Equal(sent, want) {
 			t.Errorf("%d servers: an aligned get of an encoded object sent %v, want %v", n, sent, want)
 		}
 

@@ -46,11 +46,17 @@ func TestProcessRestartIsReadmitted(t *testing.T) {
 	}
 	get("healthy get")
 
-	victim := fleet.ProcFor(2)
+	// A get naming its version asks one directory mirror and the object's
+	// holders in order, so the process every get dials is the primary's.
+	metas, err := client.Query(ctx, "readmit", box)
+	if err != nil || len(metas) != 1 {
+		t.Fatalf("query: %v (%d records)", err, len(metas))
+	}
+	victim := fleet.ProcFor(metas[0].Primary)
 	if err := fleet.Kill(victim); err != nil {
 		t.Fatal(err)
 	}
-	get("first get after the crash") // its directory fan-out dials the dead process
+	get("first get after the crash") // its copy fetch dials the dead process
 	first := cl.FabricStatus()
 	if first.Transport.PeersDown != 1 {
 		t.Fatalf("PeersDown = %d after first contact with the dead process, want 1", first.Transport.PeersDown)
@@ -70,7 +76,7 @@ func TestProcessRestartIsReadmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ordinary traffic carries the trial: at most MaxBackoff after the
-	// process listens again one get's fan-out is let through and succeeds.
+	// process listens again one get's copy fetch is let through and succeeds.
 	// The deadline is generous for loaded CI machines; the table's own bound
 	// is cl.RetryPolicy().MaxBackoff.
 	waitUntil(t, 20*cl.RetryPolicy().MaxBackoff, "half-open trial to re-admit the restarted process", func() bool {

@@ -68,6 +68,9 @@ const (
 	// on a healthy fleet reading staged regions; it climbs on reads of
 	// regions nobody wrote and while records await re-homing after churn.
 	DirFallbackCount
+	// DirSecondAskCount tallies region lookups naming a version that the
+	// first directory mirror asked did not settle. Zero while mirrors agree.
+	DirSecondAskCount
 	// ScrubScanCount tallies locally stored items (primary copies,
 	// replicas, shards) whose bytes a scrub pass verified.
 	ScrubScanCount
@@ -93,7 +96,7 @@ const (
 )
 
 var counterNames = [...]string{
-	"retries", "failovers", "reconciles", "corrupt_frames", "faults", "mirror_repairs", "dir_fallbacks",
+	"retries", "failovers", "reconciles", "corrupt_frames", "faults", "mirror_repairs", "dir_fallbacks", "dir_second_asks",
 	"scrub_scans", "scrub_bytes", "scrub_corruptions", "scrub_repairs",
 	"scrub_reencodes", "scrub_backfills", "scrub_skips",
 }

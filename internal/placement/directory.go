@@ -75,6 +75,12 @@ func (d *Directory) Cells(box geometry.Box) []int {
 	return out
 }
 
+// Group returns the shard group of one cell of the variable: the servers
+// mirroring the records of the variable's objects that touch the cell.
+func (d *Directory) Group(name string, cell int) []types.ServerID {
+	return d.place.KeyGroup(name+"#"+strconv.Itoa(cell), d.mirrors)
+}
+
 // Servers returns the servers hosting the directory records of the
 // variable's objects that touch box: the union of the shard groups of the
 // cells box touches, in cell order. An object's record lives on Servers of
@@ -84,7 +90,7 @@ func (d *Directory) Cells(box geometry.Box) []int {
 func (d *Directory) Servers(name string, box geometry.Box) []types.ServerID {
 	var out []types.ServerID
 	for _, cell := range d.Cells(box) {
-		group := d.place.KeyGroup(name+"#"+strconv.Itoa(cell), d.mirrors)
+		group := d.Group(name, cell)
 		if out == nil {
 			out = group
 			continue

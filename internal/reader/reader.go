@@ -267,21 +267,24 @@ func Buffer(size, k int) []byte {
 // Settle runs read against the object's record, and for as long as it fails
 // with ErrDataLoss looks the record up afresh and runs it again, ten times at
 // most. A read can race the background replicated<->encoded transition, a
-// failover or a handoff: the record it started from then points at a copy or
-// a stripe that is no longer there, the directory converges within
-// microseconds, and only a miss through the current record is a loss.
+// failover or a handoff, or start from a record one mirror still holds and its
+// twin has superseded: it then points at a copy or a stripe that is no longer
+// there, and only a miss through the current record is a loss. A different
+// record is read at once; the wait is for the directory to converge.
 func (r *Reader) Settle(ctx context.Context, meta *types.ObjectMeta, read func(*types.ObjectMeta) error) (err error) {
 	for attempt := 0; attempt < 10; attempt++ {
 		if err = read(meta); !errors.Is(err, ErrDataLoss) {
 			return err
 		}
+		fresh, ok := r.LookupMeta(ctx, meta.ID)
+		if ok && (fresh.Version != meta.Version || fresh.Seq != meta.Seq) {
+			meta = fresh
+			continue
+		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-time.After(time.Duration(attempt+1) * 200 * time.Microsecond):
-		}
-		if fresh, ok := r.LookupMeta(ctx, meta.ID); ok {
-			meta = fresh
 		}
 	}
 	return err

@@ -34,6 +34,8 @@ type fleet struct {
 	lands  bool
 
 	mu sync.Mutex
+	// sent logs the kind of every request, in order.
+	sent []transport.Kind
 	// Shard gets in flight wait until gate of them have arrived (0: no
 	// waiting); late lists the shard indices asked for after that.
 	gate    int
@@ -44,6 +46,9 @@ type fleet struct {
 }
 
 func (f *fleet) send(ctx context.Context, to types.ServerID, msg *transport.Message) (*transport.Message, error) {
+	f.mu.Lock()
+	f.sent = append(f.sent, msg.Kind)
+	f.mu.Unlock()
 	if msg.Kind == transport.MsgShardGet {
 		f.pass(msg.ShardIndex)
 	}
@@ -330,6 +335,47 @@ func TestObjectSettlesThroughAFreshRecord(t *testing.T) {
 	f.metas[mirrors[0]] = bare
 	if err := r.Object(ctx, &bare, dst); !errors.Is(err, ErrDataLoss) {
 		t.Fatalf("encoded record without a layout: %v, want ErrDataLoss", err)
+	}
+}
+
+// TestSettleRefreshesBeforeItWaits states the order of a settled read by its
+// messages. A miss is followed at once by the lookup: a read whose context is
+// already done — it could not sit out any wait — still gets through a record
+// the directory has moved on from, as miss, one lookup per mirror, the k shard
+// gets of the fresh record. The wait comes only after a lookup that returned
+// the very record that just failed: the same read of a record the directory
+// still names ends in the context's error after one miss and one lookup.
+func TestSettleRefreshesBeforeItWaits(t *testing.T) {
+	f, r, data := newFleet(t, 3, 1, 512)
+	id := types.ObjectID{Var: "v", Box: geometry.Box3D(0, 0, 0, 4, 4, 4)}
+	mirrors := r.Dir.Servers(id.Var, id.Box)
+	if len(mirrors) != 2 {
+		t.Fatalf("directory group %v, want two mirrors", mirrors)
+	}
+	superseded := types.ObjectMeta{ID: id, Version: 1, Seq: 1, Size: len(data), State: types.StateReplicated, Primary: 6}
+	current := superseded
+	current.Seq, current.State, current.Stripe, current.Layout = 2, types.StateEncoded, f.info.ID, f.info
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	f.metas[mirrors[0]], f.metas[mirrors[1]] = superseded, current
+	dst := Buffer(len(data), 3)
+	if err := r.Object(done, &superseded, dst); err != nil || !bytes.Equal(dst, data) {
+		t.Fatalf("read through a superseded record: %v", err)
+	}
+	const get, lookup, shard = transport.MsgGet, transport.MsgMetaLookup, transport.MsgShardGet
+	want := []transport.Kind{get, lookup, lookup, shard, shard, shard}
+	if !slices.Equal(f.sent, want) {
+		t.Errorf("a settled read sent %v, want %v", f.sent, want)
+	}
+
+	f.sent = nil
+	f.metas[mirrors[1]] = superseded
+	if err := r.Object(done, &superseded, dst); !errors.Is(err, context.Canceled) {
+		t.Fatalf("read of a record the directory still names: %v, want the wait to meet the done context", err)
+	}
+	if want := want[:3]; !slices.Equal(f.sent, want) {
+		t.Errorf("before its first wait the read sent %v, want %v", f.sent, want)
 	}
 }
 

@@ -165,8 +165,10 @@ type Server struct {
 	// (hinted handoff) so degraded groups heal without a full recovery.
 	mirrorHints map[string]mirrorHint
 	// tokenBusy is the encoding token of the replication group this server
-	// leads (only meaningful on group leaders).
+	// leads (only meaningful on group leaders), held by tokenHolder's tokenInc-th incarnation.
 	tokenBusy   bool
+	tokenHolder types.ServerID
+	tokenInc    int64
 	incarnation uint64
 	// metaClock mints ObjectMeta.Seq values: a hybrid logical clock
 	// (physical microseconds, clamped monotonic, merged with every Seq

@@ -217,18 +217,77 @@ func TestEfficiencyAccounting(t *testing.T) {
 func TestTokenMutualExclusion(t *testing.T) {
 	rig := newRig(t, policy.CoREC, 8)
 	leader := rig.servers[0] // server 0 leads replication group {0,1}
-	resp := leader.handleTokenAcquire(&transport.Message{Kind: transport.MsgTokenAcquire})
+	resp := leader.handleTokenAcquire(&transport.Message{Kind: transport.MsgTokenAcquire, From: 0})
 	if !resp.Flag {
 		t.Fatal("first acquire denied")
 	}
-	resp = leader.handleTokenAcquire(&transport.Message{Kind: transport.MsgTokenAcquire})
+	resp = leader.handleTokenAcquire(&transport.Message{Kind: transport.MsgTokenAcquire, From: 1})
 	if resp.Flag {
-		t.Fatal("second acquire granted while held")
+		t.Fatal("second acquire granted while held by another server")
 	}
-	leader.handleTokenRelease(&transport.Message{Kind: transport.MsgTokenRelease})
-	resp = leader.handleTokenAcquire(&transport.Message{Kind: transport.MsgTokenAcquire})
+	resp = leader.handleTokenAcquire(&transport.Message{Kind: transport.MsgTokenAcquire, From: 0})
+	if resp.Flag {
+		t.Fatal("second acquire granted to the holder itself: its encode workers share one token")
+	}
+	leader.handleTokenRelease(&transport.Message{Kind: transport.MsgTokenRelease, From: 1})
+	resp = leader.handleTokenAcquire(&transport.Message{Kind: transport.MsgTokenAcquire, From: 1})
+	if resp.Flag {
+		t.Fatal("a release by a server that does not hold the token freed it")
+	}
+	leader.handleTokenRelease(&transport.Message{Kind: transport.MsgTokenRelease, From: 0})
+	resp = leader.handleTokenAcquire(&transport.Message{Kind: transport.MsgTokenAcquire, From: 1})
 	if !resp.Flag {
 		t.Fatal("acquire after release denied")
+	}
+}
+
+// TestTokenLeaseEndsWithItsHolder: the encoding token is a lease on its
+// holder's life. A holder killed between acquire and release, and replaced
+// under its ID, is granted the token again at its first request; one the
+// fabric knows to be down loses it to the next requester — here the leader
+// itself — at that requester's first attempt, where the leader used to refuse
+// every acquire of the group for the rest of the run.
+func TestTokenLeaseEndsWithItsHolder(t *testing.T) {
+	ctx := context.Background()
+	rig := newRig(t, policy.CoREC, 8)
+	leader := rig.servers[0] // server 0 leads replication group {0,1}
+	holder := func() (types.ServerID, bool) {
+		leader.mu.Lock()
+		defer leader.mu.Unlock()
+		return leader.tokenHolder, leader.tokenBusy
+	}
+	ask := func(from *Server) bool {
+		return leader.handleTokenAcquire(&transport.Message{Kind: transport.MsgTokenAcquire, From: from.id, Num: int64(from.incarnation)}).Flag
+	}
+
+	killed := rig.servers[1]
+	killed.acquireToken(ctx) // killed before it releases
+	killed.Close()
+	if id, busy := holder(); !busy || id != 1 {
+		t.Fatalf("token held by %d (busy %v), want server 1", id, busy)
+	}
+	rig.servers[1] = rig.startServer(t, 1)
+	if ask(killed) {
+		t.Fatal("the token was granted twice to one instance of its holder")
+	}
+	if !ask(rig.servers[1]) {
+		t.Fatal("the replaced holder was refused the token its predecessor held")
+	}
+
+	rig.servers[1].Close() // killed again, still holding
+	if ask(leader) {
+		t.Fatal("the token changed hands before the fabric knew its holder dead")
+	}
+	if _, err := leader.sendRetry(ctx, 1, &transport.Message{Kind: transport.MsgPing}); err == nil || !leader.reader.Health.Down(1) {
+		t.Fatalf("a send to the dead holder: %v, marked down %v", err, leader.reader.Health.Down(1))
+	}
+	release := leader.acquireToken(ctx)
+	if id, busy := holder(); !busy || id != 0 {
+		t.Fatalf("after the leader's acquire the token is held by %d (busy %v), want the leader at its first attempt", id, busy)
+	}
+	release()
+	if _, busy := holder(); busy {
+		t.Fatal("the leader's release left the token busy")
 	}
 }
 

@@ -472,20 +472,23 @@ func (s *Server) tokenLeader() types.ServerID {
 	return s.groups.ReplicationGroupMembers(gi)[0]
 }
 
+// handleTokenAcquire grants the group's encoding token when it is free, or its
+// holder is gone without a release: replaced, or known down to the fabric.
 func (s *Server) handleTokenAcquire(req *transport.Message) *transport.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.tokenBusy {
+	replaced := s.tokenHolder == req.From && s.tokenInc != req.Num // the holder asks, as a new instance
+	if s.tokenBusy && !replaced && !s.reader.Health.Down(s.tokenHolder) {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	s.tokenBusy = true
+	s.tokenBusy, s.tokenHolder, s.tokenInc = true, req.From, req.Num
 	return &transport.Message{Kind: transport.MsgOK, Flag: true}
 }
 
 func (s *Server) handleTokenRelease(req *transport.Message) *transport.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tokenBusy = false
+	s.tokenBusy = s.tokenBusy && s.tokenHolder != req.From // only its holder's release frees it
 	return transport.Ok()
 }
 
@@ -496,7 +499,7 @@ func (s *Server) handleTokenRelease(req *transport.Message) *transport.Message {
 // requirement (per-object exclusivity comes from primary ownership).
 func (s *Server) acquireToken(ctx context.Context) (release func()) {
 	leader := s.tokenLeader()
-	msg := &transport.Message{Kind: transport.MsgTokenAcquire}
+	msg := &transport.Message{Kind: transport.MsgTokenAcquire, From: s.id, Num: int64(s.incarnation)} // a call to oneself stamps no From
 	for attempt := 0; attempt < 8; attempt++ {
 		resp, err := s.sendRetry(ctx, leader, msg)
 		if err != nil {
@@ -504,8 +507,8 @@ func (s *Server) acquireToken(ctx context.Context) (release func()) {
 		}
 		if resp.Kind == transport.MsgOK && resp.Flag {
 			return func() {
-				// Lost release: the leader's token lease expires.
-				_, _ = s.sendRetry(context.Background(), leader, &transport.Message{Kind: transport.MsgTokenRelease})
+				// Lost release: the grant lapses once this server is known down.
+				_, _ = s.sendRetry(context.Background(), leader, &transport.Message{Kind: transport.MsgTokenRelease, From: s.id})
 			}
 		}
 		select {

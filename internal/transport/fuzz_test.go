@@ -94,25 +94,33 @@ func TestFrameCorruptionAlwaysDetected(t *testing.T) {
 // length used to size an allocation (up to 1 GiB, zeroed) and a read that
 // never completes; with the header's self-check verified first, every one
 // is ErrCorruptFrame and the reader allocates nothing beyond its own fixed
-// buffer.
+// buffer. TotalAlloc is the whole process's, and a goroutine another test
+// left winding down can allocate inside one measurement; what the reader
+// allocates for a flip it allocates every time, so each flip is charged the
+// least of three readings.
 func TestCorruptHeaderNeverSizesAnAllocation(t *testing.T) {
 	m := sampleMessage()
 	m.Data = make([]byte, 4<<10)
 	frame := encodeFrameID(m, 9)
 	var before, after runtime.MemStats
+	buf := make([]byte, len(frame))
 	for i := 0; i < frameHeaderSize; i++ {
 		for bit := 0; bit < 8; bit++ {
-			buf := append([]byte(nil), frame...)
+			copy(buf, frame)
 			buf[i] ^= 1 << bit
-			fr := newFrameReader(bytes.NewReader(buf))
-			runtime.ReadMemStats(&before)
-			_, _, err := fr.next(nil)
-			runtime.ReadMemStats(&after)
-			if !errors.Is(err, ErrCorruptFrame) {
-				t.Fatalf("flip of bit %d at header byte %d: err = %v, want ErrCorruptFrame", bit, i, err)
+			least := ^uint64(0)
+			for trial := 0; trial < 3 && least > uint64(len(frame)); trial++ {
+				fr := newFrameReader(bytes.NewReader(buf))
+				runtime.ReadMemStats(&before)
+				_, _, err := fr.next(nil)
+				runtime.ReadMemStats(&after)
+				if !errors.Is(err, ErrCorruptFrame) {
+					t.Fatalf("flip of bit %d at header byte %d: err = %v, want ErrCorruptFrame", bit, i, err)
+				}
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
 			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(frame)) {
-				t.Fatalf("flip of bit %d at header byte %d: reader allocated %d bytes for a %d-byte frame", bit, i, grew, len(frame))
+			if least > uint64(len(frame)) {
+				t.Fatalf("flip of bit %d at header byte %d: reader allocated %d bytes for a %d-byte frame", bit, i, least, len(frame))
 			}
 		}
 	}

@@ -119,32 +119,31 @@ func decodes(c *Cluster) int64 {
 }
 
 // TestPeerHealthEncodedReadHealthyShards reads an encoded object whose data
-// shards are all alive while a server the read does contact is dead. A
-// healthy read no longer touches the parity holder (a lookup asks one
-// directory group, not the fleet), so the dead peer is a mirror of the
-// object's directory group that holds none of its data shards: every get
-// still reaches for it, the first one learns the death, the rest fail fast,
-// and nothing is reconstructed.
+// shards are all alive while the one server a healthy read contacts besides
+// them is dead: the directory mirror this client asks first, which holds none
+// of the object's shards. The first get asks it, pays the retries that learn
+// the death from the wire, and is settled by the twin. Every later get passes
+// the marked mirror over: it receives no query, so nothing is retried, nothing
+// even fails fast, no lookup needs a second ask, and nothing is reconstructed.
 func TestPeerHealthEncodedReadHealthyShards(t *testing.T) {
 	healthFabrics(t, PolicyErasure, func(t *testing.T, c *Cluster) {
+		ctx := context.Background()
 		cl := c.NewClient()
 		// One candidate box per directory cell along x and y; take the first
-		// whose directory group has a member outside the coding group its
-		// primary will stripe over.
+		// whose first mirror is outside the coding group its primary will
+		// stripe over.
 		var box Box
 		victim := ServerID(-1)
 		for i := int64(0); i < 16 && victim < 0; i++ {
 			box = Box3D(i%4*64, i/4*64, 0, i%4*64+8, i/4*64+8, 8)
 			primary := c.place.Primary(types.ObjectID{Var: "ph", Box: box})
 			coding := c.groups.CodingGroupMembers(c.groups.CodingGroup(primary))
-			for _, s := range c.dir.Servers("ph", box) {
-				if !slices.Contains(coding, s) {
-					victim = s
-				}
+			if first := firstMirrorOf(t, c, cl, "ph", box); !slices.Contains(coding, first) {
+				victim = first
 			}
 		}
 		if victim < 0 {
-			t.Fatal("no candidate object with a directory mirror outside its coding group")
+			t.Fatal("no candidate object whose first directory mirror is outside its coding group")
 		}
 		data, meta := stageAt(t, cl, box, 12)
 		if meta.State != types.StateEncoded {
@@ -155,8 +154,34 @@ func TestPeerHealthEncodedReadHealthyShards(t *testing.T) {
 				t.Fatalf("victim %d holds shard %d of the stripe", victim, m.Index)
 			}
 		}
-		d0 := decodes(c)
-		killAndRead(t, c, cl, victim, box, data)
+		get := func(when string) {
+			t.Helper()
+			if got, err := cl.Get(ctx, "ph", box, 1); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("%s did not return the staged bytes: %v", when, err)
+			}
+		}
+		before, d0 := c.FabricStatus(), decodes(c)
+		c.Kill(victim)
+		get("first get after the kill")
+		first := c.FabricStatus()
+		if first.Retries <= before.Retries || first.Transport.PeersDown != 1 {
+			t.Fatalf("first contact with the dead mirror: retries %d -> %d, PeersDown = %d; want retries paid and the peer marked",
+				before.Retries, first.Retries, first.Transport.PeersDown)
+		}
+		if asks := first.DirSecondAsks - before.DirSecondAsks; asks != 1 {
+			t.Fatalf("DirSecondAsks grew by %d over the get that found its first mirror dead, want 1", asks)
+		}
+		for i := 0; i < 100; i++ {
+			get("get past the marked mirror")
+		}
+		after := c.FabricStatus()
+		if after.Retries != first.Retries || after.Transport.FastFails != first.Transport.FastFails || after.DirSecondAsks != first.DirSecondAsks {
+			t.Fatalf("100 gets with the first mirror marked down: retries +%d, fast fails +%d, second asks +%d; want the mirror passed over at no cost",
+				after.Retries-first.Retries, after.Transport.FastFails-first.Transport.FastFails, after.DirSecondAsks-first.DirSecondAsks)
+		}
+		if after.DirFallbacks != before.DirFallbacks {
+			t.Fatalf("%d lookups fell back to the fleet", after.DirFallbacks-before.DirFallbacks)
+		}
 		if d := decodes(c) - d0; d != 0 {
 			t.Fatalf("%d reconstructions with every data shard alive", d)
 		}

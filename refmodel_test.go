@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"corec/internal/failure"
 	"corec/internal/ndarray"
 )
 
@@ -24,12 +25,32 @@ import (
 // covers must come back cleared, not stale. A read of one object is repeated
 // the way a server reads (serverSideReader), from a live member of the
 // object's coding group, and must return the same bytes.
+//
+// A read of one object names the version its last put was acknowledged at,
+// the floor a lookup may stop at the first directory mirror for: it must
+// never return older bytes than that put's. The last arm runs CoREC under the
+// chaos tests' drop / duplicate / partition schedule, where a directory write
+// can miss a mirror and leave it a version behind its twin.
 func TestRandomOpsAgainstReferenceModel(t *testing.T) {
-	for _, mode := range []Mode{PolicyReplicate, PolicyErasure, PolicyCoREC} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
+	faults := &failure.FaultPlan{
+		Seed:  7,
+		Links: []failure.LinkFault{{DropProb: 0.01, DupProb: 0.005}},
+		Partitions: []failure.Partition{
+			{A: []ServerID{2}, B: []ServerID{6}, FromStep: 5, ToStep: 6},
+			{A: []ServerID{1}, B: []ServerID{5}, FromStep: 8, ToStep: 9},
+		},
+	}
+	for _, arm := range []struct {
+		name string
+		mode Mode
+		plan *failure.FaultPlan
+	}{
+		{"replicate", PolicyReplicate, nil}, {"erasure", PolicyErasure, nil}, {"corec", PolicyCoREC, nil},
+		{"corec-faulty-fabric", PolicyCoREC, faults},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
 			cfg := DefaultConfig(8)
-			cfg.Mode = mode
+			cfg.Mode, cfg.FaultPlan = arm.mode, arm.plan
 			cluster, err := NewCluster(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -44,6 +65,7 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 				return Box3D(int64(i)*8, 0, 0, int64(i)*8+8, 8, 8)
 			}
 			reference := make(map[int][]byte)
+			acked := make(map[int]Version) // the version each object's last put was acknowledged at
 			ts := Version(1)
 			var dead ServerID = -1
 			// regionWant assembles what a read of region must return from
@@ -63,17 +85,17 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 			// still holds the previous read's bytes, or 0xEE.
 			reads := 0
 			var reused []byte
-			read := func(region Box) ([]byte, error) {
+			read := func(region Box, version Version) ([]byte, error) {
 				reads++
 				if reads%2 == 0 {
-					return client.Get(ctx, "ref", region, ts)
+					return client.Get(ctx, "ref", region, version)
 				}
 				n := ndarray.BufferSize(region, 8)
 				for len(reused) < n {
 					reused = append(reused, 0xEE)
 				}
 				dst := reused[:n:n]
-				return dst, client.GetInto(ctx, "ref", region, ts, dst)
+				return dst, client.GetInto(ctx, "ref", region, version, dst)
 			}
 
 			for op := 0; op < 300; op++ {
@@ -89,20 +111,20 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 					if err := client.Put(ctx, "ref", b, ts, data); err != nil {
 						t.Fatalf("op %d: put obj %d: %v", op, i, err)
 					}
-					reference[i] = data
+					reference[i], acked[i] = data, ts
 				case choice == 7: // get of an unaligned region over several objects
 					x0 := rng.Int63n(objects*8 - 1)
 					x1 := x0 + 1 + rng.Int63n(objects*8-x0)
 					y0, z0 := rng.Int63n(8), rng.Int63n(8)
 					region := Box3D(x0, y0, z0, x1, y0+1+rng.Int63n(8-y0), z0+1+rng.Int63n(8-z0))
-					got, err := read(region)
+					got, err := read(region, ts)
 					if err != nil {
 						t.Fatalf("op %d: get region %v (ts %d, dead %d): %v", op, region, ts, dead, err)
 					}
 					if !bytes.Equal(got, regionWant(region)) {
 						t.Fatalf("op %d: region %v diverged from reference", op, region)
 					}
-					metas, err := client.queryServers(ctx, client.memberView(), "ref", region)
+					metas, err := client.queryServers(ctx, client.memberView(), "ref", region, nil)
 					if err != nil {
 						t.Fatalf("op %d: full fan-out for %v: %v", op, region, err)
 					}
@@ -119,12 +141,12 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 					if !ok {
 						continue
 					}
-					got, err := read(boxFor(i))
+					got, err := read(boxFor(i), acked[i])
 					if err != nil {
 						t.Fatalf("op %d: get obj %d (ts %d, dead %d): %v", op, i, ts, dead, err)
 					}
 					if !bytes.Equal(got, want) {
-						t.Fatalf("op %d: obj %d diverged from reference", op, i)
+						t.Fatalf("op %d: get of obj %d naming version %d, its last acknowledged put, returned other bytes", op, i, acked[i])
 					}
 					metas, err := client.Query(ctx, "ref", boxFor(i))
 					if err != nil || len(metas) != 1 {
@@ -163,7 +185,7 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 			}
 			// Final sweep: every object matches the reference.
 			for i, want := range reference {
-				got, err := read(boxFor(i))
+				got, err := read(boxFor(i), acked[i])
 				if err != nil {
 					t.Fatalf("final get obj %d: %v", i, err)
 				}

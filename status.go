@@ -66,6 +66,9 @@ type FabricStatus struct {
 	// whole fleet because the directory groups of the region's cells did
 	// not account for all of it.
 	DirFallbacks int64
+	// DirSecondAsks is the number of region lookups the first directory mirror
+	// asked did not settle: mirrors diverge, or readers run ahead of writers.
+	DirSecondAsks int64
 	// PendingReroutes is the current depth of the write-failover log.
 	PendingReroutes int
 	// Injected reports the fault injector's counters; zero without a plan.
@@ -245,6 +248,7 @@ func (c *Cluster) FabricStatus() FabricStatus {
 		Faults:          c.col.Counter(metrics.FaultCount),
 		MirrorRepairs:   c.col.Counter(metrics.MirrorRepairCount),
 		DirFallbacks:    c.col.Counter(metrics.DirFallbackCount),
+		DirSecondAsks:   c.col.Counter(metrics.DirSecondAskCount),
 		PendingReroutes: len(c.Reroutes()),
 		Scrub: ScrubStatus{
 			Scans:       c.col.Counter(metrics.ScrubScanCount),
@@ -371,7 +375,7 @@ func (cl *Client) WaitForVersion(ctx context.Context, name string, box Box, vers
 	backoff := 200 * time.Microsecond
 	const maxBackoff = 20 * time.Millisecond
 	for {
-		metas, err := cl.queryDirectory(ctx, name, box)
+		metas, err := cl.queryDirectory(ctx, name, box, 0)
 		if err == nil {
 			var ready []types.ObjectMeta
 			for _, m := range metas {

@@ -91,26 +91,15 @@ func (cl *Client) memberView() []types.ServerID {
 }
 
 // send delivers one RPC under the cluster's retry policy — per-attempt
-// timeouts, capped exponential backoff with jitter — tallying retry and
-// fault counters. All protocol requests are idempotent, so resending on a
-// transient fabric failure is safe. A destination the fabric's peer-health
-// table has marked down fails fast (one attempt, no backoff, no retry
-// counted) until a half-open trial or a re-admission clears it.
+// timeouts, capped exponential backoff with jitter — tallying retry, fault
+// and corrupt-frame counters. All protocol requests are idempotent, so
+// resending on a transient fabric failure is safe. A destination the
+// fabric's peer-health table has marked down fails fast (one attempt, no
+// backoff, no retry counted) until a half-open trial or a re-admission
+// clears it.
 func (cl *Client) send(ctx context.Context, to types.ServerID, msg *transport.Message) (*transport.Message, error) {
 	c := cl.cluster
-	resp, attempts, err := c.retry.Send(ctx, c.net, cl.id, to, msg)
-	if attempts > 1 {
-		cl.col.AddCounter(metrics.RetryCount, int64(attempts-1))
-	}
-	if err != nil {
-		if errors.Is(err, transport.ErrCorruptFrame) || errors.Is(err, transport.ErrRemoteRetryable) {
-			cl.col.AddCounter(metrics.CorruptFrameCount, 1)
-		}
-		if transport.IsRetryable(err) {
-			cl.col.AddCounter(metrics.FaultCount, 1)
-		}
-	}
-	return resp, err
+	return c.retry.SendCounted(ctx, c.net, cl.id, to, msg, cl.col)
 }
 
 // Put stages the region's data under the variable name at the given

@@ -111,9 +111,6 @@ func Box3D(x0, y0, z0, x1, y1, z1 int64) Box { return geometry.Box3D(x0, y0, z0,
 type Config struct {
 	// Servers is the number of staging servers (> 0).
 	Servers int
-	// Cabinets is the number of failure domains the servers spread over.
-	// Defaults to min(Servers, 4).
-	Cabinets int
 	// Mode selects the resilience policy. Default PolicyCoREC.
 	Mode Mode
 	// NLevel is the number of simultaneous server failures to tolerate
@@ -143,18 +140,6 @@ type Config struct {
 	ElemSize int
 	// HelperLoadDelta tunes encode delegation; negative disables. Default 2.
 	HelperLoadDelta int64
-	// Construction selects the Reed-Solomon generator family:
-	// erasure.Vandermonde (default) or erasure.Cauchy. Both are systematic
-	// MDS codes; all servers and clients of one cluster must agree.
-	Construction erasure.Construction
-	// EncodeWorkers bounds the erasure engine's range parallelism on every
-	// server (and on client-side degraded reads). 0 (default) resolves to
-	// GOMAXPROCS; 1 forces the serial row-major encode path.
-	EncodeWorkers int
-	// DecodeCacheEntries sizes each codec's LRU cache of inverted decode
-	// matrices. 0 (default) resolves to erasure.DefaultDecodeCacheEntries;
-	// negative disables the cache.
-	DecodeCacheEntries int
 	// Transport selects the fabric: "inproc" (default) or "tcp". TCP runs
 	// every server on its own listener (see ListenHost) so the staging
 	// service can span processes; the in-process fabric applies the Link
@@ -243,12 +228,6 @@ func DefaultConfig(n int) Config {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.Cabinets == 0 {
-		out.Cabinets = 4
-		if out.Servers < 4 {
-			out.Cabinets = out.Servers
-		}
-	}
 	if out.NLevel == 0 {
 		out.NLevel = 1
 	}
@@ -322,21 +301,9 @@ type Reroute struct {
 	Version Version
 }
 
-// tunedCodec builds the cluster-side codec with the encode-engine knobs
-// applied, mirroring what each server does with its own Config: workers for
-// parallel client-side degraded reads, plus the decode-matrix cache unless
-// DecodeCacheEntries is negative.
-func tunedCodec(cfg Config) (*erasure.Codec, error) {
-	codec, err := erasure.NewWithConstruction(cfg.DataShards, cfg.NLevel, cfg.Construction)
-	if err != nil {
-		return nil, err
-	}
-	codec = codec.WithWorkers(cfg.EncodeWorkers)
-	if cfg.DecodeCacheEntries >= 0 {
-		codec = codec.WithDecodeCache(cfg.DecodeCacheEntries)
-	}
-	return codec, nil
-}
+// maxCabinets is how many failure domains a fleet spreads over: a fleet of
+// n servers has min(n, maxCabinets) cabinets.
+const maxCabinets = 4
 
 // NewCluster builds and starts an in-process staging cluster.
 func NewCluster(cfg Config) (*Cluster, error) {
@@ -344,7 +311,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Servers <= 0 {
 		return nil, fmt.Errorf("corec: server count must be positive")
 	}
-	top, err := topology.Uniform(cfg.Servers, cfg.Cabinets)
+	top, err := topology.Uniform(cfg.Servers, min(cfg.Servers, maxCabinets))
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +389,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	var codec *erasure.Codec
 	if cfg.Mode != PolicyNone {
-		codec, err = tunedCodec(cfg)
+		codec, err = server.NewCodec(cfg.DataShards, cfg.NLevel)
 		if err != nil {
 			return nil, err
 		}
@@ -518,25 +485,21 @@ func (c *Cluster) startServer(id types.ServerID) (*server.Server, error) {
 		ns = fmt.Sprintf("s%d/", id)
 	}
 	srv, err := server.New(server.Config{
-		ID:                 id,
-		Topology:           c.top,
-		Groups:             c.groups,
-		Ring:               ring,
-		Placement:          c.place,
-		Network:            c.net,
-		Policy:             c.polCfg,
-		Collector:          c.col,
-		Domain:             c.cfg.Domain,
-		RecoveryMode:       c.cfg.RecoveryMode,
-		Construction:       c.cfg.Construction,
-		EncodeWorkers:      c.cfg.EncodeWorkers,
-		DecodeCacheEntries: c.cfg.DecodeCacheEntries,
-		MTBF:               c.cfg.MTBF,
-		HelperLoadDelta:    c.cfg.HelperLoadDelta,
-		ClassifierConfig:   cc,
-		Storage:            storeCfg,
-		RemoteStore:        c.remote,
-		StorageNS:          ns,
+		ID:               id,
+		Groups:           c.groups,
+		Ring:             ring,
+		Placement:        c.place,
+		Network:          c.net,
+		Policy:           c.polCfg,
+		Collector:        c.col,
+		Domain:           c.cfg.Domain,
+		RecoveryMode:     c.cfg.RecoveryMode,
+		MTBF:             c.cfg.MTBF,
+		HelperLoadDelta:  c.cfg.HelperLoadDelta,
+		ClassifierConfig: cc,
+		Storage:          storeCfg,
+		RemoteStore:      c.remote,
+		StorageNS:        ns,
 	})
 	if err != nil {
 		return nil, err
@@ -702,11 +665,10 @@ func (c *Cluster) ServerAddrs() map[ServerID]string {
 // given addresses. NewClient, Query, Get and Put work as usual; server
 // management methods (Kill, Replace, EndTimeStep) are inert.
 //
-// When the service runs elastic membership, set cfg.Membership (matching
-// the service, like Construction): the handle then
-// pulls a membership snapshot over the wire and places on the same
-// dynamic ring as the fleet, instead of guessing from a static server
-// count that drifts as servers join and drain.
+// When the service runs elastic membership, set cfg.Membership: the handle
+// then pulls a membership snapshot over the wire and places on the same
+// dynamic ring as the fleet, instead of guessing from a static server count
+// that drifts as servers join and drain.
 func NewRemoteCluster(cfg Config, addrs map[ServerID]string) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Servers <= 0 {
@@ -727,7 +689,7 @@ func NewRemoteCluster(cfg Config, addrs map[ServerID]string) (*Cluster, error) {
 	var codec *erasure.Codec
 	var err error
 	if cfg.Mode != PolicyNone {
-		codec, err = tunedCodec(cfg)
+		codec, err = server.NewCodec(cfg.DataShards, cfg.NLevel)
 		if err != nil {
 			return nil, err
 		}
@@ -902,14 +864,7 @@ func (c *Cluster) BitRotLog() []failure.BitRotEvent {
 // cross-check repairs it out from under the count; this is what makes
 // detection totals deterministic for seeded chaos tests.
 func (c *Cluster) ScrubNow(ctx context.Context) (ScrubReport, error) {
-	c.mu.Lock()
-	servers := make([]*server.Server, 0, len(c.servers))
-	for i := 0; i < c.cfg.Servers; i++ {
-		if s := c.servers[types.ServerID(i)]; s != nil {
-			servers = append(servers, s)
-		}
-	}
-	c.mu.Unlock()
+	servers := c.serversByID()
 	var total ScrubReport
 	var firstErr error
 	for _, s := range servers {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"corec/internal/erasure"
 	"corec/internal/recovery"
 	"corec/internal/types"
 )
@@ -468,38 +467,6 @@ func TestKillThenTimeout(t *testing.T) {
 	// Without resilience the data is simply gone.
 	if _, err := cl.Get(ctx, "v", b, 1); err == nil {
 		t.Fatal("read of lost unprotected data succeeded")
-	}
-}
-
-func TestCauchyConstructionCluster(t *testing.T) {
-	// The whole staging pipeline (encode, degraded read, recovery) works
-	// identically under the Cauchy generator family.
-	cfg := DefaultConfig(8)
-	cfg.Mode = PolicyErasure
-	cfg.Construction = erasure.Cauchy
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	cl := c.NewClient()
-	ctx := context.Background()
-	box := Box3D(0, 0, 0, 8, 8, 8)
-	data := regionData(t, box, 8, 77)
-	if err := cl.Put(ctx, "temp", box, 1, data); err != nil {
-		t.Fatal(err)
-	}
-	metas, err := cl.Query(ctx, "temp", box)
-	if err != nil || len(metas) != 1 {
-		t.Fatalf("query: %v (%d)", err, len(metas))
-	}
-	c.Kill(metas[0].Primary)
-	got, err := cl.Get(ctx, "temp", box, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("cauchy degraded read corrupted data")
 	}
 }
 

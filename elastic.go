@@ -22,30 +22,21 @@ import (
 // the central monitor's heartbeat sweep, declares servers dead — and the
 // monitor turns into a thin consumer of membership events that keeps only
 // its recovery-orchestration role.
+//
+// The protocol's timing and dissemination are internal/membership's
+// defaults, and the ring places topology.DefaultVirtualNodes virtual nodes
+// per server.
 type MembershipConfig struct {
-	// ProbeInterval is each agent's gossip tick period. Default 25ms.
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds each direct/indirect probe RPC. Default 10ms.
-	ProbeTimeout time.Duration
-	// IndirectProxies is SWIM's k: peers asked to relay an indirect probe
-	// after a direct probe times out. Default 2.
-	IndirectProxies int
 	// SuspicionTicks is the refutation window, in ticks, between suspicion
 	// and the death verdict. Default 3.
 	SuspicionTicks int
-	// PiggybackLimit caps membership updates carried per message. Default 8.
-	PiggybackLimit int
-	// RetransmitMult scales per-update dissemination retransmits. Default 3.
-	RetransmitMult int
-	// VirtualNodes is the per-server virtual node count on the placement
-	// ring. Default topology.DefaultVirtualNodes.
-	VirtualNodes int
 	// Manual disables the background probe loops; tests drive the protocol
 	// deterministically through Cluster.TickMembership.
 	Manual bool
-	// EventBuffer sizes the MemberEvents channel. Default 256.
-	EventBuffer int
 }
+
+// memberEventBuffer sizes the MemberEvents channel.
+const memberEventBuffer = 256
 
 // MembershipEvent is a ring-changing membership transition observed by the
 // fleet's gossip agents (see membership.Event).
@@ -89,16 +80,12 @@ type elasticState struct {
 }
 
 func newElasticState(cfg MembershipConfig) *elasticState {
-	buf := cfg.EventBuffer
-	if buf <= 0 {
-		buf = 256
-	}
 	return &elasticState{
 		cfg:     cfg,
-		ring:    topology.NewDynamicRing(cfg.VirtualNodes),
+		ring:    topology.NewDynamicRing(topology.DefaultVirtualNodes),
 		agents:  make(map[types.ServerID]*membership.Agent),
 		lastInc: make(map[types.ServerID]uint64),
-		events:  make(chan MembershipEvent, buf),
+		events:  make(chan MembershipEvent, memberEventBuffer),
 	}
 }
 
@@ -124,7 +111,7 @@ func (c *Cluster) MembershipAgent(id ServerID) *membership.Agent {
 
 // MemberEvents returns the stream of ring-changing membership events
 // (deaths, departures, joins, refutation-driven rejoins). The monitor
-// consumes it in elastic mode; events overflowmg the buffer are dropped —
+// consumes it in elastic mode; events overflowing the buffer are dropped —
 // the ring itself is always authoritative.
 func (c *Cluster) MemberEvents() <-chan MembershipEvent {
 	if c.elastic == nil {
@@ -165,10 +152,7 @@ func (c *Cluster) domainFor(id types.ServerID) int {
 	if c.top != nil && int(id) >= 0 && int(id) < c.top.NumServers() {
 		return c.top.Server(id).Cabinet
 	}
-	if c.cfg.Cabinets > 0 {
-		return int(id) % c.cfg.Cabinets
-	}
-	return 0
+	return int(id) % min(c.cfg.Servers, maxCabinets)
 }
 
 // attachElastic wires a freshly started server into the membership plane:
@@ -196,18 +180,13 @@ func (c *Cluster) attachElastic(id types.ServerID, srv *server.Server) {
 		}
 	}
 	agent := membership.NewAgent(membership.Config{
-		ID:              id,
-		Domain:          c.domainFor(id),
-		Addr:            addr,
-		Seed:            c.cfg.Seed ^ int64(uint64(int64(id)+1)*0x9e3779b97f4a7c15),
-		ProbeInterval:   e.cfg.ProbeInterval,
-		ProbeTimeout:    e.cfg.ProbeTimeout,
-		IndirectProxies: e.cfg.IndirectProxies,
-		SuspicionTicks:  e.cfg.SuspicionTicks,
-		PiggybackLimit:  e.cfg.PiggybackLimit,
-		RetransmitMult:  e.cfg.RetransmitMult,
-		Incarnation:     inc,
-		OnEvent:         c.onMembershipEvent,
+		ID:             id,
+		Domain:         c.domainFor(id),
+		Addr:           addr,
+		Seed:           c.cfg.Seed ^ int64(uint64(int64(id)+1)*0x9e3779b97f4a7c15),
+		SuspicionTicks: e.cfg.SuspicionTicks,
+		Incarnation:    inc,
+		OnEvent:        c.onMembershipEvent,
 		OnDrain: func() {
 			_, _ = c.DrainAndLeave(context.Background(), ServerID(id))
 		},

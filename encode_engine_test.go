@@ -5,20 +5,21 @@ import (
 	"context"
 	"sync"
 	"testing"
+
+	"corec/internal/erasure"
 )
 
 // TestChaosParallelEncodeDegradedReads is the cluster-level arm of the
 // encode-engine race coverage (the -race chaos CI job matches TestChaos*):
 // concurrent Puts drive every server's encode worker pool while, after a
 // server kill, concurrent degraded Gets hammer the shared decode-matrix
-// caches. Everything must round-trip byte-exact and the caches must report
-// hits for the repeated loss pattern.
+// caches. Everything must round-trip byte-exact, every codec must run the
+// fixed engine (GOMAXPROCS workers, a decode cache) and the caches must
+// report hits for the repeated loss pattern.
 func TestChaosParallelEncodeDegradedReads(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Mode = PolicyErasure
 	cfg.Seed = 7
-	cfg.EncodeWorkers = 4
-	cfg.DecodeCacheEntries = 16
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -51,10 +52,11 @@ func TestChaosParallelEncodeDegradedReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Confirm the engine configuration is live on the servers.
+	workers := erasure.DefaultWorkers()
 	cl := c.NewClient()
 	for _, st := range cl.Status(ctx) {
-		if st.Alive && st.Stats.EncodeWorkers != 4 {
-			t.Fatalf("server %d encode workers = %d, want 4", st.ID, st.Stats.EncodeWorkers)
+		if st.Alive && st.Stats.EncodeWorkers != workers {
+			t.Fatalf("server %d encode workers = %d, want GOMAXPROCS = %d", st.ID, st.Stats.EncodeWorkers, workers)
 		}
 	}
 	// Phase 2: kill a shard holder, then concurrent degraded reads of every
@@ -88,8 +90,8 @@ func TestChaosParallelEncodeDegradedReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := c.FabricStatus().Encoding
-	if enc.Workers != 4 {
-		t.Fatalf("fabric encoding workers = %d, want 4", enc.Workers)
+	if enc.Workers != workers {
+		t.Fatalf("fabric encoding workers = %d, want GOMAXPROCS = %d", enc.Workers, workers)
 	}
 	if enc.DecodeCacheHits == 0 {
 		t.Fatalf("repeated degraded reads produced no decode-cache hits: %+v", enc)

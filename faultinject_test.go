@@ -197,6 +197,38 @@ func TestChaosGuardRetriesDisabled(t *testing.T) {
 	}
 }
 
+// TestServerSendsCountCorruptFrames: a server's own sends are counted like a
+// client's. Every frame a server sends is corrupted, so a replicate-mode put
+// reaches its primary intact but the replica and directory pushes it fans out
+// fail their checks — and those failures must show up as CorruptFrames.
+func TestServerSendsCountCorruptFrames(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Mode = PolicyReplicate
+	servers := make([]types.ServerID, cfg.Servers)
+	for i := range servers {
+		servers[i] = types.ServerID(i)
+	}
+	cfg.FaultPlan = &failure.FaultPlan{
+		Seed:  3,
+		Links: []failure.LinkFault{{From: servers, CorruptProb: 1}},
+	}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	b := Box3D(0, 0, 0, 8, 8, 8)
+	// The put itself may fail: what it reports is not the point here.
+	_ = c.NewClient().Put(context.Background(), "v", b, 1, regionData(t, b, 8, 1))
+	fs := c.FabricStatus()
+	if fs.Injected.Corrupts == 0 {
+		t.Fatalf("injector corrupted nothing: %+v", fs.Injected)
+	}
+	if fs.CorruptFrames == 0 {
+		t.Fatalf("%d server frames corrupted, CorruptFrames = 0", fs.Injected.Corrupts)
+	}
+}
+
 // TestMirrorHintRepairsDegradedDirectoryGroup pins the hinted-handoff
 // mechanism: a partition cuts the writing primary off from one of the two
 // directory mirrors, so the metadata write lands single-homed (legal — the

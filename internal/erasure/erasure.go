@@ -33,14 +33,13 @@ var (
 type Codec struct {
 	k, m int
 	gen  *matrix.Matrix // (k+m) x k systematic generator
-	con  Construction
 	// workers bounds the range parallelism of Encode/Reconstruct. 1 keeps
 	// the serial row-major path; >1 selects the chunked fused engine in
 	// parallel.go (which is also faster on a single core).
 	workers int
 	// dec, when non-nil, caches inverted decode matrices keyed by
-	// (construction, k, m, survivor rows) so repeated degraded reads of the
-	// same loss pattern skip Gaussian elimination.
+	// (k, m, survivor rows) so repeated degraded reads of the same loss
+	// pattern skip Gaussian elimination.
 	dec *matrix.InverseCache
 }
 
@@ -50,53 +49,20 @@ type Codec struct {
 // simultaneous patterns at ~k*k bytes each.
 const DefaultDecodeCacheEntries = 64
 
-// Construction selects the generator-matrix family.
-type Construction int
-
-// Generator constructions. Both are systematic MDS codes; Vandermonde is
-// the classic Reed-Solomon derivation, Cauchy the alternative Jerasure
-// popularized (cheaper matrix construction, identical coding guarantees).
-const (
-	Vandermonde Construction = iota
-	Cauchy
-)
-
-// String implements fmt.Stringer.
-func (c Construction) String() string {
-	if c == Cauchy {
-		return "cauchy"
-	}
-	return "vandermonde"
-}
-
 // New constructs a codec with k data shards and m parity shards using the
-// Vandermonde-derived generator.
+// Vandermonde-derived generator (see matrix.RSGenerator).
 func New(k, m int) (*Codec, error) {
-	return NewWithConstruction(k, m, Vandermonde)
-}
-
-// NewWithConstruction selects the generator family explicitly.
-func NewWithConstruction(k, m int, con Construction) (*Codec, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("erasure: data shard count %d must be positive", k)
 	}
 	if m <= 0 {
 		return nil, fmt.Errorf("erasure: parity shard count %d must be positive", m)
 	}
-	var gen *matrix.Matrix
-	var err error
-	switch con {
-	case Vandermonde:
-		gen, err = matrix.RSGenerator(k, m)
-	case Cauchy:
-		gen, err = matrix.CauchyRSGenerator(k, m)
-	default:
-		return nil, fmt.Errorf("erasure: unknown construction %d", int(con))
-	}
+	gen, err := matrix.RSGenerator(k, m)
 	if err != nil {
 		return nil, err
 	}
-	return &Codec{k: k, m: m, gen: gen, con: con, workers: 1}, nil
+	return &Codec{k: k, m: m, gen: gen, workers: 1}, nil
 }
 
 // WithWorkers returns a copy of the codec whose Encode/Reconstruct shard the
@@ -349,8 +315,8 @@ func rebuildTarget(missing []byte, size int) []byte {
 func (c *Codec) decodeMatrix(rows []int) (*matrix.Matrix, error) {
 	var key string
 	if c.dec != nil {
-		kb := make([]byte, 0, 3+len(rows))
-		kb = append(kb, byte(c.con), byte(c.k), byte(c.m))
+		kb := make([]byte, 0, 2+len(rows))
+		kb = append(kb, byte(c.k), byte(c.m))
 		for _, r := range rows {
 			kb = append(kb, byte(r))
 		}

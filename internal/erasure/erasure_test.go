@@ -387,56 +387,3 @@ func TestReconstructThenVerifyProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestCauchyConstructionFullCycle(t *testing.T) {
-	c, err := NewWithConstruction(4, 2, Cauchy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := makeStripe(t, c, 333, 91)
-	if err := c.Verify(orig); err != nil {
-		t.Fatal(err)
-	}
-	shards := cloneStripe(orig)
-	shards[0], shards[4] = nil, nil
-	if err := c.Reconstruct(shards); err != nil {
-		t.Fatal(err)
-	}
-	for i := range shards {
-		if !bytes.Equal(shards[i], orig[i]) {
-			t.Fatalf("cauchy reconstruct shard %d mismatch", i)
-		}
-	}
-}
-
-func TestConstructionsProduceSameDataDifferentParity(t *testing.T) {
-	// Both constructions are systematic over the same data; parity bytes
-	// differ but both decode identically.
-	data := []byte("the staging area never forgets")
-	for _, con := range []Construction{Vandermonde, Cauchy} {
-		c, err := NewWithConstruction(3, 2, con)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards, _ := c.Split(data)
-		if err := c.Encode(shards); err != nil {
-			t.Fatal(err)
-		}
-		shards[1], shards[2] = nil, nil
-		if err := c.Reconstruct(shards); err != nil {
-			t.Fatalf("%v: %v", con, err)
-		}
-		if got := bytes.Join(shards[:3], nil); !bytes.Equal(got[:len(data)], data) {
-			t.Fatalf("%v: round trip failed", con)
-		}
-	}
-}
-
-func TestUnknownConstructionRejected(t *testing.T) {
-	if _, err := NewWithConstruction(3, 1, Construction(9)); err == nil {
-		t.Fatal("unknown construction accepted")
-	}
-	if Vandermonde.String() != "vandermonde" || Cauchy.String() != "cauchy" {
-		t.Fatal("construction names wrong")
-	}
-}

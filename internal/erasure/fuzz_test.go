@@ -180,7 +180,7 @@ func TestFuzzReconstructRandomOverweight(t *testing.T) {
 // random sizes and both engines; every trial must round-trip byte-exact.
 func TestFuzzReconstructRandomRecoverable(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
-	serial, err := NewWithConstruction(8, 3, Cauchy)
+	serial, err := New(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,49 +255,3 @@ func RSGenerator(k, m int) (*Matrix, error) {
 	}
 	return v.Mul(topInv), nil
 }
-
-// Cauchy returns the rows x cols Cauchy matrix C[i][j] = 1/(x_i + y_j)
-// with x_i = i and y_j = rows + j; the two point sets are disjoint so every
-// entry is defined, and every square submatrix of a Cauchy matrix is
-// invertible — the classic alternative MDS construction Jerasure ships as
-// "cauchy_good" codes.
-func Cauchy(rows, cols int) (*Matrix, error) {
-	if rows <= 0 || cols <= 0 || rows+cols > 256 {
-		return nil, fmt.Errorf("matrix: invalid Cauchy dimensions %dx%d", rows, cols)
-	}
-	m := New(rows, cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			m.Set(r, c, gf256.Inv(byte(r)^byte(rows+c)))
-		}
-	}
-	return m, nil
-}
-
-// CauchyRSGenerator builds a systematic (k+m) x k generator whose parity
-// rows come from a k x m Cauchy matrix: identity on top, Cauchy below.
-// Appending Cauchy rows to the identity preserves the MDS property (any k
-// rows of [I; C] are invertible because every square submatrix of a Cauchy
-// matrix is nonsingular).
-func CauchyRSGenerator(k, m int) (*Matrix, error) {
-	if k <= 0 || m < 0 {
-		return nil, fmt.Errorf("matrix: invalid RS parameters k=%d m=%d", k, m)
-	}
-	if k+m > 256 {
-		return nil, fmt.Errorf("matrix: RS stripe width %d exceeds field size 256", k+m)
-	}
-	g := New(k+m, k)
-	for i := 0; i < k; i++ {
-		g.Set(i, i, 1)
-	}
-	if m > 0 {
-		c, err := Cauchy(m, k)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < m; r++ {
-			copy(g.Row(k+r), c.Row(r))
-		}
-	}
-	return g, nil
-}

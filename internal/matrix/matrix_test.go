@@ -281,79 +281,3 @@ func BenchmarkInvert8x8(b *testing.B) {
 		}
 	}
 }
-
-func TestCauchyEverySquareSubmatrixInvertible(t *testing.T) {
-	c, err := Cauchy(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All 2x2 submatrices (the exhaustive small case of the Cauchy
-	// nonsingularity property).
-	for r1 := 0; r1 < 4; r1++ {
-		for r2 := r1 + 1; r2 < 4; r2++ {
-			for c1 := 0; c1 < 4; c1++ {
-				for c2 := c1 + 1; c2 < 4; c2++ {
-					sub := NewFromData([][]byte{
-						{c.At(r1, c1), c.At(r1, c2)},
-						{c.At(r2, c1), c.At(r2, c2)},
-					})
-					if _, err := sub.Invert(); err != nil {
-						t.Fatalf("2x2 submatrix (%d,%d)x(%d,%d) singular", r1, r2, c1, c2)
-					}
-				}
-			}
-		}
-	}
-	if _, err := c.Invert(); err != nil {
-		t.Fatal("full Cauchy matrix singular")
-	}
-}
-
-func TestCauchyValidation(t *testing.T) {
-	if _, err := Cauchy(0, 3); err == nil {
-		t.Error("zero rows accepted")
-	}
-	if _, err := Cauchy(200, 100); err == nil {
-		t.Error("rows+cols > 256 accepted")
-	}
-}
-
-func TestCauchyRSGeneratorMDS(t *testing.T) {
-	k, m := 4, 3
-	g, err := CauchyRSGenerator(k, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.SubMatrix(0, k, 0, k).Equal(Identity(k)) {
-		t.Fatal("Cauchy generator not systematic")
-	}
-	// Every k-row subset invertible.
-	n := k + m
-	var rows []int
-	var rec func(start int)
-	rec = func(start int) {
-		if len(rows) == k {
-			sel := make([]int, k)
-			copy(sel, rows)
-			if _, err := g.SelectRows(sel).Invert(); err != nil {
-				t.Fatalf("rows %v singular: Cauchy MDS property violated", sel)
-			}
-			return
-		}
-		for i := start; i < n; i++ {
-			rows = append(rows, i)
-			rec(i + 1)
-			rows = rows[:len(rows)-1]
-		}
-	}
-	rec(0)
-}
-
-func TestCauchyRSGeneratorValidation(t *testing.T) {
-	if _, err := CauchyRSGenerator(0, 1); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := CauchyRSGenerator(200, 100); err == nil {
-		t.Error("k+m>256 accepted")
-	}
-}

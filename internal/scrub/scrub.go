@@ -124,9 +124,6 @@ type Config struct {
 	// BytesPerSec caps the scan's read bandwidth (payload bytes checksummed
 	// or fetched per second). 0 means unlimited.
 	BytesPerSec int64
-	// OpsPerSec caps scan operations (item verifications and remote
-	// checksum probes) per second. 0 means unlimited.
-	OpsPerSec int64
 	// Burst is the token-bucket capacity in bytes; it bounds how much the
 	// scrubber may read back-to-back before pacing kicks in. Default
 	// max(BytesPerSec/4, 64KiB).
@@ -141,7 +138,6 @@ func DefaultConfig() Config {
 	return Config{
 		Interval:    2 * time.Second,
 		BytesPerSec: 64 << 20, // 64 MiB/s: background-class bandwidth
-		OpsPerSec:   0,
 		Depth:       DepthStripe,
 	}
 }
@@ -161,7 +157,7 @@ func (c Config) withDefaults() Config {
 
 // Validate rejects nonsensical budgets.
 func (c Config) Validate() error {
-	if c.BytesPerSec < 0 || c.OpsPerSec < 0 || c.Burst < 0 {
+	if c.BytesPerSec < 0 || c.Burst < 0 {
 		return fmt.Errorf("scrub: negative budget")
 	}
 	if c.Interval < 0 {
@@ -246,10 +242,9 @@ func (b *TokenBucket) Take(ctx context.Context, n int64) error {
 	return b.sleep(ctx, wait)
 }
 
-// Budget bundles the two pacing dimensions of a scrub pass.
+// Budget paces the bytes one scrub pass reads.
 type Budget struct {
 	bytes *TokenBucket
-	ops   *TokenBucket
 }
 
 // NewBudget builds the pacing state for one scrub pass from the config.
@@ -259,14 +254,6 @@ func NewBudget(cfg Config) *Budget {
 	if cfg.BytesPerSec > 0 {
 		bud.bytes = NewTokenBucket(float64(cfg.BytesPerSec), float64(cfg.Burst))
 	}
-	if cfg.OpsPerSec > 0 {
-		// Ops bursts scale with the rate; a tenth of a second of headroom.
-		burst := float64(cfg.OpsPerSec) / 10
-		if burst < 4 {
-			burst = 4
-		}
-		bud.ops = NewTokenBucket(float64(cfg.OpsPerSec), burst)
-	}
 	return bud
 }
 
@@ -275,9 +262,6 @@ func NewBudget(cfg Config) *Budget {
 func (b *Budget) Charge(ctx context.Context, n int64) error {
 	if b == nil {
 		return nil
-	}
-	if err := b.ops.Take(ctx, 1); err != nil {
-		return err
 	}
 	return b.bytes.Take(ctx, n)
 }

@@ -7,23 +7,12 @@ import (
 	"sync"
 	"time"
 
-	"corec/internal/erasure"
 	"corec/internal/metrics"
 	"corec/internal/policy"
 	"corec/internal/reader"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
-
-// resolveEncodeWorkers maps the Config.EncodeWorkers knob to an erasure
-// engine worker count: non-positive means "use the default" (GOMAXPROCS),
-// 1 pins the serial row-major path, anything larger is taken as-is.
-func resolveEncodeWorkers(n int) int {
-	if n <= 0 {
-		return erasure.DefaultWorkers()
-	}
-	return n
-}
 
 // errRingMoved reports an encode abandoned because membership changed under
 // it.

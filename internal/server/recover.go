@@ -15,8 +15,7 @@ import (
 )
 
 // DecodeCacheStats reports the decode-matrix cache counters of this server's
-// codec. ok is false when the server is not erasure-coding or the cache is
-// disabled (DecodeCacheEntries < 0).
+// codec. ok is false when the server is not erasure-coding.
 func (s *Server) DecodeCacheStats() (stats matrix.CacheStats, ok bool) {
 	if s.codec == nil {
 		return matrix.CacheStats{}, false

@@ -34,7 +34,6 @@ import (
 // Config assembles a server's dependencies.
 type Config struct {
 	ID        types.ServerID
-	Topology  *topology.Topology
 	Groups    *topology.Groups
 	Placement placement.Placement
 	Network   transport.Network
@@ -59,17 +58,6 @@ type Config struct {
 	// ClassifierConfig tunes the CoREC classifier (used when Policy.Mode is
 	// CoREC). Zero value gets sane defaults applied.
 	ClassifierConfig classifier.Config
-	// Construction selects the Reed-Solomon generator family (Vandermonde
-	// default, or Cauchy).
-	Construction erasure.Construction
-	// EncodeWorkers bounds the erasure engine's range parallelism for
-	// Encode/Reconstruct. 0 (default) resolves to GOMAXPROCS; 1 forces the
-	// serial row-major path; negative is treated as 0.
-	EncodeWorkers int
-	// DecodeCacheEntries sizes the LRU cache of inverted decode matrices
-	// used by degraded reads and recovery. 0 (default) resolves to
-	// erasure.DefaultDecodeCacheEntries; negative disables the cache.
-	DecodeCacheEntries int
 	// Storage tunes the tiered engine holding erasure shards (write-cold
 	// data). Nil or a zero value keeps the pre-tiering behaviour: an
 	// unbounded in-memory store.
@@ -241,7 +229,7 @@ var serverIncarnations atomic.Uint64
 
 // New constructs a server and registers it on the network.
 func New(cfg Config) (*Server, error) {
-	if cfg.Network == nil || cfg.Topology == nil || cfg.Placement == nil || !cfg.Domain.Valid() {
+	if cfg.Network == nil || cfg.Placement == nil || !cfg.Domain.Valid() {
 		return nil, fmt.Errorf("server: missing dependencies")
 	}
 	if cfg.Groups == nil && cfg.Ring == nil {
@@ -264,13 +252,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	var codec *erasure.Codec
 	if cfg.Policy.Mode != policy.None {
-		codec, err = erasure.NewWithConstruction(cfg.Policy.K, cfg.Policy.M, cfg.Construction)
+		codec, err = NewCodec(cfg.Policy.K, cfg.Policy.M)
 		if err != nil {
 			return nil, err
-		}
-		codec = codec.WithWorkers(resolveEncodeWorkers(cfg.EncodeWorkers))
-		if cfg.DecodeCacheEntries >= 0 {
-			codec = codec.WithDecodeCache(cfg.DecodeCacheEntries)
 		}
 		if cfg.Groups != nil && cfg.Groups.CodingSize != cfg.Policy.K+cfg.Policy.M {
 			return nil, fmt.Errorf("server: coding group size %d != k+m = %d",
@@ -322,6 +306,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg.Network.Register(cfg.ID, s.Handle)
 	return s, nil
+}
+
+// NewCodec returns the RS(k+m) codec a staging server runs, and the one a
+// cluster hands its clients for degraded reads: encode and reconstruct
+// spread over GOMAXPROCS workers, with an LRU of
+// erasure.DefaultDecodeCacheEntries inverted decode matrices.
+func NewCodec(k, m int) (*erasure.Codec, error) {
+	codec, err := erasure.New(k, m)
+	if err != nil {
+		return nil, err
+	}
+	return codec.WithWorkers(0).WithDecodeCache(0), nil
 }
 
 // digestPayload computes scrub.Checksum(data). With verified set, crc32c is
@@ -484,14 +480,7 @@ func (s *Server) sendRetry(ctx context.Context, to types.ServerID, msg *transpor
 	if to == s.id {
 		return s.Handle(ctx, msg), nil
 	}
-	resp, attempts, err := internalRetry.Send(ctx, s.net, s.id, to, msg)
-	if attempts > 1 {
-		s.col.AddCounter(metrics.RetryCount, int64(attempts-1))
-	}
-	if err != nil && transport.IsRetryable(err) {
-		s.col.AddCounter(metrics.FaultCount, 1)
-	}
-	return resp, err
+	return internalRetry.SendCounted(ctx, s.net, s.id, to, msg, s.col)
 }
 
 // ID returns the server's logical ID.

@@ -266,10 +266,6 @@ func (n *leaveOnPushNet) Send(ctx context.Context, from, to types.ServerID, req 
 func TestEncodeAbandonedWhenTheRingMovesUnderIt(t *testing.T) {
 	ctx := context.Background()
 	const n = 6
-	top, err := topology.Uniform(n, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ring := topology.NewDynamicRing(0)
 	for i := 0; i < n; i++ {
 		ring.Join(types.ServerID(i), i)
@@ -277,8 +273,9 @@ func TestEncodeAbandonedWhenTheRingMovesUnderIt(t *testing.T) {
 	net := &leaveOnPushNet{InProc: transport.NewInProc(simnet.LinkModel{})}
 	servers := make([]*Server, n)
 	for i := range servers {
+		var err error
 		servers[i], err = New(Config{
-			ID: types.ServerID(i), Topology: top, Ring: ring, Placement: placement.NewRing(ring), Network: net,
+			ID: types.ServerID(i), Ring: ring, Placement: placement.NewRing(ring), Network: net,
 			Policy: policy.Config{Mode: policy.Erasure, NLevel: 1, K: 3, M: 1}, Domain: rigDomain,
 		})
 		if err != nil {

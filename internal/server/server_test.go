@@ -24,7 +24,6 @@ import (
 // testRig wires a full 8-server fabric with a shared collector.
 type testRig struct {
 	net     transport.Network
-	top     *topology.Topology
 	groups  *topology.Groups
 	place   placement.Placement
 	col     *metrics.Collector
@@ -58,7 +57,6 @@ func newRigWith(t testing.TB, net transport.Network, n int, pol policy.Config) *
 	}
 	rig := &testRig{
 		net:    net,
-		top:    top,
 		groups: groups,
 		place:  placement.NewHash(n),
 		col:    metrics.NewCollector(),
@@ -78,7 +76,6 @@ func (r *testRig) startServer(t testing.TB, id types.ServerID) *Server {
 	t.Helper()
 	srv, err := New(Config{
 		ID:               id,
-		Topology:         r.top,
 		Groups:           r.groups,
 		Placement:        r.place,
 		Network:          r.net,
@@ -126,7 +123,7 @@ func TestServerConfigValidation(t *testing.T) {
 	groups, _ := topology.NewGroups(top, 2, 4)
 	// Coding group size must match k+m.
 	_, err := New(Config{
-		ID: 0, Topology: top, Groups: groups,
+		ID: 0, Groups: groups,
 		Placement: placement.NewHash(8),
 		Domain:    rigDomain,
 		Network:   transport.NewInProc(simnet.LinkModel{}),

@@ -40,7 +40,7 @@ type Stats struct {
 	// (0 when the server is not erasure-coding).
 	EncodeWorkers int `json:"encode_workers,omitempty"`
 	// DecodeCacheHits/Misses count decode-matrix cache outcomes on degraded
-	// reads and recovery; both zero when the cache is disabled.
+	// reads and recovery; both zero when the server is not erasure-coding.
 	DecodeCacheHits   int64 `json:"decode_cache_hits,omitempty"`
 	DecodeCacheMisses int64 `json:"decode_cache_misses,omitempty"`
 	// Storage is the tiered storage engine's snapshot (shard placement

@@ -44,9 +44,6 @@ type Config struct {
 	// SpillQueue bounds the background work queue; writers stall (bounded
 	// backpressure) once it fills. Default 128.
 	SpillQueue int
-	// RemoteAge uploads disk entries idle for at least this long to the
-	// remote tier regardless of pressure. 0 disables age-driven uploads.
-	RemoteAge time.Duration
 	// Prefetch enables the next-time-step prefetch pipeline.
 	Prefetch bool
 	// PrefetchDepth is how many upcoming cold keys one sequential-read
@@ -128,7 +125,7 @@ type entry struct {
 	seq   int
 	freq  float64
 	last  int64 // engine logical clock of last access
-	lastT int64 // unix nanos of last access (drives the RemoteAge policy)
+	lastT int64 // unix nanos of last access (orders pressure-driven uploads)
 
 	busy       bool // a background job owns this entry
 	queued     bool // scheduled for prefetch

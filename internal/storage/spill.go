@@ -187,23 +187,15 @@ func (t *Tiered) spillOne(key string) {
 	t.maybeUpload()
 }
 
-// maybeUpload pushes disk entries to the remote tier when the disk tier is
-// over its live-byte budget (coldest first) or when entries have sat idle
-// past RemoteAge.
+// maybeUpload pushes disk entries to the remote tier, coldest first, while
+// the disk tier is over its live-byte budget.
 func (t *Tiered) maybeUpload() {
-	if t.remote == nil || t.disk == nil {
+	if t.remote == nil || t.disk == nil || t.cfg.DiskBytes <= 0 {
 		return
 	}
 	live, _ := t.disk.bytes()
-	var ageCut int64
-	if t.cfg.RemoteAge > 0 {
-		ageCut = time.Now().UnixNano() - t.cfg.RemoteAge.Nanoseconds()
-	}
-	var overBytes int64
-	if t.cfg.DiskBytes > 0 && live > t.cfg.DiskBytes {
-		overBytes = live - t.cfg.DiskBytes
-	}
-	if overBytes <= 0 && ageCut == 0 {
+	overBytes := live - t.cfg.DiskBytes
+	if overBytes <= 0 {
 		return
 	}
 	var jobs []string
@@ -227,17 +219,10 @@ func (t *Tiered) maybeUpload() {
 		return cands[i].key < cands[j].key
 	})
 	for _, c := range cands {
-		switch {
-		case overBytes > 0:
-			overBytes -= c.e.loc.rlen
-		case ageCut > 0 && c.lastT <= ageCut:
-		default:
-			// Sorted oldest-first: nothing younger qualifies either.
-			c.e = nil
-		}
-		if c.e == nil {
+		if overBytes <= 0 {
 			break
 		}
+		overBytes -= c.e.loc.rlen
 		c.e.busy = true
 		jobs = append(jobs, c.key)
 	}
@@ -316,18 +301,11 @@ func (t *Tiered) clearBusy(key string) {
 	t.mu.Unlock()
 }
 
-// maintenance periodically re-evaluates the age-driven upload policy and
-// segment compaction, independent of foreground traffic.
+// maintenance periodically re-evaluates the upload policy and segment
+// compaction, independent of foreground traffic.
 func (t *Tiered) maintenance() {
 	defer t.wg.Done()
-	interval := 25 * time.Millisecond
-	if t.cfg.RemoteAge > 0 && t.cfg.RemoteAge/4 < interval {
-		interval = t.cfg.RemoteAge / 4
-		if interval < time.Millisecond {
-			interval = time.Millisecond
-		}
-	}
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(25 * time.Millisecond)
 	defer tick.Stop()
 	for {
 		select {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"time"
 
+	"corec/internal/metrics"
 	"corec/internal/types"
 )
 
@@ -183,4 +184,25 @@ func (p RetryPolicy) Send(ctx context.Context, n Network, from, to types.ServerI
 			}
 		}
 	}
+}
+
+// SendCounted is Send with its outcome tallied into col, the one place
+// clients and servers count their sends: attempts beyond the first as
+// retries; a send that still failed as a fault when its error is transient,
+// and as a corrupt frame when the last frame failed its checks here
+// (ErrCorruptFrame) or at the peer (ErrRemoteRetryable).
+func (p RetryPolicy) SendCounted(ctx context.Context, n Network, from, to types.ServerID, req *Message, col *metrics.Collector) (*Message, error) {
+	resp, attempts, err := p.Send(ctx, n, from, to, req)
+	if attempts > 1 {
+		col.AddCounter(metrics.RetryCount, int64(attempts-1))
+	}
+	if err != nil {
+		if errors.Is(err, ErrCorruptFrame) || errors.Is(err, ErrRemoteRetryable) {
+			col.AddCounter(metrics.CorruptFrameCount, 1)
+		}
+		if IsRetryable(err) {
+			col.AddCounter(metrics.FaultCount, 1)
+		}
+	}
+	return resp, err
 }

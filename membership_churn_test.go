@@ -504,24 +504,13 @@ func TestElasticMonitorConsumesEvents(t *testing.T) {
 	verifyChurnObjects(t, cl, "monel", committed, nil, "post-auto-recovery")
 }
 
-// TestMonitorProbeTimeoutDecoupled covers the static-mode satellite: the
-// monitor's per-probe RPC deadline is its own knob, no longer welded to the
-// sweep interval — a tight timeout with a moderate interval must still
-// detect failures, and a zero value must fall back to the interval.
-func TestMonitorProbeTimeoutDecoupled(t *testing.T) {
+// TestMonitorProbeDeadlineIsInterval: in static mode each heartbeat RPC may
+// take one sweep interval, and a server killed between sweeps is declared
+// dead once it has missed suspectThreshold of them.
+func TestMonitorProbeDeadlineIsInterval(t *testing.T) {
 	c := testCluster(t, PolicyReplicate)
-	m := c.StartMonitor(MonitorConfig{
-		Interval:     20 * time.Millisecond,
-		ProbeTimeout: 2 * time.Millisecond,
-	})
+	m := c.StartMonitor(MonitorConfig{Interval: 10 * time.Millisecond})
 	defer m.Stop()
-	c.Kill(2)
-	waitForEvent(t, m, EventFailureDetected, 2, 3*time.Second)
-
-	// Zero ProbeTimeout defaults to the interval (legacy behavior).
-	c2 := testCluster(t, PolicyReplicate)
-	m2 := c2.StartMonitor(MonitorConfig{Interval: 10 * time.Millisecond})
-	defer m2.Stop()
-	c2.Kill(5)
-	waitForEvent(t, m2, EventFailureDetected, 5, 3*time.Second)
+	c.Kill(5)
+	waitForEvent(t, m, EventFailureDetected, 5, 3*time.Second)
 }

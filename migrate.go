@@ -20,8 +20,6 @@ type RebalanceConfig struct {
 	RateMBps float64
 	// BurstBytes is the byte bucket's burst capacity. 0 defaults to 4 MiB.
 	BurstBytes int
-	// OpsPerSec additionally caps object moves per second. 0 disables.
-	OpsPerSec float64
 }
 
 // RebalanceReport tallies one Rebalance pass.
@@ -72,10 +70,10 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	if c.cfg.Rebalance != nil {
 		rc = *c.cfg.Rebalance
 	}
-	bytesBucket, opsBucket := rebalanceBuckets(rc)
+	bucket := rebalanceBucket(rc)
 
 	cl := c.NewClient()
-	metas, err := c.collectDirectory(ctx, cl, bytesBucket)
+	metas, err := c.collectDirectory(ctx, cl, bucket)
 	if err != nil {
 		return rep, err
 	}
@@ -85,7 +83,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	// live same-version records, so this phase is idempotent and safe before
 	// any data moves.
 	for _, m := range metas {
-		if err := pace(ctx, bytesBucket, nil, metaRecordCost); err != nil {
+		if err := bucket.Take(ctx, metaRecordCost); err != nil {
 			return rep, err
 		}
 		msg := &transport.Message{Kind: transport.MsgMetaUpdate, Flag: true, Meta: m.Clone()}
@@ -110,7 +108,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 			// (gossip-evicted death): re-install at the current owner. The
 			// fetch transparently uses replicas or degraded stripe decode, so
 			// this is also the path that restores redundancy after a loss.
-			if err := pace(ctx, bytesBucket, opsBucket, m.Size); err != nil {
+			if err := bucket.Take(ctx, int64(m.Size)); err != nil {
 				return rep, err
 			}
 			data, ferr := cl.fetchObjectBytes(ctx, m.Clone())
@@ -147,7 +145,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 		case m.State == types.StateReplicated && c.lostReplicas(m) > 0:
 			// Owner unchanged but replica holders left the ring: re-push full
 			// copies to the owner's current ring successors.
-			if err := pace(ctx, bytesBucket, opsBucket, m.Size); err != nil {
+			if err := bucket.Take(ctx, int64(m.Size)); err != nil {
 				return rep, err
 			}
 			if c.repairReplicas(ctx, cl, m) {
@@ -164,7 +162,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 			// fleets have no same-id replacement): reconstruct the object and
 			// force-reinstall it at the primary, which re-encodes it at full
 			// width over the current ring.
-			if err := pace(ctx, bytesBucket, opsBucket, m.Size); err != nil {
+			if err := bucket.Take(ctx, int64(m.Size)); err != nil {
 				return rep, err
 			}
 			data, ferr := cl.fetchObjectBytes(ctx, m.Clone())
@@ -188,24 +186,21 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	return rep, nil
 }
 
-// rebalanceBuckets builds the pacing buckets from a config; nil bucket
-// means unpaced.
-func rebalanceBuckets(rc RebalanceConfig) (bytesBucket, opsBucket *scrub.TokenBucket) {
+// rebalanceBucket builds the byte-pacing bucket from a config; nil means
+// unpaced (a nil bucket's Take never blocks).
+func rebalanceBucket(rc RebalanceConfig) *scrub.TokenBucket {
 	rate := rc.RateMBps
 	if rate == 0 {
 		rate = 64
 	}
-	if rate > 0 {
-		burst := float64(rc.BurstBytes)
-		if burst <= 0 {
-			burst = 4 << 20
-		}
-		bytesBucket = scrub.NewTokenBucket(rate*(1<<20), burst)
+	if rate < 0 {
+		return nil
 	}
-	if rc.OpsPerSec > 0 {
-		opsBucket = scrub.NewTokenBucket(rc.OpsPerSec, rc.OpsPerSec)
+	burst := float64(rc.BurstBytes)
+	if burst <= 0 {
+		burst = 4 << 20
 	}
-	return bytesBucket, opsBucket
+	return scrub.NewTokenBucket(rate*(1<<20), burst)
 }
 
 // metaRecordCost is the approximate wire cost charged to the byte bucket
@@ -215,26 +210,11 @@ func rebalanceBuckets(rc RebalanceConfig) (bytesBucket, opsBucket *scrub.TokenBu
 // and meta pushes, which shows up directly in foreground tail latency.
 const metaRecordCost = 512
 
-// pace blocks until the buckets grant one move of the given size.
-func pace(ctx context.Context, bytesBucket, opsBucket *scrub.TokenBucket, size int) error {
-	if opsBucket != nil {
-		if err := opsBucket.Take(ctx, 1); err != nil {
-			return err
-		}
-	}
-	if bytesBucket != nil {
-		if err := bytesBucket.Take(ctx, int64(size)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // collectDirectory dumps every live member's directory shard and dedups:
 // the newest record per object key, in key order. Each dump's record volume
 // is charged to the byte bucket so repeated passes stay off the foreground
 // path.
-func (c *Cluster) collectDirectory(ctx context.Context, cl *Client, bytesBucket *scrub.TokenBucket) ([]*types.ObjectMeta, error) {
+func (c *Cluster) collectDirectory(ctx context.Context, cl *Client, bucket *scrub.TokenBucket) ([]*types.ObjectMeta, error) {
 	members := c.elastic.ring.Members()
 	best := make(map[string]*types.ObjectMeta)
 	reached := 0
@@ -244,7 +224,7 @@ func (c *Cluster) collectDirectory(ctx context.Context, cl *Client, bytesBucket 
 			continue
 		}
 		reached++
-		if err := pace(ctx, bytesBucket, nil, (len(resp.Metas)+1)*metaRecordCost); err != nil {
+		if err := bucket.Take(ctx, int64((len(resp.Metas)+1)*metaRecordCost)); err != nil {
 			return nil, err
 		}
 		for i := range resp.Metas {

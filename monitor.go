@@ -31,17 +31,9 @@ type Monitor struct {
 
 // MonitorConfig tunes detection and reaction.
 type MonitorConfig struct {
-	// Interval between heartbeat rounds. Default 50ms.
+	// Interval between heartbeat rounds, which is also how long each
+	// heartbeat RPC may take. Default 50ms.
 	Interval time.Duration
-	// ProbeTimeout bounds each individual heartbeat RPC. It defaults to
-	// Interval for backward compatibility, but the two answer different
-	// questions — how often to look vs how long to wait — so a slow fabric
-	// can get a long probe deadline without also slowing the sweep cadence
-	// (or vice versa).
-	ProbeTimeout time.Duration
-	// SuspectThreshold is how many consecutive missed heartbeats declare a
-	// server dead. Default 2.
-	SuspectThreshold int
 	// AutoRecover, when set, replaces dead servers and runs recovery in
 	// the configured RecoveryMode automatically.
 	AutoRecover bool
@@ -53,6 +45,10 @@ type MonitorConfig struct {
 	// OnEvent, when non-nil, receives detection/recovery events.
 	OnEvent func(MonitorEvent)
 }
+
+// suspectThreshold is how many consecutive missed heartbeats declare a
+// server dead.
+const suspectThreshold = 2
 
 // MonitorEventKind enumerates monitor events.
 type MonitorEventKind int
@@ -93,12 +89,6 @@ type MonitorEvent struct {
 func (c *Cluster) StartMonitor(cfg MonitorConfig) *Monitor {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 50 * time.Millisecond
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.Interval
-	}
-	if cfg.SuspectThreshold <= 0 {
-		cfg.SuspectThreshold = 2
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Monitor{
@@ -163,7 +153,7 @@ func (m *Monitor) probeAll(ctx context.Context) {
 	c := m.cluster
 	for i := 0; i < c.cfg.Servers; i++ {
 		id := types.ServerID(i)
-		probeCtx, cancel := context.WithTimeout(ctx, m.cfg.ProbeTimeout)
+		probeCtx, cancel := context.WithTimeout(ctx, m.cfg.Interval)
 		resp, err := c.net.Send(probeCtx, -1, id, &transport.Message{Kind: transport.MsgPing})
 		cancel()
 		alive := err == nil && resp.Kind == transport.MsgOK
@@ -183,7 +173,7 @@ func (m *Monitor) probeAll(ctx context.Context) {
 			continue
 		}
 		m.suspects[id]++
-		declared := m.suspects[id] >= m.cfg.SuspectThreshold
+		declared := m.suspects[id] >= suspectThreshold
 		if declared {
 			m.dead[id] = true
 		}

@@ -1,0 +1,61 @@
+package corec
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"corec/internal/server"
+)
+
+// TestOptionInventory pins every public setting: the exported fields of the
+// six config structs an application fills in (49 settings), plus the 15 of
+// the server.Config the cluster builds for each server. A setting stays only
+// while something other than its own plumbing and its own test sets it — a
+// deployment's sizing, or a test that runs a different experiment with it;
+// everything else is a constant.
+func TestOptionInventory(t *testing.T) {
+	golden := []struct {
+		typ    reflect.Type
+		fields []string
+	}{
+		{reflect.TypeOf(Config{}), []string{
+			"Servers", "Mode", "NLevel", "DataShards", "StorageEfficiencyMin",
+			"Domain", "Link", "RecoveryMode", "MTBF", "MaxObjectBytes", "ElemSize",
+			"HelperLoadDelta", "Transport", "ListenHost", "PortBase", "LocalServers",
+			"MuxConnsPerPeer", "MaxInFlight", "Classifier", "Seed", "Retry",
+			"FaultPlan", "Scrub", "Membership", "Rebalance", "Storage",
+		}},
+		{reflect.TypeOf(MonitorConfig{}), []string{"Interval", "AutoRecover", "ScrubAfterRecovery", "OnEvent"}},
+		{reflect.TypeOf(MembershipConfig{}), []string{"SuspicionTicks", "Manual"}},
+		{reflect.TypeOf(RebalanceConfig{}), []string{"RateMBps", "BurstBytes"}},
+		{reflect.TypeOf(StorageConfig{}), []string{
+			"MemBytes", "Dir", "DiskBytes", "SegmentBytes", "CompactFrac", "SpillWorkers",
+			"SpillQueue", "Prefetch", "PrefetchDepth", "PrefetchMBps", "Remote",
+		}},
+		{reflect.TypeOf(ScrubConfig{}), []string{"Interval", "BytesPerSec", "Burst", "Depth"}},
+		{reflect.TypeOf(server.Config{}), []string{
+			"ID", "Groups", "Placement", "Network", "Policy", "Collector", "Domain",
+			"Ring", "RecoveryMode", "MTBF", "HelperLoadDelta", "ClassifierConfig",
+			"Storage", "RemoteStore", "StorageNS",
+		}},
+	}
+	for _, g := range golden {
+		var got []string
+		for i := 0; i < g.typ.NumField(); i++ {
+			if f := g.typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		for _, name := range got {
+			if !slices.Contains(g.fields, name) {
+				t.Errorf("%v.%s is a new knob: it needs a caller outside its own test (a deployment that sizes with it, or a test that runs a different experiment with it) before it joins this list; otherwise make it a constant", g.typ, name)
+			}
+		}
+		for _, name := range g.fields {
+			if !slices.Contains(got, name) {
+				t.Errorf("%v.%s is gone: drop it from this list", g.typ, name)
+			}
+		}
+	}
+}

@@ -138,6 +138,34 @@ func TestScrubDetectsAndRepairsScheduledBitRot(t *testing.T) {
 	}
 }
 
+// TestScrubNowCoversJoinedServers: a sweep reaches every live server, not
+// just the IDs the fleet started with — rot on a server JoinNew admitted and
+// Rebalance filled is found like rot anywhere else.
+func TestScrubNowCoversJoinedServers(t *testing.T) {
+	c := elasticCluster(t, elasticConfig(8))
+	cl := c.NewClient()
+	ctx := context.Background()
+	seedChurnObjects(t, c, cl, "joined", 32)
+	id, err := c.JoinNew()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := c.Rebalance(ctx); err != nil || rep.Moved == 0 {
+		t.Fatalf("rebalance onto the newcomer: %+v, %v", rep, err)
+	}
+	rotted := c.InjectBitRot(id, failure.RotAny, 2)
+	if len(rotted) == 0 {
+		t.Fatalf("server %d holds nothing to rot after the rebalance", id)
+	}
+	rep, err := c.ScrubNow(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Corruptions != int64(len(rotted)) {
+		t.Fatalf("sweep detected %d corruptions, want the %d planted on joined server %d (%+v)", rep.Corruptions, len(rotted), id, rep)
+	}
+}
+
 // TestScrubThroughputWithinBudget verifies the token bucket actually paces
 // a pass: scanning B bytes at R bytes/sec from a bucket holding `burst`
 // tokens cannot finish before (B-burst)/R.

@@ -53,11 +53,12 @@ scrubrace:
 # encoded object to its one record (what a put, a get, an eviction and a
 # rewrite put on the fabric) and line up concurrent fan-outs, so they repeat
 # under the detector too — as do the tests that own the one-mirror lookup:
-# its message counts, a lagging or empty first mirror, a dead one.
+# its message counts, a lagging or empty first mirror, a dead one — and the
+# primary-first read: its message counts and its fall-back on a miss.
 transportrace:
 	$(GO) test -race -count=5 ./internal/transport ./internal/reader
 	$(GO) test -race -run 'TestGet|TestRandomOpsAgainstReferenceModel' .
-	$(GO) test -race -count=5 -run 'TestEncodedObjectCostsOneRecord|TestRewriteDropsSupersededStripeWithoutTheDirectory|TestGetAsksOneDirectoryGroup|TestLaggingMirrorIsSettledByItsTwin|TestPeerHealthEncodedReadHealthyShards' .
+	$(GO) test -race -count=5 -run 'TestEncodedObjectCostsOneRecord|TestRewriteDropsSupersededStripeWithoutTheDirectory|TestGetAsksOneDirectoryGroup|TestLaggingMirrorIsSettledByItsTwin|TestPeerHealthEncodedReadHealthyShards|TestAlignedGetAsksThePrimaryFirst|TestPrimaryMissFallsBackToTheDirectory' .
 
 # Race-detector pass focused on elastic membership churn: gossip agents,
 # dynamic ring, and the paced migrator running against foreground traffic.

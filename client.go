@@ -41,6 +41,11 @@ type Client struct {
 	// fleet is the static fleet's member list 0..n-1, built once (nil in
 	// elastic mode, where view tracks the ring).
 	fleet []types.ServerID
+	// seen holds the keys of objects whose box this client has seen as one
+	// object's, at that object's placed primary: its own puts, and the
+	// directory's answers to its aligned gets. A get of such a box that names
+	// a floor asks the primary first.
+	seen keySet
 
 	// viewMu guards the elastic member-view cache: the ring's member list
 	// at viewEpoch. Clients refresh it only when the ring epoch moves, so
@@ -158,8 +163,14 @@ func (cl *Client) putObject(ctx context.Context, name string, box Box, version V
 	}
 	resp, err := cl.send(ctx, primary, msg)
 	if err == nil {
-		return resp.AsError()
+		if err = resp.AsError(); err == nil {
+			cl.seen.add(id.Key())
+		}
+		return err
 	}
+	// The write goes to a successor or nowhere: whatever record the placed
+	// primary keeps may not be the object's newest.
+	cl.seen.drop(id.Key())
 	if ctx.Err() != nil || !transport.IsRetryable(err) {
 		return fmt.Errorf("corec: put %s: %w", id, err)
 	}
@@ -223,14 +234,17 @@ func (cl *Client) Get(ctx context.Context, name string, box Box, version Version
 // GetInto reads the region of the variable into dst, a row-major buffer over
 // box: len(dst) must be the region's size, and nothing past it is touched.
 // version is a freshness floor, the oldest version of the region the caller
-// accepts (0: it names none): the newest staged bytes come back, never older
-// than a put acknowledged at that version, and naming it lets the lookup stop
-// at the first directory mirror whose records are that new. Objects
-// intersecting the region are located through the metadata directory and
-// fetched in parallel, straight into dst when an object's box is the region
-// itself; failures trigger replica fallback or degraded reconstruction
-// transparently. Cells no staged object covers are cleared, so a reused buffer
-// never shows an earlier read. After an error dst's contents are unspecified.
+// accepts (0: it names none): what comes back is never older than a put
+// acknowledged at that version. Naming it bounds what may answer: the
+// object's primary, when the region is the box of one object this client has
+// seen, or else the first directory mirror whose records are that new. A
+// floor ahead of everything staged reads the newest staged bytes. Objects
+// intersecting the region are otherwise located through the metadata
+// directory and fetched in parallel, straight into dst when an object's box
+// is the region itself; failures trigger replica fallback or degraded
+// reconstruction transparently. Cells no staged object covers are cleared, so
+// a reused buffer never shows an earlier read. After an error dst's contents
+// are unspecified.
 func (cl *Client) GetInto(ctx context.Context, name string, box Box, version Version, dst []byte) error {
 	if want := ndarray.BufferSize(box, cl.cluster.cfg.ElemSize); len(dst) != want {
 		return fmt.Errorf("corec: get buffer is %d bytes, want %d", len(dst), want)
@@ -239,13 +253,41 @@ func (cl *Client) GetInto(ctx context.Context, name string, box Box, version Ver
 }
 
 // getInto is Get and GetInto: zeroed says dst is known to hold zeros.
+//
+// A get that names a floor of a region this client has seen as one object's
+// box asks that object's primary first, unless it is known down: its record
+// and its bytes come back in one request (reader.Primary), and no directory
+// mirror is asked. A miss forgets the box and reads through the directory
+// as any other get does; a later directory answer showing the box as one
+// object's, at its placed primary and at the floor, makes it seen again.
 func (cl *Client) getInto(ctx context.Context, name string, box Box, version Version, dst []byte, zeroed bool) error {
 	start := time.Now()
 	defer func() { cl.col.RecordRead(int64(version), time.Since(start)) }()
 
+	c := cl.cluster
+	id := types.ObjectID{Var: name, Box: box}
+	var key string
+	learn := false // a directory answer may make the box seen
+	if version > 0 {
+		key = id.Key()
+		if learn = !cl.seen.has(key); !learn {
+			if primary := c.place.Primary(id); !c.health.Down(primary) {
+				if cl.reader.Primary(ctx, primary, key, version, dst) {
+					cl.col.AddCounter(metrics.PrimaryReadCount, 1)
+					return nil
+				}
+				cl.col.AddCounter(metrics.PrimaryMissCount, 1)
+				cl.seen.drop(key)
+				zeroed = false // the miss may have written into dst
+			}
+		}
+	}
 	metas, err := cl.queryDirectory(ctx, name, box, version)
 	if err != nil {
 		return err
+	}
+	if learn && len(metas) == 1 && metas[0].Version >= version && metas[0].ID.Box.Equal(box) && metas[0].Primary == c.place.Primary(id) {
+		cl.seen.add(key)
 	}
 	return cl.fetchRegion(ctx, box, metas, dst, zeroed)
 }
@@ -348,6 +390,7 @@ func (cl *Client) Delete(ctx context.Context, name string, box Box) (int, error)
 		if resp.Flag {
 			deleted++
 		}
+		cl.seen.drop(m.ID.Key())
 	}
 	return deleted, firstErr
 }
@@ -473,6 +516,34 @@ func (cl *Client) fetchObjectBytes(ctx context.Context, meta *types.ObjectMeta) 
 		return nil, err
 	}
 	return dst, nil
+}
+
+// keySet is a set of object keys, safe for concurrent use.
+type keySet struct {
+	mu   sync.RWMutex
+	keys map[string]struct{}
+}
+
+func (s *keySet) has(key string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.keys[key]
+	return ok
+}
+
+func (s *keySet) add(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.keys == nil {
+		s.keys = make(map[string]struct{})
+	}
+	s.keys[key] = struct{}{}
+}
+
+func (s *keySet) drop(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.keys, key)
 }
 
 // triggerOnAccessRepair follows a degraded read: stripe members that are

@@ -168,11 +168,12 @@ func main() {
 				st.Efficiency, st.PendingEncodes, st.PendingRepairs)
 		}
 		// This process's own fabric view: what the poll above cost, which
-		// peers its retry layer now fails fast against and how many of its
-		// region lookups had to ask a second mirror, or the whole fleet.
+		// peers its retry layer now fails fast against, how many of its
+		// region lookups had to ask a second mirror, or the whole fleet, and
+		// how many of its gets a primary answered or missed.
 		fs := cluster.FabricStatus()
-		fmt.Printf("fabric: retries=%d muxRedials=%d peersDown=%d fastFails=%d dir_second_asks=%d dir_fallbacks=%d\n",
-			fs.Retries, fs.Transport.MuxRedials, fs.Transport.PeersDown, fs.Transport.FastFails, fs.DirSecondAsks, fs.DirFallbacks)
+		fmt.Printf("fabric: retries=%d muxRedials=%d peersDown=%d fastFails=%d dir_second_asks=%d dir_fallbacks=%d primary_reads=%d primary_misses=%d\n",
+			fs.Retries, fs.Transport.MuxRedials, fs.Transport.PeersDown, fs.Transport.FastFails, fs.DirSecondAsks, fs.DirFallbacks, fs.PrimaryReads, fs.PrimaryMisses)
 	default:
 		usage()
 	}

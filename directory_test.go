@@ -3,6 +3,7 @@ package corec
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"maps"
 	"slices"
 	"sync"
@@ -34,9 +35,17 @@ func newCountingNet(inner transport.Network) *countingNet {
 	return &countingNet{Network: inner, sent: make(map[transport.Kind]int), gate: make(chan struct{})}
 }
 
+// primaryRead is the pseudo-kind a countingNet counts the MsgGet requests
+// that name a floor under, besides MsgGet: the reads that ask a primary for
+// an object's record and bytes at once.
+const primaryRead = transport.Kind(255)
+
 func (n *countingNet) Send(ctx context.Context, from, to types.ServerID, req *transport.Message) (*transport.Message, error) {
 	n.mu.Lock()
 	n.sent[req.Kind]++
+	if req.Kind == transport.MsgGet && req.Version > 0 {
+		n.sent[primaryRead]++
+	}
 	gate := n.gate
 	held := n.wide > 0 && req.Kind == n.lineUp
 	if held {
@@ -59,6 +68,10 @@ func (n *countingNet) Send(ctx context.Context, from, to types.ServerID, req *tr
 	return n.Network.Send(ctx, from, to, req)
 }
 
+// PeerHealth hands the retry layer the wrapped fabric's table, so sends through
+// the counter learn and obey peer deaths as sends through the fabric do.
+func (n *countingNet) PeerHealth() *transport.PeerHealth { return transport.HealthOf(n.Network) }
+
 func (n *countingNet) count(k transport.Kind) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -75,15 +88,18 @@ func (n *countingNet) take() (sent map[transport.Kind]int, stalled bool) {
 	return sent, stalled
 }
 
-// TestGetAsksOneDirectoryGroup is the scaling property of the read path, at
-// 8, 16 and 32 servers alike. A get that names the version it expects asks
-// one directory mirror per cell its box touches — one region query and one
-// copy fetch for a box inside a cell, two queries for a box over two cells —
-// and the first answer settles it. A get that names no version has nothing to
-// judge one mirror's answer by and asks every mirror of those cells' groups,
-// NLevel+1 per group; so, after its first mirror's answer falls short, does a
-// get naming a version newer than anything staged, which still returns the
-// newest staged bytes. None of them falls back to the fleet.
+// TestGetAsksOneDirectoryGroup is the scaling property of the directory
+// lookup, at 8, 16 and 32 servers alike, for gets that do not ask the primary
+// first: each one-cell get below comes from a client that has not seen its
+// box (see TestAlignedGetAsksThePrimaryFirst for one that has). A get that
+// names the version it expects asks one directory mirror per cell its box
+// touches — one region query and one copy fetch for a box inside a cell, two
+// queries for a box over two cells — and the first answer settles it. A get
+// that names no version has nothing to judge one mirror's answer by and asks
+// every mirror of those cells' groups, NLevel+1 per group; so, after its first
+// mirror's answer falls short, does a get naming a version newer than anything
+// staged, which still returns the newest staged bytes. None of them falls back
+// to the fleet.
 func TestGetAsksOneDirectoryGroup(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{8, 16, 32} {
@@ -110,11 +126,12 @@ func TestGetAsksOneDirectoryGroup(t *testing.T) {
 			}
 		}
 		group := cfg.NLevel + 1
-		// get reads a region at a version and returns what crossed the fabric.
-		get := func(name string, box Box, version Version, want []byte) map[transport.Kind]int {
+		// get reads a region at a version through rd and returns what crossed
+		// the fabric.
+		get := func(rd *Client, name string, box Box, version Version, want []byte) map[transport.Kind]int {
 			t.Helper()
 			counter.take()
-			got, err := cl.Get(ctx, name, box, version)
+			got, err := rd.Get(ctx, name, box, version)
 			if err != nil {
 				t.Fatalf("%d servers: get %s %v at version %d: %v", n, name, box, version, err)
 			}
@@ -126,17 +143,17 @@ func TestGetAsksOneDirectoryGroup(t *testing.T) {
 		}
 		for i := range want {
 			box := boxFor(int64(i))
-			if sent := get("scale", box, 1, want[i]); !maps.Equal(sent, map[transport.Kind]int{transport.MsgMetaQuery: 1, transport.MsgGet: 1}) {
+			if sent := get(c.NewClient(), "scale", box, 1, want[i]); !maps.Equal(sent, map[transport.Kind]int{transport.MsgMetaQuery: 1, transport.MsgGet: 1}) {
 				t.Errorf("%d servers: one-cell get naming its version sent %v, want 1 MetaQuery and 1 Get", n, sent)
 			}
-			if sent := get("scale", box, 0, want[i]); sent[transport.MsgMetaQuery] != group {
+			if sent := get(c.NewClient(), "scale", box, 0, want[i]); sent[transport.MsgMetaQuery] != group {
 				t.Errorf("%d servers: one-cell get naming no version sent %d region queries, want %d", n, sent[transport.MsgMetaQuery], group)
 			}
 		}
 		if st := c.FabricStatus(); st.DirSecondAsks != 0 {
 			t.Errorf("%d servers: %d lookups went past their first mirror on a healthy fleet", n, st.DirSecondAsks)
 		}
-		if sent := get("scale", boxFor(0), 9, want[0]); sent[transport.MsgMetaQuery] != group {
+		if sent := get(c.NewClient(), "scale", boxFor(0), 9, want[0]); sent[transport.MsgMetaQuery] != group {
 			t.Errorf("%d servers: get naming a version nobody staged sent %d region queries, want %d", n, sent[transport.MsgMetaQuery], group)
 		}
 		if st := c.FabricStatus(); st.DirSecondAsks != 1 {
@@ -159,10 +176,10 @@ func TestGetAsksOneDirectoryGroup(t *testing.T) {
 			}
 		}
 		span := left.Union(right)
-		if sent := get("span", span, 1, nil); sent[transport.MsgMetaQuery] != 2 {
+		if sent := get(cl, "span", span, 1, nil); sent[transport.MsgMetaQuery] != 2 {
 			t.Errorf("%d servers: two-cell get naming its version sent %d region queries, want 2", n, sent[transport.MsgMetaQuery])
 		}
-		if sent, all := get("span", span, 0, nil), len(c.dir.Servers("span", span)); sent[transport.MsgMetaQuery] != all || all < group || all > 2*group {
+		if sent, all := get(cl, "span", span, 0, nil), len(c.dir.Servers("span", span)); sent[transport.MsgMetaQuery] != all || all < group || all > 2*group {
 			t.Errorf("%d servers: two-cell get naming no version sent %d region queries, want the two groups' %d servers", n, sent[transport.MsgMetaQuery], all)
 		}
 		if fb := c.FabricStatus().DirFallbacks; fb != 0 {
@@ -190,6 +207,20 @@ func firstMirrorOf(t *testing.T, c *Cluster, cl *Client, name string, box Box) S
 		t.Fatalf("box %v touches cells %v, want one", box, cells)
 	}
 	return cl.firstMirror(cells[0], c.dir.Group(name, cells[0]))
+}
+
+// unseenClient returns a new client — one that has seen no object's box, so
+// its aligned gets drive the directory lookup — whose first directory mirror
+// for box is mirror.
+func unseenClient(t *testing.T, c *Cluster, name string, box Box, mirror ServerID) *Client {
+	t.Helper()
+	for i := 0; i < 16; i++ {
+		if cl := c.NewClient(); firstMirrorOf(t, c, cl, name, box) == mirror {
+			return cl
+		}
+	}
+	t.Fatalf("no new client asks mirror %d first about %s %v", mirror, name, box)
+	return nil
 }
 
 // TestFirstMirrorSpread: which mirror of a cell's group a client asks first
@@ -226,11 +257,11 @@ func TestFirstMirrorSpread(t *testing.T) {
 // TestLaggingMirrorIsSettledByItsTwin: a directory write that missed one
 // mirror (a partition cuts the primary off from it during a rewrite) leaves
 // that mirror a version behind until the hint is flushed. A client whose
-// first choice it is gets the older record, sees it is below the version it
-// named, asks the twin and returns the newer bytes — two region queries, one
-// lookup counted as not settled by its first mirror, no fleet fall-back. The
-// same holds when the first mirror has just been replaced and answers with
-// nothing at all.
+// first choice it is, and which has not seen the box, so looks it up, gets the
+// older record, sees it is below the version it named, asks the twin and
+// returns the newer bytes — two region queries, one lookup counted as not
+// settled by its first mirror, no fleet fall-back. The same holds when the
+// first mirror has just been replaced and answers with nothing at all.
 func TestLaggingMirrorIsSettledByItsTwin(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Mode = PolicyReplicate
@@ -276,8 +307,9 @@ func TestLaggingMirrorIsSettledByItsTwin(t *testing.T) {
 
 	read := func(when string, wantAsks int64) {
 		t.Helper()
+		rd := unseenClient(t, c, "lag", box, first)
 		counter.take()
-		got, err := cl.Get(ctx, "lag", box, 2)
+		got, err := rd.Get(ctx, "lag", box, 2)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("%s: get naming version 2 did not return its bytes: %v", when, err)
 		}
@@ -300,15 +332,15 @@ func TestLaggingMirrorIsSettledByItsTwin(t *testing.T) {
 // TestCoverageFallbackFindsMisplacedRecord plants an object's record only on
 // a server outside its directory group — what a write under another ring
 // epoch, or a record the rebalancer has not re-homed yet, looks like. The
-// targeted lookup comes back empty-handed, so the get must ask the fleet,
-// find the record, return the staged bytes rather than zeros, and count the
-// fall-back.
+// targeted lookup of a client that has not seen the box comes back
+// empty-handed, so the get must ask the fleet, find the record, return the
+// staged bytes rather than zeros, and count the fall-back.
 func TestCoverageFallbackFindsMisplacedRecord(t *testing.T) {
 	c := testCluster(t, PolicyReplicate)
-	cl := c.NewClient()
 	ctx := context.Background()
 	box := Box3D(0, 0, 0, 8, 8, 8)
-	data, meta := stageAt(t, cl, box, 31)
+	data, meta := stageAt(t, c.NewClient(), box, 31)
+	cl := c.NewClient()
 
 	group := c.dir.Servers("ph", box)
 	outsider := ServerID(-1)
@@ -389,9 +421,10 @@ func remoteBox(t *testing.T, c *Cluster, name string) (Box, ServerID) {
 // TestEncodedObjectCostsOneRecord counts what an erasure-coded object costs
 // on the fabric now that its record is the only record, at 8, 16 and 32
 // servers alike: the put that encodes it commits with one group of record
-// updates, an aligned get naming its version asks one mirror of that group
-// and the k data-shard holders and nobody else, and its eviction (which names
-// no version and asks the whole group) drops the stripe's shards in one round.
+// updates, an aligned get naming its version from a client that has not seen
+// the box asks one mirror of that group and the k data-shard holders and
+// nobody else, and its eviction (which names no version and asks the whole
+// group) drops the stripe's shards in one round.
 func TestEncodedObjectCostsOneRecord(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{8, 16, 32} {
@@ -416,7 +449,7 @@ func TestEncodedObjectCostsOneRecord(t *testing.T) {
 			t.Errorf("%d servers: an erasure put sent %v, want %v", n, sent, want)
 		}
 
-		got, err := cl.Get(ctx, "one", box, 1)
+		got, err := c.NewClient().Get(ctx, "one", box, 1)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("%d servers: get: %v", n, err)
 		}
@@ -442,6 +475,134 @@ func TestEncodedObjectCostsOneRecord(t *testing.T) {
 		if shards := c.Server(primary).CollectStats().Shards; shards != 0 {
 			t.Errorf("%d servers: the primary still holds %d shards of the evicted object", n, shards)
 		}
+	}
+}
+
+// TestAlignedGetAsksThePrimaryFirst counts what a tile-aligned get naming its
+// version costs once the client has seen the box, at 8, 16 and 32 servers
+// alike: one request, to the object's primary, for a replicated object; that
+// request and the k-1 other data-shard gets for an encoded one; no directory
+// query either way. A client sees a box by putting it, or by a directory
+// answer to its own get. A region the client has not seen, and one that is
+// not an object's box, read through the directory as before with no request
+// to a primary first, and a primary known down is passed over at no cost.
+func TestAlignedGetAsksThePrimaryFirst(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{8, 16, 32} {
+		for _, mode := range []Mode{PolicyReplicate, PolicyErasure} {
+			cfg := DefaultConfig(n)
+			cfg.Mode = mode
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counter := newCountingNet(c.net)
+			c.net = counter
+			cl := c.NewClient()
+			box := Box3D(0, 0, 0, 8, 8, 8)
+			data := regionData(t, box, 8, int64(n))
+			if err := cl.Put(ctx, "pf", box, 1, data); err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%d servers, %v", n, mode)
+			get := func(rd *Client, box Box, want []byte) map[transport.Kind]int {
+				t.Helper()
+				counter.take()
+				got, err := rd.Get(ctx, "pf", box, 1)
+				if err != nil || (want != nil && !bytes.Equal(got, want)) {
+					t.Fatalf("%s: get %v: %v", name, box, err)
+				}
+				sent, _ := counter.take()
+				return sent
+			}
+			k := cfg.DataShards
+			primaryWay := map[transport.Kind]int{transport.MsgGet: 1, primaryRead: 1}
+			directoryWay := map[transport.Kind]int{transport.MsgMetaQuery: 1, transport.MsgGet: 1}
+			if mode == PolicyErasure {
+				primaryWay[transport.MsgShardGet] = k - 1
+				directoryWay = map[transport.Kind]int{transport.MsgMetaQuery: 1, transport.MsgShardGet: k}
+			}
+			if sent := get(cl, box, data); !maps.Equal(sent, primaryWay) {
+				t.Errorf("%s: the writer's aligned get sent %v, want %v", name, sent, primaryWay)
+			}
+			rd := c.NewClient()
+			if sent := get(rd, box, data); !maps.Equal(sent, directoryWay) {
+				t.Errorf("%s: an aligned get of a box never seen sent %v, want %v", name, sent, directoryWay)
+			}
+			if sent := get(rd, box, data); !maps.Equal(sent, primaryWay) {
+				t.Errorf("%s: an aligned get of a box the directory showed sent %v, want %v", name, sent, primaryWay)
+			}
+			if sent := get(cl, Box3D(0, 0, 0, 4, 8, 8), nil); sent[primaryRead] != 0 || sent[transport.MsgMetaQuery] != 1 {
+				t.Errorf("%s: a get of half an object's box sent %v, want it looked up", name, sent)
+			}
+			if st := c.FabricStatus(); st.PrimaryReads != 2 || st.PrimaryMisses != 0 {
+				t.Errorf("%s: PrimaryReads = %d, PrimaryMisses = %d, want 2 and 0", name, st.PrimaryReads, st.PrimaryMisses)
+			}
+
+			// The first get after the primary dies pays for learning it; after
+			// that a client that has seen the box looks it up as one that has
+			// not does, asking the dead primary nothing first. (What the fetch
+			// then sends the dead server depends on the clock: a half-open
+			// trial may be let through.)
+			c.Kill(c.place.Primary(types.ObjectID{Var: "pf", Box: box}))
+			get(cl, box, data)
+			if st := c.FabricStatus(); st.PrimaryMisses != 1 {
+				t.Errorf("%s: PrimaryMisses = %d after the get that found the primary dead, want 1", name, st.PrimaryMisses)
+			}
+			for i := 0; i < 2; i++ { // the box is forgotten, then seen again
+				if seen, unseen := get(cl, box, data), get(c.NewClient(), box, data); seen[primaryRead] != 0 || seen[transport.MsgMetaQuery] != 1 || unseen[transport.MsgMetaQuery] != 1 {
+					t.Errorf("%s: with the primary known down a client that saw the box sent %v, one that did not %v; want one lookup each, no primary read", name, seen, unseen)
+				}
+			}
+			c.Close()
+		}
+	}
+}
+
+// TestPrimaryMissFallsBackToTheDirectory: a primary that does not answer a
+// get costs the get one request, not its bytes. A primary killed and replaced
+// holds no record until recovery runs, so the get reads through the
+// directory — from the replica, or degraded — and returns the staged bytes. A
+// primary whose record is older than the floor a get names does not answer
+// with it.
+func TestPrimaryMissFallsBackToTheDirectory(t *testing.T) {
+	for _, mode := range []Mode{PolicyReplicate, PolicyErasure} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := testCluster(t, mode)
+			cl := c.NewClient()
+			ctx := context.Background()
+			box, data, meta := stageOne(t, cl, 21)
+			c.Kill(meta.Primary)
+			if _, err := c.Replace(meta.Primary); err != nil {
+				t.Fatal(err)
+			}
+			got, err := cl.Get(ctx, "ph", box, 1)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("get through a replaced primary: %v", err)
+			}
+			if st := c.FabricStatus(); st.PrimaryReads != 0 || st.PrimaryMisses != 1 {
+				t.Fatalf("PrimaryReads = %d, PrimaryMisses = %d after a get through a replaced primary, want 0 and 1", st.PrimaryReads, st.PrimaryMisses)
+			}
+
+			below := Box3D(64, 0, 0, 72, 8, 8)
+			data, meta = stageAt(t, cl, below, 22)
+			primary := c.Server(meta.Primary)
+			key := meta.ID.Key()
+			if resp := primary.Handle(ctx, &transport.Message{Kind: transport.MsgGet, Key: key, Version: 2}); resp.Flag {
+				t.Fatal("the primary answered a floor above its record")
+			}
+			if resp := primary.Handle(ctx, &transport.Message{Kind: transport.MsgGet, Key: key, Version: 1}); !resp.Flag || resp.Meta == nil || resp.Meta.Version != 1 || resp.Meta.Seq != meta.Seq {
+				t.Fatalf("the primary's answer at its record's version: %+v", resp)
+			}
+			// A floor ahead of everything staged reads the newest staged bytes,
+			// from the directory.
+			if got, err := cl.Get(ctx, "ph", below, 2); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("get naming a floor above the record: %v", err)
+			}
+			if st := c.FabricStatus(); st.PrimaryReads != 0 || st.PrimaryMisses != 2 {
+				t.Fatalf("PrimaryReads = %d, PrimaryMisses = %d after a get above the record, want 0 and 2", st.PrimaryReads, st.PrimaryMisses)
+			}
+		})
 	}
 }
 

@@ -71,6 +71,13 @@ const (
 	// DirSecondAskCount tallies region lookups naming a version that the
 	// first directory mirror asked did not settle. Zero while mirrors agree.
 	DirSecondAskCount
+	// PrimaryReadCount tallies gets an object's primary answered in one
+	// request, with no directory lookup.
+	PrimaryReadCount
+	// PrimaryMissCount tallies gets asked of a primary that did not answer
+	// them (no record at the floor, a piece missing, unreachable) and went on
+	// to the directory.
+	PrimaryMissCount
 	// ScrubScanCount tallies locally stored items (primary copies,
 	// replicas, shards) whose bytes a scrub pass verified.
 	ScrubScanCount
@@ -97,6 +104,7 @@ const (
 
 var counterNames = [...]string{
 	"retries", "failovers", "reconciles", "corrupt_frames", "faults", "mirror_repairs", "dir_fallbacks", "dir_second_asks",
+	"primary_reads", "primary_misses",
 	"scrub_scans", "scrub_bytes", "scrub_corruptions", "scrub_repairs",
 	"scrub_reencodes", "scrub_backfills", "scrub_skips",
 }

@@ -204,10 +204,11 @@ func (r *Reader) Shards(ctx context.Context, info *types.StripeInfo, need int, s
 // (see Buffer) the last shard is whole like the others; in an exact-size
 // buffer only its head is in place, the padding comes back as the response's
 // Overflow, and the whole shard is pieced together aside only if a degraded
-// read needs it for decoding.
-func (r *Reader) Stripe(ctx context.Context, info *types.StripeInfo, dst []byte) (degraded bool, err error) {
+// read needs it for decoding. have0 says data shard 0 is already in place at
+// the head of dst (a primary read brought it), so only the rest are fetched.
+func (r *Reader) Stripe(ctx context.Context, info *types.StripeInfo, dst []byte, have0 bool) (degraded bool, err error) {
 	k, ss := info.K, info.ShardSize
-	if k <= 0 || info.M < 0 || ss <= 0 || k*ss < len(dst) {
+	if k <= 0 || info.M < 0 || ss <= 0 || k*ss < len(dst) || (have0 && ss > len(dst)) {
 		return false, fmt.Errorf("%w: stripe %v (%d shards of %d bytes) cannot hold %d bytes", ErrDataLoss, info.ID, k, ss, len(dst))
 	}
 	// homes[i] is the window of dst where data shard i lives: the whole shard
@@ -220,7 +221,15 @@ func (r *Reader) Stripe(ctx context.Context, info *types.StripeInfo, dst []byte)
 			homes[i] = dst[min(i*ss, len(dst)):len(dst):len(dst)]
 		}
 	}
-	shards, tails, have := r.Shards(ctx, info, k, nil, homes, NoTally)
+	var skip []int
+	if have0 {
+		skip = []int{0}
+	}
+	shards, tails, have := r.Shards(ctx, info, k-len(skip), skip, homes, NoTally)
+	if have0 {
+		shards[0] = homes[0]
+		have++
+	}
 	if !slices.ContainsFunc(shards[:k], func(b []byte) bool { return b == nil }) {
 		return false, nil // the systematic fast path: every data shard is in place
 	}
@@ -306,11 +315,7 @@ func (r *Reader) Object(ctx context.Context, meta *types.ObjectMeta, dst []byte)
 			if meta.Layout == nil {
 				return fmt.Errorf("%w: encoded record of %s carries no stripe layout", ErrDataLoss, meta.ID)
 			}
-			degraded, err := r.Stripe(ctx, meta.Layout, dst)
-			if degraded && r.Degraded != nil {
-				r.Degraded(ctx, meta.Layout, meta.ID)
-			}
-			return err
+			return r.stripeOf(ctx, meta, dst, false)
 		}
 		// A holder may still keep a copy from before the record: a replica
 		// left behind when ownership moved on and later came back. Only a
@@ -321,4 +326,39 @@ func (r *Reader) Object(ctx context.Context, meta *types.ObjectMeta, dst []byte)
 		}
 		return nil
 	})
+}
+
+// stripeOf runs Stripe over the layout an encoded record carries and tells
+// Degraded of a reconstruction.
+func (r *Reader) stripeOf(ctx context.Context, meta *types.ObjectMeta, dst []byte, have0 bool) error {
+	degraded, err := r.Stripe(ctx, meta.Layout, dst, have0)
+	if degraded && r.Degraded != nil {
+		r.Degraded(ctx, meta.Layout, meta.ID)
+	}
+	return err
+}
+
+// Primary reads an object from its primary, which answers a get that names a
+// floor from its own record — never older than a directory mirror's copy,
+// since the primary mints every record it publishes — with that record and,
+// in the same reply, the object's full copy if it is replicated or data shard
+// 0 if it is encoded. Either lands at the head of dst (len(dst) is the
+// object's size); an encoded object's other shards are then gathered by
+// Stripe. Primary reports whether dst holds the object. It does not when the
+// primary holds no record of key at or above floor, lacks the piece, cannot
+// be reached, or the stripe cannot be assembled; dst's contents are then
+// unspecified and the caller reads through the directory instead.
+func (r *Reader) Primary(ctx context.Context, primary types.ServerID, key string, floor types.Version, dst []byte) bool {
+	resp, err := r.Send(ctx, primary, &transport.Message{Kind: transport.MsgGet, Key: key, Version: floor, RecvInto: dst})
+	if err != nil || resp.Kind != transport.MsgGetBytes || !resp.Flag || resp.Meta == nil || resp.Meta.Size != len(dst) {
+		return false
+	}
+	meta := resp.Meta
+	head, tail := landed(resp, dst)
+	if meta.State != types.StateEncoded {
+		// As in Object: a copy older than its record is not the object.
+		return len(head) == len(dst) && len(tail) == 0 && resp.Version >= meta.Version
+	}
+	return meta.Layout != nil && len(head) == meta.Layout.ShardSize && len(tail) == 0 &&
+		r.stripeOf(ctx, meta, dst, true) == nil
 }

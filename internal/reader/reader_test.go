@@ -30,8 +30,11 @@ type fleet struct {
 	shards [][]byte                            // by shard index; nil: the holder lost it
 	copies map[types.ServerID]*types.Object    // full copies, by holder
 	metas  map[types.ServerID]types.ObjectMeta // directory records, by mirror
-	dead   map[types.ServerID]bool
-	lands  bool
+	// own is the record a primary holds of the object, by primary: what it
+	// answers a get that names a floor with, with its copy or shard 0.
+	own   map[types.ServerID]types.ObjectMeta
+	dead  map[types.ServerID]bool
+	lands bool
 
 	mu sync.Mutex
 	// sent logs the kind of every request, in order.
@@ -61,6 +64,17 @@ func (f *fleet) send(ctx context.Context, to types.ServerID, msg *transport.Mess
 	case transport.MsgShardGet:
 		data = f.shards[msg.ShardIndex]
 	case transport.MsgGet:
+		if msg.Version > 0 {
+			rec, ok := f.own[to]
+			if !ok || rec.Version < msg.Version {
+				return &transport.Message{Kind: transport.MsgOK}, nil
+			}
+			resp.Meta, resp.Version = &rec, rec.Version
+			if rec.State == types.StateEncoded {
+				data = f.shards[0]
+				break
+			}
+		}
 		if obj := f.copies[to]; obj != nil {
 			data, resp.Version = obj.Data, obj.Version
 		}
@@ -123,6 +137,7 @@ func newFleet(t *testing.T, k, m, size int) (*fleet, *Reader, []byte) {
 		shards: shards,
 		copies: make(map[types.ServerID]*types.Object),
 		metas:  make(map[types.ServerID]types.ObjectMeta),
+		own:    make(map[types.ServerID]types.ObjectMeta),
 		dead:   make(map[types.ServerID]bool),
 		lands:  true,
 		open:   make(chan struct{}),
@@ -159,7 +174,7 @@ func TestStripeAssemblesInPlace(t *testing.T) {
 					if roomy {
 						dst = arena[: size : size+k-1]
 					}
-					degraded, err := r.Stripe(ctx, f.info, dst)
+					degraded, err := r.Stripe(ctx, f.info, dst, false)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -179,10 +194,10 @@ func TestStripeAssemblesInPlace(t *testing.T) {
 
 	f, r, _ := newFleet(t, k, m, 100)
 	f.shards[0], f.shards[1], f.shards[4] = nil, nil, nil
-	if _, err := r.Stripe(ctx, f.info, make([]byte, 100)); !errors.Is(err, ErrDataLoss) {
+	if _, err := r.Stripe(ctx, f.info, make([]byte, 100), false); !errors.Is(err, ErrDataLoss) {
 		t.Fatalf("three losses over RS(3+2): %v, want ErrDataLoss", err)
 	}
-	if _, err := r.Stripe(ctx, f.info, make([]byte, 3*f.info.ShardSize+1)); !errors.Is(err, ErrDataLoss) {
+	if _, err := r.Stripe(ctx, f.info, make([]byte, 3*f.info.ShardSize+1), false); !errors.Is(err, ErrDataLoss) {
 		t.Fatalf("a buffer the stripe cannot fill: %v, want ErrDataLoss", err)
 	}
 }
@@ -401,5 +416,70 @@ func TestObjectPassesOverACopyOlderThanItsRecord(t *testing.T) {
 	delete(f.copies, 7)
 	if err := r.Object(ctx, &meta, dst); !errors.Is(err, ErrDataLoss) {
 		t.Fatalf("only a stale copy left: %v, want ErrDataLoss", err)
+	}
+}
+
+// TestPrimaryReadsInOneRequest: a primary read is one request to the primary
+// for its record and its piece — the whole copy of a replicated object, data
+// shard 0 of an encoded one, whose other data shards then come from their
+// holders — over both kinds of send. Shard 0 in hand counts towards a
+// degraded read's k. The read reports a miss, and no bytes, when the primary
+// is dead, holds no record at the floor, or lacks its piece, when its copy is
+// older than its record, and when the stripe is short of shards.
+func TestPrimaryReadsInOneRequest(t *testing.T) {
+	ctx := context.Background()
+	const k, m, size = 3, 2, 4096
+	const get, shard = transport.MsgGet, transport.MsgShardGet
+	id := types.ObjectID{Var: "v", Box: geometry.Box3D(0, 0, 0, 8, 8, 8)}
+	for _, lands := range []bool{true, false} {
+		f, r, data := newFleet(t, k, m, size)
+		f.lands = lands
+		f.own[0] = types.ObjectMeta{ID: id, Version: 2, Seq: 9, Size: size, State: types.StateEncoded, Primary: 0, Stripe: f.info.ID, Layout: f.info}
+		var told *types.StripeInfo
+		r.Degraded = func(_ context.Context, info *types.StripeInfo, _ types.ObjectID) { told = info }
+		read := func(floor types.Version) (bool, []transport.Kind) {
+			t.Helper()
+			f.sent = nil
+			dst := make([]byte, size)
+			ok := r.Primary(ctx, 0, id.Key(), floor, dst)
+			if ok && !bytes.Equal(dst, data) {
+				t.Fatalf("lands=%v: a primary read returned other bytes than were encoded", lands)
+			}
+			return ok, f.sent
+		}
+		if ok, sent := read(2); !ok || !slices.Equal(sent, []transport.Kind{get, shard, shard}) || told != nil {
+			t.Errorf("lands=%v: healthy encoded read: %v, sent %v; want the primary, then shards 1 and 2", lands, ok, sent)
+		}
+		f.shards[1] = nil
+		if ok, _ := read(1); !ok || told != f.info {
+			t.Errorf("lands=%v: read with data shard 1 lost: %v, degraded read told %v", lands, ok, told)
+		}
+		f.shards[2], f.shards[3] = nil, nil
+		if ok, _ := read(1); ok {
+			t.Errorf("lands=%v: read with shard 0 and one parity shard of RS(3+2) reported served", lands)
+		}
+		if ok, sent := read(3); ok || !slices.Equal(sent, []transport.Kind{get}) {
+			t.Errorf("lands=%v: a floor above the record: %v, sent %v; want a miss after one request", lands, ok, sent)
+		}
+		f.dead[0] = true
+		if ok, _ := read(1); ok {
+			t.Errorf("lands=%v: a dead primary's read reported served", lands)
+		}
+
+		f.own[6] = types.ObjectMeta{ID: id, Version: 2, Seq: 9, Size: 8, State: types.StateReplicated, Primary: 6}
+		f.copies[6] = &types.Object{Version: 2, Data: []byte("current!")}
+		dst := make([]byte, 8)
+		f.sent = nil
+		if !r.Primary(ctx, 6, id.Key(), 2, dst) || string(dst) != "current!" || !slices.Equal(f.sent, []transport.Kind{get}) {
+			t.Errorf("lands=%v: replicated read: %q after %v, want the copy in one request", lands, dst, f.sent)
+		}
+		f.copies[6] = &types.Object{Version: 1, Data: []byte("stale...")}
+		if r.Primary(ctx, 6, id.Key(), 2, dst) {
+			t.Errorf("lands=%v: a copy older than the primary's record was served", lands)
+		}
+		delete(f.copies, 6)
+		if r.Primary(ctx, 6, id.Key(), 2, dst) {
+			t.Errorf("lands=%v: a primary without its copy reported served", lands)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -93,11 +94,19 @@ func TestPutDigestsPayloadOncePerServer(t *testing.T) {
 // sender that holds no digest (the client's put, the primary's three shard
 // pushes) and not at all on one that does (the replica push). The payload
 // checks are the process-wide counters of transport.PayloadCheckStats; the
-// flow has no other payload-carrying message.
+// flow has no other payload-carrying message. Under the erasure policy the
+// primary encodes on the write path and pushes no replica: its one pass
+// completes the put's digest just the same, and no holder digests anything.
 func TestPutChecksPayloadOncePerHopOverTCP(t *testing.T) {
+	for _, mode := range []policy.Mode{policy.CoREC, policy.Erasure} {
+		t.Run(mode.String(), func(t *testing.T) { testPutChecksPayloadOncePerHopOverTCP(t, mode) })
+	}
+}
+
+func testPutChecksPayloadOncePerHopOverTCP(t *testing.T, mode policy.Mode) {
 	tn := transport.NewTCPNetwork("127.0.0.1")
 	defer tn.Close()
-	rig := newRigOn(t, tn, policy.CoREC, 8, 0.67)
+	rig := newRigOn(t, tn, mode, 8, 0.67)
 	box := geometry.Box3D(0, 0, 0, 16, 16, 32)
 	const size = 16 * 16 * 32 * 8
 	full := countDigests(rig, size)
@@ -117,10 +126,17 @@ func TestPutChecksPayloadOncePerHopOverTCP(t *testing.T) {
 	if meta.Checksum != scrub.Checksum(data) {
 		t.Fatalf("directory checksum %#x is not the stored content's %#x", meta.Checksum, scrub.Checksum(data))
 	}
-	holders := srv.replicaHolders()
-	for _, h := range append([]types.ServerID{primary}, holders...) {
-		if ieee, c := full.ieee[h].Load(), full.castagnoli[h].Load(); ieee != 1 || c != 0 {
-			t.Errorf("server %d: CRC-32/IEEE over the full payload %d times, CRC-32C %d times; want 1 and 0", h, ieee, c)
+	var holders []types.ServerID
+	if mode == policy.CoREC {
+		holders = srv.replicaHolders()
+	}
+	for h := range rig.servers {
+		want := int64(0)
+		if h == int(primary) || slices.Contains(holders, types.ServerID(h)) {
+			want = 1
+		}
+		if ieee, c := full.ieee[h].Load(), full.castagnoli[h].Load(); ieee != want || c != 0 {
+			t.Errorf("server %d: CRC-32/IEEE over the full payload %d times, CRC-32C %d times; want %d and 0", h, ieee, c, want)
 		}
 	}
 	k, m := rig.polCfg.K, rig.polCfg.M
@@ -149,5 +165,15 @@ func TestPutChecksPayloadOncePerHopOverTCP(t *testing.T) {
 	if attached-attached0 != int64(k) || verified-verified0 != int64(k) {
 		t.Errorf("%d shard gets: %d answered from a held digest, %d verified by the reader; want %d and %d",
 			k, attached-attached0, verified-verified0, k, k)
+	}
+	// So does the primary, asked for its record and data shard 0 at once.
+	_, attached0, verified0 = transport.PayloadCheckStats()
+	resp, err := tn.Send(context.Background(), -1, primary, &transport.Message{Kind: transport.MsgGet, Key: meta.ID.Key(), Version: 1})
+	if err != nil || !resp.Flag || resp.Meta == nil || resp.Meta.Seq != meta.Seq || len(resp.Data) != meta.Layout.ShardSize {
+		t.Fatalf("primary read: %v (%+v)", err, resp)
+	}
+	_, attached, verified = transport.PayloadCheckStats()
+	if attached-attached0 != 1 || verified-verified0 != 1 {
+		t.Errorf("primary read: %d answered from a held digest, %d verified by the reader; want 1 and 1", attached-attached0, verified-verified0)
 	}
 }

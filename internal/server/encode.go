@@ -29,10 +29,11 @@ var errRingMoved = errors.New("ring membership changed while encoding")
 //     shard 0; publish the object's record, which carries the stripe's
 //     layout; drop surplus replicas and the full local copy.
 //
+// sum is the digest of obj.Data when the caller holds one (0: it does not).
 // reuse carries the existing stripe ID when re-encoding an updated object
 // (zero value mints a fresh stripe). dropReplicas is set when the object
 // was previously replicated.
-func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse types.StripeID, dropReplicas bool) error {
+func (s *Server) encodeObject(ctx context.Context, obj *types.Object, sum uint64, reuse types.StripeID, dropReplicas bool) error {
 	if s.codec == nil {
 		return fmt.Errorf("no codec configured")
 	}
@@ -86,6 +87,7 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 
 	// Load-balancing decision: delegate the encode+distribute to the helper
 	// (the replica holder) when it is measurably less busy.
+	gen := s.reader.Health.Generation()
 	delegated := false
 	if s.cfg.HelperLoadDelta >= 0 && s.cfg.Policy.Mode == policy.CoREC && dropReplicas {
 		if helper, ok := s.pickHelper(ctx); ok {
@@ -132,12 +134,12 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 		s.dropStripe(ctx, info)
 		return errRingMoved
 	}
-	// The put that installed obj already digested it (replicateObject, the
-	// CoREC demotion path); reuse that sum rather than re-reading the whole
-	// object. A synchronous baseline encode has no recorded sum yet.
-	var sum uint64
-	if st := s.local[key]; st != nil && st.sumOf == obj {
-		sum = st.sum
+	// The put that installed obj already digested it: a synchronous baseline
+	// encode is handed the put's sum, and the CoREC demotion path finds the
+	// one replicateObject recorded. Either way the whole object is not read
+	// again.
+	if sum == 0 {
+		sum = s.sumOfLocked(key, obj)
 	}
 	s.holdShardLocked(stripeID, 0, shardSum, info)
 	// The engine install happens under s.mu so it is atomic with the
@@ -156,6 +158,18 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 	s.setLocalState(meta, nil)
 	if err := s.dirUpdate(ctx, meta); err != nil {
 		return err
+	}
+	// A member replaced while the shards were in flight came back empty, and
+	// its recovery, which scanned the directory before this flip, cannot know
+	// of the stripe: push the shards again before the replicas go. Once the
+	// flip is in, a replacement that arrives later recovers from the record.
+	if s.reader.Health.Generation() != gen {
+		if delegated {
+			if err := s.codec.Encode(shards); err != nil {
+				return err
+			}
+		}
+		s.pushShards(ctx, info, shards, obj.Version, s.id)
 	}
 
 	// Commit, stage 3: release the full copy (identity-checked: a racing
@@ -430,7 +444,7 @@ func (s *Server) promoteObject(ctx context.Context, id types.ObjectID) bool {
 	info := st.layout
 	data := reader.Buffer(st.size, info.K)
 	tStart := time.Now()
-	_, err := s.reader.Stripe(ctx, info, data)
+	_, err := s.reader.Stripe(ctx, info, data, false)
 	s.col.Add(metrics.Transport, time.Since(tStart))
 	if err != nil {
 		return false

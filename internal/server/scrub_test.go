@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"corec/internal/geometry"
 	"corec/internal/policy"
 	"corec/internal/scrub"
+	"corec/internal/transport"
 	"corec/internal/types"
 )
 
@@ -196,5 +198,48 @@ func TestScrubDeadPeerCountsAsSkipNotCorruption(t *testing.T) {
 	}
 	if rep.Skipped == 0 {
 		t.Fatalf("dead mirror not counted as skip: %+v", rep)
+	}
+}
+
+// TestVerifiedReadServesAFreshCopy: with the scrubber on, a get checks a copy
+// only against a digest computed over that copy. A put installs its object on
+// the primary before it records the object's sum, and in between — held open
+// here by stalling the put's replica push — the recorded sum is the previous
+// content's. A get in that window must serve the new bytes, not withhold them
+// as rot; so must a primary read, which answers from the record still naming
+// the previous version.
+func TestVerifiedReadServesAFreshCopy(t *testing.T) {
+	ctx := context.Background()
+	gate := newKindGate(transport.MsgReplicaPut)
+	rig := newRigOn(t, gate, policy.Replicate, 8, 0)
+	box := geometry.Box3D(0, 0, 0, 8, 8, 8)
+	size := int(box.Volume()) * 8
+	primary := rig.put(t, "fresh", box, 1, payload(size, 15))
+	srv := rig.servers[primary]
+	if err := srv.StartScrubber(scrub.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.StopScrubber()
+
+	release := gate.shut()
+	fresh := payload(size, 16)
+	done := make(chan error, 1)
+	go func() {
+		resp, err := gate.Send(ctx, -1, primary, &transport.Message{Kind: transport.MsgPut, Var: "fresh", Box: box, Version: 2, Data: fresh})
+		if err == nil {
+			err = resp.AsError()
+		}
+		done <- err
+	}()
+	<-gate.held // the put has installed its object and waits on its replica push
+	key := types.ObjectID{Var: "fresh", Box: box}.Key()
+	for _, floor := range []types.Version{0, 1} {
+		if resp := srv.Handle(ctx, &transport.Message{Kind: transport.MsgGet, Key: key, Version: floor}); !resp.Flag || !bytes.Equal(resp.Data, fresh) {
+			t.Errorf("get naming floor %d mid-put: found %v, new bytes %v; want the new bytes", floor, resp.Flag, bytes.Equal(resp.Data, fresh))
+		}
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -98,6 +98,9 @@ type Server struct {
 	// draining fences new writes while the server hands off its objects
 	// ahead of a voluntary leave; reads keep working throughout.
 	draining atomic.Bool
+	// closed is set by Close: the server is gone, as a crashed process is,
+	// and work it still had in flight sends nothing more.
+	closed atomic.Bool
 
 	// memberAgent handles membership-plane messages (MsgPing, MsgPingReq,
 	// MsgGossip) when elastic membership is enabled; nil otherwise.
@@ -168,7 +171,6 @@ type Server struct {
 	dataEnc  int64
 	// repairQueue is non-nil while this (replacement) server is recovering.
 	repairQueue *recovery.Queue
-	closed      bool
 
 	// Background encode queue (CoREC only): demotions run off the write
 	// path, per Figure 6's workflow — the put is acknowledged once the
@@ -221,6 +223,19 @@ type localState struct {
 	// reuse sum only for that very object (a same-version rewrite, a repair
 	// or planted rot installs a different one). Nil once encoded.
 	sumOf *types.Object
+}
+
+// record returns the object's record as its primary, this server, last
+// published it, less the replica list: what a primary read answers with.
+func (st *localState) record(primary types.ServerID) *types.ObjectMeta {
+	meta := &types.ObjectMeta{
+		ID: st.id, Version: st.version, Seq: st.seq, Size: st.size, State: st.state,
+		Checksum: st.sum, Primary: primary, Layout: st.layout,
+	}
+	if st.layout != nil {
+		meta.Stripe = st.layout.ID
+	}
+	return meta
 }
 
 // serverIncarnations distinguishes successive servers (including
@@ -453,7 +468,7 @@ func (s *Server) processEncode(key string) {
 	}
 	// A failed demotion leaves the object replicated: safe, retried on
 	// the next classification pass.
-	_ = s.encodeObject(context.Background(), obj, types.StripeID{}, true)
+	_ = s.encodeObject(context.Background(), obj, 0, types.StripeID{}, true)
 }
 
 // internalRetry is the bounded resend policy for server-to-server traffic.
@@ -475,8 +490,13 @@ var internalRetry = transport.RetryPolicy{
 // absorb message-level faults: a silently dropped replica push would
 // strand a stale copy that a later primary failure could expose as a
 // stale read. A message to the server itself — its own share of a group
-// write, a shard set or a lookup — is a call of the handler, not a send.
+// write, a shard set or a lookup — is a call of the handler, not a send. A
+// closed server sends nothing: a background encode it had in flight must not
+// publish a stripe whose shard 0 died with it over its successor's record.
 func (s *Server) sendRetry(ctx context.Context, to types.ServerID, msg *transport.Message) (*transport.Message, error) {
+	if s.closed.Load() {
+		return nil, transport.ErrUnreachable
+	}
 	if to == s.id {
 		return s.Handle(ctx, msg), nil
 	}
@@ -497,13 +517,9 @@ func (s *Server) Classifier() *classifier.Classifier { return s.decider.Classifi
 // Close unregisters the server from the network. Its state remains readable
 // by tests.
 func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
-	s.closed = true
-	s.mu.Unlock()
 	s.StopScrubber()
 	if s.encStop != nil {
 		close(s.encStop)

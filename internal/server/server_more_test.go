@@ -337,7 +337,7 @@ func TestHandoffRefusedOnceALaterRecordIsPublished(t *testing.T) {
 	srv.mu.Lock()
 	obj := srv.objects[id.Key()]
 	srv.mu.Unlock()
-	if err := srv.encodeObject(ctx, obj, types.StripeID{}, true); err != nil {
+	if err := srv.encodeObject(ctx, obj, 0, types.StripeID{}, true); err != nil {
 		t.Fatal(err)
 	}
 	now, _ := srv.reader.LookupMeta(ctx, id)

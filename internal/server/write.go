@@ -147,7 +147,7 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 		if existed && priorState == types.StateEncoded {
 			reuse = priorLayout.ID
 		}
-		if err := s.encodeObject(ctx, obj, reuse, existed && priorState == types.StateReplicated); err != nil {
+		if err := s.encodeObject(ctx, obj, s.digestMsg(req), reuse, existed && priorState == types.StateReplicated); err != nil {
 			resp := transport.Errf("server %d: encode: %v", s.id, err)
 			// Retryable: the resent put encodes over the ring as it now is.
 			resp.Flag = errors.Is(err, errRingMoved)
@@ -326,45 +326,101 @@ func (s *Server) handleHandoff(ctx context.Context, req *transport.Message) *tra
 	return &transport.Message{Kind: transport.MsgOK, Flag: true}
 }
 
-// handleGet serves a full object copy: primary copy first, replica second.
-// With the scrubber enabled, a copy whose bytes fail their recorded checksum
-// is withheld (reported as not found) so the caller falls back to another
-// holder or a degraded stripe read instead of consuming rotted bytes; the
-// background scrub pass repairs the copy.
+// handleGet serves a full object copy: primary copy first, replica second. A
+// get that names a floor (Version) is a primary read instead: see primaryRead.
 func (s *Server) handleGet(req *transport.Message) *transport.Message {
+	if req.Version > 0 {
+		return s.primaryRead(req)
+	}
 	s.mu.Lock()
 	obj, ok := s.objects[req.Key]
-	var want uint64
-	// vouched: want was computed over obj itself. A put installs its object
-	// before it records the new sum, and until then want is the previous
-	// content's.
-	vouched := false
+	var sum uint64
 	if ok {
-		if st := s.local[req.Key]; st != nil {
-			want = st.sum
-			vouched = st.sumOf == obj
-		}
+		sum = s.sumOfLocked(req.Key, obj)
 	} else {
 		obj, ok = s.replicas[req.Key]
-		want = s.replicaSums[req.Key]
-		vouched = true
+		sum = s.replicaSums[req.Key]
 	}
 	s.mu.Unlock()
 	if !ok {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	if s.scrubEnabled() && want != 0 && s.digest(obj.Data) != want {
+	return s.serveCopy(obj, sum)
+}
+
+// sumOfLocked returns the digest recorded for the primary copy obj of key, 0
+// when none was computed over obj itself: a put installs its object before it
+// records the new sum, and until then the recorded sum is the previous
+// content's. Caller holds s.mu.
+func (s *Server) sumOfLocked(key string, obj *types.Object) uint64 {
+	if st := s.local[key]; st != nil && st.sumOf == obj {
+		return st.sum
+	}
+	return 0
+}
+
+// serveCopy answers a get with a full copy whose digest, computed over these
+// very bytes, is sum (0: none is). With the scrubber enabled, a copy whose
+// bytes fail their digest is withheld (reported as not found) so the caller
+// falls back to another holder or a degraded stripe read instead of consuming
+// rotted bytes; the background scrub pass repairs the copy. A copy with no
+// digest of its own — a fresh put's, in the moment before its sum is recorded
+// — is served unchecked.
+func (s *Server) serveCopy(obj *types.Object, sum uint64) *transport.Message {
+	if s.scrubEnabled() && sum != 0 && s.digest(obj.Data) != sum {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
 	resp := &transport.Message{
 		Kind: transport.MsgGetBytes, Flag: true,
 		Var: obj.ID.Var, Box: obj.ID.Box, Version: obj.Version, Data: obj.Data,
 	}
-	if vouched {
-		// The recorded digest is the payload's wire check: no pass here, and
-		// a copy that rotted since it was recorded fails at the reader like
-		// wire damage — retried, then served from another holder.
-		resp.AttachDigest(want)
+	// The recorded digest is the payload's wire check: no pass here, and a
+	// copy that rotted since it was recorded fails at the reader like wire
+	// damage — retried, then served from another holder.
+	resp.AttachDigest(sum)
+	return resp
+}
+
+// primaryRead answers a get that names a floor from this server's own record
+// of the object, taken in one s.mu snapshot: the record rides in Meta, with
+// the full copy of a replicated object or data shard 0 of an encoded one,
+// digest attached. The primary mints every record it publishes before any
+// mirror sees it, so its record is never older than a mirror's. Flag is false
+// — the reader then asks the directory — when this server holds no record of
+// the key, the record is older than the floor, or the piece is not here.
+func (s *Server) primaryRead(req *transport.Message) *transport.Message {
+	s.mu.Lock()
+	st := s.local[req.Key]
+	if st == nil || st.version < req.Version || (st.state == types.StateEncoded && st.layout == nil) {
+		s.mu.Unlock()
+		return &transport.Message{Kind: transport.MsgOK, Flag: false}
+	}
+	meta := st.record(s.id)
+	var obj *types.Object
+	var sum uint64
+	if meta.State == types.StateEncoded {
+		sum = s.held[meta.Stripe].sums[0]
+	} else if obj = s.objects[req.Key]; obj != nil {
+		sum = s.sumOfLocked(req.Key, obj)
+	}
+	s.mu.Unlock()
+
+	var resp *transport.Message
+	if meta.State == types.StateEncoded {
+		// As in handleShardGet, the shard is read outside s.mu with the
+		// digest recorded for it.
+		if data, ok := s.store.Get(shardKey(meta.Stripe, 0)); ok {
+			resp = &transport.Message{Kind: transport.MsgGetBytes, Flag: true, Version: meta.Version, Data: data}
+			resp.AttachDigest(sum)
+		}
+	} else if obj != nil {
+		resp = s.serveCopy(obj, sum)
+	}
+	if resp == nil {
+		return &transport.Message{Kind: transport.MsgOK, Flag: false}
+	}
+	if resp.Flag {
+		resp.Meta = meta
 	}
 	return resp
 }

@@ -164,6 +164,17 @@ func (h *PeerHealth) Admit(id types.ServerID) {
 	h.mu.Unlock()
 }
 
+// Generation counts re-admissions: it moves whenever a peer is admitted
+// (among others, whenever a fresh handler registers under an ID, which is how
+// a replacement server arrives), so work that spans a window can tell whether
+// a member it relied on may have been replaced meanwhile.
+func (h *PeerHealth) Generation() uint32 {
+	if h == nil {
+		return 0
+	}
+	return uint32(h.word.Load() >> 32)
+}
+
 // Down reports whether the peer is currently marked down. Read paths use it
 // to order mirrors and to plan a degraded read up front; it never blocks a
 // send (only RetryPolicy.Send's admission does).

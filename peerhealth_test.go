@@ -119,11 +119,12 @@ func decodes(c *Cluster) int64 {
 }
 
 // TestPeerHealthEncodedReadHealthyShards reads an encoded object whose data
-// shards are all alive while the one server a healthy read contacts besides
-// them is dead: the directory mirror this client asks first, which holds none
-// of the object's shards. The first get asks it, pays the retries that learn
-// the death from the wire, and is settled by the twin. Every later get passes
-// the marked mirror over: it receives no query, so nothing is retried, nothing
+// shards are all alive while the one server a healthy lookup contacts besides
+// them is dead: the directory mirror the readers ask first, which holds none
+// of the object's shards. The readers have not seen the box, so each get
+// looks it up. The first get asks that mirror, pays the retries that learn the
+// death from the wire, and is settled by the twin. Every later get passes the
+// marked mirror over: it receives no query, so nothing is retried, nothing
 // even fails fast, no lookup needs a second ask, and nothing is reconstructed.
 func TestPeerHealthEncodedReadHealthyShards(t *testing.T) {
 	healthFabrics(t, PolicyErasure, func(t *testing.T, c *Cluster) {
@@ -145,7 +146,7 @@ func TestPeerHealthEncodedReadHealthyShards(t *testing.T) {
 		if victim < 0 {
 			t.Fatal("no candidate object whose first directory mirror is outside its coding group")
 		}
-		data, meta := stageAt(t, cl, box, 12)
+		data, meta := stageAt(t, c.NewClient(), box, 12)
 		if meta.State != types.StateEncoded {
 			t.Fatalf("state = %v, want encoded", meta.State)
 		}
@@ -154,15 +155,21 @@ func TestPeerHealthEncodedReadHealthyShards(t *testing.T) {
 				t.Fatalf("victim %d holds shard %d of the stripe", victim, m.Index)
 			}
 		}
-		get := func(when string) {
+		// Readers are picked while the victim is alive: once it is marked,
+		// nobody asks it first.
+		readers := []*Client{cl}
+		for len(readers) < 101 {
+			readers = append(readers, unseenClient(t, c, "ph", box, victim))
+		}
+		get := func(rd *Client, when string) {
 			t.Helper()
-			if got, err := cl.Get(ctx, "ph", box, 1); err != nil || !bytes.Equal(got, data) {
+			if got, err := rd.Get(ctx, "ph", box, 1); err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("%s did not return the staged bytes: %v", when, err)
 			}
 		}
 		before, d0 := c.FabricStatus(), decodes(c)
 		c.Kill(victim)
-		get("first get after the kill")
+		get(readers[0], "first get after the kill")
 		first := c.FabricStatus()
 		if first.Retries <= before.Retries || first.Transport.PeersDown != 1 {
 			t.Fatalf("first contact with the dead mirror: retries %d -> %d, PeersDown = %d; want retries paid and the peer marked",
@@ -171,10 +178,13 @@ func TestPeerHealthEncodedReadHealthyShards(t *testing.T) {
 		if asks := first.DirSecondAsks - before.DirSecondAsks; asks != 1 {
 			t.Fatalf("DirSecondAsks grew by %d over the get that found its first mirror dead, want 1", asks)
 		}
-		for i := 0; i < 100; i++ {
-			get("get past the marked mirror")
+		for _, rd := range readers[1:] {
+			get(rd, "get past the marked mirror")
 		}
 		after := c.FabricStatus()
+		if after.PrimaryReads != before.PrimaryReads {
+			t.Fatalf("%d gets asked the primary first, want every one looked up", after.PrimaryReads-before.PrimaryReads)
+		}
 		if after.Retries != first.Retries || after.Transport.FastFails != first.Transport.FastFails || after.DirSecondAsks != first.DirSecondAsks {
 			t.Fatalf("100 gets with the first mirror marked down: retries +%d, fast fails +%d, second asks +%d; want the mirror passed over at no cost",
 				after.Retries-first.Retries, after.Transport.FastFails-first.Transport.FastFails, after.DirSecondAsks-first.DirSecondAsks)

@@ -69,6 +69,12 @@ type FabricStatus struct {
 	// DirSecondAsks is the number of region lookups the first directory mirror
 	// asked did not settle: mirrors diverge, or readers run ahead of writers.
 	DirSecondAsks int64
+	// PrimaryReads is the number of gets an object's primary answered, record
+	// and bytes in one request, with no directory lookup; PrimaryMisses the
+	// number asked of a primary that did not answer them and went on to the
+	// directory.
+	PrimaryReads  int64
+	PrimaryMisses int64
 	// PendingReroutes is the current depth of the write-failover log.
 	PendingReroutes int
 	// Injected reports the fault injector's counters; zero without a plan.
@@ -249,6 +255,8 @@ func (c *Cluster) FabricStatus() FabricStatus {
 		MirrorRepairs:   c.col.Counter(metrics.MirrorRepairCount),
 		DirFallbacks:    c.col.Counter(metrics.DirFallbackCount),
 		DirSecondAsks:   c.col.Counter(metrics.DirSecondAskCount),
+		PrimaryReads:    c.col.Counter(metrics.PrimaryReadCount),
+		PrimaryMisses:   c.col.Counter(metrics.PrimaryMissCount),
 		PendingReroutes: len(c.Reroutes()),
 		Scrub: ScrubStatus{
 			Scans:       c.col.Counter(metrics.ScrubScanCount),

@@ -54,17 +54,20 @@ scrubrace:
 # rewrite put on the fabric) and line up concurrent fan-outs, so they repeat
 # under the detector too — as do the tests that own the one-mirror lookup:
 # its message counts, a lagging or empty first mirror, a dead one — and the
-# primary-first read: its message counts and its fall-back on a miss.
+# primary-first read: its message counts and its fall-back on a miss. The
+# per-hop payload-check count over TCP repeats too: its counting hook must be
+# in place before any server listens.
 transportrace:
 	$(GO) test -race -count=5 ./internal/transport ./internal/reader
 	$(GO) test -race -run 'TestGet|TestRandomOpsAgainstReferenceModel' .
 	$(GO) test -race -count=5 -run 'TestEncodedObjectCostsOneRecord|TestRewriteDropsSupersededStripeWithoutTheDirectory|TestGetAsksOneDirectoryGroup|TestLaggingMirrorIsSettledByItsTwin|TestPeerHealthEncodedReadHealthyShards|TestAlignedGetAsksThePrimaryFirst|TestPrimaryMissFallsBackToTheDirectory' .
+	$(GO) test -race -count=5 -run TestPutChecksPayloadOncePerHopOverTCP ./internal/server
 
 # Race-detector pass focused on elastic membership churn: gossip agents,
 # dynamic ring, and the paced migrator running against foreground traffic.
 churnrace:
 	$(GO) test -race -run 'TestElastic|TestRebalance' .
-	$(GO) test -race ./internal/membership ./internal/topology
+	$(GO) test -race ./internal/membership ./internal/topology ./internal/placement
 
 # Race-detector pass focused on the tiered storage engine: the concurrent
 # spill/upload/prefetch chaos tests plus the cluster-level kill-restart

@@ -38,22 +38,11 @@ type Client struct {
 	// reader fetches objects through this client's send: lookups, copy and
 	// shard fetches, degraded reconstruction (see internal/reader).
 	reader *reader.Reader
-	// fleet is the static fleet's member list 0..n-1, built once (nil in
-	// elastic mode, where view tracks the ring).
-	fleet []types.ServerID
 	// seen holds the keys of objects whose box this client has seen as one
 	// object's, at that object's placed primary: its own puts, and the
 	// directory's answers to its aligned gets. A get of such a box that names
 	// a floor asks the primary first.
 	seen keySet
-
-	// viewMu guards the elastic member-view cache: the ring's member list
-	// at viewEpoch. Clients refresh it only when the ring epoch moves, so
-	// steady-state requests never take the ring's lock for a full copy.
-	viewMu    sync.Mutex
-	view      []types.ServerID
-	viewEpoch uint64
-	viewInit  bool
 }
 
 // NewClient returns a client bound to the cluster.
@@ -67,32 +56,7 @@ func (c *Cluster) NewClient() *Client {
 		Send: cl.send, Dir: c.dir, Health: c.health, Codec: c.codec, Col: c.col,
 		Degraded: cl.triggerOnAccessRepair,
 	}
-	if c.elastic == nil {
-		cl.fleet = make([]types.ServerID, c.cfg.Servers)
-		for i := range cl.fleet {
-			cl.fleet[i] = types.ServerID(i)
-		}
-	}
 	return cl
-}
-
-// memberView returns the servers a directory-wide operation should address:
-// the static fleet, or — in elastic mode — the ring's current membership,
-// cached per client and refreshed when the ring epoch changes.
-func (cl *Client) memberView() []types.ServerID {
-	c := cl.cluster
-	if c.elastic == nil {
-		return cl.fleet
-	}
-	epoch := c.elastic.ring.Epoch()
-	cl.viewMu.Lock()
-	defer cl.viewMu.Unlock()
-	if !cl.viewInit || cl.viewEpoch != epoch {
-		cl.view = c.elastic.ring.Members()
-		cl.viewEpoch = epoch
-		cl.viewInit = true
-	}
-	return cl.view
 }
 
 // send delivers one RPC under the cluster's retry policy — per-attempt
@@ -181,7 +145,7 @@ func (cl *Client) putObject(ctx context.Context, name string, box Box, version V
 	// primary becomes a listed replica), so the object keeps its full
 	// resilience level; the reroute is logged so the monitor reconciles
 	// ownership once the original recovers.
-	for _, alt := range cl.failoverTargets(id, primary) {
+	for _, alt := range c.place.FailoverTargets(id, primary) {
 		if alt == primary {
 			continue
 		}
@@ -196,28 +160,6 @@ func (cl *Client) putObject(ctx context.Context, name string, box Box, version V
 		return nil
 	}
 	return fmt.Errorf("corec: put %s: %w", id, err)
-}
-
-// failoverTargets lists the servers a failed put should try next. Static
-// fleets use the replication-group window. Elastic fleets re-resolve the
-// key against the ring first — a drain or gossip eviction may already have
-// moved the arc to a new owner — then walk the failed primary's ring
-// successors (stable even after it left the ring).
-func (cl *Client) failoverTargets(id types.ObjectID, primary types.ServerID) []types.ServerID {
-	c := cl.cluster
-	if c.elastic != nil {
-		ring := c.elastic.ring
-		out := make([]types.ServerID, 0, c.cfg.NLevel+2)
-		if cur := ring.OwnerKey(id.Key()); cur != primary {
-			out = append(out, cur)
-		}
-		out = append(out, ring.Targets(primary, c.cfg.NLevel+1)...)
-		return out
-	}
-	if c.groups == nil {
-		return nil
-	}
-	return c.groups.ReplicaTargets(primary, c.cfg.NLevel)
 }
 
 // Get reads the region of the variable, returning a row-major buffer over
@@ -430,7 +372,7 @@ func (cl *Client) queryDirectory(ctx context.Context, name string, box Box, floo
 		}
 		cl.col.AddCounter(metrics.DirFallbackCount, 1)
 	}
-	return cl.queryServers(ctx, cl.memberView(), name, box, nil)
+	return cl.queryServers(ctx, cl.cluster.place.Members(), name, box, nil)
 }
 
 // firstMirror picks the mirror of a cell's group this client asks first: id

@@ -116,9 +116,10 @@ type Config struct {
 	// NLevel is the number of simultaneous server failures to tolerate
 	// (replica count and parity count). Default 1.
 	NLevel int
-	// DataShards is the Reed-Solomon k. Parity count m equals NLevel.
-	// DataShards+NLevel must divide Servers (coding groups tile the ring).
-	// Default 3.
+	// DataShards is the Reed-Solomon k. Parity count m equals NLevel. A
+	// static fleet's placement checks that its groups tile the ring:
+	// DataShards+NLevel and NLevel+1 must both divide Servers (an elastic
+	// fleet places on its ring and has no such constraint). Default 3.
 	DataShards int
 	// StorageEfficiencyMin is the paper's constraint S (0 disables).
 	// Default 0.67 (Table I).
@@ -260,8 +261,7 @@ type Cluster struct {
 	retry   transport.RetryPolicy
 	health  *transport.PeerHealth // the fabric's table: retry.Send feeds it, reads consult it
 	top     *topology.Topology
-	groups  *topology.Groups
-	place   placement.Placement
+	place   placement.Placement  // the one answer to "which servers"
 	dir     *placement.Directory // object records -> directory servers
 	col     *metrics.Collector
 	codec   *erasure.Codec
@@ -315,29 +315,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	replicaSize := cfg.NLevel + 1
-	codingSize := cfg.DataShards + cfg.NLevel
-	if cfg.Mode == PolicyNone {
-		// Group geometry is irrelevant without resilience, but the
-		// constructor demands divisibility; degrade gracefully.
-		replicaSize, codingSize = 1, 2
-		for cfg.Servers%codingSize != 0 && codingSize < cfg.Servers {
-			codingSize++
-		}
-		if cfg.Servers%codingSize != 0 {
-			codingSize = cfg.Servers
-		}
-	}
-	groups, err := topology.NewGroups(top, replicaSize, codingSize)
-	if err != nil {
-		if cfg.Membership == nil {
-			return nil, err
-		}
-		// Elastic fleets place via the dynamic ring; the static group
-		// geometry is optional (and its divisibility constraint would
-		// otherwise forbid fleet sizes joins and drains naturally produce).
-		groups = nil
-	}
 	var net transport.Network
 	switch cfg.Transport {
 	case "", "inproc":
@@ -377,7 +354,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	place := placement.NewHash(cfg.Servers)
 	col := metrics.NewCollector()
 	polCfg := policy.Config{
 		Mode:                 cfg.Mode,
@@ -401,18 +377,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		retry:   retryPolicy(cfg.Retry),
 		health:  transport.HealthOf(net),
 		top:     top,
-		groups:  groups,
-		place:   place,
 		col:     col,
 		codec:   codec,
 		polCfg:  polCfg,
 		servers: make(map[types.ServerID]*server.Server),
-	}
-	if cfg.Storage != nil && cfg.Storage.Remote != nil {
-		// One remote store for the whole fleet: like a real object store it
-		// outlives any single server, so kill/Replace cycles re-reach their
-		// uploads through the manifests persisted in each disk tier.
-		c.remote = storage.NewRemoteStore(*cfg.Storage.Remote)
 	}
 	if cfg.Membership != nil {
 		c.elastic = newElasticState(*cfg.Membership)
@@ -422,9 +390,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		for i := 0; i < cfg.Servers; i++ {
 			c.elastic.ring.Join(types.ServerID(i), c.domainFor(types.ServerID(i)))
 		}
-		c.place = placement.NewRing(c.elastic.ring)
 	}
-	c.dir = placement.NewDirectory(c.place, cfg.NLevel, cfg.Domain)
+	if err := c.placeFleet(); err != nil {
+		return nil, err
+	}
+	if cfg.Storage != nil && cfg.Storage.Remote != nil {
+		// One remote store for the whole fleet: like a real object store it
+		// outlives any single server, so kill/Replace cycles re-reach their
+		// uploads through the manifests persisted in each disk tier.
+		c.remote = storage.NewRemoteStore(*cfg.Storage.Remote)
+	}
 	local := make(map[types.ServerID]bool, cfg.Servers)
 	if cfg.LocalServers == nil {
 		for i := 0; i < cfg.Servers; i++ {
@@ -467,10 +442,6 @@ func (c *Cluster) startServer(id types.ServerID) (*server.Server, error) {
 	if cc.Window == 0 && cc.HotThreshold == 0 {
 		cc = classifier.DefaultConfig(c.cfg.Domain)
 	}
-	var ring *topology.DynamicRing
-	if c.elastic != nil {
-		ring = c.elastic.ring
-	}
 	var storeCfg *storage.Config
 	var ns string
 	if c.cfg.Storage != nil {
@@ -486,8 +457,6 @@ func (c *Cluster) startServer(id types.ServerID) (*server.Server, error) {
 	}
 	srv, err := server.New(server.Config{
 		ID:               id,
-		Groups:           c.groups,
-		Ring:             ring,
 		Placement:        c.place,
 		Network:          c.net,
 		Policy:           c.polCfg,
@@ -517,6 +486,28 @@ func (c *Cluster) startServer(id types.ServerID) (*server.Server, error) {
 		c.attachElastic(id, srv)
 	}
 	return srv, nil
+}
+
+// placeFleet builds the fleet's placement and its directory: the one place
+// the static/elastic choice is made. An elastic fleet places on its dynamic
+// ring; a static one on a hash placement whose groups must tile the fleet.
+// Without resilience nothing is copied or coded, so the groups are trivial.
+func (c *Cluster) placeFleet() error {
+	replicas, width := c.cfg.NLevel, c.cfg.DataShards+c.cfg.NLevel
+	if c.cfg.Mode == PolicyNone {
+		replicas, width = 0, 0
+	}
+	if c.elastic != nil {
+		c.place = placement.NewRing(c.elastic.ring, replicas, width)
+	} else {
+		hash, err := placement.NewGroupedHash(c.cfg.Servers, replicas, width)
+		if err != nil {
+			return err
+		}
+		c.place = hash
+	}
+	c.dir = placement.NewDirectory(c.place, c.cfg.NLevel, c.cfg.Domain)
+	return nil
 }
 
 // retryPolicy resolves a configured policy, defaulting when nil.
@@ -668,7 +659,8 @@ func (c *Cluster) ServerAddrs() map[ServerID]string {
 // When the service runs elastic membership, set cfg.Membership: the handle
 // then pulls a membership snapshot over the wire and places on the same
 // dynamic ring as the fleet, instead of guessing from a static server count
-// that drifts as servers join and drain.
+// that drifts as servers join and drain. A static service's handle places
+// as its servers do, so its geometry must tile cfg.Servers as theirs did.
 func NewRemoteCluster(cfg Config, addrs map[ServerID]string) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Servers <= 0 {
@@ -694,20 +686,11 @@ func NewRemoteCluster(cfg Config, addrs map[ServerID]string) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	// Group geometry lets the remote client fail writes over to the
-	// replication-group successor; skip it when the remote cluster's server
-	// count does not tile (failover then degrades to plain errors).
-	var groups *topology.Groups
-	if top, terr := topology.Uniform(cfg.Servers, 1); terr == nil {
-		groups, _ = topology.NewGroups(top, cfg.NLevel+1, cfg.DataShards+cfg.NLevel)
-	}
 	c := &Cluster{
 		cfg:     cfg,
 		net:     net,
 		retry:   retryPolicy(cfg.Retry),
 		health:  transport.HealthOf(net),
-		groups:  groups,
-		place:   placement.NewHash(cfg.Servers),
 		col:     metrics.NewCollector(),
 		codec:   codec,
 		servers: make(map[types.ServerID]*server.Server),
@@ -717,9 +700,10 @@ func NewRemoteCluster(cfg Config, addrs map[ServerID]string) (*Cluster, error) {
 		if err := c.bootstrapRemoteRing(addrs); err != nil {
 			return nil, err
 		}
-		c.place = placement.NewRing(c.elastic.ring)
 	}
-	c.dir = placement.NewDirectory(c.place, cfg.NLevel, cfg.Domain)
+	if err := c.placeFleet(); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 

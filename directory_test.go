@@ -284,7 +284,7 @@ func TestLaggingMirrorIsSettledByItsTwin(t *testing.T) {
 	for i := int64(0); i < 64 && !found; i++ {
 		box = Box3D(i%4*64, i/4%4*64, i/16*64, i%4*64+8, i/4%4*64+8, i/16*64+8)
 		primary = c.place.Primary(types.ObjectID{Var: "lag", Box: box})
-		holders := append(c.groups.ReplicaTargets(primary, cfg.NLevel), primary)
+		holders := append(c.place.ReplicaHolders(primary), primary)
 		found = !slices.ContainsFunc(c.dir.Servers("lag", box), func(s ServerID) bool { return slices.Contains(holders, s) })
 	}
 	if !found {

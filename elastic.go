@@ -509,7 +509,7 @@ type Member struct {
 // server answers or the service does not run elastic membership.
 func (cl *Client) MemberSnapshot(ctx context.Context) ([]Member, error) {
 	var lastErr error
-	for _, id := range cl.memberView() {
+	for _, id := range cl.cluster.place.Members() {
 		resp, err := cl.send(ctx, id, &transport.Message{Kind: transport.MsgGossip, Flag: true})
 		if err != nil {
 			lastErr = err
@@ -557,7 +557,7 @@ func (cl *Client) RequestDrain(ctx context.Context, id ServerID) error {
 // to its host; the newcomer announces itself via gossip once it is up.
 func (cl *Client) RequestJoin(ctx context.Context) error {
 	var lastErr error
-	for _, id := range cl.memberView() {
+	for _, id := range cl.cluster.place.Members() {
 		resp, err := cl.send(ctx, id, &transport.Message{Kind: transport.MsgGossip, Key: "join"})
 		if err != nil {
 			lastErr = err

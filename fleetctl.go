@@ -23,7 +23,7 @@ import (
 // skipped (a fleet mid-churn still reaches a step boundary); the first
 // application-level error is returned after all servers were attempted.
 func (cl *Client) EndTimeStepAll(ctx context.Context, ts Version) (demoted, promoted int, err error) {
-	members := cl.memberView()
+	members := cl.cluster.place.Members()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	for _, id := range members {

@@ -115,7 +115,7 @@ type Fleet struct {
 // fleet and blocks until every server answers a TCP dial. The fleet always
 // runs elastic membership (-membership): gossip self-assembly is what lets
 // the processes form one service without a coordinator, and it is the only
-// mode whose placement tolerates fleet sizes the static group geometry
+// mode whose placement tolerates fleet sizes the static placement's groups
 // cannot tile.
 func Start(ctx context.Context, cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()

@@ -16,8 +16,8 @@ func TestHashDeterministic(t *testing.T) {
 	if p.DirectoryShard(id.Key()) != p.DirectoryShard(id.Key()) {
 		t.Fatal("DirectoryShard not deterministic")
 	}
-	if p.NumServers() != 8 {
-		t.Fatal("NumServers wrong")
+	if len(p.Members()) != 8 || p.Epoch() != 0 {
+		t.Fatalf("members %v at epoch %d, want 0..7 at 0", p.Members(), p.Epoch())
 	}
 }
 

@@ -107,7 +107,7 @@ func TestMultiCellRecordRegistersInEveryGroup(t *testing.T) {
 	primary := rig.place.Primary(id)
 	down := types.InvalidServer
 	for _, s := range targets {
-		if s != primary && s != rig.servers[primary].replicaHolders()[0] {
+		if s != primary && s != rig.place.ReplicaHolders(primary)[0] {
 			down = s
 		}
 	}

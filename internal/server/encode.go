@@ -14,8 +14,8 @@ import (
 	"corec/internal/types"
 )
 
-// errRingMoved reports an encode abandoned because membership changed under
-// it.
+// errRingMoved reports an encode abandoned because the placement's epoch
+// moved under it: membership changed.
 var errRingMoved = errors.New("ring membership changed while encoding")
 
 // encodeObject transitions an object to the erasure-coded state following
@@ -38,11 +38,8 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, sum uint64
 		return fmt.Errorf("no codec configured")
 	}
 	key := obj.ID.Key()
-	var epoch uint64
-	if s.ring != nil {
-		epoch = s.ring.Epoch()
-	}
-	members := s.codingMembers()
+	epoch := s.place.Epoch()
+	members := s.place.CodingGroup(s.id)
 	k, m := s.codec.DataShards(), s.codec.ParityShards()
 	if len(members) != k+m {
 		return fmt.Errorf("coding group has %d members, stripe needs %d", len(members), k+m)
@@ -50,22 +47,15 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, sum uint64
 
 	stripeID := reuse
 	if stripeID == (types.StripeID{}) {
-		// Elastic mode has no static coding-group index; the minting server's
-		// id serves as the group. The sequence half is the server's hybrid
-		// logical clock with the minting server's id folded into the low
+		// The group half is the minting server's id. The sequence half is
+		// the server's hybrid logical clock with that id folded into the low
 		// byte: the clock makes ids unique across the lifetimes of one
 		// server id — including a crashed process restarted in a fresh OS
 		// process, where any in-memory counter would restart and re-mint a
 		// dead predecessor's ids, silently rebinding the shard keys that
-		// surviving objects' records still point at — and the id byte keeps
-		// servers sharing a static coding group from colliding when they mint
-		// in the same microsecond.
-		group := int(s.id)
-		if s.ring == nil {
-			group = s.groups.CodingGroup(s.id)
-		}
+		// surviving objects' records still point at.
 		stripeID = types.StripeID{
-			Group: group,
+			Group: int(s.id),
 			Seq:   s.nextMetaSeq()<<8 | uint64(s.id)&0xff,
 		}
 	}
@@ -124,12 +114,13 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, sum uint64
 		s.dropStripe(ctx, info)
 		return nil
 	}
-	// Nor may the ring have moved since the members were chosen: one that
-	// left meanwhile took its shard with it (a server that rejoins under the
-	// same id comes back empty), and committing would trade the full copies
-	// for a stripe already short of shards. The object stays as it was; the
-	// next attempt places over the ring as it then is.
-	if s.ring != nil && s.ring.Epoch() != epoch {
+	// Nor may the placement have moved since the members were chosen: one
+	// that left meanwhile took its shard with it (a server that rejoins under
+	// the same id comes back empty), and committing would trade the full
+	// copies for a stripe already short of shards. The object stays as it
+	// was; the next attempt places over the fleet as it then is. A static
+	// fleet's epoch never moves.
+	if s.place.Epoch() != epoch {
 		s.mu.Unlock()
 		s.dropStripe(ctx, info)
 		return errRingMoved
@@ -181,7 +172,7 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, sum uint64
 	s.mu.Unlock()
 	if dropReplicas {
 		tStart := time.Now()
-		for _, t := range s.replicaHolders() {
+		for _, t := range s.place.ReplicaHolders(s.id) {
 			msg := &transport.Message{Kind: transport.MsgReplicaDrop, Key: key, Version: obj.Version}
 			_, _ = s.sendRetry(ctx, t, msg) // dead holder needs no drop
 		}
@@ -202,7 +193,7 @@ func (s *Server) pickHelper(ctx context.Context) (types.ServerID, bool) {
 	if own <= s.cfg.HelperLoadDelta {
 		return types.InvalidServer, false
 	}
-	for _, t := range s.replicaHolders() {
+	for _, t := range s.place.ReplicaHolders(s.id) {
 		resp, err := s.sendRetry(ctx, t, &transport.Message{Kind: transport.MsgLoadQuery})
 		if err != nil || resp.Kind != transport.MsgOK {
 			continue

@@ -85,8 +85,8 @@ func TestEncodeRepushesToAReplacedMember(t *testing.T) {
 
 	release := gate.shut()
 	done := rig.putAsync("re", box, 1, payload(int(box.Volume())*8, 41))
-	<-gate.held                                       // the shards are out; the record is on its way
-	member := rig.servers[primary].codingMembers()[1] // holds data shard 1
+	<-gate.held                                 // the shards are out; the record is on its way
+	member := rig.place.CodingGroup(primary)[1] // holds data shard 1
 	rig.servers[member].Close()
 	rig.servers[member] = rig.startServer(t, member)
 	release()

@@ -128,7 +128,7 @@ func sameStripeBoxes(rig *testRig, n int) ([]geometry.Box, []types.ServerID) {
 			boxes = append(boxes, box)
 		}
 	}
-	return boxes, rig.servers[primary].codingMembers()
+	return boxes, rig.place.CodingGroup(primary)
 }
 
 // TestServerRebuildsInOneRoundOnceLossIsKnown is the property the client's

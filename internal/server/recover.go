@@ -275,21 +275,12 @@ func (s *Server) RunRecovery(ctx context.Context, mode recovery.Mode) (int, erro
 // server should hold a piece of: their keys in discovery order, and the
 // identity behind each key.
 func (s *Server) rebuildDirectoryAndWorklist(ctx context.Context) ([]string, map[string]types.ObjectID, error) {
-	var peers []types.ServerID
-	if s.ring != nil {
-		// Elastic fleets are not contiguous 0..n-1; walk the live ring.
-		peers = s.ring.Members()
-	} else {
-		for i := 0; i < s.place.NumServers(); i++ {
-			peers = append(peers, types.ServerID(i))
-		}
-	}
 	// The records are all there is to collect: an encoded one carries its
 	// stripe's layout, which answers "is one of my shards in this object's
 	// stripe" without asking anyone.
 	var keys []string
 	ids := make(map[string]types.ObjectID)
-	for _, peer := range s.others(peers) {
+	for _, peer := range s.others(s.place.Members()) {
 		resp, err := s.sendRetry(ctx, peer, &transport.Message{Kind: transport.MsgDirDump})
 		if err != nil || resp.Kind != transport.MsgOK {
 			continue

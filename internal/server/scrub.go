@@ -456,7 +456,7 @@ func (s *Server) scrubReplicaGroups(ctx context.Context, bud *scrub.Budget, rep 
 	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
 
 	for _, it := range items {
-		holders := s.replicaHolders()
+		holders := s.place.ReplicaHolders(s.id)
 		if meta, ok := s.reader.LookupMeta(ctx, it.obj.ID); ok && len(meta.Replicas) > 0 {
 			holders = meta.Replicas
 		}

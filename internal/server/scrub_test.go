@@ -35,7 +35,7 @@ func TestScrubBackfillsLegacyChecksums(t *testing.T) {
 		t.Fatal("primary has no local state")
 	}
 	srv.mu.Unlock()
-	mirror := srv.replicaHolders()[0]
+	mirror := srv.place.ReplicaHolders(srv.id)[0]
 	msrv := rig.servers[mirror]
 	msrv.mu.Lock()
 	delete(msrv.replicaSums, key)
@@ -186,7 +186,7 @@ func TestScrubDeadPeerCountsAsSkipNotCorruption(t *testing.T) {
 	data := payload(int(box.Volume())*8, 14)
 	primary := rig.put(t, "skip", box, 1, data)
 	srv := rig.servers[primary]
-	mirror := srv.replicaHolders()[0]
+	mirror := srv.place.ReplicaHolders(srv.id)[0]
 	rig.servers[mirror].Close()
 
 	rep, err := srv.ScrubDepth(context.Background(), scrub.DepthReplica)

@@ -26,15 +26,18 @@ import (
 	"corec/internal/recovery"
 	"corec/internal/scrub"
 	"corec/internal/storage"
-	"corec/internal/topology"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
 
 // Config assembles a server's dependencies.
 type Config struct {
-	ID        types.ServerID
-	Groups    *topology.Groups
+	ID types.ServerID
+	// Placement answers every "which servers" question: the primaries, the
+	// replica holders, the coding group, the token leader, the directory
+	// groups and the member list. A static fleet passes a grouped
+	// placement.Hash, an elastic one a placement.Ring; the server never
+	// learns which. Its coding group must be Policy.K+Policy.M wide.
 	Placement placement.Placement
 	Network   transport.Network
 	Policy    policy.Config
@@ -42,11 +45,6 @@ type Config struct {
 	// Domain bounds the staged data space; the metadata directory cuts it
 	// into the cells object records are placed by.
 	Domain geometry.Box
-	// Ring, when set, switches the server to elastic membership: replica
-	// targets, coding groups and directory groups are resolved against the
-	// live dynamic ring instead of the static group geometry (Groups may be
-	// nil in this mode).
-	Ring *topology.DynamicRing
 	// RecoveryMode selects lazy (CoREC) or aggressive background repair.
 	RecoveryMode recovery.Mode
 	// MTBF parameterizes the lazy-recovery deadline (MTBF/4).
@@ -77,8 +75,6 @@ type Server struct {
 	id      types.ServerID
 	net     transport.Network
 	place   placement.Placement
-	groups  *topology.Groups
-	ring    *topology.DynamicRing
 	codec   *erasure.Codec
 	decider *policy.Decider
 	col     *metrics.Collector
@@ -247,9 +243,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Network == nil || cfg.Placement == nil || !cfg.Domain.Valid() {
 		return nil, fmt.Errorf("server: missing dependencies")
 	}
-	if cfg.Groups == nil && cfg.Ring == nil {
-		return nil, fmt.Errorf("server: need either static groups or a dynamic ring")
-	}
 	if cfg.Collector == nil {
 		cfg.Collector = metrics.NewCollector()
 	}
@@ -271,9 +264,8 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Groups != nil && cfg.Groups.CodingSize != cfg.Policy.K+cfg.Policy.M {
-			return nil, fmt.Errorf("server: coding group size %d != k+m = %d",
-				cfg.Groups.CodingSize, cfg.Policy.K+cfg.Policy.M)
+		if n := len(cfg.Placement.CodingGroup(cfg.ID)); n != cfg.Policy.K+cfg.Policy.M {
+			return nil, fmt.Errorf("server: coding group size %d != k+m = %d", n, cfg.Policy.K+cfg.Policy.M)
 		}
 	}
 	var storeCfg storage.Config
@@ -292,8 +284,6 @@ func New(cfg Config) (*Server, error) {
 		place:       cfg.Placement,
 		dirPlace:    dirPlace,
 		dir:         newDirectory(dirPlace),
-		groups:      cfg.Groups,
-		ring:        cfg.Ring,
 		codec:       codec,
 		decider:     dec,
 		col:         cfg.Collector,
@@ -831,40 +821,4 @@ func (s *Server) writeLock(key string) *sync.Mutex {
 		h *= 16777619
 	}
 	return &s.writeLocks[h%uint32(len(s.writeLocks))]
-}
-
-// replicaHolders returns the servers holding replicas for this server's
-// objects: in elastic mode its domain-diverse ring successors, otherwise
-// its static replication-group peers (NLevel of them either way).
-func (s *Server) replicaHolders() []types.ServerID {
-	if s.ring != nil {
-		return s.ring.Targets(s.id, s.cfg.Policy.NLevel)
-	}
-	return s.groups.ReplicaTargets(s.id, s.cfg.Policy.NLevel)
-}
-
-// codingMembers returns this server's coding group in stripe order: the
-// rotation starting at the server itself, so the primary always holds data
-// shard 0 of stripes it mints. In elastic mode the group is the primary
-// plus k+m-1 domain-diverse ring successors.
-func (s *Server) codingMembers() []types.ServerID {
-	if s.ring != nil {
-		out := make([]types.ServerID, 0, s.cfg.Policy.K+s.cfg.Policy.M)
-		out = append(out, s.id)
-		return append(out, s.ring.Targets(s.id, s.cfg.Policy.K+s.cfg.Policy.M-1)...)
-	}
-	gi := s.groups.CodingGroup(s.id)
-	members := s.groups.CodingGroupMembers(gi)
-	start := 0
-	for i, m := range members {
-		if m == s.id {
-			start = i
-			break
-		}
-	}
-	out := make([]types.ServerID, len(members))
-	for i := range members {
-		out[i] = members[(start+i)%len(members)]
-	}
-	return out
 }

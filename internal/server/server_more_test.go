@@ -94,9 +94,6 @@ func TestRecoverKeyWithoutMetadata(t *testing.T) {
 
 func TestRecoverKeyUnprotectedObject(t *testing.T) {
 	rig := newRig(t, policy.None, 8)
-	// Even policy.None needs valid group geometry in this rig; use the
-	// erasure rig's groups but a none-mode decider by building manually.
-	// Simpler: put through a none-mode server set.
 	box := geometry.Box3D(0, 0, 0, 4, 4, 4)
 	primary := rig.put(t, "v", box, 1, payload(64, 5))
 	repaired, err := rig.servers[primary].recoverObject(context.Background(), types.ObjectID{Var: "v", Box: box})
@@ -126,7 +123,7 @@ func TestSerializeStoreCoversAllCategories(t *testing.T) {
 	rig := newRig(t, policy.Replicate, 8)
 	box := geometry.Box3D(0, 0, 0, 8, 8, 8)
 	primary := rig.put(t, "v", box, 1, payload(512, 9))
-	replica := rig.groups.ReplicaTargets(primary, 1)[0]
+	replica := rig.place.ReplicaHolders(primary)[0]
 	if got := len(rig.servers[primary].SerializeStore()); got != 512 {
 		t.Fatalf("primary serialized %d bytes, want 512", got)
 	}
@@ -182,19 +179,19 @@ func TestRunRecoveryLazyUsesPacer(t *testing.T) {
 
 func TestCodingMembersRotation(t *testing.T) {
 	rig := newRig(t, policy.Erasure, 8)
-	m2 := rig.servers[2].codingMembers()
+	m2 := rig.place.CodingGroup(2)
 	// Server 2 is slot 2 of coding group {0,1,2,3}: rotation [2,3,0,1].
 	want := []types.ServerID{2, 3, 0, 1}
 	for i := range want {
 		if m2[i] != want[i] {
-			t.Fatalf("codingMembers(2) = %v, want %v", m2, want)
+			t.Fatalf("CodingGroup(2) = %v, want %v", m2, want)
 		}
 	}
-	m5 := rig.servers[5].codingMembers()
+	m5 := rig.place.CodingGroup(5)
 	want5 := []types.ServerID{5, 6, 7, 4}
 	for i := range want5 {
 		if m5[i] != want5[i] {
-			t.Fatalf("codingMembers(5) = %v, want %v", m5, want5)
+			t.Fatalf("CodingGroup(5) = %v, want %v", m5, want5)
 		}
 	}
 }
@@ -275,7 +272,7 @@ func TestEncodeAbandonedWhenTheRingMovesUnderIt(t *testing.T) {
 	for i := range servers {
 		var err error
 		servers[i], err = New(Config{
-			ID: types.ServerID(i), Ring: ring, Placement: placement.NewRing(ring), Network: net,
+			ID: types.ServerID(i), Placement: placement.NewRing(ring, 1, 4), Network: net,
 			Policy: policy.Config{Mode: policy.Erasure, NLevel: 1, K: 3, M: 1}, Domain: rigDomain,
 		})
 		if err != nil {
@@ -285,7 +282,7 @@ func TestEncodeAbandonedWhenTheRingMovesUnderIt(t *testing.T) {
 	}
 	id := types.ObjectID{Var: "v", Box: geometry.Box3D(0, 0, 0, 8, 8, 8)}
 	primary := servers[ring.OwnerKey(id.Key())]
-	leaver := primary.codingMembers()[2]
+	leaver := primary.place.CodingGroup(primary.id)[2]
 	net.leave = func() { ring.Leave(leaver) }
 
 	put := &transport.Message{Kind: transport.MsgPut, Var: id.Var, Box: id.Box, Version: 1, Data: payload(600, 41)}

@@ -16,7 +16,6 @@ import (
 	"corec/internal/reader"
 	"corec/internal/recovery"
 	"corec/internal/simnet"
-	"corec/internal/topology"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
@@ -24,7 +23,6 @@ import (
 // testRig wires a full 8-server fabric with a shared collector.
 type testRig struct {
 	net     transport.Network
-	groups  *topology.Groups
 	place   placement.Placement
 	col     *metrics.Collector
 	servers []*Server
@@ -43,22 +41,18 @@ func newRigOn(t testing.TB, net transport.Network, mode policy.Mode, n int, sMin
 	return newRigWith(t, net, n, policy.Config{Mode: mode, NLevel: 1, K: 3, M: 1, StorageEfficiencyMin: sMin})
 }
 
-// newRigWith builds the rig on the given fabric under the given policy
-// (K+M must be 4, the rig's coding-group size).
+// newRigWith builds the rig on the given fabric under the given policy, over
+// a static placement with the policy's replica count and stripe width (both
+// groups must tile n).
 func newRigWith(t testing.TB, net transport.Network, n int, pol policy.Config) *testRig {
 	t.Helper()
-	top, err := topology.Uniform(n, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups, err := topology.NewGroups(top, 2, 4)
+	place, err := placement.NewGroupedHash(n, pol.NLevel, pol.K+pol.M)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rig := &testRig{
 		net:    net,
-		groups: groups,
-		place:  placement.NewHash(n),
+		place:  place,
 		col:    metrics.NewCollector(),
 		polCfg: pol,
 	}
@@ -76,7 +70,6 @@ func (r *testRig) startServer(t testing.TB, id types.ServerID) *Server {
 	t.Helper()
 	srv, err := New(Config{
 		ID:               id,
-		Groups:           r.groups,
 		Placement:        r.place,
 		Network:          r.net,
 		Policy:           r.polCfg,
@@ -119,15 +112,16 @@ func TestServerConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	top, _ := topology.Uniform(8, 4)
-	groups, _ := topology.NewGroups(top, 2, 4)
+	place, err := placement.NewGroupedHash(8, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Coding group size must match k+m.
-	_, err := New(Config{
-		ID: 0, Groups: groups,
-		Placement: placement.NewHash(8),
-		Domain:    rigDomain,
-		Network:   transport.NewInProc(simnet.LinkModel{}),
-		Policy:    policy.Config{Mode: policy.Erasure, NLevel: 1, K: 5, M: 1},
+	_, err = New(Config{
+		ID: 0, Placement: place,
+		Domain:  rigDomain,
+		Network: transport.NewInProc(simnet.LinkModel{}),
+		Policy:  policy.Config{Mode: policy.Erasure, NLevel: 1, K: 5, M: 1},
 	})
 	if err == nil {
 		t.Fatal("mismatched coding group size accepted")
@@ -143,12 +137,13 @@ func TestReplicationPlacesCopiesInGroup(t *testing.T) {
 	if !rig.servers[primary].HasObject(key) {
 		t.Fatal("primary lost the object")
 	}
-	targets := rig.groups.ReplicaTargets(primary, 1)
+	targets := rig.place.ReplicaHolders(primary)
 	if len(targets) != 1 || !rig.servers[targets[0]].HasReplica(key) {
 		t.Fatalf("replica not placed on group peer %v", targets)
 	}
-	// Replica must be in the same replication group and a different server.
-	if rig.groups.ReplicationGroup(primary) != rig.groups.ReplicationGroup(targets[0]) {
+	// Replica must be a different server of the same replication group: the
+	// rig's groups are the pairs {0,1}, {2,3}, ...
+	if targets[0] == primary || targets[0]/2 != primary/2 {
 		t.Fatal("replica escaped the replication group")
 	}
 }
@@ -164,7 +159,7 @@ func TestErasurePlacesStripeAcrossCodingGroup(t *testing.T) {
 	}
 	// Every coding-group member must hold exactly one shard of the stripe.
 	srv := rig.servers[primary]
-	members := srv.codingMembers()
+	members := rig.place.CodingGroup(primary)
 	srv.mu.Lock()
 	st := srv.local[key]
 	srv.mu.Unlock()
@@ -311,7 +306,7 @@ func TestEncodeDelegateUsesReplica(t *testing.T) {
 	// CoREC put: fresh write replicates.
 	primary := rig.put(t, "v", box, 1, payload(900, 6))
 	key := types.ObjectID{Var: "v", Box: box}.Key()
-	helper := rig.groups.ReplicaTargets(primary, 1)[0]
+	helper := rig.place.ReplicaHolders(primary)[0]
 	if !rig.servers[helper].HasReplica(key) {
 		t.Fatal("helper lacks the replica")
 	}
@@ -323,7 +318,7 @@ func TestEncodeDelegateUsesReplica(t *testing.T) {
 		return srv.objects[key]
 	}()
 	shards, shardSize := srv.codec.Split(srvObj.Data)
-	members := srv.codingMembers()
+	members := rig.place.CodingGroup(primary)
 	info := &types.StripeInfo{ID: types.StripeID{Group: 99, Seq: 1}, K: 3, M: 1, ShardSize: shardSize}
 	for i, m := range members {
 		info.Members = append(info.Members, types.StripeMember{Server: m, Index: i})
@@ -442,7 +437,7 @@ func TestFetchStripeDataDegraded(t *testing.T) {
 	stripe := srv.local[key].layout
 	srv.mu.Unlock()
 	// Kill a non-primary stripe member holding a data shard.
-	members := srv.codingMembers()
+	members := rig.place.CodingGroup(primary)
 	rig.servers[members[1]].Close()
 	got, err := readStripe(srv, stripe, len(data))
 	if err != nil {
@@ -466,7 +461,7 @@ func TestRecoverKeyRestoresShard(t *testing.T) {
 	srv.mu.Lock()
 	stripe := srv.local[key].layout.ID
 	srv.mu.Unlock()
-	members := srv.codingMembers()
+	members := rig.place.CodingGroup(primary)
 	victim := members[2]
 	rig.servers[victim].Close()
 	// Fresh replacement with the same ID.
@@ -564,7 +559,7 @@ func TestOnAccessRepairMarksQueue(t *testing.T) {
 	srv.mu.Lock()
 	stripe := srv.local[key].layout.ID
 	srv.mu.Unlock()
-	members := srv.codingMembers()
+	members := rig.place.CodingGroup(primary)
 	victim := members[1]
 	rig.servers[victim].Close()
 	repl := rig.startServer(t, victim)

@@ -162,7 +162,7 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 // records the replicated state. sum is the digest of obj.Data, which rides
 // along as each push's payload check: the pushes make no pass of their own.
 func (s *Server) replicateObject(ctx context.Context, obj *types.Object, sum uint64) error {
-	targets := s.replicaHolders()
+	targets := s.place.ReplicaHolders(s.id)
 	start := time.Now()
 	for _, t := range targets {
 		msg := &transport.Message{
@@ -271,7 +271,7 @@ func (s *Server) handleDelete(ctx context.Context, req *transport.Message) *tran
 		s.dropStripe(ctx, st.layout)
 	} else {
 		tStart := time.Now()
-		for _, t := range s.replicaHolders() {
+		for _, t := range s.place.ReplicaHolders(s.id) {
 			// Dead holder needs no drop; the scrubber reaps orphans.
 			_, _ = s.sendRetry(ctx, t, &transport.Message{Kind: transport.MsgReplicaDrop, Key: key})
 		}
@@ -515,18 +515,7 @@ func (s *Server) handleStripeLookup(req *transport.Message) *transport.Message {
 	return &transport.Message{Kind: transport.MsgOK, Flag: info != nil, StripeInfo: info}
 }
 
-// --- encoding token (one per replication group, held by the group leader) ---
-
-func (s *Server) tokenLeader() types.ServerID {
-	if s.ring != nil {
-		// Elastic mode has no static replication groups to elect a leader
-		// from; each server arbitrates its own encodes. The token is a
-		// conflict-avoidance optimization, so self-granting stays correct.
-		return s.id
-	}
-	gi := s.groups.ReplicationGroup(s.id)
-	return s.groups.ReplicationGroupMembers(gi)[0]
-}
+// --- encoding token (granted by the leader the placement names) ---
 
 // handleTokenAcquire grants the group's encoding token when it is free, or its
 // holder is gone without a release: replaced, or known down to the fabric.
@@ -554,7 +543,7 @@ func (s *Server) handleTokenRelease(req *transport.Message) *transport.Message {
 // load-balancing/conflict-avoidance optimization, not a correctness
 // requirement (per-object exclusivity comes from primary ownership).
 func (s *Server) acquireToken(ctx context.Context) (release func()) {
-	leader := s.tokenLeader()
+	leader := s.place.TokenLeader(s.id)
 	msg := &transport.Message{Kind: transport.MsgTokenAcquire, From: s.id, Num: int64(s.incarnation)} // a call to oneself stamps no From
 	for attempt := 0; attempt < 8; attempt++ {
 		resp, err := s.sendRetry(ctx, leader, msg)

@@ -9,7 +9,7 @@ import (
 	"corec/internal/types"
 )
 
-// DynamicRing is the elastic counterpart of the static group geometry: a
+// DynamicRing is the elastic counterpart of the static ring windows: a
 // consistent-hash ring with virtual nodes whose membership changes at
 // runtime (Join/Drain/Leave). Each change bumps an epoch counter — the
 // version clients compare their cached view against — and moves only the

@@ -1,13 +1,14 @@
 // Package topology models the physical organization of staging servers
-// (cabinets and nodes) and derives from it the logical server ring and the
-// replication / erasure-coding groups of CoREC's grouped placement scheme
-// (Section III-A of the paper).
+// (cabinets and nodes) and derives from it the logical server ring that
+// CoREC's grouped placement scheme (Section III-A of the paper) cuts into
+// groups, plus the dynamic ring an elastic fleet places on.
 //
 // The key property: servers are reordered into a logical ring such that any
 // window of up to FailureDomains() consecutive ring positions contains
-// servers from pairwise-distinct failure domains. Replication groups and
-// coding groups are contiguous ring windows, so a correlated failure (one
-// cabinet losing power) removes at most one member from any group.
+// servers from pairwise-distinct failure domains. The static placement
+// (placement.Hash) makes its replication and coding groups contiguous ring
+// windows, so a correlated failure (one cabinet losing power) removes at
+// most one member from any group.
 package topology
 
 import (
@@ -123,88 +124,4 @@ func (t *Topology) DistinctDomains(ids []types.ServerID) bool {
 		seen[c] = true
 	}
 	return true
-}
-
-// Groups holds the replication and coding group assignments derived from
-// the ring.
-type Groups struct {
-	// ReplicaSize is the number of servers per replication group
-	// (1 + number of replicas).
-	ReplicaSize int
-	// CodingSize is the number of servers per coding group (n = k+m).
-	CodingSize int
-	numServers int
-}
-
-// NewGroups validates and constructs the group geometry over a topology.
-// The server count must be divisible by both group sizes so groups tile the
-// ring exactly (the paper's twelve-server example uses replica groups of 2
-// and coding groups of 3).
-func NewGroups(t *Topology, replicaSize, codingSize int) (*Groups, error) {
-	n := t.NumServers()
-	if replicaSize < 1 || replicaSize > n {
-		return nil, fmt.Errorf("topology: replication group size %d out of range [1,%d]", replicaSize, n)
-	}
-	if codingSize < 2 || codingSize > n {
-		return nil, fmt.Errorf("topology: coding group size %d out of range [2,%d]", codingSize, n)
-	}
-	if n%replicaSize != 0 {
-		return nil, fmt.Errorf("topology: %d servers not divisible into replication groups of %d", n, replicaSize)
-	}
-	if n%codingSize != 0 {
-		return nil, fmt.Errorf("topology: %d servers not divisible into coding groups of %d", n, codingSize)
-	}
-	return &Groups{ReplicaSize: replicaSize, CodingSize: codingSize, numServers: n}, nil
-}
-
-// ReplicationGroup returns the index of the replication group containing
-// the server.
-func (g *Groups) ReplicationGroup(id types.ServerID) int {
-	return int(id) / g.ReplicaSize
-}
-
-// ReplicationGroupMembers returns the servers of replication group gi in
-// ring order.
-func (g *Groups) ReplicationGroupMembers(gi int) []types.ServerID {
-	out := make([]types.ServerID, g.ReplicaSize)
-	for i := range out {
-		out[i] = types.ServerID(gi*g.ReplicaSize + i)
-	}
-	return out
-}
-
-// NumReplicationGroups returns the number of replication groups.
-func (g *Groups) NumReplicationGroups() int { return g.numServers / g.ReplicaSize }
-
-// CodingGroup returns the index of the coding group containing the server.
-func (g *Groups) CodingGroup(id types.ServerID) int {
-	return int(id) / g.CodingSize
-}
-
-// CodingGroupMembers returns the servers of coding group gi in ring order.
-func (g *Groups) CodingGroupMembers(gi int) []types.ServerID {
-	out := make([]types.ServerID, g.CodingSize)
-	for i := range out {
-		out[i] = types.ServerID(gi*g.CodingSize + i)
-	}
-	return out
-}
-
-// NumCodingGroups returns the number of coding groups.
-func (g *Groups) NumCodingGroups() int { return g.numServers / g.CodingSize }
-
-// ReplicaTargets returns the servers that hold copies of an object whose
-// primary is the given server: the other members of its replication group,
-// in ring order starting after the primary. count limits the number of
-// replicas returned (count <= ReplicaSize-1).
-func (g *Groups) ReplicaTargets(primary types.ServerID, count int) []types.ServerID {
-	gi := g.ReplicationGroup(primary)
-	members := g.ReplicationGroupMembers(gi)
-	out := make([]types.ServerID, 0, count)
-	// Walk the group starting just after the primary's slot.
-	start := int(primary) - gi*g.ReplicaSize
-	for i := 1; i <= len(members)-1 && len(out) < count; i++ {
-		out = append(out, members[(start+i)%len(members)])
-	}
-	return out
 }

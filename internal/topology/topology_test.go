@@ -98,86 +98,6 @@ func TestTopologyErrors(t *testing.T) {
 	}
 }
 
-func TestGroupsValidation(t *testing.T) {
-	top, _ := Uniform(12, 4)
-	if _, err := NewGroups(top, 5, 3); err == nil {
-		t.Error("non-divisible replication size accepted")
-	}
-	if _, err := NewGroups(top, 2, 5); err == nil {
-		t.Error("non-divisible coding size accepted")
-	}
-	if _, err := NewGroups(top, 0, 3); err == nil {
-		t.Error("zero replication size accepted")
-	}
-	if _, err := NewGroups(top, 2, 1); err == nil {
-		t.Error("coding size 1 accepted")
-	}
-	if _, err := NewGroups(top, 2, 3); err != nil {
-		t.Errorf("valid groups rejected: %v", err)
-	}
-}
-
-func TestGroupMembership(t *testing.T) {
-	top, _ := Uniform(12, 4)
-	g, err := NewGroups(top, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumReplicationGroups() != 6 || g.NumCodingGroups() != 4 {
-		t.Fatalf("groups: %d repl, %d coding", g.NumReplicationGroups(), g.NumCodingGroups())
-	}
-	if g.ReplicationGroup(0) != 0 || g.ReplicationGroup(1) != 0 || g.ReplicationGroup(2) != 1 {
-		t.Fatal("replication group assignment wrong")
-	}
-	if g.CodingGroup(2) != 0 || g.CodingGroup(3) != 1 {
-		t.Fatal("coding group assignment wrong")
-	}
-	rm := g.ReplicationGroupMembers(1)
-	if len(rm) != 2 || rm[0] != 2 || rm[1] != 3 {
-		t.Fatalf("ReplicationGroupMembers(1) = %v", rm)
-	}
-	cm := g.CodingGroupMembers(3)
-	if len(cm) != 3 || cm[0] != 9 || cm[2] != 11 {
-		t.Fatalf("CodingGroupMembers(3) = %v", cm)
-	}
-}
-
-func TestGroupsSpanDistinctDomains(t *testing.T) {
-	// With the ring construction and 4 cabinets, both replication (2) and
-	// coding (3) groups must always span distinct cabinets.
-	top, _ := Uniform(12, 4)
-	g, _ := NewGroups(top, 2, 3)
-	for i := 0; i < g.NumReplicationGroups(); i++ {
-		if !top.DistinctDomains(g.ReplicationGroupMembers(i)) {
-			t.Fatalf("replication group %d spans a repeated cabinet", i)
-		}
-	}
-	for i := 0; i < g.NumCodingGroups(); i++ {
-		if !top.DistinctDomains(g.CodingGroupMembers(i)) {
-			t.Fatalf("coding group %d spans a repeated cabinet", i)
-		}
-	}
-}
-
-func TestReplicaTargets(t *testing.T) {
-	top, _ := Uniform(12, 4)
-	g, _ := NewGroups(top, 3, 3)
-	targets := g.ReplicaTargets(4, 2)
-	// Server 4 is slot 1 of replication group 1 {3,4,5}; targets walk the
-	// group after it: 5, then 3.
-	if len(targets) != 2 || targets[0] != 5 || targets[1] != 3 {
-		t.Fatalf("ReplicaTargets = %v", targets)
-	}
-	one := g.ReplicaTargets(3, 1)
-	if len(one) != 1 || one[0] != 4 {
-		t.Fatalf("ReplicaTargets count=1 = %v", one)
-	}
-	none := g.ReplicaTargets(3, 0)
-	if len(none) != 0 {
-		t.Fatalf("ReplicaTargets count=0 = %v", none)
-	}
-}
-
 func TestRingWindowDistinctDomainsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	f := func() bool {

@@ -83,8 +83,9 @@ func (o *Object) Clone() *Object {
 }
 
 // StripeID identifies an erasure-coded stripe. Stripes are minted by the
-// encoding workflow; the ID embeds the coding group and a per-group sequence
-// number so it is unique cluster-wide without coordination.
+// encoding workflow; the ID embeds the minting server's id and a sequence
+// number from that server's clock so it is unique cluster-wide without
+// coordination.
 type StripeID struct {
 	Group int
 	Seq   uint64

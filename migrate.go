@@ -215,7 +215,7 @@ const metaRecordCost = 512
 // is charged to the byte bucket so repeated passes stay off the foreground
 // path.
 func (c *Cluster) collectDirectory(ctx context.Context, cl *Client, bucket *scrub.TokenBucket) ([]*types.ObjectMeta, error) {
-	members := c.elastic.ring.Members()
+	members := c.place.Members()
 	best := make(map[string]*types.ObjectMeta)
 	reached := 0
 	for _, m := range members {
@@ -306,18 +306,17 @@ func (c *Cluster) stripeDegraded(si *types.StripeInfo) bool {
 // current ring successors that lack a live copy, then refreshes the
 // directory record's replica list.
 func (c *Cluster) repairReplicas(ctx context.Context, cl *Client, m *types.ObjectMeta) bool {
-	ring := c.elastic.ring
 	data, err := cl.fetchObjectBytes(ctx, m.Clone())
 	if err != nil {
 		return false
 	}
 	live := make(map[types.ServerID]bool)
 	for _, r := range m.Replicas {
-		if ring.Contains(r) {
+		if c.elastic.ring.Contains(r) {
 			live[r] = true
 		}
 	}
-	targets := ring.Targets(m.Primary, c.cfg.NLevel)
+	targets := c.place.ReplicaHolders(m.Primary)
 	newReps := make([]types.ServerID, 0, len(targets))
 	pushedAny := false
 	for _, t := range targets {

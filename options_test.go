@@ -9,7 +9,7 @@ import (
 )
 
 // TestOptionInventory pins every public setting: the exported fields of the
-// six config structs an application fills in (49 settings), plus the 15 of
+// six config structs an application fills in (49 settings), plus the 13 of
 // the server.Config the cluster builds for each server. A setting stays only
 // while something other than its own plumbing and its own test sets it — a
 // deployment's sizing, or a test that runs a different experiment with it;
@@ -35,8 +35,8 @@ func TestOptionInventory(t *testing.T) {
 		}},
 		{reflect.TypeOf(ScrubConfig{}), []string{"Interval", "BytesPerSec", "Burst", "Depth"}},
 		{reflect.TypeOf(server.Config{}), []string{
-			"ID", "Groups", "Placement", "Network", "Policy", "Collector", "Domain",
-			"Ring", "RecoveryMode", "MTBF", "HelperLoadDelta", "ClassifierConfig",
+			"ID", "Placement", "Network", "Policy", "Collector", "Domain",
+			"RecoveryMode", "MTBF", "HelperLoadDelta", "ClassifierConfig",
 			"Storage", "RemoteStore", "StorageNS",
 		}},
 	}

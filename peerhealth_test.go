@@ -138,7 +138,7 @@ func TestPeerHealthEncodedReadHealthyShards(t *testing.T) {
 		for i := int64(0); i < 16 && victim < 0; i++ {
 			box = Box3D(i%4*64, i/4*64, 0, i%4*64+8, i/4*64+8, 8)
 			primary := c.place.Primary(types.ObjectID{Var: "ph", Box: box})
-			coding := c.groups.CodingGroupMembers(c.groups.CodingGroup(primary))
+			coding := c.place.CodingGroup(primary)
 			if first := firstMirrorOf(t, c, cl, "ph", box); !slices.Contains(coding, first) {
 				victim = first
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"corec/internal/failure"
@@ -23,8 +24,8 @@ import (
 // Every read alternates between Get and GetInto, the latter into one reused
 // buffer left dirty by the read before it, so cells that no staged object
 // covers must come back cleared, not stale. A read of one object is repeated
-// the way a server reads (serverSideReader), from a live member of the
-// object's coding group, and must return the same bytes.
+// the way a server reads (serverSideReader), from the live member of the
+// object's coding group with the lowest id, and must return the same bytes.
 //
 // A read of one object names the version its last put was acknowledged at,
 // the floor a lookup may stop at the first directory mirror for: it must
@@ -124,7 +125,7 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 					if !bytes.Equal(got, regionWant(region)) {
 						t.Fatalf("op %d: region %v diverged from reference", op, region)
 					}
-					metas, err := client.queryServers(ctx, client.memberView(), "ref", region, nil)
+					metas, err := client.queryServers(ctx, client.cluster.place.Members(), "ref", region, nil)
 					if err != nil {
 						t.Fatalf("op %d: full fan-out for %v: %v", op, region, err)
 					}
@@ -152,7 +153,9 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 					if err != nil || len(metas) != 1 {
 						t.Fatalf("op %d: query obj %d: %v (%d records)", op, i, err, len(metas))
 					}
-					for _, member := range cluster.groups.CodingGroupMembers(cluster.groups.CodingGroup(metas[0].Primary)) {
+					members := cluster.place.CodingGroup(metas[0].Primary)
+					slices.Sort(members)
+					for _, member := range members {
 						if self := cluster.Server(ServerID(member)); self != nil && cluster.Alive(ServerID(member)) {
 							buf := make([]byte, metas[0].Size)
 							if err := serverSideReader(client, self).Object(ctx, &metas[0], buf); err != nil {

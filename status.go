@@ -27,7 +27,7 @@ type ServerStatus struct {
 // Status polls every staging server for its status report. Works over any
 // transport, including remote clusters — the admin view corec-cli exposes.
 func (cl *Client) Status(ctx context.Context) []ServerStatus {
-	members := cl.memberView()
+	members := cl.cluster.place.Members()
 	out := make([]ServerStatus, len(members))
 	for i, id := range members {
 		out[i].ID = ServerID(id)

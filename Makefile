@@ -19,10 +19,13 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# Project invariant analyzers (locksafe, wiremsg, detrand, droppederr,
-# mapsort, readpath). Stdlib-only and offline — unlike staticcheck this is never
-# skipped; see DESIGN.md "Enforced invariants".
+# Formatting, then the project invariant analyzers (locksafe, wiremsg,
+# detrand, droppederr, mapsort, readpath). Stdlib-only and offline — unlike
+# staticcheck this is never skipped; see DESIGN.md "Enforced invariants".
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/corec-lint ./...
 
 test:
@@ -64,9 +67,12 @@ transportrace:
 	$(GO) test -race -count=5 -run TestPutChecksPayloadOncePerHopOverTCP ./internal/server
 
 # Race-detector pass focused on elastic membership churn: gossip agents,
-# dynamic ring, and the paced migrator running against foreground traffic.
+# dynamic ring, and the paced migrator running against foreground traffic —
+# and the monitor, which reads the liveness table gossip and every send
+# write, repeated because its detection and recovery race the fleet.
 churnrace:
 	$(GO) test -race -run 'TestElastic|TestRebalance' .
+	$(GO) test -race -count=5 -run 'TestMonitor|TestElasticMonitor' .
 	$(GO) test -race ./internal/membership ./internal/topology ./internal/placement
 
 # Race-detector pass focused on the tiered storage engine: the concurrent

@@ -18,10 +18,9 @@ import (
 // MembershipConfig enables elastic membership: every server runs a
 // SWIM-style gossip agent (see internal/membership), placement moves to a
 // dynamic consistent-hash ring, and servers can Join, Drain and Leave the
-// fleet at runtime. Failure detection becomes decentralized — gossip, not
-// the central monitor's heartbeat sweep, declares servers dead — and the
-// monitor turns into a thin consumer of membership events that keeps only
-// its recovery-orchestration role.
+// fleet at runtime. Gossip's death verdicts evict a server from the ring
+// and mark it down in the fabric's PeerHealth table, the one record the
+// monitor reads.
 //
 // The protocol's timing and dissemination are internal/membership's
 // defaults, and the ring places topology.DefaultVirtualNodes virtual nodes
@@ -64,7 +63,7 @@ type elasticState struct {
 
 	mu      sync.Mutex
 	agents  map[types.ServerID]*membership.Agent
-	lastInc map[types.ServerID]uint64
+	lastInc map[types.ServerID]uint64 // newest incarnation started or seen per id
 	nextID  types.ServerID
 
 	events chan MembershipEvent
@@ -110,9 +109,9 @@ func (c *Cluster) MembershipAgent(id ServerID) *membership.Agent {
 }
 
 // MemberEvents returns the stream of ring-changing membership events
-// (deaths, departures, joins, refutation-driven rejoins). The monitor
-// consumes it in elastic mode; events overflowing the buffer are dropped —
-// the ring itself is always authoritative.
+// (deaths, departures, joins, refutation-driven rejoins), for display:
+// events overflowing the buffer are dropped — the ring and the PeerHealth
+// table are authoritative.
 func (c *Cluster) MemberEvents() <-chan MembershipEvent {
 	if c.elastic == nil {
 		return nil
@@ -156,17 +155,19 @@ func (c *Cluster) domainFor(id types.ServerID) int {
 }
 
 // attachElastic wires a freshly started server into the membership plane:
-// builds its gossip agent (incarnation above any tombstone for the same
+// builds its gossip agent (incarnation above any earlier one for the same
 // id), seeds its view from the ring, attaches it to the server's dispatch
-// loop, and — when the id is new to the ring — joins the ring and announces
-// the newcomer to the fleet.
+// loop, joins the ring when the id is new to it, and announces a newcomer
+// or a replacement to the fleet.
 func (c *Cluster) attachElastic(id types.ServerID, srv *server.Server) {
 	e := c.elastic
 	e.mu.Lock()
 	inc := uint64(0)
-	if last, ok := e.lastInc[id]; ok {
+	last, replacing := e.lastInc[id]
+	if replacing {
 		inc = last + 1
 	}
+	e.lastInc[id] = inc
 	if id >= e.nextID {
 		e.nextID = id + 1
 	}
@@ -221,15 +222,19 @@ func (c *Cluster) attachElastic(id types.ServerID, srv *server.Server) {
 	e.agents[id] = agent
 	e.mu.Unlock()
 
-	if !e.ring.Contains(id) {
+	newcomer := !e.ring.Contains(id)
+	if newcomer {
 		_, arcs := e.ring.Join(id, c.domainFor(id))
 		e.arcsMoved.Add(int64(len(arcs)))
 		// This host changed the ring itself, so gossip echoes of the join
 		// will find the ring already updated and stay silent; surface the
 		// transition to MemberEvents consumers here instead.
 		c.pushMemberEvent(MembershipEvent{Kind: membership.EventJoined, ID: id, Incarnation: inc, Domain: c.domainFor(id), Addr: addr})
+	}
+	if newcomer || replacing {
 		// Announce to the established fleet so its agents flip any dead/left
-		// tombstone for this id to alive without waiting for our first probe.
+		// tombstone, or a suspicion of the replaced incarnation that the
+		// monitor outran, to alive without waiting for our first probe.
 		agent.JoinFleet(contextBackground, peers)
 	}
 	if !e.cfg.Manual {
@@ -287,7 +292,7 @@ func (c *Cluster) stopAgent(id types.ServerID) {
 // onMembershipEvent folds one agent's observed transition into the shared
 // placement ring. Every live agent reports every transition it accepts, so
 // the handler is idempotent: the first event for a transition updates the
-// ring (and is forwarded to the monitor), duplicates no-op.
+// ring and the PeerHealth table, duplicates no-op.
 func (c *Cluster) onMembershipEvent(ev MembershipEvent) {
 	e := c.elastic
 	if e == nil || ev.ID < 0 {
@@ -295,22 +300,23 @@ func (c *Cluster) onMembershipEvent(ev MembershipEvent) {
 	}
 	switch ev.Kind {
 	case membership.EventDied, membership.EventLeft:
-		e.mu.Lock()
-		if last, ok := e.lastInc[ev.ID]; !ok || ev.Incarnation > last {
-			e.lastInc[ev.ID] = ev.Incarnation
+		if !e.seen(ev.ID, ev.Incarnation) {
+			// A verdict on an incarnation already replaced: agents emit
+			// outside their locks, so it can arrive after the newcomer's join.
+			return
 		}
-		e.mu.Unlock()
 		if e.ring.Contains(ev.ID) {
 			_, arcs := e.ring.Leave(ev.ID)
 			e.arcsMoved.Add(int64(len(arcs)))
+			if ev.Kind == membership.EventDied {
+				// Gossip's verdict is first-hand news: sends stop paying a
+				// retry budget to learn it, and the monitor recovers it.
+				c.health.MarkDown(ev.ID, c.retry)
+			}
 			c.pushMemberEvent(ev)
 		}
 	case membership.EventJoined, membership.EventRefuted:
-		e.mu.Lock()
-		if last, ok := e.lastInc[ev.ID]; !ok || ev.Incarnation > last {
-			e.lastInc[ev.ID] = ev.Incarnation
-		}
-		e.mu.Unlock()
+		e.seen(ev.ID, ev.Incarnation)
 		if ev.Addr != "" {
 			if tn := c.tcpNet(); tn != nil {
 				tn.AddRemote(ev.ID, ev.Addr)
@@ -327,6 +333,18 @@ func (c *Cluster) onMembershipEvent(ev MembershipEvent) {
 		// Suspicion alone never moves placement; the refutation window
 		// decides between eviction and a false-positive count.
 	}
+}
+
+// seen records inc as id's newest incarnation if it is one, and reports
+// whether inc is at least as new as every incarnation recorded before.
+func (e *elasticState) seen(id types.ServerID, inc uint64) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	last, ok := e.lastInc[id]
+	if !ok || inc > last {
+		e.lastInc[id] = inc
+	}
+	return !ok || inc >= last
 }
 
 func (c *Cluster) pushMemberEvent(ev MembershipEvent) {

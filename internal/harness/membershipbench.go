@@ -83,7 +83,7 @@ type lossyFleet struct {
 }
 
 func (f *lossyFleet) Register(id types.ServerID, h transport.Handler) {}
-func (f *lossyFleet) Unregister(id types.ServerID)                   {}
+func (f *lossyFleet) Unregister(id types.ServerID)                    {}
 
 func (f *lossyFleet) Send(ctx context.Context, from, to types.ServerID, req *transport.Message) (*transport.Message, error) {
 	if f.down[to] {

@@ -117,21 +117,9 @@ type Config struct {
 	Addr   string
 	// Seed drives all agent randomness (probe-target shuffle, proxy choice).
 	Seed int64
-	// ProbeInterval is the background loop's tick period. Default 25ms.
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds each direct or indirect probe RPC. Default 10ms.
-	ProbeTimeout time.Duration
-	// IndirectProxies is k: how many peers relay an indirect probe after a
-	// direct probe fails. Default 2.
-	IndirectProxies int
 	// SuspicionTicks is how many ticks a suspect has to refute before it is
 	// declared dead. Default 3.
 	SuspicionTicks int
-	// PiggybackLimit caps updates carried per message. Default 8.
-	PiggybackLimit int
-	// RetransmitMult scales per-update retransmissions: each update rides
-	// RetransmitMult * ceil(log2(n+1)) messages. Default 3.
-	RetransmitMult int
 	// Incarnation seeds the local incarnation number. A replacement for a
 	// previously-dead server must start above the dead record's incarnation
 	// or its alive assertions lose to the tombstone.
@@ -148,24 +136,25 @@ type Config struct {
 	OnJoin func()
 }
 
+// The protocol's fixed timing and dissemination.
+const (
+	// ProbeInterval is the background loop's tick period.
+	ProbeInterval = 25 * time.Millisecond
+	// ProbeTimeout bounds each direct or indirect probe RPC.
+	ProbeTimeout = 10 * time.Millisecond
+	// IndirectProxies is SWIM's k: how many peers relay an indirect probe
+	// after a direct probe fails.
+	IndirectProxies = 2
+	// PiggybackLimit caps updates carried per message.
+	PiggybackLimit = 8
+	// RetransmitMult scales per-update retransmissions: each update rides
+	// RetransmitMult * ceil(log2(n+1)) messages.
+	RetransmitMult = 3
+)
+
 func (c *Config) applyDefaults() {
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 25 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 10 * time.Millisecond
-	}
-	if c.IndirectProxies <= 0 {
-		c.IndirectProxies = 2
-	}
 	if c.SuspicionTicks <= 0 {
 		c.SuspicionTicks = 3
-	}
-	if c.PiggybackLimit <= 0 {
-		c.PiggybackLimit = 8
-	}
-	if c.RetransmitMult <= 0 {
-		c.RetransmitMult = 3
 	}
 }
 
@@ -363,7 +352,7 @@ func (a *Agent) Start() {
 	a.done = make(chan struct{})
 	go func() {
 		defer close(a.done)
-		ticker := time.NewTicker(a.cfg.ProbeInterval)
+		ticker := time.NewTicker(ProbeInterval)
 		defer ticker.Stop()
 		for {
 			select {
@@ -464,7 +453,7 @@ func (a *Agent) probe(ctx context.Context, target types.ServerID, kind transport
 }
 
 func (a *Agent) send(ctx context.Context, to types.ServerID, req *transport.Message) (*transport.Message, error) {
-	sctx, cancel := context.WithTimeout(ctx, a.cfg.ProbeTimeout)
+	sctx, cancel := context.WithTimeout(ctx, ProbeTimeout)
 	defer cancel()
 	return a.net.Send(sctx, a.cfg.ID, to, req)
 }
@@ -514,8 +503,8 @@ func (a *Agent) pickProxiesLocked(target types.ServerID) []types.ServerID {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
 	a.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	if len(cands) > a.cfg.IndirectProxies {
-		cands = cands[:a.cfg.IndirectProxies]
+	if len(cands) > IndirectProxies {
+		cands = cands[:IndirectProxies]
 	}
 	return cands
 }
@@ -680,7 +669,7 @@ func (a *Agent) maxSendsLocked() int {
 	if lg < 1 {
 		lg = 1
 	}
-	return a.cfg.RetransmitMult * lg
+	return RetransmitMult * lg
 }
 
 // takePiggybackLocked selects up to PiggybackLimit queued updates (fewest
@@ -697,8 +686,8 @@ func (a *Agent) takePiggybackLocked() []byte {
 		return a.queue[i].u.ID < a.queue[j].u.ID
 	})
 	n := len(a.queue)
-	if n > a.cfg.PiggybackLimit {
-		n = a.cfg.PiggybackLimit
+	if n > PiggybackLimit {
+		n = PiggybackLimit
 	}
 	batch := make([]Update, 0, n)
 	for i := 0; i < n; i++ {

@@ -27,7 +27,7 @@ func newFleet() *fleet {
 }
 
 func (f *fleet) Register(id types.ServerID, h transport.Handler) {}
-func (f *fleet) Unregister(id types.ServerID)                   {}
+func (f *fleet) Unregister(id types.ServerID)                    {}
 
 func (f *fleet) Send(ctx context.Context, from, to types.ServerID, req *transport.Message) (*transport.Message, error) {
 	if f.down[to] || f.blocked[[2]types.ServerID{from, to}] {
@@ -310,7 +310,7 @@ func TestLeaveIsTerminalNotDead(t *testing.T) {
 
 func TestPiggybackBounded(t *testing.T) {
 	f := newFleet()
-	a := NewAgent(Config{ID: 0, Seed: 1, PiggybackLimit: 4}, f)
+	a := NewAgent(Config{ID: 0, Seed: 1}, f)
 	var boot []Update
 	for i := 1; i <= 20; i++ {
 		boot = append(boot, Update{ID: types.ServerID(i), State: StateAlive})
@@ -327,8 +327,8 @@ func TestPiggybackBounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("piggyback decode: %v", err)
 	}
-	if len(got) != 4 {
-		t.Fatalf("piggyback carried %d updates, want PiggybackLimit=4", len(got))
+	if len(got) != PiggybackLimit {
+		t.Fatalf("piggyback carried %d updates, want PiggybackLimit=%d", len(got), PiggybackLimit)
 	}
 	// Retransmit budget eventually drains the queue entirely.
 	for i := 0; i < 200; i++ {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,22 +16,22 @@ import (
 // remembers: retryable, and a reason for the write path to fail over.
 var ErrPeerDown = fmt.Errorf("%w: peer marked down, failing fast", ErrUnreachable)
 
-// PeerHealth is a fabric's memory of send outcomes: one table per fabric
-// (per process), fed and consulted only by RetryPolicy.Send. The first send
+// PeerHealth is a process's one record of which servers are down: one table
+// per fabric, fed by RetryPolicy.Send and by first-hand news. The first send
 // that spends its whole budget on ErrUnreachable — the address is gone or
-// the dial was refused — marks the peer down; every later send to it fails
-// fast with ErrPeerDown instead of re-learning the death through another
-// round of backoffs.
+// the dial was refused — marks the peer down, and so does MarkDown (a gossip
+// death verdict); every later send to it fails fast with ErrPeerDown
+// instead of re-learning the death through another round of backoffs, and
+// the cluster's monitor reads DownPeers to decide what to recover.
 //
-// It is a memo, not a failure detector: nothing probes, no goroutine or
-// timer runs, and raw Network.Send (monitor heartbeats, SWIM probes)
-// bypasses it. Message-level faults (drops, corrupt frames, partitions,
-// timeouts, broken connections) never mark a peer, so they keep their full
-// retry budget. A marked peer is re-admitted three ways: a half-open trial
-// (one real request let through per interval, the interval doubling from
-// the marking policy's BaseBackoff to its MaxBackoff) that succeeds, the
-// fabric learning a fresh handler for the ID (Register: Cluster.Replace and
-// Join), or an explicit Admit (a membership alive event).
+// The table runs no goroutine or timer of its own. Message-level faults
+// (drops, corrupt frames, partitions, timeouts, broken connections) never
+// mark a peer, so they keep their full retry budget. A marked peer is
+// re-admitted three ways: a half-open trial (one real request let through
+// per interval, the interval doubling from the marking policy's BaseBackoff
+// to its MaxBackoff) that succeeds, the fabric learning a fresh handler for
+// the ID (Register: Cluster.Replace and Join), or an explicit Admit (a
+// membership alive event).
 //
 // The zero value is an empty table, ready to use. All methods are safe for
 // concurrent use and tolerate a nil receiver (a fabric without a table).
@@ -162,6 +163,28 @@ func (h *PeerHealth) Admit(id types.ServerID) {
 	}
 	h.word.Add(delta)
 	h.mu.Unlock()
+}
+
+// MarkDown marks the peer down as an exhausted send under policy p would:
+// the caller has first-hand news that it is gone (a gossip death verdict).
+// A peer already marked keeps its half-open state.
+func (h *PeerHealth) MarkDown(id types.ServerID, p RetryPolicy) {
+	h.markDown(id, h.Generation(), p, false)
+}
+
+// DownPeers returns the peers currently marked down, in ID order.
+func (h *PeerHealth) DownPeers() []types.ServerID {
+	if h.PeersDown() == 0 {
+		return nil
+	}
+	h.mu.Lock()
+	out := make([]types.ServerID, 0, len(h.down))
+	for id := range h.down {
+		out = append(out, id)
+	}
+	h.mu.Unlock()
+	slices.Sort(out)
+	return out
 }
 
 // Generation counts re-admissions: it moves whenever a peer is admitted

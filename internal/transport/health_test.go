@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -351,11 +352,37 @@ func TestPeerHealthConcurrentSenders(t *testing.T) {
 	}
 }
 
+// TestPeerHealthMarkDown: first-hand news marks a peer exactly as an
+// exhausted send does — sends fail fast, a half-open trial comes after the
+// policy's BaseBackoff — and DownPeers lists the marks in ID order.
+func TestPeerHealthMarkDown(t *testing.T) {
+	n, clk := newScriptNet()
+	h := n.PeerHealth()
+	h.MarkDown(7, healthPolicy)
+	h.MarkDown(2, healthPolicy)
+	h.MarkDown(7, healthPolicy) // already marked: no second count
+	if got := h.DownPeers(); !slices.Equal(got, []types.ServerID{2, 7}) || h.PeersDown() != 2 {
+		t.Fatalf("DownPeers = %v, PeersDown = %d; want [2 7] and 2", got, h.PeersDown())
+	}
+	ctx := context.Background()
+	if _, _, err := healthPolicy.Send(ctx, n, -1, 7, ping()); !errors.Is(err, ErrPeerDown) || n.sends.Load() != 0 {
+		t.Fatalf("send to a marked peer: err=%v, %d sends reached the fabric", err, n.sends.Load())
+	}
+	clk.advance(healthPolicy.BaseBackoff)
+	if _, attempts, err := healthPolicy.Send(ctx, n, -1, 7, ping()); err != nil || attempts != 1 {
+		t.Fatalf("trial after BaseBackoff: attempts=%d err=%v", attempts, err)
+	}
+	if got := h.DownPeers(); !slices.Equal(got, []types.ServerID{2}) {
+		t.Fatalf("DownPeers = %v after a successful trial, want [2]", got)
+	}
+}
+
 // TestPeerHealthNilTableReadsEmpty: a fabric that keeps no table hands out a
 // nil one, and every reader treats it as a table with nobody down.
 func TestPeerHealthNilTableReadsEmpty(t *testing.T) {
 	var nilTable *PeerHealth
-	if nilTable.Down(3) || nilTable.PeersDown() != 0 || nilTable.FastFails() != 0 {
+	nilTable.MarkDown(3, healthPolicy)
+	if nilTable.Down(3) || nilTable.PeersDown() != 0 || nilTable.FastFails() != 0 || nilTable.DownPeers() != nil {
 		t.Fatal("nil table must read as empty")
 	}
 }

@@ -472,10 +472,11 @@ func TestElasticEvictionIsNotPermanent(t *testing.T) {
 	}
 }
 
-// TestElasticMonitorConsumesEvents wires the monitor in elastic mode: it
-// must act as a thin consumer of gossip events — surfacing detection and
-// driving auto-recovery — rather than probing servers itself.
-func TestElasticMonitorConsumesEvents(t *testing.T) {
+// TestElasticMonitorRecoversGossipDeath runs the monitor on an elastic
+// fleet: whether its own heartbeat or gossip's death verdict marks the
+// killed server down first, the monitor reads it from the one liveness
+// table, surfaces the failure and drives auto-recovery.
+func TestElasticMonitorRecoversGossipDeath(t *testing.T) {
 	cfg := elasticConfig(8)
 	c := elasticCluster(t, cfg)
 	cl := c.NewClient()
@@ -484,11 +485,11 @@ func TestElasticMonitorConsumesEvents(t *testing.T) {
 	const objects = 8
 	committed := seedChurnObjects(t, c, cl, "monel", objects)
 
-	m := c.StartMonitor(MonitorConfig{Interval: time.Hour, AutoRecover: true})
+	m := c.StartMonitor(MonitorConfig{Interval: 10 * time.Millisecond, AutoRecover: true})
 	defer m.Stop()
 
 	c.Kill(3)
-	waitUntil(t, 5*time.Second, "monitor to surface the gossip-detected failure", func() bool {
+	waitUntil(t, 5*time.Second, "monitor to surface the failure", func() bool {
 		c.TickMembership(ctx)
 		for _, ev := range m.Events() {
 			if ev.Kind == EventFailureDetected && ev.Server == 3 {
@@ -504,9 +505,78 @@ func TestElasticMonitorConsumesEvents(t *testing.T) {
 	verifyChurnObjects(t, cl, "monel", committed, nil, "post-auto-recovery")
 }
 
+// TestGossipDeathMarksPeerDown: gossip's death verdict is first-hand news
+// for the fabric's PeerHealth table, so the evicted member is marked down
+// before any client has paid a retry budget to learn it, and a replacement
+// under its ID is re-admitted.
+func TestGossipDeathMarksPeerDown(t *testing.T) {
+	c := elasticCluster(t, elasticConfig(8))
+	ring := c.Ring()
+	c.Kill(3)
+	if got := c.FabricStatus().Transport.PeersDown; got != 0 {
+		t.Fatalf("PeersDown = %d right after Kill, want 0", got)
+	}
+	if !tickUntil(c, 200, func() bool { return !ring.Contains(3) }) {
+		t.Fatal("gossip never evicted killed server 3 from the ring")
+	}
+	st := c.FabricStatus()
+	if st.Transport.PeersDown != 1 || !c.health.Down(3) {
+		t.Fatalf("after eviction: PeersDown = %d, Down(3) = %v; want 1 and true", st.Transport.PeersDown, c.health.Down(3))
+	}
+	if st.Retries != 0 {
+		t.Fatalf("%d retries spent: the mark must come from gossip, not a send", st.Retries)
+	}
+	if _, err := c.Replace(3); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.FabricStatus().Transport.PeersDown; got != 0 || c.health.Down(3) {
+		t.Fatalf("after Replace: PeersDown = %d, Down(3) = %v; want 0 and false", got, c.health.Down(3))
+	}
+}
+
+// TestReplacementOutrunningGossipStaysInRing: the monitor can replace a
+// killed server while gossip still only suspects it. The replacement starts
+// above the killed incarnation and announces itself, so a death verdict on
+// the killed incarnation — even one an agent emits after the replacement
+// joined — neither evicts the live replacement nor marks it down, and every
+// agent ends up seeing it alive.
+func TestReplacementOutrunningGossipStaysInRing(t *testing.T) {
+	c := elasticCluster(t, elasticConfig(8))
+	ring := c.Ring()
+	c.Kill(3)
+	suspected := func() bool {
+		for i := ServerID(0); i < 8; i++ {
+			if a := c.MembershipAgent(i); a != nil {
+				if st, _ := a.State(3); st == membership.StateSuspect {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if !tickUntil(c, 200, suspected) || !ring.Contains(3) {
+		t.Fatal("gossip never suspected killed server 3 while it was still in the ring")
+	}
+	if _, err := c.Replace(3); err != nil {
+		t.Fatal(err)
+	}
+	c.onMembershipEvent(MembershipEvent{Kind: MemberDied, ID: 3, Incarnation: 0}) // the late verdict
+	for i := 0; i < 100; i++ {
+		if !ring.Contains(3) || c.health.Down(3) {
+			t.Fatalf("tick %d: live replacement evicted (in ring %v, marked down %v)", i, ring.Contains(3), c.health.Down(3))
+		}
+		c.TickMembership(context.Background())
+	}
+	for i := ServerID(0); i < 8; i++ {
+		if st, _ := c.MembershipAgent(i).State(3); st != membership.StateAlive {
+			t.Fatalf("agent %d sees the replacement as %v", i, st)
+		}
+	}
+}
+
 // TestMonitorProbeDeadlineIsInterval: in static mode each heartbeat RPC may
 // take one sweep interval, and a server killed between sweeps is declared
-// dead once it has missed suspectThreshold of them.
+// dead by the first sweep that finds it unreachable.
 func TestMonitorProbeDeadlineIsInterval(t *testing.T) {
 	c := testCluster(t, PolicyReplicate)
 	m := c.StartMonitor(MonitorConfig{Interval: 10 * time.Millisecond})

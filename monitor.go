@@ -2,14 +2,12 @@ package corec
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
 	"corec/internal/metrics"
 	"corec/internal/recovery"
 	"corec/internal/transport"
-	"corec/internal/types"
 )
 
 // Monitor is the cluster's System Status Monitor (Figure 7 of the paper):
@@ -17,16 +15,18 @@ import (
 // when auto-recovery is enabled — starts a replacement server and drives
 // the configured recovery scheme, exactly as an operator (or the harness's
 // scripted scheduler) would by hand.
+//
+// It keeps no liveness state of its own: a server is down exactly when the
+// fabric's PeerHealth table says so, whether the mark came from the
+// monitor's heartbeat, a client's send or a gossip death verdict.
 type Monitor struct {
 	cluster *Cluster
 	cfg     MonitorConfig
 
-	mu       sync.Mutex
-	suspects map[types.ServerID]int
-	dead     map[types.ServerID]bool
-	events   []MonitorEvent
-	cancel   context.CancelFunc
-	done     chan struct{}
+	mu     sync.Mutex
+	events []MonitorEvent
+	cancel context.CancelFunc
+	done   chan struct{}
 }
 
 // MonitorConfig tunes detection and reaction.
@@ -45,10 +45,6 @@ type MonitorConfig struct {
 	// OnEvent, when non-nil, receives detection/recovery events.
 	OnEvent func(MonitorEvent)
 }
-
-// suspectThreshold is how many consecutive missed heartbeats declare a
-// server dead.
-const suspectThreshold = 2
 
 // MonitorEventKind enumerates monitor events.
 type MonitorEventKind int
@@ -92,21 +88,12 @@ func (c *Cluster) StartMonitor(cfg MonitorConfig) *Monitor {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Monitor{
-		cluster:  c,
-		cfg:      cfg,
-		suspects: make(map[types.ServerID]int),
-		dead:     make(map[types.ServerID]bool),
-		cancel:   cancel,
-		done:     make(chan struct{}),
+		cluster: c,
+		cfg:     cfg,
+		cancel:  cancel,
+		done:    make(chan struct{}),
 	}
-	if c.elastic != nil {
-		// Elastic mode: gossip already detects failures fleet-wide; the
-		// monitor keeps only its reaction role, consuming membership events
-		// instead of running its own heartbeat sweep.
-		go m.runElastic(ctx)
-	} else {
-		go m.run(ctx)
-	}
+	go m.run(ctx)
 	return m
 }
 
@@ -123,122 +110,59 @@ func (m *Monitor) Events() []MonitorEvent {
 	return append([]MonitorEvent(nil), m.events...)
 }
 
-// Dead returns the servers currently believed dead.
+// Dead returns the servers currently marked down, in ID order.
 func (m *Monitor) Dead() []ServerID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]ServerID, 0, len(m.dead))
-	for id := range m.dead {
-		out = append(out, ServerID(id))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return m.cluster.health.DownPeers()
 }
 
 func (m *Monitor) run(ctx context.Context) {
 	defer close(m.done)
 	ticker := time.NewTicker(m.cfg.Interval)
 	defer ticker.Stop()
+	var reported map[ServerID]bool // down peers already acted on
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			m.probeAll(ctx)
+			reported = m.round(ctx, reported)
 		}
 	}
 }
 
-func (m *Monitor) probeAll(ctx context.Context) {
+// round heartbeats every member through the retry policy, so the standard
+// rule marks a server that cannot be reached down and a message-level fault
+// (drop, partition, timeout) marks nothing. It then acts once on each peer
+// the table newly holds down, and returns the set it now holds down: a peer
+// the table re-admitted drops out, so a later death is news again.
+func (m *Monitor) round(ctx context.Context, reported map[ServerID]bool) map[ServerID]bool {
 	c := m.cluster
-	for i := 0; i < c.cfg.Servers; i++ {
-		id := types.ServerID(i)
-		probeCtx, cancel := context.WithTimeout(ctx, m.cfg.Interval)
-		resp, err := c.net.Send(probeCtx, -1, id, &transport.Message{Kind: transport.MsgPing})
+	for _, id := range c.place.Members() {
+		pctx, cancel := context.WithTimeout(ctx, m.cfg.Interval)
+		// The verdict lands in the table; the reply itself says nothing more.
+		_, _, _ = c.retry.Send(pctx, c.net, -1, id, &transport.Message{Kind: transport.MsgPing})
 		cancel()
-		alive := err == nil && resp.Kind == transport.MsgOK
-		m.mu.Lock()
-		if alive {
-			m.suspects[id] = 0
-			if m.dead[id] {
-				// A replacement joined outside the monitor (manual
-				// Replace); clear the record.
-				delete(m.dead, id)
-			}
-			m.mu.Unlock()
+	}
+	down := make(map[ServerID]bool)
+	for _, id := range c.health.DownPeers() {
+		down[id] = true
+		if reported[id] {
 			continue
 		}
-		if m.dead[id] {
-			m.mu.Unlock()
-			continue
-		}
-		m.suspects[id]++
-		declared := m.suspects[id] >= suspectThreshold
-		if declared {
-			m.dead[id] = true
-		}
-		m.mu.Unlock()
-		if declared {
-			m.emit(MonitorEvent{Kind: EventFailureDetected, Server: ServerID(id), Time: time.Now()})
-			if m.cfg.AutoRecover {
-				go m.recover(ctx, id)
-			}
-		}
-	}
-}
-
-// runElastic is the membership-event consumer loop: deaths reported by the
-// gossip fleet trigger the same detection event and (optional) recovery as
-// a heartbeat verdict would; voluntary departures and refuted suspicions
-// need no reaction beyond bookkeeping.
-func (m *Monitor) runElastic(ctx context.Context) {
-	defer close(m.done)
-	events := m.cluster.MemberEvents()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev := <-events:
-			m.handleMemberEvent(ctx, ev)
-		}
-	}
-}
-
-func (m *Monitor) handleMemberEvent(ctx context.Context, ev MembershipEvent) {
-	id := ev.ID
-	switch ev.Kind {
-	case MemberDied:
-		m.mu.Lock()
-		already := m.dead[id]
-		m.dead[id] = true
-		m.mu.Unlock()
-		if already {
-			return
-		}
-		m.emit(MonitorEvent{Kind: EventFailureDetected, Server: ServerID(id), Time: time.Now()})
+		m.emit(MonitorEvent{Kind: EventFailureDetected, Server: id, Time: time.Now()})
 		if m.cfg.AutoRecover {
 			go m.recover(ctx, id)
 		}
-	case MemberJoined, MemberRefuted:
-		m.mu.Lock()
-		delete(m.dead, id)
-		m.suspects[id] = 0
-		m.mu.Unlock()
-	case MemberLeft:
-		// Voluntary departure after a drain: data already moved, nothing to
-		// recover. Clear any stale death record for the id.
-		m.mu.Lock()
-		delete(m.dead, id)
-		m.mu.Unlock()
 	}
+	return down
 }
 
-func (m *Monitor) recover(ctx context.Context, id types.ServerID) {
-	srv, err := m.cluster.Replace(ServerID(id))
+func (m *Monitor) recover(ctx context.Context, id ServerID) {
+	srv, err := m.cluster.Replace(id)
 	if err != nil {
 		return
 	}
-	m.emit(MonitorEvent{Kind: EventRecoveryStarted, Server: ServerID(id), Time: time.Now()})
+	m.emit(MonitorEvent{Kind: EventRecoveryStarted, Server: id, Time: time.Now()})
 	mode := recovery.Lazy
 	if m.cluster.cfg.RecoveryMode == RecoveryAggressive {
 		mode = recovery.Aggressive
@@ -250,11 +174,7 @@ func (m *Monitor) recover(ctx context.Context, id types.ServerID) {
 		// leaves the payloads for the background scrubber's next cycle.
 		_, _ = srv.ScrubOnce(ctx)
 	}
-	m.mu.Lock()
-	delete(m.dead, id)
-	m.suspects[id] = 0
-	m.mu.Unlock()
-	m.emit(MonitorEvent{Kind: EventRecoveryFinished, Server: ServerID(id), Time: time.Now(), Repaired: repaired})
+	m.emit(MonitorEvent{Kind: EventRecoveryFinished, Server: id, Time: time.Now(), Repaired: repaired})
 }
 
 // reconcileReroutes drains the write-failover log for the recovered
@@ -262,10 +182,10 @@ func (m *Monitor) recover(ctx context.Context, id types.ServerID) {
 // as a recover instruction, so the server re-fetches the object from its
 // new primary and the directory's ownership view converges promptly
 // instead of waiting for lazy on-access repair.
-func (m *Monitor) reconcileReroutes(ctx context.Context, id types.ServerID) {
+func (m *Monitor) reconcileReroutes(ctx context.Context, id ServerID) {
 	c := m.cluster
-	for _, r := range c.takeReroutesFrom(ServerID(id)) {
-		resp, err := c.net.Send(ctx, -1, id, &transport.Message{Kind: transport.MsgRecover, Var: r.ID.Var, Box: r.ID.Box})
+	for _, r := range c.takeReroutesFrom(id) {
+		resp, err := c.retry.SendCounted(ctx, c.net, -1, id, &transport.Message{Kind: transport.MsgRecover, Var: r.ID.Var, Box: r.ID.Box}, c.col)
 		if err != nil || resp.AsError() != nil {
 			// The server went down again (or the fabric is misbehaving);
 			// requeue the reroute so a later recovery retries it.

@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"corec/internal/failure"
+	"corec/internal/types"
 )
 
 func waitForEvent(t *testing.T, m *Monitor, kind MonitorEventKind, server ServerID, timeout time.Duration) MonitorEvent {
@@ -115,6 +118,40 @@ func TestMonitorClearsManualReplacement(t *testing.T) {
 	waitUntil(t, 2*time.Second, "monitor to clear the manually replaced server", func() bool {
 		return len(m.Dead()) == 0
 	})
+}
+
+// TestMonitorIgnoresMessageFaults: a partition between the monitor and a
+// live server is a message-level fault, not a crash. However many
+// heartbeats it eats, the server is never declared dead, so auto-recovery
+// never tries to replace a server that is still running.
+func TestMonitorIgnoresMessageFaults(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Mode = PolicyReplicate
+	cfg.FaultPlan = &failure.FaultPlan{} // quiet injector: manual partitions only
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	m := c.StartMonitor(MonitorConfig{Interval: 10 * time.Millisecond, AutoRecover: true})
+	defer m.Stop()
+
+	// Each round's heartbeat to server 5 spends the whole retry budget on
+	// the partition; hold it for about 30 rounds.
+	heal := c.Faults().Partition([]types.ServerID{-1}, []types.ServerID{5})
+	refused := int64(30 * c.RetryPolicy().MaxAttempts)
+	waitUntil(t, 10*time.Second, "30 rounds of partitioned heartbeats", func() bool {
+		return c.Faults().Stats().Partitioned >= refused
+	})
+	heal()
+	for _, ev := range m.Events() {
+		if ev.Server == 5 {
+			t.Fatalf("partitioned live server 5 got a monitor event: %+v", ev)
+		}
+	}
+	if dead := m.Dead(); len(dead) != 0 {
+		t.Fatalf("Dead() = %v after a partition", dead)
+	}
 }
 
 func TestMonitorEventKindString(t *testing.T) {

@@ -5,12 +5,14 @@ import (
 	"slices"
 	"testing"
 
+	"corec/internal/membership"
 	"corec/internal/server"
 )
 
 // TestOptionInventory pins every public setting: the exported fields of the
 // six config structs an application fills in (49 settings), plus the 13 of
-// the server.Config the cluster builds for each server. A setting stays only
+// the server.Config the cluster builds for each server and the 9 of the
+// membership.Config it builds for each gossip agent. A setting stays only
 // while something other than its own plumbing and its own test sets it — a
 // deployment's sizing, or a test that runs a different experiment with it;
 // everything else is a constant.
@@ -38,6 +40,10 @@ func TestOptionInventory(t *testing.T) {
 			"ID", "Placement", "Network", "Policy", "Collector", "Domain",
 			"RecoveryMode", "MTBF", "HelperLoadDelta", "ClassifierConfig",
 			"Storage", "RemoteStore", "StorageNS",
+		}},
+		{reflect.TypeOf(membership.Config{}), []string{
+			"ID", "Domain", "Addr", "Seed", "SuspicionTicks", "Incarnation",
+			"OnEvent", "OnDrain", "OnJoin",
 		}},
 	}
 	for _, g := range golden {

@@ -41,9 +41,12 @@ short:
 
 # Race-detector pass focused on the background anti-entropy scrubber and
 # chaos paths: the concurrent scrub/foreground test runs even under -short
-# precisely so this job covers the scrubber goroutines.
+# precisely so this job covers the scrubber goroutines. The scrub and
+# verified-read tests then repeat: the restores a pass triggers race the
+# puts, encodes and reads of the keys they install.
 scrubrace:
-	$(GO) test -race -run 'TestScrub|TestChaos' ./...
+	$(GO) test -race -run 'TestScrub|TestChaos|TestVerifiedRead' ./...
+	$(GO) test -race -count=10 -run 'TestScrub|TestVerifiedRead' . ./internal/server
 
 # Race-detector pass focused on the transport's buffer-ownership rule:
 # response payloads land in caller memory (Message.RecvInto), and the tests

@@ -780,8 +780,13 @@ func (c *Cluster) applyBitRot(ts Version) {
 // the server, drawn deterministically from the cluster's seeded rot
 // stream — the manual counterpart of FaultPlan.BitRot for tests that
 // corrupt at a precise point instead of a step boundary. Returns the
-// corruption events (nil if the server is dead or holds nothing).
+// corruption events (nil if the server is dead or holds nothing). As at a
+// step boundary, the encode queues drain first: the rot hits settled payloads,
+// not ones an encode in flight is about to replace.
 func (c *Cluster) InjectBitRot(id ServerID, target failure.RotTarget, count int) []failure.BitRotEvent {
+	for _, s := range c.serversByID() {
+		s.WaitEncodeIdle()
+	}
 	return c.injectBitRot(id, 0, target, count)
 }
 
@@ -801,34 +806,12 @@ func (c *Cluster) injectBitRot(id ServerID, ts Version, target failure.RotTarget
 		// injector's decisions plan for plan.
 		c.rotRng = rand.New(rand.NewSource(seed ^ 0x5c2b17a9d3e8f041))
 	}
-	evs := srv.InjectBitRot(c.rotRng, serverRotTarget(target), count)
-	out := make([]failure.BitRotEvent, 0, len(evs))
-	for _, e := range evs {
-		ev := failure.BitRotEvent{
-			Server:   types.ServerID(id),
-			Step:     ts,
-			Category: e.Category,
-			Key:      e.Key,
-			Offset:   e.Offset,
-			Bit:      e.Bit,
-		}
-		c.rotLog = append(c.rotLog, ev)
-		out = append(out, ev)
+	evs := srv.InjectBitRot(c.rotRng, target, count)
+	for i := range evs {
+		evs[i].Step = ts
 	}
-	return out
-}
-
-func serverRotTarget(t failure.RotTarget) server.RotTarget {
-	switch t {
-	case failure.RotObjects:
-		return server.RotObjects
-	case failure.RotReplicas:
-		return server.RotReplicas
-	case failure.RotShards:
-		return server.RotShards
-	default:
-		return server.RotAny
-	}
+	c.rotLog = append(c.rotLog, evs...)
+	return evs
 }
 
 // BitRotLog returns a copy of every at-rest corruption applied so far,

@@ -47,7 +47,7 @@ const checksumBlock = 32 << 10
 // happens to preserve the wire check does not also preserve the digest. A
 // keyed hash is unnecessary because the threat model is bit rot, not an
 // adversary. The zero value is reserved to mean "no checksum recorded" (a
-// record written before scrubbing existed, pending backfill), so the rare
+// shard re-indexed from a restarted disk tier, pending backfill), so the rare
 // genuine zero digest — the empty payload's, for one — is folded onto 1.
 func Checksum(data []byte) uint64 {
 	var c, e uint32
@@ -92,13 +92,12 @@ const (
 	// DepthLocal verifies locally stored bytes (primary copies, replicas,
 	// shards) against their recorded checksums. No network traffic.
 	DepthLocal Depth = iota
-	// DepthReplica additionally cross-checks replication groups: the
-	// primary exchanges checksums with its replica holders and re-syncs
-	// divergent or missing mirrors.
+	// DepthReplica additionally checks replication groups: the primary asks
+	// each mirror to recover a missing, older or divergent copy.
 	DepthReplica
-	// DepthStripe additionally verifies coded stripes: per-member shard
-	// probes, spot-decode of the stripe, re-protection of stripes left
-	// under-protected by a missing shard.
+	// DepthStripe additionally verifies coded stripes: one round gathers
+	// every shard, a member whose shard did not arrive is asked to recover
+	// it, and a full stripe is spot-decoded.
 	DepthStripe
 )
 
@@ -278,17 +277,19 @@ type Report struct {
 	// Corruptions is the number of items whose stored bytes failed their
 	// checksum (at-rest rot detected).
 	Corruptions int64
-	// Repairs is the number of corrupt or divergent items restored from a
-	// healthy copy or by stripe reconstruction.
+	// Repairs is the number of corrupt, missing or divergent pieces restored
+	// from a healthy copy or by stripe reconstruction.
 	Repairs int64
-	// Divergent is the number of replica cross-checks that found a mirror
-	// disagreeing with the primary (missing, stale, or rotted).
+	// Divergent is the number of mirror copies restored because they were
+	// missing, older than the object's record, or of its version under
+	// another digest.
 	Divergent int64
-	// Reencodes is the number of stripe shards re-materialized onto a
-	// member that had lost them (under-protected stripes re-protected).
+	// Reencodes is the number of stripe shards a member restored when
+	// asked: one it had lost, or one the stripe check found inconsistent.
 	Reencodes int64
-	// Backfills is the number of items whose checksum was computed and
-	// recorded for the first time (records predating scrubbing).
+	// Backfills is the number of shards whose checksum was computed and
+	// recorded for the first time: shards re-indexed from a restarted disk
+	// tier, whose digest died with the previous incarnation.
 	Backfills int64
 	// Skipped is the number of checks abandoned because a peer was
 	// unreachable (a dead server is not corruption; recovery owns it), or

@@ -40,32 +40,20 @@ func (s *Server) shardIndexIn(info *types.StripeInfo) int {
 	return -1
 }
 
-// rebuild gathers k shards of the stripe from members other than the holders
-// of the missing ones and reconstructs the full set from them: recovery and
-// the scrubber then take the shards they are restoring from it. The gather is
-// charged to the transport bucket, the reconstruction to the decode bucket.
-func (s *Server) rebuild(ctx context.Context, info *types.StripeInfo, missing []int, t reader.Tally) ([][]byte, error) {
-	if s.codec == nil {
-		return nil, fmt.Errorf("no codec configured")
-	}
-	tStart := time.Now()
-	shards, _, have := s.reader.Shards(ctx, info, info.K, missing, nil, t)
-	s.col.Add(metrics.Transport, time.Since(tStart))
-	if have < info.K {
-		return nil, fmt.Errorf("%w: stripe %v: only %d of %d shards reachable", reader.ErrDataLoss, info.ID, have, info.K)
-	}
-	dStart := time.Now()
-	err := s.codec.Reconstruct(shards)
-	s.col.Add(metrics.Decode, time.Since(dStart))
-	return shards, err
-}
-
 // handleRecover repairs the named object's local piece (full copy, replica,
-// or stripe shard) on this server. It is invoked by on-access lazy repair
-// and by the background drain.
+// or stripe shard) on this server. On-access lazy repair and the monitor send
+// it bare, and the object's record is looked up. The scrubber attaches the
+// record it holds and, for a shard it found inconsistent with its stripe,
+// that shard's digest in Sum.
 func (s *Server) handleRecover(ctx context.Context, req *transport.Message) *transport.Message {
 	id := types.ObjectID{Var: req.Var, Box: req.Box}
-	repaired, err := s.recoverObject(ctx, id)
+	var repaired bool
+	var err error
+	if req.Meta != nil {
+		repaired, err = s.restore(ctx, req.Meta, req.Sum)
+	} else {
+		repaired, err = s.recoverObject(ctx, id)
+	}
 	if err != nil {
 		return transport.Errf("server %d: recover %s: %v", s.id, id, err)
 	}
@@ -79,20 +67,27 @@ func (s *Server) handleRecover(ctx context.Context, req *transport.Message) *tra
 
 // recoverObject restores whatever piece of the object this server is
 // supposed to hold, according to the directory. Returns whether a repair
-// happened. A repair that misses because the object changed state under it —
-// its primary demoted or promoted it meanwhile — is retried through the fresh
-// record, as a client's read is.
+// happened.
 func (s *Server) recoverObject(ctx context.Context, id types.ObjectID) (repaired bool, err error) {
 	meta, ok := s.reader.LookupMeta(ctx, id)
 	if !ok {
 		return false, fmt.Errorf("no metadata")
 	}
+	return s.restore(ctx, meta, 0)
+}
+
+// restore restores whatever piece of the object meta describes this server
+// is supposed to hold; rotted, when set, is the digest of a shard here found
+// rotted. Returns whether a repair happened. A repair that misses because the
+// object changed state under it — its primary demoted or promoted it
+// meanwhile — is retried through the fresh record, as a client's read is.
+func (s *Server) restore(ctx context.Context, meta *types.ObjectMeta, rotted uint64) (repaired bool, err error) {
 	err = s.reader.Settle(ctx, meta, func(meta *types.ObjectMeta) (err error) {
 		switch meta.State {
 		case types.StateReplicated:
-			repaired, err = s.recoverReplicated(ctx, meta)
+			repaired, err = s.recoverReplicated(ctx, meta, nil, reader.NoTally)
 		case types.StateEncoded:
-			repaired, err = s.recoverEncoded(ctx, meta)
+			repaired, err = s.recoverEncoded(ctx, meta, rotted)
 		}
 		// StateNone: nothing redundant exists; the data is lost if we were
 		// primary.
@@ -101,17 +96,30 @@ func (s *Server) recoverObject(ctx context.Context, id types.ObjectID) (repaired
 	return repaired, err
 }
 
-func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta) (bool, error) {
+// recoverReplicated restores this server's full copy of a replicated object,
+// the primary's or a mirror's, from another holder, and records the digest
+// of the copy it installs. It installs over an absent copy, an older one, or
+// rotted (the copy the caller found rotted; nil when none is), never over a
+// newer one. A mirror's copy of the record's version whose recorded digest is
+// not the record's counts as rotted too: its bytes are not the object's. t
+// accounts for the fetch.
+func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta, rotted *types.Object, t reader.Tally) (bool, error) {
 	key := meta.ID.Key()
 	iAmPrimary := meta.Primary == s.id
 	if !iAmPrimary && !slices.Contains(meta.Replicas, s.id) {
 		return false, nil
 	}
+	copies := s.replicas
+	if iAmPrimary {
+		copies = s.objects
+	}
 	s.mu.Lock()
-	_, havePrimary := s.objects[key]
-	_, haveReplica := s.replicas[key]
+	cur := copies[key]
+	if !iAmPrimary && cur != nil && cur.Version == meta.Version && meta.Checksum != 0 && s.replicaSums[key] != meta.Checksum {
+		rotted = cur
+	}
 	s.mu.Unlock()
-	if (iAmPrimary && havePrimary) || (!iAmPrimary && haveReplica) {
+	if cur != nil && cur != rotted && cur.Version >= meta.Version {
 		return false, nil // already intact
 	}
 	// Fetch a surviving full copy from any other holder. A source whose
@@ -122,30 +130,40 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta) 
 	var sum uint64
 	resp := s.reader.Copy(ctx, key, s.others(meta.Locations()), nil, func(resp *transport.Message) bool {
 		sum = s.digestMsg(resp)
-		return meta.Checksum == 0 || resp.Version != meta.Version || sum == meta.Checksum
-	}, reader.NoTally)
+		return replaces(cur, rotted, resp.Version) &&
+			(meta.Checksum == 0 || resp.Version != meta.Version || sum == meta.Checksum)
+	}, t)
 	s.col.Add(metrics.Transport, time.Since(tStart))
 	if resp == nil {
 		return false, fmt.Errorf("%w: no surviving copy of %s", reader.ErrDataLoss, key)
 	}
 	obj := &types.Object{ID: meta.ID, Version: resp.Version, Data: resp.Data}
-	s.mu.Lock()
-	copies := s.replicas
 	if iAmPrimary {
-		copies = s.objects
+		// A put, an encode or a promotion of the key runs to its end before
+		// the install, or starts after it.
+		lk := s.writeLock(key)
+		lk.Lock()
+		defer lk.Unlock()
 	}
-	// Never clobber a newer copy installed by a concurrent write.
-	if cur, ok := copies[key]; ok && cur.Version >= obj.Version {
-		s.mu.Unlock()
+	s.mu.Lock()
+	// Never clobber a newer copy, or a primary's newer state, installed
+	// meanwhile.
+	st, known := s.local[key]
+	newerState := iAmPrimary && known &&
+		(st.version > obj.Version || st.version == obj.Version && st.state != types.StateReplicated)
+	ok := replaces(copies[key], rotted, obj.Version) && !newerState
+	if ok {
+		copies[key] = obj
+		if !iAmPrimary {
+			s.replicaSums[key] = sum
+		}
+	}
+	s.mu.Unlock()
+	if !ok {
 		return false, nil
 	}
-	copies[key] = obj
-	if !iAmPrimary {
-		s.replicaSums[key] = sum
-	}
-	st, known := s.local[key]
-	s.mu.Unlock()
-	if iAmPrimary && !(known && st.version > obj.Version) {
+	s.mutations.Add(1)
+	if iAmPrimary {
 		// The surviving copy may be of another version than the record names.
 		mine := *meta
 		mine.Version, mine.Size, mine.Checksum = obj.Version, len(obj.Data), sum
@@ -157,7 +175,13 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta) 
 	return true, nil
 }
 
-func (s *Server) recoverEncoded(ctx context.Context, meta *types.ObjectMeta) (bool, error) {
+// replaces reports whether a restored copy of version v may be installed
+// over cur: cur is absent, older, or the rotted copy.
+func replaces(cur, rotted *types.Object, v types.Version) bool {
+	return cur == nil || cur.Version < v || cur == rotted && cur.Version == v
+}
+
+func (s *Server) recoverEncoded(ctx context.Context, meta *types.ObjectMeta, rotted uint64) (bool, error) {
 	info := meta.Layout
 	if info == nil {
 		return false, fmt.Errorf("%w: encoded record of %s carries no stripe layout", reader.ErrDataLoss, meta.ID)
@@ -171,19 +195,9 @@ func (s *Server) recoverEncoded(ctx context.Context, meta *types.ObjectMeta) (bo
 		}
 		return false, nil
 	}
-	sk := shardKey(info.ID, myIndex)
-	repaired := !s.store.Has(sk)
-	if repaired {
-		shards, err := s.rebuild(ctx, info, []int{myIndex}, reader.NoTally)
-		if err != nil {
-			return false, err
-		}
-		shardSum := s.digest(shards[myIndex]) // outside s.mu: see encodeObject
-		s.mu.Lock()
-		s.holdShardLocked(info.ID, myIndex, shardSum, info)
-		s.store.PutTagged(sk, shards[myIndex], shardEpoch(meta.Version))
-		s.mu.Unlock()
-		s.mutations.Add(1)
+	repaired, err := s.restoreShard(ctx, info, myIndex, meta.Version, rotted, reader.NoTally)
+	if err != nil {
+		return false, err
 	}
 	// A shard found on a restarted disk tier gets its stripe's layout back
 	// (its digest stays unrecorded for the scrubber to backfill), and a
@@ -201,6 +215,53 @@ func (s *Server) recoverEncoded(ctx context.Context, meta *types.ObjectMeta) (bo
 		}
 	}
 	return repaired, nil
+}
+
+// restoreShard rebuilds shard index of the stripe from k others and installs
+// it here, with its digest, over an absent shard or the one whose recorded
+// digest is rotted (0: none is); v tags it with its time step (0: untagged).
+// t accounts for the gather, which is charged to the transport bucket, the
+// reconstruction to the decode bucket. It reports whether it installed the
+// shard.
+func (s *Server) restoreShard(ctx context.Context, info *types.StripeInfo, index int, v types.Version, rotted uint64, t reader.Tally) (bool, error) {
+	s.mu.Lock()
+	lost := s.shardLostLocked(info.ID, index, rotted)
+	s.mu.Unlock()
+	if !lost {
+		return false, nil
+	}
+	if s.codec == nil {
+		return false, fmt.Errorf("no codec configured")
+	}
+	tStart := time.Now()
+	shards, _, have := s.reader.Shards(ctx, info, info.K, []int{index}, nil, t)
+	s.col.Add(metrics.Transport, time.Since(tStart))
+	if have < info.K {
+		return false, fmt.Errorf("%w: stripe %v: only %d of %d shards reachable", reader.ErrDataLoss, info.ID, have, info.K)
+	}
+	dStart := time.Now()
+	err := s.codec.Reconstruct(shards)
+	s.col.Add(metrics.Decode, time.Since(dStart))
+	if err != nil {
+		return false, err
+	}
+	sum := s.digest(shards[index]) // outside s.mu: see encodeObject
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.shardLostLocked(info.ID, index, rotted) {
+		return false, nil // a push installed the shard meanwhile
+	}
+	s.holdShardLocked(info.ID, index, sum, info)
+	s.store.PutTagged(shardKey(info.ID, index), shards[index], shardEpoch(v))
+	s.mutations.Add(1)
+	return true, nil
+}
+
+// shardLostLocked reports whether shard index of the stripe is absent here,
+// or is the one whose recorded digest is rotted (0: none is). Caller holds
+// s.mu.
+func (s *Server) shardLostLocked(id types.StripeID, index int, rotted uint64) bool {
+	return !s.store.Has(shardKey(id, index)) || rotted != 0 && s.held[id].sums[index] == rotted
 }
 
 // handleRecoverAll runs the full replacement-server recovery protocol on

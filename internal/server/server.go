@@ -141,8 +141,8 @@ type Server struct {
 	// replicaSums (and heldStripe.sums for shards) record the content
 	// checksum each replica copy and shard payload had when it was installed
 	// — the at-rest integrity authority the scrubber verifies stored bytes
-	// against. Zero/missing means "not recorded" (backfilled by the first
-	// scrub pass).
+	// against. Every install records one; only a shard re-indexed from a
+	// restarted disk tier has none until the first scrub pass backfills it.
 	replicaSums map[string]uint64
 	// local tracks resilience bookkeeping for objects this server is
 	// primary for.
@@ -580,10 +580,6 @@ func (s *Server) Handle(ctx context.Context, req *transport.Message) *transport.
 		return s.handleRecoverAll(ctx, req)
 	case transport.MsgStats:
 		return s.handleStats(req)
-	case transport.MsgChecksum:
-		return s.handleChecksum(req)
-	case transport.MsgShardSum:
-		return s.handleShardSum(req)
 	default:
 		return transport.Errf("server %d: unsupported message kind %v", s.id, req.Kind)
 	}

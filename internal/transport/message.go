@@ -62,12 +62,8 @@ const (
 	MsgTokenRelease // return the encoding token
 	MsgLoadQuery    // ask a server for its current load level
 	MsgPing         // liveness probe
-	MsgRecover      // instruct a server to recover an object (Var, Box)
+	MsgRecover      // instruct a server to recover its piece of an object (Var, Box; Meta, Sum from the scrubber)
 	MsgStats        // ask a server for its status report (JSON in Data)
-
-	// Anti-entropy plane (scrubber checksum exchange).
-	MsgChecksum // ask a holder for the live checksum of its copy of Key
-	MsgShardSum // ask a member for the live checksum of a stripe shard
 
 	// Membership plane (SWIM-style gossip; payloads in Data carry the
 	// membership package's own update codec, piggybacked on every probe).
@@ -89,7 +85,6 @@ var kindNames = [...]string{
 	"ShardPut", "ShardGet", "ShardDrop", "EncodeDelegate",
 	"MetaUpdate", "MetaLookup", "MetaQuery", "MetaDelete", "StripeLookup", "DirDump",
 	"TokenAcquire", "TokenRelease", "LoadQuery", "Ping", "Recover", "Stats",
-	"Checksum", "ShardSum",
 	"PingReq", "Gossip", "Handoff",
 	"StepEnd", "RecoverAll",
 }
@@ -122,7 +117,8 @@ type Message struct {
 	Flag bool
 	// Num is a general integer (e.g. load level).
 	Num int64
-	// Sum carries a content checksum (scrub plane responses).
+	// Sum is the digest of the shard a MsgRecover's sender found
+	// inconsistent with its stripe (0: none).
 	Sum uint64
 	Err string
 

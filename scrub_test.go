@@ -9,6 +9,7 @@ import (
 
 	"corec/internal/failure"
 	"corec/internal/scrub"
+	"corec/internal/transport"
 	"corec/internal/types"
 )
 
@@ -163,6 +164,53 @@ func TestScrubNowCoversJoinedServers(t *testing.T) {
 	}
 	if rep.Corruptions != int64(len(rotted)) {
 		t.Fatalf("sweep detected %d corruptions, want the %d planted on joined server %d (%+v)", rep.Corruptions, len(rotted), id, rep)
+	}
+}
+
+// TestVerifiedReadWithholdsRottedPrimary: with the scrubber on, a primary
+// withholds its full copy once rot makes it fail its digest, and a client get
+// is served the right bytes by the mirror. The same holds after a scrub pass
+// restored the copy and it rotted again: the restore records the digest of
+// the copy it installs.
+func TestVerifiedReadWithholdsRottedPrimary(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Mode = PolicyReplicate
+	cfg.Seed = 7
+	cfg.Scrub = &ScrubConfig{} // verified reads on, no background pass
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl := c.NewClient()
+	ctx := context.Background()
+	box := Box3D(0, 0, 0, 8, 8, 8)
+	data := regionData(t, box, 8, 77)
+	if err := cl.Put(ctx, "rot", box, 1, data); err != nil {
+		t.Fatal(err)
+	}
+	metas, err := cl.Query(ctx, "rot", box)
+	if err != nil || len(metas) != 1 {
+		t.Fatalf("query: %v, %d records", err, len(metas))
+	}
+	primary := metas[0].Primary
+	key := types.ObjectID{Var: "rot", Box: box}.Key()
+	srv := c.Server(primary)
+	for round := 1; round <= 2; round++ {
+		if evs := c.InjectBitRot(primary, failure.RotObjects, 1); len(evs) != 1 || evs[0].Key != key {
+			t.Fatalf("round %d: rot planted %+v, want one on %s", round, evs, key)
+		}
+		for _, floor := range []Version{0, 1} {
+			if resp := srv.Handle(ctx, &transport.Message{Kind: transport.MsgGet, Key: key, Version: floor}); resp.Flag {
+				t.Fatalf("round %d: primary served its rotted copy to a get naming floor %d", round, floor)
+			}
+		}
+		if got, err := cl.Get(ctx, "rot", box, 1); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("round %d: client get: err %v, bytes equal %v", round, err, bytes.Equal(got, data))
+		}
+		if rep, err := srv.ScrubDepth(ctx, scrub.DepthLocal); err != nil || rep.Corruptions != 1 || rep.Repairs != 1 {
+			t.Fatalf("round %d: local pass %+v, %v; want the rot found and repaired", round, rep, err)
+		}
 	}
 }
 

@@ -72,10 +72,11 @@ transportrace:
 # Race-detector pass focused on elastic membership churn: gossip agents,
 # dynamic ring, and the paced migrator running against foreground traffic —
 # and the monitor, which reads the liveness table gossip and every send
-# write, repeated because its detection and recovery race the fleet.
+# write, repeated because its detection and recovery race the fleet, with the
+# failed-over write recovery restores and the pings that must leave gossip be.
 churnrace:
 	$(GO) test -race -run 'TestElastic|TestRebalance' .
-	$(GO) test -race -count=5 -run 'TestMonitor|TestElasticMonitor' .
+	$(GO) test -race -count=5 -run 'TestMonitor|TestElasticMonitor|TestPutFailover|TestClientPing' .
 	$(GO) test -race ./internal/membership ./internal/topology ./internal/placement
 
 # Race-detector pass focused on the tiered storage engine: the concurrent

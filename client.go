@@ -143,8 +143,8 @@ func (cl *Client) putObject(ctx context.Context, name string, box Box, version V
 	// retry budget, so hand the write to a successor. The successor's put
 	// path makes it the new primary (the directory flips, the original
 	// primary becomes a listed replica), so the object keeps its full
-	// resilience level; the reroute is logged so the monitor reconciles
-	// ownership once the original recovers.
+	// resilience level. Nothing else is owed: the original's recovery
+	// restores the copy the record names for it, as for any other object.
 	for _, alt := range c.place.FailoverTargets(id, primary) {
 		if alt == primary {
 			continue
@@ -156,7 +156,7 @@ func (cl *Client) putObject(ctx context.Context, name string, box Box, version V
 		if aerr := resp.AsError(); aerr != nil {
 			return aerr
 		}
-		c.recordReroute(Reroute{ID: id, From: primary, To: alt, Version: version})
+		c.col.AddCounter(metrics.FailoverCount, 1)
 		return nil
 	}
 	return fmt.Errorf("corec: put %s: %w", id, err)

@@ -274,31 +274,12 @@ type Cluster struct {
 	// rebalance tallies); nil for static fleets.
 	elastic *elasticState
 
-	// rerouteMu guards the write-failover log: puts rerouted away from an
-	// unreachable primary, pending reconciliation once it recovers.
-	rerouteMu sync.Mutex
-	reroutes  []Reroute
-
 	// rotMu guards the at-rest bit-rot stream: one seeded rng (separate
 	// from the network injector's) drives every injection so scheduled and
 	// manual corruption stay deterministic, and rotLog records what landed.
 	rotMu  sync.Mutex
 	rotRng *rand.Rand
 	rotLog []failure.BitRotEvent
-}
-
-// Reroute records one write that failed over from its placed primary to a
-// replication-group successor. The monitor consumes these after the
-// original primary recovers, instructing it to reconcile ownership.
-type Reroute struct {
-	// ID identifies the rerouted object.
-	ID ObjectID
-	// From is the placed primary that was unreachable.
-	From ServerID
-	// To is the successor that accepted the write (the new primary).
-	To ServerID
-	// Version is the data version that was written.
-	Version Version
 }
 
 // maxCabinets is how many failure domains a fleet spreads over: a fleet of
@@ -535,44 +516,6 @@ func (c *Cluster) Faults() *transport.FaultyNetwork { return c.faults }
 
 // RetryPolicy returns the client-side retry policy in effect.
 func (c *Cluster) RetryPolicy() transport.RetryPolicy { return c.retry }
-
-func (c *Cluster) recordReroute(r Reroute) {
-	c.recordRerouteQuiet(r)
-	c.col.AddCounter(metrics.FailoverCount, 1)
-}
-
-// recordRerouteQuiet requeues a reroute without recounting the failover
-// (used when reconciliation must be deferred to a later recovery).
-func (c *Cluster) recordRerouteQuiet(r Reroute) {
-	c.rerouteMu.Lock()
-	c.reroutes = append(c.reroutes, r)
-	c.rerouteMu.Unlock()
-}
-
-// Reroutes returns a copy of the pending write-failover log.
-func (c *Cluster) Reroutes() []Reroute {
-	c.rerouteMu.Lock()
-	defer c.rerouteMu.Unlock()
-	return append([]Reroute(nil), c.reroutes...)
-}
-
-// takeReroutesFrom removes and returns the pending reroutes whose original
-// primary is the given server. The monitor calls this once the server has
-// recovered, to drive ownership reconciliation.
-func (c *Cluster) takeReroutesFrom(id ServerID) []Reroute {
-	c.rerouteMu.Lock()
-	defer c.rerouteMu.Unlock()
-	var taken, keep []Reroute
-	for _, r := range c.reroutes {
-		if r.From == id {
-			taken = append(taken, r)
-		} else {
-			keep = append(keep, r)
-		}
-	}
-	c.reroutes = keep
-	return taken
-}
 
 // Server returns the running server with the given ID (nil if failed).
 func (c *Cluster) Server(id ServerID) *server.Server {

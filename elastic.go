@@ -61,21 +61,30 @@ type elasticState struct {
 	cfg  MembershipConfig
 	ring *topology.DynamicRing
 
-	mu      sync.Mutex
-	agents  map[types.ServerID]*membership.Agent
-	lastInc map[types.ServerID]uint64 // newest incarnation started or seen per id
-	nextID  types.ServerID
+	mu         sync.Mutex
+	agents     map[types.ServerID]*membership.Agent
+	lastInc    map[types.ServerID]uint64 // newest incarnation started or seen per id
+	nextID     types.ServerID
+	passes     int64           // Rebalance passes finished
+	rebalanced RebalanceReport // their reports summed
 
 	events chan MembershipEvent
 
-	arcsMoved       atomic.Int64
-	rebalances      atomic.Int64
-	dirRehomed      atomic.Int64
-	objectsMoved    atomic.Int64
-	objectsRepaired atomic.Int64
-	reencoded       atomic.Int64
-	handoffs        atomic.Int64
-	bytesMoved      atomic.Int64
+	arcsMoved atomic.Int64
+}
+
+// tally adds a finished Rebalance pass's report to the cumulative counters.
+func (e *elasticState) tally(rep *RebalanceReport) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.passes++
+	t := &e.rebalanced
+	t.DirRehomed += rep.DirRehomed
+	t.Moved += rep.Moved
+	t.Repaired += rep.Repaired
+	t.Reencoded += rep.Reencoded
+	t.Handoffs += rep.Handoffs
+	t.BytesMoved += rep.BytesMoved
 }
 
 func newElasticState(cfg MembershipConfig) *elasticState {

@@ -38,7 +38,7 @@ func (b Bucket) String() string {
 
 // Counter names a fault-tolerance event class tallied alongside the
 // timing evidence: how often the RPC layer retried, failed writes over to a
-// successor, reconciled ownership afterwards, or saw the fabric misbehave.
+// successor, or saw the fabric misbehave.
 type Counter int
 
 // Fault-tolerance counters.
@@ -48,9 +48,6 @@ const (
 	// FailoverCount tallies writes rerouted to a replication-group
 	// successor after the placed primary was unreachable.
 	FailoverCount
-	// ReconcileCount tallies rerouted writes reconciled by the monitor
-	// after the original primary recovered.
-	ReconcileCount
 	// CorruptFrameCount tallies CRC32 integrity failures that persisted
 	// through a sender's whole retry policy (absorbed corruptions count
 	// as retries, not here).
@@ -103,7 +100,7 @@ const (
 )
 
 var counterNames = [...]string{
-	"retries", "failovers", "reconciles", "corrupt_frames", "faults", "mirror_repairs", "dir_fallbacks", "dir_second_asks",
+	"retries", "failovers", "corrupt_frames", "faults", "mirror_repairs", "dir_fallbacks", "dir_second_asks",
 	"primary_reads", "primary_misses",
 	"scrub_scans", "scrub_bytes", "scrub_corruptions", "scrub_repairs",
 	"scrub_reencodes", "scrub_backfills", "scrub_skips",

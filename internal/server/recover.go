@@ -41,10 +41,11 @@ func (s *Server) shardIndexIn(info *types.StripeInfo) int {
 }
 
 // handleRecover repairs the named object's local piece (full copy, replica,
-// or stripe shard) on this server. On-access lazy repair and the monitor send
-// it bare, and the object's record is looked up. The scrubber attaches the
-// record it holds and, for a shard it found inconsistent with its stripe,
-// that shard's digest in Sum.
+// or stripe shard) on this server. On-access lazy repair sends it bare, and
+// the object's record is looked up. The scrubber attaches the record it holds
+// and, for a shard it found inconsistent with its stripe, that shard's digest
+// in Sum; the rebalancer attaches a record naming this server as a new
+// replica holder.
 func (s *Server) handleRecover(ctx context.Context, req *transport.Message) *transport.Message {
 	id := types.ObjectID{Var: req.Var, Box: req.Box}
 	var repaired bool

@@ -526,9 +526,12 @@ func (s *Server) Handle(ctx context.Context, req *transport.Message) *transport.
 	defer s.inflight.Add(-1)
 	switch req.Kind {
 	case transport.MsgPing:
-		// With elastic membership the probe carries piggybacked gossip and
-		// the reply returns ours; without it, a plain liveness ack.
-		if h := s.membershipHandler(); h != nil {
+		// With elastic membership a member's probe carries piggybacked
+		// gossip and the reply returns ours. A ping from outside the fleet
+		// (a client's or the monitor's, From < 0) gets a plain liveness ack,
+		// as every ping does without membership: its sender would discard
+		// our gossip, and handing it over spends its retransmit budget.
+		if h := s.membershipHandler(); h != nil && req.From >= 0 {
 			return h.HandleMessage(ctx, req)
 		}
 		return transport.Ok()

@@ -62,7 +62,7 @@ const (
 	MsgTokenRelease // return the encoding token
 	MsgLoadQuery    // ask a server for its current load level
 	MsgPing         // liveness probe
-	MsgRecover      // instruct a server to recover its piece of an object (Var, Box; Meta, Sum from the scrubber)
+	MsgRecover      // instruct a server to recover its piece of an object (Var, Box; Meta from the scrubber and the rebalancer, Sum from the scrubber)
 	MsgStats        // ask a server for its status report (JSON in Data)
 
 	// Membership plane (SWIM-style gossip; payloads in Data carry the

@@ -3,6 +3,7 @@ package corec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"corec/internal/scrub"
@@ -33,8 +34,10 @@ type RebalanceReport struct {
 	DirRehomed int
 	// Moved counts objects re-homed to a new ring owner.
 	Moved int
-	// Repaired counts replicated objects whose lost replicas were re-pushed
-	// to fresh ring successors.
+	// Repaired counts objects whose lost holders the pass replaced: a
+	// primary that left by re-installing at the new owner, replica holders
+	// that left by having the owner's current ring successors restore their
+	// copies through recovery's restore (MsgRecover, new record attached).
 	Repaired int
 	// Reencoded counts encoded objects force-reinstalled at their primary
 	// because their stripe lost a member the ring no longer contains.
@@ -52,19 +55,21 @@ type RebalanceReport struct {
 // Rebalance runs one paced migration pass over the whole directory: it
 // re-homes directory records to their current ring shard groups, moves
 // every object whose ring owner changed (or whose primary is gone) to the
-// new owner, re-pushes replicas lost with dead holders, and force-re-encodes
-// stripes that lost a member permanently. Safe to run concurrently with
-// foreground traffic — moves are idempotent versioned puts, and the token
-// bucket bounds the bandwidth they consume. Typically called after a Join,
-// by Drain, or after gossip evicts a dead server.
+// new owner, has replicas lost with dead holders restored, and
+// force-re-encodes stripes that lost a member permanently. Safe to run
+// concurrently with foreground traffic — moves are idempotent versioned puts,
+// restores never overwrite a newer copy, and the token bucket bounds the
+// bandwidth they consume. Typically called after a Join, by Drain, or after
+// gossip evicts a dead server.
 func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	e := c.elastic
 	if e == nil {
 		return RebalanceReport{}, fmt.Errorf("corec: Rebalance requires elastic membership (Config.Membership)")
 	}
-	e.rebalances.Add(1)
-	var rep RebalanceReport
-	rep.Epoch = e.ring.Epoch()
+	rep := RebalanceReport{Epoch: e.ring.Epoch()}
+	// tally reads rep when the pass returns, so a pass cut short still
+	// counts what it did.
+	defer e.tally(&rep)
 
 	rc := RebalanceConfig{}
 	if c.cfg.Rebalance != nil {
@@ -89,7 +94,6 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 		msg := &transport.Message{Kind: transport.MsgMetaUpdate, Flag: true, Meta: m.Clone()}
 		if c.sendGroup(ctx, cl, c.dir.Servers(m.ID.Var, m.ID.Box), msg) {
 			rep.DirRehomed++
-			e.dirRehomed.Add(1)
 		}
 	}
 
@@ -122,11 +126,8 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 			}
 			rep.Moved++
 			rep.BytesMoved += int64(len(data))
-			e.objectsMoved.Add(1)
-			e.bytesMoved.Add(int64(len(data)))
 			if !primaryLive {
 				rep.Repaired++
-				e.objectsRepaired.Add(1)
 			} else if m.Primary != owner {
 				// The old primary still runs (drain, or an ownership-only
 				// move): tell it to release its copy and bookkeeping. Num
@@ -138,21 +139,18 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 				})
 				if herr == nil && resp.Kind == transport.MsgOK && resp.Flag {
 					rep.Handoffs++
-					e.handoffs.Add(1)
 				}
 			}
 
 		case m.State == types.StateReplicated && c.lostReplicas(m) > 0:
-			// Owner unchanged but replica holders left the ring: re-push full
-			// copies to the owner's current ring successors.
+			// Owner unchanged but replica holders left the ring: the owner's
+			// current ring successors restore the lost copies.
 			if err := bucket.Take(ctx, int64(m.Size)); err != nil {
 				return rep, err
 			}
 			if c.repairReplicas(ctx, cl, m) {
 				rep.Repaired++
 				rep.BytesMoved += int64(m.Size)
-				e.objectsRepaired.Add(1)
-				e.bytesMoved.Add(int64(m.Size))
 			} else {
 				rep.Errors++
 			}
@@ -176,8 +174,6 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 			}
 			rep.Reencoded++
 			rep.BytesMoved += int64(len(data))
-			e.reencoded.Add(1)
-			e.bytesMoved.Add(int64(len(data)))
 
 		default:
 			rep.Skipped++
@@ -302,62 +298,35 @@ func (c *Cluster) stripeDegraded(si *types.StripeInfo) bool {
 	return false
 }
 
-// repairReplicas re-pushes a replicated object's payload to the primary's
-// current ring successors that lack a live copy, then refreshes the
-// directory record's replica list.
+// repairReplicas has the primary's current ring successors that lack a live
+// copy of a replicated object restore one through recovery's restore: each
+// gets a MsgRecover carrying a record that names them beside the surviving
+// holders, and fetches from those. The directory record is then refreshed
+// to list the survivors (extra copies outside the window serve reads until
+// the scrubber's orphan reaping retires them) and every successor that now
+// holds a copy.
 func (c *Cluster) repairReplicas(ctx context.Context, cl *Client, m *types.ObjectMeta) bool {
-	data, err := cl.fetchObjectBytes(ctx, m.Clone())
-	if err != nil {
-		return false
-	}
-	live := make(map[types.ServerID]bool)
-	for _, r := range m.Replicas {
-		if c.elastic.ring.Contains(r) {
-			live[r] = true
-		}
-	}
-	targets := c.place.ReplicaHolders(m.Primary)
-	newReps := make([]types.ServerID, 0, len(targets))
-	pushedAny := false
-	for _, t := range targets {
-		if t == m.Primary {
-			continue
-		}
-		if live[t] {
-			newReps = append(newReps, t)
-			continue
-		}
-		resp, err := cl.send(ctx, t, &transport.Message{
-			Kind:    transport.MsgReplicaPut,
-			Var:     m.ID.Var,
-			Box:     m.ID.Box,
-			Version: m.Version,
-			Data:    data,
-		})
-		if err == nil && resp.AsError() == nil {
-			newReps = append(newReps, t)
-			pushedAny = true
-		}
-	}
-	if !pushedAny {
-		return false
-	}
-	// Keep surviving out-of-window holders listed too: extra copies serve
-	// reads until the scrubber's orphan reaping retires them.
-	for r := range live {
-		found := false
-		for _, t := range newReps {
-			if t == r {
-				found = true
-				break
-			}
-		}
-		if !found {
-			newReps = append(newReps, r)
-		}
-	}
-	sort.Slice(newReps, func(i, j int) bool { return newReps[i] < newReps[j] })
 	fresh := m.Clone()
-	fresh.Replicas = newReps
+	fresh.Replicas = slices.DeleteFunc(fresh.Replicas, func(r types.ServerID) bool { return !c.elastic.ring.Contains(r) })
+	var added []types.ServerID
+	for _, t := range c.place.ReplicaHolders(m.Primary) {
+		if t != m.Primary && !slices.Contains(fresh.Replicas, t) {
+			added = append(added, t)
+		}
+	}
+	ask := fresh.Clone()
+	ask.Replicas = append(ask.Replicas, added...)
+	restored := false
+	for _, t := range added {
+		resp, err := cl.send(ctx, t, &transport.Message{Kind: transport.MsgRecover, Var: m.ID.Var, Box: m.ID.Box, Meta: ask})
+		if err == nil && resp.AsError() == nil {
+			fresh.Replicas = append(fresh.Replicas, t)
+			restored = true
+		}
+	}
+	if !restored {
+		return false
+	}
+	slices.Sort(fresh.Replicas)
 	return c.sendGroup(ctx, cl, c.dir.Servers(m.ID.Var, m.ID.Box), &transport.Message{Kind: transport.MsgMetaUpdate, Meta: fresh})
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"corec/internal/metrics"
 	"corec/internal/recovery"
 	"corec/internal/transport"
 )
@@ -38,9 +37,9 @@ type MonitorConfig struct {
 	// the configured RecoveryMode automatically.
 	AutoRecover bool
 	// ScrubAfterRecovery, when set, runs one anti-entropy scrub pass on
-	// each replacement server after its recovery and reroute
-	// reconciliation finish, so repaired payloads are checksum-verified
-	// before the server is declared healthy again.
+	// each replacement server after its recovery finishes, so repaired
+	// payloads are checksum-verified before the server is declared healthy
+	// again.
 	ScrubAfterRecovery bool
 	// OnEvent, when non-nil, receives detection/recovery events.
 	OnEvent func(MonitorEvent)
@@ -167,33 +166,15 @@ func (m *Monitor) recover(ctx context.Context, id ServerID) {
 	if m.cluster.cfg.RecoveryMode == RecoveryAggressive {
 		mode = recovery.Aggressive
 	}
+	// The work list holds every record naming the server, writes that failed
+	// over while it was down included.
 	repaired, _ := srv.RunRecovery(ctx, mode)
-	m.reconcileReroutes(ctx, id)
 	if m.cfg.ScrubAfterRecovery {
 		// Best-effort: a failed pass (context cancelled, fabric flapping)
 		// leaves the payloads for the background scrubber's next cycle.
 		_, _ = srv.ScrubOnce(ctx)
 	}
 	m.emit(MonitorEvent{Kind: EventRecoveryFinished, Server: id, Time: time.Now(), Repaired: repaired})
-}
-
-// reconcileReroutes drains the write-failover log for the recovered
-// server: every put that was rerouted away while it was down is replayed
-// as a recover instruction, so the server re-fetches the object from its
-// new primary and the directory's ownership view converges promptly
-// instead of waiting for lazy on-access repair.
-func (m *Monitor) reconcileReroutes(ctx context.Context, id ServerID) {
-	c := m.cluster
-	for _, r := range c.takeReroutesFrom(id) {
-		resp, err := c.retry.SendCounted(ctx, c.net, -1, id, &transport.Message{Kind: transport.MsgRecover, Var: r.ID.Var, Box: r.ID.Box}, c.col)
-		if err != nil || resp.AsError() != nil {
-			// The server went down again (or the fabric is misbehaving);
-			// requeue the reroute so a later recovery retries it.
-			c.recordRerouteQuiet(r)
-			continue
-		}
-		c.col.AddCounter(metrics.ReconcileCount, 1)
-	}
 }
 
 func (m *Monitor) emit(ev MonitorEvent) {

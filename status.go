@@ -43,16 +43,15 @@ func (cl *Client) Status(ctx context.Context) []ServerStatus {
 }
 
 // FabricStatus aggregates the cluster's fault-tolerance view: the RPC
-// layer's retry/failover/reconcile counters, pending (unreconciled) write
-// reroutes, and — when a FaultPlan wraps the fabric — the injector's fault
-// tallies.
+// layer's retry and failover counters, the directory's and the read path's,
+// the per-subsystem views below, and — when a FaultPlan wraps the fabric —
+// the injector's fault tallies.
 type FabricStatus struct {
 	// Retries is the number of resent RPC attempts (client and server side).
 	Retries int64
 	// Failovers is the number of writes rerouted to a successor primary.
+	// The placed primary's recovery restores its copy like any other.
 	Failovers int64
-	// Reconciles is the number of reroutes reconciled after recovery.
-	Reconciles int64
 	// CorruptFrames is the number of CRC32 integrity failures that
 	// persisted through a sender's whole retry policy.
 	CorruptFrames int64
@@ -75,8 +74,6 @@ type FabricStatus struct {
 	// directory.
 	PrimaryReads  int64
 	PrimaryMisses int64
-	// PendingReroutes is the current depth of the write-failover log.
-	PendingReroutes int
 	// Injected reports the fault injector's counters; zero without a plan.
 	Injected transport.FaultStats
 	// Scrub reports the anti-entropy scrubber's cumulative counters.
@@ -169,8 +166,8 @@ type MembershipStatus struct {
 	// the incremental-recomputation measure (a join or leave moves only the
 	// arcs adjacent to the touched server's virtual nodes).
 	ArcsMoved int64
-	// Rebalances counts Rebalance passes; the remaining fields are the
-	// paced migrator's cumulative progress tallies.
+	// Rebalances counts finished Rebalance passes, cut-short ones included;
+	// the remaining fields sum their reports.
 	Rebalances      int64
 	DirRehomed      int64
 	ObjectsMoved    int64
@@ -247,17 +244,15 @@ type ScrubStatus struct {
 // FabricStatus reports the cluster's fault-tolerance counters.
 func (c *Cluster) FabricStatus() FabricStatus {
 	st := FabricStatus{
-		Retries:         c.col.Counter(metrics.RetryCount),
-		Failovers:       c.col.Counter(metrics.FailoverCount),
-		Reconciles:      c.col.Counter(metrics.ReconcileCount),
-		CorruptFrames:   c.col.Counter(metrics.CorruptFrameCount),
-		Faults:          c.col.Counter(metrics.FaultCount),
-		MirrorRepairs:   c.col.Counter(metrics.MirrorRepairCount),
-		DirFallbacks:    c.col.Counter(metrics.DirFallbackCount),
-		DirSecondAsks:   c.col.Counter(metrics.DirSecondAskCount),
-		PrimaryReads:    c.col.Counter(metrics.PrimaryReadCount),
-		PrimaryMisses:   c.col.Counter(metrics.PrimaryMissCount),
-		PendingReroutes: len(c.Reroutes()),
+		Retries:       c.col.Counter(metrics.RetryCount),
+		Failovers:     c.col.Counter(metrics.FailoverCount),
+		CorruptFrames: c.col.Counter(metrics.CorruptFrameCount),
+		Faults:        c.col.Counter(metrics.FaultCount),
+		MirrorRepairs: c.col.Counter(metrics.MirrorRepairCount),
+		DirFallbacks:  c.col.Counter(metrics.DirFallbackCount),
+		DirSecondAsks: c.col.Counter(metrics.DirSecondAskCount),
+		PrimaryReads:  c.col.Counter(metrics.PrimaryReadCount),
+		PrimaryMisses: c.col.Counter(metrics.PrimaryMissCount),
 		Scrub: ScrubStatus{
 			Scans:       c.col.Counter(metrics.ScrubScanCount),
 			Bytes:       c.col.Counter(metrics.ScrubByteCount),
@@ -351,6 +346,8 @@ func (c *Cluster) FabricStatus() FabricStatus {
 		for _, a := range e.agents {
 			agents = append(agents, a)
 		}
+		ms.Rebalances = e.passes
+		r := e.rebalanced
 		e.mu.Unlock()
 		sort.Slice(agents, func(i, j int) bool { return agents[i].ID() < agents[j].ID() })
 		ms.Agents = len(agents)
@@ -364,13 +361,12 @@ func (c *Cluster) FabricStatus() FabricStatus {
 			ms.FalsePositives += as.FalsePositives
 		}
 		ms.ArcsMoved = e.arcsMoved.Load()
-		ms.Rebalances = e.rebalances.Load()
-		ms.DirRehomed = e.dirRehomed.Load()
-		ms.ObjectsMoved = e.objectsMoved.Load()
-		ms.ObjectsRepaired = e.objectsRepaired.Load()
-		ms.Reencoded = e.reencoded.Load()
-		ms.Handoffs = e.handoffs.Load()
-		ms.BytesMoved = e.bytesMoved.Load()
+		ms.DirRehomed = int64(r.DirRehomed)
+		ms.ObjectsMoved = int64(r.Moved)
+		ms.ObjectsRepaired = int64(r.Repaired)
+		ms.Reencoded = int64(r.Reencoded)
+		ms.Handoffs = int64(r.Handoffs)
+		ms.BytesMoved = r.BytesMoved
 	}
 	return st
 }

@@ -121,12 +121,6 @@ func Pow(a byte, n int) byte {
 	return Exp(int(logTable[a]) % Order * (n % Order) % Order)
 }
 
-// AddSlice sets dst[i] ^= src[i] for all i.
-func AddSlice(src, dst []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: AddSlice length mismatch")
-	}
-	for i, s := range src {
-		dst[i] ^= s
-	}
-}
+// AddSlice sets dst[i] ^= src[i] for all i: MulAddSlice with coefficient
+// one, a word-wide XOR.
+func AddSlice(src, dst []byte) { MulAddSlice(1, src, dst) }

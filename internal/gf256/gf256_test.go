@@ -223,13 +223,19 @@ func TestSliceLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-func BenchmarkMulAddSlice(b *testing.B) {
+func BenchmarkMulAddSlice(b *testing.B) { benchMulAddSlice(b, 0x57) }
+
+// BenchmarkMulAddSliceOne runs the coefficient every entry of an RS(k+1)
+// parity row holds: a word-wide XOR, not a kernel pass.
+func BenchmarkMulAddSliceOne(b *testing.B) { benchMulAddSlice(b, 1) }
+
+func benchMulAddSlice(b *testing.B, c byte) {
 	src := make([]byte, 64*1024)
 	dst := make([]byte, 64*1024)
 	rand.New(rand.NewSource(2)).Read(src)
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MulAddSlice(0x57, src, dst)
+		MulAddSlice(c, src, dst)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"corec/internal/classifier"
 	"corec/internal/geometry"
@@ -334,6 +335,77 @@ func TestEncodeDelegateUsesReplica(t *testing.T) {
 		}
 	}
 	_ = shards
+}
+
+// TestKeptShardsOwnTheirMemory: Split's data shards are windows of the
+// buffer they were cut from, so a shard a server keeps must be copied out,
+// or the store pins the whole buffer behind a third of it. After a
+// delegated encode the shard the helper delivered to itself shares no
+// memory with its replica, and after a committed encode the primary's shard
+// 0 shares none with the object.
+func TestKeptShardsOwnTheirMemory(t *testing.T) {
+	ctx := context.Background()
+	rig := newRig(t, policy.CoREC, 8)
+	box := geometry.Box3D(0, 0, 0, 8, 8, 8)
+	id := types.ObjectID{Var: "v", Box: box}
+	primary := rig.put(t, "v", box, 1, payload(3000, 8)) // three whole 1000-byte shards
+	srv := rig.servers[primary]
+	helper := rig.place.ReplicaHolders(primary)[0]
+	hs := rig.servers[helper]
+	srv.mu.Lock()
+	obj := srv.objects[id.Key()]
+	srv.mu.Unlock()
+	hs.mu.Lock()
+	replica := hs.replicas[id.Key()]
+	hs.mu.Unlock()
+
+	info := &types.StripeInfo{ID: types.StripeID{Group: 99, Seq: 1}, K: 3, M: 1, ShardSize: 1000}
+	own := -1
+	for i, m := range rig.place.CodingGroup(primary) {
+		info.Members = append(info.Members, types.StripeMember{Server: m, Index: i})
+		if m == helper {
+			own = i
+		}
+	}
+	if own < 1 || own > 2 {
+		t.Fatalf("helper holds shard %d; the test needs it to hold a data shard", own)
+	}
+	if !srv.delegateEncode(ctx, helper, obj, info) {
+		t.Fatal("delegation refused")
+	}
+	kept, ok := hs.store.Get(shardKey(info.ID, own))
+	if !ok || !bytes.Equal(kept, replica.Data[own*1000:(own+1)*1000]) {
+		t.Fatalf("helper's own shard %d missing or wrong", own)
+	}
+	if overlaps(kept, replica.Data) {
+		t.Fatalf("helper's own shard %d is a window of its replica", own)
+	}
+
+	if err := srv.encodeObject(ctx, obj, 0, types.StripeID{}, true); err != nil {
+		t.Fatal(err)
+	}
+	meta, ok := srv.reader.LookupMeta(ctx, id)
+	if !ok || meta.State != types.StateEncoded {
+		t.Fatalf("encode left record %+v", meta)
+	}
+	kept, ok = srv.store.Get(shardKey(meta.Stripe, 0))
+	if !ok || !bytes.Equal(kept, obj.Data[:1000]) {
+		t.Fatal("primary's shard 0 missing or wrong")
+	}
+	if overlaps(kept, obj.Data) {
+		t.Fatal("primary's shard 0 is a window of the object")
+	}
+}
+
+// overlaps reports whether the memory behind a and b (to their capacities)
+// overlaps.
+func overlaps(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	a0 := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+	b0 := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(cap(b)) && b0 < a0+uintptr(cap(a))
 }
 
 func TestDelegateRefusedWithoutReplica(t *testing.T) {

@@ -272,13 +272,14 @@ func (cl *Client) fetchRegion(ctx context.Context, box Box, metas []types.Object
 			var err error
 			if aligned(&meta) {
 				err = cl.reader.Object(ctx, &meta, dst)
-			} else if tmp, ferr := cl.fetchObjectBytes(ctx, &meta); ferr != nil {
-				err = ferr
 			} else {
-				// Safe outside the lock: the partitioner tiles objects over
-				// disjoint boxes, so each copy writes a disjoint region of
-				// dst — the mutex only needs to guard error aggregation.
-				_, err = ndarray.CopyRegion(meta.ID.Box, tmp, box, dst, elem)
+				tmp := reader.Buffer(meta.Size, cl.cluster.cfg.DataShards)
+				if err = cl.reader.Object(ctx, &meta, tmp); err == nil {
+					// Safe outside the lock: the partitioner tiles objects
+					// over disjoint boxes, so each copy writes a disjoint
+					// region of dst — the mutex only guards error aggregation.
+					_, err = ndarray.CopyRegion(meta.ID.Box, tmp, box, dst, elem)
+				}
 			}
 			if err != nil {
 				mu.Lock()
@@ -449,15 +450,6 @@ func covers(metas []types.ObjectMeta, box Box, floor Version) bool {
 		}
 	}
 	return covered >= box.Volume()
-}
-
-// fetchObjectBytes reads one object into a buffer of its own.
-func (cl *Client) fetchObjectBytes(ctx context.Context, meta *types.ObjectMeta) ([]byte, error) {
-	dst := reader.Buffer(meta.Size, cl.cluster.cfg.DataShards)
-	if err := cl.reader.Object(ctx, meta, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // keySet is a set of object keys, safe for concurrent use.

@@ -23,6 +23,8 @@ type countingNet struct {
 	transport.Network
 	lineUp transport.Kind
 	wide   int
+	// seen, when set, is shown every request that got a response, with it.
+	seen func(req, resp *transport.Message)
 
 	mu      sync.Mutex
 	sent    map[transport.Kind]int
@@ -65,7 +67,11 @@ func (n *countingNet) Send(ctx context.Context, from, to types.ServerID, req *tr
 			n.mu.Unlock()
 		}
 	}
-	return n.Network.Send(ctx, from, to, req)
+	resp, err := n.Network.Send(ctx, from, to, req)
+	if err == nil && n.seen != nil {
+		n.seen(req, resp)
+	}
+	return resp, err
 }
 
 // PeerHealth hands the retry layer the wrapped fabric's table, so sends through

@@ -82,7 +82,6 @@ func (e *elasticState) tally(rep *RebalanceReport) {
 	t.DirRehomed += rep.DirRehomed
 	t.Moved += rep.Moved
 	t.Repaired += rep.Repaired
-	t.Reencoded += rep.Reencoded
 	t.Handoffs += rep.Handoffs
 	t.BytesMoved += rep.BytesMoved
 }

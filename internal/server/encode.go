@@ -71,11 +71,7 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, sum uint64
 	shards, shardSize := s.codec.Split(obj.Data)
 	info := &types.StripeInfo{ID: stripeID, K: k, M: m, ShardSize: shardSize}
 	for i, member := range members {
-		sm := types.StripeMember{Server: member, Index: i}
-		if i == 0 {
-			sm.ObjectKey = key
-		}
-		info.Members = append(info.Members, sm)
+		info.Members = append(info.Members, types.StripeMember{Server: member, Index: i})
 	}
 
 	// Load-balancing decision: delegate the encode+distribute to the helper

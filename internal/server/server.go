@@ -193,9 +193,9 @@ type Server struct {
 
 // heldStripe records the locally held shards of one stripe.
 type heldStripe struct {
-	// info is the stripe's layout as the latest install carried it (the
-	// sender's copy, shared: read-only); nil for a shard found on a restarted
-	// disk tier until recovery restores it from the object's record.
+	// info is the stripe's layout as the latest install or restore carried
+	// it (the sender's copy, shared: read-only); nil for a shard found on a
+	// restarted disk tier until recovery restores it from the object's record.
 	info *types.StripeInfo
 	// sums is the at-rest digest of each held shard, by shard index.
 	sums map[int]uint64

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"slices"
@@ -322,8 +323,9 @@ func TestEncodeAbandonedWhenTheRingMovesUnderIt(t *testing.T) {
 // TestHandoffRefusedOnceALaterRecordIsPublished: the migrator's handoff names
 // the record it acted on. A primary whose queued encode committed since — the
 // directory may by now point at that very stripe — refuses and keeps stripe
-// and bookkeeping; a handoff naming the record it last published releases
-// both.
+// and bookkeeping; a handoff naming the record it last published releases the
+// bookkeeping, and of the stripe, which the new primary's record keeps, only
+// the shard whose slot that record gives to another server.
 func TestHandoffRefusedOnceALaterRecordIsPublished(t *testing.T) {
 	ctx := context.Background()
 	rig := newRig(t, policy.Replicate, 8)
@@ -341,8 +343,16 @@ func TestHandoffRefusedOnceALaterRecordIsPublished(t *testing.T) {
 	if now.State != types.StateEncoded || now.Seq <= acted.Seq {
 		t.Fatalf("encode published %+v after %+v", now, acted)
 	}
+	// The new primary's record: slot 0 went to a server outside the stripe.
+	edited := now.Clone()
+	for _, s := range rig.servers {
+		if s.shardIndexIn(now.Layout) < 0 {
+			edited.Primary, edited.Layout.Members[0].Server = s.id, s.id
+			break
+		}
+	}
 	handoff := func(seq uint64) bool {
-		return srv.Handle(ctx, &transport.Message{Kind: transport.MsgHandoff, Key: id.Key(), Version: 1, Num: int64(seq)}).Flag
+		return srv.Handle(ctx, &transport.Message{Kind: transport.MsgHandoff, Key: id.Key(), Version: 1, Num: int64(seq), Meta: edited}).Flag
 	}
 	holds := func() (shards int) {
 		for _, m := range now.Layout.Members {
@@ -361,7 +371,48 @@ func TestHandoffRefusedOnceALaterRecordIsPublished(t *testing.T) {
 	if !handoff(now.Seq) {
 		t.Fatal("a handoff acting on the current record was refused")
 	}
-	if _, enc := srv.StateCounts(); enc != 0 || holds() != 0 {
-		t.Fatalf("the accepted handoff left %d encoded objects and %d shards", enc, holds())
+	if _, enc := srv.StateCounts(); enc != 0 || holds() != 3 || srv.HasShard(now.Stripe, 0) {
+		t.Fatalf("the accepted handoff left %d encoded objects and %d of the 3 kept shards", enc, holds())
+	}
+}
+
+// TestEditActingOnAnOlderRecordIsRefused: a membership edit names the record
+// it was made from. A primary that published a later record since — here a
+// newer write — refuses it: it restores nothing, asks no one to, publishes
+// nothing, and the newer write reads back.
+func TestEditActingOnAnOlderRecordIsRefused(t *testing.T) {
+	ctx := context.Background()
+	rig := newRig(t, policy.Replicate, 8)
+	box := geometry.Box3D(0, 0, 0, 8, 8, 8)
+	id := types.ObjectID{Var: "v", Box: box}
+	srv := rig.servers[rig.put(t, "v", box, 1, payload(600, 61))]
+	acted, _ := srv.reader.LookupMeta(ctx, id) // the record a migrator reads
+	newer := payload(600, 62)
+	rig.put(t, "v", box, 2, newer)
+
+	// The edit names a holder outside the replica group.
+	edited := acted.Clone()
+	for _, s := range rig.servers {
+		if !slices.Contains(acted.Locations(), s.id) {
+			edited.Replicas = []types.ServerID{s.id}
+			break
+		}
+	}
+	resp := srv.Handle(ctx, &transport.Message{
+		Kind: transport.MsgRecover, Var: id.Var, Box: id.Box, Meta: edited, Metas: []types.ObjectMeta{*acted},
+	})
+	if resp.AsError() != nil || resp.Flag || resp.Meta == nil || resp.Meta.Version != 2 {
+		t.Fatalf("edit of the superseded record answered %+v, want a refusal carrying the version 2 record", resp)
+	}
+	if rig.servers[edited.Replicas[0]].HasReplica(id.Key()) {
+		t.Fatal("the refused edit had its new holder restore a copy")
+	}
+	now, ok := srv.reader.LookupMeta(ctx, id)
+	if !ok || now.Version != 2 || now.Seq == edited.Seq || !slices.Equal(now.Replicas, acted.Replicas) {
+		t.Fatalf("directory holds %+v after the refused edit, want the version 2 write's record", now)
+	}
+	got := make([]byte, len(newer))
+	if err := srv.reader.Object(ctx, now, got); err != nil || !bytes.Equal(got, newer) {
+		t.Fatalf("newer write reads back %v", err)
 	}
 }

@@ -485,7 +485,7 @@ func TestStripeDirectoryRoundTrip(t *testing.T) {
 		t.Fatalf("record lookup = %+v ok=%v, want an encoded record with its layout", meta, ok)
 	}
 	if got := meta.Layout; got == mine || !reflect.DeepEqual(got, mine) || got.ID != meta.Stripe ||
-		got.K != 3 || got.M != 1 || got.ShardSize != 10 || len(got.Members) != 4 || got.Members[0].ObjectKey != id.Key() {
+		got.K != 3 || got.M != 1 || got.ShardSize != 10 || len(got.Members) != 4 || got.Members[0].Server != primary {
 		t.Fatalf("layout on the record = %+v, the primary holds %+v", got, mine)
 	}
 }

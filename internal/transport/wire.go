@@ -95,7 +95,6 @@ func (e *encoder) stripeInfo(s *types.StripeInfo) {
 	for _, m := range s.Members {
 		e.i64(int64(m.Server))
 		e.u32(uint32(m.Index))
-		e.str(m.ObjectKey)
 	}
 }
 
@@ -239,7 +238,6 @@ func (d *decoder) stripeInfo() *types.StripeInfo {
 	for i := range s.Members {
 		s.Members[i].Server = types.ServerID(d.i64())
 		s.Members[i].Index = int(d.u32())
-		s.Members[i].ObjectKey = d.str()
 	}
 	return s
 }

@@ -35,7 +35,7 @@ func sampleMessage() *Message {
 				ID: types.StripeID{Group: 3, Seq: 41},
 				K:  2, M: 1, ShardSize: 3,
 				Members: []types.StripeMember{
-					{Server: 4, Index: 0, ObjectKey: "temperature@[(0,16,32)-(64,80,96))"},
+					{Server: 4, Index: 0},
 					{Server: 5, Index: 1},
 					{Server: 6, Index: 2},
 				},
@@ -49,9 +49,9 @@ func sampleMessage() *Message {
 			ID: types.StripeID{Group: 3, Seq: 41},
 			K:  3, M: 1, ShardSize: 2,
 			Members: []types.StripeMember{
-				{Server: 0, Index: 0, ObjectKey: "a"},
-				{Server: 1, Index: 1, ObjectKey: "b"},
-				{Server: 2, Index: 2, ObjectKey: "c"},
+				{Server: 0, Index: 0},
+				{Server: 1, Index: 1},
+				{Server: 2, Index: 2},
 				{Server: 3, Index: 3},
 			},
 		},
@@ -187,7 +187,7 @@ func randStripe(rng *rand.Rand) *types.StripeInfo {
 		Members: []types.StripeMember{},
 	}
 	for i := rng.Intn(6); i > 0; i-- {
-		s.Members = append(s.Members, types.StripeMember{Server: types.ServerID(rng.Intn(64)), Index: i, ObjectKey: randString(rng, 30)})
+		s.Members = append(s.Members, types.StripeMember{Server: types.ServerID(rng.Intn(64)), Index: i})
 	}
 	return s
 }

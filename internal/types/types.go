@@ -100,15 +100,13 @@ type StripeMember struct {
 	// Index is the shard index within the stripe: 0..k-1 are data shards,
 	// k..k+m-1 are parity shards.
 	Index int
-	// ObjectKey is the key of the object stored in this data shard; empty
-	// for parity shards and for padding shards with no object.
-	ObjectKey string
 }
 
 // StripeInfo is a stripe's layout: its geometry and where each shard lives.
-// A stripe encodes exactly one object and its layout never changes once
-// minted, so it has no record of its own: it rides the encoded object's
-// ObjectMeta, and shard holders keep the copy their shard arrived with.
+// A stripe encodes exactly one object, so it has no record of its own: it
+// rides the encoded object's ObjectMeta, and shard holders keep the copy
+// their shard arrived with. Only a membership edit changes it: a slot changes
+// hands, and the stripe keeps its ID.
 type StripeInfo struct {
 	ID        StripeID
 	K, M      int
@@ -121,17 +119,6 @@ func (s *StripeInfo) Clone() *StripeInfo {
 	c := *s
 	c.Members = append([]StripeMember(nil), s.Members...)
 	return &c
-}
-
-// DataMembers returns the members holding data shards, in shard order.
-func (s *StripeInfo) DataMembers() []StripeMember {
-	out := make([]StripeMember, 0, s.K)
-	for _, m := range s.Members {
-		if m.Index < s.K {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // MemberFor returns the member holding shard index idx, or false.

@@ -51,14 +51,10 @@ func TestStripeInfoAccessors(t *testing.T) {
 		ID: StripeID{Group: 1, Seq: 7},
 		K:  2, M: 1,
 		Members: []StripeMember{
-			{Server: 0, Index: 0, ObjectKey: "a"},
-			{Server: 1, Index: 1, ObjectKey: "b"},
+			{Server: 0, Index: 0},
+			{Server: 1, Index: 1},
 			{Server: 2, Index: 2},
 		},
-	}
-	dm := s.DataMembers()
-	if len(dm) != 2 || dm[0].ObjectKey != "a" || dm[1].ObjectKey != "b" {
-		t.Fatalf("DataMembers = %v", dm)
 	}
 	if m, ok := s.MemberFor(2); !ok || m.Server != 2 {
 		t.Fatal("MemberFor(2) failed")

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -11,11 +12,15 @@ import (
 
 // fleet is an in-memory gossip fabric: agents registered by id, messages
 // dispatched synchronously, with a per-pair block list to simulate crashes
-// and partitions deterministically.
+// and partitions deterministically. With drop > 0 it also loses each
+// message with that probability, drawn from rng: the agents tick
+// single-threaded, so one seed produces one exact message schedule.
 type fleet struct {
 	agents  map[types.ServerID]*Agent
 	blocked map[[2]types.ServerID]bool
 	down    map[types.ServerID]bool
+	drop    float64
+	rng     *rand.Rand
 }
 
 func newFleet() *fleet {
@@ -31,6 +36,9 @@ func (f *fleet) Unregister(id types.ServerID)                    {}
 
 func (f *fleet) Send(ctx context.Context, from, to types.ServerID, req *transport.Message) (*transport.Message, error) {
 	if f.down[to] || f.blocked[[2]types.ServerID{from, to}] {
+		return nil, transport.ErrUnreachable
+	}
+	if f.drop > 0 && f.rng.Float64() < f.drop {
 		return nil, transport.ErrUnreachable
 	}
 	a, ok := f.agents[to]
@@ -142,6 +150,59 @@ func TestGossipDetectsCrash(t *testing.T) {
 		}
 		if st, ok := a.State(3); !ok || st != StateDead {
 			t.Fatalf("agent %d sees server 3 as %v, want dead", a.ID(), st)
+		}
+	}
+}
+
+// TestLossyGossipNeverEvictsHealthy sweeps the detector over fleet size and
+// seeded message loss, each run crashing one victim after a healthy window
+// of 30 rounds. Lost probes and acks may delay the victim's death verdict,
+// but no healthy agent may ever get one (a suspicion of it must end
+// refuted), and every live agent must see the victim dead within 200
+// rounds per agent.
+func TestLossyGossipNeverEvictsHealthy(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{8, 16, 32} {
+		for _, drop := range []float64{0, 0.05, 0.10} {
+			for s := int64(0); s < 5; s++ {
+				seed := int64(1000*n) + s
+				victim := types.ServerID(seed % int64(n))
+				f := newFleet()
+				f.drop = drop
+				f.rng = rand.New(rand.NewSource(seed))
+				wrong := make(map[types.ServerID]bool)
+				agents := f.buildWith(n, func(c *Config) {
+					c.Seed = seed*1000 + int64(c.ID)
+					c.SuspicionTicks = 6
+					c.OnEvent = func(ev Event) {
+						if ev.Kind == EventDied && ev.ID != victim {
+							wrong[ev.ID] = true
+						}
+					}
+				})
+				for round := 0; round < 30; round++ {
+					tickAll(ctx, agents, f)
+				}
+				f.down[victim] = true
+				allDead := func() bool {
+					for _, a := range agents {
+						if st, _ := a.State(victim); a.ID() != victim && st != StateDead {
+							return false
+						}
+					}
+					return true
+				}
+				rounds := 0
+				for ; !allDead() && rounds < 200*n; rounds++ {
+					tickAll(ctx, agents, f)
+				}
+				if len(wrong) > 0 {
+					t.Errorf("fleet %d, drop %.0f%%, seed %d: healthy agents declared dead: %v", n, drop*100, seed, wrong)
+				}
+				if !allDead() {
+					t.Errorf("fleet %d, drop %.0f%%, seed %d: victim %d not seen dead fleet-wide after %d rounds", n, drop*100, seed, victim, rounds)
+				}
+			}
 		}
 	}
 }

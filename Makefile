@@ -90,15 +90,14 @@ storagerace:
 	$(GO) test -race -run 'TestTiered' .
 
 # Multi-process cluster harness, CI-budgeted: real corec-server OS
-# processes over TCP, the open-loop quick scenario matrix (fault-free +
-# kill-restart arms, SLO invariants enforced by TestClusterBenchQuick under
-# the race detector), plus the process-level kill/restart and operator-CLI
-# suites. The SLO table is written to cluster-quick.json FIRST so a failing
-# gate still leaves the artifact for upload and post-mortem.
+# processes over TCP — the process-level kill/restart and operator-CLI
+# suites, then the open-loop quick scenario matrix (fault-free +
+# kill-restart arms, SLO invariants enforced by TestQuickScenarioMatrix)
+# under the race detector. That test logs each SLO row as one JSON line
+# before checking it, so a failing run's log still carries the table.
 clusterquick:
-	$(GO) run ./cmd/corec-bench -experiment cluster -quick -json cluster-quick.json
-	$(GO) test -timeout 8m ./internal/cluster
-	$(GO) test -timeout 12m -race -run TestClusterBenchQuick ./internal/harness
+	$(GO) test -timeout 8m -skip TestQuickScenarioMatrix ./internal/cluster
+	$(GO) test -timeout 12m -race -run TestQuickScenarioMatrix ./internal/cluster
 
 # The staging benchmark (bench/, see BENCHMARK.json) is its own Go module,
 # so neither `go test ./...` nor `go vet ./...` above reaches it: vet it and
@@ -108,16 +107,10 @@ clusterquick:
 benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench smoke-runs every Go benchmark once, then regenerates the erasure
-# engine's regression artifact (encode workers=1 vs N, cold vs cached decode
-# matrices at 4+2 and 8+3, at-rest digest MB/s). BENCH_erasure.json is committed so perf
-# regressions show up as diffs.
+# bench smoke-runs every Go benchmark once. The gated performance ledger is
+# the staging benchmark (bench/, BENCHMARK.json); see benchsmoke above.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-	$(GO) run ./cmd/corec-bench -experiment erasure -json BENCH_erasure.json
-	$(GO) run ./cmd/corec-bench -experiment membership -json BENCH_membership.json
-	$(GO) run ./cmd/corec-bench -experiment tiering -json BENCH_tiering.json
-	$(GO) run ./cmd/corec-bench -experiment cluster -json BENCH_cluster.json
 
 ci: vet staticcheck lint build race scrubrace transportrace churnrace storagerace test benchsmoke clusterquick
 

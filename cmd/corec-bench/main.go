@@ -7,25 +7,13 @@
 // Usage:
 //
 //	corec-bench -experiment fig2|fig4|fig8|fig9|fig10|fig11|fig12|table1|
-//	            table2|read-penalty|model-validation|erasure|membership|
-//	            tiering|cluster|all [-quick] [-csv dir] [-json file]
+//	            table2|read-penalty|model-validation|all [-quick] [-csv dir]
 //
-// The cluster experiment is the only one that leaves this process: it
-// spawns a fleet of real corec-server processes, offers open-loop load
-// with coordinated-omission-safe latency recording, SIGKILLs and restarts
-// a process mid-run, and writes per-scenario SLO rows to
-// BENCH_cluster.json (see internal/cluster).
-//
-// The erasure experiment measures the parallel erasure-coding engine
-// (encode workers=1 vs N, cold vs cached decode matrices) and, with -json,
-// writes the regression artifact BENCH_erasure.json tracks. The tiering
-// experiment drives a working set 10x the L1 budget through the tiered
-// storage engine (all-in-RAM vs tiered vs tiered-without-prefetch) and
-// writes BENCH_tiering.json the same way.
+// The repository's gated performance ledger is the staging benchmark in
+// bench/ (see BENCHMARK.json), not this command.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -37,12 +25,10 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run: fig2, fig4, fig8, fig9, fig10, fig11, fig12, table1, table2, read-penalty, model-validation, erasure, membership, tiering, cluster, or all")
+	experiment := flag.String("experiment", "all", "which experiment to run: fig2, fig4, fig8, fig9, fig10, fig11, fig12, table1, table2, read-penalty, model-validation, or all")
 	quick := flag.Bool("quick", false, "trim sweeps for a fast smoke run")
 	csvDir := flag.String("csv", "", "also write CSV files into this directory")
-	jsonPath := flag.String("json", "", "write the erasure experiment's report to this JSON file")
 	flag.Parse()
-	benchJSONPath = *jsonPath
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -56,28 +42,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
-}
-
-// benchJSONPath is where the benchmark experiments write their JSON
-// reports (empty = don't write). Package-level so the recursive "all"
-// runner can suppress it for the duration of the sweep.
-var benchJSONPath string
-
-// writeBenchJSON serializes a benchmark report to benchJSONPath (no-op when
-// unset).
-func writeBenchJSON(rep any) error {
-	if benchJSONPath == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(benchJSONPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("(json written to %s)\n", benchJSONPath)
-	return nil
 }
 
 // writeCSV invokes f on a freshly created file in dir (no-op when dir is
@@ -178,42 +142,6 @@ func run(experiment string, quick bool, csvDir string) error {
 				return err
 			}
 		}
-	case "erasure":
-		rep, err := harness.RunErasureBench(quick)
-		if err != nil {
-			return err
-		}
-		harness.WriteErasureBench(out, rep)
-		if err := writeBenchJSON(rep); err != nil {
-			return err
-		}
-	case "membership":
-		rep, err := harness.RunMembershipBench(quick)
-		if err != nil {
-			return err
-		}
-		harness.WriteMembershipBench(out, rep)
-		if err := writeBenchJSON(rep); err != nil {
-			return err
-		}
-	case "tiering":
-		rep, err := harness.RunTieringBench(quick)
-		if err != nil {
-			return err
-		}
-		harness.WriteTieringBench(out, rep)
-		if err := writeBenchJSON(rep); err != nil {
-			return err
-		}
-	case "cluster":
-		rep, err := harness.RunClusterBench(quick)
-		if err != nil {
-			return err
-		}
-		harness.WriteClusterBench(out, rep)
-		if err := writeBenchJSON(rep); err != nil {
-			return err
-		}
 	case "read-penalty":
 		trials := 5
 		if quick {
@@ -231,13 +159,7 @@ func run(experiment string, quick bool, csvDir string) error {
 		}
 		harness.WriteModelValidation(out, v)
 	case "all":
-		// Two experiments write JSON reports; under "all" the shared -json
-		// path would make the second clobber the first, so suppress the
-		// artifact and leave JSON output to single-experiment runs.
-		saved := benchJSONPath
-		benchJSONPath = ""
-		defer func() { benchJSONPath = saved }()
-		for _, e := range []string{"table1", "fig2", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12", "read-penalty", "model-validation", "erasure", "membership", "tiering", "cluster"} {
+		for _, e := range []string{"table1", "fig2", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12", "read-penalty", "model-validation"} {
 			fmt.Fprintf(out, "==== %s ====\n", e)
 			if err := run(e, quick, csvDir); err != nil {
 				return fmt.Errorf("%s: %w", e, err)

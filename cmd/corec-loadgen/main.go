@@ -4,11 +4,14 @@
 // Two modes:
 //
 // Self-spawned fleet (default): the harness builds corec-server, spawns a
-// multi-process fleet, runs one named scenario under a fault arm, and
-// prints the SLO row — the interactive face of `corec-bench -experiment
-// cluster`:
+// multi-process fleet, offers one load under a fault arm, and prints the
+// SLO row:
 //
 //	corec-loadgen -scenario small-churn -arm kill-restart -servers 3 -procs 3
+//
+// -scenario is a label, not a preset: it names the staged variable and
+// seeds the payloads. The load's shape comes from -rate, -duration,
+// -object-bytes, -slots, -get-fraction and -poisson.
 //
 // External service: point -addr-file at a running corec-server deployment
 // (started with -membership) and offer a custom open-loop load to it;
@@ -36,7 +39,7 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "small-churn", "named scenario: s3d-burst, small-churn, read-storm")
+	scenario := flag.String("scenario", "small-churn", "run label: names the staged variable and seeds its payloads (the load's shape comes from the other flags)")
 	arm := flag.String("arm", "none", "fault arm for self-spawned fleets: none, kill-restart")
 	servers := flag.Int("servers", 3, "fleet size (self-spawned mode)")
 	procs := flag.Int("procs", 3, "process count (self-spawned mode)")

@@ -31,8 +31,9 @@ import "crypto/subtle"
 // apply several source slices to one destination per pass. They are the
 // erasure engine's inner loop: fusing k sources into a parity chunk turns k
 // read-modify-write passes over dst into a set pass plus fused accumulates,
-// which measures 2-3x faster than row-major single-coefficient scalar
-// passes on stripe-sized data (see BENCH_erasure.json). Under KernelSIMD
+// which measured 2-3x faster than row-major single-coefficient scalar
+// passes on stripe-sized data (BenchmarkMulAddSlice4Fused against
+// BenchmarkMulAddSliceTable under KernelTable). Under KernelSIMD
 // they instead decompose into per-coefficient SIMD passes — sixteen
 // lookups per instruction beat scalar fusion, and the extra destination
 // traffic stays in L1 because the erasure engine hands them cache-sized

@@ -187,8 +187,9 @@ type Config struct {
 	FaultPlan *failure.FaultPlan
 	// Scrub, when non-nil, starts the background anti-entropy scrubber on
 	// every server (including monitor-started replacements) with this
-	// tuning. Nil disables background scrubbing; Cluster.ScrubNow still
-	// works for on-demand sweeps.
+	// tuning. A zero ScrubConfig turns on verified reads only: no background
+	// pass, unpaced, DepthLocal; DefaultScrubConfig is the stock tuning. Nil
+	// disables scrubbing; Cluster.ScrubNow still works for on-demand sweeps.
 	Scrub *ScrubConfig
 	// Membership, when non-nil, enables elastic membership: SWIM-style
 	// gossip failure detection on every server, placement over a dynamic
@@ -196,7 +197,7 @@ type Config struct {
 	// static fleet with central monitor heartbeats.
 	Membership *MembershipConfig
 	// Rebalance tunes the paced live migrator used by Drain and Rebalance;
-	// nil uses defaults (64 MiB/s, 4 MiB burst). Only meaningful with
+	// nil uses defaults (64 MiB/s, 16 MiB burst). Only meaningful with
 	// Membership set.
 	Rebalance *RebalanceConfig
 	// Storage, when non-nil, runs every server's erasure shards through the

@@ -1,4 +1,4 @@
-// Package recovery implements the scheduling and pacing logic of CoREC's
+// Package recovery implements the scheduling logic of CoREC's
 // data-recovery schemes (Section III-D): which mode applies, by when
 // background repair must finish, and in what order keys are repaired. The
 // staging server and client run the repairs; this package keeps the
@@ -45,24 +45,6 @@ const DeadlineFraction = 0.25
 func Deadline(mtbf time.Duration) time.Duration {
 	return time.Duration(float64(mtbf) * DeadlineFraction)
 }
-
-// Pacer spaces background repairs so that total repairs complete by the
-// deadline, spreading load instead of bursting.
-type Pacer struct {
-	interval time.Duration
-}
-
-// NewPacer builds a pacer for total repairs within deadline. A non-positive
-// total or deadline yields a zero-interval pacer (no delays).
-func NewPacer(total int, deadline time.Duration) *Pacer {
-	if total <= 0 || deadline <= 0 {
-		return &Pacer{}
-	}
-	return &Pacer{interval: deadline / time.Duration(total)}
-}
-
-// Interval returns the gap to leave between consecutive background repairs.
-func (p *Pacer) Interval() time.Duration { return p.interval }
 
 // Queue is the replacement server's to-repair list. Objects repaired on
 // access are removed so the background drain skips them. Queue is not safe

@@ -11,19 +11,6 @@ func TestDeadlineIsQuarterMTBF(t *testing.T) {
 	}
 }
 
-func TestPacerSpacing(t *testing.T) {
-	p := NewPacer(100, 10*time.Second)
-	if p.Interval() != 100*time.Millisecond {
-		t.Fatalf("interval = %v", p.Interval())
-	}
-	if NewPacer(0, time.Second).Interval() != 0 {
-		t.Fatal("empty queue pacer must not delay")
-	}
-	if NewPacer(10, 0).Interval() != 0 {
-		t.Fatal("zero deadline pacer must not delay")
-	}
-}
-
 func TestQueueDedupAndDrain(t *testing.T) {
 	q := NewQueue([]string{"a", "b", "a", "c"})
 	if q.Len() != 3 {

@@ -1,6 +1,6 @@
 // Package scrub is the anti-entropy subsystem's decision layer: content
-// checksums for data at rest, the token-bucket budget that paces background
-// verification so foreground put/get latency is unaffected, and the
+// checksums for data at rest, the token bucket that paces background work
+// so foreground put/get latency is unaffected, and the
 // configuration and accounting types the staging server's scrubber engine
 // executes against.
 //
@@ -115,19 +115,16 @@ func (d Depth) String() string {
 	}
 }
 
-// Config tunes one server's scrubber.
+// Config tunes one server's scrubber. The zero value runs no background
+// pass, reads unpaced and verifies at DepthLocal; DefaultConfig is the
+// stock tuning.
 type Config struct {
-	// Interval is the gap between background scrub passes. Default 2s
-	// (scaled experiment time; production deployments run hours).
+	// Interval is the gap between background scrub passes; 0 runs none.
 	Interval time.Duration
 	// BytesPerSec caps the scan's read bandwidth (payload bytes checksummed
-	// or fetched per second). 0 means unlimited.
+	// or fetched per second), paced by NewByteBucket. 0 means unlimited.
 	BytesPerSec int64
-	// Burst is the token-bucket capacity in bytes; it bounds how much the
-	// scrubber may read back-to-back before pacing kicks in. Default
-	// max(BytesPerSec/4, 64KiB).
-	Burst int64
-	// Depth selects the verify depth. Default DepthStripe (full).
+	// Depth selects the verify depth.
 	Depth Depth
 }
 
@@ -141,22 +138,9 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Second
-	}
-	if c.Burst <= 0 {
-		c.Burst = c.BytesPerSec / 4
-		if c.Burst < 64<<10 {
-			c.Burst = 64 << 10
-		}
-	}
-	return c
-}
-
 // Validate rejects nonsensical budgets.
 func (c Config) Validate() error {
-	if c.BytesPerSec < 0 || c.Burst < 0 {
+	if c.BytesPerSec < 0 {
 		return fmt.Errorf("scrub: negative budget")
 	}
 	if c.Interval < 0 {
@@ -169,8 +153,10 @@ func (c Config) Validate() error {
 }
 
 // TokenBucket is a classic token bucket: rate tokens accrue per second up
-// to burst; Take blocks until the requested tokens are available. It is
-// safe for use by one consumer goroutine (the scrubber loop); the clock is
+// to burst; Take blocks until the requested tokens are available. It is the
+// one pacer of background work: the scrubber, the rebalancer and the
+// prefetcher take bytes from one, the lazy-recovery drain takes one token
+// per repair. It is safe for use by one consumer goroutine; the clock is
 // injectable for deterministic tests.
 type TokenBucket struct {
 	rate   float64 // tokens per second; <= 0 disables pacing
@@ -186,6 +172,21 @@ type TokenBucket struct {
 // bucket starts full, so a scan's first burst proceeds immediately.
 func NewTokenBucket(rate, burst float64) *TokenBucket {
 	return newTokenBucketAt(rate, burst, nil)
+}
+
+// ByteBurst is the one burst rule of a byte pacer: a quarter second's worth
+// of bytes, and no less than 64 KiB, so one modest object passes without a
+// wait even at a trickle rate.
+func ByteBurst(bytesPerSec float64) float64 { return max(bytesPerSec/4, 64<<10) }
+
+// NewByteBucket builds the pacer of a background byte stream: bytesPerSec
+// tokens a second with a burst of ByteBurst. A non-positive rate returns nil,
+// which never blocks.
+func NewByteBucket(bytesPerSec float64) *TokenBucket {
+	if bytesPerSec <= 0 {
+		return nil
+	}
+	return NewTokenBucket(bytesPerSec, ByteBurst(bytesPerSec))
 }
 
 func newTokenBucketAt(rate, burst float64, now func() time.Time) *TokenBucket {
@@ -239,30 +240,6 @@ func (b *TokenBucket) Take(ctx context.Context, n int64) error {
 	// paying for the overdraft (long-run rate holds even with n > burst).
 	wait := time.Duration(-b.tokens / b.rate * float64(time.Second))
 	return b.sleep(ctx, wait)
-}
-
-// Budget paces the bytes one scrub pass reads.
-type Budget struct {
-	bytes *TokenBucket
-}
-
-// NewBudget builds the pacing state for one scrub pass from the config.
-func NewBudget(cfg Config) *Budget {
-	cfg = cfg.withDefaults()
-	bud := &Budget{}
-	if cfg.BytesPerSec > 0 {
-		bud.bytes = NewTokenBucket(float64(cfg.BytesPerSec), float64(cfg.Burst))
-	}
-	return bud
-}
-
-// Charge pays for one scan operation touching n payload bytes, blocking
-// until the budget allows it.
-func (b *Budget) Charge(ctx context.Context, n int64) error {
-	if b == nil {
-		return nil
-	}
-	return b.bytes.Take(ctx, n)
 }
 
 // Report tallies the outcomes of one or more scrub passes. All fields are

@@ -94,10 +94,6 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 	if cfg.Depth != DepthStripe {
 		t.Fatalf("default depth %v, want stripe", cfg.Depth)
 	}
-	d := cfg.withDefaults()
-	if d.Burst <= 0 {
-		t.Fatal("withDefaults left burst unset")
-	}
 	bad := Config{BytesPerSec: -1}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("negative budget validated")
@@ -108,20 +104,26 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 	}
 }
 
-func TestBudgetChargeUnlimitedByDefault(t *testing.T) {
-	bud := NewBudget(Config{}) // zero budgets: no pacing
-	start := time.Now()
-	for i := 0; i < 100; i++ {
-		if err := bud.Charge(context.Background(), 1<<20); err != nil {
-			t.Fatal(err)
+func TestByteBucketBurstRule(t *testing.T) {
+	if b := NewByteBucket(0); b != nil {
+		t.Fatal("zero rate built a bucket; want nil (unpaced)")
+	}
+	if b := NewByteBucket(-1); b != nil {
+		t.Fatal("negative rate built a bucket; want nil (unpaced)")
+	}
+	for _, c := range []struct{ rate, burst float64 }{
+		{1 << 10, 64 << 10},   // trickle: the floor
+		{256 << 10, 64 << 10}, // where the two meet
+		{64 << 20, 16 << 20},  // 64 MiB/s: a quarter second
+	} {
+		if got := ByteBurst(c.rate); got != c.burst {
+			t.Fatalf("ByteBurst(%v) = %v, want %v", c.rate, got, c.burst)
 		}
-	}
-	if time.Since(start) > 100*time.Millisecond {
-		t.Fatal("unlimited budget blocked")
-	}
-	var nilBud *Budget
-	if err := nilBud.Charge(context.Background(), 1); err != nil {
-		t.Fatal(err)
+		b := NewByteBucket(c.rate)
+		if b.rate != c.rate || b.burst != c.burst || b.tokens != c.burst {
+			t.Fatalf("NewByteBucket(%v): rate %v burst %v tokens %v, want burst %v, starting full",
+				c.rate, b.rate, b.burst, b.tokens, c.burst)
+		}
 	}
 }
 

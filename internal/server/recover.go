@@ -10,6 +10,7 @@ import (
 	"corec/internal/metrics"
 	"corec/internal/reader"
 	"corec/internal/recovery"
+	"corec/internal/scrub"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
@@ -389,11 +390,12 @@ func (s *Server) RunRecovery(ctx context.Context, mode recovery.Mode) (int, erro
 	s.repairQueue = queue
 	s.mu.Unlock()
 
-	var pacer *recovery.Pacer
-	if mode == recovery.Lazy {
-		pacer = recovery.NewPacer(queue.Len(), recovery.Deadline(s.cfg.MTBF))
-	} else {
-		pacer = recovery.NewPacer(0, 0)
+	// Lazy: one token per repair, total/deadline tokens a second with a burst
+	// of one. A repair runs while the next token accrues, so the drain ends
+	// by the deadline (MTBF/4), not after it.
+	var pacer *scrub.TokenBucket
+	if deadline := recovery.Deadline(s.cfg.MTBF); mode == recovery.Lazy && deadline > 0 {
+		pacer = scrub.NewTokenBucket(float64(queue.Len())/deadline.Seconds(), 1)
 	}
 	repaired := 0
 	for {
@@ -403,19 +405,15 @@ func (s *Server) RunRecovery(ctx context.Context, mode recovery.Mode) (int, erro
 		if key == "" {
 			break
 		}
+		if err := pacer.Take(ctx, 1); err != nil {
+			return repaired, err
+		}
 		if did, err := s.recoverObject(ctx, ids[key]); err == nil && did {
 			repaired++
 		}
 		s.mu.Lock()
 		queue.MarkRepaired(key)
 		s.mu.Unlock()
-		if iv := pacer.Interval(); iv > 0 {
-			select {
-			case <-ctx.Done():
-				return repaired, ctx.Err()
-			case <-time.After(iv):
-			}
-		}
 	}
 	s.mu.Lock()
 	s.repairQueue = nil

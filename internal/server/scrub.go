@@ -1,7 +1,7 @@
 package server
 
 // The anti-entropy scrubber: background verification of data at rest. The
-// decision layer (checksums, budgets, reports) lives in internal/scrub; this
+// decision layer (checksums, the pacer, reports) lives in internal/scrub; this
 // file walks one server's stored payloads and the holders of the objects it
 // is primary of. The scrubber only finds: every piece it finds lost or rotted
 // is restored by recovery's restore code (recover.go), on this server or on
@@ -22,7 +22,7 @@ package server
 //            set is checked for parity consistency end to end, and the holder
 //            of a shard it pinpoints as inconsistent is asked to restore it.
 //
-// Every phase pays for its reads through the pass's token-bucket budget
+// Every phase pays for its reads through the pass's token bucket
 // BEFORE taking any server lock, so pacing can never stall the foreground
 // put/get path. Unreachable peers are counted as skips, never as corruption:
 // a dead server is the monitor's job (recovery re-protects its data), and
@@ -130,14 +130,14 @@ func (s *Server) scrubConfig() scrub.Config {
 }
 
 func (s *Server) scrubPass(ctx context.Context, cfg scrub.Config, depth scrub.Depth) (scrub.Report, error) {
-	bud := scrub.NewBudget(cfg)
+	bucket := scrub.NewByteBucket(float64(cfg.BytesPerSec))
 	var rep scrub.Report
-	err := s.scrubLocal(ctx, bud, &rep)
+	err := s.scrubLocal(ctx, bucket, &rep)
 	if err == nil && depth >= scrub.DepthReplica {
-		err = s.scrubReplicaGroups(ctx, bud, &rep)
+		err = s.scrubReplicaGroups(ctx, bucket, &rep)
 	}
 	if err == nil && depth >= scrub.DepthStripe {
-		err = s.scrubStripes(ctx, bud, &rep)
+		err = s.scrubStripes(ctx, bucket, &rep)
 	}
 	s.scrubPasses.Add(1)
 	s.recordScrub(rep)
@@ -157,10 +157,10 @@ func (s *Server) recordScrub(r scrub.Report) {
 // scrubTally charges a restore's reads to the pass: every payload fetched pays
 // the budget before it is looked at and counts toward Bytes, and a holder
 // that does not deliver is a skip.
-func scrubTally(bud *scrub.Budget, rep *scrub.Report) reader.Tally {
+func scrubTally(bucket *scrub.TokenBucket, rep *scrub.Report) reader.Tally {
 	return reader.Tally{
 		Got: func(ctx context.Context, n int) error {
-			if err := bud.Charge(ctx, int64(n)); err != nil {
+			if err := bucket.Take(ctx, int64(n)); err != nil {
 				return err
 			}
 			rep.Bytes += int64(n)
@@ -172,7 +172,7 @@ func scrubTally(bud *scrub.Budget, rep *scrub.Report) reader.Tally {
 
 // --- phase 1: local verification ---
 
-func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.Report) error {
+func (s *Server) scrubLocal(ctx context.Context, bucket *scrub.TokenBucket, rep *scrub.Report) error {
 	// Snapshot the key space up front (sorted, for deterministic order);
 	// each item is then re-read under the lock so concurrent writes between
 	// snapshot and verify are seen, not misdiagnosed.
@@ -193,7 +193,7 @@ func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.R
 		// Nothing to verify a copy against that was deleted or encoded since
 		// the snapshot, or that a put installed and has not digested yet.
 		if want != 0 {
-			if err := s.scrubCopy(ctx, obj, want, bud, rep); err != nil {
+			if err := s.scrubCopy(ctx, obj, want, bucket, rep); err != nil {
 				return err
 			}
 		}
@@ -205,7 +205,7 @@ func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.R
 		want := s.replicaSums[key]
 		s.mu.Unlock()
 		if obj != nil {
-			if err := s.scrubCopy(ctx, obj, want, bud, rep); err != nil {
+			if err := s.scrubCopy(ctx, obj, want, bucket, rep); err != nil {
 				return err
 			}
 		}
@@ -236,7 +236,7 @@ func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.R
 		if !ok {
 			continue
 		}
-		if err := bud.Charge(ctx, int64(len(data))); err != nil {
+		if err := bucket.Take(ctx, int64(len(data))); err != nil {
 			return err
 		}
 		got := s.digest(data)
@@ -254,7 +254,7 @@ func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.R
 			s.mu.Unlock()
 		case got != want:
 			rep.Corruptions++
-			repaired, err := s.restoreShard(ctx, info, index, 0, want, scrubTally(bud, rep))
+			repaired, err := s.restoreShard(ctx, info, index, 0, want, scrubTally(bucket, rep))
 			if err := restored(ctx, repaired, err, rep); err != nil {
 				return err
 			}
@@ -266,8 +266,8 @@ func (s *Server) scrubLocal(ctx context.Context, bud *scrub.Budget, rep *scrub.R
 // scrubCopy verifies a full copy, a primary's or a mirror's, against want,
 // the digest recorded for it, and restores it from another holder when it
 // fails.
-func (s *Server) scrubCopy(ctx context.Context, obj *types.Object, want uint64, bud *scrub.Budget, rep *scrub.Report) error {
-	if err := bud.Charge(ctx, int64(len(obj.Data))); err != nil {
+func (s *Server) scrubCopy(ctx context.Context, obj *types.Object, want uint64, bucket *scrub.TokenBucket, rep *scrub.Report) error {
+	if err := bucket.Take(ctx, int64(len(obj.Data))); err != nil {
 		return err
 	}
 	rep.Scanned++
@@ -281,7 +281,7 @@ func (s *Server) scrubCopy(ctx context.Context, obj *types.Object, want uint64, 
 		rep.Unrepaired++
 		return ctx.Err()
 	}
-	repaired, err := s.recoverReplicated(ctx, meta, obj, scrubTally(bud, rep))
+	repaired, err := s.recoverReplicated(ctx, meta, obj, scrubTally(bucket, rep))
 	return restored(ctx, repaired, err, rep)
 }
 
@@ -317,7 +317,7 @@ func (s *Server) primaryRecords(state types.ResilienceState) []*types.ObjectMeta
 // inconsistent with its stripe. A restored piece counts in Repairs and in
 // Divergent (a mirror's copy) or Reencodes (a shard), and its bytes are
 // charged to the pass; a holder that cannot be asked counts in *failed.
-func (s *Server) askRecover(ctx context.Context, holder types.ServerID, meta *types.ObjectMeta, rotted uint64, failed *int64, bud *scrub.Budget, rep *scrub.Report) error {
+func (s *Server) askRecover(ctx context.Context, holder types.ServerID, meta *types.ObjectMeta, rotted uint64, failed *int64, bucket *scrub.TokenBucket, rep *scrub.Report) error {
 	resp, err := s.sendRetry(ctx, holder, &transport.Message{
 		Kind: transport.MsgRecover, Var: meta.ID.Var, Box: meta.ID.Box, Meta: meta, Sum: rotted,
 	})
@@ -340,10 +340,10 @@ func (s *Server) askRecover(ctx context.Context, holder types.ServerID, meta *ty
 		rep.Divergent++
 	}
 	rep.Bytes += int64(size)
-	return bud.Charge(ctx, int64(size))
+	return bucket.Take(ctx, int64(size))
 }
 
-func (s *Server) scrubReplicaGroups(ctx context.Context, bud *scrub.Budget, rep *scrub.Report) error {
+func (s *Server) scrubReplicaGroups(ctx context.Context, bucket *scrub.TokenBucket, rep *scrub.Report) error {
 	for _, mine := range s.primaryRecords(types.StateReplicated) {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -358,7 +358,7 @@ func (s *Server) scrubReplicaGroups(ctx context.Context, bud *scrub.Budget, rep 
 		for _, h := range s.others(meta.Replicas) {
 			// An unreachable mirror is the monitor's to declare dead and
 			// recovery's to re-protect: a skip, not corruption.
-			if err := s.askRecover(ctx, h, meta, 0, &rep.Skipped, bud, rep); err != nil {
+			if err := s.askRecover(ctx, h, meta, 0, &rep.Skipped, bucket, rep); err != nil {
 				return err
 			}
 		}
@@ -366,7 +366,7 @@ func (s *Server) scrubReplicaGroups(ctx context.Context, bud *scrub.Budget, rep 
 	return nil
 }
 
-func (s *Server) scrubStripes(ctx context.Context, bud *scrub.Budget, rep *scrub.Report) error {
+func (s *Server) scrubStripes(ctx context.Context, bucket *scrub.TokenBucket, rep *scrub.Report) error {
 	if s.codec == nil {
 		return nil
 	}
@@ -374,7 +374,7 @@ func (s *Server) scrubStripes(ctx context.Context, bud *scrub.Budget, rep *scrub
 		if meta.Layout == nil {
 			continue
 		}
-		if err := s.scrubStripe(ctx, meta, bud, rep); err != nil {
+		if err := s.scrubStripe(ctx, meta, bucket, rep); err != nil {
 			return err
 		}
 	}
@@ -387,9 +387,9 @@ func (s *Server) scrubStripes(ctx context.Context, bud *scrub.Budget, rep *scrub
 // parity consistency is verified, and on failure the inconsistent shard is
 // pinpointed: nulling it and reconstructing from the rest must yield a stripe
 // that verifies. Its holder is then asked to restore it.
-func (s *Server) scrubStripe(ctx context.Context, meta *types.ObjectMeta, bud *scrub.Budget, rep *scrub.Report) error {
+func (s *Server) scrubStripe(ctx context.Context, meta *types.ObjectMeta, bucket *scrub.TokenBucket, rep *scrub.Report) error {
 	info := meta.Layout
-	t := scrubTally(bud, rep)
+	t := scrubTally(bucket, rep)
 	t.Missed = func() {} // its member is asked to recover below, and counted there
 	shards, _, have := s.reader.Shards(ctx, info, info.K+info.M, nil, nil, t)
 	if err := ctx.Err(); err != nil {
@@ -398,7 +398,7 @@ func (s *Server) scrubStripe(ctx context.Context, meta *types.ObjectMeta, bud *s
 	if have < info.K+info.M {
 		for _, m := range info.Members {
 			if shards[m.Index] == nil {
-				if err := s.askRecover(ctx, m.Server, meta, 0, &rep.Skipped, bud, rep); err != nil {
+				if err := s.askRecover(ctx, m.Server, meta, 0, &rep.Skipped, bucket, rep); err != nil {
 					return err
 				}
 			}
@@ -424,7 +424,7 @@ func (s *Server) scrubStripe(ctx context.Context, meta *types.ObjectMeta, bud *s
 		s.col.Add(metrics.Decode, time.Since(dStart))
 		if err == nil {
 			// Member m holds the inconsistent shard.
-			return s.askRecover(ctx, m.Server, meta, s.digest(shards[m.Index]), &rep.Unrepaired, bud, rep)
+			return s.askRecover(ctx, m.Server, meta, s.digest(shards[m.Index]), &rep.Unrepaired, bucket, rep)
 		}
 	}
 	// More than one shard is inconsistent: beyond unambiguous single-shard

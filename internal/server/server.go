@@ -517,7 +517,7 @@ func (s *Server) Close() {
 	s.net.Unregister(s.id)
 	// Closing the engine discards L1 (exactly what a crash does) and leaves
 	// the disk tier for a replacement server to revalidate and re-index.
-	_ = s.store.Close() // Close never fails; signature satisfies Engine users
+	_ = s.store.Close() // Close never fails
 }
 
 // Handle is the transport handler: it dispatches by message kind.

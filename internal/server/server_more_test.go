@@ -158,24 +158,54 @@ func newConstrainedRig(t testing.TB, s float64) *testRig {
 	return newRigOn(t, transport.NewInProc(simnet.LinkModel{}), policy.CoREC, 8, s)
 }
 
-func TestRunRecoveryLazyUsesPacer(t *testing.T) {
-	rig := newRig(t, policy.Replicate, 8)
-	for i := int64(0); i < 6; i++ {
-		rig.put(t, "v", geometry.Box3D(i*8, 0, 0, i*8+8, 8, 8), 1, payload(128, 40+i))
-	}
+// TestRunRecoveryLazyMeetsDeadline: the lazy drain spreads its repairs over
+// MTBF/4 and ends by it. A repair's own time is spent while the next token
+// accrues, not added after the deadline.
+func TestRunRecoveryLazyMeetsDeadline(t *testing.T) {
+	rig := newRigOn(t, transport.NewInProc(simnet.LinkModel{Latency: 10 * time.Millisecond}), policy.Replicate, 8, 0)
+	// Three objects whose primary is the victim: a work list of three.
 	victim := types.ServerID(0)
+	for i, own := int64(0), 0; own < 3; i++ {
+		box := geometry.Box3D(i*8, 0, 0, i*8+8, 8, 8)
+		if rig.place.Primary(types.ObjectID{Var: "v", Box: box}) == victim {
+			rig.put(t, "v", box, 1, payload(128, 40+i))
+			own++
+		}
+	}
 	rig.servers[victim].Close()
 	repl := rig.startServer(t, victim)
-	repl.cfg.MTBF = 200 * time.Millisecond // deadline 50ms
+	repl.cfg.MTBF = 1600 * time.Millisecond
+	deadline := recovery.Deadline(repl.cfg.MTBF)
+	ctx := context.Background()
+
+	// The work-list build is not paced: time it alone, and take it off the
+	// recovery's total.
 	start := time.Now()
-	if _, err := repl.RunRecovery(context.Background(), recovery.Lazy); err != nil {
+	keys, _, err := repl.rebuildDirectoryAndWorklist(ctx)
+	build := time.Since(start)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Pacing must stretch the drain toward the deadline when there is
-	// work; an empty worklist finishes instantly, so only assert no hang.
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("lazy recovery drastically overshot its deadline")
+	if len(keys) != 3 {
+		t.Fatalf("work list has %d objects, want the victim's 3", len(keys))
 	}
+	start = time.Now()
+	repaired, err := repl.RunRecovery(ctx, recovery.Lazy)
+	drain := time.Since(start) - build
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repaired != len(keys) {
+		t.Fatalf("repaired %d of %d objects", repaired, len(keys))
+	}
+	// Paced: n repairs one token apart start no sooner than (n-1)/n of the
+	// deadline; on time: the last one ends by it.
+	floor := deadline * time.Duration(len(keys)-1) / time.Duration(len(keys))
+	if drain < floor*9/10 || drain > deadline {
+		t.Fatalf("drain of %d repairs took %v after a %v build; want within [%v, %v]",
+			len(keys), drain, build, floor, deadline)
+	}
+	t.Logf("drained %d repairs in %v after a %v build (deadline %v)", len(keys), drain, build, deadline)
 }
 
 func TestCodingMembersRotation(t *testing.T) {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -8,16 +9,6 @@ import (
 
 	"corec/internal/scrub"
 )
-
-// Engine is the storage-engine contract the staging server writes and
-// reads through. Tiered is the production implementation; the interface
-// exists so benches and future engines (e.g. a pure-mmap tier) can swap in.
-type Engine interface {
-	Put(key string, data []byte)
-	Get(key string) ([]byte, bool)
-	Delete(key string)
-	Stats() Stats
-}
 
 // Config tunes one server's tiered storage engine. The zero value is a
 // memory-only engine with unlimited capacity — exactly the pre-tiering
@@ -49,8 +40,8 @@ type Config struct {
 	// PrefetchDepth is how many upcoming cold keys one sequential-read
 	// observation stages. Default 8.
 	PrefetchDepth int
-	// PrefetchMBps paces prefetch reads (token bucket), so staging ahead
-	// never starves foreground I/O. Default 64.
+	// PrefetchMBps paces prefetch reads (scrub.NewByteBucket), so staging
+	// ahead never starves foreground I/O. Default 64.
 	PrefetchMBps float64
 	// Remote is the L3 model. The cluster turns it into one shared
 	// RemoteStore for all servers; nil disables the remote tier.
@@ -168,8 +159,9 @@ type Tiered struct {
 
 	workCh chan job
 	prefCh chan string
-	tb     *tokenBucket
-	stop   chan struct{}
+	pacer  *scrub.TokenBucket // prefetch bytes
+	ctx    context.Context    // cancelled by Close
+	stop   context.CancelFunc
 	wg     sync.WaitGroup
 
 	idleMu   sync.Mutex
@@ -188,8 +180,6 @@ type Tiered struct {
 	ctQuarantined, ctDiskErrors, ctRemoteFaults atomic.Int64
 }
 
-var _ Engine = (*Tiered)(nil)
-
 // Open builds an engine from cfg. A non-empty Dir opens (and revalidates)
 // the disk tier: every segment record's payload digest is checked, torn tails are
 // truncated, rotten records quarantined, and the offset index rebuilt from
@@ -203,9 +193,9 @@ func Open(cfg Config, remote *RemoteStore, namespace string) (*Tiered, error) {
 		ns:          namespace,
 		entries:     make(map[string]*entry),
 		epochs:      make(map[int64][]string),
-		stop:        make(chan struct{}),
 		streakEpoch: -1,
 	}
+	t.ctx, t.stop = context.WithCancel(context.Background())
 	t.idleCond = sync.NewCond(&t.idleMu)
 	if cfg.Dir == "" {
 		// Memory-only engine: no disk means nowhere to put remote
@@ -228,7 +218,7 @@ func Open(cfg Config, remote *RemoteStore, namespace string) (*Tiered, error) {
 	}
 	if cfg.Prefetch {
 		t.prefCh = make(chan string, cfg.SpillQueue)
-		t.tb = newTokenBucket(cfg.PrefetchMBps * (1 << 20))
+		t.pacer = scrub.NewByteBucket(cfg.PrefetchMBps * (1 << 20))
 		t.wg.Add(1)
 		go t.prefetchWorker()
 	}
@@ -762,7 +752,7 @@ func (t *Tiered) WaitIdle() {
 // disk tier is what the next Open revalidates and re-indexes.
 func (t *Tiered) Close() error {
 	t.closeOnce.Do(func() {
-		close(t.stop)
+		t.stop()
 		t.wg.Wait()
 		if t.disk != nil {
 			t.disk.close()

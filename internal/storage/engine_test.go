@@ -214,6 +214,55 @@ func TestRemoteFaultLeavesDataOnDisk(t *testing.T) {
 	}
 }
 
+// failedUploadUnder opens an engine whose every upload fails after 300 ms,
+// stages key, waits until its upload is in flight (the entry is busy), runs
+// meanwhile, waits for the failed job to exit, and reopens the disk tier.
+func failedUploadUnder(t *testing.T, key string, meanwhile func(*Tiered)) *Tiered {
+	t.Helper()
+	dir := t.TempDir()
+	remote := NewRemoteStore(RemoteConfig{OpenLatency: 300 * time.Millisecond, FailProb: 1, Seed: 7})
+	cfg := Config{Dir: dir, MemBytes: 1, DiskBytes: 1}
+	e, err := Open(cfg, remote, "s1/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Put(key, payload(1, 400))
+	waitFor(t, "upload in flight", func() bool { return remote.inflight.Load() > 0 })
+	meanwhile(e)
+	waitFor(t, "upload failed", func() bool { return e.Stats().RemoteFaults > 0 })
+	e.WaitIdle()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(cfg, nil, "s1/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = re.Close() })
+	return re
+}
+
+// TestFailedJobSettlesDeferredDelete: a delete that found the key's upload
+// in flight is left to the job, which settles it even when the upload fails,
+// so a restart does not resurrect the key.
+func TestFailedJobSettlesDeferredDelete(t *testing.T) {
+	re := failedUploadUnder(t, "k", func(e *Tiered) { e.Delete("k") })
+	if re.Has("k") {
+		t.Fatal("deleted key came back after a restart: the failed upload left its delete unsettled")
+	}
+}
+
+// TestFailedJobSettlesDeferredPut: a re-put that found the key's upload in
+// flight is left to the job, which retires the old record even when the
+// upload fails, so a restart never serves the old value.
+func TestFailedJobSettlesDeferredPut(t *testing.T) {
+	re := failedUploadUnder(t, "k", func(e *Tiered) { e.Put("k", payload(2, 400)) })
+	if got, ok := re.Get("k"); !ok || !bytes.Equal(got, payload(2, 400)) {
+		t.Fatalf("after a restart the key reads ok=%v, old value %v; want the new value",
+			ok, ok && bytes.Equal(got, payload(1, 400)))
+	}
+}
+
 func TestOverwriteInjectsRotPerTier(t *testing.T) {
 	remote := NewRemoteStore(RemoteConfig{Seed: 3})
 	e, err := Open(Config{Dir: t.TempDir(), MemBytes: 1 << 20}, remote, "s1/")

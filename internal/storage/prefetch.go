@@ -1,10 +1,5 @@
 package storage
 
-import (
-	"sync"
-	"time"
-)
-
 // observeRead feeds the prefetcher's sequential-read detector. Two
 // consecutive in-order reads within one epoch (time step) arm it: it then
 // stages the next cold keys of the current epoch and — sequential
@@ -85,7 +80,7 @@ func (t *Tiered) prefetchWorker() {
 	defer t.wg.Done()
 	for {
 		select {
-		case <-t.stop:
+		case <-t.ctx.Done():
 			return
 		case key := <-t.prefCh:
 			t.prefetchOne(key)
@@ -109,8 +104,10 @@ func (t *Tiered) prefetchOne(key string) {
 	tier, loc, gen, sum, size := e.tier, e.loc, e.gen, e.sum, e.size
 	t.mu.Unlock()
 
-	if !t.tb.acquire(size, t.stop) {
-		t.clearBusy(key)
+	// The records this job answers for if the entry moves under it.
+	locs, remoteDel := []recordLoc{loc}, tier == TierRemote
+	if t.pacer.Take(t.ctx, size) != nil {
+		t.release(key, gen, locs, remoteDel) // the engine is closing
 		return
 	}
 	var data []byte
@@ -129,70 +126,21 @@ func (t *Tiered) prefetchOne(key string) {
 			if err != errSegGone {
 				t.ctDiskErrors.Add(1)
 			}
-			t.clearBusy(key)
+			t.release(key, gen, locs, remoteDel)
 			return
 		}
 	case TierRemote:
 		data, err = t.remoteFetch(key, gen, loc, sum)
 		if err != nil {
-			t.clearBusy(key)
+			t.release(key, gen, locs, remoteDel)
 			return
 		}
 	default:
-		t.clearBusy(key)
+		t.release(key, gen, locs, remoteDel)
 		return
 	}
 	if !t.install(key, gen, data, tier, true, true) {
 		// The entry moved under us; settle the records we were promoting.
-		t.settleStale(key, []recordLoc{loc}, tier == TierRemote)
-	}
-}
-
-// tokenBucket paces prefetch bytes exactly like the PR 6 rebalancer's
-// migration pacer: refill at rate bytes/s, sleep off any deficit.
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(rate float64) *tokenBucket {
-	return &tokenBucket{rate: rate, burst: rate / 4, tokens: rate / 4, last: time.Now()}
-}
-
-// acquire blocks until n tokens are available or stop closes; it reports
-// whether the tokens were granted.
-func (b *tokenBucket) acquire(n int64, stop <-chan struct{}) bool {
-	need := float64(n)
-	for {
-		b.mu.Lock()
-		now := time.Now()
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		b.last = now
-		limit := b.burst
-		if need > limit {
-			limit = need
-		}
-		if b.tokens > limit {
-			b.tokens = limit
-		}
-		if b.tokens >= need {
-			b.tokens -= need
-			b.mu.Unlock()
-			return true
-		}
-		deficit := need - b.tokens
-		b.mu.Unlock()
-		wait := time.Duration(deficit / b.rate * float64(time.Second))
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		select {
-		case <-stop:
-			return false
-		case <-time.After(wait):
-		}
+		t.settleStale(key, locs, remoteDel)
 	}
 }

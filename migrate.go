@@ -11,16 +11,15 @@ import (
 	"corec/internal/types"
 )
 
-// RebalanceConfig tunes the paced migrator. Pacing reuses the scrubber's
-// token-bucket primitive: every record a pass touches and every byte its
-// edits restore drain tokens, so foreground puts and gets keep their latency
-// profile while redundancy is being restored in the background.
+// RebalanceConfig tunes the paced migrator. Pacing is the scrubber's byte
+// pacer (scrub.NewByteBucket, burst a quarter second's worth): every record
+// a pass touches and every byte its edits restore drain tokens, so
+// foreground puts and gets keep their latency profile while redundancy is
+// being restored in the background.
 type RebalanceConfig struct {
 	// RateMBps caps migration bandwidth in MiB/s. 0 defaults to 64;
 	// negative disables byte pacing (tests and emergency rebuilds).
 	RateMBps float64
-	// BurstBytes is the byte bucket's burst capacity. 0 defaults to 4 MiB.
-	BurstBytes int
 }
 
 // RebalanceReport tallies one Rebalance pass.
@@ -151,14 +150,7 @@ func rebalanceBucket(rc RebalanceConfig) *scrub.TokenBucket {
 	if rate == 0 {
 		rate = 64
 	}
-	if rate < 0 {
-		return nil
-	}
-	burst := float64(rc.BurstBytes)
-	if burst <= 0 {
-		burst = 4 << 20
-	}
-	return scrub.NewTokenBucket(rate*(1<<20), burst)
+	return scrub.NewByteBucket(rate * (1 << 20))
 }
 
 // metaRecordCost is the approximate wire cost charged to the byte bucket

@@ -10,7 +10,7 @@ import (
 )
 
 // TestOptionInventory pins every public setting: the exported fields of the
-// six config structs an application fills in (49 settings), plus the 13 of
+// six config structs an application fills in (47 settings), plus the 13 of
 // the server.Config the cluster builds for each server and the 9 of the
 // membership.Config it builds for each gossip agent. A setting stays only
 // while something other than its own plumbing and its own test sets it — a
@@ -30,12 +30,12 @@ func TestOptionInventory(t *testing.T) {
 		}},
 		{reflect.TypeOf(MonitorConfig{}), []string{"Interval", "AutoRecover", "ScrubAfterRecovery", "OnEvent"}},
 		{reflect.TypeOf(MembershipConfig{}), []string{"SuspicionTicks", "Manual"}},
-		{reflect.TypeOf(RebalanceConfig{}), []string{"RateMBps", "BurstBytes"}},
+		{reflect.TypeOf(RebalanceConfig{}), []string{"RateMBps"}},
 		{reflect.TypeOf(StorageConfig{}), []string{
 			"MemBytes", "Dir", "DiskBytes", "SegmentBytes", "CompactFrac", "SpillWorkers",
 			"SpillQueue", "Prefetch", "PrefetchDepth", "PrefetchMBps", "Remote",
 		}},
-		{reflect.TypeOf(ScrubConfig{}), []string{"Interval", "BytesPerSec", "Burst", "Depth"}},
+		{reflect.TypeOf(ScrubConfig{}), []string{"Interval", "BytesPerSec", "Depth"}},
 		{reflect.TypeOf(server.Config{}), []string{
 			"ID", "Placement", "Network", "Policy", "Collector", "Domain",
 			"RecoveryMode", "MTBF", "HelperLoadDelta", "ClassifierConfig",

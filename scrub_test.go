@@ -216,23 +216,23 @@ func TestVerifiedReadWithholdsRottedPrimary(t *testing.T) {
 
 // TestScrubThroughputWithinBudget verifies the token bucket actually paces
 // a pass: scanning B bytes at R bytes/sec from a bucket holding `burst`
-// tokens cannot finish before (B-burst)/R.
+// tokens (scrub.ByteBurst) cannot finish before (B-burst)/R.
 func TestScrubThroughputWithinBudget(t *testing.T) {
 	c := testCluster(t, PolicyReplicate)
 	cl := c.NewClient()
 	ctx := context.Background()
-	for i := int64(0); i < 32; i++ {
+	for i := int64(0); i < 128; i++ { // well over the bucket's 64 KiB floor on server 0
 		b := Box3D(i*8, 0, 0, i*8+8, 8, 8)
 		if err := cl.Put(ctx, "paced", b, 1, regionData(t, b, 8, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	srv := c.Server(0)
-	const rate, burst = 64 << 10, 8 << 10
+	const rate = 128 << 10
+	burst := int64(scrub.ByteBurst(rate))
 	if err := srv.StartScrubber(scrub.Config{
 		Interval:    0, // no background loop; we drive passes by hand
 		BytesPerSec: rate,
-		Burst:       burst,
 		Depth:       scrub.DepthLocal,
 	}); err != nil {
 		t.Fatal(err)

@@ -74,12 +74,14 @@ transportrace:
 # and the monitor, which reads the liveness table gossip and every send
 # write, repeated because its detection and recovery race the fleet, with the
 # failed-over write recovery restores and the pings that must leave gossip be;
-# and the migrator's record edits, repeated because the restores they start
-# race the pass and the foreground.
+# the migrator's record edits, repeated because the restores they start race
+# the pass and the foreground; and a remote client's on-access repair of a
+# replacement, repeated because its nudge races the lazy drain.
 churnrace:
 	$(GO) test -race -run 'TestElastic' .
 	$(GO) test -race -count=5 -run 'TestMonitor|TestElasticMonitor|TestPutFailover|TestClientPing' .
 	$(GO) test -race -count=5 -run 'TestRebalance' .
+	$(GO) test -race -count=5 -run 'TestRemoteDegradedReadRepairsOnAccess' .
 	$(GO) test -race ./internal/membership ./internal/topology ./internal/placement
 
 # Race-detector pass focused on the tiered storage engine: the concurrent

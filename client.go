@@ -54,7 +54,7 @@ func (c *Cluster) NewClient() *Client {
 	}
 	cl.reader = &reader.Reader{
 		Send: cl.send, Dir: c.dir, Health: c.health, Codec: c.codec, Col: c.col,
-		Degraded: cl.triggerOnAccessRepair,
+		NotHeld: cl.triggerOnAccessRepair,
 	}
 	return cl
 }
@@ -480,23 +480,15 @@ func (s *keySet) drop(key string) {
 	delete(s.keys, key)
 }
 
-// triggerOnAccessRepair follows a degraded read: stripe members that are
-// replacement servers still recovering are asked to repair this object
-// immediately, the on-access half of lazy recovery.
-func (cl *Client) triggerOnAccessRepair(ctx context.Context, info *types.StripeInfo, id types.ObjectID) {
-	c := cl.cluster
-	for _, member := range info.Members {
-		if !c.Alive(member.Server) {
-			continue
-		}
-		srv := c.Server(member.Server)
-		if srv == nil || srv.RepairQueueLen() == 0 {
-			continue
-		}
-		member := member
+// triggerOnAccessRepair follows a read of an encoded object: each stripe
+// member that answered without its shard is asked to restore it now, the
+// on-access half of lazy recovery. A member with no recovery running
+// answers at once.
+func (cl *Client) triggerOnAccessRepair(ctx context.Context, id types.ObjectID, members []types.ServerID) {
+	for _, member := range members {
 		go func() {
 			// Fire-and-forget nudge: the next read retries repair anyway.
-			_, _ = c.net.Send(context.Background(), cl.id, member.Server,
+			_, _ = cl.cluster.net.Send(context.Background(), cl.id, member,
 				&transport.Message{Kind: transport.MsgRecover, Var: id.Var, Box: id.Box})
 		}()
 	}

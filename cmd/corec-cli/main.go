@@ -43,7 +43,6 @@ func main() {
 	nlevel := flag.Int("nlevel", 1, "service NLevel")
 	k := flag.Int("k", 3, "service Reed-Solomon data shards")
 	muxConns := flag.Int("mux-conns", 0, "connections per peer (0 = default; sizing only, need not match the server)")
-	maxInFlight := flag.Int("max-inflight", 0, "pipelining window per connection (0 = default)")
 	elastic := flag.Bool("membership", false, "service runs elastic membership (corec-server -membership); place on its dynamic ring")
 	flag.Parse()
 	args := flag.Args()
@@ -64,7 +63,6 @@ func main() {
 	cfg.DataShards = *k
 	cfg.ElemSize = 1 // byte-addressed 1-D staging for the CLI
 	cfg.MuxConnsPerPeer = *muxConns
-	cfg.MaxInFlight = *maxInFlight
 	if m, err := parseMode(*modeName); err == nil {
 		cfg.Mode = m
 	}

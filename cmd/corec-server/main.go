@@ -7,7 +7,7 @@
 //
 //	corec-server [-servers 8] [-mode corec] [-addr-file corec-addrs.json]
 //	             [-host 127.0.0.1] [-nlevel 1] [-k 3] [-s 0.67]
-//	             [-mux-conns 0] [-max-inflight 0] [-membership]
+//	             [-mux-conns 0] [-membership]
 //	             [-port-base 0] [-local ""] [-scrub]
 //	             [-storage-dir DIR] [-storage-mem-mb N] [-storage-disk-mb N]
 //	             [-storage-remote] [-storage-remote-mbps 256]
@@ -27,9 +27,10 @@
 // modeled shared object store (L3). A restarted service revalidates and
 // re-indexes the disk tier from -storage-dir instead of losing it.
 //
-// -mux-conns and -max-inflight size the multiplexed transport for the
-// requests this process sends (connections per peer, pipelining window per
-// connection); they are not protocol, so clients need not match them.
+// -mux-conns sizes the multiplexed transport for the requests this process
+// sends (connections per peer, each carrying up to
+// transport.DefaultMaxInFlight requests at once); it is not protocol, so
+// clients need not match it.
 //
 // -membership starts the fleet elastic: every server runs a SWIM gossip
 // agent, placement uses the dynamic failure-domain ring, and the service
@@ -62,7 +63,6 @@ func main() {
 	k := flag.Int("k", 3, "Reed-Solomon data shards")
 	s := flag.Float64("s", 0.67, "storage efficiency constraint")
 	muxConns := flag.Int("mux-conns", 0, "connections per peer for this process's outgoing requests (0 = default; sizing only, clients need not match)")
-	maxInFlight := flag.Int("max-inflight", 0, "pipelining window per connection (0 = default)")
 	elastic := flag.Bool("membership", false, "run elastic membership: SWIM gossip failure detection, dynamic ring, corec-cli join/drain control")
 	portBase := flag.Int("port-base", 0, "pin server i's listener to port port-base+i (0 = ephemeral ports)")
 	localList := flag.String("local", "", "comma-separated server IDs this process hosts (requires -port-base; empty = all)")
@@ -87,7 +87,6 @@ func main() {
 	cfg.Transport = "tcp"
 	cfg.ListenHost = *host
 	cfg.MuxConnsPerPeer = *muxConns
-	cfg.MaxInFlight = *maxInFlight
 	if *elastic {
 		cfg.Membership = &corec.MembershipConfig{}
 	}

@@ -165,11 +165,9 @@ type Config struct {
 	// per peer carry this process's pipelined requests, correlated by frame
 	// request IDs. 0 (default) resolves to transport.DefaultMuxConns. It is
 	// sizing only — the servers and clients of one service need not agree.
+	// Each connection carries up to transport.DefaultMaxInFlight requests.
 	// Ignored by "inproc".
 	MuxConnsPerPeer int
-	// MaxInFlight bounds the pipelining window per connection (backpressure
-	// on a saturated peer). 0 resolves to transport.DefaultMaxInFlight.
-	MaxInFlight int
 	// Classifier tunes CoREC classification; zero value gets defaults over
 	// Domain.
 	Classifier classifier.Config
@@ -196,10 +194,6 @@ type Config struct {
 	// consistent-hash ring, and runtime Join/Drain/Leave. Nil keeps the
 	// static fleet with central monitor heartbeats.
 	Membership *MembershipConfig
-	// Rebalance tunes the paced live migrator used by Drain and Rebalance;
-	// nil uses defaults (64 MiB/s, 16 MiB burst). Only meaningful with
-	// Membership set.
-	Rebalance *RebalanceConfig
 	// Storage, when non-nil, runs every server's erasure shards through the
 	// tiered storage engine: L1 memory bounded by MemBytes, L2 append-only
 	// disk segments under Storage.Dir (each server gets its own
@@ -208,6 +202,11 @@ type Config struct {
 	// object store. Nil keeps shards purely in memory, the pre-tiering
 	// behaviour.
 	Storage *StorageConfig
+
+	// rebalanceMBps paces the live migrator in MiB/s; 0 takes
+	// rebalanceRateMBps, negative leaves it unpaced. Only this package's
+	// tests set it.
+	rebalanceMBps float64
 }
 
 // DefaultConfig returns a CoREC cluster configuration over n servers
@@ -307,7 +306,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			host = "127.0.0.1"
 		}
 		tn := transport.NewTCPNetwork(host)
-		tn.ConfigureMux(cfg.MuxConnsPerPeer, cfg.MaxInFlight)
+		tn.ConfigureMux(cfg.MuxConnsPerPeer, 0)
 		tn.SetPortBase(cfg.PortBase)
 		net = tn
 	default:
@@ -618,7 +617,7 @@ func NewRemoteCluster(cfg Config, addrs map[ServerID]string) (*Cluster, error) {
 		host = "127.0.0.1"
 	}
 	net := transport.NewTCPNetwork(host)
-	net.ConfigureMux(cfg.MuxConnsPerPeer, cfg.MaxInFlight)
+	net.ConfigureMux(cfg.MuxConnsPerPeer, 0)
 	for id, addr := range addrs {
 		net.AddRemote(types.ServerID(id), addr)
 	}

@@ -51,7 +51,7 @@ func TestGetIntoFillsExactlyTheBuffer(t *testing.T) {
 // the fabric in its name.
 func serverSideReader(cl *Client, self *server.Server) *reader.Reader {
 	r := *cl.reader
-	r.Degraded = nil
+	r.NotHeld = nil
 	r.Send = func(ctx context.Context, to types.ServerID, msg *transport.Message) (*transport.Message, error) {
 		if to == self.ID() {
 			return self.Handle(ctx, msg), nil

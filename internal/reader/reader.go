@@ -40,9 +40,10 @@ type Reader struct {
 	Codec *erasure.Codec
 	// Col is charged for lookups (Metadata) and reconstructions (Decode).
 	Col *metrics.Collector
-	// Degraded, when set, is told of each stripe Object had to reconstruct:
-	// the client's cue for on-access repair.
-	Degraded func(ctx context.Context, info *types.StripeInfo, id types.ObjectID)
+	// NotHeld, when set, is told of the stripe members that answered a read
+	// of the object without their shard: the client's cue for on-access
+	// repair.
+	NotHeld func(ctx context.Context, id types.ObjectID, members []types.ServerID)
 }
 
 // Tally lets a paced caller — the scrubber — account for a read as it runs.
@@ -121,7 +122,9 @@ func (r *Reader) Copy(ctx context.Context, key string, holders []types.ServerID,
 }
 
 // Shards fetches shards of the stripe until need of them are in hand and
-// returns them by shard index, with how many arrived. Candidates are the
+// returns them by shard index, with how many arrived and the servers that
+// answered without their shard (a replacement that has not restored it yet,
+// say), in member order. Candidates are the
 // members whose index skip does not name (a caller rebuilding shards skips
 // those), in member order: data shards first. The first need candidates are
 // asked in parallel; the rest, also in parallel, only if some of those miss:
@@ -135,9 +138,10 @@ func (r *Reader) Copy(ctx context.Context, key string, holders []types.ServerID,
 //
 // homes[i], when set, is caller memory for shard i: the shard is received
 // there, shards[i] is the part that fit and tails[i] the rest.
-func (r *Reader) Shards(ctx context.Context, info *types.StripeInfo, need int, skip []int, homes [][]byte, t Tally) (shards, tails [][]byte, have int) {
+func (r *Reader) Shards(ctx context.Context, info *types.StripeInfo, need int, skip []int, homes [][]byte, t Tally) (shards, tails [][]byte, have int, notHeld []types.ServerID) {
 	n := info.K + info.M
 	shards, tails = make([][]byte, n), make([][]byte, n)
+	absent := make([]bool, n)
 	if homes == nil {
 		homes = make([][]byte, n)
 	}
@@ -164,6 +168,9 @@ func (r *Reader) Shards(ctx context.Context, info *types.StripeInfo, need int, s
 				resp, err := r.Send(ctx, m.Server, &transport.Message{
 					Kind: transport.MsgShardGet, Stripe: info.ID, ShardIndex: i, RecvInto: homes[i],
 				})
+				if err == nil && resp.Kind == transport.MsgOK && !resp.Flag {
+					absent[i] = true
+				}
 				if err != nil || resp.Kind != transport.MsgGetBytes || !resp.Flag {
 					return
 				}
@@ -176,6 +183,9 @@ func (r *Reader) Shards(ctx context.Context, info *types.StripeInfo, need int, s
 		// Tallied here, in member order, so a seeded scrub pass counts the
 		// same whatever order the replies came in.
 		for _, m := range members {
+			if absent[m.Index] {
+				notHeld = append(notHeld, m.Server)
+			}
 			if shards[m.Index] == nil {
 				t.Missed()
 				continue
@@ -190,7 +200,7 @@ func (r *Reader) Shards(ctx context.Context, info *types.StripeInfo, need int, s
 	if round(cands[:first]) && have < need {
 		round(cands[first:])
 	}
-	return shards, tails, have
+	return shards, tails, have, notHeld
 }
 
 // Stripe assembles the object a stripe encodes in dst (len(dst) is the
@@ -206,10 +216,11 @@ func (r *Reader) Shards(ctx context.Context, info *types.StripeInfo, need int, s
 // Overflow, and the whole shard is pieced together aside only if a degraded
 // read needs it for decoding. have0 says data shard 0 is already in place at
 // the head of dst (a primary read brought it), so only the rest are fetched.
-func (r *Reader) Stripe(ctx context.Context, info *types.StripeInfo, dst []byte, have0 bool) (degraded bool, err error) {
+// notHeld is what Shards reports.
+func (r *Reader) Stripe(ctx context.Context, info *types.StripeInfo, dst []byte, have0 bool) (degraded bool, notHeld []types.ServerID, err error) {
 	k, ss := info.K, info.ShardSize
 	if k <= 0 || info.M < 0 || ss <= 0 || k*ss < len(dst) || (have0 && ss > len(dst)) {
-		return false, fmt.Errorf("%w: stripe %v (%d shards of %d bytes) cannot hold %d bytes", ErrDataLoss, info.ID, k, ss, len(dst))
+		return false, nil, fmt.Errorf("%w: stripe %v (%d shards of %d bytes) cannot hold %d bytes", ErrDataLoss, info.ID, k, ss, len(dst))
 	}
 	// homes[i] is the window of dst where data shard i lives: the whole shard
 	// when dst has room for it, else as much of its head as is object data.
@@ -225,19 +236,19 @@ func (r *Reader) Stripe(ctx context.Context, info *types.StripeInfo, dst []byte,
 	if have0 {
 		skip = []int{0}
 	}
-	shards, tails, have := r.Shards(ctx, info, k-len(skip), skip, homes, NoTally)
+	shards, tails, have, notHeld := r.Shards(ctx, info, k-len(skip), skip, homes, NoTally)
 	if have0 {
 		shards[0] = homes[0]
 		have++
 	}
 	if !slices.ContainsFunc(shards[:k], func(b []byte) bool { return b == nil }) {
-		return false, nil // the systematic fast path: every data shard is in place
+		return false, notHeld, nil // the systematic fast path: every data shard is in place
 	}
 	if have < k {
-		return false, fmt.Errorf("%w: stripe %v has %d of %d shards", ErrDataLoss, info.ID, have, k)
+		return false, notHeld, fmt.Errorf("%w: stripe %v has %d of %d shards", ErrDataLoss, info.ID, have, k)
 	}
 	if r.Codec == nil || r.Codec.DataShards() != k || r.Codec.ParityShards() != info.M {
-		return false, fmt.Errorf("corec: stripe %v is RS(%d+%d), which this reader is not configured to decode", info.ID, k, info.M)
+		return false, notHeld, fmt.Errorf("corec: stripe %v is RS(%d+%d), which this reader is not configured to decode", info.ID, k, info.M)
 	}
 	// The codec wants whole shards: piece together a surviving one of which
 	// only the head is in its home, and hand each missing one its home to be
@@ -253,7 +264,7 @@ func (r *Reader) Stripe(ctx context.Context, info *types.StripeInfo, dst []byte,
 	}
 	start := time.Now()
 	if err := r.Codec.ReconstructData(shards); err != nil {
-		return false, err
+		return false, notHeld, err
 	}
 	r.Col.Add(metrics.Decode, time.Since(start))
 	for i := 0; i < k; i++ {
@@ -261,7 +272,7 @@ func (r *Reader) Stripe(ctx context.Context, info *types.StripeInfo, dst []byte,
 			copy(homes[i], shards[i])
 		}
 	}
-	return true, nil
+	return true, notHeld, nil
 }
 
 // Buffer allocates a destination for size bytes of object data with the
@@ -328,12 +339,14 @@ func (r *Reader) Object(ctx context.Context, meta *types.ObjectMeta, dst []byte)
 	})
 }
 
-// stripeOf runs Stripe over the layout an encoded record carries and tells
-// Degraded of a reconstruction.
+// stripeOf runs Stripe over the layout an encoded record carries and, when
+// the read is served, tells NotHeld of the members that answered without
+// their shard. A read that fails may have followed a superseded record,
+// whose stripe no member holds any more: that is no cue for a repair.
 func (r *Reader) stripeOf(ctx context.Context, meta *types.ObjectMeta, dst []byte, have0 bool) error {
-	degraded, err := r.Stripe(ctx, meta.Layout, dst, have0)
-	if degraded && r.Degraded != nil {
-		r.Degraded(ctx, meta.Layout, meta.ID)
+	_, notHeld, err := r.Stripe(ctx, meta.Layout, dst, have0)
+	if err == nil && len(notHeld) > 0 && r.NotHeld != nil {
+		r.NotHeld(ctx, meta.ID, notHeld)
 	}
 	return err
 }

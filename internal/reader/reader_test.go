@@ -174,7 +174,7 @@ func TestStripeAssemblesInPlace(t *testing.T) {
 					if roomy {
 						dst = arena[: size : size+k-1]
 					}
-					degraded, err := r.Stripe(ctx, f.info, dst, false)
+					degraded, _, err := r.Stripe(ctx, f.info, dst, false)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -194,10 +194,10 @@ func TestStripeAssemblesInPlace(t *testing.T) {
 
 	f, r, _ := newFleet(t, k, m, 100)
 	f.shards[0], f.shards[1], f.shards[4] = nil, nil, nil
-	if _, err := r.Stripe(ctx, f.info, make([]byte, 100), false); !errors.Is(err, ErrDataLoss) {
+	if _, _, err := r.Stripe(ctx, f.info, make([]byte, 100), false); !errors.Is(err, ErrDataLoss) {
 		t.Fatalf("three losses over RS(3+2): %v, want ErrDataLoss", err)
 	}
-	if _, err := r.Stripe(ctx, f.info, make([]byte, 3*f.info.ShardSize+1), false); !errors.Is(err, ErrDataLoss) {
+	if _, _, err := r.Stripe(ctx, f.info, make([]byte, 3*f.info.ShardSize+1), false); !errors.Is(err, ErrDataLoss) {
 		t.Fatalf("a buffer the stripe cannot fill: %v, want ErrDataLoss", err)
 	}
 }
@@ -213,7 +213,7 @@ func TestShardsRounds(t *testing.T) {
 	run := func(f *fleet, r *Reader, gate, need int, skip []int) (have int, late []int) {
 		t.Helper()
 		f.gate, f.arrived, f.late, f.open = gate, 0, nil, make(chan struct{})
-		shards, _, have := r.Shards(ctx, f.info, need, skip, nil, NoTally)
+		shards, _, have, _ := r.Shards(ctx, f.info, need, skip, nil, NoTally)
 		if f.stalled {
 			t.Fatal("shard gets of one round were not sent together")
 		}
@@ -255,7 +255,8 @@ func TestShardsRounds(t *testing.T) {
 
 // TestTallyCountsInMemberOrder: a paced caller is told of every shard that
 // arrived and every holder that did not deliver, and a charge it refuses
-// ends the read short.
+// ends the read short. Of the holders that did not deliver, the one that
+// answered without its shard is reported; the unreachable one is not.
 func TestTallyCountsInMemberOrder(t *testing.T) {
 	ctx := context.Background()
 	f, r, _ := newFleet(t, 3, 2, 999)
@@ -266,12 +267,16 @@ func TestTallyCountsInMemberOrder(t *testing.T) {
 		Got:    func(_ context.Context, n int) error { got += n; return nil },
 		Missed: func() { missed++ },
 	}
-	if _, _, have := r.Shards(ctx, f.info, 3, nil, nil, tally); have != 3 || got != 3*f.info.ShardSize || missed != 2 {
+	_, _, have, notHeld := r.Shards(ctx, f.info, 3, nil, nil, tally)
+	if have != 3 || got != 3*f.info.ShardSize || missed != 2 {
 		t.Errorf("have %d shards, tallied %d bytes and %d misses; want 3, %d and 2", have, got, missed, 3*f.info.ShardSize)
+	}
+	if !slices.Equal(notHeld, []types.ServerID{2}) {
+		t.Errorf("not held by %v, want [2]", notHeld)
 	}
 	stop := errors.New("budget cancelled")
 	tally.Got = func(context.Context, int) error { return stop }
-	if _, _, have := r.Shards(ctx, f.info, 3, nil, nil, tally); have != 0 {
+	if _, _, have, _ := r.Shards(ctx, f.info, 3, nil, nil, tally); have != 0 {
 		t.Errorf("a refused charge left %d shards counted, want 0", have)
 	}
 	f.copies[5] = &types.Object{Data: []byte("copy")}
@@ -326,10 +331,10 @@ func TestObjectSettlesThroughAFreshRecord(t *testing.T) {
 	newest.Seq, newest.State, newest.Stripe, newest.Layout = 3, types.StateEncoded, f.info.ID, f.info
 	f.metas[mirrors[0]], f.metas[mirrors[1]] = newest, lagging
 
-	var told *types.StripeInfo
-	r.Degraded = func(_ context.Context, info *types.StripeInfo, got types.ObjectID) {
+	var told []types.ServerID
+	r.NotHeld = func(_ context.Context, got types.ObjectID, members []types.ServerID) {
 		if got.Key() == id.Key() {
-			told = info
+			told = members
 		}
 	}
 	f.shards[1] = nil
@@ -337,8 +342,8 @@ func TestObjectSettlesThroughAFreshRecord(t *testing.T) {
 	if err := r.Object(ctx, &old, dst); err != nil || !bytes.Equal(dst, data) {
 		t.Fatalf("read through the fresh record: %v", err)
 	}
-	if told != f.info {
-		t.Error("the degraded read was not reported")
+	if !slices.Equal(told, []types.ServerID{1}) {
+		t.Errorf("the member without its shard was reported as %v, want [1]", told)
 	}
 	f.shards[0] = nil
 	if err := r.Object(ctx, &old, dst); !errors.Is(err, ErrDataLoss) {
@@ -435,8 +440,8 @@ func TestPrimaryReadsInOneRequest(t *testing.T) {
 		f, r, data := newFleet(t, k, m, size)
 		f.lands = lands
 		f.own[0] = types.ObjectMeta{ID: id, Version: 2, Seq: 9, Size: size, State: types.StateEncoded, Primary: 0, Stripe: f.info.ID, Layout: f.info}
-		var told *types.StripeInfo
-		r.Degraded = func(_ context.Context, info *types.StripeInfo, _ types.ObjectID) { told = info }
+		var told []types.ServerID
+		r.NotHeld = func(_ context.Context, _ types.ObjectID, members []types.ServerID) { told = members }
 		read := func(floor types.Version) (bool, []transport.Kind) {
 			t.Helper()
 			f.sent = nil
@@ -451,8 +456,8 @@ func TestPrimaryReadsInOneRequest(t *testing.T) {
 			t.Errorf("lands=%v: healthy encoded read: %v, sent %v; want the primary, then shards 1 and 2", lands, ok, sent)
 		}
 		f.shards[1] = nil
-		if ok, _ := read(1); !ok || told != f.info {
-			t.Errorf("lands=%v: read with data shard 1 lost: %v, degraded read told %v", lands, ok, told)
+		if ok, _ := read(1); !ok || !slices.Equal(told, []types.ServerID{1}) {
+			t.Errorf("lands=%v: read with data shard 1 lost: %v, not held by %v; want [1]", lands, ok, told)
 		}
 		f.shards[2], f.shards[3] = nil, nil
 		if ok, _ := read(1); ok {

@@ -444,7 +444,7 @@ func (s *Server) promoteObject(ctx context.Context, id types.ObjectID) bool {
 	info := st.layout
 	data := reader.Buffer(st.size, info.K)
 	tStart := time.Now()
-	_, err := s.reader.Stripe(ctx, info, data, false)
+	_, _, err := s.reader.Stripe(ctx, info, data, false)
 	s.col.Add(metrics.Transport, time.Since(tStart))
 	if err != nil {
 		return false

@@ -43,11 +43,12 @@ func (s *Server) shardIndexIn(info *types.StripeInfo) int {
 
 // handleRecover repairs the named object's local piece (full copy, replica,
 // or stripe shard) on this server. On-access lazy repair sends it bare, and
-// the object's record is looked up. The scrubber attaches the record it holds
-// and, for a shard it found inconsistent with its stripe, that shard's digest
-// in Sum; a membership edit, the edited record. One that also carries, in
-// Metas, the record the edit was made from asks the primary the edited record
-// names to carry the edit out (see applyEdit).
+// the object's record is looked up; with no recovery running here a bare one
+// is answered at once, repairing nothing. The scrubber attaches the record it
+// holds and, for a shard it found inconsistent with its stripe, that shard's
+// digest in Sum; a membership edit, the edited record. One that also
+// carries, in Metas, the record the edit was made from asks the primary the
+// edited record names to carry the edit out (see applyEdit).
 func (s *Server) handleRecover(ctx context.Context, req *transport.Message) *transport.Message {
 	if req.Meta != nil && len(req.Metas) == 1 {
 		return s.applyEdit(ctx, req.Meta, &req.Metas[0])
@@ -55,9 +56,12 @@ func (s *Server) handleRecover(ctx context.Context, req *transport.Message) *tra
 	id := types.ObjectID{Var: req.Var, Box: req.Box}
 	var repaired bool
 	var err error
-	if req.Meta != nil {
+	switch {
+	case req.Meta != nil:
 		repaired, err = s.restore(ctx, req.Meta, req.Sum)
-	} else {
+	case s.RepairQueueLen() == 0:
+		return &transport.Message{Kind: transport.MsgOK}
+	default:
 		repaired, err = s.recoverObject(ctx, id)
 	}
 	if err != nil {
@@ -327,7 +331,7 @@ func (s *Server) restoreShard(ctx context.Context, info *types.StripeInfo, index
 		return false, fmt.Errorf("no codec configured")
 	}
 	tStart := time.Now()
-	shards, _, have := s.reader.Shards(ctx, info, info.K, []int{index}, nil, t)
+	shards, _, have, _ := s.reader.Shards(ctx, info, info.K, []int{index}, nil, t)
 	s.col.Add(metrics.Transport, time.Since(tStart))
 	if have < info.K {
 		return false, fmt.Errorf("%w: stripe %v: only %d of %d shards reachable", reader.ErrDataLoss, info.ID, have, info.K)

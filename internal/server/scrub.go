@@ -391,7 +391,7 @@ func (s *Server) scrubStripe(ctx context.Context, meta *types.ObjectMeta, bucket
 	info := meta.Layout
 	t := scrubTally(bucket, rep)
 	t.Missed = func() {} // its member is asked to recover below, and counted there
-	shards, _, have := s.reader.Shards(ctx, info, info.K+info.M, nil, nil, t)
+	shards, _, have, _ := s.reader.Shards(ctx, info, info.K+info.M, nil, nil, t)
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -494,7 +494,7 @@ func TestStripeDirectoryRoundTrip(t *testing.T) {
 // does: the reader's in-place assembly over the server's own send.
 func readStripe(srv *Server, info *types.StripeInfo, size int) ([]byte, error) {
 	dst := reader.Buffer(size, info.K)
-	_, err := srv.reader.Stripe(context.Background(), info, dst, false)
+	_, _, err := srv.reader.Stripe(context.Background(), info, dst, false)
 	return dst, err
 }
 

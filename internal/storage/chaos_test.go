@@ -18,11 +18,11 @@ func TestSpillPrefetchChaos(t *testing.T) {
 		Dir:          t.TempDir(),
 		MemBytes:     8 << 10,
 		DiskBytes:    32 << 10,
-		SegmentBytes: 8 << 10,
-		SpillWorkers: 3,
-		SpillQueue:   8,
+		segmentBytes: 8 << 10,
+		spillWorkers: 3,
+		spillQueue:   8,
 		Prefetch:     true,
-		PrefetchMBps: 4096,
+		prefetchMBps: 4096,
 	}, remote, "chaos/")
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestChaosKillRestart(t *testing.T) {
 		Dir:          dir,
 		MemBytes:     1, // everything settles to disk before the kill
 		DiskBytes:    16 << 10,
-		SegmentBytes: 4 << 10,
+		segmentBytes: 4 << 10,
 	}, remote, "kr/")
 	if err != nil {
 		t.Fatal(err)

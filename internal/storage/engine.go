@@ -25,47 +25,49 @@ type Config struct {
 	// oldest disk entries to the remote tier. <= 0 disables pressure-driven
 	// uploads.
 	DiskBytes int64
-	// SegmentBytes rolls the active segment past this size. Default 1 MiB.
-	SegmentBytes int64
-	// CompactFrac is the dead-byte fraction beyond which a retired segment
-	// is compacted. Default 0.5.
-	CompactFrac float64
-	// SpillWorkers is the async uploader pool size. Default 2.
-	SpillWorkers int
-	// SpillQueue bounds the background work queue; writers stall (bounded
-	// backpressure) once it fills. Default 128.
-	SpillQueue int
 	// Prefetch enables the next-time-step prefetch pipeline.
 	Prefetch bool
-	// PrefetchDepth is how many upcoming cold keys one sequential-read
-	// observation stages. Default 8.
-	PrefetchDepth int
-	// PrefetchMBps paces prefetch reads (scrub.NewByteBucket), so staging
-	// ahead never starves foreground I/O. Default 64.
-	PrefetchMBps float64
 	// Remote is the L3 model. The cluster turns it into one shared
 	// RemoteStore for all servers; nil disables the remote tier.
 	Remote *RemoteConfig
+
+	// The engine's tuning. No deployment sets it; this package's tests vary
+	// it, and zero takes the default constant below.
+	segmentBytes  int64   // roll the active segment past this size
+	compactFrac   float64 // dead-byte fraction past which a retired segment is compacted
+	spillWorkers  int     // background workers, each running spills, uploads and compactions
+	spillQueue    int     // bound of the work queue (writers stall once it fills) and the prefetch queue
+	prefetchDepth int     // upcoming cold keys one sequential-read observation stages
+	prefetchMBps  float64 // prefetch read pacing (scrub.NewByteBucket): staging ahead never starves foreground I/O
 }
 
+const (
+	defaultSegmentBytes  = 1 << 20
+	defaultCompactFrac   = 0.5
+	defaultSpillWorkers  = 2
+	defaultSpillQueue    = 128
+	defaultPrefetchDepth = 8
+	defaultPrefetchMBps  = 64
+)
+
 func (c Config) withDefaults() Config {
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = 1 << 20
+	if c.segmentBytes <= 0 {
+		c.segmentBytes = defaultSegmentBytes
 	}
-	if c.CompactFrac <= 0 {
-		c.CompactFrac = 0.5
+	if c.compactFrac <= 0 {
+		c.compactFrac = defaultCompactFrac
 	}
-	if c.SpillWorkers <= 0 {
-		c.SpillWorkers = 2
+	if c.spillWorkers <= 0 {
+		c.spillWorkers = defaultSpillWorkers
 	}
-	if c.SpillQueue <= 0 {
-		c.SpillQueue = 128
+	if c.spillQueue <= 0 {
+		c.spillQueue = defaultSpillQueue
 	}
-	if c.PrefetchDepth <= 0 {
-		c.PrefetchDepth = 8
+	if c.prefetchDepth <= 0 {
+		c.prefetchDepth = defaultPrefetchDepth
 	}
-	if c.PrefetchMBps <= 0 {
-		c.PrefetchMBps = 64
+	if c.prefetchMBps <= 0 {
+		c.prefetchMBps = defaultPrefetchMBps
 	}
 	return c
 }
@@ -203,7 +205,7 @@ func Open(cfg Config, remote *RemoteStore, namespace string) (*Tiered, error) {
 		t.remote = nil
 		return t, nil
 	}
-	disk, idx, rep, err := openDisk(cfg.Dir, cfg.SegmentBytes)
+	disk, idx, rep, err := openDisk(cfg.Dir, cfg.segmentBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -211,14 +213,14 @@ func Open(cfg Config, remote *RemoteStore, namespace string) (*Tiered, error) {
 	t.restore = rep
 	t.adoptRestored(idx)
 
-	t.workCh = make(chan job, cfg.SpillQueue)
-	for i := 0; i < cfg.SpillWorkers; i++ {
+	t.workCh = make(chan job, cfg.spillQueue)
+	for i := 0; i < cfg.spillWorkers; i++ {
 		t.wg.Add(1)
 		go t.worker()
 	}
 	if cfg.Prefetch {
-		t.prefCh = make(chan string, cfg.SpillQueue)
-		t.pacer = scrub.NewByteBucket(cfg.PrefetchMBps * (1 << 20))
+		t.prefCh = make(chan string, cfg.spillQueue)
+		t.pacer = scrub.NewByteBucket(cfg.prefetchMBps * (1 << 20))
 		t.wg.Add(1)
 		go t.prefetchWorker()
 	}

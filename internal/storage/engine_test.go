@@ -319,8 +319,8 @@ func TestBackpressureCountsStalls(t *testing.T) {
 	e, err := Open(Config{
 		Dir:          t.TempDir(),
 		MemBytes:     256,
-		SpillWorkers: 1,
-		SpillQueue:   1,
+		spillWorkers: 1,
+		spillQueue:   1,
 	}, nil, "")
 	if err != nil {
 		t.Fatal(err)

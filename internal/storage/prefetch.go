@@ -22,7 +22,7 @@ func (t *Tiered) observeRead(epoch int64, seq int) {
 	}
 	t.streakSeq = seq
 	if t.streakRun >= 2 {
-		depth := t.cfg.PrefetchDepth
+		depth := t.cfg.prefetchDepth
 		picks = t.coldRangeLocked(epoch, seq+1, depth)
 		if len(t.epochs[epoch+1]) > 0 {
 			picks = append(picks, t.coldRangeLocked(epoch+1, 0, depth)...)

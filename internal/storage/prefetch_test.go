@@ -13,8 +13,8 @@ func TestSequentialReadsArmPrefetcher(t *testing.T) {
 		Dir:           t.TempDir(),
 		MemBytes:      2048,
 		Prefetch:      true,
-		PrefetchDepth: 4,
-		PrefetchMBps:  4096, // effectively unpaced: the test exercises staging, not pacing
+		prefetchDepth: 4,
+		prefetchMBps:  4096, // effectively unpaced: the test exercises staging, not pacing
 	}, nil, "")
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +128,8 @@ func TestPrefetchCarriesTimedScan(t *testing.T) {
 			cfg.Remote = &remoteCfg
 			remote = NewRemoteStore(remoteCfg)
 			cfg.Prefetch = prefetch
-			cfg.PrefetchDepth = keys // stage a whole next epoch per observation
-			cfg.PrefetchMBps = 4096
+			cfg.prefetchDepth = keys // stage a whole next epoch per observation
+			cfg.prefetchMBps = 4096
 		}
 		e, err := Open(cfg, remote, "scan/")
 		if err != nil {

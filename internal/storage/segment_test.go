@@ -310,8 +310,8 @@ func TestCompactionReclaimsDeadBytes(t *testing.T) {
 	e, err := Open(Config{
 		Dir:          dir,
 		MemBytes:     1,
-		SegmentBytes: 2048,
-		CompactFrac:  0.4,
+		segmentBytes: 2048,
+		compactFrac:  0.4,
 	}, nil, "")
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +357,7 @@ func TestCompactionReclaimsDeadBytes(t *testing.T) {
 }
 
 // TestCompactionCarriesTombstones drives compactOne by hand over segments of
-// one record each (SegmentBytes 1 rolls after every append; CompactFrac 2
+// one record each (segmentBytes 1 rolls after every append; compactFrac 2
 // keeps the maintenance loop's own compaction off): dropping the segment
 // that holds a tombstone must not let a restart resurrect what the
 // tombstone shadowed, must not kill a value staged after it, and must
@@ -365,7 +365,7 @@ func TestCompactionReclaimsDeadBytes(t *testing.T) {
 func TestCompactionCarriesTombstones(t *testing.T) {
 	open := func(t *testing.T, dir string, mem int64) *Tiered {
 		t.Helper()
-		e, err := Open(Config{Dir: dir, MemBytes: mem, SegmentBytes: 1, CompactFrac: 2}, nil, "")
+		e, err := Open(Config{Dir: dir, MemBytes: mem, segmentBytes: 1, compactFrac: 2}, nil, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func (t *Tiered) maybeSpill(block bool) {
 			if e.prefetched && t.clock-e.last < 4096 {
 				// Freshly staged by the prefetcher and not yet consumed:
 				// evicting it now would defeat the pipeline. The staging
-				// volume is bounded by PrefetchDepth, and the exemption
+				// volume is bounded by the prefetch depth, and the exemption
 				// lapses once the entry ages without its hit.
 				continue
 			}
@@ -319,7 +319,7 @@ func (t *Tiered) maintenance() {
 			return
 		case <-tick.C:
 			t.maybeUpload()
-			if seg := t.disk.compactCandidate(t.cfg.CompactFrac); seg >= 0 {
+			if seg := t.disk.compactCandidate(t.cfg.compactFrac); seg >= 0 {
 				if t.compacting.CompareAndSwap(false, true) {
 					t.enqueue(job{kind: jobCompact, seg: seg}, false)
 				}

@@ -22,7 +22,7 @@ func elasticConfig(n int) Config {
 	cfg := DefaultConfig(n)
 	cfg.Mode = PolicyCoREC
 	cfg.Membership = &MembershipConfig{Manual: true}
-	cfg.Rebalance = &RebalanceConfig{RateMBps: -1} // unpaced: unit tests value speed
+	cfg.rebalanceMBps = -1 // unpaced: unit tests value speed
 	return cfg
 }
 

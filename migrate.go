@@ -11,17 +11,6 @@ import (
 	"corec/internal/types"
 )
 
-// RebalanceConfig tunes the paced migrator. Pacing is the scrubber's byte
-// pacer (scrub.NewByteBucket, burst a quarter second's worth): every record
-// a pass touches and every byte its edits restore drain tokens, so
-// foreground puts and gets keep their latency profile while redundancy is
-// being restored in the background.
-type RebalanceConfig struct {
-	// RateMBps caps migration bandwidth in MiB/s. 0 defaults to 64;
-	// negative disables byte pacing (tests and emergency rebuilds).
-	RateMBps float64
-}
-
 // RebalanceReport tallies one Rebalance pass.
 type RebalanceReport struct {
 	// Epoch is the ring epoch the pass ran against.
@@ -42,7 +31,7 @@ type RebalanceReport struct {
 	Skipped int
 	// Errors counts failed edits (left for the next pass).
 	Errors int
-	// BytesMoved is the payload the pass restored (what RateMBps paces): a
+	// BytesMoved is the payload the pass restored (what the pacer charges): a
 	// shard per stripe slot that changed hands, the object per full copy.
 	BytesMoved int64
 }
@@ -67,11 +56,7 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	// counts what it did.
 	defer e.tally(&rep)
 
-	rc := RebalanceConfig{}
-	if c.cfg.Rebalance != nil {
-		rc = *c.cfg.Rebalance
-	}
-	bucket := rebalanceBucket(rc)
+	bucket := rebalanceBucket(c.cfg.rebalanceMBps)
 
 	cl := c.NewClient()
 	metas, err := c.collectDirectory(ctx, cl, bucket)
@@ -143,12 +128,18 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	return rep, nil
 }
 
-// rebalanceBucket builds the byte-pacing bucket from a config; nil means
-// unpaced (a nil bucket's Take never blocks).
-func rebalanceBucket(rc RebalanceConfig) *scrub.TokenBucket {
-	rate := rc.RateMBps
+// rebalanceRateMBps caps migration bandwidth in MiB/s.
+const rebalanceRateMBps = 64
+
+// rebalanceBucket builds a pass's byte pacer, the scrubber's
+// (scrub.NewByteBucket, burst a quarter second's worth): every record a pass
+// touches and every byte its edits restore drain tokens, so foreground puts
+// and gets keep their latency profile while redundancy is restored in the
+// background. rate 0 takes rebalanceRateMBps; a negative rate is unpaced (a
+// nil bucket's Take never blocks).
+func rebalanceBucket(rate float64) *scrub.TokenBucket {
 	if rate == 0 {
-		rate = 64
+		rate = rebalanceRateMBps
 	}
 	return scrub.NewByteBucket(rate * (1 << 20))
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestOptionInventory pins every public setting: the exported fields of the
-// six config structs an application fills in (47 settings), plus the 13 of
+// five config structs an application fills in (38 settings), plus the 13 of
 // the server.Config the cluster builds for each server and the 9 of the
 // membership.Config it builds for each gossip agent. A setting stays only
 // while something other than its own plumbing and its own test sets it — a
@@ -25,15 +25,13 @@ func TestOptionInventory(t *testing.T) {
 			"Servers", "Mode", "NLevel", "DataShards", "StorageEfficiencyMin",
 			"Domain", "Link", "RecoveryMode", "MTBF", "MaxObjectBytes", "ElemSize",
 			"HelperLoadDelta", "Transport", "ListenHost", "PortBase", "LocalServers",
-			"MuxConnsPerPeer", "MaxInFlight", "Classifier", "Seed", "Retry",
-			"FaultPlan", "Scrub", "Membership", "Rebalance", "Storage",
+			"MuxConnsPerPeer", "Classifier", "Seed", "Retry",
+			"FaultPlan", "Scrub", "Membership", "Storage",
 		}},
 		{reflect.TypeOf(MonitorConfig{}), []string{"Interval", "AutoRecover", "ScrubAfterRecovery", "OnEvent"}},
 		{reflect.TypeOf(MembershipConfig{}), []string{"SuspicionTicks", "Manual"}},
-		{reflect.TypeOf(RebalanceConfig{}), []string{"RateMBps"}},
 		{reflect.TypeOf(StorageConfig{}), []string{
-			"MemBytes", "Dir", "DiskBytes", "SegmentBytes", "CompactFrac", "SpillWorkers",
-			"SpillQueue", "Prefetch", "PrefetchDepth", "PrefetchMBps", "Remote",
+			"MemBytes", "Dir", "DiskBytes", "Prefetch", "Remote",
 		}},
 		{reflect.TypeOf(ScrubConfig{}), []string{"Interval", "BytesPerSec", "Depth"}},
 		{reflect.TypeOf(server.Config{}), []string{

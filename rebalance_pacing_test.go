@@ -46,7 +46,7 @@ func TestRebalancePacingBoundsForeground(t *testing.T) {
 	// Pace tightly so the migration genuinely overlaps the sample window: at
 	// 1/8 MiB/s the bucket holds its 64 KiB floor, and the pass's directory
 	// sweep over this many objects charges well past it.
-	cfg.Rebalance = &RebalanceConfig{RateMBps: 0.125}
+	cfg.rebalanceMBps = 0.125
 	c := elasticCluster(t, cfg)
 	cl := c.NewClient()
 	ctx := context.Background()
@@ -122,7 +122,7 @@ func BenchmarkForegroundWithRebalance(b *testing.B) {
 			cfg.Mode = PolicyCoREC
 			cfg.Seed = 7
 			cfg.Membership = &MembershipConfig{Manual: true}
-			cfg.Rebalance = &RebalanceConfig{RateMBps: 8}
+			cfg.rebalanceMBps = 8
 			c, err := NewCluster(cfg)
 			if err != nil {
 				b.Fatal(err)

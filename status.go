@@ -183,8 +183,6 @@ type MembershipStatus struct {
 type TransportStatus struct {
 	// MuxConnsPerPeer is the resolved connection count per peer.
 	MuxConnsPerPeer int
-	// MaxInFlight is the pipelining window per multiplexed connection.
-	MaxInFlight int
 	// ActiveMuxConns is the current number of live multiplexed connections.
 	ActiveMuxConns int
 	// InFlight is the current number of requests in flight.
@@ -270,7 +268,7 @@ func (c *Cluster) FabricStatus() FabricStatus {
 	st.Transport.FastFails = c.health.FastFails()
 	if tn := c.tcpNet(); tn != nil {
 		ts := &st.Transport
-		ts.MuxConnsPerPeer, ts.MaxInFlight = tn.MuxConfig()
+		ts.MuxConnsPerPeer, _ = tn.MuxConfig()
 		ts.ActiveMuxConns = tn.ActiveMuxConns()
 		ts.InFlight = tn.InFlight()
 		ts.MuxRedials = tn.MuxRedials()

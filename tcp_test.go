@@ -3,31 +3,36 @@ package corec
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/rand"
+	"net"
+	"slices"
 	"testing"
+	"time"
 
+	"corec/internal/recovery"
 	"corec/internal/transport"
+	"corec/internal/types"
 )
 
 // TestTCPClusterMuxEndToEnd runs a full staging cluster over real TCP
-// listeners (the corec-server deployment path) at several fabric sizings —
-// the default and two explicit ones — and exercises put/get, a primary
+// listeners (the corec-server deployment path) at several connection counts
+// — the default and two explicit ones — and exercises put/get, a primary
 // kill and the degraded read across the loopback fabric. It also checks
-// that FabricStatus surfaces the resolved sizing and the transport gauges.
+// that FabricStatus surfaces the resolved count and the transport gauges.
 func TestTCPClusterMuxEndToEnd(t *testing.T) {
 	for _, tc := range []struct {
-		name                  string
-		conns, window         int
-		wantConns, wantWindow int
+		name             string
+		conns, wantConns int
 	}{
-		{"default", 0, 0, transport.DefaultMuxConns, transport.DefaultMaxInFlight},
-		{"conns=1", 1, 16, 1, 16},
-		{"conns=4", 4, 0, 4, transport.DefaultMaxInFlight},
+		{"default", 0, transport.DefaultMuxConns},
+		{"conns=1", 1, 1},
+		{"conns=4", 4, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(8)
 			cfg.Transport = "tcp"
 			cfg.MuxConnsPerPeer = tc.conns
-			cfg.MaxInFlight = tc.window
 			cluster, err := NewCluster(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -54,9 +59,8 @@ func TestTCPClusterMuxEndToEnd(t *testing.T) {
 			}
 
 			ts := cluster.FabricStatus().Transport
-			if ts.MuxConnsPerPeer != tc.wantConns || ts.MaxInFlight != tc.wantWindow {
-				t.Fatalf("transport status sizing = (%d, %d), want (%d, %d)",
-					ts.MuxConnsPerPeer, ts.MaxInFlight, tc.wantConns, tc.wantWindow)
+			if ts.MuxConnsPerPeer != tc.wantConns {
+				t.Fatalf("transport status connections per peer = %d, want %d", ts.MuxConnsPerPeer, tc.wantConns)
 			}
 			if ts.ActiveMuxConns == 0 {
 				t.Fatal("no active multiplexed connections after staging traffic")
@@ -85,8 +89,8 @@ func TestTCPClusterMuxEndToEnd(t *testing.T) {
 // TestRemoteClusterClient connects a separate client-side fabric to a
 // TCP-hosted service via its address map — the corec-cli path, covering
 // cross-process access without a second process. The handle's fabric is
-// sized differently from the service's: connection count and window are
-// not protocol, so the two need not agree.
+// sized differently from the service's: the connection count is not
+// protocol, so the two need not agree.
 func TestRemoteClusterClient(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Transport = "tcp"
@@ -99,7 +103,6 @@ func TestRemoteClusterClient(t *testing.T) {
 	remoteCfg := DefaultConfig(8)
 	remoteCfg.ElemSize = 1
 	remoteCfg.MuxConnsPerPeer = 3
-	remoteCfg.MaxInFlight = 8
 	remote, err := NewRemoteCluster(remoteCfg, host.ServerAddrs())
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +127,134 @@ func TestRemoteClusterClient(t *testing.T) {
 	if err != nil || len(metas) != 1 {
 		t.Fatalf("remote query: %v (%d metas)", err, len(metas))
 	}
+}
+
+// TestRemoteDegradedReadRepairsOnAccess: a client whose servers run in
+// another process — a NewRemoteCluster handle — that reads an encoded object
+// around a replacement still short of its shard asks that replacement to
+// restore it now, ahead of its paced lazy drain (the on-access half of lazy
+// recovery). Ports are pinned so the replacement keeps its address.
+func TestRemoteDegradedReadRepairsOnAccess(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Mode = PolicyErasure
+	cfg.Transport = "tcp"
+	cfg.MTBF = time.Hour // the drain's deadline is 15 minutes: one repair per minute or so
+	cfg.PortBase = freePortBase(t, cfg.Servers)
+	host, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+	boxes, payloads := stageSet(t, host, 16)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	metas := make([]types.ObjectMeta, len(boxes)) // by box
+	for i, box := range boxes {
+		got, err := host.NewClient().Query(ctx, "edge", box)
+		if err != nil || len(got) != 1 {
+			t.Fatalf("query of object %d: %v (%d records)", i, err, len(got))
+		}
+		metas[i] = got[0]
+	}
+
+	// The victim is the server holding the most data shards other than
+	// shard 0: a read through the directory asks for those.
+	holds := func(m types.ObjectMeta, id ServerID) int {
+		if m.Layout == nil || m.Primary == id {
+			return -1
+		}
+		for _, mem := range m.Layout.Members {
+			if mem.Server == id && mem.Index > 0 && mem.Index < m.Layout.K {
+				return mem.Index
+			}
+		}
+		return -1
+	}
+	victim, most := ServerID(-1), 0
+	for id := ServerID(0); id < 8; id++ {
+		n := 0
+		for _, m := range metas {
+			if holds(m, id) >= 0 {
+				n++
+			}
+		}
+		if n > most {
+			victim, most = id, n
+		}
+	}
+	if most < 2 {
+		t.Fatalf("no server holds two inner data shards of %d encoded objects", len(metas))
+	}
+	queued := 0 // the objects the replacement's work list names
+	for _, m := range metas {
+		if m.Primary == victim || slices.Contains(m.Replicas, victim) ||
+			m.Layout != nil && slices.ContainsFunc(m.Layout.Members, func(mem types.StripeMember) bool { return mem.Server == victim }) {
+			queued++
+		}
+	}
+
+	host.Kill(victim)
+	srv, err := host.Replace(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		_, _ = srv.RunRecovery(ctx, recovery.Lazy) // cancelled below
+	}()
+	defer func() { cancel(); <-drained }()
+	// The drain's first repair takes the bucket's one token at once; the
+	// next waits about a minute.
+	waitUntil(t, 10*time.Second, "the drain's first repair", func() bool { return srv.RepairQueueLen() == queued-1 })
+	target := -1
+	for i, m := range metas {
+		if j := holds(m, victim); j >= 0 && !srv.HasShard(m.Layout.ID, j) {
+			target = i
+			break
+		}
+	}
+	if target < 0 {
+		t.Fatal("the replacement already holds every shard a read would ask it for")
+	}
+
+	remoteCfg := DefaultConfig(8)
+	remoteCfg.Mode = PolicyErasure
+	remote, err := NewRemoteCluster(remoteCfg, host.ServerAddrs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	got, err := remote.NewClient().Get(ctx, "edge", boxes[target], 1)
+	if err != nil || !bytes.Equal(got, payloads[target]) {
+		t.Fatalf("degraded remote read: %v", err)
+	}
+	m := metas[target]
+	waitUntil(t, 5*time.Second, "the on-access repair", func() bool { return srv.HasShard(m.Layout.ID, holds(m, victim)) })
+	if n := srv.RepairQueueLen(); n != queued-2 {
+		t.Errorf("repair queue holds %d objects after the on-access repair, want %d", n, queued-2)
+	}
+}
+
+// freePortBase finds a base port such that base..base+n-1 can all be bound
+// right now, drawn at random from a high range so concurrently running test
+// packages are unlikely to collide.
+func freePortBase(t *testing.T, n int) int {
+	t.Helper()
+	for attempt := 0; attempt < 64; attempt++ {
+		base, free := 20000+rand.Intn(30000), true
+		for i := 0; i < n && free; i++ {
+			ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", base+i))
+			if free = err == nil; free {
+				ln.Close()
+			}
+		}
+		if free {
+			return base
+		}
+	}
+	t.Fatalf("no free range of %d ports", n)
+	return 0
 }
 
 // TestRemoteClusterElasticRing is the cross-process elastic regression:

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test race short scrubrace transportrace churnrace storagerace clusterquick benchsmoke bench ci clean
+.PHONY: all build vet staticcheck lint test race short scrubrace transportrace churnrace storagerace clusterquick benchsmoke figures bench ci clean
 
 all: ci
 
@@ -111,12 +111,24 @@ clusterquick:
 benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# figures regenerates every paper table and figure at -quick sizes (one
+# Fig. 8 sweep, one S3D sweep) and fails if any table's CSV is missing or
+# empty. Table I and the model validation are text only.
+FIGURES := fig2 fig4 fig8 fig9 fig10 table2 fig11 fig12 read-penalty
+
+figures:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/corec-bench -experiment all -quick -csv "$$dir" || exit 1; \
+	for f in $(FIGURES); do \
+		[ -s "$$dir/$$f.csv" ] || { echo "figures: $$f.csv missing"; exit 1; }; \
+	done
+
 # bench smoke-runs every Go benchmark once. The gated performance ledger is
 # the staging benchmark (bench/, BENCHMARK.json); see benchsmoke above.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-ci: vet staticcheck lint build race scrubrace transportrace churnrace storagerace test benchsmoke clusterquick
+ci: vet staticcheck lint build race scrubrace transportrace churnrace storagerace test figures benchsmoke clusterquick
 
 clean:
 	$(GO) clean ./...

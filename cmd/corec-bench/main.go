@@ -1,28 +1,39 @@
 // Command corec-bench regenerates the paper's tables and figures against
 // the in-process staging cluster. Each experiment prints the same rows or
 // series the paper reports (see EXPERIMENTS.md for the mapping and the
-// expected shapes); -csv additionally writes machine-readable files for
-// plotting.
+// expected shapes); -csv also writes every table it prints to
+// <dir>/<section>.csv, from the same rows.
 //
 // Usage:
 //
 //	corec-bench -experiment fig2|fig4|fig8|fig9|fig10|fig11|fig12|table1|
 //	            table2|read-penalty|model-validation|all [-quick] [-csv dir]
 //
+// Each sweep runs once per invocation: fig8 and fig9 print the same Fig. 8
+// runs, and table2, fig11 and fig12 the same S3D runs.
+//
 // The repository's gated performance ledger is the staging benchmark in
 // bench/ (see BENCHMARK.json), not this command.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"time"
 
 	"corec/internal/harness"
 )
+
+// allSections is every section in the order -experiment all prints them.
+var allSections = []string{"table1", "fig2", "fig4", "fig8", "fig9", "fig10", "table2", "fig11", "fig12", "read-penalty", "model-validation"}
+
+// withSetup names the experiments that print their setup table first.
+var withSetup = map[string]string{"fig8": "table1", "fig11": "table2", "fig12": "table2"}
 
 func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run: fig2, fig4, fig8, fig9, fig10, fig11, fig12, table1, table2, read-penalty, model-validation, or all")
@@ -44,104 +55,90 @@ func main() {
 	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
-// writeCSV invokes f on a freshly created file in dir (no-op when dir is
-// empty).
-func writeCSV(dir, name string, f func(*os.File) error) error {
-	if dir == "" {
-		return nil
+// sections lists what an experiment prints, in order.
+func sections(experiment string) ([]string, error) {
+	switch {
+	case experiment == "all":
+		return allSections, nil
+	case withSetup[experiment] != "":
+		return []string{withSetup[experiment], experiment}, nil
+	case slices.Contains(allSections, experiment):
+		return []string{experiment}, nil
 	}
-	file, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	if err := f(file); err != nil {
-		return err
-	}
-	fmt.Printf("(csv written to %s)\n", file.Name())
-	return nil
+	return nil, fmt.Errorf("unknown experiment %q", experiment)
 }
 
 func run(experiment string, quick bool, csvDir string) error {
-	var out io.Writer = os.Stdout
-	switch experiment {
+	names, err := sections(experiment)
+	if err != nil {
+		return err
+	}
+	fig8 := sync.OnceValues(func() ([]harness.CaseResult, error) { return harness.RunFig8(quick) })
+	s3d := sync.OnceValues(func() ([]harness.S3DResult, error) { return harness.RunS3D(quick) })
+	for i, name := range names {
+		if i > 0 {
+			fmt.Println()
+		}
+		if experiment == "all" {
+			fmt.Printf("==== %s ====\n", name)
+		}
+		t, err := section(name, quick, fig8, s3d)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		if t == nil {
+			continue
+		}
+		t.WriteText(os.Stdout)
+		if err := writeCSV(csvDir, name, t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// section runs what the named section needs (the Fig. 8 and S3D sweeps
+// through fig8 and s3d, which run once) and returns its table. The two text
+// blocks, Table I and the model validation, it prints itself and returns
+// no table.
+func section(name string, quick bool, fig8 func() ([]harness.CaseResult, error), s3d func() ([]harness.S3DResult, error)) (*harness.Table, error) {
+	switch name {
 	case "table1":
-		fmt.Fprint(out, harness.TableIDescription())
+		fmt.Print(harness.TableIDescription())
+	case "model-validation":
+		v, err := harness.RunModelValidation()
+		if err != nil {
+			return nil, err
+		}
+		harness.WriteModelValidation(os.Stdout, v)
 	case "fig2":
 		edges := []int64{48, 64, 96, 128}
 		if quick {
-			edges = []int64{48, 64}
+			edges = edges[:2]
 		}
 		rows, err := harness.RunFig2(edges)
-		if err != nil {
-			return err
-		}
-		harness.WriteFig2(out, rows)
-		if err := writeCSV(csvDir, "fig2.csv", func(f *os.File) error {
-			return harness.CSVFig2(f, rows)
-		}); err != nil {
-			return err
-		}
+		return harness.Fig2Table(rows), err
 	case "fig4":
 		pts, err := harness.RunFig4()
-		if err != nil {
-			return err
-		}
-		harness.WriteFig4(out, pts)
-		if err := writeCSV(csvDir, "fig4.csv", func(f *os.File) error {
-			return harness.CSVFig4(f, pts, []float64{0, 0.2, 0.4})
-		}); err != nil {
-			return err
-		}
+		return harness.Fig4Table(pts, []float64{0, 0.2, 0.4}), err
 	case "fig8":
-		fmt.Fprint(out, harness.TableIDescription())
-		fmt.Fprintln(out)
-		cases, err := harness.RunFig8(quick)
-		if err != nil {
-			return err
-		}
-		harness.WriteFig8(out, cases)
-		if err := writeCSV(csvDir, "fig8.csv", func(f *os.File) error {
-			return harness.CSVFig8(f, cases)
-		}); err != nil {
-			return err
-		}
+		cases, err := fig8()
+		return harness.Fig8Table(cases), err
 	case "fig9":
-		cases, err := harness.RunFig8(quick)
-		if err != nil {
-			return err
-		}
-		harness.WriteFig9(out, cases)
+		cases, err := fig8()
+		return harness.Fig9Table(cases), err
 	case "fig10":
 		runs, err := harness.RunFig10()
-		if err != nil {
-			return err
-		}
-		harness.WriteFig10(out, runs)
-		if err := writeCSV(csvDir, "fig10.csv", func(f *os.File) error {
-			return harness.CSVFig10(f, runs)
-		}); err != nil {
-			return err
-		}
-	case "fig11", "fig12", "table2":
-		results, err := harness.RunS3D(quick)
-		if err != nil {
-			return err
-		}
-		harness.WriteTableII(out, results)
-		if experiment != "table2" {
-			read := experiment == "fig11"
-			if read {
-				harness.WriteFig11(out, results)
-			} else {
-				harness.WriteFig12(out, results)
-			}
-			if err := writeCSV(csvDir, experiment+".csv", func(f *os.File) error {
-				return harness.CSVS3D(f, results, read)
-			}); err != nil {
-				return err
-			}
-		}
+		return harness.Fig10Table(runs), err
+	case "table2":
+		results, err := s3d()
+		return harness.TableII(results), err
+	case "fig11":
+		results, err := s3d()
+		return harness.Fig11Table(results), err
+	case "fig12":
+		results, err := s3d()
+		return harness.Fig12Table(results), err
 	case "read-penalty":
 		trials := 5
 		if quick {
@@ -149,25 +146,26 @@ func run(experiment string, quick bool, csvDir string) error {
 		}
 		p, err := harness.RunReadPenalty(trials)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		harness.WriteReadPenalty(out, p)
-	case "model-validation":
-		v, err := harness.RunModelValidation()
-		if err != nil {
-			return err
-		}
-		harness.WriteModelValidation(out, v)
-	case "all":
-		for _, e := range []string{"table1", "fig2", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12", "read-penalty", "model-validation"} {
-			fmt.Fprintf(out, "==== %s ====\n", e)
-			if err := run(e, quick, csvDir); err != nil {
-				return fmt.Errorf("%s: %w", e, err)
-			}
-			fmt.Fprintln(out)
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", experiment)
+		return harness.ReadPenaltyTable(p), nil
 	}
+	return nil, nil
+}
+
+// writeCSV writes t to dir/name.csv (nothing when dir is empty).
+func writeCSV(dir, name string, t *harness.Table) error {
+	if dir == "" {
+		return nil
+	}
+	path := filepath.Join(dir, name+".csv")
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := errors.Join(t.WriteCSV(f), f.Close()); err != nil {
+		return err
+	}
+	fmt.Printf("(csv written to %s)\n", path)
 	return nil
 }

@@ -11,54 +11,57 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"corec/internal/harness"
 	"corec/internal/model"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "corec-model: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, prints the curves as CSV to stdout and the model's
+// derived constants to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("corec-model", flag.ExitOnError)
 	p := model.Default()
-	flag.IntVar(&p.NLevel, "nlevel", p.NLevel, "resilience level (replicas / parity count)")
-	flag.IntVar(&p.NNode, "nnode", p.NNode, "data objects per stripe (k)")
-	flag.Float64Var(&p.FHot, "fhot", p.FHot, "hot-object update frequency")
-	flag.Float64Var(&p.FCold, "fcold", p.FCold, "cold-object update frequency")
-	flag.Float64Var(&p.S, "s", p.S, "storage-efficiency constraint S (0 disables)")
-	flag.Float64Var(&p.L, "l", p.L, "per-object transfer latency l")
-	flag.Float64Var(&p.C, "c", p.C, "per-object streaming cost c")
-	flag.Float64Var(&p.Alpha, "alpha", p.Alpha, "encoding computation coefficient")
-	samples := flag.Int("samples", 41, "points along the hot-fraction axis")
-	missFlag := flag.String("miss", "0,0.2,0.4", "comma-separated classifier miss ratios")
-	flag.Parse()
+	fs.IntVar(&p.NLevel, "nlevel", p.NLevel, "resilience level (replicas / parity count)")
+	fs.IntVar(&p.NNode, "nnode", p.NNode, "data objects per stripe (k)")
+	fs.Float64Var(&p.FHot, "fhot", p.FHot, "hot-object update frequency")
+	fs.Float64Var(&p.FCold, "fcold", p.FCold, "cold-object update frequency")
+	fs.Float64Var(&p.S, "s", p.S, "storage-efficiency constraint S (0 disables)")
+	fs.Float64Var(&p.L, "l", p.L, "per-object transfer latency l")
+	fs.Float64Var(&p.C, "c", p.C, "per-object streaming cost c")
+	fs.Float64Var(&p.Alpha, "alpha", p.Alpha, "encoding computation coefficient")
+	samples := fs.Int("samples", 41, "points along the hot-fraction axis")
+	missFlag := fs.String("miss", "0,0.2,0.4", "comma-separated classifier miss ratios")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var missRatios []float64
 	for _, f := range strings.Split(*missFlag, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "corec-model: bad miss ratio %q: %v\n", f, err)
-			os.Exit(1)
+			return fmt.Errorf("bad miss ratio %q: %v", f, err)
 		}
 		missRatios = append(missRatios, v)
 	}
 	pts, err := model.Fig4Curves(p, missRatios, *samples)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "corec-model: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	// CSV header.
-	fmt.Print("p_h,replica,erasure,hybrid")
-	for _, rm := range missRatios {
-		fmt.Printf(",corec_rm%.2g", rm)
+	if err := harness.Fig4Table(pts, missRatios).WriteCSV(stdout); err != nil {
+		return err
 	}
-	fmt.Println()
-	for _, pt := range pts {
-		fmt.Printf("%.4f,%.6f,%.6f,%.6f", pt.Ph, pt.Replica, pt.Erasure, pt.Hybrid)
-		for _, v := range pt.CoREC {
-			fmt.Printf(",%.6f", v)
-		}
-		fmt.Println()
-	}
-	fmt.Fprintf(os.Stderr, "E_r=%.3f E_e=%.3f C_r=%.3f C_e=%.3f P_r(constraint)=%.4f\n",
+	fmt.Fprintf(stderr, "E_r=%.3f E_e=%.3f C_r=%.3f C_e=%.3f P_r(constraint)=%.4f\n",
 		p.Er(), p.Ee(), p.Cr(), p.Ce(), p.PrConstraint())
+	return nil
 }

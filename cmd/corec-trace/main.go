@@ -120,7 +120,7 @@ func replay(args []string) error {
 	if err != nil {
 		return err
 	}
-	harness.WriteSummary(os.Stdout, []*harness.Result{res})
+	harness.SummaryTable([]*harness.Result{res}).WriteText(os.Stdout)
 	return nil
 }
 

@@ -667,12 +667,7 @@ func (c *Cluster) Replace(id ServerID) (*server.Server, error) {
 // EndTimeStep runs end-of-step processing (CoREC classification-driven
 // transitions) on every server. Returns total demotions and promotions.
 func (c *Cluster) EndTimeStep(ts Version) (demoted, promoted int) {
-	c.mu.Lock()
-	servers := make([]*server.Server, 0, len(c.servers))
-	for _, s := range c.servers {
-		servers = append(servers, s)
-	}
-	c.mu.Unlock()
+	servers := c.serversByID()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	for _, s := range servers {
@@ -810,21 +805,14 @@ type StorageReport struct {
 
 // StorageReport computes cluster-wide storage accounting.
 func (c *Cluster) StorageReport() StorageReport {
-	c.mu.Lock()
-	servers := make([]*server.Server, 0, len(c.servers))
-	for _, s := range c.servers {
-		servers = append(servers, s)
-	}
-	c.mu.Unlock()
 	var r StorageReport
-	for _, s := range servers {
-		o, rep, sh := s.StorageUsage()
-		r.ObjectBytes += o
-		r.ReplicaBytes += rep
-		r.ShardBytes += sh
-		nr, ne := s.StateCounts()
-		r.Replicated += nr
-		r.Encoded += ne
+	for _, s := range c.serversByID() {
+		st := s.CollectStats()
+		r.ObjectBytes += st.ObjectBytes
+		r.ReplicaBytes += st.ReplicaBytes
+		r.ShardBytes += st.ShardBytes
+		r.Replicated += st.Replicated
+		r.Encoded += st.Encoded
 	}
 	// Efficiency from the canonical definition: unique data over raw
 	// stored bytes. Encoded objects no longer hold a full copy, so their

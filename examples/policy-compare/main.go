@@ -46,7 +46,7 @@ func main() {
 		}
 		results = append(results, res)
 	}
-	harness.WriteSummary(os.Stdout, results)
-	fmt.Println("\nlower write(ms) at higher eff is better; CoREC should offer the")
+	harness.SummaryTable(results).WriteText(os.Stdout)
+	fmt.Println("\nlower write_ms at higher storage_eff is better; CoREC should offer the")
 	fmt.Println("best write-time/storage-efficiency balance among the resilient policies.")
 }

@@ -305,10 +305,3 @@ func RunS3D(quick bool) ([]S3DResult, error) {
 	}
 	return out, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

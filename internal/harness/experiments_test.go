@@ -49,8 +49,8 @@ func TestRunFig2SmallSweep(t *testing.T) {
 			rows[0].Checkpoint, rows[1].Checkpoint)
 	}
 	var buf bytes.Buffer
-	WriteFig2(&buf, rows)
-	if !strings.Contains(buf.String(), "Exec-CoREC") {
+	Fig2Table(rows).WriteText(&buf)
+	if !strings.Contains(buf.String(), "exec_corec_ms") {
 		t.Fatal("Fig2 formatter broken")
 	}
 }
@@ -102,9 +102,9 @@ func TestRunS3DQuick(t *testing.T) {
 		t.Fatalf("CoREC writes (%v) not faster than erasure (%v)", corecRes.MeanWrite, erasure.MeanWrite)
 	}
 	var buf bytes.Buffer
-	WriteTableII(&buf, results)
-	WriteFig11(&buf, results)
-	WriteFig12(&buf, results)
+	TableII(results).WriteText(&buf)
+	Fig11Table(results).WriteText(&buf)
+	Fig12Table(results).WriteText(&buf)
 	out := buf.String()
 	for _, want := range []string{"Table II", "Figure 11", "Figure 12", "PFS (no staging)"} {
 		if !strings.Contains(out, want) {
@@ -199,7 +199,7 @@ func TestReadPenaltyStudy(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	WriteReadPenalty(&buf, p)
+	ReadPenaltyTable(p).WriteText(&buf)
 	if !strings.Contains(buf.String(), "penalty") {
 		t.Fatal("formatter broken")
 	}

@@ -1,165 +1,210 @@
 package harness
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
 
 	"corec/internal/model"
+	"corec/internal/workload"
 )
 
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond))
+// Table is one table or figure of the evaluation, built once from a run's
+// results. Header holds the CSV's column names, and every cell is formatted
+// when the table is built, so the text and CSV printers show the same rows
+// with the same digits. An empty cell is a value the run did not produce:
+// CSV leaves it empty and text shows "-".
+type Table struct {
+	Title  string
+	Header []string
+	Rows   [][]string
 }
 
-// WriteFig2 renders the checkpoint-overhead table (Figure 2).
-func WriteFig2(w io.Writer, rows []Fig2Row) {
-	fmt.Fprintln(w, "Figure 2: impact of checkpointing on staging-based workflows")
+// WriteText prints the title, then the header and rows aligned in columns.
+func (t *Table) WriteText(w io.Writer) {
+	if t.Title != "" {
+		fmt.Fprintln(w, t.Title)
+	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "staged(MiB)\tExec(ms)\tExec-CoREC(ms)\tExec-check(ms)\tCheckpoint(ms)\tRestart(ms)\t#ckpts\tcheck-overhead")
+	fmt.Fprintln(tw, strings.Join(t.Header, "\t"))
+	for _, row := range t.Rows {
+		for i, cell := range row {
+			if i > 0 {
+				fmt.Fprint(tw, "\t")
+			}
+			if cell == "" {
+				cell = "-"
+			}
+			fmt.Fprint(tw, cell)
+		}
+		fmt.Fprintln(tw)
+	}
+	tw.Flush()
+}
+
+// WriteCSV writes the header row, then the rows.
+func (t *Table) WriteCSV(w io.Writer) error {
+	return csv.NewWriter(w).WriteAll(append([][]string{t.Header}, t.Rows...))
+}
+
+func ms(d time.Duration) string {
+	return num(float64(d)/float64(time.Millisecond), 4)
+}
+
+func num(v float64, prec int) string {
+	return strconv.FormatFloat(v, 'f', prec, 64)
+}
+
+// Fig2Table is the checkpoint-overhead sweep (Figure 2).
+func Fig2Table(rows []Fig2Row) *Table {
+	t := &Table{
+		Title:  "Figure 2: impact of checkpointing on staging-based workflows",
+		Header: []string{"staged_mib", "exec_ms", "exec_corec_ms", "exec_check_ms", "checkpoint_ms", "restart_ms", "checkpoints", "check_overhead_pct"},
+	}
 	for _, r := range rows {
 		overhead := 0.0
 		if r.Exec > 0 {
 			overhead = float64(r.ExecCheck-r.Exec) / float64(r.Exec) * 100
 		}
-		fmt.Fprintf(tw, "%.1f\t%s\t%s\t%s\t%s\t%s\t%d\t%.1f%%\n",
-			r.StagedMiB, ms(r.Exec), ms(r.ExecCoREC), ms(r.ExecCheck),
-			ms(r.Checkpoint), ms(r.Restart), r.NumCkpts, overhead)
+		t.Rows = append(t.Rows, []string{
+			num(r.StagedMiB, 2), ms(r.Exec), ms(r.ExecCoREC), ms(r.ExecCheck),
+			ms(r.Checkpoint), ms(r.Restart), strconv.Itoa(r.NumCkpts), num(overhead, 1),
+		})
 	}
-	tw.Flush()
+	return t
 }
 
-// WriteFig4 renders the analytic-model curves (Figure 4) as a table of
-// relative write cost versus hot-data fraction.
-func WriteFig4(w io.Writer, pts []model.Point) {
-	fmt.Fprintln(w, "Figure 4: analytic relative write cost vs hot-data fraction (RS(4,3))")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "P_h\tC_replica\tC_erasure\tC_hybrid\tCoREC(rm=0)\tCoREC(rm=0.2)\tCoREC(rm=0.4)")
+// Fig4Table is the analytic-model curves (Figure 4): relative write cost
+// versus hot-data fraction, one CoREC column per classifier miss ratio.
+func Fig4Table(pts []model.Point, missRatios []float64) *Table {
+	t := &Table{
+		Title:  "Figure 4: analytic relative write cost vs hot-data fraction (RS(4,3))",
+		Header: []string{"p_h", "replica", "erasure", "hybrid"},
+	}
+	for _, rm := range missRatios {
+		t.Header = append(t.Header, fmt.Sprintf("corec_rm%.2g", rm))
+	}
 	for _, p := range pts {
-		fmt.Fprintf(tw, "%.2f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\n",
-			p.Ph, p.Replica, p.Erasure, p.Hybrid, p.CoREC[0], p.CoREC[1], p.CoREC[2])
+		row := []string{num(p.Ph, 4), num(p.Replica, 6), num(p.Erasure, 6), num(p.Hybrid, 6)}
+		for _, v := range p.CoREC {
+			row = append(row, num(v, 6))
+		}
+		t.Rows = append(t.Rows, row)
 	}
-	tw.Flush()
+	return t
 }
 
-// WriteFig8 renders the per-case mechanism comparison (Figure 8): average
+// Fig8Table is the per-case mechanism comparison (Figure 8): average
 // write/read response time and write efficiency.
-func WriteFig8(w io.Writer, cases []CaseResult) {
-	for _, cr := range cases {
-		fmt.Fprintf(w, "Figure 8, %v:\n", cr.Pattern)
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "mechanism\twrite(ms)\tread(ms)\tstorage-eff\twrite-eff(ms/eff)\tread-errors")
-		for _, r := range cr.Results {
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%.3f\t%.2f\t%d\n",
-				r.Label, ms(r.MeanWrite), ms(r.MeanRead),
-				r.Storage.Efficiency, r.WriteEfficiency, r.ReadErrors)
-		}
-		tw.Flush()
-		fmt.Fprintln(w)
+func Fig8Table(cases []CaseResult) *Table {
+	t := &Table{
+		Title:  "Figure 8: response time and efficiency per case and mechanism",
+		Header: []string{"case", "mechanism", "write_ms", "read_ms", "storage_eff", "write_eff", "read_errors"},
 	}
+	for _, cr := range cases {
+		for _, r := range cr.Results {
+			t.Rows = append(t.Rows, []string{
+				cr.Pattern.String(), r.Label, ms(r.MeanWrite), ms(r.MeanRead),
+				num(r.Storage.Efficiency, 4), num(r.WriteEfficiency, 4), strconv.Itoa(r.ReadErrors),
+			})
+		}
+	}
+	return t
 }
 
-// WriteFig9 renders the execution-time breakdown (Figure 9) for the given
-// case results: transport / metadata / encode / decode / classify.
-func WriteFig9(w io.Writer, cases []CaseResult) {
-	for _, cr := range cases {
-		if strings.Contains(cr.Pattern.String(), "case5") {
-			continue // Figure 9 covers the write cases 1-4
-		}
-		fmt.Fprintf(w, "Figure 9, %v (total phase seconds across servers):\n", cr.Pattern)
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "mechanism\ttransport(ms)\tmetadata(ms)\tencode(ms)\tdecode(ms)\tclassify(ms)")
-		for _, r := range cr.Results {
-			s := r.Snapshot
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n", r.Label,
-				ms(s.PhaseTotal[0]), ms(s.PhaseTotal[1]), ms(s.PhaseTotal[2]),
-				ms(s.PhaseTotal[3]), ms(s.PhaseTotal[4]))
-		}
-		tw.Flush()
-		fmt.Fprintln(w)
+// Fig9Table is the execution-time breakdown (Figure 9) of the write cases
+// 1-4: transport / metadata / encode / decode / classify.
+func Fig9Table(cases []CaseResult) *Table {
+	t := &Table{
+		Title:  "Figure 9: phase time summed across servers, cases 1-4",
+		Header: []string{"case", "mechanism", "transport_ms", "metadata_ms", "encode_ms", "decode_ms", "classify_ms"},
 	}
+	for _, cr := range cases {
+		if cr.Pattern == workload.Case5ReadAll {
+			continue
+		}
+		for _, r := range cr.Results {
+			row := []string{cr.Pattern.String(), r.Label}
+			for _, d := range r.Snapshot.PhaseTotal {
+				row = append(row, ms(d))
+			}
+			t.Rows = append(t.Rows, row)
+		}
+	}
+	return t
 }
 
-// WriteFig10 renders the per-time-step read response series (Figure 10).
-func WriteFig10(w io.Writer, runs []Fig10Run) {
-	fmt.Fprintln(w, "Figure 10: per-time-step read response (ms); failures at TS 4/6, recoveries from TS 8/12")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	header := "TS"
-	for _, r := range runs {
-		header += "\t" + r.Label
+// Fig10Table is the per-time-step read response series (Figure 10), one
+// column per run.
+func Fig10Table(runs []Fig10Run) *Table {
+	t := &Table{
+		Title:  "Figure 10: per-time-step read response (ms); failures at TS 4/6, recoveries from TS 8/12",
+		Header: []string{"ts"},
 	}
-	fmt.Fprintln(tw, header)
 	maxTS := 0
 	for _, r := range runs {
+		t.Header = append(t.Header, r.Label)
 		for _, s := range r.Result.Snapshot.Steps {
-			if int(s.TimeStep) > maxTS {
-				maxTS = int(s.TimeStep)
-			}
+			maxTS = max(maxTS, int(s.TimeStep))
 		}
 	}
 	for ts := 1; ts <= maxTS; ts++ {
-		row := fmt.Sprintf("%d", ts)
+		row := []string{strconv.Itoa(ts)}
 		for _, r := range runs {
-			val := "-"
+			val := ""
 			for _, s := range r.Result.Snapshot.Steps {
 				if int(s.TimeStep) == ts && s.ReadCount > 0 {
 					val = ms(s.MeanRead)
 				}
 			}
-			row += "\t" + val
+			row = append(row, val)
 		}
-		fmt.Fprintln(tw, row)
+		t.Rows = append(t.Rows, row)
 	}
-	tw.Flush()
+	return t
 }
 
-// WriteTableII renders the scaled Table II configuration used by the S3D
-// runs.
-func WriteTableII(w io.Writer, results []S3DResult) {
-	fmt.Fprintln(w, "Table II (scaled): S3D workflow configurations")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scale\twriters\tstaging\treaders\tdomain\tdata/step(MiB)")
+// TableII is the scaled Table II configuration of the S3D runs.
+func TableII(results []S3DResult) *Table {
+	t := &Table{
+		Title:  "Table II (scaled): S3D workflow configurations",
+		Header: []string{"scale", "writers", "staging", "readers", "domain", "data_mib"},
+	}
 	for _, sr := range results {
 		sc := sr.Scale
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%dx%dx%d\t%.1f\n",
-			sc.Name, sc.Writers, sc.Staging, sc.Readers,
-			sc.Domain.Size(0), sc.Domain.Size(1), sc.Domain.Size(2),
-			float64(sc.Domain.Volume()*8)/(1<<20))
+		t.Rows = append(t.Rows, []string{
+			sc.Name, strconv.Itoa(sc.Writers), strconv.Itoa(sc.Staging), strconv.Itoa(sc.Readers),
+			fmt.Sprintf("%dx%dx%d", sc.Domain.Size(0), sc.Domain.Size(1), sc.Domain.Size(2)),
+			num(float64(sc.Domain.Volume()*8)/(1<<20), 1),
+		})
 	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	return t
 }
 
-// WriteFig11 renders the cumulative read response comparison (Figure 11).
-func WriteFig11(w io.Writer, results []S3DResult) {
-	fmt.Fprintln(w, "Figure 11: cumulative read response time (s) per reader rank, S3D workflow")
-	writeS3DTable(w, results, true)
+// Fig11Table is the cumulative read response comparison (Figure 11).
+func Fig11Table(results []S3DResult) *Table {
+	return s3dTable("Figure 11: cumulative read response time (s) per reader rank, S3D workflow", results, true)
 }
 
-// WriteFig12 renders the cumulative write response comparison (Figure 12).
-func WriteFig12(w io.Writer, results []S3DResult) {
-	fmt.Fprintln(w, "Figure 12: cumulative write response time (s) per writer rank, S3D workflow")
-	writeS3DTable(w, results, false)
+// Fig12Table is the cumulative write response comparison (Figure 12).
+func Fig12Table(results []S3DResult) *Table {
+	return s3dTable("Figure 12: cumulative write response time (s) per writer rank, S3D workflow", results, false)
 }
 
-func writeS3DTable(w io.Writer, results []S3DResult, read bool) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	header := "mechanism"
-	for _, sr := range results {
-		header += "\t" + sr.Scale.Name
-	}
-	fmt.Fprintln(tw, header)
-	if len(results) == 0 {
-		tw.Flush()
-		return
-	}
-	// Mechanism lists can differ per scale (e.g. +2f variants are skipped
-	// where only one coding group exists); key rows by label.
+// s3dTable is one row per mechanism and one column per scale. Mechanism
+// lists can differ per scale (the +2f variants are skipped where only one
+// coding group exists), so rows are keyed by label and a mechanism a scale
+// did not run is an empty cell.
+func s3dTable(title string, results []S3DResult, read bool) *Table {
+	t := &Table{Title: title, Header: []string{"mechanism"}}
 	var labels []string
 	seen := make(map[string]bool)
 	for _, sr := range results {
+		t.Header = append(t.Header, sr.Scale.Name)
 		for _, r := range sr.Results {
 			if !seen[r.Label] {
 				seen[r.Label] = true
@@ -168,76 +213,49 @@ func writeS3DTable(w io.Writer, results []S3DResult, read bool) {
 		}
 	}
 	for _, label := range labels {
-		row := label
+		row := []string{label}
 		for _, sr := range results {
-			var r *Result
-			for _, cand := range sr.Results {
-				if cand.Label == label {
-					r = cand
-					break
+			cell := ""
+			for _, r := range sr.Results {
+				if r.Label != label {
+					continue
 				}
+				total := r.Snapshot.WriteTotal
+				if read {
+					total = r.Snapshot.ReadTotal
+				}
+				cell = num((total / time.Duration(countRanks(r, read))).Seconds(), 6)
 			}
-			if r == nil {
-				row += "\t-"
-				continue
-			}
-			var cum time.Duration
-			if read {
-				cum = time.Duration(float64(r.Snapshot.ReadTotal) / float64(maxI64(1, countRanks(r, true))))
-			} else {
-				cum = time.Duration(float64(r.Snapshot.WriteTotal) / float64(maxI64(1, countRanks(r, false))))
-			}
-			row += fmt.Sprintf("\t%.3f", cum.Seconds())
+			row = append(row, cell)
 		}
-		fmt.Fprintln(tw, row)
+		t.Rows = append(t.Rows, row)
 	}
-	tw.Flush()
-	fmt.Fprintln(w)
+	return t
 }
 
-// countRanks estimates the number of parallel ranks from per-step counts so
-// cumulative time is "per rank" rather than summed across all ranks.
+// countRanks estimates the number of parallel ranks as the most reads (or
+// writes) any one step saw, so cumulative time is per rank rather than
+// summed across all ranks. It is at least 1.
 func countRanks(r *Result, read bool) int64 {
-	var maxPerStep int64
-	steps := int64(0)
+	ranks := int64(1)
 	for _, s := range r.Snapshot.Steps {
 		c := s.WriteCount
 		if read {
 			c = s.ReadCount
 		}
-		if c > maxPerStep {
-			maxPerStep = c
-		}
-		if c > 0 {
-			steps++
-		}
+		ranks = max(ranks, c)
 	}
-	if steps == 0 {
-		return 1
-	}
-	// Total ops / steps with ops = ops per step; treat each op as one rank
-	// slot. Normalizing by ops-per-step yields per-rank cumulative time.
-	if read {
-		return maxPerStep
-	}
-	return maxPerStep
+	return ranks
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// WriteSummary renders a one-line-per-result overview.
-func WriteSummary(w io.Writer, results []*Result) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "label\twrite(ms)\tread(ms)\teff\telapsed\tdemote\tpromote\treadErr")
+// SummaryTable is a one-row-per-result overview.
+func SummaryTable(results []*Result) *Table {
+	t := &Table{Header: []string{"label", "write_ms", "read_ms", "storage_eff", "elapsed_ms", "demotions", "promotions", "read_errors"}}
 	for _, r := range results {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%.3f\t%v\t%d\t%d\t%d\n",
-			r.Label, ms(r.MeanWrite), ms(r.MeanRead), r.Storage.Efficiency,
-			r.Elapsed.Round(time.Millisecond), r.Demotions, r.Promotions, r.ReadErrors)
+		t.Rows = append(t.Rows, []string{
+			r.Label, ms(r.MeanWrite), ms(r.MeanRead), num(r.Storage.Efficiency, 4), ms(r.Elapsed),
+			strconv.Itoa(r.Demotions), strconv.Itoa(r.Promotions), strconv.Itoa(r.ReadErrors),
+		})
 	}
-	tw.Flush()
+	return t
 }

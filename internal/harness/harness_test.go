@@ -144,9 +144,9 @@ func TestRunFig4AndFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	WriteFig4(&buf, pts)
+	Fig4Table(pts, []float64{0, 0.2, 0.4}).WriteText(&buf)
 	out := buf.String()
-	if !strings.Contains(out, "C_replica") || !strings.Contains(out, "CoREC(rm=0.4)") {
+	if !strings.Contains(out, "replica") || !strings.Contains(out, "corec_rm0.4") {
 		t.Fatalf("Fig4 output malformed:\n%s", out)
 	}
 	if len(strings.Split(strings.TrimSpace(out), "\n")) < 22 {
@@ -161,11 +161,11 @@ func TestFormatters(t *testing.T) {
 	}
 	cr := []CaseResult{{Pattern: workload.Case1WriteAll, Results: []*Result{res}}}
 	var buf bytes.Buffer
-	WriteFig8(&buf, cr)
-	WriteFig9(&buf, cr)
-	WriteSummary(&buf, []*Result{res})
+	Fig8Table(cr).WriteText(&buf)
+	Fig9Table(cr).WriteText(&buf)
+	SummaryTable([]*Result{res}).WriteText(&buf)
 	out := buf.String()
-	for _, want := range []string{"Figure 8", "Figure 9", "transport(ms)", "write-eff"} {
+	for _, want := range []string{"Figure 8", "Figure 9", "transport_ms", "write_eff", "elapsed_ms"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("formatter output missing %q:\n%s", want, out)
 		}
@@ -193,7 +193,7 @@ func TestFig10SeriesShape(t *testing.T) {
 		t.Fatalf("read series covers %d steps, want 10", reads)
 	}
 	var buf bytes.Buffer
-	WriteFig10(&buf, []Fig10Run{{Label: "x", Result: res}})
+	Fig10Table([]Fig10Run{{Label: "x", Result: res}}).WriteText(&buf)
 	if !strings.Contains(buf.String(), "Figure 10") {
 		t.Fatal("Fig10 formatter broken")
 	}

@@ -2,8 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
+	"strconv"
 	"time"
 
 	"corec"
@@ -103,14 +102,15 @@ func RunReadPenalty(trials int) (*ReadPenalty, error) {
 	return out, nil
 }
 
-// WriteReadPenalty renders the study.
-func WriteReadPenalty(w io.Writer, p *ReadPenalty) {
-	fmt.Fprintln(w, "Case-5 read penalties vs failure-free CoREC (paper: degraded +4.1%/+23.4%, lazy +2.4%/+8.4%)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scenario\tread(ms)\tpenalty\treadErr")
-	fmt.Fprintf(tw, "failure-free\t%s\t-\t0\n", ms(p.Baseline))
-	for _, r := range p.Rows {
-		fmt.Fprintf(tw, "%s\t%s\t%+.1f%%\t%d\n", r.Label, ms(r.MeanRead), r.PenaltyPct, r.ReadErrors)
+// ReadPenaltyTable is the study's table, the failure-free baseline first.
+func ReadPenaltyTable(p *ReadPenalty) *Table {
+	t := &Table{
+		Title:  "Case-5 read penalties vs failure-free CoREC (paper: degraded +4.1%/+23.4%, lazy +2.4%/+8.4%)",
+		Header: []string{"scenario", "read_ms", "penalty_pct", "read_errors"},
+		Rows:   [][]string{{"failure-free", ms(p.Baseline), "", "0"}},
 	}
-	tw.Flush()
+	for _, r := range p.Rows {
+		t.Rows = append(t.Rows, []string{r.Label, ms(r.MeanRead), fmt.Sprintf("%+.1f", r.PenaltyPct), strconv.Itoa(r.ReadErrors)})
+	}
+	return t
 }

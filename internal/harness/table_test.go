@@ -24,7 +24,7 @@ func TestCSVFig2(t *testing.T) {
 	rows := []Fig2Row{{StagedMiB: 2, Exec: time.Millisecond, ExecCoREC: 2 * time.Millisecond,
 		ExecCheck: 3 * time.Millisecond, Checkpoint: time.Millisecond, Restart: time.Millisecond, NumCkpts: 13}}
 	var buf bytes.Buffer
-	if err := CSVFig2(&buf, rows); err != nil {
+	if err := Fig2Table(rows).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got := parseCSV(t, &buf)
@@ -39,7 +39,7 @@ func TestCSVFig4(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := CSVFig4(&buf, pts, []float64{0, 0.2, 0.4}); err != nil {
+	if err := Fig4Table(pts, []float64{0, 0.2, 0.4}).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got := parseCSV(t, &buf)
@@ -57,14 +57,14 @@ func TestCSVFig8AndFig10(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := CSVFig8(&buf, []CaseResult{{Pattern: workload.Case5ReadAll, Results: []*Result{res}}}); err != nil {
+	if err := Fig8Table([]CaseResult{{Pattern: workload.Case5ReadAll, Results: []*Result{res}}}).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := parseCSV(t, &buf); len(got) != 2 || got[1][1] == "" {
 		t.Fatalf("fig8 CSV = %v", got)
 	}
 	buf.Reset()
-	if err := CSVFig10(&buf, []Fig10Run{{Label: "x", Result: res}}); err != nil {
+	if err := Fig10Table([]Fig10Run{{Label: "x", Result: res}}).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := parseCSV(t, &buf); len(got) < 2 {
@@ -79,7 +79,7 @@ func TestCSVS3D(t *testing.T) {
 	}
 	sr := []S3DResult{{Scale: workload.TableIIScales(16)[0], Results: []*Result{res}}}
 	var buf bytes.Buffer
-	if err := CSVS3D(&buf, sr, true); err != nil {
+	if err := Fig11Table(sr).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got := parseCSV(t, &buf)

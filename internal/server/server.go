@@ -762,29 +762,6 @@ func (s *Server) efficiencyLocked() float64 {
 	return s.cfg.Policy.MixedEfficiency(s.dataRepl, s.dataEnc)
 }
 
-// Efficiency returns the server's current storage efficiency over its
-// primary objects.
-func (s *Server) Efficiency() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.efficiencyLocked()
-}
-
-// StateCounts returns the number of primary objects by resilience state.
-func (s *Server) StateCounts() (replicated, encoded int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, st := range s.local {
-		switch st.state {
-		case types.StateReplicated:
-			replicated++
-		case types.StateEncoded:
-			encoded++
-		}
-	}
-	return
-}
-
 func shardKey(id types.StripeID, index int) string {
 	return fmt.Sprintf("%d#%d/%d", id.Group, id.Seq, index)
 }

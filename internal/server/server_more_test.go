@@ -395,13 +395,13 @@ func TestHandoffRefusedOnceALaterRecordIsPublished(t *testing.T) {
 	if handoff(acted.Seq) {
 		t.Fatal("a handoff acting on the superseded record was accepted")
 	}
-	if _, enc := srv.StateCounts(); enc != 1 || holds() != 4 {
+	if enc := srv.CollectStats().Encoded; enc != 1 || holds() != 4 {
 		t.Fatalf("the refused handoff left %d encoded objects and %d of 4 shards", enc, holds())
 	}
 	if !handoff(now.Seq) {
 		t.Fatal("a handoff acting on the current record was refused")
 	}
-	if _, enc := srv.StateCounts(); enc != 0 || holds() != 3 || srv.HasShard(now.Stripe, 0) {
+	if enc := srv.CollectStats().Encoded; enc != 0 || holds() != 3 || srv.HasShard(now.Stripe, 0) {
 		t.Fatalf("the accepted handoff left %d encoded objects and %d of the 3 kept shards", enc, holds())
 	}
 }

@@ -198,12 +198,12 @@ func TestEfficiencyAccounting(t *testing.T) {
 	box := geometry.Box3D(0, 0, 0, 8, 8, 8)
 	primary := rig.put(t, "v", box, 1, payload(1000, 5))
 	srv := rig.servers[primary]
-	if eff := srv.Efficiency(); eff != 0.5 {
-		t.Fatalf("replicated efficiency = %v, want 0.5", eff)
+	st := srv.CollectStats()
+	if st.Efficiency != 0.5 {
+		t.Fatalf("replicated efficiency = %v, want 0.5", st.Efficiency)
 	}
-	nr, ne := srv.StateCounts()
-	if nr != 1 || ne != 0 {
-		t.Fatalf("state counts = %d/%d", nr, ne)
+	if st.Replicated != 1 || st.Encoded != 0 {
+		t.Fatalf("state counts = %d/%d", st.Replicated, st.Encoded)
 	}
 }
 

@@ -284,23 +284,16 @@ func (c *Cluster) FabricStatus() FabricStatus {
 			st.Encoding.DecodeCacheMisses += cs.Misses
 		}
 	}
-	c.mu.Lock()
-	for _, s := range c.servers {
+	servers := c.serversByID()
+	for _, s := range servers {
 		if cs, ok := s.DecodeCacheStats(); ok {
 			st.Encoding.DecodeCacheHits += cs.Hits
 			st.Encoding.DecodeCacheMisses += cs.Misses
 		}
 	}
-	c.mu.Unlock()
 	if c.cfg.Storage != nil {
 		ss := &st.Storage
 		ss.Enabled = true
-		c.mu.Lock()
-		servers := make([]*server.Server, 0, len(c.servers))
-		for _, s := range c.servers {
-			servers = append(servers, s)
-		}
-		c.mu.Unlock()
 		for _, s := range servers {
 			es := s.StorageStats()
 			ss.MemObjects += es.MemObjects

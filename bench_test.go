@@ -52,7 +52,7 @@ func runBench(b *testing.B, opts harness.Options) {
 // Figure 2: staged data periodically written to the simulated PFS.
 func BenchmarkFig2Checkpoint(b *testing.B) {
 	opts := benchOptions(corec.PolicyNone, workload.Case1WriteAll)
-	opts.CheckpointPeriod = time.Nanosecond
+	opts.Checkpoints = opts.TimeSteps
 	opts.PFS = simnet.PFSModel{OpenLatency: 200 * time.Microsecond, BytesPerSecond: 1 << 30}
 	runBench(b, opts)
 }

@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"corec/internal/checkpoint"
 	"corec/internal/classifier"
 	"corec/internal/erasure"
 	"corec/internal/failure"
@@ -212,19 +211,8 @@ type Config struct {
 // DefaultConfig returns a CoREC cluster configuration over n servers
 // matching the paper's Table I parameters (RS(3+1), 1 replica, S = 67%).
 func DefaultConfig(n int) Config {
-	return Config{
-		Servers:              n,
-		Mode:                 PolicyCoREC,
-		NLevel:               1,
-		DataShards:           3,
-		StorageEfficiencyMin: 0.67,
-		Domain:               Box3D(0, 0, 0, 256, 256, 256),
-		RecoveryMode:         RecoveryLazy,
-		MTBF:                 40 * time.Second,
-		MaxObjectBytes:       4 << 20,
-		ElemSize:             8,
-		HelperLoadDelta:      2,
-	}
+	cfg := Config{Servers: n, Mode: PolicyCoREC, StorageEfficiencyMin: 0.67}
+	return cfg.withDefaults()
 }
 
 func (c *Config) withDefaults() Config {
@@ -249,6 +237,9 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.HelperLoadDelta == 0 {
 		out.HelperLoadDelta = 2
+	}
+	if out.ListenHost == "" {
+		out.ListenHost = "127.0.0.1"
 	}
 	return out
 }
@@ -301,11 +292,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	case "", "inproc":
 		net = transport.NewInProc(cfg.Link)
 	case "tcp":
-		host := cfg.ListenHost
-		if host == "" {
-			host = "127.0.0.1"
-		}
-		tn := transport.NewTCPNetwork(host)
+		tn := transport.NewTCPNetwork(cfg.ListenHost)
 		tn.ConfigureMux(cfg.MuxConnsPerPeer, 0)
 		tn.SetPortBase(cfg.PortBase)
 		net = tn
@@ -394,13 +381,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// before any local server starts, so gossip bootstrap views and the
 		// first placed writes can reach the whole fleet immediately.
 		tn := c.tcpNet()
-		host := cfg.ListenHost
-		if host == "" {
-			host = "127.0.0.1"
-		}
 		for i := 0; i < cfg.Servers; i++ {
 			if id := types.ServerID(i); !local[id] {
-				tn.AddRemote(id, fmt.Sprintf("%s:%d", host, cfg.PortBase+i))
+				tn.AddRemote(id, fmt.Sprintf("%s:%d", cfg.ListenHost, cfg.PortBase+i))
 			}
 		}
 	}
@@ -419,10 +402,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 }
 
 func (c *Cluster) startServer(id types.ServerID) (*server.Server, error) {
-	cc := c.cfg.Classifier
-	if cc.Window == 0 && cc.HotThreshold == 0 {
-		cc = classifier.DefaultConfig(c.cfg.Domain)
-	}
 	var storeCfg *storage.Config
 	var ns string
 	if c.cfg.Storage != nil {
@@ -446,7 +425,7 @@ func (c *Cluster) startServer(id types.ServerID) (*server.Server, error) {
 		RecoveryMode:     c.cfg.RecoveryMode,
 		MTBF:             c.cfg.MTBF,
 		HelperLoadDelta:  c.cfg.HelperLoadDelta,
-		ClassifierConfig: cc,
+		ClassifierConfig: c.cfg.Classifier,
 		Storage:          storeCfg,
 		RemoteStore:      c.remote,
 		StorageNS:        ns,
@@ -612,11 +591,7 @@ func NewRemoteCluster(cfg Config, addrs map[ServerID]string) (*Cluster, error) {
 	if cfg.Servers == 0 {
 		return nil, fmt.Errorf("corec: no server addresses")
 	}
-	host := cfg.ListenHost
-	if host == "" {
-		host = "127.0.0.1"
-	}
-	net := transport.NewTCPNetwork(host)
+	net := transport.NewTCPNetwork(cfg.ListenHost)
 	net.ConfigureMux(cfg.MuxConnsPerPeer, 0)
 	for id, addr := range addrs {
 		net.AddRemote(types.ServerID(id), addr)
@@ -855,32 +830,6 @@ func (c *Cluster) serversByID() []*server.Server {
 	}
 	c.mu.Unlock()
 	return servers
-}
-
-// DirtyServerBytes serializes only the servers whose staged data may have
-// changed since the marks of a previous call (satisfies
-// checkpoint.IncrementalSnapshotter): a server whose incarnation appears in
-// prev with an unchanged mutation sequence yields a nil stream. The
-// mutation sequence is read before serializing, so a write racing the
-// capture can only make the next checkpoint conservatively re-serialize,
-// never skip a changed server.
-func (c *Cluster) DirtyServerBytes(prev []checkpoint.Mark) ([][]byte, []checkpoint.Mark) {
-	prevSeq := make(map[uint64]uint64, len(prev))
-	for _, m := range prev {
-		prevSeq[m.Incarnation] = m.Seq
-	}
-	servers := c.serversByID()
-	streams := make([][]byte, len(servers))
-	marks := make([]checkpoint.Mark, len(servers))
-	for i, s := range servers {
-		m := checkpoint.Mark{Incarnation: s.Incarnation(), Seq: s.MutationSeq()}
-		marks[i] = m
-		if seq, ok := prevSeq[m.Incarnation]; ok && seq == m.Seq {
-			continue // clean since the previous checkpoint: stream elided
-		}
-		streams[i] = s.SerializeStore()
-	}
-	return streams, marks
 }
 
 // Close shuts down every server.

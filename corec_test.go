@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +31,29 @@ func regionData(t testing.TB, box Box, elem int, seed int64) []byte {
 	buf := make([]byte, int(box.Volume())*elem)
 	rand.New(rand.NewSource(seed)).Read(buf)
 	return buf
+}
+
+// TestDefaultConfigPinned pins what DefaultConfig returns, the base the
+// staging benchmark builds its fleets from: the paper's Table I values, and
+// the listen host every empty ListenHost resolves to.
+func TestDefaultConfigPinned(t *testing.T) {
+	want := Config{
+		Servers:              8,
+		Mode:                 PolicyCoREC,
+		NLevel:               1,
+		DataShards:           3,
+		StorageEfficiencyMin: 0.67,
+		Domain:               Box3D(0, 0, 0, 256, 256, 256),
+		RecoveryMode:         RecoveryLazy,
+		MTBF:                 40 * time.Second,
+		MaxObjectBytes:       4 << 20,
+		ElemSize:             8,
+		HelperLoadDelta:      2,
+		ListenHost:           "127.0.0.1",
+	}
+	if got := DefaultConfig(8); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DefaultConfig(8) = %+v, want %+v", got, want)
+	}
 }
 
 func TestPutGetRoundTripAllPolicies(t *testing.T) {

@@ -47,8 +47,7 @@ func main() {
 	checked := base
 	checked.Label = "checkpoint/restart"
 	checked.Mode = corec.PolicyNone
-	checked.CheckpointPeriod = rPlain.Elapsed / 13 // the paper's ~4s cadence
-	checked.MaxCheckpoints = 13
+	checked.Checkpoints = 13 // the paper's 4 s cadence over a 20-step run
 	checked.PFS = simnet.PFSModel{OpenLatency: 2 * time.Millisecond, BytesPerSecond: 256 << 20}
 	rCheck, err := harness.Run(checked)
 	if err != nil {
@@ -64,12 +63,12 @@ func main() {
 	}
 
 	fmt.Printf("%-22s total %8v  (baseline)\n", rPlain.Label, rPlain.Elapsed.Round(time.Millisecond))
-	fmt.Printf("%-22s total %8v  (+%.0f%%: %d checkpoints cost %v, restart would cost %v,\n",
+	fmt.Printf("%-22s total %8v  (%+.0f%%: %d checkpoints cost %v, restart would cost %v,\n",
 		rCheck.Label, rCheck.Elapsed.Round(time.Millisecond),
 		pct(rCheck.Elapsed, rPlain.Elapsed), rCheck.Checkpoints,
 		rCheck.CheckpointTime.Round(time.Millisecond), rCheck.RestartTime.Round(time.Millisecond))
 	fmt.Printf("%-22s %8s  and a failure rolls every component back)\n", "", "")
-	fmt.Printf("%-22s total %8v  (+%.0f%%: redundancy is online; failures are served\n",
+	fmt.Printf("%-22s total %8v  (%+.0f%%: redundancy is online; failures are served\n",
 		rCoREC.Label, rCoREC.Elapsed.Round(time.Millisecond), pct(rCoREC.Elapsed, rPlain.Elapsed))
 	fmt.Printf("%-22s %8s  in degraded mode with zero lost work)\n", "", "")
 }

@@ -25,29 +25,7 @@ type Snapshotter interface {
 	ServerBytes() [][]byte
 }
 
-// Mark identifies one server stream and its change sequence: Incarnation
-// pins the server instance (a replacement server gets a fresh one) and Seq
-// counts payload mutations it has applied. Two equal marks mean the
-// server's staged data cannot have changed between them.
-type Mark struct {
-	Incarnation uint64
-	Seq         uint64
-}
-
-// IncrementalSnapshotter is implemented by sources that can tell which
-// servers changed since a previous capture and serialize only those —
-// *corec.Cluster implements it over per-server mutation counters. Sources
-// that only implement Snapshotter get full captures every time.
-type IncrementalSnapshotter interface {
-	Snapshotter
-	// DirtyServerBytes serializes the staged data of servers whose mark
-	// differs from every entry of prev; a server whose (incarnation, seq)
-	// pair appears in prev yields a nil stream instead. Returns the streams
-	// and the marks they were captured at, index-aligned.
-	DirtyServerBytes(prev []Mark) ([][]byte, []Mark)
-}
-
-// Checkpointer periodically captures all staged data to the simulated PFS.
+// Checkpointer captures all staged data to the simulated PFS.
 type Checkpointer struct {
 	pfs simnet.PFSModel
 
@@ -55,8 +33,6 @@ type Checkpointer struct {
 	checkpoints  int
 	totalBytes   int64
 	lastSnapshot [][]byte
-	lastMarks    []Mark // per-stream marks of lastSnapshot (incremental sources)
-	skipped      int64  // clean server streams elided across all checkpoints
 	totalTime    time.Duration
 }
 
@@ -65,97 +41,20 @@ func New(pfs simnet.PFSModel) *Checkpointer {
 	return &Checkpointer{pfs: pfs}
 }
 
-// Checkpoint captures the current staged data. The call blocks for the
-// modelled PFS write time of the largest per-server stream (servers write
-// concurrently, sharing aggregate bandwidth), mirroring a blocking
-// coordinated checkpoint of the staging service.
-//
-// When the source implements IncrementalSnapshotter, only servers whose
-// mark moved since the previous checkpoint serialize and pay PFS time;
-// clean servers' streams are carried over from the last snapshot, so a
-// quiescent service checkpoints in (near) zero modelled time and bytes.
+// Checkpoint serializes every live server's staged data and blocks for the
+// modelled PFS write time (see charge), mirroring a blocking coordinated
+// checkpoint of the staging service.
 func (c *Checkpointer) Checkpoint(src Snapshotter) time.Duration {
-	if inc, ok := src.(IncrementalSnapshotter); ok {
-		return c.checkpointIncremental(inc)
-	}
-	streams := src.ServerBytes()
-	writers := len(streams)
-	var total int64
-	var maxStream int
-	for _, s := range streams {
-		total += int64(len(s))
-		if len(s) > maxStream {
-			maxStream = len(s)
-		}
-	}
-	d := c.pfs.WriteDelay(maxStream, writers)
+	snap := clone(src.ServerBytes())
+	d, total := c.charge(snap)
 	time.Sleep(d)
 
 	c.mu.Lock()
 	c.checkpoints++
 	c.totalBytes += total
-	c.lastSnapshot = make([][]byte, len(streams))
-	for i, s := range streams {
-		c.lastSnapshot[i] = append([]byte(nil), s...)
-	}
-	c.lastMarks = nil
-	c.totalTime += d
-	c.mu.Unlock()
-	return d
-}
-
-// checkpointIncremental captures only dirty streams, merging clean servers'
-// bytes forward from the previous snapshot by incarnation.
-func (c *Checkpointer) checkpointIncremental(src IncrementalSnapshotter) time.Duration {
-	c.mu.Lock()
-	prevMarks := append([]Mark(nil), c.lastMarks...)
-	c.mu.Unlock()
-	streams, marks := src.DirtyServerBytes(prevMarks)
-
-	// Only the dirty streams hit the PFS; clean ones were already there.
-	writers := 0
-	var written int64
-	var maxStream int
-	for _, s := range streams {
-		if s == nil {
-			continue
-		}
-		writers++
-		written += int64(len(s))
-		if len(s) > maxStream {
-			maxStream = len(s)
-		}
-	}
-	var d time.Duration
-	if writers > 0 {
-		d = c.pfs.WriteDelay(maxStream, writers)
-		time.Sleep(d)
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Index the previous snapshot by incarnation so clean streams can be
-	// carried forward even if the fleet's ordering shifted.
-	prevByInc := make(map[uint64][]byte, len(c.lastMarks))
-	for i, m := range c.lastMarks {
-		if i < len(c.lastSnapshot) {
-			prevByInc[m.Incarnation] = c.lastSnapshot[i]
-		}
-	}
-	snap := make([][]byte, len(streams))
-	for i, s := range streams {
-		if s != nil {
-			snap[i] = append([]byte(nil), s...)
-			continue
-		}
-		c.skipped++
-		snap[i] = prevByInc[marks[i].Incarnation]
-	}
-	c.checkpoints++
-	c.totalBytes += written
 	c.lastSnapshot = snap
-	c.lastMarks = append([]Mark(nil), marks...)
 	c.totalTime += d
+	c.mu.Unlock()
 	return d
 }
 
@@ -170,71 +69,38 @@ func (c *Checkpointer) Restart() (time.Duration, [][]byte, error) {
 	if snap == nil {
 		return 0, nil, fmt.Errorf("checkpoint: no checkpoint taken yet")
 	}
-	var maxStream int
-	for _, s := range snap {
-		if len(s) > maxStream {
-			maxStream = len(s)
-		}
-	}
-	d := c.pfs.ReadDelay(maxStream, len(snap))
+	d, _ := c.charge(snap)
 	time.Sleep(d)
-	restored := make([][]byte, len(snap))
-	for i, s := range snap {
-		restored[i] = append([]byte(nil), s...)
-	}
 	c.mu.Lock()
 	c.totalTime += d
 	c.mu.Unlock()
-	return d, restored, nil
+	return d, clone(snap), nil
 }
 
 // Stats reports checkpoints taken, total bytes written, and cumulative
-// modelled PFS time. With an incremental source, bytes counts only what
-// was actually (re)written — clean streams carried forward are free.
+// modelled PFS time.
 func (c *Checkpointer) Stats() (count int, bytes int64, total time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.checkpoints, c.totalBytes, c.totalTime
 }
 
-// SkippedStreams reports how many per-server streams were elided as clean
-// across all incremental checkpoints.
-func (c *Checkpointer) SkippedStreams() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.skipped
-}
-
-// Runner drives periodic checkpointing alongside a workload: call Tick
-// with the elapsed workflow time and it checkpoints when the period has
-// passed (the paper checkpoints every 4 seconds, which yields 12-13
-// checkpoints per 20-step run).
-type Runner struct {
-	cp       *Checkpointer
-	period   time.Duration
-	lastTime time.Duration
-	// MaxCheckpoints caps the number of checkpoints (0 = unlimited). The
-	// harness sets it to the paper's cadence so slow PFS models do not
-	// self-feed into ever more checkpoints.
-	MaxCheckpoints int
-	fired          int
-}
-
-// NewRunner builds a periodic runner.
-func NewRunner(cp *Checkpointer, period time.Duration) *Runner {
-	return &Runner{cp: cp, period: period}
-}
-
-// Tick checkpoints when a full period elapsed since the previous
-// checkpoint. Returns the checkpoint duration (zero if none fired).
-func (r *Runner) Tick(elapsed time.Duration, src Snapshotter) time.Duration {
-	if r.MaxCheckpoints > 0 && r.fired >= r.MaxCheckpoints {
-		return 0
+// charge is the modelled time to move streams through the PFS, and their
+// byte total: one open, then every byte through the aggregate bandwidth.
+// The servers share that bandwidth fairly, so the last one finishes when
+// all bytes are through; an empty stream adds nothing.
+func (c *Checkpointer) charge(streams [][]byte) (time.Duration, int64) {
+	var total int64
+	for _, s := range streams {
+		total += int64(len(s))
 	}
-	if elapsed-r.lastTime < r.period {
-		return 0
+	return c.pfs.WriteDelay(int(total), 1), total
+}
+
+func clone(streams [][]byte) [][]byte {
+	out := make([][]byte, len(streams))
+	for i, s := range streams {
+		out[i] = append([]byte(nil), s...)
 	}
-	r.lastTime = elapsed
-	r.fired++
-	return r.cp.Checkpoint(src)
+	return out
 }

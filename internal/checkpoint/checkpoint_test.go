@@ -29,8 +29,8 @@ func TestCheckpointRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd <= 0 {
-		t.Fatal("restart took no modelled time")
+	if rd != d {
+		t.Fatalf("restart took %v, the checkpoint it reads %v", rd, d)
 	}
 	if !bytes.Equal(restored[0], []byte("server0")) || !bytes.Equal(restored[1], []byte("server1-data")) {
 		t.Fatalf("restored = %q", restored)
@@ -68,126 +68,18 @@ func TestCheckpointCostGrowsWithData(t *testing.T) {
 	}
 }
 
-// fakeIncSnap implements IncrementalSnapshotter over explicit marks.
-type fakeIncSnap struct {
-	streams [][]byte
-	marks   []Mark
-	// serialized counts how many streams each DirtyServerBytes call
-	// actually produced, for asserting clean servers cost nothing.
-	serialized int
-}
-
-func (f *fakeIncSnap) ServerBytes() [][]byte { return f.streams }
-
-func (f *fakeIncSnap) DirtyServerBytes(prev []Mark) ([][]byte, []Mark) {
-	prevSeq := make(map[uint64]uint64, len(prev))
-	for _, m := range prev {
-		prevSeq[m.Incarnation] = m.Seq
+// TestChargeCountsBytesNotWriters pins the PFS charge: the servers share
+// the aggregate bandwidth, so the checkpoint ends when every byte is
+// through, and a server with nothing staged adds no time.
+func TestChargeCountsBytesNotWriters(t *testing.T) {
+	pfs := simnet.PFSModel{OpenLatency: time.Millisecond, BytesPerSecond: 1 << 20}
+	const s = 64 << 10
+	split := New(pfs).Checkpoint(&fakeSnap{streams: [][]byte{make([]byte, s), nil, make([]byte, s), nil}})
+	whole := New(pfs).Checkpoint(&fakeSnap{streams: [][]byte{make([]byte, 2*s)}})
+	if split != whole {
+		t.Fatalf("streams {s,0,s,0} cost %v, {2s} cost %v", split, whole)
 	}
-	out := make([][]byte, len(f.streams))
-	f.serialized = 0
-	for i, s := range f.streams {
-		m := f.marks[i]
-		if seq, ok := prevSeq[m.Incarnation]; ok && seq == m.Seq {
-			continue
-		}
-		out[i] = s
-		f.serialized++
-	}
-	return out, append([]Mark(nil), f.marks...)
-}
-
-func TestIncrementalSkipsCleanServers(t *testing.T) {
-	cp := New(fastPFS())
-	src := &fakeIncSnap{
-		streams: [][]byte{[]byte("server0-aaaa"), []byte("server1-bbbb")},
-		marks:   []Mark{{Incarnation: 1, Seq: 5}, {Incarnation: 2, Seq: 9}},
-	}
-	cp.Checkpoint(src)
-	if src.serialized != 2 {
-		t.Fatalf("first checkpoint serialized %d streams, want 2", src.serialized)
-	}
-	_, bytesAfterFirst, _ := cp.Stats()
-	if bytesAfterFirst != 24 {
-		t.Fatalf("first checkpoint wrote %d bytes, want 24", bytesAfterFirst)
-	}
-
-	// No mutations: the second checkpoint writes zero bytes.
-	cp.Checkpoint(src)
-	if src.serialized != 0 {
-		t.Fatalf("quiescent checkpoint serialized %d streams, want 0", src.serialized)
-	}
-	count, bytesAfterSecond, _ := cp.Stats()
-	if count != 2 || bytesAfterSecond != bytesAfterFirst {
-		t.Fatalf("quiescent checkpoint wrote %d bytes (was %d)", bytesAfterSecond, bytesAfterFirst)
-	}
-	if cp.SkippedStreams() != 2 {
-		t.Fatalf("skipped = %d, want 2", cp.SkippedStreams())
-	}
-
-	// One server mutates; only it is rewritten, and restart still returns
-	// both streams — the clean one carried forward from the first capture.
-	src.streams[1] = []byte("server1-cccc")
-	src.marks[1].Seq++
-	cp.Checkpoint(src)
-	if src.serialized != 1 {
-		t.Fatalf("dirty checkpoint serialized %d streams, want 1", src.serialized)
-	}
-	_, bytesAfterThird, _ := cp.Stats()
-	if got := bytesAfterThird - bytesAfterSecond; got != 12 {
-		t.Fatalf("dirty checkpoint wrote %d bytes, want 12", got)
-	}
-	_, restored, err := cp.Restart()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(restored[0], []byte("server0-aaaa")) || !bytes.Equal(restored[1], []byte("server1-cccc")) {
-		t.Fatalf("restored = %q", restored)
-	}
-}
-
-// TestIncrementalReplacementRewrites pins the incarnation rule: a replaced
-// server (fresh incarnation, even with the same seq) must re-serialize.
-func TestIncrementalReplacementRewrites(t *testing.T) {
-	cp := New(fastPFS())
-	src := &fakeIncSnap{
-		streams: [][]byte{[]byte("gen1")},
-		marks:   []Mark{{Incarnation: 7, Seq: 0}},
-	}
-	cp.Checkpoint(src)
-	src.streams[0] = []byte("gen2")
-	src.marks[0] = Mark{Incarnation: 8, Seq: 0}
-	cp.Checkpoint(src)
-	if src.serialized != 1 {
-		t.Fatal("replacement server's stream was elided")
-	}
-	_, restored, err := cp.Restart()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(restored[0], []byte("gen2")) {
-		t.Fatalf("restored = %q", restored[0])
-	}
-}
-
-func TestRunnerPeriodic(t *testing.T) {
-	cp := New(fastPFS())
-	r := NewRunner(cp, 4*time.Second)
-	src := &fakeSnap{streams: [][]byte{[]byte("x")}}
-	if d := r.Tick(time.Second, src); d != 0 {
-		t.Fatal("checkpoint fired before period")
-	}
-	if d := r.Tick(4*time.Second, src); d == 0 {
-		t.Fatal("checkpoint did not fire at period")
-	}
-	if d := r.Tick(5*time.Second, src); d != 0 {
-		t.Fatal("checkpoint re-fired within period")
-	}
-	if d := r.Tick(8*time.Second, src); d == 0 {
-		t.Fatal("second period missed")
-	}
-	count, _, _ := cp.Stats()
-	if count != 2 {
-		t.Fatalf("checkpoints = %d, want 2", count)
+	if want := time.Millisecond + 125*time.Millisecond; whole != want {
+		t.Fatalf("128 KiB at 1 MiB/s cost %v, want %v", whole, want)
 	}
 }

@@ -128,6 +128,10 @@ type Fig2Row struct {
 	NumCkpts   int
 }
 
+// paperCheckpoints is Figure 2's cadence: the paper checkpoints every 4 s,
+// 13 times over a 20-step run.
+const paperCheckpoints = 13
+
 // RunFig2 sweeps the staged data size (cubic domains of the given edge
 // sizes) and measures the three execution modes. The workflow is the
 // paper's checkpointing scenario: data staged once, then read by the
@@ -164,13 +168,7 @@ func RunFig2(edges []int64) ([]Fig2Row, error) {
 		checked := base
 		checked.Label = "Exec-check"
 		checked.Mode = corec.PolicyNone
-		// The paper checkpoints every 4 s, yielding 12-13 checkpoints per
-		// run; scale the period to this run's measured duration.
-		checked.CheckpointPeriod = rPlain.Elapsed / 13
-		if checked.CheckpointPeriod <= 0 {
-			checked.CheckpointPeriod = time.Nanosecond
-		}
-		checked.MaxCheckpoints = 13
+		checked.Checkpoints = paperCheckpoints
 		checked.PFS = simnet.PFSModel{OpenLatency: 2 * time.Millisecond, BytesPerSecond: 256 << 20}
 		rCheck, err := Run(checked)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"corec"
 	"corec/internal/classifier"
@@ -25,20 +26,21 @@ func TestRunFig2SmallSweep(t *testing.T) {
 		if r.Exec <= 0 || r.ExecCoREC <= 0 || r.ExecCheck <= 0 {
 			t.Fatalf("missing timings: %+v", r)
 		}
-		if r.NumCkpts == 0 || r.Checkpoint <= 0 {
-			t.Fatalf("checkpointing inactive: %+v", r)
+		if r.NumCkpts != paperCheckpoints || r.Restart <= 0 {
+			t.Fatalf("want %d checkpoints and a restart: %+v", paperCheckpoints, r)
 		}
-		if r.Restart <= 0 {
-			t.Fatalf("restart not measured: %+v", r)
+		// Every checkpoint writes the whole staged set, which a restart
+		// reads back once.
+		slack := time.Duration(r.NumCkpts) * time.Microsecond
+		if d := r.Checkpoint - time.Duration(r.NumCkpts)*r.Restart; d < -slack || d > slack {
+			t.Fatalf("%d checkpoints cost %v, restart %v", r.NumCkpts, r.Checkpoint, r.Restart)
 		}
 		// The core Figure 2 claim is that checkpointed execution carries the
-		// checkpoint cost on top of plain execution. At this sweep's tiny
-		// sizes the checkpoint cost (~ms) is below scheduler noise in the
-		// wall-clock totals, so a strict ExecCheck > Exec comparison flakes
-		// on loaded machines; the noise-proof form of the claim is that the
-		// checkpoint component itself was measured (asserted above) and that
-		// the checkpointed total is not implausibly cheaper than plain
-		// execution.
+		// checkpoint cost on top of plain execution. The checkpoint cost is
+		// modelled and asserted exactly above; the wall-clock totals are one
+		// cold run each, so a strict ExecCheck > Exec comparison can flake
+		// on loaded machines, and only an implausibly cheap checkpointed
+		// total is rejected.
 		if r.ExecCheck*2 < r.Exec {
 			t.Fatalf("checkpointed run implausibly cheap: %+v", r)
 		}

@@ -81,12 +81,10 @@ type Options struct {
 	ElemSize int
 	// Seed drives workload and policy randomness.
 	Seed int64
-	// CheckpointPeriod, when positive, attaches the Checkpoint/Restart
-	// baseline: the staged data is checkpointed to the simulated PFS at
-	// this period of workflow time (Figure 2).
-	CheckpointPeriod time.Duration
-	// MaxCheckpoints caps the number of checkpoints (0 = unlimited).
-	MaxCheckpoints int
+	// Checkpoints, when positive, attaches the Checkpoint/Restart baseline:
+	// the run checkpoints the staged data to the simulated PFS this many
+	// times, spread evenly over its time steps (Figure 2).
+	Checkpoints int
 	// PFS is the parallel-file-system model for checkpointing and the PFS
 	// I/O baseline.
 	PFS simnet.PFSModel
@@ -267,12 +265,9 @@ func execute(opts Options, wl *workload.Workload) (*Result, error) {
 	var recWG sync.WaitGroup
 	adapter := &clusterAdapter{c: cluster, mode: recMode, wg: &recWG}
 
-	var cpRunner *checkpoint.Runner
 	var cp *checkpoint.Checkpointer
-	if opts.CheckpointPeriod > 0 {
+	if opts.Checkpoints > 0 {
 		cp = checkpoint.New(opts.PFS)
-		cpRunner = checkpoint.NewRunner(cp, opts.CheckpointPeriod)
-		cpRunner.MaxCheckpoints = opts.MaxCheckpoints
 	}
 
 	res := &Result{Label: opts.Label}
@@ -281,7 +276,7 @@ func execute(opts Options, wl *workload.Workload) (*Result, error) {
 	start := time.Now()
 
 	var demoted, promoted int
-	for _, step := range wl.Steps {
+	for i, step := range wl.Steps {
 		if sched != nil {
 			sched.Advance(step.TS, adapter)
 		}
@@ -290,8 +285,12 @@ func execute(opts Options, wl *workload.Workload) (*Result, error) {
 		d, p := cluster.EndTimeStep(step.TS)
 		demoted += d
 		promoted += p
-		if cpRunner != nil {
-			cpRunner.Tick(time.Since(start), cluster)
+		if cp != nil {
+			// After step i the run has taken (i+1)*Checkpoints/steps.
+			n := len(wl.Steps)
+			for due := (i+1)*opts.Checkpoints/n - i*opts.Checkpoints/n; due > 0; due-- {
+				cp.Checkpoint(cluster)
+			}
 		}
 	}
 	recWG.Wait()
@@ -468,7 +467,7 @@ func RunPFSBaseline(opts Options) (*Result, error) {
 					defer rg.Done()
 					size := int(piece.Volume()) * opts.ElemSize
 					t0 := time.Now()
-					time.Sleep(opts.PFS.ReadDelay(size, opts.Readers))
+					time.Sleep(opts.PFS.WriteDelay(size, opts.Readers))
 					col.RecordRead(int64(step.TS), time.Since(t0))
 				}(piece)
 			}

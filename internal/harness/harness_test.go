@@ -78,7 +78,7 @@ func TestRunLazyRecoveryScenario(t *testing.T) {
 
 func TestRunWithCheckpointBaseline(t *testing.T) {
 	opts := smallOptions(corec.PolicyNone, workload.Case1WriteAll)
-	opts.CheckpointPeriod = time.Nanosecond
+	opts.Checkpoints = opts.TimeSteps
 	opts.PFS = simnet.PFSModel{OpenLatency: 100 * time.Microsecond, BytesPerSecond: 1 << 30}
 	res, err := Run(opts)
 	if err != nil {
@@ -89,6 +89,28 @@ func TestRunWithCheckpointBaseline(t *testing.T) {
 	}
 	if res.RestartTime <= 0 {
 		t.Fatal("restart cost not measured")
+	}
+}
+
+// TestRunSpreadsCheckpointCount pins the cadence rule: a run takes exactly
+// Checkpoints checkpoints over its time steps, fewer than one per step or
+// one per step, and on a stage-once workload each costs one restart.
+func TestRunSpreadsCheckpointCount(t *testing.T) {
+	for _, n := range []int{13, 20} {
+		opts := smallOptions(corec.PolicyNone, workload.Case5ReadAll)
+		opts.TimeSteps = 20
+		opts.Checkpoints = n
+		opts.PFS = simnet.PFSModel{OpenLatency: 100 * time.Microsecond, BytesPerSecond: 1 << 30}
+		res, err := Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Checkpoints != n {
+			t.Fatalf("Checkpoints %d over 20 steps took %d", n, res.Checkpoints)
+		}
+		if d := res.CheckpointTime - time.Duration(n)*res.RestartTime; d < -time.Duration(n)*time.Microsecond || d > time.Duration(n)*time.Microsecond {
+			t.Fatalf("%d checkpoints cost %v, restart %v", n, res.CheckpointTime, res.RestartTime)
+		}
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 
 // Detrand enforces determinism in the packages whose outputs the chaos and
 // scrub tests replay byte-for-byte: placement decisions, policy
-// transitions, classification, erasure geometry, failure schedules and
-// workload generation must be pure functions of their seeds. Global
+// transitions, classification, erasure geometry, failure schedules,
+// workload generation and the checkpoint and fabric cost models must be
+// pure functions of their seeds. Global
 // math/rand functions draw from a process-wide source, wall-clock seeding
 // makes runs unreproducible, and raw time.Now() smuggles real time into
 // simulated time — all three have caused "works on my machine" chaos
@@ -33,6 +34,7 @@ type Detrand struct {
 // behavior must be a pure function of injected seeds and clocks.
 var deterministicPkgs = []string{
 	"placement", "policy", "classifier", "erasure", "geometry", "failure", "workload",
+	"checkpoint", "simnet",
 }
 
 // detrandAllowed are the constructors of injected generators.

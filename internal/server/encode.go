@@ -138,7 +138,6 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, sum uint64
 	// identity check above (the engine never takes s.mu back).
 	s.store.PutTagged(sk, kept, shardEpoch(obj.Version))
 	s.mu.Unlock()
-	s.mutations.Add(1)
 	if sum == 0 {
 		sum = s.digest(obj.Data)
 	}

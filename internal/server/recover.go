@@ -255,7 +255,6 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta, 
 	if !ok {
 		return false, nil
 	}
-	s.mutations.Add(1)
 	if iAmPrimary {
 		// The surviving copy may be of another version than the record names.
 		mine := *meta
@@ -350,7 +349,6 @@ func (s *Server) restoreShard(ctx context.Context, info *types.StripeInfo, index
 	}
 	s.holdShardLocked(info.ID, index, sum, info)
 	s.store.PutTagged(shardKey(info.ID, index), shards[index], shardEpoch(v))
-	s.mutations.Add(1)
 	return true, nil
 }
 

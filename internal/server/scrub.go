@@ -512,7 +512,6 @@ func (s *Server) InjectBitRot(rng *rand.Rand, target failure.RotTarget, count in
 		}
 		events = append(events, failure.BitRotEvent{Server: s.id, Category: c.cat, Key: c.key, Offset: off, Bit: bit})
 	}
-	s.mutations.Add(uint64(len(events)))
 	return events
 }
 

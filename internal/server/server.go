@@ -54,7 +54,7 @@ type Config struct {
 	// disables delegation.
 	HelperLoadDelta int64
 	// ClassifierConfig tunes the CoREC classifier (used when Policy.Mode is
-	// CoREC). Zero value gets sane defaults applied.
+	// CoREC). The zero value takes classifier.DefaultConfig over Domain.
 	ClassifierConfig classifier.Config
 	// Storage tunes the tiered engine holding erasure shards (write-cold
 	// data). Nil or a zero value keeps the pre-tiering behaviour: an
@@ -121,11 +121,6 @@ type Server struct {
 	// digestMsg). A field only so a test can count the passes a put makes
 	// over its payload, by polynomial.
 	digestFn func(data []byte, crc32c uint32, verified bool) uint64
-
-	// mutations counts payload-mutating operations (puts, deletes, shard
-	// and replica installs/drops, repairs). Checkpointing snapshots only
-	// servers whose count moved since the last checkpoint.
-	mutations atomic.Uint64
 
 	mu sync.Mutex
 	// objects holds full primary copies keyed by object key.
@@ -250,7 +245,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Policy.Mode == policy.CoREC {
 		cc := cfg.ClassifierConfig
 		if cc.HotThreshold == 0 && cc.Window == 0 {
-			cc = classifier.DefaultConfig(cc.Domain)
+			cc = classifier.DefaultConfig(cfg.Domain)
 		}
 		cls = classifier.New(cc)
 	}
@@ -663,13 +658,10 @@ func (s *Server) WaitStorageIdle() {
 	s.store.WaitIdle()
 }
 
-// MutationSeq returns the count of payload-mutating operations applied to
-// this server — the incremental checkpointer's dirty test.
-func (s *Server) MutationSeq() uint64 { return s.mutations.Load() }
-
 // Incarnation distinguishes this server instance from a predecessor or
-// replacement reusing its logical ID, so cached per-server checkpoint
-// state never survives a Replace.
+// replacement reusing its logical ID: the encoding-token lease records its
+// holder's incarnation, so a replacement's acquire takes over a token its
+// predecessor died holding.
 func (s *Server) Incarnation() uint64 { return s.incarnation }
 
 // nextMetaSeq mints a directory-update sequence number: a hybrid logical

@@ -36,7 +36,6 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 	defer lk.Unlock()
 
 	// Install the object and capture prior state for transition handling.
-	s.mutations.Add(1)
 	s.mu.Lock()
 	prior, existed := s.local[key]
 	var priorState types.ResilienceState
@@ -251,7 +250,6 @@ func (s *Server) handleDelete(ctx context.Context, req *transport.Message) *tran
 	if !known {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	s.mutations.Add(1)
 	s.dropStripe(ctx, pendingDrop)
 	if st.state == types.StateEncoded {
 		s.dropStripe(ctx, st.layout)
@@ -423,7 +421,6 @@ func (s *Server) handleReplicaPut(req *transport.Message) *transport.Message {
 	s.replicas[key] = &types.Object{ID: id, Version: req.Version, Data: req.Data}
 	s.replicaSums[key] = sum
 	s.mu.Unlock()
-	s.mutations.Add(1)
 	return transport.Ok()
 }
 
@@ -431,16 +428,11 @@ func (s *Server) handleReplicaDrop(req *transport.Message) *transport.Message {
 	s.mu.Lock()
 	// A versioned drop only removes replicas at or below that version, so
 	// a slow encode task can never discard a newer write's replica.
-	dropped := false
 	if rep, ok := s.replicas[req.Key]; ok && (req.Version == 0 || rep.Version <= req.Version) {
 		delete(s.replicas, req.Key)
 		delete(s.replicaSums, req.Key)
-		dropped = true
 	}
 	s.mu.Unlock()
-	if dropped {
-		s.mutations.Add(1)
-	}
 	return transport.Ok()
 }
 
@@ -453,7 +445,6 @@ func (s *Server) handleShardPut(req *transport.Message) *transport.Message {
 	// The version doubles as the shard's time-step tag, feeding the
 	// engine's sequential-step prefetch detection; 0 means untagged.
 	s.store.PutTagged(sk, req.Data, shardEpoch(req.Version))
-	s.mutations.Add(1)
 	return transport.Ok()
 }
 
@@ -492,7 +483,6 @@ func (s *Server) handleShardDrop(req *transport.Message) *transport.Message {
 	}
 	s.mu.Unlock()
 	s.store.Delete(sk)
-	s.mutations.Add(1)
 	return transport.Ok()
 }
 

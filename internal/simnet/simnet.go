@@ -61,12 +61,11 @@ type PFSModel struct {
 	OpenLatency time.Duration
 	// BytesPerSecond is the aggregate PFS bandwidth shared by all servers.
 	BytesPerSecond float64
-	// Scale multiplies the final delay; zero means 1.
-	Scale float64
 }
 
-// WriteDelay returns the modelled time for one checkpoint write of size
-// bytes at the given concurrency (writers sharing the aggregate bandwidth).
+// WriteDelay returns the modelled time for one transfer of size bytes to or
+// from the PFS at the given concurrency (transfers sharing the aggregate
+// bandwidth).
 func (p PFSModel) WriteDelay(size int, writers int) time.Duration {
 	if writers < 1 {
 		writers = 1
@@ -76,24 +75,5 @@ func (p PFSModel) WriteDelay(size int, writers int) time.Duration {
 		per := p.BytesPerSecond / float64(writers)
 		d += time.Duration(float64(size) / per * float64(time.Second))
 	}
-	if p.Scale > 0 {
-		d = time.Duration(float64(d) * p.Scale)
-	}
 	return d
-}
-
-// ReadDelay returns the modelled time to read size bytes back during a
-// restart; reads see the same shared bandwidth as writes.
-func (p PFSModel) ReadDelay(size int, readers int) time.Duration {
-	return p.WriteDelay(size, readers)
-}
-
-// Lustre returns a PFS model loosely calibrated to a Lustre scratch system
-// as seen by a handful of staging servers (far slower than the fabric).
-func Lustre(scale float64) PFSModel {
-	return PFSModel{
-		OpenLatency:    5 * time.Millisecond,
-		BytesPerSecond: 1 << 30, // 1 GiB/s aggregate
-		Scale:          scale,
-	}
 }

@@ -35,6 +35,7 @@ import (
 	"strconv"
 
 	"corec"
+	"corec/internal/policy"
 )
 
 func main() {
@@ -63,8 +64,8 @@ func main() {
 	cfg.DataShards = *k
 	cfg.ElemSize = 1 // byte-addressed 1-D staging for the CLI
 	cfg.MuxConnsPerPeer = *muxConns
-	if m, err := parseMode(*modeName); err == nil {
-		cfg.Mode = m
+	if cfg.Mode, err = policy.ParseMode(*modeName); err != nil {
+		fatal(err)
 	}
 	if *elastic {
 		cfg.Membership = &corec.MembershipConfig{}
@@ -164,6 +165,9 @@ func main() {
 			fmt.Printf("server %d: load=%d objects=%d replicas=%d shards=%d dir=%d eff=%.2f pendingEnc=%d pendingRepair=%d\n",
 				s.ID, st.Load, st.Objects, st.Replicas, st.Shards, st.DirEntries,
 				st.Efficiency, st.PendingEncodes, st.PendingRepairs)
+			fmt.Printf("  scrub: passes=%d scanned=%d corruptions=%d repairs=%d  tiers: mem=%d disk=%d remote=%d\n",
+				st.ScrubPasses, st.Scrub.Scanned, st.Scrub.Corruptions, st.Scrub.Repairs,
+				st.Storage.MemObjects, st.Storage.DiskObjects, st.Storage.RemoteObjects)
 		}
 		// This process's own fabric view: what the poll above cost, which
 		// peers its retry layer now fails fast against, how many of its
@@ -175,22 +179,6 @@ func main() {
 	default:
 		usage()
 	}
-}
-
-func parseMode(s string) (corec.Mode, error) {
-	switch s {
-	case "none":
-		return corec.PolicyNone, nil
-	case "replicate":
-		return corec.PolicyReplicate, nil
-	case "erasure":
-		return corec.PolicyErasure, nil
-	case "hybrid":
-		return corec.PolicyHybrid, nil
-	case "corec":
-		return corec.PolicyCoREC, nil
-	}
-	return corec.PolicyNone, fmt.Errorf("unknown mode %q", s)
 }
 
 func usage() {

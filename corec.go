@@ -76,8 +76,6 @@ type (
 	StorageConfig = storage.Config
 	// RemoteStoreConfig models the shared L3 remote object store.
 	RemoteStoreConfig = storage.RemoteConfig
-	// StorageStats is one server's tiered-engine snapshot.
-	StorageStats = storage.Stats
 	// StorageRestoreReport is what a restarted server's disk scan found.
 	StorageRestoreReport = storage.RestoreReport
 )
@@ -110,7 +108,9 @@ func Box3D(x0, y0, z0, x1, y1, z1 int64) Box { return geometry.Box3D(x0, y0, z0,
 type Config struct {
 	// Servers is the number of staging servers (> 0).
 	Servers int
-	// Mode selects the resilience policy. Default PolicyCoREC.
+	// Mode selects the resilience policy. The zero value is PolicyNone:
+	// staged data has no redundancy. DefaultConfig, the paper's Table I
+	// configuration, sets PolicyCoREC.
 	Mode Mode
 	// NLevel is the number of simultaneous server failures to tolerate
 	// (replica count and parity count). Default 1.
@@ -120,8 +120,8 @@ type Config struct {
 	// DataShards+NLevel and NLevel+1 must both divide Servers (an elastic
 	// fleet places on its ring and has no such constraint). Default 3.
 	DataShards int
-	// StorageEfficiencyMin is the paper's constraint S (0 disables).
-	// Default 0.67 (Table I).
+	// StorageEfficiencyMin is the paper's constraint S. The zero value
+	// disables it; DefaultConfig sets Table I's 0.67.
 	StorageEfficiencyMin float64
 	// Domain bounds the staged data space; used by the classifier's
 	// spatial rule. Default 256^3.

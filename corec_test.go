@@ -56,6 +56,22 @@ func TestDefaultConfigPinned(t *testing.T) {
 	}
 }
 
+// TestZeroConfigStagesWithoutRedundancy pins what a Config literal that
+// names only Servers runs with: no redundancy and S disabled. Only
+// DefaultConfig picks Table I's CoREC; a change to this default is one to
+// make on purpose.
+func TestZeroConfigStagesWithoutRedundancy(t *testing.T) {
+	c, err := NewCluster(Config{Servers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := c.Config(); got.Mode != PolicyNone || got.StorageEfficiencyMin != 0 {
+		t.Fatalf("NewCluster(Config{Servers: 8}) runs Mode %v, S %v; want %v, 0",
+			got.Mode, got.StorageEfficiencyMin, PolicyNone)
+	}
+}
+
 func TestPutGetRoundTripAllPolicies(t *testing.T) {
 	for _, mode := range []Mode{PolicyNone, PolicyReplicate, PolicyErasure, PolicyHybrid, PolicyCoREC} {
 		mode := mode

@@ -78,12 +78,7 @@ func (e *elasticState) tally(rep *RebalanceReport) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.passes++
-	t := &e.rebalanced
-	t.DirRehomed += rep.DirRehomed
-	t.Moved += rep.Moved
-	t.Repaired += rep.Repaired
-	t.Handoffs += rep.Handoffs
-	t.BytesMoved += rep.BytesMoved
+	e.rebalanced.Add(*rep)
 }
 
 func newElasticState(cfg MembershipConfig) *elasticState {

@@ -75,35 +75,12 @@ const (
 	// them (no record at the floor, a piece missing, unreachable) and went on
 	// to the directory.
 	PrimaryMissCount
-	// ScrubScanCount tallies locally stored items (primary copies,
-	// replicas, shards) whose bytes a scrub pass verified.
-	ScrubScanCount
-	// ScrubByteCount tallies payload bytes read by scrub passes (local
-	// verifies plus fetched copies and shards).
-	ScrubByteCount
-	// ScrubCorruptionCount tallies items whose stored bytes failed their
-	// recorded checksum (at-rest rot detected by the scrubber).
-	ScrubCorruptionCount
-	// ScrubRepairCount tallies corrupt or divergent items the scrubber
-	// restored from a healthy copy or by stripe reconstruction.
-	ScrubRepairCount
-	// ScrubReencodeCount tallies stripe shards the scrubber re-materialized
-	// onto members that had lost them (under-protected stripes).
-	ScrubReencodeCount
-	// ScrubBackfillCount tallies checksums computed and recorded for
-	// records that predate scrubbing (first-pass backfill).
-	ScrubBackfillCount
-	// ScrubSkipCount tallies scrub checks abandoned because a peer was
-	// unreachable (a dead server is recovery's job, not corruption).
-	ScrubSkipCount
 	numCounters
 )
 
 var counterNames = [...]string{
 	"retries", "failovers", "corrupt_frames", "faults", "mirror_repairs", "dir_fallbacks", "dir_second_asks",
 	"primary_reads", "primary_misses",
-	"scrub_scans", "scrub_bytes", "scrub_corruptions", "scrub_repairs",
-	"scrub_reencodes", "scrub_backfills", "scrub_skips",
 }
 
 // String implements fmt.Stringer.

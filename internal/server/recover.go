@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"corec/internal/matrix"
 	"corec/internal/metrics"
 	"corec/internal/reader"
 	"corec/internal/recovery"
@@ -14,15 +13,6 @@ import (
 	"corec/internal/transport"
 	"corec/internal/types"
 )
-
-// DecodeCacheStats reports the decode-matrix cache counters of this server's
-// codec. ok is false when the server is not erasure-coding.
-func (s *Server) DecodeCacheStats() (stats matrix.CacheStats, ok bool) {
-	if s.codec == nil {
-		return matrix.CacheStats{}, false
-	}
-	return s.codec.DecodeCacheStats()
-}
 
 // others returns ids without this server: the holders to ask for a piece
 // this server is missing.

@@ -140,18 +140,10 @@ func (s *Server) scrubPass(ctx context.Context, cfg scrub.Config, depth scrub.De
 		err = s.scrubStripes(ctx, bucket, &rep)
 	}
 	s.scrubPasses.Add(1)
-	s.recordScrub(rep)
+	s.scrubMu.Lock()
+	s.scrubTotal.Add(rep)
+	s.scrubMu.Unlock()
 	return rep, err
-}
-
-func (s *Server) recordScrub(r scrub.Report) {
-	s.col.AddCounter(metrics.ScrubScanCount, r.Scanned)
-	s.col.AddCounter(metrics.ScrubByteCount, r.Bytes)
-	s.col.AddCounter(metrics.ScrubCorruptionCount, r.Corruptions)
-	s.col.AddCounter(metrics.ScrubRepairCount, r.Repairs)
-	s.col.AddCounter(metrics.ScrubReencodeCount, r.Reencodes)
-	s.col.AddCounter(metrics.ScrubBackfillCount, r.Backfills)
-	s.col.AddCounter(metrics.ScrubSkipCount, r.Skipped)
 }
 
 // scrubTally charges a restore's reads to the pass: every payload fetched pays

@@ -177,13 +177,15 @@ type Server struct {
 	pendingDrops map[string]*types.StripeInfo
 
 	// Anti-entropy scrubber state (see scrub.go). scrubOn gates the
-	// verified-read check on the foreground get path without a lock.
+	// verified-read check on the foreground get path without a lock;
+	// scrubTotal sums every finished pass's report.
 	scrubMu     sync.Mutex
 	scrubCfg    *scrub.Config
 	scrubStop   chan struct{}
 	scrubDone   chan struct{}
 	scrubOn     atomic.Bool
 	scrubPasses atomic.Int64
+	scrubTotal  scrub.Report
 }
 
 // heldStripe records the locally held shards of one stripe.
@@ -638,11 +640,6 @@ func (s *Server) HasReplica(key string) bool {
 // storage tier.
 func (s *Server) HasShard(id types.StripeID, index int) bool {
 	return s.store.Has(shardKey(id, index))
-}
-
-// StorageStats snapshots the tiered storage engine's gauges and counters.
-func (s *Server) StorageStats() storage.Stats {
-	return s.store.Stats()
 }
 
 // StorageRestore reports what the engine's open-time disk scan found —

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 
+	"corec/internal/scrub"
 	"corec/internal/storage"
 	"corec/internal/transport"
 	"corec/internal/types"
@@ -34,8 +35,11 @@ type Stats struct {
 	PendingEncodes int `json:"pending_encodes"`
 	// PendingRepairs is the recovery queue length (0 when not recovering).
 	PendingRepairs int `json:"pending_repairs"`
-	// ScrubPasses is the number of completed anti-entropy scrub passes.
-	ScrubPasses int64 `json:"scrub_passes"`
+	// ScrubPasses is the number of completed anti-entropy scrub passes;
+	// Scrub sums their reports. Both live with this server instance: a
+	// killed server's tallies leave with it, and its replacement starts at 0.
+	ScrubPasses int64        `json:"scrub_passes"`
+	Scrub       scrub.Report `json:"scrub"`
 	// EncodeWorkers is the erasure engine's range-parallelism bound
 	// (0 when the server is not erasure-coding).
 	EncodeWorkers int `json:"encode_workers,omitempty"`
@@ -85,6 +89,9 @@ func (s *Server) CollectStats() Stats {
 	st.Storage = s.store.Stats()
 	st.Load = s.Load()
 	st.ScrubPasses = s.ScrubPasses()
+	s.scrubMu.Lock()
+	st.Scrub = s.scrubTotal
+	s.scrubMu.Unlock()
 	s.encMu.Lock()
 	st.PendingEncodes = len(s.encPending)
 	s.encMu.Unlock()

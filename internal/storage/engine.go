@@ -78,7 +78,7 @@ type Stats struct {
 	DiskObjects   int
 	RemoteObjects int
 	MemBytes      int64
-	DiskLiveBytes int64
+	DiskBytes     int64 // live record bytes, not segment file sizes
 	DiskDeadBytes int64
 	RemoteBytes   int64
 
@@ -102,6 +102,33 @@ type Stats struct {
 	RestoredRecords    int64
 	QuarantinedRecords int64
 	TruncatedTails     int64
+}
+
+// Add sums o into s, field by field: the fleet-wide view of many engines.
+func (s *Stats) Add(o Stats) {
+	s.MemObjects += o.MemObjects
+	s.DiskObjects += o.DiskObjects
+	s.RemoteObjects += o.RemoteObjects
+	s.MemBytes += o.MemBytes
+	s.DiskBytes += o.DiskBytes
+	s.DiskDeadBytes += o.DiskDeadBytes
+	s.RemoteBytes += o.RemoteBytes
+	s.Spills += o.Spills
+	s.Evictions += o.Evictions
+	s.Uploads += o.Uploads
+	s.ColdReads += o.ColdReads
+	s.DiskReads += o.DiskReads
+	s.RemoteReads += o.RemoteReads
+	s.PrefetchIssued += o.PrefetchIssued
+	s.PrefetchHits += o.PrefetchHits
+	s.PrefetchDropped += o.PrefetchDropped
+	s.BackpressureStalls += o.BackpressureStalls
+	s.Compactions += o.Compactions
+	s.DiskErrors += o.DiskErrors
+	s.RemoteFaults += o.RemoteFaults
+	s.RestoredRecords += o.RestoredRecords
+	s.QuarantinedRecords += o.QuarantinedRecords
+	s.TruncatedTails += o.TruncatedTails
 }
 
 const tierNone Tier = -1
@@ -703,7 +730,7 @@ func (t *Tiered) Stats() Stats {
 	st.MemBytes = t.memBytes
 	t.mu.Unlock()
 	if t.disk != nil {
-		st.DiskLiveBytes, st.DiskDeadBytes = t.disk.bytes()
+		st.DiskBytes, st.DiskDeadBytes = t.disk.bytes()
 	}
 	st.Spills = t.ctSpills.Load()
 	st.Evictions = t.ctEvictions.Load()

@@ -36,6 +36,19 @@ type RebalanceReport struct {
 	BytesMoved int64
 }
 
+// Add sums o's tallies into r and keeps the newer epoch.
+func (r *RebalanceReport) Add(o RebalanceReport) {
+	r.Epoch = max(r.Epoch, o.Epoch)
+	r.Records += o.Records
+	r.DirRehomed += o.DirRehomed
+	r.Moved += o.Moved
+	r.Repaired += o.Repaired
+	r.Handoffs += o.Handoffs
+	r.Skipped += o.Skipped
+	r.Errors += o.Errors
+	r.BytesMoved += o.BytesMoved
+}
+
 // Rebalance runs one paced pass over the whole directory: it re-homes
 // directory records to their current ring shard groups, then edits every
 // record the ring outdated (see editRecord). The primary the edit names

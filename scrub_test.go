@@ -110,7 +110,7 @@ func TestScrubDetectsAndRepairsScheduledBitRot(t *testing.T) {
 	if fs.Scrub.Corruptions != n || fs.Scrub.Repairs != rep.Repairs {
 		t.Fatalf("FabricStatus.Scrub = %+v, want corruptions %d repairs %d", fs.Scrub, n, rep.Repairs)
 	}
-	if fs.Scrub.Scans == 0 || fs.Scrub.Bytes == 0 {
+	if fs.Scrub.Scanned == 0 || fs.Scrub.Bytes == 0 {
 		t.Fatalf("scan counters not recorded: %+v", fs.Scrub)
 	}
 

@@ -76,8 +76,10 @@ type FabricStatus struct {
 	PrimaryMisses int64
 	// Injected reports the fault injector's counters; zero without a plan.
 	Injected transport.FaultStats
-	// Scrub reports the anti-entropy scrubber's cumulative counters.
-	Scrub ScrubStatus
+	// Scrub sums the live servers' cumulative scrub reports (server.Stats
+	// Scrub): a killed server's tallies leave with it, as its storage
+	// tallies do.
+	Scrub ScrubReport
 	// Encoding reports the erasure engine's configuration and decode-matrix
 	// cache effectiveness.
 	Encoding EncodingStatus
@@ -93,48 +95,16 @@ type FabricStatus struct {
 	Storage StorageStatus
 }
 
-// StorageStatus aggregates the per-server tiered storage engines plus the
-// cluster-shared remote store: tier occupancy gauges, spill/upload/eviction
-// counters, prefetch effectiveness, and crash-restart scan tallies.
+// StorageStatus sums the live servers' tiered storage engines (tier
+// occupancy gauges, spill/upload/eviction counters, crash-restart scan
+// tallies) and adds prefetch effectiveness and the cluster-shared remote
+// store's own view.
 type StorageStatus struct {
 	// Enabled reports whether the cluster runs the tiered storage engine.
 	Enabled bool
-	// MemObjects/DiskObjects/RemoteObjects count entries by resident tier,
-	// summed over live servers; the *Bytes gauges are the matching volumes
-	// (DiskBytes counts live record bytes, not segment file sizes).
-	MemObjects    int
-	DiskObjects   int
-	RemoteObjects int
-	MemBytes      int64
-	DiskBytes     int64
-	RemoteBytes   int64
-	// Spills counts L1→L2 demotions that wrote a record; Evictions all L1
-	// demotions including clean no-I/O flips; Uploads L2→L3 promotions.
-	Spills    int64
-	Evictions int64
-	Uploads   int64
-	// ColdReads counts foreground gets served below L1, split into
-	// DiskReads and RemoteReads by the tier that produced the bytes.
-	ColdReads   int64
-	DiskReads   int64
-	RemoteReads int64
-	// PrefetchIssued/PrefetchHits measure the next-step pipeline;
-	// PrefetchHitRate is hits over cold+prefetch-hit reads.
-	PrefetchIssued  int64
-	PrefetchHits    int64
+	storage.Stats
+	// PrefetchHitRate is prefetch hits over cold+prefetch-hit reads.
 	PrefetchHitRate float64
-	// BackpressureStalls counts writer stalls on full spill queues.
-	BackpressureStalls int64
-	// Compactions counts segment rewrites reclaiming dead bytes.
-	Compactions int64
-	// DiskErrors and RemoteFaults count I/O failures per lower tier.
-	DiskErrors   int64
-	RemoteFaults int64
-	// RestoredRecords/QuarantinedRecords/TruncatedTails sum the open-time
-	// disk-scan results (plus read-time quarantines) across restarts.
-	RestoredRecords    int64
-	QuarantinedRecords int64
-	TruncatedTails     int64
 	// Remote is the shared L3 store's own view (object count, transfer
 	// tallies, injected faults); zero without a remote tier.
 	Remote storage.RemoteStats
@@ -167,14 +137,9 @@ type MembershipStatus struct {
 	// arcs adjacent to the touched server's virtual nodes).
 	ArcsMoved int64
 	// Rebalances counts finished Rebalance passes, cut-short ones included;
-	// the remaining fields sum their reports: a stripe member swapped counts
-	// in ObjectsRepaired, and BytesMoved is the pieces the edits restored.
-	Rebalances      int64
-	DirRehomed      int64
-	ObjectsMoved    int64
-	ObjectsRepaired int64
-	Handoffs        int64
-	BytesMoved      int64
+	// Rebalanced sums their reports.
+	Rebalances int64
+	Rebalanced RebalanceReport
 }
 
 // TransportStatus aggregates the TCP fabric's transport-performance view:
@@ -215,30 +180,6 @@ type EncodingStatus struct {
 	DecodeCacheMisses int64
 }
 
-// ScrubStatus aggregates the anti-entropy scrubber's counters across the
-// cluster: payloads verified, at-rest corruption found and repaired,
-// stripes re-encoded, and legacy records backfilled with checksums.
-type ScrubStatus struct {
-	// Scans is the number of payloads checksum-verified.
-	Scans int64
-	// Bytes is the total volume verified (what the token bucket paces).
-	Bytes int64
-	// Corruptions is the number of at-rest checksum mismatches detected.
-	Corruptions int64
-	// Repairs is the number of corrupt or divergent copies restored from a
-	// healthy replica or by stripe reconstruction.
-	Repairs int64
-	// Reencodes is the number of under-protected stripes brought back to
-	// full k+m width.
-	Reencodes int64
-	// Backfills is the number of pre-scrub objects that had checksums
-	// computed and recorded on first encounter.
-	Backfills int64
-	// Skips is the number of payloads passed over because a peer needed
-	// for verification was unreachable.
-	Skips int64
-}
-
 // FabricStatus reports the cluster's fault-tolerance counters.
 func (c *Cluster) FabricStatus() FabricStatus {
 	st := FabricStatus{
@@ -251,15 +192,6 @@ func (c *Cluster) FabricStatus() FabricStatus {
 		DirSecondAsks: c.col.Counter(metrics.DirSecondAskCount),
 		PrimaryReads:  c.col.Counter(metrics.PrimaryReadCount),
 		PrimaryMisses: c.col.Counter(metrics.PrimaryMissCount),
-		Scrub: ScrubStatus{
-			Scans:       c.col.Counter(metrics.ScrubScanCount),
-			Bytes:       c.col.Counter(metrics.ScrubByteCount),
-			Corruptions: c.col.Counter(metrics.ScrubCorruptionCount),
-			Repairs:     c.col.Counter(metrics.ScrubRepairCount),
-			Reencodes:   c.col.Counter(metrics.ScrubReencodeCount),
-			Backfills:   c.col.Counter(metrics.ScrubBackfillCount),
-			Skips:       c.col.Counter(metrics.ScrubSkipCount),
-		},
 	}
 	if c.faults != nil {
 		st.Injected = c.faults.Stats()
@@ -284,48 +216,24 @@ func (c *Cluster) FabricStatus() FabricStatus {
 			st.Encoding.DecodeCacheMisses += cs.Misses
 		}
 	}
-	servers := c.serversByID()
-	for _, s := range servers {
-		if cs, ok := s.DecodeCacheStats(); ok {
-			st.Encoding.DecodeCacheHits += cs.Hits
-			st.Encoding.DecodeCacheMisses += cs.Misses
+	ss := &st.Storage
+	ss.Enabled = c.cfg.Storage != nil
+	for _, s := range c.serversByID() {
+		rec := s.CollectStats()
+		st.Scrub.Add(rec.Scrub)
+		st.Encoding.DecodeCacheHits += rec.DecodeCacheHits
+		st.Encoding.DecodeCacheMisses += rec.DecodeCacheMisses
+		if ss.Enabled {
+			ss.Add(rec.Storage)
 		}
 	}
-	if c.cfg.Storage != nil {
-		ss := &st.Storage
-		ss.Enabled = true
-		for _, s := range servers {
-			es := s.StorageStats()
-			ss.MemObjects += es.MemObjects
-			ss.DiskObjects += es.DiskObjects
-			ss.RemoteObjects += es.RemoteObjects
-			ss.MemBytes += es.MemBytes
-			ss.DiskBytes += es.DiskLiveBytes
-			ss.RemoteBytes += es.RemoteBytes
-			ss.Spills += es.Spills
-			ss.Evictions += es.Evictions
-			ss.Uploads += es.Uploads
-			ss.ColdReads += es.ColdReads
-			ss.DiskReads += es.DiskReads
-			ss.RemoteReads += es.RemoteReads
-			ss.PrefetchIssued += es.PrefetchIssued
-			ss.PrefetchHits += es.PrefetchHits
-			ss.BackpressureStalls += es.BackpressureStalls
-			ss.Compactions += es.Compactions
-			ss.DiskErrors += es.DiskErrors
-			ss.RemoteFaults += es.RemoteFaults
-			ss.RestoredRecords += es.RestoredRecords
-			ss.QuarantinedRecords += es.QuarantinedRecords
-			ss.TruncatedTails += es.TruncatedTails
-		}
-		// Hit rate over the reads prefetching could have served: the cold
-		// reads that missed plus the staged reads that hit.
-		if total := ss.ColdReads + ss.PrefetchHits; total > 0 {
-			ss.PrefetchHitRate = float64(ss.PrefetchHits) / float64(total)
-		}
-		if c.remote != nil {
-			ss.Remote = c.remote.Stats()
-		}
+	// Hit rate over the reads prefetching could have served: the cold
+	// reads that missed plus the staged reads that hit.
+	if total := ss.ColdReads + ss.PrefetchHits; total > 0 {
+		ss.PrefetchHitRate = float64(ss.PrefetchHits) / float64(total)
+	}
+	if c.remote != nil {
+		ss.Remote = c.remote.Stats()
 	}
 	if e := c.elastic; e != nil {
 		ms := &st.Membership
@@ -338,7 +246,7 @@ func (c *Cluster) FabricStatus() FabricStatus {
 			agents = append(agents, a)
 		}
 		ms.Rebalances = e.passes
-		r := e.rebalanced
+		ms.Rebalanced = e.rebalanced
 		e.mu.Unlock()
 		sort.Slice(agents, func(i, j int) bool { return agents[i].ID() < agents[j].ID() })
 		ms.Agents = len(agents)
@@ -352,11 +260,6 @@ func (c *Cluster) FabricStatus() FabricStatus {
 			ms.FalsePositives += as.FalsePositives
 		}
 		ms.ArcsMoved = e.arcsMoved.Load()
-		ms.DirRehomed = int64(r.DirRehomed)
-		ms.ObjectsMoved = int64(r.Moved)
-		ms.ObjectsRepaired = int64(r.Repaired)
-		ms.Handoffs = int64(r.Handoffs)
-		ms.BytesMoved = r.BytesMoved
 	}
 	return st
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"corec/internal/failure"
 )
 
 func TestStatusReportsAllServers(t *testing.T) {
@@ -48,6 +50,55 @@ func TestStatusReportsAllServers(t *testing.T) {
 	}
 	if alive != 7 {
 		t.Fatalf("%d alive, want 7", alive)
+	}
+}
+
+// TestStatusScrubOneRecordTwoViews: the scrub tallies a remote admin reads
+// over MsgStats and the ones FabricStatus sums in process are one record.
+// After planted rot and a sweep over real TCP sockets, the servers' reported
+// Scrub reports add up to FabricStatus().Scrub and to the sweep's own report.
+func TestStatusScrubOneRecordTwoViews(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Transport = "tcp"
+	cfg.StorageEfficiencyMin = 0
+	cfg.Seed = 7
+	cfg.Scrub = &ScrubConfig{} // verified reads on, no background pass
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl := c.NewClient()
+	ctx := context.Background()
+	for i := int64(0); i < 16; i++ {
+		b := Box3D(i*16, 0, 0, i*16+8, 8, 8)
+		if err := cl.Put(ctx, "views", b, 1, regionData(t, b, 8, 500+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ts := Version(1); ts <= 3; ts++ {
+		c.EndTimeStep(ts) // cool objects into stripes: rot has both kinds of target
+	}
+	rotted := c.InjectBitRot(0, failure.RotAny, 2)
+	if len(rotted) == 0 {
+		t.Fatal("server 0 holds nothing to rot")
+	}
+	rep, err := c.ScrubNow(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Corruptions != int64(len(rotted)) {
+		t.Fatalf("sweep detected %d corruptions, want the %d planted (%+v)", rep.Corruptions, len(rotted), rep)
+	}
+	var remote ScrubReport
+	for _, s := range cl.Status(ctx) {
+		if !s.Alive {
+			t.Fatalf("server %d reported dead", s.ID)
+		}
+		remote.Add(s.Stats.Scrub)
+	}
+	if fs := c.FabricStatus().Scrub; remote != fs || remote != rep {
+		t.Fatalf("scrub views differ:\n  Status sum   %+v\n  FabricStatus %+v\n  sweep        %+v", remote, fs, rep)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestTieredKillRestartRecoversDiskTier(t *testing.T) {
 	waitStorageIdle(c)
 
 	victim := ServerID(2)
-	before := c.Server(victim).StorageStats()
+	before := c.Server(victim).CollectStats().Storage
 	if before.DiskObjects+before.RemoteObjects == 0 {
 		t.Fatalf("victim holds nothing below L1, restart proves nothing: %+v", before)
 	}

@@ -22,7 +22,8 @@
 // members pulls the fleet's gossip view; drain asks one server to hand off
 // its data and leave; join asks the host to admit a fresh server. Servers
 // admitted after startup gossip their addresses inside the host process —
-// re-read the addr map (or use members) to see them from outside.
+// re-read the addr map (or use members) to see them from outside. The fleet
+// verbs (endstep, recover, scrub) work against any service.
 package main
 
 import (
@@ -155,6 +156,12 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("server %d recovered: %d objects repaired\n", *drainID, n)
+	case "scrub":
+		rep, err := client.Scrub(ctx)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("sweep: %v\n", rep)
 	case "status":
 		for _, s := range client.Status(ctx) {
 			if !s.Alive {
@@ -169,8 +176,8 @@ func main() {
 				st.ScrubPasses, st.Scrub.Scanned, st.Scrub.Corruptions, st.Scrub.Repairs,
 				st.Storage.MemObjects, st.Storage.DiskObjects, st.Storage.RemoteObjects)
 		}
-		// This process's own fabric view: what the poll above cost, which
-		// peers its retry layer now fails fast against, how many of its
+		// This process's own fabric view: its multiplexed connections,
+		// which peers its retry layer fails fast against, how many of its
 		// region lookups had to ask a second mirror, or the whole fleet, and
 		// how many of its gets a primary answered or missed.
 		fs := cluster.FabricStatus()
@@ -182,7 +189,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: corec-cli [-addr-file f] put|get|query|status|members|join|drain|endstep|recover [sub-flags]")
+	fmt.Fprintln(os.Stderr, "usage: corec-cli [-addr-file f] put|get|query|status|scrub|members|join|drain|endstep|recover [sub-flags]")
 	os.Exit(2)
 }
 

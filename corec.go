@@ -34,7 +34,6 @@ import (
 	"corec/internal/erasure"
 	"corec/internal/failure"
 	"corec/internal/geometry"
-	"corec/internal/membership"
 	"corec/internal/metrics"
 	"corec/internal/placement"
 	"corec/internal/policy"
@@ -260,6 +259,7 @@ type Cluster struct {
 	remote  *storage.RemoteStore // shared L3 tier; nil without Storage.Remote
 	mu      sync.Mutex
 	servers map[types.ServerID]*server.Server
+	ctl     *Client // sends the fleet verbs (fleetctl.go) over net
 
 	// elastic holds the membership plane (gossip agents, dynamic ring,
 	// rebalance tallies); nil for static fleets.
@@ -362,6 +362,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err := c.placeFleet(); err != nil {
 		return nil, err
 	}
+	c.ctl = c.NewClient()
 	if cfg.Storage != nil && cfg.Storage.Remote != nil {
 		// One remote store for the whole fleet: like a real object store it
 		// outlives any single server, so kill/Replace cycles re-reach their
@@ -575,8 +576,10 @@ func (c *Cluster) ServerAddrs() map[ServerID]string {
 
 // NewRemoteCluster returns a client-side handle to a staging service
 // hosted elsewhere: it runs no servers, only a TCP fabric pointed at the
-// given addresses. NewClient, Query, Get and Put work as usual; server
-// management methods (Kill, Replace, EndTimeStep) are inert.
+// given addresses. NewClient, Query, Get and Put work as usual, and so do
+// the fleet verbs (EndTimeStep, ScrubNow, FabricStatus, StorageReport),
+// which are messages to the members; the process lifecycle methods (Kill,
+// Replace) are inert.
 //
 // When the service runs elastic membership, set cfg.Membership: the handle
 // then pulls a membership snapshot over the wire and places on the same
@@ -622,47 +625,28 @@ func NewRemoteCluster(cfg Config, addrs map[ServerID]string) (*Cluster, error) {
 	if err := c.placeFleet(); err != nil {
 		return nil, err
 	}
+	c.ctl = c.NewClient()
 	return c, nil
 }
 
 // Replace starts a fresh (empty) server under the failed server's logical
 // ID — the "replacement staging server" of Section III-D. The caller then
-// runs recovery via the returned server's RunRecovery, or uses
-// ReplaceAndRecover.
+// runs its recovery with Client.RecoverServer.
 func (c *Cluster) Replace(id ServerID) (*server.Server, error) {
 	c.mu.Lock()
 	_, exists := c.servers[id]
 	c.mu.Unlock()
 	if exists {
-		return nil, fmt.Errorf("corec: server %d is still alive", id)
+		return nil, fmt.Errorf("corec: server %d is already running", id)
 	}
 	return c.startServer(id)
 }
 
-// EndTimeStep runs end-of-step processing (CoREC classification-driven
-// transitions) on every server. Returns total demotions and promotions.
+// EndTimeStep closes the time step on every member it reaches
+// (Client.EndTimeStepAll), then advances the fault plan's step windows and
+// lands the step's scheduled bit rot. Returns total demotions and promotions.
 func (c *Cluster) EndTimeStep(ts Version) (demoted, promoted int) {
-	servers := c.serversByID()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for _, s := range servers {
-		wg.Add(1)
-		go func(s *server.Server) {
-			defer wg.Done()
-			d, p := s.EndTimeStep(contextBackground, ts)
-			mu.Lock()
-			demoted += d
-			promoted += p
-			mu.Unlock()
-		}(s)
-	}
-	wg.Wait()
-	// Drain the background encode queues so the step boundary is a
-	// consistent point: write response times exclude encoding, workflow
-	// time includes it.
-	for _, s := range servers {
-		s.WaitEncodeIdle()
-	}
+	demoted, promoted, _ = c.ctl.EndTimeStepAll(contextBackground, ts)
 	// The workflow has moved on: activate/expire step-windowed fault rules
 	// for the next time step.
 	if c.faults != nil {
@@ -735,36 +719,14 @@ func (c *Cluster) BitRotLog() []failure.BitRotEvent {
 	return append([]failure.BitRotEvent(nil), c.rotLog...)
 }
 
-// ScrubNow runs one synchronous cluster-wide anti-entropy sweep and
-// returns the aggregated report. The sweep is two-phase: first every live
-// server verifies its own payloads at local depth, then every server runs
-// its full configured pass (replica cross-checks and stripe spot-decodes
-// included). The local phase runs everywhere first so each at-rest
-// corruption is detected — and counted — by its holder before a peer's
-// cross-check repairs it out from under the count; this is what makes
-// detection totals deterministic for seeded chaos tests.
+// ScrubNow runs one synchronous anti-entropy sweep over every member and
+// returns the summed report (Client.Scrub: local depth everywhere, then a
+// full pass everywhere).
 func (c *Cluster) ScrubNow(ctx context.Context) (ScrubReport, error) {
-	servers := c.serversByID()
-	var total ScrubReport
-	var firstErr error
-	for _, s := range servers {
-		r, err := s.ScrubDepth(ctx, scrub.DepthLocal)
-		total.Add(r)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, s := range servers {
-		r, err := s.ScrubOnce(ctx)
-		total.Add(r)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return total, firstErr
+	return c.ctl.Scrub(ctx)
 }
 
-// StorageReport aggregates storage usage across live servers.
+// StorageReport sums the members' storage usage.
 type StorageReport struct {
 	// ObjectBytes is the total size of full primary copies.
 	ObjectBytes int64
@@ -781,8 +743,8 @@ type StorageReport struct {
 // StorageReport computes cluster-wide storage accounting.
 func (c *Cluster) StorageReport() StorageReport {
 	var r StorageReport
-	for _, s := range c.serversByID() {
-		st := s.CollectStats()
+	for _, s := range c.ctl.Status(contextBackground) {
+		st := s.Stats
 		r.ObjectBytes += st.ObjectBytes
 		r.ReplicaBytes += st.ReplicaBytes
 		r.ShardBytes += st.ShardBytes
@@ -815,8 +777,9 @@ func (c *Cluster) ServerBytes() [][]byte {
 	return out
 }
 
-// serversByID snapshots the live servers in ID order, not map order:
-// checkpoint streams must line up run-to-run.
+// serversByID snapshots the live in-process servers in ID order, not map
+// order: checkpoint streams must line up run-to-run. It serves only what
+// cannot be a message: the checkpoint snapshot and injected bit rot.
 func (c *Cluster) serversByID() []*server.Server {
 	c.mu.Lock()
 	ids := make([]types.ServerID, 0, len(c.servers))
@@ -832,29 +795,20 @@ func (c *Cluster) serversByID() []*server.Server {
 	return servers
 }
 
-// Close shuts down every server.
+// Close shuts down every server. Every gossip agent stops before any
+// server does, so no survivor probes a peer the shutdown took.
 func (c *Cluster) Close() {
-	if e := c.elastic; e != nil {
-		e.mu.Lock()
-		agents := make([]*membership.Agent, 0, len(e.agents))
-		for _, a := range e.agents {
-			agents = append(agents, a)
-		}
-		e.agents = make(map[types.ServerID]*membership.Agent)
-		e.mu.Unlock()
-		for _, a := range agents {
-			a.Stop()
-		}
-	}
 	c.mu.Lock()
-	servers := make([]*server.Server, 0, len(c.servers))
-	for _, s := range c.servers {
-		servers = append(servers, s)
+	ids := make([]types.ServerID, 0, len(c.servers))
+	for id := range c.servers {
+		ids = append(ids, id)
 	}
-	c.servers = make(map[types.ServerID]*server.Server)
 	c.mu.Unlock()
-	for _, s := range servers {
-		s.Close()
+	for _, id := range ids {
+		c.stopAgent(id)
+	}
+	for _, id := range ids {
+		c.Kill(id)
 	}
 	if tn := c.tcpNet(); tn != nil {
 		tn.Close()

@@ -366,13 +366,7 @@ func (c *Cluster) Join(id ServerID) error {
 	if c.elastic == nil {
 		return fmt.Errorf("corec: Join requires elastic membership (Config.Membership)")
 	}
-	c.mu.Lock()
-	_, exists := c.servers[types.ServerID(id)]
-	c.mu.Unlock()
-	if exists {
-		return fmt.Errorf("corec: server %d is already running", id)
-	}
-	_, err := c.startServer(types.ServerID(id))
+	_, err := c.Replace(id)
 	return err
 }
 
@@ -438,15 +432,8 @@ func (c *Cluster) Leave(id ServerID) {
 			inc = a.Incarnation()
 			hadAgent = true
 		}
-		c.stopAgent(types.ServerID(id))
 	}
-	c.mu.Lock()
-	srv := c.servers[types.ServerID(id)]
-	delete(c.servers, types.ServerID(id))
-	c.mu.Unlock()
-	if srv != nil {
-		srv.Close()
-	}
+	c.Kill(id) // stops the agent and shuts the server down
 	if hadAgent {
 		// This host removed the member itself, so gossip echoes of the Left
 		// record find the ring already updated and stay silent; surface the

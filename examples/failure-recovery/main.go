@@ -17,7 +17,6 @@ import (
 	"corec"
 	"corec/internal/geometry"
 	"corec/internal/ndarray"
-	"corec/internal/recovery"
 )
 
 func main() {
@@ -60,13 +59,12 @@ func main() {
 			cluster.Kill(victim)
 			fmt.Printf("-- ts %d: server %d FAILED (degraded mode: reads reconstruct on the fly)\n", ts, victim)
 		case 10:
-			srv, err := cluster.Replace(victim)
-			if err != nil {
+			if _, err := cluster.Replace(victim); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("-- ts %d: replacement server joined; lazy recovery running (deadline MTBF/4)\n", ts)
 			go func() {
-				repaired, err := srv.RunRecovery(ctx, recovery.Lazy)
+				repaired, err := client.RecoverServer(ctx, victim, corec.RecoveryLazy)
 				if err != nil {
 					log.Printf("recovery: %v", err)
 				}

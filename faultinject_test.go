@@ -229,6 +229,26 @@ func TestServerSendsCountCorruptFrames(t *testing.T) {
 	}
 }
 
+// TestDroppedStepEndNamesTheMember: a step boundary is a message, so a
+// fabric fault can keep a live server from it. The driver skips a member it
+// cannot reach (a dead one) but reports a member whose step end was lost,
+// by name.
+func TestDroppedStepEndNamesTheMember(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.FaultPlan = &failure.FaultPlan{Seed: 1, Links: []failure.LinkFault{{To: []ServerID{3}, DropProb: 1}}}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Kill(5)
+	_, _, err = c.NewClient().EndTimeStepAll(context.Background(), 1)
+	if err == nil || !errors.Is(err, transport.ErrDropped) || !strings.Contains(err.Error(), "server 3") ||
+		strings.Contains(err.Error(), "server 5") {
+		t.Fatalf("EndTimeStepAll = %v; want the dropped step end on server 3 and nothing of dead server 5", err)
+	}
+}
+
 // TestMirrorHintRepairsDegradedDirectoryGroup pins the hinted-handoff
 // mechanism: a partition cuts the writing primary off from one of the two
 // directory mirrors, so the metadata write lands single-homed (legal — the

@@ -2,73 +2,109 @@ package corec
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 
+	"corec/internal/scrub"
 	"corec/internal/transport"
 	"corec/internal/types"
 )
 
-// Fleet control plane: client-side drivers for operations that Cluster
-// methods can only perform on in-process servers. A multi-process fleet —
-// each corec-server process hosting a LocalServers subset — is driven over
-// the wire instead: step boundaries via MsgStepEnd, replacement-server
-// recovery via MsgRecoverAll. The cluster harness (internal/cluster) and
-// corec-cli build on these.
+// Fleet control plane: the one implementation of each fleet verb, a message
+// to every member — MsgStepEnd, MsgRecoverAll, MsgScrub, and MsgStats
+// (status.go). Cluster's verbs call these through the cluster's own control
+// client, so every kind of fleet takes one path and fabric faults reach the
+// verbs too; the cluster harness and corec-cli call them directly.
+
+// control sends one request to member id. A member the fabric cannot reach
+// (dead, or marked down) answers nil with no error; any other failure is
+// returned naming the member.
+func (cl *Client) control(ctx context.Context, id types.ServerID, msg *transport.Message) (*transport.Message, error) {
+	resp, err := cl.send(ctx, id, msg)
+	if err == nil {
+		err = resp.AsError()
+	}
+	if err == nil || errors.Is(err, transport.ErrUnreachable) {
+		return resp, nil
+	}
+	return nil, fmt.Errorf("corec: %v on server %d: %w", msg.Kind, id, err)
+}
 
 // EndTimeStepAll runs end-of-step processing for the time step on every
-// reachable member and blocks until each server's background encode queue
-// drains — the remote equivalent of Cluster.EndTimeStep. It returns the
-// fleet-wide demotion and promotion totals. Unreachable members are
-// skipped (a fleet mid-churn still reaches a step boundary); the first
-// application-level error is returned after all servers were attempted.
+// member and blocks until each server's background encode queue drains. It
+// returns the fleet-wide demotion and promotion totals. Unreachable members
+// are skipped (a fleet mid-churn still reaches a step boundary); a live
+// member that missed the step is an error naming it.
 func (cl *Client) EndTimeStepAll(ctx context.Context, ts Version) (demoted, promoted int, err error) {
 	members := cl.cluster.place.Members()
+	errs := make([]error, len(members))
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	for _, id := range members {
+	for i, id := range members {
 		wg.Add(1)
-		go func(id types.ServerID) {
+		go func() {
 			defer wg.Done()
-			resp, serr := cl.send(ctx, id, &transport.Message{Kind: transport.MsgStepEnd, Version: ts})
-			if serr != nil {
-				return // unreachable: dead or draining member, skip
+			resp, err := cl.control(ctx, id, &transport.Message{Kind: transport.MsgStepEnd, Version: ts})
+			if err != nil || resp == nil {
+				errs[i] = err
+				return
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			if rerr := resp.AsError(); rerr != nil {
-				if err == nil {
-					err = fmt.Errorf("corec: step-end on server %d: %w", id, rerr)
-				}
-				return
-			}
 			demoted += int(resp.Num >> 32)
 			promoted += int(resp.Num & 0xffffffff)
-		}(id)
+		}()
 	}
 	wg.Wait()
-	return demoted, promoted, err
+	return demoted, promoted, errors.Join(errs...)
 }
 
-// RecoverServer instructs one server to run the full replacement-server
-// recovery protocol (directory rebuild plus repair of every piece it
-// should hold) and blocks until the repair queue drains. The harness calls
-// this after restarting a crashed process, so the restarted member is
-// whole before the run resumes. Returns the number of objects repaired.
-//
-// Recovery of a populated server can take a while; the context bounds it.
-//
-// The call is the operator's word that the server is up again — the remote
-// handle's counterpart of Cluster.Replace — so it re-admits the peer in the
-// fabric's health table instead of waiting out the half-open interval.
+// RecoverServer has one server, after a Cluster.Replace or a process
+// restart, run the full replacement-server recovery (directory rebuild, then
+// repair of every piece it should hold) and blocks, within ctx, until it
+// ends. Returns the objects repaired. The call is the operator's word that
+// the server is up, so it re-admits the peer in the fabric's health table.
 func (cl *Client) RecoverServer(ctx context.Context, id ServerID, mode RecoveryMode) (int, error) {
-	cl.cluster.health.Admit(types.ServerID(id))
-	resp, err := cl.send(ctx, types.ServerID(id), &transport.Message{Kind: transport.MsgRecoverAll, Num: int64(mode)})
+	cl.cluster.health.Admit(id)
+	resp, err := cl.send(ctx, id, &transport.Message{Kind: transport.MsgRecoverAll, Num: int64(mode)})
+	if err == nil {
+		err = resp.AsError()
+	}
 	if err != nil {
 		return 0, err
 	}
-	if err := resp.AsError(); err != nil {
-		return 0, err
-	}
 	return int(resp.Num), nil
+}
+
+// Scrub runs one synchronous anti-entropy sweep over the given members (none
+// given: every member), one at a time, and returns the summed report. A local
+// pass runs on every member before any full pass (at the configured depth),
+// so each at-rest rot is counted by its holder before a peer's cross-check
+// repairs it: seeded detection totals are deterministic. Unreachable members
+// are skipped.
+func (cl *Client) Scrub(ctx context.Context, ids ...ServerID) (ScrubReport, error) {
+	if len(ids) == 0 {
+		ids = cl.cluster.place.Members()
+	}
+	full := scrub.DefaultConfig().Depth
+	if sc := cl.cluster.cfg.Scrub; sc != nil {
+		full = sc.Depth
+	}
+	var total ScrubReport
+	var errs []error
+	for _, depth := range []scrub.Depth{scrub.DepthLocal, full} {
+		for _, id := range ids {
+			resp, err := cl.control(ctx, id, &transport.Message{Kind: transport.MsgScrub, Num: int64(depth)})
+			if err == nil && resp != nil {
+				var rep ScrubReport
+				if err = json.Unmarshal(resp.Data, &rep); err == nil {
+					total.Add(rep)
+				}
+			}
+			errs = append(errs, err)
+		}
+	}
+	return total, errors.Join(errs...)
 }

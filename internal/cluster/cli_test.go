@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -64,6 +65,10 @@ func TestCLIAgainstLiveFleet(t *testing.T) {
 	}
 	if out := mustCLI("endstep", "-version", "1"); !strings.Contains(out, "step 1 closed") {
 		t.Fatalf("endstep did not close the step:\n%s", out)
+	}
+	out := mustCLI("scrub")
+	if m := regexp.MustCompile(`scanned=(\d+)`).FindStringSubmatch(out); m == nil || m[1] == "0" {
+		t.Fatalf("scrub swept nothing on a fleet holding a payload:\n%s", out)
 	}
 
 	// Drain server 3: it hands off its data and leaves via gossip. The CLI

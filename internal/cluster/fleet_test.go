@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"context"
 	"testing"
 	"time"
-
-	"corec"
 )
 
 // waitUntil polls cond until it holds or the timeout expires, failing the
@@ -23,81 +20,5 @@ func waitUntil(t *testing.T, timeout time.Duration, msg string, cond func() bool
 			t.Fatalf("timed out after %v waiting for %s", timeout, msg)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestFleetPutGetAcrossProcesses boots a 3-process fleet and proves the
-// data plane works across OS process boundaries: puts placed on servers in
-// other processes, reads that reassemble from them.
-func TestFleetPutGetAcrossProcesses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns OS processes")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	fleet, err := Start(ctx, Config{Servers: 3, Procs: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Stop()
-
-	cl, err := fleet.Client()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	client := cl.NewClient()
-
-	const n = 16
-	for i := int64(0); i < n; i++ {
-		box := corec.Box{Lo: []int64{i << 12}, Hi: []int64{i<<12 + 4096}}
-		if err := client.Put(ctx, "smoke", box, 1, Payload(i, 4096)); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	for i := int64(0); i < n; i++ {
-		box := corec.Box{Lo: []int64{i << 12}, Hi: []int64{i<<12 + 4096}}
-		got, err := client.Get(ctx, "smoke", box, 1)
-		if err != nil {
-			t.Fatalf("get %d: %v", i, err)
-		}
-		want := Payload(i, 4096)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("object %d: byte %d differs", i, j)
-			}
-		}
-	}
-
-	// The fleet control plane works over the wire: a step boundary closes
-	// on every process and the write-cold set demotes to erasure shards.
-	if _, _, err := client.EndTimeStepAll(ctx, 1); err != nil {
-		t.Fatalf("EndTimeStepAll: %v", err)
-	}
-
-	// Every server self-reports via MsgStats: all alive, every staged
-	// object accounted for in a resilience state (the hybrid policy
-	// demotes write-cold primaries to erasure in the background, so the
-	// raw full-copy count is not stable — the state tally is), and the
-	// step boundary left erasure shards somewhere in the fleet.
-	protected, shards := 0, 0
-	for _, s := range client.Status(ctx) {
-		if !s.Alive {
-			t.Fatalf("server %d reported dead", s.ID)
-		}
-		protected += s.Stats.Replicated + s.Stats.Encoded
-		shards += s.Stats.Shards
-	}
-	if protected < n {
-		t.Fatalf("fleet protects %d objects, staged %d", protected, n)
-	}
-	if shards == 0 {
-		t.Fatal("no erasure shards anywhere after the step boundary")
-	}
-
-	// Data remains readable (degraded path allowed) after demotion.
-	box := corec.Box{Lo: []int64{0}, Hi: []int64{4096}}
-	if _, err := client.Get(ctx, "smoke", box, 1); err != nil {
-		t.Fatalf("get after demotion: %v", err)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"corec/internal/geometry"
 	"corec/internal/metrics"
 	"corec/internal/ndarray"
-	"corec/internal/recovery"
 	"corec/internal/simnet"
 	"corec/internal/types"
 	"corec/internal/workload"
@@ -163,9 +162,8 @@ func (o *Options) withDefaults() Options {
 
 // clusterAdapter lets the failure.Schedule drive a corec.Cluster.
 type clusterAdapter struct {
-	c    *corec.Cluster
-	mode recovery.Mode
-	wg   *sync.WaitGroup
+	c  *corec.Cluster
+	wg *sync.WaitGroup
 }
 
 func (a *clusterAdapter) Kill(id types.ServerID) { a.c.Kill(id) }
@@ -173,14 +171,14 @@ func (a *clusterAdapter) Kill(id types.ServerID) { a.c.Kill(id) }
 func (a *clusterAdapter) Alive(id types.ServerID) bool { return a.c.Alive(id) }
 
 func (a *clusterAdapter) Recover(id types.ServerID) {
-	srv, err := a.c.Replace(id)
-	if err != nil {
+	if _, err := a.c.Replace(id); err != nil {
 		return
 	}
 	a.wg.Add(1)
 	go func() {
 		defer a.wg.Done()
-		_, _ = srv.RunRecovery(context.Background(), a.mode) // best-effort: unrecovered objects surface in the read-back check
+		// Best-effort: unrecovered objects surface in the read-back check.
+		_, _ = a.c.NewClient().RecoverServer(context.Background(), id, a.c.Config().RecoveryMode)
 	}()
 }
 
@@ -258,12 +256,8 @@ func execute(opts Options, wl *workload.Workload) (*Result, error) {
 	defer cluster.Close()
 
 	sched := buildSchedule(opts)
-	recMode := recovery.Lazy
-	if opts.Scenario == AggressiveRecovery {
-		recMode = recovery.Aggressive
-	}
 	var recWG sync.WaitGroup
-	adapter := &clusterAdapter{c: cluster, mode: recMode, wg: &recWG}
+	adapter := &clusterAdapter{c: cluster, wg: &recWG}
 
 	var cp *checkpoint.Checkpointer
 	if opts.Checkpoints > 0 {

@@ -367,11 +367,11 @@ func (s *Server) EndTimeStep(ctx context.Context, ts types.Version) (demoted, pr
 	return demoted, promoted
 }
 
-// handleStepEnd runs end-of-step processing on behalf of a remote driver
-// (MsgStepEnd): the multi-process analogue of Cluster.EndTimeStep, which
-// only reaches in-process servers. The reply is sent after the background
-// encode queue drains, so a step boundary observed over the wire is the
-// same consistent point the in-process path provides. Num carries
+// handleStepEnd runs end-of-step processing for time step Version
+// (MsgStepEnd), the one way a step boundary reaches a server, in-process
+// or across processes. The reply is sent after the background encode
+// queue drains, so a closed step is a consistent point: write response
+// times exclude encoding, workflow time includes it. Num carries
 // demotions<<32|promotions.
 func (s *Server) handleStepEnd(ctx context.Context, req *transport.Message) *transport.Message {
 	demoted, promoted := s.EndTimeStep(ctx, req.Version)

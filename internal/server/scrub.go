@@ -30,6 +30,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -113,11 +114,25 @@ func (s *Server) ScrubOnce(ctx context.Context) (scrub.Report, error) {
 }
 
 // ScrubDepth runs one pass at an explicit depth, overriding the configured
-// one. Cluster-wide sweeps use it to run a local pass everywhere before the
-// cross-server phases, so every at-rest corruption is detected by its holder
-// before a peer's cross-check repairs it out from under the count.
+// one. Fleet sweeps (MsgScrub) use it to run a local pass everywhere before
+// the cross-server phases, so every at-rest corruption is detected by its
+// holder before a peer's cross-check repairs it out from under the count.
 func (s *Server) ScrubDepth(ctx context.Context, depth scrub.Depth) (scrub.Report, error) {
 	return s.scrubPass(ctx, s.scrubConfig(), depth)
+}
+
+// handleScrub runs one pass at depth Num for a fleet sweep (MsgScrub) and
+// answers with its report as JSON, or an error for a pass cut short.
+func (s *Server) handleScrub(ctx context.Context, req *transport.Message) *transport.Message {
+	rep, err := s.ScrubDepth(ctx, scrub.Depth(req.Num))
+	if err != nil {
+		return transport.Errf("server %d: scrub: %v", s.id, err)
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		return transport.Errf("server %d: scrub: %v", s.id, err)
+	}
+	return &transport.Message{Kind: transport.MsgOK, Data: data}
 }
 
 func (s *Server) scrubConfig() scrub.Config {

@@ -578,6 +578,8 @@ func (s *Server) Handle(ctx context.Context, req *transport.Message) *transport.
 		return s.handleStepEnd(ctx, req)
 	case transport.MsgRecoverAll:
 		return s.handleRecoverAll(ctx, req)
+	case transport.MsgScrub:
+		return s.handleScrub(ctx, req)
 	case transport.MsgStats:
 		return s.handleStats(req)
 	default:

@@ -71,10 +71,11 @@ const (
 	MsgGossip  // membership update exchange (Flag = pull a full snapshot)
 	MsgHandoff // old primary's release after a membership edit moved Key (Version, Num = Seq of the record acted on, Meta = the new primary's record, whose pieces it keeps)
 
-	// Fleet control plane (multi-process deployments, driven by the
-	// cluster harness and corec-cli).
+	// Fleet control plane: every Cluster fleet verb, in-process or across
+	// processes, is one of these (plus MsgStats) sent to each member.
 	MsgStepEnd    // run end-of-step processing for time step Version on the receiver
 	MsgRecoverAll // run full replacement-server recovery (Num = recovery.Mode)
+	MsgScrub      // run one anti-entropy pass at depth Num (scrub.Depth); the scrub.Report comes back as JSON in Data
 
 	kindCount // sentinel; keep last
 )
@@ -86,7 +87,7 @@ var kindNames = [...]string{
 	"MetaUpdate", "MetaLookup", "MetaQuery", "MetaDelete", "StripeLookup", "DirDump",
 	"TokenAcquire", "TokenRelease", "LoadQuery", "Ping", "Recover", "Stats",
 	"PingReq", "Gossip", "Handoff",
-	"StepEnd", "RecoverAll",
+	"StepEnd", "RecoverAll", "Scrub",
 }
 
 // String implements fmt.Stringer.

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"corec/internal/recovery"
 	"corec/internal/transport"
 )
 
@@ -36,8 +35,8 @@ type MonitorConfig struct {
 	// AutoRecover, when set, replaces dead servers and runs recovery in
 	// the configured RecoveryMode automatically.
 	AutoRecover bool
-	// ScrubAfterRecovery, when set, runs one anti-entropy scrub pass on
-	// each replacement server after its recovery finishes, so repaired
+	// ScrubAfterRecovery, when set, sweeps each replacement server
+	// (Client.Scrub aimed at it) after its recovery finishes, so repaired
 	// payloads are checksum-verified before the server is declared healthy
 	// again.
 	ScrubAfterRecovery bool
@@ -157,22 +156,18 @@ func (m *Monitor) round(ctx context.Context, reported map[ServerID]bool) map[Ser
 }
 
 func (m *Monitor) recover(ctx context.Context, id ServerID) {
-	srv, err := m.cluster.Replace(id)
-	if err != nil {
+	c := m.cluster
+	if _, err := c.Replace(id); err != nil {
 		return
 	}
 	m.emit(MonitorEvent{Kind: EventRecoveryStarted, Server: id, Time: time.Now()})
-	mode := recovery.Lazy
-	if m.cluster.cfg.RecoveryMode == RecoveryAggressive {
-		mode = recovery.Aggressive
-	}
 	// The work list holds every record naming the server, writes that failed
 	// over while it was down included.
-	repaired, _ := srv.RunRecovery(ctx, mode)
+	repaired, _ := c.ctl.RecoverServer(ctx, id, c.cfg.RecoveryMode)
 	if m.cfg.ScrubAfterRecovery {
 		// Best-effort: a failed pass (context cancelled, fabric flapping)
 		// leaves the payloads for the background scrubber's next cycle.
-		_, _ = srv.ScrubOnce(ctx)
+		_, _ = c.ctl.Scrub(ctx, id)
 	}
 	m.emit(MonitorEvent{Kind: EventRecoveryFinished, Server: id, Time: time.Now(), Repaired: repaired})
 }

@@ -24,14 +24,17 @@ type ServerStatus struct {
 	Stats server.Stats
 }
 
-// Status polls every staging server for its status report. Works over any
-// transport, including remote clusters — the admin view corec-cli exposes.
+// Status polls every member for its status report (MsgStats): the admin
+// view corec-cli prints and the record FabricStatus and StorageReport sum.
+// It resends a lost request as any send does but only observes: it counts
+// no retries and leaves the fabric's health table as it found it.
 func (cl *Client) Status(ctx context.Context) []ServerStatus {
-	members := cl.cluster.place.Members()
+	c := cl.cluster
+	members := c.place.Members()
 	out := make([]ServerStatus, len(members))
 	for i, id := range members {
-		out[i].ID = ServerID(id)
-		resp, err := cl.send(ctx, id, &transport.Message{Kind: transport.MsgStats})
+		out[i].ID = id
+		resp, _, err := c.retry.Send(ctx, unwatched{c.net}, cl.id, id, &transport.Message{Kind: transport.MsgStats})
 		if err != nil || resp.Kind != transport.MsgOK {
 			continue
 		}
@@ -41,6 +44,10 @@ func (cl *Client) Status(ctx context.Context) []ServerStatus {
 	}
 	return out
 }
+
+// unwatched hides the fabric's health table from the retry layer: a send
+// through it neither fails fast against a peer marked down nor marks one.
+type unwatched struct{ transport.Network }
 
 // FabricStatus aggregates the cluster's fault-tolerance view: the RPC
 // layer's retry and failover counters, the directory's and the read path's,
@@ -76,7 +83,7 @@ type FabricStatus struct {
 	PrimaryMisses int64
 	// Injected reports the fault injector's counters; zero without a plan.
 	Injected transport.FaultStats
-	// Scrub sums the live servers' cumulative scrub reports (server.Stats
+	// Scrub sums the members' cumulative scrub reports (server.Stats
 	// Scrub): a killed server's tallies leave with it, as its storage
 	// tallies do.
 	Scrub ScrubReport
@@ -180,7 +187,9 @@ type EncodingStatus struct {
 	DecodeCacheMisses int64
 }
 
-// FabricStatus reports the cluster's fault-tolerance counters.
+// FabricStatus reports the cluster's fault-tolerance counters: this
+// process's own, read before the fleet is polled so the call does not count
+// its own traffic, and the fleet's, summed from Client.Status.
 func (c *Cluster) FabricStatus() FabricStatus {
 	st := FabricStatus{
 		Retries:       c.col.Counter(metrics.RetryCount),
@@ -218,8 +227,8 @@ func (c *Cluster) FabricStatus() FabricStatus {
 	}
 	ss := &st.Storage
 	ss.Enabled = c.cfg.Storage != nil
-	for _, s := range c.serversByID() {
-		rec := s.CollectStats()
+	for _, s := range c.ctl.Status(contextBackground) {
+		rec := s.Stats // zero for a member that did not answer
 		st.Scrub.Add(rec.Scrub)
 		st.Encoding.DecodeCacheHits += rec.DecodeCacheHits
 		st.Encoding.DecodeCacheMisses += rec.DecodeCacheMisses

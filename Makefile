@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test race short scrubrace transportrace churnrace storagerace clusterquick benchsmoke figures bench ci clean
+.PHONY: all build vet staticcheck lint test race short scrubrace transportrace churnrace storagerace clusterquick benchsmoke figures bench loc ci clean
 
 all: ci
 
@@ -127,6 +127,11 @@ figures:
 # the staging benchmark (bench/, BENCHMARK.json); see benchsmoke above.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# loc prints the line count ROADMAP.md tracks: non-test Go outside bench/
+# (its own module) and testdata.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 ci: vet staticcheck lint build race scrubrace transportrace churnrace storagerace test figures benchsmoke clusterquick
 

@@ -163,7 +163,13 @@ func main() {
 		}
 		fmt.Printf("sweep: %v\n", rep)
 	case "status":
-		for _, s := range client.Status(ctx) {
+		// One poll of the fleet: each member's own report, then this
+		// process's fabric view — its multiplexed connections, which peers
+		// its retry layer fails fast against, how many of its region lookups
+		// had to ask a second mirror, or the whole fleet, and how many of its
+		// gets a primary answered or missed.
+		fs := cluster.FabricStatus()
+		for _, s := range fs.Servers {
 			if !s.Alive {
 				fmt.Printf("server %d: DOWN\n", s.ID)
 				continue
@@ -176,11 +182,6 @@ func main() {
 				st.ScrubPasses, st.Scrub.Scanned, st.Scrub.Corruptions, st.Scrub.Repairs,
 				st.Storage.MemObjects, st.Storage.DiskObjects, st.Storage.RemoteObjects)
 		}
-		// This process's own fabric view: its multiplexed connections,
-		// which peers its retry layer fails fast against, how many of its
-		// region lookups had to ask a second mirror, or the whole fleet, and
-		// how many of its gets a primary answered or missed.
-		fs := cluster.FabricStatus()
 		fmt.Printf("fabric: retries=%d muxRedials=%d peersDown=%d fastFails=%d dir_second_asks=%d dir_fallbacks=%d primary_reads=%d primary_misses=%d\n",
 			fs.Retries, fs.Transport.MuxRedials, fs.Transport.PeersDown, fs.Transport.FastFails, fs.DirSecondAsks, fs.DirFallbacks, fs.PrimaryReads, fs.PrimaryMisses)
 	default:

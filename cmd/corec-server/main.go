@@ -154,7 +154,7 @@ func main() {
 		go func() {
 			for ev := range cluster.MemberEvents() {
 				fmt.Printf("membership: server %d %s (incarnation %d)\n",
-					ev.ID, memberEventName(ev.Kind), ev.Incarnation)
+					ev.ID, ev.Kind, ev.Incarnation)
 				if _, err := writeAddrs(); err != nil {
 					fmt.Fprintf(os.Stderr, "corec-server: rewriting %s: %v\n", *addrFile, err)
 				}
@@ -167,23 +167,6 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Println("\nshutting down")
-}
-
-func memberEventName(k corec.MembershipEventKind) string {
-	switch k {
-	case corec.MemberJoined:
-		return "joined"
-	case corec.MemberSuspected:
-		return "suspected"
-	case corec.MemberRefuted:
-		return "refuted suspicion"
-	case corec.MemberDied:
-		return "died"
-	case corec.MemberLeft:
-		return "left"
-	default:
-		return "changed"
-	}
 }
 
 // parseServerIDs parses a comma-separated ID list ("0,3,5").

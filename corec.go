@@ -757,7 +757,7 @@ func (c *Cluster) StorageReport() StorageReport {
 	raw := r.ObjectBytes + r.ReplicaBytes + r.ShardBytes
 	unique := r.ObjectBytes
 	if c.codec != nil {
-		unique += int64(float64(r.ShardBytes) * c.codec.StorageEfficiency())
+		unique += int64(float64(r.ShardBytes) * policy.ErasureEfficiency(c.codec.DataShards(), c.codec.ParityShards()))
 	}
 	if raw > 0 {
 		r.Efficiency = float64(unique) / float64(raw)

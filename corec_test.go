@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"corec/internal/metrics"
 	"corec/internal/recovery"
 	"corec/internal/types"
 )
@@ -213,6 +214,34 @@ func TestEncodedSurvivesFailureDegradedRead(t *testing.T) {
 	}
 	if snap := c.Collector().Snapshot(); snap.Phase(4) == 0 && snap.PhaseCount[3] == 0 {
 		t.Log("note: decode bucket not charged (reconstruction may have used surviving data shards only)")
+	}
+}
+
+// TestOnlyCoRECChargesClassify pins Fig. 9's classify_ms column: puts and
+// step ends charge the classify bucket under CoREC alone, which classifies
+// its writes and decides its step-end transitions; every other mode charges
+// it nothing.
+func TestOnlyCoRECChargesClassify(t *testing.T) {
+	ctx := context.Background()
+	for _, mode := range []Mode{PolicyNone, PolicyReplicate, PolicyErasure, PolicyHybrid, PolicyCoREC} {
+		c := testCluster(t, mode)
+		cl := c.NewClient()
+		for ts := Version(1); ts <= 3; ts++ {
+			for i := int64(0); i < 4; i++ {
+				b := Box3D(i*8, 0, 0, i*8+8, 8, 8)
+				if err := cl.Put(ctx, "v", b, ts, regionData(t, b, 8, i)); err != nil {
+					t.Fatalf("%v: put: %v", mode, err)
+				}
+			}
+			c.EndTimeStep(ts)
+		}
+		got := c.Collector().Snapshot().Phase(metrics.Classify)
+		if mode == PolicyCoREC && got == 0 {
+			t.Errorf("%v charged nothing to the classify bucket", mode)
+		}
+		if mode != PolicyCoREC && got != 0 {
+			t.Errorf("%v charged %v to the classify bucket, want 0", mode, got)
+		}
 	}
 }
 

@@ -114,12 +114,6 @@ func (c *Codec) ParityShards() int { return c.m }
 // TotalShards returns k+m.
 func (c *Codec) TotalShards() int { return c.k + c.m }
 
-// StorageEfficiency returns k/(k+m), the fraction of raw storage holding
-// real data (E_e in the paper's model).
-func (c *Codec) StorageEfficiency() float64 {
-	return float64(c.k) / float64(c.k+c.m)
-}
-
 // checkShards returns the stripe's shard size. With allowMissing, shards of
 // length zero are the missing ones (see Reconstruct) and do not count.
 func (c *Codec) checkShards(shards [][]byte, allowMissing bool) (size int, err error) {

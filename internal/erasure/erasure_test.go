@@ -52,9 +52,6 @@ func TestNewValidation(t *testing.T) {
 	if c.DataShards() != 3 || c.ParityShards() != 1 || c.TotalShards() != 4 {
 		t.Error("shard counts wrong")
 	}
-	if eff := c.StorageEfficiency(); eff < 0.74 || eff > 0.76 {
-		t.Errorf("RS(4,3) storage efficiency = %v, want 0.75", eff)
-	}
 }
 
 func TestEncodeVerify(t *testing.T) {

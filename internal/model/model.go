@@ -7,7 +7,8 @@ package model
 
 import (
 	"fmt"
-	"math"
+
+	"corec/internal/policy"
 )
 
 // Params are the model's free parameters, using the paper's notation.
@@ -63,11 +64,11 @@ func (p Params) Validate() error {
 }
 
 // Er returns the replication storage efficiency E_r = 1/(NLevel+1).
-func (p Params) Er() float64 { return 1 / float64(p.NLevel+1) }
+func (p Params) Er() float64 { return policy.ReplicationEfficiency(p.NLevel) }
 
 // Ee returns the erasure-coding storage efficiency
 // E_e = NNode/(NLevel+NNode).
-func (p Params) Ee() float64 { return float64(p.NNode) / float64(p.NLevel+p.NNode) }
+func (p Params) Ee() float64 { return policy.ErasureEfficiency(p.NNode, p.NLevel) }
 
 // Cr returns the per-object replication cost C_r = l*NLevel + c.
 func (p Params) Cr() float64 { return p.L*float64(p.NLevel) + p.C }
@@ -83,12 +84,7 @@ func (p Params) Ce() float64 {
 // of data that may be replicated at the constraint boundary, clamped to
 // [0, 1].
 func (p Params) PrConstraint() float64 {
-	er, ee := p.Er(), p.Ee()
-	if p.S <= 0 || er == ee {
-		return 1
-	}
-	pr := er * (p.S - ee) / (p.S * (er - ee))
-	return math.Max(0, math.Min(1, pr))
+	return policy.ReplicationProbability(p.S, p.NLevel, p.NNode, p.NLevel)
 }
 
 // CReplica is equation (4): the cost of replicating everything, as a

@@ -1,6 +1,5 @@
-// Package policy defines the resilience policies compared throughout the
-// paper's evaluation and the decision logic each applies on the write path
-// and at time-step boundaries:
+// Package policy owns every resilience decision a staging server makes, for
+// the policies compared throughout the paper's evaluation:
 //
 //   - None:      plain data staging, no fault tolerance (the "DataSpaces"
 //     baseline).
@@ -11,12 +10,22 @@
 //     data classification (Section II-D1).
 //   - CoREC:     classifier-driven hybrid (the paper's contribution).
 //
-// The package also provides the storage-efficiency arithmetic shared by the
-// runtime and the analytic model (E_r, E_e, the constraint-derived P_r).
+// A server asks its Decider what to do with a write (OnPut), which objects
+// change state at a step's end (Transitions, PromotionBudget), whether a
+// transition fits the storage-efficiency constraint S (Admits,
+// StaysReplicated), and whether demotion runs in the background
+// (DemotesInBackground); it keeps the classifier's books through the
+// Decider too (Track, SetEncoded, Forget), which does nothing in the modes
+// that run no classifier. The server never learns which mode it runs.
+//
+// The package also holds the one implementation of the storage-efficiency
+// arithmetic the runtime and the analytic model share (E_r, E_e, the
+// constraint-derived P_r).
 package policy
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -111,27 +120,18 @@ func ErasureEfficiency(k, m int) float64 {
 //
 //	P_r = E_r (S - E_e) / (S (E_r - E_e))
 //
-// The result is clamped to [0, 1]; S <= E_e yields 1 (everything may be
-// replicated is impossible — S below even pure-erasure efficiency means the
-// constraint never binds, so encode-only satisfies it; the clamp to [0,1]
-// with the formula's sign handles both ends).
+// clamped to [0, 1]. With E_r < E_e, as in every configuration the paper
+// runs, S at or below E_r (everything may be replicated) gives 1, and S at or
+// above E_e (nothing may be) gives 0. S <= 0 (no constraint) and E_r = E_e
+// give 1.
 func ReplicationProbability(s float64, nLevel, k, m int) float64 {
 	er := ReplicationEfficiency(nLevel)
 	ee := ErasureEfficiency(k, m)
-	if s <= 0 {
-		return 1
-	}
-	if er == ee {
+	if s <= 0 || er == ee {
 		return 1
 	}
 	pr := er * (s - ee) / (s * (er - ee))
-	if pr < 0 {
-		pr = 0
-	}
-	if pr > 1 {
-		pr = 1
-	}
-	return pr
+	return math.Max(0, math.Min(1, pr))
 }
 
 // MixedEfficiency returns the storage efficiency of a mix holding dataRepl
@@ -147,6 +147,10 @@ func (c Config) MixedEfficiency(dataRepl, dataEnc int64) float64 {
 	return float64(total) / raw
 }
 
+// Redundant reports whether the mode keeps redundancy, as every mode but
+// None does: it then needs valid RS parameters and a full coding group.
+func (c Config) Redundant() bool { return c.Mode != None }
+
 // Decider makes the write-path and transition decisions for one staging
 // server. It is safe for concurrent use.
 type Decider struct {
@@ -158,12 +162,15 @@ type Decider struct {
 	pr  float64 // hybrid replication probability
 }
 
-// NewDecider builds a decider; cls may be nil for every mode except CoREC.
+// NewDecider builds a decider. CoREC requires the classifier cls; every
+// other mode runs none and drops it.
 func NewDecider(cfg Config, cls *classifier.Classifier) (*Decider, error) {
-	if cfg.Mode == CoREC && cls == nil {
+	if cfg.Mode != CoREC {
+		cls = nil
+	} else if cls == nil {
 		return nil, fmt.Errorf("policy: CoREC requires a classifier")
 	}
-	if cfg.Mode != None {
+	if cfg.Redundant() {
 		if cfg.NLevel < 1 {
 			return nil, fmt.Errorf("policy: NLevel %d must be >= 1", cfg.NLevel)
 		}
@@ -179,16 +186,20 @@ func NewDecider(cfg Config, cls *classifier.Classifier) (*Decider, error) {
 	}, nil
 }
 
-// Config returns the decider's configuration.
-func (d *Decider) Config() Config { return d.cfg }
-
 // Classifier returns the CoREC classifier (nil for other modes).
 func (d *Decider) Classifier() *classifier.Classifier { return d.cls }
 
+// DemotesInBackground reports whether the write path replicates and leaves
+// the encoding to a background queue and the step's end, as CoREC's
+// encoding workflow does (Figure 6); the baselines encode on the write path
+// itself and make no step-end transitions.
+func (d *Decider) DemotesInBackground() bool { return d.cfg.Mode == CoREC }
+
 // OnPut decides the resilience action for a write of the object at time
-// step ts, given the server's current storage efficiency over its primary
-// objects. For CoREC, fresh writes are hot (Section II-C) and replicated
-// unless the storage constraint is already violated.
+// step ts, given the storage efficiency of the server's primary objects were
+// this one replicated (see Efficiency). For CoREC, fresh writes are hot
+// (Section II-C) and replicated unless that would break the storage
+// constraint.
 func (d *Decider) OnPut(id types.ObjectID, ts types.Version, currentEff float64) Action {
 	switch d.cfg.Mode {
 	case None:
@@ -207,7 +218,7 @@ func (d *Decider) OnPut(id types.ObjectID, ts types.Version, currentEff float64)
 		return ActEncode
 	case CoREC:
 		d.cls.RecordWrite(id, ts)
-		if d.cfg.StorageEfficiencyMin > 0 && currentEff < d.cfg.StorageEfficiencyMin {
+		if !d.admitsEfficiency(currentEff) {
 			return ActEncode
 		}
 		return ActReplicate
@@ -216,10 +227,86 @@ func (d *Decider) OnPut(id types.ObjectID, ts types.Version, currentEff float64)
 	}
 }
 
+// Efficiency returns the storage efficiency of a server whose primary objects
+// hold repl bytes replicated and enc bytes encoded.
+func (d *Decider) Efficiency(repl, enc int64) float64 {
+	return d.cfg.MixedEfficiency(repl, enc)
+}
+
+// Admits reports whether a mix of repl replicated and enc encoded bytes
+// meets the storage-efficiency constraint S (always, when S is zero).
+func (d *Decider) Admits(repl, enc int64) bool {
+	return d.admitsEfficiency(d.Efficiency(repl, enc))
+}
+
+func (d *Decider) admitsEfficiency(eff float64) bool {
+	return d.cfg.StorageEfficiencyMin <= 0 || eff >= d.cfg.StorageEfficiencyMin
+}
+
+// PromotionBudget returns how many of a server's encoded objects may turn
+// replicated at a step's end: objects of the encoded ones' average size are
+// moved from enc bytes to repl bytes one at a time, while the mix stays
+// admitted. Without a constraint the budget is unbounded (1<<20).
+func (d *Decider) PromotionBudget(repl, enc int64, encoded int) int {
+	if d.cfg.StorageEfficiencyMin <= 0 {
+		return 1 << 20
+	}
+	if encoded == 0 {
+		return 0
+	}
+	avg := max(enc/int64(encoded), 1)
+	budget := 0
+	for budget < encoded {
+		repl += avg
+		enc -= avg
+		if !d.Admits(repl, enc) {
+			break
+		}
+		budget++
+	}
+	return budget
+}
+
+// StaysReplicated re-checks a queued demotion of the object: it stays
+// replicated when the classifier finds it hot again and the mix of repl
+// replicated and enc encoded bytes admits it. Without a classifier nothing
+// stays.
+func (d *Decider) StaysReplicated(id types.ObjectID, repl, enc int64) bool {
+	if d.cls == nil {
+		return false
+	}
+	cl, _ := d.cls.Classify(id)
+	return cl == classifier.Hot && d.Admits(repl, enc)
+}
+
+// Track registers a primary object restored by recovery, in its resilience
+// state, with the classifier. Like SetEncoded and Forget, it does nothing in
+// the modes that run no classifier.
+func (d *Decider) Track(id types.ObjectID, encoded bool) {
+	if d.cls != nil {
+		d.cls.Track(id, encoded)
+	}
+}
+
+// SetEncoded records a primary object's change of resilience state with the
+// classifier.
+func (d *Decider) SetEncoded(id types.ObjectID, encoded bool) {
+	if d.cls != nil {
+		d.cls.SetEncoded(id, encoded)
+	}
+}
+
+// Forget drops a deleted or handed-off object from the classifier.
+func (d *Decider) Forget(id types.ObjectID) {
+	if d.cls != nil {
+		d.cls.Forget(id)
+	}
+}
+
 // Transitions returns the state changes to apply at the end of time step
 // ts: objects to demote to erasure coding and objects to promote back to
 // replication. Only CoREC produces transitions; promotions are capped by
-// maxPromote (the caller computes how many fit under the constraint).
+// maxPromote (see PromotionBudget).
 func (d *Decider) Transitions(ts types.Version, maxPromote int) (toEncode, toReplicate []types.ObjectID) {
 	if d.cfg.Mode != CoREC {
 		return nil, nil

@@ -224,3 +224,182 @@ func TestActionString(t *testing.T) {
 		t.Fatal("action strings wrong")
 	}
 }
+
+func TestNonCoRECDropsClassifier(t *testing.T) {
+	cls := classifier.New(classifier.DefaultConfig(geometry.Box3D(0, 0, 0, 64, 64, 64)))
+	for _, mode := range []Mode{None, Replicate, Erasure, Hybrid} {
+		d, err := NewDecider(Config{Mode: mode, NLevel: 1, K: 3, M: 1, StorageEfficiencyMin: 0.67}, cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Classifier() != nil || d.DemotesInBackground() {
+			t.Fatalf("%v kept the classifier or demotes in the background", mode)
+		}
+	}
+	if cls.NumTracked() != 0 {
+		t.Fatal("a mode without a classifier wrote to the one it was handed")
+	}
+	if !newCorecDecider(t).DemotesInBackground() {
+		t.Fatal("CoREC does not demote in the background")
+	}
+}
+
+func TestClassifierBooksAreNoOpsWithoutClassifier(t *testing.T) {
+	d, err := NewDecider(Config{Mode: Erasure, NLevel: 1, K: 3, M: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := objID(0)
+	d.Track(id, true)
+	d.SetEncoded(id, false)
+	d.Forget(id)
+	if d.StaysReplicated(id, 0, 0) {
+		t.Fatal("an object stays replicated with no classifier to find it hot")
+	}
+}
+
+func TestClassifierBooksReachTheClassifier(t *testing.T) {
+	d := newCorecDecider(t)
+	cls := d.Classifier()
+	id := objID(0)
+	d.Track(id, true)
+	if cls.NumTracked() != 1 {
+		t.Fatalf("Track: %d tracked, want 1", cls.NumTracked())
+	}
+	if got := cls.HeatCandidates(1); len(got) != 1 {
+		t.Fatalf("tracked encoded object not in the promotion pool: %v", got)
+	}
+	d.SetEncoded(id, false)
+	if got := cls.HeatCandidates(1); len(got) != 0 {
+		t.Fatalf("SetEncoded(false) left the object in the promotion pool: %v", got)
+	}
+	d.Forget(id)
+	if cls.NumTracked() != 0 {
+		t.Fatalf("Forget: %d tracked, want 0", cls.NumTracked())
+	}
+}
+
+func TestStaysReplicatedNeedsHeatAndRoom(t *testing.T) {
+	d := newCorecDecider(t)
+	hot, cold := objID(0), objID(32)
+	d.OnPut(hot, 5, 1.0)
+	d.Track(cold, false)
+	d.Transitions(5, 0)
+	// 100 replicated bytes and 300 encoded: efficiency 400/(200+400) = 0.667,
+	// just below S = 0.67; at 100 and 400 it is 0.682, above.
+	if d.StaysReplicated(hot, 100, 300) {
+		t.Fatal("a hot object stays replicated past the constraint")
+	}
+	if !d.StaysReplicated(hot, 100, 400) {
+		t.Fatal("a hot object with room under the constraint was demoted")
+	}
+	if d.StaysReplicated(cold, 100, 400) {
+		t.Fatal("a cold object stays replicated")
+	}
+}
+
+func TestAdmitsAtTheBoundary(t *testing.T) {
+	// RS(3+1), one replica: 100 replicated and 300 encoded bytes take 200
+	// and 400 raw, efficiency 400/600 = 2/3 exactly.
+	exact := Config{NLevel: 1, K: 3, M: 1}.MixedEfficiency(100, 300)
+	for _, tc := range []struct {
+		s    float64
+		want bool
+	}{
+		{0, true},
+		{exact, true},
+		{math.Nextafter(exact, 1), false},
+		{math.Nextafter(exact, 0), true},
+	} {
+		d, err := NewDecider(Config{Mode: CoREC, NLevel: 1, K: 3, M: 1, StorageEfficiencyMin: tc.s}, classifier.New(classifier.Config{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Admits(100, 300); got != tc.want {
+			t.Errorf("S = %v: Admits(100, 300) at efficiency %v = %v, want %v", tc.s, exact, got, tc.want)
+		}
+		// OnPut weighs the same bound: below it a write is encoded.
+		if act := d.OnPut(objID(0), 1, exact); (act == ActReplicate) != tc.want {
+			t.Errorf("S = %v: OnPut at efficiency %v = %v", tc.s, exact, act)
+		}
+	}
+}
+
+// serverLoopBudget is the promotion budget as the staging server computed it
+// before the policy package owned it: a walk over the encoded objects'
+// sizes, then their average moved one at a time from encoded to replicated
+// bytes while the mix stays at or above S.
+func serverLoopBudget(cfg Config, dataRepl, dataEnc int64, sizes []int64) int {
+	sMin := cfg.StorageEfficiencyMin
+	if sMin <= 0 {
+		return 1 << 20
+	}
+	var objBytes int64
+	for _, n := range sizes {
+		objBytes += n
+	}
+	objCount := len(sizes)
+	if objCount == 0 {
+		return 0
+	}
+	avg := objBytes / int64(objCount)
+	if avg == 0 {
+		avg = 1
+	}
+	budget := 0
+	for i := 0; i < objCount; i++ {
+		dataRepl += avg
+		dataEnc -= avg
+		if cfg.MixedEfficiency(dataRepl, dataEnc) < sMin {
+			break
+		}
+		budget++
+	}
+	return budget
+}
+
+func TestPromotionBudgetMatchesServerLoop(t *testing.T) {
+	sizes := func(n int, each int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = each
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		s     float64
+		repl  int64
+		sizes []int64
+		want  int
+	}{
+		{"no constraint", 0, 100, sizes(3, 100), 1 << 20},
+		{"no encoded objects", 0.67, 100, nil, 0},
+		{"zero average size", 0.67, 0, sizes(4, 0), 4},
+		{"all fit", 0.5, 0, sizes(5, 100), 5},
+		{"none fit", 0.75, 0, sizes(5, 100), 0},
+		// 100 replicated, 500 encoded in five objects: one promotion leaves
+		// 200/400, efficiency exactly 2/3; a second 300/300 falls to 0.6.
+		{"exact boundary", Config{NLevel: 1, K: 3, M: 1}.MixedEfficiency(200, 400), 100, sizes(5, 100), 1},
+		{"uneven sizes", 0.67, 1000, []int64{10, 2000, 333, 7}, 0},
+		{"uneven sizes, looser S", 0.6, 1000, []int64{10, 2000, 333, 7}, 1},
+		{"uneven sizes, loosest S", 0.55, 1000, []int64{10, 2000, 333, 7}, 2},
+	} {
+		cfg := Config{Mode: CoREC, NLevel: 1, K: 3, M: 1, StorageEfficiencyMin: tc.s}
+		d, err := NewDecider(cfg, classifier.New(classifier.Config{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc int64
+		for _, n := range tc.sizes {
+			enc += n
+		}
+		want := serverLoopBudget(cfg, tc.repl, enc, tc.sizes)
+		if want != tc.want {
+			t.Fatalf("%s: the server loop gives %d, the table says %d", tc.name, want, tc.want)
+		}
+		if got := d.PromotionBudget(tc.repl, enc, len(tc.sizes)); got != want {
+			t.Errorf("%s: PromotionBudget = %d, the server loop gave %d", tc.name, got, want)
+		}
+	}
+}

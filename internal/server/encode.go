@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"corec/internal/metrics"
-	"corec/internal/policy"
 	"corec/internal/reader"
 	"corec/internal/transport"
 	"corec/internal/types"
@@ -78,7 +77,7 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, sum uint64
 	// (the replica holder) when it is measurably less busy.
 	gen := s.reader.Health.Generation()
 	delegated := false
-	if s.cfg.HelperLoadDelta >= 0 && s.cfg.Policy.Mode == policy.CoREC && dropReplicas {
+	if s.cfg.HelperLoadDelta >= 0 && s.decider.DemotesInBackground() && dropReplicas {
 		if helper, ok := s.pickHelper(ctx); ok {
 			delegated = s.delegateEncode(ctx, helper, obj, info)
 		}
@@ -179,9 +178,7 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, sum uint64
 		s.col.Add(metrics.Transport, time.Since(tStart))
 	}
 
-	if cls := s.decider.Classifier(); cls != nil {
-		cls.SetEncoded(obj.ID, true)
-	}
+	s.decider.SetEncoded(obj.ID, true)
 	return nil
 }
 
@@ -331,20 +328,24 @@ func (s *Server) dropStripe(ctx context.Context, info *types.StripeInfo) {
 	})
 }
 
-// EndTimeStep applies CoREC's end-of-step transitions: demote cooled
+// EndTimeStep applies the decider's end-of-step transitions: demote cooled
 // objects to erasure coding, and promote reheated encoded objects back to
-// replication while the storage constraint has slack. Other policies are
-// no-ops. It returns the number of demotions and promotions performed.
+// replication while the storage constraint has slack. Where the write path
+// encodes itself there are none. It returns the number of demotions and
+// promotions performed.
 func (s *Server) EndTimeStep(ctx context.Context, ts types.Version) (demoted, promoted int) {
 	// Step boundaries double as the anti-entropy point for the metadata
 	// directory: re-deliver group writes that missed a mirror, under every
 	// policy mode.
 	s.flushMirrorHints(ctx)
-	if s.cfg.Policy.Mode != policy.CoREC {
+	if !s.decider.DemotesInBackground() {
 		return 0, 0
 	}
 	start := time.Now()
-	toEncode, toReplicate := s.decider.Transitions(ts, s.promotionBudget())
+	s.mu.Lock()
+	repl, enc, nEnc := s.dataRepl, s.dataEnc, s.nEnc
+	s.mu.Unlock()
+	toEncode, toReplicate := s.decider.Transitions(ts, s.decider.PromotionBudget(repl, enc, nEnc))
 	s.col.Add(metrics.Classify, time.Since(start))
 
 	for _, id := range toEncode {
@@ -379,43 +380,6 @@ func (s *Server) handleStepEnd(ctx context.Context, req *transport.Message) *tra
 	return &transport.Message{Kind: transport.MsgOK, Num: int64(demoted)<<32 | int64(promoted)}
 }
 
-// promotionBudget estimates how many encoded objects can be promoted to
-// replication while keeping efficiency at or above the constraint.
-func (s *Server) promotionBudget() int {
-	sMin := s.cfg.Policy.StorageEfficiencyMin
-	if sMin <= 0 {
-		return 1 << 20
-	}
-	s.mu.Lock()
-	dataRepl, dataEnc := s.dataRepl, s.dataEnc
-	var objCount int
-	var objBytes int64
-	for _, st := range s.local {
-		if st.state == types.StateEncoded {
-			objCount++
-			objBytes += int64(st.size)
-		}
-	}
-	s.mu.Unlock()
-	if objCount == 0 {
-		return 0
-	}
-	avg := objBytes / int64(objCount)
-	if avg == 0 {
-		avg = 1
-	}
-	budget := 0
-	for i := 0; i < objCount; i++ {
-		dataRepl += avg
-		dataEnc -= avg
-		if s.cfg.Policy.MixedEfficiency(dataRepl, dataEnc) < sMin {
-			break
-		}
-		budget++
-	}
-	return budget
-}
-
 // promoteObject transitions an encoded object back to full replication:
 // reassemble the data from its shards — in place, as a client's get does —
 // store the full copy, push replicas, drop the stripe.
@@ -426,19 +390,15 @@ func (s *Server) promoteObject(ctx context.Context, id types.ObjectID) bool {
 	defer lk.Unlock()
 	s.mu.Lock()
 	st, ok := s.local[key]
+	repl, enc := s.dataRepl, s.dataEnc
 	s.mu.Unlock()
 	if !ok || st.state != types.StateEncoded {
 		return false
 	}
 	// Recheck the constraint with live numbers before paying for the
 	// transition.
-	if sMin := s.cfg.Policy.StorageEfficiencyMin; sMin > 0 {
-		s.mu.Lock()
-		eff := s.cfg.Policy.MixedEfficiency(s.dataRepl+int64(st.size), s.dataEnc-int64(st.size))
-		s.mu.Unlock()
-		if eff < sMin {
-			return false
-		}
+	if !s.decider.Admits(repl+int64(st.size), enc-int64(st.size)) {
+		return false
 	}
 	info := st.layout
 	data := reader.Buffer(st.size, info.K)
@@ -459,8 +419,6 @@ func (s *Server) promoteObject(ctx context.Context, id types.ObjectID) bool {
 		return false
 	}
 	s.dropStripe(ctx, info)
-	if cls := s.decider.Classifier(); cls != nil {
-		cls.SetEncoded(id, false)
-	}
+	s.decider.SetEncoded(id, false)
 	return true
 }

@@ -250,9 +250,7 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta, 
 		mine := *meta
 		mine.Version, mine.Size, mine.Checksum = obj.Version, len(obj.Data), sum
 		s.setLocalState(&mine, obj)
-		if cls := s.decider.Classifier(); cls != nil {
-			cls.Track(meta.ID, false)
-		}
+		s.decider.Track(meta.ID, false)
 	}
 	return true, nil
 }
@@ -296,9 +294,7 @@ func (s *Server) recoverEncoded(ctx context.Context, meta *types.ObjectMeta, rot
 	s.mu.Unlock()
 	if meta.Primary == s.id && !known {
 		s.setLocalState(meta, nil)
-		if cls := s.decider.Classifier(); cls != nil {
-			cls.Track(meta.ID, true)
-		}
+		s.decider.Track(meta.ID, true)
 	}
 	return repaired, nil
 }

@@ -53,8 +53,8 @@ type Config struct {
 	// when own load exceeds the helper's by more than this. Negative
 	// disables delegation.
 	HelperLoadDelta int64
-	// ClassifierConfig tunes the CoREC classifier (used when Policy.Mode is
-	// CoREC). The zero value takes classifier.DefaultConfig over Domain.
+	// ClassifierConfig tunes the CoREC classifier (the modes that run none
+	// ignore it). The zero value takes classifier.DefaultConfig over Domain.
 	ClassifierConfig classifier.Config
 	// Storage tunes the tiered engine holding erasure shards (write-cold
 	// data). Nil or a zero value keeps the pre-tiering behaviour: an
@@ -156,17 +156,18 @@ type Server struct {
 	// (physical microseconds, clamped monotonic, merged with every Seq
 	// observed in incoming directory updates). Accessed atomically.
 	metaClock uint64
-	// dataRepl/dataEnc account primary-object bytes by state for the
-	// storage-efficiency constraint.
+	// dataRepl/dataEnc account primary-object bytes by state, and nEnc the
+	// encoded primary objects, for the storage-efficiency constraint.
 	dataRepl int64
 	dataEnc  int64
+	nEnc     int
 	// repairQueue is non-nil while this (replacement) server is recovering.
 	repairQueue *recovery.Queue
 
-	// Background encode queue (CoREC only): demotions run off the write
-	// path, per Figure 6's workflow — the put is acknowledged once the
-	// replica guarantees durability, and parity construction follows
-	// asynchronously under the group's encoding token.
+	// Background encode queue: where the decider demotes in the background,
+	// demotions run off the write path, per Figure 6's workflow — the put is
+	// acknowledged once the replica guarantees durability, and parity
+	// construction follows asynchronously under the group's encoding token.
 	encMu      sync.Mutex
 	encCond    *sync.Cond
 	encPending map[string]struct{}
@@ -243,20 +244,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Collector == nil {
 		cfg.Collector = metrics.NewCollector()
 	}
-	var cls *classifier.Classifier
-	if cfg.Policy.Mode == policy.CoREC {
-		cc := cfg.ClassifierConfig
-		if cc.HotThreshold == 0 && cc.Window == 0 {
-			cc = classifier.DefaultConfig(cfg.Domain)
-		}
-		cls = classifier.New(cc)
+	cc := cfg.ClassifierConfig
+	if cc.HotThreshold == 0 && cc.Window == 0 {
+		cc = classifier.DefaultConfig(cfg.Domain)
 	}
-	dec, err := policy.NewDecider(cfg.Policy, cls)
+	dec, err := policy.NewDecider(cfg.Policy, classifier.New(cc))
 	if err != nil {
 		return nil, err
 	}
 	var codec *erasure.Codec
-	if cfg.Policy.Mode != policy.None {
+	if cfg.Policy.Redundant() {
 		codec, err = NewCodec(cfg.Policy.K, cfg.Policy.M)
 		if err != nil {
 			return nil, err
@@ -292,6 +289,11 @@ func New(cfg Config) (*Server, error) {
 		replicaSums: make(map[string]uint64),
 		local:       make(map[string]*localState),
 		mirrorHints: make(map[string]mirrorHint),
+		encPending:  make(map[string]struct{}),
+		encCh:       make(chan string, 4096),
+		encStop:     make(chan struct{}),
+
+		pendingDrops: make(map[string]*types.StripeInfo),
 	}
 	s.reader = &reader.Reader{
 		Send: s.sendRetry, Dir: dirPlace, Health: transport.HealthOf(cfg.Network),
@@ -299,13 +301,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.incarnation = serverIncarnations.Add(1)
 	s.encCond = sync.NewCond(&s.encMu)
-	if cfg.Policy.Mode == policy.CoREC {
-		s.encPending = make(map[string]struct{})
-		s.encCh = make(chan string, 4096)
-		s.encStop = make(chan struct{})
-		s.pendingDrops = make(map[string]*types.StripeInfo)
-		go s.encodeWorker()
-	}
+	go s.encodeWorker()
 	cfg.Network.Register(cfg.ID, s.Handle)
 	return s, nil
 }
@@ -347,9 +343,6 @@ func (s *Server) digestMsg(m *transport.Message) uint64 {
 // enqueueEncode schedules a background demotion of the object to erasure
 // coding. Duplicate requests for a key coalesce while one is pending.
 func (s *Server) enqueueEncode(key string) {
-	if s.encCh == nil {
-		return
-	}
 	s.encMu.Lock()
 	if _, dup := s.encPending[key]; dup {
 		s.encMu.Unlock()
@@ -386,9 +379,6 @@ func (s *Server) finishEncode(key string) {
 // experiment harness calls it at time-step boundaries so response times
 // exclude, but workflow time includes, the encoding work.
 func (s *Server) WaitEncodeIdle() {
-	if s.encPending == nil {
-		return
-	}
 	s.encMu.Lock()
 	for len(s.encPending) > 0 {
 		s.encCond.Wait()
@@ -442,16 +432,11 @@ func (s *Server) processEncode(key string) {
 	}
 	// Re-check the decision: if the object re-heated and the constraint
 	// now has room for it, keep it replicated.
-	if cls := s.decider.Classifier(); cls != nil {
-		if cl, _ := cls.Classify(st.id); cl == classifier.Hot {
-			s.mu.Lock()
-			projected := s.cfg.Policy.MixedEfficiency(s.dataRepl, s.dataEnc)
-			s.mu.Unlock()
-			sMin := s.cfg.Policy.StorageEfficiencyMin
-			if sMin <= 0 || projected >= sMin {
-				return
-			}
-		}
+	s.mu.Lock()
+	repl, enc := s.dataRepl, s.dataEnc
+	s.mu.Unlock()
+	if s.decider.StaysReplicated(st.id, repl, enc) {
+		return
 	}
 	// A failed demotion leaves the object replicated: safe, retried on
 	// the next classification pass.
@@ -508,9 +493,7 @@ func (s *Server) Close() {
 		return
 	}
 	s.StopScrubber()
-	if s.encStop != nil {
-		close(s.encStop)
-	}
+	close(s.encStop)
 	s.net.Unregister(s.id)
 	// Closing the engine discards L1 (exactly what a crash does) and leaves
 	// the disk tier for a replacement server to revalidate and re-index.
@@ -745,12 +728,6 @@ func (s *Server) StorageUsage() (objects, replicas, shards int64) {
 		}
 	}
 	return
-}
-
-// efficiencyLocked computes this server's storage efficiency over its
-// primary objects.
-func (s *Server) efficiencyLocked() float64 {
-	return s.cfg.Policy.MixedEfficiency(s.dataRepl, s.dataEnc)
 }
 
 func shardKey(id types.StripeID, index int) string {

@@ -59,7 +59,7 @@ func (s *Server) CollectStats() Stats {
 		ID:         int(s.id),
 		Objects:    len(s.objects),
 		Replicas:   len(s.replicas),
-		Efficiency: s.efficiencyLocked(),
+		Efficiency: s.decider.Efficiency(s.dataRepl, s.dataEnc),
 	}
 	for _, o := range s.objects {
 		st.ObjectBytes += int64(len(o.Data))

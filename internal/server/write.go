@@ -47,34 +47,29 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 		priorSize = prior.size
 	}
 	s.objects[key] = obj
-	eff := s.efficiencyLocked()
-	// For CoREC the constraint check is against the *projected* efficiency
-	// if this object ends up replicated — otherwise an object at the
-	// boundary flip-flops between states on every write.
-	if s.cfg.Policy.Mode == policy.CoREC {
-		projRepl := s.dataRepl + int64(len(req.Data))
-		projEnc := s.dataEnc
-		if existed {
-			switch priorState {
-			case types.StateReplicated:
-				projRepl -= int64(priorSize)
-			case types.StateEncoded:
-				projEnc -= int64(priorSize)
-			}
+	// The decider weighs the *projected* efficiency if this object ends up
+	// replicated — otherwise an object at the constraint's boundary
+	// flip-flops between states on every write.
+	projRepl := s.dataRepl + int64(len(req.Data))
+	projEnc := s.dataEnc
+	if existed {
+		switch priorState {
+		case types.StateReplicated:
+			projRepl -= int64(priorSize)
+		case types.StateEncoded:
+			projEnc -= int64(priorSize)
 		}
-		eff = s.cfg.Policy.MixedEfficiency(projRepl, projEnc)
 	}
 	s.mu.Unlock()
 
-	// Decide the resilience action. CoREC's classification is charged to
-	// the classify bucket.
-	var action policy.Action
-	if s.cfg.Policy.Mode == policy.CoREC {
-		start := time.Now()
-		action = s.decider.OnPut(id, req.Version, eff)
+	// Decide the resilience action. Where demotion runs in the background,
+	// the decision classifies the object: it is charged to the classify
+	// bucket.
+	background := s.decider.DemotesInBackground()
+	start := time.Now()
+	action := s.decider.OnPut(id, req.Version, s.decider.Efficiency(projRepl, projEnc))
+	if background {
 		s.col.Add(metrics.Classify, time.Since(start))
-	} else {
-		action = s.decider.OnPut(id, req.Version, eff)
 	}
 
 	switch action {
@@ -94,7 +89,7 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 			return transport.Errf("server %d: replicate: %v", s.id, err)
 		}
 		if existed && priorState == types.StateEncoded {
-			if s.cfg.Policy.Mode == policy.CoREC {
+			if background {
 				// Defer the old stripe's release off the write path; the
 				// worker also re-evaluates whether the object must be
 				// re-encoded under the constraint.
@@ -104,18 +99,14 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 				s.dropStripe(ctx, priorLayout)
 			}
 		}
-		if s.cfg.Policy.Mode == policy.CoREC {
-			if cls := s.decider.Classifier(); cls != nil {
-				cls.SetEncoded(id, false)
-			}
-		}
+		s.decider.SetEncoded(id, false)
 		return transport.Ok()
 
 	case policy.ActEncode:
 		// CoREC (Figure 6): the write is acknowledged as soon as the
 		// replica guarantees durability; the demotion to erasure coding
 		// runs in the background under the encoding token.
-		if s.cfg.Policy.Mode == policy.CoREC {
+		if background {
 			if err := s.replicateObject(ctx, obj, s.digestMsg(req)); err != nil {
 				return transport.Errf("server %d: replicate: %v", s.id, err)
 			}
@@ -197,13 +188,15 @@ func (s *Server) setLocalState(meta *types.ObjectMeta, sumOf *types.Object) {
 }
 
 // tallyLocked adds (sign +1) or removes (-1) a primary object's bytes to or
-// from the efficiency tally of its state. Caller holds s.mu.
+// from the efficiency tally of its state, and an encoded one to or from the
+// encoded count. Caller holds s.mu.
 func (s *Server) tallyLocked(st *localState, sign int64) {
 	switch st.state {
 	case types.StateReplicated:
 		s.dataRepl += sign * int64(st.size)
 	case types.StateEncoded:
 		s.dataEnc += sign * int64(st.size)
+		s.nEnc += int(sign)
 	}
 }
 
@@ -266,9 +259,7 @@ func (s *Server) handleDelete(ctx context.Context, req *transport.Message) *tran
 	// Unreached directory members resync via anti-entropy.
 	_ = s.sendToGroup(ctx, s.dirPlace.Servers(st.id.Var, st.id.Box), &transport.Message{Kind: transport.MsgMetaDelete, Key: key})
 	s.col.Add(metrics.Metadata, time.Since(mStart))
-	if cls := s.decider.Classifier(); cls != nil {
-		cls.Forget(st.id)
-	}
+	s.decider.Forget(st.id)
 	return &transport.Message{Kind: transport.MsgOK, Flag: true}
 }
 
@@ -308,9 +299,7 @@ func (s *Server) handleHandoff(ctx context.Context, req *transport.Message) *tra
 	// Replica copies at the old holders are left for the scrubber's orphan
 	// reaping: a versioned drop here could destroy a same-version replica
 	// the new owner just pushed to an overlapping holder set.
-	if cls := s.decider.Classifier(); cls != nil {
-		cls.Forget(st.id)
-	}
+	s.decider.Forget(st.id)
 	return &transport.Message{Kind: transport.MsgOK, Flag: true}
 }
 

@@ -24,8 +24,8 @@ type ServerStatus struct {
 	Stats server.Stats
 }
 
-// Status polls every member for its status report (MsgStats): the admin
-// view corec-cli prints and the record FabricStatus and StorageReport sum.
+// Status polls every member for its status report (MsgStats): the record
+// FabricStatus carries and sums, and StorageReport sums.
 // It resends a lost request as any send does but only observes: it counts
 // no retries and leaves the fabric's health table as it found it.
 func (cl *Client) Status(ctx context.Context) []ServerStatus {
@@ -100,6 +100,9 @@ type FabricStatus struct {
 	// Storage reports the tiered storage engines' aggregated view; zero
 	// (with Enabled false) when the cluster stages purely in memory.
 	Storage StorageStatus
+	// Servers is each member's own report, from the one poll the sums above
+	// were taken from: corec-cli status prints both views off one call.
+	Servers []ServerStatus
 }
 
 // StorageStatus sums the live servers' tiered storage engines (tier
@@ -227,7 +230,8 @@ func (c *Cluster) FabricStatus() FabricStatus {
 	}
 	ss := &st.Storage
 	ss.Enabled = c.cfg.Storage != nil
-	for _, s := range c.ctl.Status(contextBackground) {
+	st.Servers = c.ctl.Status(contextBackground)
+	for _, s := range st.Servers {
 		rec := s.Stats // zero for a member that did not answer
 		st.Scrub.Add(rec.Scrub)
 		st.Encoding.DecodeCacheHits += rec.DecodeCacheHits

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"corec/internal/failure"
+	"corec/internal/transport"
 )
 
 func TestStatusReportsAllServers(t *testing.T) {
@@ -50,6 +51,40 @@ func TestStatusReportsAllServers(t *testing.T) {
 	}
 	if alive != 7 {
 		t.Fatalf("%d alive, want 7", alive)
+	}
+}
+
+// TestFabricStatusPollsEachMemberOnce: FabricStatus, the one call corec-cli
+// status makes, sends exactly one MsgStats to each live member and carries
+// the reports it polled alongside the sums it took from them.
+func TestFabricStatusPollsEachMemberOnce(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Mode = PolicyCoREC
+	c, counter := countedCluster(t, cfg)
+	cl := c.NewClient()
+	box := Box3D(0, 0, 0, 8, 8, 8)
+	if err := cl.Put(context.Background(), "v", box, 1, regionData(t, box, 8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	counter.take()
+	fs := c.FabricStatus()
+	if n := counter.count(transport.MsgStats); n != cfg.Servers {
+		t.Fatalf("FabricStatus sent %d MsgStats to %d live members, want one each", n, cfg.Servers)
+	}
+	if len(fs.Servers) != cfg.Servers {
+		t.Fatalf("FabricStatus carries %d server reports, want %d", len(fs.Servers), cfg.Servers)
+	}
+	// The one object is replicated or, once the background encode has run,
+	// encoded: either way exactly one server is its primary.
+	objects := 0
+	for _, s := range fs.Servers {
+		if !s.Alive {
+			t.Fatalf("server %d reported dead", s.ID)
+		}
+		objects += s.Stats.Replicated + s.Stats.Encoded
+	}
+	if objects != 1 {
+		t.Fatalf("server reports name %d primary objects, want 1", objects)
 	}
 }
 

@@ -19,17 +19,17 @@ import (
 )
 
 func ablationOptions(pattern workload.Pattern) harness.Options {
+	cfg := corec.DefaultConfig(8)
+	cfg.Domain = geometry.Box3D(0, 0, 0, 48, 48, 48)
+	cfg.MTBF = 4 * time.Second
+	cfg.Seed = 3
 	return harness.Options{
-		Servers:   8,
+		Config:    cfg,
 		Writers:   8,
 		Readers:   4,
-		Mode:      corec.PolicyCoREC,
 		Pattern:   pattern,
-		Domain:    geometry.Box3D(0, 0, 0, 48, 48, 48),
 		BlockSize: []int64{12, 12, 12},
 		TimeSteps: 8,
-		ElemSize:  8,
-		Seed:      3,
 	}
 }
 
@@ -52,13 +52,13 @@ func runAblation(b *testing.B, opts harness.Options) {
 
 func BenchmarkAblationHelperOn(b *testing.B) {
 	opts := ablationOptions(workload.Case1WriteAll)
-	opts.HelperLoadDelta = 2
+	opts.Config.HelperLoadDelta = 2
 	runAblation(b, opts)
 }
 
 func BenchmarkAblationHelperOff(b *testing.B) {
 	opts := ablationOptions(workload.Case1WriteAll)
-	opts.HelperLoadDelta = -1 // never delegate
+	opts.Config.HelperLoadDelta = -1 // never delegate
 	runAblation(b, opts)
 }
 
@@ -70,44 +70,44 @@ func classifierBase(domain geometry.Box) classifier.Config {
 
 func BenchmarkAblationClassifierFull(b *testing.B) {
 	opts := ablationOptions(workload.Case3Hotspot)
-	opts.Classifier = classifierBase(opts.Domain)
+	opts.Config.Classifier = classifierBase(opts.Config.Domain)
 	runAblation(b, opts)
 }
 
 func BenchmarkAblationClassifierNoSpatial(b *testing.B) {
 	opts := ablationOptions(workload.Case3Hotspot)
-	cc := classifierBase(opts.Domain)
+	cc := classifierBase(opts.Config.Domain)
 	cc.SpatialRadius = 0
-	opts.Classifier = cc
+	opts.Config.Classifier = cc
 	runAblation(b, opts)
 }
 
 func BenchmarkAblationClassifierNoLookahead(b *testing.B) {
 	opts := ablationOptions(workload.Case2RoundRobin) // periodic writes
-	cc := classifierBase(opts.Domain)
+	cc := classifierBase(opts.Config.Domain)
 	cc.HistoryDepth = 2 // minimum; effectively no period detection benefit
-	opts.Classifier = cc
+	opts.Config.Classifier = cc
 	runAblation(b, opts)
 }
 
 func BenchmarkAblationClassifierTinyWindow(b *testing.B) {
 	opts := ablationOptions(workload.Case3Hotspot)
-	cc := classifierBase(opts.Domain)
+	cc := classifierBase(opts.Config.Domain)
 	cc.Window = 1
-	opts.Classifier = cc
+	opts.Config.Classifier = cc
 	runAblation(b, opts)
 }
 
 // --- storage-efficiency constraint sweep ---
 
-func BenchmarkAblationConstraintNone(b *testing.B) { benchConstraint(b, -1) }
+func BenchmarkAblationConstraintNone(b *testing.B) { benchConstraint(b, 0) }
 func BenchmarkAblationConstraint50(b *testing.B)   { benchConstraint(b, 0.50) }
 func BenchmarkAblationConstraint67(b *testing.B)   { benchConstraint(b, 0.67) }
 func BenchmarkAblationConstraint74(b *testing.B)   { benchConstraint(b, 0.74) }
 
 func benchConstraint(b *testing.B, s float64) {
 	opts := ablationOptions(workload.Case1WriteAll)
-	opts.StorageEfficiencyMin = s
+	opts.Config.StorageEfficiencyMin = s
 	runAblation(b, opts)
 }
 
@@ -118,7 +118,7 @@ func BenchmarkAblationRecoveryLazy(b *testing.B) {
 	opts.TimeSteps = 12
 	opts.Failures = 1
 	opts.Scenario = harness.LazyRecovery
-	opts.MTBF = time.Second
+	opts.Config.MTBF = time.Second
 	runAblation(b, opts)
 }
 

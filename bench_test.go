@@ -21,17 +21,18 @@ import (
 )
 
 func benchOptions(mode corec.Mode, pattern workload.Pattern) harness.Options {
+	cfg := corec.DefaultConfig(8)
+	cfg.Mode = mode
+	cfg.Domain = geometry.Box3D(0, 0, 0, 32, 32, 32)
+	cfg.MTBF = 4 * time.Second
+	cfg.Seed = 1
 	return harness.Options{
-		Servers:   8,
+		Config:    cfg,
 		Writers:   4,
 		Readers:   2,
-		Mode:      mode,
 		Pattern:   pattern,
-		Domain:    geometry.Box3D(0, 0, 0, 32, 32, 32),
 		BlockSize: []int64{16, 16, 16},
 		TimeSteps: 5,
-		ElemSize:  8,
-		Seed:      1,
 	}
 }
 
@@ -130,7 +131,7 @@ func BenchmarkFig10LazyRecovery(b *testing.B) {
 	opts.TimeSteps = 10
 	opts.Failures = 1
 	opts.Scenario = harness.LazyRecovery
-	opts.MTBF = 400 * time.Millisecond
+	opts.Config.MTBF = 400 * time.Millisecond
 	runBench(b, opts)
 }
 
@@ -147,13 +148,13 @@ func BenchmarkFig10AggressiveRecovery(b *testing.B) {
 // smallest Table II scale, CoREC vs the erasure baseline.
 func BenchmarkFig11S3DRead(b *testing.B) {
 	opts := benchOptions(corec.PolicyCoREC, workload.S3D)
-	opts.Domain = geometry.Box3D(0, 0, 0, 64, 32, 32)
+	opts.Config.Domain = geometry.Box3D(0, 0, 0, 64, 32, 32)
 	runBench(b, opts)
 }
 
 func BenchmarkFig12S3DWrite(b *testing.B) {
 	opts := benchOptions(corec.PolicyErasure, workload.S3D)
-	opts.Domain = geometry.Box3D(0, 0, 0, 64, 32, 32)
+	opts.Config.Domain = geometry.Box3D(0, 0, 0, 64, 32, 32)
 	runBench(b, opts)
 }
 

@@ -102,11 +102,17 @@ func run(experiment string, quick bool, csvDir string) error {
 // blocks, Table I and the model validation, it prints itself and returns
 // no table.
 func section(name string, quick bool, fig8 func() ([]harness.CaseResult, error), s3d func() ([]harness.S3DResult, error)) (*harness.Table, error) {
+	// Read penalties and measured write-cost ratios are medians or means
+	// over repeated runs.
+	trials := 5
+	if quick {
+		trials = 2
+	}
 	switch name {
 	case "table1":
 		fmt.Print(harness.TableIDescription())
 	case "model-validation":
-		v, err := harness.RunModelValidation()
+		v, err := harness.RunModelValidation(trials)
 		if err != nil {
 			return nil, err
 		}
@@ -140,10 +146,6 @@ func section(name string, quick bool, fig8 func() ([]harness.CaseResult, error),
 		results, err := s3d()
 		return harness.Fig12Table(results), err
 	case "read-penalty":
-		trials := 5
-		if quick {
-			trials = 2
-		}
 		p, err := harness.RunReadPenalty(trials)
 		if err != nil {
 			return nil, err

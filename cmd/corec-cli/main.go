@@ -9,12 +9,12 @@
 //	corec-cli -addr-file corec-addrs.json get  -var demo -offset 0 -len 13
 //	corec-cli -addr-file corec-addrs.json query -var demo
 //
-// When the service runs with elastic membership (corec-server -membership),
-// pass -membership so data commands place on the fleet's dynamic ring
-// (pulled as a gossip snapshot at startup) instead of a static server
-// count; the gossip control plane is reachable too:
+// The CLI takes the service's shape (policy, NLevel, k, domain, fleet size)
+// from the first server that answers, so it needs no flag to match the
+// service. When the service runs elastic membership (corec-server
+// -membership), data commands place on the fleet's dynamic ring, pulled as
+// a gossip snapshot at startup, and the gossip control plane is reachable:
 //
-//	corec-cli -addr-file corec-addrs.json -membership put -var demo -data "hi"
 //	corec-cli -addr-file corec-addrs.json members
 //	corec-cli -addr-file corec-addrs.json drain -server 3
 //	corec-cli -addr-file corec-addrs.json join
@@ -36,16 +36,11 @@ import (
 	"strconv"
 
 	"corec"
-	"corec/internal/policy"
 )
 
 func main() {
 	addrFile := flag.String("addr-file", "corec-addrs.json", "server address map written by corec-server")
-	modeName := flag.String("mode", "corec", "policy the service was started with (for codec parameters)")
-	nlevel := flag.Int("nlevel", 1, "service NLevel")
-	k := flag.Int("k", 3, "service Reed-Solomon data shards")
 	muxConns := flag.Int("mux-conns", 0, "connections per peer (0 = default; sizing only, need not match the server)")
-	elastic := flag.Bool("membership", false, "service runs elastic membership (corec-server -membership); place on its dynamic ring")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) < 1 {
@@ -60,17 +55,8 @@ func main() {
 	if err := json.Unmarshal(data, &addrs); err != nil {
 		fatal(err)
 	}
-	cfg := corec.DefaultConfig(len(addrs))
-	cfg.NLevel = *nlevel
-	cfg.DataShards = *k
-	cfg.ElemSize = 1 // byte-addressed 1-D staging for the CLI
-	cfg.MuxConnsPerPeer = *muxConns
-	if cfg.Mode, err = policy.ParseMode(*modeName); err != nil {
-		fatal(err)
-	}
-	if *elastic {
-		cfg.Membership = &corec.MembershipConfig{}
-	}
+	// Byte-addressed 1-D staging; the shape comes from the service.
+	cfg := corec.Config{ElemSize: 1, MuxConnsPerPeer: *muxConns}
 	cluster, err := corec.NewRemoteCluster(cfg, addrs)
 	if err != nil {
 		fatal(err)

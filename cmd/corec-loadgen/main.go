@@ -13,9 +13,10 @@
 // seeds the payloads. The load's shape comes from -rate, -duration,
 // -object-bytes, -slots, -get-fraction and -poisson.
 //
-// External service: point -addr-file at a running corec-server deployment
-// (started with -membership) and offer a custom open-loop load to it;
-// nothing is killed:
+// External service: point -addr-file at a running corec-server deployment,
+// static or elastic, and offer a custom open-loop load to it; the
+// generator takes the service's shape from the servers, and nothing is
+// killed:
 //
 //	corec-loadgen -addr-file corec-addrs.json -rate 500 -duration 10s \
 //	              -object-bytes 4096 -get-fraction 0.5
@@ -50,8 +51,6 @@ func main() {
 	slots := flag.Int("slots", 256, "keyspace width (distinct regions)")
 	getFraction := flag.Float64("get-fraction", 0.3, "fraction of reads in the mix")
 	poisson := flag.Bool("poisson", false, "Poisson arrivals instead of constant spacing")
-	nlevel := flag.Int("nlevel", 1, "service NLevel (external mode)")
-	k := flag.Int("k", 3, "service Reed-Solomon data shards (external mode)")
 	muxConns := flag.Int("mux-conns", 0, "connections per peer (0 = default; sizing only)")
 	jsonOut := flag.Bool("json", false, "print the SLO row as JSON")
 	flag.Parse()
@@ -74,7 +73,7 @@ func main() {
 	}
 
 	if *addrFile != "" {
-		if err := runExternal(ctx, *addrFile, sc, *nlevel, *k, *muxConns, *jsonOut); err != nil {
+		if err := runExternal(ctx, *addrFile, sc, *muxConns, *jsonOut); err != nil {
 			fatal(err)
 		}
 		return
@@ -89,7 +88,7 @@ func main() {
 
 // runExternal offers load to an already-running service; fault arms are
 // unavailable (we do not own its processes).
-func runExternal(ctx context.Context, addrFile string, sc cluster.Scenario, nlevel, k, muxConns int, jsonOut bool) error {
+func runExternal(ctx context.Context, addrFile string, sc cluster.Scenario, muxConns int, jsonOut bool) error {
 	data, err := os.ReadFile(addrFile)
 	if err != nil {
 		return err
@@ -98,13 +97,7 @@ func runExternal(ctx context.Context, addrFile string, sc cluster.Scenario, nlev
 	if err := json.Unmarshal(data, &addrs); err != nil {
 		return err
 	}
-	cfg := corec.DefaultConfig(len(addrs))
-	cfg.NLevel = nlevel
-	cfg.DataShards = k
-	cfg.ElemSize = 1
-	cfg.MuxConnsPerPeer = muxConns
-	cfg.Membership = &corec.MembershipConfig{}
-	cl, err := corec.NewRemoteCluster(cfg, addrs)
+	cl, err := corec.NewRemoteCluster(corec.Config{ElemSize: 1, MuxConnsPerPeer: muxConns}, addrs)
 	if err != nil {
 		return err
 	}
@@ -129,7 +122,7 @@ func runExternal(ctx context.Context, addrFile string, sc cluster.Scenario, nlev
 	row := &cluster.RunReport{
 		Scenario:       sc.Name,
 		Arm:            string(cluster.FaultNone),
-		Servers:        len(addrs),
+		Servers:        cl.NumServers(),
 		OfferedOps:     res.Offered,
 		CompletedOps:   res.Completed,
 		FailedOps:      res.Failed,

@@ -110,12 +110,13 @@ func replay(args []string) error {
 	if err != nil {
 		return err
 	}
+	cfg := corec.DefaultConfig(*servers)
+	cfg.Mode = mode
 	res, err := harness.Replay(harness.Options{
 		Label:   fmt.Sprintf("replay(%s)", *in),
-		Servers: *servers,
+		Config:  cfg,
 		Writers: *writers,
 		Readers: *readers,
-		Mode:    corec.Mode(mode),
 	}, w)
 	if err != nil {
 		return err

@@ -23,6 +23,7 @@ package corec
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -34,6 +35,7 @@ import (
 	"corec/internal/erasure"
 	"corec/internal/failure"
 	"corec/internal/geometry"
+	"corec/internal/membership"
 	"corec/internal/metrics"
 	"corec/internal/placement"
 	"corec/internal/policy"
@@ -322,47 +324,20 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	col := metrics.NewCollector()
-	polCfg := policy.Config{
-		Mode:                 cfg.Mode,
-		NLevel:               cfg.NLevel,
-		K:                    cfg.DataShards,
-		M:                    cfg.NLevel,
-		StorageEfficiencyMin: cfg.StorageEfficiencyMin,
-		Seed:                 cfg.Seed,
-	}
-	var codec *erasure.Codec
-	if cfg.Mode != PolicyNone {
-		codec, err = server.NewCodec(cfg.DataShards, cfg.NLevel)
-		if err != nil {
-			return nil, err
-		}
-	}
-	c := &Cluster{
-		cfg:     cfg,
-		net:     net,
-		faults:  faults,
-		retry:   retryPolicy(cfg.Retry),
-		health:  transport.HealthOf(net),
-		top:     top,
-		col:     col,
-		codec:   codec,
-		polCfg:  polCfg,
-		servers: make(map[types.ServerID]*server.Server),
-	}
+	// Seed the ring with the initial fleet before any server starts, so
+	// every agent bootstraps a complete view and the first servers place
+	// writes over the whole fleet, not just the already-started prefix.
+	var ring []membership.Update
 	if cfg.Membership != nil {
-		c.elastic = newElasticState(*cfg.Membership)
-		// Seed the ring with the initial fleet before any server starts, so
-		// every agent bootstraps a complete view and the first servers place
-		// writes over the whole fleet, not just the already-started prefix.
 		for i := 0; i < cfg.Servers; i++ {
-			c.elastic.ring.Join(types.ServerID(i), c.domainFor(types.ServerID(i)))
+			ring = append(ring, membership.Update{ID: types.ServerID(i), Domain: top.Server(types.ServerID(i)).Cabinet})
 		}
 	}
-	if err := c.placeFleet(); err != nil {
+	c, err := assemble(cfg, net, top, ring)
+	if err != nil {
 		return nil, err
 	}
-	c.ctl = c.NewClient()
+	c.faults = faults
 	if cfg.Storage != nil && cfg.Storage.Remote != nil {
 		// One remote store for the whole fleet: like a real object store it
 		// outlives any single server, so kill/Replace cycles re-reach their
@@ -423,7 +398,6 @@ func (c *Cluster) startServer(id types.ServerID) (*server.Server, error) {
 		Policy:           c.polCfg,
 		Collector:        c.col,
 		Domain:           c.cfg.Domain,
-		RecoveryMode:     c.cfg.RecoveryMode,
 		MTBF:             c.cfg.MTBF,
 		HelperLoadDelta:  c.cfg.HelperLoadDelta,
 		ClassifierConfig: c.cfg.Classifier,
@@ -447,6 +421,49 @@ func (c *Cluster) startServer(id types.ServerID) (*server.Server, error) {
 		c.attachElastic(id, srv)
 	}
 	return srv, nil
+}
+
+// assemble builds a Cluster over its fabric from a resolved Config: the
+// codec, the elastic state and its ring (seeded with the given members),
+// the placement and the control client. NewCluster and NewRemoteCluster
+// differ only in how they get the fabric and the shape.
+func assemble(cfg Config, net transport.Network, top *topology.Topology, ring []membership.Update) (*Cluster, error) {
+	var codec *erasure.Codec
+	if cfg.Mode != PolicyNone {
+		var err error
+		if codec, err = server.NewCodec(cfg.DataShards, cfg.NLevel); err != nil {
+			return nil, err
+		}
+	}
+	c := &Cluster{
+		cfg:    cfg,
+		net:    net,
+		retry:  retryPolicy(cfg.Retry),
+		health: transport.HealthOf(net),
+		top:    top,
+		col:    metrics.NewCollector(),
+		codec:  codec,
+		polCfg: policy.Config{
+			Mode:                 cfg.Mode,
+			NLevel:               cfg.NLevel,
+			K:                    cfg.DataShards,
+			M:                    cfg.NLevel,
+			StorageEfficiencyMin: cfg.StorageEfficiencyMin,
+			Seed:                 cfg.Seed,
+		},
+		servers: make(map[types.ServerID]*server.Server),
+	}
+	if cfg.Membership != nil {
+		c.elastic = newElasticState(*cfg.Membership)
+		for _, m := range ring {
+			c.elastic.ring.Join(m.ID, m.Domain)
+		}
+	}
+	if err := c.placeFleet(); err != nil {
+		return nil, err
+	}
+	c.ctl = c.NewClient()
+	return c, nil
 }
 
 // placeFleet builds the fleet's placement and its directory: the one place
@@ -504,7 +521,8 @@ func (c *Cluster) Server(id ServerID) *server.Server {
 	return c.servers[id]
 }
 
-// NumServers returns the configured server count.
+// NumServers returns the fleet's server count: the configured one, or for
+// a remote handle the member count the fleet reported.
 func (c *Cluster) NumServers() int { return c.cfg.Servers }
 
 // Collector returns the shared metrics collector.
@@ -581,52 +599,90 @@ func (c *Cluster) ServerAddrs() map[ServerID]string {
 // which are messages to the members; the process lifecycle methods (Kill,
 // Replace) are inert.
 //
-// When the service runs elastic membership, set cfg.Membership: the handle
-// then pulls a membership snapshot over the wire and places on the same
-// dynamic ring as the fleet, instead of guessing from a static server count
-// that drifts as servers join and drain. A static service's handle places
-// as its servers do, so its geometry must tile cfg.Servers as theirs did.
+// The handle asks the fleet for its shape: the first member that answers a
+// status request names the policy, NLevel, DataShards, Domain, member count
+// and whether membership is elastic, so the handle places as the servers
+// do. An elastic fleet also sends its gossip snapshot, and the handle
+// places on the same dynamic ring. Of cfg the handle reads only its own
+// side: ElemSize, MaxObjectBytes, MuxConnsPerPeer and Retry.
 func NewRemoteCluster(cfg Config, addrs map[ServerID]string) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Servers <= 0 {
-		cfg.Servers = len(addrs)
-	}
-	if cfg.Servers == 0 {
+	if len(addrs) == 0 {
 		return nil, fmt.Errorf("corec: no server addresses")
 	}
+	client := Config{
+		ElemSize:        cfg.ElemSize,
+		MaxObjectBytes:  cfg.MaxObjectBytes,
+		MuxConnsPerPeer: cfg.MuxConnsPerPeer,
+		Retry:           cfg.Retry,
+	}
+	cfg = client.withDefaults()
 	net := transport.NewTCPNetwork(cfg.ListenHost)
 	net.ConfigureMux(cfg.MuxConnsPerPeer, 0)
+	ids := make([]types.ServerID, 0, len(addrs))
 	for id, addr := range addrs {
 		net.AddRemote(types.ServerID(id), addr)
+		ids = append(ids, types.ServerID(id))
 	}
-	var codec *erasure.Codec
-	var err error
-	if cfg.Mode != PolicyNone {
-		codec, err = server.NewCodec(cfg.DataShards, cfg.NLevel)
-		if err != nil {
-			return nil, err
-		}
-	}
-	c := &Cluster{
-		cfg:     cfg,
-		net:     net,
-		retry:   retryPolicy(cfg.Retry),
-		health:  transport.HealthOf(net),
-		col:     metrics.NewCollector(),
-		codec:   codec,
-		servers: make(map[types.ServerID]*server.Server),
-	}
-	if cfg.Membership != nil {
-		c.elastic = newElasticState(*cfg.Membership)
-		if err := c.bootstrapRemoteRing(addrs); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.placeFleet(); err != nil {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ring, err := askShape(&cfg, net, ids)
+	if err != nil {
+		net.Close()
 		return nil, err
 	}
-	c.ctl = c.NewClient()
+	c, err := assemble(cfg, net, nil, ring)
+	if err != nil {
+		net.Close()
+		return nil, err
+	}
 	return c, nil
+}
+
+// askShape fills cfg's shape from the first of ids to answer a status
+// request and, when the fleet is elastic, returns the live members of the
+// first gossip snapshot one answers, recording their gossiped addresses:
+// members admitted after the address map was written become dialable.
+func askShape(cfg *Config, net *transport.TCPNetwork, ids []types.ServerID) ([]membership.Update, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	send := func(ctx context.Context, id types.ServerID, msg *transport.Message) (*transport.Message, error) {
+		return net.Send(ctx, -1, id, msg)
+	}
+	from, resp, err := firstAnswer(ctx, send, ids, &transport.Message{Kind: transport.MsgStats})
+	if err != nil {
+		return nil, fmt.Errorf("corec: asking the fleet for its shape: %w", err)
+	}
+	var st server.Stats
+	if err := json.Unmarshal(resp.Data, &st); err != nil {
+		return nil, fmt.Errorf("corec: status of server %d: %w", from, err)
+	}
+	cfg.Mode, cfg.NLevel, cfg.DataShards = st.Mode, st.NLevel, st.DataShards
+	cfg.Domain, cfg.Servers = st.Domain, st.Servers
+	if !st.Elastic {
+		return nil, nil
+	}
+	cfg.Membership = &MembershipConfig{}
+	from, resp, err = firstAnswer(ctx, send, ids, &transport.Message{Kind: transport.MsgGossip, Flag: true})
+	if err != nil {
+		return nil, fmt.Errorf("corec: pulling the membership snapshot: %w", err)
+	}
+	updates, err := membership.DecodeUpdates(resp.Data)
+	if err != nil {
+		return nil, fmt.Errorf("corec: membership snapshot from server %d: %w", from, err)
+	}
+	var live []membership.Update
+	for _, u := range updates {
+		if u.State != membership.StateAlive && u.State != membership.StateSuspect {
+			continue
+		}
+		live = append(live, u)
+		if u.Addr != "" {
+			net.AddRemote(u.ID, u.Addr)
+		}
+	}
+	if len(live) == 0 {
+		return nil, fmt.Errorf("corec: membership snapshot from server %d names no live members", from)
+	}
+	return live, nil
 }
 
 // Replace starts a fresh (empty) server under the failed server's logical

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"corec/internal/membership"
 	"corec/internal/server"
@@ -450,57 +449,6 @@ func (c *Cluster) DrainAndLeave(ctx context.Context, id ServerID) (RebalanceRepo
 	return rep, err
 }
 
-// bootstrapRemoteRing seeds a remote handle's placement ring from a
-// membership snapshot pulled over the wire (MsgGossip Flag=true), so the
-// handle places on the same dynamic ring as the elastic service it talks
-// to. Failure domains travel inside the snapshot, so no topology
-// assumption couples client and host; members beyond the caller's address
-// map (servers admitted after the map was written) become dialable from
-// the snapshot's gossiped addresses.
-func (c *Cluster) bootstrapRemoteRing(addrs map[ServerID]string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	ids := make([]types.ServerID, 0, len(addrs))
-	for id := range addrs {
-		ids = append(ids, types.ServerID(id))
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var lastErr error
-	for _, id := range ids {
-		resp, err := c.net.Send(ctx, -1, id, &transport.Message{Kind: transport.MsgGossip, Flag: true})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := resp.AsError(); err != nil {
-			lastErr = err
-			continue
-		}
-		updates, err := membership.DecodeUpdates(resp.Data)
-		if err != nil {
-			return fmt.Errorf("corec: membership snapshot from server %d: %w", id, err)
-		}
-		tn := c.tcpNet()
-		for _, u := range updates {
-			if u.State != membership.StateAlive && u.State != membership.StateSuspect {
-				continue
-			}
-			c.elastic.ring.Join(u.ID, u.Domain)
-			if u.Addr != "" && tn != nil {
-				tn.AddRemote(u.ID, u.Addr)
-			}
-		}
-		if c.elastic.ring.Size() == 0 {
-			return fmt.Errorf("corec: membership snapshot from server %d names no live members", id)
-		}
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("no server reachable")
-	}
-	return fmt.Errorf("corec: bootstrapping membership ring: %w", lastErr)
-}
-
 // Member is one entry of a fleet's gossip membership view, as pulled by
 // Client.MemberSnapshot.
 type Member struct {
@@ -516,37 +464,25 @@ type Member struct {
 // Works over any transport — the `corec-cli members` view. Errors when no
 // server answers or the service does not run elastic membership.
 func (cl *Client) MemberSnapshot(ctx context.Context) ([]Member, error) {
-	var lastErr error
-	for _, id := range cl.cluster.place.Members() {
-		resp, err := cl.send(ctx, id, &transport.Message{Kind: transport.MsgGossip, Flag: true})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := resp.AsError(); err != nil {
-			lastErr = err
-			continue
-		}
-		updates, err := membership.DecodeUpdates(resp.Data)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Member, len(updates))
-		for i, u := range updates {
-			out[i] = Member{
-				ID:          ServerID(u.ID),
-				State:       u.State.String(),
-				Incarnation: u.Incarnation,
-				Domain:      u.Domain,
-				Addr:        u.Addr,
-			}
-		}
-		return out, nil
+	_, resp, err := firstAnswer(ctx, cl.send, cl.cluster.place.Members(), &transport.Message{Kind: transport.MsgGossip, Flag: true})
+	if err != nil {
+		return nil, err
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("corec: no server reachable for membership snapshot")
+	updates, err := membership.DecodeUpdates(resp.Data)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	out := make([]Member, len(updates))
+	for i, u := range updates {
+		out[i] = Member{
+			ID:          ServerID(u.ID),
+			State:       u.State.String(),
+			Incarnation: u.Incarnation,
+			Domain:      u.Domain,
+			Addr:        u.Addr,
+		}
+	}
+	return out, nil
 }
 
 // RequestDrain asks a server, over the gossip control plane, to drain and
@@ -564,21 +500,6 @@ func (cl *Client) RequestDrain(ctx context.Context, id ServerID) error {
 // fresh server (`corec-cli join`). Any reachable member relays the request
 // to its host; the newcomer announces itself via gossip once it is up.
 func (cl *Client) RequestJoin(ctx context.Context) error {
-	var lastErr error
-	for _, id := range cl.cluster.place.Members() {
-		resp, err := cl.send(ctx, id, &transport.Message{Kind: transport.MsgGossip, Key: "join"})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := resp.AsError(); err != nil {
-			lastErr = err
-			continue
-		}
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("corec: no server reachable for join request")
-	}
-	return lastErr
+	_, _, err := firstAnswer(ctx, cl.send, cl.cluster.place.Members(), &transport.Message{Kind: transport.MsgGossip, Key: "join"})
+	return err
 }

@@ -21,24 +21,24 @@ import (
 )
 
 func main() {
+	cfg := corec.DefaultConfig(8)
+	cfg.Domain = geometry.Box3D(0, 0, 0, 96, 96, 96)
+	cfg.Link = simnet.Titan(1)
+	cfg.Seed = 9
 	base := harness.Options{
-		Servers:   8,
+		Config:    cfg,
 		Writers:   8,
 		Readers:   4,
 		Pattern:   workload.Case5ReadAll,
-		Domain:    geometry.Box3D(0, 0, 0, 96, 96, 96),
 		BlockSize: []int64{24, 24, 24},
 		TimeSteps: 20,
-		ElemSize:  8,
-		Link:      simnet.Titan(1),
-		Seed:      9,
 	}
 	fmt.Printf("workload: stage %.1f MiB once, analysis reads it for 20 steps\n\n",
-		float64(base.Domain.Volume()*8)/(1<<20))
+		float64(cfg.Domain.Volume()*8)/(1<<20))
 
 	plain := base
 	plain.Label = "no fault tolerance"
-	plain.Mode = corec.PolicyNone
+	plain.Config.Mode = corec.PolicyNone
 	rPlain, err := harness.Run(plain)
 	if err != nil {
 		log.Fatal(err)
@@ -46,7 +46,7 @@ func main() {
 
 	checked := base
 	checked.Label = "checkpoint/restart"
-	checked.Mode = corec.PolicyNone
+	checked.Config.Mode = corec.PolicyNone
 	checked.Checkpoints = 13 // the paper's 4 s cadence over a 20-step run
 	checked.PFS = simnet.PFSModel{OpenLatency: 2 * time.Millisecond, BytesPerSecond: 256 << 20}
 	rCheck, err := harness.Run(checked)
@@ -56,7 +56,7 @@ func main() {
 
 	withCoREC := base
 	withCoREC.Label = "CoREC"
-	withCoREC.Mode = corec.PolicyCoREC
+	withCoREC.Config.Mode = corec.PolicyCoREC
 	rCoREC, err := harness.Run(withCoREC)
 	if err != nil {
 		log.Fatal(err)

@@ -29,17 +29,18 @@ func main() {
 		{"Simple hybrid", corec.PolicyHybrid},
 		{"CoREC", corec.PolicyCoREC},
 	} {
+		cfg := corec.DefaultConfig(8)
+		cfg.Mode = spec.mode
+		cfg.Domain = corec.Box3D(0, 0, 0, 64, 64, 64)
+		cfg.Seed = 5
 		res, err := harness.Run(harness.Options{
 			Label:     spec.label,
-			Mode:      spec.mode,
+			Config:    cfg,
 			Pattern:   workload.Case3Hotspot,
-			Servers:   8,
 			Writers:   8,
 			Readers:   4,
-			Domain:    corec.Box3D(0, 0, 0, 64, 64, 64),
 			BlockSize: []int64{16, 16, 16},
 			TimeSteps: 12,
-			Seed:      5,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -32,6 +32,24 @@ func (cl *Client) control(ctx context.Context, id types.ServerID, msg *transport
 	return nil, fmt.Errorf("corec: %v on server %d: %w", msg.Kind, id, err)
 }
 
+// firstAnswer sends msg to each of ids in turn and returns the first member
+// that answers it without an error, with its reply: the one lookup for what
+// any member can tell (the fleet's shape, its gossip view) or do (relay a
+// join). When none answers, the error is the last member's.
+func firstAnswer(ctx context.Context, send func(context.Context, types.ServerID, *transport.Message) (*transport.Message, error), ids []types.ServerID, msg *transport.Message) (types.ServerID, *transport.Message, error) {
+	err := errors.New("corec: no server reachable")
+	for _, id := range ids {
+		var resp *transport.Message
+		if resp, err = send(ctx, id, msg); err == nil {
+			err = resp.AsError()
+		}
+		if err == nil {
+			return id, resp, nil
+		}
+	}
+	return -1, nil, err
+}
+
 // EndTimeStepAll runs end-of-step processing for the time step on every
 // member and blocks until each server's background encode queue drains. It
 // returns the fleet-wide demotion and promotion totals. Unreachable members

@@ -33,11 +33,11 @@ var (
 	buildErr  error
 )
 
-// BuildBinaries compiles cmd/corec-server and cmd/corec-cli and returns
-// their paths. The build runs once per test process into a shared temp
-// directory (Go's build cache makes the compile itself nearly free after
-// the first fleet); dir is only used as a fallback workspace hint.
-func BuildBinaries(dir string) (serverBin, cliBin string, err error) {
+// BuildBinaries compiles cmd/corec-server, cmd/corec-cli and
+// cmd/corec-loadgen and returns the directory holding them. The build runs
+// once per test process into a shared temp directory (Go's build cache
+// makes the compile itself nearly free after the first fleet).
+func BuildBinaries() (string, error) {
 	buildOnce.Do(func() {
 		root, err := moduleRoot()
 		if err != nil {
@@ -49,7 +49,7 @@ func BuildBinaries(dir string) (serverBin, cliBin string, err error) {
 			buildErr = err
 			return
 		}
-		cmd := exec.Command("go", "build", "-o", out+string(filepath.Separator), "./cmd/corec-server", "./cmd/corec-cli")
+		cmd := exec.Command("go", "build", "-o", out+string(filepath.Separator), "./cmd/corec-server", "./cmd/corec-cli", "./cmd/corec-loadgen")
 		cmd.Dir = root
 		if msg, err := cmd.CombinedOutput(); err != nil {
 			buildErr = fmt.Errorf("cluster: building binaries: %w\n%s", err, msg)
@@ -58,10 +58,7 @@ func BuildBinaries(dir string) (serverBin, cliBin string, err error) {
 		}
 		buildDir = out
 	})
-	if buildErr != nil {
-		return "", "", buildErr
-	}
-	return filepath.Join(buildDir, "corec-server"), filepath.Join(buildDir, "corec-cli"), nil
+	return buildDir, buildErr
 }
 
 // FreePortBase probes for a base port such that base..base+n-1 are all

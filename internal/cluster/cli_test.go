@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"os/exec"
+	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -29,16 +32,10 @@ func TestCLIAgainstLiveFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// cli runs one corec-cli invocation with the connection flags matching
-	// the fleet's geometry (codec parameters must agree with the service,
-	// exactly as a real operator's would).
+	// cli runs one corec-cli invocation: the address map is all it is told,
+	// and it asks the fleet for the rest.
 	cli := func(args ...string) (string, error) {
-		full := append([]string{
-			"-addr-file", addrFile,
-			"-membership",
-			"-k", "2",
-			"-nlevel", "1",
-		}, args...)
+		full := append([]string{"-addr-file", addrFile}, args...)
 		out, err := exec.CommandContext(ctx, fleet.CLIBin(), full...).CombinedOutput()
 		return string(out), err
 	}
@@ -84,5 +81,70 @@ func TestCLIAgainstLiveFleet(t *testing.T) {
 	// The staged payload survived the handoff.
 	if out := mustCLI("get", "-var", "cli", "-offset", "0", "-len", "27"); !strings.Contains(out, payload) {
 		t.Fatalf("get after drain lost the payload:\n%s", out)
+	}
+}
+
+// TestToolsAgainstStaticFleet runs corec-cli and corec-loadgen against a
+// static service: two corec-server processes hosting three of six servers
+// each at k=2, without -membership. Neither tool is told the shape, which a
+// default k=3 would not tile.
+func TestToolsAgainstStaticFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	bin, err := BuildBinaries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const servers = 6
+	base, err := FreePortBase(servers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for i, local := range []string{"0,2,4", "1,3,5"} {
+		cmd := exec.Command(filepath.Join(bin, "corec-server"),
+			"-servers", strconv.Itoa(servers), "-k", "2",
+			"-port-base", strconv.Itoa(base), "-local", local,
+			"-addr-file", filepath.Join(dir, fmt.Sprintf("addrs-%d.json", i)))
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait() // exit status of a killed server is noise
+		})
+	}
+	addrs := addrMap(base, servers)
+	if err := awaitAll(ctx, addrs); err != nil {
+		t.Fatal(err)
+	}
+	addrFile := filepath.Join(dir, "addrs.json")
+	if err := writeAddrFile(addrFile, addrs); err != nil {
+		t.Fatal(err)
+	}
+	run := func(tool string, args ...string) string {
+		t.Helper()
+		out, err := exec.CommandContext(ctx, filepath.Join(bin, tool), append([]string{"-addr-file", addrFile}, args...)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s %s: %v\n%s", tool, strings.Join(args, " "), err, out)
+		}
+		return string(out)
+	}
+
+	const payload = "hello from a static fleet"
+	run("corec-cli", "put", "-var", "cli", "-data", payload)
+	if out := run("corec-cli", "get", "-var", "cli", "-len", strconv.Itoa(len(payload))); !strings.Contains(out, payload) {
+		t.Fatalf("get did not return the staged payload:\n%s", out)
+	}
+	if out := run("corec-cli", "status"); strings.Contains(out, "DOWN") || strings.Count(out, "server ") != servers {
+		t.Fatalf("status does not show six live servers:\n%s", out)
+	}
+	out := run("corec-loadgen", "-rate", "100", "-duration", "1s", "-slots", "32")
+	t.Log(out)
+	if !strings.Contains(out, "on 6 servers") || !strings.Contains(out, ", 0 failed") || !strings.Contains(out, "lost=0 corrupt=0") {
+		t.Fatalf("loadgen against the static fleet:\n%s", out)
 	}
 }

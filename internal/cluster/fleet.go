@@ -20,6 +20,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -29,7 +30,6 @@ import (
 	"time"
 
 	"corec"
-	"corec/internal/policy"
 	"corec/internal/types"
 )
 
@@ -102,13 +102,12 @@ func (p *Proc) Pid() int {
 
 // Fleet is a running multi-process staging service.
 type Fleet struct {
-	cfg       Config
-	dir       string
-	ownDir    bool // remove dir on Stop (we created it)
-	serverBin string
-	cliBin    string
-	portBase  int
-	procs     []*Proc
+	cfg      Config
+	dir      string
+	ownDir   bool   // remove dir on Stop (we created it)
+	bin      string // directory holding the built binaries
+	portBase int
+	procs    []*Proc
 }
 
 // Start builds the corec-server binary (cached per workspace), spawns the
@@ -129,7 +128,7 @@ func Start(ctx context.Context, cfg Config) (*Fleet, error) {
 		f.ownDir = true
 	}
 	var err error
-	f.serverBin, f.cliBin, err = BuildBinaries(f.dir)
+	f.bin, err = BuildBinaries()
 	if err != nil {
 		f.cleanup()
 		return nil, err
@@ -190,7 +189,7 @@ func (f *Fleet) spawn(p *Proc) error {
 	if f.cfg.Scrub {
 		args = append(args, "-scrub")
 	}
-	cmd := exec.Command(f.serverBin, args...)
+	cmd := exec.Command(filepath.Join(f.bin, "corec-server"), args...)
 	if f.cfg.Stderr != nil {
 		cmd.Stdout = f.cfg.Stderr
 		cmd.Stderr = f.cfg.Stderr
@@ -203,10 +202,13 @@ func (f *Fleet) spawn(p *Proc) error {
 }
 
 // Addrs returns the full fleet address map, computed from the port base.
-func (f *Fleet) Addrs() map[corec.ServerID]string {
-	out := make(map[corec.ServerID]string, f.cfg.Servers)
-	for i := 0; i < f.cfg.Servers; i++ {
-		out[corec.ServerID(i)] = fmt.Sprintf("127.0.0.1:%d", f.portBase+i)
+func (f *Fleet) Addrs() map[corec.ServerID]string { return addrMap(f.portBase, f.cfg.Servers) }
+
+// addrMap is the address map of n servers listening at portBase+id.
+func addrMap(portBase, n int) map[corec.ServerID]string {
+	out := make(map[corec.ServerID]string, n)
+	for i := 0; i < n; i++ {
+		out[corec.ServerID(i)] = fmt.Sprintf("127.0.0.1:%d", portBase+i)
 	}
 	return out
 }
@@ -222,34 +224,34 @@ func (f *Fleet) Dir() string { return f.dir }
 
 // CLIBin returns the path of the corec-cli binary built alongside the
 // fleet, for tests that exercise the operator tooling end to end.
-func (f *Fleet) CLIBin() string { return f.cliBin }
+func (f *Fleet) CLIBin() string { return filepath.Join(f.bin, "corec-cli") }
 
 // WriteAddrFile writes the computed fleet address map as the JSON file
 // corec-cli consumes and returns its path.
 func (f *Fleet) WriteAddrFile() (string, error) {
 	path := filepath.Join(f.dir, "addrs.json")
-	body := "{\n"
-	for i := 0; i < f.cfg.Servers; i++ {
-		if i > 0 {
-			body += ",\n"
-		}
-		body += fmt.Sprintf("  %q: %q", fmt.Sprintf("%d", i), fmt.Sprintf("127.0.0.1:%d", f.portBase+i))
+	return path, writeAddrFile(path, f.Addrs())
+}
+
+// writeAddrFile writes an address map in the layout corec-server writes.
+func writeAddrFile(path string, addrs map[corec.ServerID]string) error {
+	data, err := json.MarshalIndent(addrs, "", "  ")
+	if err != nil {
+		return err
 	}
-	body += "\n}\n"
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
+	return os.WriteFile(path, data, 0o644)
 }
 
 // AwaitReady blocks until every fleet server accepts a TCP connection (a
 // restarted process re-listens on its deterministic ports, so this also
 // serves as the restart barrier).
-func (f *Fleet) AwaitReady(ctx context.Context) error {
-	for i := 0; i < f.cfg.Servers; i++ {
-		addr := fmt.Sprintf("127.0.0.1:%d", f.portBase+i)
+func (f *Fleet) AwaitReady(ctx context.Context) error { return awaitAll(ctx, f.Addrs()) }
+
+// awaitAll blocks until every address in the map accepts a TCP connection.
+func awaitAll(ctx context.Context, addrs map[corec.ServerID]string) error {
+	for id, addr := range addrs {
 		if err := awaitListening(ctx, addr); err != nil {
-			return fmt.Errorf("cluster: server %d (%s) never came up: %w", i, addr, err)
+			return fmt.Errorf("cluster: server %d (%s) never came up: %w", id, addr, err)
 		}
 	}
 	return nil
@@ -278,18 +280,10 @@ func awaitListening(ctx context.Context, addr string) error {
 }
 
 // Client opens a remote-cluster handle onto the fleet (the caller owns
-// Close). Mode parameters mirror the fleet's; the handle pulls a gossip
-// snapshot so it places on the same dynamic ring as the servers.
+// Close). The handle asks the fleet for its shape and pulls a gossip
+// snapshot, so it places on the same dynamic ring as the servers.
 func (f *Fleet) Client() (*corec.Cluster, error) {
-	cfg := corec.DefaultConfig(f.cfg.Servers)
-	if m, err := policy.ParseMode(f.cfg.Mode); err == nil {
-		cfg.Mode = m
-	}
-	cfg.NLevel = f.cfg.NLevel
-	cfg.DataShards = f.cfg.DataShards
-	cfg.ElemSize = 1
-	cfg.Membership = &corec.MembershipConfig{}
-	return corec.NewRemoteCluster(cfg, f.Addrs())
+	return corec.NewRemoteCluster(corec.Config{ElemSize: 1}, f.Addrs())
 }
 
 // Kill SIGKILLs the process slot: its servers vanish mid-request with

@@ -15,34 +15,37 @@ import (
 // scaled to one machine. The domain is 64^3 float64 (2 MiB per full write,
 // 40 MiB over 20 steps), 8 staging servers, RS(3+1), S = 67%.
 func tableIOptions() Options {
+	cfg := corec.DefaultConfig(8)
+	cfg.Domain = geometry.Box3D(0, 0, 0, 64, 64, 64)
+	cfg.Link = simnet.Titan(1)
+	cfg.MTBF = 4 * time.Second
+	cfg.Seed = 42
 	return Options{
-		Servers:   8,
+		Config:    cfg,
 		Writers:   8,
 		Readers:   4,
-		Domain:    geometry.Box3D(0, 0, 0, 64, 64, 64),
 		BlockSize: []int64{16, 16, 16},
 		TimeSteps: 20,
-		ElemSize:  8,
-		Link:      simnet.Titan(1),
-		MTBF:      4 * time.Second,
-		Seed:      42,
 	}
 }
 
-// TableIDescription prints the experimental setup, mirroring Table I.
+// TableIDescription prints the experimental setup, mirroring Table I, from
+// the configuration the synthetic figures run.
 func TableIDescription() string {
 	o := tableIOptions()
-	dataBytes := o.Domain.Volume() * int64(o.ElemSize)
+	c := o.Config
+	dataBytes := c.Domain.Volume() * int64(c.ElemSize)
 	return fmt.Sprintf(`Table I: experimental setup for synthetic tests (scaled)
   writers / staging / readers : %d / %d / %d
   volume size                 : %dx%dx%d float64
   in-staging data size (20TS) : %.1f MiB per full-domain write
-  replicas                    : 1
-  RS data/parity objects      : 3 / 1
-  storage efficiency bound S  : 67%%
-`, o.Writers, o.Servers, o.Readers,
-		o.Domain.Size(0), o.Domain.Size(1), o.Domain.Size(2),
-		float64(dataBytes)/(1<<20))
+  replicas                    : %d
+  RS data/parity objects      : %d / %d
+  storage efficiency bound S  : %.0f%%
+`, o.Writers, c.Servers, o.Readers,
+		c.Domain.Size(0), c.Domain.Size(1), c.Domain.Size(2),
+		float64(dataBytes)/(1<<20),
+		c.NLevel, c.DataShards, c.NLevel, c.StorageEfficiencyMin*100)
 }
 
 // Mechanism is one bar of Figure 8.
@@ -100,7 +103,7 @@ func RunFig8(quick bool) ([]CaseResult, error) {
 		for _, m := range mechanisms {
 			opts := tableIOptions()
 			opts.Label = m.Label
-			opts.Mode = m.Mode
+			opts.Config.Mode = m.Mode
 			opts.Pattern = p
 			opts.Failures = m.Failures
 			opts.Scenario = m.Scenario
@@ -145,13 +148,13 @@ func RunFig2(edges []int64) ([]Fig2Row, error) {
 	for _, e := range edges {
 		base := tableIOptions()
 		base.Pattern = workload.Case5ReadAll
-		base.Domain = geometry.Box3D(0, 0, 0, e, e, e)
+		base.Config.Domain = geometry.Box3D(0, 0, 0, e, e, e)
 		base.BlockSize = []int64{e / 4, e / 4, e / 4}
 		base.TimeSteps = 20
 
 		plain := base
 		plain.Label = "Exec"
-		plain.Mode = corec.PolicyNone
+		plain.Config.Mode = corec.PolicyNone
 		rPlain, err := Run(plain)
 		if err != nil {
 			return nil, err
@@ -159,7 +162,7 @@ func RunFig2(edges []int64) ([]Fig2Row, error) {
 
 		withCoREC := base
 		withCoREC.Label = "Exec-CoREC"
-		withCoREC.Mode = corec.PolicyCoREC
+		withCoREC.Config.Mode = corec.PolicyCoREC
 		rCoREC, err := Run(withCoREC)
 		if err != nil {
 			return nil, err
@@ -167,7 +170,7 @@ func RunFig2(edges []int64) ([]Fig2Row, error) {
 
 		checked := base
 		checked.Label = "Exec-check"
-		checked.Mode = corec.PolicyNone
+		checked.Config.Mode = corec.PolicyNone
 		checked.Checkpoints = paperCheckpoints
 		checked.PFS = simnet.PFSModel{OpenLatency: 2 * time.Millisecond, BytesPerSecond: 256 << 20}
 		rCheck, err := Run(checked)
@@ -176,7 +179,7 @@ func RunFig2(edges []int64) ([]Fig2Row, error) {
 		}
 
 		rows = append(rows, Fig2Row{
-			StagedMiB:  float64(base.Domain.Volume()*8) / (1 << 20),
+			StagedMiB:  float64(base.Config.Domain.Volume()*8) / (1 << 20),
 			Exec:       rPlain.Elapsed,
 			ExecCoREC:  rCoREC.Elapsed,
 			ExecCheck:  rCheck.Elapsed,
@@ -207,13 +210,13 @@ func RunFig10() ([]Fig10Run, error) {
 	mk := func(label string, mode corec.Mode, failures int, scen FailureScenario) (Fig10Run, error) {
 		opts := tableIOptions()
 		opts.Label = label
-		opts.Mode = mode
+		opts.Config.Mode = mode
 		opts.Pattern = workload.Case5ReadAll
 		opts.Failures = failures
 		opts.Scenario = scen
 		// A long MTBF stretches lazy recovery across time steps so the
 		// gradual-repair shape is visible in the series.
-		opts.MTBF = 8 * time.Second
+		opts.Config.MTBF = 8 * time.Second
 		res, err := Run(opts)
 		return Fig10Run{Label: label, Result: res}, err
 	}
@@ -277,13 +280,13 @@ func RunS3D(quick bool) ([]S3DResult, error) {
 			opts := tableIOptions()
 			opts.Label = m.Label
 			opts.Pattern = workload.S3D
-			opts.Domain = sc.Domain
+			opts.Config.Domain = sc.Domain
 			opts.BlockSize = sc.BlockSize
-			opts.Servers = sc.Staging
+			opts.Config.Servers = sc.Staging
 			opts.Writers = min(sc.Writers, 32)
 			opts.Readers = min(sc.Readers, 8)
 			opts.TimeSteps = 10
-			opts.Mode = m.Mode
+			opts.Config.Mode = m.Mode
 			opts.Failures = m.Failures
 			opts.Scenario = m.Scenario
 			var res *Result

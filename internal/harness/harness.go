@@ -14,7 +14,6 @@ import (
 
 	"corec"
 	"corec/internal/checkpoint"
-	"corec/internal/classifier"
 	"corec/internal/failure"
 	"corec/internal/geometry"
 	"corec/internal/metrics"
@@ -60,26 +59,20 @@ func (f FailureScenario) String() string {
 type Options struct {
 	// Label names the run in reports (e.g. "CoREC+1f").
 	Label string
-	// Servers is the staging server count (Table I uses 8).
-	Servers int
+	// Config is the staging cluster the run builds; start from
+	// corec.DefaultConfig. Its Seed also seeds the workload, and a run
+	// under AggressiveRecovery recovers aggressively whatever its
+	// RecoveryMode.
+	Config corec.Config
 	// Writers and Readers are the parallel client rank counts.
 	Writers, Readers int
-	// Mode is the resilience policy.
-	Mode corec.Mode
 	// Pattern and workload geometry.
 	Pattern   workload.Pattern
-	Domain    geometry.Box
 	BlockSize []int64
 	TimeSteps int
 	// Failures is the number of servers to kill (with FailureScenario).
 	Failures int
 	Scenario FailureScenario
-	// Link is the fabric model; zero = free.
-	Link simnet.LinkModel
-	// ElemSize is the array element width (8 = float64).
-	ElemSize int
-	// Seed drives workload and policy randomness.
-	Seed int64
 	// Checkpoints, when positive, attaches the Checkpoint/Restart baseline:
 	// the run checkpoints the staged data to the simulated PFS this many
 	// times, spread evenly over its time steps (Figure 2).
@@ -87,20 +80,6 @@ type Options struct {
 	// PFS is the parallel-file-system model for checkpointing and the PFS
 	// I/O baseline.
 	PFS simnet.PFSModel
-	// MTBF for the lazy-recovery deadline.
-	MTBF time.Duration
-	// StorageEfficiencyMin overrides the constraint S (default 0.67; set
-	// negative to disable).
-	StorageEfficiencyMin float64
-	// HelperLoadDelta overrides encode-delegation tuning: 0 keeps the
-	// cluster default, negative disables delegation (ablation).
-	HelperLoadDelta int64
-	// Classifier overrides the CoREC classifier configuration when
-	// non-zero (ablation of the spatial/temporal rules).
-	Classifier classifier.Config
-	// Verify re-reads every write and checks payload integrity (slower;
-	// used by tests).
-	Verify bool
 }
 
 // Result captures one run's measurements.
@@ -130,17 +109,11 @@ type Result struct {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.Servers == 0 {
-		out.Servers = 8
-	}
 	if out.Writers == 0 {
 		out.Writers = 8
 	}
 	if out.Readers == 0 {
 		out.Readers = 4
-	}
-	if !out.Domain.Valid() {
-		out.Domain = geometry.Box3D(0, 0, 0, 64, 64, 64)
 	}
 	if out.BlockSize == nil {
 		out.BlockSize = []int64{16, 16, 16}
@@ -148,14 +121,8 @@ func (o *Options) withDefaults() Options {
 	if out.TimeSteps == 0 {
 		out.TimeSteps = 20
 	}
-	if out.ElemSize == 0 {
-		out.ElemSize = 8
-	}
-	if out.MTBF == 0 {
-		out.MTBF = 4 * time.Second
-	}
 	if out.Label == "" {
-		out.Label = fmt.Sprintf("%v/%v", out.Mode, out.Scenario)
+		out.Label = fmt.Sprintf("%v/%v", out.Config.Mode, out.Scenario)
 	}
 	return out
 }
@@ -185,14 +152,7 @@ func (a *clusterAdapter) Recover(id types.ServerID) {
 // Run executes one experiment and returns its measurements.
 func Run(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	wl, err := workload.Generate(workload.Config{
-		Pattern:   opts.Pattern,
-		Domain:    opts.Domain,
-		BlockSize: opts.BlockSize,
-		TimeSteps: opts.TimeSteps,
-		Var:       "field",
-		Seed:      opts.Seed,
-	})
+	wl, err := opts.workload()
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +178,7 @@ func Replay(opts Options, wl *workload.Workload) (*Result, error) {
 		}
 	}
 	if domain.Valid() {
-		opts.Domain = domain
+		opts.Config.Domain = domain
 	}
 	if wl.Cfg.Var == "" {
 		wl.Cfg.Var = "field"
@@ -226,28 +186,22 @@ func Replay(opts Options, wl *workload.Workload) (*Result, error) {
 	return execute(opts, wl)
 }
 
+// workload generates the run's synthetic workload over the cluster's domain.
+func (o *Options) workload() (*workload.Workload, error) {
+	return workload.Generate(workload.Config{
+		Pattern:   o.Pattern,
+		Domain:    o.Config.Domain,
+		BlockSize: o.BlockSize,
+		TimeSteps: o.TimeSteps,
+		Var:       "field",
+		Seed:      o.Config.Seed,
+	})
+}
+
 func execute(opts Options, wl *workload.Workload) (*Result, error) {
-	ccfg := corec.DefaultConfig(opts.Servers)
-	ccfg.Mode = opts.Mode
-	ccfg.Domain = opts.Domain
-	ccfg.Link = opts.Link
-	ccfg.ElemSize = opts.ElemSize
-	ccfg.Seed = opts.Seed
-	ccfg.MTBF = opts.MTBF
-	if opts.StorageEfficiencyMin != 0 {
-		ccfg.StorageEfficiencyMin = opts.StorageEfficiencyMin
-		if ccfg.StorageEfficiencyMin < 0 {
-			ccfg.StorageEfficiencyMin = 0
-		}
-	}
+	ccfg := opts.Config
 	if opts.Scenario == AggressiveRecovery {
 		ccfg.RecoveryMode = corec.RecoveryAggressive
-	}
-	if opts.HelperLoadDelta != 0 {
-		ccfg.HelperLoadDelta = opts.HelperLoadDelta
-	}
-	if opts.Classifier.Window != 0 || opts.Classifier.HotThreshold != 0 {
-		ccfg.Classifier = opts.Classifier
 	}
 	cluster, err := corec.NewCluster(ccfg)
 	if err != nil {
@@ -316,10 +270,10 @@ func buildSchedule(opts Options) *failure.Schedule {
 	}
 	// Victims: spread across distinct groups; the schedule mirrors Figure
 	// 10 (failures at steps 4 and 6, recoveries at 8 and 12).
-	a := types.ServerID(1 % opts.Servers)
-	b := types.ServerID(5 % opts.Servers)
+	a := types.ServerID(1 % opts.Config.Servers)
+	b := types.ServerID(5 % opts.Config.Servers)
 	if b == a {
-		b = types.ServerID((int(a) + 1) % opts.Servers)
+		b = types.ServerID((int(a) + 1) % opts.Config.Servers)
 	}
 	events := []failure.Event{{TimeStep: 4, Kind: failure.Kill, Server: a}}
 	if opts.Failures >= 2 {
@@ -353,10 +307,10 @@ func runWrites(c *corec.Cluster, writers []*corec.Client, varName string, step w
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(opts.Seed + int64(step.TS)*1000 + int64(w)))
+			rng := rand.New(rand.NewSource(opts.Config.Seed + int64(step.TS)*1000 + int64(w)))
 			for i := w; i < len(step.Writes); i += len(writers) {
 				box := step.Writes[i]
-				buf := make([]byte, ndarray.BufferSize(box, opts.ElemSize))
+				buf := make([]byte, ndarray.BufferSize(box, opts.Config.ElemSize))
 				rng.Read(buf)
 				// Chaos runs expect some writes to fail mid-crash; losses
 				// show up in the degraded-read measurements.
@@ -424,14 +378,7 @@ func splitRegion(b geometry.Box, n int) []geometry.Box {
 // produces the same Result shape as Run for side-by-side reporting.
 func RunPFSBaseline(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	wl, err := workload.Generate(workload.Config{
-		Pattern:   opts.Pattern,
-		Domain:    opts.Domain,
-		BlockSize: opts.BlockSize,
-		TimeSteps: opts.TimeSteps,
-		Var:       "field",
-		Seed:      opts.Seed,
-	})
+	wl, err := opts.workload()
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +391,7 @@ func RunPFSBaseline(opts Options) (*Result, error) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < len(step.Writes); i += opts.Writers {
-					size := int(step.Writes[i].Volume()) * opts.ElemSize
+					size := int(step.Writes[i].Volume()) * opts.Config.ElemSize
 					t0 := time.Now()
 					time.Sleep(opts.PFS.WriteDelay(size, opts.Writers))
 					col.RecordWrite(int64(step.TS), time.Since(t0))
@@ -459,7 +406,7 @@ func RunPFSBaseline(opts Options) (*Result, error) {
 				rg.Add(1)
 				go func(piece geometry.Box) {
 					defer rg.Done()
-					size := int(piece.Volume()) * opts.ElemSize
+					size := int(piece.Volume()) * opts.Config.ElemSize
 					t0 := time.Now()
 					time.Sleep(opts.PFS.WriteDelay(size, opts.Readers))
 					col.RecordRead(int64(step.TS), time.Since(t0))

@@ -15,17 +15,17 @@ import (
 // smallOptions keeps unit-test runs fast: tiny domain, few steps, free
 // network.
 func smallOptions(mode corec.Mode, pattern workload.Pattern) Options {
+	cfg := corec.DefaultConfig(8)
+	cfg.Mode = mode
+	cfg.Domain = geometry.Box3D(0, 0, 0, 16, 16, 16)
+	cfg.Seed = 11
 	return Options{
-		Servers:   8,
+		Config:    cfg,
 		Writers:   4,
 		Readers:   2,
-		Mode:      mode,
 		Pattern:   pattern,
-		Domain:    geometry.Box3D(0, 0, 0, 16, 16, 16),
 		BlockSize: []int64{8, 8, 8},
 		TimeSteps: 6,
-		ElemSize:  8,
-		Seed:      11,
 	}
 }
 
@@ -66,7 +66,7 @@ func TestRunLazyRecoveryScenario(t *testing.T) {
 	opts.TimeSteps = 10
 	opts.Failures = 1
 	opts.Scenario = LazyRecovery
-	opts.MTBF = 400 * time.Millisecond
+	opts.Config.MTBF = 400 * time.Millisecond
 	res, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func RunReadPenalty(trials int) (*ReadPenalty, error) {
 	}
 	base := tableIOptions()
 	base.Pattern = workload.Case5ReadAll
-	base.Mode = corec.PolicyCoREC
+	base.Config.Mode = corec.PolicyCoREC
 	base.Label = "failure-free"
 
 	windowMean := func(res *Result) time.Duration {
@@ -58,7 +58,7 @@ func RunReadPenalty(trials int) (*ReadPenalty, error) {
 		var total time.Duration
 		errs := 0
 		for i := 0; i < trials; i++ {
-			opts.Seed = base.Seed + int64(i)*101
+			opts.Config.Seed = base.Config.Seed + int64(i)*101
 			res, err := Run(opts)
 			if err != nil {
 				return 0, 0, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"corec"
 	"corec/internal/geometry"
@@ -44,21 +45,19 @@ type ModelValidation struct {
 	ModelErasureOverCoREC, MeasuredErasureOverCoREC float64
 }
 
-// RunModelValidation executes the validation study.
-func RunModelValidation() (*ModelValidation, error) {
+// RunModelValidation executes the validation study. The classifier's
+// behaviour is read off the first trial's CoREC run; each measured
+// write-cost ratio is the median of its ratios over the trials (at least
+// one), since a single wall-clock run of each policy is too noisy to rank
+// them by.
+func RunModelValidation(trials int) (*ModelValidation, error) {
+	trials = max(trials, 1)
 	opts := tableIOptions()
 	opts.Pattern = workload.Case3Hotspot
 	opts.TimeSteps = 12
 
 	// Ground truth: Case 3's hot set is the first quadrant of blocks.
-	wl, err := workload.Generate(workload.Config{
-		Pattern:   opts.Pattern,
-		Domain:    opts.Domain,
-		BlockSize: opts.BlockSize,
-		TimeSteps: opts.TimeSteps,
-		Var:       "field",
-		Seed:      opts.Seed,
-	})
+	wl, err := opts.workload()
 	if err != nil {
 		return nil, err
 	}
@@ -79,11 +78,58 @@ func RunModelValidation() (*ModelValidation, error) {
 		GroundTruthHot: float64(len(hotSet)) / float64(len(writeCounts)),
 	}
 
-	// Run CoREC, keeping the cluster alive to inspect final object states.
-	corecRes, states, preds, hits, err := runAndInspect(opts, wl)
-	if err != nil {
-		return nil, err
+	// Run CoREC, keeping the cluster alive to inspect final object states,
+	// then the baselines for the measured ratios.
+	var corecOverRepl, erasOverCoREC []float64
+	for i := 0; i < trials; i++ {
+		corecRes, states, preds, hits, err := runAndInspect(opts, wl)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			v.inspect(wl, hotSet, states, preds, hits)
+		}
+		replOpts := opts
+		replOpts.Config.Mode = corec.PolicyReplicate
+		replOpts.Label = "Replicate"
+		replRes, err := Run(replOpts)
+		if err != nil {
+			return nil, err
+		}
+		erasOpts := opts
+		erasOpts.Config.Mode = corec.PolicyErasure
+		erasOpts.Label = "Erasure"
+		erasRes, err := Run(erasOpts)
+		if err != nil {
+			return nil, err
+		}
+		if replRes.MeanWrite > 0 {
+			corecOverRepl = append(corecOverRepl, float64(corecRes.MeanWrite)/float64(replRes.MeanWrite))
+		}
+		if corecRes.MeanWrite > 0 {
+			erasOverCoREC = append(erasOverCoREC, float64(erasRes.MeanWrite)/float64(corecRes.MeanWrite))
+		}
 	}
+	v.MeasuredCoRECOverReplica = median(corecOverRepl)
+	v.MeasuredErasureOverCoREC = median(erasOverCoREC)
+
+	// Model at the empirical operating point.
+	p := model.Default()
+	p.NNode = 3 // Table I: RS(3+1)
+	v.PrConstraint = p.PrConstraint()
+	ph := v.GroundTruthHot
+	rm := 1 - v.ColdEncoded // cold misclassified as hot is the model's rm analogue
+	if rm < 0 {
+		rm = 0
+	}
+	v.ModelCoRECOverReplica = p.CCoREC(ph, rm) / p.CReplica(ph)
+	v.ModelErasureOverCoREC = p.CErasure(ph) / p.CCoREC(ph, rm)
+	return v, nil
+}
+
+// inspect records the classifier's behaviour from one CoREC run: the
+// lookahead counters and how the hot and the cold objects ended the run.
+func (v *ModelValidation) inspect(wl *workload.Workload, hotSet map[string]bool, states map[string]types.ResilienceState, preds, hits int64) {
 	v.LookaheadPredictions, v.LookaheadHits = preds, hits
 	var hotRepl, hotTotal, coldEnc, coldTotal float64
 	for _, b := range wl.Blocks {
@@ -109,54 +155,29 @@ func RunModelValidation() (*ModelValidation, error) {
 	if coldTotal > 0 {
 		v.ColdEncoded = coldEnc / coldTotal
 	}
+}
 
-	// Baselines for the measured ratios.
-	replOpts := opts
-	replOpts.Mode = corec.PolicyReplicate
-	replOpts.Label = "Replicate"
-	replRes, err := Run(replOpts)
-	if err != nil {
-		return nil, err
+// median returns the middle of xs (the mean of the middle two for an even
+// count), 0 for none.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
 	}
-	erasOpts := opts
-	erasOpts.Mode = corec.PolicyErasure
-	erasOpts.Label = "Erasure"
-	erasRes, err := Run(erasOpts)
-	if err != nil {
-		return nil, err
+	xs = slices.Clone(xs)
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
 	}
-	if replRes.MeanWrite > 0 {
-		v.MeasuredCoRECOverReplica = float64(corecRes.MeanWrite) / float64(replRes.MeanWrite)
-	}
-	if corecRes.MeanWrite > 0 {
-		v.MeasuredErasureOverCoREC = float64(erasRes.MeanWrite) / float64(corecRes.MeanWrite)
-	}
-
-	// Model at the empirical operating point.
-	p := model.Default()
-	p.NNode = 3 // Table I: RS(3+1)
-	v.PrConstraint = p.PrConstraint()
-	ph := v.GroundTruthHot
-	rm := 1 - v.ColdEncoded // cold misclassified as hot is the model's rm analogue
-	if rm < 0 {
-		rm = 0
-	}
-	v.ModelCoRECOverReplica = p.CCoREC(ph, rm) / p.CReplica(ph)
-	v.ModelErasureOverCoREC = p.CErasure(ph) / p.CCoREC(ph, rm)
-	return v, nil
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // runAndInspect runs CoREC and returns the result plus the final
 // per-object resilience states and the classifier's lookahead counters.
 func runAndInspect(opts Options, wl *workload.Workload) (*Result, map[string]types.ResilienceState, int64, int64, error) {
-	opts.Mode = corec.PolicyCoREC
+	opts.Config.Mode = corec.PolicyCoREC
 	opts.Label = "CoREC"
-	ccfg := corec.DefaultConfig(opts.Servers)
-	ccfg.Mode = corec.PolicyCoREC
-	ccfg.Domain = opts.Domain
-	ccfg.Link = opts.Link
-	ccfg.Seed = opts.Seed
-	cluster, err := corec.NewCluster(ccfg)
+	cluster, err := corec.NewCluster(opts.Config)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -174,7 +195,8 @@ func runAndInspect(opts Options, wl *workload.Workload) (*Result, map[string]typ
 	res.MeanWrite = res.Snapshot.MeanWrite()
 
 	client := cluster.NewClient()
-	metas, err := client.Query(context.Background(), wl.Cfg.Var, geometry.Box{})
+	ctx := context.Background()
+	metas, err := client.Query(ctx, wl.Cfg.Var, geometry.Box{})
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -183,14 +205,9 @@ func runAndInspect(opts Options, wl *workload.Workload) (*Result, map[string]typ
 		states[m.ID.Key()] = m.State
 	}
 	var preds, hits int64
-	for i := 0; i < cluster.NumServers(); i++ {
-		if srv := cluster.Server(corec.ServerID(i)); srv != nil {
-			if cls := srv.Classifier(); cls != nil {
-				p, h := cls.Stats()
-				preds += p
-				hits += h
-			}
-		}
+	for _, s := range client.Status(ctx) {
+		preds += s.Stats.Predictions
+		hits += s.Stats.PredictionHits
 	}
 	return res, states, preds, hits, nil
 }

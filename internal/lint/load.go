@@ -3,8 +3,9 @@
 // operation while a server state mutex is held (locksafe), full plumbing of
 // every wire message kind (wiremsg), injected randomness and clocks in
 // deterministic packages (detrand), no silently discarded errors
-// (droppederr), and no map-iteration order leaking into placement decisions
-// or wire output (mapsort).
+// (droppederr), no map-iteration order leaking into placement decisions
+// or wire output (mapsort), and read requests built only by the reader
+// package (readpath).
 //
 // The suite is deliberately stdlib-only: packages are located with
 // `go list -export -deps -json`, parsed with go/parser and type-checked

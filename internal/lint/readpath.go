@@ -57,7 +57,11 @@ func (Readpath) Run(prog *Program) []Diagnostic {
 					if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Kind" {
 						continue
 					}
-					if name := transportConst(pkg.Info, kv.Value); readpathKinds[name] {
+					c := constOf(pkg.Info, kv.Value)
+					if c == nil || c.Pkg() == nil || c.Pkg().Name() != "transport" {
+						continue
+					}
+					if name := c.Name(); readpathKinds[name] {
 						diags = append(diags, Diagnostic{
 							Pos:      kv.Pos(),
 							Analyzer: "readpath",
@@ -77,22 +81,4 @@ func (Readpath) Run(prog *Program) []Diagnostic {
 func isTransportMessage(t types.Type) bool {
 	n := namedOrPtrTo(t)
 	return n != nil && n.Obj().Name() == "Message" && n.Obj().Pkg() != nil && n.Obj().Pkg().Name() == "transport"
-}
-
-// transportConst returns the name of the transport package constant the
-// expression names, "" when it is anything else.
-func transportConst(info *types.Info, e ast.Expr) string {
-	var id *ast.Ident
-	switch v := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		id = v
-	case *ast.SelectorExpr:
-		id = v.Sel
-	default:
-		return ""
-	}
-	if c, ok := info.Uses[id].(*types.Const); ok && c.Pkg() != nil && c.Pkg().Name() == "transport" {
-		return c.Name()
-	}
-	return ""
 }

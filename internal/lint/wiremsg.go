@@ -208,9 +208,8 @@ func checkDispatch(transportPkg, serverPkg *Package, kinds []kindConst) []Diagno
 						continue
 					}
 					for _, e := range cc.List {
-						name := constNameOf(serverPkg.Info, e)
-						if name != "" {
-							dispatched[name] = true
+						if c := constOf(serverPkg.Info, e); c != nil {
+							dispatched[c.Name()] = true
 						}
 					}
 				}
@@ -239,19 +238,20 @@ func checkDispatch(transportPkg, serverPkg *Package, kinds []kindConst) []Diagno
 	return diags
 }
 
-// constNameOf resolves a case expression to the constant name it denotes.
-func constNameOf(info *types.Info, e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
+// constOf resolves an identifier or a selector to the constant it denotes,
+// nil when it denotes anything else.
+func constOf(info *types.Info, e ast.Expr) *types.Const {
+	var id *ast.Ident
+	switch v := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		if c, ok := info.Uses[e].(*types.Const); ok {
-			return c.Name()
-		}
+		id = v
 	case *ast.SelectorExpr:
-		if c, ok := info.Uses[e.Sel].(*types.Const); ok {
-			return c.Name()
-		}
+		id = v.Sel
+	default:
+		return nil
 	}
-	return ""
+	c, _ := info.Uses[id].(*types.Const)
+	return c
 }
 
 // checkCodec verifies every Message struct field is touched by both Encode

@@ -45,8 +45,6 @@ type Config struct {
 	// Domain bounds the staged data space; the metadata directory cuts it
 	// into the cells object records are placed by.
 	Domain geometry.Box
-	// RecoveryMode selects lazy (CoREC) or aggressive background repair.
-	RecoveryMode recovery.Mode
 	// MTBF parameterizes the lazy-recovery deadline (MTBF/4).
 	MTBF time.Duration
 	// HelperLoadDelta: the encoding workflow delegates to the helper server

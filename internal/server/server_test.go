@@ -76,7 +76,6 @@ func (r *testRig) startServer(t testing.TB, id types.ServerID) *Server {
 		Policy:           r.polCfg,
 		Collector:        r.col,
 		Domain:           rigDomain,
-		RecoveryMode:     recovery.Lazy,
 		MTBF:             time.Second,
 		HelperLoadDelta:  2,
 		ClassifierConfig: classifier.DefaultConfig(rigDomain),

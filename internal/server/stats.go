@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 
+	"corec/internal/geometry"
+	"corec/internal/policy"
 	"corec/internal/scrub"
 	"corec/internal/storage"
 	"corec/internal/transport"
@@ -14,6 +16,19 @@ import (
 type Stats struct {
 	// ID is the server's logical ID.
 	ID int `json:"id"`
+	// Mode, NLevel, DataShards, Domain, Servers and Elastic are the fleet's
+	// shape as this server runs it: the policy, the failures tolerated, the
+	// Reed-Solomon k, the bounds the directory cuts into cells, the member
+	// count its placement sees, and whether membership is elastic (its
+	// placement's epoch has moved, which a static fleet's never does; the
+	// gossip agent attaches only after the server listens). A remote handle
+	// reads them to place as the servers do.
+	Mode       policy.Mode  `json:"mode"`
+	NLevel     int          `json:"nlevel"`
+	DataShards int          `json:"k"`
+	Domain     geometry.Box `json:"domain"`
+	Servers    int          `json:"servers"`
+	Elastic    bool         `json:"elastic,omitempty"`
 	// Load is the current in-flight request count.
 	Load int64 `json:"load"`
 	// Objects/Replicas/Shards count locally resident payloads.
@@ -47,6 +62,10 @@ type Stats struct {
 	// reads and recovery; both zero when the server is not erasure-coding.
 	DecodeCacheHits   int64 `json:"decode_cache_hits,omitempty"`
 	DecodeCacheMisses int64 `json:"decode_cache_misses,omitempty"`
+	// Predictions/PredictionHits are the CoREC classifier's lookahead
+	// counters; both zero in the modes that run no classifier.
+	Predictions    int64 `json:"predictions,omitempty"`
+	PredictionHits int64 `json:"prediction_hits,omitempty"`
 	// Storage is the tiered storage engine's snapshot (shard placement
 	// across mem/disk/remote, spill/upload/prefetch counters).
 	Storage storage.Stats `json:"storage"`
@@ -54,13 +73,19 @@ type Stats struct {
 
 // CollectStats builds the status report.
 func (s *Server) CollectStats() Stats {
-	s.mu.Lock()
 	st := Stats{
 		ID:         int(s.id),
-		Objects:    len(s.objects),
-		Replicas:   len(s.replicas),
-		Efficiency: s.decider.Efficiency(s.dataRepl, s.dataEnc),
+		Mode:       s.cfg.Policy.Mode,
+		NLevel:     s.cfg.Policy.NLevel,
+		DataShards: s.cfg.Policy.K,
+		Domain:     s.cfg.Domain,
+		Servers:    len(s.place.Members()),
+		Elastic:    s.place.Epoch() > 0,
 	}
+	s.mu.Lock()
+	st.Objects = len(s.objects)
+	st.Replicas = len(s.replicas)
+	st.Efficiency = s.decider.Efficiency(s.dataRepl, s.dataEnc)
 	for _, o := range s.objects {
 		st.ObjectBytes += int64(len(o.Data))
 	}
@@ -101,6 +126,9 @@ func (s *Server) CollectStats() Stats {
 			st.DecodeCacheHits = cs.Hits
 			st.DecodeCacheMisses = cs.Misses
 		}
+	}
+	if cls := s.Classifier(); cls != nil {
+		st.Predictions, st.PredictionHits = cls.Stats()
 	}
 	return st
 }

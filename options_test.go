@@ -10,7 +10,7 @@ import (
 )
 
 // TestOptionInventory pins every public setting: the exported fields of the
-// five config structs an application fills in (38 settings), plus the 13 of
+// five config structs an application fills in (38 settings), plus the 12 of
 // the server.Config the cluster builds for each server and the 9 of the
 // membership.Config it builds for each gossip agent. A setting stays only
 // while something other than its own plumbing and its own test sets it — a
@@ -36,7 +36,7 @@ func TestOptionInventory(t *testing.T) {
 		{reflect.TypeOf(ScrubConfig{}), []string{"Interval", "BytesPerSec", "Depth"}},
 		{reflect.TypeOf(server.Config{}), []string{
 			"ID", "Placement", "Network", "Policy", "Collector", "Domain",
-			"RecoveryMode", "MTBF", "HelperLoadDelta", "ClassifierConfig",
+			"MTBF", "HelperLoadDelta", "ClassifierConfig",
 			"Storage", "RemoteStore", "StorageNS",
 		}},
 		{reflect.TypeOf(membership.Config{}), []string{

@@ -100,10 +100,7 @@ func TestRemoteClusterClient(t *testing.T) {
 	}
 	defer host.Close()
 
-	remoteCfg := DefaultConfig(8)
-	remoteCfg.ElemSize = 1
-	remoteCfg.MuxConnsPerPeer = 3
-	remote, err := NewRemoteCluster(remoteCfg, host.ServerAddrs())
+	remote, err := NewRemoteCluster(Config{ElemSize: 1, MuxConnsPerPeer: 3}, host.ServerAddrs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +215,7 @@ func TestRemoteDegradedReadRepairsOnAccess(t *testing.T) {
 		t.Fatal("the replacement already holds every shard a read would ask it for")
 	}
 
-	remoteCfg := DefaultConfig(8)
-	remoteCfg.Mode = PolicyErasure
-	remote, err := NewRemoteCluster(remoteCfg, host.ServerAddrs())
+	remote, err := NewRemoteCluster(Config{}, host.ServerAddrs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +253,10 @@ func freePortBase(t *testing.T, n int) int {
 }
 
 // TestRemoteClusterElasticRing is the cross-process elastic regression:
-// a remote handle with Membership set bootstraps its placement ring from
+// a remote handle onto an elastic fleet bootstraps its placement ring from
 // a gossip snapshot, so its reads and writes keep landing correctly while
 // the fleet behind it grows (JoinNew) and shrinks (DrainAndLeave) —
-// exactly the corec-server -membership + corec-cli -membership pairing.
+// exactly the corec-server -membership + corec-cli pairing.
 func TestRemoteClusterElasticRing(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Transport = "tcp"
@@ -275,11 +270,7 @@ func TestRemoteClusterElasticRing(t *testing.T) {
 
 	newRemote := func() (*Cluster, *Client) {
 		t.Helper()
-		remoteCfg := DefaultConfig(8)
-		remoteCfg.Mode = PolicyCoREC
-		remoteCfg.ElemSize = 1
-		remoteCfg.Membership = &MembershipConfig{}
-		remote, err := NewRemoteCluster(remoteCfg, host.ServerAddrs())
+		remote, err := NewRemoteCluster(Config{ElemSize: 1}, host.ServerAddrs())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,6 +326,75 @@ func TestRemoteClusterElasticRing(t *testing.T) {
 	}
 	if alive != host.Ring().Size() {
 		t.Fatalf("snapshot alive=%d, ring size %d", alive, host.Ring().Size())
+	}
+}
+
+// TestRemoteHandleReadsTheFleetShape: a handle built from a Config that
+// names no shape (no policy, NLevel, k, domain, fleet size or membership)
+// asks the fleet for it, then places, reads an encoded object, reads it
+// around a dead member and polls the fleet as the servers expect. The
+// static fleet is 6 servers at k=2, which a default k=3 does not tile.
+func TestRemoteHandleReadsTheFleetShape(t *testing.T) {
+	for _, elastic := range []bool{false, true} {
+		t.Run(fmt.Sprintf("elastic=%v", elastic), func(t *testing.T) {
+			cfg := DefaultConfig(6)
+			cfg.Mode = PolicyErasure
+			cfg.DataShards = 2
+			cfg.Domain = Box3D(0, 0, 0, 64, 64, 64)
+			cfg.Transport = "tcp"
+			if elastic {
+				cfg.Membership = &MembershipConfig{Manual: true}
+			}
+			host, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer host.Close()
+
+			remote, err := NewRemoteCluster(Config{ElemSize: 1}, host.ServerAddrs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer remote.Close()
+			got := remote.Config()
+			if got.Mode != cfg.Mode || got.NLevel != cfg.NLevel || got.DataShards != 2 || got.Servers != 6 ||
+				!slices.Equal(got.Domain.Lo, cfg.Domain.Lo) || !slices.Equal(got.Domain.Hi, cfg.Domain.Hi) ||
+				(got.Membership != nil) != elastic {
+				t.Fatalf("handle shape: mode %v nlevel %d k %d servers %d domain %v elastic %v",
+					got.Mode, got.NLevel, got.DataShards, got.Servers, got.Domain, got.Membership != nil)
+			}
+
+			ctx := context.Background()
+			client := remote.NewClient()
+			payload := bytes.Repeat([]byte("fleet shape "), 40)
+			box := Box{Lo: []int64{0}, Hi: []int64{int64(len(payload))}}
+			if err := client.Put(ctx, "shape", box, 1, payload); err != nil {
+				t.Fatal(err)
+			}
+			metas, err := client.Query(ctx, "shape", box)
+			if err != nil || len(metas) != 1 || metas[0].State != types.StateEncoded {
+				t.Fatalf("query: %v %+v", err, metas)
+			}
+			if got, err := client.Get(ctx, "shape", box, 1); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("get: %v", err)
+			}
+			host.Kill(metas[0].Primary)
+			if got, err := remote.NewClient().Get(ctx, "shape", box, 1); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("get with server %d dead: %v", metas[0].Primary, err)
+			}
+			alive := 0
+			for _, s := range client.Status(ctx) {
+				if s.Alive {
+					alive++
+					if s.Stats.DataShards != 2 || s.Stats.Servers != 6 || s.Stats.Elastic != elastic {
+						t.Fatalf("server %d reports shape k=%d servers=%d elastic=%v", s.ID, s.Stats.DataShards, s.Stats.Servers, s.Stats.Elastic)
+					}
+				}
+			}
+			if alive != 5 {
+				t.Fatalf("status shows %d live members, want 5", alive)
+			}
+		})
 	}
 }
 

@@ -59,14 +59,15 @@ scrubrace:
 # encoded object to its one record (what a put, a get, an eviction and a
 # rewrite put on the fabric) and line up concurrent fan-outs, so they repeat
 # under the detector too — as do the tests that own the one-mirror lookup:
-# its message counts, a lagging or empty first mirror, a dead one — and the
-# primary-first read: its message counts and its fall-back on a miss. The
+# its message counts, a lagging or empty first mirror, a dead one — the
+# primary-first read: its message counts and its fall-back on a miss — and
+# the directory sweep: one whole-shard query per member. The
 # per-hop payload-check count over TCP repeats too: its counting hook must be
 # in place before any server listens.
 transportrace:
 	$(GO) test -race -count=5 ./internal/transport ./internal/reader
 	$(GO) test -race -run 'TestGet|TestRandomOpsAgainstReferenceModel' .
-	$(GO) test -race -count=5 -run 'TestEncodedObjectCostsOneRecord|TestRewriteDropsSupersededStripeWithoutTheDirectory|TestGetAsksOneDirectoryGroup|TestLaggingMirrorIsSettledByItsTwin|TestPeerHealthEncodedReadHealthyShards|TestAlignedGetAsksThePrimaryFirst|TestPrimaryMissFallsBackToTheDirectory' .
+	$(GO) test -race -count=5 -run 'TestEncodedObjectCostsOneRecord|TestRewriteDropsSupersededStripeWithoutTheDirectory|TestGetAsksOneDirectoryGroup|TestLaggingMirrorIsSettledByItsTwin|TestPeerHealthEncodedReadHealthyShards|TestAlignedGetAsksThePrimaryFirst|TestPrimaryMissFallsBackToTheDirectory|TestDirectorySweepsAskEachMemberOnce' .
 	$(GO) test -race -count=5 -run TestPutChecksPayloadOncePerHopOverTCP ./internal/server
 
 # Race-detector pass focused on elastic membership churn: gossip agents,
@@ -75,12 +76,15 @@ transportrace:
 # write, repeated because its detection and recovery race the fleet, with the
 # failed-over write recovery restores and the pings that must leave gossip be;
 # the migrator's record edits, repeated because the restores they start race
-# the pass and the foreground; and a remote client's on-access repair of a
+# the pass and the foreground; the directory sweep recovery and the
+# rebalancer share, repeated because a replacement's sweep races its
+# peers' handlers; and a remote client's on-access repair of a
 # replacement, repeated because its nudge races the lazy drain.
 churnrace:
 	$(GO) test -race -run 'TestElastic' .
 	$(GO) test -race -count=5 -run 'TestMonitor|TestElasticMonitor|TestPutFailover|TestClientPing' .
 	$(GO) test -race -count=5 -run 'TestRebalance' .
+	$(GO) test -race -count=5 -run 'TestDirectorySweepsAskEachMemberOnce' .
 	$(GO) test -race -count=5 -run 'TestRemoteDegradedReadRepairsOnAccess' .
 	$(GO) test -race ./internal/membership ./internal/topology ./internal/placement
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -362,18 +361,18 @@ func (cl *Client) queryDirectory(ctx context.Context, name string, box Box, floo
 					first = append(first, m)
 				}
 			}
-			if metas, _ = cl.queryServers(ctx, first, name, box, nil); covers(metas, box, floor) {
+			if metas, _ = cl.reader.Query(ctx, first, name, box, nil); covers(metas, box, floor) {
 				return metas, nil
 			}
 			cl.col.AddCounter(metrics.DirSecondAskCount, 1)
 		}
 		rest := slices.DeleteFunc(dir.Servers(name, box), func(s types.ServerID) bool { return slices.Contains(first, s) })
-		if metas, _ = cl.queryServers(ctx, rest, name, box, metas); covers(metas, box, 0) {
+		if metas, _ = cl.reader.Query(ctx, rest, name, box, metas); covers(metas, box, 0) {
 			return metas, nil
 		}
 		cl.col.AddCounter(metrics.DirFallbackCount, 1)
 	}
-	return cl.queryServers(ctx, cl.cluster.place.Members(), name, box, nil)
+	return cl.reader.Query(ctx, cl.cluster.place.Members(), name, box, nil)
 }
 
 // firstMirror picks the mirror of a cell's group this client asks first: id
@@ -384,57 +383,6 @@ func (cl *Client) firstMirror(cell int, group []types.ServerID) types.ServerID {
 		at = (at + 1) % len(group)
 	}
 	return group[at]
-}
-
-var errNoDirectory = errors.New("corec: no directory shard reachable")
-
-// queryServers sends the region query to the targets (one: a plain call) in
-// parallel and merges the answers with have: one record per object, the newest.
-func (cl *Client) queryServers(ctx context.Context, targets []types.ServerID, name string, box Box, have []types.ObjectMeta) ([]types.ObjectMeta, error) {
-	ask := func(target types.ServerID) *transport.Message { // nil: no answer
-		resp, _ := cl.send(ctx, target, &transport.Message{Kind: transport.MsgMetaQuery, Var: name, Box: box})
-		return resp
-	}
-	if len(targets) == 1 && len(have) == 0 {
-		if resp := ask(targets[0]); resp != nil {
-			return resp.Metas, nil // one server's answer: a record per object, in key order
-		}
-		return nil, errNoDirectory
-	}
-	results := make(chan *transport.Message, len(targets))
-	for _, target := range targets {
-		go func() { results <- ask(target) }()
-	}
-	best := make(map[string]types.ObjectMeta)
-	merge := func(metas []types.ObjectMeta) {
-		for _, m := range metas {
-			key := m.ID.Key()
-			if cur, ok := best[key]; !ok || m.Newer(&cur) {
-				best[key] = m
-			}
-		}
-	}
-	merge(have)
-	reachable := 0
-	for range targets {
-		if resp := <-results; resp != nil {
-			reachable++
-			merge(resp.Metas)
-		}
-	}
-	if reachable == 0 && len(have) == 0 {
-		return nil, errNoDirectory
-	}
-	keys := make([]string, 0, len(best))
-	for k := range best {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]types.ObjectMeta, len(keys))
-	for i, k := range keys {
-		out[i] = best[k]
-	}
-	return out, nil
 }
 
 // covers reports whether the records account for every cell of box — the

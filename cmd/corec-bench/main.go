@@ -102,8 +102,8 @@ func run(experiment string, quick bool, csvDir string) error {
 // blocks, Table I and the model validation, it prints itself and returns
 // no table.
 func section(name string, quick bool, fig8 func() ([]harness.CaseResult, error), s3d func() ([]harness.S3DResult, error)) (*harness.Table, error) {
-	// Read penalties and measured write-cost ratios are medians or means
-	// over repeated runs.
+	// Read penalties, measured write-cost ratios, the classifier's rows and
+	// Fig. 2's wall-clock columns are medians or means over repeated runs.
 	trials := 5
 	if quick {
 		trials = 2
@@ -122,7 +122,7 @@ func section(name string, quick bool, fig8 func() ([]harness.CaseResult, error),
 		if quick {
 			edges = edges[:2]
 		}
-		rows, err := harness.RunFig2(edges)
+		rows, err := harness.RunFig2(edges, trials)
 		return harness.Fig2Table(rows), err
 	case "fig4":
 		pts, err := harness.RunFig4()

@@ -23,8 +23,9 @@ type countingNet struct {
 	transport.Network
 	lineUp transport.Kind
 	wide   int
-	// seen, when set, is shown every request that got a response, with it.
-	seen func(req, resp *transport.Message)
+	// seen, when set, is shown every request that got a response, with its
+	// sender, its destination and the response.
+	seen func(from, to types.ServerID, req, resp *transport.Message)
 
 	mu      sync.Mutex
 	sent    map[transport.Kind]int
@@ -69,7 +70,7 @@ func (n *countingNet) Send(ctx context.Context, from, to types.ServerID, req *tr
 	}
 	resp, err := n.Network.Send(ctx, from, to, req)
 	if err == nil && n.seen != nil {
-		n.seen(req, resp)
+		n.seen(from, to, req, resp)
 	}
 	return resp, err
 }
@@ -668,7 +669,7 @@ func TestRewriteDropsSupersededStripeWithoutTheDirectory(t *testing.T) {
 	}
 	for kind, want := range map[transport.Kind]int{
 		transport.MsgMetaUpdate: publishes * group, transport.MsgMetaDelete: 0,
-		transport.MsgMetaLookup: 0, transport.MsgStripeLookup: 0, transport.MsgDirDump: 0,
+		transport.MsgMetaLookup: 0, transport.MsgStripeLookup: 0,
 	} {
 		if sent[kind] != want {
 			t.Errorf("the rewrite sent %d %v, want %d", sent[kind], kind, want)

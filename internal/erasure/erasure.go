@@ -16,6 +16,7 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"slices"
 
 	"corec/internal/gf256"
 	"corec/internal/matrix"
@@ -35,9 +36,9 @@ var (
 type Codec struct {
 	k, m int
 	gen  *matrix.Matrix // (k+m) x k systematic generator
-	// workers bounds the range parallelism of Encode/Reconstruct. 1 keeps
-	// the serial row-major path; >1 selects the chunked fused engine in
-	// parallel.go (which is also faster on a single core).
+	// workers bounds the range parallelism of the chunked fused engine in
+	// parallel.go, which every Encode, Verify and Reconstruct runs: with 1
+	// the caller runs the whole stripe as one range.
 	workers int
 	// dec, when non-nil, caches inverted decode matrices keyed by
 	// (k, m, survivor rows) so repeated degraded reads of the same loss
@@ -69,8 +70,8 @@ func New(k, m int) (*Codec, error) {
 
 // WithWorkers returns a copy of the codec whose Encode/Reconstruct shard the
 // stripe across up to n pool workers. n <= 0 selects DefaultWorkers();
-// n == 1 restores the serial row-major path. The copy shares the generator
-// and any decode-matrix cache with the receiver.
+// n == 1 runs the stripe as one range on the caller. The copy shares the
+// generator and any decode-matrix cache with the receiver.
 func (c *Codec) WithWorkers(n int) *Codec {
 	if n <= 0 {
 		n = DefaultWorkers()
@@ -142,25 +143,14 @@ func (c *Codec) checkShards(shards [][]byte, allowMissing bool) (size int, err e
 
 // Encode computes the m parity shards from the first k data shards,
 // overwriting shards[k:]. All k+m shards must be allocated with equal size.
-// With workers > 1 (see WithWorkers) the stripe is sharded across the range
-// engine; the output is byte-identical to the serial path.
+// The stripe is sharded across the range engine (see WithWorkers); the
+// output is the same whatever the worker count.
 func (c *Codec) Encode(shards [][]byte) error {
 	size, err := c.checkShards(shards, false)
 	if err != nil {
 		return err
 	}
-	if c.workers > 1 {
-		run(size, c.workers, func(lo, hi int) { c.encodeRange(shards, lo, hi) })
-		return nil
-	}
-	for p := 0; p < c.m; p++ {
-		row := c.gen.Row(c.k + p)
-		out := shards[c.k+p]
-		gf256.MulSlice(row[0], shards[0], out)
-		for d := 1; d < c.k; d++ {
-			gf256.MulAddSlice(row[d], shards[d], out)
-		}
-	}
+	run(size, c.workers, func(lo, hi int) { c.encodeRange(shards, lo, hi) })
 	return nil
 }
 
@@ -171,14 +161,13 @@ func (c *Codec) Verify(shards [][]byte) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, size)
-	for p := 0; p < c.m; p++ {
-		row := c.gen.Row(c.k + p)
-		gf256.MulSlice(row[0], shards[0], buf)
-		for d := 1; d < c.k; d++ {
-			gf256.MulAddSlice(row[d], shards[d], buf)
-		}
-		if !bytes.Equal(buf, shards[c.k+p]) {
+	want := slices.Clone(shards)
+	for p := c.k; p < c.k+c.m; p++ {
+		want[p] = make([]byte, size)
+	}
+	run(size, c.workers, func(lo, hi int) { c.encodeRange(want, lo, hi) })
+	for p := c.k; p < c.k+c.m; p++ {
+		if !bytes.Equal(want[p], shards[p]) {
 			return ErrVerify
 		}
 	}
@@ -230,63 +219,42 @@ func (c *Codec) reconstruct(shards [][]byte, dataOnly bool) error {
 		// Cannot happen for an MDS generator; surface it defensively.
 		return fmt.Errorf("erasure: decode matrix singular: %w", err)
 	}
-	if c.workers > 1 {
-		return c.reconstructParallel(shards, rows, dec, missing, dataOnly, size)
-	}
-	// Recover missing data shards first.
-	var recoveredData [][]byte
-	dataMissing := false
+	// Every missing shard gets its buffer up front (its own memory or a
+	// fresh one, see rebuildTarget), byte-ranges of the stripe are fanned
+	// out to the range engine, and the recovered buffers are attached to the
+	// stripe only once every range has completed.
+	newBufs := make([][]byte, c.k+c.m)
+	var needed []int
 	for _, idx := range missing {
-		if idx < c.k {
-			dataMissing = true
-		}
-	}
-	if dataMissing {
-		recoveredData = make([][]byte, c.k)
-		for d := 0; d < c.k; d++ {
-			if len(shards[d]) != 0 {
-				recoveredData[d] = shards[d]
-				continue
-			}
-			out := rebuildTarget(shards[d], size)
-			row := dec.Row(d)
-			first := true
-			for j, srcIdx := range rows {
-				coef := row[j]
-				if coef == 0 {
-					continue
-				}
-				if first {
-					gf256.MulSlice(coef, shards[srcIdx], out)
-					first = false
-				} else {
-					gf256.MulAddSlice(coef, shards[srcIdx], out)
-				}
-			}
-			if first { // all coefficients zero: the shard is all zeros
-				for i := range out {
-					out[i] = 0
-				}
-			}
-			recoveredData[d] = out
-		}
-		copy(shards, recoveredData)
-	}
-	if dataOnly {
-		return nil
-	}
-	// Re-encode any missing parity from the (now complete) data shards.
-	for _, idx := range missing {
-		if idx < c.k {
+		if dataOnly && idx >= c.k {
 			continue
 		}
-		out := rebuildTarget(shards[idx], size)
-		row := c.gen.Row(idx)
-		gf256.MulSlice(row[0], shards[0], out)
-		for d := 1; d < c.k; d++ {
-			gf256.MulAddSlice(row[d], shards[d], out)
+		newBufs[idx] = rebuildTarget(shards[idx], size)
+		needed = append(needed, idx)
+	}
+	if len(needed) == 0 {
+		return nil
+	}
+	survivors := make([][]byte, len(rows))
+	for j, idx := range rows {
+		survivors[j] = shards[idx]
+	}
+	// Parity re-encoding reads the full data view: surviving data shards
+	// plus the buffers being recovered (each range fills its own window of
+	// those buffers before touching parity, so the view is complete there).
+	dataView := make([][]byte, c.k)
+	for d := 0; d < c.k; d++ {
+		if len(shards[d]) != 0 {
+			dataView[d] = shards[d]
+		} else {
+			dataView[d] = newBufs[d]
 		}
-		shards[idx] = out
+	}
+	run(size, c.workers, func(lo, hi int) {
+		c.reconstructRange(newBufs, survivors, dataView, dec, needed, dataOnly, lo, hi)
+	})
+	for _, idx := range needed {
+		shards[idx] = newBufs[idx]
 	}
 	return nil
 }
@@ -326,48 +294,6 @@ func (c *Codec) decodeMatrix(rows []int) (*matrix.Matrix, error) {
 		c.dec.Add(key, inv)
 	}
 	return inv, nil
-}
-
-// reconstructParallel is the workers>1 arm of reconstruct: every missing
-// shard gets its buffer up front (its own memory or a fresh one, see
-// rebuildTarget), byte-ranges of the stripe are fanned out to the range
-// engine, and the recovered buffers are attached to the stripe only once
-// every range has completed.
-func (c *Codec) reconstructParallel(shards [][]byte, rows []int, dec *matrix.Matrix, missing []int, dataOnly bool, size int) error {
-	newBufs := make([][]byte, c.k+c.m)
-	var needed []int
-	for _, idx := range missing {
-		if dataOnly && idx >= c.k {
-			continue
-		}
-		newBufs[idx] = rebuildTarget(shards[idx], size)
-		needed = append(needed, idx)
-	}
-	if len(needed) == 0 {
-		return nil
-	}
-	survivors := make([][]byte, len(rows))
-	for j, idx := range rows {
-		survivors[j] = shards[idx]
-	}
-	// Parity re-encoding reads the full data view: surviving data shards
-	// plus the buffers being recovered (each range fills its own window of
-	// those buffers before touching parity, so the view is complete there).
-	dataView := make([][]byte, c.k)
-	for d := 0; d < c.k; d++ {
-		if len(shards[d]) != 0 {
-			dataView[d] = shards[d]
-		} else {
-			dataView[d] = newBufs[d]
-		}
-	}
-	run(size, c.workers, func(lo, hi int) {
-		c.reconstructRange(newBufs, survivors, dataView, dec, needed, dataOnly, lo, hi)
-	})
-	for _, idx := range needed {
-		shards[idx] = newBufs[idx]
-	}
-	return nil
 }
 
 // UpdateParity patches the parity shards after data shard dataIndex changed

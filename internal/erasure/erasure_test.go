@@ -7,8 +7,12 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"corec/internal/gf256"
 )
 
+// makeStripe returns a stripe of seeded random data shards of the given size
+// with its parity from refEncode: the reference every codec is held to.
 func makeStripe(t testing.TB, c *Codec, size int, seed int64) [][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -19,10 +23,21 @@ func makeStripe(t testing.TB, c *Codec, size int, seed int64) [][]byte {
 			rng.Read(shards[i])
 		}
 	}
-	if err := c.Encode(shards); err != nil {
-		t.Fatal(err)
-	}
+	refEncode(c, shards)
 	return shards
+}
+
+// refEncode computes the parity shards the plain way — row by row over the
+// generator with gf256's scalar reference kernels — so the engine's chunked,
+// fused and pooled arithmetic is compared against a loop anyone can audit.
+func refEncode(c *Codec, shards [][]byte) {
+	for p := c.k; p < c.k+c.m; p++ {
+		row := c.gen.Row(p)
+		gf256.MulSliceRef(row[0], shards[0], shards[p])
+		for d := 1; d < c.k; d++ {
+			gf256.MulAddSliceRef(row[d], shards[d], shards[p])
+		}
+	}
 }
 
 func cloneStripe(shards [][]byte) [][]byte {
@@ -307,8 +322,8 @@ func TestSplitEmptyData(t *testing.T) {
 // TestRS31ParityIsXORAndEveryLossReconstructs pins the deployed geometry:
 // RS(3+1)'s parity row is all ones, so parity is the XOR of the data shards,
 // and every single-shard loss decodes through an all-ones row. Sizes are
-// none of them a multiple of k, so the tail shard is always padded; both
-// the serial path and the range engine run.
+// none of them a multiple of k, so the tail shard is always padded; the
+// engine runs with one worker and with four.
 func TestRS31ParityIsXORAndEveryLossReconstructs(t *testing.T) {
 	serial, err := New(3, 1)
 	if err != nil {
@@ -405,7 +420,7 @@ func benchEncode(b *testing.B, k, m, total int) {
 }
 
 // BenchmarkSplitEncode_3_1 is the encode a demotion runs, Split included, at
-// the deployed geometry on the serial path, so the allocations it reports
+// the deployed geometry with one worker, so the allocations it reports
 // are Split's own: the stripe's slice array, the padded tail shard and the
 // parity shard.
 func BenchmarkSplitEncode_3_1(b *testing.B) {

@@ -13,7 +13,7 @@ import (
 //  1. any erasure pattern of weight <= m round-trips byte-exact, and
 //  2. any pattern of weight > m returns an error and never panics,
 //
-// both through the serial path and the parallel engine.
+// both through a one-worker codec and a pooled one with a decode cache.
 
 // enumeratePatterns calls fn with every subset of {0..n-1} of size exactly w.
 func enumeratePatterns(n, w int, fn func(pattern []int)) {
@@ -44,8 +44,10 @@ func mustNotPanic(t *testing.T, ctx string, fn func() error) (err error) {
 
 // TestFuzzReconstructAllPatterns enumerates EVERY erasure pattern — all
 // weights 1..m and, beyond the recoverable boundary, all weights m+1 — for a
-// set of geometries including the paper-typical 8+3, under both the serial
-// codec and the parallel+cached one.
+// set of geometries including the paper-typical 8+3, under both the
+// one-worker codec and the pooled, cached one. The stripe's parity is the
+// reference encoder's (refEncode), so every round trip is compared byte for
+// byte against it.
 func TestFuzzReconstructAllPatterns(t *testing.T) {
 	geoms := [][2]int{{2, 1}, {3, 2}, {4, 2}, {8, 3}}
 	for _, geom := range geoms {
@@ -177,7 +179,8 @@ func TestFuzzReconstructRandomOverweight(t *testing.T) {
 }
 
 // TestFuzzReconstructRandomRecoverable drives random <=m patterns across
-// random sizes and both engines; every trial must round-trip byte-exact.
+// random sizes, on one worker and on five; every trial must round-trip
+// byte-exact against the reference stripe.
 func TestFuzzReconstructRandomRecoverable(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	serial, err := New(8, 3)

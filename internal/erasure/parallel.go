@@ -1,8 +1,9 @@
 package erasure
 
-// Parallel erasure engine: a bounded worker pool that shards Encode and
+// The erasure engine: a bounded worker pool that shards Encode, Verify and
 // Reconstruct across disjoint byte-ranges of the stripe, plus the fused,
-// cache-blocked inner loops it runs on each range.
+// cache-blocked inner loops it runs on each range. It is the codec's only
+// arithmetic path; a one-worker codec runs the whole stripe as one range.
 //
 // Two independent effects make this path fast:
 //

@@ -7,9 +7,9 @@ import (
 )
 
 // TestEncodeParallelMatchesSerial is the engine's differential test: for
-// several geometries, worker counts, and sizes (chunk-unaligned tails
-// included), the parallel chunked-fused path must produce parity
-// byte-identical to the serial row-major path.
+// several geometries, worker counts (one included), and sizes
+// (chunk-unaligned tails included), the chunked-fused engine must produce
+// parity byte-identical to the scalar row-major reference (refEncode).
 func TestEncodeParallelMatchesSerial(t *testing.T) {
 	sizes := []int{1, 17, chunkBytes - 1, chunkBytes, chunkBytes + 1, 3*chunkBytes + 311}
 	for _, geom := range [][2]int{{2, 1}, {3, 2}, {4, 2}, {5, 3}, {8, 3}, {9, 4}} {
@@ -20,7 +20,7 @@ func TestEncodeParallelMatchesSerial(t *testing.T) {
 		}
 		for _, size := range sizes {
 			want := makeStripe(t, c, size, int64(k*100+m*10+size%7))
-			for _, workers := range []int{2, 3, 8} {
+			for _, workers := range []int{1, 2, 3, 8} {
 				got := cloneStripe(want)
 				for p := k; p < k+m; p++ {
 					clear(got[p]) // make sure Encode really writes parity
@@ -40,8 +40,8 @@ func TestEncodeParallelMatchesSerial(t *testing.T) {
 }
 
 // TestReconstructParallelMatchesSerial erases patterns of every weight up to
-// m and checks the parallel reconstruct (with and without the decode-matrix
-// cache) restores exactly what the serial path does.
+// m and checks reconstruct, on one worker and on four with the decode-matrix
+// cache, restores exactly the reference stripe (refEncode's parity).
 func TestReconstructParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, geom := range [][2]int{{4, 2}, {8, 3}} {
@@ -50,34 +50,35 @@ func TestReconstructParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par := base.WithWorkers(4).WithDecodeCache(8)
 		orig := makeStripe(t, base, 2*chunkBytes+97, int64(10*k+m))
-		for trial := 0; trial < 40; trial++ {
-			lost := 1 + rng.Intn(m)
-			erased := rng.Perm(k + m)[:lost]
-			for _, dataOnly := range []bool{false, true} {
-				stripe := cloneStripe(orig)
-				for _, e := range erased {
-					stripe[e] = nil
-				}
-				var rerr error
-				if dataOnly {
-					rerr = par.ReconstructData(stripe)
-				} else {
-					rerr = par.Reconstruct(stripe)
-				}
-				if rerr != nil {
-					t.Fatalf("RS(%d+%d) erased=%v dataOnly=%v: %v", k, m, erased, dataOnly, rerr)
-				}
-				for i := range orig {
-					if stripe[i] == nil {
-						if dataOnly && i >= k {
-							continue // parity legitimately left missing
-						}
-						t.Fatalf("shard %d still nil (erased=%v dataOnly=%v)", i, erased, dataOnly)
+		for _, codec := range []*Codec{base, base.WithWorkers(4).WithDecodeCache(8)} {
+			for trial := 0; trial < 40; trial++ {
+				lost := 1 + rng.Intn(m)
+				erased := rng.Perm(k + m)[:lost]
+				for _, dataOnly := range []bool{false, true} {
+					stripe := cloneStripe(orig)
+					for _, e := range erased {
+						stripe[e] = nil
 					}
-					if !bytes.Equal(stripe[i], orig[i]) {
-						t.Fatalf("RS(%d+%d) erased=%v dataOnly=%v: shard %d differs", k, m, erased, dataOnly, i)
+					var rerr error
+					if dataOnly {
+						rerr = codec.ReconstructData(stripe)
+					} else {
+						rerr = codec.Reconstruct(stripe)
+					}
+					if rerr != nil {
+						t.Fatalf("RS(%d+%d) workers=%d erased=%v dataOnly=%v: %v", k, m, codec.Workers(), erased, dataOnly, rerr)
+					}
+					for i := range orig {
+						if stripe[i] == nil {
+							if dataOnly && i >= k {
+								continue // parity legitimately left missing
+							}
+							t.Fatalf("shard %d still nil (erased=%v dataOnly=%v)", i, erased, dataOnly)
+						}
+						if !bytes.Equal(stripe[i], orig[i]) {
+							t.Fatalf("RS(%d+%d) workers=%d erased=%v dataOnly=%v: shard %d differs", k, m, codec.Workers(), erased, dataOnly, i)
+						}
 					}
 				}
 			}
@@ -124,7 +125,7 @@ func TestDecodeMatrixCache(t *testing.T) {
 	}
 }
 
-// TestWithWorkersDefaults pins the knob semantics: base codecs are serial,
+// TestWithWorkersDefaults pins the knob semantics: base codecs run one range,
 // non-positive worker counts resolve to DefaultWorkers, and copies do not
 // mutate the receiver.
 func TestWithWorkersDefaults(t *testing.T) {
@@ -179,7 +180,7 @@ func TestRunCoversRange(t *testing.T) {
 // room for a shard is rebuilt in that memory — dirty on purpose, no
 // allocation — and must hold exactly what the allocate path (nil = missing)
 // produces, for every 1- and 2-loss pattern of RS(3+1) and RS(4+2), on the
-// serial and the parallel engine, for Reconstruct and ReconstructData, and
+// engine with one worker and with four, for Reconstruct and ReconstructData, and
 // with survivors left untouched. One contiguous buffer backs the data
 // shards, the way a reader lays an object out.
 func TestReconstructIntoCapacityMatchesAllocate(t *testing.T) {

@@ -118,9 +118,9 @@ func RunFig8(quick bool) ([]CaseResult, error) {
 	return out, nil
 }
 
-// RunFig2 executes the checkpointing-overhead comparison across staged
-// data sizes: failure-free execution (Exec), CoREC (Exec-CoREC), and
-// checkpointed staging (Exec-check) with per-size checkpoint/restart cost.
+// Fig2Row is one staged data size of the checkpointing-overhead comparison:
+// failure-free execution (Exec), CoREC (Exec-CoREC), and checkpointed
+// staging (Exec-check) with its checkpoint/restart cost.
 type Fig2Row struct {
 	StagedMiB  float64
 	Exec       time.Duration
@@ -139,11 +139,16 @@ const paperCheckpoints = 13
 // sizes) and measures the three execution modes. The workflow is the
 // paper's checkpointing scenario: data staged once, then read by the
 // analysis every step while the staging servers are periodically
-// checkpointed to the PFS.
-func RunFig2(edges []int64) ([]Fig2Row, error) {
+// checkpointed to the PFS. Each size runs the three modes trials times (at
+// least once), interleaved so a slow stretch of the machine is shared, and
+// each wall-clock column is the median of its runs: one cold run of each
+// is too noisy to rank them by. The checkpoint columns are modelled, so
+// every trial charges the same; they are the first trial's.
+func RunFig2(edges []int64, trials int) ([]Fig2Row, error) {
 	if len(edges) == 0 {
 		edges = []int64{48, 64, 96, 128}
 	}
+	trials = max(trials, 1)
 	var rows []Fig2Row
 	for _, e := range edges {
 		base := tableIOptions()
@@ -155,38 +160,43 @@ func RunFig2(edges []int64) ([]Fig2Row, error) {
 		plain := base
 		plain.Label = "Exec"
 		plain.Config.Mode = corec.PolicyNone
-		rPlain, err := Run(plain)
-		if err != nil {
-			return nil, err
-		}
 
 		withCoREC := base
 		withCoREC.Label = "Exec-CoREC"
 		withCoREC.Config.Mode = corec.PolicyCoREC
-		rCoREC, err := Run(withCoREC)
-		if err != nil {
-			return nil, err
-		}
 
 		checked := base
 		checked.Label = "Exec-check"
 		checked.Config.Mode = corec.PolicyNone
 		checked.Checkpoints = paperCheckpoints
 		checked.PFS = simnet.PFSModel{OpenLatency: 2 * time.Millisecond, BytesPerSecond: 256 << 20}
-		rCheck, err := Run(checked)
-		if err != nil {
-			return nil, err
-		}
 
-		rows = append(rows, Fig2Row{
-			StagedMiB:  float64(base.Config.Domain.Volume()*8) / (1 << 20),
-			Exec:       rPlain.Elapsed,
-			ExecCoREC:  rCoREC.Elapsed,
-			ExecCheck:  rCheck.Elapsed,
-			Checkpoint: rCheck.CheckpointTime,
-			Restart:    rCheck.RestartTime,
-			NumCkpts:   rCheck.Checkpoints,
-		})
+		row := Fig2Row{StagedMiB: float64(base.Config.Domain.Volume()*8) / (1 << 20)}
+		var exec, execCoREC, execCheck []float64
+		for i := 0; i < trials; i++ {
+			rPlain, err := Run(plain)
+			if err != nil {
+				return nil, err
+			}
+			rCoREC, err := Run(withCoREC)
+			if err != nil {
+				return nil, err
+			}
+			rCheck, err := Run(checked)
+			if err != nil {
+				return nil, err
+			}
+			exec = append(exec, float64(rPlain.Elapsed))
+			execCoREC = append(execCoREC, float64(rCoREC.Elapsed))
+			execCheck = append(execCheck, float64(rCheck.Elapsed))
+			if i == 0 {
+				row.Checkpoint, row.Restart, row.NumCkpts = rCheck.CheckpointTime, rCheck.RestartTime, rCheck.Checkpoints
+			}
+		}
+		row.Exec = time.Duration(median(exec))
+		row.ExecCoREC = time.Duration(median(execCoREC))
+		row.ExecCheck = time.Duration(median(execCheck))
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

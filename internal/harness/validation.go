@@ -46,10 +46,11 @@ type ModelValidation struct {
 }
 
 // RunModelValidation executes the validation study. The classifier's
-// behaviour is read off the first trial's CoREC run; each measured
-// write-cost ratio is the median of its ratios over the trials (at least
-// one), since a single wall-clock run of each policy is too noisy to rank
-// them by.
+// behaviour — its lookahead counters and how the hot and the cold objects
+// ended — and each measured write-cost ratio are medians over the trials
+// (at least one): a single run's classification depends on how its
+// background encodes raced the steps, and a single wall-clock run of each
+// policy is too noisy to rank them by.
 func RunModelValidation(trials int) (*ModelValidation, error) {
 	trials = max(trials, 1)
 	opts := tableIOptions()
@@ -80,15 +81,15 @@ func RunModelValidation(trials int) (*ModelValidation, error) {
 
 	// Run CoREC, keeping the cluster alive to inspect final object states,
 	// then the baselines for the measured ratios.
-	var corecOverRepl, erasOverCoREC []float64
+	var corecOverRepl, erasOverCoREC, hotRepl, coldEnc, preds, hits []float64
 	for i := 0; i < trials; i++ {
-		corecRes, states, preds, hits, err := runAndInspect(opts, wl)
+		corecRes, states, p, h, err := runAndInspect(opts, wl)
 		if err != nil {
 			return nil, err
 		}
-		if i == 0 {
-			v.inspect(wl, hotSet, states, preds, hits)
-		}
+		hr, ce := classified(wl, hotSet, states)
+		hotRepl, coldEnc = append(hotRepl, hr), append(coldEnc, ce)
+		preds, hits = append(preds, float64(p)), append(hits, float64(h))
 		replOpts := opts
 		replOpts.Config.Mode = corec.PolicyReplicate
 		replOpts.Label = "Replicate"
@@ -112,6 +113,8 @@ func RunModelValidation(trials int) (*ModelValidation, error) {
 	}
 	v.MeasuredCoRECOverReplica = median(corecOverRepl)
 	v.MeasuredErasureOverCoREC = median(erasOverCoREC)
+	v.EmpiricalHotReplicated, v.ColdEncoded = median(hotRepl), median(coldEnc)
+	v.LookaheadPredictions, v.LookaheadHits = int64(median(preds)), int64(median(hits))
 
 	// Model at the empirical operating point.
 	p := model.Default()
@@ -127,10 +130,9 @@ func RunModelValidation(trials int) (*ModelValidation, error) {
 	return v, nil
 }
 
-// inspect records the classifier's behaviour from one CoREC run: the
-// lookahead counters and how the hot and the cold objects ended the run.
-func (v *ModelValidation) inspect(wl *workload.Workload, hotSet map[string]bool, states map[string]types.ResilienceState, preds, hits int64) {
-	v.LookaheadPredictions, v.LookaheadHits = preds, hits
+// classified returns how one CoREC run's objects ended: the fraction of the
+// hot ones kept replicated and of the cold ones erasure coded.
+func classified(wl *workload.Workload, hotSet map[string]bool, states map[string]types.ResilienceState) (hotReplicated, coldEncoded float64) {
 	var hotRepl, hotTotal, coldEnc, coldTotal float64
 	for _, b := range wl.Blocks {
 		st, ok := states[types.ObjectID{Var: wl.Cfg.Var, Box: b}.Key()]
@@ -150,11 +152,12 @@ func (v *ModelValidation) inspect(wl *workload.Workload, hotSet map[string]bool,
 		}
 	}
 	if hotTotal > 0 {
-		v.EmpiricalHotReplicated = hotRepl / hotTotal
+		hotReplicated = hotRepl / hotTotal
 	}
 	if coldTotal > 0 {
-		v.ColdEncoded = coldEnc / coldTotal
+		coldEncoded = coldEnc / coldTotal
 	}
+	return hotReplicated, coldEncoded
 }
 
 // median returns the middle of xs (the mean of the middle two for an even

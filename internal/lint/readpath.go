@@ -11,18 +11,21 @@ import (
 // object's record, fetching a copy or a stripe's shards and reconstructing
 // what is missing used to be written out by hand in the client, in recovery,
 // in promotion and in each scrub repair, and only one of the copies ever got
-// the known-loss planning and the in-place assembly. The reader package owns
-// that protocol now, and the way a seventh hand-written loop would come back
-// is by building one of its request messages somewhere else.
+// the known-loss planning and the in-place assembly. Directory records were
+// read and merged four ways too: a record's mirrors, a region query, the
+// rebalancer's sweep and recovery's rebuild. The reader package owns that
+// protocol now, and the way another hand-written loop would come back is by
+// building one of its request messages somewhere else.
 //
 // Readpath flags a transport.Message composite literal whose Kind is MsgGet,
-// MsgShardGet or MsgMetaLookup anywhere but in the package named "reader". Files named *_test.go are exempt: tests drive handlers
+// MsgShardGet, MsgMetaLookup or MsgMetaQuery anywhere but in the package
+// named "reader". Files named *_test.go are exempt: tests drive handlers
 // with hand-built requests on purpose.
 type Readpath struct{}
 
 // readpathKinds are the request kinds only the reader may construct.
 var readpathKinds = map[string]bool{
-	"MsgGet": true, "MsgShardGet": true, "MsgMetaLookup": true,
+	"MsgGet": true, "MsgShardGet": true, "MsgMetaLookup": true, "MsgMetaQuery": true,
 }
 
 // Name implements Analyzer.
@@ -30,7 +33,7 @@ func (Readpath) Name() string { return "readpath" }
 
 // Doc implements Analyzer.
 func (Readpath) Doc() string {
-	return "object, shard and record read requests are built in the reader package only"
+	return "object, shard, record and directory read requests are built in the reader package only"
 }
 
 // Run implements Analyzer.

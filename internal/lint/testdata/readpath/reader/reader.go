@@ -9,5 +9,6 @@ func Requests(key string) []*transport.Message {
 		{Kind: transport.MsgGet, Key: key},
 		{Kind: transport.MsgShardGet, Key: key},
 		{Kind: transport.MsgMetaLookup, Key: key},
+		{Kind: transport.MsgMetaQuery, Var: key},
 	}
 }

@@ -20,10 +20,20 @@ func lookups(key string) []transport.Message {
 	}
 }
 
+// sweep reads every member's directory shard by hand: the merge the reader
+// owns would be written again here.
+func sweep(members []string) []*transport.Message {
+	var out []*transport.Message
+	for range members {
+		out = append(out, &transport.Message{Kind: transport.MsgMetaQuery}) // want `MsgMetaQuery request built outside the reader package`
+	}
+	return out
+}
+
 func dispatch(req *transport.Message) bool {
 	switch req.Kind {
 	case transport.MsgGet, transport.MsgShardGet:
 		return true
 	}
-	return req.Kind == transport.MsgMetaLookup
+	return req.Kind == transport.MsgMetaLookup || req.Kind == transport.MsgMetaQuery
 }

@@ -1,4 +1,4 @@
-// Package transport is the readpath fixture protocol: three read request
+// Package transport is the readpath fixture protocol: four read request
 // kinds, one write kind, and the message that carries them.
 package transport
 
@@ -10,12 +10,14 @@ const (
 	MsgGet
 	MsgShardGet
 	MsgMetaLookup
+	MsgMetaQuery
 )
 
 // Message is the fixture wire struct.
 type Message struct {
 	Kind Kind
 	Key  string
+	Var  string
 }
 
 // probe builds a read request inside the protocol package itself: still not

@@ -1,10 +1,14 @@
-// Package reader is the one reader of staged data. A client's get, a
-// replacement server's recovery, a promotion and the scrubber's repairs all
-// find an object's record, gather its surviving pieces and reconstruct what
-// is missing (the paper's Section III-D defines a degraded read and lazy
-// recovery as that one act), so the read side of the protocol is written
-// here once. Callers bring what is theirs: how a message is sent, which copy
-// is acceptable, which shard to rebuild, where the result is installed.
+// Package reader is the one reader of staged data and of the directory
+// records that describe it. A client's get, a replacement server's recovery,
+// a promotion and the scrubber's repairs all find an object's record, gather
+// its surviving pieces and reconstruct what is missing (the paper's Section
+// III-D defines a degraded read and lazy recovery as that one act), so the
+// read side of the protocol is written here once. Records are read the same
+// way whoever asks — one record's mirrors, a region's directory groups, or a
+// sweep of every member's shard for recovery and the rebalancer — and merged
+// by one rule: the newest record per key, in key order. Callers bring what is
+// theirs: how a message is sent, which copy is acceptable, which shard to
+// rebuild, where the result is installed.
 package reader
 
 import (
@@ -12,10 +16,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 
 	"corec/internal/erasure"
+	"corec/internal/geometry"
 	"corec/internal/metrics"
 	"corec/internal/placement"
 	"corec/internal/transport"
@@ -58,6 +64,36 @@ type Tally struct {
 // NoTally accounts for nothing.
 var NoTally = Tally{Got: func(context.Context, int) error { return nil }, Missed: func() {}}
 
+// errNoDirectory reports that none of the servers asked for directory
+// records answered.
+var errNoDirectory = errors.New("corec: no directory shard reachable")
+
+// newest merges directory answers into one record per object key, the
+// newest by ObjectMeta.Newer, in key order: answers are wire output of
+// mirrors that can lag each other, and what is built from them must be the
+// same whatever order they came in.
+func newest(answers ...[]types.ObjectMeta) []types.ObjectMeta {
+	best := make(map[string]types.ObjectMeta)
+	for _, metas := range answers {
+		for _, m := range metas {
+			key := m.ID.Key()
+			if cur, ok := best[key]; !ok || m.Newer(&cur) {
+				best[key] = m
+			}
+		}
+	}
+	keys := make([]string, 0, len(best))
+	for key := range best {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	out := make([]types.ObjectMeta, len(keys))
+	for i, key := range keys {
+		out[i] = best[key]
+	}
+	return out
+}
+
 // LookupMeta fetches one object's record from the servers its box registers
 // it on. Every reachable mirror is consulted and the newest record wins:
 // under concurrent state flips a mirror can lag by one transition, and a
@@ -66,17 +102,77 @@ var NoTally = Tally{Got: func(context.Context, int) error { return nil }, Missed
 func (r *Reader) LookupMeta(ctx context.Context, id types.ObjectID) (*types.ObjectMeta, bool) {
 	start := time.Now()
 	defer func() { r.Col.Add(metrics.Metadata, time.Since(start)) }()
-	var best *types.ObjectMeta
+	var found []types.ObjectMeta
 	key := id.Key()
 	for _, t := range r.Dir.Servers(id.Var, id.Box) {
 		resp, err := r.Send(ctx, t, &transport.Message{Kind: transport.MsgMetaLookup, Key: key})
 		if err == nil && resp.Kind == transport.MsgOK && resp.Flag {
-			if best == nil || resp.Meta.Newer(best) {
-				best = resp.Meta
+			found = append(found, *resp.Meta)
+		}
+	}
+	if found = newest(found); len(found) == 0 {
+		return nil, false
+	}
+	return &found[0], true
+}
+
+// Query asks the targets, in parallel, for their records of the variable
+// whose box intersects box (every record of the variable when box is
+// invalid) and merges the answers with have. A single target with nothing in
+// hand is a plain call whose answer — one record per object, in key order —
+// comes back as it arrived. errNoDirectory when no target answered and have
+// is empty.
+func (r *Reader) Query(ctx context.Context, targets []types.ServerID, name string, box geometry.Box, have []types.ObjectMeta) ([]types.ObjectMeta, error) {
+	ask := func(target types.ServerID) *transport.Message { // nil: no answer
+		resp, _ := r.Send(ctx, target, &transport.Message{Kind: transport.MsgMetaQuery, Var: name, Box: box})
+		return resp
+	}
+	if len(targets) == 1 && len(have) == 0 {
+		if resp := ask(targets[0]); resp != nil {
+			return resp.Metas, nil
+		}
+		return nil, errNoDirectory
+	}
+	results := make(chan *transport.Message, len(targets))
+	for _, target := range targets {
+		go func() { results <- ask(target) }()
+	}
+	answers := [][]types.ObjectMeta{have}
+	for range targets {
+		if resp := <-results; resp != nil {
+			answers = append(answers, resp.Metas)
+		}
+	}
+	if len(answers) == 1 && len(have) == 0 {
+		return nil, errNoDirectory
+	}
+	return newest(answers...), nil
+}
+
+// Sweep reads the whole directory — every record of every member's shard —
+// asking the members one at a time, and merges what they hold. pace, when
+// set, is charged with each answer's record count before the next member is
+// asked, so a background pass over a large directory keeps off the
+// foreground path; its error ends the sweep. errNoDirectory when members is
+// not empty and none of them answered.
+func (r *Reader) Sweep(ctx context.Context, members []types.ServerID, pace func(ctx context.Context, records int) error) ([]types.ObjectMeta, error) {
+	var answers [][]types.ObjectMeta
+	for _, m := range members {
+		resp, err := r.Send(ctx, m, &transport.Message{Kind: transport.MsgMetaQuery})
+		if err != nil || resp.Kind != transport.MsgOK {
+			continue
+		}
+		answers = append(answers, resp.Metas)
+		if pace != nil {
+			if err := pace(ctx, len(resp.Metas)); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return best, best != nil
+	if len(answers) == 0 && len(members) > 0 {
+		return nil, errNoDirectory
+	}
+	return newest(answers...), nil
 }
 
 // landed returns the payload of a response to a request that named into as

@@ -94,8 +94,10 @@ func (d *directory) lookup(key string) (*types.ObjectMeta, bool) {
 }
 
 // query returns the shard's records of the variable whose box intersects
-// box (every record of the variable when box is invalid), in key order:
-// query responses are wire output and must be byte-identical across runs.
+// box (every record of the variable when box is invalid; with no variable
+// named either, the whole shard), in key order: query responses are wire
+// output — they feed region reads, recovery's rebuild and the rebalancer —
+// and must be byte-identical across runs.
 func (d *directory) query(name string, box geometry.Box) []types.ObjectMeta {
 	cells := d.place.Cells(box)
 	d.mu.RLock()
@@ -111,7 +113,7 @@ func (d *directory) query(name string, box geometry.Box) []types.ObjectMeta {
 		}
 	} else {
 		for k, m := range d.metas {
-			if m.ID.Var == name {
+			if name == "" || m.ID.Var == name {
 				keys = append(keys, k)
 			}
 		}
@@ -143,18 +145,6 @@ func (d *directory) remove(key string) {
 			delete(d.buckets, b)
 		}
 	}
-}
-
-// dump returns the whole shard in key order: dumps feed recovery work lists,
-// the migrator and tests, so the stream is deterministic.
-func (d *directory) dump() []types.ObjectMeta {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	metas := make([]types.ObjectMeta, 0, len(d.metas))
-	for _, k := range sortedKeys(d.metas) {
-		metas = append(metas, *d.metas[k].Clone())
-	}
-	return metas
 }
 
 // count returns the number of records in the shard.
@@ -190,12 +180,6 @@ func (s *Server) handleMetaQuery(req *transport.Message) *transport.Message {
 func (s *Server) handleMetaDelete(req *transport.Message) *transport.Message {
 	s.dir.remove(req.Key)
 	return transport.Ok()
-}
-
-// handleDirDump returns the whole directory shard. Used to rebuild a failed
-// server's shard and to build recovery work lists.
-func (s *Server) handleDirDump(req *transport.Message) *transport.Message {
-	return &transport.Message{Kind: transport.MsgOK, Metas: s.dir.dump()}
 }
 
 // --- client-side helpers (used by servers acting as directory clients) ---

@@ -145,7 +145,7 @@ func TestMultiCellRecordRegistersInEveryGroup(t *testing.T) {
 }
 
 // TestDirectoryShardConcurrent drives one shard from several goroutines at
-// once — updates, region queries, lookups, removals, dumps —
+// once — updates, region queries, lookups, removals, whole-shard reads —
 // the mix a busy server's handlers produce. Run under -race.
 func TestDirectoryShardConcurrent(t *testing.T) {
 	d := testShard()
@@ -175,7 +175,7 @@ func TestDirectoryShardConcurrent(t *testing.T) {
 					if got, ok := d.lookup(m.ID.Key()); ok && got.Layout != nil {
 						got.Layout.Members[0].Server = 9
 					}
-					d.dump()
+					d.query("", geometry.Box{})
 					d.count()
 				case 4:
 					d.remove(m.ID.Key())
@@ -185,9 +185,9 @@ func TestDirectoryShardConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	// Whatever interleaving ran, the index and the record map agree.
-	metas := d.dump()
+	metas := d.query("", geometry.Box{})
 	if got := d.query("v", geometry.Box{}); len(got) != len(metas) {
-		t.Fatalf("unbounded query sees %d records, dump %d", len(got), len(metas))
+		t.Fatalf("unbounded query sees %d records, the whole shard %d", len(got), len(metas))
 	}
 	for _, m := range metas {
 		if got := d.query(m.ID.Var, m.ID.Box); !slices.ContainsFunc(got, func(g types.ObjectMeta) bool { return g.ID.Key() == m.ID.Key() }) {

@@ -211,11 +211,11 @@ func TestServerRebuildsInOneRoundOnceLossIsKnown(t *testing.T) {
 	}
 }
 
-// TestRecoveryWorklistAsksNoStripeLookups: the records in the directory dumps
-// a replacement walks are all it needs — an encoded one carries its stripe's
+// TestRecoveryWorklistAsksNoStripeLookups: the directory records a
+// replacement sweeps are all it needs — an encoded one carries its stripe's
 // layout — so both its work list and its share of the directory come from
 // them and it asks nobody about a stripe. It used to look up the stripe of
-// every encoded record in every dump.
+// every encoded record in every member's shard.
 func TestRecoveryWorklistAsksNoStripeLookups(t *testing.T) {
 	net := newShardGetNet()
 	rig := newRigWith(t, net, 8, policy.Config{Mode: policy.Erasure, NLevel: 1, K: 3, M: 1})
@@ -228,12 +228,9 @@ func TestRecoveryWorklistAsksNoStripeLookups(t *testing.T) {
 	recordsHeld := rig.servers[victim].dir.count()
 	rig.servers[victim].Close()
 	repl := rig.startServer(t, victim)
-	keys, _, err := repl.rebuildDirectoryAndWorklist(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) < shardsHeld || shardsHeld == 0 {
-		t.Fatalf("work list has %d objects, the dead server held shards of %d", len(keys), shardsHeld)
+	work := repl.rebuildDirectoryAndWorklist(context.Background())
+	if len(work) < shardsHeld || shardsHeld == 0 {
+		t.Fatalf("work list has %d objects, the dead server held shards of %d", len(work), shardsHeld)
 	}
 	net.mu.Lock()
 	lookups := net.stripeLookups
@@ -241,7 +238,7 @@ func TestRecoveryWorklistAsksNoStripeLookups(t *testing.T) {
 	if lookups != 0 {
 		t.Errorf("building the work list sent %d stripe lookups, want 0", lookups)
 	}
-	rebuilt := repl.dir.dump()
+	rebuilt := repl.dir.query("", geometry.Box{})
 	if len(rebuilt) != recordsHeld || recordsHeld == 0 {
 		t.Errorf("rebuilt directory shard holds %d records, its predecessor held %d", len(rebuilt), recordsHeld)
 	}
@@ -293,5 +290,72 @@ func TestPromotionAssemblesInPlace(t *testing.T) {
 	shard := uint64(size+2) / 3
 	if got, limit := after.TotalAlloc-before.TotalAlloc, 2*uint64(size)+shard; got > limit {
 		t.Errorf("promotion allocated %d bytes, want <= %d (the object, its replica's receive buffer and one shard)", got, limit)
+	}
+}
+
+// TestRecoveryRebuildsFromTheNewestRecord: one mirror of an object's record
+// lags its twins by a rewrite — the primary was cut off from it while the
+// new version was written, as TestLaggingMirrorIsSettledByItsTwin stages it
+// on a cluster. A replacement of another mirror rebuilds its directory shard
+// from the survivors' shards: it must hold the newest record, whichever
+// mirror answers first, and its work list must name exactly the objects
+// whose newest record names it.
+func TestRecoveryRebuildsFromTheNewestRecord(t *testing.T) {
+	net := transport.NewFaultyNetwork(transport.NewInProc(simnet.LinkModel{}), nil)
+	// Three mirrors per record: the lagging one, the victim, and a current
+	// twin the victim's shard can be rebuilt from.
+	rig := newRigWith(t, net, 12, policy.Config{Mode: policy.Replicate, NLevel: 2, K: 3, M: 1})
+	ctx := context.Background()
+	dir := rig.servers[0].dirPlace
+	var lagged types.ObjectID
+	var group []types.ServerID
+	for i := int64(0); i < 32; i++ {
+		box := geometry.Box3D(i*32, 0, 0, i*32+8, 8, 8)
+		rig.put(t, "lag", box, 1, payload(256, 700+i))
+		id := types.ObjectID{Var: "lag", Box: box}
+		primary := rig.place.Primary(id)
+		holders := append(rig.place.ReplicaHolders(primary), primary)
+		if g := dir.Servers(id.Var, id.Box); len(group) == 0 && !slices.ContainsFunc(g, func(s types.ServerID) bool { return slices.Contains(holders, s) }) {
+			lagged, group = id, g
+		}
+	}
+	if len(group) != 3 {
+		t.Fatalf("no staged object whose three directory mirrors %v hold none of its copies", group)
+	}
+	lagging, victim := group[0], group[1]
+	heal := net.Partition([]types.ServerID{rig.place.Primary(lagged)}, []types.ServerID{lagging})
+	rig.put(t, "lag", lagged.Box, 2, payload(256, 799))
+	heal()
+	// The cut may have marked the lagging mirror down; the sweep must ask it.
+	transport.HealthOf(net).Admit(lagging)
+	if m, ok := rig.servers[lagging].dir.lookup(lagged.Key()); !ok || m.Version != 1 {
+		t.Fatalf("lagging mirror %d holds %+v, want the version-1 record", lagging, m)
+	}
+
+	rig.servers[victim].Close()
+	repl := rig.startServer(t, victim)
+	rig.servers[victim] = repl
+	work := repl.rebuildDirectoryAndWorklist(ctx)
+	if m, ok := repl.dir.lookup(lagged.Key()); !ok || m.Version != 2 {
+		t.Fatalf("rebuilt shard holds %+v for the lagged object, want its version-2 record", m)
+	}
+	named := 0
+	for i := int64(0); i < 32; i++ {
+		id := types.ObjectID{Var: "lag", Box: geometry.Box3D(i*32, 0, 0, i*32+8, 8, 8)}
+		newest, ok := rig.servers[group[2]].reader.LookupMeta(ctx, id)
+		if !ok {
+			t.Fatalf("no record of %s", id)
+		}
+		names := newest.Primary == victim || slices.Contains(newest.Replicas, victim)
+		if _, listed := work[id.Key()]; listed != names {
+			t.Errorf("%s: on the work list = %v, but its newest record (v%d, primary %d, replicas %v) names the replacement = %v",
+				id, listed, newest.Version, newest.Primary, newest.Replicas, names)
+		}
+		if names {
+			named++
+		}
+	}
+	if named == 0 || len(work) != named {
+		t.Fatalf("work list has %d objects, %d newest records name the replacement", len(work), named)
 	}
 }

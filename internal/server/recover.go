@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
 	"corec/internal/metrics"
@@ -369,10 +370,12 @@ func (s *Server) handleRecoverAll(ctx context.Context, req *transport.Message) *
 // The call blocks until the queue drains; run it on its own goroutine for
 // background recovery. It returns the number of objects repaired.
 func (s *Server) RunRecovery(ctx context.Context, mode recovery.Mode) (int, error) {
-	keys, ids, err := s.rebuildDirectoryAndWorklist(ctx)
-	if err != nil {
-		return 0, err
+	work := s.rebuildDirectoryAndWorklist(ctx)
+	keys := make([]string, 0, len(work))
+	for key := range work {
+		keys = append(keys, key)
 	}
+	sort.Strings(keys)
 	queue := recovery.NewQueue(keys)
 	s.mu.Lock()
 	s.repairQueue = queue
@@ -396,7 +399,9 @@ func (s *Server) RunRecovery(ctx context.Context, mode recovery.Mode) (int, erro
 		if err := pacer.Take(ctx, 1); err != nil {
 			return repaired, err
 		}
-		if did, err := s.recoverObject(ctx, ids[key]); err == nil && did {
+		// The record is looked up afresh: a lazy drain runs for up to MTBF/4
+		// after the sweep, and the object may have moved on since.
+		if did, err := s.recoverObject(ctx, work[key]); err == nil && did {
 			repaired++
 		}
 		s.mu.Lock()
@@ -409,38 +414,30 @@ func (s *Server) RunRecovery(ctx context.Context, mode recovery.Mode) (int, erro
 	return repaired, nil
 }
 
-// rebuildDirectoryAndWorklist restores this server's directory shard from
-// its mirrors and scans the cluster's directory for every object this
-// server should hold a piece of: their keys in discovery order, and the
-// identity behind each key.
-func (s *Server) rebuildDirectoryAndWorklist(ctx context.Context) ([]string, map[string]types.ObjectID, error) {
-	// The records are all there is to collect: an encoded one carries its
-	// stripe's layout, which answers "is one of my shards in this object's
-	// stripe" without asking anyone.
-	var keys []string
-	ids := make(map[string]types.ObjectID)
-	for _, peer := range s.others(s.place.Members()) {
-		resp, err := s.sendRetry(ctx, peer, &transport.Message{Kind: transport.MsgDirDump})
-		if err != nil || resp.Kind != transport.MsgOK {
-			continue
+// rebuildDirectoryAndWorklist sweeps the surviving members' directory shards
+// and, from the newest record of each object, restores this server's own
+// shard and collects its work list: every object whose newest record names
+// this server as a holder of a piece, by key. The records are all there is to
+// collect: an encoded one carries its stripe's layout, which answers "is one
+// of my shards in this object's stripe" without asking anyone. A sweep no
+// peer answers leaves nothing to rebuild from and nothing to repair.
+func (s *Server) rebuildDirectoryAndWorklist(ctx context.Context) map[string]types.ObjectID {
+	metas, _ := s.reader.Sweep(ctx, s.others(s.place.Members()), nil)
+	work := make(map[string]types.ObjectID)
+	for i := range metas {
+		meta := &metas[i]
+		// Restore the records of this server's shard (as owner or mirror of
+		// a cell the record's box touches). Flag marks restore mode: never
+		// clobber a live same-version record that a concurrent transition
+		// may have refreshed.
+		if slices.Contains(s.dirPlace.Servers(meta.ID.Var, meta.ID.Box), s.id) {
+			s.handleMetaUpdate(&transport.Message{Kind: transport.MsgMetaUpdate, Meta: meta, Flag: true})
 		}
-		for i := range resp.Metas {
-			meta := &resp.Metas[i]
-			key := meta.ID.Key()
-			// Restore directory entries belonging to this server's shard (as
-			// owner or mirror of a cell the record's box touches). Flag marks
-			// restore mode: never clobber a live same-version record that a
-			// concurrent transition may have refreshed.
-			if slices.Contains(s.dirPlace.Servers(meta.ID.Var, meta.ID.Box), s.id) {
-				s.handleMetaUpdate(&transport.Message{Kind: transport.MsgMetaUpdate, Meta: meta, Flag: true})
-			}
-			if _, seen := ids[key]; !seen && s.holdsPieceOf(meta) {
-				ids[key] = meta.ID
-				keys = append(keys, key)
-			}
+		if s.holdsPieceOf(meta) {
+			work[meta.ID.Key()] = meta.ID
 		}
 	}
-	return keys, ids, nil
+	return work
 }
 
 // holdsPieceOf reports whether this server should hold a piece of the

@@ -436,6 +436,13 @@ func (s *Server) processEncode(key string) {
 	if s.decider.StaysReplicated(st.id, repl, enc) {
 		return
 	}
+	// A draining server demotes nothing: the pass draining it moves its
+	// records to other primaries, and a stripe it published after that pass
+	// read the record would name it again once it has left. A demotion
+	// queued before the drain began can run that late on a busy machine.
+	if s.draining.Load() {
+		return
+	}
 	// A failed demotion leaves the object replicated: safe, retried on
 	// the next classification pass.
 	_ = s.encodeObject(context.Background(), obj, 0, types.StripeID{}, true)
@@ -547,8 +554,6 @@ func (s *Server) Handle(ctx context.Context, req *transport.Message) *transport.
 		return s.handleMetaDelete(req)
 	case transport.MsgStripeLookup:
 		return s.handleStripeLookup(req)
-	case transport.MsgDirDump:
-		return s.handleDirDump(req)
 	case transport.MsgTokenAcquire:
 		return s.handleTokenAcquire(req)
 	case transport.MsgTokenRelease:

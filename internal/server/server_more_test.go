@@ -19,10 +19,11 @@ import (
 	"corec/internal/types"
 )
 
-// TestDirDumpContainsMetasAndStripes: a dump is records alone, and an encoded
-// object's record is all a replacement needs of its stripe — the layout rides
-// on it, on exactly the members of the record's directory group.
-func TestDirDumpContainsMetasAndStripes(t *testing.T) {
+// TestWholeShardQueryCarriesLayouts: a whole-shard read is records alone,
+// and an encoded object's record is all a replacement needs of its stripe —
+// the layout rides on it, on exactly the members of the record's directory
+// group.
+func TestWholeShardQueryCarriesLayouts(t *testing.T) {
 	rig := newRig(t, policy.Erasure, 8)
 	box := geometry.Box3D(0, 0, 0, 8, 8, 8)
 	primary := rig.put(t, "v", box, 1, payload(400, 31))
@@ -32,15 +33,15 @@ func TestDirDumpContainsMetasAndStripes(t *testing.T) {
 		t.Fatalf("object not encoded: %+v", meta)
 	}
 	// The record lives on the group of the one cell its box touches; every
-	// member's dump holds it and no other server's does.
+	// member's shard holds it and no other server's does.
 	group := rig.servers[primary].dirPlace.Servers(id.Var, id.Box)
 	if len(group) != 2 {
 		t.Fatalf("record group %v, want two members", group)
 	}
 	for i, srv := range rig.servers {
-		resp := srv.handleDirDump(&transport.Message{Kind: transport.MsgDirDump})
+		resp := srv.Handle(context.Background(), &transport.Message{Kind: transport.MsgMetaQuery})
 		if resp.Kind != transport.MsgOK {
-			t.Fatalf("dump failed: %+v", resp)
+			t.Fatalf("whole-shard query failed: %+v", resp)
 		}
 		found := false
 		for _, m := range resp.Metas {
@@ -49,14 +50,14 @@ func TestDirDumpContainsMetasAndStripes(t *testing.T) {
 			}
 			found = true
 			if m.State != types.StateEncoded || m.Stripe != meta.Stripe {
-				t.Fatalf("server %d dumped meta %+v", i, m)
+				t.Fatalf("server %d returned meta %+v", i, m)
 			}
 			if si := m.Layout; si == nil || si.ID != meta.Stripe || si.K != 3 || si.M != 1 || len(si.Members) != 4 {
-				t.Fatalf("server %d dumped the record with layout %+v", i, si)
+				t.Fatalf("server %d returned the record with layout %+v", i, si)
 			}
 		}
 		if want := slices.Contains(group, types.ServerID(i)); found != want {
-			t.Errorf("server %d: object record in dump = %v, want %v (group %v)", i, found, want, group)
+			t.Errorf("server %d: object record in its shard = %v, want %v (group %v)", i, found, want, group)
 		}
 	}
 }
@@ -181,13 +182,10 @@ func TestRunRecoveryLazyMeetsDeadline(t *testing.T) {
 	// The work-list build is not paced: time it alone, and take it off the
 	// recovery's total.
 	start := time.Now()
-	keys, _, err := repl.rebuildDirectoryAndWorklist(ctx)
+	work := repl.rebuildDirectoryAndWorklist(ctx)
 	build := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 3 {
-		t.Fatalf("work list has %d objects, want the victim's 3", len(keys))
+	if len(work) != 3 {
+		t.Fatalf("work list has %d objects, want the victim's 3", len(work))
 	}
 	start = time.Now()
 	repaired, err := repl.RunRecovery(ctx, recovery.Lazy)
@@ -195,17 +193,17 @@ func TestRunRecoveryLazyMeetsDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repaired != len(keys) {
-		t.Fatalf("repaired %d of %d objects", repaired, len(keys))
+	if repaired != len(work) {
+		t.Fatalf("repaired %d of %d objects", repaired, len(work))
 	}
 	// Paced: n repairs one token apart start no sooner than (n-1)/n of the
 	// deadline; on time: the last one ends by it.
-	floor := deadline * time.Duration(len(keys)-1) / time.Duration(len(keys))
+	floor := deadline * time.Duration(len(work)-1) / time.Duration(len(work))
 	if drain < floor*9/10 || drain > deadline {
 		t.Fatalf("drain of %d repairs took %v after a %v build; want within [%v, %v]",
-			len(keys), drain, build, floor, deadline)
+			len(work), drain, build, floor, deadline)
 	}
-	t.Logf("drained %d repairs in %v after a %v build (deadline %v)", len(keys), drain, build, deadline)
+	t.Logf("drained %d repairs in %v after a %v build (deadline %v)", len(work), drain, build, deadline)
 }
 
 func TestCodingMembersRotation(t *testing.T) {

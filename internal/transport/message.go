@@ -48,14 +48,13 @@ const (
 	// Metadata plane.
 	MsgMetaUpdate // upsert an ObjectMeta record
 	MsgMetaLookup // fetch ObjectMeta by Key
-	MsgMetaQuery  // fetch all ObjectMeta for Var intersecting Box
+	MsgMetaQuery  // fetch the shard's ObjectMeta for Var intersecting Box (all of Var's when Box is invalid; the whole shard when Var is empty too)
 	MsgMetaDelete // remove an ObjectMeta record
 	// MsgStripeLookup asks a server for the layout of a stripe it holds a
 	// shard of (Flag false when it holds none). Nothing in the product sends
 	// it — a layout rides its object's record — but the frozen benchmark
 	// names the kind; it goes when bench/ is next unfrozen.
 	MsgStripeLookup
-	MsgDirDump // dump a directory shard (recovery of lost metadata)
 
 	// Coordination plane.
 	MsgTokenAcquire // request the replication group's encoding token
@@ -84,7 +83,7 @@ var kindNames = [...]string{
 	"OK", "Err", "Put", "Get", "GetBytes", "Delete",
 	"ReplicaPut", "ReplicaDrop",
 	"ShardPut", "ShardGet", "ShardDrop", "EncodeDelegate",
-	"MetaUpdate", "MetaLookup", "MetaQuery", "MetaDelete", "StripeLookup", "DirDump",
+	"MetaUpdate", "MetaLookup", "MetaQuery", "MetaDelete", "StripeLookup",
 	"TokenAcquire", "TokenRelease", "LoadQuery", "Ping", "Recover", "Stats",
 	"PingReq", "Gossip", "Handoff",
 	"StepEnd", "RecoverAll", "Scrub",

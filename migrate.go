@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"corec/internal/scrub"
 	"corec/internal/transport"
@@ -71,8 +70,12 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 
 	bucket := rebalanceBucket(c.cfg.rebalanceMBps)
 
+	// Each member's shard is charged to the bucket, a record at a time,
+	// before the next member is asked.
 	cl := c.NewClient()
-	metas, err := c.collectDirectory(ctx, cl, bucket)
+	metas, err := cl.reader.Sweep(ctx, c.place.Members(), func(ctx context.Context, records int) error {
+		return bucket.Take(ctx, int64((records+1)*metaRecordCost))
+	})
 	if err != nil {
 		return rep, err
 	}
@@ -81,7 +84,8 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	// Phase 1: re-home directory records. Restore-mode updates never clobber
 	// live same-version records, so this phase is idempotent and safe before
 	// any record is edited.
-	for _, m := range metas {
+	for i := range metas {
+		m := &metas[i]
 		if err := bucket.Take(ctx, metaRecordCost); err != nil {
 			return rep, err
 		}
@@ -92,7 +96,8 @@ func (c *Cluster) Rebalance(ctx context.Context) (RebalanceReport, error) {
 	}
 
 	// Phase 2: paced record edits, in key order for deterministic tests.
-	for _, m := range metas {
+	for i := range metas {
+		m := &metas[i]
 		if ctx.Err() != nil {
 			return rep, ctx.Err()
 		}
@@ -160,45 +165,9 @@ func rebalanceBucket(rate float64) *scrub.TokenBucket {
 // metaRecordCost is the approximate wire cost charged to the byte bucket
 // per directory record touched during collection and re-homing, so that
 // control-plane sweeps are paced like data moves. Without it, back-to-back
-// Rebalance passes hammer every server with unthrottled directory dumps
+// Rebalance passes hammer every server with unthrottled directory sweeps
 // and meta pushes, which shows up directly in foreground tail latency.
 const metaRecordCost = 512
-
-// collectDirectory dumps every live member's directory shard and dedups:
-// the newest record per object key, in key order. Each dump's record volume
-// is charged to the byte bucket so repeated passes stay off the foreground
-// path.
-func (c *Cluster) collectDirectory(ctx context.Context, cl *Client, bucket *scrub.TokenBucket) ([]*types.ObjectMeta, error) {
-	members := c.place.Members()
-	best := make(map[string]*types.ObjectMeta)
-	reached := 0
-	for _, m := range members {
-		resp, err := cl.send(ctx, m, &transport.Message{Kind: transport.MsgDirDump})
-		if err != nil || resp.Kind != transport.MsgOK {
-			continue
-		}
-		reached++
-		if err := bucket.Take(ctx, int64((len(resp.Metas)+1)*metaRecordCost)); err != nil {
-			return nil, err
-		}
-		for i := range resp.Metas {
-			meta := resp.Metas[i]
-			key := meta.ID.Key()
-			if cur, ok := best[key]; !ok || meta.Newer(cur) {
-				best[key] = meta.Clone()
-			}
-		}
-	}
-	if reached == 0 && len(members) > 0 {
-		return nil, fmt.Errorf("corec: rebalance: no directory shard reachable")
-	}
-	metas := make([]*types.ObjectMeta, 0, len(best))
-	for _, m := range best {
-		metas = append(metas, m)
-	}
-	sort.Slice(metas, func(i, j int) bool { return metas[i].ID.Key() < metas[j].ID.Key() })
-	return metas, nil
-}
 
 // sendGroup delivers a directory message to every group member; true when
 // at least one copy landed.

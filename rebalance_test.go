@@ -214,7 +214,7 @@ type passCounter struct {
 
 func newPassCounter(counter *countingNet) *passCounter {
 	p := &passCounter{counter: counter, inproc: counter.Network.(*transport.InProc), published: make(map[string][]uint64)}
-	counter.seen = func(req, resp *transport.Message) {
+	counter.seen = func(_, _ types.ServerID, req, resp *transport.Message) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		p.payload += int64(len(req.Data) + len(resp.Data))
@@ -316,6 +316,83 @@ func TestRebalanceCountsMemberLoss(t *testing.T) {
 		}
 	}
 	verifyChurnObjects(t, c.NewClient(), "counted", committed, nil, "after the member-loss pass")
+}
+
+// TestDirectorySweepsAskEachMemberOnce: recovery and the rebalancer read the
+// directory through one sweep, a whole-shard region query (no variable, no
+// box) to each member in turn. A replacement asks each live peer once, and
+// asks all of them before it reads any record or piece for a repair; a
+// rebalance pass asks each member once.
+func TestDirectorySweepsAskEachMemberOnce(t *testing.T) {
+	c, counter := countedCluster(t, erasureConfig())
+	_, committed := stageObjects(t, c, "swept", 16)
+	ctx := context.Background()
+	victim := types.ServerID(3)
+
+	var mu sync.Mutex
+	asked := make(map[types.ServerID][]types.ServerID) // sender -> members swept, in order
+	repairAt := -1                                     // sweeps the victim had sent when it first read for a repair
+	counter.seen = func(from, to types.ServerID, req, _ *transport.Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch req.Kind {
+		case transport.MsgMetaQuery:
+			if req.Var == "" && !req.Box.Valid() {
+				asked[from] = append(asked[from], to)
+			}
+		case transport.MsgMetaLookup, transport.MsgGet, transport.MsgShardGet:
+			if from == victim && repairAt < 0 {
+				repairAt = len(asked[victim])
+			}
+		}
+	}
+	take := func() map[types.ServerID][]types.ServerID {
+		mu.Lock()
+		defer mu.Unlock()
+		got := asked
+		asked, repairAt = make(map[types.ServerID][]types.ServerID), -1
+		return got
+	}
+	want := func(members []types.ServerID) []types.ServerID {
+		sorted := slices.Clone(members)
+		slices.Sort(sorted)
+		return sorted
+	}
+
+	c.Kill(ServerID(victim))
+	if _, err := c.Replace(ServerID(victim)); err != nil {
+		t.Fatal(err)
+	}
+	take()
+	repaired, err := c.NewClient().RecoverServer(ctx, ServerID(victim), RecoveryAggressive)
+	if err != nil || repaired == 0 {
+		t.Fatalf("recovery repaired %d objects: %v", repaired, err)
+	}
+	mu.Lock()
+	at := repairAt
+	mu.Unlock()
+	got := take()
+	peers := slices.DeleteFunc(c.place.Members(), func(s types.ServerID) bool { return s == victim })
+	if len(got) != 1 || !slices.Equal(want(got[victim]), want(peers)) {
+		t.Fatalf("recovery swept %v, want one whole-shard query from %d to each live peer %v", got, victim, peers)
+	}
+	if at != len(peers) {
+		t.Fatalf("the replacement read for its first repair after %d of its %d sweeps, want after all of them", at, len(peers))
+	}
+
+	rep, err := c.Rebalance(ctx)
+	if err != nil || rep.Errors != 0 {
+		t.Fatalf("rebalance: %+v, %v", rep, err)
+	}
+	got = take()
+	var from []types.ServerID
+	for s := range got {
+		from = append(from, s)
+	}
+	if len(from) != 1 || from[0] >= 0 || !slices.Equal(want(got[from[0]]), want(c.place.Members())) {
+		t.Fatalf("rebalance swept %v, want one whole-shard query from its client to each member %v", got, c.place.Members())
+	}
+	verifyChurnObjects(t, c.NewClient(), "swept", committed, nil, "after recovery and a rebalance pass")
 }
 
 // TestRebalanceCountsJoin: a pass after a join sends no put, and an encoded

@@ -125,7 +125,7 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 					if !bytes.Equal(got, regionWant(region)) {
 						t.Fatalf("op %d: region %v diverged from reference", op, region)
 					}
-					metas, err := client.queryServers(ctx, client.cluster.place.Members(), "ref", region, nil)
+					metas, err := client.reader.Query(ctx, client.cluster.place.Members(), "ref", region, nil)
 					if err != nil {
 						t.Fatalf("op %d: full fan-out for %v: %v", op, region, err)
 					}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test race short scrubrace transportrace churnrace storagerace clusterquick benchsmoke figures bench loc ci clean
+.PHONY: all build vet staticcheck lint test race short scrubrace transportrace churnrace storagerace clusterquick benchsmoke figures examples bench loc ci clean
 
 all: ci
 
@@ -127,6 +127,16 @@ figures:
 		[ -s "$$dir/$$f.csv" ] || { echo "figures: $$f.csv missing"; exit 1; }; \
 	done
 
+# examples runs every shipped example; each exits non-zero when its own
+# check fails (a read that errs or returns other bytes, a missing block).
+EXAMPLES := $(notdir $(wildcard examples/*))
+
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e || { echo "examples: $$e failed"; exit 1; }; \
+	done
+
 # bench smoke-runs every Go benchmark once. The gated performance ledger is
 # the staging benchmark (bench/, BENCHMARK.json); see benchsmoke above.
 bench:
@@ -137,7 +147,7 @@ bench:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
-ci: vet staticcheck lint build race scrubrace transportrace churnrace storagerace test figures benchsmoke clusterquick
+ci: vet staticcheck lint build race scrubrace transportrace churnrace storagerace test figures examples benchsmoke clusterquick
 
 clean:
 	$(GO) clean ./...

@@ -360,12 +360,17 @@ func (c *Cluster) pushMemberEvent(ev MembershipEvent) {
 // Join starts a fresh, empty server under the given id and folds it into
 // the fleet: ring membership, gossip announcement, background agent. Only
 // the arcs adjacent to the newcomer's virtual nodes change owners; staged
-// data moves when the operator (or a test) runs Rebalance.
+// data moves when the operator (or a test) runs Rebalance. Records may still
+// name an id the fleet used before, so Join then runs the replacement
+// recovery: when it returns, the server holds every piece they name.
 func (c *Cluster) Join(id ServerID) error {
 	if c.elastic == nil {
 		return fmt.Errorf("corec: Join requires elastic membership (Config.Membership)")
 	}
-	_, err := c.Replace(id)
+	if _, err := c.Replace(id); err != nil {
+		return err
+	}
+	_, err := c.ctl.RecoverServer(contextBackground, id, RecoveryAggressive)
 	return err
 }
 

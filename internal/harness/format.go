@@ -247,15 +247,3 @@ func countRanks(r *Result, read bool) int64 {
 	}
 	return ranks
 }
-
-// SummaryTable is a one-row-per-result overview.
-func SummaryTable(results []*Result) *Table {
-	t := &Table{Header: []string{"label", "write_ms", "read_ms", "storage_eff", "elapsed_ms", "demotions", "promotions", "read_errors"}}
-	for _, r := range results {
-		t.Rows = append(t.Rows, []string{
-			r.Label, ms(r.MeanWrite), ms(r.MeanRead), num(r.Storage.Efficiency, 4), ms(r.Elapsed),
-			strconv.Itoa(r.Demotions), strconv.Itoa(r.Promotions), strconv.Itoa(r.ReadErrors),
-		})
-	}
-	return t
-}

@@ -159,33 +159,6 @@ func Run(opts Options) (*Result, error) {
 	return execute(opts, wl)
 }
 
-// Replay executes a pre-built workload (e.g. one loaded from a trace)
-// under the given options; workload geometry overrides the options'.
-func Replay(opts Options, wl *workload.Workload) (*Result, error) {
-	opts = opts.withDefaults()
-	// Derive the domain from the trace so the classifier's spatial rule
-	// has correct bounds.
-	var domain geometry.Box
-	first := true
-	for _, step := range wl.Steps {
-		for _, b := range append(append([]geometry.Box{}, step.Writes...), step.Reads...) {
-			if first {
-				domain = b.Clone()
-				first = false
-			} else {
-				domain = domain.Union(b)
-			}
-		}
-	}
-	if domain.Valid() {
-		opts.Config.Domain = domain
-	}
-	if wl.Cfg.Var == "" {
-		wl.Cfg.Var = "field"
-	}
-	return execute(opts, wl)
-}
-
 // workload generates the run's synthetic workload over the cluster's domain.
 func (o *Options) workload() (*workload.Workload, error) {
 	return workload.Generate(workload.Config{

@@ -51,16 +51,6 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("Pattern(%d)", int(p))
 }
 
-// ParsePattern resolves a pattern name.
-func ParsePattern(s string) (Pattern, error) {
-	for i, n := range patternNames {
-		if n == s {
-			return Pattern(i), nil
-		}
-	}
-	return 0, fmt.Errorf("workload: unknown pattern %q", s)
-}
-
 // Config parameterizes generation.
 type Config struct {
 	Pattern Pattern

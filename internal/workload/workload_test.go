@@ -165,18 +165,6 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
-func TestPatternParseRoundTrip(t *testing.T) {
-	for _, p := range []Pattern{Case1WriteAll, Case2RoundRobin, Case3Hotspot, Case4Random, Case5ReadAll, S3D} {
-		got, err := ParsePattern(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParsePattern(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePattern("nope"); err == nil {
-		t.Fatal("bogus pattern parsed")
-	}
-}
-
 func TestTableIIScales(t *testing.T) {
 	scales := TableIIScales(16)
 	if len(scales) != 3 {

@@ -371,6 +371,58 @@ func TestElasticJoinLeaveFlapping(t *testing.T) {
 	verifyChurnObjects(t, cl, "flap", committed, nil, "final")
 }
 
+// TestElasticRejoinRestoresNamedPieces: a server that holds pieces leaves
+// without a drain and rejoins under its id. Records still name it, so when
+// Join returns the newcomer must hold every copy and shard they name, read
+// from its own storage, with no decode.
+func TestElasticRejoinRestoresNamedPieces(t *testing.T) {
+	c := elasticCluster(t, elasticConfig(8))
+	cl := c.NewClient()
+	const objects = 16
+	seedChurnObjects(t, c, cl, "rejoin", objects)
+	for i := 0; i < objects/2; i++ { // hot rewrites keep some objects replicated
+		if err := cl.Put(context.Background(), "rejoin", churnBox(i), 3, regionData(t, churnBox(i), 8, int64(7000+i))); err != nil {
+			t.Fatalf("hot put %d: %v", i, err)
+		}
+	}
+	victim := objectRecord(t, cl, "rejoin", 0).Primary
+	c.Leave(ServerID(victim))
+	if err := c.Join(ServerID(victim)); err != nil {
+		t.Fatalf("rejoin %d: %v", victim, err)
+	}
+	srv := c.Server(ServerID(victim))
+	named := 0
+	for i := 0; i < objects; i++ {
+		m := objectRecord(t, c.NewClient(), "rejoin", i)
+		key := types.ObjectID{Var: "rejoin", Box: churnBox(i)}.Key()
+		if m.Primary == victim && m.State != types.StateEncoded {
+			named++
+			if !srv.HasObject(key) {
+				t.Fatalf("object %d: rejoined primary %d lacks its copy: %+v", i, victim, m)
+			}
+		}
+		if slices.Contains(m.Replicas, victim) {
+			named++
+			if !srv.HasReplica(key) {
+				t.Fatalf("object %d: rejoined server %d lacks its replica: %+v", i, victim, m)
+			}
+		}
+		if m.Layout != nil {
+			for _, mb := range m.Layout.Members {
+				if mb.Server == victim {
+					named++
+					if !srv.HasShard(m.Stripe, mb.Index) {
+						t.Fatalf("object %d: rejoined server %d lacks shard %d of stripe %v", i, victim, mb.Index, m.Stripe)
+					}
+				}
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatalf("no record names server %d: the test restores nothing", victim)
+	}
+}
+
 // TestElasticPartitionRefutationNotEviction drives the seeded
 // false-suspicion scenario: a healthy server cut off by an asymmetric
 // partition is suspected, but once the partition heals inside the

@@ -91,10 +91,11 @@ churnrace:
 # Race-detector pass focused on the tiered storage engine: the concurrent
 # spill/upload/prefetch chaos tests plus the cluster-level kill-restart
 # recovery of the disk tier. The failed-job exit tests repeat: a delete or
-# re-put lands while the job that must settle it is in flight.
+# re-put lands while the job that must settle it is in flight. So does the
+# tier-occupancy test: its byte accounting races the spill workers.
 storagerace:
 	$(GO) test -race ./internal/storage
-	$(GO) test -race -count=10 -run 'TestFailedJobSettles' ./internal/storage
+	$(GO) test -race -count=10 -run 'TestFailedJobSettles|TestRemoteTierUploadAndRead' ./internal/storage
 	$(GO) test -race -run 'TestTiered' .
 
 # Multi-process cluster harness, CI-budgeted: real corec-server OS

@@ -1,9 +1,12 @@
 // tiered-staging: the storage engine's three tiers in isolation — L1
 // process memory, L2 append-only disk segments, L3 a modeled remote object
-// store. A hotspot workload keeps one quarter of the domain hot; each row
-// shows the per-block read latency of the hot and cold sets and how many hot
-// blocks memory holds after the step. A sequential second pass then drives
-// the prefetcher, which stages the next time step's blocks.
+// store. The staging line shows 96 blocks filling memory to its budget of
+// 16, disk to just under its 32 (record headers count too) and the rest
+// remote; the example fails otherwise. A hotspot workload keeps one quarter
+// of the domain hot; each row shows the per-block read latency of the hot
+// and cold sets and how many hot blocks memory holds after the step. A
+// sequential second pass then drives the prefetcher, which stages the next
+// time step's blocks.
 //
 // Run with: go run ./examples/tiered-staging
 package main
@@ -27,9 +30,9 @@ func main() {
 	}
 	blockBytes := int(blocks[0].Volume()) * 8
 
-	// Memory holds only a quarter of the dataset; the disk tier catches
-	// the spill and an artificially slow remote store catches the oldest
-	// cold data, so the tier difference is visible above timer noise.
+	// Memory holds only a quarter of the step-1 blocks; the disk tier
+	// catches the spill and an artificially slow remote store catches the
+	// rest, so the tier difference is visible above timer noise.
 	dir, err := os.MkdirTemp("", "tiered-staging-")
 	if err != nil {
 		log.Fatal(err)
@@ -65,8 +68,12 @@ func main() {
 	}
 	eng.WaitIdle()
 	st := eng.Stats()
+	staged := len(blocks) + (len(blocks)+1)/2
 	fmt.Printf("staged %d blocks (%d KiB each): mem %d, disk %d, remote %d\n",
-		len(blocks), blockBytes>>10, st.MemObjects, st.DiskObjects, st.RemoteObjects)
+		staged, blockBytes>>10, st.MemObjects, st.DiskObjects, st.RemoteObjects)
+	if st.MemObjects != len(blocks)/4 || st.DiskObjects > len(blocks)/2 {
+		log.Fatalf("tiers do not hold what their budgets allow: want mem %d, disk at most %d", len(blocks)/4, len(blocks)/2)
+	}
 
 	// The hot quarter: blocks whose lower corner sits in x<32, y<32.
 	var hot, cold []geometry.Box

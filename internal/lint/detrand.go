@@ -9,13 +9,13 @@ import (
 // Detrand enforces determinism in the packages whose outputs the chaos and
 // scrub tests replay byte-for-byte: placement decisions, policy
 // transitions, classification, erasure geometry, failure schedules,
-// workload generation and the checkpoint and fabric cost models must be
-// pure functions of their seeds. Global
-// math/rand functions draw from a process-wide source, wall-clock seeding
-// makes runs unreproducible, and raw time.Now() smuggles real time into
-// simulated time — all three have caused "works on my machine" chaos
-// failures in systems like this, which is why FoundationDB-style
-// deterministic simulation bans them outright.
+// workload generation, the checkpoint and fabric cost models and the storage
+// engine's victim order and remote fault stream must be pure functions of
+// their seeds. Global math/rand functions draw from a process-wide source,
+// wall-clock seeding makes runs unreproducible, and raw time.Now()
+// smuggles real time into simulated time — all three have caused "works on
+// my machine" chaos failures in systems like this, which is why
+// FoundationDB-style deterministic simulation bans them outright.
 //
 // In deterministic packages, Detrand flags:
 //   - calls to package-level math/rand and math/rand/v2 functions (Intn,
@@ -34,7 +34,7 @@ type Detrand struct {
 // behavior must be a pure function of injected seeds and clocks.
 var deterministicPkgs = []string{
 	"placement", "policy", "classifier", "erasure", "geometry", "failure", "workload",
-	"checkpoint", "simnet",
+	"checkpoint", "simnet", "storage",
 }
 
 // detrandAllowed are the constructors of injected generators.

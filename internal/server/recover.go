@@ -370,7 +370,11 @@ func (s *Server) handleRecoverAll(ctx context.Context, req *transport.Message) *
 // The call blocks until the queue drains; run it on its own goroutine for
 // background recovery. It returns the number of objects repaired.
 func (s *Server) RunRecovery(ctx context.Context, mode recovery.Mode) (int, error) {
-	work := s.rebuildDirectoryAndWorklist(ctx)
+	return s.drainRepairs(ctx, mode, s.rebuildDirectoryAndWorklist(ctx))
+}
+
+// drainRepairs runs step 3 over work, the list step 2 built.
+func (s *Server) drainRepairs(ctx context.Context, mode recovery.Mode, work map[string]types.ObjectID) (int, error) {
 	keys := make([]string, 0, len(work))
 	for key := range work {
 		keys = append(keys, key)

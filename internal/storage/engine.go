@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"corec/internal/scrub"
 )
@@ -22,8 +21,8 @@ type Config struct {
 	// tiers entirely.
 	Dir string
 	// DiskBytes is the L2 live-byte budget; exceeding it uploads the
-	// oldest disk entries to the remote tier. <= 0 disables pressure-driven
-	// uploads.
+	// least recently touched disk entries to the remote tier. <= 0
+	// disables pressure-driven uploads.
 	DiskBytes int64
 	// Prefetch enables the next-time-step prefetch pipeline.
 	Prefetch bool
@@ -145,13 +144,28 @@ type entry struct {
 	seq   int
 	freq  float64
 	last  int64 // engine logical clock of last access
-	lastT int64 // unix nanos of last access (orders pressure-driven uploads)
 
-	busy       bool // a background job owns this entry
-	queued     bool // scheduled for prefetch
-	deleted    bool // delete deferred until the owning job settles
+	owner      owner
+	deleted    bool // delete deferred until the owner settles
 	prefetched bool // resident because the prefetcher staged it
 }
+
+// owner names the party holding an entry. Only the holder may commit the
+// entry to another tier or retire its records; a delete or re-put that
+// finds the entry held leaves that to the holder's settle step.
+type owner uint8
+
+const (
+	ownNone          owner = iota
+	ownSpill               // an L1→L2 spill job is queued or running
+	ownUpload              // an L2→L3 upload job is queued or running
+	ownPrefetchQueue       // queued for prefetch; not held yet, anyone may take it
+	ownPrefetch            // the prefetch worker is reading it
+	ownSettle              // a writer is settling the records a re-put or delete retired
+)
+
+// held reports whether a job or writer holds e (a queued prefetch does not).
+func (e *entry) held() bool { return e.owner != ownNone && e.owner != ownPrefetchQueue }
 
 type jobKind int
 
@@ -277,7 +291,6 @@ func (t *Tiered) adoptRestored(idx map[string]restoredEntry) {
 		}
 		return keys[i] < keys[j]
 	})
-	now := time.Now().UnixNano()
 	for _, k := range keys {
 		re := idx[k]
 		if re.tier == TierRemote && t.remote == nil {
@@ -292,7 +305,6 @@ func (t *Tiered) adoptRestored(idx map[string]restoredEntry) {
 			sum:   re.sum,
 			epoch: re.epoch,
 			seq:   -1,
-			lastT: now,
 		}
 		if re.epoch >= 0 {
 			log := t.epochs[re.epoch]
@@ -317,19 +329,22 @@ func (t *Tiered) PutTagged(key string, data []byte, epoch int64) {
 	var tomb, remoteDel bool
 	e := t.entries[key]
 	if e != nil {
-		if e.busy {
-			// A background job owns the entry: record state only; the job
+		if e.held() {
+			// A background job holds the entry: record state only; the job
 			// settles the superseded on-disk records when it commits.
 			if e.tier == TierMem {
 				t.memBytes -= e.size
 			}
 		} else {
 			locs, tomb, remoteDel = t.retireLocked(e)
-			// Until the old records are settled the writer owns the entry
+			// Until the old records are settled the writer holds the entry
 			// like a background job would, so no spill or upload of the new
 			// value can land before the old copy's tombstone and remote
 			// delete do — and be killed by them.
-			e.busy = tomb
+			e.owner = ownNone
+			if tomb {
+				e.owner = ownSettle
+			}
 		}
 		e.gen++
 		e.deleted = false
@@ -339,7 +354,7 @@ func (t *Tiered) PutTagged(key string, data []byte, epoch int64) {
 	}
 	e.data, e.size = data, size
 	e.tier, e.clean = TierMem, tierNone
-	e.queued, e.prefetched = false, false
+	e.prefetched = false
 	e.epoch, e.seq = epoch, -1
 	if epoch >= 0 {
 		log := t.epochs[epoch]
@@ -347,17 +362,17 @@ func (t *Tiered) PutTagged(key string, data []byte, epoch int64) {
 		t.epochs[epoch] = append(log, key)
 	}
 	e.freq++
-	e.last, e.lastT = t.clock, time.Now().UnixNano()
+	e.last = t.clock
 	t.memBytes += size
 	t.mu.Unlock()
 	t.settleRetired(key, locs, tomb, remoteDel)
-	t.maybeSpill(true)
+	t.demote(TierMem, true)
 }
 
 // retireLocked detaches e's current placement, returning the on-disk
 // records to mark dead, whether a tombstone must be appended, and whether
 // the remote copy must be deleted. Caller holds t.mu and is not a
-// background job (busy entries defer retirement to their owning job).
+// background job (held entries defer retirement to their holder).
 func (t *Tiered) retireLocked(e *entry) (locs []recordLoc, tomb, remoteDel bool) {
 	switch e.tier {
 	case TierMem:
@@ -379,7 +394,7 @@ func (t *Tiered) retireLocked(e *entry) (locs []recordLoc, tomb, remoteDel bool)
 }
 
 // settleRetired performs the I/O half of retirement outside t.mu. tomb
-// says the caller owns the entry (busy) and superseded records exist: the
+// says the caller holds the entry and superseded records exist: the
 // key's tombstone is appended and, last, the entry released — finalizing a
 // delete that was deferred to the owner meanwhile.
 func (t *Tiered) settleRetired(key string, locs []recordLoc, tomb, remoteDel bool) {
@@ -399,7 +414,7 @@ func (t *Tiered) settleRetired(key string, locs []recordLoc, tomb, remoteDel boo
 	}
 	t.mu.Lock()
 	if e := t.entries[key]; e != nil {
-		e.busy = false
+		e.owner = ownNone
 		if e.deleted {
 			delete(t.entries, key)
 		}
@@ -429,8 +444,8 @@ func (t *Tiered) Delete(key string) {
 		t.mu.Unlock()
 		return
 	}
-	if e.busy {
-		// Deferred: the owning job observes deleted, appends the
+	if e.held() {
+		// Deferred: the holder observes deleted, appends the
 		// tombstone, and removes the entry when it settles.
 		if e.tier == TierMem {
 			t.memBytes -= e.size
@@ -443,11 +458,11 @@ func (t *Tiered) Delete(key string) {
 	}
 	locs, tomb, remoteDel := t.retireLocked(e)
 	if tomb {
-		// Records to settle: the entry stays, deleted and owned, until the
+		// Records to settle: the entry stays, deleted and held, until the
 		// tombstone is down, so a racing re-put cannot reach disk first.
 		// Its bytes have left memBytes already, hence size 0.
 		e.data, e.size = nil, 0
-		e.deleted, e.busy = true, true
+		e.deleted, e.owner = true, ownSettle
 		e.gen++
 	} else {
 		delete(t.entries, key)
@@ -476,7 +491,7 @@ func (t *Tiered) fetch(key string, touch bool) ([]byte, bool) {
 		if touch {
 			t.clock++
 			e.freq++
-			e.last, e.lastT = t.clock, time.Now().UnixNano()
+			e.last = t.clock
 		}
 		tier, loc, gen, sum := e.tier, e.loc, e.gen, e.sum
 		ep, seq := e.epoch, e.seq
@@ -564,14 +579,14 @@ func (t *Tiered) quarantine(key string, gen uint64, loc recordLoc) {
 }
 
 // install promotes fetched bytes into L1, reporting whether it committed.
-// Owned jobs (the prefetcher) hold the entry's busy flag and must settle
-// superseded records themselves on a false return; unowned promotion (a
-// foreground get) simply backs off if anything moved.
+// Owned jobs (the prefetcher) hold the entry and must settle superseded
+// records themselves on a false return; unowned promotion (a foreground
+// get) simply backs off if anything moved.
 func (t *Tiered) install(key string, gen uint64, data []byte, from Tier, prefetched, owned bool) bool {
 	t.mu.Lock()
 	e := t.entries[key]
 	stale := e == nil || e.gen != gen || e.deleted
-	if stale || (!owned && (e.busy || e.tier != from)) {
+	if stale || (!owned && (e.held() || e.tier != from)) {
 		t.mu.Unlock()
 		return false
 	}
@@ -579,7 +594,7 @@ func (t *Tiered) install(key string, gen uint64, data []byte, from Tier, prefetc
 	e.tier = TierMem
 	e.clean = from
 	e.prefetched = prefetched
-	e.busy, e.queued = false, false
+	e.owner = ownNone
 	if prefetched {
 		// Staged ahead of its read: refresh heat so the spiller does not
 		// immediately evict what the prefetcher just promoted.
@@ -591,18 +606,18 @@ func (t *Tiered) install(key string, gen uint64, data []byte, from Tier, prefetc
 	if prefetched {
 		t.ctPrefIssued.Add(1)
 	}
-	t.maybeSpill(!owned)
+	t.demote(TierMem, !owned)
 	return true
 }
 
 // settleStale is a background job's abort path: the entry changed (or was
 // deleted) while the job held it. The job kills the records it knows about,
 // appends the key's tombstone, finalizes a deferred delete and releases
-// the entry. The busy gate guarantees no newer record for the key was
+// the entry. Holding the entry guarantees no newer record for the key was
 // appended in between, so the tombstone cannot kill fresh data.
 func (t *Tiered) settleStale(key string, locs []recordLoc, remoteDel bool) {
 	t.settleRetired(key, locs, true, remoteDel)
-	t.maybeSpill(false)
+	t.demote(TierMem, false)
 }
 
 // Has reports whether the key exists in any tier (no I/O).
@@ -669,7 +684,7 @@ func (t *Tiered) Size(key string) (int64, bool) {
 func (t *Tiered) Overwrite(key string, data []byte) bool {
 	t.mu.Lock()
 	e := t.entries[key]
-	if e == nil || e.deleted || e.busy {
+	if e == nil || e.deleted || e.held() {
 		t.mu.Unlock()
 		return false
 	}

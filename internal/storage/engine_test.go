@@ -169,12 +169,25 @@ func TestRemoteTierUploadAndRead(t *testing.T) {
 	}
 	waitFor(t, "uploads", func() bool { return e.Stats().Uploads > 0 })
 	e.WaitIdle()
+	// Each tier holds what its budget allows, and no more is demoted: L1
+	// exactly its two objects' worth, L2 within one record of its live-byte
+	// budget, the rest remote.
 	st := e.Stats()
-	if st.RemoteObjects == 0 {
-		t.Fatalf("no remote objects: %+v", st)
+	if st.MemObjects != 2 || st.MemBytes != 1024 {
+		t.Fatalf("L1 holds %d objects, %d bytes; want 2 objects, its 1024-byte budget: %+v",
+			st.MemObjects, st.MemBytes, st)
 	}
-	if remote.Stats().Objects == 0 {
-		t.Fatal("remote store empty")
+	record := int64(headerSize + len("k00") + 512)
+	if st.DiskBytes > 2048 || st.DiskBytes <= 2048-record {
+		t.Fatalf("L2 holds %d live bytes; want within one %d-byte record under its 2048-byte budget: %+v",
+			st.DiskBytes, record, st)
+	}
+	if st.RemoteObjects != n-st.MemObjects-st.DiskObjects || st.RemoteObjects == 0 {
+		t.Fatalf("remote holds %d objects, want the other %d: %+v",
+			st.RemoteObjects, n-st.MemObjects-st.DiskObjects, st)
+	}
+	if remote.Stats().Objects != st.RemoteObjects {
+		t.Fatalf("remote store holds %d objects, the engine %d", remote.Stats().Objects, st.RemoteObjects)
 	}
 	for i := 0; i < n; i++ {
 		got, ok := e.Get(fmt.Sprintf("k%02d", i))
@@ -215,8 +228,9 @@ func TestRemoteFaultLeavesDataOnDisk(t *testing.T) {
 }
 
 // failedUploadUnder opens an engine whose every upload fails after 300 ms,
-// stages key, waits until its upload is in flight (the entry is busy), runs
-// meanwhile, waits for the failed job to exit, and reopens the disk tier.
+// stages key, waits until its upload is in flight (the job holds the
+// entry), runs meanwhile, waits for the failed job to exit, and reopens the
+// disk tier.
 func failedUploadUnder(t *testing.T, key string, meanwhile func(*Tiered)) *Tiered {
 	t.Helper()
 	dir := t.TempDir()
@@ -260,6 +274,53 @@ func TestFailedJobSettlesDeferredPut(t *testing.T) {
 	if got, ok := re.Get("k"); !ok || !bytes.Equal(got, payload(2, 400)) {
 		t.Fatalf("after a restart the key reads ok=%v, old value %v; want the new value",
 			ok, ok && bytes.Equal(got, payload(1, 400)))
+	}
+}
+
+// TestLiveBytesMatchARescan: L2's live-byte count, which the upload walk
+// reads, is what a restart's rescan finds. A re-put that finds the key's
+// upload still queued leaves the old disk record to the job, which retires
+// it on finding the key moved; and the rescan counts a record superseded
+// within its own segment dead.
+func TestLiveBytesMatchARescan(t *testing.T) {
+	remote := NewRemoteStore(RemoteConfig{OpenLatency: 100 * time.Millisecond, Seed: 1})
+	cfg := Config{Dir: t.TempDir(), MemBytes: 1, DiskBytes: 1, spillWorkers: 1}
+	e, err := Open(cfg, remote, "s1/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"a", "b", "c"}
+	for i, k := range keys {
+		e.Put(k, payload(i, 400))
+	}
+	// One worker: while one upload is in flight, the other held ones wait
+	// in the queue.
+	waitFor(t, "an upload queued behind one in flight", func() bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		held := 0
+		for _, k := range keys {
+			if e.entries[k].owner == ownUpload {
+				held++
+			}
+		}
+		return held >= 2 && remote.inflight.Load() == 1
+	})
+	for i, k := range keys {
+		e.Put(k, payload(i+3, 400))
+	}
+	e.WaitIdle()
+	live := e.Stats().DiskBytes
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(cfg, remote, "s1/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = re.Close() }()
+	if got := re.Stats().DiskBytes; got != live {
+		t.Fatalf("L2 counted %d live bytes, a rescan finds %d", live, got)
 	}
 }
 

@@ -37,8 +37,8 @@ func (t *Tiered) observeRead(epoch int64, seq int) {
 			// Advisory work: a full pipeline drops rather than stalls.
 			t.ctPrefDropped.Add(1)
 			t.mu.Lock()
-			if e := t.entries[k]; e != nil {
-				e.queued = false
+			if e := t.entries[k]; e != nil && e.owner == ownPrefetchQueue {
+				e.owner = ownNone
 			}
 			t.mu.Unlock()
 			t.jobDone()
@@ -59,7 +59,7 @@ func (t *Tiered) coldRangeLocked(epoch int64, from, depth int) []string {
 			break
 		}
 		e := t.entries[k]
-		if e == nil || e.deleted || e.busy || e.queued || e.tier == TierMem {
+		if e == nil || e.deleted || e.owner != ownNone || e.tier == TierMem {
 			continue
 		}
 		// The entry may have been re-put under a different epoch since;
@@ -67,7 +67,7 @@ func (t *Tiered) coldRangeLocked(epoch int64, from, depth int) []string {
 		if e.epoch != epoch {
 			continue
 		}
-		e.queued = true
+		e.owner = ownPrefetchQueue
 		picks = append(picks, k)
 	}
 	return picks
@@ -92,15 +92,14 @@ func (t *Tiered) prefetchWorker() {
 func (t *Tiered) prefetchOne(key string) {
 	t.mu.Lock()
 	e := t.entries[key]
-	if e == nil || e.deleted || e.busy || e.tier == TierMem {
-		if e != nil {
-			e.queued = false
+	if e == nil || e.deleted || e.held() || e.tier == TierMem {
+		if e != nil && e.owner == ownPrefetchQueue {
+			e.owner = ownNone
 		}
 		t.mu.Unlock()
 		return
 	}
-	e.busy = true
-	e.queued = false
+	e.owner = ownPrefetch
 	tier, loc, gen, sum, size := e.tier, e.loc, e.gen, e.sum, e.size
 	t.mu.Unlock()
 

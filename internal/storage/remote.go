@@ -18,9 +18,6 @@ type RemoteConfig struct {
 	// BytesPerSecond is the aggregate bandwidth shared by all concurrent
 	// transfers. Zero means infinite bandwidth.
 	BytesPerSecond float64
-	// Scale multiplies the final delay; zero means 1. Experiments shrink
-	// modelled time with it exactly like simnet.LinkModel.Scale.
-	Scale float64
 	// FailProb is the seeded probability that any one put or get fails
 	// (after its modelled delay — a timeout, not a fast error).
 	FailProb float64
@@ -86,9 +83,6 @@ func (r *RemoteStore) delay(size int) time.Duration {
 		}
 		per := r.cfg.BytesPerSecond / float64(sharers)
 		d += time.Duration(float64(size) / per * float64(time.Second))
-	}
-	if r.cfg.Scale > 0 {
-		d = time.Duration(float64(d) * r.cfg.Scale)
 	}
 	return d
 }

@@ -107,10 +107,12 @@ func openDisk(dir string, target int64) (*diskTier, map[string]restoredEntry, Re
 			_ = s.f.Close() // only read from
 			continue
 		}
+		// Registered before its scan, so a record superseded within this
+		// segment is counted dead too.
+		d.segs[id] = s
 		if err := d.scanSegment(s, idx, &rep); err != nil {
 			return nil, nil, RestoreReport{}, err
 		}
-		d.segs[id] = s
 	}
 	rep.Restored = len(idx)
 	// Resume appending to the last segment if it still has headroom.

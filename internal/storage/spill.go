@@ -7,78 +7,96 @@ import (
 	"corec/internal/scrub"
 )
 
-// utilityLocked scores an L1-resident entry for eviction: the old
-// internal/tiering utility-density policy — access frequency times the
-// read cost a faster tier saves, per byte — with a recency decay so stale
-// heat fades. Lowest score spills first. Caller holds t.mu.
-func (t *Tiered) utilityLocked(e *entry) float64 {
-	age := float64(t.clock - e.last)
-	eff := e.freq / (1 + age/1024)
-	return eff / float64(e.size+1)
-}
-
-// maybeSpill demotes the lowest-utility-density resident entries until L1
-// is back under budget. Entries with a still-valid backing record flip
-// tiers instantly (no I/O); dirty entries go to the async spill pool
-// through the bounded queue. block selects backpressure semantics: the
-// foreground write path stalls on a full queue, while worker-context
-// callers never do (a worker blocking on the queue it drains would wedge
-// the pool) — their dropped victims are simply retried on the next pass.
-func (t *Tiered) maybeSpill(block bool) {
-	if t.disk == nil || t.cfg.MemBytes <= 0 {
+// demote keeps tier from within its budget: L1 (MemBytes) spills to disk,
+// L2 (DiskBytes, live record bytes) uploads to the remote tier. It walks
+// the tier's idle entries in the tier's victim order and queues victims
+// until the excess is covered. The excess discounts the bytes whose
+// demotion out of the tier is already queued or running, so a walk never
+// queues again what an earlier one did.
+//
+// L1's order is the old internal/tiering utility-density policy: access
+// frequency, decayed with age so stale heat fades, per byte; lowest first.
+// L2's is least recently touched first. An L1 entry with a still-valid
+// backing record flips tiers at once, with no I/O. block selects
+// backpressure semantics: the foreground write path stalls on a full queue,
+// while worker-context callers never do (a worker blocking on the queue it
+// drains would wedge the pool); their dropped victims are retried on the
+// next pass.
+func (t *Tiered) demote(from Tier, block bool) {
+	budget, kind, mover := t.cfg.MemBytes, jobSpill, ownSpill
+	if from == TierDisk {
+		budget, kind, mover = t.cfg.DiskBytes, jobUpload, ownUpload
+	}
+	if t.disk == nil || budget <= 0 || (from == TierDisk && t.remote == nil) {
 		return
 	}
-	var jobs []string
+	type cand struct {
+		key   string
+		e     *entry
+		rank  float64
+		bytes int64
+	}
+	var cands []cand
 	t.mu.Lock()
-	over := t.memBytes - t.cfg.MemBytes
-	if over > 0 {
-		type cand struct {
-			key   string
-			e     *entry
-			score float64
+	excess := t.memBytes - budget
+	if from == TierDisk {
+		live, _ := t.disk.bytes()
+		excess = live - budget
+	}
+	for k, e := range t.entries {
+		if excess <= 0 {
+			break // the walk only lowers it: nothing to queue
 		}
-		cands := make([]cand, 0, 32)
-		for k, e := range t.entries {
-			if e.tier != TierMem || e.busy || e.deleted {
-				continue
-			}
+		if e.tier != from || e.deleted || (e.owner != ownNone && e.owner != mover) {
+			continue
+		}
+		c := cand{k, e, float64(e.last), e.size}
+		if from == TierDisk {
+			c.bytes = e.loc.rlen
+		}
+		if e.owner == mover {
+			excess -= c.bytes
+			continue
+		}
+		if from == TierMem {
 			if e.prefetched && t.clock-e.last < 4096 {
 				// Freshly staged by the prefetcher and not yet consumed:
-				// evicting it now would defeat the pipeline. The staging
-				// volume is bounded by the prefetch depth, and the exemption
+				// evicting it now would defeat the pipeline. The exemption
 				// lapses once the entry ages without its hit.
 				continue
 			}
-			cands = append(cands, cand{k, e, t.utilityLocked(e)})
+			age := float64(t.clock - e.last)
+			c.rank = e.freq / (1 + age/1024) / float64(e.size+1)
 		}
+		cands = append(cands, c)
+	}
+	if excess > 0 {
 		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].score != cands[j].score {
-				return cands[i].score < cands[j].score
+			if cands[i].rank != cands[j].rank {
+				return cands[i].rank < cands[j].rank
 			}
 			return cands[i].key < cands[j].key
 		})
-		for _, c := range cands {
-			if over <= 0 {
-				break
-			}
-			if c.e.clean != tierNone {
-				// The backing record is still valid: eviction is free.
-				c.e.tier = c.e.clean
-				c.e.clean = tierNone
-				c.e.data = nil
-				t.memBytes -= c.e.size
-				over -= c.e.size
-				t.ctEvictions.Add(1)
-				continue
-			}
-			c.e.busy = true
-			jobs = append(jobs, c.key)
-			over -= c.e.size
+	}
+	var jobs []string
+	for _, c := range cands {
+		if excess <= 0 {
+			break
 		}
+		excess -= c.bytes
+		if from == TierMem && c.e.clean != tierNone {
+			// The backing record is still valid: eviction is free.
+			c.e.tier, c.e.clean, c.e.data = c.e.clean, tierNone, nil
+			t.memBytes -= c.e.size
+			t.ctEvictions.Add(1)
+			continue
+		}
+		c.e.owner = mover
+		jobs = append(jobs, c.key)
 	}
 	t.mu.Unlock()
 	for _, k := range jobs {
-		t.enqueue(job{kind: jobSpill, key: k}, block)
+		t.enqueue(job{kind: kind, key: k}, block)
 	}
 }
 
@@ -109,7 +127,7 @@ func (t *Tiered) abandonJob(j job) {
 	if j.key != "" {
 		t.mu.Lock()
 		if e := t.entries[j.key]; e != nil {
-			e.busy = false
+			e.owner = ownNone
 		}
 		t.mu.Unlock()
 	}
@@ -142,7 +160,7 @@ func (t *Tiered) worker() {
 
 // spillOne writes one dirty resident entry to the disk tier and flips it
 // to TierDisk. If the entry changed while the record was being written,
-// the stale record is killed (the busy gate makes this safe — see
+// the stale record is killed (holding the entry makes this safe — see
 // settleStale).
 func (t *Tiered) spillOne(key string) {
 	t.mu.Lock()
@@ -171,61 +189,12 @@ func (t *Tiered) spillOne(key string) {
 		t.settleStale(key, []recordLoc{loc}, false)
 		return
 	}
-	e.tier = TierDisk
-	e.clean = tierNone
-	e.loc = loc
-	e.data = nil
-	e.busy = false
+	e.tier, e.clean, e.loc, e.data, e.owner = TierDisk, tierNone, loc, nil, ownNone
 	t.memBytes -= e.size
 	t.mu.Unlock()
 	t.ctSpills.Add(1)
 	t.ctEvictions.Add(1)
-	t.maybeUpload()
-}
-
-// maybeUpload pushes disk entries to the remote tier, coldest first, while
-// the disk tier is over its live-byte budget.
-func (t *Tiered) maybeUpload() {
-	if t.remote == nil || t.disk == nil || t.cfg.DiskBytes <= 0 {
-		return
-	}
-	live, _ := t.disk.bytes()
-	overBytes := live - t.cfg.DiskBytes
-	if overBytes <= 0 {
-		return
-	}
-	var jobs []string
-	t.mu.Lock()
-	type cand struct {
-		key   string
-		e     *entry
-		lastT int64
-	}
-	cands := make([]cand, 0, 32)
-	for k, e := range t.entries {
-		if e.tier != TierDisk || e.busy || e.deleted || e.queued {
-			continue
-		}
-		cands = append(cands, cand{k, e, e.lastT})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].lastT != cands[j].lastT {
-			return cands[i].lastT < cands[j].lastT
-		}
-		return cands[i].key < cands[j].key
-	})
-	for _, c := range cands {
-		if overBytes <= 0 {
-			break
-		}
-		overBytes -= c.e.loc.rlen
-		c.e.busy = true
-		jobs = append(jobs, c.key)
-	}
-	t.mu.Unlock()
-	for _, k := range jobs {
-		t.enqueue(job{kind: jobUpload, key: k}, false)
-	}
+	t.demote(TierDisk, false)
 }
 
 // uploadOne moves one disk entry to the remote store: read + revalidate
@@ -239,8 +208,11 @@ func (t *Tiered) uploadOne(key string) {
 		return
 	}
 	if e.deleted || e.tier != TierDisk {
+		// Moved while queued: its record is still the one it was queued
+		// with, and this job retires it.
+		loc := e.loc
 		t.mu.Unlock()
-		t.settleStale(key, nil, false)
+		t.settleStale(key, []recordLoc{loc}, false)
 		return
 	}
 	loc, gen, epoch := e.loc, e.gen, e.epoch
@@ -278,19 +250,19 @@ func (t *Tiered) uploadOne(key string) {
 		t.settleStale(key, []recordLoc{loc, mloc}, true)
 		return
 	}
-	oldLoc := e.loc
-	e.tier = TierRemote
-	e.loc = mloc
-	e.sum = sum
-	e.busy = false
-	t.mu.Unlock()
 	// The manifest supersedes the data record by scan order; no tombstone.
-	t.disk.markDead(oldLoc)
+	// The record dies under t.mu, so no walk sees the entry idle in L3 and
+	// its record still live in L2.
+	t.disk.markDead(e.loc) // not loc: a compaction may have moved the record
+	e.tier, e.loc, e.sum, e.owner = TierRemote, mloc, sum, ownNone
+	t.mu.Unlock()
 	t.ctUploads.Add(1)
+	// The manifest is new L2 bytes: the tier may still be over budget.
+	t.demote(TierDisk, false)
 }
 
 // release is a background job's exit without a commit. While the job held
-// the entry busy, a Delete or re-put left the entry's old records to it: if
+// the entry, a Delete or re-put left the entry's old records to it: if
 // the entry moved (re-put, or deleted), the job settles locs, the records it
 // knew of, and the remote copy when remoteDel. Otherwise it lets go of the
 // entry, to be retried later.
@@ -299,7 +271,7 @@ func (t *Tiered) release(key string, gen uint64, locs []recordLoc, remoteDel boo
 	e := t.entries[key]
 	moved := e != nil && (e.gen != gen || e.deleted)
 	if e != nil && !moved {
-		e.busy = false
+		e.owner = ownNone
 	}
 	t.mu.Unlock()
 	if moved {
@@ -318,7 +290,7 @@ func (t *Tiered) maintenance() {
 		case <-t.ctx.Done():
 			return
 		case <-tick.C:
-			t.maybeUpload()
+			t.demote(TierDisk, false)
 			if seg := t.disk.compactCandidate(t.cfg.compactFrac); seg >= 0 {
 				if t.compacting.CompareAndSwap(false, true) {
 					t.enqueue(job{kind: jobCompact, seg: seg}, false)
@@ -400,13 +372,13 @@ func (t *Tiered) compactOne(segID int) {
 // carryTombstone re-appends key's tombstone, out of a segment about to be
 // dropped, unless a newer record makes it moot: a live on-disk record
 // supersedes everything older by scan order (and a tombstone appended
-// after it would kill it), and a busy entry's owning job ends by writing
+// after it would kill it), and a held entry's job ends by writing
 // either such a record or a tombstone of its own. The append happens under
 // t.mu so that no spill of the key can start, and land first, in between.
 func (t *Tiered) carryTombstone(key string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e := t.entries[key]; e != nil && (e.busy || e.tier != TierMem || e.clean != tierNone) {
+	if e := t.entries[key]; e != nil && (e.held() || e.tier != TierMem || e.clean != tierNone) {
 		return true
 	}
 	return t.appendTombstone(key)

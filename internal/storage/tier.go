@@ -11,10 +11,14 @@
 // engine's own bounded worker pool; the caller only ever pays a disk or
 // remote read when it touches a cold key.
 //
-// Victim selection absorbs the utility-density policy of the old
-// internal/tiering package: the spiller evicts the memory-resident entries
-// with the lowest access-frequency × read-cost-saved per byte, so hot small
-// objects stay resident while cold bulk pays the tier penalty.
+// One walk, demote, keeps L1 and L2 within their budgets. It queues a
+// tier's idle entries in that tier's victim order until the tier's excess,
+// less the bytes already on their way down, is covered. L1's order absorbs
+// the utility-density policy of the old internal/tiering package: lowest
+// access-frequency × read-cost-saved per byte first, so hot small objects
+// stay resident while cold bulk pays the tier penalty. L2's order is least
+// recently touched first. Both read recency off the engine's logical access
+// clock, not wall time.
 package storage
 
 import "fmt"

@@ -78,14 +78,17 @@ transportrace:
 # the migrator's record edits, repeated because the restores they start race
 # the pass and the foreground; the directory sweep recovery and the
 # rebalancer share, repeated because a replacement's sweep races its
-# peers' handlers; and a remote client's on-access repair of a
-# replacement, repeated because its nudge races the lazy drain.
+# peers' handlers; a remote client's on-access repair of a
+# replacement, repeated because its nudge races the lazy drain; and the
+# demotion queue, repeated because a delete or a drain's hand-off takes a
+# queued demotion while the worker runs.
 churnrace:
 	$(GO) test -race -run 'TestElastic' .
 	$(GO) test -race -count=5 -run 'TestMonitor|TestElasticMonitor|TestPutFailover|TestClientPing' .
 	$(GO) test -race -count=5 -run 'TestRebalance' .
 	$(GO) test -race -count=5 -run 'TestDirectorySweepsAskEachMemberOnce' .
 	$(GO) test -race -count=5 -run 'TestRemoteDegradedReadRepairsOnAccess' .
+	$(GO) test -race -count=10 -run 'TestEncodeQueue' ./internal/server
 	$(GO) test -race ./internal/membership ./internal/topology ./internal/placement
 
 # Race-detector pass focused on the tiered storage engine: the concurrent

@@ -107,34 +107,9 @@ func runExternal(ctx context.Context, addrFile string, sc cluster.Scenario, muxC
 	if err := sc.Preload(ctx, cl, ledger); err != nil {
 		return err
 	}
-	res := cluster.RunLoad(ctx, cl, cluster.LoadConfig{
-		Rate:     sc.Rate,
-		Duration: sc.Duration,
-		Arrival:  sc.Arrival,
-		Workers:  32,
-		Seed:     1,
-		NextOp:   sc.NextOp,
-	}, ledger)
-	lost, corrupt, err := cluster.VerifyLedger(ctx, cl, ledger)
-	if err != nil {
+	row := &cluster.RunReport{Scenario: sc.Name, Arm: string(cluster.FaultNone), Servers: cl.NumServers()}
+	if err := cluster.OfferAndVerify(ctx, cl, sc, ledger, row, nil); err != nil {
 		return err
-	}
-	row := &cluster.RunReport{
-		Scenario:       sc.Name,
-		Arm:            string(cluster.FaultNone),
-		Servers:        cl.NumServers(),
-		OfferedOps:     res.Offered,
-		CompletedOps:   res.Completed,
-		FailedOps:      res.Failed,
-		OfferedRate:    res.OfferedRate(),
-		AchievedRate:   res.AchievedRate(),
-		P50Ms:          cluster.Quantile(res.Lat, 0.50),
-		P99Ms:          cluster.Quantile(res.Lat, 0.99),
-		P999Ms:         cluster.Quantile(res.Lat, 0.999),
-		MaxMs:          cluster.Quantile(res.Lat, 1),
-		AckedWrites:    ledger.Len(),
-		LostObjects:    lost,
-		CorruptObjects: corrupt,
 	}
 	printRow(row, jsonOut)
 	return nil

@@ -137,6 +137,44 @@ type RunReport struct {
 	DegradedP99Ms   float64 `json:"degraded_read_p99_ms,omitempty"`
 }
 
+// OfferAndVerify offers sc's open-loop load to cl, preloaded into ledger;
+// settle (nil: none) runs once the load ends, and then every acknowledged
+// write is read back. rep takes the outcome: the load's counts, its rates and
+// latencies to two decimals, and what the ledger check found.
+func OfferAndVerify(ctx context.Context, cl *corec.Cluster, sc Scenario, ledger *Ledger, rep *RunReport, settle func() error) error {
+	res := RunLoad(ctx, cl, LoadConfig{
+		Rate:     sc.Rate,
+		Duration: sc.Duration,
+		Arrival:  sc.Arrival,
+		Workers:  32,
+		Seed:     1,
+		NextOp:   sc.NextOp,
+	}, ledger)
+	if settle != nil {
+		if err := settle(); err != nil {
+			return err
+		}
+	}
+	rep.OfferedOps = res.Offered
+	rep.CompletedOps = res.Completed
+	rep.FailedOps = res.Failed
+	rep.OfferedRate = round2(res.OfferedRate())
+	rep.AchievedRate = round2(res.AchievedRate())
+	rep.P50Ms = round2(Quantile(res.Lat, 0.50))
+	rep.P99Ms = round2(Quantile(res.Lat, 0.99))
+	rep.P999Ms = round2(Quantile(res.Lat, 0.999))
+	rep.MaxMs = round2(Quantile(res.Lat, 1))
+
+	lost, corrupt, err := VerifyLedger(ctx, cl, ledger)
+	if err != nil {
+		return err
+	}
+	rep.AckedWrites = ledger.Len()
+	rep.LostObjects = lost
+	rep.CorruptObjects = corrupt
+	return nil
+}
+
 // RunScenario spins up a fresh fleet for the scenario, preloads it,
 // offers the open-loop load (with the fault arm's orchestration running
 // alongside), verifies every acknowledged write, and returns the SLO row.
@@ -183,43 +221,19 @@ func RunScenario(ctx context.Context, sc Scenario, arm FaultArm) (*RunReport, er
 		go func() { orchDone <- stepDriver(orchCtx, cl, sc.StepEvery) }()
 	}
 
-	res := RunLoad(ctx, cl, LoadConfig{
-		Rate:     sc.Rate,
-		Duration: sc.Duration,
-		Arrival:  sc.Arrival,
-		Workers:  32,
-		Seed:     1,
-		NextOp:   sc.NextOp,
-	}, ledger)
-
-	stopOrch()
-	var orchErr error
-	for i := 0; i < orchestrations; i++ {
-		if err := <-orchDone; err != nil && orchErr == nil {
-			orchErr = err
+	err = OfferAndVerify(ctx, cl, sc, ledger, rep, func() error {
+		stopOrch()
+		var orchErr error
+		for i := 0; i < orchestrations; i++ {
+			if err := <-orchDone; err != nil && orchErr == nil {
+				orchErr = err
+			}
 		}
-	}
-	if orchErr != nil {
-		return nil, orchErr
-	}
-
-	rep.OfferedOps = res.Offered
-	rep.CompletedOps = res.Completed
-	rep.FailedOps = res.Failed
-	rep.OfferedRate = round2(res.OfferedRate())
-	rep.AchievedRate = round2(res.AchievedRate())
-	rep.P50Ms = round2(Quantile(res.Lat, 0.50))
-	rep.P99Ms = round2(Quantile(res.Lat, 0.99))
-	rep.P999Ms = round2(Quantile(res.Lat, 0.999))
-	rep.MaxMs = round2(Quantile(res.Lat, 1))
-
-	lost, corrupt, err := VerifyLedger(ctx, cl, ledger)
+		return orchErr
+	})
 	if err != nil {
 		return nil, err
 	}
-	rep.AckedWrites = ledger.Len()
-	rep.LostObjects = lost
-	rep.CorruptObjects = corrupt
 	return rep, nil
 }
 

@@ -134,13 +134,6 @@ func (c *Collector) AddCounter(ct Counter, n int64) {
 // Counter returns the current value of the fault-tolerance counter.
 func (c *Collector) Counter(ct Counter) int64 { return c.counters[ct].Load() }
 
-// Time runs f and charges its duration to bucket b.
-func (c *Collector) Time(b Bucket, f func()) {
-	start := time.Now()
-	f()
-	c.Add(b, time.Since(start))
-}
-
 // RecordWrite records one client-observed write response time at time step ts.
 func (c *Collector) RecordWrite(ts int64, d time.Duration) {
 	c.writeNanos.Add(int64(d))

@@ -23,14 +23,6 @@ func TestPhaseAccumulation(t *testing.T) {
 	}
 }
 
-func TestTimeHelper(t *testing.T) {
-	c := NewCollector()
-	c.Time(Decode, func() { time.Sleep(2 * time.Millisecond) })
-	if c.Snapshot().Phase(Decode) < 2*time.Millisecond {
-		t.Fatal("Time under-charged the bucket")
-	}
-}
-
 func TestResponseMeans(t *testing.T) {
 	c := NewCollector()
 	c.RecordWrite(1, 10*time.Millisecond)

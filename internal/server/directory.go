@@ -304,13 +304,17 @@ func (s *Server) flushMirrorHints(ctx context.Context) {
 		s.mu.Unlock()
 		return
 	}
-	pending := make(map[string]mirrorHint, len(s.mirrorHints))
-	for k, h := range s.mirrorHints {
-		pending[k] = h
+	// In key order, so the messages a step boundary sends come in the same
+	// order on every run.
+	keys := sortedKeys(s.mirrorHints)
+	pending := make([]mirrorHint, len(keys))
+	for i, k := range keys {
+		pending[i] = s.mirrorHints[k]
 	}
 	s.mu.Unlock()
 	start := time.Now()
-	for k, h := range pending {
+	for i, h := range pending {
+		k := keys[i]
 		cp := *h.msg
 		resp, err := s.sendRetry(ctx, h.target, &cp)
 		if err == nil {

@@ -29,11 +29,10 @@ var errRingMoved = errors.New("ring membership changed while encoding")
 //     shard 0; publish the object's record, which carries the stripe's
 //     layout; drop surplus replicas and the full local copy.
 //
-// sum is the digest of obj.Data when the caller holds one (0: it does not).
 // reuse carries the existing stripe ID when re-encoding an updated object
 // (zero value mints a fresh stripe). dropReplicas is set when the object
 // was previously replicated.
-func (s *Server) encodeObject(ctx context.Context, obj *types.Object, sum uint64, reuse types.StripeID, dropReplicas bool) error {
+func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse types.StripeID, dropReplicas bool) error {
 	if s.codec == nil {
 		return fmt.Errorf("no codec configured")
 	}
@@ -125,27 +124,18 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, sum uint64
 		s.dropStripe(ctx, info)
 		return errRingMoved
 	}
-	// The put that installed obj already digested it: a synchronous baseline
-	// encode is handed the put's sum, and the CoREC demotion path finds the
-	// one replicateObject recorded. Either way the whole object is not read
-	// again.
-	if sum == 0 {
-		sum = s.sumOfLocked(key, obj)
-	}
 	s.holdShardLocked(stripeID, 0, shardSum, info)
 	// The engine install happens under s.mu so it is atomic with the
 	// identity check above (the engine never takes s.mu back).
 	s.store.PutTagged(sk, kept, shardEpoch(obj.Version))
 	s.mu.Unlock()
-	if sum == 0 {
-		sum = s.digest(obj.Data)
-	}
 
 	// Commit, stage 2: flip the directory. The one update carries the new
 	// state and the stripe's layout, so no reader can hold an encoded record
-	// whose stripe does not resolve.
-	meta := s.buildMeta(obj, types.StateEncoded, info, sum)
-	s.setLocalState(meta, nil)
+	// whose stripe does not resolve. Its checksum is the one the full copy
+	// carries: the whole object is not read again.
+	meta := s.buildMeta(obj, types.StateEncoded, info)
+	s.setLocalState(meta)
 	if err := s.dirUpdate(ctx, meta); err != nil {
 		return err
 	}
@@ -314,7 +304,7 @@ func (s *Server) pushShard(ctx context.Context, member types.StripeMember, info 
 // dropStripe drops every shard of a stripe (nil: none to drop) from its
 // members: an encoded object was promoted back to replication, rewritten,
 // handed off or deleted, or an encode lost the race to a newer write. The
-// caller brings the layout — from its localState, or the stripe it just built
+// caller brings the layout — from its own record, or the stripe it just built
 // — and no directory is involved: nothing points at a dropped stripe except
 // a superseded record, and a reader still holding that takes the data-loss
 // path, refetches the object's record and retries.
@@ -351,13 +341,13 @@ func (s *Server) EndTimeStep(ctx context.Context, ts types.Version) (demoted, pr
 	for _, id := range toEncode {
 		key := id.Key()
 		s.mu.Lock()
-		st, ok := s.local[key]
+		st := s.local[key]
 		_, haveObj := s.objects[key]
 		s.mu.Unlock()
-		if !ok || !haveObj || st.state != types.StateReplicated {
+		if st == nil || !haveObj || st.State != types.StateReplicated {
 			continue
 		}
-		s.enqueueEncode(key)
+		s.enqueueEncode(key, nil)
 		demoted++
 	}
 	for _, id := range toReplicate {
@@ -389,33 +379,33 @@ func (s *Server) promoteObject(ctx context.Context, id types.ObjectID) bool {
 	lk.Lock()
 	defer lk.Unlock()
 	s.mu.Lock()
-	st, ok := s.local[key]
+	st := s.local[key]
 	repl, enc := s.dataRepl, s.dataEnc
 	s.mu.Unlock()
-	if !ok || st.state != types.StateEncoded {
+	if st == nil || st.State != types.StateEncoded {
 		return false
 	}
 	// Recheck the constraint with live numbers before paying for the
 	// transition.
-	if !s.decider.Admits(repl+int64(st.size), enc-int64(st.size)) {
+	if !s.decider.Admits(repl+int64(st.Size), enc-int64(st.Size)) {
 		return false
 	}
-	info := st.layout
-	data := reader.Buffer(st.size, info.K)
+	info := st.Layout
+	data := reader.Buffer(st.Size, info.K)
 	tStart := time.Now()
 	_, _, err := s.reader.Stripe(ctx, info, data, false)
 	s.col.Add(metrics.Transport, time.Since(tStart))
 	if err != nil {
 		return false
 	}
-	obj := &types.Object{ID: id, Version: st.version, Data: data}
+	obj := &types.Object{ID: id, Version: st.Version, Data: data, Sum: s.digest(data)}
 	s.mu.Lock()
 	s.objects[key] = obj
 	s.mu.Unlock()
 	// Replicate (and update the directory) before dropping the stripe so a
 	// concurrent reader always finds the object through one state or the
 	// other.
-	if err := s.replicateObject(ctx, obj, s.digest(data)); err != nil {
+	if err := s.replicateObject(ctx, obj); err != nil {
 		return false
 	}
 	s.dropStripe(ctx, info)

@@ -2,8 +2,11 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"corec/internal/geometry"
 	"corec/internal/policy"
@@ -130,5 +133,74 @@ func TestClosedServerPublishesNothing(t *testing.T) {
 		if resp := srv.Handle(context.Background(), &transport.Message{Kind: transport.MsgMetaLookup, Key: id.Key()}); resp.Flag {
 			t.Errorf("server %d holds a record the closed primary published: %+v", srv.id, resp.Meta)
 		}
+	}
+}
+
+// TestEncodeQueueHoldsABacklogWithoutGoroutines: while the demotion worker
+// waits on one key's write lock, thousands of further demotions queue — more
+// than any fixed buffer would hold — without blocking their callers or
+// starting a goroutine each. A delete takes its key's queued demotion, and the
+// superseded stripe it carries, out of the queue while the worker waits;
+// PendingEncodes counts every other demotion plus the running one, and the
+// queue drains once the lock is released.
+func TestEncodeQueueHoldsABacklogWithoutGoroutines(t *testing.T) {
+	rig := newRig(t, policy.CoREC, 8)
+	srv := rig.servers[0]
+	const blocker, backlog = "blocker", 5000
+
+	lk := srv.writeLock(blocker)
+	lk.Lock()
+	srv.enqueueEncode(blocker, nil)
+	for taken := false; !taken; {
+		srv.encMu.Lock()
+		taken = len(srv.encQueue) == 0
+		srv.encMu.Unlock()
+		runtime.Gosched()
+	}
+
+	before := runtime.NumGoroutine()
+	for i := 0; i < backlog; i++ {
+		srv.enqueueEncode(fmt.Sprintf("k%d", i), nil)
+	}
+	if grown := runtime.NumGoroutine() - before; grown > 64 {
+		t.Errorf("queueing %d demotions started %d goroutines", backlog, grown)
+	}
+
+	// A key on another lock stripe than the blocker's, so its delete runs
+	// while the worker waits.
+	gone := "gone"
+	for i := 0; srv.writeLock(gone) == lk; i++ {
+		gone = fmt.Sprintf("gone%d", i)
+	}
+	superseded := &types.StripeInfo{ID: types.StripeID{Group: 0, Seq: 1}, K: 3, M: 1,
+		Members: []types.StripeMember{{Server: 1, Index: 0}, {Server: 2, Index: 1}}}
+	srv.enqueueEncode(gone, superseded)
+	srv.enqueueEncode(gone, nil) // joins the queued entry, keeping its stripe
+	if got := srv.CollectStats().PendingEncodes; got != backlog+2 {
+		t.Errorf("PendingEncodes = %d, want %d (the backlog, the delete's key and the running one)", got, backlog+2)
+	}
+	srv.Handle(context.Background(), &transport.Message{Kind: transport.MsgDelete, Key: gone})
+	if got := srv.CollectStats().PendingEncodes; got != backlog+1 {
+		t.Errorf("after the delete PendingEncodes = %d, want %d", got, backlog+1)
+	}
+
+	idle := make(chan struct{})
+	go func() {
+		srv.WaitEncodeIdle()
+		close(idle)
+	}()
+	select {
+	case <-idle:
+		t.Fatal("WaitEncodeIdle returned while the worker was blocked")
+	case <-time.After(20 * time.Millisecond):
+	}
+	lk.Unlock()
+	select {
+	case <-idle:
+	case <-time.After(30 * time.Second):
+		t.Fatal("WaitEncodeIdle did not return once the lock was released")
+	}
+	if got := srv.CollectStats().PendingEncodes; got != 0 {
+		t.Errorf("PendingEncodes = %d after the queue drained", got)
 	}
 }

@@ -80,8 +80,9 @@ func (s *Server) applyEdit(ctx context.Context, rec, from *types.ObjectMeta) *tr
 	superseded := func() *transport.Message {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if st := s.local[key]; st != nil && (st.version > from.Version || st.seq > from.Seq) {
-			return &transport.Message{Kind: transport.MsgOK, Meta: st.record(s.id)}
+		if st := s.local[key]; st != nil && (st.Version > from.Version || st.Seq > from.Seq) {
+			mine := *st
+			return &transport.Message{Kind: transport.MsgOK, Meta: &mine}
 		}
 		return nil
 	}
@@ -131,18 +132,17 @@ func (s *Server) applyEdit(ctx context.Context, rec, from *types.ObjectMeta) *tr
 	if refused := superseded(); refused != nil {
 		return refused
 	}
-	var copyOf *types.Object // the full copy restored here, or the one kept
 	if rec.Layout == nil {
 		s.mu.Lock()
-		copyOf = s.objects[key]
+		kept := s.objects[key] // the full copy restored here, or the one kept
 		s.mu.Unlock()
-		if copyOf == nil || copyOf.Version != rec.Version {
+		if kept == nil || kept.Version != rec.Version {
 			return transport.Errf("server %d: edit of %s: no copy of version %d here", s.id, rec.ID, rec.Version)
 		}
 	}
 	rec = rec.Clone()
 	rec.Seq = s.nextMetaSeq()
-	s.setLocalState(rec, copyOf)
+	s.setLocalState(rec)
 	if err := s.dirUpdate(ctx, rec); err != nil {
 		return transport.Errf("server %d: edit of %s: %v", s.id, rec.ID, err)
 	}
@@ -181,12 +181,12 @@ func (s *Server) restore(ctx context.Context, meta *types.ObjectMeta, rotted uin
 }
 
 // recoverReplicated restores this server's full copy of a replicated object,
-// the primary's or a mirror's, from another holder, and records the digest
-// of the copy it installs. It installs over an absent copy, an older one, or
-// rotted (the copy the caller found rotted; nil when none is), never over a
-// newer one. A mirror's copy of the record's version whose recorded digest is
-// not the record's counts as rotted too: its bytes are not the object's. t
-// accounts for the fetch.
+// the primary's or a mirror's, from another holder, with the digest of the
+// bytes it installs. It installs over an absent copy, an older one, or rotted
+// (the copy the caller found rotted; nil when none is), never over a newer
+// one. A mirror's copy of the record's version whose digest is not the
+// record's counts as rotted too: its bytes are not the object's. t accounts
+// for the fetch.
 func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta, rotted *types.Object, t reader.Tally) (bool, error) {
 	key := meta.ID.Key()
 	iAmPrimary := meta.Primary == s.id
@@ -199,7 +199,7 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta, 
 	}
 	s.mu.Lock()
 	cur := copies[key]
-	if !iAmPrimary && cur != nil && cur.Version == meta.Version && meta.Checksum != 0 && s.replicaSums[key] != meta.Checksum {
+	if !iAmPrimary && cur != nil && cur.Version == meta.Version && meta.Checksum != 0 && cur.Sum != meta.Checksum {
 		rotted = cur
 	}
 	s.mu.Unlock()
@@ -221,7 +221,7 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta, 
 	if resp == nil {
 		return false, fmt.Errorf("%w: no surviving copy of %s", reader.ErrDataLoss, key)
 	}
-	obj := &types.Object{ID: meta.ID, Version: resp.Version, Data: resp.Data}
+	obj := &types.Object{ID: meta.ID, Version: resp.Version, Data: resp.Data, Sum: sum}
 	if iAmPrimary {
 		// A put, an encode or a promotion of the key runs to its end before
 		// the install, or starts after it.
@@ -232,15 +232,12 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta, 
 	s.mu.Lock()
 	// Never clobber a newer copy, or a primary's newer state, installed
 	// meanwhile.
-	st, known := s.local[key]
-	newerState := iAmPrimary && known &&
-		(st.version > obj.Version || st.version == obj.Version && st.state != types.StateReplicated)
+	st := s.local[key]
+	newerState := iAmPrimary && st != nil &&
+		(st.Version > obj.Version || st.Version == obj.Version && st.State != types.StateReplicated)
 	ok := replaces(copies[key], rotted, obj.Version) && !newerState
 	if ok {
 		copies[key] = obj
-		if !iAmPrimary {
-			s.replicaSums[key] = sum
-		}
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -249,8 +246,8 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta, 
 	if iAmPrimary {
 		// The surviving copy may be of another version than the record names.
 		mine := *meta
-		mine.Version, mine.Size, mine.Checksum = obj.Version, len(obj.Data), sum
-		s.setLocalState(&mine, obj)
+		mine.Version, mine.Size, mine.Checksum = obj.Version, len(obj.Data), obj.Sum
+		s.setLocalState(&mine)
 		s.decider.Track(meta.ID, false)
 	}
 	return true, nil
@@ -272,7 +269,7 @@ func (s *Server) recoverEncoded(ctx context.Context, meta *types.ObjectMeta, rot
 		// Not a stripe member. If we are the primary, local bookkeeping is
 		// refreshed so transitions keep working.
 		if meta.Primary == s.id {
-			s.setLocalState(meta, nil)
+			s.setLocalState(meta)
 		}
 		return false, nil
 	}
@@ -294,7 +291,7 @@ func (s *Server) recoverEncoded(ctx context.Context, meta *types.ObjectMeta, rot
 	_, known := s.local[meta.ID.Key()]
 	s.mu.Unlock()
 	if meta.Primary == s.id && !known {
-		s.setLocalState(meta, nil)
+		s.setLocalState(meta)
 		s.decider.Track(meta.ID, true)
 	}
 	return repaired, nil

@@ -10,7 +10,7 @@ package server
 // A pass runs up to three cumulative phases (scrub.Depth):
 //
 //   local    verify every locally stored payload (primary copies, replica
-//            copies, erasure shards) against its recorded digest and restore
+//            copies, erasure shards) against its digest and restore
 //            one that fails it. A shard found on a restarted disk tier has no
 //            digest yet; it is backfilled rather than flagged.
 //   replica  ask every mirror the record of a replicated object names to
@@ -185,34 +185,22 @@ func (s *Server) scrubLocal(ctx context.Context, bucket *scrub.TokenBucket, rep 
 	// snapshot and verify are seen, not misdiagnosed.
 	s.mu.Lock()
 	objKeys := sortedKeys(s.objects)
-	repKeys := sortedKeys(s.replicas)
+	copyKeys := append(objKeys, sortedKeys(s.replicas)...)
 	s.mu.Unlock()
 	shardKeys := s.store.Keys()
 
-	for _, key := range objKeys {
-		s.mu.Lock()
-		obj := s.objects[key]
-		var want uint64
-		if obj != nil {
-			want = s.sumOfLocked(key, obj)
+	// Primary copies, then replicas. A copy deleted or encoded since the
+	// snapshot has nothing left to verify.
+	for i, key := range copyKeys {
+		copies := s.objects
+		if i >= len(objKeys) {
+			copies = s.replicas
 		}
-		s.mu.Unlock()
-		// Nothing to verify a copy against that was deleted or encoded since
-		// the snapshot, or that a put installed and has not digested yet.
-		if want != 0 {
-			if err := s.scrubCopy(ctx, obj, want, bucket, rep); err != nil {
-				return err
-			}
-		}
-	}
-
-	for _, key := range repKeys {
 		s.mu.Lock()
-		obj := s.replicas[key]
-		want := s.replicaSums[key]
+		obj := copies[key]
 		s.mu.Unlock()
 		if obj != nil {
-			if err := s.scrubCopy(ctx, obj, want, bucket, rep); err != nil {
+			if err := s.scrubCopy(ctx, obj, bucket, rep); err != nil {
 				return err
 			}
 		}
@@ -270,16 +258,15 @@ func (s *Server) scrubLocal(ctx context.Context, bucket *scrub.TokenBucket, rep 
 	return nil
 }
 
-// scrubCopy verifies a full copy, a primary's or a mirror's, against want,
-// the digest recorded for it, and restores it from another holder when it
-// fails.
-func (s *Server) scrubCopy(ctx context.Context, obj *types.Object, want uint64, bucket *scrub.TokenBucket, rep *scrub.Report) error {
+// scrubCopy verifies a full copy, a primary's or a mirror's, against the
+// digest it carries, and restores it from another holder when it fails.
+func (s *Server) scrubCopy(ctx context.Context, obj *types.Object, bucket *scrub.TokenBucket, rep *scrub.Report) error {
 	if err := bucket.Take(ctx, int64(len(obj.Data))); err != nil {
 		return err
 	}
 	rep.Scanned++
 	rep.Bytes += int64(len(obj.Data))
-	if s.digest(obj.Data) == want {
+	if s.digest(obj.Data) == obj.Sum {
 		return nil
 	}
 	rep.Corruptions++
@@ -305,15 +292,15 @@ func restored(ctx context.Context, repaired bool, err error, rep *scrub.Report) 
 
 // --- phases 2 and 3: the holders of this server's objects ---
 
-// primaryRecords returns this server's records, by key, of the objects it is
-// primary of in the given state.
+// primaryRecords returns copies of this server's records, by key, of the
+// objects it is primary of in the given state.
 func (s *Server) primaryRecords(state types.ResilienceState) []*types.ObjectMeta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var metas []*types.ObjectMeta
 	for _, key := range sortedKeys(s.local) {
-		if st := s.local[key]; st.state == state {
-			metas = append(metas, st.record(s.id))
+		if rec := *s.local[key]; rec.State == state {
+			metas = append(metas, &rec)
 		}
 	}
 	return metas
@@ -498,19 +485,15 @@ func (s *Server) InjectBitRot(rng *rand.Rand, target failure.RotTarget, count in
 		clone := append([]byte(nil), c.data...)
 		clone[off] ^= bit
 		switch c.cat {
-		case "object":
-			if o := s.objects[c.key]; o != nil {
-				rotted := &types.Object{ID: o.ID, Version: o.Version, Data: clone}
-				s.objects[c.key] = rotted
-				// Real rot flips bits inside the very copy its sum was
-				// computed over: the sum still names it.
-				if st := s.local[c.key]; st != nil && st.sumOf == o {
-					st.sumOf = rotted
-				}
+		case "object", "replica":
+			copies := s.objects
+			if c.cat == "replica" {
+				copies = s.replicas
 			}
-		case "replica":
-			if o := s.replicas[c.key]; o != nil {
-				s.replicas[c.key] = &types.Object{ID: o.ID, Version: o.Version, Data: clone}
+			// Real rot flips bits inside the very copy its digest was
+			// computed over: the clone keeps that digest.
+			if o := copies[c.key]; o != nil {
+				copies[c.key] = &types.Object{ID: o.ID, Version: o.Version, Data: clone, Sum: o.Sum}
 			}
 		case "shard":
 			if !s.store.Overwrite(c.key, clone) {

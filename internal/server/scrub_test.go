@@ -135,7 +135,7 @@ func TestScrubRestoresPiecesOnLiveHolders(t *testing.T) {
 			primary := rig.put(t, id.Var, box, 1, data)
 			srv := rig.servers[primary]
 			srv.mu.Lock()
-			info := srv.local[key].layout
+			info := srv.local[key].Layout
 			srv.mu.Unlock()
 			const index = 1
 			holder := srv.place.ReplicaHolders(primary)[0]

@@ -12,6 +12,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,25 +122,25 @@ type Server struct {
 	digestFn func(data []byte, crc32c uint32, verified bool) uint64
 
 	mu sync.Mutex
-	// objects holds full primary copies keyed by object key.
-	objects map[string]*types.Object
-	// replicas holds replica copies pushed by other primaries.
+	// objects holds full primary copies keyed by object key, replicas the
+	// copies other primaries pushed here; each copy carries the digest it had
+	// when installed (Object.Sum), the at-rest integrity authority the
+	// scrubber verifies stored bytes against.
+	objects  map[string]*types.Object
 	replicas map[string]*types.Object
 	// held is what this server knows of the stripe shards in its store, by
 	// stripe: the geometry and the per-shard digests in one record, so an
 	// install or a drop updates both or neither and a stripe's geometry is
 	// one map read away. A stripe it holds nothing of reads as the zero
-	// record.
+	// record. Only a shard re-indexed from a restarted disk tier has no digest
+	// until the first scrub pass backfills it.
 	held map[types.StripeID]heldStripe
-	// replicaSums (and heldStripe.sums for shards) record the content
-	// checksum each replica copy and shard payload had when it was installed
-	// — the at-rest integrity authority the scrubber verifies stored bytes
-	// against. Every install records one; only a shard re-indexed from a
-	// restarted disk tier has none until the first scrub pass backfills it.
-	replicaSums map[string]uint64
-	// local tracks resilience bookkeeping for objects this server is
-	// primary for.
-	local map[string]*localState
+	// local holds, by key, the record this server last published for each
+	// object it is primary of (or, for a primary recovering its memory, the
+	// record the directory holds), less its replica list. An entry is replaced,
+	// never changed in place; its Layout is shared with the published record:
+	// read-only.
+	local map[string]*types.ObjectMeta
 	// mirrorHints holds directory writes that landed on a quorum of their
 	// shard group but missed a mirror; flushMirrorHints re-delivers them
 	// (hinted handoff) so degraded groups heal without a full recovery.
@@ -166,14 +167,13 @@ type Server struct {
 	// demotions run off the write path, per Figure 6's workflow — the put is
 	// acknowledged once the replica guarantees durability, and parity
 	// construction follows asynchronously under the group's encoding token.
+	// encQueue holds the queued demotions in arrival order, at most one per
+	// key; encRunning is set while the worker runs the one it took. Queueing
+	// never blocks: callers hold the key's write lock, which the worker needs.
 	encMu      sync.Mutex
 	encCond    *sync.Cond
-	encPending map[string]struct{}
-	encCh      chan string
-	encStop    chan struct{}
-	// pendingDrops holds superseded stripes whose shards the background
-	// worker must release (deferred off the write path).
-	pendingDrops map[string]*types.StripeInfo
+	encQueue   []demotion
+	encRunning bool
 
 	// Anti-entropy scrubber state (see scrub.go). scrubOn gates the
 	// verified-read check on the foreground get path without a lock;
@@ -197,37 +197,12 @@ type heldStripe struct {
 	sums map[int]uint64
 }
 
-type localState struct {
-	id      types.ObjectID
-	version types.Version
-	size    int
-	state   types.ResilienceState
-	// seq is the Seq of the last record this primary published for the
-	// object: a handoff that acted on an earlier record is refused.
-	seq uint64
-	// layout is the object's stripe while state is StateEncoded (shared with
-	// the published record: read-only), so a drop or a promotion has the
-	// members in hand.
-	layout *types.StripeInfo
-	// sum is the content checksum of the primary copy (0 = not recorded).
-	sum uint64
-	// sumOf is the full copy that sum was computed over, so the encode path can
-	// reuse sum only for that very object (a same-version rewrite, a repair
-	// or planted rot installs a different one). Nil once encoded.
-	sumOf *types.Object
-}
-
-// record returns the object's record as its primary, this server, last
-// published it, less the replica list: what a primary read answers with.
-func (st *localState) record(primary types.ServerID) *types.ObjectMeta {
-	meta := &types.ObjectMeta{
-		ID: st.id, Version: st.version, Seq: st.seq, Size: st.size, State: st.state,
-		Checksum: st.sum, Primary: primary, Layout: st.layout,
-	}
-	if st.layout != nil {
-		meta.Stripe = st.layout.ID
-	}
-	return meta
+// demotion is one queued background demotion of key to erasure coding. drop
+// is the stripe a rewrite superseded (nil: none), released before the
+// demotion runs.
+type demotion struct {
+	key  string
+	drop *types.StripeInfo
 }
 
 // serverIncarnations distinguishes successive servers (including
@@ -284,14 +259,8 @@ func New(cfg Config) (*Server, error) {
 		objects:     make(map[string]*types.Object),
 		replicas:    make(map[string]*types.Object),
 		held:        make(map[types.StripeID]heldStripe),
-		replicaSums: make(map[string]uint64),
-		local:       make(map[string]*localState),
+		local:       make(map[string]*types.ObjectMeta),
 		mirrorHints: make(map[string]mirrorHint),
-		encPending:  make(map[string]struct{}),
-		encCh:       make(chan string, 4096),
-		encStop:     make(chan struct{}),
-
-		pendingDrops: make(map[string]*types.StripeInfo),
 	}
 	s.reader = &reader.Reader{
 		Send: s.sendRetry, Dir: dirPlace, Health: transport.HealthOf(cfg.Network),
@@ -338,39 +307,41 @@ func (s *Server) digestMsg(m *transport.Message) uint64 {
 	return s.digestFn(m.Data, crc, verified)
 }
 
-// enqueueEncode schedules a background demotion of the object to erasure
-// coding. Duplicate requests for a key coalesce while one is pending.
-func (s *Server) enqueueEncode(key string) {
+// enqueueEncode queues a background demotion of the object to erasure coding,
+// to release drop first (nil: nothing to release). A request for a key
+// already queued joins that entry; one for a key whose demotion is running is
+// queued anew, to run after it. A closed server queues nothing.
+func (s *Server) enqueueEncode(key string, drop *types.StripeInfo) {
 	s.encMu.Lock()
-	if _, dup := s.encPending[key]; dup {
-		s.encMu.Unlock()
+	defer s.encMu.Unlock()
+	if s.closed.Load() {
 		return
 	}
-	s.encPending[key] = struct{}{}
-	s.encMu.Unlock()
-	select {
-	case s.encCh <- key:
-	case <-s.encStop:
-		s.finishEncode(key)
-	default:
-		// Queue full: hand the send to a goroutine rather than blocking.
-		// Callers may hold the key's write lock, and the worker needs that
-		// lock to drain the queue — blocking here could deadlock.
-		go func() {
-			select {
-			case s.encCh <- key:
-			case <-s.encStop:
-				s.finishEncode(key)
+	for i := range s.encQueue {
+		if s.encQueue[i].key == key {
+			if drop != nil {
+				s.encQueue[i].drop = drop
 			}
-		}()
+			return
+		}
 	}
+	s.encQueue = append(s.encQueue, demotion{key, drop})
+	s.encCond.Broadcast()
 }
 
-func (s *Server) finishEncode(key string) {
+// takeDemotion removes key's queued demotion, if any, and returns the stripe
+// it was to release (nil: none).
+func (s *Server) takeDemotion(key string) *types.StripeInfo {
 	s.encMu.Lock()
-	delete(s.encPending, key)
-	s.encCond.Broadcast()
-	s.encMu.Unlock()
+	defer s.encMu.Unlock()
+	for i, d := range s.encQueue {
+		if d.key == key {
+			s.encQueue = slices.Delete(s.encQueue, i, i+1)
+			s.encCond.Broadcast()
+			return d.drop
+		}
+	}
+	return nil
 }
 
 // WaitEncodeIdle blocks until the background encode queue drains. The
@@ -378,62 +349,54 @@ func (s *Server) finishEncode(key string) {
 // exclude, but workflow time includes, the encoding work.
 func (s *Server) WaitEncodeIdle() {
 	s.encMu.Lock()
-	for len(s.encPending) > 0 {
+	for len(s.encQueue) > 0 || s.encRunning {
 		s.encCond.Wait()
 	}
 	s.encMu.Unlock()
 }
 
+// encodeWorker runs the queued demotions one at a time until the server
+// closes; Close empties the queue.
 func (s *Server) encodeWorker() {
+	s.encMu.Lock()
+	defer s.encMu.Unlock()
 	for {
-		select {
-		case <-s.encStop:
-			return
-		case key := <-s.encCh:
-			s.processEncode(key)
-			s.finishEncode(key)
+		for len(s.encQueue) == 0 && !s.closed.Load() {
+			s.encCond.Wait()
 		}
+		if s.closed.Load() {
+			return
+		}
+		d := s.encQueue[0]
+		s.encQueue[0] = demotion{}
+		s.encQueue = s.encQueue[1:]
+		s.encRunning = true
+		s.encMu.Unlock()
+		s.processEncode(d)
+		s.encMu.Lock()
+		s.encRunning = false
+		s.encCond.Broadcast()
 	}
 }
 
-// deferStripeDrop schedules the release of a superseded stripe's shards;
-// the background worker performs it before any re-encode of the key.
-func (s *Server) deferStripeDrop(key string, info *types.StripeInfo) {
-	s.mu.Lock()
-	s.pendingDrops[key] = info
-	s.mu.Unlock()
-}
-
-// takePendingDropLocked removes and returns the superseded stripe awaiting
-// release for key, nil when there is none. Caller holds s.mu.
-func (s *Server) takePendingDropLocked(key string) *types.StripeInfo {
-	info := s.pendingDrops[key]
-	delete(s.pendingDrops, key)
-	return info
-}
-
 // processEncode performs one queued demotion, skipping objects that were
-// promoted, rewritten into heat, or removed since enqueueing. Superseded
-// stripes recorded by the write path are released first.
-func (s *Server) processEncode(key string) {
-	lk := s.writeLock(key)
+// promoted, rewritten into heat, or removed since enqueueing. The superseded
+// stripe the demotion carries is released first.
+func (s *Server) processEncode(d demotion) {
+	lk := s.writeLock(d.key)
 	lk.Lock()
 	defer lk.Unlock()
+	s.dropStripe(context.Background(), d.drop)
 	s.mu.Lock()
-	drop := s.takePendingDropLocked(key)
-	st, ok := s.local[key]
-	obj := s.objects[key]
+	st, obj := s.local[d.key], s.objects[d.key]
+	repl, enc := s.dataRepl, s.dataEnc
 	s.mu.Unlock()
-	s.dropStripe(context.Background(), drop)
-	if !ok || obj == nil || st.state != types.StateReplicated {
+	if st == nil || obj == nil || st.State != types.StateReplicated {
 		return
 	}
 	// Re-check the decision: if the object re-heated and the constraint
 	// now has room for it, keep it replicated.
-	s.mu.Lock()
-	repl, enc := s.dataRepl, s.dataEnc
-	s.mu.Unlock()
-	if s.decider.StaysReplicated(st.id, repl, enc) {
+	if s.decider.StaysReplicated(st.ID, repl, enc) {
 		return
 	}
 	// A draining server demotes nothing: the pass draining it moves its
@@ -445,7 +408,7 @@ func (s *Server) processEncode(key string) {
 	}
 	// A failed demotion leaves the object replicated: safe, retried on
 	// the next classification pass.
-	_ = s.encodeObject(context.Background(), obj, 0, types.StripeID{}, true)
+	_ = s.encodeObject(context.Background(), obj, types.StripeID{}, true)
 }
 
 // internalRetry is the bounded resend policy for server-to-server traffic.
@@ -498,7 +461,10 @@ func (s *Server) Close() {
 		return
 	}
 	s.StopScrubber()
-	close(s.encStop)
+	s.encMu.Lock()
+	s.encQueue = nil
+	s.encCond.Broadcast()
+	s.encMu.Unlock()
 	s.net.Unregister(s.id)
 	// Closing the engine discards L1 (exactly what a crash does) and leaves
 	// the disk tier for a replacement server to revalidate and re-index.

@@ -146,7 +146,7 @@ func TestEfficiencyConstrainedCoRECEnqueuesEncode(t *testing.T) {
 	srv.mu.Lock()
 	st := srv.local[key]
 	srv.mu.Unlock()
-	if st == nil || st.state != types.StateEncoded {
+	if st == nil || st.State != types.StateEncoded {
 		t.Fatalf("constrained write not background-encoded: %+v", st)
 	}
 	if srv.HasObject(key) {
@@ -361,7 +361,7 @@ func TestHandoffRefusedOnceALaterRecordIsPublished(t *testing.T) {
 	srv.mu.Lock()
 	obj := srv.objects[id.Key()]
 	srv.mu.Unlock()
-	if err := srv.encodeObject(ctx, obj, 0, types.StripeID{}, true); err != nil {
+	if err := srv.encodeObject(ctx, obj, types.StripeID{}, true); err != nil {
 		t.Fatal(err)
 	}
 	now, _ := srv.reader.LookupMeta(ctx, id)

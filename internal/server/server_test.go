@@ -163,11 +163,11 @@ func TestErasurePlacesStripeAcrossCodingGroup(t *testing.T) {
 	srv.mu.Lock()
 	st := srv.local[key]
 	srv.mu.Unlock()
-	if st == nil || st.state != types.StateEncoded {
+	if st == nil || st.State != types.StateEncoded {
 		t.Fatalf("local state = %+v", st)
 	}
 	for i, m := range members {
-		if !rig.servers[m].HasShard(st.layout.ID, i) {
+		if !rig.servers[m].HasShard(st.Layout.ID, i) {
 			t.Fatalf("member %d (server %d) missing shard %d", i, m, i)
 		}
 	}
@@ -180,12 +180,12 @@ func TestErasureUpdateReusesStripe(t *testing.T) {
 	key := types.ObjectID{Var: "v", Box: box}.Key()
 	srv := rig.servers[primary]
 	srv.mu.Lock()
-	stripe1 := srv.local[key].layout.ID
+	stripe1 := srv.local[key].Layout.ID
 	srv.mu.Unlock()
 
 	rig.put(t, "v", box, 2, payload(600, 4))
 	srv.mu.Lock()
-	stripe2 := srv.local[key].layout.ID
+	stripe2 := srv.local[key].Layout.ID
 	srv.mu.Unlock()
 	if stripe1 != stripe2 {
 		t.Fatalf("update minted a new stripe: %v -> %v", stripe1, stripe2)
@@ -380,7 +380,7 @@ func TestKeptShardsOwnTheirMemory(t *testing.T) {
 		t.Fatalf("helper's own shard %d is a window of its replica", own)
 	}
 
-	if err := srv.encodeObject(ctx, obj, 0, types.StripeID{}, true); err != nil {
+	if err := srv.encodeObject(ctx, obj, types.StripeID{}, true); err != nil {
 		t.Fatal(err)
 	}
 	meta, ok := srv.reader.LookupMeta(ctx, id)
@@ -477,7 +477,7 @@ func TestStripeDirectoryRoundTrip(t *testing.T) {
 	id := types.ObjectID{Var: "v", Box: box}
 	srv := rig.servers[primary]
 	srv.mu.Lock()
-	mine := srv.local[id.Key()].layout
+	mine := srv.local[id.Key()].Layout
 	srv.mu.Unlock()
 	meta, ok := rig.servers[(primary+3)%8].reader.LookupMeta(context.Background(), id)
 	if !ok || meta.State != types.StateEncoded || meta.Layout == nil {
@@ -505,7 +505,7 @@ func TestFetchStripeDataDegraded(t *testing.T) {
 	key := types.ObjectID{Var: "v", Box: box}.Key()
 	srv := rig.servers[primary]
 	srv.mu.Lock()
-	stripe := srv.local[key].layout
+	stripe := srv.local[key].Layout
 	srv.mu.Unlock()
 	// Kill a non-primary stripe member holding a data shard.
 	members := rig.place.CodingGroup(primary)
@@ -530,7 +530,7 @@ func TestRecoverKeyRestoresShard(t *testing.T) {
 	key := types.ObjectID{Var: "v", Box: box}.Key()
 	srv := rig.servers[primary]
 	srv.mu.Lock()
-	stripe := srv.local[key].layout.ID
+	stripe := srv.local[key].Layout.ID
 	srv.mu.Unlock()
 	members := rig.place.CodingGroup(primary)
 	victim := members[2]
@@ -628,7 +628,7 @@ func TestOnAccessRepairMarksQueue(t *testing.T) {
 	primary := rig.place.Primary(types.ObjectID{Var: "v", Box: box})
 	srv := rig.servers[primary]
 	srv.mu.Lock()
-	stripe := srv.local[key].layout.ID
+	stripe := srv.local[key].Layout.ID
 	srv.mu.Unlock()
 	members := rig.place.CodingGroup(primary)
 	victim := members[1]
@@ -692,8 +692,8 @@ func TestCoRECEndTimeStepDemotesAndPromotes(t *testing.T) {
 	srv.mu.Lock()
 	st := srv.local[keyA]
 	srv.mu.Unlock()
-	if st.state != types.StateReplicated {
-		t.Fatalf("hot rewrite left state %v", st.state)
+	if st.State != types.StateReplicated {
+		t.Fatalf("hot rewrite left state %v", st.State)
 	}
 }
 

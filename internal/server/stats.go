@@ -92,8 +92,8 @@ func (s *Server) CollectStats() Stats {
 	for _, o := range s.replicas {
 		st.ReplicaBytes += int64(len(o.Data))
 	}
-	for _, l := range s.local {
-		switch l.state {
+	for _, rec := range s.local {
+		switch rec.State {
 		case types.StateReplicated:
 			st.Replicated++
 		case types.StateEncoded:
@@ -118,7 +118,10 @@ func (s *Server) CollectStats() Stats {
 	st.Scrub = s.scrubTotal
 	s.scrubMu.Unlock()
 	s.encMu.Lock()
-	st.PendingEncodes = len(s.encPending)
+	st.PendingEncodes = len(s.encQueue)
+	if s.encRunning {
+		st.PendingEncodes++
+	}
 	s.encMu.Unlock()
 	if s.codec != nil {
 		st.EncodeWorkers = s.codec.Workers()

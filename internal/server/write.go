@@ -26,7 +26,9 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 	}
 	id := types.ObjectID{Var: req.Var, Box: req.Box}
 	key := id.Key()
-	obj := &types.Object{ID: id, Version: req.Version, Data: req.Data}
+	// The copy's digest is taken before it is installed, so no reader ever
+	// finds the copy without it; it is the put's one pass over its payload.
+	obj := &types.Object{ID: id, Version: req.Version, Data: req.Data, Sum: s.digestMsg(req)}
 
 	// Serialize against concurrent write-path transitions of this key: a
 	// background encode of the previous bytes must either commit before
@@ -37,30 +39,26 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 
 	// Install the object and capture prior state for transition handling.
 	s.mu.Lock()
-	prior, existed := s.local[key]
-	var priorState types.ResilienceState
-	var priorLayout *types.StripeInfo
-	var priorSize int
-	if existed {
-		priorState = prior.state
-		priorLayout = prior.layout
-		priorSize = prior.size
-	}
+	prior := s.local[key]
 	s.objects[key] = obj
 	// The decider weighs the *projected* efficiency if this object ends up
 	// replicated — otherwise an object at the constraint's boundary
 	// flip-flops between states on every write.
 	projRepl := s.dataRepl + int64(len(req.Data))
 	projEnc := s.dataEnc
-	if existed {
+	s.mu.Unlock()
+	priorState := types.StateNone
+	var drop *types.StripeInfo // the stripe a rewrite of an encoded object supersedes
+	if prior != nil {
+		priorState = prior.State
 		switch priorState {
 		case types.StateReplicated:
-			projRepl -= int64(priorSize)
+			projRepl -= int64(prior.Size)
 		case types.StateEncoded:
-			projEnc -= int64(priorSize)
+			projEnc -= int64(prior.Size)
+			drop = prior.Layout
 		}
 	}
-	s.mu.Unlock()
 
 	// Decide the resilience action. Where demotion runs in the background,
 	// the decision classifies the object: it is charged to the classify
@@ -74,8 +72,8 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 
 	switch action {
 	case policy.ActNone:
-		meta := s.buildMeta(obj, types.StateNone, nil, s.digestMsg(req))
-		s.setLocalState(meta, obj)
+		meta := s.buildMeta(obj, types.StateNone, nil)
+		s.setLocalState(meta)
 		if err := s.dirUpdate(ctx, meta); err != nil {
 			return transport.Errf("server %d: metadata update: %v", s.id, err)
 		}
@@ -85,18 +83,17 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 		// An object that was encoded and is now written becomes replicated
 		// again (promotion on write); its old shards are dropped after the
 		// directory flips so concurrent readers never miss both states.
-		if err := s.replicateObject(ctx, obj, s.digestMsg(req)); err != nil {
+		if err := s.replicateObject(ctx, obj); err != nil {
 			return transport.Errf("server %d: replicate: %v", s.id, err)
 		}
-		if existed && priorState == types.StateEncoded {
+		if priorState == types.StateEncoded {
 			if background {
 				// Defer the old stripe's release off the write path; the
 				// worker also re-evaluates whether the object must be
 				// re-encoded under the constraint.
-				s.deferStripeDrop(key, priorLayout)
-				s.enqueueEncode(key)
+				s.enqueueEncode(key, drop)
 			} else {
-				s.dropStripe(ctx, priorLayout)
+				s.dropStripe(ctx, drop)
 			}
 		}
 		s.decider.SetEncoded(id, false)
@@ -107,23 +104,20 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 		// replica guarantees durability; the demotion to erasure coding
 		// runs in the background under the encoding token.
 		if background {
-			if err := s.replicateObject(ctx, obj, s.digestMsg(req)); err != nil {
+			if err := s.replicateObject(ctx, obj); err != nil {
 				return transport.Errf("server %d: replicate: %v", s.id, err)
 			}
-			if existed && priorState == types.StateEncoded {
-				s.deferStripeDrop(key, priorLayout)
-			}
-			s.enqueueEncode(key)
+			s.enqueueEncode(key, drop)
 			return transport.Ok()
 		}
 		// Baselines encode synchronously on the write path: a replicated
 		// object being demoted sheds its replicas inside encodeObject; an
 		// encoded object being rewritten re-encodes over the same stripe.
 		reuse := types.StripeID{}
-		if existed && priorState == types.StateEncoded {
-			reuse = priorLayout.ID
+		if drop != nil {
+			reuse = drop.ID
 		}
-		if err := s.encodeObject(ctx, obj, s.digestMsg(req), reuse, existed && priorState == types.StateReplicated); err != nil {
+		if err := s.encodeObject(ctx, obj, reuse, priorState == types.StateReplicated); err != nil {
 			resp := transport.Errf("server %d: encode: %v", s.id, err)
 			// Retryable: the resent put encodes over the ring as it now is.
 			resp.Flag = errors.Is(err, errRingMoved)
@@ -135,9 +129,9 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 }
 
 // replicateObject pushes full copies to the replication-group peers and
-// records the replicated state. sum is the digest of obj.Data, which rides
-// along as each push's payload check: the pushes make no pass of their own.
-func (s *Server) replicateObject(ctx context.Context, obj *types.Object, sum uint64) error {
+// records the replicated state. The copy's digest rides along as each push's
+// payload check: the pushes make no pass of their own.
+func (s *Server) replicateObject(ctx context.Context, obj *types.Object) error {
 	targets := s.place.ReplicaHolders(s.id)
 	start := time.Now()
 	for _, t := range targets {
@@ -148,7 +142,7 @@ func (s *Server) replicateObject(ctx context.Context, obj *types.Object, sum uin
 			Version: obj.Version,
 			Data:    obj.Data,
 		}
-		msg.AttachDigest(sum)
+		msg.AttachDigest(obj.Sum)
 		resp, err := s.sendRetry(ctx, t, msg)
 		if err == nil {
 			err = resp.AsError()
@@ -161,55 +155,52 @@ func (s *Server) replicateObject(ctx context.Context, obj *types.Object, sum uin
 	}
 	s.col.Add(metrics.Transport, time.Since(start))
 
-	meta := s.buildMeta(obj, types.StateReplicated, nil, sum)
+	meta := s.buildMeta(obj, types.StateReplicated, nil)
 	meta.Replicas = targets
-	s.setLocalState(meta, obj)
+	s.setLocalState(meta)
 	return s.dirUpdate(ctx, meta)
 }
 
-// setLocalState records the bookkeeping of a primary object from the record
-// this server publishes for it (or, for a primary recovering its memory, the
-// record the directory holds) and maintains the storage-efficiency tallies.
-// sumOf is the full copy meta.Checksum was computed over (nil when the object
-// is held as shards only).
-func (s *Server) setLocalState(meta *types.ObjectMeta, sumOf *types.Object) {
+// setLocalState keeps meta, the record this server publishes for an object it
+// is primary of (or, for a primary recovering its memory, the record the
+// directory holds), less its replica list, and maintains the
+// storage-efficiency tallies.
+func (s *Server) setLocalState(meta *types.ObjectMeta) {
+	rec := *meta
+	rec.Replicas = nil
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := meta.ID.Key()
-	if old, ok := s.local[key]; ok {
+	if old := s.local[key]; old != nil {
 		s.tallyLocked(old, -1)
 	}
-	st := &localState{
-		id: meta.ID, version: meta.Version, size: meta.Size, state: meta.State,
-		seq: meta.Seq, layout: meta.Layout, sum: meta.Checksum, sumOf: sumOf,
-	}
-	s.local[key] = st
-	s.tallyLocked(st, +1)
+	s.local[key] = &rec
+	s.tallyLocked(&rec, +1)
 }
 
 // tallyLocked adds (sign +1) or removes (-1) a primary object's bytes to or
 // from the efficiency tally of its state, and an encoded one to or from the
 // encoded count. Caller holds s.mu.
-func (s *Server) tallyLocked(st *localState, sign int64) {
-	switch st.state {
+func (s *Server) tallyLocked(rec *types.ObjectMeta, sign int64) {
+	switch rec.State {
 	case types.StateReplicated:
-		s.dataRepl += sign * int64(st.size)
+		s.dataRepl += sign * int64(rec.Size)
 	case types.StateEncoded:
-		s.dataEnc += sign * int64(st.size)
+		s.dataEnc += sign * int64(rec.Size)
 		s.nEnc += int(sign)
 	}
 }
 
 // buildMeta mints the record of obj in the given state; layout is its stripe
 // when that state is StateEncoded (the primary holds data shard 0).
-func (s *Server) buildMeta(obj *types.Object, st types.ResilienceState, layout *types.StripeInfo, sum uint64) *types.ObjectMeta {
+func (s *Server) buildMeta(obj *types.Object, st types.ResilienceState, layout *types.StripeInfo) *types.ObjectMeta {
 	meta := &types.ObjectMeta{
 		ID:       obj.ID,
 		Version:  obj.Version,
 		Seq:      s.nextMetaSeq(),
 		Size:     len(obj.Data),
 		State:    st,
-		Checksum: sum,
+		Checksum: obj.Sum,
 		Primary:  s.id,
 		Layout:   layout,
 	}
@@ -229,23 +220,22 @@ func (s *Server) handleDelete(ctx context.Context, req *transport.Message) *tran
 	lk.Lock()
 	defer lk.Unlock()
 	s.mu.Lock()
-	st, known := s.local[key]
-	if known {
+	st := s.local[key]
+	if st != nil {
 		s.tallyLocked(st, -1)
 		delete(s.local, key)
 	}
 	delete(s.objects, key)
 	delete(s.replicas, key)
-	delete(s.replicaSums, key)
-	// A superseded stripe awaiting background release dies with the object.
-	pendingDrop := s.takePendingDropLocked(key)
 	s.mu.Unlock()
-	if !known {
+	// A queued demotion dies with the object, and the superseded stripe it
+	// was to release goes now.
+	s.dropStripe(ctx, s.takeDemotion(key))
+	if st == nil {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	s.dropStripe(ctx, pendingDrop)
-	if st.state == types.StateEncoded {
-		s.dropStripe(ctx, st.layout)
+	if st.State == types.StateEncoded {
+		s.dropStripe(ctx, st.Layout)
 	} else {
 		tStart := time.Now()
 		for _, t := range s.place.ReplicaHolders(s.id) {
@@ -257,9 +247,9 @@ func (s *Server) handleDelete(ctx context.Context, req *transport.Message) *tran
 	// Remove the directory records.
 	mStart := time.Now()
 	// Unreached directory members resync via anti-entropy.
-	_ = s.sendToGroup(ctx, s.dirPlace.Servers(st.id.Var, st.id.Box), &transport.Message{Kind: transport.MsgMetaDelete, Key: key})
+	_ = s.sendToGroup(ctx, s.dirPlace.Servers(st.ID.Var, st.ID.Box), &transport.Message{Kind: transport.MsgMetaDelete, Key: key})
 	s.col.Add(metrics.Metadata, time.Since(mStart))
-	s.decider.Forget(st.id)
+	s.decider.Forget(st.ID)
 	return &transport.Message{Kind: transport.MsgOK, Flag: true}
 }
 
@@ -278,28 +268,27 @@ func (s *Server) handleHandoff(ctx context.Context, req *transport.Message) *tra
 	lk.Lock()
 	defer lk.Unlock()
 	s.mu.Lock()
-	st, known := s.local[key]
-	if !known || req.Meta == nil || (req.Version != 0 && st.version > req.Version) || (req.Num != 0 && st.seq > uint64(req.Num)) {
+	st := s.local[key]
+	if st == nil || req.Meta == nil || (req.Version != 0 && st.Version > req.Version) || (req.Num != 0 && st.Seq > uint64(req.Num)) {
 		s.mu.Unlock()
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
 	s.tallyLocked(st, -1)
 	delete(s.local, key)
 	delete(s.objects, key)
-	pendingDrop := s.takePendingDropLocked(key)
 	s.mu.Unlock()
-	s.dropStripe(ctx, pendingDrop)
-	if kept := req.Meta.Layout; st.layout != nil {
-		s.eachMember(st.layout, func(m types.StripeMember) {
-			if kept == nil || kept.ID != st.layout.ID || !slices.Contains(kept.Members, m) {
-				_, _ = s.sendRetry(ctx, m.Server, &transport.Message{Kind: transport.MsgShardDrop, Stripe: st.layout.ID, ShardIndex: m.Index})
+	s.dropStripe(ctx, s.takeDemotion(key))
+	if kept := req.Meta.Layout; st.Layout != nil {
+		s.eachMember(st.Layout, func(m types.StripeMember) {
+			if kept == nil || kept.ID != st.Layout.ID || !slices.Contains(kept.Members, m) {
+				_, _ = s.sendRetry(ctx, m.Server, &transport.Message{Kind: transport.MsgShardDrop, Stripe: st.Layout.ID, ShardIndex: m.Index})
 			}
 		})
 	}
 	// Replica copies at the old holders are left for the scrubber's orphan
 	// reaping: a versioned drop here could destroy a same-version replica
 	// the new owner just pushed to an overlapping holder set.
-	s.decider.Forget(st.id)
+	s.decider.Forget(st.ID)
 	return &transport.Message{Kind: transport.MsgOK, Flag: true}
 }
 
@@ -310,41 +299,23 @@ func (s *Server) handleGet(req *transport.Message) *transport.Message {
 		return s.primaryRead(req)
 	}
 	s.mu.Lock()
-	obj, ok := s.objects[req.Key]
-	var sum uint64
-	if ok {
-		sum = s.sumOfLocked(req.Key, obj)
-	} else {
-		obj, ok = s.replicas[req.Key]
-		sum = s.replicaSums[req.Key]
+	obj := s.objects[req.Key]
+	if obj == nil {
+		obj = s.replicas[req.Key]
 	}
 	s.mu.Unlock()
-	if !ok {
+	if obj == nil {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	return s.serveCopy(obj, sum)
+	return s.serveCopy(obj)
 }
 
-// sumOfLocked returns the digest recorded for the primary copy obj of key, 0
-// when none was computed over obj itself: a put installs its object before it
-// records the new sum, and until then the recorded sum is the previous
-// content's. Caller holds s.mu.
-func (s *Server) sumOfLocked(key string, obj *types.Object) uint64 {
-	if st := s.local[key]; st != nil && st.sumOf == obj {
-		return st.sum
-	}
-	return 0
-}
-
-// serveCopy answers a get with a full copy whose digest, computed over these
-// very bytes, is sum (0: none is). With the scrubber enabled, a copy whose
-// bytes fail their digest is withheld (reported as not found) so the caller
-// falls back to another holder or a degraded stripe read instead of consuming
-// rotted bytes; the background scrub pass repairs the copy. A copy with no
-// digest of its own — a fresh put's, in the moment before its sum is recorded
-// — is served unchecked.
-func (s *Server) serveCopy(obj *types.Object, sum uint64) *transport.Message {
-	if s.scrubEnabled() && sum != 0 && s.digest(obj.Data) != sum {
+// serveCopy answers a get with a full copy. With the scrubber enabled, a copy
+// whose bytes fail their digest is withheld (reported as not found) so the
+// caller falls back to another holder or a degraded stripe read instead of
+// consuming rotted bytes; the background scrub pass repairs the copy.
+func (s *Server) serveCopy(obj *types.Object) *transport.Message {
+	if s.scrubEnabled() && s.digest(obj.Data) != obj.Sum {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
 	resp := &transport.Message{
@@ -354,7 +325,7 @@ func (s *Server) serveCopy(obj *types.Object, sum uint64) *transport.Message {
 	// The recorded digest is the payload's wire check: no pass here, and a
 	// copy that rotted since it was recorded fails at the reader like wire
 	// damage — retried, then served from another holder.
-	resp.AttachDigest(sum)
+	resp.AttachDigest(obj.Sum)
 	return resp
 }
 
@@ -368,17 +339,17 @@ func (s *Server) serveCopy(obj *types.Object, sum uint64) *transport.Message {
 func (s *Server) primaryRead(req *transport.Message) *transport.Message {
 	s.mu.Lock()
 	st := s.local[req.Key]
-	if st == nil || st.version < req.Version || (st.state == types.StateEncoded && st.layout == nil) {
+	if st == nil || st.Version < req.Version || (st.State == types.StateEncoded && st.Layout == nil) {
 		s.mu.Unlock()
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	meta := st.record(s.id)
+	meta := *st
 	var obj *types.Object
 	var sum uint64
 	if meta.State == types.StateEncoded {
 		sum = s.held[meta.Stripe].sums[0]
-	} else if obj = s.objects[req.Key]; obj != nil {
-		sum = s.sumOfLocked(req.Key, obj)
+	} else {
+		obj = s.objects[req.Key]
 	}
 	s.mu.Unlock()
 
@@ -391,24 +362,22 @@ func (s *Server) primaryRead(req *transport.Message) *transport.Message {
 			resp.AttachDigest(sum)
 		}
 	} else if obj != nil {
-		resp = s.serveCopy(obj, sum)
+		resp = s.serveCopy(obj)
 	}
 	if resp == nil {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
 	if resp.Flag {
-		resp.Meta = meta
+		resp.Meta = &meta
 	}
 	return resp
 }
 
 func (s *Server) handleReplicaPut(req *transport.Message) *transport.Message {
 	id := types.ObjectID{Var: req.Var, Box: req.Box}
-	key := id.Key()
-	sum := s.digestMsg(req)
+	obj := &types.Object{ID: id, Version: req.Version, Data: req.Data, Sum: s.digestMsg(req)}
 	s.mu.Lock()
-	s.replicas[key] = &types.Object{ID: id, Version: req.Version, Data: req.Data}
-	s.replicaSums[key] = sum
+	s.replicas[id.Key()] = obj
 	s.mu.Unlock()
 	return transport.Ok()
 }
@@ -419,7 +388,6 @@ func (s *Server) handleReplicaDrop(req *transport.Message) *transport.Message {
 	// a slow encode task can never discard a newer write's replica.
 	if rep, ok := s.replicas[req.Key]; ok && (req.Version == 0 || rep.Version <= req.Version) {
 		delete(s.replicas, req.Key)
-		delete(s.replicaSums, req.Key)
 	}
 	s.mu.Unlock()
 	return transport.Ok()

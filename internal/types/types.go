@@ -72,6 +72,10 @@ type Object struct {
 	ID      ObjectID
 	Version Version
 	Data    []byte
+	// Sum is the at-rest digest (scrub.Checksum) of Data, computed by the
+	// server holding this copy when it installed it: what its scrubber and
+	// verified reads check the bytes against.
+	Sum uint64
 }
 
 // Size returns the payload size in bytes.
@@ -79,7 +83,7 @@ func (o *Object) Size() int { return len(o.Data) }
 
 // Clone deep-copies the object.
 func (o *Object) Clone() *Object {
-	return &Object{ID: o.ID, Version: o.Version, Data: append([]byte(nil), o.Data...)}
+	return &Object{ID: o.ID, Version: o.Version, Data: append([]byte(nil), o.Data...), Sum: o.Sum}
 }
 
 // StripeID identifies an erasure-coded stripe. Stripes are minted by the

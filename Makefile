@@ -63,12 +63,17 @@ scrubrace:
 # primary-first read: its message counts and its fall-back on a miss — and
 # the directory sweep: one whole-shard query per member. The
 # per-hop payload-check count over TCP repeats too: its counting hook must be
-# in place before any server listens.
+# in place before any server listens. A server's bulk payloads land in pooled
+# buffers, recycled once their last holder lets go, and race builds poison a
+# released buffer: the package-wide line repeats the transport's ownership
+# tests, and the reference model's TCP arm — pooled objects rewritten under
+# racing reads, a scrubber and a kill — repeats on its own.
 transportrace:
 	$(GO) test -race -count=5 ./internal/transport ./internal/reader
 	$(GO) test -race -run 'TestGet|TestRandomOpsAgainstReferenceModel' .
 	$(GO) test -race -count=5 -run 'TestEncodedObjectCostsOneRecord|TestRewriteDropsSupersededStripeWithoutTheDirectory|TestGetAsksOneDirectoryGroup|TestLaggingMirrorIsSettledByItsTwin|TestPeerHealthEncodedReadHealthyShards|TestAlignedGetAsksThePrimaryFirst|TestPrimaryMissFallsBackToTheDirectory|TestDirectorySweepsAskEachMemberOnce' .
 	$(GO) test -race -count=5 -run TestPutChecksPayloadOncePerHopOverTCP ./internal/server
+	$(GO) test -race -count=5 -run 'TestRandomOpsAgainstReferenceModel/corec-tcp-racing' .
 
 # Race-detector pass focused on elastic membership churn: gossip agents,
 # dynamic ring, and the paced migrator running against foreground traffic —

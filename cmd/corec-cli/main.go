@@ -161,15 +161,15 @@ func main() {
 				continue
 			}
 			st := s.Stats
-			fmt.Printf("server %d: load=%d objects=%d replicas=%d shards=%d dir=%d eff=%.2f pendingEnc=%d pendingRepair=%d\n",
+			fmt.Printf("server %d: load=%d objects=%d replicas=%d shards=%d dir=%d eff=%.2f pendingEnc=%d pendingRepair=%d tokenless=%d\n",
 				s.ID, st.Load, st.Objects, st.Replicas, st.Shards, st.DirEntries,
-				st.Efficiency, st.PendingEncodes, st.PendingRepairs)
+				st.Efficiency, st.PendingEncodes, st.PendingRepairs, st.TokenlessEncodes)
 			fmt.Printf("  scrub: passes=%d scanned=%d corruptions=%d repairs=%d  tiers: mem=%d disk=%d remote=%d\n",
 				st.ScrubPasses, st.Scrub.Scanned, st.Scrub.Corruptions, st.Scrub.Repairs,
 				st.Storage.MemObjects, st.Storage.DiskObjects, st.Storage.RemoteObjects)
 		}
-		fmt.Printf("fabric: retries=%d muxRedials=%d peersDown=%d fastFails=%d dir_second_asks=%d dir_fallbacks=%d primary_reads=%d primary_misses=%d\n",
-			fs.Retries, fs.Transport.MuxRedials, fs.Transport.PeersDown, fs.Transport.FastFails, fs.DirSecondAsks, fs.DirFallbacks, fs.PrimaryReads, fs.PrimaryMisses)
+		fmt.Printf("fabric: retries=%d muxRedials=%d peersDown=%d fastFails=%d dir_second_asks=%d dir_fallbacks=%d primary_reads=%d primary_misses=%d tokenless_encodes=%d\n",
+			fs.Retries, fs.Transport.MuxRedials, fs.Transport.PeersDown, fs.Transport.FastFails, fs.DirSecondAsks, fs.DirFallbacks, fs.PrimaryReads, fs.PrimaryMisses, fs.Encoding.TokenlessEncodes)
 	default:
 		usage()
 	}

@@ -72,6 +72,30 @@ func TestChecksumZeroFold(t *testing.T) {
 	}
 }
 
+// TestDigestInPiecesIsChecksum feeds payloads to Digest in pieces of random
+// sizes, as a frame reader's reads cut them, and requires the same digest as
+// one Checksum call, with the wire check as its high word.
+func TestDigestInPiecesIsChecksum(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, checksumBlock + 1, 3*checksumBlock - 5, 2<<20 + 3} {
+		data := patterned(n, int64(n))
+		for trial := 0; trial < 4; trial++ {
+			var d Digest
+			for rest := data; len(rest) > 0; {
+				piece := 1 + rng.Intn(min(len(rest), 3*checksumBlock))
+				d.Write(rest[:piece])
+				rest = rest[piece:]
+			}
+			if got, want := d.Sum(), Checksum(data); got != want {
+				t.Fatalf("size %d: digest in pieces %#016x, Checksum %#016x", n, got, want)
+			}
+			if got, _ := WireCheck(d.Sum()); got != d.CRC32C() {
+				t.Fatalf("size %d: CRC32C %08x is not the digest's wire check %08x", n, d.CRC32C(), got)
+			}
+		}
+	}
+}
+
 func TestChecksumDetectsEverySingleBitFlip(t *testing.T) {
 	data := patterned(4096, 7)
 	want := Checksum(data)

@@ -40,28 +40,44 @@ const checksumBlock = 32 << 10
 // (Castagnoli) in the high word, CRC-32 (IEEE) in the low word. Two
 // independent polynomials keep the digest 64 bits wide — every wire and
 // record field that carries it stays as it is. The high word doubles as the
-// wire check of the payload segment of a transport frame (see WireCheck and
-// Complete), so a payload is read once per polynomial per hop, not once for
-// the wire and twice more for storage; the IEEE half is computed only by the
-// server that stores the bytes, over the bytes it holds, so damage that
-// happens to preserve the wire check does not also preserve the digest. A
-// keyed hash is unnecessary because the threat model is bit rot, not an
-// adversary. The zero value is reserved to mean "no checksum recorded" (a
-// shard re-indexed from a restarted disk tier, pending backfill), so the rare
+// wire check of the payload segment of a transport frame (see WireCheck), so
+// a payload is read once per polynomial per hop, not once for the wire and
+// twice more for storage: a server's frame reader takes the whole digest as
+// the bytes land (Digest), the server keeps what it computed, and a sender
+// that holds the digest attaches it instead of reading the bytes. A keyed
+// hash is unnecessary because the threat model is bit rot, not an adversary.
+// The zero value is reserved to mean "no checksum recorded" (a shard
+// re-indexed from a restarted disk tier, pending backfill), so the rare
 // genuine zero digest — the empty payload's, for one — is folded onto 1.
 func Checksum(data []byte) uint64 {
-	var c, e uint32
-	for len(data) > 0 {
-		b := data[:min(len(data), checksumBlock)]
-		c = crc32.Update(c, castagnoli, b)
-		e = crc32.Update(e, crc32.IEEETable, b)
-		data = data[len(b):]
-	}
-	return pack(c, e)
+	var d Digest
+	d.Write(data)
+	return d.Sum()
 }
 
-func pack(c, e uint32) uint64 {
-	s := uint64(c)<<32 | uint64(e)
+// Digest is Checksum taken incrementally, over a payload fed to Write in
+// pieces — by a frame reader, each piece right after the read that filled
+// it, while its bytes are still in cache. The zero value is the digest of no
+// bytes.
+type Digest struct{ c, e uint32 }
+
+// Write adds p to the digest.
+func (d *Digest) Write(p []byte) {
+	for len(p) > 0 {
+		b := p[:min(len(p), checksumBlock)]
+		d.c = crc32.Update(d.c, castagnoli, b)
+		d.e = crc32.Update(d.e, crc32.IEEETable, b)
+		p = p[len(b):]
+	}
+}
+
+// CRC32C returns the CRC-32C half of the bytes written so far: their wire
+// check.
+func (d *Digest) CRC32C() uint32 { return d.c }
+
+// Sum returns Checksum of the bytes written so far.
+func (d *Digest) Sum() uint64 {
+	s := uint64(d.c)<<32 | uint64(d.e)
 	if s == 0 {
 		s = 1
 	}
@@ -76,13 +92,6 @@ func CRC32C(crc uint32, data []byte) uint32 { return crc32.Update(crc, castagnol
 // check — its CRC-32C — so a sender that holds the digest makes no pass over
 // the bytes. ok is false for 0, "no checksum recorded".
 func WireCheck(sum uint64) (crc32c uint32, ok bool) { return uint32(sum >> 32), sum != 0 }
-
-// Complete returns Checksum(data) for a payload whose CRC-32C the frame
-// reader already computed over these very bytes: one IEEE pass instead of
-// one per polynomial.
-func Complete(crc32c uint32, data []byte) uint64 {
-	return pack(crc32c, crc32.ChecksumIEEE(data))
-}
 
 // Depth selects how far a scrub pass reaches beyond this server's memory.
 type Depth int

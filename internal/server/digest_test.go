@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -13,28 +12,22 @@ import (
 	"corec/internal/types"
 )
 
-// digestPasses counts, per server, the digest passes made over payloads of
-// one size, by polynomial: a full digest reads the payload through both, a
-// digest completed from the frame reader's verified check through
-// CRC-32/IEEE alone.
-type digestPasses struct{ castagnoli, ieee []atomic.Int64 }
+// digestPasses counts, per server, the digest passes a server made itself
+// over payloads of one size; each reads the payload through both
+// polynomials. A digest a frame reader took as the payload landed is not
+// among them (transport.PayloadCheckStats counts those).
+type digestPasses struct{ passes []atomic.Int64 }
 
 // countDigests installs the counting digest hook on every server of the rig.
 func countDigests(rig *testRig, size int) *digestPasses {
-	p := &digestPasses{
-		castagnoli: make([]atomic.Int64, len(rig.servers)),
-		ieee:       make([]atomic.Int64, len(rig.servers)),
-	}
+	p := &digestPasses{passes: make([]atomic.Int64, len(rig.servers))}
 	for i, srv := range rig.servers {
 		i := i
-		srv.digestFn = func(b []byte, crc32c uint32, verified bool) uint64 {
+		srv.digestFn = func(b []byte) uint64 {
 			if len(b) == size {
-				p.ieee[i].Add(1)
-				if !verified {
-					p.castagnoli[i].Add(1)
-				}
+				p.passes[i].Add(1)
 			}
-			return digestPayload(b, crc32c, verified)
+			return scrub.Checksum(b)
 		}
 	}
 	return p
@@ -59,9 +52,8 @@ func (n *heldNet) release() {
 }
 
 func (p *digestPasses) reset() {
-	for i := range p.ieee {
-		p.castagnoli[i].Store(0)
-		p.ieee[i].Store(0)
+	for i := range p.passes {
+		p.passes[i].Store(0)
 	}
 }
 
@@ -92,12 +84,12 @@ func TestPutDigestsPayloadOncePerServer(t *testing.T) {
 		if meta.Checksum != scrub.Checksum(data) {
 			t.Fatalf("round %d: directory checksum %#x is not the stored content's %#x", round, meta.Checksum, scrub.Checksum(data))
 		}
-		if ieee, c := full.ieee[primary].Load(), full.castagnoli[primary].Load(); ieee != 1 || c != 1 {
-			t.Errorf("round %d: primary digested the full payload %d times (CRC-32C %d), want 1 and 1", round, ieee, c)
+		if n := full.passes[primary].Load(); n != 1 {
+			t.Errorf("round %d: primary digested the full payload %d times, want 1", round, n)
 		}
 		for _, h := range srv.place.ReplicaHolders(srv.id) {
-			if ieee, c := full.ieee[h].Load(), full.castagnoli[h].Load(); ieee != 1 || c != 1 {
-				t.Errorf("round %d: replica holder %d digested the full payload %d times (CRC-32C %d), want 1 and 1", round, h, ieee, c)
+			if n := full.passes[h].Load(); n != 1 {
+				t.Errorf("round %d: replica holder %d digested the full payload %d times, want 1", round, h, n)
 			}
 		}
 	}
@@ -105,16 +97,16 @@ func TestPutDigestsPayloadOncePerServer(t *testing.T) {
 
 // TestPutChecksPayloadOncePerHopOverTCP is the same put over the TCP fabric,
 // where the payload check of a frame is the digest's CRC-32C half. Followed
-// to the encoded flip it must cost, over the full payload: CRC-32/IEEE once
-// on the primary and once per replica holder, each completing the digest
-// from the check its frame reader verified, so no server runs CRC-32C
-// itself; CRC-32C once per receiving hop, in the frame reader; once on a
-// sender that holds no digest (the client's put, the primary's three shard
-// pushes) and not at all on one that does (the replica push). The payload
-// checks are the process-wide counters of transport.PayloadCheckStats; the
-// flow has no other payload-carrying message. Under the erasure policy the
-// primary encodes on the write path and pushes no replica: its one pass
-// completes the put's digest just the same, and no holder digests anything.
+// to the encoded flip it must cost one pass per polynomial per storing hop —
+// the primary, each replica holder, each shard member — and both are taken
+// by that hop's frame reader as the payload lands, so no server digests the
+// full payload itself; and CRC-32C once on a sender that holds no digest
+// (the client's put, the primary's three shard pushes) and not at all on one
+// that does (the replica push). The payload checks are the process-wide
+// counters of transport.PayloadCheckStats; the flow has no other
+// payload-carrying message. Under the erasure policy the primary encodes on
+// the write path and pushes no replica: its frame reader's digest is the
+// put's just the same.
 func TestPutChecksPayloadOncePerHopOverTCP(t *testing.T) {
 	for _, mode := range []policy.Mode{policy.CoREC, policy.Erasure} {
 		t.Run(mode.String(), func(t *testing.T) { testPutChecksPayloadOncePerHopOverTCP(t, mode) })
@@ -135,12 +127,13 @@ func testPutChecksPayloadOncePerHopOverTCP(t *testing.T, mode policy.Mode) {
 	held.release()
 	data := payload(size, 23)
 
-	computed0, attached0, verified0 := transport.PayloadCheckStats()
+	before := transport.PayloadCheckStats()
 	primary := rig.put(t, "v", box, 1, data)
 	srv := rig.servers[primary]
 	srv.WaitEncodeIdle()
-	computed, attached, verified := transport.PayloadCheckStats()
-	computed, attached, verified = computed-computed0, attached-attached0, verified-verified0
+	after := transport.PayloadCheckStats()
+	computed, attached, verified, digested := after.Computed-before.Computed, after.Attached-before.Attached,
+		after.Verified-before.Verified, after.Digested-before.Digested
 
 	meta, ok := srv.reader.LookupMeta(context.Background(), types.ObjectID{Var: "v", Box: box})
 	if !ok || meta.State != types.StateEncoded {
@@ -154,12 +147,8 @@ func testPutChecksPayloadOncePerHopOverTCP(t *testing.T, mode policy.Mode) {
 		holders = srv.place.ReplicaHolders(srv.id)
 	}
 	for h := range rig.servers {
-		want := int64(0)
-		if h == int(primary) || slices.Contains(holders, types.ServerID(h)) {
-			want = 1
-		}
-		if ieee, c := full.ieee[h].Load(), full.castagnoli[h].Load(); ieee != want || c != 0 {
-			t.Errorf("server %d: CRC-32/IEEE over the full payload %d times, CRC-32C %d times; want %d and 0", h, ieee, c, want)
+		if n := full.passes[h].Load(); n != 0 {
+			t.Errorf("server %d digested the full payload %d times itself, want 0: its frame reader took the digest", h, n)
 		}
 	}
 	k, m := rig.polCfg.K, rig.polCfg.M
@@ -170,12 +159,12 @@ func testPutChecksPayloadOncePerHopOverTCP(t *testing.T, mode policy.Mode) {
 	if want := int64(len(holders)); attached != want {
 		t.Errorf("%d sends took their check from a held digest, want the %d replica pushes", attached, want)
 	}
-	if want := 1 + int64(len(holders)) + shardPushes; verified != want {
-		t.Errorf("%d receiver passes, want %d: one per payload frame", verified, want)
+	if want := 1 + int64(len(holders)) + shardPushes; verified != want || digested != want {
+		t.Errorf("%d CRC-32C and %d CRC-32/IEEE receiver passes, want %d of each: one per payload frame", verified, digested, want)
 	}
 
 	// And the read side: the shard holders answer from their recorded digests.
-	_, attached0, verified0 = transport.PayloadCheckStats()
+	before = transport.PayloadCheckStats()
 	for _, member := range meta.Layout.Members[:k] {
 		resp, err := tn.Send(context.Background(), -1, member.Server, &transport.Message{
 			Kind: transport.MsgShardGet, Stripe: meta.Stripe, ShardIndex: member.Index,
@@ -184,19 +173,19 @@ func testPutChecksPayloadOncePerHopOverTCP(t *testing.T, mode policy.Mode) {
 			t.Fatalf("shard %d: %v", member.Index, err)
 		}
 	}
-	_, attached, verified = transport.PayloadCheckStats()
-	if attached-attached0 != int64(k) || verified-verified0 != int64(k) {
+	after = transport.PayloadCheckStats()
+	if after.Attached-before.Attached != int64(k) || after.Verified-before.Verified != int64(k) {
 		t.Errorf("%d shard gets: %d answered from a held digest, %d verified by the reader; want %d and %d",
-			k, attached-attached0, verified-verified0, k, k)
+			k, after.Attached-before.Attached, after.Verified-before.Verified, k, k)
 	}
 	// So does the primary, asked for its record and data shard 0 at once.
-	_, attached0, verified0 = transport.PayloadCheckStats()
+	before = transport.PayloadCheckStats()
 	resp, err := tn.Send(context.Background(), -1, primary, &transport.Message{Kind: transport.MsgGet, Key: meta.ID.Key(), Version: 1})
 	if err != nil || !resp.Flag || resp.Meta == nil || resp.Meta.Seq != meta.Seq || len(resp.Data) != meta.Layout.ShardSize {
 		t.Fatalf("primary read: %v (%+v)", err, resp)
 	}
-	_, attached, verified = transport.PayloadCheckStats()
-	if attached-attached0 != 1 || verified-verified0 != 1 {
-		t.Errorf("primary read: %d answered from a held digest, %d verified by the reader; want 1 and 1", attached-attached0, verified-verified0)
+	after = transport.PayloadCheckStats()
+	if after.Attached-before.Attached != 1 || after.Verified-before.Verified != 1 {
+		t.Errorf("primary read: %d answered from a held digest, %d verified by the reader; want 1 and 1", after.Attached-before.Attached, after.Verified-before.Verified)
 	}
 }

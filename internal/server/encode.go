@@ -32,7 +32,7 @@ var errRingMoved = errors.New("ring membership changed while encoding")
 // reuse carries the existing stripe ID when re-encoding an updated object
 // (zero value mints a fresh stripe). dropReplicas is set when the object
 // was previously replicated.
-func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse types.StripeID, dropReplicas bool) error {
+func (s *Server) encodeObject(ctx context.Context, obj *fullCopy, reuse types.StripeID, dropReplicas bool) error {
 	if s.codec == nil {
 		return fmt.Errorf("no codec configured")
 	}
@@ -90,7 +90,7 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 		}
 		s.col.Add(metrics.Encode, time.Since(start))
 
-		s.pushShards(ctx, info, shards, obj.Version, s.id)
+		s.pushShards(ctx, info, shards, obj, s.id)
 	}
 
 	// Commit, stage 1: install the primary's data shard 0, but keep the
@@ -149,14 +149,14 @@ func (s *Server) encodeObject(ctx context.Context, obj *types.Object, reuse type
 				return err
 			}
 		}
-		s.pushShards(ctx, info, shards, obj.Version, s.id)
+		s.pushShards(ctx, info, shards, obj, s.id)
 	}
 
 	// Commit, stage 3: release the full copy (identity-checked: a racing
 	// newer write keeps its data) and shed the surplus replicas.
 	s.mu.Lock()
 	if cur, ok := s.objects[key]; ok && cur == obj {
-		delete(s.objects, key)
+		dropCopyLocked(s.objects, key)
 	}
 	s.mu.Unlock()
 	if dropReplicas {
@@ -195,7 +195,7 @@ func (s *Server) pickHelper(ctx context.Context) (types.ServerID, bool) {
 // delegateEncode asks the helper (which holds a replica of the object) to
 // perform the encode and remote shard distribution. Returns false when the
 // delegation failed and the caller must encode locally.
-func (s *Server) delegateEncode(ctx context.Context, helper types.ServerID, obj *types.Object, info *types.StripeInfo) bool {
+func (s *Server) delegateEncode(ctx context.Context, helper types.ServerID, obj *fullCopy, info *types.StripeInfo) bool {
 	msg := &transport.Message{
 		Kind:       transport.MsgEncodeDelegate,
 		Key:        obj.ID.Key(),
@@ -222,7 +222,9 @@ func (s *Server) handleEncodeDelegate(ctx context.Context, req *transport.Messag
 	}
 	s.mu.Lock()
 	obj, ok := s.replicas[req.Key]
+	hold := obj.hold() // the encode reads Data outside s.mu
 	s.mu.Unlock()
+	defer hold.Release()
 	if !ok || obj.Version != req.Version {
 		// No replica, or a stale/newer one relative to the version the
 		// primary is transitioning; refuse so the primary encodes the
@@ -248,7 +250,7 @@ func (s *Server) handleEncodeDelegate(ctx context.Context, req *transport.Messag
 			shards[member.Index] = bytes.Clone(shards[member.Index])
 		}
 	}
-	s.pushShards(ctx, req.StripeInfo, shards, req.Version, types.ServerID(req.Num))
+	s.pushShards(ctx, req.StripeInfo, shards, obj, types.ServerID(req.Num))
 	return &transport.Message{Kind: transport.MsgOK, Flag: true}
 }
 
@@ -270,35 +272,38 @@ func (s *Server) eachMember(info *types.StripeInfo, send func(types.StripeMember
 	s.col.Add(metrics.Transport, time.Since(start))
 }
 
-// pushShards distributes an encoded stripe's shards 1..k+m-1 to their
-// members. Shard 0, and any shard placed on primary, is skipped: the primary
-// cuts its own from its full copy. A dead member leaves the stripe degraded
-// until recovery, which is tolerated within m losses.
-func (s *Server) pushShards(ctx context.Context, info *types.StripeInfo, shards [][]byte, v types.Version, primary types.ServerID) {
+// pushShards distributes the shards 1..k+m-1 of a stripe encoded from obj,
+// which the caller holds, to their members; obj's version rides along as the
+// holders' time-step tag. Shard 0, and any shard placed on primary, is
+// skipped: the primary cuts its own from its full copy. A dead member leaves
+// the stripe degraded until recovery, which is tolerated within m losses;
+// a failed push has nothing to undo.
+func (s *Server) pushShards(ctx context.Context, info *types.StripeInfo, shards [][]byte, obj *fullCopy, primary types.ServerID) {
 	s.eachMember(info, func(member types.StripeMember) {
-		if member.Index != 0 && member.Server != primary {
-			// A failed push is the dead-member case above; nothing to undo.
-			s.pushShard(ctx, member, info, shards[member.Index], v)
+		if member.Index == 0 || member.Server == primary {
+			return
 		}
+		data := shards[member.Index]
+		_, _ = s.sendRetry(ctx, member.Server, &transport.Message{
+			Kind:       transport.MsgShardPut,
+			Stripe:     info.ID,
+			ShardIndex: member.Index,
+			Data:       data,
+			Buf:        obj.bufOf(member.Index, info.ShardSize, data),
+			StripeInfo: info,
+			Version:    obj.Version,
+		})
 	})
 }
 
-// pushShard installs a shard on its member. v rides along as the holder's
-// time-step tag (0: untagged).
-func (s *Server) pushShard(ctx context.Context, member types.StripeMember, info *types.StripeInfo, data []byte, v types.Version) bool {
-	msg := &transport.Message{
-		Kind:       transport.MsgShardPut,
-		Stripe:     info.ID,
-		ShardIndex: member.Index,
-		Data:       data,
-		StripeInfo: info,
-		Version:    v,
+// bufOf returns the buffer shard i of c's split lives in: c's own while the
+// shard is the window of c.Data that Split made it, nil once it has memory
+// of its own (a parity shard, a padded last data shard, a clone).
+func (c *fullCopy) bufOf(i, shardSize int, shard []byte) *transport.Buffer {
+	if (i+1)*shardSize <= len(c.Data) && len(shard) > 0 && &shard[0] == &c.Data[i*shardSize] {
+		return c.buf
 	}
-	resp, err := s.sendRetry(ctx, member.Server, msg)
-	if err == nil {
-		err = resp.AsError()
-	}
-	return err == nil
+	return nil
 }
 
 // dropStripe drops every shard of a stripe (nil: none to drop) from its
@@ -398,9 +403,9 @@ func (s *Server) promoteObject(ctx context.Context, id types.ObjectID) bool {
 	if err != nil {
 		return false
 	}
-	obj := &types.Object{ID: id, Version: st.Version, Data: data, Sum: s.digest(data)}
+	obj := &fullCopy{Object: types.Object{ID: id, Version: st.Version, Data: data, Sum: s.digest(data)}}
 	s.mu.Lock()
-	s.objects[key] = obj
+	installCopyLocked(s.objects, key, obj)
 	s.mu.Unlock()
 	// Replicate (and update the directory) before dropping the stripe so a
 	// concurrent reader always finds the object through one state or the

@@ -187,7 +187,7 @@ func (s *Server) restore(ctx context.Context, meta *types.ObjectMeta, rotted uin
 // one. A mirror's copy of the record's version whose digest is not the
 // record's counts as rotted too: its bytes are not the object's. t accounts
 // for the fetch.
-func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta, rotted *types.Object, t reader.Tally) (bool, error) {
+func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta, rotted *fullCopy, t reader.Tally) (bool, error) {
 	key := meta.ID.Key()
 	iAmPrimary := meta.Primary == s.id
 	if !iAmPrimary && !slices.Contains(meta.Replicas, s.id) {
@@ -221,7 +221,8 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta, 
 	if resp == nil {
 		return false, fmt.Errorf("%w: no surviving copy of %s", reader.ErrDataLoss, key)
 	}
-	obj := &types.Object{ID: meta.ID, Version: resp.Version, Data: resp.Data, Sum: sum}
+	// The copy takes over the hold the response carries of its buffer, if any.
+	obj := &fullCopy{Object: types.Object{ID: meta.ID, Version: resp.Version, Data: resp.Data, Sum: sum}, buf: resp.Buf}
 	if iAmPrimary {
 		// A put, an encode or a promotion of the key runs to its end before
 		// the install, or starts after it.
@@ -237,7 +238,7 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta, 
 		(st.Version > obj.Version || st.Version == obj.Version && st.State != types.StateReplicated)
 	ok := replaces(copies[key], rotted, obj.Version) && !newerState
 	if ok {
-		copies[key] = obj
+		installCopyLocked(copies, key, obj)
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -255,7 +256,7 @@ func (s *Server) recoverReplicated(ctx context.Context, meta *types.ObjectMeta, 
 
 // replaces reports whether a restored copy of version v may be installed
 // over cur: cur is absent, older, or the rotted copy.
-func replaces(cur, rotted *types.Object, v types.Version) bool {
+func replaces(cur, rotted *fullCopy, v types.Version) bool {
 	return cur == nil || cur.Version < v || cur == rotted && cur.Version == v
 }
 

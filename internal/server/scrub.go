@@ -198,9 +198,12 @@ func (s *Server) scrubLocal(ctx context.Context, bucket *scrub.TokenBucket, rep 
 		}
 		s.mu.Lock()
 		obj := copies[key]
+		hold := obj.hold()
 		s.mu.Unlock()
 		if obj != nil {
-			if err := s.scrubCopy(ctx, obj, bucket, rep); err != nil {
+			err := s.scrubCopy(ctx, obj, bucket, rep)
+			hold.Release()
+			if err != nil {
 				return err
 			}
 		}
@@ -260,7 +263,7 @@ func (s *Server) scrubLocal(ctx context.Context, bucket *scrub.TokenBucket, rep 
 
 // scrubCopy verifies a full copy, a primary's or a mirror's, against the
 // digest it carries, and restores it from another holder when it fails.
-func (s *Server) scrubCopy(ctx context.Context, obj *types.Object, bucket *scrub.TokenBucket, rep *scrub.Report) error {
+func (s *Server) scrubCopy(ctx context.Context, obj *fullCopy, bucket *scrub.TokenBucket, rep *scrub.Report) error {
 	if err := bucket.Take(ctx, int64(len(obj.Data))); err != nil {
 		return err
 	}
@@ -493,7 +496,7 @@ func (s *Server) InjectBitRot(rng *rand.Rand, target failure.RotTarget, count in
 			// Real rot flips bits inside the very copy its digest was
 			// computed over: the clone keeps that digest.
 			if o := copies[c.key]; o != nil {
-				copies[c.key] = &types.Object{ID: o.ID, Version: o.Version, Data: clone, Sum: o.Sum}
+				installCopyLocked(copies, c.key, &fullCopy{Object: types.Object{ID: o.ID, Version: o.Version, Data: clone, Sum: o.Sum}})
 			}
 		case "shard":
 			if !s.store.Overwrite(c.key, clone) {

@@ -115,19 +115,20 @@ type Server struct {
 	// the server, so engine calls are safe both under s.mu and outside it.
 	store *storage.Tiered
 
-	// digestFn is digestPayload, the at-rest content digest every write,
+	// digestFn is scrub.Checksum, the at-rest content digest every write,
 	// encode, recover and scrub path records and verifies (through digest and
 	// digestMsg). A field only so a test can count the passes a put makes
-	// over its payload, by polynomial.
-	digestFn func(data []byte, crc32c uint32, verified bool) uint64
+	// over its payload.
+	digestFn func(data []byte) uint64
 
 	mu sync.Mutex
 	// objects holds full primary copies keyed by object key, replicas the
 	// copies other primaries pushed here; each copy carries the digest it had
 	// when installed (Object.Sum), the at-rest integrity authority the
-	// scrubber verifies stored bytes against.
-	objects  map[string]*types.Object
-	replicas map[string]*types.Object
+	// scrubber verifies stored bytes against, and the buffer its bytes live
+	// in. Copies enter and leave through installCopyLocked and dropCopyLocked.
+	objects  map[string]*fullCopy
+	replicas map[string]*fullCopy
 	// held is what this server knows of the stripe shards in its store, by
 	// stripe: the geometry and the per-shard digests in one record, so an
 	// install or a drop updates both or neither and a stripe's geometry is
@@ -151,6 +152,9 @@ type Server struct {
 	tokenHolder types.ServerID
 	tokenInc    int64
 	incarnation uint64
+	// tokenless counts the encodes that went ahead without the group's
+	// token (see acquireToken).
+	tokenless atomic.Int64
 	// metaClock mints ObjectMeta.Seq values: a hybrid logical clock
 	// (physical microseconds, clamped monotonic, merged with every Seq
 	// observed in incoming directory updates). Accessed atomically.
@@ -185,6 +189,44 @@ type Server struct {
 	scrubOn     atomic.Bool
 	scrubPasses atomic.Int64
 	scrubTotal  scrub.Report
+}
+
+// fullCopy is a full copy of an object this server holds: the object, with
+// the digest it had when installed, and buf, the pooled receive Buffer its
+// Data lives in (nil: the GC owns the bytes). The copy holds buf once, from
+// its install until it leaves the store; code that reads Data outside s.mu
+// takes a hold of its own under s.mu and lets go when done (the holder rule
+// of transport's buffers.go). A copy's bytes never change while it is held.
+type fullCopy struct {
+	types.Object
+	buf *transport.Buffer
+}
+
+// hold takes a hold of c's buffer for a reader of c.Data outside s.mu (nil
+// c: none). Caller holds s.mu, under which c's own hold is alive.
+func (c *fullCopy) hold() *transport.Buffer {
+	if c == nil {
+		return nil
+	}
+	return c.buf.Hold()
+}
+
+// installCopyLocked puts c in copies under key, letting go of the copy it
+// replaces. Caller holds s.mu.
+func installCopyLocked(copies map[string]*fullCopy, key string, c *fullCopy) {
+	if old := copies[key]; old != nil && old != c {
+		old.buf.Release()
+	}
+	copies[key] = c
+}
+
+// dropCopyLocked removes key's copy from copies, letting go of its buffer.
+// Caller holds s.mu.
+func dropCopyLocked(copies map[string]*fullCopy, key string) {
+	if old := copies[key]; old != nil {
+		old.buf.Release()
+		delete(copies, key)
+	}
 }
 
 // heldStripe records the locally held shards of one stripe.
@@ -255,9 +297,9 @@ func New(cfg Config) (*Server, error) {
 		decider:     dec,
 		col:         cfg.Collector,
 		store:       store,
-		digestFn:    digestPayload,
-		objects:     make(map[string]*types.Object),
-		replicas:    make(map[string]*types.Object),
+		digestFn:    scrub.Checksum,
+		objects:     make(map[string]*fullCopy),
+		replicas:    make(map[string]*fullCopy),
 		held:        make(map[types.StripeID]heldStripe),
 		local:       make(map[string]*types.ObjectMeta),
 		mirrorHints: make(map[string]mirrorHint),
@@ -285,26 +327,19 @@ func NewCodec(k, m int) (*erasure.Codec, error) {
 	return codec.WithWorkers(0).WithDecodeCache(0), nil
 }
 
-// digestPayload computes scrub.Checksum(data). With verified set, crc32c is
-// the payload's CRC-32C as the frame reader computed it over these very
-// bytes, and one IEEE pass completes the digest; otherwise both polynomials
-// are computed here. Either way every word recorded was computed by this
-// process over the bytes it holds — a digest is never adopted from a peer.
-func digestPayload(data []byte, crc32c uint32, verified bool) uint64 {
-	if verified {
-		return scrub.Complete(crc32c, data)
-	}
-	return scrub.Checksum(data)
-}
-
 // digest digests bytes this server produced or read from its own store.
-func (s *Server) digest(data []byte) uint64 { return s.digestFn(data, 0, false) }
+func (s *Server) digest(data []byte) uint64 { return s.digestFn(data) }
 
-// digestMsg digests the payload of a message this server received, from the
-// wire check when the fabric verified one on the way in.
+// digestMsg returns the digest of the payload of a message this server
+// received: the one its frame reader took as the bytes landed in the memory
+// the message holds, when a TCP frame brought them, or else one pass here.
+// Either way every digest recorded was computed by this process over the
+// bytes it holds — none is adopted from a peer.
 func (s *Server) digestMsg(m *transport.Message) uint64 {
-	crc, verified := m.VerifiedCRC()
-	return s.digestFn(m.Data, crc, verified)
+	if sum, ok := m.VerifiedDigest(); ok {
+		return sum
+	}
+	return s.digest(m.Data)
 }
 
 // enqueueEncode queues a background demotion of the object to erasure coding,
@@ -390,7 +425,9 @@ func (s *Server) processEncode(d demotion) {
 	s.mu.Lock()
 	st, obj := s.local[d.key], s.objects[d.key]
 	repl, enc := s.dataRepl, s.dataEnc
+	hold := obj.hold() // encodeObject reads Data outside s.mu
 	s.mu.Unlock()
+	defer hold.Release()
 	if st == nil || obj == nil || st.State != types.StateReplicated {
 		return
 	}

@@ -298,6 +298,38 @@ func TestAcquireTokenFallsBackWhenLeaderDead(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("acquireToken hung with a dead leader")
 	}
+	if n := rig.servers[1].CollectStats().TokenlessEncodes; n != 1 {
+		t.Fatalf("TokenlessEncodes = %d after the leader was found dead, want 1", n)
+	}
+}
+
+// TestTokenlessEncodeIsCounted holds a group's encoding token for another
+// member while the primary of an object in that group encodes a rewrite: the
+// encode gives up on the token after its bounded wait, runs anyway, and
+// counts in Stats.TokenlessEncodes, which its first encode, with the token
+// free, did not.
+func TestTokenlessEncodeIsCounted(t *testing.T) {
+	rig := newRig(t, policy.Erasure, 8)
+	box := geometry.Box3D(0, 0, 0, 8, 8, 8)
+	srv := rig.servers[rig.put(t, "v", box, 1, payload(4096, 61))]
+	if n := srv.CollectStats().TokenlessEncodes; n != 0 {
+		t.Fatalf("TokenlessEncodes = %d with the token free, want 0", n)
+	}
+	leader := rig.servers[rig.place.TokenLeader(srv.id)]
+	holder := (srv.id + 1) % types.ServerID(len(rig.servers))
+	if !leader.handleTokenAcquire(&transport.Message{Kind: transport.MsgTokenAcquire, From: holder, Num: 1}).Flag {
+		t.Fatal("the free token was refused")
+	}
+	rig.put(t, "v", box, 1, payload(4096, 62))
+	if n := srv.CollectStats().TokenlessEncodes; n != 1 {
+		t.Fatalf("TokenlessEncodes = %d after an encode while server %d held the token, want 1", n, holder)
+	}
+	srv.mu.Lock()
+	layout := srv.local[types.ObjectID{Var: "v", Box: box}.Key()].Layout
+	srv.mu.Unlock()
+	if got, err := readStripe(srv, layout, 4096); err != nil || !bytes.Equal(got, payload(4096, 62)) {
+		t.Fatalf("the tokenless encode did not stage the rewrite: %v", err)
+	}
 }
 
 func TestEncodeDelegateUsesReplica(t *testing.T) {
@@ -312,7 +344,7 @@ func TestEncodeDelegateUsesReplica(t *testing.T) {
 	}
 	// Delegate encoding to the helper explicitly.
 	srv := rig.servers[primary]
-	srvObj := func() *types.Object {
+	srvObj := func() *fullCopy {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
 		return srv.objects[key]

@@ -48,6 +48,10 @@ type Stats struct {
 	DirEntries int `json:"dir_entries"`
 	// PendingEncodes is the background demotion queue length.
 	PendingEncodes int `json:"pending_encodes"`
+	// TokenlessEncodes counts the encodes this server ran without its
+	// group's encoding token: the leader was unreachable, or refused the
+	// token past acquireToken's bound.
+	TokenlessEncodes int64 `json:"tokenless_encodes,omitempty"`
 	// PendingRepairs is the recovery queue length (0 when not recovering).
 	PendingRepairs int `json:"pending_repairs"`
 	// ScrubPasses is the number of completed anti-entropy scrub passes;
@@ -123,6 +127,7 @@ func (s *Server) CollectStats() Stats {
 		st.PendingEncodes++
 	}
 	s.encMu.Unlock()
+	st.TokenlessEncodes = s.tokenless.Load()
 	if s.codec != nil {
 		st.EncodeWorkers = s.codec.Workers()
 		if cs, ok := s.codec.DecodeCacheStats(); ok {

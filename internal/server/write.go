@@ -27,8 +27,10 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 	id := types.ObjectID{Var: req.Var, Box: req.Box}
 	key := id.Key()
 	// The copy's digest is taken before it is installed, so no reader ever
-	// finds the copy without it; it is the put's one pass over its payload.
-	obj := &types.Object{ID: id, Version: req.Version, Data: req.Data, Sum: s.digestMsg(req)}
+	// finds the copy without it: over TCP the frame reader took it as the
+	// bytes landed, elsewhere it is the put's one pass over its payload. The
+	// copy keeps the buffer the payload landed in.
+	obj := &fullCopy{Object: types.Object{ID: id, Version: req.Version, Data: req.Data, Sum: s.digestMsg(req)}, buf: req.Buf.Hold()}
 
 	// Serialize against concurrent write-path transitions of this key: a
 	// background encode of the previous bytes must either commit before
@@ -40,7 +42,7 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 	// Install the object and capture prior state for transition handling.
 	s.mu.Lock()
 	prior := s.local[key]
-	s.objects[key] = obj
+	installCopyLocked(s.objects, key, obj)
 	// The decider weighs the *projected* efficiency if this object ends up
 	// replicated — otherwise an object at the constraint's boundary
 	// flip-flops between states on every write.
@@ -130,8 +132,9 @@ func (s *Server) handlePut(ctx context.Context, req *transport.Message) *transpo
 
 // replicateObject pushes full copies to the replication-group peers and
 // records the replicated state. The copy's digest rides along as each push's
-// payload check: the pushes make no pass of their own.
-func (s *Server) replicateObject(ctx context.Context, obj *types.Object) error {
+// payload check: the pushes make no pass of their own. The caller keeps
+// obj.Data alive throughout.
+func (s *Server) replicateObject(ctx context.Context, obj *fullCopy) error {
 	targets := s.place.ReplicaHolders(s.id)
 	start := time.Now()
 	for _, t := range targets {
@@ -141,6 +144,7 @@ func (s *Server) replicateObject(ctx context.Context, obj *types.Object) error {
 			Box:     obj.ID.Box,
 			Version: obj.Version,
 			Data:    obj.Data,
+			Buf:     obj.buf,
 		}
 		msg.AttachDigest(obj.Sum)
 		resp, err := s.sendRetry(ctx, t, msg)
@@ -193,7 +197,7 @@ func (s *Server) tallyLocked(rec *types.ObjectMeta, sign int64) {
 
 // buildMeta mints the record of obj in the given state; layout is its stripe
 // when that state is StateEncoded (the primary holds data shard 0).
-func (s *Server) buildMeta(obj *types.Object, st types.ResilienceState, layout *types.StripeInfo) *types.ObjectMeta {
+func (s *Server) buildMeta(obj *fullCopy, st types.ResilienceState, layout *types.StripeInfo) *types.ObjectMeta {
 	meta := &types.ObjectMeta{
 		ID:       obj.ID,
 		Version:  obj.Version,
@@ -225,8 +229,8 @@ func (s *Server) handleDelete(ctx context.Context, req *transport.Message) *tran
 		s.tallyLocked(st, -1)
 		delete(s.local, key)
 	}
-	delete(s.objects, key)
-	delete(s.replicas, key)
+	dropCopyLocked(s.objects, key)
+	dropCopyLocked(s.replicas, key)
 	s.mu.Unlock()
 	// A queued demotion dies with the object, and the superseded stripe it
 	// was to release goes now.
@@ -275,7 +279,7 @@ func (s *Server) handleHandoff(ctx context.Context, req *transport.Message) *tra
 	}
 	s.tallyLocked(st, -1)
 	delete(s.local, key)
-	delete(s.objects, key)
+	dropCopyLocked(s.objects, key)
 	s.mu.Unlock()
 	s.dropStripe(ctx, s.takeDemotion(key))
 	if kept := req.Meta.Layout; st.Layout != nil {
@@ -303,24 +307,28 @@ func (s *Server) handleGet(req *transport.Message) *transport.Message {
 	if obj == nil {
 		obj = s.replicas[req.Key]
 	}
+	hold := obj.hold()
 	s.mu.Unlock()
 	if obj == nil {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
-	return s.serveCopy(obj)
+	return s.serveCopy(obj, hold)
 }
 
-// serveCopy answers a get with a full copy. With the scrubber enabled, a copy
-// whose bytes fail their digest is withheld (reported as not found) so the
-// caller falls back to another holder or a degraded stripe read instead of
-// consuming rotted bytes; the background scrub pass repairs the copy.
-func (s *Server) serveCopy(obj *types.Object) *transport.Message {
+// serveCopy answers a get with a full copy, hold being the hold of its buffer
+// the caller took under s.mu: the response carries it until its frame is
+// written. With the scrubber enabled, a copy whose bytes fail their digest is
+// withheld (reported as not found) so the caller falls back to another holder
+// or a degraded stripe read instead of consuming rotted bytes; the background
+// scrub pass repairs the copy.
+func (s *Server) serveCopy(obj *fullCopy, hold *transport.Buffer) *transport.Message {
 	if s.scrubEnabled() && s.digest(obj.Data) != obj.Sum {
+		hold.Release()
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
 	resp := &transport.Message{
 		Kind: transport.MsgGetBytes, Flag: true,
-		Var: obj.ID.Var, Box: obj.ID.Box, Version: obj.Version, Data: obj.Data,
+		Var: obj.ID.Var, Box: obj.ID.Box, Version: obj.Version, Data: obj.Data, Buf: hold,
 	}
 	// The recorded digest is the payload's wire check: no pass here, and a
 	// copy that rotted since it was recorded fails at the reader like wire
@@ -344,13 +352,14 @@ func (s *Server) primaryRead(req *transport.Message) *transport.Message {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
 	}
 	meta := *st
-	var obj *types.Object
+	var obj *fullCopy
 	var sum uint64
 	if meta.State == types.StateEncoded {
 		sum = s.held[meta.Stripe].sums[0]
 	} else {
 		obj = s.objects[req.Key]
 	}
+	hold := obj.hold()
 	s.mu.Unlock()
 
 	var resp *transport.Message
@@ -362,7 +371,7 @@ func (s *Server) primaryRead(req *transport.Message) *transport.Message {
 			resp.AttachDigest(sum)
 		}
 	} else if obj != nil {
-		resp = s.serveCopy(obj)
+		resp = s.serveCopy(obj, hold)
 	}
 	if resp == nil {
 		return &transport.Message{Kind: transport.MsgOK, Flag: false}
@@ -375,9 +384,9 @@ func (s *Server) primaryRead(req *transport.Message) *transport.Message {
 
 func (s *Server) handleReplicaPut(req *transport.Message) *transport.Message {
 	id := types.ObjectID{Var: req.Var, Box: req.Box}
-	obj := &types.Object{ID: id, Version: req.Version, Data: req.Data, Sum: s.digestMsg(req)}
+	obj := &fullCopy{Object: types.Object{ID: id, Version: req.Version, Data: req.Data, Sum: s.digestMsg(req)}, buf: req.Buf.Hold()}
 	s.mu.Lock()
-	s.replicas[id.Key()] = obj
+	installCopyLocked(s.replicas, id.Key(), obj)
 	s.mu.Unlock()
 	return transport.Ok()
 }
@@ -387,7 +396,7 @@ func (s *Server) handleReplicaDrop(req *transport.Message) *transport.Message {
 	// A versioned drop only removes replicas at or below that version, so
 	// a slow encode task can never discard a newer write's replica.
 	if rep, ok := s.replicas[req.Key]; ok && (req.Version == 0 || rep.Version <= req.Version) {
-		delete(s.replicas, req.Key)
+		dropCopyLocked(s.replicas, req.Key)
 	}
 	s.mu.Unlock()
 	return transport.Ok()
@@ -400,7 +409,10 @@ func (s *Server) handleShardPut(req *transport.Message) *transport.Message {
 	s.holdShardLocked(req.Stripe, req.ShardIndex, sum, req.StripeInfo)
 	s.mu.Unlock()
 	// The version doubles as the shard's time-step tag, feeding the
-	// engine's sequential-step prefetch detection; 0 means untagged.
+	// engine's sequential-step prefetch detection; 0 means untagged. The
+	// engine keeps Data and never lets go: the hold taken here leaves the
+	// buffer to the GC along with the shard.
+	req.Buf.Hold()
 	s.store.PutTagged(sk, req.Data, shardEpoch(req.Version))
 	return transport.Ok()
 }
@@ -476,15 +488,17 @@ func (s *Server) handleTokenRelease(req *transport.Message) *transport.Message {
 
 // acquireToken obtains the replication group's encoding token, retrying
 // briefly. If the leader is unreachable (failed) or the token stays busy
-// past a short bound, encoding proceeds without it: the token is a
-// load-balancing/conflict-avoidance optimization, not a correctness
-// requirement (per-object exclusivity comes from primary ownership).
+// past a short bound, encoding proceeds without it, counted in
+// Stats.TokenlessEncodes: the token is a load-balancing/conflict-avoidance
+// optimization, not a correctness requirement (per-object exclusivity comes
+// from primary ownership).
 func (s *Server) acquireToken(ctx context.Context) (release func()) {
 	leader := s.place.TokenLeader(s.id)
 	msg := &transport.Message{Kind: transport.MsgTokenAcquire, From: s.id, Num: int64(s.incarnation)} // a call to oneself stamps no From
 	for attempt := 0; attempt < 8; attempt++ {
 		resp, err := s.sendRetry(ctx, leader, msg)
 		if err != nil {
+			s.tokenless.Add(1)
 			return func() {} // leader down: proceed tokenless
 		}
 		if resp.Kind == transport.MsgOK && resp.Flag {
@@ -499,5 +513,6 @@ func (s *Server) acquireToken(ctx context.Context) (release func()) {
 		case <-time.After(50 * time.Microsecond):
 		}
 	}
+	s.tokenless.Add(1)
 	return func() {} // starvation guard: proceed tokenless
 }

@@ -45,9 +45,9 @@ func TestWriteFrameIDAllocsBounded(t *testing.T) {
 }
 
 // BenchmarkSend reports allocs/op and ns/op of a 1 MiB put over real TCP
-// loopback. Run with -benchmem: bytes/op should stay near the one
-// exact-size receive buffer per direction that carries a payload, with no
-// frame-sized copies on the send side.
+// loopback. Run with -benchmem: bytes/op should stay at a few KB — the
+// receiver lands the payload in a pooled buffer the handler gives back, and
+// the send side makes no frame-sized copies.
 func BenchmarkSend(b *testing.B) {
 	n := NewTCPNetwork("127.0.0.1")
 	n.ConfigureMux(1, DefaultMaxInFlight)

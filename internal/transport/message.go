@@ -137,20 +137,27 @@ type Message struct {
 	// Overflow, on the response to a request that named RecvInto, holds the
 	// payload bytes that did not fit (nil when all did).
 	Overflow []byte `wire:"-"`
-	// dataCRC is the CRC-32C of Data — the payload check of a frame and the
-	// high word of the payload's at-rest digest — when crcFrom says where it
-	// came from.
-	dataCRC uint32    `wire:"-"`
-	crcFrom crcSource `wire:"-"`
+	// Buf is the pooled Buffer Data lives in (nil: Data belongs to the GC).
+	// A message the fabric delivers, and a response a handler returns, carry
+	// one hold of it; a request a sender builds only names it, its sender
+	// keeping Data alive for the length of Send. See buffers.go for who lets
+	// go of what.
+	Buf *Buffer `wire:"-"`
+	// sum vouches for Data as src says: the sender's at-rest digest, or what
+	// a frame reader computed over the bytes it delivered — the whole digest
+	// on a server, only its CRC-32C half (the high word) elsewhere.
+	sum uint64    `wire:"-"`
+	src sumSource `wire:"-"`
 }
 
-// crcSource says what vouches for Message.dataCRC.
-type crcSource uint8
+// sumSource says what vouches for Message.sum.
+type sumSource uint8
 
 const (
-	crcUnknown  crcSource = iota
-	crcAttached           // the sender holds Data's digest (AttachDigest)
-	crcVerified           // the frame reader computed it over the bytes it delivered
+	sumUnknown     sumSource = iota
+	sumAttached              // the sender holds Data's digest (AttachDigest)
+	crcVerified              // a frame reader computed the CRC-32C half over the bytes it delivered
+	digestVerified           // a server's frame reader computed the whole digest over the bytes it delivered
 )
 
 // AttachDigest tells the fabric that sum is the at-rest digest
@@ -160,18 +167,26 @@ const (
 // check over what arrives: a stored copy that rotted since it was digested
 // fails there exactly like wire damage.
 func (m *Message) AttachDigest(sum uint64) {
-	if crc, ok := scrub.WireCheck(sum); ok {
-		m.dataCRC, m.crcFrom = crc, crcAttached
+	if _, ok := scrub.WireCheck(sum); ok {
+		m.sum, m.src = sum, sumAttached
 	}
 }
 
-// VerifiedCRC returns the CRC-32C of Data when the fabric computed it over
-// the delivered bytes and it matched the sender's. A receiver that stores
-// Data completes the at-rest digest from it (scrub.Complete). A check the
+// VerifiedCRC returns the CRC-32C of Data when a frame reader computed it
+// over the delivered bytes and it matched the sender's check. A check the
 // sender merely attached is never reported: on the in-process fabric, which
 // hands messages over by reference, nothing has verified it.
 func (m *Message) VerifiedCRC() (crc uint32, ok bool) {
-	return m.dataCRC, m.crcFrom == crcVerified
+	return uint32(m.sum >> 32), m.src >= crcVerified
+}
+
+// VerifiedDigest returns the at-rest digest (scrub.Checksum) of Data when a
+// TCP server's frame reader took it over the bytes as they landed, and their
+// CRC-32C half matched the sender's check. A server that stores Data records
+// it as the copy's digest and reads the bytes no more: the digest was
+// computed by this process, over the memory it keeps.
+func (m *Message) VerifiedDigest() (sum uint64, ok bool) {
+	return m.sum, m.src == digestVerified
 }
 
 // Ok returns the generic success response.

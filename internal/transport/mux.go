@@ -56,10 +56,12 @@ type muxResult struct {
 	err error
 }
 
-// muxWrite is one frame handed to the writer goroutine.
+// muxWrite is one frame handed to the writer goroutine, with the writer's
+// hold of the payload Buffer (see buffers.go).
 type muxWrite struct {
 	reqID uint64
 	m     *Message
+	buf   *Buffer
 }
 
 // muxPending is one request awaiting its response: where the result goes
@@ -116,7 +118,9 @@ func (mc *muxConn) writeLoop() {
 	for {
 		select {
 		case w := <-mc.writeCh:
-			if err := writeFrameID(mc.conn, w.m, w.reqID); err != nil {
+			err := writeFrameID(mc.conn, w.m, w.reqID)
+			w.buf.Release()
+			if err != nil {
 				// A partial frame may be on the wire; the stream cannot be
 				// trusted, so the whole connection fails (the pending
 				// request, this one included, all get ErrConnBroken).
@@ -277,12 +281,18 @@ func (mc *muxConn) roundTrip(ctx context.Context, req *Message) (*Message, error
 	mc.pending[reqID] = muxPending{ch: ch, into: req.RecvInto}
 	mc.mu.Unlock()
 
+	// The writer holds the payload from here until the frame is written: it
+	// may still be writing when this call returns. A frame left queued on a
+	// connection that failed keeps its hold, and the GC its memory.
+	w := muxWrite{reqID: reqID, m: req, buf: req.Buf.Hold()}
 	select {
-	case mc.writeCh <- muxWrite{reqID: reqID, m: req}:
+	case mc.writeCh <- w:
 	case <-mc.done:
+		w.buf.Release()
 		mc.forget(reqID)
 		return nil, mc.brokenErr()
 	case <-ctx.Done():
+		w.buf.Release()
 		mc.forget(reqID)
 		return nil, ctx.Err()
 	}

@@ -330,15 +330,17 @@ func TestInProcRecvIntoNeverAliasesHandlerMemory(t *testing.T) {
 
 // TestPayloadCheckOncePerHop counts CRC-32C passes over payloads on a TCP
 // round trip: a sender without the digest makes one, a sender that attached
-// it makes none, every receiver makes exactly one — and a digest that no
-// longer matches the bytes (a stored copy that rotted after it was digested)
-// fails at the receiver like wire damage, retryably.
+// it makes none, every receiver makes exactly one, and a server's takes the
+// IEEE half of the digest along — and a digest that no longer matches the
+// bytes (a stored copy that rotted after it was digested) fails at the
+// receiver like wire damage, retryably.
 func TestPayloadCheckOncePerHop(t *testing.T) {
 	stored := filled(0x37, 256<<10)
 	sum := scrub.Checksum(stored)
 	var got atomic.Pointer[Message]
 	n := NewTCPNetwork("127.0.0.1")
 	n.Register(0, func(ctx context.Context, req *Message) *Message {
+		req.Buf.Hold() // kept past the handler: the test reads it below
 		got.Store(req)
 		if req.Kind != MsgGet {
 			return Ok()
@@ -348,52 +350,50 @@ func TestPayloadCheckOncePerHop(t *testing.T) {
 		return resp
 	})
 	defer n.Close()
-	type counts struct{ computed, attached, verified int64 }
-	snap := func() counts {
-		c, a, v := PayloadCheckStats()
-		return counts{c, a, v}
-	}
-	delta := func(from counts) counts {
-		now := snap()
-		return counts{now.computed - from.computed, now.attached - from.attached, now.verified - from.verified}
+	delta := func(from PayloadChecks) PayloadChecks {
+		now := PayloadCheckStats()
+		return PayloadChecks{now.Computed - from.Computed, now.Attached - from.Attached, now.Verified - from.Verified, now.Digested - from.Digested}
 	}
 	ctx := context.Background()
 
-	before := snap()
+	before := PayloadCheckStats()
 	if _, err := n.Send(ctx, -1, 0, &Message{Kind: MsgPut, Data: stored}); err != nil {
 		t.Fatal(err)
 	}
-	if d := delta(before); d != (counts{computed: 1, verified: 1}) {
-		t.Fatalf("put without a digest: %+v, want one sender pass and one receiver pass", d)
+	if d := delta(before); d != (PayloadChecks{Computed: 1, Verified: 1, Digested: 1}) {
+		t.Fatalf("put without a digest: %+v, want one sender pass and one receiver pass, digest taken", d)
 	}
-	if crc, ok := got.Load().VerifiedCRC(); !ok || scrub.Complete(crc, got.Load().Data) != sum {
-		t.Fatal("the receiver cannot complete the digest from the verified check")
+	if digest, ok := got.Load().VerifiedDigest(); !ok || digest != sum || scrub.Checksum(got.Load().Data) != sum {
+		t.Fatal("the server's frame reader did not deliver the digest of the bytes it landed")
 	}
 
-	before = snap()
+	before = PayloadCheckStats()
 	push := &Message{Kind: MsgReplicaPut, Data: stored}
 	push.AttachDigest(sum)
 	if _, err := n.Send(ctx, -1, 0, push); err != nil {
 		t.Fatal(err)
 	}
-	if d := delta(before); d != (counts{attached: 1, verified: 1}) {
+	if d := delta(before); d != (PayloadChecks{Attached: 1, Verified: 1, Digested: 1}) {
 		t.Fatalf("push with the digest attached: %+v, want no sender pass and one receiver pass", d)
 	}
 	if _, ok := push.VerifiedCRC(); ok {
 		t.Fatal("an attached check reads as verified on the sender's own message")
 	}
 
-	before = snap()
+	before = PayloadCheckStats()
 	dst := make([]byte, len(stored))
 	resp, err := n.Send(ctx, -1, 0, &Message{Kind: MsgGet, RecvInto: dst})
 	if err != nil || !bytes.Equal(dst, stored) {
 		t.Fatalf("get: %v", err)
 	}
-	if d := delta(before); d != (counts{attached: 1, verified: 1}) {
-		t.Fatalf("get answered from a held digest: %+v, want no sender pass and one receiver pass", d)
+	if d := delta(before); d != (PayloadChecks{Attached: 1, Verified: 1}) {
+		t.Fatalf("get answered from a held digest: %+v, want no sender pass and one receiver pass, no digest", d)
 	}
 	if crc, ok := resp.VerifiedCRC(); !ok || crc != uint32(sum>>32) {
 		t.Fatal("the reader did not verify the very word the bytes are stored under")
+	}
+	if _, ok := resp.VerifiedDigest(); ok {
+		t.Fatal("a client's frame reader reports a digest it does not take")
 	}
 
 	rotted := &Message{Kind: MsgReplicaPut, Data: append([]byte(nil), stored...)}

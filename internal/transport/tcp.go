@@ -41,9 +41,11 @@ import (
 // read into, the memory it lives in. Its check is CRC-32C because that is
 // the high word of the at-rest digest (scrub.Checksum): a sender that holds
 // the digest attaches it and makes no pass over the bytes
-// (Message.AttachDigest), the receiver computes the check once over what
-// arrived, and a receiver that stores the payload completes the digest from
-// that verified word with the IEEE half alone (Message.VerifiedCRC).
+// (Message.AttachDigest), and the receiver takes the check over each chunk
+// right after the read that filled it. A server's frame reader takes the
+// IEEE half in the same pass, so the message arrives with the whole digest
+// of the bytes it delivered (Message.VerifiedDigest) and a server that
+// stores them reads them no more.
 
 const maxFrame = 1 << 30
 
@@ -62,15 +64,27 @@ func segmentCorrupt(err error) bool {
 }
 
 // Cumulative payload-check outcomes, process-global like the buffer pools.
-var payloadChecksComputed, payloadChecksAttached, payloadChecksVerified atomic.Int64
+var payloadChecksComputed, payloadChecksAttached, payloadChecksVerified, payloadDigests atomic.Int64
 
-// PayloadCheckStats reports how the frames of this process came by their
-// payload checks: computed counts sends that made a CRC-32C pass over Data,
-// attached sends that took the check from a digest the sender held
-// (Message.AttachDigest) and made none, verified the passes frame readers
-// made over received payloads.
-func PayloadCheckStats() (computed, attached, verified int64) {
-	return payloadChecksComputed.Load(), payloadChecksAttached.Load(), payloadChecksVerified.Load()
+// PayloadChecks reports how the frames of this process came by their
+// payload checks.
+type PayloadChecks struct {
+	// Computed counts sends that made a CRC-32C pass over Data, Attached
+	// sends that took the check from a digest the sender held
+	// (Message.AttachDigest) and made none.
+	Computed, Attached int64
+	// Verified counts the CRC-32C passes frame readers made over received
+	// payloads; Digested those of them, on servers, that took the IEEE half
+	// along (Message.VerifiedDigest).
+	Verified, Digested int64
+}
+
+// PayloadCheckStats returns this process's payload-check counters.
+func PayloadCheckStats() PayloadChecks {
+	return PayloadChecks{
+		Computed: payloadChecksComputed.Load(), Attached: payloadChecksAttached.Load(),
+		Verified: payloadChecksVerified.Load(), Digested: payloadDigests.Load(),
+	}
 }
 
 // payloadCheck returns the check the frame carries for m.Data.
@@ -78,9 +92,9 @@ func payloadCheck(m *Message) uint32 {
 	switch {
 	case len(m.Data) == 0:
 		return 0
-	case m.crcFrom == crcAttached:
+	case m.src == sumAttached:
 		payloadChecksAttached.Add(1)
-		return m.dataCRC
+		return uint32(m.sum >> 32)
 	default:
 		payloadChecksComputed.Add(1)
 		return scrub.CRC32C(0, m.Data)
@@ -209,9 +223,10 @@ type payloadSink interface {
 
 // next reads one frame. The meta segment goes through a pooled buffer that
 // is back in the pool when next returns; the payload lands in the memory the
-// sink names, or in a buffer of exactly its size that belongs to the
-// returned message (see buffers.go). A nil sink places every payload that
-// way (the server side: a stored object keeps its buffer).
+// sink names, or in memory that belongs to the returned message: with a nil
+// sink (the server side) a pooled Buffer the message holds once when the
+// payload is large enough (see buffers.go), an allocation of exactly its
+// size otherwise.
 //
 // On ErrCorruptFrame other than errCorruptHeader the request ID is
 // authentic and the stream is aligned on the next frame, so a
@@ -243,35 +258,107 @@ func (fr *frameReader) next(sink payloadSink) (reqID uint64, m *Message, err err
 		}
 		return reqID, nil, fmt.Errorf("%w: meta check %08x, want %08x", ErrCorruptFrame, got, want)
 	}
-	var data, overflow []byte
-	dataCRC := binary.LittleEndian.Uint32(hdr[16:20])
-	if dataLen > 0 {
-		data, overflow, err = fr.payload(sink, reqID, int(dataLen), dataCRC)
-		if err != nil {
-			return reqID, nil, err
-		}
-	}
 	m, err = Decode(meta, elidedData)
 	if err != nil {
 		return reqID, nil, err
 	}
-	if data != nil {
-		m.Data, m.Overflow = data, overflow
-		m.dataCRC, m.crcFrom = dataCRC, crcVerified
+	if dataLen > 0 {
+		want := binary.LittleEndian.Uint32(hdr[16:20])
+		if sink == nil {
+			err = fr.landPayload(m, int(dataLen), want)
+		} else {
+			err = fr.payloadInto(sink, reqID, m, int(dataLen), want)
+		}
+		if err != nil {
+			return reqID, nil, err
+		}
 	}
 	return reqID, m, nil
 }
 
-// payload reads an n-byte payload segment to where it will live and checks
-// it against want. data is nil when the sink wanted none of it.
-func (fr *frameReader) payload(sink payloadSink, reqID uint64, n int, want uint32) (data, overflow []byte, err error) {
-	var into []byte
-	if sink != nil {
-		var wanted bool
-		if into, wanted = sink.claim(reqID); !wanted {
-			return nil, nil, fr.skip(uint32(n))
+// payloadChunk bounds one read of a payload: each chunk is checksummed right
+// after the read that filled it, while its bytes are still in cache, instead
+// of being read back cold once the whole payload is in.
+const payloadChunk = 256 << 10
+
+// landingSum is what a frame reader takes over a payload as it lands: the
+// whole digest on a server, the CRC-32C alone elsewhere.
+type landingSum struct {
+	whole bool
+	d     scrub.Digest
+	crc   uint32
+}
+
+func (ls *landingSum) add(p []byte) {
+	if ls.whole {
+		ls.d.Write(p)
+	} else {
+		ls.crc = scrub.CRC32C(ls.crc, p)
+	}
+}
+
+func (ls *landingSum) crc32c() uint32 {
+	if ls.whole {
+		return ls.d.CRC32C()
+	}
+	return ls.crc
+}
+
+// read fills p off the stream a chunk at a time, adding each chunk to ls
+// right after the read that filled it.
+func (fr *frameReader) read(p []byte, ls *landingSum) error {
+	for len(p) > 0 {
+		n, err := fr.br.Read(p[:min(len(p), payloadChunk)])
+		ls.add(p[:n])
+		p = p[n:]
+		if err != nil && len(p) > 0 {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
 		}
 	}
+	return nil
+}
+
+// landPayload reads a server's n-byte payload segment into memory of m's
+// own, takes its digest on the way in and checks it against want.
+func (fr *frameReader) landPayload(m *Message, n int, want uint32) error {
+	var buf *Buffer
+	var data []byte
+	if n >= minPayload {
+		buf = getPayload(n)
+		data = buf.mem[:n]
+	} else {
+		data = make([]byte, n)
+	}
+	ls := landingSum{whole: true}
+	err := fr.read(data, &ls)
+	if err == nil {
+		payloadChecksVerified.Add(1)
+		payloadDigests.Add(1)
+		if got := ls.crc32c(); got != want {
+			err = fmt.Errorf("%w: payload check %08x, want %08x", ErrCorruptFrame, got, want)
+		}
+	}
+	if err != nil {
+		buf.Release()
+		return err
+	}
+	m.Data, m.Buf = data, buf
+	m.sum, m.src = ls.d.Sum(), digestVerified
+	return nil
+}
+
+// payloadInto reads an n-byte response payload segment to where the sink
+// says it goes and checks it against want. m gets no Data when the sink
+// wanted none of it.
+func (fr *frameReader) payloadInto(sink payloadSink, reqID uint64, m *Message, n int, want uint32) error {
+	into, wanted := sink.claim(reqID)
+	if !wanted {
+		return fr.skip(uint32(n))
+	}
+	var data, overflow []byte
 	if len(into) == 0 {
 		data = make([]byte, n)
 	} else {
@@ -281,17 +368,20 @@ func (fr *frameReader) payload(sink payloadSink, reqID uint64, n int, want uint3
 			overflow = make([]byte, n-len(data))
 		}
 	}
-	if _, err := io.ReadFull(fr.br, data); err != nil {
-		return nil, nil, err
+	var ls landingSum
+	if err := fr.read(data, &ls); err != nil {
+		return err
 	}
-	if _, err := io.ReadFull(fr.br, overflow); err != nil {
-		return nil, nil, err
+	if err := fr.read(overflow, &ls); err != nil {
+		return err
 	}
 	payloadChecksVerified.Add(1)
-	if got := scrub.CRC32C(scrub.CRC32C(0, data), overflow); got != want {
-		return nil, nil, fmt.Errorf("%w: payload check %08x, want %08x", ErrCorruptFrame, got, want)
+	if got := ls.crc32c(); got != want {
+		return fmt.Errorf("%w: payload check %08x, want %08x", ErrCorruptFrame, got, want)
 	}
-	return data, overflow, nil
+	m.Data, m.Overflow = data, overflow
+	m.sum, m.src = uint64(ls.crc)<<32, crcVerified
+	return nil
 }
 
 // skip consumes n payload bytes nobody will read.
@@ -357,7 +447,8 @@ func (s *TCPServer) acceptLoop() {
 
 // serveConn is the per-connection loop: each request runs in its own handler
 // goroutine, and responses are serialized onto the stream under wmu carrying
-// the request's ID. A request frame with a damaged segment fails only that
+// the request's ID. The request's hold of its payload Buffer ends when the
+// handler returns, the response's when its frame is written (buffers.go). A request frame with a damaged segment fails only that
 // request — the header held, so the stream is aligned and the retryable
 // error is routed back under the authenticated ID; a damaged header ends
 // the connection.
@@ -393,12 +484,14 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			defer s.wg.Done()
 			defer func() { <-sem }()
 			resp := s.handler(context.Background(), req)
+			req.Buf.Release() // a handler that keeps Data took its own hold
 			if resp == nil {
 				resp = Ok()
 			}
 			wmu.Lock()
 			err := writeFrameID(conn, resp, reqID)
 			wmu.Unlock()
+			resp.Buf.Release()
 			if err != nil {
 				// The stream may hold a partial frame; tearing the
 				// connection down is the only safe realignment. The reader

@@ -3,12 +3,17 @@ package corec
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"corec/internal/failure"
 	"corec/internal/ndarray"
+	"corec/internal/transport"
 )
 
 // TestRandomOpsAgainstReferenceModel drives a CoREC cluster with a long
@@ -31,7 +36,10 @@ import (
 // the floor a lookup may stop at the first directory mirror for: it must
 // never return older bytes than that put's. The last arm runs CoREC under the
 // chaos tests' drop / duplicate / partition schedule, where a directory write
-// can miss a mirror and leave it a version behind its twin.
+// can miss a mirror and leave it a version behind its twin. Those arms run
+// in-process on small objects; one more runs over TCP on objects the servers
+// receive into pooled buffers, rewrites racing reads (see
+// testRacingRewritesOverTCP).
 func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 	faults := &failure.FaultPlan{
 		Seed:  7,
@@ -197,5 +205,132 @@ func TestRandomOpsAgainstReferenceModel(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Run("corec-tcp-racing", testRacingRewritesOverTCP)
+}
+
+// testRacingRewritesOverTCP runs CoREC over the TCP fabric with objects of 64
+// and 80 KiB, which servers receive into pooled buffers that a superseded
+// copy gives back, and a background scrubber reading every stored copy. In
+// each round one writer rewrites every object while two readers get them;
+// steps close between rounds, and one server is killed halfway, replaced and
+// recovered at the end. The reference model allows a read racing rewrites of
+// its object any content from the last put acknowledged before the read began
+// to the last put begun before it ended; once the writes stop, every read
+// must return the last acknowledged content.
+func testRacingRewritesOverTCP(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Transport = "tcp"
+	cfg.Mode = PolicyCoREC
+	sc := DefaultScrubConfig()
+	sc.Interval, sc.BytesPerSec = 5*time.Millisecond, 0
+	cfg.Scrub = &sc
+	cluster, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	ctx := context.Background()
+	writer, readers := cluster.NewClient(), []*Client{cluster.NewClient(), cluster.NewClient()}
+
+	const objects, rounds = 6, 10
+	boxFor := func(i int) Box {
+		w := int64(32 + 8*(i%2)) // 64 or 80 KiB of 8-byte elements
+		return Box3D(int64(i)*40, 0, 0, int64(i)*40+w, 16, 16)
+	}
+	// content is object i's bytes as its seq-th put wrote them.
+	content := func(i int, seq int64) []byte {
+		data := make([]byte, int(boxFor(i).Volume())*8)
+		rand.New(rand.NewSource(int64(i)<<32 | seq)).Read(data)
+		return data
+	}
+	var started, acked [objects]atomic.Int64 // put seqs begun and acknowledged, per object
+	var ackedAt [objects]atomic.Int64        // the version of each object's acknowledged put
+	dead := ServerID(-1)
+
+	get := func(cl *Client, i int) error {
+		lo := acked[i].Load()
+		if lo == 0 {
+			return nil // not staged yet
+		}
+		got, err := cl.Get(ctx, "ref", boxFor(i), Version(ackedAt[i].Load()))
+		if err != nil {
+			return fmt.Errorf("get obj %d: %w", i, err)
+		}
+		for seq := lo; seq <= started[i].Load(); seq++ {
+			if bytes.Equal(got, content(i, seq)) {
+				return nil
+			}
+		}
+		return fmt.Errorf("get obj %d returned bytes of no put from seq %d to %d", i, lo, started[i].Load())
+	}
+
+	hits0, _ := transport.BufferPoolStats()
+	ts := Version(1)
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, 1+len(readers))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 2; pass++ {
+				for i := 0; i < objects; i++ {
+					if dead >= 0 && cluster.place.Primary(ObjectID{Var: "ref", Box: boxFor(i)}) == dead {
+						continue // primary down: the system rejects the write
+					}
+					seq := started[i].Add(1)
+					if err := writer.Put(ctx, "ref", boxFor(i), ts, content(i, seq)); err != nil {
+						errs <- fmt.Errorf("put obj %d: %w", i, err)
+						return
+					}
+					ackedAt[i].Store(int64(ts))
+					acked[i].Store(seq)
+				}
+			}
+		}()
+		for r, cl := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(round*len(readers) + r)))
+				for n := 0; n < 3*objects; n++ {
+					if err := get(cl, rng.Intn(objects)); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("round %d (dead %d): %v", round, dead, err)
+		}
+		cluster.EndTimeStep(ts)
+		ts++
+		if round == rounds/2 {
+			dead = cluster.place.Members()[round%8]
+			cluster.Kill(dead)
+		}
+	}
+	srv, err := cluster.Replace(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.RunRecovery(ctx, RecoveryAggressive); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < objects; i++ {
+		got, err := readers[0].Get(ctx, "ref", boxFor(i), Version(ackedAt[i].Load()))
+		if err != nil || !bytes.Equal(got, content(i, acked[i].Load())) {
+			t.Fatalf("final get obj %d: %v, or not its last acknowledged put", i, err)
+		}
+	}
+	fs := cluster.FabricStatus()
+	if hits, _ := transport.BufferPoolStats(); hits-hits0 < objects*rounds {
+		t.Errorf("%d buffers recycled over %d puts: the payloads did not run through the pool", hits-hits0, 2*objects*rounds)
+	}
+	if fs.Scrub.Scanned == 0 {
+		t.Error("the scrubber verified no stored piece")
 	}
 }

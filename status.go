@@ -188,6 +188,9 @@ type EncodingStatus struct {
 	// decode matrices across degraded reads and recovery.
 	DecodeCacheHits   int64
 	DecodeCacheMisses int64
+	// TokenlessEncodes sums the members' encodes run without their group's
+	// encoding token (server.Stats TokenlessEncodes).
+	TokenlessEncodes int64
 }
 
 // FabricStatus reports the cluster's fault-tolerance counters: this
@@ -236,6 +239,7 @@ func (c *Cluster) FabricStatus() FabricStatus {
 		st.Scrub.Add(rec.Scrub)
 		st.Encoding.DecodeCacheHits += rec.DecodeCacheHits
 		st.Encoding.DecodeCacheMisses += rec.DecodeCacheMisses
+		st.Encoding.TokenlessEncodes += rec.TokenlessEncodes
 		if ss.Enabled {
 			ss.Add(rec.Storage)
 		}

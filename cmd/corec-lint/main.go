@@ -34,7 +34,7 @@ func main() {
 	analyzers := lint.All()
 	if *listFlag {
 		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name(), a.Doc())
+			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
 	}

@@ -1,12 +1,11 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 )
 
-// Detrand enforces determinism in the packages whose outputs the chaos and
+// detrand enforces determinism in the packages whose outputs the chaos and
 // scrub tests replay byte-for-byte: placement decisions, policy
 // transitions, classification, erasure geometry, failure schedules,
 // workload generation, the checkpoint and fabric cost models and the storage
@@ -17,7 +16,7 @@ import (
 // my machine" chaos failures in systems like this, which is why
 // FoundationDB-style deterministic simulation bans them outright.
 //
-// In deterministic packages, Detrand flags:
+// In deterministic packages, detrand flags:
 //   - calls to package-level math/rand and math/rand/v2 functions (Intn,
 //     Float64, Shuffle, ... — everything drawing from the global source);
 //     rand.New, rand.NewSource and rand.NewZipf are allowed since they
@@ -25,114 +24,55 @@ import (
 //   - rand.New seeded from the wall clock (time.Now anywhere in its
 //     argument)
 //   - raw time.Now() calls — clocks must be injected
-type Detrand struct {
-	// Packages overrides the deterministic package-name set (fixtures).
-	Packages []string
-}
-
-// deterministicPkgs are the package names (all unique in this module) whose
-// behavior must be a pure function of injected seeds and clocks.
-var deterministicPkgs = []string{
-	"placement", "policy", "classifier", "erasure", "geometry", "failure", "workload",
-	"checkpoint", "simnet", "storage",
+//
+// The deterministic packages are named below; each name is unique in this
+// module.
+var detrand = Analyzer{
+	Name: "detrand",
+	Doc:  "deterministic packages use injected *rand.Rand and clocks, never global rand or time.Now",
+	covers: only("placement", "policy", "classifier", "erasure", "geometry", "failure", "workload",
+		"checkpoint", "simnet", "storage"),
+	node: detrandCall,
 }
 
 // detrandAllowed are the constructors of injected generators.
 var detrandAllowed = map[string]bool{"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true}
 
-// Name implements Analyzer.
-func (Detrand) Name() string { return "detrand" }
-
-// Doc implements Analyzer.
-func (Detrand) Doc() string {
-	return "deterministic packages use injected *rand.Rand and clocks, never global rand or time.Now"
-}
-
-// Run implements Analyzer.
-func (a Detrand) Run(prog *Program) []Diagnostic {
-	names := a.Packages
-	if names == nil {
-		names = deterministicPkgs
-	}
-	inScope := make(map[string]bool, len(names))
-	for _, n := range names {
-		inScope[n] = true
-	}
-	var diags []Diagnostic
-	for _, pkg := range prog.Packages {
-		if !inScope[pkg.Name] {
-			continue
-		}
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				diags = append(diags, checkDetrandCall(pkg, call)...)
-				return true
-			})
-		}
-	}
-	return diags
-}
-
-func checkDetrandCall(pkg *Package, call *ast.CallExpr) []Diagnostic {
-	f := calleeFunc(pkg.Info, call)
-	if f == nil || f.Pkg() == nil {
-		return nil
-	}
-	sig, ok := f.Type().(*types.Signature)
+func detrandCall(p *pass, n ast.Node) {
+	call, ok := n.(*ast.CallExpr)
 	if !ok {
-		return nil
+		return
 	}
-	pkgPath := f.Pkg().Path()
-	switch pkgPath {
+	f := calleeFunc(p.Info, call)
+	if f == nil || f.Pkg() == nil {
+		return
+	}
+	switch f.Pkg().Path() {
 	case "math/rand", "math/rand/v2":
-		if sig.Recv() != nil {
-			return nil // methods on an injected *rand.Rand are the point
+		switch {
+		case f.Type().(*types.Signature).Recv() != nil:
+			// Methods on an injected *rand.Rand are the point.
+		case f.Name() == "New" && exprContainsTimeNow(p.Info, call):
+			p.report(call.Pos(), "rand.New seeded from the wall clock: use an injected seed for reproducible runs")
+		case !detrandAllowed[f.Name()]:
+			p.report(call.Pos(), "global %s.%s draws from the process-wide source: inject a seeded *rand.Rand",
+				f.Pkg().Name(), f.Name())
 		}
-		if detrandAllowed[f.Name()] {
-			if f.Name() == "New" && exprContainsTimeNow(pkg, call) {
-				return []Diagnostic{{
-					Pos:      call.Pos(),
-					Analyzer: "detrand",
-					Message:  "rand.New seeded from the wall clock: use an injected seed for reproducible runs",
-				}}
-			}
-			return nil
-		}
-		return []Diagnostic{{
-			Pos:      call.Pos(),
-			Analyzer: "detrand",
-			Message: fmt.Sprintf("global %s.%s draws from the process-wide source: inject a seeded *rand.Rand",
-				f.Pkg().Name(), f.Name()),
-		}}
 	case "time":
-		if sig.Recv() == nil && f.Name() == "Now" {
-			return []Diagnostic{{
-				Pos:      call.Pos(),
-				Analyzer: "detrand",
-				Message:  "raw time.Now() in a deterministic package: inject the clock",
-			}}
+		if funcPath(f) == "time.Now" {
+			p.report(call.Pos(), "raw time.Now() in a deterministic package: inject the clock")
 		}
 	}
-	return nil
 }
 
 // exprContainsTimeNow reports whether any argument of the call transitively
 // contains a time.Now() call.
-func exprContainsTimeNow(pkg *Package, call *ast.CallExpr) bool {
+func exprContainsTimeNow(info *types.Info, call *ast.CallExpr) bool {
 	found := false
 	for _, arg := range call.Args {
 		ast.Inspect(arg, func(n ast.Node) bool {
-			c, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			f := calleeFunc(pkg.Info, c)
-			if f != nil && f.Pkg() != nil && f.Pkg().Path() == "time" && f.Name() == "Now" {
-				if s, ok := f.Type().(*types.Signature); ok && s.Recv() == nil {
+			if c, ok := n.(*ast.CallExpr); ok {
+				if f := calleeFunc(info, c); f != nil && funcPath(f) == "time.Now" {
 					found = true
 				}
 			}

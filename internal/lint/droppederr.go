@@ -1,13 +1,12 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
 )
 
-// Droppederr flags calls whose error result is silently discarded in
+// droppederr flags calls whose error result is silently discarded in
 // non-test code. A dropped error on the write or recovery path is how a
 // replica push that never landed turns into a stale read three failures
 // later. The sanctioned idioms are: handle the error, or discard it
@@ -19,16 +18,12 @@ import (
 // explicit discard idiom; defer/go statements follow different cleanup
 // conventions and are left to review.
 //
-// Files named *_test.go are exempt: tests discard errors of arranged
-// failures all the time, and the signal-to-noise there is poor.
-type Droppederr struct{}
-
-// Name implements Analyzer.
-func (Droppederr) Name() string { return "droppederr" }
-
-// Doc implements Analyzer.
-func (Droppederr) Doc() string {
-	return "no silently discarded error returns in non-test code"
+// Test files are exempt, as the walk skips them for every analyzer: tests
+// discard errors of arranged failures all the time.
+var droppederr = Analyzer{
+	Name: "droppederr",
+	Doc:  "no silently discarded error returns in non-test code",
+	node: droppedErr,
 }
 
 // droppederrSafe lists callees whose error results never carry information
@@ -58,59 +53,23 @@ var droppederrSafeRecv = map[string]bool{
 	"hash.Hash64": true,
 }
 
-// Run implements Analyzer.
-func (Droppederr) Run(prog *Program) []Diagnostic {
-	var diags []Diagnostic
-	for _, pkg := range prog.Packages {
-		for _, f := range pkg.Files {
-			file := prog.Fset.Position(f.Pos()).Filename
-			if strings.HasSuffix(file, "_test.go") {
-				continue
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				es, ok := n.(*ast.ExprStmt)
-				if !ok {
-					return true
-				}
-				call, ok := es.X.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if !returnsError(pkg.Info, call) {
-					return true
-				}
-				if d, ok := droppedErrDiag(pkg, call); ok {
-					diags = append(diags, d)
-				}
-				return true
-			})
-		}
+func droppedErr(p *pass, n ast.Node) {
+	es, ok := n.(*ast.ExprStmt)
+	if !ok {
+		return
 	}
-	return diags
-}
-
-func droppedErrDiag(pkg *Package, call *ast.CallExpr) (Diagnostic, bool) {
-	name := "call"
-	if f := calleeFunc(pkg.Info, call); f != nil {
-		path := funcPath(f)
-		if droppederrSafe[path] {
-			return Diagnostic{}, false
-		}
-		if droppederrSafeRecv[recvTypeString(pkg, call, f)] {
-			return Diagnostic{}, false
-		}
-		if isSafeFprint(pkg, f, call) {
-			return Diagnostic{}, false
+	call, ok := es.X.(*ast.CallExpr)
+	if !ok || !returnsError(p.Info, call) {
+		return
+	}
+	name := exprString(ast.Unparen(call.Fun))
+	if f := calleeFunc(p.Info, call); f != nil {
+		if droppederrSafe[funcPath(f)] || droppederrSafeRecv[recvTypeString(p.Info, call, f)] || isSafeFprint(p.Info, f, call) {
+			return
 		}
 		name = shortFuncName(f)
-	} else {
-		name = exprString(ast.Unparen(call.Fun))
 	}
-	return Diagnostic{
-		Pos:      call.Pos(),
-		Analyzer: "droppederr",
-		Message:  fmt.Sprintf("error result of %s is silently discarded: handle it or assign to _ with a reason", name),
-	}, true
+	p.report(call.Pos(), "error result of %s is silently discarded: handle it or assign to _ with a reason", name)
 }
 
 // isSafeFprint allows fmt.Fprint* except when the destination is a concrete
@@ -118,7 +77,7 @@ func droppedErrDiag(pkg *Package, call *ast.CallExpr) (Diagnostic, bool) {
 // io.Writers and terminals, where a failed print is not actionable, but a
 // print into an *os.File is producing an artifact whose write errors must
 // not vanish.
-func isSafeFprint(pkg *Package, f *types.Func, call *ast.CallExpr) bool {
+func isSafeFprint(info *types.Info, f *types.Func, call *ast.CallExpr) bool {
 	if f.Pkg() == nil || f.Pkg().Path() != "fmt" || !strings.HasPrefix(f.Name(), "Fprint") {
 		return false
 	}
@@ -126,7 +85,7 @@ func isSafeFprint(pkg *Package, f *types.Func, call *ast.CallExpr) bool {
 		return false
 	}
 	w := ast.Unparen(call.Args[0])
-	tv, ok := pkg.Info.Types[w]
+	tv, ok := info.Types[w]
 	if !ok {
 		return false
 	}
@@ -137,7 +96,7 @@ func isSafeFprint(pkg *Package, f *types.Func, call *ast.CallExpr) bool {
 	if !ok {
 		return false
 	}
-	obj, ok := pkg.Info.Uses[sel.Sel].(*types.Var)
+	obj, ok := info.Uses[sel.Sel].(*types.Var)
 	if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "os" {
 		return false
 	}
@@ -147,9 +106,9 @@ func isSafeFprint(pkg *Package, f *types.Func, call *ast.CallExpr) bool {
 // recvTypeString returns the static receiver type at the call site (which,
 // unlike the method's declared receiver, reflects the interface the caller
 // holds — e.g. hash.Hash64 rather than io.Writer for an embedded Write).
-func recvTypeString(pkg *Package, call *ast.CallExpr, f *types.Func) string {
+func recvTypeString(info *types.Info, call *ast.CallExpr, f *types.Func) string {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s, ok := pkg.Info.Selections[sel]; ok {
+		if s, ok := info.Selections[sel]; ok {
 			return s.Recv().String()
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -16,25 +17,73 @@ type Diagnostic struct {
 	Message  string
 }
 
-// Analyzer is one lint pass over a whole Program. Analyzers are stateless:
-// Run may be called on multiple programs.
-type Analyzer interface {
+// Analyzer is one check. Run walks the program once and hands each covered
+// package's nodes to the hooks an analyzer sets; it sets only those it needs.
+type Analyzer struct {
 	// Name is the identifier used in diagnostics and //lint:ignore lines.
-	Name() string
+	Name string
 	// Doc is a one-line description for -list output.
-	Doc() string
-	Run(prog *Program) []Diagnostic
+	Doc string
+	// covers says by package name which packages the hooks see; nil covers
+	// every package.
+	covers func(pkgName string) bool
+	// node sees every node of a covered package's files.
+	node func(p *pass, n ast.Node)
+	// body sees each function body once: a declared function's, or a func
+	// literal's, which is a unit of its own unless a body hook walked it as
+	// part of the body that calls it in place (pass.inlined).
+	body func(p *pass, body *ast.BlockStmt)
+	// program sees all covered packages at once, keyed by package name.
+	program func(p *pass, pkgs map[string]*Package)
 }
 
 // All returns the full analyzer suite in stable order.
 func All() []Analyzer {
-	return []Analyzer{
-		Locksafe{},
-		Wiremsg{},
-		Detrand{},
-		Droppederr{},
-		Mapsort{},
-		Readpath{},
+	return []Analyzer{locksafe, wiremsg, detrand, droppederr, mapsort, readpath}
+}
+
+// only covers the packages with the given names.
+func only(names ...string) func(string) bool {
+	return func(name string) bool { return slices.Contains(names, name) }
+}
+
+func (a *Analyzer) covered(pkgName string) bool {
+	return a.covers == nil || a.covers(pkgName)
+}
+
+// pass is what a hook sees: the package under analysis (nil for a program
+// hook) and report, the one path a finding takes out.
+type pass struct {
+	*Package
+	a     *Analyzer
+	diags *[]Diagnostic
+	// inlined holds the func literals a body hook analyzed as part of the
+	// body that calls them in place; the walk does not visit them again.
+	inlined map[*ast.FuncLit]bool
+}
+
+// report records a finding at pos under the analyzer's name.
+func (p *pass) report(pos token.Pos, format string, args ...any) {
+	*p.diags = append(*p.diags, Diagnostic{Pos: pos, Analyzer: p.a.Name, Message: fmt.Sprintf(format, args...)})
+}
+
+// visit dispatches one node to the analyzer's node and body hooks.
+func (p *pass) visit(n ast.Node) {
+	if p.a.node != nil {
+		p.a.node(p, n)
+	}
+	if p.a.body == nil {
+		return
+	}
+	switch n := n.(type) {
+	case *ast.FuncDecl:
+		if n.Body != nil {
+			p.a.body(p, n.Body)
+		}
+	case *ast.FuncLit:
+		if !p.inlined[n] {
+			p.a.body(p, n.Body)
+		}
 	}
 }
 
@@ -80,8 +129,10 @@ func parseIgnores(f *ast.File) (dirs []*IgnoreDirective, bad []Diagnostic) {
 	return dirs, bad
 }
 
-// Run executes the analyzers over the program, applies //lint:ignore
-// suppressions, and returns the surviving diagnostics sorted by position.
+// Run walks each package's non-test files once, handing every node to the
+// hooks of the analyzers that cover the package, then runs the program
+// hooks. It applies //lint:ignore suppressions and returns the surviving
+// diagnostics sorted by position.
 // A suppression matches a diagnostic from the named analyzer on the same
 // line or the line directly below the directive (i.e. the directive sits on
 // the flagged line or on its own line above). Suppressions that match
@@ -89,9 +140,40 @@ func parseIgnores(f *ast.File) (dirs []*IgnoreDirective, bad []Diagnostic) {
 func Run(prog *Program, analyzers []Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name()] = true
-		diags = append(diags, a.Run(prog)...)
+	for i := range analyzers {
+		known[analyzers[i].Name] = true
+	}
+	for _, pkg := range prog.Packages {
+		var passes []*pass
+		for i := range analyzers {
+			if a := &analyzers[i]; a.covered(pkg.Name) {
+				passes = append(passes, &pass{Package: pkg, a: a, diags: &diags, inlined: make(map[*ast.FuncLit]bool)})
+			}
+		}
+		for _, f := range pkg.Files {
+			if strings.HasSuffix(prog.Fset.Position(f.Pos()).Filename, "_test.go") {
+				continue // tests break the rules on purpose
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				for _, p := range passes {
+					p.visit(n)
+				}
+				return true
+			})
+		}
+	}
+	for i := range analyzers {
+		a := &analyzers[i]
+		if a.program == nil {
+			continue
+		}
+		pkgs := make(map[string]*Package)
+		for _, pkg := range prog.Packages {
+			if a.covered(pkg.Name) {
+				pkgs[pkg.Name] = pkg
+			}
+		}
+		a.program(&pass{a: a, diags: &diags}, pkgs)
 	}
 
 	var dirs []*IgnoreDirective
@@ -248,12 +330,6 @@ func typeIs(t types.Type, pkgPath, name string) bool {
 		return pkgPath == ""
 	}
 	return obj.Pkg().Path() == pkgPath
-}
-
-// hasPathSuffix reports whether the import path equals suffix or ends with
-// "/"+suffix.
-func hasPathSuffix(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
 // returnsError reports whether the call's result type is or contains error.

@@ -95,55 +95,41 @@ func checkFixture(t *testing.T, prog *Program, diags []Diagnostic) {
 	}
 }
 
-func runFixture(t *testing.T, dir string, analyzers []Analyzer, extra ...string) {
+func runFixture(t *testing.T, dir string, analyzers []Analyzer) {
 	t.Helper()
-	prog, err := LoadFixtureDir(filepath.Join("testdata", dir), extra...)
+	prog, err := LoadFixtureDir(filepath.Join("testdata", dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkFixture(t, prog, Run(prog, analyzers))
 }
 
-func TestLocksafeFixture(t *testing.T) {
-	runFixture(t, "locksafe", []Analyzer{Locksafe{PackageSuffixes: []string{"*"}}}, "sync", "time")
-}
-
-func TestWiremsgFixture(t *testing.T) {
-	runFixture(t, "wiremsg", []Analyzer{Wiremsg{}}, "errors")
-}
-
-func TestDetrandFixture(t *testing.T) {
-	runFixture(t, "detrand", []Analyzer{Detrand{}}, "math/rand", "math/rand/v2", "time")
-}
-
-func TestDroppederrFixture(t *testing.T) {
-	runFixture(t, "droppederr", []Analyzer{Droppederr{}}, "errors", "fmt", "os", "strings")
-}
-
-func TestMapsortFixture(t *testing.T) {
-	runFixture(t, "mapsort", []Analyzer{Mapsort{}}, "sort")
-}
-
-func TestReadpathFixture(t *testing.T) {
-	runFixture(t, "readpath", []Analyzer{Readpath{}})
+// TestFixtures runs each analyzer alone over testdata/<name>, so an
+// analyzer without a fixture fails here.
+func TestFixtures(t *testing.T) {
+	for _, a := range All() {
+		t.Run(a.Name, func(t *testing.T) {
+			runFixture(t, a.Name, []Analyzer{a})
+		})
+	}
 }
 
 // TestSuppressions runs the whole suite so //lint:ignore handling — matched,
 // stale, unknown-analyzer and malformed directives — is exercised through
 // the same Run path the driver uses.
 func TestSuppressions(t *testing.T) {
-	runFixture(t, "suppress", All(), "time")
+	runFixture(t, "suppress", All())
 }
 
 func TestAnalyzerNamesUnique(t *testing.T) {
 	seen := make(map[string]bool)
-	for _, a := range All() {
-		if a.Name() == "" || a.Doc() == "" {
-			t.Errorf("analyzer %T has an empty name or doc", a)
+	for i, a := range All() {
+		if a.Name == "" || a.Doc == "" {
+			t.Errorf("analyzer %d has an empty name or doc", i)
 		}
-		if seen[a.Name()] {
-			t.Errorf("duplicate analyzer name %q", a.Name())
+		if seen[a.Name] {
+			t.Errorf("duplicate analyzer name %q", a.Name)
 		}
-		seen[a.Name()] = true
+		seen[a.Name] = true
 	}
 }

@@ -7,6 +7,13 @@
 // or wire output (mapsort), and read requests built only by the reader
 // package (readpath).
 //
+// Each analyzer is a value of one type, Analyzer: a name, a doc, the
+// package names it covers, and the hooks it needs. Run walks every
+// package's non-test files once and hands each node, and each function
+// body, to the hooks of the analyzers that cover the package; the one
+// whole-program hook (wiremsg) sees its packages by name. Every finding
+// leaves through one report call, which stamps the analyzer's name on it.
+//
 // The suite is deliberately stdlib-only: packages are located with
 // `go list -export -deps -json`, parsed with go/parser and type-checked
 // with go/types against the toolchain's export data, so `make lint` needs
@@ -23,6 +30,7 @@ package lint
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -31,22 +39,23 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 )
 
 // Package is one type-checked package under analysis.
 type Package struct {
-	Path   string // import path ("corec/internal/server")
-	Name   string // package name ("server")
-	Dir    string
-	Files  []*ast.File
-	Pkg    *types.Package
-	Info   *types.Info
-	IsTest bool // file set came from a fixture test file
+	Path  string // import path ("corec/internal/server")
+	Name  string // package name ("server")
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
 }
 
 // Program is the unit analyzers run over: a set of packages sharing one
@@ -172,14 +181,7 @@ func (ld *Loader) check(path string, files []string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	return &Package{
-		Path:  path,
-		Name:  pkg.Name(),
-		Dir:   filepath.Dir(files[0]),
-		Files: syntax,
-		Pkg:   pkg,
-		Info:  info,
-	}, nil
+	return &Package{Path: path, Name: pkg.Name(), Files: syntax, Pkg: pkg, Info: info}, nil
 }
 
 // Load lists, parses and type-checks the packages matching patterns,
@@ -212,79 +214,69 @@ func Load(patterns ...string) (*Program, error) {
 // LoadFixtureDir type-checks the fixture tree rooted at dir for analyzer
 // tests. Each subdirectory containing .go files becomes one package whose
 // import path is the directory path relative to dir's parent (so fixtures
-// can import sibling fixture packages, e.g. "wiremsg/transport").
+// can import sibling fixture packages, e.g. "wiremsg/transport"); every
+// other import the fixture files declare resolves from export data.
 // Unlike Load, files named *_test.go are included — fixtures use them to
-// assert test-file exemptions. The extra patterns name std packages the
-// fixtures import ("sync", "time", ...).
-func LoadFixtureDir(dir string, extra ...string) (*Program, error) {
-	ld, _, err := newLoader(extra...)
-	if err != nil {
-		return nil, err
-	}
-	// Collect fixture packages: dir itself plus any subdirectory with Go
-	// files, deepest dependencies first so cross-imports resolve. A simple
-	// multi-pass resolution avoids a topological sort.
-	var dirs []string
-	err = filepath.Walk(dir, func(p string, fi os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if fi.IsDir() {
-			dirs = append(dirs, p)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	base := filepath.Dir(dir)
+// assert that the walk skips test files.
+func LoadFixtureDir(dir string) (*Program, error) {
 	type pending struct {
 		path  string
 		files []string
 	}
 	var todo []pending
-	for _, d := range dirs {
-		ents, err := os.ReadDir(d)
-		if err != nil {
-			return nil, err
+	fixture := make(map[string]bool)
+	err := filepath.WalkDir(dir, func(d string, e fs.DirEntry, err error) error {
+		if err != nil || !e.IsDir() {
+			return err
 		}
-		var files []string
-		for _, e := range ents {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				files = append(files, filepath.Join(d, e.Name()))
+		files, _ := filepath.Glob(filepath.Join(d, "*.go"))
+		rel, err := filepath.Rel(filepath.Dir(dir), d)
+		if path := filepath.ToSlash(rel); err == nil && len(files) > 0 {
+			todo = append(todo, pending{path: path, files: files})
+			fixture[path] = true
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var imports []string
+	for _, p := range todo {
+		for _, f := range p.files {
+			af, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.ImportsOnly)
+			if err != nil {
+				return nil, err
+			}
+			for _, imp := range af.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); !fixture[path] && !slices.Contains(imports, path) {
+					imports = append(imports, path)
+				}
 			}
 		}
-		if len(files) == 0 {
-			continue
-		}
-		rel, err := filepath.Rel(base, d)
-		if err != nil {
-			return nil, err
-		}
-		todo = append(todo, pending{path: filepath.ToSlash(rel), files: files})
 	}
+	ld, _, err := newLoader(imports...)
+	if err != nil {
+		return nil, err
+	}
+	// Check packages whose imports are ready first; a package that fails may
+	// import a sibling fixture not yet checked, so it waits for the next
+	// round. A round that checks nothing surfaces the first real error.
 	prog := &Program{Fset: ld.Fset}
-	for pass := 0; len(todo) > 0; pass++ {
-		if pass > len(dirs)+1 {
-			return nil, fmt.Errorf("lint: fixture import cycle or unresolved import under %s", dir)
-		}
+	for len(todo) > 0 {
 		var next []pending
+		var firstErr error
 		for _, p := range todo {
 			pkg, err := ld.check(p.path, p.files)
 			if err != nil {
-				// Possibly an import of a sibling fixture not yet checked;
-				// retry on the next pass.
 				next = append(next, p)
+				firstErr = cmp.Or(firstErr, err)
 				continue
 			}
 			ld.mem[p.path] = pkg.Pkg
-			pkg.IsTest = false
 			prog.Packages = append(prog.Packages, pkg)
 		}
 		if len(next) == len(todo) {
-			// No progress: re-run one to surface its real error.
-			_, err := ld.check(next[0].path, next[0].files)
-			return nil, err
+			return nil, firstErr
 		}
 		todo = next
 	}

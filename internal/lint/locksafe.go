@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// Locksafe flags blocking operations performed while a server state mutex
+// locksafe flags blocking operations performed while a server state mutex
 // is held. CoREC's exactly-once encode workflow and lazy recovery assume a
 // server can always make progress on its state mutex: an RPC, channel
 // operation, sleep or arbitrary callback issued under s.mu can deadlock the
@@ -28,10 +28,15 @@ import (
 //
 // sync.Cond Wait/Signal/Broadcast are exempt (Wait releases the mutex; the
 // others never block).
-type Locksafe struct {
-	// PackageSuffixes limits the analysis; empty means every package in the
-	// program (used by fixtures).
-	PackageSuffixes []string
+//
+// The state mutexes live in the package named "server".
+var locksafe = Analyzer{
+	Name:   "locksafe",
+	Doc:    "no RPC, channel op, sleep or callback while a state mutex is held",
+	covers: only("server"),
+	body: func(p *pass, body *ast.BlockStmt) {
+		(&lockWalker{p}).walkStmts(body.List, newLockState())
+	},
 }
 
 // blockingMethods are project methods that perform network sends; calling
@@ -40,50 +45,6 @@ var blockingMethods = map[string]bool{
 	"sendRetry":   true,
 	"sendToGroup": true,
 	"broadcast":   true,
-}
-
-// defaultLocksafeScope is where the invariant is enforced in this tree.
-var defaultLocksafeScope = []string{"internal/server"}
-
-// Name implements Analyzer.
-func (Locksafe) Name() string { return "locksafe" }
-
-// Doc implements Analyzer.
-func (Locksafe) Doc() string {
-	return "no RPC, channel op, sleep or callback while a state mutex is held"
-}
-
-// Run implements Analyzer.
-func (a Locksafe) Run(prog *Program) []Diagnostic {
-	suffixes := a.PackageSuffixes
-	if suffixes == nil {
-		suffixes = defaultLocksafeScope
-	}
-	var diags []Diagnostic
-	for _, pkg := range prog.Packages {
-		if !matchesAnySuffix(pkg.Path, suffixes) {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if ok && fd.Body != nil {
-					w := &lockWalker{pkg: pkg, diags: &diags}
-					w.walkStmts(fd.Body.List, newLockState())
-				}
-			}
-		}
-	}
-	return diags
-}
-
-func matchesAnySuffix(path string, suffixes []string) bool {
-	for _, s := range suffixes {
-		if s == "*" || hasPathSuffix(path, s) {
-			return true
-		}
-	}
-	return false
 }
 
 // lockState tracks which mutex expressions are held on the current path.
@@ -124,17 +85,9 @@ func (st *lockState) merge(o *lockState) {
 	}
 }
 
+// lockWalker walks one function body, threading the set of held locks.
 type lockWalker struct {
-	pkg   *Package
-	diags *[]Diagnostic
-}
-
-func (w *lockWalker) report(pos ast.Node, format string, args ...any) {
-	*w.diags = append(*w.diags, Diagnostic{
-		Pos:      pos.Pos(),
-		Analyzer: "locksafe",
-		Message:  fmt.Sprintf(format, args...),
-	})
+	*pass
 }
 
 // lockExprName returns the canonical name for a tracked mutex receiver, or
@@ -142,7 +95,7 @@ func (w *lockWalker) report(pos ast.Node, format string, args ...any) {
 // obtained from an accessor call).
 func (w *lockWalker) lockExprName(recv ast.Expr) string {
 	recv = ast.Unparen(recv)
-	t, ok := w.pkg.Info.Types[recv]
+	t, ok := w.Info.Types[recv]
 	if !ok || !isMutexType(t.Type) {
 		return ""
 	}
@@ -151,7 +104,7 @@ func (w *lockWalker) lockExprName(recv ast.Expr) string {
 		// Field selector (s.mu) or package-qualified var (pkg.mu): tracked.
 		return exprString(e)
 	case *ast.Ident:
-		obj := w.pkg.Info.Uses[e]
+		obj := w.Info.Uses[e]
 		if v, ok := obj.(*types.Var); ok && !v.IsField() && v.Parent() != nil &&
 			v.Parent().Parent() == types.Universe {
 			// Package-level mutex variable.
@@ -249,25 +202,17 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) *lockState {
 		}
 		w.checkExprs(st, s.X)
 	case *ast.DeferStmt:
-		if name, delta := w.lockCall(s.Call); delta != 0 {
-			// defer mu.Unlock(): the mutex stays held for the remainder of
-			// the function; nothing to change on the sequential path. A
-			// deferred Lock would be bizarre; ignore both directions here.
-			_ = name
-			return st
-		}
-		// Other deferred calls run at return time; their bodies are analyzed
-		// with a fresh state (the locks held now are typically released by
-		// an earlier defer by then). Argument expressions evaluate now.
+		// The deferred call runs at return time and a go statement's runs
+		// under no lock; a literal's body is a unit of its own. Arguments
+		// evaluate now.
 		w.checkExprs(st, s.Call.Args...)
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			w.walkStmts(lit.Body.List, newLockState())
-		}
 	case *ast.GoStmt:
-		// The goroutine body runs concurrently, under no lock.
 		w.checkExprs(st, s.Call.Args...)
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			w.walkStmts(lit.Body.List, newLockState())
+	case *ast.DeclStmt:
+		for _, spec := range s.Decl.(*ast.GenDecl).Specs {
+			if vs, ok := spec.(*ast.ValueSpec); ok {
+				w.checkExprs(st, vs.Values...)
+			}
 		}
 	case *ast.AssignStmt:
 		w.checkExprs(st, s.Rhs...)
@@ -275,9 +220,8 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) *lockState {
 	case *ast.ReturnStmt:
 		w.checkExprs(st, s.Results...)
 	case *ast.SendStmt:
-		if _, held := st.any(); held {
-			lock, _ := st.any()
-			w.report(s, "channel send while %s is held", lock)
+		if lock, held := st.any(); held {
+			w.report(s.Pos(), "channel send while %s is held", lock)
 		}
 		w.checkExprs(st, s.Value)
 	case *ast.IncDecStmt:
@@ -292,15 +236,11 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) *lockState {
 		if s.Else != nil {
 			elseSt = w.walkStmt(s.Else, elseSt)
 		}
-		switch {
-		case lastTerminates(s.Body.List) && s.Else == nil:
+		if lastTerminates(s.Body.List) {
 			return elseSt
-		case lastTerminates(s.Body.List):
-			return elseSt
-		default:
-			thenSt.merge(elseSt)
-			return thenSt
 		}
+		thenSt.merge(elseSt)
+		return thenSt
 	case *ast.BlockStmt:
 		return w.walkStmts(s.List, st)
 	case *ast.ForStmt:
@@ -310,13 +250,16 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) *lockState {
 		if s.Cond != nil {
 			w.checkExprs(st, s.Cond)
 		}
-		w.walkStmts(s.Body.List, st.clone())
+		bodySt := w.walkStmts(s.Body.List, st.clone())
+		if s.Post != nil {
+			w.walkStmt(s.Post, bodySt)
+		}
 		return st
 	case *ast.RangeStmt:
-		if t, ok := w.pkg.Info.Types[s.X]; ok {
+		if t, ok := w.Info.Types[s.X]; ok {
 			if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
 				if lock, held := st.any(); held {
-					w.report(s, "range over channel while %s is held", lock)
+					w.report(s.Pos(), "range over channel while %s is held", lock)
 				}
 			}
 		}
@@ -341,6 +284,7 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) *lockState {
 		if s.Init != nil {
 			st = w.walkStmt(s.Init, st)
 		}
+		st = w.walkStmt(s.Assign, st)
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
 				w.walkStmts(cc.Body, st.clone())
@@ -349,7 +293,7 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) *lockState {
 		return st
 	case *ast.SelectStmt:
 		if lock, held := st.any(); held {
-			w.report(s, "select statement while %s is held", lock)
+			w.report(s.Pos(), "select statement while %s is held", lock)
 		}
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
@@ -364,8 +308,9 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) *lockState {
 }
 
 // checkExprs scans expressions for blocking operations under held locks:
-// channel receives, blocking calls, and nested (non-called) func literals
-// analyzed with a fresh state.
+// channel receives and blocking calls. A func literal called in place runs
+// under the current locks and is walked here; any other literal runs later
+// and is a unit of its own.
 func (w *lockWalker) checkExprs(st *lockState, exprs ...ast.Expr) {
 	lock, held := st.any()
 	for _, e := range exprs {
@@ -375,25 +320,19 @@ func (w *lockWalker) checkExprs(st *lockState, exprs ...ast.Expr) {
 		ast.Inspect(e, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncLit:
-				// A func literal not invoked here runs later; analyze its
-				// body lock-free and do not attribute current locks to it.
-				w.walkStmts(n.Body.List, newLockState())
 				return false
 			case *ast.UnaryExpr:
 				if n.Op.String() == "<-" && held {
-					w.report(n, "channel receive while %s is held", lock)
+					w.report(n.Pos(), "channel receive while %s is held", lock)
 				}
 			case *ast.CallExpr:
 				if !held {
 					return true
 				}
-				// An immediately-invoked func literal executes inline under
-				// the current locks.
 				if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
+					w.inlined[lit] = true
 					w.walkStmts(lit.Body.List, st.clone())
-					for _, a := range n.Args {
-						w.checkExprs(st, a)
-					}
+					w.checkExprs(st, n.Args...)
 					return false
 				}
 				w.checkCall(st, lock, n)
@@ -404,20 +343,20 @@ func (w *lockWalker) checkExprs(st *lockState, exprs ...ast.Expr) {
 }
 
 func (w *lockWalker) checkCall(st *lockState, lock string, call *ast.CallExpr) {
-	if f := calleeFunc(w.pkg.Info, call); f != nil {
+	if f := calleeFunc(w.Info, call); f != nil {
 		path := funcPath(f)
 		switch {
 		case path == "time.Sleep":
-			w.report(call, "time.Sleep while %s is held", lock)
-		case blockingMethods[f.Name()] && f.Pkg() != nil && f.Pkg().Path() == w.pkg.Path:
-			w.report(call, "call to %s (network send) while %s is held", f.Name(), lock)
+			w.report(call.Pos(), "time.Sleep while %s is held", lock)
+		case blockingMethods[f.Name()] && f.Pkg() != nil && f.Pkg().Path() == w.Path:
+			w.report(call.Pos(), "call to %s (network send) while %s is held", f.Name(), lock)
 		case w.isInterfaceSend(call, f):
-			w.report(call, "transport send (%s) while %s is held", path, lock)
+			w.report(call.Pos(), "transport send (%s) while %s is held", path, lock)
 		}
 		return
 	}
-	if isDynamicCall(w.pkg.Info, call) {
-		w.report(call, "dynamic call through func value %q while %s is held", exprString(ast.Unparen(call.Fun)), lock)
+	if isDynamicCall(w.Info, call) {
+		w.report(call.Pos(), "dynamic call through func value %q while %s is held", exprString(ast.Unparen(call.Fun)), lock)
 	}
 }
 
@@ -432,7 +371,7 @@ func (w *lockWalker) isInterfaceSend(call *ast.CallExpr, f *types.Func) bool {
 	if !ok {
 		return false
 	}
-	s, ok := w.pkg.Info.Selections[sel]
+	s, ok := w.Info.Selections[sel]
 	if !ok {
 		return false
 	}

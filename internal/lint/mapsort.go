@@ -1,13 +1,12 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
 )
 
-// Mapsort flags map iterations whose accumulated results escape the
+// mapsort flags map iterations whose accumulated results escape the
 // function — returned, stored into a struct field (wire responses), passed
 // to another call, or sent on a channel — without an intervening sort. Go
 // randomizes map iteration order on purpose, so any such slice makes wire
@@ -21,46 +20,10 @@ import (
 // re-keying into another map is fine). Escapes are: return statements,
 // call arguments (append/len/cap/copy/delete excluded), assignments into
 // fields or indexed elements, and channel sends.
-type Mapsort struct{}
-
-// Name implements Analyzer.
-func (Mapsort) Name() string { return "mapsort" }
-
-// Doc implements Analyzer.
-func (Mapsort) Doc() string {
-	return "map-iteration results must be sorted before feeding output or decisions"
-}
-
-// Run implements Analyzer.
-func (Mapsort) Run(prog *Program) []Diagnostic {
-	var diags []Diagnostic
-	for _, pkg := range prog.Packages {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				forEachFuncBody(fd.Body, func(body *ast.BlockStmt) {
-					diags = append(diags, checkMapRanges(pkg, body)...)
-				})
-			}
-		}
-	}
-	return diags
-}
-
-// forEachFuncBody visits body and the bodies of nested func literals, each
-// exactly once, treating every function body as its own analysis unit.
-func forEachFuncBody(body *ast.BlockStmt, fn func(*ast.BlockStmt)) {
-	fn(body)
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			forEachFuncBody(lit.Body, fn)
-			return false
-		}
-		return true
-	})
+var mapsort = Analyzer{
+	Name: "mapsort",
+	Doc:  "map-iteration results must be sorted before feeding output or decisions",
+	body: checkMapRanges,
 }
 
 // appendTarget is one `x = append(x, ...)` accumulation inside a map range.
@@ -71,7 +34,8 @@ type appendTarget struct {
 	rng  *ast.RangeStmt
 }
 
-func checkMapRanges(pkg *Package, body *ast.BlockStmt) []Diagnostic {
+func checkMapRanges(p *pass, body *ast.BlockStmt) {
+	pkg := p.Package
 	var targets []appendTarget
 	inspectUnit(body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
@@ -108,7 +72,6 @@ func checkMapRanges(pkg *Package, body *ast.BlockStmt) []Diagnostic {
 		return true
 	})
 
-	var diags []Diagnostic
 	seen := make(map[string]bool)
 	for _, t := range targets {
 		if seen[t.expr] {
@@ -122,14 +85,9 @@ func checkMapRanges(pkg *Package, body *ast.BlockStmt) []Diagnostic {
 		if sortedAfter(pkg, body, t) {
 			continue
 		}
-		diags = append(diags, Diagnostic{
-			Pos:      t.pos.Pos(),
-			Analyzer: "mapsort",
-			Message: fmt.Sprintf("%s accumulates map-iteration order and is %s without a sort: iteration order is random",
-				t.expr, sink),
-		})
+		p.report(t.pos.Pos(), "%s accumulates map-iteration order and is %s without a sort: iteration order is random",
+			t.expr, sink)
 	}
-	return diags
 }
 
 // inspectUnit is ast.Inspect that does not descend into nested func

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -10,7 +9,7 @@ import (
 	"strings"
 )
 
-// Wiremsg cross-checks the wire protocol's message plumbing. Adding a Kind
+// wiremsg cross-checks the wire protocol's message plumbing. Adding a Kind
 // constant in the transport package is a four-site change — the constant,
 // its kindNames entry (String()), the server dispatch switch, and, for new
 // Message fields, the Encode/Decode codec — and forgetting any one of them
@@ -27,7 +26,12 @@ import (
 //     Decode, so new wire fields cannot skip the codec. A field that is
 //     local to one process by design says so with a `wire:"-"` struct tag,
 //     and the check turns around: the codec must not touch it.
-type Wiremsg struct{}
+var wiremsg = Analyzer{
+	Name:    "wiremsg",
+	Doc:     "every wire message kind is named, dispatched, and codec-covered",
+	covers:  only("transport", "server"),
+	program: checkWire,
+}
 
 // wiremsgResponseOnly are kinds servers emit but never receive; they have
 // no dispatch case by design.
@@ -37,39 +41,20 @@ var wiremsgResponseOnly = map[string]bool{
 	"MsgGetBytes": true,
 }
 
-// Name implements Analyzer.
-func (Wiremsg) Name() string { return "wiremsg" }
-
-// Doc implements Analyzer.
-func (Wiremsg) Doc() string {
-	return "every wire message kind is named, dispatched, and codec-covered"
-}
-
-// Run implements Analyzer.
-func (Wiremsg) Run(prog *Program) []Diagnostic {
-	var transportPkg, serverPkg *Package
-	for _, p := range prog.Packages {
-		switch p.Name {
-		case "transport":
-			transportPkg = p
-		case "server":
-			serverPkg = p
-		}
-	}
+func checkWire(p *pass, pkgs map[string]*Package) {
+	transportPkg, serverPkg := pkgs["transport"], pkgs["server"]
 	if transportPkg == nil {
-		return nil // protocol package not in this load; nothing to check
+		return // protocol package not in this load; nothing to check
 	}
-	var diags []Diagnostic
 	kinds, sentinel := collectKinds(transportPkg)
 	if len(kinds) == 0 {
-		return nil
+		return
 	}
-	diags = append(diags, checkKindNames(transportPkg, kinds, sentinel)...)
+	checkKindNames(p, transportPkg, kinds, sentinel)
 	if serverPkg != nil {
-		diags = append(diags, checkDispatch(transportPkg, serverPkg, kinds)...)
+		checkDispatch(p, transportPkg, serverPkg, kinds)
 	}
-	diags = append(diags, checkCodec(transportPkg)...)
-	return diags
+	checkCodec(p, transportPkg)
 }
 
 // kindConst is one Msg* constant of the Kind type.
@@ -106,27 +91,15 @@ func collectKinds(pkg *Package) ([]kindConst, int64) {
 }
 
 // checkKindNames verifies the kindNames array used by Kind.String().
-func checkKindNames(pkg *Package, kinds []kindConst, sentinel int64) []Diagnostic {
-	var diags []Diagnostic
+func checkKindNames(p *pass, pkg *Package, kinds []kindConst, sentinel int64) {
 	lit := findVarCompositeLit(pkg, "kindNames")
 	if lit == nil {
-		pos := pkg.Files[0].Pos()
-		if len(kinds) > 0 {
-			pos = kinds[0].obj.Pos()
-		}
-		return []Diagnostic{{
-			Pos:      pos,
-			Analyzer: "wiremsg",
-			Message:  "transport package has no kindNames composite literal for Kind.String()",
-		}}
+		p.report(kinds[0].obj.Pos(), "transport package has no kindNames composite literal for Kind.String()")
+		return
 	}
 	if sentinel >= 0 && int64(len(lit.Elts)) != sentinel {
-		diags = append(diags, Diagnostic{
-			Pos:      lit.Pos(),
-			Analyzer: "wiremsg",
-			Message: fmt.Sprintf("kindNames has %d entries but kindCount is %d: every Kind needs a String() name",
-				len(lit.Elts), sentinel),
-		})
+		p.report(lit.Pos(), "kindNames has %d entries but kindCount is %d: every Kind needs a String() name",
+			len(lit.Elts), sentinel)
 	}
 	byValue := make(map[int64]kindConst, len(kinds))
 	for _, k := range kinds {
@@ -143,14 +116,9 @@ func checkKindNames(pkg *Package, kinds []kindConst, sentinel int64) []Diagnosti
 			continue // covered by the count check
 		}
 		if want := strings.TrimPrefix(k.name, "Msg"); got != want {
-			diags = append(diags, Diagnostic{
-				Pos:      el.Pos(),
-				Analyzer: "wiremsg",
-				Message:  fmt.Sprintf("kindNames[%d] is %q but the constant at value %d is %s (want %q)", i, got, i, k.name, want),
-			})
+			p.report(el.Pos(), "kindNames[%d] is %q but the constant at value %d is %s (want %q)", i, got, i, k.name, want)
 		}
 	}
-	return diags
 }
 
 // findVarCompositeLit locates the composite literal initializing the named
@@ -183,7 +151,7 @@ func findVarCompositeLit(pkg *Package, name string) *ast.CompositeLit {
 
 // checkDispatch verifies every non-response kind has a case in the server's
 // Handle dispatch switch.
-func checkDispatch(transportPkg, serverPkg *Package, kinds []kindConst) []Diagnostic {
+func checkDispatch(p *pass, transportPkg, serverPkg *Package, kinds []kindConst) {
 	dispatched := make(map[string]bool)
 	found := false
 	for _, f := range serverPkg.Files {
@@ -218,24 +186,14 @@ func checkDispatch(transportPkg, serverPkg *Package, kinds []kindConst) []Diagno
 		}
 	}
 	if !found {
-		return []Diagnostic{{
-			Pos:      serverPkg.Files[0].Pos(),
-			Analyzer: "wiremsg",
-			Message:  "server package has no Handle method switching on transport.Kind",
-		}}
+		p.report(serverPkg.Files[0].Pos(), "server package has no Handle method switching on transport.Kind")
+		return
 	}
-	var diags []Diagnostic
 	for _, k := range kinds {
-		if wiremsgResponseOnly[k.name] || dispatched[k.name] {
-			continue
+		if !wiremsgResponseOnly[k.name] && !dispatched[k.name] {
+			p.report(k.obj.Pos(), "message kind %s has no case in the server Handle dispatch switch", k.name)
 		}
-		diags = append(diags, Diagnostic{
-			Pos:      k.obj.Pos(),
-			Analyzer: "wiremsg",
-			Message:  fmt.Sprintf("message kind %s has no case in the server Handle dispatch switch", k.name),
-		})
 	}
-	return diags
 }
 
 // constOf resolves an identifier or a selector to the constant it denotes,
@@ -256,14 +214,14 @@ func constOf(info *types.Info, e ast.Expr) *types.Const {
 
 // checkCodec verifies every Message struct field is touched by both Encode
 // and Decode — or, when tagged `wire:"-"`, by neither.
-func checkCodec(pkg *Package) []Diagnostic {
+func checkCodec(p *pass, pkg *Package) {
 	msgObj, ok := pkg.Pkg.Scope().Lookup("Message").(*types.TypeName)
 	if !ok {
-		return nil
+		return
 	}
 	st, ok := msgObj.Type().Underlying().(*types.Struct)
 	if !ok {
-		return nil
+		return
 	}
 	fields := make([]string, 0, st.NumFields())
 	local := make(map[string]bool)
@@ -273,15 +231,10 @@ func checkCodec(pkg *Package) []Diagnostic {
 			local[st.Field(i).Name()] = true
 		}
 	}
-	var diags []Diagnostic
 	for _, fnName := range []string{"Encode", "Decode"} {
 		fd := findFuncDecl(pkg, fnName)
 		if fd == nil {
-			diags = append(diags, Diagnostic{
-				Pos:      pkg.Files[0].Pos(),
-				Analyzer: "wiremsg",
-				Message:  fmt.Sprintf("transport package has no %s function covering Message", fnName),
-			})
+			p.report(pkg.Files[0].Pos(), "transport package has no %s function covering Message", fnName)
 			continue
 		}
 		touched := fieldsTouched(pkg, fd, msgObj.Type())
@@ -289,21 +242,12 @@ func checkCodec(pkg *Package) []Diagnostic {
 			pos, ok := touched[f]
 			switch {
 			case local[f] && ok:
-				diags = append(diags, Diagnostic{
-					Pos:      pos,
-					Analyzer: "wiremsg",
-					Message:  fmt.Sprintf("Message field %s is tagged wire:\"-\" but %s references it: a process-local field must stay out of the codec", f, fnName),
-				})
+				p.report(pos, "Message field %s is tagged wire:\"-\" but %s references it: a process-local field must stay out of the codec", f, fnName)
 			case !local[f] && !ok:
-				diags = append(diags, Diagnostic{
-					Pos:      fd.Name.Pos(),
-					Analyzer: "wiremsg",
-					Message:  fmt.Sprintf("Message field %s is not referenced in %s: wire plumbing incomplete", f, fnName),
-				})
+				p.report(fd.Name.Pos(), "Message field %s is not referenced in %s: wire plumbing incomplete", f, fnName)
 			}
 		}
 	}
-	return diags
 }
 
 func findFuncDecl(pkg *Package, name string) *ast.FuncDecl {

@@ -143,9 +143,8 @@ type Message struct {
 	// keeping Data alive for the length of Send. See buffers.go for who lets
 	// go of what.
 	Buf *Buffer `wire:"-"`
-	// sum vouches for Data as src says: the sender's at-rest digest, or what
-	// a frame reader computed over the bytes it delivered — the whole digest
-	// on a server, only its CRC-32C half (the high word) elsewhere.
+	// sum vouches for Data as src says: the sender's at-rest digest, or the
+	// digest a server's frame reader computed over the bytes it delivered.
 	sum uint64    `wire:"-"`
 	src sumSource `wire:"-"`
 }
@@ -156,8 +155,7 @@ type sumSource uint8
 const (
 	sumUnknown     sumSource = iota
 	sumAttached              // the sender holds Data's digest (AttachDigest)
-	crcVerified              // a frame reader computed the CRC-32C half over the bytes it delivered
-	digestVerified           // a server's frame reader computed the whole digest over the bytes it delivered
+	digestVerified           // a server's frame reader computed the digest over the bytes it delivered
 )
 
 // AttachDigest tells the fabric that sum is the at-rest digest
@@ -172,19 +170,13 @@ func (m *Message) AttachDigest(sum uint64) {
 	}
 }
 
-// VerifiedCRC returns the CRC-32C of Data when a frame reader computed it
-// over the delivered bytes and it matched the sender's check. A check the
-// sender merely attached is never reported: on the in-process fabric, which
-// hands messages over by reference, nothing has verified it.
-func (m *Message) VerifiedCRC() (crc uint32, ok bool) {
-	return uint32(m.sum >> 32), m.src >= crcVerified
-}
-
 // VerifiedDigest returns the at-rest digest (scrub.Checksum) of Data when a
 // TCP server's frame reader took it over the bytes as they landed, and their
 // CRC-32C half matched the sender's check. A server that stores Data records
 // it as the copy's digest and reads the bytes no more: the digest was
-// computed by this process, over the memory it keeps.
+// computed by this process, over the memory it keeps. A digest the sender
+// merely attached is never reported: on the in-process fabric, which hands
+// messages over by reference, nothing has verified it.
 func (m *Message) VerifiedDigest() (sum uint64, ok bool) {
 	return m.sum, m.src == digestVerified
 }

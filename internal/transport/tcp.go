@@ -282,7 +282,8 @@ func (fr *frameReader) next(sink payloadSink) (reqID uint64, m *Message, err err
 const payloadChunk = 256 << 10
 
 // landingSum is what a frame reader takes over a payload as it lands: the
-// whole digest on a server, the CRC-32C alone elsewhere.
+// whole digest on a server, which keeps it with the message; elsewhere the
+// CRC-32C alone, only to check the payload against the sender's word.
 type landingSum struct {
 	whole bool
 	d     scrub.Digest
@@ -380,7 +381,6 @@ func (fr *frameReader) payloadInto(sink payloadSink, reqID uint64, m *Message, n
 		return fmt.Errorf("%w: payload check %08x, want %08x", ErrCorruptFrame, got, want)
 	}
 	m.Data, m.Overflow = data, overflow
-	m.sum, m.src = uint64(ls.crc)<<32, crcVerified
 	return nil
 }
 
